@@ -23,8 +23,12 @@ test:
 # procs inside the simulated worlds; keep both race-clean. The profile and
 # perfgate subpackages are covered by the ./internal/obs/... pattern.
 # internal/sim/mem holds the buddy frame allocator the 2 MB path leans on.
+# The engine hands the simulation from goroutine to goroutine: after a
+# handoff the outgoing goroutine must touch no engine state, and only a run
+# with several Ps (-cpu 4) lets the detector see the two sides overlap.
 race:
 	$(GO) test -race ./internal/obs/... ./internal/metrics/... ./internal/core/... ./internal/sim/mem/...
+	$(GO) test -race -count=10 -cpu 1,4 ./internal/sim/engine/...
 
 fmt:
 	@out=$$(gofmt -l .); \

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"aquila/internal/sim/engine"
 	"aquila/internal/sim/mem"
 	"aquila/internal/sim/pagetable"
@@ -132,8 +130,8 @@ func (rt *Runtime) hugeFault(p *engine.Proc, r *Region, f *fileState, idx uint64
 	unit := &Page{
 		file: f, idx: baseIdx, huge: true,
 		frames: block, frame: block[0], resident: true,
-		io: engine.NewEvent(rt.e, fmt.Sprintf("aqhuge:%s:%d", f.name, baseIdx)),
 	}
+	unit.io = engine.NewOwnedEvent(rt.e, unit)
 	var dirtyOlds []*Page
 	unmapped := 0
 	for _, pg := range olds {
@@ -212,10 +210,8 @@ func (rt *Runtime) hugeFault(p *engine.Proc, r *Region, f *fileState, idx uint64
 		unit.resident = false
 		split := make([]*Page, hugePages)
 		for i := range split {
-			spg := &Page{
-				file: f, idx: baseIdx + uint64(i), frame: block[i], resident: true,
-				io: engine.NewEvent(rt.e, fmt.Sprintf("aqio:%s:%d", f.name, baseIdx+uint64(i))),
-			}
+			spg := &Page{file: f, idx: baseIdx + uint64(i), frame: block[i], resident: true}
+			spg.io = engine.NewOwnedEvent(rt.e, spg)
 			split[i] = spg
 			rt.cacheInsert(spg)
 		}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"aquila/internal/sim/engine"
 	"aquila/internal/sim/mem"
 )
@@ -18,12 +20,6 @@ const (
 type pageKey struct {
 	fid uint64
 	idx uint64
-}
-
-// pageKeyLess orders pageKeys by (fid, idx), for deterministic iteration
-// over the page hash (detutil.SortedKeysFunc).
-func pageKeyLess(a, b pageKey) bool {
-	return a.fid < b.fid || (a.fid == b.fid && a.idx < b.idx)
 }
 
 // Page is one page of Aquila's DRAM I/O cache.
@@ -60,6 +56,15 @@ type Page struct {
 	// writeback are tracked for the unit as a whole.
 	huge   bool
 	frames []*mem.Frame
+}
+
+// EventName names the page's fill event (engine.EventNamer); only the
+// engine's deadlock diagnostic asks.
+func (pg *Page) EventName() string {
+	if pg.huge {
+		return fmt.Sprintf("aqhuge:%s:%d", pg.file.name, pg.idx)
+	}
+	return fmt.Sprintf("aqio:%s:%d", pg.file.name, pg.idx)
 }
 
 // pages returns how many base pages the entry accounts for (512 for a huge

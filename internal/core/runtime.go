@@ -3,9 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
-	"aquila/internal/detutil"
 	"aquila/internal/host"
 	"aquila/internal/iface"
 	"aquila/internal/metrics"
@@ -440,17 +440,30 @@ func (rt *Runtime) DeleteFile(p *engine.Proc, name string) {
 		rt.Engine.Delete(p, name)
 		return
 	}
-	// Drop cached pages in key order: the waits below advance the clock and
-	// the later freelist pushes recycle frames in drop order, so iterating
-	// the hash directly would leak map randomization into the simulation.
-	// Pages under I/O wait their owners; mapped pages must have been
-	// unmapped by Munmap already.
-	var drop []*Page
-	for _, key := range detutil.SortedKeysFunc(rt.pages, pageKeyLess) {
-		pg := rt.pages[key]
-		if key.fid != f.id {
-			continue
+	// Drop cached pages in index order: the waits below advance the clock
+	// and the later freelist pushes recycle frames in drop order, so
+	// iterating the hash directly would leak map randomization into the
+	// simulation. Only this file's pages are collected and sorted; the rest
+	// of the cache is skipped up front (counted first, so both slices are
+	// allocated once at their final size). Pages under I/O wait their
+	// owners; mapped pages must have been unmapped by Munmap already.
+	n := 0
+	for key := range rt.pages {
+		if key.fid == f.id {
+			n++
 		}
+	}
+	idxs := make([]uint64, 0, n)
+	//aqlint:sorted -- collects this file's page indices, sorted below before any use
+	for key := range rt.pages {
+		if key.fid == f.id {
+			idxs = append(idxs, key.idx)
+		}
+	}
+	slices.Sort(idxs)
+	drop := make([]*Page, 0, n)
+	for _, idx := range idxs {
+		pg := rt.pages[pageKey{f.id, idx}]
 		for pg.io != nil && !pg.io.Fired() {
 			pg.io.Wait(p)
 		}
@@ -779,10 +792,8 @@ func (rt *Runtime) majorFault(p *engine.Proc, r *Region, f *fileState, idx uint6
 			}
 			continue
 		}
-		pg := &Page{
-			file: f, idx: i, resident: true,
-			io: engine.NewEvent(rt.e, fmt.Sprintf("aqio:%s:%d", f.name, i)),
-		}
+		pg := &Page{file: f, idx: i, resident: true}
+		pg.io = engine.NewOwnedEvent(rt.e, pg)
 		rt.charge(p, "cache-insert", rt.P.HashInsert)
 		if rt.hugeEnabled() {
 			// The insert charge yields; a concurrent promotion may have

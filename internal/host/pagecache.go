@@ -196,8 +196,8 @@ func (c *PageCache) insertNew(p *engine.Proc, f *FSFile, idx uint64) (*cachedPag
 	c.os.charge(p, "tree-lock", c.os.P.RadixInsert)
 	pg := &cachedPage{
 		f: f, idx: idx, frame: frame,
-		io: engine.NewEvent(c.os.E, fmt.Sprintf("pgio:%s:%d", f.name, idx)),
 	}
+	pg.io = engine.NewOwnedEvent(c.os.E, pg)
 	f.pages[idx] = pg
 	f.treeLock.Unlock(p)
 
@@ -495,4 +495,10 @@ func (c *PageCache) fsyncFileRange(p *engine.Proc, f *FSFile, off, length uint64
 	}
 	f.treeLock.Unlock(p)
 	c.writePages(p, dirty)
+}
+
+// EventName names the page's fill event (engine.EventNamer); only the
+// engine's deadlock diagnostic asks.
+func (pg *cachedPage) EventName() string {
+	return fmt.Sprintf("pgio:%s:%d", pg.f.name, pg.idx)
 }

@@ -10,14 +10,31 @@ import (
 // internal/metrics Breakdown and powers the per-component bars of the
 // paper's Figures 7 and 8.
 type Breakdown struct {
-	order  []string
-	cycles map[string]uint64
-	counts map[string]uint64
+	order []string
+	cells map[string]*breakdownCell
+}
+
+// breakdownCell is one category's totals. Add sits on every simulated
+// charge, so a category costs one map lookup, not one per total.
+type breakdownCell struct {
+	cycles uint64
+	count  uint64
 }
 
 // NewBreakdown creates an empty breakdown.
 func NewBreakdown() *Breakdown {
-	return &Breakdown{cycles: make(map[string]uint64), counts: make(map[string]uint64)}
+	return &Breakdown{cells: make(map[string]*breakdownCell)}
+}
+
+// cell returns the category's cell, creating it on first use.
+func (b *Breakdown) cell(category string) *breakdownCell {
+	c := b.cells[category]
+	if c == nil {
+		c = &breakdownCell{}
+		b.cells[category] = c
+		b.order = append(b.order, category)
+	}
+	return c
 }
 
 // Add attributes cycles to a category.
@@ -25,32 +42,40 @@ func (b *Breakdown) Add(category string, cycles uint64) {
 	if b == nil {
 		return
 	}
-	if _, ok := b.cycles[category]; !ok {
-		b.order = append(b.order, category)
-	}
-	b.cycles[category] += cycles
-	b.counts[category]++
+	c := b.cell(category)
+	c.cycles += cycles
+	c.count++
 }
 
 // Get returns the cycles attributed to a category.
-func (b *Breakdown) Get(category string) uint64 { return b.cycles[category] }
+func (b *Breakdown) Get(category string) uint64 {
+	if c := b.cells[category]; c != nil {
+		return c.cycles
+	}
+	return 0
+}
 
 // Count returns the number of Add calls for a category.
-func (b *Breakdown) Count(category string) uint64 { return b.counts[category] }
+func (b *Breakdown) Count(category string) uint64 {
+	if c := b.cells[category]; c != nil {
+		return c.count
+	}
+	return 0
+}
 
 // PerOp returns category cycles divided by n (average per operation).
 func (b *Breakdown) PerOp(category string, n uint64) float64 {
 	if n == 0 {
 		return 0
 	}
-	return float64(b.cycles[category]) / float64(n)
+	return float64(b.Get(category)) / float64(n)
 }
 
 // Total returns the sum over all categories.
 func (b *Breakdown) Total() uint64 {
 	var t uint64
-	for _, v := range b.cycles {
-		t += v
+	for _, c := range b.cells {
+		t += c.cycles
 	}
 	return t
 }
@@ -67,29 +92,26 @@ func (b *Breakdown) Map() map[string]uint64 {
 	if b == nil {
 		return nil
 	}
-	out := make(map[string]uint64, len(b.cycles))
-	for c, v := range b.cycles {
-		out[c] = v
+	out := make(map[string]uint64, len(b.cells))
+	for name, c := range b.cells {
+		out[name] = c.cycles
 	}
 	return out
 }
 
 // Merge adds all categories of other into b.
 func (b *Breakdown) Merge(other *Breakdown) {
-	for _, c := range other.order {
-		if _, ok := b.cycles[c]; !ok {
-			b.order = append(b.order, c)
-		}
-		b.cycles[c] += other.cycles[c]
-		b.counts[c] += other.counts[c]
+	for _, name := range other.order {
+		c, o := b.cell(name), other.cells[name]
+		c.cycles += o.cycles
+		c.count += o.count
 	}
 }
 
 // Reset empties the breakdown.
 func (b *Breakdown) Reset() {
 	b.order = nil
-	b.cycles = make(map[string]uint64)
-	b.counts = make(map[string]uint64)
+	b.cells = make(map[string]*breakdownCell)
 }
 
 // Table renders the breakdown as per-op averages over n operations.
@@ -97,7 +119,7 @@ func (b *Breakdown) Table(n uint64) string {
 	var sb strings.Builder
 	total := b.Total()
 	for _, c := range b.order {
-		v := b.cycles[c]
+		v := b.Get(c)
 		pct := 0.0
 		if total > 0 {
 			pct = 100 * float64(v) / float64(total)

@@ -64,7 +64,8 @@ func (e *Engine) CrashNow(reason string) {
 	panic(&crashPanic{reason: reason})
 }
 
-// noteCrash records the first crash sentinel that unwinds a process body.
+// noteCrash records the first crash sentinel that unwinds a process body and
+// closes that process's segment; processes drained afterwards record nothing.
 func (e *Engine) noteCrash(p *Proc, cp *crashPanic) {
 	if e.crash.info == nil {
 		cycle := p.now
@@ -72,6 +73,7 @@ func (e *Engine) noteCrash(p *Proc, cp *crashPanic) {
 			cycle = c
 		}
 		e.crash.info = &CrashInfo{Cycle: cycle, Reason: cp.reason}
+		e.traceSegment(p, batonCrash)
 	}
 }
 
@@ -112,9 +114,10 @@ func (p *Proc) checkSpanCrash(name string) {
 	}
 }
 
-// drainCrash unwinds every live process after the first crash baton: each
-// started, unfinished process is resumed and re-panics at its next resume
-// point (checkCrash sees crash.info). Processes that never started have no
+// drainCrash, called by Run once the first process has unwound, unwinds
+// every other live one: each started, unfinished process is parked on its
+// resume channel, is resumed, re-panics there (checkCrash sees crash.info)
+// and hands the engine straight back. Processes that never started have no
 // goroutine and need nothing. Afterwards the run queue and block accounting
 // are cleared; Run returns immediately on a crashed engine.
 func (e *Engine) drainCrash() {
@@ -122,7 +125,7 @@ func (e *Engine) drainCrash() {
 		for p.started && !p.done {
 			e.current = p
 			p.resume <- struct{}{}
-			<-e.baton
+			<-e.idle
 			e.current = nil
 		}
 	}

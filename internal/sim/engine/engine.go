@@ -2,11 +2,11 @@
 // that every other subsystem of this repository runs on.
 //
 // A simulation consists of processes (simulated threads) pinned to simulated
-// CPUs. Exactly one process executes at any real instant; the scheduler always
-// resumes the runnable process with the smallest local cycle clock, so causal
-// order between processes interacting through simulated synchronization
-// primitives is preserved and the whole run is deterministic for a given
-// spawn order.
+// CPUs. Exactly one process executes at any real instant, and a process that
+// leaves the CPU always resumes the runnable process with the smallest local
+// cycle clock, so causal order between processes interacting through
+// simulated synchronization primitives is preserved and the whole run is
+// deterministic for a given spawn order.
 //
 // Processes advance their clocks explicitly via Advance* calls, attributing
 // cycles to an accounting kind (user, system, I/O-wait, lock-wait). Blocking
@@ -120,10 +120,13 @@ type Engine struct {
 	// their wakeup primitive are idle services, not deadlocks: Run returns
 	// when only daemons remain blocked.
 	blockedDaemons int
-	finished       int
 
-	// schedule channel carries the baton back from a yielding process.
-	baton chan batonMsg
+	// segStart is the cycle at which the running process was last given the
+	// CPU: the start of the segment traceSegment closes.
+	segStart uint64
+	// idle hands the engine back to Run: the process that leaves the CPU
+	// with nothing runnable behind it, or that a crash unwound, sends on it.
+	idle chan struct{}
 
 	tr *tracer
 
@@ -140,19 +143,20 @@ type Engine struct {
 	crash crashState
 }
 
+// batonKind says how a process gave up the CPU; it labels the segment that
+// ends there.
 type batonKind uint8
 
 const (
-	batonYield batonKind = iota // proc re-enqueued, run someone
-	batonBlock                  // proc suspended, run someone
-	batonDone                   // proc finished
-	batonCrash                  // proc unwound by a crash sentinel
+	batonYield batonKind = iota // still runnable, someone else goes first
+	batonBlock                  // suspended on a primitive
+	batonDone                   // body returned
+	batonCrash                  // unwound by the crash sentinel
 )
 
-type batonMsg struct {
-	kind batonKind
-	p    *Proc
-}
+var batonNames = [...]string{batonYield: "yield", batonBlock: "block", batonDone: "done", batonCrash: "crash"}
+
+func (k batonKind) String() string { return batonNames[k] }
 
 // New creates a simulation engine.
 func New(cfg Config) *Engine {
@@ -166,9 +170,9 @@ func New(cfg Config) *Engine {
 		cfg.NumNUMANodes = cfg.NumCPUs
 	}
 	e := &Engine{
-		cfg:   cfg,
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
-		baton: make(chan batonMsg),
+		cfg:  cfg,
+		rng:  rand.New(rand.NewSource(cfg.Seed)),
+		idle: make(chan struct{}),
 	}
 	if cfg.Trace {
 		e.tr = &tracer{}
@@ -276,56 +280,75 @@ func (e *Engine) SpawnDaemon(cpu int, name string, fn func(*Proc)) *Proc {
 // protocol. Daemon processes (SpawnDaemon) parked on a wakeup primitive do
 // not count as deadlocked: they stay suspended across Run calls and resume
 // when some later process signals them.
+//
+// Run only starts the head of the run queue and waits: from then on each
+// process that leaves the CPU resumes its successor itself (Proc.Yield,
+// Proc.block, Proc.run), and the engine comes back here when one of them
+// finds the queue empty or is unwound by a crash.
 func (e *Engine) Run() {
 	if e.crash.info != nil {
 		return // the machine is dead; nothing ever runs again
 	}
-	for {
-		next := e.runq.Pop()
-		if next == nil {
-			if e.blocked > e.blockedDaemons {
-				panic(fmt.Sprintf("engine: deadlock, %d blocked process(es): %s",
-					e.blocked, e.blockedNames()))
-			}
-			return
-		}
-		e.current = next
-		segStart := next.now
-		if !next.started {
-			next.started = true
-			go next.run()
-		} else {
-			next.resume <- struct{}{}
-		}
-		msg := <-e.baton
+	if next := e.runq.Pop(); next != nil {
+		e.dispatch(next)
+		<-e.idle
 		e.current = nil
-		e.traceSegment(msg.p, segStart, msg.kind)
-		switch msg.kind {
-		case batonYield:
-			e.runq.Push(msg.p)
-		case batonBlock:
-			e.blocked++
-			if msg.p.daemon {
-				e.blockedDaemons++
-			}
-		case batonDone:
-			e.finished++
-		case batonCrash:
-			e.finished++
+		if e.crash.info != nil {
 			e.drainCrash()
 			return
 		}
 	}
+	if e.blocked > e.blockedDaemons {
+		panic(fmt.Sprintf("engine: deadlock, %d blocked process(es): %s",
+			e.blocked, e.blockedNames()))
+	}
+}
+
+// dispatch gives the CPU to next. The caller is the goroutine that owns the
+// engine (the process leaving the CPU, or Run); once dispatch has resumed
+// next, next's goroutine owns it, so the caller must not touch engine state
+// after dispatch returns — it may only park on its own resume channel.
+func (e *Engine) dispatch(next *Proc) {
+	e.current = next
+	e.segStart = next.now
+	if next.started {
+		next.resume <- struct{}{}
+		return
+	}
+	next.started = true
+	go next.run()
+}
+
+// leave passes the CPU on from a process that is no longer runnable (blocked
+// or finished): to the head of the run queue, or back to Run when nothing is
+// runnable. Like dispatch it gives the engine away.
+func (e *Engine) leave() {
+	if next := e.runq.Pop(); next != nil {
+		e.dispatch(next)
+		return
+	}
+	e.idle <- struct{}{}
+}
+
+// blockedFormats renders what a suspended process waits on for the deadlock
+// diagnostic; the primitive's name fills the %s.
+var blockedFormats = [...]string{
+	onMutex:        "mutex:%s",
+	onRWMutexRead:  "rwmutex:%s:r",
+	onRWMutexWrite: "rwmutex:%s:w",
+	onWaitGroup:    "waitgroup:%s",
+	onSignal:       "signal:%s",
+	onEvent:        "event:%s",
 }
 
 func (e *Engine) blockedNames() string {
 	s := ""
 	for _, p := range e.procs {
-		if p.blockedOn != "" {
+		if p.blockedOn != onNothing {
 			if s != "" {
 				s += ", "
 			}
-			s += fmt.Sprintf("%s(on %s)", p.name, p.blockedOn)
+			s += fmt.Sprintf("%s(on "+blockedFormats[p.blockedOn]+")", p.name, p.blockedPrim.primitiveName())
 		}
 	}
 	return s
@@ -335,10 +358,10 @@ func (e *Engine) blockedNames() string {
 // advanced to at least `at`. The gap between the process's old clock and the
 // wake time is attributed to `waitKind`.
 func (e *Engine) unblock(p *Proc, at uint64, waitKind Kind) {
-	if p.blockedOn == "" {
+	if p.blockedOn == onNothing {
 		panic(fmt.Sprintf("engine: unblock of non-blocked process %s", p.name))
 	}
-	p.blockedOn = ""
+	p.blockedOn, p.blockedPrim = onNothing, nil
 	if at > p.now {
 		p.acct[waitKind] += at - p.now
 		p.now = at

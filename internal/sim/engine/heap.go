@@ -49,6 +49,16 @@ func (h *procHeap) Pop() *Proc {
 	return top
 }
 
+// ReplaceTop removes and returns the process with the smallest wake time and
+// inserts p, in one sift: the yield path's Push followed by Pop when p is
+// known not to be the new minimum. The heap must not be empty.
+func (h *procHeap) ReplaceTop(p *Proc) *Proc {
+	top := h.items[0]
+	h.items[0] = p
+	h.down(0)
+	return top
+}
+
 // Peek returns the process with the smallest wake time without removing it.
 func (h *procHeap) Peek() *Proc {
 	if len(h.items) == 0 {

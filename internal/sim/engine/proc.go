@@ -25,9 +25,11 @@ type Proc struct {
 	// daemons neither hold Run open nor count as deadlocked.
 	daemon bool
 
-	// blockedOn names the primitive the process is suspended on ("" when
-	// runnable). Used for deadlock diagnostics.
-	blockedOn string
+	// blockedOn and blockedPrim identify the primitive the process is
+	// suspended on (onNothing and nil when runnable). Only the deadlock
+	// diagnostic reads them, so the name is built there, not on every block.
+	blockedOn   primitive
+	blockedPrim primitiveNamer
 
 	acct [numKinds]uint64
 
@@ -67,7 +69,25 @@ func (p *Proc) Accounted(k Kind) uint64 { return p.acct[k] }
 // IRQAbsorbed returns interrupt-handler cycles absorbed by this process.
 func (p *Proc) IRQAbsorbed() uint64 { return p.irqAbsorbed }
 
+// primitive is the kind of wait a process can be suspended in.
+type primitive uint8
+
+const (
+	onNothing primitive = iota
+	onMutex
+	onRWMutexRead
+	onRWMutexWrite
+	onWaitGroup
+	onSignal
+	onEvent
+)
+
+// primitiveNamer is a synchronization object a process can block on; it
+// names itself for the deadlock diagnostic.
+type primitiveNamer interface{ primitiveName() string }
+
 func (p *Proc) run() {
+	e := p.e
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -77,14 +97,16 @@ func (p *Proc) run() {
 		if !ok {
 			panic(r) // not a crash: propagate (simulated bugs must stay loud)
 		}
-		// The machine died under this process: no user-space cleanup runs.
+		// The machine died under this process: no user-space cleanup runs,
+		// nobody is resumed. Run drains the other processes.
 		p.done = true
-		p.e.noteCrash(p, cp)
-		p.e.baton <- batonMsg{kind: batonCrash, p: p}
+		e.noteCrash(p, cp)
+		e.idle <- struct{}{}
 	}()
 	p.fn(p)
 	p.done = true
-	p.e.baton <- batonMsg{kind: batonDone, p: p}
+	e.traceSegment(p, batonDone)
+	e.leave()
 }
 
 // advance moves the local clock forward by `cycles`, attributing them to
@@ -125,11 +147,17 @@ func (p *Proc) AdvanceSystem(cycles uint64) { p.advance(KindSystem, cycles) }
 // Advance charges cycles of the given kind.
 func (p *Proc) Advance(k Kind, cycles uint64) { p.advance(k, cycles) }
 
-// Yield re-enters the scheduler, letting any process with an earlier clock
-// run first. It does not consume simulated time.
+// Yield lets any process with an earlier clock run first. It does not
+// consume simulated time. When the caller itself is first in schedule order
+// it simply keeps running (the scheduler segment still breaks here).
 func (p *Proc) Yield() {
-	p.e.baton <- batonMsg{kind: batonYield, p: p}
-	<-p.resume
+	e := p.e
+	if head := e.runq.Peek(); head != nil && schedBefore(head, p) {
+		p.yieldToHead()
+		return
+	}
+	e.traceSegment(p, batonYield)
+	e.segStart = p.now
 	p.checkCrash()
 }
 
@@ -141,8 +169,18 @@ func (p *Proc) Yield() {
 // would let a process observe state ahead of a proc the queue runs first.
 func (p *Proc) Sync() {
 	if head := p.e.runq.Peek(); head != nil && schedBefore(head, p) {
-		p.Yield()
+		p.yieldToHead()
 	}
+}
+
+// yieldToHead hands the CPU to the head of the run queue, which the caller
+// has checked is scheduled before p, and takes the head's place in the queue.
+func (p *Proc) yieldToHead() {
+	e := p.e
+	e.traceSegment(p, batonYield)
+	e.dispatch(e.runq.ReplaceTop(p))
+	<-p.resume
+	p.checkCrash()
 }
 
 // WaitUntil blocks the process until the given absolute simulated time,
@@ -160,13 +198,17 @@ func (p *Proc) WaitUntil(t uint64, k Kind) {
 // SleepIO blocks for `cycles`, attributing them to I/O wait.
 func (p *Proc) SleepIO(cycles uint64) { p.WaitUntil(p.now+cycles, KindIOWait) }
 
-// block suspends the process until another process calls engine.unblock.
-func (p *Proc) block(on string) {
-	if on == "" {
-		on = "unknown"
+// block suspends the process on a primitive until another process calls
+// engine.unblock.
+func (p *Proc) block(on primitive, prim primitiveNamer) {
+	e := p.e
+	p.blockedOn, p.blockedPrim = on, prim
+	e.blocked++
+	if p.daemon {
+		e.blockedDaemons++
 	}
-	p.blockedOn = on
-	p.e.baton <- batonMsg{kind: batonBlock, p: p}
+	e.traceSegment(p, batonBlock)
+	e.leave()
 	<-p.resume
 	p.checkCrash()
 }

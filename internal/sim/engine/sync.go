@@ -51,7 +51,7 @@ func (m *Mutex) Lock(p *Proc) {
 	m.stats.Contended++
 	before := p.now
 	m.waiters = append(m.waiters, p)
-	p.block("mutex:" + m.name)
+	p.block(onMutex, m)
 	m.stats.WaitCycles += p.now - before
 }
 
@@ -70,6 +70,8 @@ func (m *Mutex) Unlock(p *Proc) {
 		m.e.unblock(w, p.now+m.HandoffCost, KindLockWait)
 	}
 }
+
+func (m *Mutex) primitiveName() string { return m.name }
 
 // Stats returns contention counters.
 func (m *Mutex) Stats() MutexStats { return m.stats }
@@ -116,7 +118,7 @@ func (rw *RWMutex) RLock(p *Proc) {
 	rw.stats.Contended++
 	before := p.now
 	rw.queue = append(rw.queue, rwWaiter{p: p, write: false})
-	p.block("rwmutex:" + rw.name + ":r")
+	p.block(onRWMutexRead, rw)
 	rw.stats.WaitCycles += p.now - before
 }
 
@@ -144,7 +146,7 @@ func (rw *RWMutex) Lock(p *Proc) {
 	rw.stats.Contended++
 	before := p.now
 	rw.queue = append(rw.queue, rwWaiter{p: p, write: true})
-	p.block("rwmutex:" + rw.name + ":w")
+	p.block(onRWMutexWrite, rw)
 	rw.stats.WaitCycles += p.now - before
 }
 
@@ -186,6 +188,8 @@ func (rw *RWMutex) admit(t uint64) {
 	}
 }
 
+func (rw *RWMutex) primitiveName() string { return rw.name }
+
 // Stats returns contention counters.
 func (rw *RWMutex) Stats() MutexStats { return rw.stats }
 
@@ -202,6 +206,8 @@ type WaitGroup struct {
 func NewWaitGroup(e *Engine, name string) *WaitGroup {
 	return &WaitGroup{e: e, name: name}
 }
+
+func (wg *WaitGroup) primitiveName() string { return wg.name }
 
 // Add increments the counter by n.
 func (wg *WaitGroup) Add(n int) { wg.count += n }
@@ -233,7 +239,7 @@ func (wg *WaitGroup) Wait(p *Proc) {
 		return
 	}
 	wg.waiters = append(wg.waiters, p)
-	p.block("waitgroup:" + wg.name)
+	p.block(onWaitGroup, wg)
 }
 
 // Signal is a re-armable binary wakeup, the parking primitive for daemon
@@ -254,6 +260,8 @@ type Signal struct {
 func NewSignal(e *Engine, name string) *Signal {
 	return &Signal{e: e, name: name}
 }
+
+func (s *Signal) primitiveName() string { return s.name }
 
 // Pending reports whether a latched wakeup is waiting to be consumed.
 func (s *Signal) Pending() bool { return s.pending }
@@ -287,7 +295,7 @@ func (s *Signal) Wait(p *Proc) {
 		panic(fmt.Sprintf("engine: second waiter on signal %q", s.name))
 	}
 	s.waiter = p
-	p.block("signal:" + s.name)
+	p.block(onSignal, s)
 }
 
 // Event is a one-shot level-triggered event. Fire releases current and
@@ -295,14 +303,32 @@ func (s *Signal) Wait(p *Proc) {
 type Event struct {
 	e       *Engine
 	name    string
+	namer   EventNamer
 	fired   bool
 	firedAt uint64
 	waiters []*Proc
 }
 
+// EventNamer names an event on demand. The name is only read by the deadlock
+// diagnostic, so an owner that creates an event per operation (a page fill)
+// passes itself to NewOwnedEvent and formats nothing unless a run deadlocks.
+type EventNamer interface{ EventName() string }
+
 // NewEvent creates an unfired event.
 func NewEvent(e *Engine, name string) *Event {
 	return &Event{e: e, name: name}
+}
+
+// NewOwnedEvent creates an unfired event that its owner names on demand.
+func NewOwnedEvent(e *Engine, owner EventNamer) *Event {
+	return &Event{e: e, namer: owner}
+}
+
+func (ev *Event) primitiveName() string {
+	if ev.namer != nil {
+		return ev.namer.EventName()
+	}
+	return ev.name
 }
 
 // Fired reports whether the event has fired.
@@ -336,5 +362,5 @@ func (ev *Event) Wait(p *Proc) {
 		return
 	}
 	ev.waiters = append(ev.waiters, p)
-	p.block("event:" + ev.name)
+	p.block(onEvent, ev)
 }

@@ -19,7 +19,10 @@ type TraceEvent struct {
 	CPU    int
 	Start  uint64 // cycles
 	End    uint64 // cycles
-	// Outcome records how the segment ended: "yield", "block", "done".
+	// Outcome records how the segment ended: "yield" (still runnable, another
+	// process goes first — or a WaitUntil resumed the process itself),
+	// "block" (suspended on a primitive), "done" (body returned), "crash"
+	// (unwound by the crash that killed the machine).
 	Outcome string
 }
 
@@ -36,7 +39,10 @@ func (e *Engine) Trace() []TraceEvent {
 	return e.tr.events
 }
 
-func (e *Engine) traceSegment(p *Proc, start uint64, outcome batonKind) {
+// traceSegment closes the running process's scheduler segment, which began
+// at e.segStart. Empty segments are not recorded.
+func (e *Engine) traceSegment(p *Proc, outcome batonKind) {
+	start := e.segStart
 	if p.now == start {
 		return
 	}
@@ -46,12 +52,9 @@ func (e *Engine) traceSegment(p *Proc, start uint64, outcome batonKind) {
 	if e.tr == nil {
 		return
 	}
-	name := map[batonKind]string{
-		batonYield: "yield", batonBlock: "block", batonDone: "done",
-	}[outcome]
 	e.tr.events = append(e.tr.events, TraceEvent{
 		Proc: p.name, ProcID: p.id, CPU: p.cpu,
-		Start: start, End: p.now, Outcome: name,
+		Start: start, End: p.now, Outcome: outcome.String(),
 	})
 }
 
