@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race fmt lint lint-report faults crash torture fuzz-smoke cover perfgate ci bench-reports bench-async
+.PHONY: all build vet test race fmt lint lint-report faults crash torture fuzz-smoke cover perfgate engine-bench ci bench-reports bench-async
 
 all: ci
 
@@ -23,11 +23,15 @@ test:
 # procs inside the simulated worlds; keep both race-clean. The profile and
 # perfgate subpackages are covered by the ./internal/obs/... pattern.
 # internal/sim/mem holds the buddy frame allocator the 2 MB path leans on.
-# The engine hands the simulation from goroutine to goroutine: after a
-# handoff the outgoing goroutine must touch no engine state, and only a run
-# with several Ps (-cpu 4) lets the detector see the two sides overlap.
+# The engine itself is one thread of control (Run's goroutine and the proc
+# coroutines it switches into never overlap, and every switch is a
+# happens-before edge), so what the detector guards there is the boundary:
+# Spawn/PostIRQ/Close from outside Run, possibly from another goroutine than
+# the one that ran last, and the tracer/profiler sinks procs feed; -cpu 4
+# gives those callers a second P to race on. internal/torture recovers op
+# panics the engine re-raises on Run's caller and closes half-run worlds.
 race:
-	$(GO) test -race ./internal/obs/... ./internal/metrics/... ./internal/core/... ./internal/sim/mem/...
+	$(GO) test -race ./internal/obs/... ./internal/metrics/... ./internal/core/... ./internal/sim/mem/... ./internal/torture/...
 	$(GO) test -race -count=10 -cpu 1,4 ./internal/sim/engine/...
 
 fmt:
@@ -101,6 +105,12 @@ perfgate:
 	rm -rf .perfgate && mkdir -p .perfgate
 	$(GO) run ./cmd/aquila-bench -exp fig8a,fig7,fig5b,fig10a,ablate-hugepages,ablate-crash -report-dir .perfgate > /dev/null
 	$(GO) run ./cmd/aqperf -goldens . -dir .perfgate -history BENCH_history.jsonl -label local
+
+# Host cost of the engine layer alone, no world on top: one sync point of
+# each kind and one spawn, with allocations (DESIGN.md §3 quotes these).
+# Not part of ci: the numbers are for reading, the alloc tests do the gating.
+engine-bench:
+	$(GO) test ./internal/sim/engine -run '^$$' -bench 'Handoff|SpawnRun' -benchmem -count=5 -cpu 1
 
 ci: build vet fmt lint test race faults crash fuzz-smoke torture perfgate
 

@@ -14,6 +14,7 @@
 //		Device:     aquila.DevicePMem,
 //		CacheBytes: 64 << 20,
 //	})
+//	defer sys.Close()
 //	sys.Do(func(p *aquila.Proc) {
 //		f := sys.NS.Create(p, "data", 16<<20)
 //		m := sys.NS.Mmap(p, f, 16<<20)
@@ -448,6 +449,13 @@ func (s *System) Run(threads int, fn func(t int, p *Proc)) uint64 {
 	s.Sim.Run()
 	return s.Sim.Now() - start
 }
+
+// Close releases the simulated threads still parked inside the System — the
+// background evictor daemons of an AsyncEvict world, threads a deadlock left
+// blocked — so that a dropped System can be garbage-collected. No simulated
+// result depends on it; a closed System can be inspected but runs nothing
+// more (Do and Run panic). Idempotent.
+func (s *System) Close() { s.Sim.Close() }
 
 // Seconds returns the total simulated wall-clock time so far.
 func (s *System) Seconds() float64 { return cpu.CyclesToSeconds(s.Sim.Now()) }

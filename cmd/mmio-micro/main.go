@@ -79,6 +79,7 @@ func main() {
 		opts.Profiler = prof
 	}
 	sys := aquila.New(opts)
+	defer sys.Close()
 	if *crashP != "" {
 		plan, err := aquila.LoadCrashPlan(*crashP)
 		if err != nil {
@@ -132,6 +133,7 @@ func main() {
 		ropts := opts
 		ropts.Tracer, ropts.Registry, ropts.Profiler = nil, nil, nil
 		rec := aquila.Recover(ropts, img)
+		defer rec.Close()
 		verdict := "ok"
 		if rec.RT != nil {
 			if err := rec.RT.CheckInvariants(); err != nil {

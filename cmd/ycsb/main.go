@@ -79,6 +79,7 @@ func main() {
 		DeviceBytes: *records*4096 + 512<<20, Seed: *seed,
 		Tracer: tracer, Registry: reg,
 	})
+	defer sys.Close()
 
 	var kv ycsb.KV
 	sys.Do(func(p *aquila.Proc) {

@@ -14,6 +14,7 @@ func Example() {
 		CacheBytes: 16 << 20,
 		CPUs:       4,
 	})
+	defer sys.Close()
 	sys.Do(func(p *aquila.Proc) {
 		f := sys.NS.Create(p, "data", 1<<20)
 		m := sys.NS.Mmap(p, f, 1<<20)

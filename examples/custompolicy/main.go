@@ -44,6 +44,7 @@ func build(scanResistant bool) uint64 {
 		Mode: aquila.ModeAquila, Device: aquila.DevicePMem,
 		CacheBytes: 8 << 20, DeviceBytes: 256 << 20,
 	})
+	defer sys.Close()
 	var hot, cold aquila.Mapping
 	sys.Do(func(p *aquila.Proc) {
 		hf := sys.NS.Create(p, "hot", 6<<20)

@@ -28,6 +28,7 @@ func main() {
 	e.Spawn(0, "build", func(p *engine.Proc) { g = graph.Build(p, memHeap, vertices, edges) })
 	e.Run()
 	dram := graph.RunBFS(e, g, 0, 8)
+	e.Close()
 
 	// Heap over a mapped file with a DRAM cache 8x smaller than the data.
 	for _, mode := range []struct {
@@ -46,6 +47,7 @@ func main() {
 			mg = graph.Build(p, graph.NewMappedHeap(m), vertices, edges)
 		})
 		res := graph.RunBFS(sys.Sim, mg, 0, 8)
+		sys.Close()
 		fmt.Printf("%-12s BFS: %6.2f ms  (%d rounds, %d vertices reached, %.1fx DRAM-only)\n",
 			mode.name, cpu.CyclesToSeconds(res.ElapsedCycles)*1e3,
 			res.Rounds, res.Visited,

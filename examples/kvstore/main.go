@@ -23,6 +23,7 @@ func run(name string, mode aquila.Mode, io lsm.IOMode) {
 		Mode: mode, Device: aquila.DevicePMem,
 		CacheBytes: cache, DeviceBytes: 512 << 20,
 	})
+	defer sys.Close()
 	var db *lsm.DB
 	sys.Do(func(p *aquila.Proc) {
 		db = lsm.Open(p, sys.Sim, lsm.Options{

@@ -21,6 +21,7 @@ func main() {
 		CacheBytes: 32 << 20,
 		CPUs:       8,
 	})
+	defer sys.Close()
 
 	var f *host.FSFile
 	var producer, consumer *host.Mapping

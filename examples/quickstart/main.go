@@ -19,6 +19,7 @@ func main() {
 		Device:     aquila.DevicePMem,
 		CacheBytes: 64 << 20,
 	})
+	defer sys.Close()
 
 	sys.Do(func(p *aquila.Proc) {
 		// Create a 16 MB file and map it — the mmap-compatible API of §3.

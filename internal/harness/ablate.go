@@ -209,6 +209,7 @@ func runIOUring(scale float64) []*Result {
 			elapsed = p.Now() - start
 		})
 		e.Run()
+		e.Close()
 		r.AddRow("sync O_DIRECT", kops(uint64(n), elapsed), usF(lat.Mean()),
 			us(lat.P999()), "1.00")
 	}
@@ -249,6 +250,7 @@ func runIOUring(scale float64) []*Result {
 			syscalls = ring.SyscallOps
 		})
 		e.Run()
+		e.Close()
 		r.AddRow(fmt.Sprintf("io_uring depth %d", depth), kops(uint64(n), elapsed),
 			usF(lat.Mean()), us(lat.P999()),
 			fmt.Sprintf("%.3f", float64(syscalls)/float64(n)))

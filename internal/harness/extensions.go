@@ -193,6 +193,7 @@ func runNVMHeap(scale float64) []*Result {
 		})
 		e.Run()
 		res := graph.RunBFS(e, g, 0, 8)
+		e.Close()
 		ms := cpu.CyclesToSeconds(res.ElapsedCycles) * 1e3
 		times[cfg.name] = ms
 		r.AddRow(cfg.name, fmt.Sprintf("%.2f", ms),

@@ -73,7 +73,9 @@ func runBFSConfig(cfg fig6Config, vertices uint32, edges [][2]uint32,
 			g = graph.Build(p, h, vertices, edges)
 		})
 		e.Run()
-		return graph.RunBFS(e, g, 0, threads)
+		res := graph.RunBFS(e, g, 0, threads)
+		e.Close()
+		return res
 	}
 	opts := aquila.Options{
 		Mode: cfg.mode, Device: cfg.device,

@@ -68,12 +68,15 @@ func boot(opts aquila.Options) *aquila.System {
 }
 
 // TakeSimCycles returns the simulated cycles accrued by every System booted
-// since the previous call (their final clocks summed), then drops the
-// tracked references. The bench driver calls it once per experiment.
+// since the previous call (their final clocks summed), then closes them —
+// releasing the bg-evict daemons an AsyncEvict world leaves parked — and
+// drops the tracked references. The bench driver calls it once per
+// experiment, after the experiment's last run.
 func TakeSimCycles() uint64 {
 	var total uint64
 	for _, s := range cycleSystems {
 		total += s.Sim.Now()
+		s.Close()
 	}
 	cycleSystems = nil
 	return total

@@ -5,7 +5,7 @@ package engine
 // which calls CrashNow), or entry to a named span occurrence. Simulated
 // threads unwind via a private panic sentinel without running any user-space
 // cleanup: no deferred msync, no flush, no lock release. The engine then
-// drains every live process goroutine (each re-panics at its next resume
+// drains every live process coroutine (each re-panics at its next resume
 // point) so no goroutine outlives the run, and Run returns with Crashed()
 // non-nil. Process clocks are clamped to the crash cycle so Now() reports
 // the instant the machine died.
@@ -32,6 +32,10 @@ type CrashInfo struct {
 // crashPanic is the unwind sentinel. Only the engine creates and recovers
 // it; any other panic value propagates unchanged.
 type crashPanic struct{ reason string }
+
+// closeUnwind is the sentinel a parked process unwinds with when Engine.Close
+// cancels its coroutine: the crash rule without a crash to record.
+var closeUnwind = &crashPanic{reason: "close"}
 
 type crashState struct {
 	atCycle  uint64
@@ -115,20 +119,19 @@ func (p *Proc) checkSpanCrash(name string) {
 }
 
 // drainCrash, called by Run once the first process has unwound, unwinds
-// every other live one: each started, unfinished process is parked on its
-// resume channel, is resumed, re-panics there (checkCrash sees crash.info)
-// and hands the engine straight back. Processes that never started have no
-// goroutine and need nothing. Afterwards the run queue and block accounting
-// are cleared; Run returns immediately on a crashed engine.
+// every other live one: each started, unfinished process is parked in its
+// coroutine, is resumed, re-panics there (checkCrash sees crash.info) and
+// comes straight back. Processes that never started have no coroutine and
+// need nothing. Afterwards the run queue and block accounting are cleared;
+// Run returns immediately on a crashed engine.
 func (e *Engine) drainCrash() {
 	for _, p := range e.procs {
 		for p.started && !p.done {
 			e.current = p
-			p.resume <- struct{}{}
-			<-e.idle
-			e.current = nil
+			p.next()
 		}
 	}
+	e.current = nil
 	e.runq = procHeap{}
 	e.blocked, e.blockedDaemons = 0, 0
 }

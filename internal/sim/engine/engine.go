@@ -17,6 +17,7 @@ package engine
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 
 	"aquila/internal/obs"
@@ -124,9 +125,14 @@ type Engine struct {
 	// segStart is the cycle at which the running process was last given the
 	// CPU: the start of the segment traceSegment closes.
 	segStart uint64
-	// idle hands the engine back to Run: the process that leaves the CPU
-	// with nothing runnable behind it, or that a crash unwound, sends on it.
-	idle chan struct{}
+	// handoff is the successor a yielding process already took off the run
+	// queue (in the same sift that queued itself, procHeap.ReplaceTop) for
+	// Run to resume next; nil when Run must pop the queue itself.
+	handoff *Proc
+	// dead is the panic message of Run and Spawn once the engine can run
+	// nothing more (a body panicked or exited its goroutine, or Close);
+	// empty while alive.
+	dead string
 
 	tr *tracer
 
@@ -170,9 +176,8 @@ func New(cfg Config) *Engine {
 		cfg.NumNUMANodes = cfg.NumCPUs
 	}
 	e := &Engine{
-		cfg:  cfg,
-		rng:  rand.New(rand.NewSource(cfg.Seed)),
-		idle: make(chan struct{}),
+		cfg: cfg,
+		rng: rand.New(rand.NewSource(cfg.Seed)),
 	}
 	if cfg.Trace {
 		e.tr = &tracer{}
@@ -240,6 +245,9 @@ func (e *Engine) Spawn(cpu int, name string, fn func(*Proc)) *Proc {
 // SpawnAt is Spawn with an explicit start time. When called from a running
 // process the child starts no earlier than the parent's current time.
 func (e *Engine) SpawnAt(cpu int, name string, start uint64, fn func(*Proc)) *Proc {
+	if e.dead != "" {
+		panic(e.dead)
+	}
 	if cpu < 0 || cpu >= len(e.cpus) {
 		panic(fmt.Sprintf("engine: spawn %q on invalid cpu %d", name, cpu))
 	}
@@ -247,13 +255,12 @@ func (e *Engine) SpawnAt(cpu int, name string, start uint64, fn func(*Proc)) *Pr
 		start = e.current.now
 	}
 	p := &Proc{
-		e:      e,
-		id:     len(e.procs),
-		name:   name,
-		cpu:    cpu,
-		now:    start,
-		fn:     fn,
-		resume: make(chan struct{}),
+		e:    e,
+		id:   len(e.procs),
+		name: name,
+		cpu:  cpu,
+		now:  start,
+		fn:   fn,
 	}
 	p.skey = e.schedKey(p.id)
 	e.procs = append(e.procs, p)
@@ -281,53 +288,80 @@ func (e *Engine) SpawnDaemon(cpu int, name string, fn func(*Proc)) *Proc {
 // not count as deadlocked: they stay suspended across Run calls and resume
 // when some later process signals them.
 //
-// Run only starts the head of the run queue and waits: from then on each
-// process that leaves the CPU resumes its successor itself (Proc.Yield,
-// Proc.block, Proc.run), and the engine comes back here when one of them
-// finds the queue empty or is unwound by a crash.
+// Every process is a pull coroutine (iter.Pull over Proc.run) and Run is the
+// loop that drives them: it resumes the head of the run queue and gets the
+// thread back when that process yields, blocks, finishes or is unwound by a
+// crash; the successor is the one the process left in e.handoff, else the new
+// head of the queue. A switch is two coroutine switches on this goroutine's
+// thread — the Go scheduler is not involved — and there is one thread of
+// control throughout, so whoever runs owns all engine state.
+//
+// A panic in a process body that is not a crash, or a runtime.Goexit there
+// (t.Fatal), surfaces here unchanged, on Run's caller; the engine is dead
+// from then on (Run and Spawn panic) and every parked process is released as
+// by Close.
 func (e *Engine) Run() {
+	if e.current != nil {
+		panic("engine: Run called from inside a process")
+	}
+	if e.dead != "" {
+		panic(e.dead)
+	}
 	if e.crash.info != nil {
 		return // the machine is dead; nothing ever runs again
 	}
-	if next := e.runq.Pop(); next != nil {
-		e.dispatch(next)
-		<-e.idle
-		e.current = nil
+	defer func() {
+		if p := e.current; p != nil { // p's body did not come back through yield
+			e.current = nil
+			e.dead = fmt.Sprintf("engine: dead after panic in proc %q", p.name)
+			e.Close()
+		}
+	}()
+	next := e.runq.Pop()
+	for next != nil {
+		e.current = next
+		e.segStart = next.now
+		if !next.started {
+			next.started = true
+			next.next, next.stop = iter.Pull(next.run)
+		}
+		next.next()
 		if e.crash.info != nil {
 			e.drainCrash()
 			return
 		}
+		if next = e.handoff; next != nil {
+			e.handoff = nil
+		} else {
+			next = e.runq.Pop()
+		}
 	}
+	e.current = nil
 	if e.blocked > e.blockedDaemons {
 		panic(fmt.Sprintf("engine: deadlock, %d blocked process(es): %s",
 			e.blocked, e.blockedNames()))
 	}
 }
 
-// dispatch gives the CPU to next. The caller is the goroutine that owns the
-// engine (the process leaving the CPU, or Run); once dispatch has resumed
-// next, next's goroutine owns it, so the caller must not touch engine state
-// after dispatch returns — it may only park on its own resume channel.
-func (e *Engine) dispatch(next *Proc) {
-	e.current = next
-	e.segStart = next.now
-	if next.started {
-		next.resume <- struct{}{}
-		return
+// Close releases every process still parked inside its body — daemons
+// waiting for work, processes a deadlock panic left blocked — so their
+// goroutines exit and the world they reference can be collected. Each
+// unwinds by the crash rule (the engine's private panic sentinel, so no
+// simulated user-space cleanup runs) and records nothing. No simulated
+// result depends on Close; afterwards Run and Spawn panic. Idempotent; call
+// it from outside Run.
+func (e *Engine) Close() {
+	if e.current != nil {
+		panic("engine: Close called from inside a process")
 	}
-	next.started = true
-	go next.run()
-}
-
-// leave passes the CPU on from a process that is no longer runnable (blocked
-// or finished): to the head of the run queue, or back to Run when nothing is
-// runnable. Like dispatch it gives the engine away.
-func (e *Engine) leave() {
-	if next := e.runq.Pop(); next != nil {
-		e.dispatch(next)
-		return
+	if e.dead == "" {
+		e.dead = "engine: closed"
 	}
-	e.idle <- struct{}{}
+	for _, p := range e.procs {
+		if p.started && !p.done {
+			p.stop()
+		}
+	}
 }
 
 // blockedFormats renders what a suspended process waits on for the deadlock

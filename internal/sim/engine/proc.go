@@ -17,8 +17,13 @@ type Proc struct {
 	// (see schedBefore in heap.go). Fixed at spawn time.
 	skey uint64
 
-	fn      func(*Proc)
-	resume  chan struct{}
+	fn func(*Proc)
+	// next and stop resume and cancel the coroutine the body runs on (set at
+	// first dispatch, when started turns true); yield is the body's way back
+	// to Engine.Run.
+	next    func() (struct{}, bool)
+	stop    func()
+	yield   func(struct{}) bool
 	started bool
 	done    bool
 	// daemon marks background service processes (SpawnDaemon): blocked
@@ -86,8 +91,11 @@ const (
 // names itself for the deadlock diagnostic.
 type primitiveNamer interface{ primitiveName() string }
 
-func (p *Proc) run() {
-	e := p.e
+// run is the coroutine body (an iter.Seq): the process body, then the
+// bookkeeping of its last segment. It returns to Engine.Run through yield
+// while the process lives and by returning when it is over.
+func (p *Proc) run(yield func(struct{}) bool) {
+	p.yield = yield
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -95,18 +103,27 @@ func (p *Proc) run() {
 		}
 		cp, ok := r.(*crashPanic)
 		if !ok {
-			panic(r) // not a crash: propagate (simulated bugs must stay loud)
+			panic(r) // not a crash: surfaces on Run's caller (simulated bugs must stay loud)
 		}
-		// The machine died under this process: no user-space cleanup runs,
-		// nobody is resumed. Run drains the other processes.
+		// The machine died under this process, or the engine was closed: no
+		// user-space cleanup runs. After a crash Run drains the others.
 		p.done = true
-		e.noteCrash(p, cp)
-		e.idle <- struct{}{}
+		if cp != closeUnwind {
+			p.e.noteCrash(p, cp)
+		}
 	}()
 	p.fn(p)
 	p.done = true
-	e.traceSegment(p, batonDone)
-	e.leave()
+	p.e.traceSegment(p, batonDone)
+}
+
+// park gives the thread back to Engine.Run, which resumes the successor, and
+// returns when Run resumes this process.
+func (p *Proc) park() {
+	if !p.yield(struct{}{}) {
+		panic(closeUnwind)
+	}
+	p.checkCrash()
 }
 
 // advance moves the local clock forward by `cycles`, attributing them to
@@ -178,9 +195,8 @@ func (p *Proc) Sync() {
 func (p *Proc) yieldToHead() {
 	e := p.e
 	e.traceSegment(p, batonYield)
-	e.dispatch(e.runq.ReplaceTop(p))
-	<-p.resume
-	p.checkCrash()
+	e.handoff = e.runq.ReplaceTop(p)
+	p.park()
 }
 
 // WaitUntil blocks the process until the given absolute simulated time,
@@ -208,9 +224,7 @@ func (p *Proc) block(on primitive, prim primitiveNamer) {
 		e.blockedDaemons++
 	}
 	e.traceSegment(p, batonBlock)
-	e.leave()
-	<-p.resume
-	p.checkCrash()
+	p.park()
 }
 
 // String implements fmt.Stringer for diagnostics.

@@ -150,9 +150,11 @@ func (x *exec) safeOp(fn func()) (event string) {
 	return ""
 }
 
-// phase runs one engine phase (a Do or Run), converting an engine panic
-// (e.g. simulated deadlock) into an oracle failure instead of taking the
-// whole process down — the shrinker needs failures it can iterate on.
+// phase runs one engine phase (a Do or Run), converting a panic that surfaces
+// from it — the engine's own (simulated deadlock) or one raised inside an op,
+// which the engine re-raises unchanged on its Run caller — into an oracle
+// failure instead of taking the whole process down: the shrinker needs
+// failures it can iterate on.
 func (x *exec) phase(name string, fn func()) (ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -260,6 +262,7 @@ func run(pl *Plan, crash *device.CrashPlan) *Outcome {
 	opts := x.options()
 	opts.Profiler = x.prof
 	x.sys = aquila.New(opts)
+	defer x.sys.Close() // a failed phase leaves its threads parked
 	if pl.Fault != nil {
 		fp, err := pl.Fault.Compile()
 		if err != nil {
@@ -625,6 +628,7 @@ func (x *exec) verifyCrashed(opts aquila.Options) uint64 {
 	img := x.sys.CaptureCrash()
 	opts.Profiler = nil // recovery spans would pollute the crashed profile
 	rsys := aquila.Recover(opts, img)
+	defer rsys.Close()
 	ok := x.phase("recovery", func() { rsys.Do(func(p *aquila.Proc) { x.verifyRecovered(p, rsys) }) })
 	if ok && rsys.Crashed() != nil {
 		x.fail("recovery run crashed at cycle %d", rsys.Crashed().Cycle)

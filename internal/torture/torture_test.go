@@ -3,7 +3,10 @@ package torture
 import (
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 )
 
 // A slice of the CI bank, small enough for go test: every seed's oracle
@@ -121,4 +124,38 @@ func TestShrinkPanicsOnPassingPlan(t *testing.T) {
 	}()
 	pl := Generate(0, 10)
 	Shrink(pl, 50)
+}
+
+// A panic raised inside one thread's op — here the executor's own index
+// panic on a load of a slot its file does not have, which Validate does not
+// bound — must come back as an oracle failure with the other threads'
+// goroutines released, not kill the process: that is what lets the shrinker
+// iterate on it, down to the one planted op.
+func TestOpPanicIsOracleFailureAndShrinks(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	pl := Generate(9, 80)
+	pl.Crash = nil // the machine must live to reach the plant
+	if pl.Threads < 2 {
+		t.Fatalf("seed 9 generated %d thread(s); the plant needs bystanders", pl.Threads)
+	}
+	mid := len(pl.Ops) / 2
+	plant := Op{T: pl.Files[0].Thread, Kind: OpLoad, File: 0, Slot: pl.Files[0].Slots}
+	pl.Ops = append(pl.Ops[:mid:mid], append([]Op{plant}, pl.Ops[mid:]...)...)
+	o := Execute(pl)
+	if !o.Failed() || !strings.Contains(o.Failures[0], "phase ops: engine panic: runtime error: index out of range") {
+		t.Fatalf("planted op panic not reported as the ops phase's failure: %v", o.Failures)
+	}
+	res := Shrink(pl, 200)
+	if res.ToOps != 1 || res.Plan.Ops[0] != plant || !res.Outcome.Failed() {
+		t.Fatalf("shrunk to %d ops %+v (failed=%v), want exactly the planted op",
+			res.ToOps, res.Plan.Ops, res.Outcome.Failed())
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines alive, baseline %d: failed runs left threads parked",
+				runtime.NumGoroutine(), baseline)
+		}
+		runtime.Gosched()
+	}
 }
