@@ -8,11 +8,13 @@ import (
 	"aquila/internal/sim/engine"
 )
 
-// Golden fingerprints of the default (synchronous reclaim) configuration,
-// captured at the seed commit. See TestAquilaSyncModeDeterminism.
+// Golden fingerprints of the default (synchronous reclaim) configuration. See
+// TestAquilaSyncModeDeterminism. Re-captured once, when majorFault stopped
+// double-publishing a page two threads fault at the same time (the old pins
+// included the lost frames and repeated faults of that bug).
 var syncModeGoldens = map[string]string{
-	"dax":  "now=15098022 major=8813 minor=1419 wp=1329 evict=8339 wb=3851 shoot=37 free=550 resident=470",
-	"spdk": "now=141287200 major=8784 minor=2290 wp=1514 evict=8562 wb=3926 shoot=41 free=802 resident=222",
+	"dax":  "now=14758165 major=9622 minor=743 wp=932 evict=8706 wb=3825 shoot=45 free=527 resident=497",
+	"spdk": "now=139773909 major=7933 minor=2714 wp=1849 evict=7552 wb=3854 shoot=37 free=682 resident=342",
 }
 
 // determinismWorkload drives an eviction-heavy mixed read/write pattern over
@@ -50,10 +52,9 @@ func determinismWorkload(boot func(p *engine.Proc) *Runtime, e *engine.Engine, c
 }
 
 // TestAquilaSyncModeDeterminism pins the default (synchronous reclaim)
-// configuration against the behavior of the seed commit: AsyncEvict=false
-// must stay bit-identical as the background-evictor code evolves. The golden
-// strings were captured before the background evictor existed; any change
-// here means the synchronous path's timing or ordering changed.
+// configuration: AsyncEvict=false must stay bit-identical as the code around
+// it evolves. Any change here means the synchronous path's timing or ordering
+// changed.
 func TestAquilaSyncModeDeterminism(t *testing.T) {
 	{
 		e, _, boot := daxWorld(4*mib, 4)

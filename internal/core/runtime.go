@@ -795,16 +795,16 @@ func (rt *Runtime) majorFault(p *engine.Proc, r *Region, f *fileState, idx uint6
 		pg := &Page{file: f, idx: i, resident: true}
 		pg.io = engine.NewOwnedEvent(rt.e, pg)
 		rt.charge(p, "cache-insert", rt.P.HashInsert)
-		if rt.hugeEnabled() {
-			// The insert charge yields; a concurrent promotion may have
-			// claimed this extent meanwhile. Re-probe before publishing so a
-			// 4 KB entry never appears inside a live huge unit.
-			if raced := rt.lookupPage(f.id, i); raced != nil {
-				if i == idx {
-					target = raced
-				}
-				continue
+		// The insert charge yields: another thread faulting the same page,
+		// or a promotion claiming its extent, may have published an entry
+		// meanwhile. Re-probe before publishing (no simulated cost) so
+		// (file, idx) never has two owners — stores through the orphaned
+		// Page's mapping would be lost when it is evicted.
+		if raced := rt.lookupPage(f.id, i); raced != nil {
+			if i == idx {
+				target = raced
 			}
+			continue
 		}
 		rt.cacheInsert(pg)
 		fr, err := rt.allocFrame(p)

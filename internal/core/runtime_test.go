@@ -684,3 +684,60 @@ func TestDeleteFileRecyclesCache(t *testing.T) {
 	})
 	e.Run()
 }
+
+// Regression: majorFault re-probed the hash after its yielding cache-insert
+// charge only with huge pages on, so two threads major-faulting one page each
+// published a Page. The loser's Page dropped out of the hash with its frame
+// still mapped, and stores through that mapping were lost at eviction. Threads
+// walk the same pages in lockstep over a cache a quarter of the file, so
+// same-page fault races and evictions are both constant.
+func TestSharedPageMajorFaultRaceLosesNoStores(t *testing.T) {
+	const threads, filePages = 8, 1024
+	e, _, boot := daxWorld(1*mib, threads)
+	var rt *Runtime
+	var m *AqMapping
+	e.Spawn(0, "init", func(p *engine.Proc) {
+		rt = boot(p)
+		m = rt.Mmap(p, rt.CreateFile(p, "shared", filePages*pageSize), filePages*pageSize)
+	})
+	e.Run()
+	slot := func(w int, idx uint64) uint64 { return idx*pageSize + uint64(w)*64 }
+	for w := 0; w < threads; w++ {
+		w := w
+		e.Spawn(w, "t", func(p *engine.Proc) {
+			mark := make([]byte, 8)
+			for idx := uint64(0); idx < filePages; idx++ {
+				pageMark(mark, idx<<8|uint64(w)+1)
+				m.Store(p, slot(w, idx), mark)
+			}
+		})
+	}
+	e.Run()
+	if rt.Stats.Evictions == 0 {
+		t.Fatal("workload did not evict")
+	}
+	e.Spawn(0, "verify", func(p *engine.Proc) {
+		if err := m.Msync(p); err != nil {
+			t.Fatalf("msync: %v", err)
+		}
+		f := (&Namespace{RT: rt}).Open(p, "shared")
+		got, want := make([]byte, 8), make([]byte, 8)
+		lost := 0
+		for w := 0; w < threads; w++ {
+			for idx := uint64(0); idx < filePages; idx++ {
+				pageMark(want, idx<<8|uint64(w)+1)
+				f.Pread(p, got, slot(w, idx)) // direct: bypasses the cache
+				if !bytes.Equal(got, want) {
+					lost++
+				}
+			}
+		}
+		if lost > 0 {
+			t.Errorf("%d of %d stores lost", lost, threads*filePages)
+		}
+	})
+	e.Run()
+	if err := rt.CheckInvariants(); err != nil {
+		t.Errorf("invariants: %v", err)
+	}
+}
