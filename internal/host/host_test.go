@@ -714,3 +714,55 @@ func TestHostMprotectAndMremap(t *testing.T) {
 		}
 	})
 }
+
+// Regression: writebackBatch handed unpinned pages to writePages, which
+// clears the dirty bit before it copies the frame; a concurrent reclaim then
+// took the page for clean and recycled its frame mid-write-back, losing the
+// store. (Two neighbours of that race are pinned here too: a throttler
+// taking a page a reclaim had already claimed, and a fault that waited out a
+// reclaim and then mapped the dead page.) A dirty ratio of 5 % throttles
+// stores into write-back batches while the other threads fault over a cache
+// an eighth of the file; NVMe latency keeps every window open for long.
+func TestDirtyThrottleWritebackLosesNoStores(t *testing.T) {
+	const threads, filePages = 6, 2048
+	e, os := newNVMeOS(1 * mib)
+	os.P.DirtyRatio = 0.05
+	f := os.FS.Create(e.Spawn(0, "setup", func(p *engine.Proc) {}), "f", filePages*PageSize)
+	e.Run()
+	mark := func(w int, idx uint64) []byte {
+		return []byte{byte(w + 1), byte(idx), byte(idx >> 8), 0xA5}
+	}
+	// Thread w owns pages w, w+threads, ...: every store is to a page no
+	// other thread touches, so the only sharing is the cache itself.
+	for w := 0; w < threads; w++ {
+		w := w
+		e.Spawn(w, "t", func(p *engine.Proc) {
+			m := os.Mmap(p, f, filePages*PageSize)
+			for idx := uint64(w); idx < filePages; idx += threads {
+				m.Store(p, idx*PageSize+64, mark(w, idx))
+			}
+		})
+	}
+	e.Run()
+	if os.Cache.Evicted == 0 || os.Cache.WrittenBk == 0 {
+		t.Fatalf("evicted=%d written back=%d: workload exercised neither", os.Cache.Evicted, os.Cache.WrittenBk)
+	}
+	run1(e, func(p *engine.Proc) {
+		os.Cache.fsyncFile(p, f)
+		direct := os.OpenFile(f, true)
+		got := make([]byte, 4)
+		lost := 0
+		for idx := uint64(0); idx < filePages; idx++ {
+			direct.Pread(p, got, idx*PageSize+64)
+			if !bytes.Equal(got, mark(int(idx%threads), idx)) {
+				lost++
+			}
+		}
+		if lost > 0 {
+			t.Errorf("%d of %d stores lost", lost, filePages)
+		}
+	})
+	if err := os.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+}

@@ -243,17 +243,26 @@ func (c *PageCache) throttleDirty(p *engine.Proc) {
 	}
 }
 
-// writebackBatch writes up to n dirty pages from the dirty FIFO.
+// writebackBatch writes up to n dirty pages from the dirty FIFO. The batch is
+// pinned across the write-back: writePages clears a page's dirty bit before it
+// copies the frame, and an unpinned page that reads as clean is fair game for
+// a concurrent reclaim, which would recycle the frame mid-write. A page some
+// reclaim has already claimed (unfired io) is left to it: reclaim writes its
+// dirty victims itself before their frames go.
 func (c *PageCache) writebackBatch(p *engine.Proc, n int) {
 	var batch []*cachedPage
 	for len(batch) < n && len(c.dirtyQueue) > 0 {
 		pg := c.dirtyQueue[0]
 		c.dirtyQueue = c.dirtyQueue[1:]
-		if pg.dirty {
+		if pg.dirty && (pg.io == nil || pg.io.Fired()) {
+			pg.pins++
 			batch = append(batch, pg)
 		}
 	}
 	c.writePages(p, batch)
+	for _, pg := range batch {
+		pg.pins--
+	}
 }
 
 // writePages clears dirty state and issues the writes, merging pages that
