@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race fmt lint lint-report faults crash torture fuzz-smoke cover perfgate engine-bench ci bench-reports bench-async
+.PHONY: all build vet test race fmt lint lint-report faults crash torture fuzz-smoke cover perfgate engine-bench loc ci bench-reports bench-async
 
 all: ci
 
@@ -31,7 +31,7 @@ test:
 # gives those callers a second P to race on. internal/torture recovers op
 # panics the engine re-raises on Run's caller and closes half-run worlds.
 race:
-	$(GO) test -race ./internal/obs/... ./internal/metrics/... ./internal/core/... ./internal/sim/mem/... ./internal/torture/...
+	$(GO) test -race ./internal/obs/... ./internal/core/... ./internal/sim/mem/... ./internal/torture/...
 	$(GO) test -race -count=10 -cpu 1,4 ./internal/sim/engine/...
 
 fmt:
@@ -112,7 +112,20 @@ perfgate:
 engine-bench:
 	$(GO) test ./internal/sim/engine -run '^$$' -bench 'Handoff|SpawnRun' -benchmem -count=5 -cpu 1
 
-ci: build vet fmt lint test race faults crash fuzz-smoke torture perfgate
+# The code-diet ledger (ROADMAP "One write seam, then a code diet"): Go lines
+# per package, non-test and test, and in total. bench/ (the frozen benchmark
+# harness) and testdata/ are not counted. Last step of ci, so every CI log
+# ends with the size of what it just checked.
+loc:
+	@printf '%-28s %8s %8s\n' package non-test test
+	@find . -name '*.go' -not -path './bench/*' -not -path '*/testdata/*' -print0 | xargs -0 wc -l | \
+	awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); \
+		if ($$2 ~ /_test\.go$$/) { t[d] += $$1; T += $$1 } else { n[d] += $$1; N += $$1 } \
+		seen[d] = 1 } \
+	END { for (d in seen) printf "%-28s %8d %8d\n", d, n[d], t[d] | "sort"; close("sort"); \
+		printf "%-28s %8d %8d\n", "total", N, T }'
+
+ci: build vet fmt lint test race faults crash fuzz-smoke torture perfgate loc
 
 # Regenerate the checked-in machine-readable experiment reports.
 bench-reports:

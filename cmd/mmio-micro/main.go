@@ -15,7 +15,6 @@ import (
 	"path/filepath"
 
 	"aquila"
-	"aquila/internal/metrics"
 	"aquila/internal/obs"
 	"aquila/internal/obs/profile"
 )
@@ -106,10 +105,10 @@ func main() {
 			}
 		}
 	})
-	lats := make([]*metrics.Histogram, *threads)
+	lats := make([]*obs.Histogram, *threads)
 	var total uint64
 	elapsed := sys.Run(*threads, func(t int, p *aquila.Proc) {
-		lat := metrics.NewHistogram()
+		lat := obs.NewHistogram()
 		lats[t] = lat
 		// Per-thread generator derived from the CLI seed: never the global
 		// math/rand source, so two runs with the same -seed are bit-identical
@@ -143,7 +142,7 @@ func main() {
 		fmt.Printf("recovery: booted from durable image, invariants %s\n", verdict)
 		return
 	}
-	all := metrics.NewHistogram()
+	all := obs.NewHistogram()
 	for _, l := range lats {
 		all.Merge(l)
 	}

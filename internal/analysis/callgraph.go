@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/types"
 	"sort"
 )
@@ -112,34 +113,84 @@ func (g *callGraph) summarize(prop func(n *cgNode, cur map[*types.Func]bool) boo
 	}
 }
 
-// mustPersistSummaries computes, per function, whether every path from
-// entry to a normal return passes a durability handshake — a direct
-// Store.Persist call or a call to a function that itself must persist.
+// persistSummaries says which package-local calls are a durability handshake.
+// must[f]: every path through f from entry to a normal return passes a
+// Store.Persist (directly or through another such function). guard[f] = i:
+// the same holds on every path f's i-th parameter, a bool, lets through when
+// true — host.blockIO(…, write), the one timed path reads and writes share —
+// so a call is a handshake only where it passes the constant true there.
 // Functions whose normal exit is unreachable are never marked (conservative:
 // calling them discharges nothing).
-func mustPersistSummaries(pass *Pass, g *callGraph) map[*types.Func]bool {
-	return g.summarize(func(n *cgNode, cur map[*types.Func]bool) bool {
-		transfer := func(done bool, atom ast.Node) bool {
-			if done {
+type persistSummaries struct {
+	must  map[*types.Func]bool
+	guard map[*types.Func]int
+}
+
+// discharges reports whether the call op is a durability handshake.
+func (ps persistSummaries) discharges(info *types.Info, op atomOp) bool {
+	if isStorePersist(info, op.call) {
+		return true
+	}
+	if op.callee == nil {
+		return false
+	}
+	if ps.must[op.callee] {
+		return true
+	}
+	i, ok := ps.guard[op.callee]
+	if !ok || i >= len(op.call.Args) {
+		return false
+	}
+	v := info.Types[op.call.Args[i]].Value
+	return v != nil && v.Kind() == constant.Bool && constant.BoolVal(v)
+}
+
+func summarizePersists(pass *Pass, g *callGraph) persistSummaries {
+	ps := persistSummaries{guard: make(map[*types.Func]int)}
+	ps.must = g.summarize(func(n *cgNode, cur map[*types.Func]bool) bool {
+		return persistsOnEveryPath(pass, g, n, persistSummaries{must: cur}, nil)
+	})
+	for _, n := range g.order {
+		if ps.must[n.fn] {
+			continue
+		}
+		params := n.fn.Type().(*types.Signature).Params()
+		for i := 0; i < params.Len(); i++ {
+			if b, ok := params.At(i).Type().(*types.Basic); !ok || b.Kind() != types.Bool {
+				continue
+			}
+			if persistsOnEveryPath(pass, g, n, ps, params.At(i)) {
+				ps.guard[n.fn] = i
+				break
+			}
+		}
+	}
+	return ps
+}
+
+// persistsOnEveryPath runs the must-analysis for one function: does every
+// path to its normal return pass a handshake known to ps? With assume set,
+// the edges only taken when that bool variable is false are left out.
+func persistsOnEveryPath(pass *Pass, g *callGraph, n *cgNode, ps persistSummaries, assume types.Object) bool {
+	transfer := func(done bool, atom ast.Node) bool {
+		if done {
+			return true
+		}
+		for _, op := range atomCalls(pass.TypesInfo, g, atom) {
+			if ps.discharges(pass.TypesInfo, op) {
 				return true
 			}
-			for _, op := range atomCalls(pass.TypesInfo, g, atom) {
-				if isStorePersist(pass.TypesInfo, op.call) {
-					return true
-				}
-				if op.callee != nil && cur[op.callee] {
-					return true
-				}
-			}
-			return false
 		}
-		edge := func(done bool, _ *Cond) bool { return done }
-		// Must-analysis: a path that has not persisted dominates the join.
-		join := func(dst, src bool) (bool, bool) { return dst && src, dst && !src }
-		in := solveMust(n.cfg, transfer, edge, join)
-		reached, done := in[n.cfg.Exit.Index][0], in[n.cfg.Exit.Index][1]
-		return reached && done
-	})
+		return false
+	}
+	edge := func(done bool, c *Cond) bool {
+		return done || (assume != nil && c != nil && c.BoolVar == assume && !c.Val)
+	}
+	// Must-analysis: a path that has not persisted dominates the join.
+	join := func(dst, src bool) (bool, bool) { return dst && src, dst && !src }
+	in := solveMust(n.cfg, transfer, edge, join)
+	reached, done := in[n.cfg.Exit.Index][0], in[n.cfg.Exit.Index][1]
+	return reached && done
 }
 
 // solveMust is solveForward specialized to a bool lattice with an explicit

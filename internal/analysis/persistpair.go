@@ -19,7 +19,8 @@ import (
 //     summary says pending (unpersisted) writes escape from it;
 //   - kill: a Store.Persist call (receiver-matched when both receivers
 //     render), or a call to a package-local function that persists on every
-//     path (mustPersistSummaries);
+//     path, or on every path a bool argument passed as true lets through
+//     (persistSummaries);
 //   - edges contradicting the write's enclosing guards drop the fact, so
 //     `if ferr == nil { WriteAt } ... if ferr == nil { Persist }` pairs up.
 //
@@ -43,8 +44,8 @@ func runPersistpair(pass *Pass) error {
 		return nil
 	}
 	g := buildCallGraph(pass)
-	mustP := mustPersistSummaries(pass, g)
-	staging := stagingSummaries(pass, g, mustP)
+	ps := summarizePersists(pass, g)
+	staging := stagingSummaries(pass, g, ps)
 
 	report := func(facts []pairFact) {
 		for _, f := range facts {
@@ -67,7 +68,7 @@ func runPersistpair(pass *Pass) error {
 	// Declared functions: escape points with intra-package callers hand the
 	// obligation to those callers instead of reporting here.
 	for _, n := range g.order {
-		facts := persistExitFacts(pass, g, n.cfg, mustP, staging)
+		facts := persistExitFacts(pass, g, n.cfg, ps, staging)
 		if len(facts) == 0 || n.callers > 0 {
 			continue
 		}
@@ -79,7 +80,7 @@ func runPersistpair(pass *Pass) error {
 		ast.Inspect(f, func(n ast.Node) bool {
 			if lit, ok := n.(*ast.FuncLit); ok {
 				cfg := BuildCFG(lit.Body, pass.TypesInfo)
-				report(persistExitFacts(pass, g, cfg, mustP, staging))
+				report(persistExitFacts(pass, g, cfg, ps, staging))
 			}
 			return true
 		})
@@ -92,15 +93,15 @@ func runPersistpair(pass *Pass) error {
 // data its callers are responsible for persisting. Computed after (and with)
 // the mustPersist fixpoint, so the gen set grows monotonically and the
 // fixpoint terminates.
-func stagingSummaries(pass *Pass, g *callGraph, mustP map[*types.Func]bool) map[*types.Func]bool {
+func stagingSummaries(pass *Pass, g *callGraph, ps persistSummaries) map[*types.Func]bool {
 	return g.summarize(func(n *cgNode, cur map[*types.Func]bool) bool {
-		return len(persistExitFacts(pass, g, n.cfg, mustP, cur)) > 0
+		return len(persistExitFacts(pass, g, n.cfg, ps, cur)) > 0
 	})
 }
 
 // persistExitFacts runs the must-pair solver for one function unit and
 // returns the staged writes that reach its normal exit unpersisted.
-func persistExitFacts(pass *Pass, g *callGraph, cfg *CFG, mustP, staging map[*types.Func]bool) []pairFact {
+func persistExitFacts(pass *Pass, g *callGraph, cfg *CFG, ps persistSummaries, staging map[*types.Func]bool) []pairFact {
 	info := pass.TypesInfo
 	return solvePairs(pairProblem{
 		cfg: cfg,
@@ -136,8 +137,7 @@ func persistExitFacts(pass *Pass, g *callGraph, cfg *CFG, mustP, staging map[*ty
 					if f.Recv == "" || recv == "" || recv == f.Recv {
 						return true
 					}
-				}
-				if op.callee != nil && mustP[op.callee] {
+				} else if ps.discharges(info, op) {
 					return true
 				}
 			}

@@ -107,6 +107,32 @@ func viaMustPersist(st *Store, b []byte) {
 	persistAll(st, len(b), true)
 }
 
+// timedIO is host's blockIO shape: reads and writes share one timed path and
+// a bool parameter switches the handshake on. Only a call passing the
+// constant true discharges a pending write.
+func timedIO(st *Store, n int, write bool) {
+	step()
+	if write {
+		st.Persist(0, n, 1)
+	}
+	step()
+}
+
+func viaGuardedPersist(st *Store, b []byte) {
+	st.WriteAt(0, b)
+	timedIO(st, len(b), true)
+}
+
+func guardedPersistReadSide(st *Store, b []byte) {
+	st.WriteAt(0, b) // want "unpaired"
+	timedIO(st, len(b), false)
+}
+
+func guardedPersistUnknown(st *Store, b []byte, write bool) {
+	st.WriteAt(0, b) // want "unpaired"
+	timedIO(st, len(b), write)
+}
+
 // twoStores: a Persist on a different receiver does not pair a write on
 // this one.
 func twoStores(a, b *Store, buf []byte) {

@@ -2,10 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"aquila/internal/sim/engine"
-	"aquila/internal/sim/mem"
 )
 
 // Background eviction (Params.AsyncEvict): one ring-0 daemon per NUMA node
@@ -13,7 +11,7 @@ import (
 // victim selection, batched shootdowns and writeback off the fault path.
 // Writeback overlaps: engines implementing AsyncWriter accept all merged
 // runs up front (io_uring-style submission, modeled on internal/host/iouring)
-// and the daemon drains the queue with a single wait on the last completion.
+// and writeBack drains the queue with a single wait on the last completion.
 // Faulting procs fall back to synchronous direct reclaim only when the
 // freelist is empty and every daemon is asleep or out of budget.
 
@@ -161,159 +159,33 @@ func (ev *bgEvictor) run(p *engine.Proc) {
 	}
 }
 
-// reclaimBatch is one background reclaim round: select under the shared
-// victim-selection mutex, batch-unmap with one shootdown, stream dirty runs
-// through the overlapped writeback path, and refill the NUMA freelist queues
-// directly (bypassing this core's private queue so all cores see the frames).
+// reclaimBatch is one background reclaim round: the same two halves as direct
+// reclaim, with the dirty victims streamed through the engine's overlapped
+// write path and the frames refilled straight into the NUMA queues (bypassing
+// this core's private queue so all cores see them). A daemon whose batches
+// keep failing stops overlapping until one completes clean.
 func (ev *bgEvictor) reclaimBatch(p *engine.Proc) int {
 	rt := ev.rt
 	p.BeginSpan("aq.bg_evict")
 	defer p.EndSpan()
 	t0 := p.Now()
-	rt.evictSel.Lock(p)
-	victims := rt.Victims(p, rt.P.EvictBatch)
-	rt.evictSel.Unlock(p)
-	rt.charge(p, "evict-select", rt.P.HashRemove*uint64(len(victims)))
+	victims, dirty := rt.claimVictims(p)
 	if len(victims) == 0 {
 		rt.Break.Add("bg_reclaim", p.Now()-t0)
 		return 0
 	}
-	unmapped := 0
-	for _, v := range victims {
-		for _, va := range v.vas {
-			if rt.PT.Unmap(va) {
-				rt.charge(p, "unmap", rt.C.PTEUpdate)
-				unmapped++
-			}
-		}
-		v.vas = nil
+	aw, _ := rt.Engine.(AsyncWriter)
+	if aw != nil && len(dirty) > 0 && ev.failStreak >= bgSyncFallbackAfter {
+		aw = nil
+		rt.Stats.SyncWritebackFallbacks++
 	}
-	if unmapped > 0 {
-		rt.shootdown(p)
-	}
-	var dirtyV []*Page
-	for _, v := range victims {
-		if v.dirty {
-			// Flag and tree entry change together, before the charge below can
-			// yield: a crash mid-bg_evict must never observe a dirty page
-			// missing from its tree (CheckCrashInvariants).
-			rt.dirty[v.dirtyCore].Delete(dirtyKey(v))
-			v.dirty = false
-			rt.charge(p, "dirty-track", rt.P.DirtyTreeOp)
-			dirtyV = append(dirtyV, v)
-		}
-	}
-	if ev.writeOverlapped(p, dirtyV) != nil {
+	if rt.writeBack(p, dirty, "aq.bg_writeback", true, aw, true) != nil {
 		ev.failStreak++
 	} else {
 		ev.failStreak = 0
 	}
-	doneAt := p.Now()
-	frames := make([]*mem.Frame, 0, len(victims))
-	recycled := 0
-	for _, v := range victims {
-		v.io.Fire(doneAt)
-		v.io = nil
-		if v.quarantined || v.dirty {
-			// Writeback failed: the page was revived (quarantined or
-			// requeued) and keeps its frame.
-			continue
-		}
-		rt.cacheRemove(v)
-		if v.huge {
-			// A unit's block goes back whole so its contiguity survives for
-			// the next promotion.
-			rt.fl.pushHuge(p, v.frames)
-			v.frames, v.frame = nil, nil
-			rt.Stats.HugeEvictions++
-			recycled += hugePages
-		} else {
-			frames = append(frames, v.frame)
-			v.frame = nil
-			recycled++
-		}
-	}
-	rt.fl.pushBatch(p, frames)
-	rt.Stats.Evictions += uint64(recycled)
+	recycled := rt.releaseVictims(p, victims, true)
 	rt.Stats.BgReclaimPages += uint64(recycled)
 	rt.Break.Add("bg_reclaim", p.Now()-t0)
 	return recycled
-}
-
-// writeOverlapped writes dirty victims in device-offset order with merged
-// runs, like writeSorted, but submits asynchronously when the engine supports
-// it: all runs enter the device queue back to back and the daemon waits once
-// for the last completion, so device time overlaps submission work instead of
-// serializing run after run. Victims are already unmapped here, so no
-// write-protect pass is needed.
-//
-// A run whose submission is rejected falls back to the synchronous
-// retry/recovery path inline (the rest of the batch keeps overlapping); a
-// daemon whose batches keep failing stops overlapping entirely until a batch
-// completes clean. Returns the first final write failure, if any.
-func (ev *bgEvictor) writeOverlapped(p *engine.Proc, pages []*Page) error {
-	rt := ev.rt
-	if len(pages) == 0 {
-		return nil
-	}
-	sort.Slice(pages, func(i, j int) bool { return dirtyKey(pages[i]) < dirtyKey(pages[j]) })
-	aw, _ := rt.Engine.(AsyncWriter)
-	if aw != nil && ev.failStreak >= bgSyncFallbackAfter {
-		aw = nil
-		rt.Stats.SyncWritebackFallbacks++
-	}
-	var lastDone uint64
-	var firstErr error
-	i := 0
-	for i < len(pages) {
-		var run []*Page
-		var frames []*mem.Frame
-		if pages[i].huge {
-			// A unit is its own merged 2 MB run, never split or capped.
-			run = pages[i : i+1]
-			frames = pages[i].frames
-		} else {
-			j := i + 1
-			for j < len(pages) && j-i < rt.P.WritebackMaxRun && !pages[j].huge &&
-				pages[j].file == pages[i].file && pages[j].idx == pages[j-1].idx+1 {
-				j++
-			}
-			run = pages[i:j]
-			frames = make([]*mem.Frame, len(run))
-			for k, pg := range run {
-				frames[k] = pg.frame
-			}
-		}
-		j := i + len(run)
-		if aw != nil {
-			t0 := p.Now()
-			p.BeginSpan("aq.bg_writeback")
-			done, err := aw.SubmitWriteRun(p, run[0].file, run[0].idx, frames)
-			p.EndSpan()
-			rt.Break.Add("writeback", p.Now()-t0)
-			if err == nil {
-				if done > lastDone {
-					lastDone = done
-				}
-				rt.Stats.WrittenBack += uint64(len(frames))
-				i = j
-				continue
-			}
-			// Submission rejected: nothing of this run was queued. Recover
-			// synchronously (bounded retries, then per-page isolation).
-		}
-		if werr := rt.writeRunOrRecover(p, "aq.bg_writeback", run, frames, true); werr != nil && firstErr == nil {
-			firstErr = werr
-		}
-		i = j
-	}
-	if lastDone > p.Now() {
-		// Drain: one wait for the deepest queued completion.
-		t0 := p.Now()
-		p.BeginSpan("aq.bg_writeback")
-		p.WaitUntil(lastDone, engine.KindIOWait)
-		p.EndSpan()
-		rt.Break.Add("writeback", p.Now()-t0)
-	}
-	return firstErr
 }

@@ -165,7 +165,7 @@ func (rt *Runtime) hugeFault(p *engine.Proc, r *Region, f *fileState, idx uint64
 	// must hit the device before their frames are recycled.
 	if len(dirtyOlds) > 0 {
 		rt.charge(p, "dirty-track", rt.P.DirtyTreeOp*uint64(len(dirtyOlds)))
-		rt.writeSorted(p, dirtyOlds, true)
+		rt.writeBack(p, dirtyOlds, "aq.writeback", true, nil, false)
 		aborted := false
 		for _, pg := range dirtyOlds {
 			if pg.dirty || pg.quarantined {

@@ -69,13 +69,34 @@ func flushFrame(st *device.Store, off uint64, fr *mem.Frame) {
 	}
 }
 
+// hostFiles is the file half of the engines whose files live in the host
+// filesystem (DAX-pmem, HOST-*): the backing object is a host file, and every
+// metadata operation is forwarded to the host OS with a vmcall.
+type hostFiles struct{ OS *host.OS }
+
+func (h hostFiles) Create(p *engine.Proc, name string, size uint64) any {
+	h.OS.HV.VMCall(p, 0)
+	return h.OS.FS.Create(p, name, size)
+}
+
+func (h hostFiles) Open(p *engine.Proc, name string) (any, uint64) {
+	h.OS.HV.VMCall(p, 0)
+	f := h.OS.FS.Open(p, name)
+	return f, f.Size()
+}
+
+func (h hostFiles) Delete(p *engine.Proc, name string) {
+	h.OS.HV.VMCall(p, 0)
+	h.OS.FS.Delete(p, name)
+}
+
+func (hostFiles) file(f *fileState) *host.FSFile { return f.backing.(*host.FSFile) }
+
 // DAXEngine is direct access to byte-addressable NVM (§3.3): the device is
 // DAX-mapped in non-root ring 0 and I/O is the AVX2-streaming memcpy with a
-// single FPU state save/restore per fault. Metadata operations are forwarded
-// to the host OS.
+// single FPU state save/restore per fault.
 type DAXEngine struct {
-	OS    *host.OS
-	PMem  *device.PMem
+	hostFiles
 	costs cpu.Costs
 }
 
@@ -84,32 +105,11 @@ func NewDAXEngine(os *host.OS) *DAXEngine {
 	if !os.Disk().PMem {
 		panic("core: DAX engine requires a pmem host disk")
 	}
-	return &DAXEngine{OS: os, costs: cpu.Default()}
+	return &DAXEngine{hostFiles: hostFiles{os}, costs: cpu.Default()}
 }
 
 // Name implements IOEngine.
 func (e *DAXEngine) Name() string { return "DAX-pmem" }
-
-// Create implements IOEngine: metadata ops go to the host via vmcall.
-func (e *DAXEngine) Create(p *engine.Proc, name string, size uint64) any {
-	e.OS.HV.VMCall(p, 0)
-	return e.OS.FS.Create(p, name, size)
-}
-
-// Open implements IOEngine.
-func (e *DAXEngine) Open(p *engine.Proc, name string) (any, uint64) {
-	e.OS.HV.VMCall(p, 0)
-	f := e.OS.FS.Open(p, name)
-	return f, f.Size()
-}
-
-// Delete implements IOEngine.
-func (e *DAXEngine) Delete(p *engine.Proc, name string) {
-	e.OS.HV.VMCall(p, 0)
-	e.OS.FS.Delete(p, name)
-}
-
-func (e *DAXEngine) file(f *fileState) *host.FSFile { return f.backing.(*host.FSFile) }
 
 // ReadRun implements IOEngine: one optimized memcpy per run. Host files are
 // single contiguous extents, so the whole run is one device range and the
@@ -242,6 +242,13 @@ func (e *SPDKEngine) Delete(p *engine.Proc, name string) { e.FM.Delete(p, name) 
 
 func (e *SPDKEngine) blob(f *fileState) *spdk.Blob { return f.backing.(*spdk.Blob) }
 
+// clusterRun clamps a run of want pages starting at file offset off to the
+// 1 MB blob cluster holding off: pages within one cluster are
+// device-contiguous, across clusters they need not be.
+func clusterRun(off uint64, want int) int {
+	return min(want, int((spdk.ClusterSize-off%spdk.ClusterSize)/pageSize))
+}
+
 // ReadRun implements IOEngine: one polled NVMe I/O per device-contiguous
 // extent (blob clusters are 1 MB, so page runs rarely split). Each extent is
 // one NVMe command, so the fault plan is consulted per extent; the first
@@ -253,12 +260,7 @@ func (e *SPDKEngine) ReadRun(p *engine.Proc, f *fileState, pageIdx uint64, frame
 	st := drv.Device().Store
 	for i := 0; i < len(frames); {
 		off := (pageIdx + uint64(i)) * pageSize
-		// Pages within one cluster are device-contiguous.
-		inCluster := int((spdk.ClusterSize - off%spdk.ClusterSize) / pageSize)
-		n := len(frames) - i
-		if n > inCluster {
-			n = inCluster
-		}
+		n := clusterRun(off, len(frames)-i)
 		delay, ferr := st.CheckRead(p.Now(), bs.DevOff(b, off), n*pageSize)
 		if delay > 0 {
 			p.WaitUntil(p.Now()+delay, engine.KindIOWait)
@@ -284,11 +286,7 @@ func (e *SPDKEngine) WriteRun(p *engine.Proc, f *fileState, pageIdx uint64, fram
 	st := drv.Device().Store
 	for i := 0; i < len(frames); {
 		off := (pageIdx + uint64(i)) * pageSize
-		inCluster := int((spdk.ClusterSize - off%spdk.ClusterSize) / pageSize)
-		n := len(frames) - i
-		if n > inCluster {
-			n = inCluster
-		}
+		n := clusterRun(off, len(frames)-i)
 		delay, ferr := st.CheckWrite(p.Now(), bs.DevOff(b, off), n*pageSize)
 		if delay > 0 {
 			p.WaitUntil(p.Now()+delay, engine.KindIOWait)
@@ -301,6 +299,8 @@ func (e *SPDKEngine) WriteRun(p *engine.Proc, f *fileState, pageIdx uint64, fram
 			flushFrame(st, bs.DevOff(b, off+uint64(j)*pageSize), frames[i+j])
 		}
 		done := drv.WriteTimed(p, n*pageSize)
+		// Durability point: this extent's polled completion. A later extent
+		// failing the run does not take it back.
 		st.Persist(bs.DevOff(b, off), n*pageSize, done)
 		i += n
 	}
@@ -318,20 +318,20 @@ func (e *SPDKEngine) SubmitWriteRun(p *engine.Proc, f *fileState, pageIdx uint64
 	var done uint64
 	for i := 0; i < len(frames); {
 		off := (pageIdx + uint64(i)) * pageSize
-		inCluster := int((spdk.ClusterSize - off%spdk.ClusterSize) / pageSize)
-		n := len(frames) - i
-		if n > inCluster {
-			n = inCluster
-		}
+		n := clusterRun(off, len(frames)-i)
 		delay, ferr := st.CheckWrite(p.Now(), bs.DevOff(b, off), n*pageSize)
 		if ferr != nil {
-			// Submission-time rejection: nothing from this run is queued.
+			// Submission-time rejection: the caller re-issues the whole run
+			// synchronously. Extents of it already queued above are simply
+			// written twice.
 			return 0, ferr
 		}
 		for j := 0; j < n; j++ {
 			flushFrame(st, bs.DevOff(b, off+uint64(j)*pageSize), frames[i+j])
 		}
 		d := drv.WriteAsync(p, n*pageSize) + delay
+		// Durability point: each extent's own completion (plus any injected
+		// delay), not the run's last.
 		st.Persist(bs.DevOff(b, off), n*pageSize, d)
 		if d > done {
 			done = d
@@ -347,10 +347,7 @@ func (e *SPDKEngine) DirectRead(p *engine.Proc, f *fileState, off uint64, buf []
 	b := e.blob(f)
 	bs := e.FM.Blobstore()
 	st := bs.Drv().Device().Store
-	n := len(buf)
-	if c := int(spdk.ClusterSize - off%spdk.ClusterSize); n > c {
-		n = c
-	}
+	n := min(len(buf), int(spdk.ClusterSize-off%spdk.ClusterSize))
 	delay, ferr := st.CheckRead(p.Now(), bs.DevOff(b, off), n)
 	if delay > 0 {
 		p.WaitUntil(p.Now()+delay, engine.KindIOWait)
@@ -368,10 +365,7 @@ func (e *SPDKEngine) DirectWrite(p *engine.Proc, f *fileState, off uint64, buf [
 	b := e.blob(f)
 	bs := e.FM.Blobstore()
 	st := bs.Drv().Device().Store
-	n := len(buf)
-	if c := int(spdk.ClusterSize - off%spdk.ClusterSize); n > c {
-		n = c
-	}
+	n := min(len(buf), int(spdk.ClusterSize-off%spdk.ClusterSize))
 	delay, ferr := st.CheckWrite(p.Now(), bs.DevOff(b, off), n)
 	if delay > 0 {
 		p.WaitUntil(p.Now()+delay, engine.KindIOWait)
@@ -391,11 +385,11 @@ func (e *SPDKEngine) DirectWrite(p *engine.Proc, f *fileState, off uint64, buf [
 // I/O syscalls — the HOST-pmem / HOST-NVMe baselines of Fig 8(c), each I/O
 // paying a vmcall on top of the syscall.
 type HostEngine struct {
-	OS *host.OS
+	hostFiles
 }
 
 // NewHostEngine builds the HOST-* engine for whatever disk the host has.
-func NewHostEngine(os *host.OS) *HostEngine { return &HostEngine{OS: os} }
+func NewHostEngine(os *host.OS) *HostEngine { return &HostEngine{hostFiles{os}} }
 
 // Name implements IOEngine.
 func (e *HostEngine) Name() string {
@@ -404,27 +398,6 @@ func (e *HostEngine) Name() string {
 	}
 	return "HOST-NVMe"
 }
-
-// Create implements IOEngine.
-func (e *HostEngine) Create(p *engine.Proc, name string, size uint64) any {
-	e.OS.HV.VMCall(p, 0)
-	return e.OS.FS.Create(p, name, size)
-}
-
-// Open implements IOEngine.
-func (e *HostEngine) Open(p *engine.Proc, name string) (any, uint64) {
-	e.OS.HV.VMCall(p, 0)
-	f := e.OS.FS.Open(p, name)
-	return f, f.Size()
-}
-
-// Delete implements IOEngine.
-func (e *HostEngine) Delete(p *engine.Proc, name string) {
-	e.OS.HV.VMCall(p, 0)
-	e.OS.FS.Delete(p, name)
-}
-
-func (e *HostEngine) file(f *fileState) *host.FSFile { return f.backing.(*host.FSFile) }
 
 // ReadRun implements IOEngine.
 func (e *HostEngine) ReadRun(p *engine.Proc, f *fileState, pageIdx uint64, frames []*mem.Frame) error {

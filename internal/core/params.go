@@ -89,7 +89,7 @@ type Params struct {
 	// EvictStallBudget bounds, in cycles, how long an allocation may spend
 	// in throttled waiting when every reclaim candidate is busy before the
 	// runtime gives up with ErrEvictionStalled (the graceful replacement
-	// of the old starvation panic). Zero derives 50M cycles (~20 ms).
+	// of the old starvation panic). Zero derives 40,000 cycles (~17 µs).
 	EvictStallBudget uint64
 
 	// HugeFaultDensity enables the 2 MB huge-page mmio path and sets the
@@ -111,9 +111,6 @@ type Params struct {
 	// BuddyOp is one operation on the buddy contiguous-frame tier
 	// (block pop/push, including the split/coalesce bookkeeping).
 	BuddyOp uint64
-	// HugeTLBEntries overrides the per-CPU 2 MB dTLB array size when huge
-	// pages are enabled. Zero derives the hardware default (32).
-	HugeTLBEntries int
 
 	// UnsafeMsyncAtSubmit deliberately breaks msync's durability contract:
 	// dirty runs are submitted to the device queue and msync returns without
@@ -122,15 +119,6 @@ type Params struct {
 	// catches acknowledged-but-volatile data when a crash lands inside the
 	// device's completion window. Never set it for real measurements.
 	UnsafeMsyncAtSubmit bool
-
-	// IORetryLimit is how many times a transient device error is retried
-	// before the I/O is declared failed (poison on reads, quarantine or
-	// requeue on writeback). Zero derives 3.
-	IORetryLimit int
-	// IORetryBackoff is the cycle cost charged before retry attempt k as
-	// k*IORetryBackoff (linear backoff, fully simulated so the degraded
-	// path stays deterministic). Zero derives 20000 (~8 us).
-	IORetryBackoff uint64
 }
 
 // DefaultParams returns the calibrated Aquila parameter set.
@@ -163,8 +151,5 @@ func DefaultParams() Params {
 		HugePromote: 1800,
 		HugeSplit:   1400,
 		BuddyOp:     120,
-
-		IORetryLimit:   3,
-		IORetryBackoff: 20000,
 	}
 }

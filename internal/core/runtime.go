@@ -1,14 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"aquila/internal/host"
 	"aquila/internal/iface"
-	"aquila/internal/metrics"
 	"aquila/internal/obs"
 	"aquila/internal/sim/cpu"
 	"aquila/internal/sim/device"
@@ -34,7 +33,7 @@ type Stats struct {
 	// candidate busy and had to yield or throttle-wait.
 	EvictStalls uint64
 	// IORetries counts transient device errors absorbed by the bounded
-	// retry/backoff policy (Params.IORetryLimit / IORetryBackoff).
+	// retry/backoff policy (ioRetryLimit / ioRetryBackoff).
 	IORetries uint64
 	// PoisonedPages counts pages whose fill I/O failed permanently; any
 	// access to them delivers SIGBUS.
@@ -192,7 +191,7 @@ type Runtime struct {
 
 	// Break attributes fault-path cycles to components (Figs 7, 8). It is
 	// interned in Reg as "aquila_fault_cycles".
-	Break *metrics.Breakdown
+	Break *obs.Breakdown
 	// Reg is the metrics registry (never nil; private unless configured).
 	Reg   *obs.Registry
 	Stats Stats
@@ -246,11 +245,11 @@ func NewRuntime(p *engine.Proc, hostOS *host.OS, eng IOEngine, cfg Config) *Runt
 	rt.stallCtr = reg.Counter("aquila_evict_stall", labels...)
 	if rt.hugeEnabled() {
 		// The huge path needs physically contiguous 2 MB blocks: grant the
-		// guest-physical pool as a per-node buddy system, and size the split
-		// 2 MB dTLB arrays. Disabled mode keeps the classic allocator so the
-		// 4 KB-only runtime stays bit-identical.
+		// guest-physical pool as a per-node buddy system (the TLBs' split 2 MB
+		// arrays are always there, cpu.Default2MEntries each). Disabled mode
+		// keeps the classic allocator so the 4 KB-only runtime stays
+		// bit-identical.
 		rt.framePool = mem.NewBuddyAllocator(cfg.MaxCacheBytes, hostOS.E.NumNUMANodes())
-		rt.TLBs.SetCapacity2M(params.HugeTLBEntries)
 	} else {
 		rt.framePool = mem.NewAllocator(cfg.MaxCacheBytes, hostOS.E.NumNUMANodes())
 	}
@@ -941,25 +940,17 @@ func (rt *Runtime) evictStall(p *engine.Proc) error {
 	return ErrEvictionStalled
 }
 
-// evict synchronously selects a batch of victims (short critical section),
-// unmaps them with one batched TLB shootdown, writes dirty ones back in
-// device order with merged I/Os, and recycles the frames. It returns
-// ErrEvictionStalled only after the throttled-wait budget expires with every
-// candidate busy.
-func (rt *Runtime) evict(p *engine.Proc) error {
-	p.BeginSpan("aq.evict")
-	defer p.EndSpan()
-	t0 := p.Now()
+// claimVictims is the first half of a reclaim round (§3.2): select a batch
+// under evictSel, charge the per-victim selection cost (lock-free CAS pops +
+// hash removal) outside that section so it does not serialize, unmap the
+// batch with one TLB shootdown, and take the dirty victims off their trees.
+// It returns the batch and its dirty subset; an empty batch means every
+// candidate is pinned or in flight.
+func (rt *Runtime) claimVictims(p *engine.Proc) (victims, dirty []*Page) {
 	rt.evictSel.Lock(p)
-	victims := rt.Victims(p, rt.P.EvictBatch)
+	victims = rt.Victims(p, rt.P.EvictBatch)
 	rt.evictSel.Unlock(p)
-	// Per-victim selection cost (lock-free CAS pops + hash removal),
-	// charged outside the selection section: it does not serialize.
 	rt.charge(p, "evict-select", rt.P.HashRemove*uint64(len(victims)))
-	if len(victims) == 0 {
-		return rt.evictStall(p)
-	}
-	rt.evictStalls = 0
 	unmapped := 0
 	for _, v := range victims {
 		for _, va := range v.vas {
@@ -973,7 +964,6 @@ func (rt *Runtime) evict(p *engine.Proc) error {
 	if unmapped > 0 {
 		rt.shootdown(p)
 	}
-	var dirtyV []*Page
 	for _, v := range victims {
 		if v.dirty {
 			// Flag and tree entry change together, before the charge below can
@@ -982,33 +972,66 @@ func (rt *Runtime) evict(p *engine.Proc) error {
 			rt.dirty[v.dirtyCore].Delete(dirtyKey(v))
 			v.dirty = false
 			rt.charge(p, "dirty-track", rt.P.DirtyTreeOp)
-			dirtyV = append(dirtyV, v)
+			dirty = append(dirty, v)
 		}
 	}
-	rt.writeSorted(p, dirtyV, true)
+	return victims, dirty
+}
+
+// releaseVictims is the second half, after the dirty victims' write-back:
+// wake the faulters parked on each victim, drop it from the hash and recycle
+// its frames. A victim whose write-back failed was revived (quarantined or
+// requeued): it keeps its frame, and the waiters re-probe and find it. Whole
+// 2 MB blocks go back to the huge tier so their contiguity survives; 4 KB
+// frames go to the calling core's queue one by one, or — batched, the
+// daemons' refill — straight to the NUMA queues where every core sees them.
+// It returns the number of base pages recycled.
+func (rt *Runtime) releaseVictims(p *engine.Proc, victims []*Page, batched bool) int {
 	doneAt := p.Now()
+	var frames []*mem.Frame
+	if batched {
+		frames = make([]*mem.Frame, 0, len(victims))
+	}
 	recycled := 0
 	for _, v := range victims {
 		v.io.Fire(doneAt)
 		v.io = nil
 		if v.quarantined || v.dirty {
-			// Writeback failed: the page was revived (quarantined or
-			// requeued) and keeps its frame; waiters re-probe and find it.
-			continue
+			continue // revived by the write-back failure path
 		}
 		rt.cacheRemove(v)
-		if v.huge {
+		switch {
+		case v.huge:
 			rt.fl.pushHuge(p, v.frames)
-			v.frames, v.frame = nil, nil
+			v.frames = nil
 			rt.Stats.HugeEvictions++
-			recycled += hugePages
-		} else {
+		case batched:
+			frames = append(frames, v.frame)
+		default:
 			rt.fl.push(p, v.frame)
-			v.frame = nil
-			recycled++
 		}
+		v.frame = nil
+		recycled += v.pages()
 	}
+	rt.fl.pushBatch(p, frames)
 	rt.Stats.Evictions += uint64(recycled)
+	return recycled
+}
+
+// evict is direct reclaim, one round inline on the allocation path, with
+// synchronous write-back. It returns ErrEvictionStalled only after the
+// throttled-wait budget expires with every candidate busy.
+func (rt *Runtime) evict(p *engine.Proc) error {
+	p.BeginSpan("aq.evict")
+	defer p.EndSpan()
+	t0 := p.Now()
+	victims, dirty := rt.claimVictims(p)
+	if len(victims) == 0 {
+		return rt.evictStall(p)
+	}
+	rt.evictStalls = 0
+	rt.writeBack(p, dirty, "aq.writeback", true, nil, false)
+	recycled := rt.releaseVictims(p, victims, false)
 	rt.Stats.DirectReclaimPages += uint64(recycled)
 	p.SpanEvent("evict.pages", uint64(recycled))
 	if rt.P.AsyncEvict {
@@ -1043,18 +1066,30 @@ func (rt *Runtime) shootdown(p *engine.Proc) {
 	rt.Break.Add("tlb-shootdown", p.Now()-t0)
 }
 
-// writeSorted writes dirty pages in device-offset order, merging adjacent
-// pages into large I/Os (§3.2 write-back). evicting tells the failure path
-// whether the pages were claimed by eviction (and must be revived on
-// failure) or are still live msync targets. The first final write failure is
-// returned; all failures are also recorded in the files' error sequences.
-func (rt *Runtime) writeSorted(p *engine.Proc, pages []*Page, evicting bool) error {
+// writeBack is the one write-back loop (§3.2): sort the pages into device
+// order, write-protect their live mappings (page_mkclean — post-write-back
+// stores take a wp fault and re-dirty the page; eviction's victims are already
+// unmapped, so for them the pass touches nothing and costs nothing), then
+// form merged runs — a 2 MB unit alone, never split or capped; 4 KB pages of
+// one file at adjacent indices, up to WritebackMaxRun — and write each.
+//
+// With aw nil every run is written synchronously, with bounded retry and
+// per-page recovery. With aw set, runs are submitted back to back and only
+// their completions are left outstanding; a run whose submission is rejected
+// (nothing queued) is recovered synchronously inline while the rest of the
+// batch keeps overlapping. drain then waits once, for the deepest completion.
+// Not draining is Params.UnsafeMsyncAtSubmit's planted bug and nothing else.
+//
+// span names the trace track ("aq.writeback" foreground, "aq.bg_writeback"
+// daemon). evicting tells the failure path whether the pages were claimed by
+// eviction (and must be revived) or are live msync targets. The first final
+// write failure is returned; every failure is also recorded in its file's
+// error sequence.
+func (rt *Runtime) writeBack(p *engine.Proc, pages []*Page, span string, evicting bool, aw AsyncWriter, drain bool) error {
 	if len(pages) == 0 {
 		return nil
 	}
-	sort.Slice(pages, func(i, j int) bool { return dirtyKey(pages[i]) < dirtyKey(pages[j]) })
-	// Write-protect live mappings (page_mkclean) so post-writeback stores
-	// take a wp fault and re-dirty the page.
+	slices.SortFunc(pages, func(a, b *Page) int { return cmp.Compare(dirtyKey(a), dirtyKey(b)) })
 	protected := 0
 	for _, pg := range pages {
 		for _, va := range pg.vas {
@@ -1068,72 +1103,10 @@ func (rt *Runtime) writeSorted(p *engine.Proc, pages []*Page, evicting bool) err
 		rt.shootdown(p)
 	}
 	var firstErr error
-	i := 0
-	for i < len(pages) {
-		if pages[i].huge {
-			// A unit writes back as its own merged 2 MB run, never split or
-			// capped: the frames are contiguous by construction.
-			if err := rt.writeRunOrRecover(p, "aq.writeback", pages[i:i+1], pages[i].frames, evicting); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			i++
-			continue
-		}
-		j := i + 1
-		for j < len(pages) && j-i < rt.P.WritebackMaxRun && !pages[j].huge &&
-			pages[j].file == pages[i].file && pages[j].idx == pages[j-1].idx+1 {
-			j++
-		}
-		run := pages[i:j]
-		frames := make([]*mem.Frame, len(run))
-		for k, pg := range run {
-			frames[k] = pg.frame
-		}
-		if err := rt.writeRunOrRecover(p, "aq.writeback", run, frames, evicting); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		i = j
-	}
-	return firstErr
-}
-
-// writeSortedUnsafe is the deliberately broken msync write-back used to
-// validate the crash oracle (Params.UnsafeMsyncAtSubmit): runs are submitted
-// through the engine's asynchronous path and the caller returns at submission,
-// not at the durability point. A crash landing between submission and the
-// device completion silently discards the acknowledged data from the volatile
-// tier — exactly the failure class the ablate-crash oracle must flag. Engines
-// without an asynchronous path fall back to the correct synchronous write.
-func (rt *Runtime) writeSortedUnsafe(p *engine.Proc, pages []*Page) {
-	aw, _ := rt.Engine.(AsyncWriter)
-	if aw == nil {
-		rt.writeSorted(p, pages, false)
-		return
-	}
-	if len(pages) == 0 {
-		return
-	}
-	sort.Slice(pages, func(i, j int) bool { return dirtyKey(pages[i]) < dirtyKey(pages[j]) })
-	protected := 0
-	for _, pg := range pages {
-		for _, va := range pg.vas {
-			if rt.PT.Protect(va, pagetable.FlagUser|pagetable.FlagAccessed) {
-				rt.charge(p, "writeback", rt.C.PTEUpdate)
-				protected++
-			}
-		}
-	}
-	if protected > 0 {
-		rt.shootdown(p)
-	}
-	i := 0
-	for i < len(pages) {
-		var run []*Page
-		var frames []*mem.Frame
-		if pages[i].huge {
-			run = pages[i : i+1]
-			frames = pages[i].frames
-		} else {
+	var lastDone uint64
+	for i := 0; i < len(pages); {
+		run, frames := pages[i:i+1], pages[i].frames
+		if !pages[i].huge {
 			j := i + 1
 			for j < len(pages) && j-i < rt.P.WritebackMaxRun && !pages[j].huge &&
 				pages[j].file == pages[i].file && pages[j].idx == pages[j-1].idx+1 {
@@ -1146,37 +1119,41 @@ func (rt *Runtime) writeSortedUnsafe(p *engine.Proc, pages []*Page) {
 			}
 		}
 		i += len(run)
+		if aw != nil {
+			t0 := p.Now()
+			p.BeginSpan(span)
+			done, err := aw.SubmitWriteRun(p, run[0].file, run[0].idx, frames)
+			p.EndSpan()
+			rt.Break.Add("writeback", p.Now()-t0)
+			if err == nil {
+				lastDone = max(lastDone, done)
+				rt.Stats.WrittenBack += uint64(len(frames))
+				p.SpanEvent("writeback.pages", uint64(len(frames)))
+				continue
+			}
+			// Rejected: nothing of this run was queued.
+		}
+		if err := rt.writeRunOrRecover(p, span, run, frames, evicting); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	if drain && lastDone > p.Now() {
 		t0 := p.Now()
-		p.BeginSpan("aq.writeback")
-		_, err := aw.SubmitWriteRun(p, run[0].file, run[0].idx, frames)
+		p.BeginSpan(span)
+		p.WaitUntil(lastDone, engine.KindIOWait)
 		p.EndSpan()
 		rt.Break.Add("writeback", p.Now()-t0)
-		if err != nil {
-			// Submission rejected: nothing queued, recover synchronously. The
-			// bug under test is the missing drain, not error handling.
-			rt.writeRunOrRecover(p, "aq.writeback", run, frames, false)
-			continue
-		}
-		rt.Stats.WrittenBack += uint64(len(frames))
-		p.SpanEvent("writeback.pages", uint64(len(frames)))
 	}
+	return firstErr
 }
 
-// retryLimit / retryBackoff derive the transient-retry policy (defaults for
-// zero-valued Params, so hand-built parameter sets keep working).
-func (rt *Runtime) retryLimit() int {
-	if rt.P.IORetryLimit > 0 {
-		return rt.P.IORetryLimit
-	}
-	return 3
-}
-
-func (rt *Runtime) retryBackoff() uint64 {
-	if rt.P.IORetryBackoff > 0 {
-		return rt.P.IORetryBackoff
-	}
-	return 20000
-}
+// The transient-retry policy: a transient device error is retried ioRetryLimit
+// times, waiting k*ioRetryBackoff cycles (~8 µs steps) before attempt k, and
+// only then declared failed (poison on reads, requeue on write-back).
+const (
+	ioRetryLimit   = 3
+	ioRetryBackoff = 20000
+)
 
 // transientErr reports whether a device error is worth retrying in place.
 func transientErr(err error) bool {
@@ -1191,7 +1168,7 @@ func (rt *Runtime) ioRetryWait(p *engine.Proc, attempt int) {
 	rt.Stats.IORetries++
 	t0 := p.Now()
 	p.BeginSpan("aq.io_retry")
-	p.WaitUntil(p.Now()+rt.retryBackoff()*uint64(attempt+1), engine.KindIOWait)
+	p.WaitUntil(p.Now()+ioRetryBackoff*uint64(attempt+1), engine.KindIOWait)
 	p.EndSpan()
 	rt.Break.Add("io-retry", p.Now()-t0)
 }
@@ -1209,7 +1186,7 @@ func (rt *Runtime) readRun(p *engine.Proc, f *fileState, pageIdx uint64, frames 
 		if err == nil {
 			return nil
 		}
-		if !transientErr(err) || attempt >= rt.retryLimit() {
+		if !transientErr(err) || attempt >= ioRetryLimit {
 			return newIOFault("read", f.name, pageIdx, err)
 		}
 		rt.ioRetryWait(p, attempt)
@@ -1228,7 +1205,7 @@ func (rt *Runtime) writeRun(p *engine.Proc, spanName string, f *fileState, pageI
 		if err == nil {
 			return nil
 		}
-		if !transientErr(err) || attempt >= rt.retryLimit() {
+		if !transientErr(err) || attempt >= ioRetryLimit {
 			return newIOFault("write", f.name, pageIdx, err)
 		}
 		rt.ioRetryWait(p, attempt)
@@ -1409,14 +1386,14 @@ func (rt *Runtime) msyncFileRange(p *engine.Proc, f *fileState, off, length uint
 			rt.charge(p, "dirty-track", rt.P.DirtyTreeOp*uint64(taken))
 		}
 	}
+	var aw AsyncWriter
 	if rt.P.UnsafeMsyncAtSubmit {
-		rt.writeSortedUnsafe(p, dirtyPages)
-		for _, pg := range dirtyPages {
-			pg.pins--
-		}
-		return
+		// The planted bug the crash oracle must catch: submit, don't drain,
+		// so msync returns before the durability point. Engines that cannot
+		// overlap have no such window and write synchronously.
+		aw, _ = rt.Engine.(AsyncWriter)
 	}
-	rt.writeSorted(p, dirtyPages, false)
+	rt.writeBack(p, dirtyPages, "aq.writeback", false, aw, false)
 	for _, pg := range dirtyPages {
 		pg.pins--
 	}

@@ -5,7 +5,7 @@ import (
 
 	"aquila"
 	"aquila/internal/host"
-	"aquila/internal/metrics"
+	"aquila/internal/obs"
 	"aquila/internal/sim/device"
 	simengine "aquila/internal/sim/engine"
 )
@@ -103,10 +103,10 @@ func microOverSystem(sys *aquila.System, dataset uint64, threads, opsPerThread i
 		m = sys.NS.Mmap(p, f, dataset)
 		m.Advise(p, aquila.AdviceRandom)
 	})
-	lats := make([]*metrics.Histogram, threads)
+	lats := make([]*obs.Histogram, threads)
 	var ops uint64
 	elapsed := sys.Run(threads, func(t int, p *aquila.Proc) {
-		lat := metrics.NewHistogram()
+		lat := obs.NewHistogram()
 		lats[t] = lat
 		pages := m.Size() / 4096
 		buf := make([]byte, 8)
@@ -193,7 +193,7 @@ func runIOUring(scale float64) []*Result {
 	// Synchronous O_DIRECT.
 	{
 		e, os, f := newWorld()
-		lat := metrics.NewHistogram()
+		lat := obs.NewHistogram()
 		var elapsed uint64
 		e.Spawn(0, "sync", func(p *aquila.Proc) {
 			hf := os.OpenFile(f, true)
@@ -217,7 +217,7 @@ func runIOUring(scale float64) []*Result {
 	for _, depth := range []int{8, 32, 128} {
 		e, os, f := newWorld()
 		_ = os
-		lat := metrics.NewHistogram()
+		lat := obs.NewHistogram()
 		var elapsed uint64
 		var syscalls uint64
 		e.Spawn(0, fmt.Sprintf("uring-%d", depth), func(p *aquila.Proc) {

@@ -5,7 +5,7 @@ import (
 
 	"aquila"
 	"aquila/internal/core"
-	"aquila/internal/metrics"
+	"aquila/internal/obs"
 )
 
 // Ablation for the background-eviction pipeline: the same out-of-memory
@@ -31,10 +31,10 @@ func mixedOverSystem(sys *aquila.System, dataset uint64, threads, opsPerThread i
 		m = sys.NS.Mmap(p, f, dataset)
 		m.Advise(p, aquila.AdviceRandom)
 	})
-	lats := make([]*metrics.Histogram, threads)
+	lats := make([]*obs.Histogram, threads)
 	var ops uint64
 	elapsed := sys.Run(threads, func(t int, p *aquila.Proc) {
-		lat := metrics.NewHistogram()
+		lat := obs.NewHistogram()
 		lats[t] = lat
 		pages := m.Size() / 4096
 		buf := make([]byte, 8)

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"aquila"
-	"aquila/internal/metrics"
+	"aquila/internal/obs"
 )
 
 // Fault-injection ablation: the out-of-memory mixed workload of
@@ -32,10 +32,10 @@ func mixedFaultRun(sys *aquila.System, dataset uint64, threads, opsPerThread int
 		m = sys.NS.Mmap(p, f, dataset)
 		m.Advise(p, aquila.AdviceRandom)
 	})
-	lats := make([]*metrics.Histogram, threads)
+	lats := make([]*obs.Histogram, threads)
 	var ops uint64
 	elapsed := sys.Run(threads, func(t int, p *aquila.Proc) {
-		lat := metrics.NewHistogram()
+		lat := obs.NewHistogram()
 		lats[t] = lat
 		pages := m.Size() / 4096
 		buf := make([]byte, 8)
@@ -99,7 +99,7 @@ func runAblateFaults(scale float64) []*Result {
 				msyncCell)
 		}
 	}
-	r.AddNote("transient write errors retry in place with linear backoff (IORetryLimit x IORetryBackoff); pages that exhaust their retries are requeued dirty, so no page is ever dropped")
+	r.AddNote("transient write errors retry in place with linear backoff (3 retries, 20 Kcycle steps); pages that exhaust their retries are requeued dirty, so no page is ever dropped")
 	r.AddNote("the final msync reports an error (errseq, once per caller) only if a page failed all retries during that very call; requeued pages normally succeed on the next pass")
 	return []*Result{r}
 }

@@ -6,7 +6,6 @@ import (
 	"aquila"
 	"aquila/internal/core"
 	"aquila/internal/kvs/lsm"
-	"aquila/internal/metrics"
 	"aquila/internal/obs"
 	"aquila/internal/ycsb"
 )
@@ -48,7 +47,7 @@ var rocksModes = []rocksMode{
 type rocksOut struct {
 	ops     uint64
 	elapsed uint64
-	lat     *metrics.Histogram
+	lat     *obs.Histogram
 	// breakDelta is the runtime's fault-cycle breakdown accumulated during
 	// the measured phase only (nil in the Linux modes).
 	breakDelta map[string]uint64
@@ -101,7 +100,7 @@ func rocksRunX(mode rocksMode, dev aquila.DeviceKind, cache uint64, records uint
 	if sys.RT != nil {
 		break0 = sys.RT.Break.Map()
 	}
-	lats := make([]*metrics.Histogram, threads)
+	lats := make([]*obs.Histogram, threads)
 	var ops uint64
 	elapsed := sys.Run(threads, func(t int, p *aquila.Proc) {
 		g := ycsb.NewGenerator(ycsb.Config{
@@ -123,7 +122,7 @@ func rocksRunX(mode rocksMode, dev aquila.DeviceKind, cache uint64, records uint
 // rocksRun is rocksRunX with default parameters, for callers that only need
 // the throughput triple.
 func rocksRun(mode rocksMode, dev aquila.DeviceKind, cache uint64, records uint64,
-	valueSize, threads, opsPerThread int, seed int64) (uint64, uint64, *metrics.Histogram) {
+	valueSize, threads, opsPerThread int, seed int64) (uint64, uint64, *obs.Histogram) {
 	o := rocksRunX(mode, dev, cache, records, valueSize, threads, opsPerThread, seed, nil)
 	return o.ops, o.elapsed, o.lat
 }

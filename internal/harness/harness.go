@@ -15,7 +15,6 @@ import (
 	"strings"
 
 	"aquila"
-	"aquila/internal/metrics"
 	"aquila/internal/obs"
 )
 
@@ -176,8 +175,8 @@ func us(c uint64) string { return fmt.Sprintf("%.2f", aquila.CyclesToMicros(c)) 
 func usF(c float64) string { return fmt.Sprintf("%.2f", c/2400.0) }
 
 // mergeHists merges per-thread histograms.
-func mergeHists(hs []*metrics.Histogram) *metrics.Histogram {
-	out := metrics.NewHistogram()
+func mergeHists(hs []*obs.Histogram) *obs.Histogram {
+	out := obs.NewHistogram()
 	for _, h := range hs {
 		if h != nil {
 			out.Merge(h)

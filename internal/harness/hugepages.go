@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"aquila"
-	"aquila/internal/metrics"
 	"aquila/internal/obs"
 )
 
@@ -69,10 +68,10 @@ func denseTouch(sys *aquila.System, dataset uint64, threads int, hint bool) micr
 	})
 	pages := dataset / 4096
 	chunk := pages / uint64(threads)
-	lats := make([]*metrics.Histogram, threads)
+	lats := make([]*obs.Histogram, threads)
 	var ops uint64
 	elapsed := sys.Run(threads, func(t int, p *aquila.Proc) {
-		lat := metrics.NewHistogram()
+		lat := obs.NewHistogram()
 		lats[t] = lat
 		buf := make([]byte, 8)
 		lo, hi := uint64(t)*chunk, uint64(t+1)*chunk
@@ -103,10 +102,10 @@ func hugeMixed(sys *aquila.System, dataset uint64, threads, opsPerThread int, hi
 			m.Advise(p, aquila.AdviceHuge)
 		}
 	})
-	lats := make([]*metrics.Histogram, threads)
+	lats := make([]*obs.Histogram, threads)
 	var ops uint64
 	elapsed := sys.Run(threads, func(t int, p *aquila.Proc) {
-		lat := metrics.NewHistogram()
+		lat := obs.NewHistogram()
 		lats[t] = lat
 		pages := m.Size() / 4096
 		buf := make([]byte, 8)

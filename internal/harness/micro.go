@@ -6,7 +6,7 @@ import (
 
 	"aquila"
 	"aquila/internal/core"
-	"aquila/internal/metrics"
+	"aquila/internal/obs"
 )
 
 // microConfig parameterizes the paper's multithreaded microbenchmark (§5):
@@ -36,7 +36,7 @@ type microConfig struct {
 type microResult struct {
 	ops     uint64
 	elapsed uint64
-	lat     *metrics.Histogram
+	lat     *obs.Histogram
 	sys     *aquila.System
 	// breakDelta is the world's fault-cycle breakdown accumulated during
 	// the measured phase only (setup excluded).
@@ -138,10 +138,10 @@ func runMicro(cfg microConfig) microResult {
 	}
 	break0 := worldBreak.Map()
 
-	lats := make([]*metrics.Histogram, cfg.threads)
+	lats := make([]*obs.Histogram, cfg.threads)
 	var totalOps uint64
 	elapsed := sys.Run(cfg.threads, func(t int, p *aquila.Proc) {
-		lat := metrics.NewHistogram()
+		lat := obs.NewHistogram()
 		lats[t] = lat
 		rng := rand.New(rand.NewSource(cfg.seed + int64(t)*7919))
 		buf := make([]byte, 8)

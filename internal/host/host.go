@@ -227,44 +227,46 @@ func NewOS(e *engine.Engine, disk *Disk, cacheBytes uint64) *OS {
 func (os *OS) Disk() *Disk { return os.FS.disk }
 
 // blockRead moves bytes from the disk into a kernel buffer, charging the
-// full kernel block-layer path. For pmem the transfer is a kernel memcpy;
-// for NVMe the process sleeps until the interrupt-driven completion.
+// full kernel block-layer path.
 func (os *OS) blockRead(p *engine.Proc, off uint64, buf []byte) {
-	disk := os.FS.disk
-	p.BeginSpan("lx.block_io")
-	defer p.EndSpan()
-	if disk.PMem {
-		os.charge(p, "block-io", os.P.PMemBlockOverhead+os.C.MemcpyNoSIMD(len(buf)))
-		done := disk.Timing.Submit(p.Now(), len(buf), false)
-		p.WaitUntil(done, engine.KindIOWait)
-	} else {
-		os.charge(p, "block-io", os.P.BlockLayerSubmit)
-		done := disk.Timing.Submit(p.Now(), len(buf), false)
-		p.WaitUntil(done, engine.KindIOWait)
-		os.charge(p, "block-io", os.P.BlockLayerComplete+os.C.InterruptDelivery+os.C.ContextSwitch)
-	}
-	disk.Content.ReadAt(off, buf)
+	os.blockIO(p, "block-io", off, len(buf), false)
+	os.FS.disk.Content.ReadAt(off, buf)
 }
 
 // blockWrite moves bytes from a kernel buffer to the disk. The staged
 // content becomes durable at the device completion cycle, not at submission.
 func (os *OS) blockWrite(p *engine.Proc, off uint64, buf []byte) {
+	os.FS.disk.Content.WriteAt(off, buf)
+	os.blockIO(p, "block-io", off, len(buf), true)
+}
+
+// blockIO is the block layer's one timed path: every kernel read and write of
+// n bytes at device offset off pays it, whoever moves the content. For pmem
+// the transfer is a kernel memcpy; for NVMe the bio goes through the block
+// layer and the process sleeps until the interrupt-driven completion. cat is
+// the breakdown category the software cycles land in.
+//
+// A write's content must already be staged (Store.WriteAt): staging is where
+// crash plans cut and tears are drawn, so it stays at the caller's program
+// point, ahead of the span. Here the staged range gets its durability point —
+// the device completion cycle, not submission — and callers return only after
+// the wait below, so what they acknowledge is on durable media.
+func (os *OS) blockIO(p *engine.Proc, cat string, off uint64, n int, write bool) {
 	disk := os.FS.disk
-	disk.Content.WriteAt(off, buf)
 	p.BeginSpan("lx.block_io")
 	defer p.EndSpan()
-	var done uint64
 	if disk.PMem {
-		os.charge(p, "block-io", os.P.PMemBlockOverhead+os.C.MemcpyNoSIMD(len(buf)))
-		done = disk.Timing.Submit(p.Now(), len(buf), true)
-		disk.Content.Persist(off, len(buf), done)
-		p.WaitUntil(done, engine.KindIOWait)
+		os.charge(p, cat, os.P.PMemBlockOverhead+os.C.MemcpyNoSIMD(n))
 	} else {
-		os.charge(p, "block-io", os.P.BlockLayerSubmit)
-		done = disk.Timing.Submit(p.Now(), len(buf), true)
-		disk.Content.Persist(off, len(buf), done)
-		p.WaitUntil(done, engine.KindIOWait)
-		os.charge(p, "block-io", os.P.BlockLayerComplete+os.C.InterruptDelivery+os.C.ContextSwitch)
+		os.charge(p, cat, os.P.BlockLayerSubmit)
+	}
+	done := disk.Timing.Submit(p.Now(), n, write)
+	if write {
+		disk.Content.Persist(off, n, done)
+	}
+	p.WaitUntil(done, engine.KindIOWait)
+	if !disk.PMem {
+		os.charge(p, cat, os.P.BlockLayerComplete+os.C.InterruptDelivery+os.C.ContextSwitch)
 	}
 }
 

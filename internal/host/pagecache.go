@@ -317,32 +317,10 @@ func (c *PageCache) writePages(p *engine.Proc, pages []*cachedPage) {
 				c.os.FS.disk.Content.WriteAt(pg.f.devOff(pg.idx*PageSize), pg.frame.Data())
 			}
 		}
-		// One timed I/O for the run.
-		c.timedWrite(p, base, len(run)*PageSize)
+		// One timed I/O for the run; the pages' content was staged above.
+		c.os.blockIO(p, "writeback", base, len(run)*PageSize, true)
 		c.WrittenBk += uint64(len(run))
 		i = j
-	}
-}
-
-// timedWrite charges the kernel write path without content movement
-// (content is copied per page above) and schedules the staged range's
-// durability at the device completion cycle: fsync/msync callers return only
-// after this wait, so acknowledged data is on durable media.
-func (c *PageCache) timedWrite(p *engine.Proc, off uint64, bytes int) {
-	disk := c.os.FS.disk
-	p.BeginSpan("lx.block_io")
-	defer p.EndSpan()
-	if disk.PMem {
-		c.os.charge(p, "writeback", c.os.P.PMemBlockOverhead+c.os.C.MemcpyNoSIMD(bytes))
-		done := disk.Timing.Submit(p.Now(), bytes, true)
-		disk.Content.Persist(off, bytes, done)
-		p.WaitUntil(done, engine.KindIOWait)
-	} else {
-		c.os.charge(p, "writeback", c.os.P.BlockLayerSubmit)
-		done := disk.Timing.Submit(p.Now(), bytes, true)
-		disk.Content.Persist(off, bytes, done)
-		p.WaitUntil(done, engine.KindIOWait)
-		c.os.charge(p, "writeback", c.os.P.BlockLayerComplete+c.os.C.InterruptDelivery+c.os.C.ContextSwitch)
 	}
 }
 

@@ -227,10 +227,3 @@ func (s *TLBSet) Invalidate2MAll(asid uint32, vpn2m uint64) {
 		t.Invalidate2M(asid, vpn2m)
 	}
 }
-
-// SetCapacity2M overrides the 2 MB-entry capacity of every TLB.
-func (s *TLBSet) SetCapacity2M(n int) {
-	for _, t := range s.tlbs {
-		t.SetCapacity2M(n)
-	}
-}

@@ -10,7 +10,7 @@ import (
 	"math"
 	"math/rand"
 
-	"aquila/internal/metrics"
+	"aquila/internal/obs"
 	"aquila/internal/sim/engine"
 )
 
@@ -253,14 +253,14 @@ type KV interface {
 type Result struct {
 	Ops    uint64
 	Cycles uint64
-	Lat    *metrics.Histogram
+	Lat    *obs.Histogram
 	Misses uint64 // reads of missing keys (should be 0)
 }
 
 // RunThread executes `ops` operations from g against kv on the calling
 // simulated thread, recording per-op latency.
 func RunThread(p *engine.Proc, kv KV, g *Generator, ops uint64) Result {
-	res := Result{Lat: metrics.NewHistogram()}
+	res := Result{Lat: obs.NewHistogram()}
 	start := p.Now()
 	for i := uint64(0); i < ops; i++ {
 		op := g.Next()
