@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race fmt lint lint-report faults crash torture fuzz-smoke cover perfgate engine-bench loc ci bench-reports bench-async
+.PHONY: all build vet test race fmt lint lint-report faults crash torture fuzz-smoke cover perfgate results results-check engine-bench loc ci bench-reports bench-async
 
 all: ci
 
@@ -106,6 +106,20 @@ perfgate:
 	$(GO) run ./cmd/aquila-bench -exp fig8a,fig7,fig5b,fig10a,ablate-hugepages,ablate-crash -report-dir .perfgate > /dev/null
 	$(GO) run ./cmd/aqperf -goldens . -dir .perfgate -history BENCH_history.jsonl -label local
 
+# results_full.txt is the byte-exact golden of all 26 experiments at scale 1
+# (the driver prints simulated Mcycles, not wall-clock, so two runs of one tree
+# are identical). `make results` regenerates it when a change is intentional.
+results:
+	$(GO) run ./cmd/aquila-bench -exp all > results_full.txt
+
+# results-check re-runs all 26 experiments (~2 min) and fails on any byte of
+# drift from results_full.txt. A step of its own in ci, beside perfgate: with
+# -report-dir the harness keeps every world of the run alive for the final
+# metrics publish, which over 26 experiments outgrew a 16 GB container (OOM-killed in fig5b).
+# Not part of tier-1 `go test`.
+results-check:
+	$(GO) run ./cmd/aquila-bench -exp all | diff results_full.txt -
+
 # Host cost of the engine layer alone, no world on top: one sync point of
 # each kind and one spawn, with allocations (DESIGN.md §3 quotes these).
 # Not part of ci: the numbers are for reading, the alloc tests do the gating.
@@ -125,7 +139,7 @@ loc:
 	END { for (d in seen) printf "%-28s %8d %8d\n", d, n[d], t[d] | "sort"; close("sort"); \
 		printf "%-28s %8d %8d\n", "total", N, T }'
 
-ci: build vet fmt lint test race faults crash fuzz-smoke torture perfgate loc
+ci: build vet fmt lint test race faults crash fuzz-smoke torture perfgate results-check loc
 
 # Regenerate the checked-in machine-readable experiment reports.
 bench-reports:
