@@ -96,7 +96,6 @@ func main() {
 			db.BulkLoad(p, *records, 1000)
 			kv = db
 		case "kreon":
-			size := uint64(4096) + *records*1100 + 16<<20 + *records*400
 			var db *kreon.DB
 			kopts := kreon.Options{LogBytes: *records*1100 + 16<<20, IndexBytes: *records*400 + 16<<20}
 			if *engine == "kmmap" {
@@ -113,7 +112,6 @@ func main() {
 			}
 			db.Msync(p)
 			kv = db
-			_ = size
 		default:
 			fmt.Fprintf(os.Stderr, "unknown store %q\n", *store)
 			os.Exit(1)

@@ -153,3 +153,25 @@ func DefaultParams() Params {
 		BuddyOp:     120,
 	}
 }
+
+// ParamsForCache returns DefaultParams with the batch sizes scaled to a small
+// simulated cache, so the batching:cache ratios stay in the paper's regime.
+// Every world the experiment and torture harnesses boot runs with these.
+func ParamsForCache(cacheBytes uint64) *Params {
+	p := DefaultParams()
+	pages := int(cacheBytes / 4096)
+	if n := pages / 16; p.EvictBatch > n {
+		p.EvictBatch = max(32, n)
+	}
+	// Refill batches must stay small relative to the per-core share of the
+	// cache: a batch that hoards a large cache fraction on one core
+	// starves the others into spurious evictions (at the paper's scale,
+	// 4096 pages against a 2M-page cache is 0.2%; keep the same regime).
+	if n := pages / 128; p.FreelistBatch > n {
+		p.FreelistBatch = max(64, n)
+	}
+	if n := pages / 32; p.CoreQueueLimit > n {
+		p.CoreQueueLimit = max(2*p.FreelistBatch, n)
+	}
+	return &p
+}

@@ -68,7 +68,7 @@ func RunBC(e *engine.Engine, g *Graph, src uint32, threads int) BCResult {
 			parallelFor(e, p, fmt.Sprintf("bc-fwd-%d", res.Rounds),
 				uint32(len(frontier)), threads,
 				func(wp *engine.Proc, lo, hi uint32) {
-					tid := int(lo) * threads / maxInt(len(frontier), 1)
+					tid := int(lo) * threads / max(len(frontier), 1)
 					if tid >= threads {
 						tid = threads - 1
 					}
@@ -136,13 +136,6 @@ func RunBC(e *engine.Engine, g *Graph, src uint32, threads int) BCResult {
 	})
 	e.Run()
 	return res
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // ReferenceBC computes single-source Brandes dependencies in plain Go.

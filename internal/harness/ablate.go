@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"aquila"
+	"aquila/internal/core"
 	"aquila/internal/host"
 	"aquila/internal/obs"
 	"aquila/internal/sim/device"
@@ -52,14 +53,17 @@ func runAblateBatch(scale float64) []*Result {
 	}
 	cache := scaled(16*mib, scale, 4*mib)
 	for _, batch := range []int{8, 32, 128, 512} {
-		params := aquilaParams(cache)
+		params := core.ParamsForCache(cache)
 		params.EvictBatch = batch
 		sys := boot(aquila.Options{
 			Mode: aquila.ModeAquila, Device: aquila.DevicePMem,
 			CacheBytes: cache, DeviceBytes: cache*12 + 96*mib,
 			CPUs: 32, Seed: 91, Params: params,
 		})
-		res := microOverSystem(sys, cache*12, 16, scaledN(3000, scale, 600), 91)
+		res := drive(sys, access{
+			file: "ablate", dataset: cache * 12, threads: 16, advice: adviseRandom,
+			stream: lcgStream(91, scaledN(3000, scale, 600), false),
+		})
 		r.AddRow(fmt.Sprint(batch), kops(res.ops, res.elapsed),
 			fmt.Sprint(sys.RT.Stats.ShootdownBatches), usF(res.lat.Mean()))
 	}
@@ -78,7 +82,7 @@ func runAblateFreelist(scale float64) []*Result {
 	cache := scaled(16*mib, scale, 4*mib)
 	for _, single := range []bool{false, true} {
 		name := "two-level per-core/per-NUMA"
-		params := aquilaParams(cache)
+		params := core.ParamsForCache(cache)
 		if single {
 			name = "single shared queue"
 			params.SingleQueueFreelist = true
@@ -88,39 +92,14 @@ func runAblateFreelist(scale float64) []*Result {
 			CacheBytes: cache, DeviceBytes: cache*12 + 96*mib,
 			CPUs: 32, Seed: 93, Params: params,
 		})
-		res := microOverSystem(sys, cache*12, 32, scaledN(2000, scale, 500), 93)
+		res := drive(sys, access{
+			file: "ablate", dataset: cache * 12, threads: 32, advice: adviseRandom,
+			stream: lcgStream(93, scaledN(2000, scale, 500), false),
+		})
 		r.AddRow(name, kops(res.ops, res.elapsed), usF(res.lat.Mean()), us(res.lat.P999()))
 	}
 	r.AddNote("the single queue serializes every allocation and release (§3.2's motivation)")
 	return []*Result{r}
-}
-
-// microOverSystem runs the uniform-random microbench over a pre-built system.
-func microOverSystem(sys *aquila.System, dataset uint64, threads, opsPerThread int, seed int64) microResult {
-	var m aquila.Mapping
-	sys.Do(func(p *aquila.Proc) {
-		f := sys.NS.Create(p, "ablate", dataset)
-		m = sys.NS.Mmap(p, f, dataset)
-		m.Advise(p, aquila.AdviceRandom)
-	})
-	lats := make([]*obs.Histogram, threads)
-	var ops uint64
-	elapsed := sys.Run(threads, func(t int, p *aquila.Proc) {
-		lat := obs.NewHistogram()
-		lats[t] = lat
-		pages := m.Size() / 4096
-		buf := make([]byte, 8)
-		x := uint64(seed + int64(t)*2654435761)
-		for i := 0; i < opsPerThread; i++ {
-			x = x*6364136223846793005 + 1442695040888963407
-			pg := (x >> 17) % pages
-			t0 := p.Now()
-			m.Load(p, pg*4096, buf)
-			lat.Record(p.Now() - t0)
-		}
-		ops += uint64(opsPerThread)
-	})
-	return microResult{ops: ops, elapsed: elapsed, lat: mergeHists(lats), sys: sys}
 }
 
 // runAblateReadahead measures a sequential full-file scan with and without
@@ -136,18 +115,14 @@ func runAblateReadahead(scale float64) []*Result {
 		sys := boot(aquila.Options{
 			Mode: aquila.ModeAquila, Device: aquila.DeviceNVMe,
 			CacheBytes: size / 4, DeviceBytes: size + 96*mib,
-			CPUs: 8, Seed: 95, Params: aquilaParams(size / 4),
+			CPUs: 8, Seed: 95,
 		})
 		var elapsed uint64
 		sys.Do(func(p *aquila.Proc) {
-			f := sys.NS.Create(p, "scanfile", size)
-			m := sys.NS.Mmap(p, f, size)
-			advice := "NORMAL"
+			m := mapFile(p, sys, "scanfile", size)
 			if seq {
 				m.Advise(p, aquila.AdviceSequential)
-				advice = "SEQUENTIAL"
 			}
-			_ = advice
 			start := p.Now()
 			buf := make([]byte, 4096)
 			for off := uint64(0); off+4096 <= size; off += 4096 {
@@ -216,7 +191,6 @@ func runIOUring(scale float64) []*Result {
 	// io_uring at several batch depths.
 	for _, depth := range []int{8, 32, 128} {
 		e, os, f := newWorld()
-		_ = os
 		lat := obs.NewHistogram()
 		var elapsed uint64
 		var syscalls uint64

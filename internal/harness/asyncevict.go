@@ -5,7 +5,6 @@ import (
 
 	"aquila"
 	"aquila/internal/core"
-	"aquila/internal/obs"
 )
 
 // Ablation for the background-eviction pipeline: the same out-of-memory
@@ -22,39 +21,6 @@ func init() {
 	})
 }
 
-// mixedOverSystem is microOverSystem with stores mixed in (one op in three),
-// so eviction always has dirty pages and the writeback path is exercised.
-func mixedOverSystem(sys *aquila.System, dataset uint64, threads, opsPerThread int, seed int64) microResult {
-	var m aquila.Mapping
-	sys.Do(func(p *aquila.Proc) {
-		f := sys.NS.Create(p, "async-evict", dataset)
-		m = sys.NS.Mmap(p, f, dataset)
-		m.Advise(p, aquila.AdviceRandom)
-	})
-	lats := make([]*obs.Histogram, threads)
-	var ops uint64
-	elapsed := sys.Run(threads, func(t int, p *aquila.Proc) {
-		lat := obs.NewHistogram()
-		lats[t] = lat
-		pages := m.Size() / 4096
-		buf := make([]byte, 8)
-		x := uint64(seed + int64(t)*2654435761)
-		for i := 0; i < opsPerThread; i++ {
-			x = x*6364136223846793005 + 1442695040888963407
-			pg := (x >> 17) % pages
-			t0 := p.Now()
-			if i%3 == 0 {
-				m.Store(p, pg*4096, buf)
-			} else {
-				m.Load(p, pg*4096, buf)
-			}
-			lat.Record(p.Now() - t0)
-		}
-		ops += uint64(opsPerThread)
-	})
-	return microResult{ops: ops, elapsed: elapsed, lat: mergeHists(lats), sys: sys}
-}
-
 func runAblateAsyncEvict(scale float64) []*Result {
 	r := &Result{
 		ID:    "ablate-async-evict",
@@ -64,7 +30,7 @@ func runAblateAsyncEvict(scale float64) []*Result {
 	}
 	cache := scaled(16*mib, scale, 4*mib)
 	ops := scaledN(2500, scale, 500)
-	batch := aquilaParams(cache).EvictBatch
+	batch := core.ParamsForCache(cache).EvictBatch
 
 	type cfg struct {
 		name string
@@ -87,12 +53,8 @@ func runAblateAsyncEvict(scale float64) []*Result {
 	}
 
 	for _, dev := range []aquila.DeviceKind{aquila.DevicePMem, aquila.DeviceNVMe} {
-		devName := "pmem"
-		if dev == aquila.DeviceNVMe {
-			devName = "NVMe"
-		}
 		for _, c := range cfgs {
-			params := aquilaParams(cache)
+			params := core.ParamsForCache(cache)
 			if c.mut != nil {
 				c.mut(params)
 			}
@@ -101,13 +63,16 @@ func runAblateAsyncEvict(scale float64) []*Result {
 				CacheBytes: cache, DeviceBytes: cache*12 + 96*mib,
 				CPUs: 32, Seed: 99, Params: params,
 			})
-			res := mixedOverSystem(sys, cache*12, 16, ops, 99)
+			res := drive(sys, access{
+				file: "async-evict", dataset: cache * 12, threads: 16, advice: adviseRandom,
+				stream: lcgStream(99, ops, true),
+			})
 			st := sys.RT.Stats
 			wm := "—"
 			if params.AsyncEvict {
 				wm = fmt.Sprintf("%d/%d", sys.RT.LowWater(), sys.RT.HighWater())
 			}
-			r.AddRow(devName, c.name, wm, kops(res.ops, res.elapsed),
+			r.AddRow(devLabel[dev], c.name, wm, kops(res.ops, res.elapsed),
 				usF(res.lat.Mean()), us(res.lat.P999()),
 				fmt.Sprint(st.DirectReclaimPages), fmt.Sprint(st.BgReclaimPages),
 				fmt.Sprint(st.EvictStalls))

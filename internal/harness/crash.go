@@ -7,8 +7,8 @@ import (
 	"hash/crc32"
 
 	"aquila"
+	"aquila/internal/core"
 	"aquila/internal/kvs/kreon"
-	"aquila/internal/obs"
 	"aquila/internal/ycsb"
 )
 
@@ -87,9 +87,39 @@ type crashProbe struct {
 	ackCycles []uint64
 }
 
+// crashRun boots opts, arms the optional crash plan and runs work, which
+// records its msync acknowledgments in the probe. If the plan fired it
+// captures the durable image, recovers a world from it, and runs verify there
+// to count the acked records that did not survive.
+func crashRun(opts aquila.Options, plan *aquila.CrashPlan,
+	work func(p *aquila.Proc, sys *aquila.System, pr *crashProbe),
+	verify func(p *aquila.Proc, rec *aquila.System, pr *crashProbe)) crashProbe {
+	sys := boot(opts)
+	if plan != nil {
+		sys.InjectCrash(plan)
+	}
+	var pr crashProbe
+	sys.Do(func(p *aquila.Proc) { work(p, sys, &pr) })
+	pr.cycles = sys.Sim.Now()
+	pr.writes = crashStoreWrites(sys)
+	if sys.Crashed() == nil {
+		return pr
+	}
+	pr.crashed = true
+	if sys.RT != nil {
+		pr.invErr = sys.RT.CheckCrashInvariants()
+	}
+	rec := aquila.Recover(opts, sys.CaptureCrash())
+	rec.Do(func(p *aquila.Proc) { verify(p, rec, &pr) })
+	if pr.invErr == nil && rec.RT != nil {
+		pr.invErr = rec.RT.CheckInvariants()
+	}
+	return pr
+}
+
 // walCrashRun appends nrec CRC'd records to an mmapped WAL, msyncing every
-// group records, under an optional crash plan. If the plan fires it captures
-// the durable image, recovers, and verifies every acked record.
+// group records, under an optional crash plan; recovery re-reads every acked
+// record.
 func walCrashRun(mode aquila.Mode, dev aquila.DeviceKind, cache, nrec, group uint64,
 	unsafe bool, plan *aquila.CrashPlan) crashProbe {
 	opts := aquila.Options{
@@ -98,19 +128,12 @@ func walCrashRun(mode aquila.Mode, dev aquila.DeviceKind, cache, nrec, group uin
 		CPUs: 8, Seed: 77,
 	}
 	if mode == aquila.ModeAquila {
-		params := aquilaParams(cache)
-		params.UnsafeMsyncAtSubmit = unsafe
-		opts.Params = params
-	}
-	sys := boot(opts)
-	if plan != nil {
-		sys.InjectCrash(plan)
+		opts.Params = core.ParamsForCache(cache)
+		opts.Params.UnsafeMsyncAtSubmit = unsafe
 	}
 	walBytes := (nrec*crashRecSize + 4095) &^ uint64(4095)
-	var pr crashProbe
-	sys.Do(func(p *aquila.Proc) {
-		f := sys.NS.Create(p, "wal", walBytes)
-		m := sys.NS.Mmap(p, f, walBytes)
+	return crashRun(opts, plan, func(p *aquila.Proc, sys *aquila.System, pr *crashProbe) {
+		m := mapFile(p, sys, "wal", walBytes)
 		for i := uint64(0); i < nrec; i++ {
 			m.Store(p, i*crashRecSize, crashRecord(i))
 			if (i+1)%group == 0 {
@@ -124,21 +147,8 @@ func walCrashRun(mode aquila.Mode, dev aquila.DeviceKind, cache, nrec, group uin
 			pr.acked = nrec
 			pr.ackCycles = append(pr.ackCycles, p.Now())
 		}
-	})
-	pr.cycles = sys.Sim.Now()
-	pr.writes = crashStoreWrites(sys)
-	if sys.Crashed() == nil {
-		return pr
-	}
-	pr.crashed = true
-	if sys.RT != nil {
-		pr.invErr = sys.RT.CheckCrashInvariants()
-	}
-	img := sys.CaptureCrash()
-	rec := aquila.Recover(opts, img)
-	rec.Do(func(p *aquila.Proc) {
-		f := rec.NS.Create(p, "wal", walBytes)
-		m := rec.NS.Mmap(p, f, walBytes)
+	}, func(p *aquila.Proc, rec *aquila.System, pr *crashProbe) {
+		m := mapFile(p, rec, "wal", walBytes)
 		buf := make([]byte, crashRecSize)
 		for i := uint64(0); i < pr.acked; i++ {
 			m.Load(p, i*crashRecSize, buf)
@@ -147,10 +157,6 @@ func walCrashRun(mode aquila.Mode, dev aquila.DeviceKind, cache, nrec, group uin
 			}
 		}
 	})
-	if pr.invErr == nil && rec.RT != nil {
-		pr.invErr = rec.RT.CheckInvariants()
-	}
-	return pr
 }
 
 // kreonCrashRun loads records into a Kreon store with per-batch msync under an
@@ -159,28 +165,11 @@ func walCrashRun(mode aquila.Mode, dev aquila.DeviceKind, cache, nrec, group uin
 func kreonCrashRun(dev aquila.DeviceKind, cache, records, group uint64,
 	plan *aquila.CrashPlan) crashProbe {
 	const valSize = 120
-	logBytes := records*260 + 4*mib
-	idxBytes := records*80*4 + 4*mib
-	opts := aquila.Options{
-		Mode: aquila.ModeAquila, Device: dev,
-		CacheBytes: cache, DeviceBytes: logBytes + idxBytes + 64*mib,
-		CPUs: 8, Seed: 61, Params: aquilaParams(cache),
-	}
-	kopts := kreon.Options{
-		LogBytes: logBytes, IndexBytes: idxBytes,
-		L0Entries: int(records)/3 + 1,
-	}
-	size := uint64(4096) + logBytes + idxBytes
-	sys := boot(opts)
-	if plan != nil {
-		sys.InjectCrash(plan)
-	}
-	var pr crashProbe
-	sys.Do(func(p *aquila.Proc) {
-		f := sys.NS.Create(p, "kreon.data", size)
-		m := sys.NS.Mmap(p, f, size)
-		m.Advise(p, aquila.AdviceRandom)
-		db := kreon.OpenWithMapping(p, kopts, m)
+	opts, kopts, size := kreonLayout(aquila.ModeAquila, dev, cache, records, 260, 4*mib, 61)
+	// Named here, not left to boot: Recover must see the same Params.
+	opts.Params = core.ParamsForCache(cache)
+	return crashRun(opts, plan, func(p *aquila.Proc, sys *aquila.System, pr *crashProbe) {
+		db := kreonOpen(p, sys, kopts, size)
 		for i := uint64(0); i < records; i++ {
 			db.Put(p, ycsb.KeyBytes(i), ycsb.Value(i, valSize))
 			if (i+1)%group == 0 {
@@ -192,20 +181,8 @@ func kreonCrashRun(dev aquila.DeviceKind, cache, records, group uint64,
 		db.Msync(p)
 		pr.acked = records
 		pr.ackCycles = append(pr.ackCycles, p.Now())
-	})
-	pr.cycles = sys.Sim.Now()
-	pr.writes = crashStoreWrites(sys)
-	if sys.Crashed() == nil {
-		return pr
-	}
-	pr.crashed = true
-	pr.invErr = sys.RT.CheckCrashInvariants()
-	img := sys.CaptureCrash()
-	rec := aquila.Recover(opts, img)
-	rec.Do(func(p *aquila.Proc) {
-		f := rec.NS.Create(p, "kreon.data", size)
-		m := rec.NS.Mmap(p, f, size)
-		db := kreon.Reopen(p, kopts, m)
+	}, func(p *aquila.Proc, rec *aquila.System, pr *crashProbe) {
+		db := kreon.Reopen(p, kopts, mapFile(p, rec, "kreon.data", size))
 		if pr.acked > 0 && db.Recov.FreshStore {
 			pr.lost = int(pr.acked)
 			return
@@ -217,10 +194,6 @@ func kreonCrashRun(dev aquila.DeviceKind, cache, records, group uint64,
 			}
 		}
 	})
-	if pr.invErr == nil {
-		pr.invErr = rec.RT.CheckInvariants()
-	}
-	return pr
 }
 
 // crashTally accumulates oracle results across one world's crash-point sweep.
@@ -240,6 +213,15 @@ func (t *crashTally) add(pr crashProbe) {
 	}
 	t.verified += int(pr.acked) - pr.lost
 	t.cycles += pr.cycles
+}
+
+// merge folds one world's sweep into a running total.
+func (t *crashTally) merge(o crashTally) {
+	t.points += o.points
+	t.lost += o.lost
+	t.invFails += o.invFails
+	t.verified += o.verified
+	t.cycles += o.cycles
 }
 
 // strideOver returns n indices evenly spread over [1, max].
@@ -287,6 +269,19 @@ func runAblateCrash(scale float64) []*Result {
 		return "FAIL"
 	}
 
+	// Ack-cycle sweep: die one cycle after msync returned — the strongest
+	// durability probe (everything just acked must survive). The final ack
+	// is skipped: the workload ends there, so the trigger has no scheduling
+	// point left to fire at.
+	ackSweep := func(t *crashTally, mode aquila.Mode, dev aquila.DeviceKind, unsafe bool, trace crashProbe) {
+		if n := len(trace.ackCycles); n > 1 {
+			for _, i := range strideOver(uint64(n-1), ackPoints) {
+				t.add(walCrashRun(mode, dev, cache, nrec, group, unsafe,
+					&aquila.CrashPlan{Seed: 9, AtCycle: trace.ackCycles[i-1] + 1}))
+			}
+		}
+	}
+
 	var total, unsafeTally, kreonTotal crashTally
 	worlds := []struct {
 		name string
@@ -294,10 +289,6 @@ func runAblateCrash(scale float64) []*Result {
 	}{{"aquila", aquila.ModeAquila}, {"linux", aquila.ModeLinuxMmap}}
 	for _, w := range worlds {
 		for _, dev := range []aquila.DeviceKind{aquila.DevicePMem, aquila.DeviceNVMe} {
-			devName := "pmem"
-			if dev == aquila.DeviceNVMe {
-				devName = "NVMe"
-			}
 			trace := walCrashRun(w.mode, dev, cache, nrec, group, false, nil)
 			var t crashTally
 			// Device-op sweep: die mid-write at strided points over the whole
@@ -307,23 +298,10 @@ func runAblateCrash(scale float64) []*Result {
 				t.add(walCrashRun(w.mode, dev, cache, nrec, group, false,
 					&aquila.CrashPlan{Seed: int64(k), AtDeviceOp: k, TearProb: 0.3}))
 			}
-			// Ack-cycle sweep: die one cycle after msync returned — the
-			// strongest durability probe (everything just acked must survive).
-			// The final ack is skipped: the workload ends there, so the
-			// trigger has no scheduling point left to fire at.
-			if n := len(trace.ackCycles); n > 1 {
-				for _, i := range strideOver(uint64(n-1), ackPoints) {
-					t.add(walCrashRun(w.mode, dev, cache, nrec, group, false,
-						&aquila.CrashPlan{Seed: 9, AtCycle: trace.ackCycles[i-1] + 1}))
-				}
-			}
-			r.AddRow(w.name, devName, fmt.Sprint(t.points), fmt.Sprint(t.verified),
+			ackSweep(&t, w.mode, dev, false, trace)
+			r.AddRow(w.name, devLabel[dev], fmt.Sprint(t.points), fmt.Sprint(t.verified),
 				fmt.Sprint(t.lost), fmt.Sprint(t.invFails), verdict(t))
-			total.points += t.points
-			total.lost += t.lost
-			total.invFails += t.invFails
-			total.verified += t.verified
-			total.cycles += t.cycles
+			total.merge(t)
 		}
 	}
 
@@ -332,23 +310,15 @@ func runAblateCrash(scale float64) []*Result {
 	kreonGroup := kreonRecords / 6
 	kreonPoints := scaledN(8, scale, 4)
 	for _, dev := range []aquila.DeviceKind{aquila.DevicePMem, aquila.DeviceNVMe} {
-		devName := "pmem"
-		if dev == aquila.DeviceNVMe {
-			devName = "NVMe"
-		}
 		trace := kreonCrashRun(dev, cache, kreonRecords, kreonGroup, nil)
 		var t crashTally
 		for _, k := range strideOver(trace.writes, kreonPoints) {
 			t.add(kreonCrashRun(dev, cache, kreonRecords, kreonGroup,
 				&aquila.CrashPlan{Seed: int64(k), AtDeviceOp: k, TearProb: 0.3}))
 		}
-		r.AddRow("kreon", devName, fmt.Sprint(t.points), fmt.Sprint(t.verified),
+		r.AddRow("kreon", devLabel[dev], fmt.Sprint(t.points), fmt.Sprint(t.verified),
 			fmt.Sprint(t.lost), fmt.Sprint(t.invFails), verdict(t))
-		kreonTotal.points += t.points
-		kreonTotal.lost += t.lost
-		kreonTotal.invFails += t.invFails
-		kreonTotal.verified += t.verified
-		kreonTotal.cycles += t.cycles
+		kreonTotal.merge(t)
 	}
 
 	// Deliberately broken ordering: msync acknowledges at submission, so data
@@ -356,13 +326,7 @@ func runAblateCrash(scale float64) []*Result {
 	// must FAIL — it proves the oracle has teeth.
 	{
 		trace := walCrashRun(aquila.ModeAquila, aquila.DeviceNVMe, cache, nrec, group, true, nil)
-		if n := len(trace.ackCycles); n > 1 {
-			for _, i := range strideOver(uint64(n-1), ackPoints) {
-				unsafeTally.add(walCrashRun(aquila.ModeAquila, aquila.DeviceNVMe,
-					cache, nrec, group, true,
-					&aquila.CrashPlan{Seed: 9, AtCycle: trace.ackCycles[i-1] + 1}))
-			}
-		}
+		ackSweep(&unsafeTally, aquila.ModeAquila, aquila.DeviceNVMe, true, trace)
 		v := verdict(unsafeTally)
 		if v == "FAIL" {
 			v = "FAIL (expected)"
@@ -378,31 +342,21 @@ func runAblateCrash(scale float64) []*Result {
 
 	allCycles := total.cycles + kreonTotal.cycles + unsafeTally.cycles
 	ops := uint64(total.verified + kreonTotal.verified)
-	r.Report = &obs.Report{
-		Schema:     obs.ReportSchemaVersion,
-		Experiment: "ablate-crash",
-		Title:      r.Title,
-		Scale:      scale,
-		Config: map[string]string{
-			"cache":      fmt.Sprintf("%d", cache),
-			"records":    fmt.Sprintf("%d", nrec),
-			"group":      fmt.Sprintf("%d", group),
-			"dev_points": fmt.Sprintf("%d", devPoints),
-			"ack_points": fmt.Sprintf("%d", ackPoints),
-			"seed":       "77",
-		},
-		Ops:                 ops,
-		ElapsedCycles:       allCycles,
-		ThroughputOpsPerSec: aquila.ThroughputOpsPerSec(ops, allCycles),
-		Extra: map[string]float64{
-			"crash_points":    float64(total.points),
-			"oracle_lost":     float64(total.lost),
-			"invariant_fails": float64(total.invFails),
-			"kreon_points":    float64(kreonTotal.points),
-			"kreon_lost":      float64(kreonTotal.lost),
-			"unsafe_points":   float64(unsafeTally.points),
-			"unsafe_lost":     float64(unsafeTally.lost),
-		},
-	}
+	r.setReport(scale, ops, allCycles, nil, nil, 0, map[string]string{
+		"cache":      fmt.Sprint(cache),
+		"records":    fmt.Sprint(nrec),
+		"group":      fmt.Sprint(group),
+		"dev_points": fmt.Sprint(devPoints),
+		"ack_points": fmt.Sprint(ackPoints),
+		"seed":       "77",
+	}, map[string]float64{
+		"crash_points":    float64(total.points),
+		"oracle_lost":     float64(total.lost),
+		"invariant_fails": float64(total.invFails),
+		"kreon_points":    float64(kreonTotal.points),
+		"kreon_lost":      float64(kreonTotal.lost),
+		"unsafe_points":   float64(unsafeTally.points),
+		"unsafe_lost":     float64(unsafeTally.lost),
+	})
 	return []*Result{r}
 }

@@ -16,7 +16,7 @@ import (
 // experiment needs a non-default device configuration).
 func newAquilaOnHost(p *aquila.Proc, os *host.OS, cache uint64) *core.Runtime {
 	return core.NewRuntime(p, os, core.NewDAXEngine(os), core.Config{
-		CacheBytes: cache, Params: aquilaParams(cache),
+		CacheBytes: cache, Params: core.ParamsForCache(cache),
 	})
 }
 
@@ -54,14 +54,11 @@ func runResize(scale float64) []*Result {
 		Mode: aquila.ModeAquila, Device: aquila.DevicePMem,
 		CacheBytes: small, MaxCacheBytes: big * 2,
 		DeviceBytes: big*8 + 96*mib, CPUs: 8, Seed: 101,
-		Params: aquilaParams(small),
 	})
 	dataset := big * 4
 	var m aquila.Mapping
 	sys.Do(func(p *aquila.Proc) {
-		f := sys.NS.Create(p, "resize-data", dataset)
-		m = sys.NS.Mmap(p, f, dataset)
-		m.Advise(p, aquila.AdviceRandom)
+		m = mapFile(p, sys, "resize-data", dataset, aquila.AdviceRandom)
 	})
 	ops := scaledN(20000, scale, 4000)
 	seed := uint64(11)
@@ -102,32 +99,21 @@ func runPageRankWorlds(scale float64) []*Result {
 		Header: []string{"config", "exec time(ms)", "vs mmap"},
 	}
 	vertices := uint32(scaledN(1<<15, scale, 1<<12))
-	raw := graph.RMAT(graph.RMATConfig{Vertices: vertices, EdgeFactor: 10, Seed: 27})
-	edges := graph.Symmetrize(raw)
-	heapBytes := (uint64(vertices)+1)*8 + uint64(len(edges))*4 + uint64(vertices)*24
-	heapBytes = heapBytes*5/4 + 1<<20
-	cache := heapBytes / 8
-	if cache < 1500*1024 {
-		cache = 1500 * 1024
-	}
+	edges, heapBytes := rmatHeap(vertices, 27, 24) // three rank/degree vectors
+	cache := graphCache(heapBytes, 8)
 	times := map[string]float64{}
 	for _, cfg := range []struct {
 		name string
 		mode aquila.Mode
 	}{{"mmap", aquila.ModeLinuxMmap}, {"aquila", aquila.ModeAquila}} {
-		opts := aquila.Options{
+		sys := boot(aquila.Options{
 			Mode: cfg.mode, Device: aquila.DevicePMem,
 			CacheBytes: cache, DeviceBytes: heapBytes*2 + 64*mib,
 			CPUs: 32, Seed: 29,
-		}
-		if cfg.mode == aquila.ModeAquila {
-			opts.Params = aquilaParams(cache)
-		}
-		sys := boot(opts)
+		})
 		var g *graph.Graph
 		sys.Do(func(p *aquila.Proc) {
-			f := sys.NS.Create(p, "heap", heapBytes*2)
-			m := sys.NS.Mmap(p, f, heapBytes*2)
+			m := mapFile(p, sys, "heap", heapBytes*2)
 			if cfg.mode == aquila.ModeAquila {
 				m.Advise(p, aquila.AdviceSequential)
 			}
@@ -153,14 +139,8 @@ func runNVMHeap(scale float64) []*Result {
 		Header: []string{"device", "exec time(ms)", "vs DRAM-backed pmem"},
 	}
 	vertices := uint32(scaledN(1<<15, scale, 1<<12))
-	raw := graph.RMAT(graph.RMATConfig{Vertices: vertices, EdgeFactor: 10, Seed: 23})
-	edges := graph.Symmetrize(raw)
-	heapBytes := (uint64(vertices)+1)*8 + uint64(len(edges))*4 + uint64(vertices)*4
-	heapBytes = heapBytes*5/4 + 1<<20
-	cache := heapBytes / 8
-	if cache < 1500*1024 {
-		cache = 1500 * 1024
-	}
+	edges, heapBytes := rmatHeap(vertices, 23, 4)
+	cache := graphCache(heapBytes, 8)
 
 	times := map[string]float64{}
 	for _, cfg := range []struct {

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"aquila"
-	"aquila/internal/obs"
+	"aquila/internal/core"
 )
 
 // Fault-injection ablation: the out-of-memory mixed workload of
@@ -23,41 +23,6 @@ func init() {
 	})
 }
 
-// mixedFaultRun is mixedOverSystem plus a final Msync from the main thread,
-// whose errseq-checked result the caller inspects.
-func mixedFaultRun(sys *aquila.System, dataset uint64, threads, opsPerThread int, seed int64) (microResult, error) {
-	var m aquila.Mapping
-	sys.Do(func(p *aquila.Proc) {
-		f := sys.NS.Create(p, "faults", dataset)
-		m = sys.NS.Mmap(p, f, dataset)
-		m.Advise(p, aquila.AdviceRandom)
-	})
-	lats := make([]*obs.Histogram, threads)
-	var ops uint64
-	elapsed := sys.Run(threads, func(t int, p *aquila.Proc) {
-		lat := obs.NewHistogram()
-		lats[t] = lat
-		pages := m.Size() / 4096
-		buf := make([]byte, 8)
-		x := uint64(seed + int64(t)*2654435761)
-		for i := 0; i < opsPerThread; i++ {
-			x = x*6364136223846793005 + 1442695040888963407
-			pg := (x >> 17) % pages
-			t0 := p.Now()
-			if i%3 == 0 {
-				m.Store(p, pg*4096, buf)
-			} else {
-				m.Load(p, pg*4096, buf)
-			}
-			lat.Record(p.Now() - t0)
-		}
-		ops += uint64(opsPerThread)
-	})
-	var msyncErr error
-	sys.Do(func(p *aquila.Proc) { msyncErr = m.Msync(p) })
-	return microResult{ops: ops, elapsed: elapsed, lat: mergeHists(lats), sys: sys}, msyncErr
-}
-
 func runAblateFaults(scale float64) []*Result {
 	r := &Result{
 		ID:    "ablate-faults",
@@ -69,12 +34,8 @@ func runAblateFaults(scale float64) []*Result {
 	ops := scaledN(2500, scale, 500)
 
 	for _, dev := range []aquila.DeviceKind{aquila.DevicePMem, aquila.DeviceNVMe} {
-		devName := "pmem"
-		if dev == aquila.DeviceNVMe {
-			devName = "NVMe"
-		}
 		for _, prob := range []float64{0, 0.001, 0.01, 0.05} {
-			params := aquilaParams(cache)
+			params := core.ParamsForCache(cache)
 			params.AsyncEvict = true
 			sys := boot(aquila.Options{
 				Mode: aquila.ModeAquila, Device: dev,
@@ -86,13 +47,20 @@ func runAblateFaults(scale float64) []*Result {
 					{Kind: aquila.FaultTransientWrite, Prob: prob},
 				}})
 			}
-			res, msyncErr := mixedFaultRun(sys, cache*12, 16, ops, 99)
-			st := sys.RT.Stats
+			res := drive(sys, access{
+				file: "faults", dataset: cache * 12, threads: 16, advice: adviseRandom,
+				stream: lcgStream(99, ops, true),
+			})
+			// A final msync from the main thread: its errseq-checked result
+			// is the table's last column.
 			msyncCell := "ok"
-			if msyncErr != nil {
-				msyncCell = "EIO"
-			}
-			r.AddRow(devName, fmt.Sprintf("%g", prob), kops(res.ops, res.elapsed),
+			sys.Do(func(p *aquila.Proc) {
+				if res.maps[0].Msync(p) != nil {
+					msyncCell = "EIO"
+				}
+			})
+			st := sys.RT.Stats
+			r.AddRow(devLabel[dev], fmt.Sprintf("%g", prob), kops(res.ops, res.elapsed),
 				usF(res.lat.Mean()), fmt.Sprint(sys.InjectedFaults()),
 				fmt.Sprint(st.IORetries), fmt.Sprint(st.RequeuedPages),
 				fmt.Sprint(st.QuarantinedPages), fmt.Sprint(st.SyncWritebackFallbacks),

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"aquila"
-	"aquila/internal/obs"
 )
 
 func init() {
@@ -55,6 +54,19 @@ func runFig10(scale float64, inMemory bool) *Result {
 		ops = scaledN(4000, scale, 800)
 	}
 	maxT := threadCounts[len(threadCounts)-1]
+	base := microConfig{
+		device: aquila.DevicePMem, cache: cache, dataset: dataset,
+		inMemory: inMemory, opsPerThread: ops, cpus: 32, seed: 46,
+	}
+	addRow := func(threads int, fileLabel string, lin, aq microResult) {
+		r.AddRow(
+			fmt.Sprintf("%d", threads), fileLabel,
+			kops(lin.ops, lin.elapsed), kops(aq.ops, aq.elapsed),
+			ratio(aq.throughputKops(), lin.throughputKops()),
+			usF(lin.lat.Mean()), usF(aq.lat.Mean()),
+			us(lin.lat.P999()), us(aq.lat.P999()),
+		)
+	}
 	linShared := make(map[int]microResult, len(threadCounts))
 	var aqTop microResult
 	for _, shared := range []bool{true, false} {
@@ -63,30 +75,17 @@ func runFig10(scale float64, inMemory bool) *Result {
 			fileLabel = "private"
 		}
 		for _, threads := range threadCounts {
-			base := microConfig{
-				device: aquila.DevicePMem, cache: cache, dataset: dataset,
-				threads: threads, inMemory: inMemory, opsPerThread: ops,
-				sharedFile: shared, cpus: 32, seed: 46,
-			}
-			linCfg := base
-			linCfg.mode = aquila.ModeLinuxMmap
-			lin := runMicro(linCfg)
-			aqCfg := base
-			aqCfg.mode = aquila.ModeAquila
-			aq := runMicro(aqCfg)
+			cfg := base
+			cfg.threads, cfg.sharedFile = threads, shared
+			lin := runMicro(cfg.in(aquila.ModeLinuxMmap))
+			aq := runMicro(cfg.in(aquila.ModeAquila))
 			if shared {
 				linShared[threads] = lin
 				if threads == maxT {
 					aqTop = aq
 				}
 			}
-			r.AddRow(
-				fmt.Sprintf("%d", threads), fileLabel,
-				kops(lin.ops, lin.elapsed), kops(aq.ops, aq.elapsed),
-				ratio(aq.throughputKops(), lin.throughputKops()),
-				usF(lin.lat.Mean()), usF(aq.lat.Mean()),
-				us(lin.lat.P999()), us(aq.lat.P999()),
-			)
+			addRow(threads, fileLabel, lin, aq)
 		}
 	}
 	var hugeTop microResult
@@ -98,23 +97,13 @@ func runFig10(scale float64, inMemory bool) *Result {
 		// (the Linux worlds ignore the hint), so the speedup column stays
 		// huge-Aquila over Linux.
 		for _, threads := range threadCounts {
-			aq := runMicro(microConfig{
-				mode: aquila.ModeAquila, device: aquila.DevicePMem,
-				cache: cache, dataset: dataset, threads: threads,
-				inMemory: true, opsPerThread: ops,
-				sharedFile: true, cpus: 32, seed: 46, huge: true,
-			})
+			cfg := base.in(aquila.ModeAquila)
+			cfg.threads, cfg.sharedFile, cfg.huge = threads, true, true
+			aq := runMicro(cfg)
 			if threads == maxT {
 				hugeTop = aq
 			}
-			lin := linShared[threads]
-			r.AddRow(
-				fmt.Sprintf("%d", threads), "shared+2M",
-				kops(lin.ops, lin.elapsed), kops(aq.ops, aq.elapsed),
-				ratio(aq.throughputKops(), lin.throughputKops()),
-				usF(lin.lat.Mean()), usF(aq.lat.Mean()),
-				us(lin.lat.P999()), us(aq.lat.P999()),
-			)
+			addRow(threads, "shared+2M", linShared[threads], aq)
 		}
 	}
 	if inMemory {
@@ -124,37 +113,25 @@ func runFig10(scale float64, inMemory bool) *Result {
 			hugeTop.sys.RT.Stats.HugePromotions,
 			faultEvents(hugeTop.sys), faultEvents(aqTop.sys))
 
-		lat := aqTop.lat.Summarize()
-		r.Report = &obs.Report{
-			Schema:     obs.ReportSchemaVersion,
-			Experiment: "fig10a",
-			Title:      r.Title,
-			Scale:      scale,
-			Config: map[string]string{
-				"mode":    "aquila",
-				"device":  "pmem",
-				"cache":   fmt.Sprintf("%d", cache),
-				"dataset": fmt.Sprintf("%d", dataset),
-				"threads": fmt.Sprintf("%d", maxT),
-				"cpus":    "32",
-				"seed":    "46",
-				"config":  "shared file, in-memory, max threads",
-			},
-			Ops:                 aqTop.ops,
-			ElapsedCycles:       aqTop.elapsed,
-			ThroughputOpsPerSec: aquila.ThroughputOpsPerSec(aqTop.ops, aqTop.elapsed),
-			Latency:             &lat,
-			Extra: map[string]float64{
-				"speedup_vs_linux": safeDiv(aqTop.throughputKops(),
-					linShared[maxT].throughputKops()),
-				"huge_speedup_vs_4k": safeDiv(hugeTop.throughputKops(),
-					aqTop.throughputKops()),
-				"fault_events_4k":   float64(faultEvents(aqTop.sys)),
-				"fault_events_huge": float64(faultEvents(hugeTop.sys)),
-				"huge_fault_ratio":  hugeFaultRatio(hugeTop.sys),
-				"huge_promotions":   float64(hugeTop.sys.RT.Stats.HugePromotions),
-			},
-		}
+		r.setReport(scale, aqTop.ops, aqTop.elapsed, aqTop.lat, nil, 0, map[string]string{
+			"mode":    "aquila",
+			"device":  "pmem",
+			"cache":   fmt.Sprint(cache),
+			"dataset": fmt.Sprint(dataset),
+			"threads": fmt.Sprint(maxT),
+			"cpus":    "32",
+			"seed":    "46",
+			"config":  "shared file, in-memory, max threads",
+		}, map[string]float64{
+			"speedup_vs_linux": safeDiv(aqTop.throughputKops(),
+				linShared[maxT].throughputKops()),
+			"huge_speedup_vs_4k": safeDiv(hugeTop.throughputKops(),
+				aqTop.throughputKops()),
+			"fault_events_4k":   float64(faultEvents(aqTop.sys)),
+			"fault_events_huge": float64(faultEvents(hugeTop.sys)),
+			"huge_fault_ratio":  hugeFaultRatio(hugeTop.sys),
+			"huge_promotions":   float64(hugeTop.sys.RT.Stats.HugePromotions),
+		})
 	} else {
 		r.AddNote("paper: shared 2.17x@1T, 12.92x@32T; private 2.21x@1T, 2.84x@32T")
 		r.AddNote("paper latency @32T shared: 8.52x avg, 213x p99.9 lower for Aquila")

@@ -42,7 +42,7 @@ var rocksModes = []rocksMode{
 	{"aquila", aquila.ModeAquila, lsm.IOMmap},
 }
 
-// rocksOut is one rocksRun measurement plus the Aquila-only reclaim telemetry
+// rocksOut is one rocksRunX measurement plus the Aquila-only reclaim telemetry
 // fig5b's machine-readable report needs.
 type rocksOut struct {
 	ops     uint64
@@ -69,26 +69,12 @@ func rocksRunX(mode rocksMode, dev aquila.DeviceKind, cache uint64, records uint
 		CPUs:        32,
 		Seed:        seed,
 	}
-	if mode.mode == aquila.ModeAquila {
-		ps := aquilaParams(cache)
-		if mut != nil {
-			mut(ps)
-		}
-		opts.Params = ps
+	if mode.mode == aquila.ModeAquila && mut != nil {
+		opts.Params = core.ParamsForCache(cache)
+		mut(opts.Params)
 	}
 	sys := boot(opts)
-	var db *lsm.DB
-	sys.Do(func(p *aquila.Proc) {
-		db = lsm.Open(p, sys.Sim, lsm.Options{
-			NS:              sys.NS,
-			Mode:            mode.io,
-			BlockCacheBytes: cache, // same DRAM budget as the page caches
-			SSTTargetBytes:  int(minU64(8*mib, cache/2)),
-			DisableWAL:      true,
-			Seed:            seed,
-		})
-		db.BulkLoad(p, records, valueSize)
-	})
+	db := loadRocks(sys, mode.io, cache, records, valueSize, seed)
 	// Warmup: one sequential pass over all records, so caches and PTEs
 	// reach steady state before measurement (as the paper's runs do).
 	sys.Do(func(p *aquila.Proc) {
@@ -119,12 +105,24 @@ func rocksRunX(mode rocksMode, dev aquila.DeviceKind, cache uint64, records uint
 	return out
 }
 
-// rocksRun is rocksRunX with default parameters, for callers that only need
-// the throughput triple.
-func rocksRun(mode rocksMode, dev aquila.DeviceKind, cache uint64, records uint64,
-	valueSize, threads, opsPerThread int, seed int64) (uint64, uint64, *obs.Histogram) {
-	o := rocksRunX(mode, dev, cache, records, valueSize, threads, opsPerThread, seed, nil)
-	return o.ops, o.elapsed, o.lat
+// loadRocks opens a RocksDB-like store in sys and bulk-loads records into it.
+// The store reports its cycle breakdown into the harness registry, if any.
+func loadRocks(sys *aquila.System, io lsm.IOMode, cache, records uint64, valueSize int, seed int64) *lsm.DB {
+	var db *lsm.DB
+	sys.Do(func(p *aquila.Proc) {
+		db = lsm.Open(p, sys.Sim, lsm.Options{
+			NS:              sys.NS,
+			Mode:            io,
+			BlockCacheBytes: cache, // same DRAM budget as the page caches
+			SSTTargetBytes:  int(min(8*mib, cache/2)),
+			DisableWAL:      true,
+			Seed:            seed,
+			Registry:        Registry(),
+			MetricsLabel:    sys.TraceLabel(),
+		})
+		db.BulkLoad(p, records, valueSize)
+	})
+	return db
 }
 
 // sstBytesPerRecord is the on-disk footprint of one record including block
@@ -136,13 +134,6 @@ func sstBytesPerRecord(valueSize int) uint64 {
 		perBlock = 1
 	}
 	return uint64(4096 / perBlock)
-}
-
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func runFig5(scale float64, inMemory bool) []*Result {
@@ -175,10 +166,7 @@ func runFig5(scale float64, inMemory bool) []*Result {
 	lastThreads := threadCounts[len(threadCounts)-1]
 	syncAq := map[aquila.DeviceKind]rocksOut{}
 	for _, dev := range []aquila.DeviceKind{aquila.DeviceNVMe, aquila.DevicePMem} {
-		devName := "NVMe"
-		if dev == aquila.DevicePMem {
-			devName = "pmem"
-		}
+		devName := devLabel[dev]
 		for _, threads := range threadCounts {
 			base := map[string]float64{}
 			for _, m := range rocksModes {
@@ -217,16 +205,12 @@ func addFig5bAsync(r *Result, scale float64, cache, records uint64,
 	valueSize, threads, ops int, syncAq map[aquila.DeviceKind]rocksOut) {
 	aqMode := rocksModes[len(rocksModes)-1]
 	for _, dev := range []aquila.DeviceKind{aquila.DeviceNVMe, aquila.DevicePMem} {
-		devName := "NVMe"
-		if dev == aquila.DevicePMem {
-			devName = "pmem"
-		}
 		sync := syncAq[dev]
 		async := rocksRunX(aqMode, dev, cache, records, valueSize, threads, ops, 77,
 			func(ps *core.Params) { ps.AsyncEvict = true })
 		syncThr := aquila.ThroughputOpsPerSec(sync.ops, sync.elapsed) / 1e3
 		asyncThr := aquila.ThroughputOpsPerSec(async.ops, async.elapsed) / 1e3
-		r.AddRow(devName, fmt.Sprint(threads), "aquila+bg-evict",
+		r.AddRow(devLabel[dev], fmt.Sprint(threads), "aquila+bg-evict",
 			fmt.Sprintf("%.1f", asyncThr), usF(async.lat.Mean()), us(async.lat.P999()),
 			ratio(asyncThr, syncThr))
 		if dev != aquila.DeviceNVMe {
@@ -248,44 +232,29 @@ func addFig5bAsync(r *Result, scale float64, cache, records uint64,
 				bd[k] = 0
 			}
 		}
-		lat := async.lat.Summarize()
-		r.Report = &obs.Report{
-			Schema:     obs.ReportSchemaVersion,
-			Experiment: "fig5b",
-			Title:      r.Title,
-			Scale:      scale,
-			Config: map[string]string{
-				"workload":       "YCSB-C uniform, 1 KB values",
-				"device":         "NVMe",
-				"threads":        fmt.Sprint(threads),
-				"cache":          fmt.Sprint(cache),
-				"records":        fmt.Sprint(records),
-				"ops_per_thread": fmt.Sprint(ops),
-				"seed":           "77",
-				"async_evict":    "true",
-			},
-			Ops:                 async.ops,
-			ElapsedCycles:       async.elapsed,
-			ThroughputOpsPerSec: aquila.ThroughputOpsPerSec(async.ops, async.elapsed),
-			Latency:             &lat,
-			Breakdown:           bd,
-			BreakdownTotal:      sumMap(bd),
-			TotalCycles:         async.lat.Sum(),
-			Extra: map[string]float64{
-				"sync_kops":                  syncThr,
-				"async_kops":                 asyncThr,
-				"async_over_sync_throughput": safeDiv(asyncThr, syncThr),
-				"sync_avg_cycles":            sync.lat.Mean(),
-				"async_avg_cycles":           async.lat.Mean(),
-				"sync_over_async_avg":        safeDiv(sync.lat.Mean(), async.lat.Mean()),
-				"sync_p999_cycles":           float64(sync.lat.P999()),
-				"async_p999_cycles":          float64(async.lat.P999()),
-				"direct_reclaim_pages":       float64(async.stats.DirectReclaimPages),
-				"bg_reclaim_pages":           float64(async.stats.BgReclaimPages),
-				"evict_stalls":               float64(async.stats.EvictStalls),
-				"sync_direct_reclaim_pages":  float64(sync.stats.DirectReclaimPages),
-			},
-		}
+		r.setReport(scale, async.ops, async.elapsed, async.lat, bd, async.lat.Sum(), map[string]string{
+			"workload":       "YCSB-C uniform, 1 KB values",
+			"device":         "NVMe",
+			"threads":        fmt.Sprint(threads),
+			"cache":          fmt.Sprint(cache),
+			"records":        fmt.Sprint(records),
+			"ops_per_thread": fmt.Sprint(ops),
+			"seed":           "77",
+			"async_evict":    "true",
+		}, map[string]float64{
+			"sync_kops":                  syncThr,
+			"async_kops":                 asyncThr,
+			"async_over_sync_throughput": safeDiv(asyncThr, syncThr),
+			"sync_avg_cycles":            sync.lat.Mean(),
+			"async_avg_cycles":           async.lat.Mean(),
+			"sync_over_async_avg":        safeDiv(sync.lat.Mean(), async.lat.Mean()),
+			"sync_p999_cycles":           float64(sync.lat.P999()),
+			"async_p999_cycles":          float64(async.lat.P999()),
+			"direct_reclaim_pages":       float64(async.stats.DirectReclaimPages),
+			"bg_reclaim_pages":           float64(async.stats.BgReclaimPages),
+			"evict_stalls":               float64(async.stats.EvictStalls),
+			"sync_direct_reclaim_pages":  float64(sync.stats.DirectReclaimPages),
+		})
 	}
 	r.AddNote("aquila+bg-evict: AsyncEvict=true (per-NUMA background evictor, overlapped writeback); its ratio column is vs sync aquila at %d threads", threads)
 }

@@ -50,15 +50,28 @@ var fig6Configs = []fig6Config{
 	{"DRAM-only", aquila.ModeAquila, aquila.DevicePMem, true},
 }
 
-// fig6Sizes derives graph and cache sizes from the scale. overcommit is the
-// footprint:cache ratio (8 for the paper's 64 GB / 8 GB configuration).
+// rmatHeap generates the symmetrized R-MAT graph (edge factor 10) the graph
+// experiments run on and sizes the heap that holds it: CSR offsets, edges,
+// perVertex bytes of algorithm state (BFS parents: 4), and a quarter plus
+// 1 MB of slack.
+func rmatHeap(vertices uint32, seed int64, perVertex uint64) (edges [][2]uint32, heapBytes uint64) {
+	raw := graph.RMAT(graph.RMATConfig{Vertices: vertices, EdgeFactor: 10, Seed: seed})
+	edges = graph.Symmetrize(raw)
+	heapBytes = (uint64(vertices)+1)*8 + uint64(len(edges))*4 + uint64(vertices)*perVertex
+	return edges, heapBytes*5/4 + 1<<20
+}
+
+// graphCache is the DRAM cache for a heap at the given footprint:cache ratio
+// (8 for the paper's 64 GB / 8 GB configuration), floored so the batch:cache
+// ratios stay in the paper's regime.
+func graphCache(heapBytes, overcommit uint64) uint64 {
+	return max(heapBytes/overcommit, 1500*1024)
+}
+
+// fig6Sizes derives the BFS graph and heap from the scale.
 func fig6Sizes(scale float64) (vertices uint32, edges [][2]uint32, heapBytes uint64) {
 	vertices = uint32(scaledN(1<<17, scale, 1<<13))
-	raw := graph.RMAT(graph.RMATConfig{Vertices: vertices, EdgeFactor: 10, Seed: 21})
-	edges = graph.Symmetrize(raw)
-	// offsets + edges + parents + slack
-	heapBytes = (uint64(vertices)+1)*8 + uint64(len(edges))*4 + uint64(vertices)*4
-	heapBytes = heapBytes*5/4 + 1<<20
+	edges, heapBytes = rmatHeap(vertices, 21, 4)
 	return
 }
 
@@ -77,23 +90,15 @@ func runBFSConfig(cfg fig6Config, vertices uint32, edges [][2]uint32,
 		e.Close()
 		return res
 	}
-	opts := aquila.Options{
+	sys := boot(aquila.Options{
 		Mode: cfg.mode, Device: cfg.device,
 		CacheBytes:  cache,
 		DeviceBytes: heapBytes*2 + 64*mib,
 		CPUs:        32, Seed: 5,
-	}
-	if cfg.mode == aquila.ModeAquila {
-		opts.Params = aquilaParams(cache)
-	}
-	sys := boot(opts)
-	var h graph.Heap
+	})
 	var g *graph.Graph
 	sys.Do(func(p *aquila.Proc) {
-		f := sys.NS.Create(p, "heap", heapBytes*2)
-		m := sys.NS.Mmap(p, f, heapBytes*2)
-		m.Advise(p, aquila.AdviceRandom)
-		h = graph.NewMappedHeap(m)
+		h := graph.NewMappedHeap(mapFile(p, sys, "heap", heapBytes*2, aquila.AdviceRandom))
 		g = graph.Build(p, h, vertices, edges)
 	})
 	return graph.RunBFS(sys.Sim, g, 0, threads)
@@ -101,10 +106,7 @@ func runBFSConfig(cfg fig6Config, vertices uint32, edges [][2]uint32,
 
 func runFig6(scale float64, overcommit uint64, id string) *Result {
 	vertices, edges, heapBytes := fig6Sizes(scale)
-	cache := heapBytes / overcommit
-	if cache < 1500*1024 {
-		cache = 1500 * 1024 // keep batch:cache ratios in the paper's regime
-	}
+	cache := graphCache(heapBytes, overcommit)
 	r := &Result{
 		ID: id,
 		Title: fmt.Sprintf("Ligra BFS, R-MAT %dK vertices / %dK sym edges, cache = footprint/%d",
@@ -133,10 +135,7 @@ func runFig6(scale float64, overcommit uint64, id string) *Result {
 
 func runFig6c(scale float64) []*Result {
 	vertices, edges, heapBytes := fig6Sizes(scale)
-	cache := heapBytes / 8
-	if cache < 1500*1024 {
-		cache = 1500 * 1024
-	}
+	cache := graphCache(heapBytes, 8)
 	threads := 16
 	if scale < 0.5 {
 		threads = 8
@@ -146,16 +145,9 @@ func runFig6c(scale float64) []*Result {
 		Title:  fmt.Sprintf("BFS execution-time breakdown, %d threads, cache = footprint/8 (pmem)", threads),
 		Header: []string{"config", "user %", "system %", "idle %"},
 	}
-	type rowT struct {
-		name string
-		cfg  fig6Config
-	}
 	sums := map[string][4]uint64{}
-	for _, row := range []rowT{
-		{"mmap-pmem", fig6Configs[0]},
-		{"aquila-pmem", fig6Configs[2]},
-	} {
-		res := runBFSConfig(row.cfg, vertices, edges, heapBytes, cache, threads)
+	for _, cfg := range []fig6Config{fig6Configs[0], fig6Configs[2]} { // mmap-pmem, aquila-pmem
+		res := runBFSConfig(cfg, vertices, edges, heapBytes, cache, threads)
 		total := float64(res.Acct[0] + res.Acct[1] + res.Acct[2] + res.Acct[3])
 		if total == 0 {
 			total = 1
@@ -163,8 +155,8 @@ func runFig6c(scale float64) []*Result {
 		user := 100 * float64(res.Acct[engine.KindUser]) / total
 		system := 100 * float64(res.Acct[engine.KindSystem]) / total
 		idle := 100 * float64(res.Acct[engine.KindIOWait]+res.Acct[engine.KindLockWait]) / total
-		sums[row.name] = res.Acct
-		r.AddRow(row.name, fmt.Sprintf("%.1f", user), fmt.Sprintf("%.1f", system),
+		sums[cfg.name] = res.Acct
+		r.AddRow(cfg.name, fmt.Sprintf("%.1f", user), fmt.Sprintf("%.1f", system),
 			fmt.Sprintf("%.1f", idle))
 	}
 	mm, aq := sums["mmap-pmem"], sums["aquila-pmem"]

@@ -5,7 +5,6 @@ import (
 
 	"aquila"
 	"aquila/internal/kvs/lsm"
-	"aquila/internal/obs"
 	"aquila/internal/sim/cpu"
 	"aquila/internal/ycsb"
 )
@@ -31,27 +30,14 @@ type fig7Measure struct {
 // fig7Run executes single-threaded YCSB-C random reads over an out-of-memory
 // dataset and returns the per-get breakdown.
 func fig7Run(mode rocksMode, cache uint64, records uint64, ops int, seed int64) (map[string]float64, float64, fig7Measure) {
-	opts := aquila.Options{
+	sys := boot(aquila.Options{
 		Mode: mode.mode, Device: aquila.DevicePMem,
 		CacheBytes:  cache,
 		DeviceBytes: records*1100*2 + 256*mib,
 		CPUs:        8,
 		Seed:        seed,
-	}
-	if mode.mode == aquila.ModeAquila {
-		opts.Params = aquilaParams(cache)
-	}
-	sys := boot(opts)
-	var db *lsm.DB
-	sys.Do(func(p *aquila.Proc) {
-		db = lsm.Open(p, sys.Sim, lsm.Options{
-			NS: sys.NS, Mode: mode.io, BlockCacheBytes: cache,
-			SSTTargetBytes: int(minU64(8*mib, cache/2)),
-			DisableWAL:     true, Seed: seed,
-			Registry: Registry(), MetricsLabel: sys.TraceLabel(),
-		})
-		db.BulkLoad(p, records, 1000)
 	})
+	db := loadRocks(sys, mode.io, cache, records, 1000, seed)
 	var thr float64
 	var meas fig7Measure
 	break0 := db.Break.Map()
@@ -128,29 +114,16 @@ func runFig7(scale float64) []*Result {
 		extra["user_cache_"+c+"_per_get"] = rw[c]
 		extra["aquila_"+c+"_per_get"] = aq[c]
 	}
-	r.Report = &obs.Report{
-		Schema:     obs.ReportSchemaVersion,
-		Experiment: "fig7",
-		Title:      r.Title,
-		Scale:      scale,
-		Config: map[string]string{
-			"mode":    "aquila",
-			"device":  "pmem",
-			"cache":   fmt.Sprintf("%d", cache),
-			"records": fmt.Sprintf("%d", records),
-			"ops":     fmt.Sprintf("%d", ops),
-			"threads": "1",
-			"cpus":    "8",
-			"seed":    "99",
-		},
-		Ops:                 aqMeas.ops,
-		ElapsedCycles:       aqMeas.cycles,
-		ThroughputOpsPerSec: aqThr,
-		Breakdown:           aqMeas.breakDelta,
-		BreakdownTotal:      sumMap(aqMeas.breakDelta),
-		TotalCycles:         aqMeas.cycles,
-		Extra:               extra,
-	}
+	r.setReport(scale, aqMeas.ops, aqMeas.cycles, nil, aqMeas.breakDelta, aqMeas.cycles, map[string]string{
+		"mode":    "aquila",
+		"device":  "pmem",
+		"cache":   fmt.Sprint(cache),
+		"records": fmt.Sprint(records),
+		"ops":     fmt.Sprint(ops),
+		"threads": "1",
+		"cpus":    "8",
+		"seed":    "99",
+	}, extra)
 	r.AddNote("paper: cache mgmt 45.2K -> 17.5K = 2.58x fewer cycles; measured %s",
 		ratio(rw["cache-mgmt"], aq["cache-mgmt"]))
 	r.AddNote("paper: ~40%% higher end-to-end throughput; measured %s (%.1f vs %.1f Kops/s)",

@@ -5,7 +5,6 @@ import (
 
 	"aquila"
 	"aquila/internal/host"
-	"aquila/internal/obs"
 	"aquila/internal/sim/cpu"
 )
 
@@ -35,9 +34,6 @@ func init() {
 // faultCost measures the average per-fault cycles of a microbench run.
 func faultCost(cfg microConfig) (float64, microResult) {
 	res := runMicro(cfg)
-	if res.ops == 0 {
-		return 0, res
-	}
 	return res.lat.Mean(), res
 }
 
@@ -53,13 +49,9 @@ func runFig8a(scale float64) []*Result {
 		device: aquila.DevicePMem, cache: cache, dataset: cache,
 		threads: 1, inMemory: true, sharedFile: true, cpus: 4, seed: 42,
 	}
-	linCfg := base
-	linCfg.mode = aquila.ModeLinuxMmap
-	linTotal, _ := faultCost(linCfg)
-	aqCfg := base
-	aqCfg.mode = aquila.ModeAquila
-	aqTotal, aqRes := faultCost(aqCfg)
-	hugeCfg := aqCfg
+	linTotal, _ := faultCost(base.in(aquila.ModeLinuxMmap))
+	aqTotal, aqRes := faultCost(base.in(aquila.ModeAquila))
+	hugeCfg := base.in(aquila.ModeAquila)
 	hugeCfg.huge = true
 	hugeTotal, hugeRes := faultCost(hugeCfg)
 
@@ -80,40 +72,25 @@ func runFig8a(scale float64) []*Result {
 	r.AddNote("2 MB path: %s per access vs 4K Aquila (%d fault events vs %d; one promotion per extent)",
 		ratio(aqTotal, hugeTotal), faultEvents(hugeRes.sys), faultEvents(aqRes.sys))
 
-	lat := aqRes.lat.Summarize()
-	r.Report = &obs.Report{
-		Schema:     obs.ReportSchemaVersion,
-		Experiment: "fig8a",
-		Title:      r.Title,
-		Scale:      scale,
-		Config: map[string]string{
-			"mode":    "aquila",
-			"device":  "pmem",
-			"cache":   fmt.Sprintf("%d", cache),
-			"dataset": fmt.Sprintf("%d", cache),
-			"threads": "1",
-			"cpus":    "4",
-			"seed":    "42",
-		},
-		Ops:                 aqRes.ops,
-		ElapsedCycles:       aqRes.elapsed,
-		ThroughputOpsPerSec: aquila.ThroughputOpsPerSec(aqRes.ops, aqRes.elapsed),
-		Latency:             &lat,
-		Breakdown:           aqRes.breakDelta,
-		BreakdownTotal:      sumMap(aqRes.breakDelta),
-		TotalCycles:         aqRes.lat.Sum(),
-		Extra: map[string]float64{
-			"linux_total_per_fault":  linTotal,
-			"aquila_total_per_fault": aqTotal,
-			"trap_cycles":            linTrap,
-			"exception_cycles":       aqExc,
-			"linux_over_aquila":      safeDiv(linTotal, aqTotal),
-			"trap_over_exception":    safeDiv(linTrap, aqExc),
-			"huge_total_per_access":  hugeTotal,
-			"aquila_over_huge":       safeDiv(aqTotal, hugeTotal),
-			"huge_fault_ratio":       hugeFaultRatio(hugeRes.sys),
-		},
-	}
+	r.setReport(scale, aqRes.ops, aqRes.elapsed, aqRes.lat, aqRes.breakDelta, aqRes.lat.Sum(), map[string]string{
+		"mode":    "aquila",
+		"device":  "pmem",
+		"cache":   fmt.Sprint(cache),
+		"dataset": fmt.Sprint(cache),
+		"threads": "1",
+		"cpus":    "4",
+		"seed":    "42",
+	}, map[string]float64{
+		"linux_total_per_fault":  linTotal,
+		"aquila_total_per_fault": aqTotal,
+		"trap_cycles":            linTrap,
+		"exception_cycles":       aqExc,
+		"linux_over_aquila":      safeDiv(linTotal, aqTotal),
+		"trap_over_exception":    safeDiv(linTrap, aqExc),
+		"huge_total_per_access":  hugeTotal,
+		"aquila_over_huge":       safeDiv(aqTotal, hugeTotal),
+		"huge_fault_ratio":       hugeFaultRatio(hugeRes.sys),
+	})
 	return []*Result{r}
 }
 
@@ -130,12 +107,8 @@ func runFig8b(scale float64) []*Result {
 		threads: 1, inMemory: false, opsPerThread: scaledN(20000, scale, 4000),
 		sharedFile: true, cpus: 4, seed: 43,
 	}
-	linCfg := base
-	linCfg.mode = aquila.ModeLinuxMmap
-	linTotal, _ := faultCost(linCfg)
-	aqCfg := base
-	aqCfg.mode = aquila.ModeAquila
-	aqTotal, aqRes := faultCost(aqCfg)
+	linTotal, _ := faultCost(base.in(aquila.ModeLinuxMmap))
+	aqTotal, aqRes := faultCost(base.in(aquila.ModeAquila))
 
 	// Aquila's own per-component attribution, from the runtime breakdown.
 	rt := aqRes.sys.RT
@@ -201,7 +174,6 @@ func measureCacheHitFault(cache uint64) float64 {
 	sys := boot(aquila.Options{
 		Mode: aquila.ModeAquila, Device: aquila.DevicePMem,
 		CacheBytes: cache * 2, DeviceBytes: cache + 64*mib, CPUs: 4, Seed: 45,
-		Params: aquilaParams(cache * 2),
 	})
 	var mean float64
 	sys.Do(func(p *aquila.Proc) {

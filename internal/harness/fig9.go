@@ -17,37 +17,43 @@ func init() {
 	})
 }
 
+// kreonLayout sizes a Kreon store for records of about logPerRecord log bytes
+// each (index: four 80-byte entries per record; slack on both regions) and
+// returns the world, the store options and the store file's size.
+func kreonLayout(mode aquila.Mode, dev aquila.DeviceKind, cache, records, logPerRecord, slack uint64,
+	seed int64) (aquila.Options, kreon.Options, uint64) {
+	logBytes := records*logPerRecord + slack
+	idxBytes := records*80*4 + slack
+	return aquila.Options{
+			Mode: mode, Device: dev,
+			CacheBytes:  cache,
+			DeviceBytes: logBytes + idxBytes + 64*mib,
+			CPUs:        8, Seed: seed,
+		}, kreon.Options{
+			LogBytes: logBytes, IndexBytes: idxBytes,
+			L0Entries: int(records)/3 + 1,
+		}, 4096 + logBytes + idxBytes
+}
+
+// kreonOpen creates the store file, maps it through the world's mmio path
+// with MADV_RANDOM, and opens a fresh Kreon store over the mapping.
+func kreonOpen(p *aquila.Proc, sys *aquila.System, kopts kreon.Options, size uint64) *kreon.DB {
+	return kreon.OpenWithMapping(p, kopts, mapFile(p, sys, "kreon.data", size, aquila.AdviceRandom))
+}
+
 // kreonRun loads a Kreon store over one mmio path and runs a YCSB workload.
 func kreonRun(useAquila bool, dev aquila.DeviceKind, cache uint64,
 	records uint64, w ycsb.Workload, ops int, seed int64) ycsb.Result {
-	logBytes := records*1100 + 8*mib
-	idxBytes := records*80*4 + 8*mib
 	mode := aquila.ModeLinuxMmap
 	if useAquila {
 		mode = aquila.ModeAquila
 	}
-	opts := aquila.Options{
-		Mode: mode, Device: dev,
-		CacheBytes:  cache,
-		DeviceBytes: logBytes + idxBytes + 64*mib,
-		CPUs:        8, Seed: seed,
-	}
-	if useAquila {
-		opts.Params = aquilaParams(cache)
-	}
+	opts, kopts, size := kreonLayout(mode, dev, cache, records, 1100, 8*mib, seed)
 	sys := boot(opts)
-	kopts := kreon.Options{
-		LogBytes: logBytes, IndexBytes: idxBytes,
-		L0Entries: int(records)/3 + 1,
-	}
 	var db *kreon.DB
 	sys.Do(func(p *aquila.Proc) {
-		size := uint64(4096) + logBytes + idxBytes
 		if useAquila {
-			f := sys.NS.Create(p, "kreon.data", size)
-			m := sys.NS.Mmap(p, f, size)
-			m.Advise(p, aquila.AdviceRandom)
-			db = kreon.OpenWithMapping(p, kopts, m)
+			db = kreonOpen(p, sys, kopts, size)
 		} else {
 			// kmmap: Kreon's custom in-kernel mmio path.
 			f := sys.Host.FS.Create(p, "kreon.data", size)
@@ -83,12 +89,8 @@ func runFig9(scale float64) []*Result {
 	if scale < 0.3 {
 		workloads = []ycsb.Workload{ycsb.WorkloadA, ycsb.WorkloadC}
 	}
-	type agg struct{ thr, avg, tail float64 }
 	for _, dev := range []aquila.DeviceKind{aquila.DeviceNVMe, aquila.DevicePMem} {
-		devName := "NVMe"
-		if dev == aquila.DevicePMem {
-			devName = "pmem"
-		}
+		devName := devLabel[dev]
 		var sumThr, sumAvg, sumTail float64
 		n := 0
 		for _, w := range workloads {

@@ -38,6 +38,32 @@ func (r *Result) AddNote(format string, args ...any) {
 	r.Notes = append(r.Notes, fmt.Sprintf(format, args...))
 }
 
+// setReport attaches the machine-readable report (BENCH_<id>.json): the
+// headline run's ops, elapsed cycles and latency (nil for none), the cycle
+// breakdown with the total it should sum to, and the experiment's config and
+// extra scalars.
+func (r *Result) setReport(scale float64, ops, elapsed uint64, lat *obs.Histogram,
+	breakdown map[string]uint64, total uint64, config map[string]string, extra map[string]float64) {
+	r.Report = &obs.Report{
+		Schema:              obs.ReportSchemaVersion,
+		Experiment:          r.ID,
+		Title:               r.Title,
+		Scale:               scale,
+		Config:              config,
+		Ops:                 ops,
+		ElapsedCycles:       elapsed,
+		ThroughputOpsPerSec: aquila.ThroughputOpsPerSec(ops, elapsed),
+		Breakdown:           breakdown,
+		BreakdownTotal:      sumMap(breakdown),
+		TotalCycles:         total,
+		Extra:               extra,
+	}
+	if lat != nil {
+		s := lat.Summarize()
+		r.Report.Latency = &s
+	}
+}
+
 // String renders the result as an aligned text table.
 func (r *Result) String() string {
 	var sb strings.Builder
@@ -142,22 +168,20 @@ func Find(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
+// devLabel is how the tables name a storage device.
+var devLabel = map[aquila.DeviceKind]string{
+	aquila.DevicePMem: "pmem",
+	aquila.DeviceNVMe: "NVMe",
+}
+
 // scaled multiplies a base size by the scale with a floor.
-func scaled(base uint64, scale float64, min uint64) uint64 {
-	v := uint64(float64(base) * scale)
-	if v < min {
-		v = min
-	}
-	return v
+func scaled(base uint64, scale float64, floor uint64) uint64 {
+	return max(uint64(float64(base)*scale), floor)
 }
 
 // scaledN is scaled for plain ints.
-func scaledN(base int, scale float64, min int) int {
-	v := int(float64(base) * scale)
-	if v < min {
-		v = min
-	}
-	return v
+func scaledN(base int, scale float64, floor int) int {
+	return max(int(float64(base)*scale), floor)
 }
 
 // fmtFloat renders a float with sensible precision.

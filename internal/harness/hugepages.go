@@ -2,9 +2,10 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 
 	"aquila"
-	"aquila/internal/obs"
+	"aquila/internal/core"
 )
 
 // Ablation for the 2 MB huge-page mmio path: the same workloads with the
@@ -45,85 +46,13 @@ func hugeFaultRatio(sys *aquila.System) float64 {
 // promotion density (0 disables it, reproducing the 4 KB-only baseline
 // bit-identically).
 func bootHugeWorld(dev aquila.DeviceKind, cache, dataset uint64, density float64, seed int64) *aquila.System {
-	params := aquilaParams(cache)
+	params := core.ParamsForCache(cache)
 	params.HugeFaultDensity = density
 	return boot(aquila.Options{
 		Mode: aquila.ModeAquila, Device: dev,
 		CacheBytes: cache, DeviceBytes: dataset + 96*mib,
 		CPUs: 8, Seed: seed, Params: params,
 	})
-}
-
-// denseTouch is the dense in-memory microbenchmark: threads sequentially load
-// every page of a mapping that fits the cache, each thread one contiguous
-// chunk. Exactly the access pattern extent promotion exists for.
-func denseTouch(sys *aquila.System, dataset uint64, threads int, hint bool) microResult {
-	var m aquila.Mapping
-	sys.Do(func(p *aquila.Proc) {
-		f := sys.NS.Create(p, "huge-dense", dataset)
-		m = sys.NS.Mmap(p, f, dataset)
-		if hint {
-			m.Advise(p, aquila.AdviceHuge)
-		}
-	})
-	pages := dataset / 4096
-	chunk := pages / uint64(threads)
-	lats := make([]*obs.Histogram, threads)
-	var ops uint64
-	elapsed := sys.Run(threads, func(t int, p *aquila.Proc) {
-		lat := obs.NewHistogram()
-		lats[t] = lat
-		buf := make([]byte, 8)
-		lo, hi := uint64(t)*chunk, uint64(t+1)*chunk
-		if t == threads-1 {
-			hi = pages
-		}
-		for pg := lo; pg < hi; pg++ {
-			t0 := p.Now()
-			m.Load(p, pg*4096, buf)
-			lat.Record(p.Now() - t0)
-		}
-		ops += hi - lo
-	})
-	return microResult{ops: ops, elapsed: elapsed, lat: mergeHists(lats), sys: sys}
-}
-
-// hugeMixed is the out-of-memory leg: a 2:1 read/write mix at random page
-// offsets over a dataset several times the cache, so promotion competes with
-// reclaim for contiguity and dirtying stores exercise the demote-vs-whole
-// decision.
-func hugeMixed(sys *aquila.System, dataset uint64, threads, opsPerThread int, hint bool, seed int64) microResult {
-	var m aquila.Mapping
-	sys.Do(func(p *aquila.Proc) {
-		f := sys.NS.Create(p, "huge-mixed", dataset)
-		m = sys.NS.Mmap(p, f, dataset)
-		m.Advise(p, aquila.AdviceRandom)
-		if hint {
-			m.Advise(p, aquila.AdviceHuge)
-		}
-	})
-	lats := make([]*obs.Histogram, threads)
-	var ops uint64
-	elapsed := sys.Run(threads, func(t int, p *aquila.Proc) {
-		lat := obs.NewHistogram()
-		lats[t] = lat
-		pages := m.Size() / 4096
-		buf := make([]byte, 8)
-		x := uint64(seed + int64(t)*2654435761)
-		for i := 0; i < opsPerThread; i++ {
-			x = x*6364136223846793005 + 1442695040888963407
-			pg := (x >> 17) % pages
-			t0 := p.Now()
-			if i%3 == 0 {
-				m.Store(p, pg*4096, buf)
-			} else {
-				m.Load(p, pg*4096, buf)
-			}
-			lat.Record(p.Now() - t0)
-		}
-		ops += uint64(opsPerThread)
-	})
-	return microResult{ops: ops, elapsed: elapsed, lat: mergeHists(lats), sys: sys}
 }
 
 func runAblateHugepages(scale float64) []*Result {
@@ -153,30 +82,36 @@ func runAblateHugepages(scale float64) []*Result {
 	// vs the AdviseHuge run.
 	var base4K, headline microResult
 	for _, dev := range []aquila.DeviceKind{aquila.DevicePMem, aquila.DeviceNVMe} {
-		devName := "pmem"
-		if dev == aquila.DeviceNVMe {
-			devName = "NVMe"
-		}
 		for _, inMemory := range []bool{true, false} {
-			wlName, dataset := "in-mem dense", cache
+			// Dense: threads sequentially load every page of a mapping that
+			// fits the cache. Mixed: a 2:1 read/write mix at random offsets
+			// over a dataset several times the cache, so promotion competes
+			// with reclaim for contiguity and dirtying stores exercise the
+			// demote-vs-whole decision.
+			wlName, a := "in-mem dense", access{
+				file: "huge-dense", dataset: cache, threads: threads,
+				stream: denseStream(threads),
+			}
 			if !inMemory {
-				wlName, dataset = "out-of-mem mixed", cache*6
+				wlName, a = "out-of-mem mixed", access{
+					file: "huge-mixed", dataset: cache * 6, threads: threads,
+					advice: adviseRandom, stream: lcgStream(97, mixedOps, true),
+				}
 			}
 			var baseFaults uint64
 			for _, c := range cfgs {
-				sys := bootHugeWorld(dev, cache, dataset, c.density, 97)
-				var res microResult
-				if inMemory {
-					res = denseTouch(sys, dataset, threads, c.hint)
-				} else {
-					res = hugeMixed(sys, dataset, threads, mixedOps, c.hint, 97)
+				sys := bootHugeWorld(dev, cache, a.dataset, c.density, 97)
+				run := a
+				if c.hint {
+					run.advice = slices.Concat(a.advice, []aquila.Advice{aquila.AdviceHuge})
 				}
+				res := drive(sys, run)
 				st := sys.RT.Stats
 				events := faultEvents(sys)
 				if c.density == 0 {
 					baseFaults = events
 				}
-				r.AddRow(devName, wlName, c.name,
+				r.AddRow(devLabel[dev], wlName, c.name,
 					kops(res.ops, res.elapsed), usF(res.lat.Mean()),
 					fmt.Sprint(events), ratio(float64(baseFaults), float64(events)),
 					fmt.Sprint(st.HugePromotions), fmt.Sprint(st.HugeDemotions),
@@ -199,37 +134,25 @@ func runAblateHugepages(scale float64) []*Result {
 		ratio(float64(faultEvents(base4K.sys)), float64(faultEvents(headline.sys))),
 		ratio(float64(base4K.elapsed), float64(headline.elapsed)))
 
-	lat := headline.lat.Summarize()
-	r.Report = &obs.Report{
-		Schema:     obs.ReportSchemaVersion,
-		Experiment: "ablate-hugepages",
-		Title:      r.Title,
-		Scale:      scale,
-		Config: map[string]string{
-			"mode":    "aquila",
-			"device":  "pmem",
-			"cache":   fmt.Sprintf("%d", cache),
-			"dataset": fmt.Sprintf("%d", cache),
-			"threads": fmt.Sprintf("%d", threads),
-			"cpus":    "8",
-			"seed":    "97",
-			"config":  "AdviseHuge, in-mem dense",
-		},
-		Ops:                 headline.ops,
-		ElapsedCycles:       headline.elapsed,
-		ThroughputOpsPerSec: aquila.ThroughputOpsPerSec(headline.ops, headline.elapsed),
-		Latency:             &lat,
-		Extra: map[string]float64{
-			"fault_events_4k":      float64(faultEvents(base4K.sys)),
-			"fault_events_huge":    float64(faultEvents(headline.sys)),
-			"fault_reduction":      safeDiv(float64(faultEvents(base4K.sys)), float64(faultEvents(headline.sys))),
-			"elapsed_cycles_4k":    float64(base4K.elapsed),
-			"elapsed_cycles_huge":  float64(headline.elapsed),
-			"cycle_reduction":      safeDiv(float64(base4K.elapsed), float64(headline.elapsed)),
-			"huge_fault_ratio":     hugeFaultRatio(headline.sys),
-			"huge_promotions":      float64(headline.sys.RT.Stats.HugePromotions),
-			"tlb_2m_capacity_hint": float64(32),
-		},
-	}
+	r.setReport(scale, headline.ops, headline.elapsed, headline.lat, nil, 0, map[string]string{
+		"mode":    "aquila",
+		"device":  "pmem",
+		"cache":   fmt.Sprint(cache),
+		"dataset": fmt.Sprint(cache),
+		"threads": fmt.Sprint(threads),
+		"cpus":    "8",
+		"seed":    "97",
+		"config":  "AdviseHuge, in-mem dense",
+	}, map[string]float64{
+		"fault_events_4k":      float64(faultEvents(base4K.sys)),
+		"fault_events_huge":    float64(faultEvents(headline.sys)),
+		"fault_reduction":      safeDiv(float64(faultEvents(base4K.sys)), float64(faultEvents(headline.sys))),
+		"elapsed_cycles_4k":    float64(base4K.elapsed),
+		"elapsed_cycles_huge":  float64(headline.elapsed),
+		"cycle_reduction":      safeDiv(float64(base4K.elapsed), float64(headline.elapsed)),
+		"huge_fault_ratio":     hugeFaultRatio(headline.sys),
+		"huge_promotions":      float64(headline.sys.RT.Stats.HugePromotions),
+		"tlb_2m_capacity_hint": float64(32),
+	})
 	return []*Result{r}
 }

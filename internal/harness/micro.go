@@ -32,12 +32,21 @@ type microConfig struct {
 	huge bool
 }
 
+// in returns the configuration run in the given world.
+func (c microConfig) in(mode aquila.Mode) microConfig {
+	c.mode = mode
+	return c
+}
+
 // microResult aggregates a run.
 type microResult struct {
 	ops     uint64
 	elapsed uint64
 	lat     *obs.Histogram
 	sys     *aquila.System
+	// maps is each thread's mapping (one shared mapping repeated, or one per
+	// thread), for callers that go on to msync.
+	maps []aquila.Mapping
 	// breakDelta is the world's fault-cycle breakdown accumulated during
 	// the measured phase only (setup excluded).
 	breakDelta map[string]uint64
@@ -47,88 +56,91 @@ func (r microResult) throughputKops() float64 {
 	return aquila.ThroughputOpsPerSec(r.ops, r.elapsed) / 1e3
 }
 
-// aquilaParams scales Aquila's batch sizes to small simulated caches so the
-// batching:cache ratios stay in the paper's regime.
-func aquilaParams(cacheBytes uint64) *core.Params {
-	p := core.DefaultParams()
-	pages := int(cacheBytes / 4096)
-	if p.EvictBatch > pages/16 {
-		p.EvictBatch = maxI(32, pages/16)
-	}
-	// Refill batches must stay small relative to the per-core share of the
-	// cache: a batch that hoards a large cache fraction on one core
-	// starves the others into spurious evictions (at the paper's scale,
-	// 4096 pages against a 2M-page cache is 0.2%; keep the same regime).
-	if p.FreelistBatch > pages/128 {
-		p.FreelistBatch = maxI(64, pages/128)
-	}
-	if p.CoreQueueLimit > pages/32 {
-		p.CoreQueueLimit = maxI(2*p.FreelistBatch, pages/32)
-	}
-	return &p
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// newWorld boots a System for an experiment configuration.
-func newWorld(cfg microConfig) *aquila.System {
-	cpus := cfg.cpus
-	if cpus == 0 {
-		cpus = 32
-	}
+// runMicro boots a world for cfg and executes the microbenchmark in it. With
+// MADV_RANDOM on both worlds, the benchmark isolates the fault path itself (no
+// readahead noise).
+func runMicro(cfg microConfig) microResult {
 	opts := aquila.Options{
 		Mode:        cfg.mode,
 		Device:      cfg.device,
 		Engine:      cfg.engine,
 		CacheBytes:  cfg.cache,
 		DeviceBytes: cfg.dataset + 96<<20,
-		CPUs:        cpus,
+		CPUs:        cfg.cpus,
 		Seed:        cfg.seed + 1,
 	}
-	if cfg.mode == aquila.ModeAquila {
-		opts.Params = aquilaParams(cfg.cache)
-		if cfg.huge {
-			opts.Params.HugeFaultDensity = hugeDensityDefault
-		}
+	a := access{
+		file: "micro-shared", dataset: cfg.dataset, threads: cfg.threads,
+		advice: adviseRandom,
+		stream: randStream(cfg.seed, cfg.opsPerThread),
 	}
-	return boot(opts)
+	if !cfg.sharedFile {
+		a.file, a.private = "micro", true
+	}
+	if cfg.inMemory {
+		a.stream = coldStream(cfg.seed, cfg.threads, cfg.sharedFile, cfg.opsPerThread)
+	}
+	if cfg.huge && cfg.mode == aquila.ModeAquila {
+		opts.Params = core.ParamsForCache(cfg.cache)
+		opts.Params.HugeFaultDensity = hugeDensityDefault
+		a.advice = adviseRandomHuge
+	}
+	return drive(boot(opts), a)
 }
 
-// runMicro executes the microbenchmark in the given world.
-func runMicro(cfg microConfig) microResult {
-	sys := newWorld(cfg)
-	pageSize := uint64(4096)
-	totalPages := cfg.dataset / pageSize
+// access is one run of the microbenchmark over a booted world: which file(s)
+// the threads map and how, and the page stream each of them issues.
+type access struct {
+	// file names the one shared file; with private set, thread t maps its
+	// own "<file>-<t>" holding an equal page-aligned share of dataset.
+	file    string
+	dataset uint64
+	threads int
+	private bool
+	// advice is madvise'd onto every mapping, in order.
+	advice []aquila.Advice
+	stream pageStream
+}
 
-	// Create file(s) and mappings. With MADV_RANDOM on both worlds, the
-	// benchmark isolates the fault path itself (no readahead noise).
-	maps := make([]aquila.Mapping, cfg.threads)
+// The two hint sets the microbenchmarks map with: MADV_RANDOM keeps readahead
+// out of the fault path; MADV_HUGEPAGE on top promotes extents on first fault.
+var (
+	adviseRandom     = []aquila.Advice{aquila.AdviceRandom}
+	adviseRandomHuge = []aquila.Advice{aquila.AdviceRandom, aquila.AdviceHuge}
+)
+
+// pageStream builds thread t's access sequence over a mapping of mPages
+// pages. Each call of the returned function yields the next page and whether
+// the access is a store; ok turns false when the thread is done.
+type pageStream func(t int, mPages uint64) func() (pg uint64, store, ok bool)
+
+// mapFile creates a file of the given size in sys and maps all of it,
+// madvising the hints in order.
+func mapFile(p *aquila.Proc, sys *aquila.System, name string, size uint64, advice ...aquila.Advice) aquila.Mapping {
+	m := sys.NS.Mmap(p, sys.NS.Create(p, name, size), size)
+	for _, adv := range advice {
+		m.Advise(p, adv)
+	}
+	return m
+}
+
+// drive is the microbenchmark's timed loop: it creates and maps the files,
+// then runs a.threads threads, each issuing one 8-byte Load or Store per page
+// of its stream and recording the access latency.
+func drive(sys *aquila.System, a access) microResult {
+	const pageSize = 4096
+	maps := make([]aquila.Mapping, a.threads)
 	sys.Do(func(p *aquila.Proc) {
-		advise := func(m aquila.Mapping) {
-			m.Advise(p, aquila.AdviceRandom)
-			if cfg.huge && cfg.mode == aquila.ModeAquila {
-				m.Advise(p, aquila.AdviceHuge)
+		if a.private {
+			per := a.dataset / uint64(a.threads) / pageSize * pageSize
+			for t := range maps {
+				maps[t] = mapFile(p, sys, fmt.Sprintf("%s-%d", a.file, t), per, a.advice...)
 			}
+			return
 		}
-		if cfg.sharedFile {
-			f := sys.NS.Create(p, "micro-shared", cfg.dataset)
-			m := sys.NS.Mmap(p, f, cfg.dataset)
-			advise(m)
-			for t := range maps {
-				maps[t] = m
-			}
-		} else {
-			per := cfg.dataset / uint64(cfg.threads) / pageSize * pageSize
-			for t := range maps {
-				f := sys.NS.Create(p, fmt.Sprintf("micro-%d", t), per)
-				maps[t] = sys.NS.Mmap(p, f, per)
-				advise(maps[t])
-			}
+		m := mapFile(p, sys, a.file, a.dataset, a.advice...)
+		for t := range maps {
+			maps[t] = m
 		}
 	})
 
@@ -138,57 +150,119 @@ func runMicro(cfg microConfig) microResult {
 	}
 	break0 := worldBreak.Map()
 
-	lats := make([]*obs.Histogram, cfg.threads)
-	var totalOps uint64
-	elapsed := sys.Run(cfg.threads, func(t int, p *aquila.Proc) {
+	lats := make([]*obs.Histogram, a.threads)
+	var ops uint64
+	elapsed := sys.Run(a.threads, func(t int, p *aquila.Proc) {
 		lat := obs.NewHistogram()
 		lats[t] = lat
-		rng := rand.New(rand.NewSource(cfg.seed + int64(t)*7919))
 		buf := make([]byte, 8)
 		m := maps[t]
-		mPages := m.Size() / pageSize
-
-		var pagesToTouch []uint64
-		if cfg.inMemory {
-			// Distinct pages, random order: every access is a cold
-			// fault, the dataset fits in the cache.
-			if cfg.sharedFile {
-				// Partition the shared file across threads.
-				for pg := uint64(t); pg < totalPages; pg += uint64(cfg.threads) {
-					pagesToTouch = append(pagesToTouch, pg)
-				}
-			} else {
-				for pg := uint64(0); pg < mPages; pg++ {
-					pagesToTouch = append(pagesToTouch, pg)
-				}
-			}
-			rng.Shuffle(len(pagesToTouch), func(i, j int) {
-				pagesToTouch[i], pagesToTouch[j] = pagesToTouch[j], pagesToTouch[i]
-			})
-			if cfg.opsPerThread > 0 && len(pagesToTouch) > cfg.opsPerThread {
-				pagesToTouch = pagesToTouch[:cfg.opsPerThread]
-			}
-		}
-
-		ops := cfg.opsPerThread
-		if cfg.inMemory {
-			ops = len(pagesToTouch)
-		}
-		for i := 0; i < ops; i++ {
-			var pg uint64
-			if cfg.inMemory {
-				pg = pagesToTouch[i]
-			} else {
-				pg = uint64(rng.Int63n(int64(mPages)))
-			}
+		next := a.stream(t, m.Size()/pageSize)
+		for pg, store, ok := next(); ok; pg, store, ok = next() {
 			t0 := p.Now()
-			m.Load(p, pg*pageSize, buf)
+			if store {
+				m.Store(p, pg*pageSize, buf)
+			} else {
+				m.Load(p, pg*pageSize, buf)
+			}
 			lat.Record(p.Now() - t0)
+			ops++
 		}
-		totalOps += uint64(ops)
 	})
 	return microResult{
-		ops: totalOps, elapsed: elapsed, lat: mergeHists(lats), sys: sys,
+		ops: ops, elapsed: elapsed, lat: mergeHists(lats), sys: sys, maps: maps,
 		breakDelta: subMap(worldBreak.Map(), break0),
+	}
+}
+
+// threadRand is thread t's math/rand stream — the one Figs 8 and 10 are
+// calibrated on.
+func threadRand(seed int64, t int) *rand.Rand {
+	return rand.New(rand.NewSource(seed + int64(t)*7919))
+}
+
+// randStream is ops uniform-random loads over a dataset that does not fit the
+// cache.
+func randStream(seed int64, ops int) pageStream {
+	return func(t int, mPages uint64) func() (uint64, bool, bool) {
+		rng := threadRand(seed, t)
+		i := 0
+		return func() (uint64, bool, bool) {
+			if i >= ops {
+				return 0, false, false
+			}
+			i++
+			return uint64(rng.Int63n(int64(mPages))), false, true
+		}
+	}
+}
+
+// coldStream loads distinct pages in random order: every access is a cold
+// fault, the dataset fits in the cache. Threads sharing one mapping partition
+// its pages by stride; a thread with its own mapping covers all of it. A
+// positive limit keeps the first limit pages of the shuffled order.
+func coldStream(seed int64, threads int, shared bool, limit int) pageStream {
+	return func(t int, mPages uint64) func() (uint64, bool, bool) {
+		first, step := uint64(0), uint64(1)
+		if shared {
+			first, step = uint64(t), uint64(threads)
+		}
+		var pages []uint64
+		for pg := first; pg < mPages; pg += step {
+			pages = append(pages, pg)
+		}
+		threadRand(seed, t).Shuffle(len(pages), func(i, j int) {
+			pages[i], pages[j] = pages[j], pages[i]
+		})
+		if limit > 0 && len(pages) > limit {
+			pages = pages[:limit]
+		}
+		return func() (uint64, bool, bool) {
+			if len(pages) == 0 {
+				return 0, false, false
+			}
+			pg := pages[0]
+			pages = pages[1:]
+			return pg, false, true
+		}
+	}
+}
+
+// lcgStream is ops uniform-random accesses drawn from a per-thread LCG (the
+// ablations' stream). mixed makes every third access a store, so eviction
+// always has dirty pages and the writeback path is exercised.
+func lcgStream(seed int64, ops int, mixed bool) pageStream {
+	return func(t int, mPages uint64) func() (uint64, bool, bool) {
+		x := uint64(seed + int64(t)*2654435761)
+		i := 0
+		return func() (uint64, bool, bool) {
+			if i >= ops {
+				return 0, false, false
+			}
+			x = x*6364136223846793005 + 1442695040888963407
+			store := mixed && i%3 == 0
+			i++
+			return (x >> 17) % mPages, store, true
+		}
+	}
+}
+
+// denseStream loads every page of the mapping in order, each thread one
+// contiguous chunk (the remainder goes to the last): exactly the access
+// pattern extent promotion exists for.
+func denseStream(threads int) pageStream {
+	return func(t int, mPages uint64) func() (uint64, bool, bool) {
+		chunk := mPages / uint64(threads)
+		pg, hi := uint64(t)*chunk, uint64(t+1)*chunk
+		if t == threads-1 {
+			hi = mPages
+		}
+		return func() (uint64, bool, bool) {
+			if pg >= hi {
+				return 0, false, false
+			}
+			pg++
+			return pg - 1, false, true
+		}
 	}
 }

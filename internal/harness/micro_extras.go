@@ -77,13 +77,10 @@ func runIPI(scale float64) []*Result {
 	sys := boot(aquila.Options{
 		Mode: aquila.ModeAquila, Device: aquila.DevicePMem,
 		CacheBytes: 8 * mib, DeviceBytes: 160 * mib, CPUs: 8, Seed: 47,
-		Params: aquilaParams(8 * mib),
 	})
 	var m aquila.Mapping
 	sys.Do(func(p *aquila.Proc) {
-		f := sys.NS.Create(p, "ipi-file", 64*mib)
-		m = sys.NS.Mmap(p, f, 64*mib)
-		m.Advise(p, aquila.AdviceRandom)
+		m = mapFile(p, sys, "ipi-file", 64*mib, aquila.AdviceRandom)
 		buf := make([]byte, 8)
 		for off := uint64(0); off+8 < 64*mib; off += 4096 {
 			m.Load(p, off, buf)
@@ -92,13 +89,6 @@ func runIPI(scale float64) []*Result {
 	batches := sys.RT.Stats.ShootdownBatches
 	evictions := sys.RT.Stats.Evictions
 	r.AddNote("end-to-end: %d evictions produced %d shootdown batches (%.0f pages/batch)",
-		evictions, batches, float64(evictions)/float64(maxU64(batches, 1)))
+		evictions, batches, float64(evictions)/float64(max(batches, 1)))
 	return []*Result{r}
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"aquila"
+	"aquila/internal/core"
 	"aquila/internal/obs"
 )
 
@@ -46,9 +47,15 @@ func InstrumentProfiler(sink obs.SpanSink) {
 // uninstrumented).
 func Registry() *obs.Registry { return obsReg }
 
-// boot creates a System, injecting the harness tracer/registry. With no
-// instrumentation configured it is exactly aquila.New plus cycle tracking.
+// boot creates a System, injecting the harness tracer/registry. An Aquila
+// world that brings no Params runs with core.ParamsForCache(CacheBytes): the
+// one place that rule lives, so a figure names Params only to change them (or
+// to hand the same Options to aquila.Recover). With no instrumentation
+// configured it is otherwise exactly aquila.New plus cycle tracking.
 func boot(opts aquila.Options) *aquila.System {
+	if opts.Mode == aquila.ModeAquila && opts.Params == nil {
+		opts.Params = core.ParamsForCache(opts.CacheBytes)
+	}
 	instrumented := obsTracer != nil || obsReg != nil || obsProf != nil
 	if instrumented {
 		opts.Tracer = obsTracer

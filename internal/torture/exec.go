@@ -177,30 +177,14 @@ func worldMode(world string) aquila.Mode {
 	}
 }
 
-// tortureParams mirrors the harness's cache-proportional parameter scaling
-// so tight-cache plans keep batch sizes sane, then applies the plan's
-// huge-page and (for the proof run) unsafe-msync knobs.
+// tortureParams is the harness's cache-proportional parameter scaling, so
+// tight-cache plans keep batch sizes sane, plus the plan's huge-page and (for
+// the proof run) unsafe-msync knobs.
 func tortureParams(pl *Plan, cacheBytes uint64) *core.Params {
-	p := core.DefaultParams()
-	pages := int(cacheBytes / 4096)
-	max := func(a, b int) int {
-		if a > b {
-			return a
-		}
-		return b
-	}
-	if p.EvictBatch > pages/16 {
-		p.EvictBatch = max(32, pages/16)
-	}
-	if p.FreelistBatch > pages/128 {
-		p.FreelistBatch = max(64, pages/128)
-	}
-	if p.CoreQueueLimit > pages/32 {
-		p.CoreQueueLimit = max(2*p.FreelistBatch, pages/32)
-	}
+	p := core.ParamsForCache(cacheBytes)
 	p.HugeFaultDensity = pl.HugeDensity
 	p.UnsafeMsyncAtSubmit = pl.Unsafe
-	return &p
+	return p
 }
 
 func (x *exec) options() aquila.Options {
