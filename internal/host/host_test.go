@@ -766,3 +766,67 @@ func TestDirtyThrottleWritebackLosesNoStores(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Regression: fsyncFileRange collected a file's dirty pages unpinned and
+// handed them to writePages, which clears the dirty bit and then yields (tree
+// lock, block I/O) before it copies the frame — the window writebackBatch had.
+// A reclaim running meanwhile took such a page for clean and recycled its
+// frame, or had already claimed it and dropped it unwritten because msync had
+// just cleaned it. Storers fault over a cache an eighth of the file while one
+// thread msyncs in a loop; the dirty ratio is left high so only reclaim and
+// msync ever write.
+func TestMsyncRacingReclaimLosesNoStores(t *testing.T) {
+	const storers, perStorer = 4, 512
+	const filePages = storers * perStorer
+	e, os := newNVMeOS(1 * mib)
+	os.P.DirtyRatio = 0.9
+	f := os.FS.Create(e.Spawn(0, "setup", func(p *engine.Proc) {}), "f", filePages*PageSize)
+	e.Run()
+	mark := func(w int, idx uint64) []byte {
+		return []byte{byte(w + 1), byte(idx), byte(idx >> 8), 0x5A}
+	}
+	running := storers
+	for w := 0; w < storers; w++ {
+		w := w
+		e.Spawn(w, "store", func(p *engine.Proc) {
+			m := os.Mmap(p, f, filePages*PageSize)
+			// Each storer walks its own region, so the dirty set is several
+			// runs apart on the device: the later runs of an msync sit
+			// cleaned but uncopied while the first run's I/O is in flight.
+			for idx := uint64(w) * perStorer; idx < uint64(w+1)*perStorer; idx++ {
+				m.Store(p, idx*PageSize+64, mark(w, idx))
+			}
+			running--
+		})
+	}
+	msyncs := 0
+	e.Spawn(storers, "msync", func(p *engine.Proc) {
+		m := os.Mmap(p, f, filePages*PageSize)
+		for running > 0 {
+			m.Msync(p)
+			msyncs++
+		}
+	})
+	e.Run()
+	if os.Cache.Evicted == 0 || msyncs < 2 {
+		t.Fatalf("evicted=%d msyncs=%d: reclaim and msync did not overlap", os.Cache.Evicted, msyncs)
+	}
+	run1(e, func(p *engine.Proc) {
+		os.Cache.fsyncFile(p, f)
+		direct := os.OpenFile(f, true)
+		got := make([]byte, 4)
+		lost := 0
+		for idx := uint64(0); idx < filePages; idx++ {
+			direct.Pread(p, got, idx*PageSize+64)
+			if !bytes.Equal(got, mark(int(idx/perStorer), idx)) {
+				lost++
+			}
+		}
+		if lost > 0 {
+			t.Errorf("%d of %d stores lost", lost, filePages)
+		}
+	})
+	if err := os.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+}

@@ -465,7 +465,10 @@ func (c *PageCache) fsyncFile(p *engine.Proc, f *FSFile) {
 // fsyncFileRange writes back dirty pages overlapping [off, off+length).
 // msync(2) walks the requested range page by page, so the scan itself costs
 // in proportion to the range — the reason Kreon's custom msync syncs only
-// the windows it appended (§7.2).
+// the windows it appended (§7.2). The batch is pinned across the write-back
+// and a page some reclaim has already claimed is left to it, for the reasons
+// writebackBatch gives; fsync then waits that reclaim out (the page is durable
+// once its io fires), as filemap_fdatawait does for PG_writeback pages.
 func (c *PageCache) fsyncFileRange(p *engine.Proc, f *FSFile, off, length uint64) {
 	lo := off / PageSize
 	hi := (off + length + PageSize - 1) / PageSize
@@ -474,14 +477,27 @@ func (c *PageCache) fsyncFileRange(p *engine.Proc, f *FSFile, off, length uint64
 	}
 	c.os.charge(p, "msync", (hi-lo)*20) // per-page range walk
 	f.treeLock.Lock(p)
-	var dirty []*cachedPage
+	var dirty, claimed []*cachedPage
 	for idx, pg := range f.pages {
-		if pg.dirty && idx >= lo && idx < hi {
+		switch {
+		case !pg.dirty || idx < lo || idx >= hi:
+		case pg.io != nil && !pg.io.Fired():
+			claimed = append(claimed, pg)
+		default:
+			pg.pins++
 			dirty = append(dirty, pg)
 		}
 	}
 	f.treeLock.Unlock(p)
 	c.writePages(p, dirty)
+	for _, pg := range dirty {
+		pg.pins--
+	}
+	// f.pages is a map: wait in index order so the schedule stays deterministic.
+	sort.Slice(claimed, func(i, j int) bool { return claimed[i].idx < claimed[j].idx })
+	for _, pg := range claimed {
+		c.waitPage(p, pg)
+	}
 }
 
 // EventName names the page's fill event (engine.EventNamer); only the
