@@ -154,7 +154,7 @@ func runIOUring(scale float64) []*Result {
 	// Each path gets a fresh world: simulated time restarts per phase, so
 	// sharing a device would queue later phases behind earlier backlogs.
 	newWorld := func() (*simengine.Engine, *host.OS, *host.FSFile) {
-		e := simengine.New(simengine.Config{NumCPUs: 4, Seed: 97})
+		e := bootEngine(simengine.Config{NumCPUs: 4, Seed: 97}, "iouring")
 		disk := host.NewNVMeDisk("nvme0", device.NewNVMe(1<<30, device.DefaultNVMeConfig()))
 		os := host.NewOS(e, disk, 64*mib)
 		var f *host.FSFile
@@ -184,7 +184,6 @@ func runIOUring(scale float64) []*Result {
 			elapsed = p.Now() - start
 		})
 		e.Run()
-		e.Close()
 		r.AddRow("sync O_DIRECT", kops(uint64(n), elapsed), usF(lat.Mean()),
 			us(lat.P999()), "1.00")
 	}
@@ -224,7 +223,6 @@ func runIOUring(scale float64) []*Result {
 			syscalls = ring.SyscallOps
 		})
 		e.Run()
-		e.Close()
 		r.AddRow(fmt.Sprintf("io_uring depth %d", depth), kops(uint64(n), elapsed),
 			usF(lat.Mean()), us(lat.P999()),
 			fmt.Sprintf("%.3f", float64(syscalls)/float64(n)))

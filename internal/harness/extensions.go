@@ -152,7 +152,7 @@ func runNVMHeap(scale float64) []*Result {
 		{"Optane PMM class", device.OptanePMMConfig(), false},
 		{"Optane PMM, direct map (no DRAM cache)", device.OptanePMMConfig(), true},
 	} {
-		e := simengine.New(simengine.Config{NumCPUs: 32, Seed: 25})
+		e := bootEngine(simengine.Config{NumCPUs: 32, Seed: 25}, "nvm-heap")
 		disk := host.NewPMemDisk("pmem0", device.NewPMem(heapBytes*2+64*mib, cfg.pm))
 		os := host.NewOS(e, disk, 16*mib)
 		var g *graph.Graph
@@ -173,7 +173,6 @@ func runNVMHeap(scale float64) []*Result {
 		})
 		e.Run()
 		res := graph.RunBFS(e, g, 0, 8)
-		e.Close()
 		ms := cpu.CyclesToSeconds(res.ElapsedCycles) * 1e3
 		times[cfg.name] = ms
 		r.AddRow(cfg.name, fmt.Sprintf("%.2f", ms),

@@ -79,16 +79,14 @@ func fig6Sizes(scale float64) (vertices uint32, edges [][2]uint32, heapBytes uin
 func runBFSConfig(cfg fig6Config, vertices uint32, edges [][2]uint32,
 	heapBytes, cache uint64, threads int) graph.BFSResult {
 	if cfg.dram {
-		e := engine.New(engine.Config{NumCPUs: 32, Seed: 5})
+		e := bootEngine(engine.Config{NumCPUs: 32, Seed: 5}, "dram")
 		h := graph.NewMemHeap(heapBytes * 2)
 		var g *graph.Graph
 		e.Spawn(0, "build", func(p *engine.Proc) {
 			g = graph.Build(p, h, vertices, edges)
 		})
 		e.Run()
-		res := graph.RunBFS(e, g, 0, threads)
-		e.Close()
-		return res
+		return graph.RunBFS(e, g, 0, threads)
 	}
 	sys := boot(aquila.Options{
 		Mode: cfg.mode, Device: cfg.device,

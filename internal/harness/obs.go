@@ -6,6 +6,7 @@ import (
 	"aquila"
 	"aquila/internal/core"
 	"aquila/internal/obs"
+	simengine "aquila/internal/sim/engine"
 )
 
 // Harness-wide observability: cmd/aquila-bench calls Instrument once with a
@@ -21,10 +22,10 @@ var (
 	obsSeq     int
 	obsSystems []*aquila.System
 
-	// cycleSystems tracks every System booted since the last TakeSimCycles
-	// call, instrumented or not, so the bench driver can report simulated
-	// cycles per experiment instead of host wall-clock.
-	cycleSystems []*aquila.System
+	// cycleEngines tracks the engine of every world booted since the last
+	// TakeSimCycles call, instrumented or not, so the bench driver can report
+	// simulated cycles per experiment instead of host wall-clock.
+	cycleEngines []*simengine.Engine
 )
 
 // Instrument routes all subsequently booted Systems into tr and reg (either
@@ -62,30 +63,48 @@ func boot(opts aquila.Options) *aquila.System {
 		opts.Registry = obsReg
 		opts.Profiler = obsProf
 		if opts.TraceLabel == "" {
-			obsSeq++
-			opts.TraceLabel = fmt.Sprintf("%s.%d", modeLabel(opts.Mode), obsSeq)
+			opts.TraceLabel = nextLabel(modeLabel(opts.Mode))
 		}
 	}
 	sys := aquila.New(opts)
 	if instrumented {
 		obsSystems = append(obsSystems, sys)
 	}
-	cycleSystems = append(cycleSystems, sys)
+	cycleEngines = append(cycleEngines, sys.Sim)
 	return sys
 }
 
-// TakeSimCycles returns the simulated cycles accrued by every System booted
+// bootEngine is boot for the worlds that need no aquila.System — a DRAM-only
+// heap, a hand-wired host over a custom device: a bare engine, given the
+// harness tracer/profiler under a label of its own and tracked for
+// TakeSimCycles like any other world.
+func bootEngine(cfg simengine.Config, label string) *simengine.Engine {
+	if obsTracer != nil || obsProf != nil {
+		cfg.Spans, cfg.Profile, cfg.TraceLabel = obsTracer, obsProf, nextLabel(label)
+	}
+	e := simengine.New(cfg)
+	cycleEngines = append(cycleEngines, e)
+	return e
+}
+
+// nextLabel numbers a world's trace label ("<kind>.<seq>").
+func nextLabel(kind string) string {
+	obsSeq++
+	return fmt.Sprintf("%s.%d", kind, obsSeq)
+}
+
+// TakeSimCycles returns the simulated cycles accrued by every world booted
 // since the previous call (their final clocks summed), then closes them —
 // releasing the bg-evict daemons an AsyncEvict world leaves parked — and
 // drops the tracked references. The bench driver calls it once per
 // experiment, after the experiment's last run.
 func TakeSimCycles() uint64 {
 	var total uint64
-	for _, s := range cycleSystems {
-		total += s.Sim.Now()
-		s.Close()
+	for _, e := range cycleEngines {
+		total += e.Now()
+		e.Close()
 	}
-	cycleSystems = nil
+	cycleEngines = nil
 	return total
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"aquila/internal/obs"
+	simengine "aquila/internal/sim/engine"
 )
 
 // TestFig8aReportCoverage runs the fig8a experiment instrumented and checks
@@ -88,4 +89,26 @@ func TestSubSumMap(t *testing.T) {
 	if got := sumMap(d); got != 9 {
 		t.Errorf("sumMap = %d, want 9", got)
 	}
+}
+
+// Regression: the worlds built on a bare engine (fig6's DRAM-only rows,
+// iouring, nvm-heap) bypassed boot, so TakeSimCycles reported 0 for them and
+// nothing closed them.
+func TestBareEngineWorldsAreTracked(t *testing.T) {
+	TakeSimCycles()
+	for _, id := range []string{"iouring", "nvm-heap"} {
+		e, _ := Find(id)
+		e.Run(testScale)
+		if TakeSimCycles() == 0 {
+			t.Errorf("%s: no simulated cycles tracked", id)
+		}
+	}
+	e := bootEngine(simengine.Config{NumCPUs: 1}, "t")
+	TakeSimCycles()
+	defer func() {
+		if recover() == nil {
+			t.Error("TakeSimCycles left a bare engine open")
+		}
+	}()
+	e.Run()
 }
