@@ -112,11 +112,11 @@ perfgate:
 results:
 	$(GO) run ./cmd/aquila-bench -exp all > results_full.txt
 
-# results-check re-runs all 26 experiments (~2 min) and fails on any byte of
-# drift from results_full.txt. A step of its own in ci, beside perfgate: with
-# -report-dir the harness keeps every world of the run alive for the final
-# metrics publish, which over 26 experiments outgrew a 16 GB container (OOM-killed in fig5b).
-# Not part of tier-1 `go test`.
+# results-check re-runs all 26 experiments (~2.5 min) and fails on any byte of
+# drift from results_full.txt. A step of its own in ci, beside perfgate, rather
+# than one shared run: with -report-dir the harness keeps every world alive for
+# the final metrics publish, and over 26 experiments that outgrew a 16 GB
+# container (OOM-killed in fig5b). Not part of tier-1 `go test`.
 results-check:
 	$(GO) run ./cmd/aquila-bench -exp all | diff results_full.txt -
 
