@@ -109,3 +109,66 @@ func TestPublicTraceOption(t *testing.T) {
 		t.Fatal("no trace captured with Options.Trace")
 	}
 }
+
+// TestMultiProcessWorldIsDeterministic holds the repo's first contract —
+// deterministic given a seed — for worlds with more than one address space:
+// three processes, two threads each, fault, dirty and msync one shared file
+// eight times its page cache, so write-back and reclaim shoot down pages that
+// several processes map. Eight same-seed runs must end on the same clock, the
+// same eviction count and the same device image.
+func TestMultiProcessWorldIsDeterministic(t *testing.T) {
+	const procs, threads, ops = 3, 6, 3000
+	const fileBytes, cacheBytes = 32 << 20, 4 << 20
+	type outcome struct {
+		clock, evicted, fingerprint uint64
+	}
+	run := func() outcome {
+		sys := New(Options{
+			Mode: ModeLinuxMmap, Device: DevicePMem, CPUs: threads,
+			CacheBytes: cacheBytes, DeviceBytes: 64 << 20, Seed: 7,
+		})
+		defer sys.Close()
+		maps := make([]Mapping, procs)
+		sys.Do(func(p *Proc) {
+			f := sys.Host.FS.Create(p, "shared", fileBytes)
+			for i := range maps {
+				pr := sys.Host.DefaultProcess()
+				if i > 0 {
+					pr = sys.Host.NewProcess()
+				}
+				maps[i] = pr.Mmap(p, f, fileBytes)
+			}
+		})
+		sys.Run(threads, func(tid int, p *Proc) {
+			m := maps[tid%procs]
+			buf := make([]byte, 8)
+			x := uint64(tid)*2654435761 + 1
+			for i := 0; i < ops; i++ {
+				x = x*6364136223846793005 + 1442695040888963407
+				off := (x >> 33) % (fileBytes / 4096) * 4096
+				if i%3 == 2 {
+					buf[0] = byte(tid + 1)
+					m.Store(p, off, buf)
+				} else {
+					m.Load(p, off, buf)
+				}
+			}
+			m.Msync(p)
+		})
+		if err := sys.Host.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		st := sys.Host.Disk().Content
+		st.SettleAll()
+		return outcome{sys.Sim.Now(), sys.Host.Cache.Evicted, st.Fingerprint()}
+	}
+	first := run()
+	if first.evicted == 0 {
+		t.Fatal("no evictions: the world does not exercise reclaim")
+	}
+	for i := 1; i < 8; i++ {
+		if got := run(); got != first {
+			t.Errorf("run %d: clock/evicted/fingerprint = %+v, first run %+v", i, got, first)
+		}
+	}
+}

@@ -66,7 +66,7 @@ func (hf *File) Fsync(p *engine.Proc) error {
 	defer p.EndSpan()
 	p.AdvanceSystem(hf.os.C.Syscall + hf.os.P.SyscallKernelPath)
 	if !hf.Direct {
-		hf.os.Cache.fsyncFile(p, hf.f)
+		hf.os.Cache.fsyncFileRange(p, hf.f, 0, hf.f.cap)
 	}
 	return nil
 }
@@ -83,34 +83,16 @@ func (hf *File) checkRange(off uint64, n int) {
 // on misses.
 func (hf *File) bufferedRead(p *engine.Proc, buf []byte, off uint64) {
 	os, f := hf.os, hf.f
-	sequential := off == f.lastRead
+	window := uint64(1)
+	if off == f.lastRead {
+		window = uint64(os.P.ReadAroundPages) // sequential
+	}
 	for n := 0; n < len(buf); {
 		cur := off + uint64(n)
 		idx := cur / PageSize
 		po := int(cur % PageSize)
-		chunk := PageSize - po
-		if chunk > len(buf)-n {
-			chunk = len(buf) - n
-		}
-		var pg *cachedPage
-		for {
-			pg = os.Cache.find(p, f, idx)
-			if pg == nil {
-				hi := idx + 1
-				if sequential {
-					hi = idx + uint64(os.P.ReadAroundPages)
-				}
-				if max := (f.size + PageSize - 1) / PageSize; hi > max {
-					hi = max
-				}
-				pg = hf.fillPages(p, idx, hi)
-			}
-			if pg.io != nil && !pg.io.Fired() {
-				os.Cache.waitPage(p, pg) // may be reclaimed by wake-up
-				continue
-			}
-			break
-		}
+		chunk := min(PageSize-po, len(buf)-n)
+		pg := hf.pageAt(p, idx, min(idx+window, (f.size+PageSize-1)/PageSize), false)
 		os.Cache.touch(p, pg)
 		pg.pins++
 		copyFromFrame(buf[n:n+chunk], pg.frame, po)
@@ -120,78 +102,43 @@ func (hf *File) bufferedRead(p *engine.Proc, buf []byte, off uint64) {
 	}
 }
 
-// fillPages reads pages [lo, hi) into the cache, returning the page at lo.
-func (hf *File) fillPages(p *engine.Proc, lo, hi uint64) *cachedPage {
-	os, f := hf.os, hf.f
-	type owned struct {
-		pg  *cachedPage
-		idx uint64
-	}
-	var mine []owned
-	var target *cachedPage
-	for i := lo; i < hi; i++ {
-		pg, owner := os.Cache.insertNew(p, f, i)
-		if i == lo {
-			target = pg
+// pageAt returns the settled cache page at idx for a buffered syscall: found,
+// or filled from the device — [idx, hi), the caller's readahead window — or,
+// when a write covers the whole page, published empty (no read-modify-write
+// needed). A page met under I/O or reclaim is waited out and looked up again:
+// it may be gone by wake-up.
+func (hf *File) pageAt(p *engine.Proc, idx, hi uint64, overwrite bool) *cachedPage {
+	c, f := hf.os.Cache, hf.f
+	for {
+		pg := c.find(p, f, idx)
+		switch {
+		case pg != nil:
+		case overwrite:
+			var owner bool
+			if pg, owner = c.insertNew(p, f, idx); owner {
+				pg.io.Fire(p.Now())
+				pg.io = nil
+			}
+		default:
+			pg, _ = c.fillWindow(p, f, idx, hi, idx)
+			c.waitPage(p, pg)
 		}
-		if owner {
-			mine = append(mine, owned{pg, i})
+		if !pg.busy() {
+			return pg
 		}
+		c.waitPage(p, pg)
 	}
-	for i := 0; i < len(mine); {
-		j := i + 1
-		for j < len(mine) && mine[j].idx == mine[j-1].idx+1 {
-			j++
-		}
-		run := mine[i:j]
-		for _, o := range run {
-			os.readPageContent(o.pg)
-		}
-		os.timedRead(p, f.devOff(run[0].idx*PageSize), len(run)*PageSize)
-		i = j
-	}
-	doneAt := p.Now()
-	for _, o := range mine {
-		o.pg.io.Fire(doneAt)
-		o.pg.io = nil
-	}
-	os.Cache.waitPage(p, target)
-	return target
 }
 
 // bufferedWrite copies user data into cache pages and marks them dirty.
 func (hf *File) bufferedWrite(p *engine.Proc, buf []byte, off uint64) {
-	os, f := hf.os, hf.f
+	os := hf.os
 	for n := 0; n < len(buf); {
 		cur := off + uint64(n)
 		idx := cur / PageSize
 		po := int(cur % PageSize)
-		chunk := PageSize - po
-		if chunk > len(buf)-n {
-			chunk = len(buf) - n
-		}
-		var pg *cachedPage
-		for {
-			pg = os.Cache.find(p, f, idx)
-			if pg == nil {
-				if chunk == PageSize {
-					// Full-page overwrite: no read-modify-write needed.
-					var owner bool
-					pg, owner = os.Cache.insertNew(p, f, idx)
-					if owner {
-						pg.io.Fire(p.Now())
-						pg.io = nil
-					}
-				} else {
-					pg = hf.fillPages(p, idx, idx+1)
-				}
-			}
-			if pg.io != nil && !pg.io.Fired() {
-				os.Cache.waitPage(p, pg)
-				continue
-			}
-			break
-		}
+		chunk := min(PageSize-po, len(buf)-n)
+		pg := hf.pageAt(p, idx, idx+1, chunk == PageSize)
 		os.Cache.touch(p, pg)
 		pg.pins++
 		copy(pg.frame.Data()[po:po+chunk], buf[n:n+chunk])

@@ -194,7 +194,7 @@ func (os *OS) NewProcess() *Process {
 		ID:      len(os.procs) + 1,
 		PT:      pagetable.New(uint32(len(os.procs) + 1)),
 		mmapSem: engine.NewRWMutex(os.E, fmt.Sprintf("mmap_sem.%d", len(os.procs)+1)),
-		vmas:    newVMASet(),
+		vmas:    &vmaSet{},
 		mmMask:  make([]bool, os.E.NumCPUs()),
 		nextVA:  0x7f00_0000_0000,
 	}
@@ -229,7 +229,7 @@ func (os *OS) Disk() *Disk { return os.FS.disk }
 // blockRead moves bytes from the disk into a kernel buffer, charging the
 // full kernel block-layer path.
 func (os *OS) blockRead(p *engine.Proc, off uint64, buf []byte) {
-	os.blockIO(p, "block-io", off, len(buf), false)
+	os.blockIO(p, "lx.block_io", "block-io", off, len(buf), false)
 	os.FS.disk.Content.ReadAt(off, buf)
 }
 
@@ -237,23 +237,23 @@ func (os *OS) blockRead(p *engine.Proc, off uint64, buf []byte) {
 // content becomes durable at the device completion cycle, not at submission.
 func (os *OS) blockWrite(p *engine.Proc, off uint64, buf []byte) {
 	os.FS.disk.Content.WriteAt(off, buf)
-	os.blockIO(p, "block-io", off, len(buf), true)
+	os.blockIO(p, "lx.block_io", "block-io", off, len(buf), true)
 }
 
 // blockIO is the block layer's one timed path: every kernel read and write of
-// n bytes at device offset off pays it, whoever moves the content. For pmem
-// the transfer is a kernel memcpy; for NVMe the bio goes through the block
-// layer and the process sleeps until the interrupt-driven completion. cat is
-// the breakdown category the software cycles land in.
-//
+// n bytes at device offset off pays it, whoever moves the content — syscalls,
+// write-back, and the cache's window fills (fillWindow). For pmem the transfer
+// is a kernel memcpy; for NVMe the bio goes through the block layer and the
+// process sleeps until the interrupt-driven completion. span names the I/O in
+// the profile, cat is the breakdown category its software cycles land in.
 // A write's content must already be staged (Store.WriteAt): staging is where
 // crash plans cut and tears are drawn, so it stays at the caller's program
 // point, ahead of the span. Here the staged range gets its durability point —
 // the device completion cycle, not submission — and callers return only after
 // the wait below, so what they acknowledge is on durable media.
-func (os *OS) blockIO(p *engine.Proc, cat string, off uint64, n int, write bool) {
+func (os *OS) blockIO(p *engine.Proc, span, cat string, off uint64, n int, write bool) {
 	disk := os.FS.disk
-	p.BeginSpan("lx.block_io")
+	p.BeginSpan(span)
 	defer p.EndSpan()
 	if disk.PMem {
 		os.charge(p, cat, os.P.PMemBlockOverhead+os.C.MemcpyNoSIMD(n))
@@ -271,10 +271,10 @@ func (os *OS) blockIO(p *engine.Proc, cat string, off uint64, n int, write bool)
 }
 
 // shootdown models a kernel TLB shootdown for a batch of already-unmapped
-// pages: the sender broadcasts IPIs and waits for acks; every other CPU
-// absorbs an invalidation interrupt. Batched per reclaim cycle, like the
-// kernel's reclaim-time TLB batching.
-func (pr *Process) shootdown(p *engine.Proc, pages int) {
+// pages, however many: the sender broadcasts IPIs and waits for acks; every
+// other CPU absorbs an invalidation interrupt and flushes. Batched per reclaim
+// cycle, like the kernel's reclaim-time TLB batching.
+func (pr *Process) shootdown(p *engine.Proc) {
 	os := pr.os
 	p.BeginSpan("lx.shootdown")
 	defer p.EndSpan()
@@ -295,5 +295,28 @@ func (pr *Process) shootdown(p *engine.Proc, pages int) {
 	}
 	os.TLBs.CPU(p.CPU()).FlushAll()
 	os.charge(p, "shootdown", os.C.TLBFlushAll)
-	_ = pages
+}
+
+// procSet is the set of processes whose PTEs one batch of pages changed, as
+// flags indexed by process ID. Not a map: each shootdown advances the sender's
+// clock and posts IRQs, so the order they go out in has to be a function of
+// the batch — shootdownAll walks os.procs — and not of a map's iteration.
+type procSet []bool
+
+func (s procSet) add(pr *Process) procSet {
+	for len(s) < pr.ID {
+		s = append(s, false)
+	}
+	s[pr.ID-1] = true
+	return s
+}
+
+// shootdownAll is the one fan-out of write-back, reclaim and truncate: a
+// batched shootdown in every process of the set, in process-ID order.
+func (os *OS) shootdownAll(p *engine.Proc, set procSet) {
+	for _, pr := range os.procs[:len(set)] {
+		if set[pr.ID-1] {
+			pr.shootdown(p)
+		}
+	}
 }

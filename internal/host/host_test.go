@@ -748,7 +748,7 @@ func TestDirtyThrottleWritebackLosesNoStores(t *testing.T) {
 		t.Fatalf("evicted=%d written back=%d: workload exercised neither", os.Cache.Evicted, os.Cache.WrittenBk)
 	}
 	run1(e, func(p *engine.Proc) {
-		os.Cache.fsyncFile(p, f)
+		os.Cache.fsyncFileRange(p, f, 0, f.cap)
 		direct := os.OpenFile(f, true)
 		got := make([]byte, 4)
 		lost := 0
@@ -812,7 +812,7 @@ func TestMsyncRacingReclaimLosesNoStores(t *testing.T) {
 		t.Fatalf("evicted=%d msyncs=%d: reclaim and msync did not overlap", os.Cache.Evicted, msyncs)
 	}
 	run1(e, func(p *engine.Proc) {
-		os.Cache.fsyncFile(p, f)
+		os.Cache.fsyncFileRange(p, f, 0, f.cap)
 		direct := os.OpenFile(f, true)
 		got := make([]byte, 4)
 		lost := 0
@@ -829,4 +829,85 @@ func TestMsyncRacingReclaimLosesNoStores(t *testing.T) {
 	if err := os.CheckInvariants(); err != nil {
 		t.Error(err)
 	}
+}
+
+// Regression: truncate collected a deleted file's pages by ranging over its
+// f.pages map, so their frames went back to the allocator in Go's randomized
+// map order and the next faults were handed different frames in every run.
+// It now walks the page indices in order. The allocator's free list is LIFO,
+// so a successor file faulted page by page must land on the doomed file's
+// frames in exactly reverse index order.
+func TestTruncateRecycleOrderDeterministic(t *testing.T) {
+	const pages = 64
+	e, os := newPMemOS(16 * mib)
+	run1(e, func(p *engine.Proc) {
+		doomed := os.FS.Create(p, "doomed", pages*PageSize)
+		m := os.Mmap(p, doomed, pages*PageSize)
+		buf := make([]byte, 8)
+		for i := uint64(0); i < pages; i++ {
+			m.Load(p, i*PageSize, buf)
+		}
+		var freed [pages]uint64
+		for i := range freed {
+			freed[i] = doomed.pages[uint64(i)].frame.ID
+		}
+		os.FS.Delete(p, "doomed") // mapping still live: truncate unmaps it
+
+		next := os.FS.Create(p, "next", pages*PageSize)
+		m2 := os.Mmap(p, next, pages*PageSize)
+		m2.Advise(p, iface.AdviceRandom) // one page, one frame per fault
+		for i := uint64(0); i < pages; i++ {
+			m2.Load(p, i*PageSize, buf)
+			if got, want := next.pages[i].frame.ID, freed[pages-1-i]; got != want {
+				t.Fatalf("successor page %d on frame %d, want %d (the doomed file's page %d)", i, got, want, pages-1-i)
+			}
+		}
+		if err := os.CheckInvariants(); err != nil {
+			t.Error(err)
+		}
+	})
+}
+
+// The page cache has one window fill and two callers. A fault's window is
+// read-around: every page but the faulting one carries PG_readahead, the file
+// counts one miss and one major fault — what TestFaultReadAround and
+// TestMmapMissHeuristicDisablesReadAround build on. A buffered read's window
+// is plain readahead: same pages, same single I/O, no marks and no fault
+// accounting.
+func TestWindowFillPerCaller(t *testing.T) {
+	e, os := newPMemOS(64 * mib)
+	run1(e, func(p *engine.Proc) {
+		ra := uint64(os.P.ReadAroundPages)
+		marks := func(f *FSFile) (n int) {
+			for _, pg := range f.pages {
+				if pg.readahead {
+					n++
+				}
+			}
+			return n
+		}
+		reads := os.Break.Count("readahead")
+
+		faulted := os.FS.Create(p, "faulted", 4*mib)
+		os.Mmap(p, faulted, 4*mib).Load(p, 5*PageSize, make([]byte, 8))
+		if len(faulted.pages) != int(ra) || marks(faulted) != int(ra)-1 || faulted.pages[5].readahead {
+			t.Errorf("fault window: %d pages, %d marked, target marked=%v; want %d, %d, false",
+				len(faulted.pages), marks(faulted), faulted.pages[5].readahead, ra, ra-1)
+		}
+		if faulted.mmapMiss != 1 || faulted.majorFaults != 1 {
+			t.Errorf("fault window: mmapMiss=%d majorFaults=%d, want 1 and 1", faulted.mmapMiss, faulted.majorFaults)
+		}
+
+		read := os.FS.Create(p, "read", 4*mib)
+		os.OpenFile(read, false).Pread(p, make([]byte, 8), 0) // offset 0 == lastRead: sequential
+		if len(read.pages) != int(ra) || marks(read) != 0 {
+			t.Errorf("buffered window: %d pages, %d marked; want %d, 0", len(read.pages), marks(read), ra)
+		}
+		if read.mmapMiss != 0 || read.majorFaults != 0 {
+			t.Errorf("buffered window: mmapMiss=%d majorFaults=%d, want 0 and 0", read.mmapMiss, read.majorFaults)
+		}
+		if got := os.Break.Count("readahead") - reads; got != 2 {
+			t.Errorf("two windows took %d timed reads, want 2 (one per contiguous run)", got)
+		}
+	})
 }

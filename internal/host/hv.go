@@ -10,7 +10,9 @@ import (
 // for guest DRAM-cache grants, and rate-limited posted-IPI sends for the
 // batched TLB shootdowns of §4.1.
 type Hypervisor struct {
-	os  *OS
+	os *OS
+	// ept is the extended page table (GPA -> HPA), one per process (§3.5:
+	// Aquila replaces Dune's per-thread EPT with a per-process one).
 	ept *pagetable.Table
 
 	// Stats.
@@ -24,10 +26,6 @@ type Hypervisor struct {
 func newHypervisor(os *OS) *Hypervisor {
 	return &Hypervisor{os: os, ept: pagetable.New(0xEF7)}
 }
-
-// EPT exposes the extended page table (GPA -> HPA), one per process (§3.5:
-// Aquila replaces Dune's per-thread EPT with a per-process one).
-func (hv *Hypervisor) EPT() *pagetable.Table { return hv.ept }
 
 // VMCall executes a hypercall: vmexit, handlerCycles of root-mode work,
 // vmentry. All charged as system time on the caller.
@@ -97,15 +95,14 @@ func (hv *Hypervisor) SendShootdownIPIs(p *engine.Proc, targets []int, recvCycle
 func (os *OS) DirectIOTimed(p *engine.Proc, bytes int, write bool) uint64 {
 	p.AdvanceSystem(os.C.VMExit + os.C.Syscall + os.P.SyscallKernelPath + os.P.DirectIOPathCost)
 	disk := os.FS.disk
-	var done uint64
 	if disk.PMem {
 		p.AdvanceSystem(os.P.PMemBlockOverhead + os.C.MemcpyNoSIMD(bytes))
-		done = disk.Timing.Submit(p.Now(), bytes, write)
-		p.WaitUntil(done, engine.KindIOWait)
 	} else {
 		p.AdvanceSystem(os.P.BlockLayerSubmit)
-		done = disk.Timing.Submit(p.Now(), bytes, write)
-		p.WaitUntil(done, engine.KindIOWait)
+	}
+	done := disk.Timing.Submit(p.Now(), bytes, write)
+	p.WaitUntil(done, engine.KindIOWait)
+	if !disk.PMem {
 		p.AdvanceSystem(os.P.BlockLayerComplete + os.C.InterruptDelivery + os.C.ContextSwitch)
 	}
 	p.AdvanceSystem(os.C.VMEntry)

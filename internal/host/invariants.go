@@ -10,8 +10,10 @@ func (os *OS) CheckInvariants() error {
 	// Every page in every file's radix tree is counted, resident on
 	// exactly one LRU list, holds a frame, and has consistent dirty state.
 	total, dirty := 0, 0
+	//aqlint:sorted -- read-only audit: which violation is reported first may vary, but no simulated state is touched
 	for _, f := range os.FS.files {
 		fileDirty := 0
+		//aqlint:sorted -- read-only audit: only which violation is reported first varies
 		for idx, pg := range f.pages {
 			total++
 			if pg.f != f || pg.idx != idx {
@@ -21,7 +23,7 @@ func (os *OS) CheckInvariants() error {
 			if pg.frame == nil {
 				return fmt.Errorf("page (%s,%d) has no frame", f.name, idx)
 			}
-			if pg.io != nil && !pg.io.Fired() {
+			if pg.busy() {
 				return fmt.Errorf("page (%s,%d) has in-flight I/O at quiesce", f.name, idx)
 			}
 			if !pg.inLRU {

@@ -2,6 +2,7 @@ package host
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"aquila/internal/iface"
@@ -30,21 +31,14 @@ type vmaSet struct {
 	list []*vma // sorted by start
 }
 
-func newVMASet() *vmaSet { return &vmaSet{} }
-
 func (s *vmaSet) insert(v *vma) {
 	i := sort.Search(len(s.list), func(i int) bool { return s.list[i].start >= v.start })
-	s.list = append(s.list, nil)
-	copy(s.list[i+1:], s.list[i:])
-	s.list[i] = v
+	s.list = slices.Insert(s.list, i, v)
 }
 
 func (s *vmaSet) remove(v *vma) {
-	for i, x := range s.list {
-		if x == v {
-			s.list = append(s.list[:i], s.list[i+1:]...)
-			return
-		}
+	if i := slices.Index(s.list, v); i >= 0 {
+		s.list = slices.Delete(s.list, i, i+1)
 	}
 }
 
@@ -66,9 +60,6 @@ type Mapping struct {
 	size uint64
 	dead bool
 }
-
-// Process returns the owning process.
-func (m *Mapping) Process() *Process { return m.pr }
 
 var _ iface.Mapping = (*Mapping)(nil)
 
@@ -122,10 +113,7 @@ func (m *Mapping) Load(p *engine.Proc, off uint64, buf []byte) {
 	for n := 0; n < len(buf); {
 		va := m.v.start + off + uint64(n)
 		po := int(va % PageSize)
-		chunk := PageSize - po
-		if chunk > len(buf)-n {
-			chunk = len(buf) - n
-		}
+		chunk := min(PageSize-po, len(buf)-n)
 		frame := m.pr.resolve(p, va, false)
 		copyFromFrame(buf[n:n+chunk], frame, po)
 		p.AdvanceUser(loadStoreCost(chunk))
@@ -142,10 +130,7 @@ func (m *Mapping) Store(p *engine.Proc, off uint64, buf []byte) {
 	for n := 0; n < len(buf); {
 		va := m.v.start + off + uint64(n)
 		po := int(va % PageSize)
-		chunk := PageSize - po
-		if chunk > len(buf)-n {
-			chunk = len(buf) - n
-		}
+		chunk := min(PageSize-po, len(buf)-n)
 		frame := m.pr.resolve(p, va, true)
 		copy(frame.Data()[po:po+chunk], buf[n:n+chunk])
 		p.AdvanceUser(loadStoreCost(chunk))
@@ -161,13 +146,7 @@ func (m *Mapping) Store(p *engine.Proc, off uint64, buf []byte) {
 
 // Msync implements iface.Mapping: writes the file's dirty pages back. The
 // host path does not model writeback errors, so this always reports success.
-func (m *Mapping) Msync(p *engine.Proc) error {
-	p.BeginSpan("lx.msync")
-	defer p.EndSpan()
-	m.os.charge(p, "syscall", m.os.C.Syscall+m.os.P.SyscallKernelPath)
-	m.os.Cache.fsyncFile(p, m.f)
-	return nil
-}
+func (m *Mapping) Msync(p *engine.Proc) error { return m.MsyncRange(p, 0, m.f.cap) }
 
 // MsyncRange implements iface.Mapping: only dirty pages overlapping
 // [off, off+length) are written back.
@@ -189,22 +168,28 @@ func (m *Mapping) Munmap(p *engine.Proc) {
 	m.os.charge(p, "syscall", m.os.C.Syscall+m.os.P.SyscallKernelPath)
 	m.pr.mmapSem.Lock(p)
 	m.pr.vmas.remove(m.v)
+	m.unmapSpan(p, m.v.start, m.v.end)
+	m.pr.mmapSem.Unlock(p)
+	m.os.Cache.fsyncFileRange(p, m.f, 0, m.f.cap)
+}
+
+// unmapSpan is the one range unmap (Munmap, Mremap's shrink): clear the live
+// PTEs of [lo, hi), drop each from its page's reverse map, and issue one
+// batched shootdown for the lot. The caller holds mmap_sem for writing.
+func (m *Mapping) unmapSpan(p *engine.Proc, lo, hi uint64) {
 	unmapped := 0
-	for va := m.v.start; va < m.v.end; va += PageSize {
+	for va := lo; va < hi; va += PageSize {
 		if m.pr.PT.Unmap(va) {
 			m.os.charge(p, "pte", m.os.C.PTEUpdate)
 			unmapped++
-			idx := (va - m.v.start) / PageSize
-			if pg := m.os.Cache.find(p, m.f, idx); pg != nil {
+			if pg := m.os.Cache.find(p, m.f, (va-m.v.start)/PageSize); pg != nil {
 				removeVA(pg, m.pr, va)
 			}
 		}
 	}
 	if unmapped > 0 {
-		m.pr.shootdown(p, unmapped)
+		m.pr.shootdown(p)
 	}
-	m.pr.mmapSem.Unlock(p)
-	m.os.Cache.fsyncFile(p, m.f)
 }
 
 func (m *Mapping) checkRange(off uint64, n int) {
@@ -222,17 +207,12 @@ func copyFromFrame(dst []byte, f *mem.Frame, off int) {
 		copy(dst, f.Data()[off:off+len(dst)])
 		return
 	}
-	for i := range dst {
-		dst[i] = 0
-	}
+	clear(dst)
 }
 
 func removeVA(pg *cachedPage, pr *Process, va uint64) {
-	for i, x := range pg.vas {
-		if x.pr == pr && x.va == va {
-			pg.vas = append(pg.vas[:i], pg.vas[i+1:]...)
-			return
-		}
+	if i := slices.Index(pg.vas, mappedVA{pr, va}); i >= 0 {
+		pg.vas = slices.Delete(pg.vas, i, i+1)
 	}
 }
 
@@ -258,26 +238,23 @@ func (pr *Process) access(p *engine.Proc, va uint64, write bool) *mem.Frame {
 	vpn := va >> mem.PageShift
 	tlb := os.TLBs.CPU(p.CPU())
 	asid := pr.PT.ASID()
-	if tlb.Lookup(asid, vpn) {
-		if e, ok := pr.PT.Lookup(va); ok {
-			if !write || e.Flags.Has(pagetable.FlagWritable) {
-				return os.Cache.allocator.Frame(e.Frame)
-			}
-			return pr.wpFault(p, va)
+	hit := tlb.Lookup(asid, vpn)
+	e, ok := pr.PT.Lookup(va)
+	if !ok {
+		if hit {
+			// Stale TLB entry (should not happen: shootdowns keep us coherent).
+			tlb.InvalidatePage(asid, vpn)
 		}
-		// Stale TLB entry (should not happen: shootdowns keep us
-		// coherent), fall through to fault.
-		tlb.InvalidatePage(asid, vpn)
+		return pr.pageFault(p, va, write)
 	}
-	if e, ok := pr.PT.Lookup(va); ok {
+	if !hit {
 		p.AdvanceUser(os.C.TLBRefill)
 		tlb.Insert(asid, vpn)
-		if !write || e.Flags.Has(pagetable.FlagWritable) {
-			return os.Cache.allocator.Frame(e.Frame)
-		}
+	}
+	if write && !e.Flags.Has(pagetable.FlagWritable) {
 		return pr.wpFault(p, va)
 	}
-	return pr.pageFault(p, va, write)
+	return os.Cache.allocator.Frame(e.Frame)
 }
 
 // wpFault is the write-protect fault on a present read-only page of a shared
@@ -297,7 +274,7 @@ func (pr *Process) wpFault(p *engine.Proc, va uint64) *mem.Frame {
 	}
 	idx := (va - v.start) / PageSize
 	pg := os.Cache.find(p, v.f, idx)
-	if pg == nil || (pg.io != nil && !pg.io.Fired()) {
+	if pg == nil || pg.busy() {
 		// Raced with reclaim; retry as a full fault.
 		pr.mmapSem.RUnlock(p)
 		return pr.pageFault(p, va, true)
@@ -336,7 +313,7 @@ func (pr *Process) pageFault(p *engine.Proc, va uint64, write bool) *mem.Frame {
 	for {
 		pg = os.Cache.find(p, f, idx)
 		if pg != nil {
-			if pg.io != nil && !pg.io.Fired() {
+			if pg.busy() {
 				// Read or reclaim in flight: wait, then re-check —
 				// the page may be gone (reclaimed) by wake-up.
 				os.Cache.waitPage(p, pg)
@@ -354,7 +331,7 @@ func (pr *Process) pageFault(p *engine.Proc, va uint64, write bool) *mem.Frame {
 			break
 		}
 		pg = pr.majorFault(p, v, idx)
-		if pg != nil && (pg.io == nil || pg.io.Fired()) {
+		if pg != nil && !pg.busy() {
 			break
 		}
 	}
@@ -404,44 +381,11 @@ func (pr *Process) majorFault(p *engine.Proc, v *vma, idx uint64) *cachedPage {
 		}
 	}
 
-	// Publish locked pages for the absent part of the window.
-	type owned struct {
-		pg  *cachedPage
-		idx uint64
-	}
-	var mine []owned
-	var target *cachedPage
-	for i := lo; i < hi; i++ {
-		pg, owner := os.Cache.insertNew(p, f, i)
-		if i == idx {
-			target = pg
-		}
-		if owner {
-			mine = append(mine, owned{pg, i})
-		}
-	}
-
-	// Read contiguous runs of owned pages with one timed I/O each.
-	for i := 0; i < len(mine); {
-		j := i + 1
-		for j < len(mine) && mine[j].idx == mine[j-1].idx+1 {
-			j++
-		}
-		run := mine[i:j]
-		bytes := len(run) * PageSize
-		for _, o := range run {
-			os.readPageContent(o.pg)
-		}
-		os.timedRead(p, f.devOff(run[0].idx*PageSize), bytes)
-		i = j
-	}
-	doneAt := p.Now()
-	for _, o := range mine {
-		o.pg.io.Fire(doneAt)
-		o.pg.io = nil
-		if o.idx != idx {
-			o.pg.readahead = true
-		}
+	// Fill the absent part of the window; what this fault brought in beyond
+	// its own page is read-around (PG_readahead).
+	target, mine := os.Cache.fillWindow(p, f, lo, hi, idx)
+	for _, pg := range mine {
+		pg.readahead = pg.idx != idx
 	}
 	if target != nil {
 		os.Cache.waitPage(p, target)
@@ -453,23 +397,6 @@ func (pr *Process) majorFault(p *engine.Proc, v *vma, idx uint64) *cachedPage {
 		}
 	}
 	return target
-}
-
-// timedRead charges the kernel read path without content movement.
-func (os *OS) timedRead(p *engine.Proc, off uint64, bytes int) {
-	disk := os.FS.disk
-	p.BeginSpan("lx.readahead_io")
-	defer p.EndSpan()
-	if disk.PMem {
-		os.charge(p, "readahead", os.P.PMemBlockOverhead+os.C.MemcpyNoSIMD(bytes))
-		done := disk.Timing.Submit(p.Now(), bytes, false)
-		p.WaitUntil(done, engine.KindIOWait)
-	} else {
-		os.charge(p, "readahead", os.P.BlockLayerSubmit)
-		done := disk.Timing.Submit(p.Now(), bytes, false)
-		p.WaitUntil(done, engine.KindIOWait)
-		os.charge(p, "readahead", os.P.BlockLayerComplete+os.C.InterruptDelivery+os.C.ContextSwitch)
-	}
 }
 
 // readPageContent fills a page's frame from device content, skipping the
@@ -499,7 +426,7 @@ func (m *Mapping) Mprotect(p *engine.Proc, readOnly bool) {
 			}
 		}
 		if changed > 0 {
-			m.pr.shootdown(p, changed)
+			m.pr.shootdown(p)
 		}
 	}
 	m.v.readOnly = readOnly
@@ -517,20 +444,7 @@ func (m *Mapping) Mremap(p *engine.Proc, newSize uint64) {
 	switch {
 	case newPages == oldPages:
 	case newPages < oldPages:
-		unmapped := 0
-		for va := m.v.start + newPages*PageSize; va < m.v.end; va += PageSize {
-			if m.pr.PT.Unmap(va) {
-				m.os.charge(p, "pte", m.os.C.PTEUpdate)
-				unmapped++
-				idx := (va - m.v.start) / PageSize
-				if pg := m.os.Cache.find(p, m.f, idx); pg != nil {
-					removeVA(pg, m.pr, va)
-				}
-			}
-		}
-		if unmapped > 0 {
-			m.pr.shootdown(p, unmapped)
-		}
+		m.unmapSpan(p, m.v.start+newPages*PageSize, m.v.end)
 		m.v.end = m.v.start + newPages*PageSize
 	default:
 		newStart := m.pr.nextVA
@@ -550,7 +464,7 @@ func (m *Mapping) Mremap(p *engine.Proc, newSize uint64) {
 			}
 		}
 		if moved > 0 {
-			m.pr.shootdown(p, moved)
+			m.pr.shootdown(p)
 		}
 		m.pr.vmas.remove(m.v)
 		m.v.start, m.v.end = newStart, newStart+newPages*PageSize

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"aquila/internal/detutil"
 	"aquila/internal/sim/engine"
 	"aquila/internal/sim/mem"
 	"aquila/internal/sim/pagetable"
@@ -18,8 +19,9 @@ type cachedPage struct {
 	// readahead marks pages brought in by read-around (PG_readahead):
 	// hitting one decrements the file's mmap_miss counter.
 	readahead bool
-	// io is non-nil while the page's content is being read from disk;
-	// concurrent faulters wait on it (PG_locked).
+	// io is non-nil and unfired while the page is busy: its content is being
+	// read from disk (PG_locked) or a reclaim has claimed it (PG_writeback).
+	// Faulters that find it wait on it, then look the page up again.
 	io *engine.Event
 	// pins guards against reclaim while a syscall path uses the page
 	// across a blocking point.
@@ -43,9 +45,6 @@ type mappedVA struct {
 	va uint64
 }
 
-// PageCache is the kernel page cache: per-file radix trees (each guarded by
-// its file's tree_lock), a global LRU guarded by lru_lock, and dirty
-// accounting with direct-reclaim writeback.
 // pageList is one intrusive LRU list (active or inactive).
 type pageList struct {
 	head, tail *cachedPage
@@ -84,6 +83,9 @@ func (l *pageList) remove(pg *cachedPage) {
 	l.n--
 }
 
+// PageCache is the kernel page cache: per-file radix trees (each guarded by
+// its file's tree_lock), a global LRU guarded by lru_lock, and dirty
+// accounting with direct-reclaim writeback.
 type PageCache struct {
 	os        *OS
 	allocator *mem.Allocator
@@ -116,9 +118,8 @@ func newPageCache(os *OS, capacityBytes uint64) *PageCache {
 	}
 }
 
-// NrActive and NrInactive report the list populations (tests).
-func (c *PageCache) NrActive() int   { return c.active.n }
-func (c *PageCache) NrInactive() int { return c.inactive.n }
+// NrActive reports the active list's population (tests).
+func (c *PageCache) NrActive() int { return c.active.n }
 
 // Capacity returns the cache capacity in pages.
 func (c *PageCache) Capacity() uint64 { return c.allocator.Capacity() }
@@ -144,12 +145,6 @@ func (c *PageCache) listOf(pg *cachedPage) *pageList {
 		return &c.active
 	}
 	return &c.inactive
-}
-
-// lruRemove unlinks a page from whichever list holds it (caller holds
-// lru_lock).
-func (c *PageCache) lruRemove(pg *cachedPage) {
-	c.listOf(pg).remove(pg)
 }
 
 // touch is mark_page_accessed: the first access sets the referenced bit, a
@@ -210,9 +205,45 @@ func (c *PageCache) insertNew(p *engine.Proc, f *FSFile, idx uint64) (*cachedPag
 	return pg, true
 }
 
-// waitPage blocks until a page's in-flight read completes.
+// fillWindow is the cache's one fill: it brings the absent pages of [lo, hi)
+// of f in. A locked page is published for each (insertNew), every contiguous
+// run of the pages this caller owns is read with one timed I/O, and their
+// events fire. It returns the page found or published at index want — not
+// necessarily owned, possibly still under another thread's read or reclaim,
+// nil when want is outside the window — and the pages it filled, in index
+// order. What follows differs per caller: the fault path marks its read-around
+// and re-checks the target after waiting, a buffered syscall only waits.
+func (c *PageCache) fillWindow(p *engine.Proc, f *FSFile, lo, hi, want uint64) (target *cachedPage, mine []*cachedPage) {
+	for i := lo; i < hi; i++ {
+		pg, owner := c.insertNew(p, f, i)
+		if i == want {
+			target = pg
+		}
+		if owner {
+			mine = append(mine, pg)
+		}
+	}
+	for i := 0; i < len(mine); {
+		j := runEnd(mine, i)
+		for _, pg := range mine[i:j] {
+			c.os.readPageContent(pg)
+		}
+		c.os.blockIO(p, "lx.readahead_io", "readahead", f.devOff(mine[i].idx*PageSize), (j-i)*PageSize, false)
+		i = j
+	}
+	doneAt := p.Now()
+	for _, pg := range mine {
+		pg.io.Fire(doneAt)
+		pg.io = nil
+	}
+	return target, mine
+}
+
+func (pg *cachedPage) busy() bool { return pg.io != nil && !pg.io.Fired() }
+
+// waitPage blocks until a busy page's read — or reclaim — completes.
 func (c *PageCache) waitPage(p *engine.Proc, pg *cachedPage) {
-	if pg.io != nil && !pg.io.Fired() {
+	if pg.busy() {
 		pg.io.Wait(p)
 	}
 }
@@ -234,10 +265,7 @@ func (c *PageCache) markDirty(p *engine.Proc, pg *cachedPage) {
 // throttleDirty emulates balance_dirty_pages: when dirty pages exceed the
 // dirty ratio, the dirtying process synchronously writes a batch back.
 func (c *PageCache) throttleDirty(p *engine.Proc) {
-	limit := int(float64(c.allocator.Capacity()) * c.os.P.DirtyRatio)
-	if limit < 1 {
-		limit = 1
-	}
+	limit := max(1, int(float64(c.allocator.Capacity())*c.os.P.DirtyRatio))
 	for c.nrDirty > limit && len(c.dirtyQueue) > 0 {
 		c.writebackBatch(p, c.os.P.ReclaimBatch)
 	}
@@ -254,7 +282,7 @@ func (c *PageCache) writebackBatch(p *engine.Proc, n int) {
 	for len(batch) < n && len(c.dirtyQueue) > 0 {
 		pg := c.dirtyQueue[0]
 		c.dirtyQueue = c.dirtyQueue[1:]
-		if pg.dirty && (pg.io == nil || pg.io.Fired()) {
+		if pg.dirty && !pg.busy() {
 			pg.pins++
 			batch = append(batch, pg)
 		}
@@ -279,8 +307,7 @@ func (c *PageCache) writePages(p *engine.Proc, pages []*cachedPage) {
 		}
 		return pages[i].idx < pages[j].idx
 	})
-	protected := 0
-	protectedProcs := make(map[*Process]struct{})
+	touched := make(procSet, 0, 8) // constant capacity: stays on the stack
 	for _, pg := range pages {
 		pg.f.treeLock.Lock(p)
 		if pg.dirty {
@@ -295,33 +322,34 @@ func (c *PageCache) writePages(p *engine.Proc, pages []*cachedPage) {
 		for _, mv := range pg.vas {
 			if mv.pr.PT.Protect(mv.va, pagetable.FlagUser|pagetable.FlagAccessed) {
 				c.os.charge(p, "writeback", c.os.C.PTEUpdate)
-				protected++
-				protectedProcs[mv.pr] = struct{}{}
+				touched = touched.add(mv.pr)
 			}
 		}
 	}
-	for pr := range protectedProcs {
-		pr.shootdown(p, protected)
-	}
+	c.os.shootdownAll(p, touched)
 	// Coalesce device-adjacent pages.
-	i := 0
-	for i < len(pages) {
-		j := i + 1
-		for j < len(pages) && pages[j].f == pages[i].f && pages[j].idx == pages[j-1].idx+1 {
-			j++
-		}
-		run := pages[i:j]
-		base := run[0].f.devOff(run[0].idx * PageSize)
-		for _, pg := range run {
+	for i := 0; i < len(pages); {
+		j := runEnd(pages, i)
+		for _, pg := range pages[i:j] {
 			if pg.frame.HasData() {
 				c.os.FS.disk.Content.WriteAt(pg.f.devOff(pg.idx*PageSize), pg.frame.Data())
 			}
 		}
 		// One timed I/O for the run; the pages' content was staged above.
-		c.os.blockIO(p, "writeback", base, len(run)*PageSize, true)
-		c.WrittenBk += uint64(len(run))
+		c.os.blockIO(p, "lx.block_io", "writeback", pages[i].f.devOff(pages[i].idx*PageSize), (j-i)*PageSize, true)
+		c.WrittenBk += uint64(j - i)
 		i = j
 	}
+}
+
+// runEnd returns the end of the run that starts at pages[i]: pages of one
+// file at consecutive indices, so adjacent on the device — one I/O.
+func runEnd(pages []*cachedPage, i int) int {
+	j := i + 1
+	for j < len(pages) && pages[j].f == pages[i].f && pages[j].idx == pages[j-1].idx+1 {
+		j++
+	}
+	return j
 }
 
 // reclaim is direct reclaim: evict a batch of pages from the LRU tail,
@@ -351,8 +379,8 @@ func (c *PageCache) reclaim(p *engine.Proc) {
 		prev := pg.lruPrev
 		scanned++
 		switch {
-		case pg.pins > 0 || (pg.io != nil && !pg.io.Fired()):
-			// busy: skip
+		case pg.pins > 0 || pg.busy():
+			// in use: skip
 		case pg.referenced:
 			// Second chance: rotate to the head, clear the bit.
 			c.inactive.remove(pg)
@@ -380,8 +408,7 @@ func (c *PageCache) reclaim(p *engine.Proc) {
 
 	// Unmap all victims first (one batched shootdown per process), so no
 	// new stores land after the write-back snapshot.
-	unmapped := 0
-	unmappedProcs := make(map[*Process]struct{})
+	touched := make(procSet, 0, 8)
 	var dirty []*cachedPage
 	for _, v := range victims {
 		// page_referenced + rmap walk per victim.
@@ -389,8 +416,7 @@ func (c *PageCache) reclaim(p *engine.Proc) {
 		for _, mv := range v.vas {
 			if mv.pr.PT.Unmap(mv.va) {
 				c.os.charge(p, "reclaim", c.os.C.PTEUpdate)
-				unmapped++
-				unmappedProcs[mv.pr] = struct{}{}
+				touched = touched.add(mv.pr)
 			}
 		}
 		v.vas = nil
@@ -398,9 +424,7 @@ func (c *PageCache) reclaim(p *engine.Proc) {
 			dirty = append(dirty, v)
 		}
 	}
-	for pr := range unmappedProcs {
-		pr.shootdown(p, unmapped)
-	}
+	c.os.shootdownAll(p, touched)
 	c.writePages(p, dirty)
 	// Now drop the pages from their trees and recycle the frames.
 	for _, v := range victims {
@@ -419,29 +443,29 @@ func (c *PageCache) reclaim(p *engine.Proc) {
 	c.Evicted += uint64(len(victims))
 }
 
-// truncate drops all cached pages of a file (delete path).
+// truncate drops all cached pages of a file (delete path), in page-index
+// order: that is the order their frames go back to the allocator in, and so
+// the order later faults are handed them.
 func (c *PageCache) truncate(p *engine.Proc, f *FSFile) {
 	f.treeLock.Lock(p)
 	pages := make([]*cachedPage, 0, len(f.pages))
-	for _, pg := range f.pages {
-		pages = append(pages, pg)
+	for _, idx := range detutil.SortedKeys(f.pages) {
+		pages = append(pages, f.pages[idx])
 	}
 	f.pages = make(map[uint64]*cachedPage)
 	f.treeLock.Unlock(p)
 
-	unmapped := 0
-	truncProcs := make(map[*Process]struct{})
+	touched := make(procSet, 0, 8)
 	c.lruLock.Lock(p)
 	for _, pg := range pages {
-		c.lruRemove(pg)
+		c.listOf(pg).remove(pg)
 		c.nrPages--
 	}
 	c.lruLock.Unlock(p)
 	for _, pg := range pages {
 		for _, mv := range pg.vas {
 			if mv.pr.PT.Unmap(mv.va) {
-				unmapped++
-				truncProcs[mv.pr] = struct{}{}
+				touched = touched.add(mv.pr)
 			}
 		}
 		if pg.dirty {
@@ -452,14 +476,7 @@ func (c *PageCache) truncate(p *engine.Proc, f *FSFile) {
 		pg.frame.Reset()
 		c.allocator.Release(pg.frame)
 	}
-	for pr := range truncProcs {
-		pr.shootdown(p, unmapped)
-	}
-}
-
-// fsyncFile writes back all dirty pages of one file in offset order.
-func (c *PageCache) fsyncFile(p *engine.Proc, f *FSFile) {
-	c.fsyncFileRange(p, f, 0, f.cap)
+	c.os.shootdownAll(p, touched)
 }
 
 // fsyncFileRange writes back dirty pages overlapping [off, off+length).
@@ -478,10 +495,11 @@ func (c *PageCache) fsyncFileRange(p *engine.Proc, f *FSFile, off, length uint64
 	c.os.charge(p, "msync", (hi-lo)*20) // per-page range walk
 	f.treeLock.Lock(p)
 	var dirty, claimed []*cachedPage
+	//aqlint:sorted -- collection only (the pin commutes): writePages sorts dirty before it acts, claimed is sorted below before any wait
 	for idx, pg := range f.pages {
 		switch {
 		case !pg.dirty || idx < lo || idx >= hi:
-		case pg.io != nil && !pg.io.Fired():
+		case pg.busy():
 			claimed = append(claimed, pg)
 		default:
 			pg.pins++
@@ -493,7 +511,6 @@ func (c *PageCache) fsyncFileRange(p *engine.Proc, f *FSFile, off, length uint64
 	for _, pg := range dirty {
 		pg.pins--
 	}
-	// f.pages is a map: wait in index order so the schedule stays deterministic.
 	sort.Slice(claimed, func(i, j int) bool { return claimed[i].idx < claimed[j].idx })
 	for _, pg := range claimed {
 		c.waitPage(p, pg)
