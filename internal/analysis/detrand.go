@@ -29,7 +29,7 @@ var detrandAllowedRand = map[string]bool{
 }
 
 func runDetrand(pass *Pass) error {
-	if !DeterministicPkg(pass.Pkg.Path()) {
+	if !SimulatedPkg(pass.Pkg.Path()) {
 		return nil
 	}
 	for _, f := range pass.Files {

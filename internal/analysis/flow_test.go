@@ -84,22 +84,32 @@ func runOne(t *testing.T, pkg *Package, a *Analyzer) *RunResult {
 	return res
 }
 
-// TestRealTreeClean pins the violations this PR fixed: the graph workers
-// release their waitgroup inline instead of by defer (crashclean), and
-// every staged device write in core and host pairs with its Persist
-// (persistpair) while every buddy claim is released or consumed
-// (framelease). On the pre-fix tree the graph case fails with three
-// deferred-Done findings.
+// TestRealTreeClean pins the violations fixed so far: the graph workers
+// release their waitgroup inline instead of by defer (crashclean), every
+// staged device write in core and host pairs with its Persist (persistpair),
+// every buddy claim is released or consumed (framelease), and the Linux
+// baseline and the SPDK stack — on simulated Procs like the rest — act in no
+// map's iteration order and read no wall clock or global randomness
+// (maporder, detrand). suppressed is the number of //aqlint directives a
+// package is allowed: a new one has to be declared here, with its reason in
+// DESIGN.md §8. On the pre-fix trees the graph case fails with three
+// deferred-Done findings and the host/maporder case with seven.
 func TestRealTreeClean(t *testing.T) {
 	cases := []struct {
 		rel, pkgPath string
 		analyzer     *Analyzer
+		suppressed   int
 	}{
-		{"internal/graph", "aquila/internal/graph", Crashclean},
-		{"internal/core", "aquila/internal/core", Persistpair},
-		{"internal/core", "aquila/internal/core", Framelease},
-		{"internal/host", "aquila/internal/host", Persistpair},
-		{"internal/spdk", "aquila/internal/spdk", Persistpair},
+		{"internal/graph", "aquila/internal/graph", Crashclean, 0},
+		{"internal/core", "aquila/internal/core", Persistpair, 0},
+		{"internal/core", "aquila/internal/core", Framelease, 0},
+		{"internal/host", "aquila/internal/host", Persistpair, 0},
+		{"internal/spdk", "aquila/internal/spdk", Persistpair, 0},
+		// fsyncFileRange's collection loop and CheckInvariants' two audits.
+		{"internal/host", "aquila/internal/host", Maporder, 3},
+		{"internal/host", "aquila/internal/host", Detrand, 0},
+		{"internal/spdk", "aquila/internal/spdk", Maporder, 0},
+		{"internal/spdk", "aquila/internal/spdk", Detrand, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.rel+"/"+tc.analyzer.Name, func(t *testing.T) {
@@ -108,9 +118,9 @@ func TestRealTreeClean(t *testing.T) {
 			for _, f := range res.Findings {
 				t.Errorf("unexpected finding: %s", f)
 			}
-			if res.Suppressed != 0 {
-				t.Errorf("suppressed = %d, want 0 (no ignore directives may hide %s findings)",
-					res.Suppressed, tc.analyzer.Name)
+			if res.Suppressed != tc.suppressed {
+				t.Errorf("suppressed = %d, want %d (an ignore directive hiding a %s finding must be declared)",
+					res.Suppressed, tc.suppressed, tc.analyzer.Name)
 			}
 		})
 	}

@@ -52,7 +52,8 @@ func TestAnalyzerGoldens(t *testing.T) {
 // out-of-scope import path: every finding must vanish.
 func TestScopeGating(t *testing.T) {
 	cases := []goldenCase{
-		{Detrand, "detrand", "aquila/internal/host/clockuser", 0},
+		// The harness drives the worlds from the host side; it runs on no Proc.
+		{Detrand, "detrand", "aquila/internal/harness/clockuser", 0},
 		{Maporder, "maporder", "aquila/cmd/maps", 0},
 		{Cyclecost, "cyclecost", "aquila/internal/sim/engine/cycles", 0},
 		{Spanpair, "spanpair", "aquila/cmd/spans", 0},

@@ -42,7 +42,7 @@ var commutativeAssignOps = map[token.Token]bool{
 }
 
 func runMaporder(pass *Pass) error {
-	if !DeterministicPkg(pass.Pkg.Path()) {
+	if !SimulatedPkg(pass.Pkg.Path()) {
 		return nil
 	}
 	for _, f := range pass.Files {

@@ -2,13 +2,19 @@ package analysis
 
 import "strings"
 
-// The deterministic package trees: everything under them runs inside the
-// simulated worlds, so wall-clock time, global randomness, and map-order
-// effects there corrupt the goldens (fig5b/fig7/fig8a) and the fault-plan
-// determinism guarantees.
-var deterministicPrefixes = []string{
+// simulatedPrefixes are the package trees whose code runs on simulated
+// Procs: the machine, the Aquila runtime, the Linux baseline, the SPDK stack,
+// the stores and the graph engine. One list, because "runs on a Proc" is one
+// property with three consequences: wall-clock time, global randomness and
+// map-order effects there corrupt the goldens and the same-seed guarantee
+// (detrand, maporder); a leaked span corrupts the per-Proc span stack
+// (spanpair); and every frame unwinds through the crash panic-sentinel
+// (crashclean — minus the engine, which owns the sentinel).
+var simulatedPrefixes = []string{
 	"aquila/internal/sim",
 	"aquila/internal/core",
+	"aquila/internal/host",
+	"aquila/internal/spdk",
 	"aquila/internal/kvs",
 	"aquila/internal/graph",
 }
@@ -18,10 +24,10 @@ func hasPkgPrefix(path, prefix string) bool {
 	return path == prefix || strings.HasPrefix(path, prefix+"/")
 }
 
-// DeterministicPkg reports whether the import path belongs to a package that
-// must be simulation-deterministic.
-func DeterministicPkg(path string) bool {
-	for _, p := range deterministicPrefixes {
+// SimulatedPkg reports whether the import path belongs to a package that
+// runs on simulated Procs; detrand, maporder and spanpair are scoped by it.
+func SimulatedPkg(path string) bool {
+	for _, p := range simulatedPrefixes {
 		if hasPkgPrefix(path, p) {
 			return true
 		}
@@ -48,29 +54,6 @@ func ErrDropPkg(path string) bool {
 	return hasPkgPrefix(path, "aquila/internal/core")
 }
 
-// spanInstrumentedPrefixes are the packages carrying BeginSpan/EndSpan
-// instrumentation: the runtime layers (fault handlers, eviction, msync/fsync)
-// and the key-value stores whose hot paths feed the profiler. A leaked span
-// there corrupts the per-process span stack, so the spanpair discipline is
-// enforced on this tree.
-var spanInstrumentedPrefixes = []string{
-	"aquila/internal/sim/engine",
-	"aquila/internal/core",
-	"aquila/internal/host",
-	"aquila/internal/kvs",
-}
-
-// SpanInstrumentedPkg reports whether the import path carries span
-// instrumentation and is therefore held to the spanpair discipline.
-func SpanInstrumentedPkg(path string) bool {
-	for _, p := range spanInstrumentedPrefixes {
-		if hasPkgPrefix(path, p) {
-			return true
-		}
-	}
-	return false
-}
-
 // persistPairPrefixes are the packages that stage device writes and own the
 // matching Persist durability handshakes: the I/O engines, the host OS
 // layers (page cache, block layer, io_uring), and the SPDK driver.
@@ -92,33 +75,12 @@ func PersistPairPkg(path string) bool {
 	return false
 }
 
-// crashUnwindPrefixes are the packages whose code runs on simulated Procs
-// and therefore unwinds through the crash panic-sentinel: the runtime
-// layers, the stores and workloads above them, and the simulated host —
-// everything except the engine itself, which owns the sentinel and performs
-// the one sanctioned recover.
-var crashUnwindPrefixes = []string{
-	"aquila/internal/sim",
-	"aquila/internal/core",
-	"aquila/internal/host",
-	"aquila/internal/kvs",
-	"aquila/internal/graph",
-	"aquila/internal/spdk",
-}
-
-// CrashUnwindPkg reports whether the import path runs on simulated threads
-// and is held to the crashclean discipline (no recover that could absorb
-// the crash sentinel, no deferred user-space cleanup).
+// CrashUnwindPkg reports whether the import path is held to the crashclean
+// discipline (no recover that could absorb the crash sentinel, no deferred
+// user-space cleanup): every simulated package except the engine itself,
+// which owns the sentinel and performs the one sanctioned recover.
 func CrashUnwindPkg(path string) bool {
-	if hasPkgPrefix(path, "aquila/internal/sim/engine") {
-		return false
-	}
-	for _, p := range crashUnwindPrefixes {
-		if hasPkgPrefix(path, p) {
-			return true
-		}
-	}
-	return false
+	return SimulatedPkg(path) && !hasPkgPrefix(path, "aquila/internal/sim/engine")
 }
 
 // FrameLeasePkg reports whether the import path contains the 2 MB buddy

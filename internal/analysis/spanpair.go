@@ -25,8 +25,8 @@ import (
 // another. Spans intentionally handed across function boundaries need an
 // //aqlint:ignore spanpair annotation.
 //
-// Scope: the span-instrumented tree (SpanInstrumentedPkg) — the runtime
-// layers and key-value stores that actually open spans.
+// Scope: the simulated packages (SimulatedPkg) — everything that runs on a
+// Proc and so can open a span on its stack.
 var Spanpair = &Analyzer{
 	Name: "spanpair",
 	Doc: "a span begun in a function must be ended on every return path " +
@@ -35,7 +35,7 @@ var Spanpair = &Analyzer{
 }
 
 func runSpanpair(pass *Pass) error {
-	if !SpanInstrumentedPkg(pass.Pkg.Path()) {
+	if !SimulatedPkg(pass.Pkg.Path()) {
 		return nil
 	}
 	for _, f := range pass.Files {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"aquila/internal/detutil"
 	"aquila/internal/sim/engine"
 )
 
@@ -44,7 +45,7 @@ func (bs *Blobstore) Persist(p *engine.Proc) {
 		}
 		binary.LittleEndian.PutUint16(tmp[:2], uint16(len(b.xattrs)))
 		buf = append(buf, tmp[:2]...)
-		for _, k := range sortedKeys(b.xattrs) {
+		for _, k := range detutil.SortedKeys(b.xattrs) {
 			v := b.xattrs[k]
 			binary.LittleEndian.PutUint16(tmp[:2], uint16(len(k)))
 			buf = append(buf, tmp[:2]...)
@@ -136,17 +137,4 @@ func LoadFileMap(p *engine.Proc, bs *Blobstore) *FileMap {
 	}
 	_ = p
 	return fm
-}
-
-func sortedKeys(m map[string][]byte) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }

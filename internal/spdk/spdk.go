@@ -8,8 +8,8 @@ package spdk
 
 import (
 	"fmt"
-	"sort"
 
+	"aquila/internal/detutil"
 	"aquila/internal/sim/device"
 	"aquila/internal/sim/engine"
 )
@@ -341,10 +341,5 @@ func (fm *FileMap) Delete(p *engine.Proc, name string) {
 
 // Names returns the bound names in sorted order.
 func (fm *FileMap) Names() []string {
-	out := make([]string, 0, len(fm.names))
-	for n := range fm.names {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return detutil.SortedKeys(fm.names)
 }
