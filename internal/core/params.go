@@ -62,8 +62,6 @@ type Params struct {
 	// CoreQueueLimit is the per-core free-queue threshold above which
 	// pages spill to the NUMA queue.
 	CoreQueueLimit int
-	// ReadAheadPages is the madvise(SEQUENTIAL)-driven readahead window.
-	ReadAheadPages int
 	// WritebackMaxRun caps the size of one merged writeback I/O, in pages.
 	WritebackMaxRun int
 	// SingleQueueFreelist replaces the two-level per-core/per-NUMA
@@ -143,7 +141,6 @@ func DefaultParams() Params {
 		EvictBatch:      512,
 		FreelistBatch:   4096,
 		CoreQueueLimit:  8192,
-		ReadAheadPages:  16,
 		WritebackMaxRun: 128,
 
 		// Huge pages ship disabled (HugeFaultDensity 0); the cost constants

@@ -106,7 +106,7 @@ type VictimPolicy func(p *engine.Proc, n int) []*Page
 
 // ReadaheadPolicy returns how many pages beyond the faulting one to read,
 // given the region's madvise state. The default honors AdviceSequential /
-// AdviceWillNeed with Params.ReadAheadPages and reads nothing otherwise.
+// AdviceWillNeed with a readAheadPages window and reads nothing otherwise.
 type ReadaheadPolicy func(r *Region, idx uint64) int
 
 // Config parameterizes a Runtime.
@@ -664,7 +664,7 @@ func dirtyKey(pg *Page) uint64 { return pg.file.id<<40 | pg.idx }
 func (rt *Runtime) defaultReadahead(r *Region, idx uint64) int {
 	switch r.Advice {
 	case iface.AdviceSequential, iface.AdviceWillNeed:
-		return rt.P.ReadAheadPages - 1
+		return readAheadPages - 1
 	default:
 		return 0
 	}
@@ -1154,6 +1154,12 @@ const (
 	ioRetryLimit   = 3
 	ioRetryBackoff = 20000
 )
+
+// readAheadPages is the madvise(SEQUENTIAL/WILLNEED)-driven readahead window
+// of the default ReadaheadPolicy, the faulting page included. A constant, not
+// a Param: nothing ever set it, and a world that wants another window
+// installs its own policy (Runtime.Readahead).
+const readAheadPages = 16
 
 // transientErr reports whether a device error is worth retrying in place.
 func transientErr(err error) bool {

@@ -129,9 +129,9 @@ func TestAquilaNoReadaheadByDefault(t *testing.T) {
 		// With madvise(SEQUENTIAL) the window opens.
 		m.Advise(p, iface.AdviceSequential)
 		m.Load(p, 1*mib, make([]byte, 8))
-		if rt.ResidentPages() != 1+rt.P.ReadAheadPages {
+		if rt.ResidentPages() != 1+readAheadPages {
 			t.Errorf("resident = %d, want %d after sequential advise",
-				rt.ResidentPages(), 1+rt.P.ReadAheadPages)
+				rt.ResidentPages(), 1+readAheadPages)
 		}
 		if rt.Stats.ReadaheadPages == 0 {
 			t.Error("no readahead pages counted")
