@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race fmt lint lint-report faults crash torture fuzz-smoke cover perfgate results results-check engine-bench loc ci bench-reports bench-async
+.PHONY: all build vet test race fmt lint lint-report faults crash torture fuzz-smoke cover perfgate results results-check gates engine-bench loc ci bench-reports bench-async
 
 all: ci
 
@@ -113,12 +113,21 @@ results:
 	$(GO) run ./cmd/aquila-bench -exp all > results_full.txt
 
 # results-check re-runs all 26 experiments (~2.5 min) and fails on any byte of
-# drift from results_full.txt. A step of its own in ci, beside perfgate, rather
-# than one shared run: with -report-dir the harness keeps every world alive for
-# the final metrics publish, and over 26 experiments that outgrew a 16 GB
-# container (OOM-killed in fig5b). Not part of tier-1 `go test`.
+# drift from results_full.txt. Not part of tier-1 `go test`.
 results-check:
 	$(GO) run ./cmd/aquila-bench -exp all | diff results_full.txt -
+
+# gates is what ci runs instead of perfgate + results-check: ONE run of the 26
+# experiments feeds both. -report-dir only adds files and stderr lines, so
+# stdout is still the results_full.txt golden, and the six reports land in
+# .perfgate for aqperf. The harness publishes a world's counters when
+# TakeSimCycles retires it and drops it, so the registry no longer pins every
+# world to the end of the run: measured peak RSS of this run is 10.7 GB
+# (fig5a/fig5b's own worlds; it was OOM-killed at 16 GB before), 2 m 10 s.
+gates:
+	rm -rf .perfgate && mkdir -p .perfgate
+	$(GO) run ./cmd/aquila-bench -exp all -report-dir .perfgate | diff results_full.txt -
+	$(GO) run ./cmd/aqperf -goldens . -dir .perfgate -history BENCH_history.jsonl -label local
 
 # Host cost of the engine layer alone, no world on top: one sync point of
 # each kind and one spawn, with allocations (DESIGN.md §3 quotes these).
@@ -139,7 +148,7 @@ loc:
 	END { for (d in seen) printf "%-28s %8d %8d\n", d, n[d], t[d] | "sort"; close("sort"); \
 		printf "%-28s %8d %8d\n", "total", N, T }'
 
-ci: build vet fmt lint test race faults crash fuzz-smoke torture perfgate results-check loc
+ci: build vet fmt lint test race faults crash fuzz-smoke torture gates loc
 
 # Regenerate the checked-in machine-readable experiment reports.
 bench-reports:

@@ -16,23 +16,27 @@ import (
 // metrics snapshot without their series colliding.
 
 var (
-	obsTracer  *obs.Tracer
-	obsReg     *obs.Registry
-	obsProf    obs.SpanSink
-	obsSeq     int
-	obsSystems []*aquila.System
+	obsTracer *obs.Tracer
+	obsReg    *obs.Registry
+	obsProf   obs.SpanSink
+	obsSeq    int
 
-	// cycleEngines tracks the engine of every world booted since the last
-	// TakeSimCycles call, instrumented or not, so the bench driver can report
-	// simulated cycles per experiment instead of host wall-clock.
-	cycleEngines []*simengine.Engine
+	// worlds holds every world booted since the last TakeSimCycles call,
+	// instrumented or not: a world lives until its cycles are taken.
+	worlds []world
 )
+
+// world is one booted world: its engine, and the System around it unless it
+// is a bare engine (bootEngine).
+type world struct {
+	e   *simengine.Engine
+	sys *aquila.System
+}
 
 // Instrument routes all subsequently booted Systems into tr and reg (either
 // may be nil). Pass nil, nil to turn instrumentation back off.
 func Instrument(tr *obs.Tracer, reg *obs.Registry) {
 	obsTracer, obsReg, obsSeq = tr, reg, 0
-	obsSystems = nil
 }
 
 // InstrumentProfiler routes the lossless span stream of all subsequently
@@ -57,8 +61,7 @@ func boot(opts aquila.Options) *aquila.System {
 	if opts.Mode == aquila.ModeAquila && opts.Params == nil {
 		opts.Params = core.ParamsForCache(opts.CacheBytes)
 	}
-	instrumented := obsTracer != nil || obsReg != nil || obsProf != nil
-	if instrumented {
+	if obsTracer != nil || obsReg != nil || obsProf != nil {
 		opts.Tracer = obsTracer
 		opts.Registry = obsReg
 		opts.Profiler = obsProf
@@ -67,10 +70,7 @@ func boot(opts aquila.Options) *aquila.System {
 		}
 	}
 	sys := aquila.New(opts)
-	if instrumented {
-		obsSystems = append(obsSystems, sys)
-	}
-	cycleEngines = append(cycleEngines, sys.Sim)
+	worlds = append(worlds, world{sys.Sim, sys})
 	return sys
 }
 
@@ -83,7 +83,7 @@ func bootEngine(cfg simengine.Config, label string) *simengine.Engine {
 		cfg.Spans, cfg.Profile, cfg.TraceLabel = obsTracer, obsProf, nextLabel(label)
 	}
 	e := simengine.New(cfg)
-	cycleEngines = append(cycleEngines, e)
+	worlds = append(worlds, world{e: e})
 	return e
 }
 
@@ -93,30 +93,32 @@ func nextLabel(kind string) string {
 	return fmt.Sprintf("%s.%d", kind, obsSeq)
 }
 
-// TakeSimCycles returns the simulated cycles accrued by every world booted
-// since the previous call (their final clocks summed), then closes them —
-// releasing the bg-evict daemons an AsyncEvict world leaves parked — and
-// drops the tracked references. The bench driver calls it once per
-// experiment, after the experiment's last run.
+// TakeSimCycles ends the life of every world booted since the previous call:
+// it sums their final clocks, publishes each System's end-of-run counters
+// (fault stats, page-cache and device totals, final clock) into the registry
+// it was booted with — a no-op uninstrumented — closes it, which releases the
+// bg-evict daemons an AsyncEvict world leaves parked, and drops the reference.
+// The bench driver calls it once per experiment, after the experiment's last
+// run, and reports the sum as the experiment's simulated cycles.
 func TakeSimCycles() uint64 {
 	var total uint64
-	for _, e := range cycleEngines {
-		total += e.Now()
-		e.Close()
+	for _, w := range worlds {
+		total += w.e.Now()
+		if w.sys != nil {
+			w.sys.PublishStats()
+		}
+		w.e.Close()
 	}
-	cycleEngines = nil
+	worlds = nil
 	return total
 }
 
-// PublishAll pushes the final per-System counters (fault stats, page-cache
-// and device totals, final simulated clock) of every instrumented System into
-// the registry. Call once after the experiments finish, before snapshotting.
+// PublishAll surfaces the tracer's ring-buffer losses as aq.obs.spans_dropped:
+// a nonzero value warns that the Chrome trace is a window, not the whole run
+// (the profiler sink is lossless). Call once after the experiments finish,
+// before snapshotting; the worlds' own counters were published as
+// TakeSimCycles retired them.
 func PublishAll() {
-	for _, s := range obsSystems {
-		s.PublishStats()
-	}
-	// Surface ring-buffer losses: a nonzero value warns that the Chrome
-	// trace is a window, not the whole run (the profiler sink is lossless).
 	if obsTracer != nil && obsReg != nil {
 		obsReg.Counter("aq.obs.spans_dropped").Set(obsTracer.Dropped())
 	}

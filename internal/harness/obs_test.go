@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"aquila/internal/obs"
@@ -76,6 +77,39 @@ func TestSpansDroppedCounter(t *testing.T) {
 	snap := reg.Snapshot()
 	if got := snap.Counters["aq.obs.spans_dropped"]; got != tr.Dropped() {
 		t.Errorf("aq.obs.spans_dropped = %d, want %d", got, tr.Dropped())
+	}
+}
+
+// A world's lifetime is one sentence: TakeSimCycles publishes each
+// instrumented world's end-of-run counters and then drops it. Nothing waits
+// for a final publish, so an instrumented -exp all holds one experiment's
+// worlds at a time.
+func TestTakeSimCyclesPublishesAndDrops(t *testing.T) {
+	reg := obs.NewRegistry()
+	Instrument(nil, reg)
+	defer Instrument(nil, nil)
+	TakeSimCycles()
+
+	e, _ := Find("fig8a")
+	e.Run(testScale)
+	if len(worlds) == 0 {
+		t.Fatal("fig8a booted no world")
+	}
+	if g := reg.Snapshot().Gauges; len(g) != 0 {
+		t.Errorf("sim_cycles published before the worlds were retired: %v", g)
+	}
+	cycles := TakeSimCycles()
+	if worlds != nil {
+		t.Errorf("TakeSimCycles kept %d worlds", len(worlds))
+	}
+	var published uint64
+	for k, v := range reg.Snapshot().Gauges {
+		if strings.HasPrefix(k, "sim_cycles{") {
+			published += uint64(v)
+		}
+	}
+	if published != cycles || cycles == 0 {
+		t.Errorf("published sim_cycles sum to %d, TakeSimCycles returned %d", published, cycles)
 	}
 }
 

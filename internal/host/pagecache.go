@@ -488,10 +488,7 @@ func (c *PageCache) truncate(p *engine.Proc, f *FSFile) {
 // once its io fires), as filemap_fdatawait does for PG_writeback pages.
 func (c *PageCache) fsyncFileRange(p *engine.Proc, f *FSFile, off, length uint64) {
 	lo := off / PageSize
-	hi := (off + length + PageSize - 1) / PageSize
-	if max := (f.cap + PageSize - 1) / PageSize; hi > max {
-		hi = max
-	}
+	hi := min((off+length+PageSize-1)/PageSize, (f.cap+PageSize-1)/PageSize)
 	c.os.charge(p, "msync", (hi-lo)*20) // per-page range walk
 	f.treeLock.Lock(p)
 	var dirty, claimed []*cachedPage
