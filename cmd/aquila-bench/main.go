@@ -27,7 +27,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -35,7 +34,7 @@ import (
 	"time"
 
 	"aquila/internal/harness"
-	"aquila/internal/obs"
+	"aquila/internal/obs/obscli"
 	"aquila/internal/obs/profile"
 )
 
@@ -56,22 +55,10 @@ func main() {
 	)
 	flag.Parse()
 
-	var tracer *obs.Tracer
-	var reg *obs.Registry
-	if *traceOut != "" {
-		tracer = obs.NewTracer()
-	}
-	if *metricsJ != "" || *reportDir != "" {
-		reg = obs.NewRegistry()
-	}
-	if tracer != nil || reg != nil {
-		harness.Instrument(tracer, reg)
-	}
-	var prof *profile.Profiler
-	if *profOut != "" || *profDir != "" || *profTop > 0 {
-		prof = profile.New()
-		harness.InstrumentProfiler(prof)
-	}
+	sinks := obscli.New(*traceOut, *metricsJ, *reportDir != "", *profOut != "" || *profDir != "" || *profTop > 0)
+	harness.Instrument(sinks.Tracer, sinks.Registry)
+	harness.InstrumentProfiler(sinks.SpanSink())
+	prof := sinks.Profiler
 
 	if *list {
 		for _, e := range harness.All() {
@@ -138,7 +125,9 @@ func main() {
 					fmt.Fprintf(os.Stderr, "write report: %v\n", err)
 					os.Exit(1)
 				}
-				fmt.Printf("# report written to %s (breakdown coverage %.1f%%)\n",
+				// On stderr: stdout is the golden results_full.txt pins, with
+				// or without -report-dir.
+				fmt.Fprintf(os.Stderr, "# report written to %s (breakdown coverage %.1f%%)\n",
 					path, 100*r.Report.Coverage())
 			}
 		}
@@ -155,22 +144,10 @@ func main() {
 		}
 	}
 
-	if reg != nil {
-		harness.PublishAll()
-	}
-	if *traceOut != "" {
-		if err := writeTo(*traceOut, tracer.WriteChromeTrace); err != nil {
-			fmt.Fprintf(os.Stderr, "write trace: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("# trace written to %s (open in chrome://tracing or ui.perfetto.dev)\n", *traceOut)
-	}
-	if *metricsJ != "" {
-		if err := writeTo(*metricsJ, reg.WriteJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "write metrics: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("# metrics written to %s\n", *metricsJ)
+	harness.PublishAll()
+	if what, err := sinks.Flush(os.Stdout, "# "); err != nil {
+		fmt.Fprintf(os.Stderr, "write %s: %v\n", what, err)
+		os.Exit(1)
 	}
 	if *profOut != "" {
 		if err := os.WriteFile(*profOut, []byte(allFolded.String()), 0o644); err != nil {
@@ -214,17 +191,4 @@ func finishProfile(prof *profile.Profiler, id string, cycles uint64,
 		fmt.Printf("# profile written to %s.json and %s.folded\n", base, base)
 	}
 	prof.Reset()
-}
-
-// writeTo creates path and streams write into it.
-func writeTo(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -9,14 +9,13 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 
 	"aquila"
 	"aquila/internal/obs"
-	"aquila/internal/obs/profile"
+	"aquila/internal/obs/obscli"
 )
 
 func main() {
@@ -38,18 +37,8 @@ func main() {
 	)
 	flag.Parse()
 
-	var tracer *obs.Tracer
-	var reg *obs.Registry
-	if *trace != "" {
-		tracer = obs.NewTracer()
-	}
-	if *metricsJ != "" {
-		reg = obs.NewRegistry()
-	}
-	var prof *profile.Profiler
-	if *profOut != "" || *profDir != "" || *profTop > 0 {
-		prof = profile.New()
-	}
+	sinks := obscli.New(*trace, *metricsJ, false, *profOut != "" || *profDir != "" || *profTop > 0)
+	tracer, reg, prof := sinks.Tracer, sinks.Registry, sinks.Profiler
 
 	mode := aquila.ModeAquila
 	switch *modeS {
@@ -70,12 +59,7 @@ func main() {
 	opts := aquila.Options{
 		Mode: mode, Device: dev, CacheBytes: cache,
 		DeviceBytes: dataset + 128<<20, Seed: *seed,
-		Tracer: tracer, Registry: reg,
-	}
-	if prof != nil {
-		// Assign only when profiling: a typed-nil *Profiler in the interface
-		// field would defeat the engine's nil check.
-		opts.Profiler = prof
+		Tracer: tracer, Registry: reg, Profiler: sinks.SpanSink(),
 	}
 	sys := aquila.New(opts)
 	defer sys.Close()
@@ -178,7 +162,7 @@ func main() {
 			}
 		}
 		if *profOut != "" {
-			if err := writeTo(*profOut, prof.WriteFolded); err != nil {
+			if err := obscli.WriteTo(*profOut, prof.WriteFolded); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
@@ -193,31 +177,8 @@ func main() {
 			fmt.Printf("profile written to %s.json and %s.folded\n", base, base)
 		}
 	}
-	if *trace != "" {
-		if err := writeTo(*trace, tracer.WriteChromeTrace); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("trace written to %s (open in chrome://tracing or ui.perfetto.dev)\n", *trace)
+	if _, err := sinks.Flush(os.Stdout, ""); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	if *metricsJ != "" {
-		if err := writeTo(*metricsJ, reg.WriteJSON); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("metrics written to %s\n", *metricsJ)
-	}
-}
-
-// writeTo creates path and streams write into it.
-func writeTo(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -11,13 +11,13 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	"aquila"
 	"aquila/internal/kvs/kreon"
 	"aquila/internal/kvs/lsm"
 	"aquila/internal/obs"
+	"aquila/internal/obs/obscli"
 	"aquila/internal/ycsb"
 )
 
@@ -38,14 +38,8 @@ func main() {
 	)
 	flag.Parse()
 
-	var tracer *obs.Tracer
-	var reg *obs.Registry
-	if *traceOut != "" {
-		tracer = obs.NewTracer()
-	}
-	if *metricsJ != "" {
-		reg = obs.NewRegistry()
-	}
+	sinks := obscli.New(*traceOut, *metricsJ, false, false)
+	reg := sinks.Registry
 
 	dev := aquila.DevicePMem
 	if *device == "nvme" {
@@ -76,7 +70,7 @@ func main() {
 	sys := aquila.New(aquila.Options{
 		Mode: mode, Device: dev, CacheBytes: cache,
 		DeviceBytes: *records*4096 + 512<<20, Seed: *seed,
-		Tracer: tracer, Registry: reg,
+		Tracer: sinks.Tracer, Registry: reg,
 	})
 	defer sys.Close()
 
@@ -148,31 +142,8 @@ func main() {
 		reg.Counter("ycsb_ops", obs.L("workload", wl)).Set(done)
 		sys.PublishStats()
 	}
-	if *traceOut != "" {
-		if err := writeTo(*traceOut, tracer.WriteChromeTrace); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("trace written to %s (open in chrome://tracing or ui.perfetto.dev)\n", *traceOut)
+	if _, err := sinks.Flush(os.Stdout, ""); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	if *metricsJ != "" {
-		if err := writeTo(*metricsJ, reg.WriteJSON); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("metrics written to %s\n", *metricsJ)
-	}
-}
-
-// writeTo creates path and streams write into it.
-func writeTo(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
