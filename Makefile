@@ -122,8 +122,9 @@ results-check:
 # stdout is still the results_full.txt golden, and the six reports land in
 # .perfgate for aqperf. The harness publishes a world's counters when
 # TakeSimCycles retires it and drops it, so the registry no longer pins every
-# world to the end of the run: measured peak RSS of this run is 10.7 GB
-# (fig5a/fig5b's own worlds; it was OOM-killed at 16 GB before), 2 m 10 s.
+# world to the end of the run: measured peak RSS of this run is 10.7 GB in
+# 2 m 10 s, against 10.0 GB for a bare `-exp all` (what is left is fig5a/fig5b's
+# own worlds); before, it was OOM-killed at 16 GB inside fig5b.
 gates:
 	rm -rf .perfgate && mkdir -p .perfgate
 	$(GO) run ./cmd/aquila-bench -exp all -report-dir .perfgate | diff results_full.txt -

@@ -2,7 +2,10 @@
 // sharing primitive §2.1 builds on. Two simulated processes map the same file
 // on the Linux host; stores from one are immediately visible to the other
 // through the shared page cache, while each keeps its own page table, ASID
-// and mm_cpumask.
+// and mm_cpumask. Write-back and reclaim shoot a shared page down in every
+// process that maps it, in process-ID order, so a multi-process world replays
+// cycle for cycle like any other: run this twice and the simulated time
+// printed at the end is the same.
 //
 //	go run ./examples/multiprocess
 package main
