@@ -1156,9 +1156,8 @@ const (
 )
 
 // readAheadPages is the madvise(SEQUENTIAL/WILLNEED)-driven readahead window
-// of the default ReadaheadPolicy, the faulting page included. A constant, not
-// a Param: nothing ever set it, and a world that wants another window
-// installs its own policy (Runtime.Readahead).
+// of the default ReadaheadPolicy, the faulting page included. A world that
+// wants another window installs its own policy (Runtime.Readahead).
 const readAheadPages = 16
 
 // transientErr reports whether a device error is worth retrying in place.

@@ -314,9 +314,9 @@ func (s procSet) add(pr *Process) procSet {
 // shootdownAll is the one fan-out of write-back, reclaim and truncate: a
 // batched shootdown in every process of the set, in process-ID order.
 func (os *OS) shootdownAll(p *engine.Proc, set procSet) {
-	for _, pr := range os.procs[:len(set)] {
-		if set[pr.ID-1] {
-			pr.shootdown(p)
+	for i, hit := range set {
+		if hit {
+			os.procs[i].shootdown(p)
 		}
 	}
 }
