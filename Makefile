@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race fmt lint lint-report faults crash torture fuzz-smoke cover perfgate results results-check gates engine-bench loc ci bench-reports bench-async
+.PHONY: all build vet test race fmt lint lint-report faults crash torture fuzz-smoke cover perfgate results results-check gates engine-bench sim-bench loc ci bench-reports bench-async
 
 all: ci
 
@@ -135,6 +135,14 @@ gates:
 # Not part of ci: the numbers are for reading, the alloc tests do the gating.
 engine-bench:
 	$(GO) test ./internal/sim/engine -run '^$$' -bench 'Handoff|SpawnRun' -benchmem -count=5 -cpu 1
+
+# Host cost of the simulated hardware's own state, no world on top: a TLB
+# flush, an insert into a full TLB, a 32-CPU shootdown, a PTE map/unmap and a
+# rewrite-persist-settle cycle of the device store (DESIGN.md §3 "Simulated
+# hardware state is flat"). Not part of ci, like engine-bench: the
+# AllocsPerRun tests beside these benchmarks do the gating in `make test`.
+sim-bench:
+	$(GO) test ./internal/sim/cpu ./internal/sim/pagetable ./internal/sim/device -run '^$$' -bench . -benchmem -cpu 1
 
 # The code-diet ledger (ROADMAP "One write seam, then a code diet"): Go lines
 # per package, non-test and test, and in total. bench/ (the frozen benchmark

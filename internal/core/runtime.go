@@ -181,6 +181,10 @@ type Runtime struct {
 	// mmMask tracks CPUs that have faulted in this address space; batched
 	// shootdowns target only these.
 	mmMask []bool
+	// faultBufs is a LIFO of idle majorFault scratch buffers. One per fault
+	// in progress, not one per runtime: a fault yields at every charge and
+	// other threads' faults run in between.
+	faultBufs []*faultBuf
 
 	// Victims and Readahead are the customization hooks. Prefer, when
 	// set, biases the default LRU victim selection toward pages it
@@ -781,7 +785,8 @@ func (rt *Runtime) majorFault(p *engine.Proc, r *Region, f *fileState, idx uint6
 	if hi <= idx {
 		hi = idx + 1
 	}
-	var mine []*Page
+	buf := rt.takeFaultBuf()
+	mine := buf.mine[:0]
 	var target *Page
 	var allocErr error
 	for i := idx; i < hi; i++ {
@@ -834,10 +839,11 @@ func (rt *Runtime) majorFault(p *engine.Proc, r *Region, f *fileState, idx uint6
 			j++
 		}
 		run := mine[i:j]
-		frames := make([]*mem.Frame, len(run))
-		for k, pg := range run {
-			frames[k] = pg.frame
+		frames := buf.frames[:0]
+		for _, pg := range run {
+			frames = append(frames, pg.frame)
 		}
+		buf.frames = frames
 		if rerr := rt.readRun(p, f, run[0].idx, frames); rerr != nil {
 			// The merged read failed after retries: re-issue page by page so
 			// one bad LBA poisons only its own page, not the whole window.
@@ -850,6 +856,8 @@ func (rt *Runtime) majorFault(p *engine.Proc, r *Region, f *fileState, idx uint6
 		pg.io.Fire(doneAt)
 		pg.io = nil
 	}
+	buf.mine = mine
+	rt.faultBufs = append(rt.faultBufs, buf) // before the retry below recurses
 	if allocErr != nil {
 		return nil, allocErr
 	}
@@ -861,6 +869,29 @@ func (rt *Runtime) majorFault(p *engine.Proc, r *Region, f *fileState, idx uint6
 		}
 	}
 	return target, nil
+}
+
+// faultBuf is one major fault's scratch: the pages it claimed and the frames
+// of the run it is reading, sized for the default readahead window (a larger
+// custom window grows them once).
+type faultBuf struct {
+	mine   []*Page
+	frames []*mem.Frame
+}
+
+// takeFaultBuf pops an idle scratch buffer or makes one. A fault that unwinds
+// in a crash keeps its buffer; the world is gone by then.
+func (rt *Runtime) takeFaultBuf() *faultBuf {
+	n := len(rt.faultBufs)
+	if n == 0 {
+		return &faultBuf{
+			mine:   make([]*Page, 0, readAheadPages),
+			frames: make([]*mem.Frame, 0, readAheadPages),
+		}
+	}
+	buf := rt.faultBufs[n-1]
+	rt.faultBufs = rt.faultBufs[:n-1]
+	return buf
 }
 
 // entryFrameID returns the frame backing va under PTE e: for a 2 MB leaf the
@@ -1051,7 +1082,10 @@ func (rt *Runtime) shootdown(p *engine.Proc) {
 	defer p.EndSpan()
 	rt.Stats.ShootdownBatches++
 	p.SpanEvent("shootdown", 1)
-	targets := make([]int, 0, rt.e.NumCPUs())
+	// The send below yields and mmMask can grow meanwhile: flush the CPUs
+	// that were sent to. Up to 64 of them the snapshot stays on the stack.
+	var cpus [64]int
+	targets := cpus[:0]
 	for c := 0; c < rt.e.NumCPUs(); c++ {
 		if rt.mmMask[c] {
 			targets = append(targets, c)

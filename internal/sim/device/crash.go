@@ -53,12 +53,45 @@ func (s *Store) stage(blk uint64, bo int, chunk []byte) {
 		copy(vs[n-1].data[bo:], chunk)
 		return
 	}
-	b := make([]byte, BlockSize)
-	if cur := s.view(blk); cur != nil {
+	b := s.block(s.view(blk))
+	copy(b[bo:], chunk)
+	if n := len(s.spare); vs == nil && n > 0 {
+		vs, s.spare = s.spare[n-1], s.spare[:n-1]
+	}
+	s.volatile[blk] = append(vs, volVersion{data: b, durableAt: notDurable})
+}
+
+// block returns a BlockSize buffer holding a copy of cur (zeros when cur is
+// nil), recycled from the free list when it has one.
+func (s *Store) block(cur []byte) []byte {
+	n := len(s.free)
+	if n == 0 {
+		b := make([]byte, BlockSize)
+		copy(b, cur)
+		return b
+	}
+	b := s.free[n-1]
+	s.free = s.free[:n-1]
+	if cur == nil {
+		clear(b)
+	} else {
 		copy(b, cur)
 	}
-	copy(b[bo:], chunk)
-	s.volatile[blk] = append(vs, volVersion{data: b, durableAt: notDurable})
+	return b
+}
+
+// keep leaves blk's versions from index n on in the volatile tier. They move
+// to the front of vs so the list keeps its capacity; a list left empty goes
+// to spare and blk leaves the map.
+func (s *Store) keep(blk uint64, vs []volVersion, n int) {
+	rest := vs[:copy(vs, vs[n:])]
+	clear(vs[len(rest):])
+	if len(rest) > 0 {
+		s.volatile[blk] = rest
+		return
+	}
+	delete(s.volatile, blk)
+	s.spare = append(s.spare, rest)
 }
 
 // Persist schedules the newest staged version of every block overlapping
@@ -91,7 +124,7 @@ func (s *Store) settle(upTo uint64) {
 	if len(s.volatile) == 0 {
 		return
 	}
-	//aqlint:sorted -- per-block fold, order-independent; no simulated state touched
+	//aqlint:sorted -- per-block fold, order-independent (the free list's order decides only which buffer a later stage overwrites); no simulated state touched
 	for blk, vs := range s.volatile {
 		best := -1
 		for i, v := range vs {
@@ -106,12 +139,14 @@ func (s *Store) settle(upTo uint64) {
 		// versions are superseded. In-flight writes serialize per page above
 		// this layer, so inverted completions of overlapping writes do not
 		// occur in practice.
-		s.blocks[blk] = vs[best].data
-		if rest := vs[best+1:]; len(rest) > 0 {
-			s.volatile[blk] = rest
-		} else {
-			delete(s.volatile, blk)
+		if old := s.blocks[blk]; old != nil {
+			s.free = append(s.free, old)
 		}
+		for _, v := range vs[:best] {
+			s.free = append(s.free, v.data)
+		}
+		s.blocks[blk] = vs[best].data
+		s.keep(blk, vs, best+1)
 	}
 }
 

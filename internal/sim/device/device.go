@@ -34,8 +34,15 @@ type Store struct {
 	// volatile holds staged writes that have not reached their durability
 	// point; reads overlay it, Crash() discards it.
 	volatile map[uint64][]volVersion
-	stats    Stats
-	faults   *faultState
+	// free holds blocks no tier references any more (a superseded media
+	// block or staged version, a discarded block) for stage to reuse, and
+	// spare the emptied per-block version lists: a rewrite-persist-settle
+	// cycle then allocates nothing. Both are bounded by the peak number of
+	// blocks that were live at once.
+	free   [][]byte
+	spare  [][]volVersion
+	stats  Stats
+	faults *faultState
 	// crashAtOp/crashHook implement CrashPlan.AtDeviceOp (crash.go).
 	crashAtOp uint64
 	crashHook func()
@@ -110,8 +117,16 @@ func (s *Store) Discard(off, length uint64) {
 	first := (off + BlockSize - 1) / BlockSize
 	last := (off + length) / BlockSize
 	for b := first; b < last; b++ {
-		delete(s.blocks, b)
-		delete(s.volatile, b)
+		if old, ok := s.blocks[b]; ok {
+			s.free = append(s.free, old)
+			delete(s.blocks, b)
+		}
+		if vs, ok := s.volatile[b]; ok {
+			for _, v := range vs {
+				s.free = append(s.free, v.data)
+			}
+			s.keep(b, vs, len(vs))
+		}
 	}
 }
 

@@ -1,0 +1,293 @@
+package device
+
+import (
+	"bytes"
+	"math/rand"
+	"sort"
+	"testing"
+)
+
+// refStore is the content model of Store as it was before blocks were
+// recycled: every staged version is a fresh buffer and a superseded one is
+// dropped for the garbage collector. Same rules, no buffer ever reused — the
+// reference the free list is held to.
+type refStore struct {
+	blocks   map[uint64][]byte
+	volatile map[uint64][]volVersion
+}
+
+func newRefStore() *refStore {
+	return &refStore{blocks: map[uint64][]byte{}, volatile: map[uint64][]volVersion{}}
+}
+
+func (r *refStore) view(blk uint64) []byte {
+	if vs := r.volatile[blk]; len(vs) > 0 {
+		return vs[len(vs)-1].data
+	}
+	return r.blocks[blk]
+}
+
+// chunks calls fn for the piece of [off, off+n) inside each block it touches.
+func chunks(off uint64, n int, fn func(blk uint64, bo, at, chunk int)) {
+	for at := 0; at < n; {
+		blk, bo := (off+uint64(at))/BlockSize, int((off+uint64(at))%BlockSize)
+		chunk := min(BlockSize-bo, n-at)
+		fn(blk, bo, at, chunk)
+		at += chunk
+	}
+}
+
+func (r *refStore) write(off uint64, buf []byte) {
+	chunks(off, len(buf), func(blk uint64, bo, at, chunk int) {
+		vs := r.volatile[blk]
+		if n := len(vs); n > 0 && vs[n-1].durableAt == notDurable {
+			copy(vs[n-1].data[bo:], buf[at:at+chunk])
+			return
+		}
+		b := make([]byte, BlockSize)
+		copy(b, r.view(blk))
+		copy(b[bo:], buf[at:at+chunk])
+		r.volatile[blk] = append(vs, volVersion{data: b, durableAt: notDurable})
+	})
+}
+
+func (r *refStore) read(off uint64, buf []byte) {
+	clear(buf)
+	chunks(off, len(buf), func(blk uint64, bo, at, chunk int) {
+		if b := r.view(blk); b != nil {
+			copy(buf[at:at+chunk], b[bo:])
+		}
+	})
+}
+
+func (r *refStore) persist(off uint64, n int, at uint64) {
+	chunks(off, n, func(blk uint64, _, _, _ int) {
+		if vs := r.volatile[blk]; len(vs) > 0 {
+			if v := &vs[len(vs)-1]; v.durableAt == notDurable || at < v.durableAt {
+				v.durableAt = at
+			}
+		}
+	})
+}
+
+func (r *refStore) settle(upTo uint64) {
+	for blk, vs := range r.volatile {
+		best := -1
+		for i, v := range vs {
+			if v.durableAt <= upTo {
+				best = i
+			}
+		}
+		if best < 0 {
+			continue
+		}
+		r.blocks[blk] = vs[best].data
+		if rest := vs[best+1:]; len(rest) > 0 {
+			r.volatile[blk] = rest
+		} else {
+			delete(r.volatile, blk)
+		}
+	}
+}
+
+func (r *refStore) discard(off, length uint64) {
+	for b := (off + BlockSize - 1) / BlockSize; b < (off+length)/BlockSize; b++ {
+		delete(r.blocks, b)
+		delete(r.volatile, b)
+	}
+}
+
+func (r *refStore) crash(cycle uint64, rng *rand.Rand, tearProb float64) (dropped, torn int) {
+	r.settle(cycle)
+	blks := make([]uint64, 0, len(r.volatile))
+	for blk := range r.volatile {
+		blks = append(blks, blk)
+	}
+	sort.Slice(blks, func(i, j int) bool { return blks[i] < blks[j] })
+	for _, blk := range blks {
+		vs := r.volatile[blk]
+		dropped++
+		if rng.Float64() < tearProb {
+			sectors := 1 + rng.Intn(BlockSize/SectorSize-1)
+			if r.blocks[blk] == nil {
+				r.blocks[blk] = make([]byte, BlockSize)
+			}
+			copy(r.blocks[blk][:sectors*SectorSize], vs[len(vs)-1].data)
+			torn++
+		}
+	}
+	r.volatile = map[uint64][]volVersion{}
+	return dropped, torn
+}
+
+func cloneImage(img map[uint64][]byte) map[uint64][]byte {
+	out := make(map[uint64][]byte, len(img))
+	for blk, b := range img {
+		out[blk] = bytes.Clone(b)
+	}
+	return out
+}
+
+func sameImage(a, b map[uint64][]byte) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for blk, x := range a {
+		if y, ok := b[blk]; !ok || !bytes.Equal(x, y) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestRecyclingStoreMatchesNonRecyclingReference drives a Store and the
+// non-recycling reference with one seeded random sequence of everything that
+// touches the free list or could be hurt by it — WriteAt, Persist, the settle
+// every Submit does, Discard, Crash with torn sectors, CloneMedia, AdoptMedia —
+// and after every step compares the whole readable content, PendingBlocks and
+// the media image, and checks that no buffer is owned twice: not by the free
+// list and a tier, not by two versions, not by a store and an image it handed
+// out or adopted.
+func TestRecyclingStoreMatchesNonRecyclingReference(t *testing.T) {
+	const blocks = 48
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tearGot, tearWant := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		got, want := NewStore(blocks*BlockSize), newRefStore()
+		type clone struct{ img, snapshot map[uint64][]byte }
+		var clones []clone
+		var now uint64
+		var recycled, crashes, torn, cloned int
+		all, wantAll := make([]byte, blocks*BlockSize), make([]byte, blocks*BlockSize)
+		for step := 0; step < 4000; step++ {
+			off := uint64(rng.Intn(blocks * BlockSize))
+			n := 1 + rng.Intn(min(3*BlockSize, blocks*BlockSize-int(off)))
+			switch op := rng.Intn(100); {
+			case op < 40:
+				buf := make([]byte, n)
+				rng.Read(buf)
+				free := len(got.free)
+				got.WriteAt(off, buf)
+				want.write(off, buf)
+				recycled += free - len(got.free)
+			case op < 65:
+				at := now + uint64(rng.Intn(3000))
+				got.Persist(off, n, at)
+				want.persist(off, n, at)
+			case op < 85:
+				now += uint64(rng.Intn(1500))
+				got.settle(now)
+				want.settle(now)
+			case op < 90:
+				got.Discard(off, uint64(n))
+				want.discard(off, uint64(n))
+			case op < 92:
+				res := got.Crash(now, tearGot, 0.5)
+				dropped, tornNow := want.crash(now, tearWant, 0.5)
+				if res.DroppedBlocks != dropped || res.TornBlocks != tornNow {
+					t.Fatalf("seed %d step %d: crash dropped/tore %d/%d, reference %d/%d",
+						seed, step, res.DroppedBlocks, res.TornBlocks, dropped, tornNow)
+				}
+				crashes++
+				torn += tornNow
+			case op < 96:
+				img := got.CloneMedia()
+				c := clone{img, cloneImage(img)}
+				if len(clones) < 4 {
+					clones = append(clones, c)
+				} else {
+					clones[rng.Intn(len(clones))] = c
+				}
+				cloned++
+			case len(clones) > 0:
+				c := clones[rng.Intn(len(clones))]
+				got.AdoptMedia(c.img)
+				want.blocks, want.volatile = cloneImage(c.img), map[uint64][]volVersion{}
+			}
+
+			got.ReadAt(0, all)
+			want.read(0, wantAll)
+			if !bytes.Equal(all, wantAll) {
+				t.Fatalf("seed %d step %d: readable content differs from the reference", seed, step)
+			}
+			if got.PendingBlocks() != len(want.volatile) {
+				t.Fatalf("seed %d step %d: PendingBlocks %d, reference %d", seed, step, got.PendingBlocks(), len(want.volatile))
+			}
+			if !sameImage(got.blocks, want.blocks) {
+				t.Fatalf("seed %d step %d: media image differs from the reference", seed, step)
+			}
+			if step%32 == 0 {
+				ref := NewStore(blocks * BlockSize)
+				ref.AdoptMedia(want.blocks)
+				if got.Fingerprint() != ref.Fingerprint() {
+					t.Fatalf("seed %d step %d: Fingerprint differs from the reference", seed, step)
+				}
+			}
+			owner := map[*byte]string{}
+			own := func(b []byte, who string) {
+				if len(b) != BlockSize {
+					t.Fatalf("seed %d step %d: %s holds a %d-byte buffer", seed, step, who, len(b))
+				}
+				if prev, dup := owner[&b[0]]; dup {
+					t.Fatalf("seed %d step %d: one buffer owned by %s and %s", seed, step, prev, who)
+				}
+				owner[&b[0]] = who
+			}
+			for _, b := range got.free {
+				own(b, "the free list")
+			}
+			for _, b := range got.blocks {
+				own(b, "media")
+			}
+			for _, vs := range got.volatile {
+				for _, v := range vs {
+					own(v.data, "a staged version")
+				}
+			}
+			for _, c := range clones {
+				for _, b := range c.img {
+					own(b, "a cloned image")
+				}
+				if step%32 == 0 && !sameImage(c.img, c.snapshot) {
+					t.Fatalf("seed %d step %d: a cloned image changed after it was handed out", seed, step)
+				}
+			}
+		}
+		if recycled < 100 || crashes == 0 || torn == 0 || cloned == 0 {
+			t.Fatalf("seed %d: sequence too tame: %d recycled buffers, %d crashes, %d torn blocks, %d clones",
+				seed, recycled, crashes, torn, cloned)
+		}
+	}
+}
+
+// rewritePersistSettle is the steady state of a write-back path: the same
+// blocks staged again, scheduled, and folded into media by the next Submit.
+func rewritePersistSettle(s *Store, buf []byte, now *uint64) {
+	for blk := uint64(0); blk < 8; blk++ {
+		s.WriteAt(blk*BlockSize, buf)
+		s.Persist(blk*BlockSize, BlockSize, *now+10)
+	}
+	*now += 100
+	s.settle(*now)
+}
+
+func TestRewritePersistSettleAllocatesNothing(t *testing.T) {
+	s, buf, now := NewStore(1<<20), fullBlock(0x5A), uint64(0)
+	rewritePersistSettle(s, buf, &now) // first versions: media has nothing to give back yet
+	rewritePersistSettle(s, buf, &now)
+	if a := testing.AllocsPerRun(100, func() { rewritePersistSettle(s, buf, &now) }); a != 0 {
+		t.Fatalf("rewrite -> Persist -> settle at steady state: %v allocations per run, want 0", a)
+	}
+	if len(s.free) != 8 || s.PendingBlocks() != 0 {
+		t.Fatalf("free list holds %d blocks with %d pending, want 8 and 0", len(s.free), s.PendingBlocks())
+	}
+}
+
+func BenchmarkStoreRewritePersist(b *testing.B) {
+	s, buf, now := NewStore(1<<20), fullBlock(0x5A), uint64(0)
+	b.ReportAllocs()
+	b.SetBytes(8 * BlockSize)
+	for i := 0; i < b.N; i++ {
+		rewritePersistSettle(s, buf, &now)
+	}
+}

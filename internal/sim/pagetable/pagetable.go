@@ -45,10 +45,10 @@ func (e Entry) Present() bool { return e.Flags.Has(FlagPresent) }
 type node struct {
 	// children for interior levels; nil slots are non-present.
 	children [512]*node
-	// leaves for the level at which mapping happened.
-	leaves [512]*Entry
-	// count of present slots (children + leaves) for cheap emptiness checks.
-	count int
+	// leaves for the level at which mapping happened, held by value like the
+	// hardware's PTE array: a slot that was never mapped is a non-present
+	// Entry, and mapping one allocates nothing.
+	leaves [512]Entry
 }
 
 // Table is a 4-level page table.
@@ -105,7 +105,7 @@ func (t *Table) Lookup(va uint64) (Entry, bool) {
 	t.walkLen = 0
 	for d := 0; d < 4; d++ {
 		t.walkLen++
-		if e := n.leaves[idx[d]]; e != nil && e.Present() {
+		if e := &n.leaves[idx[d]]; e.Present() {
 			return *e, true
 		}
 		child := n.children[idx[d]]
@@ -122,7 +122,7 @@ func (t *Table) lookupRef(va uint64) *Entry {
 	idx := indices(va)
 	n := t.root
 	for d := 0; d < 4; d++ {
-		if e := n.leaves[idx[d]]; e != nil && e.Present() {
+		if e := &n.leaves[idx[d]]; e.Present() {
 			return e
 		}
 		child := n.children[idx[d]]
@@ -158,18 +158,13 @@ func (t *Table) Map(va uint64, frame uint64, flags Flags, pageSize uint64) {
 		if child == nil {
 			child = &node{}
 			n.children[idx[d]] = child
-			n.count++
 		}
 		n = child
 	}
-	if n.leaves[idx[depth]] == nil {
-		n.leaves[idx[depth]] = &Entry{}
-		n.count++
-		t.mapped++
-	} else if !n.leaves[idx[depth]].Present() {
+	if !n.leaves[idx[depth]].Present() {
 		t.mapped++
 	}
-	*n.leaves[idx[depth]] = Entry{Frame: frame, Flags: flags | FlagPresent, PageSize: pageSize}
+	n.leaves[idx[depth]] = Entry{Frame: frame, Flags: flags | FlagPresent, PageSize: pageSize}
 }
 
 // Unmap removes the translation covering va. It reports whether a present

@@ -248,3 +248,37 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Once a region's nodes exist, mapping, unmapping and mapping a PTE again is
+// three stores into the leaf array: no host allocation.
+func TestWarmMapUnmapAllocatesNothing(t *testing.T) {
+	pt := New(1)
+	const pages = 1024 // two leaf nodes
+	for v := uint64(0); v < pages; v++ {
+		pt.Map(v*Size4K, v, FlagUser, Size4K)
+	}
+	pt.UnmapRange(0, pages*Size4K)
+	v := uint64(0)
+	if a := testing.AllocsPerRun(2*pages, func() {
+		va := v % pages * Size4K
+		pt.Map(va, v, FlagUser, Size4K)
+		pt.Unmap(va)
+		pt.Map(va, v+1, FlagUser|FlagWritable, Size4K)
+		v++
+	}); a != 0 {
+		t.Fatalf("Map -> Unmap -> Map on a warm table: %v allocations per run, want 0", a)
+	}
+	if pt.Mapped() != pages {
+		t.Fatalf("Mapped() = %d after remapping every page, want %d", pt.Mapped(), pages)
+	}
+}
+
+func BenchmarkTableMapUnmap(b *testing.B) {
+	pt := New(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		va := uint64(1<<20+i&4095) * Size4K
+		pt.Map(va, uint64(i), FlagUser, Size4K)
+		pt.Unmap(va)
+	}
+}
