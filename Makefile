@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race fmt lint lint-report faults crash torture fuzz-smoke cover perfgate results results-check gates engine-bench sim-bench loc ci bench-reports bench-async
+.PHONY: all build vet test race fmt lint lint-report faults crash torture fuzz-smoke cover perfgate results results-check gates engine-bench sim-bench kv-bench loc ci bench-reports bench-async
 
 all: ci
 
@@ -143,6 +143,14 @@ engine-bench:
 # AllocsPerRun tests beside these benchmarks do the gating in `make test`.
 sim-bench:
 	$(GO) test ./internal/sim/cpu ./internal/sim/pagetable ./internal/sim/device -run '^$$' -bench . -benchmem -cpu 1
+
+# Host cost of the KV data path alone, the stores over an in-memory namespace
+# (internal/kvs/kvtest) so nothing of a world is in the numbers: the value
+# generator, a Kreon tree lookup, put and spill, an LSM bulk load and an mmio
+# point lookup (DESIGN.md §3 "KV data path: one owner per buffer"). Not part
+# of ci: the AllocsPerRun tests beside these benchmarks gate in `make test`.
+kv-bench:
+	$(GO) test ./internal/ycsb ./internal/kvs/... -run '^$$' -bench . -benchmem -cpu 1
 
 # The code-diet ledger (ROADMAP "One write seam, then a code diet"): Go lines
 # per package, non-test and test, and in total. bench/ (the frozen benchmark

@@ -54,11 +54,11 @@ type AsyncWriter interface {
 }
 
 // readFrames / writeFrames helpers: move content between device store and
-// frames with the zero-page fast path.
+// frames with the zero-page fast path: a hole leaves an unmaterialized frame
+// alone and zeroes a materialized one (it may be recycled), with one probe of
+// the store either way.
 func fillFrame(st *device.Store, off uint64, fr *mem.Frame) {
-	if st.HasRange(off, pageSize) {
-		st.ReadAt(off, fr.Data())
-	} else if fr.HasData() {
+	if !st.ReadPage(off, fr.Data) && fr.HasData() {
 		fr.Reset()
 	}
 }

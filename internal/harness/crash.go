@@ -170,8 +170,10 @@ func kreonCrashRun(dev aquila.DeviceKind, cache, records, group uint64,
 	opts.Params = core.ParamsForCache(cache)
 	return crashRun(opts, plan, func(p *aquila.Proc, sys *aquila.System, pr *crashProbe) {
 		db := kreonOpen(p, sys, kopts, size)
+		var key, val []byte
 		for i := uint64(0); i < records; i++ {
-			db.Put(p, ycsb.KeyBytes(i), ycsb.Value(i, valSize))
+			key, val = ycsb.AppendKey(key[:0], i), ycsb.AppendValue(val[:0], i, valSize)
+			db.Put(p, key, val)
 			if (i+1)%group == 0 {
 				db.Msync(p)
 				pr.acked = i + 1
@@ -187,9 +189,10 @@ func kreonCrashRun(dev aquila.DeviceKind, cache, records, group uint64,
 			pr.lost = int(pr.acked)
 			return
 		}
+		var key, want []byte
 		for i := uint64(0); i < pr.acked; i++ {
-			v, ok := db.Get(p, ycsb.KeyBytes(i))
-			if !ok || !bytes.Equal(v, ycsb.Value(i, valSize)) {
+			key, want = ycsb.AppendKey(key[:0], i), ycsb.AppendValue(want[:0], i, valSize)
+			if v, ok := db.Get(p, key); !ok || !bytes.Equal(v, want) {
 				pr.lost++
 			}
 		}

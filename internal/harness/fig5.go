@@ -78,8 +78,10 @@ func rocksRunX(mode rocksMode, dev aquila.DeviceKind, cache uint64, records uint
 	// Warmup: one sequential pass over all records, so caches and PTEs
 	// reach steady state before measurement (as the paper's runs do).
 	sys.Do(func(p *aquila.Proc) {
+		var key []byte
 		for id := uint64(0); id < records; id++ {
-			db.Get(p, ycsb.KeyBytes(id))
+			key = ycsb.AppendKey(key[:0], id)
+			db.Get(p, key)
 		}
 	})
 	var break0 map[string]uint64

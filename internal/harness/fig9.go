@@ -60,8 +60,10 @@ func kreonRun(useAquila bool, dev aquila.DeviceKind, cache uint64,
 			m := sys.Host.MmapKmmap(p, f, size)
 			db = kreon.OpenWithMapping(p, kopts, m)
 		}
+		var key, val []byte
 		for i := uint64(0); i < records; i++ {
-			db.Put(p, ycsb.KeyBytes(i), ycsb.Value(i, 1000))
+			key, val = ycsb.AppendKey(key[:0], i), ycsb.AppendValue(val[:0], i, 1000)
+			db.Put(p, key, val)
 		}
 		db.Msync(p)
 	})

@@ -92,7 +92,7 @@ func (hf *File) bufferedRead(p *engine.Proc, buf []byte, off uint64) {
 		idx := cur / PageSize
 		po := int(cur % PageSize)
 		chunk := min(PageSize-po, len(buf)-n)
-		pg := hf.pageAt(p, idx, min(idx+window, (f.size+PageSize-1)/PageSize), false)
+		pg := hf.pageAt(p, idx, min(idx+window, (f.size+PageSize-1)/PageSize), nil)
 		os.Cache.touch(p, pg)
 		pg.pins++
 		copyFromFrame(buf[n:n+chunk], pg.frame, po)
@@ -104,18 +104,21 @@ func (hf *File) bufferedRead(p *engine.Proc, buf []byte, off uint64) {
 
 // pageAt returns the settled cache page at idx for a buffered syscall: found,
 // or filled from the device — [idx, hi), the caller's readahead window — or,
-// when a write covers the whole page, published empty (no read-modify-write
-// needed). A page met under I/O or reclaim is waited out and looked up again:
-// it may be gone by wake-up.
-func (hf *File) pageAt(p *engine.Proc, idx, hi uint64, overwrite bool) *cachedPage {
+// when a write covers the whole page (whole is its data), published without
+// a read (no read-modify-write needed). The frame takes whole before the page
+// becomes visible: it is recycled as it was left, and every byte of it must be
+// defined by then. A page met under I/O or reclaim is waited out and looked up
+// again: it may be gone by wake-up.
+func (hf *File) pageAt(p *engine.Proc, idx, hi uint64, whole []byte) *cachedPage {
 	c, f := hf.os.Cache, hf.f
 	for {
 		pg := c.find(p, f, idx)
 		switch {
 		case pg != nil:
-		case overwrite:
+		case whole != nil:
 			var owner bool
 			if pg, owner = c.insertNew(p, f, idx); owner {
+				copy(pg.frame.Data(), whole)
 				pg.io.Fire(p.Now())
 				pg.io = nil
 			}
@@ -138,7 +141,11 @@ func (hf *File) bufferedWrite(p *engine.Proc, buf []byte, off uint64) {
 		idx := cur / PageSize
 		po := int(cur % PageSize)
 		chunk := min(PageSize-po, len(buf)-n)
-		pg := hf.pageAt(p, idx, idx+1, chunk == PageSize)
+		var whole []byte
+		if chunk == PageSize {
+			whole = buf[n : n+chunk]
+		}
+		pg := hf.pageAt(p, idx, idx+1, whole)
 		os.Cache.touch(p, pg)
 		pg.pins++
 		copy(pg.frame.Data()[po:po+chunk], buf[n:n+chunk])

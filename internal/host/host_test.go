@@ -911,3 +911,99 @@ func TestWindowFillPerCaller(t *testing.T) {
 		}
 	})
 }
+
+// Frames go back to the allocator as their last page left them — reclaim and
+// truncate do not zero — so every way a page enters the cache has to define
+// all 4,096 bytes itself. Fill the cache with a known pattern, recycle the
+// frames either way, and bring pages in over them by each route: a fault on a
+// hole, a buffered read of a hole, a whole-page buffered write, and a partial
+// buffered write of a hole (fill, then copy).
+func TestRecycledFrameIsDefinedByItsNextUser(t *testing.T) {
+	const cachePages, n = 256, 24
+	pattern := bytes.Repeat([]byte{0xA5}, PageSize)
+	zeros := make([]byte, PageSize)
+	// stale asserts the page sits on a frame that carried data before this
+	// page got it: a frame never used would make the check vacuous.
+	stale := func(t *testing.T, f *FSFile, idx uint64) {
+		t.Helper()
+		if pg := f.pages[idx]; pg == nil || !pg.frame.HasData() {
+			t.Fatalf("%s page %d is not on a recycled frame", f.name, idx)
+		}
+	}
+	check := func(t *testing.T, p *engine.Proc, os *OS) {
+		got := make([]byte, PageSize)
+
+		hole := os.FS.Create(p, "hole", n*PageSize)
+		m := os.Mmap(p, hole, n*PageSize)
+		m.Advise(p, iface.AdviceRandom)
+		for i := uint64(0); i < n; i++ {
+			m.Load(p, i*PageSize, got)
+			stale(t, hole, i)
+			if !bytes.Equal(got, zeros) {
+				t.Fatalf("fault on hole page %d read a previous owner's bytes", i)
+			}
+		}
+
+		file := os.FS.Create(p, "file", 3*n*PageSize)
+		bf := os.OpenFile(file, false)
+		for i := uint64(0); i < n; i++ {
+			bf.Pread(p, got, i*PageSize)
+			stale(t, file, i)
+			if !bytes.Equal(got, zeros) {
+				t.Fatalf("buffered read of hole page %d read a previous owner's bytes", i)
+			}
+		}
+		whole := bytes.Repeat([]byte{0x3C}, PageSize)
+		for i := uint64(n); i < 2*n; i++ {
+			bf.Pwrite(p, whole, i*PageSize)
+			stale(t, file, i)
+			if bf.Pread(p, got, i*PageSize); !bytes.Equal(got, whole) {
+				t.Fatalf("whole-page write of page %d does not read back", i)
+			}
+		}
+		want := make([]byte, PageSize)
+		copy(want[100:], "partial")
+		for i := uint64(2 * n); i < 3*n; i++ {
+			bf.Pwrite(p, []byte("partial"), i*PageSize+100)
+			stale(t, file, i)
+			if bf.Pread(p, got, i*PageSize); !bytes.Equal(got, want) {
+				t.Fatalf("partial write of hole page %d reads back more than it wrote", i)
+			}
+		}
+		if err := os.CheckInvariants(); err != nil {
+			t.Error(err)
+		}
+	}
+
+	t.Run("reclaim", func(t *testing.T) {
+		e, os := newPMemOS(cachePages * PageSize)
+		run1(e, func(p *engine.Proc) {
+			// Twice the cache: every frame ends up holding the pattern, and
+			// every page brought in afterwards evicts one of these.
+			f := os.FS.Create(p, "dirty", 2*cachePages*PageSize)
+			m := os.Mmap(p, f, 2*cachePages*PageSize)
+			for i := uint64(0); i < 2*cachePages; i++ {
+				m.Store(p, i*PageSize, pattern)
+			}
+			if os.Cache.Evicted == 0 {
+				t.Fatal("set-up evicted nothing")
+			}
+			check(t, p, os)
+		})
+	})
+	t.Run("truncate", func(t *testing.T) {
+		e, os := newPMemOS(cachePages * PageSize)
+		run1(e, func(p *engine.Proc) {
+			f := os.FS.Create(p, "dirty", 4*n*PageSize)
+			m := os.Mmap(p, f, 4*n*PageSize)
+			for i := uint64(0); i < 4*n; i++ {
+				m.Store(p, i*PageSize, pattern)
+			}
+			os.FS.Delete(p, "dirty") // truncate drops the pages, frames as they are
+			if os.Cache.Evicted != 0 {
+				t.Fatal("set-up went through reclaim")
+			}
+			check(t, p, os)
+		})
+	})
+}

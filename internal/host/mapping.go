@@ -400,12 +400,12 @@ func (pr *Process) majorFault(p *engine.Proc, v *vma, idx uint64) *cachedPage {
 }
 
 // readPageContent fills a page's frame from device content, skipping the
-// copy entirely when both sides are all-zero (content-free experiments).
+// copy entirely when both sides are all-zero (content-free experiments). It
+// defines every byte of the frame — copied from the device, or zeroed when
+// the page is a hole and the frame carries a previous owner's data: frames
+// are recycled as they are, not zeroed (PageCache.reclaim, truncate).
 func (os *OS) readPageContent(pg *cachedPage) {
-	off := pg.f.devOff(pg.idx * PageSize)
-	if os.FS.disk.Content.HasRange(off, PageSize) {
-		os.FS.disk.Content.ReadAt(off, pg.frame.Data())
-	} else if pg.frame.HasData() {
+	if !os.FS.disk.Content.ReadPage(pg.f.devOff(pg.idx*PageSize), pg.frame.Data) && pg.frame.HasData() {
 		pg.frame.Reset()
 	}
 }

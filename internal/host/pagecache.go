@@ -167,6 +167,11 @@ func (c *PageCache) touch(p *engine.Proc, pg *cachedPage) {
 }
 
 // allocFrame obtains a frame, running direct reclaim when the cache is full.
+// A recycled frame still carries its previous page's bytes: reclaim and
+// truncate release frames as they are, because both users of insertNew define
+// every byte before the page's io fires — fillWindow through readPageContent
+// (the device's 4,096 bytes, or zeros for a hole) and File.pageAt with the
+// data of a write that covers the whole page.
 func (c *PageCache) allocFrame(p *engine.Proc) *mem.Frame {
 	for {
 		if f := c.allocator.Alloc(p.Node()); f != nil {
@@ -437,7 +442,6 @@ func (c *PageCache) reclaim(p *engine.Proc) {
 	for _, v := range victims {
 		v.io.Fire(doneAt)
 		v.io = nil
-		v.frame.Reset()
 		c.allocator.Release(v.frame)
 	}
 	c.Evicted += uint64(len(victims))
@@ -473,7 +477,6 @@ func (c *PageCache) truncate(p *engine.Proc, f *FSFile) {
 			pg.f.nrDirty--
 			c.nrDirty--
 		}
-		pg.frame.Reset()
 		c.allocator.Release(pg.frame)
 	}
 	c.os.shootdownAll(p, touched)

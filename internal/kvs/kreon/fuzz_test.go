@@ -109,9 +109,8 @@ func FuzzKreonRecover(f *testing.F) {
 
 // validRecord builds one well-formed value-log record.
 func validRecord(key, value []byte) []byte {
-	if len(key) != keySize {
-		key = normalizeKey(key)
-	}
+	k := makeKey(key)
+	key = k[:]
 	rec := make([]byte, recHeader+len(key)+len(value))
 	binary.LittleEndian.PutUint16(rec, uint16(len(key)))
 	binary.LittleEndian.PutUint16(rec[2:], uint16(len(value)))

@@ -16,11 +16,13 @@ package kreon
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
-	"sort"
+	"math"
+	"slices"
 
-	"aquila/internal/detutil"
 	"aquila/internal/iface"
+	"aquila/internal/kvs/scratch"
 	"aquila/internal/sim/engine"
 	"aquila/internal/ycsb"
 )
@@ -74,6 +76,23 @@ type Options struct {
 }
 
 // DB is the store.
+//
+// Several simulated threads may run Get, Scan and Put on one DB as long as no
+// Put reaches the level-0 limit: between two yields (every m.Load, m.Store
+// and AdvanceUser is one) each of them leaves the store consistent — Put
+// reserves its log range before its Store yields, level 0 changes in one step
+// after it, and every scratch buffer is held by exactly one thread from
+// Borrow to GiveBack. spill is not safe to run beside anything: it reads level
+// 0, yields through the whole merge and build, and only then empties level 0
+// and swaps the tree in, so a Put that lands in between is lost from the
+// index. Msync is not either: a head it publishes may cover a record whose
+// Store is still in flight. Callers that share a DB size L0Entries so no
+// spill runs, or serialise around Put.
+//
+// A Put whose Store panics (a device error delivered as SIGBUS) has already
+// reserved its log range; the range holds no committed record, so Reopen's
+// replay would end there. The one caller that absorbs such a panic and keeps
+// using the store (bench/'s guarded put) runs without a fault plan.
 type DB struct {
 	opts  Options
 	costs Costs
@@ -84,9 +103,17 @@ type DB struct {
 	idxBase uint64 // start of index region
 	idxHead uint64 // next node allocation offset
 
-	l0      map[string]uint64 // key -> log offset
-	rootOff uint64            // current B-tree root node (0: empty)
-	treeN   int               // entries in the current tree
+	// Level 0: l0 maps a key to its slot in l0ents, which holds the
+	// (key, log offset) pairs in first-insertion order — one slab, which a
+	// spill copies and sorts (sortedL0); no map walk, no allocation per key.
+	l0      map[fixedKey]int
+	l0ents  []entry
+	rootOff uint64 // current B-tree root node (0: empty)
+	treeN   int    // entries in the current tree
+	// bufs lends the node being read or built, the log record being written
+	// and the record header being parsed (scratch.Stack: why a LIFO, why no
+	// defer gives back).
+	bufs scratch.Stack
 	// logCheckpoint marks the log position covered by the on-device tree;
 	// recovery replays [checkpoint, logHead) into level 0.
 	logCheckpoint uint64
@@ -152,7 +179,7 @@ func OpenWithMapping(p *engine.Proc, opts Options, m iface.Mapping) *DB {
 		opts: opts, costs: costs, m: m,
 		logBase: pageSize,
 		idxBase: pageSize + opts.LogBytes,
-		l0:      make(map[string]uint64),
+		l0:      make(map[fixedKey]int),
 	}
 	db.logHead = db.logBase
 	db.logCheckpoint = db.logBase
@@ -220,27 +247,34 @@ func Reopen(p *engine.Proc, opts Options, m iface.Mapping) *DB {
 	// the first record that is cut short or fails its CRC ends the committed
 	// prefix and the rest of the window is truncated.
 	off := db.logCheckpoint
+	hdr := db.bufs.Borrow(recHeader)
 	for off < db.logHead {
 		if off+recHeader > db.logHead {
 			break
 		}
-		var hdr [recHeader]byte
-		db.m.Load(p, off, hdr[:])
+		db.m.Load(p, off, hdr)
 		kl := int(binary.LittleEndian.Uint16(hdr[0:]))
 		vl := int(binary.LittleEndian.Uint16(hdr[2:]))
 		crc := binary.LittleEndian.Uint32(hdr[4:])
 		if kl == 0 || kl > keySize || off+recHeader+uint64(kl+vl) > db.logHead {
 			break
 		}
-		kv := make([]byte, kl+vl)
+		kv := db.bufs.Borrow(kl + vl)
 		db.m.Load(p, off+recHeader, kv)
-		if crc32.ChecksumIEEE(kv) != crc {
+		ok := crc32.ChecksumIEEE(kv) == crc
+		if ok {
+			// Put writes whole keys only; a shorter one indexes as a spill
+			// would write it into a leaf, zero-padded.
+			db.index(makeKey(kv[:kl]), off)
+		}
+		db.bufs.GiveBack(kv)
+		if !ok {
 			break
 		}
-		db.l0[string(kv[:kl])] = off
 		db.Recov.ReplayedRecords++
 		off += recHeader + uint64(kl+vl)
 	}
+	db.bufs.GiveBack(hdr)
 	if off < db.logHead {
 		db.Recov.TruncatedBytes = db.logHead - off
 		db.logHead = off
@@ -253,97 +287,127 @@ func Reopen(p *engine.Proc, opts Options, m iface.Mapping) *DB {
 }
 
 // L0Size returns the current level-0 entry count (tests).
-func (db *DB) L0Size() int { return len(db.l0) }
+func (db *DB) L0Size() int { return len(db.l0ents) }
 
 // TreeEntries returns the entry count of the on-device tree (tests).
 func (db *DB) TreeEntries() int { return db.treeN }
 
-// Put appends the record to the value log and indexes it in level 0.
+// fixedKey is a key at its on-device size: makeKey zero-pads a shorter one
+// and cuts a longer one.
+type fixedKey [keySize]byte
+
+func makeKey(k []byte) (out fixedKey) {
+	copy(out[:], k)
+	return out
+}
+
+// entry is one (key, log offset) pair, laid out as level 0 and the merge hold
+// it; a leaf stores the same pair packed (leafEntrySize).
+type entry struct {
+	key fixedKey
+	off uint64
+}
+
+func compareEntries(a, b entry) int { return bytes.Compare(a.key[:], b.key[:]) }
+
+// index points k at the record at log offset off in level 0.
+func (db *DB) index(k fixedKey, off uint64) {
+	if i, ok := db.l0[k]; ok {
+		db.l0ents[i].off = off
+		return
+	}
+	db.l0[k] = len(db.l0ents)
+	db.l0ents = append(db.l0ents, entry{k, off})
+}
+
+// sortedL0 returns level 0's entries with key >= start in key order. A copy:
+// l0 indexes l0ents by position, and lookups go on while the caller yields.
+func (db *DB) sortedL0(start fixedKey) []entry {
+	var out []entry
+	for _, e := range db.l0ents {
+		if bytes.Compare(e.key[:], start[:]) >= 0 {
+			out = append(out, e)
+		}
+	}
+	slices.SortFunc(out, compareEntries)
+	return out
+}
+
+// Put appends the record to the value log and indexes it in level 0. It
+// copies key and value into the log: both are the caller's again on return.
 func (db *DB) Put(p *engine.Proc, key, value []byte) {
 	p.BeginSpan("kv.put")
 	defer p.EndSpan()
 	db.Puts++
-	if len(key) != keySize {
-		key = normalizeKey(key)
+	if len(value) > math.MaxUint16 {
+		panic(fmt.Sprintf("kreon: value of %d bytes exceeds the record header's 16-bit length", len(value)))
 	}
-	rec := make([]byte, recHeader+len(key)+len(value))
-	binary.LittleEndian.PutUint16(rec, uint16(len(key)))
+	k := makeKey(key)
+	rec := db.bufs.Borrow(recHeader + keySize + len(value))
+	binary.LittleEndian.PutUint16(rec, keySize)
 	binary.LittleEndian.PutUint16(rec[2:], uint16(len(value)))
-	copy(rec[recHeader:], key)
-	copy(rec[recHeader+len(key):], value)
+	copy(rec[recHeader:], k[:])
+	copy(rec[recHeader+keySize:], value)
 	binary.LittleEndian.PutUint32(rec[4:], crc32.ChecksumIEEE(rec[recHeader:]))
 	off := db.logHead
 	if off+uint64(len(rec)) > db.idxBase {
 		panic("kreon: value log full")
 	}
-	db.m.Store(p, off, rec)
+	// Reserve before Store yields inside its faults: a second thread's Put
+	// must not read the same head.
 	db.logHead += uint64(len(rec))
-	db.l0[string(key)] = off
+	db.m.Store(p, off, rec)
+	db.bufs.GiveBack(rec)
+	db.index(k, off)
 	p.AdvanceUser(db.costs.PutBase)
-	if len(db.l0) >= db.opts.L0Entries {
+	if len(db.l0ents) >= db.opts.L0Entries {
 		db.spill(p)
 	}
 }
 
-// Get returns the newest value for key.
+// Get returns the newest value for key, in a buffer that is the caller's.
 func (db *DB) Get(p *engine.Proc, key []byte) ([]byte, bool) {
 	p.BeginSpan("kv.get")
 	defer p.EndSpan()
 	db.Gets++
-	if len(key) != keySize {
-		key = normalizeKey(key)
-	}
+	k := makeKey(key)
 	p.AdvanceUser(db.costs.GetBase + db.costs.L0Lookup)
-	if off, ok := db.l0[string(key)]; ok {
-		return db.readLog(p, off), true
+	if i, ok := db.l0[k]; ok {
+		return db.readLog(p, db.l0ents[i].off, nil), true
 	}
 	if db.rootOff == 0 {
 		return nil, false
 	}
-	off, ok := db.treeLookup(p, key)
+	off, ok := db.treeLookup(p, k[:])
 	if !ok {
 		return nil, false
 	}
-	return db.readLog(p, off), true
+	return db.readLog(p, off, nil), true
 }
 
 // Scan visits up to n records in key order starting at startKey.
 func (db *DB) Scan(p *engine.Proc, startKey []byte, n int) int {
 	p.BeginSpan("kv.scan")
 	defer p.EndSpan()
-	if len(startKey) != keySize {
-		startKey = normalizeKey(startKey)
-	}
+	start := makeKey(startKey)
 	// Merge the sorted L0 keys with the tree's leaf chain.
-	l0keys := make([]string, 0, len(db.l0))
-	for _, k := range detutil.SortedKeys(db.l0) {
-		if k >= string(startKey) {
-			l0keys = append(l0keys, k)
-		}
-	}
-	treeEntries := db.treeRange(p, startKey, n)
+	fresh := db.sortedL0(start)
+	tree := db.treeRange(p, start[:], n, nil)
 	seen := 0
-	i, j := 0, 0
-	var last string
-	for seen < n && (i < len(l0keys) || j < len(treeEntries)) {
-		var k string
-		var off uint64
-		takeL0 := j >= len(treeEntries) ||
-			(i < len(l0keys) && l0keys[i] <= treeEntries[j].key)
-		if takeL0 {
-			k = l0keys[i]
-			off = db.l0[k]
-			i++
+	var val []byte
+	var last *fixedKey
+	for seen < n && (len(fresh) > 0 || len(tree) > 0) {
+		var e *entry
+		if len(tree) == 0 || (len(fresh) > 0 && compareEntries(fresh[0], tree[0]) <= 0) {
+			e, fresh = &fresh[0], fresh[1:]
 		} else {
-			k = treeEntries[j].key
-			off = treeEntries[j].off
-			j++
+			e, tree = &tree[0], tree[1:]
 		}
-		if k == last {
+		if last != nil && e.key == *last {
 			continue
 		}
-		last = k
-		db.readLog(p, off)
+		last = &e.key
+		val = db.readLog(p, e.off, val[:0])
 		p.AdvanceUser(db.costs.ScanStep)
 		seen++
 	}
@@ -387,26 +451,23 @@ func (db *DB) MsyncFull(p *engine.Proc) {
 	db.m.MsyncRange(p, 0, pageSize)
 }
 
-// readLog fetches a record's value from the value log via mmio.
-func (db *DB) readLog(p *engine.Proc, off uint64) []byte {
-	var hdr [recHeader]byte
-	db.m.Load(p, off, hdr[:])
+// readLog fetches a record's value from the value log via mmio, appending it
+// to val (nil: a fresh buffer, the caller's to keep).
+func (db *DB) readLog(p *engine.Proc, off uint64, val []byte) []byte {
+	hdr := db.bufs.Borrow(recHeader)
+	db.m.Load(p, off, hdr)
 	kl := int(binary.LittleEndian.Uint16(hdr[0:]))
 	vl := int(binary.LittleEndian.Uint16(hdr[2:]))
-	val := make([]byte, vl)
-	db.m.Load(p, off+recHeader+uint64(kl), val)
+	db.bufs.GiveBack(hdr)
+	val = slices.Grow(val, vl)[:len(val)+vl]
+	db.m.Load(p, off+recHeader+uint64(kl), val[len(val)-vl:])
 	return val
 }
 
-// treeEntry is one (key, log offset) pair.
-type treeEntry struct {
-	key string
-	off uint64
-}
-
-// nodeRef reads a B-tree node (one page) via mmio.
+// readNode reads a B-tree node (one page) via mmio into a borrowed buffer;
+// the caller gives it back when it is done with the node.
 func (db *DB) readNode(p *engine.Proc, off uint64) []byte {
-	buf := make([]byte, pageSize)
+	buf := db.bufs.Borrow(pageSize)
 	db.m.Load(p, off, buf)
 	p.AdvanceUser(db.costs.NodeVisit)
 	return buf
@@ -425,162 +486,154 @@ func nodeVal(n []byte, i int) uint64 {
 	return binary.LittleEndian.Uint64(n[base : base+8])
 }
 
+// nodeChild returns the child of internal node n that covers a key whose
+// upper bound in n is ub: the last entry with a separator <= key, and child 0
+// for keys below the smallest separator.
+func nodeChild(n []byte, ub int) uint64 { return nodeVal(n, max(ub, 1)-1) }
+
+// nodeUpperBound returns the index of n's first entry with a key > target.
+func nodeUpperBound(n, target []byte) int {
+	lo, hi := 0, nodeCount(n)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); bytes.Compare(nodeKey(n, mid), target) > 0 {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
 // treeLookup walks the B-tree from the root to a leaf.
 func (db *DB) treeLookup(p *engine.Proc, key []byte) (uint64, bool) {
 	off := db.rootOff
 	for {
 		n := db.readNode(p, off)
-		cnt := nodeCount(n)
-		if cnt == 0 {
-			return 0, false
+		i := nodeUpperBound(n, key)
+		// An empty node ends the walk as a leaf without the key does.
+		leaf := nodeIsLeaf(n) || nodeCount(n) == 0
+		hit := leaf && i > 0 && bytes.Equal(nodeKey(n, i-1), key)
+		var val uint64
+		if hit {
+			val = nodeVal(n, i-1)
+		} else if !leaf {
+			off = nodeChild(n, i)
 		}
-		// First entry with key > target, minus one.
-		i := sort.Search(cnt, func(i int) bool {
-			return bytes.Compare(nodeKey(n, i), key) > 0
-		})
-		if nodeIsLeaf(n) {
-			if i == 0 {
-				return 0, false
-			}
-			if bytes.Equal(nodeKey(n, i-1), key) {
-				return nodeVal(n, i-1), true
-			}
-			return 0, false
+		db.bufs.GiveBack(n)
+		if leaf {
+			return val, hit
 		}
-		if i == 0 {
-			i = 1 // keys below the smallest separator go to child 0
-		}
-		off = nodeVal(n, i-1)
 	}
 }
 
-// treeRange collects up to n tree entries with key >= startKey by walking
-// the leaf level.
-func (db *DB) treeRange(p *engine.Proc, startKey []byte, n int) []treeEntry {
+// treeRange appends up to n tree entries with key >= startKey to out by
+// walking the leaf level.
+func (db *DB) treeRange(p *engine.Proc, startKey []byte, n int, out []entry) []entry {
 	if db.rootOff == 0 {
-		return nil
+		return out
 	}
-	var out []treeEntry
 	// Descend to the leaf containing startKey.
 	off := db.rootOff
 	for {
 		node := db.readNode(p, off)
-		if nodeIsLeaf(node) {
+		leaf := nodeIsLeaf(node)
+		if !leaf {
+			off = nodeChild(node, nodeUpperBound(node, startKey))
+		}
+		db.bufs.GiveBack(node)
+		if leaf {
 			break
 		}
-		cnt := nodeCount(node)
-		i := sort.Search(cnt, func(i int) bool {
-			return bytes.Compare(nodeKey(node, i), startKey) > 0
-		})
-		if i == 0 {
-			i = 1
-		}
-		off = nodeVal(node, i-1)
 	}
 	// Leaves are allocated contiguously during bulk build, so the leaf
 	// chain is a sequential walk of the leaf region.
-	for len(out) < n && off < db.leafRegionEnd {
+	want := len(out) + n
+	for len(out) < want && off < db.leafRegionEnd {
 		node := db.readNode(p, off)
 		cnt := nodeCount(node)
-		for i := 0; i < cnt && len(out) < n; i++ {
-			k := nodeKey(node, i)
-			if bytes.Compare(k, startKey) < 0 {
-				continue
+		for i := 0; i < cnt && len(out) < want; i++ {
+			if k := nodeKey(node, i); bytes.Compare(k, startKey) >= 0 {
+				out = append(out, entry{makeKey(k), nodeVal(node, i)})
 			}
-			out = append(out, treeEntry{string(append([]byte(nil), k...)), nodeVal(node, i)})
 		}
+		db.bufs.GiveBack(node)
 		off += pageSize
 	}
 	return out
 }
 
 // spill merges level 0 into the on-device B-tree, bulk-building a fresh
-// immutable tree (Kreon's level spill).
+// immutable tree (Kreon's level spill). Three phases, each with the device
+// accesses it always had: read the old leaf chain, merge in memory, build.
 func (db *DB) spill(p *engine.Proc) {
 	p.BeginSpan("kv.spill")
 	defer p.EndSpan()
 	db.Spills++
-	// Gather all live entries: L0 wins over the old tree.
-	merged := make(map[string]uint64, len(db.l0)+db.treeN)
+	var old []entry
 	if db.rootOff != 0 {
-		for _, e := range db.treeRange(p, make([]byte, keySize), db.treeN) {
-			merged[e.key] = e.off
+		old = db.treeRange(p, make([]byte, keySize), db.treeN, make([]entry, 0, db.treeN))
+	}
+	fresh := db.sortedL0(fixedKey{})
+	// Gather all live entries: L0 wins over the old tree.
+	merged := make([]entry, 0, len(old)+len(fresh))
+	for len(old) > 0 && len(fresh) > 0 {
+		switch c := compareEntries(old[0], fresh[0]); {
+		case c < 0:
+			merged, old = append(merged, old[0]), old[1:]
+		case c > 0:
+			merged, fresh = append(merged, fresh[0]), fresh[1:]
+		default:
+			old = old[1:]
 		}
 	}
-	for k, off := range db.l0 {
-		merged[k] = off
-	}
-	keys := detutil.SortedKeys(merged)
-	db.bulkBuild(p, keys, merged)
-	db.l0 = make(map[string]uint64)
-	db.treeN = len(keys)
+	merged = append(append(merged, old...), fresh...)
+	db.bulkBuild(p, merged)
+	clear(db.l0)
+	db.l0ents = db.l0ents[:0]
+	db.treeN = len(merged)
 	db.logCheckpoint = db.logHead
 }
 
-// bulkBuild writes a fresh B-tree bottom-up: contiguous leaves, then
-// internal levels, returning the new root.
-func (db *DB) bulkBuild(p *engine.Proc, keys []string, vals map[string]uint64) {
-	if len(keys) == 0 {
+// bulkBuild writes a fresh B-tree bottom-up from the sorted entries:
+// contiguous leaves, then internal levels, and sets the new root.
+func (db *DB) bulkBuild(p *engine.Proc, ents []entry) {
+	if len(ents) == 0 {
 		db.rootOff = 0
 		return
 	}
-	alloc := func() uint64 {
-		off := db.idxHead
-		db.idxHead += pageSize
-		if db.idxHead > db.m.Size() {
-			panic("kreon: index region full")
-		}
-		return off
-	}
-	writeNode := func(off uint64, isLeaf bool, entries []treeEntry) {
-		buf := make([]byte, pageSize)
-		binary.LittleEndian.PutUint16(buf, uint16(len(entries)))
-		if isLeaf {
-			buf[2] = 1
-		}
-		for i, e := range entries {
-			base := nodeHeader + i*leafEntrySize
-			copy(buf[base:base+keySize], e.key)
-			binary.LittleEndian.PutUint64(buf[base+keySize:], e.off)
-		}
-		db.m.Store(p, off, buf)
-	}
-	// Leaf level (contiguous).
-	leafStart := db.idxHead
-	var level []treeEntry // (firstKey, nodeOff) of the level being built
-	for i := 0; i < len(keys); i += entriesPerNode {
-		j := i + entriesPerNode
-		if j > len(keys) {
-			j = len(keys)
-		}
-		entries := make([]treeEntry, 0, j-i)
-		for _, k := range keys[i:j] {
-			entries = append(entries, treeEntry{k, vals[k]})
-		}
-		off := alloc()
-		writeNode(off, true, entries)
-		level = append(level, treeEntry{keys[i], off})
-	}
-	db.leafRegionEnd = leafStart + uint64(len(level))*pageSize
-	// Internal levels.
-	for len(level) > 1 {
-		var next []treeEntry
-		for i := 0; i < len(level); i += entriesPerNode {
-			j := i + entriesPerNode
-			if j > len(level) {
-				j = len(level)
+	buf := db.bufs.Borrow(pageSize)
+	// writeLevel packs one level's entries into nodes and returns one
+	// (firstKey, nodeOff) entry per node written: the level above.
+	writeLevel := func(isLeaf bool, below []entry) (up []entry) {
+		for len(below) > 0 {
+			node := below[:min(entriesPerNode, len(below))]
+			below = below[len(node):]
+			off := db.idxHead
+			db.idxHead += pageSize
+			if db.idxHead > db.m.Size() {
+				panic("kreon: index region full")
 			}
-			off := alloc()
-			writeNode(off, false, level[i:j])
-			next = append(next, treeEntry{level[i].key, off})
+			clear(buf)
+			binary.LittleEndian.PutUint16(buf, uint16(len(node)))
+			if isLeaf {
+				buf[2] = 1
+			}
+			for i, e := range node {
+				base := nodeHeader + i*leafEntrySize
+				copy(buf[base:base+keySize], e.key[:])
+				binary.LittleEndian.PutUint64(buf[base+keySize:], e.off)
+			}
+			db.m.Store(p, off, buf)
+			up = append(up, entry{node[0].key, off})
 		}
-		level = next
+		return up
 	}
+	leafStart := db.idxHead
+	level := writeLevel(true, ents) // contiguous: the leaf chain
+	db.leafRegionEnd = leafStart + uint64(len(level))*pageSize
+	for len(level) > 1 {
+		level = writeLevel(false, level)
+	}
+	db.bufs.GiveBack(buf)
 	db.rootOff = level[0].off
-}
-
-func normalizeKey(k []byte) []byte {
-	out := make([]byte, keySize)
-	copy(out, k)
-	return out
 }

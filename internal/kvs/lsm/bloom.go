@@ -62,20 +62,18 @@ func (f *bloom) mayContain(key []byte) bool {
 	return true
 }
 
-// marshal serializes the filter.
-func (f *bloom) marshal() []byte {
-	out := make([]byte, 8+len(f.bits))
-	binary.LittleEndian.PutUint32(out, uint32(len(f.bits)))
-	binary.LittleEndian.PutUint32(out[4:], f.k)
-	copy(out[8:], f.bits)
-	return out
+// appendTo appends the serialized filter to dst.
+func (f *bloom) appendTo(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(f.bits)))
+	dst = binary.LittleEndian.AppendUint32(dst, f.k)
+	return append(dst, f.bits...)
 }
 
 // unmarshalBloom parses a serialized filter, returning it and the bytes read.
+// The filter's bits are a slice of b, which the caller keeps unchanged for as
+// long as it uses the filter.
 func unmarshalBloom(b []byte) (*bloom, int) {
 	n := binary.LittleEndian.Uint32(b)
 	k := binary.LittleEndian.Uint32(b[4:])
-	f := &bloom{bits: make([]byte, n), k: k}
-	copy(f.bits, b[8:8+n])
-	return f, int(8 + n)
+	return &bloom{bits: b[8 : 8+n : 8+n], k: k}, int(8 + n)
 }

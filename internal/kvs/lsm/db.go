@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"aquila/internal/iface"
+	"aquila/internal/kvs/scratch"
 	"aquila/internal/obs"
 	"aquila/internal/sim/engine"
 	"aquila/internal/ycsb"
@@ -116,6 +117,10 @@ type DB struct {
 
 	cache    *BlockCache
 	manifest iface.File
+
+	// bufs lends the WAL record put builds and the block a point lookup
+	// searches (scratch.Stack: why a LIFO, why no defer gives back).
+	bufs scratch.Stack
 
 	// Replayed counts WAL records recovered on reopen.
 	Replayed uint64
@@ -236,6 +241,8 @@ func (db *DB) Put(p *engine.Proc, key, value []byte) {
 	db.put(p, key, value)
 }
 
+// put copies key and value into the WAL record and the memtable; both are
+// the caller's again on return.
 func (db *DB) put(p *engine.Proc, key, value []byte) {
 	p.BeginSpan("kv.put")
 	defer p.EndSpan()
@@ -244,19 +251,21 @@ func (db *DB) put(p *engine.Proc, key, value []byte) {
 	if db.wal != nil {
 		// Record plus a 4-byte zero terminator; the next append
 		// overwrites the terminator, so replay always finds a clean end.
-		rec := make([]byte, 4+len(key)+len(value)+4)
+		rec := db.bufs.Borrow(4 + len(key) + len(value) + 4)
 		binary.LittleEndian.PutUint16(rec, uint16(len(key)))
 		binary.LittleEndian.PutUint16(rec[2:], uint16(len(value)))
 		copy(rec[4:], key)
 		copy(rec[4+len(key):], value)
+		clear(rec[len(rec)-4:])
 		db.charge(p, "put", db.costs.WALAppend)
 		if db.walOff+uint64(len(rec)) > db.wal.Size() {
 			db.flushLocked(p) // out of log space: flush resets the WAL
 		}
 		db.wal.Pwrite(p, rec, db.walOff)
 		db.walOff += uint64(len(rec)) - 4
+		db.bufs.GiveBack(rec)
 	}
-	hops := db.mem.put(append([]byte(nil), key...), append([]byte(nil), value...))
+	hops := db.mem.put(key, value)
 	db.charge(p, "put", db.costs.MemtableBase+db.costs.MemtableHop*uint64(hops)+db.costs.PutFinish)
 	if db.mem.size >= db.opts.MemtableBytes {
 		db.flushLocked(p)
@@ -316,7 +325,14 @@ func (db *DB) searchTable(p *engine.Proc, t *SST, key []byte) ([]byte, bool) {
 	}
 	db.charge(p, "get", db.costs.IndexSearch)
 	blkIdx := t.blockFor(key)
-	blk := db.readBlock(p, t, uint64(blkIdx))
+	// The block is done with once the value is copied out of it, so an mmio
+	// lookup lends readBlock the buffer. (The other modes keep allocating:
+	// the block cache owns the blocks it is handed.)
+	var lent []byte
+	if db.mmio() {
+		lent = db.bufs.Borrow(db.opts.BlockBytes)
+	}
+	blk := db.readBlock(p, t, uint64(blkIdx), lent)
 	var out []byte
 	found := false
 	visited := scanBlock(blk, func(k, v []byte) bool {
@@ -328,17 +344,26 @@ func (db *DB) searchTable(p *engine.Proc, t *SST, key []byte) ([]byte, bool) {
 		}
 		return cmp < 0
 	})
+	if lent != nil {
+		db.bufs.GiveBack(lent)
+	}
 	db.charge(p, "get", db.costs.BlockEntry*uint64(visited))
 	return out, found
 }
 
-// readBlock fetches one data block through the configured I/O mode.
-func (db *DB) readBlock(p *engine.Proc, t *SST, blkIdx uint64) []byte {
+// readBlock fetches one data block through the configured I/O mode. An mmio
+// read lands in buf when the caller lends one (of BlockBytes); nil allocates.
+// Iterators pass nil: mergeIter.next returns slices into a block that must
+// outlive the advance which loads the next one, so those blocks have no point
+// at which they could be handed back — that aliasing is left as it is.
+func (db *DB) readBlock(p *engine.Proc, t *SST, blkIdx uint64, buf []byte) []byte {
 	db.BlocksRead++
 	off := blkIdx * uint64(db.opts.BlockBytes)
 	if db.mmio() {
 		// mmio: a load; hits cost nothing beyond the copy.
-		buf := make([]byte, db.opts.BlockBytes)
+		if buf == nil {
+			buf = make([]byte, db.opts.BlockBytes)
+		}
 		t0 := p.Now()
 		t.mapping.Load(p, off, buf)
 		db.Break.Add("mmio", p.Now()-t0)
@@ -352,7 +377,7 @@ func (db *DB) readBlock(p *engine.Proc, t *SST, blkIdx uint64) []byte {
 		if blk != nil {
 			return blk
 		}
-		buf := make([]byte, db.opts.BlockBytes)
+		buf = make([]byte, db.opts.BlockBytes)
 		t0 = p.Now()
 		t.file.Pread(p, buf, off)
 		db.Break.Add("io", p.Now()-t0)
@@ -362,7 +387,7 @@ func (db *DB) readBlock(p *engine.Proc, t *SST, blkIdx uint64) []byte {
 		db.Break.Add("cache", p.Now()-t0)
 		return buf
 	}
-	buf := make([]byte, db.opts.BlockBytes)
+	buf = make([]byte, db.opts.BlockBytes)
 	t0 := p.Now()
 	t.file.Pread(p, buf, off)
 	db.Break.Add("io", p.Now()-t0)
@@ -405,7 +430,7 @@ func (db *DB) flushLocked(p *engine.Proc) {
 	p.BeginSpan("kv.flush")
 	defer p.EndSpan()
 	db.Flushes++
-	b := newSSTBuilder(db.opts.BlockBytes)
+	b := newSSTBuilder(db.opts.BlockBytes, db.mem.size)
 	for n := db.mem.first(); n != nil; n = n.next[0] {
 		b.add(n.key, n.value)
 	}
@@ -465,12 +490,12 @@ func (db *DB) mergeTables(p *engine.Proc, sources []*SST) []*SST {
 		}
 	}
 	var out []*SST
-	b := newSSTBuilder(db.opts.BlockBytes)
+	b := newSSTBuilder(db.opts.BlockBytes, db.opts.SSTTargetBytes)
 	var lastKey []byte
 	emit := func(k, v []byte) {
 		if b.estimatedSize() >= db.opts.SSTTargetBytes {
 			out = append(out, b.finish(p, db.opts.NS, db.sstName(), db.nextSSTID(), db.mmio()))
-			b = newSSTBuilder(db.opts.BlockBytes)
+			b = newSSTBuilder(db.opts.BlockBytes, db.opts.SSTTargetBytes)
 		}
 		b.add(k, v)
 	}
@@ -498,13 +523,16 @@ func (db *DB) mergeTables(p *engine.Proc, sources []*SST) []*SST {
 // BulkLoad writes `records` pre-sorted records straight into L1 (the
 // standard trick for building read-only evaluation datasets quickly).
 func (db *DB) BulkLoad(p *engine.Proc, records uint64, valueSize int) {
-	b := newSSTBuilder(db.opts.BlockBytes)
+	b := newSSTBuilder(db.opts.BlockBytes, db.opts.SSTTargetBytes)
+	var key, val []byte
 	for id := uint64(0); id < records; id++ {
 		if b.estimatedSize() >= db.opts.SSTTargetBytes {
 			db.levels[1] = append(db.levels[1], b.finish(p, db.opts.NS, db.sstName(), db.nextSSTID(), db.mmio()))
-			b = newSSTBuilder(db.opts.BlockBytes)
+			b = newSSTBuilder(db.opts.BlockBytes, db.opts.SSTTargetBytes)
 		}
-		b.add(ycsb.KeyBytes(id), ycsb.Value(id, valueSize))
+		key = ycsb.AppendKey(key[:0], id)
+		val = ycsb.AppendValue(val[:0], id, valueSize)
+		b.add(key, val)
 	}
 	if b.entries > 0 {
 		db.levels[1] = append(db.levels[1], b.finish(p, db.opts.NS, db.sstName(), db.nextSSTID(), db.mmio()))

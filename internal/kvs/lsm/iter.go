@@ -38,7 +38,7 @@ func (it *sstIter) load(p *engine.Proc) {
 			it.done = true
 			return
 		}
-		it.blk = it.db.readBlock(p, it.t, uint64(it.blkIdx))
+		it.blk = it.db.readBlock(p, it.t, uint64(it.blkIdx), nil)
 		it.pos = 0
 		if it.decode() {
 			// Skip entries before the seek key.

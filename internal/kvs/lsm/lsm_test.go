@@ -3,6 +3,7 @@ package lsm
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -92,8 +93,8 @@ func TestBloom(t *testing.T) {
 		t.Errorf("false positive rate too high: %d/10000", fp)
 	}
 	// Round trip through serialization.
-	f2, n := unmarshalBloom(f.marshal())
-	if n != len(f.marshal()) {
+	f2, n := unmarshalBloom(f.appendTo(nil))
+	if n != len(f.appendTo(nil)) {
 		t.Fatalf("unmarshal consumed %d", n)
 	}
 	if !f2.mayContain([]byte("key-1")) {
@@ -297,24 +298,33 @@ func TestDBWithBlockCacheHitsReduceIO(t *testing.T) {
 }
 
 func TestSSTOpenAfterBuild(t *testing.T) {
-	e, ns := world(64 * mib)
-	run1(e, func(p *engine.Proc) {
-		b := newSSTBuilder(4096)
-		for i := uint64(0); i < 500; i++ {
-			b.add(ycsb.KeyBytes(i), ycsb.Value(i, 64))
-		}
-		built := b.finish(p, ns, "table1", 1, false)
-		reopened := openSST(p, ns, "table1", 1, 4096, false)
-		if reopened.blockCount != built.blockCount {
-			t.Errorf("block count %d != %d", reopened.blockCount, built.blockCount)
-		}
-		if !bytes.Equal(reopened.smallest, built.smallest) || !bytes.Equal(reopened.largest, built.largest) {
-			t.Error("key range mismatch after reopen")
-		}
-		if !reopened.filter.mayContain(ycsb.KeyBytes(123)) {
-			t.Error("reopened bloom lost keys")
-		}
-	})
+	// 16 KB blocks of one 9 KB record each: padding longer than zeroPad.
+	for _, tc := range []struct{ block, value int }{{4096, 64}, {16384, 9000}} {
+		e, ns := world(64 * mib)
+		run1(e, func(p *engine.Proc) {
+			b := newSSTBuilder(tc.block, 0) // no size hint: the image grows by append
+			for i := uint64(0); i < 500; i++ {
+				b.add(ycsb.KeyBytes(i), ycsb.Value(i, tc.value))
+			}
+			built := b.finish(p, ns, "table1", 1, false)
+			reopened := openSST(p, ns, "table1", 1, tc.block, false)
+			if reopened.blockCount != built.blockCount {
+				t.Errorf("block count %d != %d", reopened.blockCount, built.blockCount)
+			}
+			if !reflect.DeepEqual(reopened.firstKeys, built.firstKeys) || !bytes.Equal(reopened.filter.bits, built.filter.bits) {
+				t.Error("block index or bloom bits differ after reopen")
+			}
+			if !bytes.Equal(reopened.smallest, built.smallest) || !bytes.Equal(reopened.largest, built.largest) {
+				t.Error("key range mismatch after reopen")
+			}
+			if !bytes.Equal(built.smallest, ycsb.KeyBytes(0)) || !bytes.Equal(built.largest, ycsb.KeyBytes(499)) {
+				t.Error("built table's key range is not its first and last key")
+			}
+			if !reopened.filter.mayContain(ycsb.KeyBytes(123)) {
+				t.Error("reopened bloom lost keys")
+			}
+		})
+	}
 }
 
 func TestDBAgainstYCSBDriver(t *testing.T) {

@@ -127,9 +127,7 @@ func (db *DB) replayWAL(p *engine.Proc) {
 		if !fill(4 + kl + vl) {
 			break // torn tail record: discard
 		}
-		key := append([]byte(nil), buf[4:4+kl]...)
-		val := append([]byte(nil), buf[4+kl:4+kl+vl]...)
-		hops := db.mem.put(key, val)
+		hops := db.mem.put(buf[4:4+kl], buf[4+kl:4+kl+vl])
 		p.AdvanceUser(db.costs.MemtableBase + db.costs.MemtableHop*uint64(hops))
 		consumed := 4 + kl + vl
 		buf = buf[consumed:]

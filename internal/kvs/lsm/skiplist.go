@@ -43,8 +43,10 @@ func (s *skiplist) randomLevel() int {
 	return lvl
 }
 
-// put inserts or overwrites a key. Returns the number of pointer hops, used
-// for cost charging.
+// put inserts or overwrites a key, copying what it keeps: the value always
+// (a replaced value may be in a reader's hands and is never written again),
+// the key only when a new node is inserted. Returns the number of pointer
+// hops, used for cost charging.
 func (s *skiplist) put(key, value []byte) int {
 	var update [maxSkipLevel]*skipNode
 	hops := 0
@@ -56,13 +58,14 @@ func (s *skiplist) put(key, value []byte) int {
 		}
 		update[i] = x
 	}
+	value = append([]byte(nil), value...)
 	if n := x.next[0]; n != nil && bytes.Equal(n.key, key) {
 		s.size += len(value) - len(n.value)
 		n.value = value
 		return hops
 	}
 	lvl := s.randomLevel()
-	n := &skipNode{key: key, value: value, level: lvl}
+	n := &skipNode{key: append([]byte(nil), key...), value: value, level: lvl}
 	for i := 0; i < lvl; i++ {
 		n.next[i] = update[i].next[i]
 		update[i].next[i] = n

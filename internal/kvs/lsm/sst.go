@@ -43,50 +43,59 @@ func (t *SST) Entries() int { return t.entries }
 func (t *SST) Smallest() []byte { return t.smallest }
 func (t *SST) Largest() []byte  { return t.largest }
 
-// sstBuilder accumulates sorted records into an in-memory image and writes
-// it out in one pass.
+// sstBuilder accumulates sorted records into the table's image and writes it
+// out in one pass. The image is the one place a key lives while the table is
+// built: finish reads the block index, the bloom filter and the key range
+// back out of it instead of keeping a second copy of every key.
 type sstBuilder struct {
 	blockSize int
-	buf       []byte
+	buf       []byte // data blocks so far; finish appends index, bloom, footer
 	blockFill int
-	firstKeys [][]byte
-	keys      [][]byte
-	smallest  []byte
-	largest   []byte
+	lastKey   int // offset in buf of the newest record's key
 	entries   int
 }
 
-func newSSTBuilder(blockSize int) *sstBuilder {
-	return &sstBuilder{blockSize: blockSize}
+// newSSTBuilder sizes the image once from what the caller knows it will add —
+// the memtable's size for a flush, the table target for a bulk load or a
+// compaction, which both close a table one record past it — plus a sixteenth
+// for index, bloom and footer (1-4 % of the data for records of 40 bytes and
+// up). A table that outgrows the estimate still builds: append grows the
+// image as it always did. The image is not kept once finish has written it.
+func newSSTBuilder(blockSize, dataBytes int) *sstBuilder {
+	return &sstBuilder{blockSize: blockSize, buf: make([]byte, 0, dataBytes+dataBytes/16+2*blockSize)}
 }
 
-// add appends a record; keys must arrive in strictly ascending order.
+// add appends a record; keys must arrive in strictly ascending order. It
+// copies key and value into the image and keeps neither.
 func (b *sstBuilder) add(key, value []byte) {
 	need := 4 + len(key) + len(value)
 	if need > b.blockSize {
 		panic(fmt.Sprintf("lsm: record of %d bytes exceeds block size %d", need, b.blockSize))
 	}
-	if b.blockFill == 0 || b.blockFill+need > b.blockSize {
-		// Start a new block: pad the previous one.
-		if b.blockFill > 0 {
-			b.buf = append(b.buf, make([]byte, b.blockSize-b.blockFill)...)
-		}
-		b.blockFill = 0
-		b.firstKeys = append(b.firstKeys, append([]byte(nil), key...))
+	if b.blockFill+need > b.blockSize {
+		b.padBlock()
 	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint16(hdr[0:], uint16(len(key)))
-	binary.LittleEndian.PutUint16(hdr[2:], uint16(len(value)))
-	b.buf = append(b.buf, hdr[:]...)
+	b.buf = binary.LittleEndian.AppendUint16(b.buf, uint16(len(key)))
+	b.buf = binary.LittleEndian.AppendUint16(b.buf, uint16(len(value)))
+	b.lastKey = len(b.buf)
 	b.buf = append(b.buf, key...)
 	b.buf = append(b.buf, value...)
 	b.blockFill += need
-	if b.smallest == nil {
-		b.smallest = append([]byte(nil), key...)
-	}
-	b.largest = append(b.largest[:0], key...)
-	b.keys = append(b.keys, append([]byte(nil), key...))
 	b.entries++
+}
+
+// zeroPad is what every builder pads its blocks from.
+var zeroPad [4096]byte
+
+// padBlock zero-fills the open block to its end.
+func (b *sstBuilder) padBlock() {
+	if b.blockFill == 0 {
+		return
+	}
+	for pad := b.blockSize - b.blockFill; pad > 0; pad -= min(pad, len(zeroPad)) {
+		b.buf = append(b.buf, zeroPad[:min(pad, len(zeroPad))]...)
+	}
+	b.blockFill = 0
 }
 
 // estimatedSize returns the current data size.
@@ -95,36 +104,30 @@ func (b *sstBuilder) estimatedSize() int { return len(b.buf) }
 // finish writes the table image to a file created through ns and returns the
 // opened SST.
 func (b *sstBuilder) finish(p *engine.Proc, ns iface.Namespace, name string, id uint64, mmio bool) *SST {
-	if b.blockFill > 0 {
-		b.buf = append(b.buf, make([]byte, b.blockSize-b.blockFill)...)
-	}
+	b.padBlock()
 	dataLen := len(b.buf)
-	// Index region.
-	idx := make([]byte, 0, 16*len(b.firstKeys))
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], uint32(len(b.firstKeys)))
-	idx = append(idx, tmp[:]...)
-	for _, k := range b.firstKeys {
-		var kl [2]byte
-		binary.LittleEndian.PutUint16(kl[:], uint16(len(k)))
-		idx = append(idx, kl[:]...)
-		idx = append(idx, k...)
-	}
-	// Bloom region.
+	nBlocks := dataLen / b.blockSize
+	// One pass over the blocks feeds both: the index region takes every
+	// block's first key from where add put it, the filter every key.
 	filter := newBloom(b.entries, 10)
-	for _, k := range b.keys {
-		filter.add(k)
+	image := binary.LittleEndian.AppendUint32(b.buf, uint32(nBlocks))
+	for off := 0; off < dataLen; off += b.blockSize {
+		blk := image[off : off+b.blockSize]
+		kl := binary.LittleEndian.Uint16(blk)
+		image = binary.LittleEndian.AppendUint16(image, kl)
+		image = append(image, blk[4:4+int(kl)]...)
+		scanBlock(blk, func(key, _ []byte) bool {
+			filter.add(key)
+			return true
+		})
 	}
-	bl := filter.marshal()
-
-	image := append(b.buf, idx...)
-	image = append(image, bl...)
-	var footer [footerSize]byte
-	binary.LittleEndian.PutUint32(footer[0:], uint32(dataLen))
-	binary.LittleEndian.PutUint32(footer[4:], uint32(dataLen+len(idx)))
-	binary.LittleEndian.PutUint32(footer[8:], uint32(len(image)))
-	binary.LittleEndian.PutUint32(footer[12:], sstMagic)
-	image = append(image, footer[:]...)
+	bloomOff := len(image)
+	image = filter.appendTo(image)
+	metaEnd := len(image) // the footer does not count itself
+	image = binary.LittleEndian.AppendUint32(image, uint32(dataLen))
+	image = binary.LittleEndian.AppendUint32(image, uint32(bloomOff))
+	image = binary.LittleEndian.AppendUint32(image, uint32(metaEnd))
+	image = binary.LittleEndian.AppendUint32(image, sstMagic)
 
 	f := ns.Create(p, name, uint64(len(image)))
 	// Write in 1 MB chunks, as compactions issue large sequential I/Os.
@@ -138,17 +141,35 @@ func (b *sstBuilder) finish(p *engine.Proc, ns iface.Namespace, name string, id 
 	}
 	f.Fsync(p)
 
+	// The table keeps its own copy of the index region and of the last key;
+	// the image goes with the builder.
 	t := &SST{
 		id: id, file: f, blockSize: b.blockSize,
-		blockCount: len(b.firstKeys), firstKeys: b.firstKeys,
-		filter: filter, smallest: b.smallest,
-		largest: append([]byte(nil), b.largest...), entries: b.entries,
-		dataBytes: uint64(dataLen),
+		blockCount: nBlocks, firstKeys: indexKeys(bytes.Clone(image[dataLen:bloomOff])),
+		filter: filter, entries: b.entries, dataBytes: uint64(dataLen),
+	}
+	if nBlocks > 0 {
+		t.smallest = t.firstKeys[0]
+		kl := int(binary.LittleEndian.Uint16(image[b.lastKey-4:]))
+		t.largest = bytes.Clone(image[b.lastKey : b.lastKey+kl])
 	}
 	if mmio {
 		t.mapping = ns.Mmap(p, f, uint64(len(image)))
 	}
 	return t
+}
+
+// indexKeys parses a table's index region into its blocks' first keys. They
+// are slices of idx, which the table keeps.
+func indexKeys(idx []byte) [][]byte {
+	keys := make([][]byte, binary.LittleEndian.Uint32(idx))
+	pos := 4
+	for i := range keys {
+		kl := int(binary.LittleEndian.Uint16(idx[pos:]))
+		keys[i] = idx[pos+2 : pos+2+kl : pos+2+kl]
+		pos += 2 + kl
+	}
+	return keys
 }
 
 // openSST loads an existing table's metadata.
@@ -166,22 +187,15 @@ func openSST(p *engine.Proc, ns iface.Namespace, name string, id uint64, blockSi
 	meta := make([]byte, imgLen-dataLen)
 	f.Pread(p, meta, uint64(dataLen))
 
+	// The table keeps meta: its first keys and filter bits are slices of it.
 	idxLen := bloomOff - dataLen
-	idx := meta[:idxLen]
-	nBlocks := binary.LittleEndian.Uint32(idx)
-	pos := 4
-	firstKeys := make([][]byte, 0, nBlocks)
-	for i := uint32(0); i < nBlocks; i++ {
-		kl := int(binary.LittleEndian.Uint16(idx[pos:]))
-		pos += 2
-		firstKeys = append(firstKeys, append([]byte(nil), idx[pos:pos+kl]...))
-		pos += kl
-	}
+	firstKeys := indexKeys(meta[:idxLen])
+	nBlocks := len(firstKeys)
 	filter, _ := unmarshalBloom(meta[idxLen:])
 
 	t := &SST{
 		id: id, file: f, blockSize: blockSize,
-		blockCount: int(nBlocks), firstKeys: firstKeys, filter: filter,
+		blockCount: nBlocks, firstKeys: firstKeys, filter: filter,
 		dataBytes: uint64(dataLen),
 	}
 	if nBlocks > 0 {

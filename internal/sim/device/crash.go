@@ -46,14 +46,23 @@ func (s *Store) view(blk uint64) []byte {
 
 // stage copies chunk into the volatile tier at (blk, bo). Consecutive writes
 // before a Persist merge into one pending version; once a version has been
-// scheduled it is immutable and a fresh copy-on-write version is appended.
+// scheduled it is immutable and a fresh copy-on-write version is appended. A
+// chunk that covers the whole block — every page write-back does — needs
+// nothing of the block's current content under it.
 func (s *Store) stage(blk uint64, bo int, chunk []byte) {
 	vs := s.volatile[blk]
 	if n := len(vs); n > 0 && vs[n-1].durableAt == notDurable {
 		copy(vs[n-1].data[bo:], chunk)
 		return
 	}
-	b := s.block(s.view(blk))
+	b := s.block()
+	if len(chunk) < BlockSize {
+		if cur := s.view(blk); cur != nil {
+			copy(b, cur)
+		} else {
+			clear(b)
+		}
+	}
 	copy(b[bo:], chunk)
 	if n := len(s.spare); vs == nil && n > 0 {
 		vs, s.spare = s.spare[n-1], s.spare[:n-1]
@@ -61,22 +70,15 @@ func (s *Store) stage(blk uint64, bo int, chunk []byte) {
 	s.volatile[blk] = append(vs, volVersion{data: b, durableAt: notDurable})
 }
 
-// block returns a BlockSize buffer holding a copy of cur (zeros when cur is
-// nil), recycled from the free list when it has one.
-func (s *Store) block(cur []byte) []byte {
+// block returns a BlockSize buffer with unspecified content, recycled from
+// the free list when it has one.
+func (s *Store) block() []byte {
 	n := len(s.free)
 	if n == 0 {
-		b := make([]byte, BlockSize)
-		copy(b, cur)
-		return b
+		return make([]byte, BlockSize)
 	}
 	b := s.free[n-1]
 	s.free = s.free[:n-1]
-	if cur == nil {
-		clear(b)
-	} else {
-		copy(b, cur)
-	}
 	return b
 }
 

@@ -87,6 +87,25 @@ func (s *Store) ReadAt(off uint64, buf []byte) {
 	}
 }
 
+// ReadPage is the page-fill read, at a block-aligned off. When the block is
+// materialized it copies it into page() and counts one read, as ReadAt does.
+// A hole is not a device read: ReadPage reports false, counts nothing and
+// never calls page, so a caller whose frames materialize lazily keeps an
+// all-zero page free. One probe of the store either way.
+func (s *Store) ReadPage(off uint64, page func() []byte) bool {
+	if off%BlockSize != 0 {
+		panic(fmt.Sprintf("device: page read at unaligned offset %d", off))
+	}
+	b := s.view(off / BlockSize)
+	if b == nil {
+		return false
+	}
+	s.stats.Reads++
+	s.stats.BytesRead += BlockSize
+	copy(page(), b)
+	return true
+}
+
 // WriteAt stages buf into the device's volatile write-cache tier at off. The
 // bytes are immediately visible to reads but become durable only when a
 // Persist-scheduled durability point is reached (crash.go).
@@ -141,19 +160,6 @@ func (s *Store) ResidentBlocks() int {
 		}
 	}
 	return n
-}
-
-// HasRange reports whether any content block overlapping [off, off+n) is
-// materialized (i.e. the range may hold non-zero bytes).
-func (s *Store) HasRange(off uint64, n int) bool {
-	first := off / BlockSize
-	last := (off + uint64(n) - 1) / BlockSize
-	for b := first; b <= last; b++ {
-		if s.view(b) != nil {
-			return true
-		}
-	}
-	return false
 }
 
 func (s *Store) checkRange(off uint64, n int) {

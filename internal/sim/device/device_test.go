@@ -198,16 +198,37 @@ func TestNVMeCompletionsMonotonicProperty(t *testing.T) {
 	}
 }
 
-func TestHasRange(t *testing.T) {
+func TestReadPage(t *testing.T) {
 	s := NewStore(1 << 20)
-	if s.HasRange(0, 4096) {
-		t.Fatal("blank store reports content")
+	page := make([]byte, BlockSize)
+	calls := 0
+	dst := func() []byte { calls++; return page }
+	// A hole is not a device read: nothing counted, no buffer asked for.
+	if s.ReadPage(8192, dst) || calls != 0 || s.Stats() != (Stats{}) {
+		t.Fatalf("hole: filled or counted: calls %d stats %+v", calls, s.Stats())
 	}
-	s.WriteAt(10000, []byte{1})
-	if !s.HasRange(8192, 4096) {
-		t.Fatal("range covering written block reports empty")
+	// One byte anywhere in the block materializes it; the staged (not yet
+	// durable) version is what a fill sees, counted as ReadAt counts it.
+	s.WriteAt(10000, []byte{7})
+	before := s.Stats()
+	if !s.ReadPage(8192, dst) || calls != 1 || page[10000-8192] != 7 {
+		t.Fatalf("written block: not filled (calls %d)", calls)
 	}
-	if s.HasRange(16384, 4096) {
-		t.Fatal("untouched range reports content")
+	if st := s.Stats(); st.Reads != before.Reads+1 || st.BytesRead != before.BytesRead+BlockSize {
+		t.Fatalf("written block: stats %+v after %+v", st, before)
 	}
+	want := make([]byte, BlockSize)
+	s.ReadAt(8192, want)
+	if !bytes.Equal(page, want) {
+		t.Fatal("ReadPage and ReadAt disagree")
+	}
+	if s.ReadPage(4096, dst) || s.ReadPage(12288, dst) {
+		t.Fatal("neighbours of the written block report content")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("unaligned page read did not panic")
+		}
+	}()
+	s.ReadPage(100, dst)
 }

@@ -157,7 +157,7 @@ func TestRecyclingStoreMatchesNonRecyclingReference(t *testing.T) {
 		type clone struct{ img, snapshot map[uint64][]byte }
 		var clones []clone
 		var now uint64
-		var recycled, crashes, torn, cloned int
+		var recycled, whole, crashes, torn, cloned int
 		all, wantAll := make([]byte, blocks*BlockSize), make([]byte, blocks*BlockSize)
 		for step := 0; step < 4000; step++ {
 			off := uint64(rng.Intn(blocks * BlockSize))
@@ -170,6 +170,9 @@ func TestRecyclingStoreMatchesNonRecyclingReference(t *testing.T) {
 				got.WriteAt(off, buf)
 				want.write(off, buf)
 				recycled += free - len(got.free)
+				// A whole-block chunk is staged without the block's current
+				// content under it, onto whatever the recycled buffer held.
+				chunks(off, n, func(_ uint64, _, _, chunk int) { whole += chunk / BlockSize })
 			case op < 65:
 				at := now + uint64(rng.Intn(3000))
 				got.Persist(off, n, at)
@@ -253,9 +256,9 @@ func TestRecyclingStoreMatchesNonRecyclingReference(t *testing.T) {
 				}
 			}
 		}
-		if recycled < 100 || crashes == 0 || torn == 0 || cloned == 0 {
-			t.Fatalf("seed %d: sequence too tame: %d recycled buffers, %d crashes, %d torn blocks, %d clones",
-				seed, recycled, crashes, torn, cloned)
+		if recycled < 100 || whole < 100 || crashes == 0 || torn == 0 || cloned == 0 {
+			t.Fatalf("seed %d: sequence too tame: %d recycled buffers, %d whole-block chunks, %d crashes, %d torn blocks, %d clones",
+				seed, recycled, whole, crashes, torn, cloned)
 		}
 	}
 }

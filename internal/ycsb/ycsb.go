@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"aquila/internal/obs"
 	"aquila/internal/sim/engine"
@@ -210,26 +211,66 @@ func (g *Generator) Next() Op {
 	}
 }
 
+// A key is 30 bytes: this prefix, five zero bytes, the big-endian id.
+const (
+	keyPrefix = "user:ycsb:record:"
+	keySize   = 30
+)
+
 // KeyBytes encodes a record key (fixed 30-byte keys as in §6.1, with the
 // numeric id in the trailing 8 bytes so ordering matches id order).
-func KeyBytes(id uint64) []byte {
-	k := make([]byte, 30)
-	copy(k, "user:ycsb:record:")
-	binary.BigEndian.PutUint64(k[22:], id)
-	return k
+func KeyBytes(id uint64) []byte { return AppendKey(make([]byte, 0, keySize), id) }
+
+// AppendKey appends the key KeyBytes(id) returns to dst: a driver that issues
+// one operation at a time encodes every key into the same buffer.
+func AppendKey(dst []byte, id uint64) []byte {
+	dst = append(dst, keyPrefix...)
+	dst = append(dst, 0, 0, 0, 0, 0)
+	return binary.BigEndian.AppendUint64(dst, id)
 }
 
 // KeyID decodes a record key back to its id.
 func KeyID(k []byte) uint64 { return binary.BigEndian.Uint64(k[22:]) }
 
-// Value builds a deterministic value for a record id.
-func Value(id uint64, size int) []byte {
-	v := make([]byte, size)
-	binary.BigEndian.PutUint64(v, id)
-	for i := 8; i < size; i++ {
-		v[i] = byte((id + uint64(i)) % 251)
+// valuePeriod is the body of every value: byte i of a value is
+// (id + i) % 251, so past the id the bytes repeat this table from some phase.
+var valuePeriod = func() (t [251]byte) {
+	for i := range t {
+		t[i] = byte(i)
 	}
-	return v
+	return t
+}()
+
+// Value builds a deterministic value for a record id: the id in the first
+// eight bytes, then byte i = (id + i) % 251.
+func Value(id uint64, size int) []byte { return AppendValue(make([]byte, 0, size), id, size) }
+
+// AppendValue appends the value Value(id, size) returns to dst.
+func AppendValue(dst []byte, id uint64, size int) []byte {
+	n := len(dst)
+	dst = slices.Grow(dst, size)[:n+size]
+	v := dst[n:]
+	binary.BigEndian.PutUint64(v, id)
+	body, c := v[8:], id+8
+	// id + i is uint64 arithmetic: where it wraps to zero the phase jumps
+	// (2^64 is no multiple of 251), so the body is filled in two runs.
+	if wrap := -c; c != 0 && wrap < uint64(len(body)) {
+		fillPeriodic(body[:wrap], c)
+		body, c = body[wrap:], 0
+	}
+	fillPeriodic(body, c)
+	return dst
+}
+
+// fillPeriodic sets b[k] = (c + k) % 251, c + k not wrapping: one pass over
+// the period table from phase c % 251, then b doubles itself.
+func fillPeriodic(b []byte, c uint64) {
+	ph := int(c % uint64(len(valuePeriod)))
+	n := copy(b, valuePeriod[ph:])
+	n += copy(b[n:], valuePeriod[:ph])
+	for n < len(b) {
+		n += copy(b[n:], b[:n])
+	}
 }
 
 // CheckValue verifies a value matches its record id (data-integrity checks
@@ -243,6 +284,13 @@ func CheckValue(id uint64, v []byte) bool {
 
 // KV is the store interface YCSB drives. Both key-value stores in this
 // repository (the RocksDB-like LSM and the Kreon-like store) implement it.
+//
+// Buffer ownership: Put copies what it keeps, so key and value are the
+// caller's again — to overwrite — as soon as Put returns, and Get and Scan
+// keep nothing of the key they are handed. Get's result is the caller's to
+// keep: the store never writes to those bytes again. It may still share them
+// with the store (the LSM returns a memtable hit without copying it), so
+// the caller reads it and does not write to it.
 type KV interface {
 	Get(p *engine.Proc, key []byte) ([]byte, bool)
 	Put(p *engine.Proc, key, value []byte)
@@ -258,27 +306,32 @@ type Result struct {
 }
 
 // RunThread executes `ops` operations from g against kv on the calling
-// simulated thread, recording per-op latency.
+// simulated thread, recording per-op latency. Every key and value is encoded
+// into the same two buffers (KV: Put copies what it keeps).
 func RunThread(p *engine.Proc, kv KV, g *Generator, ops uint64) Result {
 	res := Result{Lat: obs.NewHistogram()}
+	var key, val []byte
 	start := p.Now()
 	for i := uint64(0); i < ops; i++ {
 		op := g.Next()
 		t0 := p.Now()
+		key = AppendKey(key[:0], op.Key)
 		switch op.Kind {
 		case OpRead:
-			if _, ok := kv.Get(p, KeyBytes(op.Key)); !ok {
+			if _, ok := kv.Get(p, key); !ok {
 				res.Misses++
 			}
 		case OpUpdate, OpInsert:
-			kv.Put(p, KeyBytes(op.Key), Value(op.Key, g.cfg.ValueSize))
+			val = AppendValue(val[:0], op.Key, g.cfg.ValueSize)
+			kv.Put(p, key, val)
 		case OpScan:
-			kv.Scan(p, KeyBytes(op.Key), op.ScanLen)
+			kv.Scan(p, key, op.ScanLen)
 		case OpReadModifyWrite:
-			if _, ok := kv.Get(p, KeyBytes(op.Key)); !ok {
+			if _, ok := kv.Get(p, key); !ok {
 				res.Misses++
 			}
-			kv.Put(p, KeyBytes(op.Key), Value(op.Key, g.cfg.ValueSize))
+			val = AppendValue(val[:0], op.Key, g.cfg.ValueSize)
+			kv.Put(p, key, val)
 		}
 		res.Lat.Record(p.Now() - t0)
 		res.Ops++

@@ -2,6 +2,8 @@ package ycsb
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -259,5 +261,107 @@ func TestWorkloadFDoesRMW(t *testing.T) {
 	// RMWs rewrote values: the store still holds 100 keys with valid values.
 	if len(kv.m) != 100 {
 		t.Fatalf("store has %d keys", len(kv.m))
+	}
+}
+
+// refValue is the per-byte formula Value was first written as; it stays here
+// as the reference the table-filling Value is held to.
+func refValue(id uint64, size int) []byte {
+	v := make([]byte, size)
+	binary.BigEndian.PutUint64(v, id)
+	for i := 8; i < size; i++ {
+		v[i] = byte((id + uint64(i)) % 251)
+	}
+	return v
+}
+
+func TestValueMatchesPerByteFormula(t *testing.T) {
+	// Around multiples of the period, 2^32, and the top of uint64, where
+	// id + i wraps inside the value and the phase jumps.
+	var ids []uint64
+	for _, base := range []uint64{0, 251, 251 * 1000, 1 << 32, 1 << 63, math.MaxUint64 - 1100, math.MaxUint64 - 600, math.MaxUint64 - 8} {
+		for d := uint64(0); d < 10; d++ {
+			ids = append(ids, base-3+d)
+		}
+	}
+	for _, id := range ids {
+		for size := 8; size <= 1100; size++ {
+			if got, want := Value(id, size), refValue(id, size); !bytes.Equal(got, want) {
+				t.Fatalf("Value(%d, %d) differs from the per-byte formula", id, size)
+			}
+		}
+	}
+	// A value too short for its id never existed: both panic.
+	for size := 0; size < 8; size++ {
+		for name, fn := range map[string]func(uint64, int) []byte{"Value": Value, "refValue": refValue} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(1, %d) did not panic", name, size)
+					}
+				}()
+				fn(1, size)
+			}()
+		}
+	}
+}
+
+func TestAppendKeyAndValueAppend(t *testing.T) {
+	buf := []byte("head")
+	buf = AppendKey(buf, 77)
+	buf = AppendValue(buf, math.MaxUint64-20, 300)
+	want := append(append([]byte("head"), KeyBytes(77)...), refValue(math.MaxUint64-20, 300)...)
+	if !bytes.Equal(buf, want) {
+		t.Fatal("AppendKey/AppendValue do not append KeyBytes/Value")
+	}
+	// Reusing the buffer leaves nothing of the previous value behind.
+	buf = AppendValue(buf[:0], 5, 100)
+	if !bytes.Equal(buf, refValue(5, 100)) {
+		t.Fatal("AppendValue into a reused buffer differs")
+	}
+}
+
+func TestValueAllocatesOnce(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { sink = Value(12345, 1000) }); n != 1 {
+		t.Errorf("Value: %v allocs, want 1 (the value)", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { sink = KeyBytes(12345) }); n != 1 {
+		t.Errorf("KeyBytes: %v allocs, want 1 (the key)", n)
+	}
+	buf := make([]byte, 0, 1030)
+	if n := testing.AllocsPerRun(100, func() { sink = AppendValue(AppendKey(buf[:0], 9), 9, 1000) }); n != 0 {
+		t.Errorf("AppendKey+AppendValue into a sized buffer: %v allocs, want 0", n)
+	}
+}
+
+var sink []byte
+
+// TestRunThreadWritesCorrectValues drives a store that keeps what Put hands it
+// only by copy (the KV contract) and checks that RunThread's two reused
+// buffers never leak one operation's bytes into another's record.
+func TestRunThreadWritesCorrectValues(t *testing.T) {
+	e := engine.New(engine.Config{NumCPUs: 1, Seed: 1})
+	kv := &mapKV{m: make(map[string][]byte)}
+	e.Spawn(0, "ycsb", func(p *engine.Proc) {
+		g := NewGenerator(Config{Workload: WorkloadD, Records: 100, ValueSize: 64, Seed: 3})
+		RunThread(p, kv, g, 2000)
+		g = NewGenerator(Config{Workload: WorkloadA, Records: 100, ValueSize: 64, Distribution: Zipfian, Seed: 3})
+		RunThread(p, kv, g, 2000)
+	})
+	e.Run()
+	if len(kv.m) < 50 {
+		t.Fatalf("store has %d keys", len(kv.m))
+	}
+	for k, v := range kv.m {
+		if id := KeyID([]byte(k)); !bytes.Equal([]byte(k), KeyBytes(id)) || !bytes.Equal(v, refValue(id, 64)) {
+			t.Fatalf("key %q holds a value that is not its own", k)
+		}
+	}
+}
+
+func BenchmarkValue(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sink = Value(uint64(i), 1000)
 	}
 }
