@@ -21,8 +21,12 @@ var update = flag.Bool("update", false, "rewrite the golden files under testdata
 // Case is one invocation. Stdout, Stderr and Files name golden files under
 // testdata/; "" means the stream must be empty, or that no file is checked.
 type Case struct {
-	Name           string
-	Args           []string
+	Name string
+	Args []string
+	// Dir is the working directory, relative to the command's own; "" is a
+	// fresh empty one. aqlint and aqtort -repro take paths relative to the
+	// repo root and echo them, so their cases run there.
+	Dir            string
 	Exit           int
 	Stdout, Stderr string
 	// Files is the golden of "<sha256> <name>" lines, one per file the run
@@ -32,9 +36,15 @@ type Case struct {
 }
 
 // Run builds the command in the current directory and runs every case as a
-// subtest, each in a fresh empty working directory.
+// subtest, each in a fresh empty working directory unless it names one. The
+// command sees the directory's name as argv[0], so a flag package usage
+// message is the same from run to run.
 func Run(t *testing.T, cases []Case) {
 	bin := filepath.Join(t.TempDir(), "cmd")
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
@@ -42,7 +52,11 @@ func Run(t *testing.T, cases []Case) {
 		t.Run(tc.Name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
 			cmd := exec.Command(bin, tc.Args...)
-			cmd.Dir = t.TempDir()
+			cmd.Args[0] = filepath.Base(wd)
+			cmd.Dir = tc.Dir
+			if cmd.Dir == "" {
+				cmd.Dir = t.TempDir()
+			}
 			cmd.Stdout, cmd.Stderr = &stdout, &stderr
 			err := cmd.Run()
 			exit := 0
