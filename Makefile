@@ -6,7 +6,6 @@ all: ci
 
 build:
 	$(GO) build ./...
-	$(GO) build -tags aqdebug ./...
 
 vet:
 	$(GO) vet ./...
@@ -43,21 +42,17 @@ fmt:
 # Aquila's own static-analysis suite (DESIGN.md "Static invariants"):
 # determinism, cycle accounting, span pairing, typed-I/O-error propagation,
 # and the flow-aware durability/crash-unwind/huge-page invariants. `go vet`
-# runs first for the generic mistakes, then aqlint sweeps both build-tag
-# variants: the aqdebug tree compiles different core files and must uphold
-# the same invariants.
+# runs first for the generic mistakes, then aqlint sweeps the tree.
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/aqlint ./...
-	$(GO) run ./cmd/aqlint -tags aqdebug ./...
 
 # Machine-readable findings archive for CI artifacts: aqlint -json emits the
 # findings, suppression count, and package census even when the tree is
 # clean. The report is scratch output, not a golden.
 lint-report:
 	$(GO) run ./cmd/aqlint -json ./... > aqlint-report.json || true
-	$(GO) run ./cmd/aqlint -json -tags aqdebug ./... > aqlint-report-aqdebug.json || true
-	@echo "wrote aqlint-report.json aqlint-report-aqdebug.json"
+	@echo "wrote aqlint-report.json"
 
 # The fault-injection suite end to end under the race detector: device fault
 # plans, retry/requeue/quarantine, errseq msync, SIGBUS delivery, io_uring
@@ -99,12 +94,12 @@ cover:
 # Performance-regression gate: re-run the report-backed experiments into a
 # scratch directory and diff every BENCH_*.json against the checked-in
 # goldens, exactly to the cycle. Fails on any drift; regenerate the goldens
-# with `make bench-reports` when a change is intentional. Each gated run is
-# appended to the BENCH_history.jsonl trajectory.
+# with `make bench-reports` when a change is intentional. The goldens' own
+# git history (`git log -p BENCH_*.json`) is the trajectory.
 perfgate:
 	rm -rf .perfgate && mkdir -p .perfgate
 	$(GO) run ./cmd/aquila-bench -exp fig8a,fig7,fig5b,fig10a,ablate-hugepages,ablate-crash -report-dir .perfgate > /dev/null
-	$(GO) run ./cmd/aqperf -goldens . -dir .perfgate -history BENCH_history.jsonl -label local
+	$(GO) run ./cmd/aqperf -goldens . -dir .perfgate
 
 # results_full.txt is the byte-exact golden of all 26 experiments at scale 1
 # (the driver prints simulated Mcycles, not wall-clock, so two runs of one tree
@@ -128,7 +123,7 @@ results-check:
 gates:
 	rm -rf .perfgate && mkdir -p .perfgate
 	$(GO) run ./cmd/aquila-bench -exp all -report-dir .perfgate | diff results_full.txt -
-	$(GO) run ./cmd/aqperf -goldens . -dir .perfgate -history BENCH_history.jsonl -label local
+	$(GO) run ./cmd/aqperf -goldens . -dir .perfgate
 
 # Host cost of the engine layer alone, no world on top: one sync point of
 # each kind and one spawn, with allocations (DESIGN.md §3 quotes these).

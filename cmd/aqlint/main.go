@@ -8,7 +8,6 @@
 //	aqlint ./...            # analyze packages (exit 1 on findings)
 //	aqlint -list            # describe the analyzers
 //	aqlint -only detrand ./internal/core/...
-//	aqlint -tags aqdebug ./...   # analyze the aqdebug build variant
 //	aqlint -json ./...      # machine-readable findings (CI artifact)
 //
 // Findings are suppressed per line with `//aqlint:ignore <name> -- reason`
@@ -47,7 +46,6 @@ func main() {
 	var (
 		list     = flag.Bool("list", false, "describe the analyzers and exit")
 		only     = flag.String("only", "", "comma-separated analyzer names to run (default: all)")
-		tags     = flag.String("tags", "", "build tags to analyze under (as for go build -tags)")
 		jsonMode = flag.Bool("json", false, "emit findings as one JSON document on stdout")
 	)
 	flag.Parse()
@@ -86,7 +84,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "aqlint: %v\n", err)
 		os.Exit(2)
 	}
-	pkgs, err := analysis.Load(cwd, *tags, patterns)
+	pkgs, err := analysis.Load(cwd, patterns)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "aqlint: %v\n", err)
 		os.Exit(2)

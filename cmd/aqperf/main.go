@@ -9,14 +9,9 @@
 //	aqperf golden.json candidate.json
 //	aqperf -goldens . -dir .perfgate                  # every BENCH_*.json
 //	aqperf -tol latency=0.02,breakdown.msync=0.05 a.json b.json
-//	aqperf -goldens . -dir out -history BENCH_history.jsonl -label pr-42
 //
 // Exit status: 0 all metrics within tolerance (or only improvements with
 // -allow-improved), 1 regression/drift detected, 2 usage or I/O error.
-//
-// Every gated comparison can be appended to a BENCH_history.jsonl
-// trajectory (-history), making the repository's perf story across PRs
-// machine-readable.
 package main
 
 import (
@@ -25,7 +20,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"time"
 
 	"aquila/internal/obs"
 	"aquila/internal/obs/perfgate"
@@ -36,8 +30,6 @@ func main() {
 		goldens = flag.String("goldens", "", "directory holding the golden BENCH_*.json reports")
 		dir     = flag.String("dir", "", "directory holding the candidate reports to gate (with -goldens)")
 		tolS    = flag.String("tol", "", "per-metric relative tolerances: metric=frac,... (families: latency=0.02, breakdown=0.05); default exact")
-		history = flag.String("history", "", "append each gated report to this BENCH_history.jsonl trajectory")
-		label   = flag.String("label", "", "label for history records (CI job, PR id)")
 		allowUp = flag.Bool("allow-improved", false, "exit 0 when the only drifts are improvements (regenerate goldens to absorb them)")
 		verbose = flag.Bool("v", false, "print every metric, not only drifted ones")
 	)
@@ -75,8 +67,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	ts := time.Now().UTC().Format(time.RFC3339)
-	var recs []perfgate.HistoryRecord
 	worst := perfgate.OK
 	for _, pr := range pairs {
 		golden, err := obs.ReadReportFile(pr.golden)
@@ -102,15 +92,6 @@ func main() {
 		for _, d := range show {
 			fmt.Printf("  %s\n", d)
 		}
-		if *history != "" {
-			recs = append(recs, perfgate.NewHistoryRecord(cand, deltas, *label, ts))
-		}
-	}
-	if *history != "" {
-		if err := perfgate.AppendHistory(*history, recs); err != nil {
-			fatalf("append history: %v", err)
-		}
-		fmt.Printf("# %d record(s) appended to %s\n", len(recs), *history)
 	}
 	switch {
 	case worst == perfgate.OK:

@@ -20,8 +20,8 @@ import (
 
 const repoRoot = "../.."
 
-// realPkgFiles returns the default-build, non-test Go file names of a real
-// package directory (the file set `aqlint ./...` analyzes).
+// realPkgFiles returns the non-test Go file names of a real package directory
+// (the file set `aqlint ./...` analyzes).
 func realPkgFiles(t *testing.T, srcDir string) []string {
 	t.Helper()
 	ents, err := os.ReadDir(srcDir)
@@ -32,15 +32,6 @@ func realPkgFiles(t *testing.T, srcDir string) []string {
 	for _, e := range ents {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		src, err := os.ReadFile(filepath.Join(srcDir, name))
-		if err != nil {
-			t.Fatalf("read %s: %v", name, err)
-		}
-		// Skip the aqdebug variant: LoadDir has no build-tag awareness and
-		// the debug_on/debug_off pair redeclares the same symbols.
-		if bytes.Contains(src, []byte("//go:build aqdebug")) {
 			continue
 		}
 		names = append(names, name)

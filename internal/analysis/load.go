@@ -38,15 +38,11 @@ type listedPkg struct {
 }
 
 // goList runs `go list -e -export -deps -json` over the patterns in dir and
-// decodes the JSON stream. tags is passed through as -tags so the analyzers
-// see the same file set each build variant compiles (e.g. aqdebug).
-func goList(dir, tags string, patterns []string) ([]*listedPkg, error) {
+// decodes the JSON stream.
+func goList(dir string, patterns []string) ([]*listedPkg, error) {
 	args := []string{
 		"list", "-e", "-export", "-deps",
 		"-json=ImportPath,Dir,GoFiles,Export,DepOnly,Standard,Error",
-	}
-	if tags != "" {
-		args = append(args, "-tags", tags)
 	}
 	args = append(args, patterns...)
 	cmd := exec.Command("go", args...)
@@ -121,11 +117,11 @@ func parseDir(fset *token.FileSet, dir string, names []string) ([]*ast.File, err
 }
 
 // Load resolves the patterns (e.g. "./...") relative to dir, then parses and
-// type-checks every matched non-test package from source under the given
-// build tags ("" = default build). Directories named testdata are invisible
-// to `go list`, so analyzer golden packages never reach the real run.
-func Load(dir, tags string, patterns []string) ([]*Package, error) {
-	listed, err := goList(dir, tags, patterns)
+// type-checks every matched non-test package from source. Directories named
+// testdata are invisible to `go list`, so analyzer golden packages never
+// reach the real run.
+func Load(dir string, patterns []string) ([]*Package, error) {
+	listed, err := goList(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
@@ -200,7 +196,7 @@ func LoadDir(modDir, dir, pkgPath string) (*Package, error) {
 	}
 	var imp types.Importer
 	if len(imports) > 0 {
-		listed, err := goList(modDir, "", imports)
+		listed, err := goList(modDir, imports)
 		if err != nil {
 			return nil, err
 		}

@@ -15,9 +15,8 @@ import (
 // Order-insensitive bodies pass without annotation: commutative accumulation
 // (x++, x += v), writes keyed by the iteration variable (out[k] = v), locals
 // declared inside the loop, delete on the ranged map, and pure builtins.
-// Everything else needs either iteration over detutil.SortedKeys /
-// detutil.SortedKeysFunc, or an //aqlint:sorted escape hatch with a
-// justification.
+// Everything else needs either iteration over detutil.SortedKeys or an
+// //aqlint:sorted escape hatch with a justification.
 var Maporder = &Analyzer{
 	Name: "maporder",
 	Doc: "flag order-sensitive range over maps in deterministic packages; " +
@@ -61,7 +60,7 @@ func runMaporder(pass *Pass) error {
 			if reason := orderSensitive(pass, rng); reason != "" {
 				pass.Reportf(rng.Pos(),
 					"map iteration order leaks into simulated state (%s); "+
-						"iterate detutil.SortedKeys/SortedKeysFunc or annotate //aqlint:sorted -- reason",
+						"iterate detutil.SortedKeys(m) or annotate //aqlint:sorted -- reason",
 					reason)
 			}
 			return true

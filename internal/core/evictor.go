@@ -28,9 +28,7 @@ const bgSyncFallbackAfter = 2
 
 type bgEvictor struct {
 	rt   *Runtime
-	node int
 	wake *engine.Signal
-	proc *engine.Proc
 	// idle is true while the daemon is parked on wake (or about to park);
 	// kickers only Set the signal for idle daemons, and allocations only
 	// throttle-wait while some daemon is not idle.
@@ -41,13 +39,13 @@ type bgEvictor struct {
 }
 
 // setWatermarks derives the reclaim watermarks from the params and the
-// current cache size (re-derived on every resize).
+// current cache size (re-derived on every resize). Explicitly configured
+// watermarks that do not fit the cache are a caller bug and panic: clamping
+// them would run a parameter sweep on values it did not ask for.
 func (rt *Runtime) setWatermarks() {
 	limit := int(rt.limitPages)
-	if debugChecks {
-		if err := checkWatermarkBounds(rt.P, limit); err != nil {
-			panic("core: bad eviction watermarks: " + err.Error())
-		}
+	if err := checkWatermarkBounds(rt.P, limit); err != nil {
+		panic("core: bad eviction watermarks: " + err.Error())
 	}
 	low := rt.P.LowWatermark
 	if low == 0 {
@@ -66,6 +64,10 @@ func (rt *Runtime) setWatermarks() {
 			high = m
 		}
 	}
+	// No explicit pair gets here (the check above rejects Low >= High), but
+	// derived values do: both derived on a cache under 8 pages (low 1, high
+	// limit/4 <= 1), a derived high under an explicit low of a quarter of
+	// the cache or more, and a derived low at or above an explicit high.
 	if high <= low {
 		high = low + 1
 	}
@@ -93,11 +95,10 @@ func (rt *Runtime) startEvictors(p *engine.Proc) {
 		name := fmt.Sprintf("bg-evict.%d", n)
 		ev := &bgEvictor{
 			rt:   rt,
-			node: n,
 			wake: engine.NewSignal(rt.e, name),
 			idle: true,
 		}
-		ev.proc = rt.e.SpawnDaemon(cpu, name, ev.run)
+		rt.e.SpawnDaemon(cpu, name, ev.run)
 		rt.bg = append(rt.bg, ev)
 	}
 }

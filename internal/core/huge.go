@@ -277,7 +277,7 @@ func (rt *Runtime) hugeMap(p *engine.Proc, r *Region, pg *Page, va uint64, write
 		tlb.Insert2M(asid, va>>21)
 	}
 	rt.charge(p, "accounting", rt.P.FaultAccounting)
-	return rt.framePool.Frame(pg.frames[off].ID), nil
+	return pg.frames[off], nil
 }
 
 // hugeWP handles the first store to a write-protected 2 MB unit. A unit that
@@ -310,7 +310,7 @@ func (rt *Runtime) hugeWP(p *engine.Proc, r *Region, pg *Page, va uint64) (*mem.
 			tlb.Invalidate2M(asid, va>>21)
 			tlb.Insert2M(asid, va>>21)
 		}
-		return rt.framePool.Frame(pg.frames[off].ID), nil
+		return pg.frames[off], nil
 	}
 	split := rt.splitUnit(p, pg, int(off))
 	spg := split[off]
@@ -324,7 +324,7 @@ func (rt *Runtime) hugeWP(p *engine.Proc, r *Region, pg *Page, va uint64) (*mem.
 	}
 	rt.charge(p, "map-pte", rt.C.PTEUpdate)
 	tlb.Insert(asid, va>>mem.PageShift)
-	return rt.framePool.Frame(spg.frame.ID), nil
+	return spg.frame, nil
 }
 
 // splitUnit demotes a 2 MB unit into its 512 constituent 4 KB pages, which

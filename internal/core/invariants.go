@@ -175,9 +175,9 @@ func (rt *Runtime) CheckInvariants() error {
 // against the cache capacity: a set LowWatermark must satisfy
 // 1 <= Low < High and a set HighWatermark must fit the cache
 // (High <= capacity pages). Zero values are exempt — setWatermarks derives
-// and clamps those to the cache size. Called from setWatermarks under the
-// aqdebug build tag (DESIGN.md "Static invariants"), so a misconfigured
-// parameter sweep fails loudly instead of being silently clamped.
+// and clamps those to the cache size. Called from setWatermarks at boot and
+// on every resize, so a misconfigured parameter sweep fails loudly instead of
+// being silently clamped.
 func checkWatermarkBounds(p Params, capacityPages int) error {
 	low, high := p.LowWatermark, p.HighWatermark
 	if low != 0 && low < 1 {

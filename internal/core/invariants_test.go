@@ -1,9 +1,16 @@
 package core
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
 
-// TestWatermarkBoundsCheck covers the aqdebug-gated validation of explicitly
-// configured eviction watermarks (Low < High <= capacity).
+	"aquila/internal/sim/engine"
+)
+
+// TestWatermarkBoundsCheck covers the validation of explicitly configured
+// eviction watermarks (Low < High <= capacity): the check itself, then the
+// runtime running it at boot and on a resize.
 func TestWatermarkBoundsCheck(t *testing.T) {
 	const capacity = 1024
 	cases := []struct {
@@ -34,4 +41,28 @@ func TestWatermarkBoundsCheck(t *testing.T) {
 			}
 		})
 	}
+
+	badWatermarks := func(t *testing.T, ps *Params, body func(p *engine.Proc, boot func(*engine.Proc) *Runtime)) {
+		e, _, boot := asyncDaxWorld(16*mib, 4, ps)
+		e.Spawn(0, "t", func(p *engine.Proc) {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.HasPrefix(msg, "core: bad eviction watermarks: ") {
+					t.Errorf("panic = %q, want \"core: bad eviction watermarks: ...\"", msg)
+				}
+			}()
+			body(p, boot)
+		})
+		e.Run()
+		e.Close()
+	}
+	t.Run("boot-inverted", func(t *testing.T) {
+		ps := asyncParams(func(ps *Params) { ps.LowWatermark, ps.HighWatermark = 256, 64 })
+		badWatermarks(t, ps, func(p *engine.Proc, boot func(*engine.Proc) *Runtime) { boot(p) })
+	})
+	t.Run("resize-below-high", func(t *testing.T) {
+		ps := asyncParams(func(ps *Params) { ps.LowWatermark, ps.HighWatermark = 64, 2048 })
+		badWatermarks(t, ps, func(p *engine.Proc, boot func(*engine.Proc) *Runtime) {
+			boot(p).ResizeCache(p, 4*mib) // 1024 pages: the explicit high no longer fits
+		})
+	})
 }

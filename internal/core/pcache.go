@@ -82,12 +82,6 @@ func (pg *Page) Key() pageKey { return pageKey{pg.file.id, pg.idx} }
 // FileName returns the name of the file the page caches (policy hooks).
 func (pg *Page) FileName() string { return pg.file.name }
 
-// Index returns the page's index within its file (policy hooks).
-func (pg *Page) Index() uint64 { return pg.idx }
-
-// Dirty reports whether the page is dirty (policy hooks).
-func (pg *Page) Dirty() bool { return pg.dirty }
-
 // fileState is Aquila's per-file bookkeeping. The backing handle is owned by
 // the I/O engine (an SPDK blob, a DAX file, or a host file for the HOST-*
 // engines).
@@ -96,8 +90,6 @@ type fileState struct {
 	name    string
 	size    uint64
 	backing any
-	// seqNext supports the madvise-driven readahead heuristic.
-	seqNext uint64
 	// wbErr is the errseq-style writeback error sequence: every failed
 	// writeback of one of this file's pages records here, and each sync
 	// caller (mapping or open file) drains it once via its own cursor.

@@ -645,7 +645,7 @@ func (rt *Runtime) wpFault(p *engine.Proc, va uint64) (*mem.Frame, error) {
 	tlb := rt.TLBs.CPU(p.CPU())
 	tlb.InvalidatePage(rt.PT.ASID(), va>>mem.PageShift)
 	tlb.Insert(rt.PT.ASID(), va>>mem.PageShift)
-	return rt.framePool.Frame(pg.frame.ID), nil
+	return pg.frame, nil
 }
 
 // markDirty inserts a page into the calling core's dirty red-black tree,
@@ -764,7 +764,7 @@ func (rt *Runtime) fault(p *engine.Proc, va uint64, write bool) (*mem.Frame, err
 	rt.charge(p, "map-pte", rt.C.PTEUpdate)
 	rt.TLBs.CPU(p.CPU()).Insert(rt.PT.ASID(), va>>mem.PageShift)
 	rt.charge(p, "accounting", rt.P.FaultAccounting)
-	return rt.framePool.Frame(pg.frame.ID), nil
+	return pg.frame, nil
 }
 
 // majorFault claims (f, idx) plus any readahead window, reads the owned

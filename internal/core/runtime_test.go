@@ -571,37 +571,6 @@ func TestAquilaInvariantsAfterHeavyChurn(t *testing.T) {
 	}
 }
 
-func TestSequentialDetectorPolicy(t *testing.T) {
-	e, _, boot := daxWorld(32*mib, 4)
-	e.Spawn(0, "t", func(p *engine.Proc) {
-		rt := boot(p)
-		rt.Readahead = NewSequentialDetector(16)
-		f := rt.CreateFile(p, "seq", 8*mib)
-		m := rt.Mmap(p, f, 8*mib)
-		buf := make([]byte, 8)
-		// Sequential scan with NO madvise: the detector must kick in and
-		// collapse the fault count well below one per page.
-		for off := uint64(0); off < 4*mib; off += pageSize {
-			m.Load(p, off, buf)
-		}
-		pages := uint64(4 * mib / pageSize)
-		if rt.Stats.MajorFaults*3 > pages {
-			t.Errorf("sequential detector ineffective: %d faults for %d pages",
-				rt.Stats.MajorFaults, pages)
-		}
-		if rt.Stats.ReadaheadPages == 0 {
-			t.Error("no readahead happened")
-		}
-		// A random jump collapses the window: the next fault reads few pages.
-		before := rt.ResidentPages()
-		m.Load(p, 7*mib, buf)
-		if got := rt.ResidentPages() - before; got > 3 {
-			t.Errorf("random fault brought %d pages, want small after window collapse", got)
-		}
-	})
-	e.Run()
-}
-
 func TestDirectNVMMapping(t *testing.T) {
 	// DAX world over Optane-PMM-class pmem.
 	e := engine.New(engine.Config{NumCPUs: 4, Seed: 1})

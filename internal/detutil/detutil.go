@@ -19,14 +19,3 @@ func SortedKeys[M ~map[K]V, K cmp.Ordered, V any](m M) []K {
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	return keys
 }
-
-// SortedKeysFunc returns m's keys ordered by less, for key types that are
-// not cmp.Ordered (structs, arrays).
-func SortedKeysFunc[M ~map[K]V, K comparable, V any](m M, less func(a, b K) bool) []K {
-	keys := make([]K, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return less(keys[i], keys[j]) })
-	return keys
-}

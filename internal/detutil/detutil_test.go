@@ -16,19 +16,3 @@ func TestSortedKeys(t *testing.T) {
 		t.Errorf("SortedKeys(empty) = %v, want empty", keys)
 	}
 }
-
-func TestSortedKeysFunc(t *testing.T) {
-	type key struct{ fid, idx uint64 }
-	m := map[key]string{
-		{2, 0}: "x",
-		{1, 5}: "y",
-		{1, 2}: "z",
-	}
-	got := SortedKeysFunc(m, func(a, b key) bool {
-		return a.fid < b.fid || (a.fid == b.fid && a.idx < b.idx)
-	})
-	want := []key{{1, 2}, {1, 5}, {2, 0}}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("SortedKeysFunc = %v, want %v", got, want)
-	}
-}

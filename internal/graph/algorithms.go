@@ -8,10 +8,10 @@ import (
 	"aquila/internal/sim/engine"
 )
 
-// Additional Ligra algorithms beyond BFS: PageRank and label-propagation
-// Connected Components. Like BFS, all per-vertex state lives in the Heap, so
-// with a mapped heap every access exercises the mmio path under study; both
-// follow Ligra's vertexMap/edgeMap structure with parallel supersteps.
+// PageRank, the one Ligra algorithm carried beyond BFS. Like BFS, all
+// per-vertex state lives in the Heap, so with a mapped heap every access
+// exercises the mmio path under study; it follows Ligra's vertexMap/edgeMap
+// structure with parallel supersteps.
 
 // parallelFor runs fn over [0, n) split across `threads` simulated workers
 // spawned from p's engine, and waits for all of them.
@@ -138,115 +138,4 @@ func RunPageRank(e *engine.Engine, g *Graph, threads, maxIter int, eps float64) 
 // Rank reads one vertex's final PageRank value.
 func Rank(p *engine.Proc, h Heap, ranksOff uint64, v uint32) float64 {
 	return math.Float64frombits(LoadU64(p, h, ranksOff+uint64(v)*8))
-}
-
-// CCResult reports one Connected Components run.
-type CCResult struct {
-	Rounds        int
-	Components    uint64
-	ElapsedCycles uint64
-	// LabelsOff is the heap offset of the uint32 label array.
-	LabelsOff uint64
-}
-
-// RunCC computes connected components by label propagation (Ligra's
-// "Components"): every vertex adopts the minimum label among itself and its
-// neighbors until a fixed point. The graph must be symmetric.
-func RunCC(e *engine.Engine, g *Graph, threads int) CCResult {
-	var res CCResult
-	mainCPU := e.NumCPUs() - 1
-	e.Spawn(mainCPU, "cc-main", func(p *engine.Proc) {
-		start := p.Now()
-		n := g.N
-		labels := g.H.Alloc(uint64(n) * 4)
-		res.LabelsOff = labels
-		// labels[v] = v initially.
-		buf := make([]byte, 4*4096)
-		for base := uint32(0); base < n; base += uint32(len(buf) / 4) {
-			cnt := uint32(len(buf) / 4)
-			if base+cnt > n {
-				cnt = n - base
-			}
-			for i := uint32(0); i < cnt; i++ {
-				binary.LittleEndian.PutUint32(buf[i*4:], base+i)
-			}
-			g.H.Store(p, labels+uint64(base)*4, buf[:cnt*4])
-		}
-
-		changedFlags := make([]bool, threads)
-		for {
-			res.Rounds++
-			for i := range changedFlags {
-				changedFlags[i] = false
-			}
-			parallelFor(e, p, fmt.Sprintf("cc-%d", res.Rounds), n, threads,
-				func(wp *engine.Proc, lo, hi uint32) {
-					var scratch []uint32
-					tid := int(lo / ((n + uint32(threads) - 1) / uint32(threads)))
-					for v := lo; v < hi; v++ {
-						mine := LoadU32(wp, g.H, labels+uint64(v)*4)
-						best := mine
-						nbrs := g.Neighbors(wp, v, scratch)
-						scratch = nbrs
-						for _, u := range nbrs {
-							lu := LoadU32(wp, g.H, labels+uint64(u)*4)
-							if lu < best {
-								best = lu
-							}
-							wp.AdvanceUser(5)
-						}
-						if best < mine {
-							StoreU32(wp, g.H, labels+uint64(v)*4, best)
-							if tid >= 0 && tid < threads {
-								changedFlags[tid] = true
-							}
-						}
-						wp.AdvanceUser(8)
-					}
-				})
-			changed := false
-			for _, c := range changedFlags {
-				changed = changed || c
-			}
-			if !changed {
-				break
-			}
-		}
-		// Count distinct labels.
-		seen := make(map[uint32]struct{})
-		for v := uint32(0); v < n; v++ {
-			seen[LoadU32(p, g.H, labels+uint64(v)*4)] = struct{}{}
-		}
-		res.Components = uint64(len(seen))
-		res.ElapsedCycles = p.Now() - start
-	})
-	e.Run()
-	return res
-}
-
-// ReferenceCC computes component counts in plain Go for verification.
-func ReferenceCC(n uint32, edges [][2]uint32) uint64 {
-	parent := make([]uint32, n)
-	for i := range parent {
-		parent[i] = uint32(i)
-	}
-	var find func(x uint32) uint32
-	find = func(x uint32) uint32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for _, e := range edges {
-		a, b := find(e[0]), find(e[1])
-		if a != b {
-			parent[a] = b
-		}
-	}
-	seen := make(map[uint32]struct{})
-	for v := uint32(0); v < n; v++ {
-		seen[find(v)] = struct{}{}
-	}
-	return uint64(len(seen))
 }

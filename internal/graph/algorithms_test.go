@@ -76,60 +76,6 @@ func TestPageRankConverges(t *testing.T) {
 	}
 }
 
-func TestConnectedComponentsMatchesReference(t *testing.T) {
-	e, h := memHeapWorld()
-	// Two cliques plus isolated vertices.
-	var edges [][2]uint32
-	clique := func(lo, hi uint32) {
-		for a := lo; a < hi; a++ {
-			for b := a + 1; b < hi; b++ {
-				edges = append(edges, [2]uint32{a, b}, [2]uint32{b, a})
-			}
-		}
-	}
-	clique(0, 10)
-	clique(20, 35)
-	const n = 40 // 5 isolated vertices
-	var g *Graph
-	e.Spawn(0, "build", func(p *engine.Proc) { g = Build(p, h, n, edges) })
-	e.Run()
-	res := RunCC(e, g, 4)
-	want := ReferenceCC(n, edges)
-	if res.Components != want {
-		t.Errorf("components = %d, want %d", res.Components, want)
-	}
-	// Every clique member shares a label; labels differ across cliques.
-	e.Spawn(0, "check", func(p *engine.Proc) {
-		l0 := LoadU32(p, h, res.LabelsOff+0)
-		for v := uint32(1); v < 10; v++ {
-			if LoadU32(p, h, res.LabelsOff+uint64(v)*4) != l0 {
-				t.Errorf("clique-1 vertex %d has different label", v)
-			}
-		}
-		l20 := LoadU32(p, h, res.LabelsOff+20*4)
-		if l20 == l0 {
-			t.Error("distinct cliques share a label")
-		}
-	})
-	e.Run()
-}
-
-func TestConnectedComponentsOnRMATParallel(t *testing.T) {
-	e, h := memHeapWorld()
-	edges := Symmetrize(RMAT(RMATConfig{Vertices: 512, EdgeFactor: 4, Seed: 31}))
-	var g *Graph
-	e.Spawn(0, "build", func(p *engine.Proc) { g = Build(p, h, 512, edges) })
-	e.Run()
-	res := RunCC(e, g, 7)
-	want := ReferenceCC(512, edges)
-	if res.Components != want {
-		t.Errorf("components = %d, want %d", res.Components, want)
-	}
-	if res.Rounds == 0 || res.ElapsedCycles == 0 {
-		t.Error("no work recorded")
-	}
-}
-
 func TestPageRankOverMappedHeap(t *testing.T) {
 	// Data-integrity check: the same deterministic computation over a
 	// pressure-evicted mapped heap must produce bit-identical ranks to the
@@ -159,42 +105,4 @@ func TestPageRankOverMappedHeap(t *testing.T) {
 			t.Fatalf("rank[%d] differs: dram %v vs mapped %v (eviction corruption)", v, want[v], got[v])
 		}
 	}
-}
-
-func TestBetweennessMatchesReference(t *testing.T) {
-	e, h := memHeapWorld()
-	edges := Symmetrize(RMAT(RMATConfig{Vertices: 256, EdgeFactor: 6, Seed: 17}))
-	var g *Graph
-	e.Spawn(0, "build", func(p *engine.Proc) { g = Build(p, h, 256, edges) })
-	e.Run()
-	res := RunBC(e, g, 0, 4)
-	want := ReferenceBC(256, edges, 0)
-	e.Spawn(0, "check", func(p *engine.Proc) {
-		for v := uint32(0); v < 256; v++ {
-			got := math.Float64frombits(LoadU64(p, h, res.ScoresOff+uint64(v)*8))
-			if math.Abs(got-want[v]) > 1e-9*(1+math.Abs(want[v])) {
-				t.Fatalf("bc[%d] = %v, want %v", v, got, want[v])
-			}
-		}
-	})
-	e.Run()
-}
-
-func TestBetweennessOverMappedHeapParallel(t *testing.T) {
-	edges := Symmetrize(RMAT(RMATConfig{Vertices: 512, EdgeFactor: 6, Seed: 19}))
-	e, h := mappedHeapWorld(2 * mib)
-	var g *Graph
-	e.Spawn(0, "build", func(p *engine.Proc) { g = Build(p, h, 512, edges) })
-	e.Run()
-	res := RunBC(e, g, 0, 7)
-	want := ReferenceBC(512, edges, 0)
-	e.Spawn(0, "check", func(p *engine.Proc) {
-		for v := uint32(0); v < 512; v++ {
-			got := math.Float64frombits(LoadU64(p, h, res.ScoresOff+uint64(v)*8))
-			if math.Abs(got-want[v]) > 1e-9*(1+math.Abs(want[v])) {
-				t.Fatalf("bc[%d] over mapped heap = %v, want %v", v, got, want[v])
-			}
-		}
-	})
-	e.Run()
 }

@@ -123,9 +123,6 @@ func NewSparseSubset(n uint32, vs []uint32) *VertexSubset {
 // Len returns the frontier size.
 func (s *VertexSubset) Len() uint64 { return s.count }
 
-// IsDense reports the representation.
-func (s *VertexSubset) IsDense() bool { return s.dense != nil }
-
 // Has reports membership (dense O(1); sparse only valid after toDense).
 func (s *VertexSubset) Has(v uint32) bool {
 	if s.dense != nil {

@@ -23,7 +23,6 @@ func init() {
 type fig7Measure struct {
 	ops        uint64
 	cycles     uint64
-	gets       uint64
 	breakDelta map[string]uint64 // LSM cycle breakdown, read phase only
 }
 
@@ -83,7 +82,6 @@ func fig7Run(mode rocksMode, cache uint64, records uint64, ops int, seed int64) 
 		out["get"] = db.Break.PerOp("get", gets)
 	}
 	out["total"] = out["device-io"] + out["cache-mgmt"] + out["get"]
-	meas.gets = gets
 	return out, thr, meas
 }
 

@@ -49,7 +49,7 @@ func TestFig8aReportCoverage(t *testing.T) {
 	if _, err := obs.ValidateChromeTrace(buf.Bytes()); err != nil {
 		t.Errorf("trace does not validate: %v", err)
 	}
-	if len(reg.Keys()) == 0 {
+	if len(reg.Snapshot().Counters) == 0 {
 		t.Error("instrumented run registered no metrics")
 	}
 }

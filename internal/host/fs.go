@@ -27,7 +27,6 @@ type extent struct {
 
 // FSFile is one file: a contiguous extent on the disk.
 type FSFile struct {
-	fs   *FS
 	id   uint64
 	name string
 	base uint64 // device offset of the extent
@@ -44,7 +43,6 @@ type FSFile struct {
 	lastRead uint64 // sequentiality detector for buffered reads
 
 	majorFaults uint64
-	deleted     bool
 }
 
 // MajorFaults returns the number of major faults served for this file.
@@ -76,7 +74,6 @@ func (fs *FS) Create(p *engine.Proc, name string, size uint64) *FSFile {
 	}
 	fs.ids++
 	f := &FSFile{
-		fs:       fs,
 		id:       fs.ids,
 		name:     name,
 		base:     base,
@@ -113,7 +110,6 @@ func (fs *FS) Delete(p *engine.Proc, name string) {
 	}
 	p.AdvanceSystem(fs.os.C.Syscall + fs.os.P.SyscallKernelPath)
 	fs.os.Cache.truncate(p, f)
-	f.deleted = true
 	delete(fs.files, name)
 	fs.disk.Content.Discard(f.base, f.cap)
 	fs.freeExtent(extent{f.base, f.cap})
@@ -152,9 +148,6 @@ func (f *FSFile) Name() string { return f.name }
 
 // Size returns the logical size.
 func (f *FSFile) Size() uint64 { return f.size }
-
-// Capacity returns the extent capacity.
-func (f *FSFile) Capacity() uint64 { return f.cap }
 
 // SetSize grows the logical size up to the extent capacity (append).
 func (f *FSFile) SetSize(n uint64) {

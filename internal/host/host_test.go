@@ -32,8 +32,8 @@ func TestFSCreateOpenDelete(t *testing.T) {
 	e, os := newPMemOS(16 * mib)
 	run1(e, func(p *engine.Proc) {
 		f := os.FS.Create(p, "a", 1*mib)
-		if f.Size() != 1*mib || f.Capacity() < 1*mib {
-			t.Errorf("size=%d cap=%d", f.Size(), f.Capacity())
+		if f.Size() != 1*mib || f.cap < 1*mib {
+			t.Errorf("size=%d cap=%d", f.Size(), f.cap)
 		}
 		if os.FS.Open(p, "a") != f {
 			t.Error("open returned different file")
@@ -357,7 +357,7 @@ func TestDirtyThrottling(t *testing.T) {
 		for off := uint64(0); off < 1*mib; off += PageSize {
 			m.Store(p, off, one)
 		}
-		limit := int(float64(os.Cache.Capacity())*os.P.DirtyRatio) + os.P.ReclaimBatch
+		limit := int(float64(os.Cache.allocator.Capacity())*os.P.DirtyRatio) + os.P.ReclaimBatch
 		if got := os.Cache.NrDirty(); got > limit {
 			t.Errorf("dirty pages %d exceed throttle threshold %d", got, limit)
 		}
@@ -367,23 +367,23 @@ func TestDirtyThrottling(t *testing.T) {
 	})
 }
 
-func TestHypervisorGrantAndEPTFault(t *testing.T) {
+func TestHypervisorGrant(t *testing.T) {
 	e, os := newPMemOS(16 * mib)
 	run1(e, func(p *engine.Proc) {
+		eptMapped := func(gpa uint64) bool {
+			_, ok := os.HV.ept.Lookup(gpa)
+			return ok
+		}
 		gpa := uint64(4 << 30)
 		os.HV.GrantRegion(p, gpa, 2<<30)
-		if !os.HV.EPTMapped(gpa) || !os.HV.EPTMapped(gpa+(1<<30)) {
+		if !eptMapped(gpa) || !eptMapped(gpa+(1<<30)) {
 			t.Error("granted region not EPT-mapped")
 		}
-		if os.HV.EPTMapped(gpa + (2 << 30)) {
+		if eptMapped(gpa + (2 << 30)) {
 			t.Error("beyond grant should be unmapped")
 		}
-		os.HV.EPTFault(p, gpa+(2<<30))
-		if !os.HV.EPTMapped(gpa + (2 << 30)) {
-			t.Error("EPT fault did not fill")
-		}
-		if os.HV.VMCalls == 0 || os.HV.EPTFaults != 1 {
-			t.Errorf("hv stats: vmcalls=%d eptfaults=%d", os.HV.VMCalls, os.HV.EPTFaults)
+		if os.HV.VMCalls == 0 || os.HV.GrantedBytes != 2<<30 {
+			t.Errorf("hv stats: vmcalls=%d granted=%d", os.HV.VMCalls, os.HV.GrantedBytes)
 		}
 	})
 }

@@ -17,7 +17,6 @@ type Hypervisor struct {
 
 	// Stats.
 	VMCalls      uint64
-	EPTFaults    uint64
 	GrantedBytes uint64
 	IPIBatches   uint64
 	IPITargets   uint64
@@ -51,23 +50,6 @@ func (hv *Hypervisor) ReclaimRegion(p *engine.Proc, gpa, bytes uint64) {
 	hv.VMCall(p, 3000)
 	hv.ept.UnmapRange(gpa, bytes)
 	hv.GrantedBytes -= bytes
-}
-
-// EPTFault handles a guest access to a GPA without an EPT translation:
-// a vmexit, a walk of the guest's regular page table to validate the access
-// (as Dune does), EPT fill, and resume. Returns the cycles charged.
-func (hv *Hypervisor) EPTFault(p *engine.Proc, gpa uint64) {
-	hv.EPTFaults++
-	p.AdvanceSystem(hv.os.C.VMExit)
-	p.AdvanceSystem(hv.os.P.VMALookup + 4*hv.os.C.PTEUpdate) // validate + fill
-	hv.ept.Map(gpa&^uint64(pagetable.Size1G-1), gpa>>12, pagetable.FlagWritable, pagetable.Size1G)
-	p.AdvanceSystem(hv.os.C.VMEntry)
-}
-
-// EPTMapped reports whether gpa has an EPT translation.
-func (hv *Hypervisor) EPTMapped(gpa uint64) bool {
-	_, ok := hv.ept.Lookup(gpa)
-	return ok
 }
 
 // SendShootdownIPIs is Aquila's batched-invalidation send path: one vmexit

@@ -288,7 +288,7 @@ func (pr *Process) wpFault(p *engine.Proc, va uint64) *mem.Frame {
 	tlb.InvalidatePage(pr.PT.ASID(), va>>mem.PageShift)
 	tlb.Insert(pr.PT.ASID(), va>>mem.PageShift)
 	pr.mmapSem.RUnlock(p)
-	return os.Cache.allocator.Frame(pg.frame.ID)
+	return pg.frame
 }
 
 // pageFault is the Linux mmio fault path: trap to ring 0, VMA lookup under
@@ -357,7 +357,7 @@ func (pr *Process) pageFault(p *engine.Proc, va uint64, write bool) *mem.Frame {
 	os.charge(p, "pte", os.C.PTEUpdate)
 	os.TLBs.CPU(p.CPU()).Insert(pr.PT.ASID(), va>>mem.PageShift)
 	pr.mmapSem.RUnlock(p)
-	return os.Cache.allocator.Frame(pg.frame.ID)
+	return pg.frame
 }
 
 // majorFault brings (f, idx) into the cache, applying the fault read-around

@@ -121,9 +121,6 @@ func newPageCache(os *OS, capacityBytes uint64) *PageCache {
 // NrActive reports the active list's population (tests).
 func (c *PageCache) NrActive() int { return c.active.n }
 
-// Capacity returns the cache capacity in pages.
-func (c *PageCache) Capacity() uint64 { return c.allocator.Capacity() }
-
 // Resident returns the number of resident pages.
 func (c *PageCache) Resident() int { return c.nrPages }
 

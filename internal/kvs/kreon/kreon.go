@@ -72,7 +72,6 @@ type Options struct {
 	IndexBytes uint64
 	// L0Entries spills level 0 at this many keys (default 16384).
 	L0Entries int
-	Costs     *Costs
 }
 
 // DB is the store.
@@ -171,12 +170,8 @@ func OpenWithMapping(p *engine.Proc, opts Options, m iface.Mapping) *DB {
 	if opts.L0Entries == 0 {
 		opts.L0Entries = 16384
 	}
-	costs := DefaultCosts()
-	if opts.Costs != nil {
-		costs = *opts.Costs
-	}
 	db := &DB{
-		opts: opts, costs: costs, m: m,
+		opts: opts, costs: DefaultCosts(), m: m,
 		logBase: pageSize,
 		idxBase: pageSize + opts.LogBytes,
 		l0:      make(map[fixedKey]int),

@@ -68,6 +68,13 @@ const (
 	IOMmap
 )
 
+// The data-block size, and the number of L0 tables at which L0 compacts into
+// L1. Every world runs these values, so they are not Options.
+const (
+	blockBytes = 4096
+	l0Trigger  = 4
+)
+
 // Options configure a DB.
 type Options struct {
 	// NS is the world's namespace (Linux direct/buffered or Aquila).
@@ -81,17 +88,11 @@ type Options struct {
 	// SSTTargetBytes bounds one table (default 8 MB; the paper's RocksDB
 	// uses 64 MB — scaled with the datasets).
 	SSTTargetBytes int
-	// BlockBytes is the data-block size (default 4096).
-	BlockBytes int
-	// L0Trigger compacts L0 into L1 at this many tables (default 4).
-	L0Trigger int
 	// DisableWAL skips write-ahead logging.
 	DisableWAL bool
 	// WALBytes sizes the write-ahead log (default 64 MB). Filling it
 	// forces a memtable flush.
 	WALBytes uint64
-	// Costs overrides the software cost table.
-	Costs *Costs
 	// Seed for the memtable skiplist.
 	Seed int64
 	// Registry receives the store's cycle breakdown (interned as
@@ -105,7 +106,6 @@ type Options struct {
 type DB struct {
 	opts  Options
 	costs Costs
-	e     *engine.Engine
 
 	writeLock *engine.Mutex
 	mem       *skiplist
@@ -152,20 +152,9 @@ func Open(p *engine.Proc, e *engine.Engine, opts Options) *DB {
 	if opts.SSTTargetBytes == 0 {
 		opts.SSTTargetBytes = 8 << 20
 	}
-	if opts.BlockBytes == 0 {
-		opts.BlockBytes = 4096
-	}
-	if opts.L0Trigger == 0 {
-		opts.L0Trigger = 4
-	}
-	costs := DefaultCosts()
-	if opts.Costs != nil {
-		costs = *opts.Costs
-	}
 	db := &DB{
 		opts:      opts,
-		costs:     costs,
-		e:         e,
+		costs:     DefaultCosts(),
 		writeLock: engine.NewMutex(e, "lsm_write"),
 		mem:       newSkiplist(opts.Seed + 1),
 		levels:    make([][]*SST, 4),
@@ -184,7 +173,7 @@ func Open(p *engine.Proc, e *engine.Engine, opts Options) *DB {
 		if cap == 0 {
 			cap = 32 << 20
 		}
-		db.cache = NewBlockCache(e, cap, costs)
+		db.cache = NewBlockCache(e, cap, db.costs)
 	}
 	if !opts.DisableWAL {
 		walBytes := opts.WALBytes
@@ -330,7 +319,7 @@ func (db *DB) searchTable(p *engine.Proc, t *SST, key []byte) ([]byte, bool) {
 	// the block cache owns the blocks it is handed.)
 	var lent []byte
 	if db.mmio() {
-		lent = db.bufs.Borrow(db.opts.BlockBytes)
+		lent = db.bufs.Borrow(blockBytes)
 	}
 	blk := db.readBlock(p, t, uint64(blkIdx), lent)
 	var out []byte
@@ -352,17 +341,17 @@ func (db *DB) searchTable(p *engine.Proc, t *SST, key []byte) ([]byte, bool) {
 }
 
 // readBlock fetches one data block through the configured I/O mode. An mmio
-// read lands in buf when the caller lends one (of BlockBytes); nil allocates.
+// read lands in buf when the caller lends one (of blockBytes); nil allocates.
 // Iterators pass nil: mergeIter.next returns slices into a block that must
 // outlive the advance which loads the next one, so those blocks have no point
 // at which they could be handed back — that aliasing is left as it is.
 func (db *DB) readBlock(p *engine.Proc, t *SST, blkIdx uint64, buf []byte) []byte {
 	db.BlocksRead++
-	off := blkIdx * uint64(db.opts.BlockBytes)
+	off := blkIdx * uint64(blockBytes)
 	if db.mmio() {
 		// mmio: a load; hits cost nothing beyond the copy.
 		if buf == nil {
-			buf = make([]byte, db.opts.BlockBytes)
+			buf = make([]byte, blockBytes)
 		}
 		t0 := p.Now()
 		t.mapping.Load(p, off, buf)
@@ -377,7 +366,7 @@ func (db *DB) readBlock(p *engine.Proc, t *SST, blkIdx uint64, buf []byte) []byt
 		if blk != nil {
 			return blk
 		}
-		buf = make([]byte, db.opts.BlockBytes)
+		buf = make([]byte, blockBytes)
 		t0 = p.Now()
 		t.file.Pread(p, buf, off)
 		db.Break.Add("io", p.Now()-t0)
@@ -387,7 +376,7 @@ func (db *DB) readBlock(p *engine.Proc, t *SST, blkIdx uint64, buf []byte) []byt
 		db.Break.Add("cache", p.Now()-t0)
 		return buf
 	}
-	buf = make([]byte, db.opts.BlockBytes)
+	buf = make([]byte, blockBytes)
 	t0 := p.Now()
 	t.file.Pread(p, buf, off)
 	db.Break.Add("io", p.Now()-t0)
@@ -430,7 +419,7 @@ func (db *DB) flushLocked(p *engine.Proc) {
 	p.BeginSpan("kv.flush")
 	defer p.EndSpan()
 	db.Flushes++
-	b := newSSTBuilder(db.opts.BlockBytes, db.mem.size)
+	b := newSSTBuilder(blockBytes, db.mem.size)
 	for n := db.mem.first(); n != nil; n = n.next[0] {
 		b.add(n.key, n.value)
 	}
@@ -441,7 +430,7 @@ func (db *DB) flushLocked(p *engine.Proc) {
 	if db.wal != nil {
 		db.wal.Pwrite(p, []byte{0, 0, 0, 0}, 0) // truncate the log
 	}
-	if len(db.levels[0]) >= db.opts.L0Trigger {
+	if len(db.levels[0]) >= l0Trigger {
 		db.compactL0(p)
 	}
 	db.writeManifest(p)
@@ -490,12 +479,12 @@ func (db *DB) mergeTables(p *engine.Proc, sources []*SST) []*SST {
 		}
 	}
 	var out []*SST
-	b := newSSTBuilder(db.opts.BlockBytes, db.opts.SSTTargetBytes)
+	b := newSSTBuilder(blockBytes, db.opts.SSTTargetBytes)
 	var lastKey []byte
 	emit := func(k, v []byte) {
 		if b.estimatedSize() >= db.opts.SSTTargetBytes {
 			out = append(out, b.finish(p, db.opts.NS, db.sstName(), db.nextSSTID(), db.mmio()))
-			b = newSSTBuilder(db.opts.BlockBytes, db.opts.SSTTargetBytes)
+			b = newSSTBuilder(blockBytes, db.opts.SSTTargetBytes)
 		}
 		b.add(k, v)
 	}
@@ -523,12 +512,12 @@ func (db *DB) mergeTables(p *engine.Proc, sources []*SST) []*SST {
 // BulkLoad writes `records` pre-sorted records straight into L1 (the
 // standard trick for building read-only evaluation datasets quickly).
 func (db *DB) BulkLoad(p *engine.Proc, records uint64, valueSize int) {
-	b := newSSTBuilder(db.opts.BlockBytes, db.opts.SSTTargetBytes)
+	b := newSSTBuilder(blockBytes, db.opts.SSTTargetBytes)
 	var key, val []byte
 	for id := uint64(0); id < records; id++ {
 		if b.estimatedSize() >= db.opts.SSTTargetBytes {
 			db.levels[1] = append(db.levels[1], b.finish(p, db.opts.NS, db.sstName(), db.nextSSTID(), db.mmio()))
-			b = newSSTBuilder(db.opts.BlockBytes, db.opts.SSTTargetBytes)
+			b = newSSTBuilder(blockBytes, db.opts.SSTTargetBytes)
 		}
 		key = ycsb.AppendKey(key[:0], id)
 		val = ycsb.AppendValue(val[:0], id, valueSize)

@@ -174,7 +174,6 @@ func (h *iterHeap) pop() heapItem {
 // mergeIter merges the memtable and every table, newest source winning on
 // duplicate keys.
 type mergeIter struct {
-	db      *DB
 	memNode *skipNode
 	heap    *iterHeap
 	lastKey []byte
@@ -182,7 +181,7 @@ type mergeIter struct {
 
 // newMergeIter builds a merged iterator positioned at startKey.
 func (db *DB) newMergeIter(p *engine.Proc, startKey []byte) *mergeIter {
-	m := &mergeIter{db: db, heap: &iterHeap{}}
+	m := &mergeIter{heap: &iterHeap{}}
 	m.memNode = db.mem.seek(startKey)
 	pri := 1
 	for _, t := range db.levels[0] {

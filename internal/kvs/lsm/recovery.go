@@ -84,7 +84,7 @@ func Reopen(p *engine.Proc, e *engine.Engine, opts Options) *DB {
 			id := binary.LittleEndian.Uint64(buf[pos:])
 			pos += 8
 			db.levels[lvl] = append(db.levels[lvl],
-				openSST(p, db.opts.NS, name, id, db.opts.BlockBytes, db.mmio()))
+				openSST(p, db.opts.NS, name, id, blockBytes, db.mmio()))
 		}
 	}
 	db.replayWAL(p)

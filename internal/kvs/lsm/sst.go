@@ -23,25 +23,16 @@ type SST struct {
 	id         uint64
 	file       iface.File
 	mapping    iface.Mapping // non-nil in mmio mode
-	blockSize  int
 	blockCount int
 	firstKeys  [][]byte
 	filter     *bloom
 	smallest   []byte
 	largest    []byte
 	entries    int
-	dataBytes  uint64
 }
-
-// ID returns the table's id.
-func (t *SST) ID() uint64 { return t.id }
 
 // Entries returns the number of records.
 func (t *SST) Entries() int { return t.entries }
-
-// Smallest and Largest bound the table's key range.
-func (t *SST) Smallest() []byte { return t.smallest }
-func (t *SST) Largest() []byte  { return t.largest }
 
 // sstBuilder accumulates sorted records into the table's image and writes it
 // out in one pass. The image is the one place a key lives while the table is
@@ -144,9 +135,9 @@ func (b *sstBuilder) finish(p *engine.Proc, ns iface.Namespace, name string, id 
 	// The table keeps its own copy of the index region and of the last key;
 	// the image goes with the builder.
 	t := &SST{
-		id: id, file: f, blockSize: b.blockSize,
+		id: id, file: f,
 		blockCount: nBlocks, firstKeys: indexKeys(bytes.Clone(image[dataLen:bloomOff])),
-		filter: filter, entries: b.entries, dataBytes: uint64(dataLen),
+		filter: filter, entries: b.entries,
 	}
 	if nBlocks > 0 {
 		t.smallest = t.firstKeys[0]
@@ -194,9 +185,8 @@ func openSST(p *engine.Proc, ns iface.Namespace, name string, id uint64, blockSi
 	filter, _ := unmarshalBloom(meta[idxLen:])
 
 	t := &SST{
-		id: id, file: f, blockSize: blockSize,
+		id: id, file: f,
 		blockCount: nBlocks, firstKeys: firstKeys, filter: filter,
-		dataBytes: uint64(dataLen),
 	}
 	if nBlocks > 0 {
 		t.smallest = firstKeys[0]

@@ -99,21 +99,6 @@ func (b *Breakdown) Map() map[string]uint64 {
 	return out
 }
 
-// Merge adds all categories of other into b.
-func (b *Breakdown) Merge(other *Breakdown) {
-	for _, name := range other.order {
-		c, o := b.cell(name), other.cells[name]
-		c.cycles += o.cycles
-		c.count += o.count
-	}
-}
-
-// Reset empties the breakdown.
-func (b *Breakdown) Reset() {
-	b.order = nil
-	b.cells = make(map[string]*breakdownCell)
-}
-
 // Table renders the breakdown as per-op averages over n operations.
 func (b *Breakdown) Table(n uint64) string {
 	var sb strings.Builder

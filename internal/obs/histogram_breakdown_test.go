@@ -190,17 +190,6 @@ func TestBreakdown(t *testing.T) {
 	}
 }
 
-func TestBreakdownMerge(t *testing.T) {
-	a, b := NewBreakdown(), NewBreakdown()
-	a.Add("x", 1)
-	b.Add("x", 2)
-	b.Add("y", 3)
-	a.Merge(b)
-	if a.Get("x") != 3 || a.Get("y") != 3 {
-		t.Fatalf("merged: x=%d y=%d", a.Get("x"), a.Get("y"))
-	}
-}
-
 func TestBreakdownTableRenders(t *testing.T) {
 	b := NewBreakdown()
 	b.Add("alpha", 100)

@@ -5,18 +5,11 @@
 // drift on any metric is a detectable change, so the gate needs no
 // statistical machinery; per-metric tolerances exist for intentionally
 // noisy series, not for measurement error.
-//
-// The package also maintains BENCH_history.jsonl, an append-only trajectory
-// of gate runs that makes the repository's perf story machine-readable
-// across PRs.
 package perfgate
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -306,88 +299,4 @@ func sortedKeys(m map[string]bool) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// HistoryRecord is one BENCH_history.jsonl line: the headline numbers of a
-// candidate report plus the gate verdict against the golden of the day.
-type HistoryRecord struct {
-	// Time is the host-side run timestamp (RFC 3339); empty in tests that
-	// need byte-stable lines.
-	Time string `json:"time,omitempty"`
-	// Label identifies the run (CI job, PR id) when provided.
-	Label               string  `json:"label,omitempty"`
-	Experiment          string  `json:"experiment"`
-	Scale               float64 `json:"scale"`
-	Ops                 uint64  `json:"ops,omitempty"`
-	ElapsedCycles       uint64  `json:"elapsed_cycles,omitempty"`
-	ThroughputOpsPerSec float64 `json:"throughput_ops_per_sec,omitempty"`
-	TotalCycles         uint64  `json:"total_cycles,omitempty"`
-	BreakdownTotal      uint64  `json:"breakdown_total_cycles,omitempty"`
-	Status              string  `json:"status"`
-	// Drifted lists the metrics that differed beyond tolerance.
-	Drifted []string `json:"drifted,omitempty"`
-}
-
-// NewHistoryRecord builds the record for one gate comparison.
-func NewHistoryRecord(cand *obs.Report, deltas []Delta, label, ts string) HistoryRecord {
-	rec := HistoryRecord{
-		Time:                ts,
-		Label:               label,
-		Experiment:          cand.Experiment,
-		Scale:               cand.Scale,
-		Ops:                 cand.Ops,
-		ElapsedCycles:       cand.ElapsedCycles,
-		ThroughputOpsPerSec: cand.ThroughputOpsPerSec,
-		TotalCycles:         cand.TotalCycles,
-		BreakdownTotal:      cand.BreakdownTotal,
-		Status:              Worst(deltas).String(),
-	}
-	for _, d := range NotOK(deltas) {
-		rec.Drifted = append(rec.Drifted, d.Metric)
-	}
-	return rec
-}
-
-// AppendHistory appends records to the JSONL trajectory at path, creating
-// the file if needed.
-func AppendHistory(path string, recs []HistoryRecord) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	for _, rec := range recs {
-		if err := enc.Encode(rec); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	return f.Close()
-}
-
-// ReadHistory loads the JSONL trajectory (trajectory tooling, tests).
-func ReadHistory(path string) ([]HistoryRecord, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var out []HistoryRecord
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var rec HistoryRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			return nil, fmt.Errorf("history line %d: %w", len(out)+1, err)
-		}
-		out = append(out, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

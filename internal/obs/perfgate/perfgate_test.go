@@ -1,7 +1,6 @@
 package perfgate
 
 import (
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -156,33 +155,5 @@ func TestBreakdownUnion(t *testing.T) {
 	}
 	if d, ok := byName["breakdown.new_cat"]; !ok || d.Golden != 0 || d.Status != Regressed {
 		t.Errorf("appeared category: %+v", d)
-	}
-}
-
-func TestHistoryRoundtrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_history.jsonl")
-	cand := sampleReport()
-	cand.TotalCycles++
-	deltas := Compare(sampleReport(), cand, nil)
-	rec := NewHistoryRecord(cand, deltas, "pr-42", "2026-08-08T00:00:00Z")
-	if err := AppendHistory(path, []HistoryRecord{rec}); err != nil {
-		t.Fatal(err)
-	}
-	if err := AppendHistory(path, []HistoryRecord{rec}); err != nil { // append, not truncate
-		t.Fatal(err)
-	}
-	recs, err := ReadHistory(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 {
-		t.Fatalf("history records = %d, want 2", len(recs))
-	}
-	got := recs[1]
-	if got.Experiment != "fig8a" || got.Label != "pr-42" || got.Status != "regressed" {
-		t.Fatalf("record = %+v", got)
-	}
-	if len(got.Drifted) == 0 || got.Drifted[0] != "total_cycles" {
-		t.Fatalf("drifted = %v", got.Drifted)
 	}
 }

@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -209,58 +208,6 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// Diff returns the delta s − prev: counters and breakdown cycles subtract
-// (clamped at zero, so a reset metric reads as its current value), gauges
-// keep their current value, and histogram summaries subtract count/sum while
-// keeping the current distribution shape (quantiles are not subtractable).
-func (s Snapshot) Diff(prev Snapshot) Snapshot {
-	out := Snapshot{}
-	if len(s.Counters) > 0 {
-		out.Counters = make(map[string]uint64, len(s.Counters))
-		for k, v := range s.Counters {
-			out.Counters[k] = subClamp(v, prev.Counters[k])
-		}
-	}
-	if len(s.Gauges) > 0 {
-		out.Gauges = make(map[string]float64, len(s.Gauges))
-		for k, v := range s.Gauges {
-			out.Gauges[k] = v
-		}
-	}
-	if len(s.Histograms) > 0 {
-		out.Histograms = make(map[string]Summary, len(s.Histograms))
-		for k, v := range s.Histograms {
-			p := prev.Histograms[k]
-			v.Count = subClamp(v.Count, p.Count)
-			v.Sum = subClamp(v.Sum, p.Sum)
-			if v.Count > 0 {
-				v.Mean = float64(v.Sum) / float64(v.Count)
-			} else {
-				v.Mean = 0
-			}
-			out.Histograms[k] = v
-		}
-	}
-	if len(s.Breakdowns) > 0 {
-		out.Breakdowns = make(map[string]map[string]uint64, len(s.Breakdowns))
-		for k, cats := range s.Breakdowns {
-			d := make(map[string]uint64, len(cats))
-			for c, v := range cats {
-				d[c] = subClamp(v, prev.Breakdowns[k][c])
-			}
-			out.Breakdowns[k] = d
-		}
-	}
-	return out
-}
-
-func subClamp(a, b uint64) uint64 {
-	if a < b {
-		return 0
-	}
-	return a - b
-}
-
 // WriteJSON encodes the snapshot as indented JSON. encoding/json sorts map
 // keys, so the output is deterministic.
 func (s Snapshot) WriteJSON(w io.Writer) error {
@@ -271,25 +218,3 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 
 // WriteJSON snapshots the registry and encodes it as indented JSON.
 func (r *Registry) WriteJSON(w io.Writer) error { return r.Snapshot().WriteJSON(w) }
-
-// Keys returns every metric key in sorted order (tests, debugging).
-func (r *Registry) Keys() []string {
-	if r == nil {
-		return nil
-	}
-	var out []string
-	for k := range r.counters {
-		out = append(out, k)
-	}
-	for k := range r.gauges {
-		out = append(out, k)
-	}
-	for k := range r.hists {
-		out = append(out, k)
-	}
-	for k := range r.breaks {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}

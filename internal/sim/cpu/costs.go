@@ -118,6 +118,3 @@ func (c Costs) MemcpyAVX2(n int) uint64 {
 	}
 	return uint64(n)*c.Memcpy4KAVX2/4096 + c.FPUSaveRestore
 }
-
-// VMCall is a full guest->hypervisor->guest round trip.
-func (c Costs) VMCall() uint64 { return c.VMExit + c.VMEntry }

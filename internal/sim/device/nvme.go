@@ -36,7 +36,6 @@ type NVMe struct {
 	nextFree uint64
 	// busyCycles integrates service time, for utilization reporting.
 	busyCycles uint64
-	lastSubmit uint64
 	obs        *devObs
 }
 
@@ -58,7 +57,6 @@ func (d *NVMe) Submit(now uint64, bytes int, write bool) uint64 {
 	}
 	d.nextFree = start + service
 	d.busyCycles += service
-	d.lastSubmit = now
 	lat := d.cfg.ReadLatency
 	if write {
 		lat = d.cfg.WriteLatency
@@ -78,6 +76,3 @@ func (d *NVMe) Utilization(horizon uint64) float64 {
 	}
 	return float64(d.busyCycles) / float64(horizon)
 }
-
-// Config returns the timing configuration.
-func (d *NVMe) Config() NVMeConfig { return d.cfg }

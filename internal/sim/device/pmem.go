@@ -48,6 +48,3 @@ func (d *PMem) Submit(now uint64, bytes int, write bool) uint64 {
 func (d *PMem) AccessCycles(n int) uint64 {
 	return d.cfg.MediaLatency + uint64(float64(n)*d.cfg.CyclesPerByte)
 }
-
-// Config returns the timing configuration.
-func (d *PMem) Config() PMemConfig { return d.cfg }

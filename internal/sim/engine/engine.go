@@ -40,21 +40,6 @@ const (
 	numKinds
 )
 
-// String returns the conventional name of the accounting category.
-func (k Kind) String() string {
-	switch k {
-	case KindUser:
-		return "user"
-	case KindSystem:
-		return "system"
-	case KindIOWait:
-		return "iowait"
-	case KindLockWait:
-		return "lockwait"
-	}
-	return fmt.Sprintf("kind(%d)", uint8(k))
-}
-
 // Config parameterizes a simulation engine.
 type Config struct {
 	// NumCPUs is the number of simulated CPUs (hyperthreads). The paper's
@@ -215,18 +200,11 @@ func (e *Engine) schedKey(id int) uint64 {
 	return z ^ (z >> 31)
 }
 
-// SchedPerturb returns the schedule-perturbation seed the engine runs under
-// (0 = canonical spawn-order tie-breaking).
-func (e *Engine) SchedPerturb() uint64 { return e.cfg.SchedPerturb }
-
 // NumCPUs returns the number of simulated CPUs.
 func (e *Engine) NumCPUs() int { return len(e.cpus) }
 
 // NumNUMANodes returns the number of simulated NUMA nodes.
 func (e *Engine) NumNUMANodes() int { return e.cfg.NumNUMANodes }
-
-// CPU returns the simulated CPU with the given id.
-func (e *Engine) CPU(id int) *CPU { return e.cpus[id] }
 
 // NodeOf returns the NUMA node of the given CPU.
 func (e *Engine) NodeOf(cpu int) int { return e.cpus[cpu].Node }

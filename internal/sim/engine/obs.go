@@ -43,18 +43,6 @@ func (e *Engine) registerObs() {
 	}
 }
 
-// Spans returns the obs tracer the engine records into (nil when disabled).
-func (e *Engine) Spans() *obs.Tracer { return e.spans }
-
-// Profile returns the lossless span sink the engine feeds (nil when
-// profiling is disabled).
-func (e *Engine) Profile() obs.SpanSink { return e.prof }
-
-// SchedPID and ProcPID return the trace process-group ids the engine
-// registered for scheduler segments and per-process spans.
-func (e *Engine) SchedPID() int { return e.pidCPU }
-func (e *Engine) ProcPID() int  { return e.pidProc }
-
 // BeginSpan opens a named span on this process's trace track at the current
 // simulated cycle. Spans nest; close with EndSpan. With both tracing and
 // profiling disabled the call is a no-op costing two nil checks, and it

@@ -161,9 +161,6 @@ func (p *Proc) AdvanceUser(cycles uint64) { p.advance(KindUser, cycles) }
 // AdvanceSystem charges privileged/handler/kernel cycles.
 func (p *Proc) AdvanceSystem(cycles uint64) { p.advance(KindSystem, cycles) }
 
-// Advance charges cycles of the given kind.
-func (p *Proc) Advance(k Kind, cycles uint64) { p.advance(k, cycles) }
-
 // Yield lets any process with an earlier clock run first. It does not
 // consume simulated time. When the caller itself is first in schedule order
 // it simply keeps running (the scheduler segment still breaks here).

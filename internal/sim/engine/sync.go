@@ -76,9 +76,6 @@ func (m *Mutex) primitiveName() string { return m.name }
 // Stats returns contention counters.
 func (m *Mutex) Stats() MutexStats { return m.stats }
 
-// Held reports whether the mutex is currently held (diagnostics/tests).
-func (m *Mutex) Held() bool { return m.holder != nil }
-
 type rwWaiter struct {
 	p     *Proc
 	write bool
@@ -189,9 +186,6 @@ func (rw *RWMutex) admit(t uint64) {
 }
 
 func (rw *RWMutex) primitiveName() string { return rw.name }
-
-// Stats returns contention counters.
-func (rw *RWMutex) Stats() MutexStats { return rw.stats }
 
 // WaitGroup is a simulated analogue of sync.WaitGroup.
 type WaitGroup struct {

@@ -158,7 +158,6 @@ func NewBuddyAllocator(totalBytes uint64, numNodes int) *Allocator {
 	}
 	a := &Allocator{
 		numNodes: numNodes,
-		perNode:  perNode,
 		frames:   make(map[uint64]*Frame),
 		capacity: perNode * uint64(numNodes),
 	}

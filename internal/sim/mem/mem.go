@@ -43,7 +43,6 @@ func (f *Frame) Reset() {
 // additionally hand out 2 MB-contiguous blocks; see buddy.go.
 type Allocator struct {
 	numNodes  int
-	perNode   uint64
 	freeLists [][]uint64 // stacks of free frame IDs per node (non-buddy mode)
 	buddy     []*buddyNode
 	frames    map[uint64]*Frame
@@ -64,7 +63,6 @@ func NewAllocator(totalBytes uint64, numNodes int) *Allocator {
 	}
 	a := &Allocator{
 		numNodes: numNodes,
-		perNode:  perNode,
 		frames:   make(map[uint64]*Frame),
 		capacity: perNode * uint64(numNodes),
 	}

@@ -84,19 +84,6 @@ func indices(va uint64) [4]int {
 	}
 }
 
-// levelSize returns the bytes covered by one entry at walk depth d (0-based
-// from the root): depth 1 entry -> 1 GB, depth 2 -> 2 MB, depth 3 -> 4 KB.
-func levelSize(depth int) uint64 {
-	switch depth {
-	case 1:
-		return Size1G
-	case 2:
-		return Size2M
-	default:
-		return Size4K
-	}
-}
-
 // Lookup walks the table for va. It returns the leaf entry and true when a
 // present mapping covers va (at any page size).
 func (t *Table) Lookup(va uint64) (Entry, bool) {
@@ -197,16 +184,6 @@ func (t *Table) SetDirty(va uint64) bool {
 		return false
 	}
 	e.Flags |= FlagDirty | FlagAccessed
-	return true
-}
-
-// SetAccessed sets the accessed bit of the mapping covering va.
-func (t *Table) SetAccessed(va uint64) bool {
-	e := t.lookupRef(va)
-	if e == nil {
-		return false
-	}
-	e.Flags |= FlagAccessed
 	return true
 }
 

@@ -1,15 +1,14 @@
 // Package spdk reimplements the slice of the Storage Performance Development
 // Kit that Aquila uses (§3.3): a polled-mode user-space NVMe driver that
 // bypasses the kernel entirely, and Blobstore, a flat namespace of blobs with
-// cluster-granular allocation, runtime create/resize/delete and extended
-// attributes. Aquila layers a file abstraction over blobs (FileMap) and uses
-// Blobstore's direct, unbuffered I/O path.
+// cluster-granular allocation and runtime create/resize/delete. Aquila layers
+// a file abstraction over blobs (FileMap) and uses Blobstore's direct,
+// unbuffered I/O path.
 package spdk
 
 import (
 	"fmt"
 
-	"aquila/internal/detutil"
 	"aquila/internal/sim/device"
 	"aquila/internal/sim/engine"
 )
@@ -114,12 +113,11 @@ func (d *Driver) WriteTimed(p *engine.Proc, bytes int) uint64 {
 // BlobID identifies a blob in the flat namespace.
 type BlobID uint64
 
-// Blob is one blob: a size, an ordered cluster list, and extended attributes.
+// Blob is one blob: a size and an ordered cluster list.
 type Blob struct {
 	ID       BlobID
 	size     uint64
 	clusters []uint64 // cluster indices, logical order
-	xattrs   map[string][]byte
 	deleted  bool
 }
 
@@ -132,26 +130,26 @@ func (b *Blob) Clusters() int { return len(b.clusters) }
 // Blobstore is a flat namespace of blobs over a dedicated NVMe device,
 // modeled after SPDK Blobstore with its direct (unbuffered) I/O path.
 type Blobstore struct {
-	drv     *Driver
-	nextID  BlobID
-	blobs   map[BlobID]*Blob
-	freeCl  []uint64
-	totalCl uint64
-	mdCost  uint64 // metadata op cost in cycles
+	drv    *Driver
+	nextID BlobID
+	blobs  map[BlobID]*Blob
+	freeCl []uint64
+	mdCost uint64 // metadata op cost in cycles
 }
 
 // NewBlobstore formats a blobstore over the driver's device.
 func NewBlobstore(drv *Driver) *Blobstore {
 	total := drv.dev.Capacity() / ClusterSize
 	bs := &Blobstore{
-		drv:     drv,
-		nextID:  1,
-		blobs:   make(map[BlobID]*Blob),
-		totalCl: total,
-		mdCost:  1500,
+		drv:    drv,
+		nextID: 1,
+		blobs:  make(map[BlobID]*Blob),
+		mdCost: 1500,
 	}
 	// Reverse order so low clusters are handed out first; cluster 0 is
-	// reserved for the super block and blob metadata (see persist.go).
+	// reserved, as SPDK Blobstore keeps its super block and blob metadata
+	// there (the simulation charges metadata writes but stores none: a
+	// restart finds its files by re-creating them in order, see crash.go).
 	for c := total; c > 1; c-- {
 		bs.freeCl = append(bs.freeCl, c-1)
 	}
@@ -177,7 +175,7 @@ func (bs *Blobstore) SetSize(b *Blob, size uint64) {
 // Create allocates a new blob with the given size (rounded up to clusters).
 func (bs *Blobstore) Create(p *engine.Proc, size uint64) *Blob {
 	p.AdvanceSystem(bs.mdCost)
-	b := &Blob{ID: bs.nextID, xattrs: make(map[string][]byte)}
+	b := &Blob{ID: bs.nextID}
 	bs.nextID++
 	bs.blobs[b.ID] = b
 	bs.Resize(p, b, size)
@@ -221,19 +219,6 @@ func (bs *Blobstore) Delete(p *engine.Proc, b *Blob) {
 	bs.Resize(p, b, 0)
 	b.deleted = true
 	delete(bs.blobs, b.ID)
-}
-
-// SetXattr stores an extended attribute on the blob.
-func (bs *Blobstore) SetXattr(p *engine.Proc, b *Blob, key string, val []byte) {
-	p.AdvanceSystem(bs.mdCost)
-	b.xattrs[key] = append([]byte(nil), val...)
-}
-
-// GetXattr fetches an extended attribute.
-func (bs *Blobstore) GetXattr(p *engine.Proc, b *Blob, key string) ([]byte, bool) {
-	p.AdvanceSystem(bs.mdCost / 4)
-	v, ok := b.xattrs[key]
-	return v, ok
 }
 
 // DevOff translates a blob offset to a device offset. The range must not
@@ -302,7 +287,7 @@ func (fm *FileMap) Create(p *engine.Proc, name string, size uint64) *Blob {
 		panic(fmt.Sprintf("spdk: create of existing file %q", name))
 	}
 	b := fm.bs.Create(p, size)
-	fm.bs.SetXattr(p, b, "name", []byte(name))
+	p.AdvanceSystem(fm.bs.mdCost) // tagging the blob with its name is one more metadata write
 	fm.names[name] = b.ID
 	return b
 }
@@ -337,9 +322,4 @@ func (fm *FileMap) Delete(p *engine.Proc, name string) {
 		fm.bs.Delete(p, b)
 	}
 	delete(fm.names, name)
-}
-
-// Names returns the bound names in sorted order.
-func (fm *FileMap) Names() []string {
-	return detutil.SortedKeys(fm.names)
 }

@@ -107,21 +107,6 @@ func TestBlobClustersNeedNotBeContiguous(t *testing.T) {
 	})
 }
 
-func TestXattrs(t *testing.T) {
-	e, bs := newBS()
-	run1(e, func(p *engine.Proc) {
-		b := bs.Create(p, mib)
-		bs.SetXattr(p, b, "k", []byte("v"))
-		v, ok := bs.GetXattr(p, b, "k")
-		if !ok || string(v) != "v" {
-			t.Errorf("xattr = %q, %v", v, ok)
-		}
-		if _, ok := bs.GetXattr(p, b, "missing"); ok {
-			t.Error("missing xattr found")
-		}
-	})
-}
-
 func TestFileMap(t *testing.T) {
 	e, bs := newBS()
 	fm := NewFileMap(bs)
@@ -129,10 +114,6 @@ func TestFileMap(t *testing.T) {
 		b := fm.Create(p, "sst-000001", 64*mib)
 		if fm.Open(p, "sst-000001") != b {
 			t.Error("open returned different blob")
-		}
-		name, _ := bs.GetXattr(p, b, "name")
-		if string(name) != "sst-000001" {
-			t.Errorf("name xattr = %q", name)
 		}
 		fm.Delete(p, "sst-000001")
 		if fm.Exists("sst-000001") {
@@ -176,71 +157,4 @@ func TestClusterConservationProperty(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestBlobstorePersistAndLoad(t *testing.T) {
-	e := engine.New(engine.Config{NumCPUs: 4, Seed: 1})
-	drv := NewDriver(device.NewNVMe(512*mib, device.DefaultNVMeConfig()))
-	bs := NewBlobstore(drv)
-	fm := NewFileMap(bs)
-	var wantData []byte
-	run1(e, func(p *engine.Proc) {
-		a := fm.Create(p, "table-a", 3*mib)
-		fm.Create(p, "table-b", 1*mib)
-		bs.SetXattr(p, a, "level", []byte("1"))
-		wantData = make([]byte, 8192)
-		for i := range wantData {
-			wantData[i] = byte(i * 31)
-		}
-		bs.WriteBlob(p, a, mib+100, wantData)
-		bs.Persist(p)
-	})
-
-	// "Restart": reconstruct everything from the device alone.
-	e2 := engine.New(engine.Config{NumCPUs: 4, Seed: 2})
-	run1(e2, func(p *engine.Proc) {
-		bs2, err := LoadBlobstore(p, drv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fm2 := LoadFileMap(p, bs2)
-		if !fm2.Exists("table-a") || !fm2.Exists("table-b") {
-			t.Fatal("names lost across restart")
-		}
-		a := fm2.Open(p, "table-a")
-		if a.Size() != 3*mib || a.Clusters() != 3 {
-			t.Errorf("blob a: size=%d clusters=%d", a.Size(), a.Clusters())
-		}
-		if lvl, ok := bs2.GetXattr(p, a, "level"); !ok || string(lvl) != "1" {
-			t.Error("xattr lost")
-		}
-		got := make([]byte, len(wantData))
-		bs2.ReadBlob(p, a, mib+100, got)
-		if !bytes.Equal(got, wantData) {
-			t.Error("blob content lost across restart")
-		}
-		// Free-list reconstruction: allocating must not collide with
-		// existing blobs or the md cluster.
-		c := bs2.Create(p, 2*mib)
-		for _, cl := range c.clusters {
-			if cl == 0 {
-				t.Error("allocated the metadata cluster")
-			}
-			for _, acl := range a.clusters {
-				if cl == acl {
-					t.Error("allocated a cluster owned by another blob")
-				}
-			}
-		}
-	})
-}
-
-func TestLoadBlobstoreOnBlankDeviceFails(t *testing.T) {
-	e := engine.New(engine.Config{NumCPUs: 1, Seed: 1})
-	drv := NewDriver(device.NewNVMe(64*mib, device.DefaultNVMeConfig()))
-	run1(e, func(p *engine.Proc) {
-		if _, err := LoadBlobstore(p, drv); err == nil {
-			t.Error("expected error loading a blank device")
-		}
-	})
 }

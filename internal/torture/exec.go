@@ -86,7 +86,6 @@ type slotState struct {
 
 // fileRun is one mmapped file plus its model state.
 type fileRun struct {
-	spec  FileSpec
 	name  string
 	bytes uint64
 	f     aquila.File
@@ -301,7 +300,7 @@ func storeOf(sys *aquila.System) *device.Store {
 func (x *exec) setup(p *aquila.Proc) {
 	for i, spec := range x.pl.Files {
 		fr := &fileRun{
-			spec: spec, name: fmt.Sprintf("tort%02d", i),
+			name:  fmt.Sprintf("tort%02d", i),
 			bytes: fileBytes(spec.Slots),
 			slots: make([]slotState, spec.Slots),
 		}
@@ -632,7 +631,7 @@ func (x *exec) verifyRecovered(p *aquila.Proc, rsys *aquila.System) {
 	want := make([]byte, slotBytes)
 	for i, spec := range x.pl.Files {
 		fr := &fileRun{
-			spec: spec, name: fmt.Sprintf("tort%02d", i),
+			name:  fmt.Sprintf("tort%02d", i),
 			bytes: fileBytes(spec.Slots),
 		}
 		x.createAndMap(p, rsys, fr)

@@ -137,9 +137,6 @@ func NewGenerator(cfg Config) *Generator {
 // Records returns the current record count (grows with inserts).
 func (g *Generator) Records() uint64 { return g.records }
 
-// ValueSize returns the configured value size.
-func (g *Generator) ValueSize() int { return g.cfg.ValueSize }
-
 // nextKey draws a key per the configured distribution.
 func (g *Generator) nextKey() uint64 {
 	switch g.cfg.Distribution {
