@@ -122,6 +122,40 @@ func TestPutRejectsValueLongerThanHeaderCanSay(t *testing.T) {
 	})
 }
 
+// A key longer than the fixed key size used to be cut to it: two 32-byte keys
+// that share their first 30 bytes became one level-0 entry, and Get of the
+// first returned the second's value. A shorter key still zero-pads.
+func TestLongKeyIsRejectedNotCut(t *testing.T) {
+	e := engine.New(engine.Config{NumCPUs: 1, Seed: 1})
+	run1(e, func(p *engine.Proc) {
+		db := memStore(p, Options{})
+		short := []byte("short-key")
+		db.Put(p, short, []byte("value-of-short"))
+		if v, ok := db.Get(p, short); !ok || string(v) != "value-of-short" {
+			t.Fatalf("a 9-byte key reads back %q, %v", v, ok)
+		}
+		head := db.logHead
+		keyA := append(bytes.Repeat([]byte("u"), keySize), "-A"...)
+		for name, op := range map[string]func(){
+			"Put":  func() { db.Put(p, keyA, []byte("value-of-A")) },
+			"Get":  func() { db.Get(p, keyA) },
+			"Scan": func() { db.Scan(p, keyA, 1) },
+		} {
+			func() {
+				defer func() {
+					if msg := fmt.Sprint(recover()); !strings.Contains(msg, "key of 32 bytes") {
+						t.Errorf("%s of a 32-byte key: recovered %q, want a panic naming the length", name, msg)
+					}
+				}()
+				op()
+			}()
+		}
+		if db.logHead != head || db.L0Size() != 1 {
+			t.Error("a rejected key touched the store")
+		}
+	})
+}
+
 // What the data path allocates per operation once its scratch buffers exist:
 // a Get only the value it returns, a Put of a key level 0 holds nothing.
 func TestKreonDataPathAllocations(t *testing.T) {

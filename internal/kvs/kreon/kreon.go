@@ -287,11 +287,17 @@ func (db *DB) L0Size() int { return len(db.l0ents) }
 // TreeEntries returns the entry count of the on-device tree (tests).
 func (db *DB) TreeEntries() int { return db.treeN }
 
-// fixedKey is a key at its on-device size: makeKey zero-pads a shorter one
-// and cuts a longer one.
+// fixedKey is a key at its on-device size: makeKey zero-pads a shorter one.
+// The record format cannot hold a longer one (Reopen reads kl > keySize as a
+// corrupt record) and cutting it would alias every key that shares its first
+// keySize bytes, so Put, Get and Scan panic on one, as Put does on a value
+// the header cannot describe.
 type fixedKey [keySize]byte
 
 func makeKey(k []byte) (out fixedKey) {
+	if len(k) > keySize {
+		panic(fmt.Sprintf("kreon: key of %d bytes exceeds the fixed key size of %d", len(k), keySize))
+	}
 	copy(out[:], k)
 	return out
 }
