@@ -42,7 +42,10 @@ func TestWatermarkBoundsCheck(t *testing.T) {
 		})
 	}
 
-	badWatermarks := func(t *testing.T, ps *Params, body func(p *engine.Proc, boot func(*engine.Proc) *Runtime)) {
+	// The runtime half: boot an AsyncEvict world with the explicit pair, run
+	// then (if any), and expect the check's panic on the way.
+	badWatermarks := func(t *testing.T, low, high int, then func(p *engine.Proc, rt *Runtime)) {
+		ps := asyncParams(func(ps *Params) { ps.LowWatermark, ps.HighWatermark = low, high })
 		e, _, boot := asyncDaxWorld(16*mib, 4, ps)
 		e.Spawn(0, "t", func(p *engine.Proc) {
 			defer func() {
@@ -50,19 +53,17 @@ func TestWatermarkBoundsCheck(t *testing.T) {
 					t.Errorf("panic = %q, want \"core: bad eviction watermarks: ...\"", msg)
 				}
 			}()
-			body(p, boot)
+			if rt := boot(p); then != nil {
+				then(p, rt)
+			}
 		})
 		e.Run()
 		e.Close()
 	}
-	t.Run("boot-inverted", func(t *testing.T) {
-		ps := asyncParams(func(ps *Params) { ps.LowWatermark, ps.HighWatermark = 256, 64 })
-		badWatermarks(t, ps, func(p *engine.Proc, boot func(*engine.Proc) *Runtime) { boot(p) })
-	})
+	t.Run("boot-inverted", func(t *testing.T) { badWatermarks(t, 256, 64, nil) })
 	t.Run("resize-below-high", func(t *testing.T) {
-		ps := asyncParams(func(ps *Params) { ps.LowWatermark, ps.HighWatermark = 64, 2048 })
-		badWatermarks(t, ps, func(p *engine.Proc, boot func(*engine.Proc) *Runtime) {
-			boot(p).ResizeCache(p, 4*mib) // 1024 pages: the explicit high no longer fits
+		badWatermarks(t, 64, 2048, func(p *engine.Proc, rt *Runtime) {
+			rt.ResizeCache(p, 4*mib) // 1024 pages: the explicit high no longer fits
 		})
 	})
 }
