@@ -1,7 +1,7 @@
 // Command aqlint runs Aquila's custom static-analysis suite over the repo:
 // the determinism, cycle-accounting, span-pairing, error-propagation,
-// durability-pairing, crash-unwind and frame-lease invariants the goldens
-// and the crash sweep depend on (see DESIGN.md "Static invariants").
+// durability-pairing and crash-unwind invariants the goldens and the crash
+// sweep depend on (see DESIGN.md "Static invariants").
 //
 // Usage:
 //
@@ -10,9 +10,9 @@
 //	aqlint -only detrand ./internal/core/...
 //	aqlint -json ./...      # machine-readable findings (CI artifact)
 //
-// Findings are suppressed per line with `//aqlint:ignore <name> -- reason`
-// (and `//aqlint:sorted -- reason` for maporder). Suppressed counts are
-// reported so escapes stay visible in CI logs.
+// The one escape hatch is maporder's: `//aqlint:sorted -- reason` above a
+// range over a map, with the reason mandatory. Suppressed counts are reported
+// so escapes stay visible in CI logs.
 package main
 
 import (

@@ -21,8 +21,8 @@ import (
 
 // Analyzer describes one static check.
 type Analyzer struct {
-	// Name identifies the analyzer in findings and in //aqlint:ignore
-	// directives. Lower-case, no spaces.
+	// Name identifies the analyzer in findings and in aqlint's -only flag.
+	// Lower-case, no spaces.
 	Name string
 	// Doc is the one-paragraph rule statement (shown by `aqlint -list`).
 	Doc string
@@ -39,8 +39,8 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	// Report delivers one finding. The driver applies //aqlint suppression
-	// directives after this call, so analyzers report unconditionally.
+	// Report delivers one finding. The driver applies //aqlint:sorted after
+	// this call, so analyzers report unconditionally.
 	Report func(Diagnostic)
 }
 

@@ -20,23 +20,16 @@ import (
 // never descends into its body.
 
 // Cond is a canonicalized branch condition attached to a CFG edge: taking
-// the edge means the condition's canonical form evaluated to Val. At most
-// one of NilVar/BoolVar/TypeTestVar is set; Key is always set and is the
-// correlation handle for guard matching (`x != nil` and `!(x == nil)`
-// canonicalize to the same Key with flipped Val).
+// the edge means the condition's canonical form evaluated to Val. Key is
+// always set and is the correlation handle for guard matching (`x != nil`
+// and `!(x == nil)` canonicalize to the same Key with flipped Val).
 type Cond struct {
 	// Key is the canonical printed condition ("ferr == nil", "ok", ...).
 	Key string
 	// Val is the canonical condition's value on this edge.
 	Val bool
-	// NilVar is the compared variable when the condition is a nil test of
-	// a plain identifier (`x == nil` / `x != nil`).
-	NilVar types.Object
 	// BoolVar is the variable when the condition is a bare bool identifier.
 	BoolVar types.Object
-	// TypeTestVar is the switched variable on a type-switch case edge whose
-	// case types are all concrete (taking the edge proves the dynamic type).
-	TypeTestVar types.Object
 }
 
 // negate returns the condition for the opposite edge.
@@ -293,7 +286,7 @@ func (b *cfgBuilder) switchStmt(st *ast.SwitchStmt, label string) {
 	if st.Tag != nil {
 		b.atom(st.Tag)
 	}
-	b.clauses(st.Body, label, nil, false)
+	b.clauses(st.Body, label, false)
 }
 
 func (b *cfgBuilder) typeSwitchStmt(st *ast.TypeSwitchStmt, label string) {
@@ -301,14 +294,12 @@ func (b *cfgBuilder) typeSwitchStmt(st *ast.TypeSwitchStmt, label string) {
 		b.atom(st.Init)
 	}
 	b.atom(st.Assign)
-	b.clauses(st.Body, label, typeSwitchVar(b.info, st.Assign), true)
+	b.clauses(st.Body, label, true)
 }
 
-// clauses builds the case bodies of a (type) switch. For a type switch with
-// a resolvable switched variable, case edges whose types are all concrete
-// (or the nil case) are labeled so the solver can discharge facts bound to
-// that variable.
-func (b *cfgBuilder) clauses(body *ast.BlockStmt, label string, tsVar types.Object, isType bool) {
+// clauses builds the case bodies of a (type) switch; a type switch's case
+// lists are types, not expressions, and make no atoms.
+func (b *cfgBuilder) clauses(body *ast.BlockStmt, label string, isType bool) {
 	head := b.cur
 	after := b.newBlock()
 	hasDefault := false
@@ -327,11 +318,7 @@ func (b *cfgBuilder) clauses(body *ast.BlockStmt, label string, tsVar types.Obje
 		}
 	}
 	for i, bc := range cases {
-		var cond *Cond
-		if isType && tsVar != nil && bc.cc.List != nil {
-			cond = b.typeCaseCond(tsVar, bc.cc.List)
-		}
-		b.link(head, bc.start, cond)
+		b.link(head, bc.start, nil)
 		var next *Block
 		if i+1 < len(cases) {
 			next = cases[i+1].start
@@ -351,35 +338,6 @@ func (b *cfgBuilder) clauses(body *ast.BlockStmt, label string, tsVar types.Obje
 		b.link(head, after, nil)
 	}
 	b.cur = after
-}
-
-// typeCaseCond labels a type-switch case edge when every case type is
-// concrete (taking the edge proves the variable's dynamic type) or the case
-// is `case nil` (the variable holds no value at all).
-func (b *cfgBuilder) typeCaseCond(tsVar types.Object, list []ast.Expr) *Cond {
-	allConcrete := true
-	allNil := true
-	for _, e := range list {
-		if id, ok := ast.Unparen(e).(*ast.Ident); ok && id.Name == "nil" {
-			allConcrete = false
-			continue
-		}
-		allNil = false
-		if b.info == nil {
-			return nil
-		}
-		tv, ok := b.info.Types[e]
-		if !ok || tv.Type == nil || types.IsInterface(tv.Type) {
-			allConcrete = false
-		}
-	}
-	switch {
-	case allNil:
-		return &Cond{Key: tsVar.Name() + " == nil", Val: true, NilVar: tsVar}
-	case allConcrete:
-		return &Cond{Key: "type(" + tsVar.Name() + ")", Val: true, TypeTestVar: tsVar}
-	}
-	return nil
 }
 
 func (b *cfgBuilder) selectStmt(st *ast.SelectStmt) {
@@ -489,11 +447,7 @@ func (b *cfgBuilder) canonCond(e ast.Expr) *Cond {
 			if be.Op == token.NEQ {
 				val = !val
 			}
-			c := &Cond{Key: types.ExprString(operand) + " == nil", Val: val}
-			if id, ok := operand.(*ast.Ident); ok && b.info != nil {
-				c.NilVar = b.info.Uses[id]
-			}
-			return c
+			return &Cond{Key: types.ExprString(operand) + " == nil", Val: val}
 		}
 	}
 	if id, ok := e.(*ast.Ident); ok {
@@ -511,29 +465,6 @@ func isNilIdent(e ast.Expr) bool {
 	return ok && id.Name == "nil"
 }
 
-// typeSwitchVar resolves the variable a type switch tests: for
-// `switch v := r.(type)` and `switch r.(type)` it returns r's object (the
-// per-clause v aliases carry no flow information across clauses).
-func typeSwitchVar(info *types.Info, assign ast.Stmt) types.Object {
-	var x ast.Expr
-	switch st := assign.(type) {
-	case *ast.AssignStmt:
-		if len(st.Rhs) == 1 {
-			if ta, ok := ast.Unparen(st.Rhs[0]).(*ast.TypeAssertExpr); ok {
-				x = ta.X
-			}
-		}
-	case *ast.ExprStmt:
-		if ta, ok := ast.Unparen(st.X).(*ast.TypeAssertExpr); ok {
-			x = ta.X
-		}
-	}
-	if id, ok := ast.Unparen(x).(*ast.Ident); ok && info != nil {
-		return info.Uses[id]
-	}
-	return nil
-}
-
 // isPanicCall reports whether the expression is a call of the panic builtin.
 func isPanicCall(info *types.Info, e ast.Expr) bool {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
@@ -549,17 +480,4 @@ func isPanicCall(info *types.Info, e ast.Expr) bool {
 	}
 	_, isBuiltin := info.Uses[id].(*types.Builtin)
 	return isBuiltin
-}
-
-// containsPanic reports whether the atom contains a panic call outside
-// nested function literals (a re-raise inside a branch statement atom).
-func containsPanic(info *types.Info, atom ast.Node) bool {
-	found := false
-	walkSameFunc(atom, func(n ast.Node) bool {
-		if e, ok := n.(ast.Expr); ok && isPanicCall(info, e) {
-			found = true
-		}
-		return !found
-	})
-	return found
 }

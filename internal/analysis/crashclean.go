@@ -12,21 +12,19 @@ import (
 // waitgroup-Done that fires during crash unwinding mutates simulated state
 // that the "power cut" must leave exactly as it was.
 //
-// Two rules, over the simulated-thread tree (CrashUnwindPkg):
+// Two rules, over the simulated-thread tree (CrashUnwindPkg), both
+// flow-insensitive:
 //
-//  1. recover: flow-aware. A recover() is a fact in the must-pair solver;
-//     it is discharged when the recovered value is re-panicked on every
-//     surviving path, proven nil, or proven to be a concrete local type
-//     (comma-ok assertion, panicking assertion, or type-switch case — a
-//     concrete match excludes the engine-private sentinel, and a failed
-//     panicking assertion re-raises it). A recover whose value can be
-//     swallowed reports.
+//  1. recover: banned. No simulated package calls recover() — the engine,
+//     outside this scope, performs the one sanctioned recover — so there is
+//     no pattern to tell apart from a swallowed sentinel: any recover() call
+//     reports.
 //
-//  2. defer: flow-insensitive. Deferred calls (or deferred literals
-//     containing calls) whose method name is user-space cleanup — Unlock,
-//     Done, Close, Persist, ... — report unconditionally: defers run during
-//     crash unwinding. `defer p.EndSpan()` is exempt: the span stack is
-//     engine-owned and crash-tolerant.
+//  2. defer: deferred calls (or deferred literals containing calls) whose
+//     method name is user-space cleanup — Unlock, Done, Close, Persist, ... —
+//     report unconditionally: defers run during crash unwinding.
+//     `defer p.EndSpan()` is exempt: the span stack is engine-owned and
+//     crash-tolerant.
 var Crashclean = &Analyzer{
 	Name: "crashclean",
 	Doc: "code on simulated threads must not absorb the crash panic-sentinel " +
@@ -50,9 +48,7 @@ func runCrashclean(pass *Pass) error {
 	}
 	for _, f := range pass.Files {
 		checkDeferredCleanup(pass, f)
-		funcUnits(f, func(body *ast.BlockStmt) {
-			checkRecoverUnit(pass, body)
-		})
+		checkRecoverBan(pass, f)
 	}
 	return nil
 }
@@ -95,121 +91,20 @@ func checkDeferredCleanup(pass *Pass, f *ast.File) {
 	})
 }
 
-// checkRecoverUnit runs the recover rule over one function body.
-func checkRecoverUnit(pass *Pass, body *ast.BlockStmt) {
-	info := pass.TypesInfo
-	cfg := BuildCFG(body, info)
-
-	// Pre-scan: comma-ok assertions to concrete types (`cp, ok := r.(*T)`)
-	// map the ok variable to the asserted variable — a true edge on ok
-	// proves r's dynamic type and discharges the fact — and are excluded
-	// from the panicking-assertion kill below.
-	typeTests := make(map[types.Object]types.Object)
-	commaOK := make(map[*ast.TypeAssertExpr]bool)
-	walkSameFunc(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != 2 || len(as.Rhs) != 1 {
+// checkRecoverBan reports every call of the recover builtin.
+func checkRecoverBan(pass *Pass, f *ast.File) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
 			return true
 		}
-		ta, ok := ast.Unparen(as.Rhs[0]).(*ast.TypeAssertExpr)
-		if !ok || ta.Type == nil {
-			return true
-		}
-		commaOK[ta] = true
-		src, okv := assertedVar(info, ta), lhsObject(info, as.Lhs[1])
-		if src != nil && okv != nil && isConcreteAssert(info, ta) {
-			typeTests[okv] = src
+		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "recover" {
+			if _, builtin := pass.TypesInfo.Uses[id].(*types.Builtin); builtin {
+				pass.Reportf(call.Pos(),
+					"recover() on a simulated thread can absorb the crash panic-sentinel: "+
+						"only the engine recovers")
+			}
 		}
 		return true
 	})
-
-	facts := solvePairs(pairProblem{
-		cfg:       cfg,
-		typeTests: typeTests,
-		gen: func(atom ast.Node) []pairFact {
-			call := recoverCall(info, atom)
-			if call == nil {
-				return nil
-			}
-			f := pairFact{Pos: call.Pos(), Gen: atom, Guards: cfg.Guards(atom)}
-			if as, ok := atom.(*ast.AssignStmt); ok && len(as.Lhs) == 1 && len(as.Rhs) == 1 {
-				f.Var = lhsObject(info, as.Lhs[0])
-			}
-			return []pairFact{f}
-		},
-		kill: func(atom ast.Node, f pairFact) bool {
-			// Re-panicking continues the unwind: the sentinel escapes.
-			if containsPanic(info, atom) {
-				return true
-			}
-			// A panicking (non-comma-ok) assertion to a concrete type either
-			// proves a local type or re-raises the sentinel itself.
-			if f.Var == nil {
-				return false
-			}
-			killed := false
-			walkSameFunc(atom, func(n ast.Node) bool {
-				ta, ok := n.(*ast.TypeAssertExpr)
-				if !ok || ta.Type == nil || commaOK[ta] {
-					return true
-				}
-				if assertedVar(info, ta) == f.Var && isConcreteAssert(info, ta) {
-					killed = true
-				}
-				return !killed
-			})
-			return killed
-		},
-	})
-	for _, f := range facts {
-		pass.Reportf(f.Pos,
-			"recover() on a simulated thread can absorb the crash panic-sentinel: "+
-				"re-panic values that are not a concrete locally-owned type")
-	}
-}
-
-// recoverCall returns the recover() builtin call inside the atom, if any.
-func recoverCall(info *types.Info, atom ast.Node) *ast.CallExpr {
-	var found *ast.CallExpr
-	walkSameFunc(atom, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return found == nil
-		}
-		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "recover" {
-			if _, builtin := info.Uses[id].(*types.Builtin); builtin {
-				found = call
-			}
-		}
-		return found == nil
-	})
-	return found
-}
-
-// assertedVar resolves the identifier a type assertion tests, or nil.
-func assertedVar(info *types.Info, ta *ast.TypeAssertExpr) types.Object {
-	if id, ok := ast.Unparen(ta.X).(*ast.Ident); ok {
-		return info.Uses[id]
-	}
-	return nil
-}
-
-// isConcreteAssert reports whether the assertion's target type is concrete
-// (an interface target could still be satisfied by a foreign sentinel).
-func isConcreteAssert(info *types.Info, ta *ast.TypeAssertExpr) bool {
-	tv, ok := info.Types[ta.Type]
-	return ok && tv.Type != nil && !types.IsInterface(tv.Type)
-}
-
-// lhsObject resolves an assignment left-hand side to its object (handles
-// both := definitions and = uses); blank or non-ident sides return nil.
-func lhsObject(info *types.Info, e ast.Expr) types.Object {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok || id.Name == "_" {
-		return nil
-	}
-	if o := info.Defs[id]; o != nil {
-		return o
-	}
-	return info.Uses[id]
 }

@@ -3,12 +3,11 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
 	"sort"
 )
 
 // Generic forward dataflow over the CFGs of cfg.go, plus the must-pair fact
-// layer the resource analyzers (persistpair, framelease, crashclean) share.
+// layer persistpair runs on it.
 //
 // The solver is a plain worklist fixpoint. Determinism matters more than
 // speed here (findings feed golden tests and the CI gate): blocks are
@@ -77,17 +76,13 @@ func solveForward[S any](
 	return in
 }
 
-// pairFact is one outstanding obligation: a resource-acquiring operation
-// (device write staged, buddy block claimed, panic value recovered) that has
-// not yet met its discharging operation on the current path.
+// pairFact is one outstanding obligation: a device write staged that has not
+// yet met its Persist on the current path.
 type pairFact struct {
 	// Pos anchors the finding: the position of the generating call.
 	Pos token.Pos
 	// Gen is the atom that generated the fact (self-kill exclusion).
 	Gen ast.Node
-	// Var is the bound resource variable, when there is one (the block from
-	// popHuge, the value from recover); nil for positional facts.
-	Var types.Object
 	// Recv is the printed receiver of the generating call ("" when the fact
 	// is receiver-agnostic, e.g. carried through a callee summary).
 	Recv string
@@ -140,12 +135,6 @@ type pairProblem struct {
 	gen func(atom ast.Node) []pairFact
 	// kill reports whether the atom discharges the fact.
 	kill func(atom ast.Node, f pairFact) bool
-	// typeTests maps a comma-ok variable to the asserted variable for
-	// concrete type assertions (`cp, ok := r.(*T)`): an edge where the ok
-	// variable is true discharges facts bound to r.
-	typeTests map[types.Object]types.Object
-	// includePanicExit also collects obligations reaching PanicExit.
-	includePanicExit bool
 }
 
 // solvePairs runs the must-pair analysis and returns the facts that reach
@@ -175,7 +164,7 @@ func solvePairs(p pairProblem) []pairFact {
 		var out pairState = s
 		mutated := false
 		for k, f := range s {
-			if !edgeKills(f, c, p.typeTests) {
+			if !edgeKills(f, c) {
 				continue
 			}
 			if !mutated {
@@ -188,64 +177,23 @@ func solvePairs(p pairProblem) []pairFact {
 	}
 	in := solveForward(p.cfg, pairState{}, transfer, edge, joinPairs)
 
-	merged := pairState(nil)
-	merged, _ = joinPairs(merged, in[p.cfg.Exit.Index])
-	if p.includePanicExit {
-		merged, _ = joinPairs(merged, in[p.cfg.PanicExit.Index])
-	}
-	out := make([]pairFact, 0, len(merged))
-	for _, f := range merged {
+	atExit := in[p.cfg.Exit.Index]
+	out := make([]pairFact, 0, len(atExit))
+	for _, f := range atExit {
 		out = append(out, f)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Pos < out[j].Pos })
 	return out
 }
 
-// edgeKills reports whether taking an edge labeled c discharges fact f:
-//   - the edge contradicts one of the fact's generation-site guards (the
-//     path is infeasible for this fact), or
-//   - the fact's variable is proven nil (no resource was acquired), or
-//   - the fact's variable passed a concrete type test (type-switch case or
-//     comma-ok assertion), which excludes foreign sentinel values.
-func edgeKills(f pairFact, c *Cond, typeTests map[types.Object]types.Object) bool {
+// edgeKills reports whether taking an edge labeled c discharges fact f: the
+// edge contradicts one of the fact's generation-site guards, so the path is
+// infeasible for this fact.
+func edgeKills(f pairFact, c *Cond) bool {
 	for _, g := range f.Guards {
 		if g.Key == c.Key && g.Val != c.Val {
 			return true
 		}
 	}
-	if f.Var == nil {
-		return false
-	}
-	if c.NilVar == f.Var && c.Val {
-		return true
-	}
-	if c.TypeTestVar == f.Var && c.Val {
-		return true
-	}
-	if c.BoolVar != nil && c.Val && typeTests[c.BoolVar] == f.Var {
-		return true
-	}
 	return false
-}
-
-// usesVar reports whether the atom mentions v outside nested function
-// literals and outside nil-comparisons (`v == nil` guards the resource, it
-// does not consume it).
-func usesVar(info *types.Info, atom ast.Node, v types.Object) bool {
-	found := false
-	walkSameFunc(atom, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if be, ok := n.(*ast.BinaryExpr); ok && (be.Op == token.EQL || be.Op == token.NEQ) {
-			if isNilIdent(ast.Unparen(be.X)) || isNilIdent(ast.Unparen(be.Y)) {
-				return false
-			}
-		}
-		if id, ok := n.(*ast.Ident); ok && info.Uses[id] == v {
-			found = true
-		}
-		return !found
-	})
-	return found
 }

@@ -4,89 +4,50 @@ import (
 	"strings"
 )
 
-// Suppression directives. Two forms, both requiring a justification after
-// " -- " by convention (DESIGN.md):
+// The suppression directive. There is one, it belongs to maporder, and its
+// reason is mandatory:
 //
-//	//aqlint:ignore <name>[,<name>...] -- reason
 //	//aqlint:sorted -- reason
 //
-// "ignore" silences the named analyzers; "sorted" is maporder's dedicated
-// escape hatch, asserting the loop's effects are order-independent or the
-// iteration source was sorted out of band. A directive applies to findings on
-// its own line and on the line directly below it (so it can ride at the end
-// of the offending line or stand alone above it).
-type directive struct {
-	names map[string]bool // analyzer names silenced ("sorted" silences maporder)
-}
+// It asserts that the loop's effects are order-independent or that the
+// iteration source was sorted out of band, and applies to findings on its own
+// line and on the line directly below it (so it can ride at the end of the
+// `for` line or stand alone above it). No other analyzer has an escape hatch.
 
-const directivePrefix = "aqlint:"
+const directivePrefix = "aqlint:sorted"
 
-// parseDirective decodes one comment text (with the "//" already present).
-func parseDirective(text string) (directive, bool) {
+// parseDirective decodes one comment text (with the "//" already present)
+// into the directive's reason; ok is false when the comment is no directive.
+// A directive with an empty reason suppresses nothing (maporder reports it).
+func parseDirective(text string) (reason string, ok bool) {
 	body, ok := strings.CutPrefix(strings.TrimSpace(strings.TrimPrefix(text, "//")), directivePrefix)
-	if !ok {
-		return directive{}, false
+	if !ok || (body != "" && body[0] != ' ' && body[0] != '-') {
+		return "", false
 	}
-	// Drop the justification.
-	if i := strings.Index(body, "--"); i >= 0 {
-		body = body[:i]
-	}
-	verb, rest, _ := strings.Cut(strings.TrimSpace(body), " ")
-	d := directive{names: map[string]bool{}}
-	switch verb {
-	case "sorted":
-		d.names["maporder"] = true
-	case "ignore":
-		for _, n := range strings.Split(rest, ",") {
-			if n = strings.TrimSpace(n); n != "" {
-				d.names[n] = true
-			}
-		}
-	default:
-		return directive{}, false
-	}
-	return d, true
+	_, reason, _ = strings.Cut(body, "--")
+	return strings.TrimSpace(reason), true
 }
 
-// suppressions maps file:line to the union of directives covering the line.
+// suppressions is the set of file:line positions a reasoned directive covers.
 type lineKey struct {
 	file string
 	line int
 }
 
-type suppressions map[lineKey]map[string]bool
-
-func (s suppressions) add(file string, line int, d directive) {
-	key := lineKey{file, line}
-	set := s[key]
-	if set == nil {
-		set = map[string]bool{}
-		s[key] = set
-	}
-	for n := range d.names {
-		set[n] = true
-	}
-}
-
-// covered reports whether analyzer name is silenced at file:line.
-func (s suppressions) covered(file string, line int, name string) bool {
-	return s[lineKey{file, line}][name]
-}
+type suppressions map[lineKey]bool
 
 // collectSuppressions scans one package's comments and registers each
-// directive for its own line and the line below.
+// reasoned directive for its own line and the line below.
 func collectSuppressions(pkg *Package) suppressions {
 	s := suppressions{}
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				d, ok := parseDirective(c.Text)
-				if !ok {
-					continue
+				if reason, ok := parseDirective(c.Text); ok && reason != "" {
+					pos := pkg.Fset.Position(c.Pos())
+					s[lineKey{pos.Filename, pos.Line}] = true
+					s[lineKey{pos.Filename, pos.Line + 1}] = true
 				}
-				pos := pkg.Fset.Position(c.Pos())
-				s.add(pos.Filename, pos.Line, d)
-				s.add(pos.Filename, pos.Line+1, d)
 			}
 		}
 	}

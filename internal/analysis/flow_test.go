@@ -7,6 +7,7 @@ import (
 	"go/parser"
 	"go/printer"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -78,12 +79,12 @@ func runOne(t *testing.T, pkg *Package, a *Analyzer) *RunResult {
 // TestRealTreeClean pins the violations fixed so far: the graph workers
 // release their waitgroup inline instead of by defer (crashclean), every
 // staged device write in core and host pairs with its Persist (persistpair),
-// every buddy claim is released or consumed (framelease), and the Linux
-// baseline and the SPDK stack — on simulated Procs like the rest — act in no
+// every span in core closes by adjacency (spanpair), and the Aquila runtime,
+// the Linux baseline and the SPDK stack — on simulated Procs all — act in no
 // map's iteration order and read no wall clock or global randomness
-// (maporder, detrand). suppressed is the number of //aqlint directives a
-// package is allowed: a new one has to be declared here, with its reason in
-// DESIGN.md §8. On the pre-fix trees the graph case fails with three
+// (maporder, detrand). suppressed is the number of reasoned //aqlint:sorted
+// loops a package is allowed: a new one has to be declared here, and
+// DESIGN.md §8 carries the census. On the pre-fix trees the graph case fails with three
 // deferred-Done findings and the host/maporder case with seven.
 func TestRealTreeClean(t *testing.T) {
 	cases := []struct {
@@ -93,11 +94,13 @@ func TestRealTreeClean(t *testing.T) {
 	}{
 		{"internal/graph", "aquila/internal/graph", Crashclean, 0},
 		{"internal/core", "aquila/internal/core", Persistpair, 0},
-		{"internal/core", "aquila/internal/core", Framelease, 0},
+		{"internal/core", "aquila/internal/core", Spanpair, 0},
+		// Audits, counts and collect-then-sort loops over rt.pages / rt.files.
+		{"internal/core", "aquila/internal/core", Maporder, 14},
 		{"internal/host", "aquila/internal/host", Persistpair, 0},
 		{"internal/spdk", "aquila/internal/spdk", Persistpair, 0},
-		// fsyncFileRange's collection loop and CheckInvariants' two audits.
-		{"internal/host", "aquila/internal/host", Maporder, 3},
+		// fsyncFileRange's collection loop and CheckInvariants' four audits.
+		{"internal/host", "aquila/internal/host", Maporder, 5},
 		{"internal/host", "aquila/internal/host", Detrand, 0},
 		{"internal/spdk", "aquila/internal/spdk", Maporder, 0},
 		{"internal/spdk", "aquila/internal/spdk", Detrand, 0},
@@ -110,18 +113,20 @@ func TestRealTreeClean(t *testing.T) {
 				t.Errorf("unexpected finding: %s", f)
 			}
 			if res.Suppressed != tc.suppressed {
-				t.Errorf("suppressed = %d, want %d (an ignore directive hiding a %s finding must be declared)",
+				t.Errorf("suppressed = %d, want %d (a directive hiding a %s finding must be declared)",
 					res.Suppressed, tc.suppressed, tc.analyzer.Name)
 			}
 		})
 	}
 }
 
-// persistSite is one statement-level Store.Persist call in a real package.
+// persistSite is one statement-level Store.Persist call in a real package,
+// named by its enclosing function and its ordinal there ("DAXEngine.WriteRun#0")
+// so that edits elsewhere in the file do not rename it.
 type persistSite struct {
 	file string
 	idx  int // ordinal among Persist statements in the file
-	line int
+	name string
 }
 
 // listPersistSites enumerates the Persist call statements of a package.
@@ -135,21 +140,41 @@ func listPersistSites(t *testing.T, srcDir string) []persistSite {
 			t.Fatalf("parse %s: %v", name, err)
 		}
 		idx := 0
-		ast.Inspect(f, func(n ast.Node) bool {
-			if es, ok := n.(*ast.ExprStmt); ok {
-				if call, ok := es.X.(*ast.CallExpr); ok {
-					if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Persist" {
-						sites = append(sites, persistSite{
-							file: name, idx: idx, line: fset.Position(es.Pos()).Line,
-						})
-						idx++
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			inFunc := 0
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if es, ok := n.(*ast.ExprStmt); ok {
+					if call, ok := es.X.(*ast.CallExpr); ok {
+						if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Persist" {
+							sites = append(sites, persistSite{
+								file: name, idx: idx, name: fmt.Sprintf("%s#%d", funcName(fd), inFunc),
+							})
+							idx++
+							inFunc++
+						}
 					}
 				}
-			}
-			return true
-		})
+				return true
+			})
+		}
 	}
 	return sites
+}
+
+// funcName renders a declaration as "Recv.Name" or "Name".
+func funcName(fd *ast.FuncDecl) string {
+	if fd.Recv == nil || len(fd.Recv.List) == 0 {
+		return fd.Name.Name
+	}
+	t := fd.Recv.List[0].Type
+	if st, ok := t.(*ast.StarExpr); ok {
+		t = st.X
+	}
+	return types.ExprString(t) + "." + fd.Name.Name
 }
 
 func mustRead(t *testing.T, path string) []byte {
@@ -239,7 +264,7 @@ func TestPersistDeletionCaughtStatically(t *testing.T) {
 		}
 		for _, site := range sites {
 			site := site
-			t.Run(fmt.Sprintf("%s/%s:%d", pc.rel, site.file, site.line), func(t *testing.T) {
+			t.Run(pc.rel+"/"+site.name, func(t *testing.T) {
 				pkg := loadRealPkg(t, pc.rel, pc.pkgPath, func(name string, src []byte) []byte {
 					if name != site.file {
 						return src
@@ -248,8 +273,8 @@ func TestPersistDeletionCaughtStatically(t *testing.T) {
 				})
 				res := runOne(t, pkg, Persistpair)
 				if len(res.Findings) == 0 {
-					t.Fatalf("deleting Persist at %s:%d goes statically undetected",
-						site.file, site.line)
+					t.Fatalf("deleting Persist %s (%s) goes statically undetected",
+						site.name, site.file)
 				}
 				for _, f := range res.Findings {
 					if !strings.Contains(f.Message, "WriteAt") {
@@ -261,23 +286,62 @@ func TestPersistDeletionCaughtStatically(t *testing.T) {
 	}
 }
 
-// TestFrameLeaseDeletionCaught: deleting the busy-extent pushHuge abort in
-// hugeFault (the first pushHuge statement of huge.go) leaks the claimed
-// block on the abort path and framelease must say so.
-func TestFrameLeaseDeletionCaught(t *testing.T) {
+// TestSpanBracketMutationCaught: an early return slipped between BeginSpan
+// and EndSpan in core's readRun — the refactoring slip a one-statement bracket
+// invites — is a spanpair finding at that BeginSpan.
+func TestSpanBracketMutationCaught(t *testing.T) {
 	pkg := loadRealPkg(t, "internal/core", "aquila/internal/core", func(name string, src []byte) []byte {
-		if name != "huge.go" {
+		if name != "runtime.go" {
 			return src
 		}
-		return dropStmt(t, name, src, 0, "pushHuge", false)
+		const call = "err := rt.Engine.ReadRun(p, f, pageIdx, frames)\n"
+		out := bytes.Replace(src, []byte(call),
+			[]byte(call+"if err != nil { return newIOFault(\"read\", f.name, pageIdx, err) }\n"), 1)
+		if bytes.Equal(out, src) {
+			t.Fatal("could not insert the early return into readRun")
+		}
+		return out
 	})
-	res := runOne(t, pkg, Framelease)
-	if len(res.Findings) == 0 {
-		t.Fatal("deleting the busy-abort pushHuge goes statically undetected")
+	res := runOne(t, pkg, Spanpair)
+	if len(res.Findings) != 1 || !strings.Contains(res.Findings[0].Message, "p.BeginSpan") {
+		t.Fatalf("early return inside readRun's span bracket: findings %v, want one at its BeginSpan", res.Findings)
 	}
-	for _, f := range res.Findings {
-		if !strings.Contains(f.Message, "popHuge") {
-			t.Errorf("finding does not name the leaking claim: %s", f)
+}
+
+// TestEveryAnnotationHidesALoop blanks every //aqlint:sorted line of a real
+// package and expects one maporder finding per directive, on the line below
+// it: none is stale, and deleting any one of them — the six counting loops'
+// included — puts its loop back on the list.
+func TestEveryAnnotationHidesALoop(t *testing.T) {
+	for _, pc := range []struct{ rel, pkgPath string }{
+		{"internal/core", "aquila/internal/core"},
+		{"internal/host", "aquila/internal/host"},
+		{"internal/sim/device", "aquila/internal/sim/device"},
+	} {
+		want := map[string]bool{} // "file:line" of the loop under each directive
+		pkg := loadRealPkg(t, pc.rel, pc.pkgPath, func(name string, src []byte) []byte {
+			lines := bytes.Split(src, []byte("\n"))
+			for i, l := range lines {
+				if bytes.HasPrefix(bytes.TrimSpace(l), []byte("//aqlint:sorted")) {
+					lines[i] = nil
+					want[fmt.Sprintf("%s:%d", name, i+2)] = true
+				}
+			}
+			return bytes.Join(lines, []byte("\n"))
+		})
+		res := runOne(t, pkg, Maporder)
+		if res.Suppressed != 0 {
+			t.Errorf("%s: %d finding(s) still suppressed with every directive blanked", pc.rel, res.Suppressed)
+		}
+		for _, f := range res.Findings {
+			key := fmt.Sprintf("%s:%d", filepath.Base(f.Pos.Filename), f.Pos.Line)
+			if !want[key] {
+				t.Errorf("%s: finding at %s sits under no directive: %s", pc.rel, key, f)
+			}
+			delete(want, key)
+		}
+		for key := range want {
+			t.Errorf("%s: the directive above %s hides no map range", pc.rel, key)
 		}
 	}
 }
@@ -326,7 +390,7 @@ func TestRunOrderDeterminism(t *testing.T) {
 		load("maporder", "aquila/internal/core/maps"),
 		load("persistpair", "aquila/internal/core/persist"),
 		load("crashclean", "aquila/internal/sim/world"),
-		load("framelease", "aquila/internal/core/promote"),
+		load("spanpair", "aquila/internal/core/spans"),
 	}
 	base, err := Run(pkgs, All())
 	if err != nil {

@@ -5,13 +5,13 @@ import "sort"
 // RunResult is every surviving (unsuppressed) finding of one driver run.
 type RunResult struct {
 	Findings []Finding
-	// Suppressed counts findings silenced by //aqlint directives.
+	// Suppressed counts maporder findings silenced by //aqlint:sorted.
 	Suppressed int
 }
 
-// Run executes the analyzers over the packages, applies the //aqlint
-// suppression directives, and returns the surviving findings sorted by
-// position for deterministic output.
+// Run executes the analyzers over the packages, applies the //aqlint:sorted
+// directives to maporder's findings, and returns the surviving findings
+// sorted by position for deterministic output.
 func Run(pkgs []*Package, analyzers []*Analyzer) (*RunResult, error) {
 	res := &RunResult{}
 	for _, pkg := range pkgs {
@@ -31,7 +31,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) (*RunResult, error) {
 			}
 			for _, d := range diags {
 				pos := pkg.Fset.Position(d.Pos)
-				if sup.covered(pos.Filename, pos.Line, a.Name) {
+				if a == Maporder && sup[lineKey{pos.Filename, pos.Line}] {
 					res.Suppressed++
 					continue
 				}

@@ -76,15 +76,9 @@ func PersistPairPkg(path string) bool {
 }
 
 // CrashUnwindPkg reports whether the import path is held to the crashclean
-// discipline (no recover that could absorb the crash sentinel, no deferred
-// user-space cleanup): every simulated package except the engine itself,
-// which owns the sentinel and performs the one sanctioned recover.
+// discipline (no recover, no deferred user-space cleanup): every simulated
+// package except the engine itself, which owns the sentinel and performs the
+// one sanctioned recover.
 func CrashUnwindPkg(path string) bool {
 	return SimulatedPkg(path) && !hasPkgPrefix(path, "aquila/internal/sim/engine")
-}
-
-// FrameLeasePkg reports whether the import path contains the 2 MB buddy
-// promotion protocol and is held to the framelease discipline.
-func FrameLeasePkg(path string) bool {
-	return hasPkgPrefix(path, "aquila/internal/core")
 }

@@ -1,5 +1,6 @@
 // Package world is the crashclean golden: code on simulated threads must
-// not absorb the crash panic-sentinel with recover, and must not register
+// not call recover — the engine performs the one sanctioned recover, and
+// anything else could absorb the crash panic-sentinel — and must not register
 // deferred user-space cleanup — defers run during crash unwinding, and a
 // simulated power cut must leave locks, waitgroups and handles exactly as
 // they were.
@@ -19,8 +20,7 @@ type WaitGroup struct{}
 
 func (w *WaitGroup) Done(p *Proc) {}
 
-// SigBus is a concrete locally-owned panic value: asserting to it cannot
-// absorb the engine-private crash sentinel.
+// SigBus is a concrete locally-owned panic value.
 type SigBus struct{ VA uint64 }
 
 func deferredUnlock(p *Proc, mu *Mutex) {
@@ -70,11 +70,12 @@ func recoverSwallows() {
 	step()
 }
 
-// recoverRepanicsOK is the sanctioned pattern: nil and the concrete local
-// type are handled, everything else — including the sentinel — re-panics.
-func recoverRepanicsOK() {
+// recoverRepanics handles nil and the concrete local type and re-panics
+// everything else, the sentinel included — and is still a finding: the ban
+// does not read what follows the call.
+func recoverRepanics() {
 	defer func() {
-		r := recover()
+		r := recover() // want "only the engine recovers"
 		if r == nil {
 			return
 		}
@@ -87,11 +88,10 @@ func recoverRepanicsOK() {
 	step()
 }
 
-// recoverAssertOK: a panicking assertion either proves the local type or
-// re-raises the recovered value itself.
-func recoverAssertOK() {
+// recoverAssert: a panicking assertion would re-raise a foreign value.
+func recoverAssert() {
 	defer func() {
-		r := recover()
+		r := recover() // want "only the engine recovers"
 		if r == nil {
 			return
 		}
@@ -100,11 +100,10 @@ func recoverAssertOK() {
 	step()
 }
 
-// recoverTypeSwitchOK: concrete cases and the nil case discharge; default
-// re-panics.
-func recoverTypeSwitchOK() {
+// recoverTypeSwitch: concrete cases, the nil case, default re-panics.
+func recoverTypeSwitch() {
 	defer func() {
-		r := recover()
+		r := recover() // want "only the engine recovers"
 		switch r.(type) {
 		case nil:
 		case *SigBus:
@@ -123,14 +122,9 @@ func recoverDiscarded() {
 	step()
 }
 
-func recoverSanctioned() {
-	defer func() {
-		//aqlint:ignore crashclean -- harness boundary: converts the sentinel for the test driver
-		if r := recover(); r != nil {
-			step()
-		}
-	}()
-	step()
+// recoverOutsideDefer is inert at run time and banned all the same.
+func recoverOutsideDefer() {
+	_ = recover() // want "only the engine recovers"
 }
 
 func step()          {}

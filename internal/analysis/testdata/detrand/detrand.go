@@ -25,7 +25,8 @@ func seededRand(seed int64) int {
 	return r.Intn(100)                  // method on a seeded *rand.Rand: fine
 }
 
-func suppressed() int64 {
-	//aqlint:ignore detrand -- host-side timestamp for a log line, never enters simulated state
-	return time.Now().UnixNano()
+// notMaporder: the one directive is maporder's and hides nothing else.
+func notMaporder() int64 {
+	//aqlint:sorted -- host-side timestamp for a log line, never enters simulated state
+	return time.Now().UnixNano() // want "time.Now in deterministic package"
 }

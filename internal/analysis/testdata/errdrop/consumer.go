@@ -21,8 +21,3 @@ func handles(e *Engine) error {
 	}
 	return InjectFault("plan")
 }
-
-func suppressedDrop(e *Engine) {
-	//aqlint:ignore errdrop -- readahead probe: failure falls back to the demand path
-	e.DirectWrite(0)
-}

@@ -1,25 +1,44 @@
-// Package maps is the maporder golden: ranging over a map is fine only when
-// the body's effects commute; anything order-sensitive must iterate sorted
-// keys or carry an //aqlint:sorted justification.
+// Package maps is the maporder golden: every range over a map is a finding
+// unless it iterates sorted keys or carries an //aqlint:sorted directive
+// with its reason. The loop body is not judged.
 package maps
+
+import "sort"
 
 func advance(k string) {}
 
+// sortedKeys stands in for detutil.SortedKeys: what is ranged is a slice.
+func sortedKeys(m map[string]int) []string {
+	keys := make([]string, 0, len(m))
+	//aqlint:sorted -- collects the keys, sorted below before any use
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+func sorted(m map[string]int) {
+	for _, k := range sortedKeys(m) {
+		advance(k)
+	}
+}
+
 func calls(m map[string]int) {
-	for k := range m { // want "call may advance clocks"
+	for k := range m { // want "map iteration order can leak"
 		advance(k)
 	}
 }
 
 func sends(m map[string]int, ch chan string) {
-	for k := range m { // want "channel send inside the loop"
+	for k := range m { // want "map iteration order can leak"
 		ch <- k
 	}
 }
 
 func lastWriterWins(m map[string]int) int {
 	last := 0
-	for _, v := range m { // want "assignment to outer state is last-writer-wins"
+	for _, v := range m { // want "map iteration order can leak"
 		last = v
 	}
 	return last
@@ -27,32 +46,39 @@ func lastWriterWins(m map[string]int) int {
 
 func orderedAppend(m map[string]int) []string {
 	var keys []string
-	for k := range m { // want "append builds an ordered slice"
+	for k := range m { // want "map iteration order can leak"
 		keys = append(keys, k)
 	}
 	return keys
 }
 
-func commutes(m map[string]int, out map[string]int, slots []int) (n, sum int) {
-	for k, v := range m { // counters, += and per-key writes all commute
+// commutes: counters, += and per-key writes all commute, and the loop is
+// flagged all the same until it says so.
+func commutes(m map[string]int, out map[string]int) (n, sum int) {
+	for k, v := range m { // want "map iteration order can leak"
 		n++
 		sum += v
 		out[k] = v
-		slots[v] = v
-		local := v * 2
-		_ = local
 	}
-	for k := range m { // delete on the ranged map is order-free
-		delete(m, k)
+	//aqlint:sorted -- order-independent count and sum, per-key writes
+	for k, v := range m {
+		n++
+		sum += v
+		out[k] = v
 	}
 	return n, sum
 }
 
-func justified(m map[string]int) int {
-	last := 0
-	//aqlint:sorted -- ablation-only debug dump; the value never feeds simulated state
-	for _, v := range m {
-		last = v
+func trailing(m map[string]int) {
+	for k := range m { //aqlint:sorted -- delete on the ranged map is order-free
+		delete(m, k)
 	}
-	return last
+}
+
+func noReason(m map[string]int) (n int) {
+	//aqlint:sorted // want "without a reason suppresses nothing"
+	for range m { // want "map iteration order can leak"
+		n++
+	}
+	return n
 }

@@ -168,11 +168,6 @@ func litLeak(st *Store, b []byte) {
 	}()
 }
 
-func handoff(st *Store, b []byte) {
-	//aqlint:ignore persistpair -- durability scheduled by the caller's sync barrier
-	st.WriteAt(0, b)
-}
-
 func bad() bool        { return false }
 func step()            {}
 func record(err error) {}

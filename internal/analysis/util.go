@@ -39,23 +39,6 @@ func recvString(e ast.Expr) string {
 	}
 }
 
-// funcUnits yields every function body in the file as an independent unit:
-// each FuncDecl and each FuncLit, without descending into nested literals
-// (the visit callback receives the body and walks it with walkSameFunc).
-func funcUnits(f *ast.File, visit func(body *ast.BlockStmt)) {
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch fn := n.(type) {
-		case *ast.FuncDecl:
-			if fn.Body != nil {
-				visit(fn.Body)
-			}
-		case *ast.FuncLit:
-			visit(fn.Body)
-		}
-		return true
-	})
-}
-
 // walkSameFunc walks n, calling fn for every node, but does not descend into
 // nested function literals: their bodies are separate analysis units.
 func walkSameFunc(n ast.Node, fn func(ast.Node) bool) {

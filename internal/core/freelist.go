@@ -161,6 +161,19 @@ func (fl *freelist) popHuge(p *engine.Proc) []*mem.Frame {
 	return nil
 }
 
+// popHugeIf is the promotion claim: it pops a block and asks ok — which runs
+// after the pop's charges, so it sees the state the claim must be valid in —
+// whether to keep it. A rejected block goes back to its node's huge tier here,
+// so a caller holds either a validated block or nil and cannot leak one.
+func (fl *freelist) popHugeIf(p *engine.Proc, ok func() bool) []*mem.Frame {
+	blk := fl.popHuge(p)
+	if blk == nil || ok() {
+		return blk
+	}
+	fl.pushHuge(p, blk)
+	return nil
+}
+
 // pushHuge returns a whole-unit block to its NUMA node's huge tier,
 // preserving its contiguity for the next promotion.
 func (fl *freelist) pushHuge(p *engine.Proc, blk []*mem.Frame) {

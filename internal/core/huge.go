@@ -99,28 +99,28 @@ func (rt *Runtime) hugeFault(p *engine.Proc, r *Region, f *fileState, idx uint64
 	defer p.EndSpan()
 	baseIdx := idx &^ uint64(hugePages-1)
 
-	// Contiguity first; popHuge charges (and may yield), so everything below
-	// re-validates the extent.
-	block := rt.fl.popHuge(p)
+	// Contiguity first. The pop charges (and may yield), so the claim is only
+	// kept if a re-scan of the extent then finds no busy constituent: pinned,
+	// I/O in flight, poisoned, quarantined, claimed by eviction, or already
+	// part of a unit (a racing promoter won during the yield). popHugeIf puts
+	// a rejected block back itself, so no path here holds a loose block.
+	var olds []*Page
+	block := rt.fl.popHugeIf(p, func() bool {
+		for i := baseIdx; i < baseIdx+hugePages; i++ {
+			pg := rt.pages[pageKey{f.id, i}]
+			if pg == nil {
+				continue
+			}
+			if pg.huge || pg.pins > 0 || (pg.io != nil && !pg.io.Fired()) ||
+				pg.poison != nil || pg.quarantined || !pg.resident {
+				return false
+			}
+			olds = append(olds, pg)
+		}
+		return true
+	})
 	if block == nil {
 		return nil, nil
-	}
-
-	// Re-scan the extent. Any busy constituent aborts: pinned, I/O in
-	// flight, poisoned, quarantined, claimed by eviction, or already part of
-	// a unit (a racing promoter won while popHuge yielded).
-	var olds []*Page
-	for i := baseIdx; i < baseIdx+hugePages; i++ {
-		pg := rt.pages[pageKey{f.id, i}]
-		if pg == nil {
-			continue
-		}
-		if pg.huge || pg.pins > 0 || (pg.io != nil && !pg.io.Fired()) ||
-			pg.poison != nil || pg.quarantined || !pg.resident {
-			rt.fl.pushHuge(p, block)
-			return nil, nil
-		}
-		olds = append(olds, pg)
 	}
 
 	// Atomic claim: between here and the placeholder publish nothing charges,

@@ -8,6 +8,7 @@ import (
 	"aquila/internal/iface"
 	"aquila/internal/sim/device"
 	"aquila/internal/sim/engine"
+	"aquila/internal/sim/mem"
 )
 
 // hugeWorld builds a DAX-engine runtime with the huge-page path enabled at
@@ -222,4 +223,75 @@ func TestHugeDeterminism(t *testing.T) {
 	if a != b {
 		t.Errorf("huge fingerprint not reproducible:\n run1 %s\n run2 %s", a, b)
 	}
+}
+
+// TestPopHugeIfKeepsNoLooseBlock pins the promotion claim window: a claim the
+// validator rejects is back in its node's huge tier before popHugeIf returns,
+// at the cost of the pop's and the push's BuddyOp; an accepted claim is the
+// caller's; and with no block left the validator is never asked and the
+// charges are popHuge's own.
+func TestPopHugeIfKeepsNoLooseBlock(t *testing.T) {
+	e, boot := hugeWorld(8*mib, 1, 0.5)
+	e.Spawn(0, "t", func(p *engine.Proc) {
+		rt := boot(p)
+		fl := rt.fl
+		charges := func() (n, cyc uint64) { return rt.Break.Count("alloc"), rt.Break.Get("alloc") }
+		node := p.Node()
+		free, tier := fl.Free(), len(fl.hugeNodes[node])
+		if tier == 0 {
+			t.Fatal("no 2 MB block on the local node to claim")
+		}
+
+		n0, c0 := charges()
+		asked := 0
+		if blk := fl.popHugeIf(p, func() bool { asked++; return false }); blk != nil {
+			t.Errorf("rejected claim returned a block of %d frames", len(blk))
+		}
+		n1, c1 := charges()
+		if asked != 1 {
+			t.Errorf("validator ran %d times, want 1", asked)
+		}
+		if got := len(fl.hugeNodes[node]); got != tier || fl.Free() != free {
+			t.Errorf("after a rejected claim: tier %d (want %d), Free %d (want %d)", got, tier, fl.Free(), free)
+		}
+		if n1-n0 != 2 || c1-c0 != 2*rt.P.BuddyOp {
+			t.Errorf("rejected claim made %d alloc charges of %d cycles, want 2 of %d", n1-n0, c1-c0, 2*rt.P.BuddyOp)
+		}
+
+		// Accepted claims drain the tier; each is one whole unit.
+		var held [][]*mem.Frame
+		for {
+			blk := fl.popHugeIf(p, func() bool { return true })
+			if blk == nil {
+				break
+			}
+			if len(blk) != hugePages {
+				t.Fatalf("claimed block has %d frames, want %d", len(blk), hugePages)
+			}
+			held = append(held, blk)
+		}
+		if len(held) != tier || fl.Free() != free-tier*hugePages {
+			t.Errorf("drained %d blocks, Free %d; want %d blocks, Free %d", len(held), fl.Free(), tier, free-tier*hugePages)
+		}
+
+		// Empty tier: nil, the validator is never asked, popHuge's charges.
+		n0, c0 = charges()
+		if fl.popHuge(p) != nil {
+			t.Fatal("popHuge found a block in a drained tier")
+		}
+		n1, c1 = charges()
+		if blk := fl.popHugeIf(p, func() bool { t.Error("validator asked with no block claimed"); return true }); blk != nil {
+			t.Error("popHugeIf found a block in a drained tier")
+		}
+		n2, c2 := charges()
+		if n2-n1 != n1-n0 || c2-c1 != c1-c0 {
+			t.Errorf("empty popHugeIf charged %d/%d cycles, popHuge %d/%d", n2-n1, c2-c1, n1-n0, c1-c0)
+		}
+
+		for _, blk := range held {
+			fl.pushHuge(p, blk)
+		}
+		checkHugeQuiesce(t, rt)
+	})
+	e.Run()
 }

@@ -142,6 +142,7 @@ func (rt *Runtime) CheckInvariants() error {
 	if rt.hugeEnabled() {
 		// Promotion-density counters match a recount of resident 4 KB pages.
 		recount := make(map[pageKey]int) // (fid, extent) -> 4 KB pages
+		//aqlint:sorted -- per-extent recount: each page increments its own key, the sums commute
 		for _, pg := range rt.pages {
 			if !pg.huge {
 				recount[pageKey{pg.file.id, pg.idx >> hugeShift}]++

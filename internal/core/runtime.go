@@ -451,6 +451,7 @@ func (rt *Runtime) DeleteFile(p *engine.Proc, name string) {
 	// allocated once at their final size). Pages under I/O wait their
 	// owners; mapped pages must have been unmapped by Munmap already.
 	n := 0
+	//aqlint:sorted -- order-independent count of this file's pages, sizes the slices below
 	for key := range rt.pages {
 		if key.fid == f.id {
 			n++
@@ -1350,6 +1351,7 @@ func (rt *Runtime) quarantine(pg *Page, evicting bool) {
 // (tests; Stats.QuarantinedPages counts quarantine events).
 func (rt *Runtime) QuarantinedLive() int {
 	n := 0
+	//aqlint:sorted -- order-independent count; reads one bool, no simulated state
 	for _, pg := range rt.pages {
 		if pg.quarantined {
 			n++
@@ -1361,6 +1363,7 @@ func (rt *Runtime) QuarantinedLive() int {
 // PoisonedLive returns how many cached pages are currently poisoned (tests).
 func (rt *Runtime) PoisonedLive() int {
 	n := 0
+	//aqlint:sorted -- order-independent count; reads one pointer, no simulated state
 	for _, pg := range rt.pages {
 		if pg.poison != nil {
 			n++

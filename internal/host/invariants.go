@@ -65,7 +65,9 @@ func (os *OS) CheckInvariants() error {
 	// Every present PTE in every process points at a frame owned by a
 	// cached page mapping that (process, va).
 	frames := make(map[uint64]*cachedPage)
+	//aqlint:sorted -- read-only audit index keyed by frame ID: insertion order is invisible, no simulated state is touched
 	for _, f := range os.FS.files {
+		//aqlint:sorted -- same index: one key per page
 		for _, pg := range f.pages {
 			frames[pg.frame.ID] = pg
 		}
