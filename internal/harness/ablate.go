@@ -60,12 +60,13 @@ func runAblateBatch(scale float64) []*Result {
 			CacheBytes: cache, DeviceBytes: cache*12 + 96*mib,
 			CPUs: 32, Seed: 91, Params: params,
 		})
-		res := drive(sys, access{
+		res, _ := drive(sys, access{
 			file: "ablate", dataset: cache * 12, threads: 16, advice: adviseRandom,
 			stream: lcgStream(91, scaledN(3000, scale, 600), false),
 		})
 		r.AddRow(fmt.Sprint(batch), kops(res.ops, res.elapsed),
 			fmt.Sprint(sys.RT.Stats.ShootdownBatches), usF(res.lat.Mean()))
+		retire(sys.Sim)
 	}
 	r.AddNote("larger batches amortize the rate-limited IPI send and the per-batch bookkeeping")
 	return []*Result{r}
@@ -92,11 +93,12 @@ func runAblateFreelist(scale float64) []*Result {
 			CacheBytes: cache, DeviceBytes: cache*12 + 96*mib,
 			CPUs: 32, Seed: 93, Params: params,
 		})
-		res := drive(sys, access{
+		res, _ := drive(sys, access{
 			file: "ablate", dataset: cache * 12, threads: 32, advice: adviseRandom,
 			stream: lcgStream(93, scaledN(2000, scale, 500), false),
 		})
 		r.AddRow(name, kops(res.ops, res.elapsed), usF(res.lat.Mean()), us(res.lat.P999()))
+		retire(sys.Sim)
 	}
 	r.AddNote("the single queue serializes every allocation and release (§3.2's motivation)")
 	return []*Result{r}
@@ -136,6 +138,7 @@ func runAblateReadahead(scale float64) []*Result {
 		}
 		r.AddRow(name, fmt.Sprintf("%.2f", float64(elapsed)/2.4e6),
 			fmt.Sprint(sys.RT.Stats.MajorFaults), fmt.Sprint(sys.RT.Stats.ReadaheadPages))
+		retire(sys.Sim)
 	}
 	r.AddNote("readahead merges device reads into multi-page I/Os and overlaps faults")
 	return []*Result{r}
@@ -186,6 +189,7 @@ func runIOUring(scale float64) []*Result {
 		e.Run()
 		r.AddRow("sync O_DIRECT", kops(uint64(n), elapsed), usF(lat.Mean()),
 			us(lat.P999()), "1.00")
+		retire(e)
 	}
 	// io_uring at several batch depths.
 	for _, depth := range []int{8, 32, 128} {
@@ -226,6 +230,7 @@ func runIOUring(scale float64) []*Result {
 		r.AddRow(fmt.Sprintf("io_uring depth %d", depth), kops(uint64(n), elapsed),
 			usF(lat.Mean()), us(lat.P999()),
 			fmt.Sprintf("%.3f", float64(syscalls)/float64(n)))
+		retire(e)
 	}
 	r.AddNote("paper §7.1: async I/O raises throughput via batching but inflates tail latency and is harder to program")
 	return []*Result{r}

@@ -63,7 +63,7 @@ func runAblateAsyncEvict(scale float64) []*Result {
 				CacheBytes: cache, DeviceBytes: cache*12 + 96*mib,
 				CPUs: 32, Seed: 99, Params: params,
 			})
-			res := drive(sys, access{
+			res, _ := drive(sys, access{
 				file: "async-evict", dataset: cache * 12, threads: 16, advice: adviseRandom,
 				stream: lcgStream(99, ops, true),
 			})
@@ -76,6 +76,7 @@ func runAblateAsyncEvict(scale float64) []*Result {
 				usF(res.lat.Mean()), us(res.lat.P999()),
 				fmt.Sprint(st.DirectReclaimPages), fmt.Sprint(st.BgReclaimPages),
 				fmt.Sprint(st.EvictStalls))
+			retire(sys.Sim)
 		}
 	}
 	r.AddNote("sync: every eviction runs inline in a faulting thread (counted as direct pages)")

@@ -95,6 +95,7 @@ func crashRun(opts aquila.Options, plan *aquila.CrashPlan,
 	work func(p *aquila.Proc, sys *aquila.System, pr *crashProbe),
 	verify func(p *aquila.Proc, rec *aquila.System, pr *crashProbe)) crashProbe {
 	sys := boot(opts)
+	defer retire(sys.Sim)
 	if plan != nil {
 		sys.InjectCrash(plan)
 	}

@@ -55,6 +55,7 @@ func runResize(scale float64) []*Result {
 		CacheBytes: small, MaxCacheBytes: big * 2,
 		DeviceBytes: big*8 + 96*mib, CPUs: 8, Seed: 101,
 	})
+	defer retire(sys.Sim)
 	dataset := big * 4
 	var m aquila.Mapping
 	sys.Do(func(p *aquila.Proc) {
@@ -126,6 +127,7 @@ func runPageRankWorlds(scale float64) []*Result {
 		ms := cpu.CyclesToSeconds(res.ElapsedCycles) * 1e3
 		times[cfg.name] = ms
 		r.AddRow(cfg.name, fmt.Sprintf("%.2f", ms), ratio(times["mmap"], ms))
+		retire(sys.Sim)
 	}
 	r.AddNote("PageRank touches every vertex and edge each iteration: the fault path runs constantly under 8x overcommit")
 	r.AddNote("Aquila runs with madvise(SEQUENTIAL) — its readahead is policy-driven, while Linux read-around is always on")
@@ -180,6 +182,7 @@ func runNVMHeap(scale float64) []*Result {
 		times[cfg.name] = ms
 		r.AddRow(cfg.name, fmt.Sprintf("%.2f", ms),
 			ratio(ms, times["DRAM-backed pmem"]))
+		retire(e)
 	}
 	r.AddNote("paper §7.1: NVM is ~3x slower than DRAM; the DRAM I/O cache absorbs most accesses, so end-to-end slowdown stays well under the raw media gap")
 	r.AddNote("the direct-map row is §3.3's alternative (no DRAM cache): no faults, but every access pays the media")

@@ -47,7 +47,7 @@ func runAblateFaults(scale float64) []*Result {
 					{Kind: aquila.FaultTransientWrite, Prob: prob},
 				}})
 			}
-			res := drive(sys, access{
+			res, maps := drive(sys, access{
 				file: "faults", dataset: cache * 12, threads: 16, advice: adviseRandom,
 				stream: lcgStream(99, ops, true),
 			})
@@ -55,7 +55,7 @@ func runAblateFaults(scale float64) []*Result {
 			// is the table's last column.
 			msyncCell := "ok"
 			sys.Do(func(p *aquila.Proc) {
-				if res.maps[0].Msync(p) != nil {
+				if maps[0].Msync(p) != nil {
 					msyncCell = "EIO"
 				}
 			})
@@ -65,6 +65,7 @@ func runAblateFaults(scale float64) []*Result {
 				fmt.Sprint(st.IORetries), fmt.Sprint(st.RequeuedPages),
 				fmt.Sprint(st.QuarantinedPages), fmt.Sprint(st.SyncWritebackFallbacks),
 				msyncCell)
+			retire(sys.Sim)
 		}
 	}
 	r.AddNote("transient write errors retry in place with linear backoff (3 retries, 20 Kcycle steps); pages that exhaust their retries are requeued dirty, so no page is ever dropped")

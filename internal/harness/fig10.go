@@ -110,8 +110,8 @@ func runFig10(scale float64, inMemory bool) *Result {
 		r.AddNote("paper: shared 1.81x@1T, 8.37x@32T; private 1.82x@1T, 1.99x@32T")
 		r.AddNote("shared+2M @%dT: %s over 4K Aquila (%d huge promotions, %d fault events vs %d)",
 			maxT, ratio(hugeTop.throughputKops(), aqTop.throughputKops()),
-			hugeTop.sys.RT.Stats.HugePromotions,
-			faultEvents(hugeTop.sys), faultEvents(aqTop.sys))
+			hugeTop.stats.HugePromotions,
+			faultEvents(hugeTop.stats), faultEvents(aqTop.stats))
 
 		r.setReport(scale, aqTop.ops, aqTop.elapsed, aqTop.lat, nil, 0, map[string]string{
 			"mode":    "aquila",
@@ -127,10 +127,10 @@ func runFig10(scale float64, inMemory bool) *Result {
 				linShared[maxT].throughputKops()),
 			"huge_speedup_vs_4k": safeDiv(hugeTop.throughputKops(),
 				aqTop.throughputKops()),
-			"fault_events_4k":   float64(faultEvents(aqTop.sys)),
-			"fault_events_huge": float64(faultEvents(hugeTop.sys)),
-			"huge_fault_ratio":  hugeFaultRatio(hugeTop.sys),
-			"huge_promotions":   float64(hugeTop.sys.RT.Stats.HugePromotions),
+			"fault_events_4k":   float64(faultEvents(aqTop.stats)),
+			"fault_events_huge": float64(faultEvents(hugeTop.stats)),
+			"huge_fault_ratio":  hugeFaultRatio(hugeTop.stats),
+			"huge_promotions":   float64(hugeTop.stats.HugePromotions),
 		})
 	} else {
 		r.AddNote("paper: shared 2.17x@1T, 12.92x@32T; private 2.21x@1T, 2.84x@32T")

@@ -74,6 +74,7 @@ func rocksRunX(mode rocksMode, dev aquila.DeviceKind, cache uint64, records uint
 		mut(opts.Params)
 	}
 	sys := boot(opts)
+	defer retire(sys.Sim)
 	db := loadRocks(sys, mode.io, cache, records, valueSize, seed)
 	// Warmup: one sequential pass over all records, so caches and PTEs
 	// reach steady state before measurement (as the paper's runs do).

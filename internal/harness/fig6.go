@@ -80,6 +80,7 @@ func runBFSConfig(cfg fig6Config, vertices uint32, edges [][2]uint32,
 	heapBytes, cache uint64, threads int) graph.BFSResult {
 	if cfg.dram {
 		e := bootEngine(engine.Config{NumCPUs: 32, Seed: 5}, "dram")
+		defer retire(e)
 		h := graph.NewMemHeap(heapBytes * 2)
 		var g *graph.Graph
 		e.Spawn(0, "build", func(p *engine.Proc) {
@@ -94,6 +95,7 @@ func runBFSConfig(cfg fig6Config, vertices uint32, edges [][2]uint32,
 		DeviceBytes: heapBytes*2 + 64*mib,
 		CPUs:        32, Seed: 5,
 	})
+	defer retire(sys.Sim)
 	var g *graph.Graph
 	sys.Do(func(p *aquila.Proc) {
 		h := graph.NewMappedHeap(mapFile(p, sys, "heap", heapBytes*2, aquila.AdviceRandom))

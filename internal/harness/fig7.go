@@ -36,6 +36,7 @@ func fig7Run(mode rocksMode, cache uint64, records uint64, ops int, seed int64) 
 		CPUs:        8,
 		Seed:        seed,
 	})
+	defer retire(sys.Sim)
 	db := loadRocks(sys, mode.io, cache, records, 1000, seed)
 	var thr float64
 	var meas fig7Measure

@@ -70,7 +70,7 @@ func runFig8a(scale float64) []*Result {
 	r.AddNote("measured trap/exception ratio: %s; Linux/Aquila total: %s",
 		ratio(linTrap, aqExc), ratio(linTotal, aqTotal))
 	r.AddNote("2 MB path: %s per access vs 4K Aquila (%d fault events vs %d; one promotion per extent)",
-		ratio(aqTotal, hugeTotal), faultEvents(hugeRes.sys), faultEvents(aqRes.sys))
+		ratio(aqTotal, hugeTotal), faultEvents(hugeRes.stats), faultEvents(aqRes.stats))
 
 	r.setReport(scale, aqRes.ops, aqRes.elapsed, aqRes.lat, aqRes.breakDelta, aqRes.lat.Sum(), map[string]string{
 		"mode":    "aquila",
@@ -89,7 +89,7 @@ func runFig8a(scale float64) []*Result {
 		"trap_over_exception":    safeDiv(linTrap, aqExc),
 		"huge_total_per_access":  hugeTotal,
 		"aquila_over_huge":       safeDiv(aqTotal, hugeTotal),
-		"huge_fault_ratio":       hugeFaultRatio(hugeRes.sys),
+		"huge_fault_ratio":       hugeFaultRatio(hugeRes.stats),
 	})
 	return []*Result{r}
 }
@@ -111,16 +111,13 @@ func runFig8b(scale float64) []*Result {
 	aqTotal, aqRes := faultCost(base.in(aquila.ModeAquila))
 
 	// Aquila's own per-component attribution, from the runtime breakdown.
-	rt := aqRes.sys.RT
-	faults := rt.Stats.MajorFaults + rt.Stats.MinorFaults + rt.Stats.WPFaults
-	if faults == 0 {
-		faults = 1
-	}
-	total := float64(rt.Break.Total())
+	brk := aqRes.worldBreak
+	faults := max(faultEvents(aqRes.stats), 1)
+	total := float64(brk.Total())
 	r.AddRow("total (measured per fault)", f2(linTotal), f2(aqTotal), "")
-	for _, cat := range rt.Break.Categories() {
-		v := rt.Break.PerOp(cat, faults)
-		pct := 100 * float64(rt.Break.Get(cat)) / total
+	for _, cat := range brk.Categories() {
+		v := brk.PerOp(cat, faults)
+		pct := 100 * float64(brk.Get(cat)) / total
 		r.AddRow("  aquila:"+cat, "", f2(v), fmt.Sprintf("%.1f%%", pct))
 	}
 	r.AddNote("paper: Aquila 2.06x lower than mmap; measured %s", ratio(linTotal, aqTotal))
@@ -175,6 +172,7 @@ func measureCacheHitFault(cache uint64) float64 {
 		Mode: aquila.ModeAquila, Device: aquila.DevicePMem,
 		CacheBytes: cache * 2, DeviceBytes: cache + 64*mib, CPUs: 4, Seed: 45,
 	})
+	defer retire(sys.Sim)
 	var mean float64
 	sys.Do(func(p *aquila.Proc) {
 		f := sys.NS.Create(p, "hitfile", cache)

@@ -50,6 +50,7 @@ func kreonRun(useAquila bool, dev aquila.DeviceKind, cache uint64,
 	}
 	opts, kopts, size := kreonLayout(mode, dev, cache, records, 1100, 8*mib, seed)
 	sys := boot(opts)
+	defer retire(sys.Sim)
 	var db *kreon.DB
 	sys.Do(func(p *aquila.Proc) {
 		if useAquila {

@@ -31,15 +31,14 @@ func init() {
 
 // faultEvents is every fault the runtime handled: major, minor and
 // write-protect.
-func faultEvents(sys *aquila.System) uint64 {
-	st := sys.RT.Stats
+func faultEvents(st core.Stats) uint64 {
 	return st.MajorFaults + st.MinorFaults + st.WPFaults
 }
 
 // hugeFaultRatio is the share of fault events served by a 2 MB unit — the
 // promotion-effectiveness number perfgate tracks across PRs.
-func hugeFaultRatio(sys *aquila.System) float64 {
-	return safeDiv(float64(sys.RT.Stats.HugeFaults), float64(faultEvents(sys)))
+func hugeFaultRatio(st core.Stats) float64 {
+	return safeDiv(float64(st.HugeFaults), float64(faultEvents(st)))
 }
 
 // bootHugeWorld boots an Aquila world with the huge path at the given
@@ -105,9 +104,9 @@ func runAblateHugepages(scale float64) []*Result {
 				if c.hint {
 					run.advice = slices.Concat(a.advice, []aquila.Advice{aquila.AdviceHuge})
 				}
-				res := drive(sys, run)
-				st := sys.RT.Stats
-				events := faultEvents(sys)
+				res, _ := drive(sys, run)
+				st := res.stats
+				events := faultEvents(st)
 				if c.density == 0 {
 					baseFaults = events
 				}
@@ -116,7 +115,7 @@ func runAblateHugepages(scale float64) []*Result {
 					fmt.Sprint(events), ratio(float64(baseFaults), float64(events)),
 					fmt.Sprint(st.HugePromotions), fmt.Sprint(st.HugeDemotions),
 					fmt.Sprint(st.HugeEvictions),
-					fmt.Sprintf("%.2f", hugeFaultRatio(sys)))
+					fmt.Sprintf("%.2f", hugeFaultRatio(st)))
 				if dev == aquila.DevicePMem && inMemory {
 					if c.density == 0 {
 						base4K = res
@@ -124,14 +123,15 @@ func runAblateHugepages(scale float64) []*Result {
 						headline = res
 					}
 				}
+				retire(sys.Sim)
 			}
 		}
 	}
 	r.AddNote("dense in-memory: promotion replaces 512 per-page faults with one merged 2 MB fill + one huge PTE")
 	r.AddNote("out-of-memory: reclaim churn splits buddy blocks; only whole-unit evictions restore contiguity, so the 2M share drops")
 	r.AddNote("pmem dense faults: 4K %d vs AdviseHuge %d (%s fewer); cycles %s lower",
-		faultEvents(base4K.sys), faultEvents(headline.sys),
-		ratio(float64(faultEvents(base4K.sys)), float64(faultEvents(headline.sys))),
+		faultEvents(base4K.stats), faultEvents(headline.stats),
+		ratio(float64(faultEvents(base4K.stats)), float64(faultEvents(headline.stats))),
 		ratio(float64(base4K.elapsed), float64(headline.elapsed)))
 
 	r.setReport(scale, headline.ops, headline.elapsed, headline.lat, nil, 0, map[string]string{
@@ -144,14 +144,14 @@ func runAblateHugepages(scale float64) []*Result {
 		"seed":    "97",
 		"config":  "AdviseHuge, in-mem dense",
 	}, map[string]float64{
-		"fault_events_4k":      float64(faultEvents(base4K.sys)),
-		"fault_events_huge":    float64(faultEvents(headline.sys)),
-		"fault_reduction":      safeDiv(float64(faultEvents(base4K.sys)), float64(faultEvents(headline.sys))),
+		"fault_events_4k":      float64(faultEvents(base4K.stats)),
+		"fault_events_huge":    float64(faultEvents(headline.stats)),
+		"fault_reduction":      safeDiv(float64(faultEvents(base4K.stats)), float64(faultEvents(headline.stats))),
 		"elapsed_cycles_4k":    float64(base4K.elapsed),
 		"elapsed_cycles_huge":  float64(headline.elapsed),
 		"cycle_reduction":      safeDiv(float64(base4K.elapsed), float64(headline.elapsed)),
-		"huge_fault_ratio":     hugeFaultRatio(headline.sys),
-		"huge_promotions":      float64(headline.sys.RT.Stats.HugePromotions),
+		"huge_fault_ratio":     hugeFaultRatio(headline.stats),
+		"huge_promotions":      float64(headline.stats.HugePromotions),
 		"tlb_2m_capacity_hint": float64(32),
 	})
 	return []*Result{r}

@@ -43,10 +43,12 @@ type microResult struct {
 	ops     uint64
 	elapsed uint64
 	lat     *obs.Histogram
-	sys     *aquila.System
-	// maps is each thread's mapping (one shared mapping repeated, or one per
-	// thread), for callers that go on to msync.
-	maps []aquila.Mapping
+	// stats snapshots the Aquila runtime's counters after the run (zero in a
+	// Linux world), and worldBreak is the world's whole fault-cycle breakdown,
+	// setup included. A result holds no reference to the world itself, so
+	// keeping one does not keep a retired world alive.
+	stats      core.Stats
+	worldBreak *obs.Breakdown
 	// breakDelta is the world's fault-cycle breakdown accumulated during
 	// the measured phase only (setup excluded).
 	breakDelta map[string]uint64
@@ -56,7 +58,8 @@ func (r microResult) throughputKops() float64 {
 	return aquila.ThroughputOpsPerSec(r.ops, r.elapsed) / 1e3
 }
 
-// runMicro boots a world for cfg and executes the microbenchmark in it. With
+// runMicro boots a world for cfg, executes the microbenchmark in it and
+// retires it. With
 // MADV_RANDOM on both worlds, the benchmark isolates the fault path itself (no
 // readahead noise).
 func runMicro(cfg microConfig) microResult {
@@ -85,7 +88,10 @@ func runMicro(cfg microConfig) microResult {
 		opts.Params.HugeFaultDensity = hugeDensityDefault
 		a.advice = adviseRandomHuge
 	}
-	return drive(boot(opts), a)
+	sys := boot(opts)
+	defer retire(sys.Sim)
+	res, _ := drive(sys, a)
+	return res
 }
 
 // access is one run of the microbenchmark over a booted world: which file(s)
@@ -126,8 +132,10 @@ func mapFile(p *aquila.Proc, sys *aquila.System, name string, size uint64, advic
 
 // drive is the microbenchmark's timed loop: it creates and maps the files,
 // then runs a.threads threads, each issuing one 8-byte Load or Store per page
-// of its stream and recording the access latency.
-func drive(sys *aquila.System, a access) microResult {
+// of its stream and recording the access latency. Beside the numbers it
+// returns each thread's mapping (one shared mapping repeated, or one per
+// thread), for callers that go on to msync.
+func drive(sys *aquila.System, a access) (microResult, []aquila.Mapping) {
 	const pageSize = 4096
 	maps := make([]aquila.Mapping, a.threads)
 	sys.Do(func(p *aquila.Proc) {
@@ -169,10 +177,14 @@ func drive(sys *aquila.System, a access) microResult {
 			ops++
 		}
 	})
-	return microResult{
-		ops: ops, elapsed: elapsed, lat: mergeHists(lats), sys: sys, maps: maps,
-		breakDelta: subMap(worldBreak.Map(), break0),
+	res := microResult{
+		ops: ops, elapsed: elapsed, lat: mergeHists(lats),
+		worldBreak: worldBreak, breakDelta: subMap(worldBreak.Map(), break0),
 	}
+	if sys.RT != nil {
+		res.stats = sys.RT.Stats
+	}
+	return res, maps
 }
 
 // threadRand is thread t's math/rand stream — the one Figs 8 and 10 are

@@ -78,6 +78,7 @@ func runIPI(scale float64) []*Result {
 		Mode: aquila.ModeAquila, Device: aquila.DevicePMem,
 		CacheBytes: 8 * mib, DeviceBytes: 160 * mib, CPUs: 8, Seed: 47,
 	})
+	defer retire(sys.Sim)
 	var m aquila.Mapping
 	sys.Do(func(p *aquila.Proc) {
 		m = mapFile(p, sys, "ipi-file", 64*mib, aquila.AdviceRandom)

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 
 	"aquila"
 	"aquila/internal/core"
@@ -21,9 +22,14 @@ var (
 	obsProf   obs.SpanSink
 	obsSeq    int
 
-	// worlds holds every world booted since the last TakeSimCycles call,
-	// instrumented or not: a world lives until its cycles are taken.
+	// worlds holds the booted worlds no row has retired yet, instrumented or
+	// not, in boot order: a world lives until its row retires it.
 	worlds []world
+	// retiredCycles sums the final clocks of the worlds retired since the
+	// last TakeSimCycles call; worldsPeak is the most worlds alive at once
+	// over the same stretch.
+	retiredCycles uint64
+	worldsPeak    int
 )
 
 // world is one booted world: its engine, and the System around it unless it
@@ -70,21 +76,49 @@ func boot(opts aquila.Options) *aquila.System {
 		}
 	}
 	sys := aquila.New(opts)
-	worlds = append(worlds, world{sys.Sim, sys})
+	track(world{sys.Sim, sys})
 	return sys
 }
 
 // bootEngine is boot for the worlds that need no aquila.System — a DRAM-only
 // heap, a hand-wired host over a custom device: a bare engine, given the
-// harness tracer/profiler under a label of its own and tracked for
-// TakeSimCycles like any other world.
+// harness tracer/profiler under a label of its own and tracked until retired
+// like any other world.
 func bootEngine(cfg simengine.Config, label string) *simengine.Engine {
 	if obsTracer != nil || obsProf != nil {
 		cfg.Spans, cfg.Profile, cfg.TraceLabel = obsTracer, obsProf, nextLabel(label)
 	}
 	e := simengine.New(cfg)
-	worlds = append(worlds, world{e: e})
+	track(world{e: e})
 	return e
+}
+
+func track(w world) {
+	worlds = append(worlds, w)
+	worldsPeak = max(worldsPeak, len(worlds))
+}
+
+// retire ends the life of the world around e, where its row's numbers have
+// been taken: it adds the final clock to the running sum, publishes the
+// System's end-of-run counters (fault stats, page-cache and device totals,
+// final clock) into the registry it was booted with — a no-op uninstrumented —
+// closes it, which releases the bg-evict daemons an AsyncEvict world leaves
+// parked, and drops the reference, so at most the worlds one row compares are
+// alive at once. A row that compares several retires them in boot order: the
+// publish order is then what it was when every world lived to the end.
+func retire(e *simengine.Engine) {
+	for i, w := range worlds {
+		if w.e != e {
+			continue
+		}
+		worlds = slices.Delete(worlds, i, i+1) // zeroes the vacated slot
+		retiredCycles += e.Now()
+		if w.sys != nil {
+			w.sys.PublishStats()
+		}
+		e.Close()
+		return
+	}
 }
 
 // nextLabel numbers a world's trace label ("<kind>.<seq>").
@@ -93,31 +127,24 @@ func nextLabel(kind string) string {
 	return fmt.Sprintf("%s.%d", kind, obsSeq)
 }
 
-// TakeSimCycles ends the life of every world booted since the previous call:
-// it sums their final clocks, publishes each System's end-of-run counters
-// (fault stats, page-cache and device totals, final clock) into the registry
-// it was booted with — a no-op uninstrumented — closes it, which releases the
-// bg-evict daemons an AsyncEvict world leaves parked, and drops the reference.
-// The bench driver calls it once per experiment, after the experiment's last
-// run, and reports the sum as the experiment's simulated cycles.
+// TakeSimCycles returns the summed final clocks of every world booted since
+// the previous call, retiring first whatever a row left behind. The bench
+// driver calls it once per experiment, after the experiment's last run, and
+// reports the sum as the experiment's simulated cycles.
 func TakeSimCycles() uint64 {
-	var total uint64
-	for _, w := range worlds {
-		total += w.e.Now()
-		if w.sys != nil {
-			w.sys.PublishStats()
-		}
-		w.e.Close()
+	for len(worlds) > 0 {
+		retire(worlds[0].e)
 	}
-	worlds = nil
+	total := retiredCycles
+	retiredCycles, worldsPeak = 0, 0
 	return total
 }
 
 // PublishAll surfaces the tracer's ring-buffer losses as aq.obs.spans_dropped:
 // a nonzero value warns that the Chrome trace is a window, not the whole run
 // (the profiler sink is lossless). Call once after the experiments finish,
-// before snapshotting; the worlds' own counters were published as
-// TakeSimCycles retired them.
+// before snapshotting; the worlds' own counters were published as their rows
+// retired them.
 func PublishAll() {
 	if obsTracer != nil && obsReg != nil {
 		obsReg.Counter("aq.obs.spans_dropped").Set(obsTracer.Dropped())

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"aquila"
 	"aquila/internal/obs"
 	simengine "aquila/internal/sim/engine"
 )
@@ -80,10 +81,11 @@ func TestSpansDroppedCounter(t *testing.T) {
 	}
 }
 
-// A world's lifetime is one sentence: TakeSimCycles publishes each
-// instrumented world's end-of-run counters and then drops it. Nothing waits
-// for a final publish, so an instrumented -exp all holds one experiment's
-// worlds at a time.
+// A world's lifetime is one sentence: the row that booted it retires it —
+// publishes its end-of-run counters, closes it, drops it — once the row's
+// numbers are taken. Nothing waits for the experiment's end, let alone a final
+// publish; TakeSimCycles only reports the retired clocks' sum and sweeps up
+// what a row left behind.
 func TestTakeSimCyclesPublishesAndDrops(t *testing.T) {
 	reg := obs.NewRegistry()
 	Instrument(nil, reg)
@@ -92,24 +94,67 @@ func TestTakeSimCyclesPublishesAndDrops(t *testing.T) {
 
 	e, _ := Find("fig8a")
 	e.Run(testScale)
-	if len(worlds) == 0 {
-		t.Fatal("fig8a booted no world")
+	if len(worlds) != 0 {
+		t.Errorf("fig8a left %d worlds for TakeSimCycles to retire", len(worlds))
 	}
-	if g := reg.Snapshot().Gauges; len(g) != 0 {
-		t.Errorf("sim_cycles published before the worlds were retired: %v", g)
+	publishedCycles := func() (sum uint64, n int) {
+		for k, v := range reg.Snapshot().Gauges {
+			if strings.HasPrefix(k, "sim_cycles{") {
+				sum += uint64(v)
+				n++
+			}
+		}
+		return sum, n
 	}
+	if _, n := publishedCycles(); n != 3 {
+		t.Errorf("%d worlds published by the end of fig8a's rows, want 3", n)
+	}
+	// A world no row retired is swept: published, summed and closed.
+	left := boot(aquila.Options{CacheBytes: mib, DeviceBytes: 8 * mib, CPUs: 1})
+	left.Do(func(p *aquila.Proc) { p.AdvanceUser(1000) })
 	cycles := TakeSimCycles()
-	if worlds != nil {
+	if len(worlds) != 0 {
 		t.Errorf("TakeSimCycles kept %d worlds", len(worlds))
 	}
-	var published uint64
-	for k, v := range reg.Snapshot().Gauges {
-		if strings.HasPrefix(k, "sim_cycles{") {
-			published += uint64(v)
-		}
+	if published, n := publishedCycles(); published != cycles || n != 4 || cycles == 0 {
+		t.Errorf("%d published sim_cycles sum to %d, TakeSimCycles returned %d", n, published, cycles)
 	}
-	if published != cycles || cycles == 0 {
-		t.Errorf("published sim_cycles sum to %d, TakeSimCycles returned %d", published, cycles)
+	if TakeSimCycles() != 0 {
+		t.Error("a second TakeSimCycles found cycles to report")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("TakeSimCycles left the swept world open")
+		}
+	}()
+	left.Do(func(p *aquila.Proc) {})
+}
+
+// At most the worlds one row compares are alive at once — every row here
+// boots, measures and retires one world at a time, whatever the table later
+// compares — and retiring early changes no sum: the constants are what
+// TakeSimCycles returned when every world lived to the end of its experiment.
+func TestRowsRetireTheirWorlds(t *testing.T) {
+	TakeSimCycles()
+	for _, tc := range []struct {
+		id     string
+		cycles uint64
+	}{
+		{"fig10a", 108660490},      // 15 worlds: 2 per row, plus the 2 MB rows
+		{"ablate-batch", 11509618}, // a world per sweep point
+		{"fig6c", 7528220},
+		{"iouring", 43867924},      // bare engines
+		{"ablate-crash", 12888985}, // 50 crashed-and-recovered worlds
+	} {
+		e, _ := Find(tc.id)
+		e.Run(testScale)
+		if len(worlds) != 0 || worldsPeak != 1 {
+			t.Errorf("%s: %d worlds left unretired, at most %d alive at once; want 0 and 1",
+				tc.id, len(worlds), worldsPeak)
+		}
+		if got := TakeSimCycles(); got != tc.cycles {
+			t.Errorf("%s: TakeSimCycles = %d, want %d", tc.id, got, tc.cycles)
+		}
 	}
 }
 
