@@ -13,6 +13,8 @@ func TestCLI(t *testing.T) {
 			Args: []string{"-prove-unsafe", "-repro-dir", "."}},
 		{Name: "repro replay", Dir: "../..", Exit: 1, Stdout: "repro.golden",
 			Args: []string{"-repro", "internal/torture/testdata/repros/unsafe_msync.json"}},
+		{Name: "repro with a slot its file lacks", Dir: "../..", Exit: 2, Stderr: "bad-slot.stderr.golden",
+			Args: []string{"-repro", "cmd/aqtort/testdata/slot-out-of-range.json"}},
 		{Name: "unknown flag", Exit: 2, Stderr: "unknown-flag.stderr.golden", Args: []string{"-nosuch"}},
 	})
 }

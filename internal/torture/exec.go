@@ -421,9 +421,6 @@ func (x *exec) step(p *aquila.Proc, opIdx int, op Op) {
 		x.code(opIdx, 0)
 	case OpMsyncRange:
 		lo, hi := op.Slot, op.Slot+op.N
-		if hi > len(fr.slots) {
-			hi = len(fr.slots)
-		}
 		var err error
 		if ev := x.safeOp(func() {
 			err = fr.m.MsyncRange(p, uint64(lo)*slotBytes, uint64(hi-lo)*slotBytes)

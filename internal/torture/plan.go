@@ -199,12 +199,23 @@ func (pl *Plan) Validate() error {
 				return fmt.Errorf("torture: op %d (thread %d) touches file %d owned by thread %d",
 					i, op.T, op.File, pl.Files[op.File].Thread)
 			}
+			slots := pl.Files[op.File].Slots
+			if op.Slot < 0 || op.Slot >= slots {
+				return fmt.Errorf("torture: op %d slot %d of file %d's %d", i, op.Slot, op.File, slots)
+			}
+			if op.Kind == OpMsyncRange && (op.N < 1 || op.Slot+op.N > slots) {
+				return fmt.Errorf("torture: op %d msync_range [%d,%d) outside file %d's %d slots",
+					i, op.Slot, op.Slot+op.N, op.File, slots)
+			}
 		case OpKvPut, OpKvGet, OpKvScan, OpKvMsync:
 			if pl.Kreon == nil {
 				return fmt.Errorf("torture: op %d is %s but the plan has no kreon store", i, op.Kind)
 			}
 			if op.T != 0 {
 				return fmt.Errorf("torture: op %d: kv ops run on thread 0, got %d", i, op.T)
+			}
+			if op.Key < 0 || op.Key >= pl.Kreon.Keys {
+				return fmt.Errorf("torture: op %d key %d of %d", i, op.Key, pl.Kreon.Keys)
 			}
 		default:
 			return fmt.Errorf("torture: op %d has unknown kind %q", i, op.Kind)

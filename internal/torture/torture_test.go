@@ -126,11 +126,57 @@ func TestShrinkPanicsOnPassingPlan(t *testing.T) {
 	Shrink(pl, 50)
 }
 
-// A panic raised inside one thread's op — here the executor's own index
-// panic on a load of a slot its file does not have, which Validate does not
-// bound — must come back as an oracle failure with the other threads'
-// goroutines released, not kill the process: that is what lets the shrinker
-// iterate on it, down to the one planted op.
+// Validate bounds what addresses an op may name, so a hand-edited repro with
+// a slot, range or key its plan does not have fails with the op's index —
+// exit 2 through Load — instead of an executor index panic reported as an
+// oracle FAIL (slot, key) or a silently clamped range (msync_range).
+func TestValidateBoundsOpOperands(t *testing.T) {
+	base := func() *Plan {
+		return &Plan{
+			Version: PlanVersion, World: WorldAquila, Device: "pmem",
+			Threads: 1, CPUs: 2, CacheKB: 1024,
+			Files: []FileSpec{{Thread: 0, Slots: 16}},
+			Kreon: &KreonSpec{Keys: 8, LogKB: 64, IdxKB: 64},
+			Ops:   []Op{{T: 0, Kind: OpStore, Slot: 15}, {T: 0, Kind: OpMsync}},
+		}
+	}
+	if err := base().Validate(); err != nil {
+		t.Fatalf("base plan: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		op   Op
+		want string // "" = valid
+	}{
+		{"last slot", Op{Kind: OpLoad, Slot: 15}, ""},
+		{"slot past the file", Op{Kind: OpStore, Slot: 1000000}, "op 2 slot 1000000"},
+		{"slot == slots", Op{Kind: OpLoad, Slot: 16}, "op 2 slot 16"},
+		{"negative slot", Op{Kind: OpLoad, Slot: -1}, "op 2 slot -1"},
+		{"msync names a slot too", Op{Kind: OpMsync, Slot: 16}, "op 2 slot 16"},
+		{"whole-file range", Op{Kind: OpMsyncRange, Slot: 0, N: 16}, ""},
+		{"range of nothing", Op{Kind: OpMsyncRange, Slot: 3}, "op 2 msync_range [3,3)"},
+		{"range past the file", Op{Kind: OpMsyncRange, Slot: 10, N: 7}, "op 2 msync_range [10,17)"},
+		{"last key", Op{Kind: OpKvPut, Key: 7}, ""},
+		{"key == keys", Op{Kind: OpKvGet, Key: 8}, "op 2 key 8 of 8"},
+		{"negative key", Op{Kind: OpKvScan, Key: -1, N: 4}, "op 2 key -1 of 8"},
+	} {
+		pl := base()
+		pl.Ops = append(pl.Ops, tc.op)
+		err := pl.Validate()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: Validate = %v, want an error naming %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// A panic raised inside one thread's op — here a Kreon store whose index
+// region cannot hold its first spill, which no static check of a plan bounds
+// — must come back as an oracle failure with the other threads' goroutines
+// released, not kill the process: that is what lets the shrinker iterate on
+// it, down to the one planted op.
 func TestOpPanicIsOracleFailureAndShrinks(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	pl := Generate(9, 80)
@@ -138,11 +184,16 @@ func TestOpPanicIsOracleFailureAndShrinks(t *testing.T) {
 	if pl.Threads < 2 {
 		t.Fatalf("seed 9 generated %d thread(s); the plant needs bystanders", pl.Threads)
 	}
+	if pl.World != WorldAquila || pl.Fault != nil || pl.Kreon != nil {
+		t.Fatalf("seed 9 generated world %q, fault %v, kreon %v; the plant needs a fault-free aquila plan without a store",
+			pl.World, pl.Fault != nil, pl.Kreon != nil)
+	}
+	pl.Kreon = &KreonSpec{Keys: 1, LogKB: 64, IdxKB: 1}
 	mid := len(pl.Ops) / 2
-	plant := Op{T: pl.Files[0].Thread, Kind: OpLoad, File: 0, Slot: pl.Files[0].Slots}
+	plant := Op{T: 0, Kind: OpKvPut}
 	pl.Ops = append(pl.Ops[:mid:mid], append([]Op{plant}, pl.Ops[mid:]...)...)
 	o := Execute(pl)
-	if !o.Failed() || !strings.Contains(o.Failures[0], "phase ops: engine panic: runtime error: index out of range") {
+	if !o.Failed() || !strings.Contains(o.Failures[0], "phase ops: engine panic: kreon: index region full") {
 		t.Fatalf("planted op panic not reported as the ops phase's failure: %v", o.Failures)
 	}
 	res := Shrink(pl, 200)
