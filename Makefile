@@ -41,8 +41,8 @@ fmt:
 
 # Aquila's own static-analysis suite (DESIGN.md "Static invariants"):
 # determinism, cycle accounting, span pairing, typed-I/O-error propagation,
-# and the flow-aware durability/crash-unwind/huge-page invariants. `go vet`
-# runs first for the generic mistakes, then aqlint sweeps the tree.
+# crash unwinding, and the flow-aware WriteAt/Persist durability pairing.
+# `go vet` runs first for the generic mistakes, then aqlint sweeps the tree.
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/aqlint ./...
@@ -115,11 +115,11 @@ results-check:
 # gates is what ci runs instead of perfgate + results-check: ONE run of the 26
 # experiments feeds both. -report-dir only adds files and stderr lines, so
 # stdout is still the results_full.txt golden, and the six reports land in
-# .perfgate for aqperf. The harness publishes a world's counters when
-# TakeSimCycles retires it and drops it, so the registry no longer pins every
-# world to the end of the run: measured peak RSS of this run is 10.7 GB in
-# 2 m 10 s, against 10.0 GB for a bare `-exp all` (what is left is fig5a/fig5b's
-# own worlds); before, it was OOM-killed at 16 GB inside fig5b.
+# .perfgate for aqperf. A row retires its world once its numbers are taken
+# (harness/obs.go), so one world is alive at a time: measured, the whole target
+# takes 1 m 21 s and peaks at 0.60 GB RSS. (The 10.7 GB it once took was every
+# world of an experiment kept reachable to the experiment's end — all 20 of
+# fig5b's — not fig5's device media, as earlier notes had it.)
 gates:
 	rm -rf .perfgate && mkdir -p .perfgate
 	$(GO) run ./cmd/aquila-bench -exp all -report-dir .perfgate | diff results_full.txt -

@@ -103,9 +103,9 @@ func track(w world) {
 // System's end-of-run counters (fault stats, page-cache and device totals,
 // final clock) into the registry it was booted with — a no-op uninstrumented —
 // closes it, which releases the bg-evict daemons an AsyncEvict world leaves
-// parked, and drops the reference, so at most the worlds one row compares are
-// alive at once. A row that compares several retires them in boot order: the
-// publish order is then what it was when every world lived to the end.
+// parked, and drops the reference. Every row retires its world before the
+// next one boots, so one world is alive at a time and worlds publish in boot
+// order.
 func retire(e *simengine.Engine) {
 	for i, w := range worlds {
 		if w.e != e {
