@@ -107,7 +107,7 @@ perfgate:
 results:
 	$(GO) run ./cmd/aquila-bench -exp all > results_full.txt
 
-# results-check re-runs all 26 experiments (~2.5 min) and fails on any byte of
+# results-check re-runs all 26 experiments (~1.5 min) and fails on any byte of
 # drift from results_full.txt. Not part of tier-1 `go test`.
 results-check:
 	$(GO) run ./cmd/aquila-bench -exp all | diff results_full.txt -

@@ -72,14 +72,7 @@ func runSpanpair(pass *Pass) error {
 // closed in one of the two accepted shapes.
 func markPairedSpans(list []ast.Stmt, paired map[*ast.CallExpr]bool) {
 	for i, s := range list {
-		es, ok := s.(*ast.ExprStmt)
-		if !ok {
-			continue
-		}
-		begin, ok := es.X.(*ast.CallExpr)
-		if !ok {
-			continue
-		}
+		begin := stmtCall(s)
 		recv, ok := spanCall(begin, "BeginSpan")
 		if !ok || recv == "" {
 			continue
@@ -94,14 +87,19 @@ func markPairedSpans(list []ast.Stmt, paired map[*ast.CallExpr]bool) {
 				continue
 			}
 		}
-		if i+2 < len(list) && isSimpleStmt(list[i+1]) {
-			if end, ok := list[i+2].(*ast.ExprStmt); ok {
-				if call, ok := end.X.(*ast.CallExpr); ok && ends(call) {
-					paired[begin] = true
-				}
-			}
+		if i+2 < len(list) && isSimpleStmt(list[i+1]) && ends(stmtCall(list[i+2])) {
+			paired[begin] = true
 		}
 	}
+}
+
+// stmtCall returns the call an expression statement consists of, or nil.
+func stmtCall(s ast.Stmt) *ast.CallExpr {
+	if es, ok := s.(*ast.ExprStmt); ok {
+		call, _ := es.X.(*ast.CallExpr)
+		return call
+	}
+	return nil
 }
 
 // isSimpleStmt reports whether s is an assignment or an expression statement:
@@ -115,10 +113,13 @@ func isSimpleStmt(s ast.Stmt) bool {
 	return false
 }
 
-// spanCall decodes a call into its receiver expression if it is a call of
-// the named span method; the receiver renders "" when it is not a plain
-// identifier/selector chain.
+// spanCall decodes a call (nil: no call) into its receiver expression if it
+// is a call of the named span method; the receiver renders "" when it is not
+// a plain identifier/selector chain.
 func spanCall(call *ast.CallExpr, method string) (string, bool) {
+	if call == nil {
+		return "", false
+	}
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != method {
 		return "", false

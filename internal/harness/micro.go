@@ -59,9 +59,8 @@ func (r microResult) throughputKops() float64 {
 }
 
 // runMicro boots a world for cfg, executes the microbenchmark in it and
-// retires it. With
-// MADV_RANDOM on both worlds, the benchmark isolates the fault path itself (no
-// readahead noise).
+// retires it. With MADV_RANDOM on both worlds, the benchmark isolates the
+// fault path itself (no readahead noise).
 func runMicro(cfg microConfig) microResult {
 	opts := aquila.Options{
 		Mode:        cfg.mode,

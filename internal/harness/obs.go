@@ -93,6 +93,7 @@ func bootEngine(cfg simengine.Config, label string) *simengine.Engine {
 	return e
 }
 
+// track registers a freshly booted world.
 func track(w world) {
 	worlds = append(worlds, w)
 	worldsPeak = max(worldsPeak, len(worlds))

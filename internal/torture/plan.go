@@ -203,7 +203,7 @@ func (pl *Plan) Validate() error {
 			if op.Slot < 0 || op.Slot >= slots {
 				return fmt.Errorf("torture: op %d slot %d of file %d's %d", i, op.Slot, op.File, slots)
 			}
-			if op.Kind == OpMsyncRange && (op.N < 1 || op.Slot+op.N > slots) {
+			if op.Kind == OpMsyncRange && (op.N < 1 || op.N > slots-op.Slot) {
 				return fmt.Errorf("torture: op %d msync_range [%d,%d) outside file %d's %d slots",
 					i, op.Slot, op.Slot+op.N, op.File, slots)
 			}

@@ -1,6 +1,7 @@
 package torture
 
 import (
+	"math"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -156,6 +157,7 @@ func TestValidateBoundsOpOperands(t *testing.T) {
 		{"whole-file range", Op{Kind: OpMsyncRange, Slot: 0, N: 16}, ""},
 		{"range of nothing", Op{Kind: OpMsyncRange, Slot: 3}, "op 2 msync_range [3,3)"},
 		{"range past the file", Op{Kind: OpMsyncRange, Slot: 10, N: 7}, "op 2 msync_range [10,17)"},
+		{"range that overflows", Op{Kind: OpMsyncRange, Slot: 10, N: math.MaxInt}, "op 2 msync_range"},
 		{"last key", Op{Kind: OpKvPut, Key: 7}, ""},
 		{"key == keys", Op{Kind: OpKvGet, Key: 8}, "op 2 key 8 of 8"},
 		{"negative key", Op{Kind: OpKvScan, Key: -1, N: 4}, "op 2 key -1 of 8"},
