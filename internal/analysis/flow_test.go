@@ -96,7 +96,7 @@ func TestRealTreeClean(t *testing.T) {
 		{"internal/core", "aquila/internal/core", Persistpair, 0},
 		{"internal/core", "aquila/internal/core", Spanpair, 0},
 		// Audits, counts and collect-then-sort loops over rt.pages / rt.files.
-		{"internal/core", "aquila/internal/core", Maporder, 14},
+		{"internal/core", "aquila/internal/core", Maporder, 13},
 		{"internal/host", "aquila/internal/host", Persistpair, 0},
 		{"internal/spdk", "aquila/internal/spdk", Persistpair, 0},
 		// fsyncFileRange's collection loop and CheckInvariants' four audits.

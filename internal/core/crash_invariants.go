@@ -16,6 +16,11 @@ import "fmt"
 //
 // What can never be true, crash or not:
 //
+//   - a hashed page in one of those in-between states — claimed by eviction
+//     (non-resident) or not yet backed by a frame — that is not busy: its
+//     event armed and unfired is what makes faulters wait instead of mapping
+//     it, and arm, state change and publish happen with no yield between,
+//   - a page with at most one mapping keeping it outside its own slot,
 //   - a frame owned twice (two pages, a page and a free queue, two queues),
 //   - more frames accounted for than were ever granted,
 //   - a hash entry filed under the wrong key,
@@ -69,6 +74,12 @@ func (rt *Runtime) CheckCrashInvariants() error {
 			return fmt.Errorf("page (%s,%d) under wrong key", pg.file.name, pg.idx)
 		}
 		who := fmt.Sprintf("page (%s,%d)", pg.file.name, pg.idx)
+		if (!pg.resident || pg.frame == nil) && !pg.busy() {
+			return fmt.Errorf("%s is claimed or unbacked (resident=%v, frame=%v) but not busy", who, pg.resident, pg.frame != nil)
+		}
+		if len(pg.vas) <= 1 && !pg.vasInline() {
+			return fmt.Errorf("%s: %d mapping(s) kept outside the page's own slot", who, len(pg.vas))
+		}
 		if pg.huge {
 			for _, fr := range pg.frames {
 				if fr == nil {

@@ -111,7 +111,7 @@ func (rt *Runtime) hugeFault(p *engine.Proc, r *Region, f *fileState, idx uint64
 			if pg == nil {
 				continue
 			}
-			if pg.huge || pg.pins > 0 || (pg.io != nil && !pg.io.Fired()) ||
+			if pg.huge || pg.pins > 0 || pg.busy() ||
 				pg.poison != nil || pg.quarantined || !pg.resident {
 				return false
 			}
@@ -131,11 +131,12 @@ func (rt *Runtime) hugeFault(p *engine.Proc, r *Region, f *fileState, idx uint64
 		file: f, idx: baseIdx, huge: true,
 		frames: block, frame: block[0], resident: true,
 	}
-	unit.io = engine.NewOwnedEvent(rt.e, unit)
+	unit.ev.Arm(unit)
 	var dirtyOlds []*Page
 	unmapped := 0
 	for _, pg := range olds {
 		pg.resident = false
+		rt.lru.forget(pg)
 		rt.cacheRemove(pg)
 		for _, va := range pg.vas {
 			if rt.PT.Unmap(va) {
@@ -184,8 +185,7 @@ func (rt *Runtime) hugeFault(p *engine.Proc, r *Region, f *fileState, idx uint64
 			}
 			rt.lru.recordBulk(p, olds)
 			rt.fl.pushHuge(p, block)
-			unit.io.Fire(p.Now())
-			unit.io = nil
+			unit.ev.Fire(p.Now())
 			return nil, nil
 		}
 	}
@@ -211,7 +211,7 @@ func (rt *Runtime) hugeFault(p *engine.Proc, r *Region, f *fileState, idx uint64
 		split := make([]*Page, hugePages)
 		for i := range split {
 			spg := &Page{file: f, idx: baseIdx + uint64(i), frame: block[i], resident: true}
-			spg.io = engine.NewOwnedEvent(rt.e, spg)
+			spg.ev.Arm(spg)
 			split[i] = spg
 			rt.cacheInsert(spg)
 		}
@@ -221,11 +221,9 @@ func (rt *Runtime) hugeFault(p *engine.Proc, r *Region, f *fileState, idx uint64
 		rt.isolateReadRun(p, split)
 		doneAt := p.Now()
 		for _, spg := range split {
-			spg.io.Fire(doneAt)
-			spg.io = nil
+			spg.ev.Fire(doneAt)
 		}
-		unit.io.Fire(doneAt)
-		unit.io = nil
+		unit.ev.Fire(doneAt)
 		return split[idx-baseIdx], nil
 	}
 
@@ -233,8 +231,7 @@ func (rt *Runtime) hugeFault(p *engine.Proc, r *Region, f *fileState, idx uint64
 	rt.Stats.HugePromotions++
 	p.SpanEvent("fault.major", 1)
 	rt.lru.record(p, unit)
-	unit.io.Fire(p.Now())
-	unit.io = nil
+	unit.ev.Fire(p.Now())
 	return unit, nil
 }
 
@@ -259,7 +256,7 @@ func (rt *Runtime) hugeMap(p *engine.Proc, r *Region, pg *Page, va uint64, write
 	if (pg.idx+hugePages)*pageSize > r.End-r.Start {
 		if _, mapped := rt.PT.Lookup(va); !mapped {
 			rt.PT.Map(va, pg.frames[off].ID, flags, pagetable.Size4K)
-			pg.vas = append(pg.vas, va)
+			pg.addVA(va)
 		} else {
 			rt.PT.Protect(va, flags)
 		}
@@ -269,7 +266,7 @@ func (rt *Runtime) hugeMap(p *engine.Proc, r *Region, pg *Page, va uint64, write
 		hugeVA := va &^ uint64(hugeBytes-1)
 		if e, ok := rt.PT.Lookup(hugeVA); !ok || e.PageSize != pagetable.Size2M {
 			rt.PT.Map(hugeVA, pg.frames[0].ID, flags, pagetable.Size2M)
-			pg.vas = append(pg.vas, hugeVA)
+			pg.addVA(hugeVA)
 		} else {
 			rt.PT.Protect(hugeVA, flags)
 		}
@@ -318,7 +315,7 @@ func (rt *Runtime) hugeWP(p *engine.Proc, r *Region, pg *Page, va uint64) (*mem.
 	rt.markDirty(p, spg)
 	if _, mapped := rt.PT.Lookup(va); !mapped {
 		rt.PT.Map(va, spg.frame.ID, wrFlags, pagetable.Size4K)
-		spg.vas = append(spg.vas, va)
+		spg.addVA(va)
 	} else {
 		rt.PT.Protect(va, wrFlags)
 	}
@@ -350,13 +347,14 @@ func (rt *Runtime) splitUnit(p *engine.Proc, pg *Page, pinOff int) []*Page {
 	}
 	pg.vas = nil
 	pg.resident = false
+	rt.lru.forget(pg)
 	rt.cacheRemove(pg)
 	split := make([]*Page, hugePages)
 	for i := range split {
 		spg := &Page{file: pg.file, idx: pg.idx + uint64(i), frame: pg.frames[i], resident: true}
 		if wasDirty {
 			spg.dirty = true
-			spg.dirtyCore = p.CPU()
+			spg.dirtyCore = int32(p.CPU())
 			rt.dirty[p.CPU()].Insert(dirtyKey(spg), spg)
 		}
 		split[i] = spg

@@ -61,8 +61,11 @@ func (rt *Runtime) CheckInvariants() error {
 		if pg.frame == nil {
 			return fmt.Errorf("page (%s,%d) has no frame", pg.file.name, pg.idx)
 		}
-		if pg.io != nil && !pg.io.Fired() {
+		if pg.busy() {
 			return fmt.Errorf("page (%s,%d) has in-flight I/O at quiesce", pg.file.name, pg.idx)
+		}
+		if len(pg.vas) <= 1 && !pg.vasInline() {
+			return fmt.Errorf("page (%s,%d): %d mapping(s) kept outside the page's own slot", pg.file.name, pg.idx, len(pg.vas))
 		}
 		if pg.dirty {
 			dirtyPages++
@@ -168,6 +171,23 @@ func (rt *Runtime) CheckInvariants() error {
 	}
 	if dirtyPages != dirtyInTrees {
 		return fmt.Errorf("dirty pages %d != dirty-tree entries %d", dirtyPages, dirtyInTrees)
+	}
+	// LRU queues: the counters the sweep trigger reads match a recount, and a
+	// live entry — the one its page's lruSeq names — is a cached page's.
+	queued, dead := 0, 0
+	for i := range rt.lru.queues {
+		q := &rt.lru.queues[i]
+		for _, e := range q.entries[q.head:] {
+			queued++
+			if e.pg.lruSeq != e.seq {
+				dead++
+			} else if rt.pages[e.pg.Key()] != e.pg {
+				return fmt.Errorf("live LRU entry for uncached page (%s,%d)", e.pg.file.name, e.pg.idx)
+			}
+		}
+	}
+	if queued != rt.lru.queued || dead != rt.lru.dead {
+		return fmt.Errorf("LRU counters %d queued, %d dead != recount %d, %d", rt.lru.queued, rt.lru.dead, queued, dead)
 	}
 	return nil
 }

@@ -154,8 +154,8 @@ func (m *AqMapping) Mremap(p *engine.Proc, newSize uint64) {
 				if unit == nil || !unit.huge {
 					break
 				}
-				if unit.io != nil && !unit.io.Fired() {
-					unit.io.Wait(p)
+				if unit.busy() {
+					unit.ev.Wait(p)
 					continue
 				}
 				if unit.pins > 0 {
@@ -198,8 +198,8 @@ func (m *AqMapping) Mremap(p *engine.Proc, newSize uint64) {
 			rt.PT.Map(newStart+i*pageSize, e.Frame, e.Flags, size)
 			rt.charge(p, "map-pte", 2*rt.C.PTEUpdate)
 			if pg := rt.lookupPage(m.r.File.id, i); pg != nil {
-				removeVAFrom(pg, oldVA)
-				pg.vas = append(pg.vas, newStart+i*pageSize)
+				pg.removeVA(oldVA)
+				pg.addVA(newStart + i*pageSize)
 			}
 			moved++
 			i += span

@@ -1,0 +1,252 @@
+package core
+
+import (
+	"fmt"
+	"slices"
+	"strings"
+	"testing"
+
+	"aquila/internal/sim/engine"
+)
+
+// TestColdMajorFaultIsOneAllocation pins DESIGN.md §3's summary sentence: a
+// cold 4 KB major fault allocates the Page and nothing else — its busy event
+// and its first reverse mapping are inside it, its frame is a record of the
+// flat table — and the second mapping of a resident page is the one that
+// moves the reverse map to the heap.
+func TestColdMajorFaultIsOneAllocation(t *testing.T) {
+	const batch = 64
+	e, _, boot := daxWorld(64*mib, 2)
+	e.Spawn(0, "t", func(p *engine.Proc) {
+		rt := boot(p)
+		f := rt.CreateFile(p, "data", 48*mib)
+		m1, m2 := rt.Mmap(p, f, 48*mib), rt.Mmap(p, f, 48*mib)
+		var buf [8]byte
+		// A run is a batch of faults so that growth that amortizes — the page
+		// hash, an LRU queue, a page-table node per 512 pages — shows as a
+		// fraction testing.AllocsPerRun rounds away while a second object per
+		// fault would not: 64 faults must cost 64 allocations, not 128.
+		var next1, next2 uint64
+		cold := func() {
+			for i := 0; i < batch; i++ {
+				m1.Load(p, next1*pageSize, buf[:])
+				next1++
+			}
+		}
+		second := func() {
+			for i := 0; i < batch; i++ {
+				m2.Load(p, next2*pageSize, buf[:])
+				next2++
+			}
+		}
+		cold() // the fault scratch buffer, the CPU's TLB
+		major := rt.Stats.MajorFaults
+		if got := testing.AllocsPerRun(100, cold); got < batch || got > batch+2 {
+			t.Errorf("%d cold major faults made %v allocations, want one each", batch, got)
+		}
+		if got := rt.Stats.MajorFaults - major; got != 101*batch {
+			t.Fatalf("the measured loads took %d major faults, want %d", got, 101*batch)
+		}
+		if rt.Stats.Evictions != 0 {
+			t.Fatalf("%d evictions: the faults were not all cold", rt.Stats.Evictions)
+		}
+		pg := rt.pages[pageKey{f.id, 0}]
+		if len(pg.vas) != 1 || !pg.vasInline() {
+			t.Fatalf("a page mapped once has vas %v, inline=%v", pg.vas, pg.vasInline())
+		}
+		second()
+		minor := rt.Stats.MinorFaults
+		if got := testing.AllocsPerRun(50, second); got < batch || got > batch+2 {
+			t.Errorf("%d second mappings of resident pages made %v allocations, want one each", batch, got)
+		}
+		if got := rt.Stats.MinorFaults - minor; got != 51*batch {
+			t.Fatalf("the second mapping's loads took %d minor faults, want %d", got, 51*batch)
+		}
+		if len(pg.vas) != 2 || pg.vasInline() {
+			t.Fatalf("a page mapped twice has vas %v, inline=%v", pg.vas, pg.vasInline())
+		}
+		// Down to one mapping, the survivor moves back into the page.
+		m1.Munmap(p)
+		if len(pg.vas) != 1 || !pg.vasInline() || pg.vas[0] != m2.r.Start {
+			t.Fatalf("after the first mapping went: vas %#x, inline=%v, want [%#x] inline", pg.vas, pg.vasInline(), m2.r.Start)
+		}
+		if err := rt.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	e.Run()
+}
+
+// lruCensus recounts what lruApprox keeps counters of.
+func lruCensus(l *lruApprox) (queued, dead, nonResident int) {
+	for i := range l.queues {
+		q := &l.queues[i]
+		for _, e := range q.entries[q.head:] {
+			queued++
+			if e.pg.lruSeq != e.seq {
+				dead++
+			}
+			if !e.pg.resident {
+				nonResident++
+			}
+		}
+	}
+	return
+}
+
+// TestDeletedFilesLeaveTheLRUQueues: with nothing evicting, nothing walks the
+// queues, and the entries of deleted files used to pin every one of their
+// pages for the life of the runtime. Now the dead are swept once they
+// outnumber the live.
+func TestDeletedFilesLeaveTheLRUQueues(t *testing.T) {
+	const rounds, pages = 12, 3000
+	e, _, boot := daxWorld(64*mib, 2)
+	e.Spawn(0, "t", func(p *engine.Proc) {
+		rt := boot(p)
+		var buf [8]byte
+		swept := false
+		for r := 0; r < rounds; r++ {
+			name := fmt.Sprintf("round%d", r)
+			f := rt.CreateFile(p, name, pages*pageSize)
+			m := rt.Mmap(p, f, pages*pageSize)
+			for i := uint64(0); i < pages; i++ {
+				m.Load(p, i*pageSize, buf[:])
+			}
+			m.Munmap(p)
+			before := rt.lru.queued
+			rt.DeleteFile(p, name)
+			swept = swept || rt.lru.queued < before
+			queued, dead, nonResident := lruCensus(rt.lru)
+			if queued != rt.lru.queued || dead != rt.lru.dead {
+				t.Fatalf("round %d: counters say %d queued, %d dead; the queues hold %d and %d", r, rt.lru.queued, rt.lru.dead, queued, dead)
+			}
+			if nonResident != dead {
+				t.Fatalf("round %d: %d entries of non-resident pages, %d dead: nothing else kills an entry here", r, nonResident, dead)
+			}
+			if live := queued - dead; dead > max(lruSweepMinDead, live) {
+				t.Fatalf("round %d: %d dead entries with %d live, over the sweep threshold", r, dead, live)
+			}
+		}
+		if rt.Stats.Evictions != 0 {
+			t.Fatalf("%d evictions: something other than the sweep walked the queues", rt.Stats.Evictions)
+		}
+		if !swept {
+			t.Fatalf("%d rounds of %d pages never triggered a sweep", rounds, pages)
+		}
+		if err := rt.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	e.Run()
+}
+
+// TestSweepDoesNotMoveVictimOrder runs one evicting trace — major faults, minor
+// faults that re-record resident pages, a file deleted midway — twice, the second
+// time sweeping after every operation. Selection skips dead entries at no
+// cost, so the victims, their order and the clock must be the same.
+func TestSweepDoesNotMoveVictimOrder(t *testing.T) {
+	run := func(sweepEveryOp bool) (victims []string, sweeps int) {
+		e, _, boot := daxWorld(2*mib, 2)
+		e.Spawn(0, "t", func(p *engine.Proc) {
+			rt := boot(p)
+			def := rt.Victims
+			rt.Victims = func(p *engine.Proc, n int) []*Page {
+				vs := def(p, n)
+				for _, v := range vs {
+					victims = append(victims, fmt.Sprintf("%s:%d", v.file.name, v.idx))
+				}
+				return vs
+			}
+			op := func() {
+				if _, dead, _ := lruCensus(rt.lru); sweepEveryOp && dead > 0 {
+					rt.lru.sweep()
+					sweeps++
+				}
+			}
+			var buf [8]byte
+			a := rt.CreateFile(p, "a", 8*mib)
+			b := rt.CreateFile(p, "b", 1*mib)
+			ma, ma2, mb := rt.Mmap(p, a, 8*mib), rt.Mmap(p, a, 8*mib), rt.Mmap(p, b, 1*mib)
+			x := uint64(12345)
+			for i := 0; i < 6000; i++ {
+				x = x*6364136223846793005 + 1442695040888963407
+				switch {
+				case i == 3000:
+					mb.Munmap(p)
+					rt.DeleteFile(p, "b")
+				case i < 3000 && x>>60 < 3:
+					mb.Load(p, (x>>20)%(1*mib/pageSize)*pageSize, buf[:])
+				case x>>60 < 7:
+					// Through the second mapping a resident page takes a minor
+					// fault, which records it again: the old entry dies.
+					ma2.Load(p, (x>>20)%(8*mib/pageSize)*pageSize, buf[:])
+				default:
+					ma.Load(p, (x>>20)%(8*mib/pageSize)*pageSize, buf[:])
+				}
+				op()
+			}
+			victims = append(victims, fmt.Sprintf("now=%d minor=%d", p.Now(), rt.Stats.MinorFaults))
+			if err := rt.CheckInvariants(); err != nil {
+				t.Error(err)
+			}
+		})
+		e.Run()
+		return victims, sweeps
+	}
+	lazy, _ := run(false)
+	eager, sweeps := run(true)
+	if len(lazy) < 1000 || sweeps < 100 {
+		t.Fatalf("%d victims, %d forced sweeps: the trace does not exercise what it is for", len(lazy), sweeps)
+	}
+	if !slices.Equal(lazy, eager) {
+		for i := range lazy {
+			if i >= len(eager) || lazy[i] != eager[i] {
+				t.Fatalf("victim %d: %s without forced sweeps, %v with", i, lazy[i], eager[min(i, len(eager)-1)])
+			}
+		}
+		t.Fatalf("%d victims without forced sweeps, %d with", len(lazy), len(eager))
+	}
+}
+
+// TestInvariantsAuditThePageRecord plants the two states the self-contained
+// record rules out and expects each audit to name them.
+func TestInvariantsAuditThePageRecord(t *testing.T) {
+	e, _, boot := daxWorld(4*mib, 2)
+	e.Spawn(0, "t", func(p *engine.Proc) {
+		rt := boot(p)
+		f := rt.CreateFile(p, "data", 1*mib)
+		m := rt.Mmap(p, f, 1*mib)
+		var buf [8]byte
+		m.Load(p, 0, buf[:])
+		pg := rt.pages[pageKey{f.id, 0}]
+		expect := func(audit string, err error, want string) {
+			t.Helper()
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s = %v, want an error containing %q", audit, err, want)
+			}
+		}
+
+		inline := pg.vas
+		pg.vas = []uint64{inline[0]} // one mapping, kept on the heap
+		expect("CheckInvariants", rt.CheckInvariants(), "outside the page's own slot")
+		expect("CheckCrashInvariants", rt.CheckCrashInvariants(), "outside the page's own slot")
+		pg.vas = inline
+
+		pg.resident = false // claimed, but nobody armed the event
+		expect("CheckCrashInvariants", rt.CheckCrashInvariants(), "but not busy")
+		pg.ev.Arm(evictClaim)
+		if err := rt.CheckCrashInvariants(); err != nil {
+			t.Errorf("a claimed page that is busy: %v", err)
+		}
+		pg.ev.Fire(p.Now())
+		pg.resident = true
+
+		rt.lru.dead++ // a death nobody died
+		expect("CheckInvariants", rt.CheckInvariants(), "LRU counters")
+		rt.lru.dead--
+		if err := rt.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	e.Run()
+}

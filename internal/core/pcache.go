@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"aquila/internal/sim/engine"
 	"aquila/internal/sim/mem"
@@ -22,30 +23,41 @@ type pageKey struct {
 	idx uint64
 }
 
-// Page is one page of Aquila's DRAM I/O cache.
+// Page is one page of Aquila's DRAM I/O cache. The record is self-contained:
+// its busy event and its first reverse mapping live inside it, so a cold major
+// fault is one host allocation (DESIGN.md §3). The small fields sit together
+// to keep the record in the 160-byte size class.
 type Page struct {
 	file  *fileState
 	idx   uint64
 	frame *mem.Frame
-	dirty bool
-	// io is non-nil and unfired while the page's content is in flight;
-	// racing faulters wait on it (the per-entry locking of §3.4).
-	io *engine.Event
-	// vas are the virtual addresses currently mapping the page.
+	// ev is armed and unfired while the page is busy — its content in flight
+	// (fill) or eviction's claim on it not yet released — and racing faulters
+	// wait on it (the per-entry locking of §3.4). One event serves every busy
+	// period of the page; ask busy(), never the event.
+	ev engine.Event
+	// vas are the virtual addresses currently mapping the page, in mapping
+	// order. Up to one they live in va0; a second mapping moves them to the
+	// heap, and they move back when the page is down to one again (addVA,
+	// removeVA).
 	vas []uint64
-	// dirtyCore is the core whose red-black tree holds the page while dirty.
-	dirtyCore int
+	va0 [1]uint64
 	// lruSeq is the fault sequence number of the page's newest LRU record;
 	// older queue entries are stale and skipped lazily.
 	lruSeq uint64
-	// resident is cleared when eviction claims the page.
-	resident bool
-	// pins guards pages being used across a blocking point.
-	pins int
 	// poison is set when the page's fill I/O failed permanently: the frame
 	// holds no valid content and any access delivers SIGBUS carrying this
 	// fault. Poisoned pages stay in the hash so re-faults fail fast.
 	poison *IOFault
+	// frames are a 2 MB unit's 512 contiguous frames (huge).
+	frames []*mem.Frame
+	// dirtyCore is the core whose red-black tree holds the page while dirty.
+	dirtyCore int32
+	// pins guards pages being used across a blocking point.
+	pins  int32
+	dirty bool
+	// resident is cleared when eviction claims the page.
+	resident bool
 	// quarantined marks a dirty page whose writeback failed permanently: it
 	// keeps its frame, is never re-selected by eviction, and is never
 	// silently dropped — the in-DRAM copy is the only good one.
@@ -54,17 +66,50 @@ type Page struct {
 	// base index) covering 512 contiguous frames. frame aliases frames[0] so
 	// size-agnostic code keeps working; dirtiness, LRU position and
 	// writeback are tracked for the unit as a whole.
-	huge   bool
-	frames []*mem.Frame
+	huge bool
 }
 
-// EventName names the page's fill event (engine.EventNamer); only the
-// engine's deadlock diagnostic asks.
+// busy reports whether the page is inside a busy period: filling, or claimed
+// by eviction and not yet released.
+func (pg *Page) busy() bool { return !pg.ev.Fired() }
+
+// EventName names the page's fill (engine.EventNamer); only the engine's
+// deadlock diagnostic asks. Eviction arms the event as evictClaim instead.
 func (pg *Page) EventName() string {
 	if pg.huge {
 		return fmt.Sprintf("aqhuge:%s:%d", pg.file.name, pg.idx)
 	}
 	return fmt.Sprintf("aqio:%s:%d", pg.file.name, pg.idx)
+}
+
+// evictClaim names the busy period eviction holds a victim in.
+const evictClaim = engine.Name("evict")
+
+// addVA records one more mapping of the page.
+func (pg *Page) addVA(va uint64) {
+	if len(pg.vas) == 0 {
+		pg.va0[0] = va
+		pg.vas = pg.va0[:1]
+		return
+	}
+	pg.vas = append(pg.vas, va)
+}
+
+// removeVA drops one mapping of the page, if it is recorded.
+func (pg *Page) removeVA(va uint64) {
+	i := slices.Index(pg.vas, va)
+	if i < 0 {
+		return
+	}
+	if pg.vas = slices.Delete(pg.vas, i, i+1); len(pg.vas) <= 1 {
+		pg.vas = pg.va0[:copy(pg.va0[:], pg.vas)]
+	}
+}
+
+// vasInline reports whether vas is backed by the page's own slot (or by
+// nothing): what must hold whenever the page has at most one mapping.
+func (pg *Page) vasInline() bool {
+	return cap(pg.vas) == 0 || &pg.vas[:1][0] == &pg.va0[0]
 }
 
 // pages returns how many base pages the entry accounts for (512 for a huge
@@ -110,10 +155,19 @@ func (f *fileState) Size() uint64 { return f.size }
 // updated only on page faults (hits are invisible to software by design), and
 // recording is per-core so the hot path shares nothing. Victim selection
 // k-way-merges the per-core FIFO queues by global fault sequence.
+//
+// A queue entry is live while its page's lruSeq is the entry's seq; it dies —
+// for good, seqs are never reused — when the page is recorded again or stops
+// being resident (forget). Selection skips dead entries at no simulated cost,
+// so dropping them earlier changes nothing it does; sweep drops them once
+// they outnumber the live ones, which is what lets the pages of a deleted
+// file go while nothing evicts.
 type lruApprox struct {
 	rt     *Runtime
 	queues []lruQueue
 	seq    uint64
+	queued int // entries at or past their queue's head
+	dead   int // of those, the dead
 }
 
 type lruQueue struct {
@@ -130,12 +184,53 @@ func newLRU(rt *Runtime) *lruApprox {
 	return &lruApprox{rt: rt, queues: make([]lruQueue, rt.e.NumCPUs())}
 }
 
-// record notes a fault on pg at the calling core.
-func (l *lruApprox) record(p *engine.Proc, pg *Page) {
+// push appends pg's newest record to q; the page's previous entry, if it has
+// one, is dead from here on.
+func (l *lruApprox) push(q *lruQueue, pg *Page) {
+	l.forget(pg)
 	l.seq++
 	pg.lruSeq = l.seq
-	q := &l.queues[p.CPU()]
 	q.entries = append(q.entries, lruEntry{pg, l.seq})
+	l.queued++
+}
+
+// forget kills pg's queue entry, if it has one: the page was recorded again,
+// or is no longer resident (evicted by promotion, deleted, split).
+func (l *lruApprox) forget(pg *Page) {
+	if pg.lruSeq == 0 {
+		return
+	}
+	pg.lruSeq = 0
+	l.dead++
+	if l.dead > lruSweepMinDead && 2*l.dead > l.queued {
+		l.sweep()
+	}
+}
+
+// lruSweepMinDead is the number of dead entries below which sweep is not
+// worth a pass over the queues.
+const lruSweepMinDead = 4096
+
+// sweep filters every queue down to its live entries, in place and in order.
+func (l *lruApprox) sweep() {
+	for i := range l.queues {
+		q := &l.queues[i]
+		live := q.entries[:0]
+		for _, e := range q.entries[q.head:] {
+			if e.pg.lruSeq == e.seq {
+				live = append(live, e)
+			}
+		}
+		clear(q.entries[len(live):]) // the dropped entries' pages are the point
+		q.entries, q.head = live, 0
+	}
+	l.queued -= l.dead
+	l.dead = 0
+}
+
+// record notes a fault on pg at the calling core.
+func (l *lruApprox) record(p *engine.Proc, pg *Page) {
+	l.push(&l.queues[p.CPU()], pg)
 	l.rt.charge(p, "lru", l.rt.P.LRUAppend)
 }
 
@@ -148,9 +243,7 @@ func (l *lruApprox) recordBulk(p *engine.Proc, pages []*Page) {
 	}
 	q := &l.queues[p.CPU()]
 	for _, pg := range pages {
-		l.seq++
-		pg.lruSeq = l.seq
-		q.entries = append(q.entries, lruEntry{pg, l.seq})
+		l.push(q, pg)
 	}
 	l.rt.charge(p, "lru", l.rt.P.LRUAppend*uint64(len(pages)))
 }
@@ -178,10 +271,12 @@ func (l *lruApprox) selectVictims(p *engine.Proc, n int) []*Page {
 			// Drop stale heads lazily.
 			for q.head < len(q.entries) {
 				e := q.entries[q.head]
-				if e.pg.resident && e.pg.lruSeq == e.seq {
+				if e.pg.lruSeq == e.seq {
 					break
 				}
 				q.head++
+				l.queued--
+				l.dead--
 			}
 			if q.head >= len(q.entries) {
 				continue
@@ -201,9 +296,11 @@ func (l *lruApprox) selectVictims(p *engine.Proc, n int) []*Page {
 		if pg.quarantined {
 			// Quarantined pages are pinned in DRAM forever (their only good
 			// copy); drop the entry, do not requeue.
+			l.queued--
+			pg.lruSeq = 0
 			continue
 		}
-		if pg.pins > 0 || (pg.io != nil && !pg.io.Fired()) {
+		if pg.pins > 0 || pg.busy() {
 			// Busy: requeue at the tail so it stays evictable later.
 			q.entries = append(q.entries, lruEntry{pg, pg.lruSeq})
 			continue
@@ -218,17 +315,21 @@ func (l *lruApprox) selectVictims(p *engine.Proc, n int) []*Page {
 		// time here — the real structure is lock-free (CAS pops), so
 		// the per-victim cost is charged by the caller outside the
 		// selection critical section.
+		l.queued--
+		pg.lruSeq = 0
 		pg.resident = false
-		pg.io = engine.NewEvent(l.rt.e, "evict")
+		pg.ev.Arm(evictClaim)
 		victims = append(victims, pg)
 		frames += pg.pages()
 	}
 	return victims
 }
 
+// compact drops the consumed prefix of a queue once it is most of it.
 func (l *lruApprox) compact(q *lruQueue) {
 	if q.head > 4096 && q.head*2 > len(q.entries) {
-		q.entries = append(q.entries[:0], q.entries[q.head:]...)
-		q.head = 0
+		n := copy(q.entries, q.entries[q.head:])
+		clear(q.entries[n:])
+		q.entries, q.head = q.entries[:n], 0
 	}
 }

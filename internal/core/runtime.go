@@ -185,6 +185,8 @@ type Runtime struct {
 	// in progress, not one per runtime: a fault yields at every charge and
 	// other threads' faults run in between.
 	faultBufs []*faultBuf
+	// deleteBuf is DeleteFile's scratch: the pages of the file being dropped.
+	deleteBuf []*Page
 
 	// Victims and Readahead are the customization hooks. Prefer, when
 	// set, biases the default LRU victim selection toward pages it
@@ -446,32 +448,24 @@ func (rt *Runtime) DeleteFile(p *engine.Proc, name string) {
 	// Drop cached pages in index order: the waits below advance the clock
 	// and the later freelist pushes recycle frames in drop order, so
 	// iterating the hash directly would leak map randomization into the
-	// simulation. Only this file's pages are collected and sorted; the rest
-	// of the cache is skipped up front (counted first, so both slices are
-	// allocated once at their final size). Pages under I/O wait their
-	// owners; mapped pages must have been unmapped by Munmap already.
-	n := 0
-	//aqlint:sorted -- order-independent count of this file's pages, sizes the slices below
-	for key := range rt.pages {
+	// simulation. One pass over the hash collects this file's pages into the
+	// runtime's scratch slice, which is then sorted. (A delete yields at every
+	// charge; a second one running meanwhile finds the scratch taken and grows
+	// its own.) Pages under I/O wait their owners; mapped pages must have been
+	// unmapped by Munmap already.
+	drop := rt.deleteBuf[:0]
+	rt.deleteBuf = nil
+	//aqlint:sorted -- collects this file's pages, sorted by index below before any use
+	for key, pg := range rt.pages {
 		if key.fid == f.id {
-			n++
+			drop = append(drop, pg)
 		}
 	}
-	idxs := make([]uint64, 0, n)
-	//aqlint:sorted -- collects this file's page indices, sorted below before any use
-	for key := range rt.pages {
-		if key.fid == f.id {
-			idxs = append(idxs, key.idx)
+	slices.SortFunc(drop, func(a, b *Page) int { return cmp.Compare(a.idx, b.idx) })
+	for _, pg := range drop {
+		for pg.busy() {
+			pg.ev.Wait(p)
 		}
-	}
-	slices.Sort(idxs)
-	drop := make([]*Page, 0, n)
-	for _, idx := range idxs {
-		pg := rt.pages[pageKey{f.id, idx}]
-		for pg.io != nil && !pg.io.Fired() {
-			pg.io.Wait(p)
-		}
-		drop = append(drop, pg)
 	}
 	for _, pg := range drop {
 		if len(pg.vas) > 0 {
@@ -482,6 +476,7 @@ func (rt *Runtime) DeleteFile(p *engine.Proc, name string) {
 			pg.dirty = false
 		}
 		pg.resident = false
+		rt.lru.forget(pg)
 		rt.cacheRemove(pg)
 		rt.charge(p, "cache-lookup", rt.P.HashRemove)
 		if pg.huge {
@@ -492,6 +487,8 @@ func (rt *Runtime) DeleteFile(p *engine.Proc, name string) {
 			pg.frame = nil
 		}
 	}
+	clear(drop) // the scratch must not keep the dropped pages alive
+	rt.deleteBuf = drop
 	delete(rt.files, name)
 	rt.Engine.Delete(p, name)
 }
@@ -542,7 +539,7 @@ func (rt *Runtime) unmapSpan(p *engine.Proc, r *Region, lo, hi uint64) int {
 			unmapped++
 			idx := (va - r.Start) / pageSize
 			if pg := rt.lookupPage(r.File.id, idx); pg != nil {
-				removeVAFrom(pg, va)
+				pg.removeVA(va)
 			}
 			if e.PageSize == pagetable.Size2M {
 				step = pagetable.Size2M
@@ -551,15 +548,6 @@ func (rt *Runtime) unmapSpan(p *engine.Proc, r *Region, lo, hi uint64) int {
 		va += step
 	}
 	return unmapped
-}
-
-func removeVAFrom(pg *Page, va uint64) {
-	for i, x := range pg.vas {
-		if x == va {
-			pg.vas = append(pg.vas[:i], pg.vas[i+1:]...)
-			return
-		}
-	}
 }
 
 // resolve returns the frame currently backing va with the required
@@ -632,7 +620,7 @@ func (rt *Runtime) wpFault(p *engine.Proc, va uint64) (*mem.Frame, error) {
 	idx := (va - r.Start) / pageSize
 	rt.charge(p, "cache-lookup", rt.P.HashLookup)
 	pg := rt.lookupPage(r.File.id, idx)
-	if pg == nil || (pg.io != nil && !pg.io.Fired()) {
+	if pg == nil || pg.busy() {
 		return rt.fault(p, va, true) // raced with eviction
 	}
 	if pg.huge {
@@ -656,7 +644,7 @@ func (rt *Runtime) markDirty(p *engine.Proc, pg *Page) {
 		return
 	}
 	pg.dirty = true
-	pg.dirtyCore = p.CPU()
+	pg.dirtyCore = int32(p.CPU())
 	rt.dirty[p.CPU()].Insert(dirtyKey(pg), pg)
 	rt.charge(p, "dirty-track", rt.P.DirtyTreeOp)
 }
@@ -698,8 +686,8 @@ func (rt *Runtime) fault(p *engine.Proc, va uint64, write bool) (*mem.Frame, err
 	for {
 		rt.charge(p, "cache-lookup", rt.P.HashLookup)
 		if existing := rt.lookupPage(f.id, idx); existing != nil {
-			if existing.io != nil && !existing.io.Fired() {
-				existing.io.Wait(p)
+			if existing.busy() {
+				existing.ev.Wait(p)
 				continue // re-check: may have been evicted meanwhile
 			}
 			pg = existing
@@ -758,7 +746,7 @@ func (rt *Runtime) fault(p *engine.Proc, va uint64, write bool) (*mem.Frame, err
 	}
 	if _, mapped := rt.PT.Lookup(va); !mapped {
 		rt.PT.Map(va, pg.frame.ID, flags, pagetable.Size4K)
-		pg.vas = append(pg.vas, va)
+		pg.addVA(va)
 	} else {
 		rt.PT.Protect(va, flags)
 	}
@@ -798,7 +786,7 @@ func (rt *Runtime) majorFault(p *engine.Proc, r *Region, f *fileState, idx uint6
 			continue
 		}
 		pg := &Page{file: f, idx: i, resident: true}
-		pg.io = engine.NewOwnedEvent(rt.e, pg)
+		pg.ev.Arm(pg)
 		rt.charge(p, "cache-insert", rt.P.HashInsert)
 		// The insert charge yields: another thread faulting the same page,
 		// or a promotion claiming its extent, may have published an entry
@@ -819,8 +807,7 @@ func (rt *Runtime) majorFault(p *engine.Proc, r *Region, f *fileState, idx uint6
 			// themselves (taking the same stall error if it persists).
 			rt.cacheRemove(pg)
 			pg.resident = false
-			pg.io.Fire(p.Now())
-			pg.io = nil
+			pg.ev.Fire(p.Now())
 			allocErr = err
 			break
 		}
@@ -854,16 +841,15 @@ func (rt *Runtime) majorFault(p *engine.Proc, r *Region, f *fileState, idx uint6
 	}
 	doneAt := p.Now()
 	for _, pg := range mine {
-		pg.io.Fire(doneAt)
-		pg.io = nil
+		pg.ev.Fire(doneAt)
 	}
 	buf.mine = mine
 	rt.faultBufs = append(rt.faultBufs, buf) // before the retry below recurses
 	if allocErr != nil {
 		return nil, allocErr
 	}
-	if target.io != nil && !target.io.Fired() {
-		target.io.Wait(p)
+	if target.busy() {
+		target.ev.Wait(p)
 		// The page may have been evicted while we waited; retry path.
 		if !target.resident {
 			return rt.majorFault(p, r, f, idx)
@@ -1026,8 +1012,7 @@ func (rt *Runtime) releaseVictims(p *engine.Proc, victims []*Page, batched bool)
 	}
 	recycled := 0
 	for _, v := range victims {
-		v.io.Fire(doneAt)
-		v.io = nil
+		v.ev.Fire(doneAt)
 		if v.quarantined || v.dirty {
 			continue // revived by the write-back failure path
 		}
@@ -1406,8 +1391,8 @@ func (rt *Runtime) msyncFileRange(p *engine.Proc, f *fileState, off, length uint
 			// its write completes, whether or not we still hold a
 			// reference. If the page was revived dirty (transient-failure
 			// requeue) fall through and take it ourselves.
-			for pg.io != nil && !pg.io.Fired() {
-				pg.io.Wait(p)
+			for pg.busy() {
+				pg.ev.Wait(p)
 			}
 			if !pg.dirty {
 				continue // the evictor's write-back already made it durable

@@ -119,11 +119,10 @@ func (hf *File) pageAt(p *engine.Proc, idx, hi uint64, whole []byte) *cachedPage
 			var owner bool
 			if pg, owner = c.insertNew(p, f, idx); owner {
 				copy(pg.frame.Data(), whole)
-				pg.io.Fire(p.Now())
-				pg.io = nil
+				pg.ev.Fire(p.Now())
 			}
 		default:
-			pg, _ = c.fillWindow(p, f, idx, hi, idx)
+			pg = c.fillWindow(p, f, idx, hi, idx, false)
 			c.waitPage(p, pg)
 		}
 		if !pg.busy() {

@@ -1007,3 +1007,71 @@ func TestRecycledFrameIsDefinedByItsNextUser(t *testing.T) {
 		})
 	})
 }
+
+// TestColdMajorFaultIsOneAllocation pins DESIGN.md §3's summary sentence for
+// the Linux world: a cold 4 KB major fault (MADV_RANDOM: no read-around)
+// allocates the cachedPage and nothing else — its busy event and its first
+// reverse mapping are inside it, the fill's scratch is borrowed, its frame is
+// a record of the flat table — and the second mapping of a resident page is
+// the one that moves the reverse map to the heap.
+func TestColdMajorFaultIsOneAllocation(t *testing.T) {
+	const batch = 64
+	e, os := newPMemOS(64 * mib)
+	run1(e, func(p *engine.Proc) {
+		f := os.FS.Create(p, "f", 48*mib)
+		m1, m2 := os.Mmap(p, f, 48*mib), os.NewProcess().Mmap(p, f, 48*mib)
+		m1.Advise(p, iface.AdviceRandom)
+		m2.Advise(p, iface.AdviceRandom)
+		var buf [8]byte
+		// A run is a batch of faults: growth that amortizes (the file's page
+		// map, a page-table node per 512 pages) rounds away in
+		// testing.AllocsPerRun, a second object per fault would not.
+		var next1, next2 uint64
+		cold := func() {
+			for i := 0; i < batch; i++ {
+				m1.Load(p, next1*PageSize, buf[:])
+				next1++
+			}
+		}
+		second := func() {
+			for i := 0; i < batch; i++ {
+				m2.Load(p, next2*PageSize, buf[:])
+				next2++
+			}
+		}
+		cold() // the fill scratch, the CPU's TLB
+		inserted := os.Cache.Inserted
+		if got := testing.AllocsPerRun(100, cold); got < batch || got > batch+2 {
+			t.Errorf("%d cold major faults made %v allocations, want one each", batch, got)
+		}
+		if got := os.Cache.Inserted - inserted; got != 101*batch {
+			t.Fatalf("the measured loads inserted %d pages, want %d", got, 101*batch)
+		}
+		if os.Cache.Evicted != 0 {
+			t.Fatalf("%d pages reclaimed: the faults were not all cold", os.Cache.Evicted)
+		}
+		pg := f.pages[0]
+		if len(pg.vas) != 1 || !pg.vasInline() {
+			t.Fatalf("a page mapped once has %d vas, inline=%v", len(pg.vas), pg.vasInline())
+		}
+		second()
+		inserted = os.Cache.Inserted
+		if got := testing.AllocsPerRun(50, second); got < batch || got > batch+2 {
+			t.Errorf("%d second mappings of resident pages made %v allocations, want one each", batch, got)
+		}
+		if os.Cache.Inserted != inserted {
+			t.Fatalf("the second mapping's loads inserted %d pages, want none", os.Cache.Inserted-inserted)
+		}
+		if len(pg.vas) != 2 || pg.vasInline() {
+			t.Fatalf("a page mapped twice has %d vas, inline=%v", len(pg.vas), pg.vasInline())
+		}
+		// Down to one mapping, the survivor moves back into the page.
+		m1.Munmap(p)
+		if len(pg.vas) != 1 || !pg.vasInline() || pg.vas[0].va != m2.v.start {
+			t.Fatalf("after the first mapping went: %d vas, inline=%v", len(pg.vas), pg.vasInline())
+		}
+		if err := os.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

@@ -23,8 +23,16 @@ func (os *OS) CheckInvariants() error {
 			if pg.frame == nil {
 				return fmt.Errorf("page (%s,%d) has no frame", f.name, idx)
 			}
+			if !pg.inLRU && !pg.busy() {
+				// Off the lists means just published or claimed by reclaim:
+				// both arm the page's event before they yield.
+				return fmt.Errorf("page (%s,%d) is off the LRU lists but not busy", f.name, idx)
+			}
 			if pg.busy() {
 				return fmt.Errorf("page (%s,%d) has in-flight I/O at quiesce", f.name, idx)
+			}
+			if len(pg.vas) <= 1 && !pg.vasInline() {
+				return fmt.Errorf("page (%s,%d): %d mapping(s) kept outside the page's own slot", f.name, idx, len(pg.vas))
 			}
 			if !pg.inLRU {
 				return fmt.Errorf("page (%s,%d) resident but not on an LRU list", f.name, idx)

@@ -183,7 +183,7 @@ func (m *Mapping) unmapSpan(p *engine.Proc, lo, hi uint64) {
 			m.os.charge(p, "pte", m.os.C.PTEUpdate)
 			unmapped++
 			if pg := m.os.Cache.find(p, m.f, (va-m.v.start)/PageSize); pg != nil {
-				removeVA(pg, m.pr, va)
+				pg.removeVA(m.pr, va)
 			}
 		}
 	}
@@ -208,12 +208,6 @@ func copyFromFrame(dst []byte, f *mem.Frame, off int) {
 		return
 	}
 	clear(dst)
-}
-
-func removeVA(pg *cachedPage, pr *Process, va uint64) {
-	if i := slices.Index(pg.vas, mappedVA{pr, va}); i >= 0 {
-		pg.vas = slices.Delete(pg.vas, i, i+1)
-	}
 }
 
 // resolve returns the frame currently backing va, with the required
@@ -350,7 +344,7 @@ func (pr *Process) pageFault(p *engine.Proc, va uint64, write bool) *mem.Frame {
 	}
 	if _, mapped := pr.PT.Lookup(va); !mapped {
 		pr.PT.Map(va, pg.frame.ID, flags, pagetable.Size4K)
-		pg.vas = append(pg.vas, mappedVA{pr: pr, va: va})
+		pg.addVA(pr, va)
 	} else {
 		pr.PT.Protect(va, flags)
 	}
@@ -383,10 +377,7 @@ func (pr *Process) majorFault(p *engine.Proc, v *vma, idx uint64) *cachedPage {
 
 	// Fill the absent part of the window; what this fault brought in beyond
 	// its own page is read-around (PG_readahead).
-	target, mine := os.Cache.fillWindow(p, f, lo, hi, idx)
-	for _, pg := range mine {
-		pg.readahead = pg.idx != idx
-	}
+	target := os.Cache.fillWindow(p, f, lo, hi, idx, true)
 	if target != nil {
 		os.Cache.waitPage(p, target)
 		f.majorFaults++
@@ -457,8 +448,8 @@ func (m *Mapping) Mremap(p *engine.Proc, newSize uint64) {
 				m.pr.PT.Map(newStart+i*PageSize, e.Frame, e.Flags, pagetable.Size4K)
 				m.os.charge(p, "pte", 2*m.os.C.PTEUpdate)
 				if pg := m.os.Cache.find(p, m.f, i); pg != nil {
-					removeVA(pg, m.pr, oldVA)
-					pg.vas = append(pg.vas, mappedVA{pr: m.pr, va: newStart + i*PageSize})
+					pg.removeVA(m.pr, oldVA)
+					pg.addVA(m.pr, newStart+i*PageSize)
 				}
 				moved++
 			}

@@ -2,6 +2,7 @@ package host
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"aquila/internal/detutil"
@@ -10,39 +11,72 @@ import (
 	"aquila/internal/sim/pagetable"
 )
 
-// cachedPage is one resident page-cache page.
+// cachedPage is one resident page-cache page. Like core.Page the record is
+// self-contained — busy event and first reverse mapping inside it — so
+// publishing a page is one host allocation (DESIGN.md §3).
 type cachedPage struct {
 	f     *FSFile
 	idx   uint64 // page index within the file
 	frame *mem.Frame
+	// ev is armed and unfired while the page is busy: its content is being
+	// read from disk (PG_locked) or a reclaim has claimed it (PG_writeback).
+	// Faulters that find it wait on it, then look the page up again. One
+	// event serves every busy period of the page; ask busy().
+	ev engine.Event
+	// vas is the reverse mapping: every (process, va) this page is mapped
+	// at, in mapping order. Up to one entry lives in va0; a second mapping
+	// moves them to the heap, and they move back when the page is down to one
+	// again (addVA, removeVA).
+	vas []mappedVA
+	va0 [1]mappedVA
+
+	lruPrev, lruNext *cachedPage
+	// pins guards against reclaim while a syscall path uses the page
+	// across a blocking point.
+	pins  int32
+	inLRU bool
 	dirty bool
 	// readahead marks pages brought in by read-around (PG_readahead):
 	// hitting one decrements the file's mmap_miss counter.
 	readahead bool
-	// io is non-nil and unfired while the page is busy: its content is being
-	// read from disk (PG_locked) or a reclaim has claimed it (PG_writeback).
-	// Faulters that find it wait on it, then look the page up again.
-	io *engine.Event
-	// pins guards against reclaim while a syscall path uses the page
-	// across a blocking point.
-	pins int
 	// referenced is the second-chance bit (PG_referenced): set on access,
 	// cleared when reclaim gives the page another round.
 	referenced bool
 	// active marks which LRU list holds the page.
 	active bool
-	// vas is the reverse mapping: every (process, va) this page is
-	// mapped at.
-	vas []mappedVA
-
-	lruPrev, lruNext *cachedPage
-	inLRU            bool
 }
 
 // mappedVA is one reverse-mapping entry.
 type mappedVA struct {
 	pr *Process
 	va uint64
+}
+
+// addVA records one more mapping of the page.
+func (pg *cachedPage) addVA(pr *Process, va uint64) {
+	if len(pg.vas) == 0 {
+		pg.va0[0] = mappedVA{pr, va}
+		pg.vas = pg.va0[:1]
+		return
+	}
+	pg.vas = append(pg.vas, mappedVA{pr, va})
+}
+
+// removeVA drops one mapping of the page, if it is recorded.
+func (pg *cachedPage) removeVA(pr *Process, va uint64) {
+	i := slices.Index(pg.vas, mappedVA{pr, va})
+	if i < 0 {
+		return
+	}
+	if pg.vas = slices.Delete(pg.vas, i, i+1); len(pg.vas) <= 1 {
+		pg.vas = pg.va0[:copy(pg.va0[:], pg.vas)]
+	}
+}
+
+// vasInline reports whether vas is backed by the page's own slot (or by
+// nothing): what must hold whenever the page has at most one mapping.
+func (pg *cachedPage) vasInline() bool {
+	return cap(pg.vas) == 0 || &pg.vas[:1][0] == &pg.va0[0]
 }
 
 // pageList is one intrusive LRU list (active or inactive).
@@ -101,6 +135,9 @@ type PageCache struct {
 	nrDirty  int
 	// dirtyQueue approximates the kernel's per-BDI dirty list (FIFO).
 	dirtyQueue []*cachedPage
+	// fillBufs is a LIFO of idle fillWindow scratch slices, one per fill in
+	// progress: a fill yields and other threads' fills run in between.
+	fillBufs [][]*cachedPage
 
 	// Stats.
 	Inserted  uint64
@@ -194,7 +231,7 @@ func (c *PageCache) insertNew(p *engine.Proc, f *FSFile, idx uint64) (*cachedPag
 	pg := &cachedPage{
 		f: f, idx: idx, frame: frame,
 	}
-	pg.io = engine.NewOwnedEvent(c.os.E, pg)
+	pg.ev.Arm(pg)
 	f.pages[idx] = pg
 	f.treeLock.Unlock(p)
 
@@ -210,12 +247,18 @@ func (c *PageCache) insertNew(p *engine.Proc, f *FSFile, idx uint64) (*cachedPag
 // fillWindow is the cache's one fill: it brings the absent pages of [lo, hi)
 // of f in. A locked page is published for each (insertNew), every contiguous
 // run of the pages this caller owns is read with one timed I/O, and their
-// events fire. It returns the page found or published at index want — not
-// necessarily owned, possibly still under another thread's read or reclaim,
-// nil when want is outside the window — and the pages it filled, in index
-// order. What follows differs per caller: the fault path marks its read-around
-// and re-checks the target after waiting, a buffered syscall only waits.
-func (c *PageCache) fillWindow(p *engine.Proc, f *FSFile, lo, hi, want uint64) (target *cachedPage, mine []*cachedPage) {
+// events fire; with readAround, what it brought in beyond index want is marked
+// PG_readahead (the fault path's read-around). It returns the page found or
+// published at index want — not necessarily owned, possibly still under
+// another thread's read or reclaim, nil when want is outside the window. What
+// follows differs per caller: the fault path re-checks the target after
+// waiting, a buffered syscall only waits.
+func (c *PageCache) fillWindow(p *engine.Proc, f *FSFile, lo, hi, want uint64, readAround bool) (target *cachedPage) {
+	// The pages this fill owns, in index order, in a borrowed scratch slice.
+	var mine []*cachedPage
+	if n := len(c.fillBufs); n > 0 {
+		mine, c.fillBufs = c.fillBufs[n-1][:0], c.fillBufs[:n-1]
+	}
 	for i := lo; i < hi; i++ {
 		pg, owner := c.insertNew(p, f, i)
 		if i == want {
@@ -235,18 +278,23 @@ func (c *PageCache) fillWindow(p *engine.Proc, f *FSFile, lo, hi, want uint64) (
 	}
 	doneAt := p.Now()
 	for _, pg := range mine {
-		pg.io.Fire(doneAt)
-		pg.io = nil
+		pg.ev.Fire(doneAt)
+		pg.readahead = readAround && pg.idx != want
 	}
-	return target, mine
+	if mine != nil {
+		c.fillBufs = append(c.fillBufs, mine)
+	}
+	return target
 }
 
-func (pg *cachedPage) busy() bool { return pg.io != nil && !pg.io.Fired() }
+// busy reports whether the page is inside a busy period: under read, or
+// claimed by a reclaim that has not released it yet.
+func (pg *cachedPage) busy() bool { return !pg.ev.Fired() }
 
 // waitPage blocks until a busy page's read — or reclaim — completes.
 func (c *PageCache) waitPage(p *engine.Proc, pg *cachedPage) {
 	if pg.busy() {
-		pg.io.Wait(p)
+		pg.ev.Wait(p)
 	}
 }
 
@@ -392,7 +440,7 @@ func (c *PageCache) reclaim(p *engine.Proc) {
 			c.inactive.remove(pg)
 			// Mark busy: faulters finding the page wait until the
 			// page is fully gone, then retry.
-			pg.io = engine.NewEvent(c.os.E, "reclaim")
+			pg.ev.Arm(reclaimClaim)
 			victims = append(victims, pg)
 		}
 		c.os.charge(p, "lru", c.os.P.LRUUpdate)
@@ -437,8 +485,7 @@ func (c *PageCache) reclaim(p *engine.Proc) {
 	}
 	doneAt := p.Now()
 	for _, v := range victims {
-		v.io.Fire(doneAt)
-		v.io = nil
+		v.ev.Fire(doneAt)
 		c.allocator.Release(v.frame)
 	}
 	c.Evicted += uint64(len(victims))
@@ -514,8 +561,11 @@ func (c *PageCache) fsyncFileRange(p *engine.Proc, f *FSFile, off, length uint64
 	}
 }
 
-// EventName names the page's fill event (engine.EventNamer); only the
-// engine's deadlock diagnostic asks.
+// EventName names the page's fill (engine.EventNamer); only the engine's
+// deadlock diagnostic asks. Reclaim arms the event as reclaimClaim instead.
 func (pg *cachedPage) EventName() string {
 	return fmt.Sprintf("pgio:%s:%d", pg.f.name, pg.idx)
 }
+
+// reclaimClaim names the busy period reclaim holds a victim in.
+const reclaimClaim = engine.Name("reclaim")

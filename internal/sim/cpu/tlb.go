@@ -258,37 +258,56 @@ func (t *TLB) Len() int { return t.base.set.n }
 // Len2M returns the number of resident 2 MB translations.
 func (t *TLB) Len2M() int { return t.huge.set.n }
 
-// TLBSet is the per-CPU TLB array of a simulated machine.
+// TLBSet is the per-CPU TLB array of a simulated machine. A CPU's TLB (91 KB
+// at the worlds' 1,536 entries) is built when CPU first returns it: every
+// world boots two sets, and a CPU that never runs a thread — or a whole set,
+// the host's in Aquila mode — costs a nil pointer.
 type TLBSet struct {
-	tlbs []*TLB
+	tlbs     []*TLB
+	capacity int
+	seed     int64
 }
 
-// NewTLBSet builds one TLB per CPU.
+// NewTLBSet makes the set for numCPUs CPUs; no TLB is built yet.
 func NewTLBSet(numCPUs, capacity int, seed int64) *TLBSet {
-	s := &TLBSet{}
-	for i := 0; i < numCPUs; i++ {
-		s.tlbs = append(s.tlbs, NewTLB(capacity, seed+int64(i)))
-	}
-	return s
+	return &TLBSet{tlbs: make([]*TLB, numCPUs), capacity: capacity, seed: seed}
 }
 
 // CPU returns the TLB of the given CPU.
-func (s *TLBSet) CPU(i int) *TLB { return s.tlbs[i] }
+func (s *TLBSet) CPU(i int) *TLB {
+	if t := s.tlbs[i]; t != nil {
+		return t
+	}
+	return s.build(i)
+}
+
+// build is kept out of line so that CPU, the hot path's first call, inlines.
+//
+//go:noinline
+func (s *TLBSet) build(i int) *TLB {
+	s.tlbs[i] = NewTLB(s.capacity, s.seed+int64(i))
+	return s.tlbs[i]
+}
 
 // Len returns the number of TLBs.
 func (s *TLBSet) Len() int { return len(s.tlbs) }
 
 // InvalidatePageAll drops a translation from every TLB (used by shootdowns
-// after the IPI cost has been modeled by the caller).
+// after the IPI cost has been modeled by the caller). A CPU that never had a
+// TLB holds no translation.
 func (s *TLBSet) InvalidatePageAll(asid uint32, vpn uint64) {
 	for _, t := range s.tlbs {
-		t.InvalidatePage(asid, vpn)
+		if t != nil {
+			t.InvalidatePage(asid, vpn)
+		}
 	}
 }
 
 // Invalidate2MAll drops a 2 MB translation from every TLB.
 func (s *TLBSet) Invalidate2MAll(asid uint32, vpn2m uint64) {
 	for _, t := range s.tlbs {
-		t.Invalidate2M(asid, vpn2m)
+		if t != nil {
+			t.Invalidate2M(asid, vpn2m)
+		}
 	}
 }

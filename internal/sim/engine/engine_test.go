@@ -205,7 +205,7 @@ func TestWaitGroup(t *testing.T) {
 
 func TestEventWakesWaiters(t *testing.T) {
 	e := New(Config{NumCPUs: 4})
-	ev := NewEvent(e, "test")
+	ev := newEvent("test")
 	var woke uint64
 	e.Spawn(0, "waiter", func(p *Proc) {
 		ev.Wait(p)
@@ -226,7 +226,7 @@ func TestEventWakesWaiters(t *testing.T) {
 
 func TestEventWaitAfterFire(t *testing.T) {
 	e := New(Config{NumCPUs: 2})
-	ev := NewEvent(e, "test")
+	ev := newEvent("test")
 	var woke uint64
 	e.Spawn(0, "firer", func(p *Proc) {
 		p.AdvanceUser(100)

@@ -23,7 +23,7 @@ import (
 func scriptedScenario(perturb uint64) []string {
 	e := New(Config{NumCPUs: 4, Seed: 1, Trace: true, SchedPerturb: perturb})
 	mu := NewMutex(e, "mu")
-	ev := NewEvent(e, "ev")
+	ev := newEvent("ev")
 	sig := NewSignal(e, "sig")
 	e.SpawnDaemon(3, "daemon", func(p *Proc) {
 		for {
@@ -183,7 +183,7 @@ func TestDeadlockPanicOnRunCaller(t *testing.T) {
 	if msg != want {
 		t.Fatalf("Run panicked with\n\t%v\nwant\n\t%s", msg, want)
 	}
-	ev := NewEvent(e, "e")
+	ev := newEvent("e")
 	e2 := New(Config{NumCPUs: 1})
 	e2.Spawn(0, "waiter", func(p *Proc) { ev.Wait(p) })
 	msg = func() (r any) {

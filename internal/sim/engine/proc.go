@@ -35,6 +35,9 @@ type Proc struct {
 	// diagnostic reads them, so the name is built there, not on every block.
 	blockedOn   primitive
 	blockedPrim primitiveNamer
+	// waitNext links the process into the waiter queue of the Event it is
+	// blocked on.
+	waitNext *Proc
 
 	acct [numKinds]uint64
 

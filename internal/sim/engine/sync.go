@@ -292,69 +292,78 @@ func (s *Signal) Wait(p *Proc) {
 	p.block(onSignal, s)
 }
 
-// Event is a one-shot level-triggered event. Fire releases current and
-// future waiters at the given simulated time.
+// Event is a level-triggered event made to live inside its owner, by value:
+// a cached page carries the one event its busy periods share. The zero Event
+// is idle and reads as fired at time 0. Arm starts a busy period, Fire ends it,
+// releasing the waiters of that period, and the event can be armed again. A
+// waiter returns from Wait once per wake and re-checks what it waited for: one
+// that a Fire woke but that runs only after the next Arm finds the owner busy
+// again and waits again.
 type Event struct {
-	e       *Engine
-	name    string
 	namer   EventNamer
-	fired   bool
 	firedAt uint64
-	waiters []*Proc
+	// head and tail are the FIFO of waiters, linked through Proc.waitNext.
+	head, tail *Proc
+	armed      bool
 }
 
 // EventNamer names an event on demand. The name is only read by the deadlock
-// diagnostic, so an owner that creates an event per operation (a page fill)
-// passes itself to NewOwnedEvent and formats nothing unless a run deadlocks.
+// diagnostic, so an owner that arms its event per operation (a page fill)
+// passes itself to Arm and formats nothing unless a run deadlocks.
 type EventNamer interface{ EventName() string }
 
-// NewEvent creates an unfired event.
-func NewEvent(e *Engine, name string) *Event {
-	return &Event{e: e, name: name}
-}
+// Name is an EventNamer for an event whose name is fixed.
+type Name string
 
-// NewOwnedEvent creates an unfired event that its owner names on demand.
-func NewOwnedEvent(e *Engine, owner EventNamer) *Event {
-	return &Event{e: e, namer: owner}
-}
+func (n Name) EventName() string { return string(n) }
 
-func (ev *Event) primitiveName() string {
-	if ev.namer != nil {
-		return ev.namer.EventName()
+// Arm starts a busy period that owner names. Arming an event whose last
+// period has not fired is a bug: its waiters would never be released.
+func (ev *Event) Arm(owner EventNamer) {
+	if ev.armed {
+		panic(fmt.Sprintf("engine: arm of unfired event %q", ev.namer.EventName()))
 	}
-	return ev.name
+	ev.armed, ev.namer = true, owner
 }
 
-// Fired reports whether the event has fired.
-func (ev *Event) Fired() bool { return ev.fired }
+func (ev *Event) primitiveName() string { return ev.namer.EventName() }
 
-// FiredAt returns the simulated fire time (0 when unfired).
+// Fired reports whether the event is idle: never armed, or fired since.
+func (ev *Event) Fired() bool { return !ev.armed }
+
+// FiredAt returns the simulated time of the last Fire (0 before the first).
 func (ev *Event) FiredAt() uint64 { return ev.firedAt }
 
-// Fire marks the event fired at time t, waking all waiters.
+// Fire ends the busy period at time t, waking its waiters in arrival order.
+// Firing an idle event does nothing.
 func (ev *Event) Fire(t uint64) {
-	if ev.fired {
+	if !ev.armed {
 		return
 	}
-	ev.fired = true
+	ev.armed = false
 	ev.firedAt = t
-	for _, w := range ev.waiters {
-		at := t
-		if w.now > at {
-			at = w.now
-		}
-		ev.e.unblock(w, at, KindIOWait)
+	w := ev.head
+	ev.head, ev.tail = nil, nil
+	for w != nil {
+		next := w.waitNext
+		w.waitNext = nil
+		w.e.unblock(w, max(t, w.now), KindIOWait)
+		w = next
 	}
-	ev.waiters = nil
 }
 
-// Wait blocks until the event fires; if already fired the caller only
-// advances to the fire time if it is in its future.
+// Wait blocks until the event fires; if it is idle the caller only advances
+// to the last fire time if that is in its future.
 func (ev *Event) Wait(p *Proc) {
-	if ev.fired {
+	if !ev.armed {
 		p.WaitUntil(ev.firedAt, KindIOWait)
 		return
 	}
-	ev.waiters = append(ev.waiters, p)
+	if ev.tail == nil {
+		ev.head = p
+	} else {
+		ev.tail.waitNext = p
+	}
+	ev.tail = p
 	p.block(onEvent, ev)
 }

@@ -20,55 +20,64 @@ const MaxOrder = 9
 // BlockFrames is the number of base frames in one max-order (2 MB) block.
 const BlockFrames = 1 << MaxOrder
 
-// buddyNode is one NUMA node's buddy state. Free blocks are tracked in
-// freeAt (base frame ID -> order, the source of truth) plus per-order stacks
-// used for deterministic LIFO selection. Stack entries are lazily deleted:
-// coalescing removes a buddy from freeAt without searching its stack, and
-// pops validate against freeAt, skipping stale entries.
-type buddyNode struct {
-	lo, hi     uint64 // frame-ID range [lo, hi) owned by this node
-	stacks     [MaxOrder + 1][]uint64
-	freeAt     map[uint64]int
-	freeFrames uint64
-	freeMax    int // live free blocks of exactly MaxOrder
+// Free blocks are tracked in node.meta (per frame, 1+order while a free block
+// starts there: the source of truth) plus per-order stacks used for
+// deterministic LIFO selection. Stack entries are lazily deleted: coalescing
+// clears a buddy's order without searching its stack, and pops validate
+// against meta, skipping stale entries.
+const (
+	metaHandedOut = 0x80 // the frame has been allocated at least once
+	metaOrder     = 0x7f // 1+order of the free block based at the frame, 0: none
+)
+
+// freeOrder returns the order of the free block based at frame id, -1 when
+// there is none or the frame is another node's.
+func (n *node) freeOrder(id uint64) int {
+	if i := id - n.lo; i < uint64(len(n.meta)) { // id < lo wraps past the end
+		return int(n.meta[i]&metaOrder) - 1
+	}
+	return -1
 }
 
-// carve splits [lo, hi) into maximal size-aligned blocks of order <= MaxOrder
-// and registers them free. Blocks are pushed in reverse so low IDs pop first,
+// markFree registers the block at base free at order o and pushes it.
+func (n *node) markFree(base uint64, o int) {
+	n.meta[base-n.lo] |= uint8(o + 1)
+	n.freeBlocks++
+	n.stacks[o] = append(n.stacks[o], base)
+}
+
+// unmarkFree clears the free block based at base (its stack entry goes stale).
+func (n *node) unmarkFree(base uint64) {
+	n.meta[base-n.lo] &^= metaOrder
+	n.freeBlocks--
+}
+
+// carve splits the node's range into maximal size-aligned blocks of order <=
+// MaxOrder and registers them free, from the top down so low IDs pop first,
 // matching the plain allocator's preference.
-func (n *buddyNode) carve() {
-	type blk struct {
-		base  uint64
-		order int
-	}
-	var blocks []blk
-	for base := n.lo; base < n.hi; {
+func (n *node) carve() {
+	for end := n.lo + uint64(len(n.meta)); end > n.lo; {
 		o := MaxOrder
-		for o > 0 && (base&(1<<o-1) != 0 || base+1<<o > n.hi) {
+		for o > 0 && (end&(1<<o-1) != 0 || end-n.lo < 1<<o) {
 			o--
 		}
-		blocks = append(blocks, blk{base, o})
-		base += 1 << o
-	}
-	for i := len(blocks) - 1; i >= 0; i-- {
-		b := blocks[i]
-		n.freeAt[b.base] = b.order
-		n.stacks[b.order] = append(n.stacks[b.order], b.base)
-		n.freeFrames += 1 << b.order
-		if b.order == MaxOrder {
+		end -= 1 << o
+		n.markFree(end, o)
+		n.freeFrames += 1 << o
+		if o == MaxOrder {
 			n.freeMax++
 		}
 	}
 }
 
 // popOrder pops the most recently freed valid block of exactly this order.
-func (n *buddyNode) popOrder(o int) (uint64, bool) {
+func (n *node) popOrder(o int) (uint64, bool) {
 	s := n.stacks[o]
 	for len(s) > 0 {
 		base := s[len(s)-1]
 		s = s[:len(s)-1]
-		if bo, ok := n.freeAt[base]; ok && bo == o {
-			delete(n.freeAt, base)
+		if n.freeOrder(base) == o {
+			n.unmarkFree(base)
 			n.stacks[o] = s
 			n.freeFrames -= 1 << o
 			if o == MaxOrder {
@@ -84,7 +93,7 @@ func (n *buddyNode) popOrder(o int) (uint64, bool) {
 // allocOrder allocates one block of the requested order, splitting a larger
 // block when none of that size is free. Returns false when the node has no
 // block of order >= want.
-func (n *buddyNode) allocOrder(want int) (uint64, bool) {
+func (n *node) allocOrder(want int) (uint64, bool) {
 	for o := want; o <= MaxOrder; o++ {
 		base, ok := n.popOrder(o)
 		if !ok {
@@ -92,9 +101,7 @@ func (n *buddyNode) allocOrder(want int) (uint64, bool) {
 		}
 		// Split back down, freeing each upper half.
 		for ; o > want; o-- {
-			upper := base + 1<<(o-1)
-			n.freeAt[upper] = o - 1
-			n.stacks[o-1] = append(n.stacks[o-1], upper)
+			n.markFree(base+1<<(o-1), o-1)
 			n.freeFrames += 1 << (o - 1)
 		}
 		return base, true
@@ -104,40 +111,39 @@ func (n *buddyNode) allocOrder(want int) (uint64, bool) {
 
 // freeBlock returns a block of the given order, coalescing with free buddies
 // up to MaxOrder. The XOR-buddy rule keeps merges aligned automatically, and
-// per-node freeAt maps make cross-node merges impossible.
-func (n *buddyNode) freeBlock(base uint64, order int) {
-	if prev, ok := n.freeAt[base]; ok {
+// freeOrder sees only this node's frames, so merges never cross nodes.
+func (n *node) freeBlock(base uint64, order int) {
+	if prev := n.freeOrder(base); prev >= 0 {
 		panic(fmt.Sprintf("mem: buddy double free of block %d (order %d, already free at order %d)", base, order, prev))
 	}
 	o := order
 	for o < MaxOrder {
 		bud := base ^ (1 << o)
-		if bo, ok := n.freeAt[bud]; !ok || bo != o {
+		if n.freeOrder(bud) != o {
 			break
 		}
-		delete(n.freeAt, bud) // stale stack entry skipped by popOrder
+		n.unmarkFree(bud) // stale stack entry skipped by popOrder
 		if bud < base {
 			base = bud
 		}
 		o++
 	}
-	n.freeAt[base] = o
-	n.stacks[o] = append(n.stacks[o], base)
+	n.markFree(base, o)
 	n.freeFrames += 1 << order
 	if o == MaxOrder {
 		n.freeMax++
 	}
-	if len(n.stacks[o]) > 4*len(n.freeAt)+64 {
+	if len(n.stacks[o]) > 4*n.freeBlocks+64 {
 		n.compact(o)
 	}
 }
 
 // compact drops stale (lazily deleted) entries from one order's stack,
 // preserving relative order for determinism.
-func (n *buddyNode) compact(o int) {
+func (n *node) compact(o int) {
 	live := n.stacks[o][:0]
 	for _, base := range n.stacks[o] {
-		if bo, ok := n.freeAt[base]; ok && bo == o {
+		if n.freeOrder(base) == o {
 			live = append(live, base)
 		}
 	}
@@ -148,79 +154,37 @@ func (n *buddyNode) compact(o int) {
 // NewAllocator but with every node's range managed by a buddy system, so
 // 2 MB-contiguous blocks can be allocated and reclaimed.
 func NewBuddyAllocator(totalBytes uint64, numNodes int) *Allocator {
-	if numNodes <= 0 {
-		numNodes = 1
-	}
-	totalFrames := totalBytes / PageSize
-	perNode := totalFrames / uint64(numNodes)
-	if perNode == 0 {
-		perNode = 1
-	}
-	a := &Allocator{
-		numNodes: numNodes,
-		frames:   make(map[uint64]*Frame),
-		capacity: perNode * uint64(numNodes),
-	}
-	for n := 0; n < numNodes; n++ {
-		bn := &buddyNode{
-			lo:     uint64(n) * perNode,
-			hi:     uint64(n+1) * perNode,
-			freeAt: make(map[uint64]int),
-		}
-		bn.carve()
-		a.buddy = append(a.buddy, bn)
+	a := NewAllocator(totalBytes, numNodes)
+	a.buddy = true
+	for n := range a.nodes {
+		a.nodes[n].meta = make([]uint8, a.perNode)
+		a.nodes[n].carve()
 	}
 	return a
 }
 
 // Buddy reports whether this allocator manages frames with the buddy tier.
-func (a *Allocator) Buddy() bool { return a.buddy != nil }
-
-// frameAt returns (creating lazily) the frame with the given id on a node.
-func (a *Allocator) frameAt(id uint64, node int) *Frame {
-	f := a.frames[id]
-	if f == nil {
-		f = &Frame{ID: id, Node: node}
-		a.frames[id] = f
-	}
-	return f
-}
-
-// buddyAlloc allocates one order-0 frame from the buddy tier, preferring the
-// given node.
-func (a *Allocator) buddyAlloc(preferNode int) *Frame {
-	if preferNode < 0 || preferNode >= a.numNodes {
-		preferNode = 0
-	}
-	for d := 0; d < a.numNodes; d++ {
-		node := (preferNode + d) % a.numNodes
-		if base, ok := a.buddy[node].allocOrder(0); ok {
-			a.allocated++
-			return a.frameAt(base, node)
-		}
-	}
-	return nil
-}
+func (a *Allocator) Buddy() bool { return a.buddy }
 
 // AllocBlock allocates one 2 MB-aligned run of BlockFrames consecutive frames,
 // preferring the given NUMA node. Returns nil when no node has a contiguous
 // block left (the caller falls back to base-page allocation).
 func (a *Allocator) AllocBlock(preferNode int) []*Frame {
-	if a.buddy == nil {
+	if !a.buddy {
 		return nil
 	}
-	if preferNode < 0 || preferNode >= a.numNodes {
+	if preferNode < 0 || preferNode >= len(a.nodes) {
 		preferNode = 0
 	}
-	for d := 0; d < a.numNodes; d++ {
-		node := (preferNode + d) % a.numNodes
-		base, ok := a.buddy[node].allocOrder(MaxOrder)
+	for d := range a.nodes {
+		ni := (preferNode + d) % len(a.nodes)
+		base, ok := a.nodes[ni].allocOrder(MaxOrder)
 		if !ok {
 			continue
 		}
 		out := make([]*Frame, BlockFrames)
 		for i := range out {
-			out[i] = a.frameAt(base+uint64(i), node)
+			out[i] = a.handOut(ni, base+uint64(i))
 		}
 		a.allocated += BlockFrames
 		return out
@@ -231,7 +195,7 @@ func (a *Allocator) AllocBlock(preferNode int) []*Frame {
 // ReleaseBlock returns a full 2 MB block (as allocated by AllocBlock) to the
 // buddy tier in one operation.
 func (a *Allocator) ReleaseBlock(frames []*Frame) {
-	if a.buddy == nil {
+	if !a.buddy {
 		panic("mem: ReleaseBlock on non-buddy allocator")
 	}
 	if len(frames) != BlockFrames {
@@ -246,7 +210,7 @@ func (a *Allocator) ReleaseBlock(frames []*Frame) {
 			panic(fmt.Sprintf("mem: ReleaseBlock of non-contiguous run at index %d", i))
 		}
 	}
-	a.buddy[frames[0].Node].freeBlock(base, MaxOrder)
+	a.nodes[frames[0].Node].freeBlock(base, MaxOrder)
 	if a.allocated < BlockFrames {
 		panic("mem: ReleaseBlock without matching allocation")
 	}
@@ -255,9 +219,4 @@ func (a *Allocator) ReleaseBlock(frames []*Frame) {
 
 // FreeBlocksOnNode returns the number of free max-order (2 MB) blocks a node
 // could hand out right now, counting coalesced contiguity only.
-func (a *Allocator) FreeBlocksOnNode(node int) int {
-	if a.buddy == nil {
-		return 0
-	}
-	return a.buddy[node].freeMax
-}
+func (a *Allocator) FreeBlocksOnNode(node int) int { return a.nodes[node].freeMax }

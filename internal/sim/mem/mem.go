@@ -38,16 +38,36 @@ func (f *Frame) Reset() {
 	}
 }
 
-// Allocator hands out frames from per-NUMA-node pools. With the optional
-// buddy tier (NewBuddyAllocator) the per-node pools are buddy systems that can
-// additionally hand out 2 MB-contiguous blocks; see buddy.go.
+// Allocator hands out frames from per-NUMA-node pools. Simulated DRAM is flat
+// (DESIGN.md §3): a node's frames are records in one table indexed by frame
+// ID, so handing a frame out allocates nothing. With the optional buddy tier
+// (NewBuddyAllocator) the pools are buddy systems that can additionally hand
+// out 2 MB-contiguous blocks; see buddy.go.
 type Allocator struct {
-	numNodes  int
-	freeLists [][]uint64 // stacks of free frame IDs per node (non-buddy mode)
-	buddy     []*buddyNode
-	frames    map[uint64]*Frame
+	perNode   uint64
+	nodes     []node
+	buddy     bool
 	allocated uint64
-	capacity  uint64
+}
+
+// node is one NUMA node's pool: frame IDs [lo, lo+perNode).
+type node struct {
+	lo uint64
+	// frames holds frame lo+i at index i. It is made at the node's first
+	// allocation, so a pool nobody allocates from costs no table.
+	frames []Frame
+	// Plain tier. The free stack pops the most recently released frame, then
+	// low IDs first: its top is released, its bottom — the frames never handed
+	// out, in descending order — is kept as the count of those that have been.
+	fresh    uint64
+	released []*Frame
+	// Buddy tier (buddy.go). meta holds, per frame, metaHandedOut and
+	// 1+order while a free block starts at the frame.
+	meta       []uint8
+	stacks     [MaxOrder + 1][]uint64
+	freeBlocks int
+	freeFrames uint64
+	freeMax    int // live free blocks of exactly MaxOrder
 }
 
 // NewAllocator creates an allocator managing `totalBytes` of DRAM split
@@ -56,66 +76,76 @@ func NewAllocator(totalBytes uint64, numNodes int) *Allocator {
 	if numNodes <= 0 {
 		numNodes = 1
 	}
-	totalFrames := totalBytes / PageSize
-	perNode := totalFrames / uint64(numNodes)
+	perNode := totalBytes / PageSize / uint64(numNodes)
 	if perNode == 0 {
 		perNode = 1
 	}
-	a := &Allocator{
-		numNodes: numNodes,
-		frames:   make(map[uint64]*Frame),
-		capacity: perNode * uint64(numNodes),
-	}
-	for n := 0; n < numNodes; n++ {
-		free := make([]uint64, 0, perNode)
-		base := uint64(n) * perNode
-		// Push in reverse so low IDs pop first (determinism & readability).
-		for i := perNode; i > 0; i-- {
-			free = append(free, base+i-1)
-		}
-		a.freeLists = append(a.freeLists, free)
+	a := &Allocator{perNode: perNode, nodes: make([]node, numNodes)}
+	for n := range a.nodes {
+		a.nodes[n].lo = uint64(n) * perNode
 	}
 	return a
 }
 
 // Capacity returns the total number of frames managed.
-func (a *Allocator) Capacity() uint64 { return a.capacity }
+func (a *Allocator) Capacity() uint64 { return a.perNode * uint64(len(a.nodes)) }
 
 // Allocated returns the number of frames currently handed out.
 func (a *Allocator) Allocated() uint64 { return a.allocated }
 
 // Free returns the number of free frames across all nodes.
-func (a *Allocator) Free() uint64 { return a.capacity - a.allocated }
+func (a *Allocator) Free() uint64 { return a.Capacity() - a.allocated }
 
 // FreeOnNode returns the number of free frames on one node.
 func (a *Allocator) FreeOnNode(node int) uint64 {
-	if a.buddy != nil {
-		return a.buddy[node].freeFrames
+	n := &a.nodes[node]
+	if a.buddy {
+		return n.freeFrames
 	}
-	return uint64(len(a.freeLists[node]))
+	return a.perNode - n.fresh + uint64(len(n.released))
+}
+
+// handOut returns the record of a frame the caller took off a free structure
+// of node ni.
+func (a *Allocator) handOut(ni int, id uint64) *Frame {
+	n := &a.nodes[ni]
+	if n.frames == nil {
+		n.frames = make([]Frame, a.perNode)
+	}
+	if a.buddy {
+		n.meta[id-n.lo] |= metaHandedOut
+	}
+	f := &n.frames[id-n.lo]
+	f.ID, f.Node = id, ni
+	return f
 }
 
 // Alloc allocates one frame, preferring the given NUMA node and falling back
 // to other nodes. Returns nil when out of memory.
 func (a *Allocator) Alloc(preferNode int) *Frame {
-	if a.buddy != nil {
-		return a.buddyAlloc(preferNode)
-	}
-	if preferNode < 0 || preferNode >= a.numNodes {
+	if preferNode < 0 || preferNode >= len(a.nodes) {
 		preferNode = 0
 	}
-	for d := 0; d < a.numNodes; d++ {
-		node := (preferNode + d) % a.numNodes
-		fl := a.freeLists[node]
-		if len(fl) == 0 {
-			continue
+	for d := range a.nodes {
+		ni := preferNode + d
+		if ni >= len(a.nodes) { // (preferNode+d) % nodes without the divide
+			ni -= len(a.nodes)
 		}
-		id := fl[len(fl)-1]
-		a.freeLists[node] = fl[:len(fl)-1]
-		f := a.frames[id]
-		if f == nil {
-			f = &Frame{ID: id, Node: node}
-			a.frames[id] = f
+		n := &a.nodes[ni]
+		var f *Frame
+		if top := len(n.released) - 1; top >= 0 { // plain tier only
+			f, n.released = n.released[top], n.released[:top]
+		} else if a.buddy {
+			base, ok := n.allocOrder(0)
+			if !ok {
+				continue
+			}
+			f = a.handOut(ni, base)
+		} else if n.fresh < a.perNode {
+			n.fresh++
+			f = a.handOut(ni, n.lo+n.fresh-1)
+		} else {
+			continue
 		}
 		a.allocated++
 		return f
@@ -145,14 +175,24 @@ func (a *Allocator) Release(f *Frame) {
 	if a.allocated == 0 {
 		panic(fmt.Sprintf("mem: double release of frame %d", f.ID))
 	}
-	if a.buddy != nil {
-		a.buddy[f.Node].freeBlock(f.ID, 0)
-		a.allocated--
-		return
+	n := &a.nodes[f.Node]
+	if a.buddy {
+		n.freeBlock(f.ID, 0)
+	} else {
+		n.released = append(n.released, f)
 	}
-	a.freeLists[f.Node] = append(a.freeLists[f.Node], f.ID)
 	a.allocated--
 }
 
 // Frame returns the frame with the given id if it was ever allocated.
-func (a *Allocator) Frame(id uint64) *Frame { return a.frames[id] }
+func (a *Allocator) Frame(id uint64) *Frame {
+	if id >= a.Capacity() {
+		return nil
+	}
+	n := &a.nodes[id/a.perNode]
+	i := id - n.lo
+	if n.frames == nil || (a.buddy && n.meta[i]&metaHandedOut == 0) || (!a.buddy && i >= n.fresh) {
+		return nil
+	}
+	return &n.frames[i]
+}

@@ -1,0 +1,277 @@
+package mem
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math/rand"
+	"testing"
+)
+
+// TestAllocatorMatchesReferenceModel holds the flat allocator to the map-based
+// one it replaced (mem_ref_test.go) over seeded operation sequences on both
+// tiers and 1-4 nodes: the same frame IDs in the same order, the same
+// counters after every step, Frame(id) nil for the same ids, and a frame's
+// payload still there when its ID is handed out again.
+func TestAllocatorMatchesReferenceModel(t *testing.T) {
+	for _, buddy := range []bool{false, true} {
+		for nodes := 1; nodes <= 4; nodes++ {
+			// Per-node ranges that are not block-aligned carve into mixed
+			// orders and leave the nodes' XOR-buddies in each other's ranges.
+			for _, frames := range []uint64{1, 37, 1000, 4*BlockFrames + 200} {
+				name := fmt.Sprintf("buddy=%v/nodes=%d/frames=%d", buddy, nodes, frames)
+				t.Run(name, func(t *testing.T) {
+					got, want := NewAllocator(frames*PageSize, nodes), newRefAllocator(frames*PageSize, nodes)
+					if buddy {
+						got, want = NewBuddyAllocator(frames*PageSize, nodes), newRefBuddyAllocator(frames*PageSize, nodes)
+					}
+					diffRun(t, got, want, nodes, int64(frames)+int64(nodes))
+				})
+			}
+		}
+	}
+}
+
+func diffRun(t *testing.T, got *Allocator, want *refAllocator, nodes int, seed int64) {
+	if got.Capacity() != want.Capacity() || got.Buddy() != want.Buddy() {
+		t.Fatalf("capacity %d buddy %v, reference %d %v", got.Capacity(), got.Buddy(), want.Capacity(), want.Buddy())
+	}
+	rng := rand.New(rand.NewSource(seed))
+	type pair struct{ g, w *Frame }
+	var held []pair
+	var blocks [][]pair
+	tags := map[uint64]uint64{} // frame ID -> last payload tag written
+	var tag uint64
+	reuses := 0
+	took := func(step int, g, w *Frame) pair {
+		if (g == nil) != (w == nil) {
+			t.Fatalf("step %d: got frame %v, reference %v", step, g, w)
+		}
+		if g == nil {
+			return pair{}
+		}
+		if g.ID != w.ID || g.Node != w.Node {
+			t.Fatalf("step %d: got frame %d on node %d, reference %d on node %d", step, g.ID, g.Node, w.ID, w.Node)
+		}
+		if got.Frame(g.ID) != g {
+			t.Fatalf("step %d: Frame(%d) is not the frame handed out", step, g.ID)
+		}
+		if g.ID%5 == 0 { // a payload on every fifth frame keeps the run small
+			if last, ok := tags[g.ID]; ok {
+				reuses++
+				if have := binary.LittleEndian.Uint64(g.Data()); have != last {
+					t.Fatalf("step %d: frame %d came back with payload tag %d, left with %d", step, g.ID, have, last)
+				}
+			} else if g.HasData() {
+				t.Fatalf("step %d: first allocation of frame %d already has a payload", step, g.ID)
+			}
+			tag++
+			tags[g.ID] = tag
+			binary.LittleEndian.PutUint64(g.Data(), tag)
+		}
+		return pair{g, w}
+	}
+	for step := 0; step < 6000; step++ {
+		prefer := rng.Intn(nodes+2) - 1 // -1 and nodes are out of range: node 0
+		switch op := rng.Intn(100); {
+		case op < 35:
+			if p := took(step, got.Alloc(prefer), want.Alloc(prefer)); p.g != nil {
+				held = append(held, p)
+			}
+		case op < 42:
+			n := rng.Intn(40)
+			g, w := got.AllocN(prefer, n), want.AllocN(prefer, n)
+			if len(g) != len(w) {
+				t.Fatalf("step %d: AllocN(%d, %d) gave %d frames, reference %d", step, prefer, n, len(g), len(w))
+			}
+			for i := range g {
+				held = append(held, took(step, g[i], w[i]))
+			}
+		case op < 80:
+			// Release in bursts so the buddy tier coalesces and, now and then,
+			// compacts a stack.
+			for n := rng.Intn(8); n > 0 && len(held) > 0; n-- {
+				i := rng.Intn(len(held))
+				got.Release(held[i].g)
+				want.Release(held[i].w)
+				held[i] = held[len(held)-1]
+				held = held[:len(held)-1]
+			}
+		case op < 90:
+			g, w := got.AllocBlock(prefer), want.AllocBlock(prefer)
+			if len(g) != len(w) {
+				t.Fatalf("step %d: AllocBlock(%d) gave %d frames, reference %d", step, prefer, len(g), len(w))
+			}
+			if g != nil {
+				blk := make([]pair, len(g))
+				for i := range g {
+					blk[i] = took(step, g[i], w[i])
+				}
+				blocks = append(blocks, blk)
+			}
+		default:
+			if len(blocks) == 0 {
+				continue
+			}
+			i := rng.Intn(len(blocks))
+			g, w := make([]*Frame, BlockFrames), make([]*Frame, BlockFrames)
+			for k, p := range blocks[i] {
+				g[k], w[k] = p.g, p.w
+			}
+			if rng.Intn(3) == 0 {
+				// A block can also go back frame by frame, in any order.
+				for _, k := range rng.Perm(BlockFrames) {
+					got.Release(g[k])
+					want.Release(w[k])
+				}
+			} else {
+				got.ReleaseBlock(g)
+				want.ReleaseBlock(w)
+			}
+			blocks[i] = blocks[len(blocks)-1]
+			blocks = blocks[:len(blocks)-1]
+		}
+		if g, w := got.Free(), want.Free(); g != w {
+			t.Fatalf("step %d: Free %d, reference %d", step, g, w)
+		}
+		if g, w := got.Allocated(), want.Allocated(); g != w {
+			t.Fatalf("step %d: Allocated %d, reference %d", step, g, w)
+		}
+		for n := 0; n < nodes; n++ {
+			if g, w := got.FreeOnNode(n), want.FreeOnNode(n); g != w {
+				t.Fatalf("step %d: FreeOnNode(%d) %d, reference %d", step, n, g, w)
+			}
+			if g, w := got.FreeBlocksOnNode(n), want.FreeBlocksOnNode(n); g != w {
+				t.Fatalf("step %d: FreeBlocksOnNode(%d) %d, reference %d", step, n, g, w)
+			}
+		}
+		if step%97 == 0 {
+			for id := uint64(0); id < got.Capacity()+2; id++ {
+				if g, w := got.Frame(id), want.Frame(id); (g == nil) != (w == nil) {
+					t.Fatalf("step %d: Frame(%d) = %v, reference %v", step, id, g, w)
+				}
+			}
+		}
+	}
+	if got.Capacity() >= 1000 && reuses == 0 {
+		t.Fatal("no frame with a payload was ever handed out twice: the payload check is vacuous")
+	}
+}
+
+// TestAllocatorPanicsMatchReferenceModel: the misuse each model must refuse,
+// with the same message, before it changes anything.
+func TestAllocatorPanicsMatchReferenceModel(t *testing.T) {
+	panicOf := func(f func()) (r any) {
+		defer func() { r = recover() }()
+		f()
+		return nil
+	}
+	both := func(name string, got, want func()) {
+		t.Helper()
+		g, w := panicOf(got), panicOf(want)
+		if w == nil {
+			t.Fatalf("%s: the reference did not panic", name)
+		}
+		if g != w {
+			t.Fatalf("%s: panic %v, reference %v", name, g, w)
+		}
+	}
+	const bytes = 4 * BlockFrames * PageSize
+	plain, refPlain := NewAllocator(bytes, 2), newRefAllocator(bytes, 2)
+	f, rf := plain.Alloc(0), refPlain.Alloc(0)
+	plain.Release(f)
+	refPlain.Release(rf)
+	both("double release", func() { plain.Release(f) }, func() { refPlain.Release(rf) })
+	both("nil release", func() { plain.Release(nil) }, func() { refPlain.Release(nil) })
+	both("ReleaseBlock on the plain tier", func() { plain.ReleaseBlock(nil) }, func() { refPlain.ReleaseBlock(nil) })
+
+	buddy, refBuddy := NewBuddyAllocator(bytes, 2), newRefBuddyAllocator(bytes, 2)
+	// Frame 0 freed while its buddy, frame 1, is out: no coalescing hides it.
+	f0, rf0 := buddy.Alloc(0), refBuddy.Alloc(0)
+	f1, rf1 := buddy.Alloc(0), refBuddy.Alloc(0)
+	buddy.Release(f0)
+	refBuddy.Release(rf0)
+	both("buddy double free", func() { buddy.Release(f0) }, func() { refBuddy.Release(rf0) })
+	buddy.Release(f1)
+	refBuddy.Release(rf1)
+
+	b0, rb0 := buddy.AllocBlock(0), refBuddy.AllocBlock(0)
+	b1, rb1 := buddy.AllocBlock(0), refBuddy.AllocBlock(0)
+	if b0[0].ID != 0 || b1[0].ID != BlockFrames {
+		t.Fatalf("blocks at %d and %d, want 0 and %d", b0[0].ID, b1[0].ID, BlockFrames)
+	}
+	both("short ReleaseBlock", func() { buddy.ReleaseBlock(b0[1:]) }, func() { refBuddy.ReleaseBlock(rb0[1:]) })
+	shift := func(a, b []*Frame) []*Frame { return append(append([]*Frame{}, a[1:]...), b[0]) }
+	both("unaligned ReleaseBlock", func() { buddy.ReleaseBlock(shift(b0, b1)) }, func() { refBuddy.ReleaseBlock(shift(rb0, rb1)) })
+	swap := func(a []*Frame) []*Frame {
+		s := append([]*Frame{}, a...)
+		s[7], s[9] = s[9], s[7]
+		return s
+	}
+	both("non-contiguous ReleaseBlock", func() { buddy.ReleaseBlock(swap(b0)) }, func() { refBuddy.ReleaseBlock(swap(rb0)) })
+	buddy.ReleaseBlock(b0)
+	refBuddy.ReleaseBlock(rb0)
+	both("block double free", func() { buddy.ReleaseBlock(b0) }, func() { refBuddy.ReleaseBlock(rb0) })
+	if g, w := buddy.Allocated(), refBuddy.Allocated(); g != w || g != BlockFrames {
+		t.Fatalf("after the refused calls: Allocated %d, reference %d, want %d", g, w, BlockFrames)
+	}
+}
+
+// TestUntouchedPoolHasNoFrameTable: a pool nobody allocates from — the host
+// page cache of an Aquila-mode world — must cost no per-frame state.
+func TestUntouchedPoolHasNoFrameTable(t *testing.T) {
+	a := NewAllocator(128<<20, 2)
+	for n := range a.nodes {
+		if a.nodes[n].frames != nil || a.nodes[n].released != nil || a.nodes[n].meta != nil {
+			t.Fatalf("node %d of an untouched pool holds per-frame state", n)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { NewAllocator(128<<20, 2) }); allocs > 2 {
+		t.Fatalf("NewAllocator made %v allocations, want the allocator and its nodes", allocs)
+	}
+	a.Alloc(1)
+	if a.nodes[0].frames != nil || a.nodes[1].frames == nil {
+		t.Fatal("the first allocation on node 1 should make node 1's table and only that")
+	}
+}
+
+func TestAllocReleaseDoNotAllocate(t *testing.T) {
+	a := NewAllocator(64<<20, 2)
+	a.Release(a.Alloc(0))
+	a.Release(a.Alloc(1))
+	if allocs := testing.AllocsPerRun(1000, func() { a.Release(a.Alloc(0)); a.Release(a.Alloc(1)) }); allocs != 0 {
+		t.Fatalf("Alloc+Release made %v allocations per run, want 0", allocs)
+	}
+}
+
+// BenchmarkAllocRelease: one frame out of and back into a plain pool.
+func BenchmarkAllocRelease(b *testing.B) {
+	a := NewAllocator(64<<20, 2)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		a.Release(a.Alloc(i & 1))
+	}
+}
+
+// BenchmarkAllocBlockReleaseBlock: one 2 MB block out of and back into a buddy
+// pool; the one allocation is the []*Frame the signature returns.
+func BenchmarkAllocBlockReleaseBlock(b *testing.B) {
+	a := NewBuddyAllocator(64<<20, 2)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		a.ReleaseBlock(a.AllocBlock(i & 1))
+	}
+}
+
+// BenchmarkNewAllocator128MB: what a world pays at boot — a 128 MB pool made
+// and every frame of it handed out, as core.Runtime.grow does.
+func BenchmarkNewAllocator128MB(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		a := NewAllocator(128<<20, 2)
+		for n := 0; n < 2; n++ {
+			if got := len(a.AllocN(n, 16384)); got != 16384 {
+				b.Fatalf("node %d gave %d frames", n, got)
+			}
+		}
+	}
+}
