@@ -132,15 +132,19 @@ engine-bench:
 	$(GO) test ./internal/sim/engine -run '^$$' -bench 'Handoff|SpawnRun' -benchmem -count=5 -cpu 1
 
 # Host cost of the simulated hardware's own state, no world on top: a TLB
-# flush, an insert into a full TLB, a 32-CPU shootdown, a PTE map/unmap, a
-# rewrite-persist-settle cycle of the device store, a frame and a 2 MB block
-# out of and back into simulated DRAM, a 128 MB pool booted, and one busy
-# period of a page's event (DESIGN.md §3 "Simulated hardware state is flat").
-# Not part of ci, like engine-bench: the AllocsPerRun tests beside these
-# benchmarks do the gating in `make test`.
+# flush, an insert into a full TLB, a 32-CPU shootdown, a PTE map/unmap, the
+# device store's rewrite-persist-settle cycle, a fill read of a materialized
+# block and the settle of a Submit with 4 K blocks staged and none due, a frame
+# and a 2 MB block out of and back into simulated DRAM, a 128 MB pool booted,
+# one busy period of a page's event, the cache index's lookup-insert-remove
+# (beside the map it replaced) and the delete of a file with 24 K cached pages
+# (DESIGN.md §3 "Simulated hardware state is flat"). Not part of ci, like
+# engine-bench: the AllocsPerRun tests beside these benchmarks do the gating
+# in `make test`.
 sim-bench:
 	$(GO) test ./internal/sim/cpu ./internal/sim/pagetable ./internal/sim/device ./internal/sim/mem -run '^$$' -bench . -benchmem -cpu 1
 	$(GO) test ./internal/sim/engine -run '^$$' -bench EventArmFireWait -benchmem -cpu 1
+	$(GO) test ./internal/detutil ./internal/core -run '^$$' -bench 'PageIndexLookupInsertRemove|DeleteFile24kPages' -benchmem -cpu 1
 
 # Host cost of the KV data path alone, the stores over an in-memory namespace
 # (internal/kvs/kvtest) so nothing of a world is in the numbers: the value

@@ -95,12 +95,12 @@ func TestRealTreeClean(t *testing.T) {
 		{"internal/graph", "aquila/internal/graph", Crashclean, 0},
 		{"internal/core", "aquila/internal/core", Persistpair, 0},
 		{"internal/core", "aquila/internal/core", Spanpair, 0},
-		// Audits, counts and collect-then-sort loops over rt.pages / rt.files.
-		{"internal/core", "aquila/internal/core", Maporder, 13},
+		// Audits, test counters and host-side snapshots over rt.files.
+		{"internal/core", "aquila/internal/core", Maporder, 4},
 		{"internal/host", "aquila/internal/host", Persistpair, 0},
 		{"internal/spdk", "aquila/internal/spdk", Persistpair, 0},
-		// fsyncFileRange's collection loop and CheckInvariants' four audits.
-		{"internal/host", "aquila/internal/host", Maporder, 5},
+		// CheckInvariants' two walks of FS.files.
+		{"internal/host", "aquila/internal/host", Maporder, 2},
 		{"internal/host", "aquila/internal/host", Detrand, 0},
 		{"internal/spdk", "aquila/internal/spdk", Maporder, 0},
 		{"internal/spdk", "aquila/internal/spdk", Detrand, 0},

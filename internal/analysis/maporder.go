@@ -12,8 +12,8 @@ import (
 // state) makes two identical runs diverge.
 //
 // The rule is "sorted or annotated" and judges no loop body. Iterate
-// detutil.SortedKeys(m) — a slice, so nothing to flag — or state above the
-// loop why its order cannot matter:
+// slices.Sorted(maps.Keys(m)) — a slice, so nothing to flag — or state above
+// the loop why its order cannot matter:
 //
 //	//aqlint:sorted -- reason
 //
@@ -22,7 +22,7 @@ import (
 var Maporder = &Analyzer{
 	Name: "maporder",
 	Doc: "flag range over maps in deterministic packages; " +
-		"iterate detutil.SortedKeys(m) or annotate //aqlint:sorted -- reason",
+		"iterate slices.Sorted(maps.Keys(m)) or annotate //aqlint:sorted -- reason",
 	Run: runMaporder,
 }
 
@@ -52,7 +52,7 @@ func runMaporder(pass *Pass) error {
 			if _, isMap := t.Underlying().(*types.Map); isMap {
 				pass.Reportf(rng.Pos(),
 					"map iteration order can leak into simulated state; "+
-						"iterate detutil.SortedKeys(m) or annotate //aqlint:sorted -- reason")
+						"iterate slices.Sorted(maps.Keys(m)) or annotate //aqlint:sorted -- reason")
 			}
 			return true
 		})

@@ -7,7 +7,8 @@ import "sort"
 
 func advance(k string) {}
 
-// sortedKeys stands in for detutil.SortedKeys: what is ranged is a slice.
+// sortedKeys stands in for slices.Sorted(maps.Keys(m)): what is ranged is a
+// slice.
 func sortedKeys(m map[string]int) []string {
 	keys := make([]string, 0, len(m))
 	//aqlint:sorted -- collects the keys, sorted below before any use

@@ -68,10 +68,9 @@ func (rt *Runtime) CheckCrashInvariants() error {
 		return fmt.Errorf("freelist negative: %d", free)
 	}
 	dirtyPages := 0
-	//aqlint:sorted -- read-only audit: which violation is reported first may vary, but no simulated state is touched
-	for key, pg := range rt.pages {
-		if pg.Key() != key {
-			return fmt.Errorf("page (%s,%d) under wrong key", pg.file.name, pg.idx)
+	for pg := range rt.cached() {
+		if at := pg.file.pages.Get(pg.idx); at != pg {
+			return fmt.Errorf("page (%s,%d) is not what its index holds there", pg.file.name, pg.idx)
 		}
 		who := fmt.Sprintf("page (%s,%d)", pg.file.name, pg.idx)
 		if (!pg.resident || pg.frame == nil) && !pg.busy() {
@@ -101,25 +100,9 @@ func (rt *Runtime) CheckCrashInvariants() error {
 	if uint64(len(owner)) > rt.limitPages {
 		return fmt.Errorf("%d frames accounted > limit %d", len(owner), rt.limitPages)
 	}
-	dirtyInTrees := 0
-	for core, tree := range rt.dirty {
-		var err error
-		tree.Ascend(func(key uint64, pg *Page) bool {
-			dirtyInTrees++
-			if !pg.dirty {
-				err = fmt.Errorf("core %d dirty tree holds clean page (%s,%d)",
-					core, pg.file.name, pg.idx)
-				return false
-			}
-			if key != dirtyKey(pg) {
-				err = fmt.Errorf("dirty tree key %d != dirtyKey %d", key, dirtyKey(pg))
-				return false
-			}
-			return true
-		})
-		if err != nil {
-			return err
-		}
+	dirtyInTrees, err := rt.auditDirtyTrees(false)
+	if err != nil {
+		return err
 	}
 	if dirtyPages != dirtyInTrees {
 		return fmt.Errorf("dirty pages %d != dirty-tree entries %d", dirtyPages, dirtyInTrees)

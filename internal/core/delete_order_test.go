@@ -8,11 +8,11 @@ import (
 )
 
 // TestDeleteFileRecycleOrderDeterministic pins the fix for a map-order leak
-// the maporder analyzer found: DeleteFile used to walk rt.pages (a Go map) to
-// collect the file's cached pages, so the order frames were pushed back onto
-// the freelist followed Go's randomized map iteration. Frames recycled in
-// random order hand different frame IDs to the next file's faults, and the
-// divergence spreads from there. The loop now iterates sorted page keys; two
+// the maporder analyzer found: DeleteFile used to walk a Go map of all cached
+// pages to collect the file's, so the order frames were pushed back onto the
+// freelist followed Go's randomized map iteration. Frames recycled in random
+// order hand different frame IDs to the next file's faults, and the divergence
+// spreads from there. The file's page index walks in index order; two
 // identical worlds must fault the successor file onto identical frames.
 func TestDeleteFileRecycleOrderDeterministic(t *testing.T) {
 	const pages = 32
@@ -38,7 +38,7 @@ func TestDeleteFileRecycleOrderDeterministic(t *testing.T) {
 				m2.Load(p, i*pageSize, buf)
 			}
 			for i := uint64(0); i < pages; i++ {
-				pg := rt.pages[pageKey{next.id, i}]
+				pg := next.pages.Get(i)
 				if pg == nil || pg.frame == nil {
 					t.Errorf("page %d of successor file not resident", i)
 					return
@@ -57,4 +57,28 @@ func TestDeleteFileRecycleOrderDeterministic(t *testing.T) {
 	if a == "" {
 		t.Fatal("workload produced no fingerprint")
 	}
+}
+
+// BenchmarkDeleteFile24kPages is fault-cold-32t's round end: a 96 MB file,
+// every page cached and unmapped, deleted. Only the delete is timed.
+func BenchmarkDeleteFile24kPages(b *testing.B) {
+	const pages = 24576
+	e, _, boot := daxWorld(128*mib, 2)
+	e.Spawn(0, "t", func(p *engine.Proc) {
+		rt := boot(p)
+		buf := make([]byte, 8)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			f := rt.CreateFile(p, "round", pages*pageSize)
+			m := rt.Mmap(p, f, pages*pageSize)
+			for pg := uint64(0); pg < pages; pg++ {
+				m.Load(p, pg*pageSize, buf)
+			}
+			m.Munmap(p)
+			b.StartTimer()
+			rt.DeleteFile(p, "round")
+		}
+	})
+	e.Run()
 }

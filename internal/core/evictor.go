@@ -185,7 +185,7 @@ func (ev *bgEvictor) reclaimBatch(p *engine.Proc) int {
 	} else {
 		ev.failStreak = 0
 	}
-	recycled := rt.releaseVictims(p, victims, true)
+	recycled := rt.releaseVictims(p, victims, dirty, true)
 	rt.Stats.BgReclaimPages += uint64(recycled)
 	rt.Break.Add("bg_reclaim", p.Now()-t0)
 	return recycled

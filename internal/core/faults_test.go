@@ -414,3 +414,52 @@ func TestDirectMappingFaults(t *testing.T) {
 	})
 	e.Run()
 }
+
+// The cache index is bounded where the hash was not. An access past the
+// mapping fails the way it always did, at the mapping; the index itself
+// refuses a page past every size the file and its mappings were given — it
+// would otherwise size a directory by an index nothing vouched for — and a
+// lookup, however far out, finds nothing and grows nothing. The file's last,
+// partial page is inside.
+func TestCacheIndexRefusesPagesPastTheFile(t *testing.T) {
+	const size = 1*mib + 100 // 257 pages, the last one partial
+	panicOf := func(f func()) (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		f()
+		return "no panic"
+	}
+	e, _, boot := daxWorld(16*mib, 2)
+	e.Spawn(0, "t", func(p *engine.Proc) {
+		rt := boot(p)
+		f := rt.CreateFile(p, "short", size)
+		m := rt.Mmap(p, f, size)
+		buf := make([]byte, 8)
+		m.Load(p, size-8, buf)
+		if pg := rt.lookupPage(f, 256); pg == nil || f.pages.Len() != 1 {
+			t.Fatalf("the last page is not cached: %v, %d pages", pg, f.pages.Len())
+		}
+		if got, want := panicOf(func() { m.Load(p, size-7, buf) }), "core: mapping access [1048669,1048677) beyond size 1048676"; got != want {
+			t.Errorf("load past the mapping: %q, want %q", got, want)
+		}
+		for _, idx := range []uint64{257, 1 << 40, ^uint64(0)} {
+			want := fmt.Sprintf("detutil: page index %d beyond the 257 pages reserved", idx)
+			if got := panicOf(func() { rt.cacheInsert(&Page{file: f, idx: idx}) }); got != want {
+				t.Errorf("insert at %d: %q, want %q", idx, got, want)
+			}
+			if rt.lookupPage(f, idx) != nil {
+				t.Errorf("lookup at %d found a page", idx)
+			}
+		}
+		if err := f.pages.Check(); err != nil || f.pages.Len() != 1 {
+			t.Errorf("after the refusals: %d pages, audit %v", f.pages.Len(), err)
+		}
+		// A mapping larger than the file vouches for its own pages.
+		big := rt.Mmap(p, f, 2*mib)
+		big.Load(p, size-8, buf)
+		rt.cacheInsert(&Page{file: f, idx: 511, resident: true})
+		if got := panicOf(func() { rt.cacheInsert(&Page{file: f, idx: 512}) }); !strings.Contains(got, "beyond the 512 pages reserved") {
+			t.Errorf("insert past the larger mapping: %q", got)
+		}
+	})
+	e.Run()
+}

@@ -17,50 +17,31 @@ import (
 // hugeEnabled reports whether the huge-page path is on for this runtime.
 func (rt *Runtime) hugeEnabled() bool { return rt.P.HugeFaultDensity > 0 }
 
-// lookupPage probes the page hash for (fid, idx), resolving hits through a
-// covering 2 MB unit: units are stored once, under their extent's base index.
-func (rt *Runtime) lookupPage(fid, idx uint64) *Page {
-	if pg := rt.pages[pageKey{fid, idx}]; pg != nil {
-		return pg
-	}
-	if !rt.hugeEnabled() {
+// lookupPage probes the cache index for (f, idx), resolving hits through a
+// covering 2 MB unit: units are stored once, under their extent's base index —
+// slot 0 of the leaf idx falls in.
+func (rt *Runtime) lookupPage(f *fileState, idx uint64) *Page {
+	leaf, _ := f.pages.Extent(idx >> hugeShift)
+	if leaf == nil {
 		return nil
 	}
-	if base := idx &^ uint64(hugePages-1); base != idx {
-		if pg := rt.pages[pageKey{fid, base}]; pg != nil && pg.huge {
-			return pg
-		}
+	if pg := leaf[idx&(hugePages-1)]; pg != nil {
+		return pg
+	}
+	if pg := leaf[0]; pg != nil && pg.huge {
+		return pg
 	}
 	return nil
 }
 
-// cacheInsert publishes a page in the hash and maintains the per-extent
-// residency counters the promotion-density trigger reads. The counters are
-// host-side bookkeeping: simulated cycles for the insert itself are charged
-// by the caller (mutation before charging, like every hash update).
-func (rt *Runtime) cacheInsert(pg *Page) {
-	rt.pages[pg.Key()] = pg
-	if !pg.huge && rt.hugeEnabled() {
-		f := pg.file
-		if f.extResident == nil {
-			f.extResident = make(map[uint64]int)
-		}
-		f.extResident[pg.idx>>hugeShift]++
-	}
-}
+// cacheInsert publishes a page in the index. Host-side bookkeeping: simulated
+// cycles for the insert itself are charged by the caller (mutation before
+// charging, like every hash update).
+func (rt *Runtime) cacheInsert(pg *Page) { pg.file.pages.Insert(pg.idx, pg) }
 
-// cacheRemove is cacheInsert's inverse.
-func (rt *Runtime) cacheRemove(pg *Page) {
-	delete(rt.pages, pg.Key())
-	if !pg.huge && rt.hugeEnabled() {
-		ext := pg.idx >> hugeShift
-		if n := pg.file.extResident[ext] - 1; n > 0 {
-			pg.file.extResident[ext] = n
-		} else {
-			delete(pg.file.extResident, ext)
-		}
-	}
-}
+// cacheRemove is cacheInsert's inverse; a page that is no longer what its
+// index holds (a victim DeleteFile waited out) is left alone.
+func (rt *Runtime) cacheRemove(pg *Page) { pg.file.pages.Remove(pg.idx, pg) }
 
 // shouldPromote decides whether a major fault at (f, idx) should attempt to
 // fill the whole 2 MB extent as one unit: the extent must lie fully inside
@@ -75,15 +56,17 @@ func (rt *Runtime) shouldPromote(r *Region, f *fileState, idx uint64) bool {
 	if (baseIdx+hugePages)*pageSize > r.End-r.Start {
 		return false
 	}
-	filePages := (f.size + pageSize - 1) / pageSize
+	filePages := pagesOf(f.size)
 	if filePages > 0 && baseIdx+hugePages > filePages {
 		return false
 	}
 	if r.HugeHint {
 		return true
 	}
-	return float64(f.extResident[baseIdx>>hugeShift]+1) >=
-		rt.P.HugeFaultDensity*float64(hugePages)
+	// The fault missed, so no unit covers the extent: what its leaf holds are
+	// its resident 4 KB pages.
+	_, resident := f.pages.Extent(baseIdx >> hugeShift)
+	return float64(resident+1) >= rt.P.HugeFaultDensity*float64(hugePages)
 }
 
 // hugeFault attempts to promote the extent containing idx into one 2 MB unit:
@@ -106,8 +89,11 @@ func (rt *Runtime) hugeFault(p *engine.Proc, r *Region, f *fileState, idx uint64
 	// a rejected block back itself, so no path here holds a loose block.
 	var olds []*Page
 	block := rt.fl.popHugeIf(p, func() bool {
-		for i := baseIdx; i < baseIdx+hugePages; i++ {
-			pg := rt.pages[pageKey{f.id, i}]
+		leaf, _ := f.pages.Extent(baseIdx >> hugeShift)
+		if leaf == nil {
+			return true
+		}
+		for _, pg := range leaf {
 			if pg == nil {
 				continue
 			}

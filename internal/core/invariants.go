@@ -12,11 +12,7 @@ import (
 func (rt *Runtime) CheckInvariants() error {
 	// Frame conservation: every granted frame is either cached or free (a
 	// 2 MB unit accounts for its 512 contiguous frames).
-	resident := 0
-	//aqlint:sorted -- order-independent sum; pages() reads one bool, no simulated state
-	for _, pg := range rt.pages {
-		resident += pg.pages()
-	}
+	resident := rt.ResidentPages()
 	free := rt.fl.Free()
 	if free < 0 {
 		return fmt.Errorf("freelist negative: %d", free)
@@ -24,37 +20,25 @@ func (rt *Runtime) CheckInvariants() error {
 	if uint64(resident+free) != rt.limitPages {
 		return fmt.Errorf("resident %d + free %d != limit %d", resident, free, rt.limitPages)
 	}
-	dirtyInTrees := 0
-	for core, tree := range rt.dirty {
-		var err error
-		tree.Ascend(func(key uint64, pg *Page) bool {
-			dirtyInTrees++
-			if !pg.dirty {
-				err = fmt.Errorf("core %d dirty tree holds clean page (%s,%d)",
-					core, pg.file.name, pg.idx)
-				return false
+	dirtyInTrees, err := rt.auditDirtyTrees(true)
+	if err != nil {
+		return err
+	}
+	// The cache index: every file's leaves hold what their populations say,
+	// none is linked empty, and a page sits at its own (file, index).
+	//aqlint:sorted -- read-only audit: which violation is reported first may vary, but no simulated state is touched
+	for _, f := range rt.files {
+		if err := f.pages.Check(); err != nil {
+			return fmt.Errorf("file %s: page index: %v", f.name, err)
+		}
+		for idx, pg := range f.pages.All() {
+			if pg.file != f || pg.idx != idx {
+				return fmt.Errorf("page (%s,%d) filed at (%s,%d)", pg.file.name, pg.idx, f.name, idx)
 			}
-			if key != dirtyKey(pg) {
-				err = fmt.Errorf("dirty tree key %d != dirtyKey %d", key, dirtyKey(pg))
-				return false
-			}
-			if rt.pages[pg.Key()] != pg {
-				err = fmt.Errorf("dirty tree holds evicted page (%s,%d)",
-					pg.file.name, pg.idx)
-				return false
-			}
-			return true
-		})
-		if err != nil {
-			return err
 		}
 	}
 	dirtyPages := 0
-	//aqlint:sorted -- read-only audit: which violation is reported first may vary, but no simulated state is touched
-	for key, pg := range rt.pages {
-		if pg.Key() != key {
-			return fmt.Errorf("page (%s,%d) under wrong key", pg.file.name, pg.idx)
-		}
+	for pg := range rt.cached() {
 		if !pg.resident {
 			return fmt.Errorf("non-resident page (%s,%d) still in hash", pg.file.name, pg.idx)
 		}
@@ -99,11 +83,9 @@ func (rt *Runtime) CheckInvariants() error {
 			if pg.frame != pg.frames[0] {
 				return fmt.Errorf("unit (%s,%d): frame is not frames[0]", pg.file.name, pg.idx)
 			}
-			for i := pg.idx + 1; i < pg.idx+hugePages; i++ {
-				if rt.pages[pageKey{pg.file.id, i}] != nil {
-					return fmt.Errorf("unit (%s,%d): 4 KB page also cached at %d",
-						pg.file.name, pg.idx, i)
-				}
+			if _, n := pg.file.pages.Extent(pg.idx >> hugeShift); n != 1 {
+				return fmt.Errorf("unit (%s,%d): %d 4 KB page(s) also cached in its extent",
+					pg.file.name, pg.idx, n-1)
 			}
 			if pg.poison != nil {
 				return fmt.Errorf("unit (%s,%d) poisoned", pg.file.name, pg.idx)
@@ -142,33 +124,6 @@ func (rt *Runtime) CheckInvariants() error {
 			}
 		}
 	}
-	if rt.hugeEnabled() {
-		// Promotion-density counters match a recount of resident 4 KB pages.
-		recount := make(map[pageKey]int) // (fid, extent) -> 4 KB pages
-		//aqlint:sorted -- per-extent recount: each page increments its own key, the sums commute
-		for _, pg := range rt.pages {
-			if !pg.huge {
-				recount[pageKey{pg.file.id, pg.idx >> hugeShift}]++
-			}
-		}
-		//aqlint:sorted -- read-only audit: which violation is reported first may vary, but no simulated state is touched
-		for _, f := range rt.files {
-			//aqlint:sorted -- read-only audit: only which violation is reported first varies
-			for ext, n := range f.extResident {
-				if recount[pageKey{f.id, ext}] != n {
-					return fmt.Errorf("file %s extent %d: extResident %d != recount %d",
-						f.name, ext, n, recount[pageKey{f.id, ext}])
-				}
-				delete(recount, pageKey{f.id, ext})
-			}
-		}
-		//aqlint:sorted -- read-only audit: only which violation is reported first varies
-		for k, n := range recount {
-			if n != 0 {
-				return fmt.Errorf("fid %d extent %d: %d resident pages untracked", k.fid, k.idx, n)
-			}
-		}
-	}
 	if dirtyPages != dirtyInTrees {
 		return fmt.Errorf("dirty pages %d != dirty-tree entries %d", dirtyPages, dirtyInTrees)
 	}
@@ -181,7 +136,7 @@ func (rt *Runtime) CheckInvariants() error {
 			queued++
 			if e.pg.lruSeq != e.seq {
 				dead++
-			} else if rt.pages[e.pg.Key()] != e.pg {
+			} else if e.pg.file.pages.Get(e.pg.idx) != e.pg {
 				return fmt.Errorf("live LRU entry for uncached page (%s,%d)", e.pg.file.name, e.pg.idx)
 			}
 		}
@@ -190,6 +145,30 @@ func (rt *Runtime) CheckInvariants() error {
 		return fmt.Errorf("LRU counters %d queued, %d dead != recount %d, %d", rt.lru.queued, rt.lru.dead, queued, dead)
 	}
 	return nil
+}
+
+// auditDirtyTrees checks every dirty-tree entry — a dirty page under its own
+// key and, with cached set, one the cache index still holds — and returns how
+// many there are.
+func (rt *Runtime) auditDirtyTrees(cached bool) (n int, err error) {
+	for core, tree := range rt.dirty {
+		tree.Ascend(func(key uint64, pg *Page) bool {
+			n++
+			switch {
+			case !pg.dirty:
+				err = fmt.Errorf("core %d dirty tree holds clean page (%s,%d)", core, pg.file.name, pg.idx)
+			case key != dirtyKey(pg):
+				err = fmt.Errorf("dirty tree key %d != dirtyKey %d", key, dirtyKey(pg))
+			case cached && pg.file.pages.Get(pg.idx) != pg:
+				err = fmt.Errorf("dirty tree holds evicted page (%s,%d)", pg.file.name, pg.idx)
+			}
+			return err == nil
+		})
+		if err != nil {
+			break
+		}
+	}
+	return n, err
 }
 
 // checkWatermarkBounds validates explicitly configured eviction watermarks

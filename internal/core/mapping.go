@@ -150,7 +150,7 @@ func (m *AqMapping) Mremap(p *engine.Proc, newSize uint64) {
 		// stays, and a 2 MB PTE cannot be half-unmapped.
 		if rt.hugeEnabled() && newPages%uint64(hugePages) != 0 {
 			for {
-				unit := rt.lookupPage(m.r.File.id, newPages)
+				unit := rt.lookupPage(m.r.File, newPages)
 				if unit == nil || !unit.huge {
 					break
 				}
@@ -197,7 +197,7 @@ func (m *AqMapping) Mremap(p *engine.Proc, newSize uint64) {
 			rt.PT.Unmap(oldVA)
 			rt.PT.Map(newStart+i*pageSize, e.Frame, e.Flags, size)
 			rt.charge(p, "map-pte", 2*rt.C.PTEUpdate)
-			if pg := rt.lookupPage(m.r.File.id, i); pg != nil {
+			if pg := rt.lookupPage(m.r.File, i); pg != nil {
 				pg.removeVA(oldVA)
 				pg.addVA(newStart + i*pageSize)
 			}
@@ -208,6 +208,7 @@ func (m *AqMapping) Mremap(p *engine.Proc, newSize uint64) {
 			rt.shootdown(p)
 		}
 		rt.vs.Remove(m.r)
+		m.r.File.pages.Reserve(newPages)
 		m.r.Start, m.r.End = newStart, newStart+newPages*pageSize
 		rt.vs.Insert(m.r)
 		rt.charge(p, "vspace", 8*rt.P.RadixLookup)

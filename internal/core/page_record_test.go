@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -50,7 +52,7 @@ func TestColdMajorFaultIsOneAllocation(t *testing.T) {
 		if rt.Stats.Evictions != 0 {
 			t.Fatalf("%d evictions: the faults were not all cold", rt.Stats.Evictions)
 		}
-		pg := rt.pages[pageKey{f.id, 0}]
+		pg := f.pages.Get(0)
 		if len(pg.vas) != 1 || !pg.vasInline() {
 			t.Fatalf("a page mapped once has vas %v, inline=%v", pg.vas, pg.vasInline())
 		}
@@ -218,7 +220,7 @@ func TestInvariantsAuditThePageRecord(t *testing.T) {
 		m := rt.Mmap(p, f, 1*mib)
 		var buf [8]byte
 		m.Load(p, 0, buf[:])
-		pg := rt.pages[pageKey{f.id, 0}]
+		pg := f.pages.Get(0)
 		expect := func(audit string, err error, want string) {
 			t.Helper()
 			if err == nil || !strings.Contains(err.Error(), want) {
@@ -241,9 +243,88 @@ func TestInvariantsAuditThePageRecord(t *testing.T) {
 		pg.ev.Fire(p.Now())
 		pg.resident = true
 
+		pg.idx = 7 // filed at 0
+		expect("CheckInvariants", rt.CheckInvariants(), "page (data,7) filed at (data,0)")
+		expect("CheckCrashInvariants", rt.CheckCrashInvariants(), "not what its index holds")
+		pg.idx = 0
+
 		rt.lru.dead++ // a death nobody died
 		expect("CheckInvariants", rt.CheckInvariants(), "LRU counters")
 		rt.lru.dead--
+		if err := rt.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	e.Run()
+}
+
+// mallocs runs f and returns how many heap objects it allocated.
+func mallocs(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestEvictWritebackCycleAllocations is the budget of the fault → evict →
+// write-back cycle at steady state: cache full, a file eight times its size,
+// two loads to one store over uniformly random pages. N major faults cost N
+// page records plus the device blocks written for the first time, and nothing
+// else: no dirty-tree node, no run slice, no victim or dirty batch, no index
+// leaf, no version list. What amortizes (an LRU queue's tail, the staged
+// list) is allowed a hundredth of an allocation per fault.
+func TestEvictWritebackCycleAllocations(t *testing.T) {
+	const cachePages, filePages = 1024, 8192
+	e, os, boot := daxWorld(cachePages*pageSize, 2)
+	e.Spawn(0, "t", func(p *engine.Proc) {
+		rt := boot(p)
+		f := rt.CreateFile(p, "data", filePages*pageSize)
+		m := rt.Mmap(p, f, filePages*pageSize)
+		rng := rand.New(rand.NewSource(1))
+		var buf [8]byte
+		ops := func(n int) {
+			for i := 0; i < n; i++ {
+				off := uint64(rng.Intn(filePages)) * pageSize
+				if i%3 == 2 {
+					m.Store(p, off, buf[:])
+				} else {
+					m.Load(p, off, buf[:])
+				}
+			}
+		}
+		// Warm up until the cache has turned over several times: every frame
+		// holds data, every scratch slice and free list is at its peak. Most
+		// of the file's blocks have been written back once by then, not all.
+		ops(12 * cachePages)
+		store := os.Disk().Content
+		faults, written, blocks := rt.Stats.MajorFaults, rt.Stats.WrittenBack, store.ResidentBlocks()
+		nodes := 0
+		for _, tree := range rt.dirty {
+			nodes += tree.Len()
+			for n := tree.free; n != nil; n = n.left {
+				nodes++
+			}
+		}
+		got := mallocs(func() { ops(6 * cachePages) })
+		faults, written, blocks = rt.Stats.MajorFaults-faults, rt.Stats.WrittenBack-written, store.ResidentBlocks()-blocks
+		if faults < 4*cachePages || written < cachePages || rt.Stats.Evictions < 8*cachePages {
+			t.Fatalf("not the cycle: %d faults, %d pages written back, %d evictions", faults, written, rt.Stats.Evictions)
+		}
+		if want := faults + uint64(blocks); got < want || got > want+faults/100 {
+			t.Errorf("%d faults and %d first-written device blocks made %d allocations, want %d to %d",
+				faults, blocks, got, want, want+faults/100)
+		}
+		after := 0
+		for _, tree := range rt.dirty {
+			after += tree.Len()
+			for n := tree.free; n != nil; n = n.left {
+				after++
+			}
+		}
+		if after > nodes+cachePages/100 {
+			t.Errorf("the dirty trees own %d nodes after the measured phase, %d before: deletes do not feed inserts", after, nodes)
+		}
 		if err := rt.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}

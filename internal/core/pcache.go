@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"aquila/internal/detutil"
 	"aquila/internal/sim/engine"
 	"aquila/internal/sim/mem"
 )
@@ -17,11 +18,10 @@ const (
 	hugeBytes = hugePages * mem.PageSize // == pagetable.Size2M
 )
 
-// pageKey identifies a cached page: file id + page index.
-type pageKey struct {
-	fid uint64
-	idx uint64
-}
+// One leaf of a file's page index is one huge-page extent: a unit is found in
+// its own leaf, and a leaf's population is the extent's 4 KB residency
+// (lookupPage, shouldPromote, hugeFault). Does not compile unless equal.
+const _ = -uint(hugePages ^ detutil.LeafSlots)
 
 // Page is one page of Aquila's DRAM I/O cache. The record is self-contained:
 // its busy event and its first reverse mapping live inside it, so a cold major
@@ -121,9 +121,6 @@ func (pg *Page) pages() int {
 	return 1
 }
 
-// Key returns the page's hash key.
-func (pg *Page) Key() pageKey { return pageKey{pg.file.id, pg.idx} }
-
 // FileName returns the name of the file the page caches (policy hooks).
 func (pg *Page) FileName() string { return pg.file.name }
 
@@ -139,10 +136,11 @@ type fileState struct {
 	// writeback of one of this file's pages records here, and each sync
 	// caller (mapping or open file) drains it once via its own cursor.
 	wbErr errseq
-	// extResident counts resident 4 KB pages per 2 MB extent (key idx>>9),
-	// feeding the promotion-density trigger. Maintained only with huge pages
-	// enabled; host-side bookkeeping, no simulated cost.
-	extResident map[uint64]int
+	// pages is the file's part of the cache index (§3.2's hash, as the host
+	// keeps it): the cached pages by page index, a 2 MB unit under its
+	// extent's base index. Host-side bookkeeping: the hash's simulated costs
+	// are charged where its callers probe, insert and remove.
+	pages detutil.PageIndex[Page]
 }
 
 // Name returns the file's name.
@@ -256,7 +254,7 @@ func (l *lruApprox) recordBulk(p *engine.Proc, pages []*Page) {
 // pages are removed from the hash table immediately, so no new faults can
 // map them.
 func (l *lruApprox) selectVictims(p *engine.Proc, n int) []*Page {
-	victims := make([]*Page, 0, n)
+	victims := l.rt.pageBufs.Borrow()
 	frames := 0
 	attempts := 0
 	// Preference (rt.Prefer) is honored on a best-effort budget; past it,

@@ -4,9 +4,16 @@ package core
 // with *Page values. Aquila keeps one per core for dirty pages (§3.2):
 // sorted order makes write-back merging trivial and per-core instances avoid
 // the single contended lock of the Linux path.
+//
+// The nodes a delete unlinks wait on the tree's free list, chained through
+// left, for the next insert: a page that is dirtied, written back and dirtied
+// again costs no node. A node never leaves its tree and nothing outside the
+// tree holds one, so — unlike a cached page — there is no stale pointer for a
+// reuse to confuse.
 type rbTree struct {
 	root *rbNode
 	size int
+	free *rbNode
 }
 
 type rbNode struct {
@@ -54,7 +61,13 @@ func (t *rbTree) Insert(key uint64, pg *Page) {
 func (t *rbTree) insert(h *rbNode, key uint64, pg *Page) *rbNode {
 	if h == nil {
 		t.size++
-		return &rbNode{key: key, page: pg, red: true}
+		n := t.free
+		if n == nil {
+			return &rbNode{key: key, page: pg, red: true}
+		}
+		t.free = n.left
+		*n = rbNode{key: key, page: pg, red: true}
+		return n
 	}
 	switch {
 	case key < h.key:
@@ -158,6 +171,7 @@ func (t *rbTree) delete(h *rbNode, key uint64) *rbNode {
 			h = rotateRight(h)
 		}
 		if key == h.key && h.right == nil {
+			t.release(h)
 			return nil
 		}
 		if !isRed(h.right) && !isRed(h.right.left) {
@@ -166,7 +180,7 @@ func (t *rbTree) delete(h *rbNode, key uint64) *rbNode {
 		if key == h.key {
 			m := minNode(h.right)
 			h.key, h.page = m.key, m.page
-			h.right = deleteMin(h.right)
+			h.right = t.deleteMin(h.right)
 		} else {
 			h.right = t.delete(h.right, key)
 		}
@@ -174,15 +188,23 @@ func (t *rbTree) delete(h *rbNode, key uint64) *rbNode {
 	return fixUp(h)
 }
 
-func deleteMin(h *rbNode) *rbNode {
+func (t *rbTree) deleteMin(h *rbNode) *rbNode {
 	if h.left == nil {
+		t.release(h)
 		return nil
 	}
 	if !isRed(h.left) && !isRed(h.left.left) {
 		h = moveRedLeft(h)
 	}
-	h.left = deleteMin(h.left)
+	h.left = t.deleteMin(h.left)
 	return fixUp(h)
+}
+
+// release puts an unlinked node on the free list. It keeps nothing of what it
+// was: not its page, which eviction is about to drop.
+func (t *rbTree) release(n *rbNode) {
+	*n = rbNode{left: t.free}
+	t.free = n
 }
 
 // Ascend calls fn on every (key, page) in ascending key order until fn

@@ -116,6 +116,74 @@ func TestRBTreeInvariantsProperty(t *testing.T) {
 	}
 }
 
+// TestRBTreeNodeRecyclingChurn holds the tree to a map-plus-sort reference
+// through seeded churn — fill, drain, overwrite, refill, the way a dirty tree
+// lives — and checks after every step the red-black invariants, the Ascend
+// order, that the nodes the tree ever made are all either linked or on its
+// free list (so a delete feeds the next insert: the tree allocates no more
+// nodes than it ever held entries at once), and that a free node keeps nothing
+// of what it was: no page, no key, no child.
+func TestRBTreeNodeRecyclingChurn(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tr := &rbTree{}
+		ref := make(map[uint64]*Page)
+		peak, reused := 0, 0
+		for step := 0; step < 5000; step++ {
+			// Phases: grow for a while, shrink for a while.
+			k, grow := uint64(rng.Intn(192)), (step/400)%2 == 0
+			switch r := rng.Intn(10); {
+			case r < 3 || (grow && r < 8):
+				if _, had := ref[k]; !had && tr.free != nil {
+					reused++
+				}
+				pg := &Page{idx: k}
+				tr.Insert(k, pg)
+				ref[k] = pg
+			default:
+				_, want := ref[k]
+				if got := tr.Delete(k); got != want {
+					t.Fatalf("seed %d step %d: Delete(%d) = %v, reference %v", seed, step, k, got, want)
+				}
+				delete(ref, k)
+			}
+			peak = max(peak, len(ref))
+			if tr.Len() != len(ref) || tr.checkInvariants() < 0 {
+				t.Fatalf("seed %d step %d: len %d (reference %d), black height %d", seed, step, tr.Len(), len(ref), tr.checkInvariants())
+			}
+			want := make([]uint64, 0, len(ref))
+			for k := range ref {
+				want = append(want, k)
+			}
+			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+			i := 0
+			tr.Ascend(func(k uint64, pg *Page) bool {
+				if i >= len(want) || k != want[i] || pg != ref[k] {
+					t.Fatalf("seed %d step %d: Ascend entry %d is key %d, reference %v", seed, step, i, k, want)
+				}
+				i++
+				return true
+			})
+			if i != len(want) {
+				t.Fatalf("seed %d step %d: Ascend visited %d entries, reference %d", seed, step, i, len(want))
+			}
+			free := 0
+			for n := tr.free; n != nil; n = n.left {
+				if n.page != nil || n.key != 0 || n.right != nil || n.red {
+					t.Fatalf("seed %d step %d: free node keeps %+v", seed, step, *n)
+				}
+				free++
+			}
+			if tr.Len()+free != peak {
+				t.Fatalf("seed %d step %d: %d linked + %d free nodes, but the tree never held more than %d entries", seed, step, tr.Len(), free, peak)
+			}
+		}
+		if reused < 500 {
+			t.Fatalf("seed %d: only %d inserts drew from the free list", seed, reused)
+		}
+	}
+}
+
 func TestRBTreeLargeSequential(t *testing.T) {
 	tr := &rbTree{}
 	const n = 10000

@@ -4,8 +4,10 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"iter"
 	"slices"
 
+	"aquila/internal/detutil"
 	"aquila/internal/host"
 	"aquila/internal/iface"
 	"aquila/internal/obs"
@@ -101,7 +103,8 @@ var ErrEvictionStalled = errors.New("core: eviction stalled — cache too small 
 
 // VictimPolicy selects pages to evict; the default is the built-in LRU
 // approximation. Applications may install their own (cache customization,
-// contribution 1 of the paper).
+// contribution 1 of the paper). The batch it returns is the runtime's from
+// then on: it ends up as scratch for later batches.
 type VictimPolicy func(p *engine.Proc, n int) []*Page
 
 // ReadaheadPolicy returns how many pages beyond the faulting one to read,
@@ -148,12 +151,14 @@ type Runtime struct {
 	TLBs *cpu.TLBSet
 	vs   *vspace
 
-	// pages is the lock-free hash table of all cached pages (§3.2);
-	// per-operation costs are charged explicitly, with no lock queueing.
-	pages map[pageKey]*Page
-	dirty []*rbTree // per-core dirty trees, keyed by device order
-	fl    *freelist
-	lru   *lruApprox
+	// The lock-free hash table of all cached pages (§3.2) is, on the host,
+	// each file's page index (fileState.pages); its per-operation costs are
+	// charged explicitly, with no lock queueing. leaves is where an emptied
+	// index leaf waits for the next file.
+	leaves detutil.LeafPool[Page]
+	dirty  []*rbTree // per-core dirty trees, keyed by device order
+	fl     *freelist
+	lru    *lruApprox
 	// framePool is the granted guest-physical memory.
 	framePool  *mem.Allocator
 	limitPages uint64
@@ -181,11 +186,13 @@ type Runtime struct {
 	// mmMask tracks CPUs that have faulted in this address space; batched
 	// shootdowns target only these.
 	mmMask []bool
-	// faultBufs is a LIFO of idle majorFault scratch buffers. One per fault
-	// in progress, not one per runtime: a fault yields at every charge and
-	// other threads' faults run in between.
-	faultBufs []*faultBuf
-	// deleteBuf is DeleteFile's scratch: the pages of the file being dropped.
+	// pageBufs and frameBufs lend the fault, reclaim and write-back paths
+	// their scratch: the pages a fault claimed, a victim batch and its dirty
+	// subset, one run's frames. deleteBuf is DeleteFile's, apart because it
+	// is a whole file long: in the common stack every round's delete would
+	// find a fault-sized slice on top and grow it again.
+	pageBufs  detutil.Scratch[*Page]
+	frameBufs detutil.Scratch[*mem.Frame]
 	deleteBuf []*Page
 
 	// Victims and Readahead are the customization hooks. Prefer, when
@@ -232,7 +239,6 @@ func NewRuntime(p *engine.Proc, hostOS *host.OS, eng IOEngine, cfg Config) *Runt
 		PT:       pagetable.New(2),
 		TLBs:     cpu.NewTLBSet(hostOS.E.NumCPUs(), 1536, 41),
 		vs:       &vspace{},
-		pages:    make(map[pageKey]*Page),
 		files:    make(map[string]*fileState),
 		nextVA:   0x6000_0000_0000,
 		gpaBase:  16 << 30,
@@ -285,12 +291,38 @@ func (rt *Runtime) CacheLimitPages() uint64 { return rt.limitPages }
 // its 512 frames).
 func (rt *Runtime) ResidentPages() int {
 	n := 0
-	//aqlint:sorted -- order-independent sum; pages() reads one bool, no simulated state
-	for _, pg := range rt.pages {
+	for pg := range rt.cached() {
 		n += pg.pages()
 	}
 	return n
 }
+
+// cached walks every cached page for the audits and the test counters: each
+// file's pages in index order, the files in no order at all — nothing that
+// advances a clock or moves a frame may be driven from it.
+func (rt *Runtime) cached() iter.Seq[*Page] {
+	return func(yield func(*Page) bool) {
+		//aqlint:sorted -- audits and order-independent counts only; which violation an audit reports first may vary, no simulated state is touched
+		for _, f := range rt.files {
+			for _, pg := range f.pages.All() {
+				if !yield(pg) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// newFile takes the next file id and makes the bookkeeping of a file of size
+// bytes; the caller files it under its name.
+func (rt *Runtime) newFile(name string, size uint64) *fileState {
+	rt.nextID++
+	return &fileState{id: rt.nextID, name: name, size: size,
+		pages: detutil.NewPageIndex(&rt.leaves, pagesOf(size))}
+}
+
+// pagesOf returns how many pages bytes occupy.
+func pagesOf(bytes uint64) uint64 { return (bytes + pageSize - 1) / pageSize }
 
 // FreePages returns the free-list population.
 func (rt *Runtime) FreePages() int { return rt.fl.Free() }
@@ -381,8 +413,7 @@ func (rt *Runtime) CreateFile(p *engine.Proc, name string, size uint64) *fileSta
 	if _, ok := rt.files[name]; ok {
 		panic(fmt.Sprintf("core: create of existing file %q", name))
 	}
-	rt.nextID++
-	f := &fileState{id: rt.nextID, name: name, size: size}
+	f := rt.newFile(name, size)
 	f.backing = rt.Engine.Create(p, name, size)
 	rt.files[name] = f
 	rt.restoreWBErr(f)
@@ -427,8 +458,8 @@ func (rt *Runtime) OpenFile(p *engine.Proc, name string) *fileState {
 		return f
 	}
 	backing, size := rt.Engine.Open(p, name)
-	rt.nextID++
-	f := &fileState{id: rt.nextID, name: name, size: size, backing: backing}
+	f := rt.newFile(name, size)
+	f.backing = backing
 	rt.files[name] = f
 	rt.restoreWBErr(f)
 	if rt.recovered {
@@ -445,23 +476,18 @@ func (rt *Runtime) DeleteFile(p *engine.Proc, name string) {
 		rt.Engine.Delete(p, name)
 		return
 	}
-	// Drop cached pages in index order: the waits below advance the clock
-	// and the later freelist pushes recycle frames in drop order, so
-	// iterating the hash directly would leak map randomization into the
-	// simulation. One pass over the hash collects this file's pages into the
-	// runtime's scratch slice, which is then sorted. (A delete yields at every
-	// charge; a second one running meanwhile finds the scratch taken and grows
-	// its own.) Pages under I/O wait their owners; mapped pages must have been
-	// unmapped by Munmap already.
+	// Drop cached pages in index order, the order the file's index walks in:
+	// the waits below advance the clock and the later freelist pushes recycle
+	// frames in drop order. The walk is taken once, into the runtime's scratch
+	// slice: the waits and charges yield, and the pages to drop are the ones
+	// cached now. (A second delete running meanwhile finds the scratch taken
+	// and grows its own.) Pages under I/O wait their owners; mapped pages must
+	// have been unmapped by Munmap already.
 	drop := rt.deleteBuf[:0]
 	rt.deleteBuf = nil
-	//aqlint:sorted -- collects this file's pages, sorted by index below before any use
-	for key, pg := range rt.pages {
-		if key.fid == f.id {
-			drop = append(drop, pg)
-		}
+	for _, pg := range f.pages.All() {
+		drop = append(drop, pg)
 	}
-	slices.SortFunc(drop, func(a, b *Page) int { return cmp.Compare(a.idx, b.idx) })
 	for _, pg := range drop {
 		for pg.busy() {
 			pg.ev.Wait(p)
@@ -497,7 +523,7 @@ func (rt *Runtime) DeleteFile(p *engine.Proc, name string) {
 // uncommon-path operation ④: they interact with root ring 0 via vmcall.
 func (rt *Runtime) Mmap(p *engine.Proc, f *fileState, size uint64) *AqMapping {
 	rt.Host.HV.VMCall(p, rt.P.VspaceVMCall)
-	pages := (size + pageSize - 1) / pageSize
+	pages := pagesOf(size)
 	start := rt.nextVA
 	if rt.hugeEnabled() {
 		// 2 MB-align region bases so every 2 MB file extent lands on a huge-
@@ -506,6 +532,7 @@ func (rt *Runtime) Mmap(p *engine.Proc, f *fileState, size uint64) *AqMapping {
 	}
 	rt.nextVA = start + (pages+16)*pageSize
 	r := &Region{Start: start, End: start + pages*pageSize, File: f}
+	f.pages.Reserve(pages)
 	rt.vs.Insert(r)
 	rt.charge(p, "vspace", 4*rt.P.RadixLookup)
 	// Sample the error sequence at map time: earlier errors belong to
@@ -538,7 +565,7 @@ func (rt *Runtime) unmapSpan(p *engine.Proc, r *Region, lo, hi uint64) int {
 			rt.charge(p, "unmap", rt.C.PTEUpdate)
 			unmapped++
 			idx := (va - r.Start) / pageSize
-			if pg := rt.lookupPage(r.File.id, idx); pg != nil {
+			if pg := rt.lookupPage(r.File, idx); pg != nil {
 				pg.removeVA(va)
 			}
 			if e.PageSize == pagetable.Size2M {
@@ -619,7 +646,7 @@ func (rt *Runtime) wpFault(p *engine.Proc, va uint64) (*mem.Frame, error) {
 	}
 	idx := (va - r.Start) / pageSize
 	rt.charge(p, "cache-lookup", rt.P.HashLookup)
-	pg := rt.lookupPage(r.File.id, idx)
+	pg := rt.lookupPage(r.File, idx)
 	if pg == nil || pg.busy() {
 		return rt.fault(p, va, true) // raced with eviction
 	}
@@ -685,7 +712,7 @@ func (rt *Runtime) fault(p *engine.Proc, va uint64, write bool) (*mem.Frame, err
 	promoteTried := false
 	for {
 		rt.charge(p, "cache-lookup", rt.P.HashLookup)
-		if existing := rt.lookupPage(f.id, idx); existing != nil {
+		if existing := rt.lookupPage(f, idx); existing != nil {
 			if existing.busy() {
 				existing.ev.Wait(p)
 				continue // re-check: may have been evicted meanwhile
@@ -763,10 +790,13 @@ func (rt *Runtime) majorFault(p *engine.Proc, r *Region, f *fileState, idx uint6
 	defer p.EndSpan()
 	rt.Stats.MajorFaults++
 	p.SpanEvent("fault.major", 1)
-	filePages := (f.size + pageSize - 1) / pageSize
+	filePages := pagesOf(f.size)
 	if filePages == 0 {
 		filePages = r.Pages()
 	}
+	// The window below stays inside the file and the faulting page inside
+	// its region (Mmap reserved that): the two sizes bound every insert.
+	f.pages.Reserve(filePages)
 	hi := idx + 1 + uint64(rt.Readahead(r, idx))
 	if hi > filePages {
 		hi = filePages
@@ -774,12 +804,12 @@ func (rt *Runtime) majorFault(p *engine.Proc, r *Region, f *fileState, idx uint6
 	if hi <= idx {
 		hi = idx + 1
 	}
-	buf := rt.takeFaultBuf()
-	mine := buf.mine[:0]
+	// The pages this fault claims and the frames of the run it is reading.
+	mine, frames := rt.pageBufs.Borrow(), rt.frameBufs.Borrow()
 	var target *Page
 	var allocErr error
 	for i := idx; i < hi; i++ {
-		if existing := rt.lookupPage(f.id, i); existing != nil {
+		if existing := rt.lookupPage(f, i); existing != nil {
 			if i == idx {
 				target = existing
 			}
@@ -793,7 +823,7 @@ func (rt *Runtime) majorFault(p *engine.Proc, r *Region, f *fileState, idx uint6
 		// meanwhile. Re-probe before publishing (no simulated cost) so
 		// (file, idx) never has two owners — stores through the orphaned
 		// Page's mapping would be lost when it is evicted.
-		if raced := rt.lookupPage(f.id, i); raced != nil {
+		if raced := rt.lookupPage(f, i); raced != nil {
 			if i == idx {
 				target = raced
 			}
@@ -827,11 +857,10 @@ func (rt *Runtime) majorFault(p *engine.Proc, r *Region, f *fileState, idx uint6
 			j++
 		}
 		run := mine[i:j]
-		frames := buf.frames[:0]
+		frames = frames[:0]
 		for _, pg := range run {
 			frames = append(frames, pg.frame)
 		}
-		buf.frames = frames
 		if rerr := rt.readRun(p, f, run[0].idx, frames); rerr != nil {
 			// The merged read failed after retries: re-issue page by page so
 			// one bad LBA poisons only its own page, not the whole window.
@@ -843,8 +872,8 @@ func (rt *Runtime) majorFault(p *engine.Proc, r *Region, f *fileState, idx uint6
 	for _, pg := range mine {
 		pg.ev.Fire(doneAt)
 	}
-	buf.mine = mine
-	rt.faultBufs = append(rt.faultBufs, buf) // before the retry below recurses
+	rt.pageBufs.GiveBack(mine) // before the retry below recurses
+	rt.frameBufs.GiveBack(frames)
 	if allocErr != nil {
 		return nil, allocErr
 	}
@@ -856,29 +885,6 @@ func (rt *Runtime) majorFault(p *engine.Proc, r *Region, f *fileState, idx uint6
 		}
 	}
 	return target, nil
-}
-
-// faultBuf is one major fault's scratch: the pages it claimed and the frames
-// of the run it is reading, sized for the default readahead window (a larger
-// custom window grows them once).
-type faultBuf struct {
-	mine   []*Page
-	frames []*mem.Frame
-}
-
-// takeFaultBuf pops an idle scratch buffer or makes one. A fault that unwinds
-// in a crash keeps its buffer; the world is gone by then.
-func (rt *Runtime) takeFaultBuf() *faultBuf {
-	n := len(rt.faultBufs)
-	if n == 0 {
-		return &faultBuf{
-			mine:   make([]*Page, 0, readAheadPages),
-			frames: make([]*mem.Frame, 0, readAheadPages),
-		}
-	}
-	buf := rt.faultBufs[n-1]
-	rt.faultBufs = rt.faultBufs[:n-1]
-	return buf
 }
 
 // entryFrameID returns the frame backing va under PTE e: for a 2 MB leaf the
@@ -962,13 +968,18 @@ func (rt *Runtime) evictStall(p *engine.Proc) error {
 // under evictSel, charge the per-victim selection cost (lock-free CAS pops +
 // hash removal) outside that section so it does not serialize, unmap the
 // batch with one TLB shootdown, and take the dirty victims off their trees.
-// It returns the batch and its dirty subset; an empty batch means every
-// candidate is pinned or in flight.
+// It returns the batch and its dirty subset, both borrowed scratch that
+// releaseVictims gives back; an empty batch (nil) means every candidate is
+// pinned or in flight.
 func (rt *Runtime) claimVictims(p *engine.Proc) (victims, dirty []*Page) {
 	rt.evictSel.Lock(p)
 	victims = rt.Victims(p, rt.P.EvictBatch)
 	rt.evictSel.Unlock(p)
 	rt.charge(p, "evict-select", rt.P.HashRemove*uint64(len(victims)))
+	if len(victims) == 0 {
+		rt.pageBufs.GiveBack(victims)
+		return nil, nil
+	}
 	unmapped := 0
 	for _, v := range victims {
 		for _, va := range v.vas {
@@ -982,6 +993,7 @@ func (rt *Runtime) claimVictims(p *engine.Proc) (victims, dirty []*Page) {
 	if unmapped > 0 {
 		rt.shootdown(p)
 	}
+	dirty = rt.pageBufs.Borrow()
 	for _, v := range victims {
 		if v.dirty {
 			// Flag and tree entry change together, before the charge below can
@@ -1003,12 +1015,13 @@ func (rt *Runtime) claimVictims(p *engine.Proc) (victims, dirty []*Page) {
 // 2 MB blocks go back to the huge tier so their contiguity survives; 4 KB
 // frames go to the calling core's queue one by one, or — batched, the
 // daemons' refill — straight to the NUMA queues where every core sees them.
-// It returns the number of base pages recycled.
-func (rt *Runtime) releaseVictims(p *engine.Proc, victims []*Page, batched bool) int {
+// The batch and its dirty subset go back to the scratch they came from. It
+// returns the number of base pages recycled.
+func (rt *Runtime) releaseVictims(p *engine.Proc, victims, dirty []*Page, batched bool) int {
 	doneAt := p.Now()
 	var frames []*mem.Frame
 	if batched {
-		frames = make([]*mem.Frame, 0, len(victims))
+		frames = rt.frameBufs.Borrow()
 	}
 	recycled := 0
 	for _, v := range victims {
@@ -1031,6 +1044,9 @@ func (rt *Runtime) releaseVictims(p *engine.Proc, victims []*Page, batched bool)
 		recycled += v.pages()
 	}
 	rt.fl.pushBatch(p, frames)
+	rt.frameBufs.GiveBack(frames)
+	rt.pageBufs.GiveBack(dirty)
+	rt.pageBufs.GiveBack(victims)
 	rt.Stats.Evictions += uint64(recycled)
 	return recycled
 }
@@ -1048,7 +1064,7 @@ func (rt *Runtime) evict(p *engine.Proc) error {
 	}
 	rt.evictStalls = 0
 	rt.writeBack(p, dirty, "aq.writeback", true, nil, false)
-	recycled := rt.releaseVictims(p, victims, false)
+	recycled := rt.releaseVictims(p, victims, dirty, false)
 	rt.Stats.DirectReclaimPages += uint64(recycled)
 	p.SpanEvent("evict.pages", uint64(recycled))
 	if rt.P.AsyncEvict {
@@ -1125,7 +1141,11 @@ func (rt *Runtime) writeBack(p *engine.Proc, pages []*Page, span string, evictin
 	var firstErr error
 	var lastDone uint64
 	for i := 0; i < len(pages); {
+		// A unit is written from its own 512 frames; a 4 KB run's frames are
+		// gathered in borrowed scratch, given back as soon as the run is
+		// written or submitted — no engine keeps the slice.
 		run, frames := pages[i:i+1], pages[i].frames
+		var gathered []*mem.Frame
 		if !pages[i].huge {
 			j := i + 1
 			for j < len(pages) && j-i < rt.P.WritebackMaxRun && !pages[j].huge &&
@@ -1133,10 +1153,11 @@ func (rt *Runtime) writeBack(p *engine.Proc, pages []*Page, span string, evictin
 				j++
 			}
 			run = pages[i:j]
-			frames = make([]*mem.Frame, len(run))
-			for k, pg := range run {
-				frames[k] = pg.frame
+			gathered = rt.frameBufs.Borrow()
+			for _, pg := range run {
+				gathered = append(gathered, pg.frame)
 			}
+			frames = gathered
 		}
 		i += len(run)
 		if aw != nil {
@@ -1149,6 +1170,7 @@ func (rt *Runtime) writeBack(p *engine.Proc, pages []*Page, span string, evictin
 				lastDone = max(lastDone, done)
 				rt.Stats.WrittenBack += uint64(len(frames))
 				p.SpanEvent("writeback.pages", uint64(len(frames)))
+				rt.frameBufs.GiveBack(gathered)
 				continue
 			}
 			// Rejected: nothing of this run was queued.
@@ -1156,6 +1178,7 @@ func (rt *Runtime) writeBack(p *engine.Proc, pages []*Page, span string, evictin
 		if err := rt.writeRunOrRecover(p, span, run, frames, evicting); err != nil && firstErr == nil {
 			firstErr = err
 		}
+		rt.frameBufs.GiveBack(gathered)
 	}
 	if drain && lastDone > p.Now() {
 		t0 := p.Now()
@@ -1336,8 +1359,7 @@ func (rt *Runtime) quarantine(pg *Page, evicting bool) {
 // (tests; Stats.QuarantinedPages counts quarantine events).
 func (rt *Runtime) QuarantinedLive() int {
 	n := 0
-	//aqlint:sorted -- order-independent count; reads one bool, no simulated state
-	for _, pg := range rt.pages {
+	for pg := range rt.cached() {
 		if pg.quarantined {
 			n++
 		}
@@ -1348,8 +1370,7 @@ func (rt *Runtime) QuarantinedLive() int {
 // PoisonedLive returns how many cached pages are currently poisoned (tests).
 func (rt *Runtime) PoisonedLive() int {
 	n := 0
-	//aqlint:sorted -- order-independent count; reads one pointer, no simulated state
-	for _, pg := range rt.pages {
+	for pg := range rt.cached() {
 		if pg.poison != nil {
 			n++
 		}
@@ -1374,9 +1395,9 @@ func (rt *Runtime) msyncFileRange(p *engine.Proc, f *fileState, off, length uint
 	if length < ^uint64(0)-off {
 		hi = (off + length + pageSize - 1) / pageSize
 	}
-	var dirtyPages []*Page
+	dirtyPages := rt.pageBufs.Borrow()
 	for core := range rt.dirty {
-		var pgs []*Page
+		pgs := rt.pageBufs.Borrow()
 		rt.dirty[core].Ascend(func(key uint64, pg *Page) bool {
 			if pg.file == f && pg.idx+uint64(pg.pages()) > lo && pg.idx < hi {
 				pgs = append(pgs, pg)
@@ -1409,6 +1430,7 @@ func (rt *Runtime) msyncFileRange(p *engine.Proc, f *fileState, off, length uint
 			dirtyPages = append(dirtyPages, pg)
 			taken++
 		}
+		rt.pageBufs.GiveBack(pgs)
 		if taken > 0 {
 			rt.charge(p, "dirty-track", rt.P.DirtyTreeOp*uint64(taken))
 		}
@@ -1424,6 +1446,7 @@ func (rt *Runtime) msyncFileRange(p *engine.Proc, f *fileState, off, length uint
 	for _, pg := range dirtyPages {
 		pg.pins--
 	}
+	rt.pageBufs.GiveBack(dirtyPages)
 }
 
 // DirtyPages returns the number of dirty pages across all cores (tests).

@@ -245,7 +245,7 @@ func TestReclaimWritebackFailureRevivesSamePages(t *testing.T) {
 			if rt.ResidentPages() != 2 {
 				t.Errorf("resident = %d, want the 2 revived pages", rt.ResidentPages())
 			}
-			perm, trans := rt.lookupPage(f.id, permIdx), rt.lookupPage(f.id, transIdx)
+			perm, trans := rt.lookupPage(f, permIdx), rt.lookupPage(f, transIdx)
 			if perm == nil || !perm.quarantined || perm.dirty || perm.frame == nil || !perm.resident {
 				t.Errorf("permanently failing page not quarantined in place: %+v", perm)
 			}

@@ -1,21 +1,8 @@
-// Package detutil holds small helpers for keeping the simulation
-// deterministic. Go randomizes map iteration order; any loop whose body's
-// effects depend on visit order (advancing clocks, emitting spans, issuing
-// I/O, building batches) must iterate a sorted key slice instead. The
-// maporder analyzer (cmd/aqlint) flags such loops and points here.
+// Package detutil holds what the simulated worlds share to stay deterministic
+// without paying for it on the host clock. Go randomizes map iteration order,
+// so any loop whose effects depend on visit order (advancing clocks, emitting
+// spans, issuing I/O, building batches) must not range over a map; the
+// maporder analyzer (cmd/aqlint) flags such loops. PageIndex is the cache
+// index of both worlds — ordered by construction, so nothing that walks it
+// needs a sort — and Scratch lends their paths the slices they batch in.
 package detutil
-
-import (
-	"cmp"
-	"sort"
-)
-
-// SortedKeys returns m's keys in ascending order.
-func SortedKeys[M ~map[K]V, K cmp.Ordered, V any](m M) []K {
-	keys := make([]K, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}

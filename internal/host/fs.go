@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"aquila/internal/detutil"
 	"aquila/internal/sim/engine"
 )
 
@@ -19,6 +20,9 @@ type FS struct {
 	// free extents, sorted by offset, first-fit allocation.
 	free []extent
 	ids  uint64
+	// leaves is where the emptied leaves of a file's page index wait for the
+	// next file.
+	leaves detutil.LeafPool[cachedPage]
 }
 
 type extent struct {
@@ -33,9 +37,12 @@ type FSFile struct {
 	cap  uint64 // extent length
 	size uint64 // current logical size
 
-	// Page-cache state: radix tree + per-file tree_lock.
+	// Page-cache state: the file's radix tree — on the host a two-level page
+	// index, bounded by the extent — and its tree_lock. What a tree operation
+	// costs in simulated cycles is charged where it is made (RadixLookup,
+	// RadixInsert), under the lock.
 	treeLock *engine.Mutex
-	pages    map[uint64]*cachedPage // page index -> page
+	pages    detutil.PageIndex[cachedPage]
 	nrDirty  int
 
 	// readahead state (struct file_ra_state).
@@ -80,7 +87,7 @@ func (fs *FS) Create(p *engine.Proc, name string, size uint64) *FSFile {
 		cap:      capBytes,
 		size:     size,
 		treeLock: engine.NewMutex(fs.os.E, "tree_lock:"+name),
-		pages:    make(map[uint64]*cachedPage),
+		pages:    detutil.NewPageIndex(&fs.leaves, capBytes/PageSize),
 	}
 	fs.files[name] = f
 	return f

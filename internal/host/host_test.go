@@ -2,6 +2,10 @@ package host
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 
 	"aquila/internal/iface"
@@ -609,6 +613,85 @@ func TestMsyncRange(t *testing.T) {
 	})
 }
 
+// fsync of a range walks the file's page index over that range only: what it
+// cleans is every dirty page inside — across leaf boundaries, up to the last,
+// partial leaf of a file that is not a whole number of leaves — and nothing
+// outside, however the range is cut.
+func TestMsyncRangeAcrossIndexLeaves(t *testing.T) {
+	const leaf = 512
+	const pages = 3*leaf + 37
+	dirtied := []uint64{0, leaf - 2, leaf - 1, leaf, leaf + 1, 2*leaf - 1, 2 * leaf, 3*leaf - 12, 3 * leaf, pages - 1}
+	e, os := newPMemOS(32 * mib)
+	run1(e, func(p *engine.Proc) {
+		f := os.FS.Create(p, "f", pages*PageSize)
+		m := os.Mmap(p, f, pages*PageSize)
+		m.Advise(p, iface.AdviceRandom)
+		for _, r := range [][2]uint64{{leaf - 1, 2*leaf + 1}, {3*leaf - 12, 3*leaf - 11}, {3 * leaf, pages}, {0, pages}} {
+			for _, idx := range dirtied {
+				m.Store(p, idx*PageSize, []byte{byte(idx), 1})
+			}
+			written := os.Cache.WrittenBk
+			m.MsyncRange(p, r[0]*PageSize, (r[1]-r[0])*PageSize)
+			inside := 0
+			for _, idx := range dirtied {
+				in := idx >= r[0] && idx < r[1]
+				if in {
+					inside++
+				}
+				if pg := f.pages.Get(idx); pg == nil || pg.dirty == in {
+					t.Fatalf("msync of pages [%d, %d): page %d dirty=%v", r[0], r[1], idx, !in)
+				}
+			}
+			if got := os.Cache.WrittenBk - written; got != uint64(inside) {
+				t.Fatalf("msync of pages [%d, %d) wrote %d pages back, want %d", r[0], r[1], got, inside)
+			}
+		}
+		if err := os.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		// The audit names a page that does not sit at its own index.
+		pg := f.pages.Get(leaf)
+		pg.idx++
+		if err := os.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "page (f,512) misfiled as (f,513)") {
+			t.Errorf("CheckInvariants with a misfiled page = %v", err)
+		}
+		pg.idx--
+	})
+}
+
+// A file's radix tree is bounded by its extent: an access past the mapping
+// fails at the mapping the way it always did, and a page past the extent — a
+// mapping made larger than the file can ever be — is refused where it would be
+// published instead of being filled from a neighbour's blocks.
+func TestPageCacheRefusesPagesPastTheExtent(t *testing.T) {
+	panicOf := func(f func()) (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		f()
+		return "no panic"
+	}
+	e, os := newPMemOS(16 * mib)
+	run1(e, func(p *engine.Proc) {
+		f := os.FS.Create(p, "short", 3*PageSize+100) // 4 pages, the last one partial
+		os.FS.Create(p, "neighbour", 1*mib)
+		m := os.Mmap(p, f, 3*PageSize+100)
+		m.Advise(p, iface.AdviceRandom)
+		buf := make([]byte, 8)
+		m.Load(p, 3*PageSize+92, buf)
+		if got, want := panicOf(func() { m.Load(p, 3*PageSize+93, buf) }), "host: mapping access [12381,12389) beyond size 12388"; got != want {
+			t.Errorf("load past the mapping: %q, want %q", got, want)
+		}
+	})
+	e, os = newPMemOS(16 * mib)
+	run1(e, func(p *engine.Proc) {
+		f := os.FS.Create(p, "short", 3*PageSize+100)
+		big := os.Mmap(p, f, 1*mib)
+		big.Advise(p, iface.AdviceRandom)
+		if got, want := panicOf(func() { big.Load(p, 4*PageSize, make([]byte, 8)) }), "detutil: page index 4 beyond the 4 pages reserved"; got != want {
+			t.Errorf("fault past the extent: %q, want %q", got, want)
+		}
+	})
+}
+
 func TestInvariantsAfterHeavyChurn(t *testing.T) {
 	cache := uint64(1 * mib)
 	e, os := newPMemOS(cache)
@@ -831,10 +914,10 @@ func TestMsyncRacingReclaimLosesNoStores(t *testing.T) {
 	}
 }
 
-// Regression: truncate collected a deleted file's pages by ranging over its
-// f.pages map, so their frames went back to the allocator in Go's randomized
+// Regression: truncate collected a deleted file's pages by ranging over a Go
+// map of them, so their frames went back to the allocator in Go's randomized
 // map order and the next faults were handed different frames in every run.
-// It now walks the page indices in order. The allocator's free list is LIFO,
+// The file's page index walks in index order. The allocator's free list is LIFO,
 // so a successor file faulted page by page must land on the doomed file's
 // frames in exactly reverse index order.
 func TestTruncateRecycleOrderDeterministic(t *testing.T) {
@@ -849,7 +932,7 @@ func TestTruncateRecycleOrderDeterministic(t *testing.T) {
 		}
 		var freed [pages]uint64
 		for i := range freed {
-			freed[i] = doomed.pages[uint64(i)].frame.ID
+			freed[i] = doomed.pages.Get(uint64(i)).frame.ID
 		}
 		os.FS.Delete(p, "doomed") // mapping still live: truncate unmaps it
 
@@ -858,7 +941,7 @@ func TestTruncateRecycleOrderDeterministic(t *testing.T) {
 		m2.Advise(p, iface.AdviceRandom) // one page, one frame per fault
 		for i := uint64(0); i < pages; i++ {
 			m2.Load(p, i*PageSize, buf)
-			if got, want := next.pages[i].frame.ID, freed[pages-1-i]; got != want {
+			if got, want := next.pages.Get(i).frame.ID, freed[pages-1-i]; got != want {
 				t.Fatalf("successor page %d on frame %d, want %d (the doomed file's page %d)", i, got, want, pages-1-i)
 			}
 		}
@@ -879,7 +962,7 @@ func TestWindowFillPerCaller(t *testing.T) {
 	run1(e, func(p *engine.Proc) {
 		ra := uint64(os.P.ReadAroundPages)
 		marks := func(f *FSFile) (n int) {
-			for _, pg := range f.pages {
+			for _, pg := range f.pages.All() {
 				if pg.readahead {
 					n++
 				}
@@ -890,9 +973,9 @@ func TestWindowFillPerCaller(t *testing.T) {
 
 		faulted := os.FS.Create(p, "faulted", 4*mib)
 		os.Mmap(p, faulted, 4*mib).Load(p, 5*PageSize, make([]byte, 8))
-		if len(faulted.pages) != int(ra) || marks(faulted) != int(ra)-1 || faulted.pages[5].readahead {
+		if faulted.pages.Len() != int(ra) || marks(faulted) != int(ra)-1 || faulted.pages.Get(5).readahead {
 			t.Errorf("fault window: %d pages, %d marked, target marked=%v; want %d, %d, false",
-				len(faulted.pages), marks(faulted), faulted.pages[5].readahead, ra, ra-1)
+				faulted.pages.Len(), marks(faulted), faulted.pages.Get(5).readahead, ra, ra-1)
 		}
 		if faulted.mmapMiss != 1 || faulted.majorFaults != 1 {
 			t.Errorf("fault window: mmapMiss=%d majorFaults=%d, want 1 and 1", faulted.mmapMiss, faulted.majorFaults)
@@ -900,8 +983,8 @@ func TestWindowFillPerCaller(t *testing.T) {
 
 		read := os.FS.Create(p, "read", 4*mib)
 		os.OpenFile(read, false).Pread(p, make([]byte, 8), 0) // offset 0 == lastRead: sequential
-		if len(read.pages) != int(ra) || marks(read) != 0 {
-			t.Errorf("buffered window: %d pages, %d marked; want %d, 0", len(read.pages), marks(read), ra)
+		if read.pages.Len() != int(ra) || marks(read) != 0 {
+			t.Errorf("buffered window: %d pages, %d marked; want %d, 0", read.pages.Len(), marks(read), ra)
 		}
 		if read.mmapMiss != 0 || read.majorFaults != 0 {
 			t.Errorf("buffered window: mmapMiss=%d majorFaults=%d, want 0 and 0", read.mmapMiss, read.majorFaults)
@@ -926,7 +1009,7 @@ func TestRecycledFrameIsDefinedByItsNextUser(t *testing.T) {
 	// page got it: a frame never used would make the check vacuous.
 	stale := func(t *testing.T, f *FSFile, idx uint64) {
 		t.Helper()
-		if pg := f.pages[idx]; pg == nil || !pg.frame.HasData() {
+		if pg := f.pages.Get(idx); pg == nil || !pg.frame.HasData() {
 			t.Fatalf("%s page %d is not on a recycled frame", f.name, idx)
 		}
 	}
@@ -1050,7 +1133,7 @@ func TestColdMajorFaultIsOneAllocation(t *testing.T) {
 		if os.Cache.Evicted != 0 {
 			t.Fatalf("%d pages reclaimed: the faults were not all cold", os.Cache.Evicted)
 		}
-		pg := f.pages[0]
+		pg := f.pages.Get(0)
 		if len(pg.vas) != 1 || !pg.vasInline() {
 			t.Fatalf("a page mapped once has %d vas, inline=%v", len(pg.vas), pg.vasInline())
 		}
@@ -1069,6 +1152,62 @@ func TestColdMajorFaultIsOneAllocation(t *testing.T) {
 		m1.Munmap(p)
 		if len(pg.vas) != 1 || !pg.vasInline() || pg.vas[0].va != m2.v.start {
 			t.Fatalf("after the first mapping went: %d vas, inline=%v", len(pg.vas), pg.vasInline())
+		}
+		if err := os.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// mallocs runs f and returns how many heap objects it allocated.
+func mallocs(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestEvictWritebackCycleAllocations is the budget of the baseline's fault →
+// reclaim → write-back cycle at steady state: page cache full, a file eight
+// times its size, two loads to one store over uniformly random pages, dirty
+// throttling at its default. N pages brought in cost N page records plus the
+// device blocks written for the first time, and nothing else: no victim or
+// dirty batch, no fill scratch, no sort's swapper, no index leaf, no version
+// list. What amortizes — the dirty FIFO, which slides through its array and
+// takes a new one every queue's length of stores, the staged list — is allowed
+// a fiftieth of an allocation per page.
+func TestEvictWritebackCycleAllocations(t *testing.T) {
+	const cachePages, filePages = 1024, 8192
+	e, os := newPMemOS(cachePages * PageSize)
+	run1(e, func(p *engine.Proc) {
+		f := os.FS.Create(p, "data", filePages*PageSize)
+		m := os.Mmap(p, f, filePages*PageSize)
+		rng := rand.New(rand.NewSource(1))
+		var buf [8]byte
+		ops := func(n int) {
+			for i := 0; i < n; i++ {
+				off := uint64(rng.Intn(filePages)) * PageSize
+				if i%3 == 2 {
+					m.Store(p, off, buf[:])
+				} else {
+					m.Load(p, off, buf[:])
+				}
+			}
+		}
+		// Warm up until the cache has turned over several times: every frame
+		// holds data, every scratch slice and free list is at its peak.
+		ops(6 * cachePages)
+		store := os.Disk().Content
+		inserted, written, blocks := os.Cache.Inserted, os.Cache.WrittenBk, store.ResidentBlocks()
+		got := mallocs(func() { ops(6 * cachePages) })
+		inserted, written, blocks = os.Cache.Inserted-inserted, os.Cache.WrittenBk-written, store.ResidentBlocks()-blocks
+		if inserted < 4*cachePages || written < cachePages || os.Cache.Evicted < 8*cachePages {
+			t.Fatalf("not the cycle: %d pages inserted, %d written back, %d evicted", inserted, written, os.Cache.Evicted)
+		}
+		if want := inserted + uint64(blocks); got < want || got > want+inserted/50 {
+			t.Errorf("%d pages inserted and %d first-written device blocks made %d allocations, want %d to %d",
+				inserted, blocks, got, want, want+inserted/50)
 		}
 		if err := os.CheckInvariants(); err != nil {
 			t.Fatal(err)

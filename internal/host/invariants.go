@@ -13,8 +13,12 @@ func (os *OS) CheckInvariants() error {
 	//aqlint:sorted -- read-only audit: which violation is reported first may vary, but no simulated state is touched
 	for _, f := range os.FS.files {
 		fileDirty := 0
-		//aqlint:sorted -- read-only audit: only which violation is reported first varies
-		for idx, pg := range f.pages {
+		// The radix tree: its leaves hold what their populations say and none
+		// is linked empty; below, a page sits at its own (file, index).
+		if err := f.pages.Check(); err != nil {
+			return fmt.Errorf("file %s: page index: %v", f.name, err)
+		}
+		for idx, pg := range f.pages.All() {
 			total++
 			if pg.f != f || pg.idx != idx {
 				return fmt.Errorf("page (%s,%d) misfiled as (%s,%d)",
@@ -75,8 +79,7 @@ func (os *OS) CheckInvariants() error {
 	frames := make(map[uint64]*cachedPage)
 	//aqlint:sorted -- read-only audit index keyed by frame ID: insertion order is invisible, no simulated state is touched
 	for _, f := range os.FS.files {
-		//aqlint:sorted -- same index: one key per page
-		for _, pg := range f.pages {
+		for _, pg := range f.pages.All() {
 			frames[pg.frame.ID] = pg
 		}
 	}

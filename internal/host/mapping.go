@@ -381,7 +381,7 @@ func (pr *Process) majorFault(p *engine.Proc, v *vma, idx uint64) *cachedPage {
 	if target != nil {
 		os.Cache.waitPage(p, target)
 		f.majorFaults++
-		if f.pages[idx] != target {
+		if f.pages.Get(idx) != target {
 			// The wait was on a reclaim, not a read: the page is gone and
 			// its frame recycled.
 			return nil

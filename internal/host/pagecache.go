@@ -1,9 +1,9 @@
 package host
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"aquila/internal/detutil"
 	"aquila/internal/sim/engine"
@@ -135,9 +135,9 @@ type PageCache struct {
 	nrDirty  int
 	// dirtyQueue approximates the kernel's per-BDI dirty list (FIFO).
 	dirtyQueue []*cachedPage
-	// fillBufs is a LIFO of idle fillWindow scratch slices, one per fill in
-	// progress: a fill yields and other threads' fills run in between.
-	fillBufs [][]*cachedPage
+	// pageBufs lends the fill, reclaim and fsync paths their scratch: the
+	// pages one fill owns, a victim batch, a dirty batch.
+	pageBufs detutil.Scratch[*cachedPage]
 
 	// Stats.
 	Inserted  uint64
@@ -168,7 +168,7 @@ func (c *PageCache) NrDirty() int { return c.nrDirty }
 func (c *PageCache) find(p *engine.Proc, f *FSFile, idx uint64) *cachedPage {
 	f.treeLock.Lock(p)
 	c.os.charge(p, "tree-lock", c.os.P.RadixLookup)
-	pg := f.pages[idx]
+	pg := f.pages.Get(idx)
 	f.treeLock.Unlock(p)
 	return pg
 }
@@ -222,7 +222,7 @@ func (c *PageCache) insertNew(p *engine.Proc, f *FSFile, idx uint64) (*cachedPag
 	frame := c.allocFrame(p)
 	f.treeLock.Lock(p)
 	c.os.charge(p, "tree-lock", c.os.P.RadixLookup)
-	if existing := f.pages[idx]; existing != nil {
+	if existing := f.pages.Get(idx); existing != nil {
 		f.treeLock.Unlock(p)
 		c.allocator.Release(frame)
 		return existing, false
@@ -232,7 +232,7 @@ func (c *PageCache) insertNew(p *engine.Proc, f *FSFile, idx uint64) (*cachedPag
 		f: f, idx: idx, frame: frame,
 	}
 	pg.ev.Arm(pg)
-	f.pages[idx] = pg
+	f.pages.Insert(idx, pg)
 	f.treeLock.Unlock(p)
 
 	c.lruLock.Lock(p)
@@ -255,10 +255,7 @@ func (c *PageCache) insertNew(p *engine.Proc, f *FSFile, idx uint64) (*cachedPag
 // waiting, a buffered syscall only waits.
 func (c *PageCache) fillWindow(p *engine.Proc, f *FSFile, lo, hi, want uint64, readAround bool) (target *cachedPage) {
 	// The pages this fill owns, in index order, in a borrowed scratch slice.
-	var mine []*cachedPage
-	if n := len(c.fillBufs); n > 0 {
-		mine, c.fillBufs = c.fillBufs[n-1][:0], c.fillBufs[:n-1]
-	}
+	mine := c.pageBufs.Borrow()
 	for i := lo; i < hi; i++ {
 		pg, owner := c.insertNew(p, f, i)
 		if i == want {
@@ -281,9 +278,7 @@ func (c *PageCache) fillWindow(p *engine.Proc, f *FSFile, lo, hi, want uint64, r
 		pg.ev.Fire(doneAt)
 		pg.readahead = readAround && pg.idx != want
 	}
-	if mine != nil {
-		c.fillBufs = append(c.fillBufs, mine)
-	}
+	c.pageBufs.GiveBack(mine)
 	return target
 }
 
@@ -328,7 +323,7 @@ func (c *PageCache) throttleDirty(p *engine.Proc) {
 // reclaim has already claimed (unfired io) is left to it: reclaim writes its
 // dirty victims itself before their frames go.
 func (c *PageCache) writebackBatch(p *engine.Proc, n int) {
-	var batch []*cachedPage
+	batch := c.pageBufs.Borrow()
 	for len(batch) < n && len(c.dirtyQueue) > 0 {
 		pg := c.dirtyQueue[0]
 		c.dirtyQueue = c.dirtyQueue[1:]
@@ -341,6 +336,7 @@ func (c *PageCache) writebackBatch(p *engine.Proc, n int) {
 	for _, pg := range batch {
 		pg.pins--
 	}
+	c.pageBufs.GiveBack(batch)
 }
 
 // writePages clears dirty state and issues the writes, merging pages that
@@ -351,11 +347,8 @@ func (c *PageCache) writePages(p *engine.Proc, pages []*cachedPage) {
 	}
 	p.BeginSpan("lx.writeback")
 	defer p.EndSpan()
-	sort.Slice(pages, func(i, j int) bool {
-		if pages[i].f != pages[j].f {
-			return pages[i].f.id < pages[j].f.id
-		}
-		return pages[i].idx < pages[j].idx
+	slices.SortFunc(pages, func(a, b *cachedPage) int {
+		return cmp.Or(cmp.Compare(a.f.id, b.f.id), cmp.Compare(a.idx, b.idx))
 	})
 	touched := make(procSet, 0, 8) // constant capacity: stays on the stack
 	for _, pg := range pages {
@@ -422,7 +415,7 @@ func (c *PageCache) reclaim(p *engine.Proc) {
 		c.Demoted++
 		c.os.charge(p, "lru", c.os.P.LRUUpdate)
 	}
-	var victims []*cachedPage
+	victims := c.pageBufs.Borrow()
 	pg := c.inactive.tail
 	scanned := 0
 	for pg != nil && len(victims) < c.os.P.ReclaimBatch && scanned < 4*c.os.P.ReclaimBatch {
@@ -453,13 +446,14 @@ func (c *PageCache) reclaim(p *engine.Proc) {
 		// Everything pinned or in flight: let I/O owners make progress.
 		c.os.charge(p, "lru", c.os.P.LRUUpdate*8)
 		p.Yield()
+		c.pageBufs.GiveBack(victims)
 		return
 	}
 
 	// Unmap all victims first (one batched shootdown per process), so no
 	// new stores land after the write-back snapshot.
 	touched := make(procSet, 0, 8)
-	var dirty []*cachedPage
+	dirty := c.pageBufs.Borrow()
 	for _, v := range victims {
 		// page_referenced + rmap walk per victim.
 		c.os.charge(p, "reclaim", c.os.P.ReclaimPerPage)
@@ -476,11 +470,12 @@ func (c *PageCache) reclaim(p *engine.Proc) {
 	}
 	c.os.shootdownAll(p, touched)
 	c.writePages(p, dirty)
+	c.pageBufs.GiveBack(dirty)
 	// Now drop the pages from their trees and recycle the frames.
 	for _, v := range victims {
 		v.f.treeLock.Lock(p)
 		c.os.charge(p, "tree-lock", c.os.P.RadixLookup)
-		delete(v.f.pages, v.idx)
+		v.f.pages.Remove(v.idx, v)
 		v.f.treeLock.Unlock(p)
 	}
 	doneAt := p.Now()
@@ -489,6 +484,7 @@ func (c *PageCache) reclaim(p *engine.Proc) {
 		c.allocator.Release(v.frame)
 	}
 	c.Evicted += uint64(len(victims))
+	c.pageBufs.GiveBack(victims)
 }
 
 // truncate drops all cached pages of a file (delete path), in page-index
@@ -496,11 +492,11 @@ func (c *PageCache) reclaim(p *engine.Proc) {
 // the order later faults are handed them.
 func (c *PageCache) truncate(p *engine.Proc, f *FSFile) {
 	f.treeLock.Lock(p)
-	pages := make([]*cachedPage, 0, len(f.pages))
-	for _, idx := range detutil.SortedKeys(f.pages) {
-		pages = append(pages, f.pages[idx])
+	pages := make([]*cachedPage, 0, f.pages.Len())
+	for _, pg := range f.pages.All() {
+		pages = append(pages, pg)
 	}
-	f.pages = make(map[uint64]*cachedPage)
+	f.pages.Clear()
 	f.treeLock.Unlock(p)
 
 	touched := make(procSet, 0, 8)
@@ -538,11 +534,12 @@ func (c *PageCache) fsyncFileRange(p *engine.Proc, f *FSFile, off, length uint64
 	hi := min((off+length+PageSize-1)/PageSize, (f.cap+PageSize-1)/PageSize)
 	c.os.charge(p, "msync", (hi-lo)*20) // per-page range walk
 	f.treeLock.Lock(p)
-	var dirty, claimed []*cachedPage
-	//aqlint:sorted -- collection only (the pin commutes): writePages sorts dirty before it acts, claimed is sorted below before any wait
-	for idx, pg := range f.pages {
+	// Only the range is walked, in index order: the order writePages writes
+	// dirty in and the order the claimed pages are waited out in.
+	dirty, claimed := c.pageBufs.Borrow(), c.pageBufs.Borrow()
+	for _, pg := range f.pages.Range(lo, hi) {
 		switch {
-		case !pg.dirty || idx < lo || idx >= hi:
+		case !pg.dirty:
 		case pg.busy():
 			claimed = append(claimed, pg)
 		default:
@@ -555,10 +552,11 @@ func (c *PageCache) fsyncFileRange(p *engine.Proc, f *FSFile, off, length uint64
 	for _, pg := range dirty {
 		pg.pins--
 	}
-	sort.Slice(claimed, func(i, j int) bool { return claimed[i].idx < claimed[j].idx })
+	c.pageBufs.GiveBack(dirty)
 	for _, pg := range claimed {
 		c.waitPage(p, pg)
 	}
+	c.pageBufs.GiveBack(claimed)
 }
 
 // EventName names the page's fill (engine.EventNamer); only the engine's

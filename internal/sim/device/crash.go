@@ -11,13 +11,14 @@
 package device
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"os"
-	"sort"
+	"slices"
 )
 
 // SectorSize is the tear granularity: a crashed in-flight 4 KB block write
@@ -31,17 +32,27 @@ const notDurable = ^uint64(0)
 // volVersion is one staged write of a block sitting in the device's volatile
 // write-cache tier. Versions are ordered oldest-to-newest per block.
 type volVersion struct {
-	data      []byte // full BlockSize content
+	data      *block
 	durableAt uint64 // completion cycle, or notDurable until Persist
 }
 
 // view returns the newest visible content of blk — the volatile overlay wins
 // over media — or nil when the block has never been written.
 func (s *Store) view(blk uint64) []byte {
-	if vs, ok := s.volatile[blk]; ok && len(vs) > 0 {
-		return vs[len(vs)-1].data
+	if e := s.entry(blk); e != nil {
+		return e.view()
 	}
-	return s.blocks[blk]
+	return nil
+}
+
+func (e *blockEntry) view() []byte {
+	switch n := len(e.versions); {
+	case n > 0:
+		return e.versions[n-1].data[:]
+	case e.media != nil:
+		return e.media[:]
+	}
+	return nil
 }
 
 // stage copies chunk into the volatile tier at (blk, bo). Consecutive writes
@@ -50,49 +61,54 @@ func (s *Store) view(blk uint64) []byte {
 // chunk that covers the whole block — every page write-back does — needs
 // nothing of the block's current content under it.
 func (s *Store) stage(blk uint64, bo int, chunk []byte) {
-	vs := s.volatile[blk]
+	e := s.slot(blk)
+	vs := e.versions
 	if n := len(vs); n > 0 && vs[n-1].durableAt == notDurable {
 		copy(vs[n-1].data[bo:], chunk)
 		return
 	}
 	b := s.block()
 	if len(chunk) < BlockSize {
-		if cur := s.view(blk); cur != nil {
-			copy(b, cur)
+		if cur := e.view(); cur != nil {
+			copy(b[:], cur)
 		} else {
-			clear(b)
+			clear(b[:])
 		}
 	}
 	copy(b[bo:], chunk)
-	if n := len(s.spare); vs == nil && n > 0 {
-		vs, s.spare = s.spare[n-1], s.spare[:n-1]
+	if vs == nil {
+		s.staged = append(s.staged, blk)
+		if n := len(s.spare); n > 0 {
+			vs, s.spare = s.spare[n-1], s.spare[:n-1]
+		}
 	}
-	s.volatile[blk] = append(vs, volVersion{data: b, durableAt: notDurable})
+	e.versions = append(vs, volVersion{data: b, durableAt: notDurable})
 }
 
-// block returns a BlockSize buffer with unspecified content, recycled from
-// the free list when it has one.
-func (s *Store) block() []byte {
+// block returns a block with unspecified content, recycled from the free
+// list when it has one.
+func (s *Store) block() *block {
 	n := len(s.free)
 	if n == 0 {
-		return make([]byte, BlockSize)
+		return new(block)
 	}
 	b := s.free[n-1]
 	s.free = s.free[:n-1]
 	return b
 }
 
-// keep leaves blk's versions from index n on in the volatile tier. They move
-// to the front of vs so the list keeps its capacity; a list left empty goes
-// to spare and blk leaves the map.
-func (s *Store) keep(blk uint64, vs []volVersion, n int) {
+// keep leaves e's versions from index n on in the volatile tier. They move to
+// the front of the list so it keeps its capacity; a list left empty goes to
+// spare, and taking the block off the staged list is then the caller's.
+func (s *Store) keep(e *blockEntry, n int) {
+	vs := e.versions
 	rest := vs[:copy(vs, vs[n:])]
 	clear(vs[len(rest):])
 	if len(rest) > 0 {
-		s.volatile[blk] = rest
+		e.versions = rest
 		return
 	}
-	delete(s.volatile, blk)
+	e.versions = nil
 	s.spare = append(s.spare, rest)
 }
 
@@ -102,18 +118,19 @@ func (s *Store) keep(blk uint64, vs []volVersion, n int) {
 // with the cycle the persistent-domain copy drains. Re-persisting an already
 // scheduled version keeps the earlier durability point.
 func (s *Store) Persist(off uint64, n int, at uint64) {
-	if n <= 0 || len(s.volatile) == 0 {
+	if n <= 0 || len(s.staged) == 0 {
 		return
 	}
 	first := off / BlockSize
 	last := (off + uint64(n) - 1) / BlockSize
-	for blk := first; blk <= last; blk++ {
-		vs := s.volatile[blk]
+	for _, e := range s.entries(first, last+1) {
+		vs := e.versions
 		if len(vs) == 0 {
 			continue
 		}
 		if v := &vs[len(vs)-1]; v.durableAt == notDurable || at < v.durableAt {
 			v.durableAt = at
+			s.nextDue = min(s.nextDue, at)
 		}
 	}
 }
@@ -122,34 +139,45 @@ func (s *Store) Persist(off uint64, n int, at uint64) {
 // into media. Called from Submit on each device operation: any crash cycle
 // the engine can still reach is >= the current submit time, so folding up to
 // `now` never makes something durable that a future crash should discard.
+//
+// Nothing is due before nextDue, so most calls return at once; one that does
+// not walks the staged blocks, drops the ones it leaves without a version and
+// takes the new nextDue from the rest.
 func (s *Store) settle(upTo uint64) {
-	if len(s.volatile) == 0 {
+	if upTo < s.nextDue {
 		return
 	}
-	//aqlint:sorted -- per-block fold, order-independent (the free list's order decides only which buffer a later stage overwrites); no simulated state touched
-	for blk, vs := range s.volatile {
+	still, next := s.staged[:0], notDurable
+	for _, blk := range s.staged {
+		e := s.entry(blk)
 		best := -1
-		for i, v := range vs {
+		for i, v := range e.versions {
 			if v.durableAt <= upTo {
 				best = i
 			}
 		}
-		if best < 0 {
-			continue
+		if best >= 0 {
+			// The newest version durable by upTo wins the media slot; older
+			// versions are superseded. In-flight writes serialize per page
+			// above this layer, so inverted completions of overlapping writes
+			// do not occur in practice.
+			if e.media != nil {
+				s.free = append(s.free, e.media)
+			}
+			for _, v := range e.versions[:best] {
+				s.free = append(s.free, v.data)
+			}
+			e.media = e.versions[best].data
+			s.keep(e, best+1)
 		}
-		// The newest version durable by upTo wins the media slot; older
-		// versions are superseded. In-flight writes serialize per page above
-		// this layer, so inverted completions of overlapping writes do not
-		// occur in practice.
-		if old := s.blocks[blk]; old != nil {
-			s.free = append(s.free, old)
+		if e.versions != nil {
+			still = append(still, blk)
+			for _, v := range e.versions {
+				next = min(next, v.durableAt)
+			}
 		}
-		for _, v := range vs[:best] {
-			s.free = append(s.free, v.data)
-		}
-		s.blocks[blk] = vs[best].data
-		s.keep(blk, vs, best+1)
 	}
+	s.staged, s.nextDue = still, next
 }
 
 // SettleAll folds every *scheduled* staged version into media regardless of
@@ -160,7 +188,7 @@ func (s *Store) SettleAll() { s.settle(notDurable - 1) }
 
 // PendingBlocks returns how many blocks have staged-but-not-yet-durable
 // content in the volatile tier.
-func (s *Store) PendingBlocks() int { return len(s.volatile) }
+func (s *Store) PendingBlocks() int { return len(s.staged) }
 
 // CrashResult summarizes what a Crash() did to the device.
 type CrashResult struct {
@@ -184,29 +212,26 @@ type CrashResult struct {
 func (s *Store) Crash(cycle uint64, rng *rand.Rand, tearProb float64) CrashResult {
 	s.settle(cycle)
 	res := CrashResult{Cycle: cycle}
-	if len(s.volatile) > 0 {
-		blks := make([]uint64, 0, len(s.volatile))
-		//aqlint:sorted -- keys only collected; sorted before use below
-		for blk := range s.volatile {
-			blks = append(blks, blk)
-		}
-		sort.Slice(blks, func(i, j int) bool { return blks[i] < blks[j] })
-		for _, blk := range blks {
-			vs := s.volatile[blk]
-			pending := vs[len(vs)-1].data
+	if len(s.staged) > 0 {
+		// The tears are drawn in block order: a walk of the table between the
+		// lowest and the highest staged block.
+		for _, e := range s.entries(slices.Min(s.staged), slices.Max(s.staged)+1) {
+			if e.versions == nil {
+				continue
+			}
+			pending := e.view()
 			res.DroppedBlocks++
 			if tearProb > 0 && rng != nil && rng.Float64() < tearProb {
 				sectors := 1 + rng.Intn(BlockSize/SectorSize-1)
-				b := s.blocks[blk]
-				if b == nil {
-					b = make([]byte, BlockSize)
-					s.blocks[blk] = b
+				if e.media == nil {
+					e.media = new(block)
 				}
-				copy(b[:sectors*SectorSize], pending[:sectors*SectorSize])
+				copy(e.media[:sectors*SectorSize], pending[:sectors*SectorSize])
 				res.TornBlocks++
 			}
+			e.versions = nil
 		}
-		s.volatile = make(map[uint64][]volVersion)
+		s.staged, s.nextDue = s.staged[:0], notDurable
 	}
 	s.crashRes = &res
 	return res
@@ -221,29 +246,25 @@ func (s *Store) CrashedResult() *CrashResult { return s.crashRes }
 // one. Same workload + same seed + same CrashPlan ⇒ identical fingerprint.
 func (s *Store) Fingerprint() uint64 {
 	h := fnv.New64a()
-	blks := make([]uint64, 0, len(s.blocks))
-	//aqlint:sorted -- keys only collected; sorted before use below
-	for blk := range s.blocks {
-		blks = append(blks, blk)
-	}
-	sort.Slice(blks, func(i, j int) bool { return blks[i] < blks[j] })
 	var le [8]byte
-	for _, blk := range blks {
+	for blk, e := range s.entries(0, ^uint64(0)) {
+		if e.media == nil {
+			continue
+		}
 		binary.LittleEndian.PutUint64(le[:], blk)
 		h.Write(le[:])
-		h.Write(s.blocks[blk])
+		h.Write(e.media[:])
 	}
 	return h.Sum64()
 }
 
 // CloneMedia deep-copies the durable media image (call after Crash).
 func (s *Store) CloneMedia() map[uint64][]byte {
-	out := make(map[uint64][]byte, len(s.blocks))
-	//aqlint:sorted -- deep copy, order-independent; no simulated state touched
-	for blk, b := range s.blocks {
-		c := make([]byte, BlockSize)
-		copy(c, b)
-		out[blk] = c
+	out := make(map[uint64][]byte)
+	for blk, e := range s.entries(0, ^uint64(0)) {
+		if e.media != nil {
+			out[blk] = bytes.Clone(e.media[:])
+		}
 	}
 	return out
 }
@@ -251,14 +272,13 @@ func (s *Store) CloneMedia() map[uint64][]byte {
 // AdoptMedia replaces the store's durable media with a deep copy of img and
 // clears the volatile tier — booting a recovered device from a crash image.
 func (s *Store) AdoptMedia(img map[uint64][]byte) {
-	s.blocks = make(map[uint64][]byte, len(img))
+	s.tab, s.staged, s.nextDue = nil, nil, notDurable
 	//aqlint:sorted -- deep copy, order-independent; no simulated state touched
 	for blk, b := range img {
-		c := make([]byte, BlockSize)
-		copy(c, b)
-		s.blocks[blk] = c
+		c := new(block)
+		copy(c[:], b)
+		s.slot(blk).media = c
 	}
-	s.volatile = make(map[uint64][]volVersion)
 }
 
 // ArmCrashAtOp arms a crash hook that fires synchronously when the store's

@@ -12,7 +12,11 @@
 // charged by the I/O engines layered above, never here.
 package device
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+	"slices"
+)
 
 // BlockSize is the content-store granularity.
 const BlockSize = 4096
@@ -26,20 +30,26 @@ type Stats struct {
 }
 
 // Store is a sparse byte store: the content of a device, split into durable
-// media (blocks) and a volatile write-cache tier (volatile) — see crash.go.
-// Blocks never written read back as zeros.
+// media and a volatile write-cache tier — see crash.go. Blocks never written
+// read back as zeros.
 type Store struct {
 	capacity uint64
-	blocks   map[uint64][]byte
-	// volatile holds staged writes that have not reached their durability
-	// point; reads overlay it, Crash() discards it.
-	volatile map[uint64][]volVersion
+	// tab is the block table: one entry per 4 KB block, both tiers in it, in
+	// chunks of tabChunk blocks made at the first write into them. A read or
+	// a write is one probe, every walk is in block order, and the directory
+	// grows with the highest chunk written, never past capacity.
+	tab []*[tabChunk]blockEntry
+	// staged lists the blocks holding staged versions, in the order they first
+	// got one; nextDue is the earliest durability point scheduled for any of
+	// them (or earlier: Discard leaves it stale), notDurable when none is.
+	staged  []uint64
+	nextDue uint64
 	// free holds blocks no tier references any more (a superseded media
 	// block or staged version, a discarded block) for stage to reuse, and
 	// spare the emptied per-block version lists: a rewrite-persist-settle
 	// cycle then allocates nothing. Both are bounded by the peak number of
 	// blocks that were live at once.
-	free   [][]byte
+	free   []*block
 	spare  [][]volVersion
 	stats  Stats
 	faults *faultState
@@ -49,12 +59,63 @@ type Store struct {
 	crashRes  *CrashResult
 }
 
+// blockEntry is one block's content: media is what a crash leaves, versions
+// the staged writes short of their durability point, oldest to newest — reads
+// overlay the newest, Crash() discards them. versions is nil or non-empty: an
+// emptied list goes to Store.spare. 32 bytes a block.
+type blockEntry struct {
+	media    *block
+	versions []volVersion
+}
+
+type block [BlockSize]byte
+
+// tabChunk is how many blocks one chunk of the table covers (2 MB of device).
+const (
+	tabShift = 9
+	tabChunk = 1 << tabShift
+)
+
 // NewStore creates a content store with the given capacity in bytes.
 func NewStore(capacity uint64) *Store {
-	return &Store{
-		capacity: capacity,
-		blocks:   make(map[uint64][]byte),
-		volatile: make(map[uint64][]volVersion),
+	return &Store{capacity: capacity, nextDue: notDurable}
+}
+
+// entry returns blk's table entry, or nil when its chunk was never written.
+func (s *Store) entry(blk uint64) *blockEntry {
+	if c := blk >> tabShift; c < uint64(len(s.tab)) && s.tab[c] != nil {
+		return &s.tab[c][blk&(tabChunk-1)]
+	}
+	return nil
+}
+
+// slot returns blk's table entry for a write, making its chunk if need be; a
+// block past the capacity is refused the way an access to it is.
+func (s *Store) slot(blk uint64) *blockEntry {
+	if blk >= (s.capacity+BlockSize-1)/BlockSize {
+		s.rangePanic(blk*BlockSize, BlockSize)
+	}
+	c := blk >> tabShift
+	if n := uint64(len(s.tab)); c >= n {
+		s.tab = append(s.tab, make([]*[tabChunk]blockEntry, c+1-n)...)
+	}
+	if s.tab[c] == nil {
+		s.tab[c] = new([tabChunk]blockEntry)
+	}
+	return &s.tab[c][blk&(tabChunk-1)]
+}
+
+// entries walks the table entries of blocks [lo, hi) whose chunk exists, in
+// block order.
+func (s *Store) entries(lo, hi uint64) iter.Seq2[uint64, *blockEntry] {
+	return func(yield func(uint64, *blockEntry) bool) {
+		for blk := lo; blk < min(hi, uint64(len(s.tab))<<tabShift); blk++ {
+			if chunk := s.tab[blk>>tabShift]; chunk == nil {
+				blk |= tabChunk - 1 // on to the next chunk
+			} else if !yield(blk, &chunk[blk&(tabChunk-1)]) {
+				return
+			}
+		}
 	}
 }
 
@@ -135,38 +196,44 @@ func (s *Store) WriteAt(off uint64, buf []byte) {
 func (s *Store) Discard(off, length uint64) {
 	first := (off + BlockSize - 1) / BlockSize
 	last := (off + length) / BlockSize
-	for b := first; b < last; b++ {
-		if old, ok := s.blocks[b]; ok {
-			s.free = append(s.free, old)
-			delete(s.blocks, b)
+	for _, e := range s.entries(first, last) {
+		if e.media != nil {
+			s.free = append(s.free, e.media)
+			e.media = nil
 		}
-		if vs, ok := s.volatile[b]; ok {
-			for _, v := range vs {
+		if e.versions != nil {
+			for _, v := range e.versions {
 				s.free = append(s.free, v.data)
 			}
-			s.keep(b, vs, len(vs))
+			s.keep(e, len(e.versions))
 		}
 	}
+	s.staged = slices.DeleteFunc(s.staged, func(blk uint64) bool { return s.entry(blk).versions == nil })
 }
 
 // ResidentBlocks returns how many content blocks are materialized across
 // both tiers.
 func (s *Store) ResidentBlocks() int {
-	n := len(s.blocks)
-	//aqlint:sorted -- order-independent count; no simulated state touched
-	for blk := range s.volatile {
-		if _, ok := s.blocks[blk]; !ok {
+	n := 0
+	for _, e := range s.entries(0, ^uint64(0)) {
+		if e.media != nil || e.versions != nil {
 			n++
 		}
 	}
 	return n
 }
 
+// checkRange refuses an access that does not lie inside the device, however
+// large off and n are.
 func (s *Store) checkRange(off uint64, n int) {
-	if off+uint64(n) > s.capacity {
-		panic(fmt.Sprintf("device: access [%d, %d) beyond capacity %d",
-			off, off+uint64(n), s.capacity))
+	if off > s.capacity || uint64(n) > s.capacity-off {
+		s.rangePanic(off, n)
 	}
+}
+
+func (s *Store) rangePanic(off uint64, n int) {
+	panic(fmt.Sprintf("device: access [%d, %d) beyond capacity %d",
+		off, off+uint64(n), s.capacity))
 }
 
 // Timing is the queueing model interface: Submit reserves device service for

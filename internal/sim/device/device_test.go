@@ -2,6 +2,7 @@ package device
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -54,6 +55,53 @@ func TestStoreOutOfRangePanics(t *testing.T) {
 	}()
 	s := NewStore(4096)
 	s.ReadAt(4000, make([]byte, 200))
+}
+
+// The block table is bounded where the maps it replaced were not: whatever
+// names a block past the capacity — an access whose end wraps around 2^64, a
+// crash image from a larger device — is refused with the out-of-range panic,
+// and nothing that only looks (a page read, a Persist, a Discard, however
+// large their ranges) sizes the table's directory by what it was asked.
+func TestStoreRefusesBlocksPastCapacity(t *testing.T) {
+	const capacity = 3*BlockSize + 100 // the last block is partial
+	panicOf := func(f func()) (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		f()
+		return "no panic"
+	}
+	s := NewStore(capacity)
+	s.WriteAt(3*BlockSize, make([]byte, 100)) // the partial block is the device's
+	for _, tc := range []struct {
+		name string
+		f    func()
+		want string
+	}{
+		{"read past the end", func() { s.ReadAt(capacity-1, make([]byte, 2)) },
+			"device: access [12387, 12389) beyond capacity 12388"},
+		{"write at the end", func() { s.WriteAt(capacity, []byte{1}) },
+			"device: access [12388, 12389) beyond capacity 12388"},
+		{"write whose end wraps", func() { s.WriteAt(^uint64(0)-1, make([]byte, 8)) },
+			"device: access [18446744073709551614, 6) beyond capacity 12388"},
+		{"read whose end wraps", func() { s.ReadAt(^uint64(0)-BlockSize+1, make([]byte, BlockSize)) },
+			"device: access [18446744073709547520, 0) beyond capacity 12388"},
+		{"image of a larger device", func() { s.AdoptMedia(map[uint64][]byte{1 << 40: make([]byte, BlockSize)}) },
+			"device: access [4503599627370496, 4503599627374592) beyond capacity 12388"},
+	} {
+		if got := panicOf(tc.f); got != tc.want {
+			t.Errorf("%s: %q, want %q", tc.name, got, tc.want)
+		}
+	}
+	s = NewStore(capacity)
+	s.WriteAt(0, make([]byte, BlockSize))
+	if s.ReadPage(BlockSize<<40, nil) {
+		t.Error("page read far past the capacity found a block")
+	}
+	s.Persist(0, 1<<62, 7)
+	s.Discard(BlockSize, ^uint64(0)-BlockSize)
+	s.settle(7)
+	if len(s.tab) != 1 || s.ResidentBlocks() != 1 || s.PendingBlocks() != 0 {
+		t.Fatalf("table of %d chunks, %d resident and %d pending blocks; want 1, 1 and 0", len(s.tab), s.ResidentBlocks(), s.PendingBlocks())
+	}
 }
 
 func TestStoreDiscard(t *testing.T) {

@@ -3,21 +3,30 @@ package device
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
 
 // refStore is the content model of Store as it was before blocks were
-// recycled: every staged version is a fresh buffer and a superseded one is
-// dropped for the garbage collector. Same rules, no buffer ever reused — the
-// reference the free list is held to.
+// recycled and before the two tiers shared one block table: media and staged
+// versions are two Go maps, every staged version is a fresh buffer, a
+// superseded one is dropped for the garbage collector, and settle walks every
+// staged block on every call. Same rules, no buffer ever reused, no table, no
+// early-out — the reference the free list and the table are held to.
 type refStore struct {
 	blocks   map[uint64][]byte
-	volatile map[uint64][]volVersion
+	volatile map[uint64][]refVersion
+}
+
+// refVersion is the reference's staged version: a slice of its own.
+type refVersion struct {
+	data      []byte
+	durableAt uint64
 }
 
 func newRefStore() *refStore {
-	return &refStore{blocks: map[uint64][]byte{}, volatile: map[uint64][]volVersion{}}
+	return &refStore{blocks: map[uint64][]byte{}, volatile: map[uint64][]refVersion{}}
 }
 
 func (r *refStore) view(blk uint64) []byte {
@@ -47,7 +56,7 @@ func (r *refStore) write(off uint64, buf []byte) {
 		b := make([]byte, BlockSize)
 		copy(b, r.view(blk))
 		copy(b[bo:], buf[at:at+chunk])
-		r.volatile[blk] = append(vs, volVersion{data: b, durableAt: notDurable})
+		r.volatile[blk] = append(vs, refVersion{data: b, durableAt: notDurable})
 	})
 }
 
@@ -116,7 +125,7 @@ func (r *refStore) crash(cycle uint64, rng *rand.Rand, tearProb float64) (droppe
 			torn++
 		}
 	}
-	r.volatile = map[uint64][]volVersion{}
+	r.volatile = map[uint64][]refVersion{}
 	return dropped, torn
 }
 
@@ -126,6 +135,43 @@ func cloneImage(img map[uint64][]byte) map[uint64][]byte {
 		out[blk] = bytes.Clone(b)
 	}
 	return out
+}
+
+// tiers returns the store's two tiers as the maps the reference keeps — the
+// table's own buffers, not copies — and fails the test when the table's
+// bookkeeping disagrees with its entries: the staged list is exactly the
+// blocks with versions, each once; an emptied version list is nil; nextDue is
+// no later than any scheduled durability point.
+func tiers(t *testing.T, s *Store) (media map[uint64][]byte, staged map[uint64][]volVersion) {
+	t.Helper()
+	media, staged = map[uint64][]byte{}, map[uint64][]volVersion{}
+	for blk, e := range s.entries(0, ^uint64(0)) {
+		if e.media != nil {
+			media[blk] = e.media[:]
+		}
+		if e.versions != nil {
+			if len(e.versions) == 0 {
+				t.Fatalf("block %d keeps an empty version list", blk)
+			}
+			staged[blk] = e.versions
+			for _, v := range e.versions {
+				if v.durableAt < s.nextDue {
+					t.Fatalf("block %d has a version due at %d, before nextDue %d", blk, v.durableAt, s.nextDue)
+				}
+			}
+		}
+	}
+	listed := map[uint64]bool{}
+	for _, blk := range s.staged {
+		if listed[blk] || staged[blk] == nil {
+			t.Fatalf("staged list %v: block %d listed twice or without a version", s.staged, blk)
+		}
+		listed[blk] = true
+	}
+	if len(listed) != len(staged) {
+		t.Fatalf("staged list has %d blocks, the table %d with versions", len(listed), len(staged))
+	}
+	return media, staged
 }
 
 func sameImage(a, b map[uint64][]byte) bool {
@@ -141,13 +187,16 @@ func sameImage(a, b map[uint64][]byte) bool {
 }
 
 // TestRecyclingStoreMatchesNonRecyclingReference drives a Store and the
-// non-recycling reference with one seeded random sequence of everything that
-// touches the free list or could be hurt by it — WriteAt, Persist, the settle
-// every Submit does, Discard, Crash with torn sectors, CloneMedia, AdoptMedia —
-// and after every step compares the whole readable content, PendingBlocks and
-// the media image, and checks that no buffer is owned twice: not by the free
-// list and a tier, not by two versions, not by a store and an image it handed
-// out or adopted.
+// two-map, non-recycling reference with one seeded random sequence of
+// everything that touches the block table or the free list or could be hurt by
+// them — WriteAt, Persist (also of a version already scheduled, to an earlier
+// and to a later point), the settle every Submit does (also at exactly a
+// version's durability point, and with nothing due), SettleAll, Discard, Crash
+// with torn sectors, CloneMedia, AdoptMedia — and after every step compares the
+// whole readable content, PendingBlocks, both tiers version by version and the
+// media image, and checks that no buffer is owned twice: not by the free list
+// and a tier, not by two versions, not by a store and an image it handed out
+// or adopted.
 func TestRecyclingStoreMatchesNonRecyclingReference(t *testing.T) {
 	const blocks = 48
 	for seed := int64(1); seed <= 3; seed++ {
@@ -157,7 +206,8 @@ func TestRecyclingStoreMatchesNonRecyclingReference(t *testing.T) {
 		type clone struct{ img, snapshot map[uint64][]byte }
 		var clones []clone
 		var now uint64
-		var recycled, whole, crashes, torn, cloned int
+		var recycled, whole, crashes, torn, cloned, idle, exact, earlier int
+		var due []uint64 // durability points handed to Persist
 		all, wantAll := make([]byte, blocks*BlockSize), make([]byte, blocks*BlockSize)
 		for step := 0; step < 4000; step++ {
 			off := uint64(rng.Intn(blocks * BlockSize))
@@ -175,12 +225,29 @@ func TestRecyclingStoreMatchesNonRecyclingReference(t *testing.T) {
 				chunks(off, n, func(_ uint64, _, _, chunk int) { whole += chunk / BlockSize })
 			case op < 65:
 				at := now + uint64(rng.Intn(3000))
+				chunks(off, n, func(blk uint64, _, _, _ int) {
+					if vs := want.volatile[blk]; len(vs) > 0 && at < vs[len(vs)-1].durableAt && vs[len(vs)-1].durableAt != notDurable {
+						earlier++
+					}
+				})
 				got.Persist(off, n, at)
 				want.persist(off, n, at)
-			case op < 85:
+				due = append(due, at)
+			case op < 83:
 				now += uint64(rng.Intn(1500))
+				if due = slices.DeleteFunc(due, func(at uint64) bool { return at < now }); op < 70 && len(due) > 0 {
+					// Land exactly on a durability point still ahead.
+					now = due[rng.Intn(len(due))]
+					exact++
+				}
+				if now < got.nextDue {
+					idle++ // the early-out: the reference still walks everything
+				}
 				got.settle(now)
 				want.settle(now)
+			case op < 85:
+				got.SettleAll()
+				want.settle(notDurable - 1)
 			case op < 90:
 				got.Discard(off, uint64(n))
 				want.discard(off, uint64(n))
@@ -205,7 +272,7 @@ func TestRecyclingStoreMatchesNonRecyclingReference(t *testing.T) {
 			case len(clones) > 0:
 				c := clones[rng.Intn(len(clones))]
 				got.AdoptMedia(c.img)
-				want.blocks, want.volatile = cloneImage(c.img), map[uint64][]volVersion{}
+				want.blocks, want.volatile = cloneImage(c.img), map[uint64][]refVersion{}
 			}
 
 			got.ReadAt(0, all)
@@ -216,8 +283,23 @@ func TestRecyclingStoreMatchesNonRecyclingReference(t *testing.T) {
 			if got.PendingBlocks() != len(want.volatile) {
 				t.Fatalf("seed %d step %d: PendingBlocks %d, reference %d", seed, step, got.PendingBlocks(), len(want.volatile))
 			}
-			if !sameImage(got.blocks, want.blocks) {
+			media, staged := tiers(t, got)
+			if !sameImage(media, want.blocks) {
 				t.Fatalf("seed %d step %d: media image differs from the reference", seed, step)
+			}
+			if len(staged) != len(want.volatile) {
+				t.Fatalf("seed %d step %d: %d staged blocks, reference %d", seed, step, len(staged), len(want.volatile))
+			}
+			for blk, vs := range staged {
+				ref := want.volatile[blk]
+				if len(vs) != len(ref) {
+					t.Fatalf("seed %d step %d: block %d has %d staged versions, reference %d", seed, step, blk, len(vs), len(ref))
+				}
+				for i := range vs {
+					if vs[i].durableAt != ref[i].durableAt || !bytes.Equal(vs[i].data[:], ref[i].data) {
+						t.Fatalf("seed %d step %d: block %d version %d differs from the reference", seed, step, blk, i)
+					}
+				}
 			}
 			if step%32 == 0 {
 				ref := NewStore(blocks * BlockSize)
@@ -237,14 +319,14 @@ func TestRecyclingStoreMatchesNonRecyclingReference(t *testing.T) {
 				owner[&b[0]] = who
 			}
 			for _, b := range got.free {
-				own(b, "the free list")
+				own(b[:], "the free list")
 			}
-			for _, b := range got.blocks {
+			for _, b := range media {
 				own(b, "media")
 			}
-			for _, vs := range got.volatile {
+			for _, vs := range staged {
 				for _, v := range vs {
-					own(v.data, "a staged version")
+					own(v.data[:], "a staged version")
 				}
 			}
 			for _, c := range clones {
@@ -256,9 +338,9 @@ func TestRecyclingStoreMatchesNonRecyclingReference(t *testing.T) {
 				}
 			}
 		}
-		if recycled < 100 || whole < 100 || crashes == 0 || torn == 0 || cloned == 0 {
-			t.Fatalf("seed %d: sequence too tame: %d recycled buffers, %d whole-block chunks, %d crashes, %d torn blocks, %d clones",
-				seed, recycled, whole, crashes, torn, cloned)
+		if recycled < 100 || whole < 100 || crashes == 0 || torn == 0 || cloned == 0 || idle < 20 || exact < 20 || earlier < 10 {
+			t.Fatalf("seed %d: sequence too tame: %d recycled buffers, %d whole-block chunks, %d crashes, %d torn blocks, %d clones, %d settles with nothing due, %d at exactly a durability point, %d re-persists to an earlier one",
+				seed, recycled, whole, crashes, torn, cloned, idle, exact, earlier)
 		}
 	}
 }
@@ -292,5 +374,43 @@ func BenchmarkStoreRewritePersist(b *testing.B) {
 	b.SetBytes(8 * BlockSize)
 	for i := 0; i < b.N; i++ {
 		rewritePersistSettle(s, buf, &now)
+	}
+}
+
+// BenchmarkStoreViewHit is the fill read of a materialized block: one probe of
+// the block table.
+func BenchmarkStoreViewHit(b *testing.B) {
+	const blocks = 4096
+	s, buf := NewStore(blocks*BlockSize), fullBlock(0x5A)
+	for blk := uint64(0); blk < blocks; blk++ {
+		s.WriteAt(blk*BlockSize, buf)
+	}
+	s.Persist(0, blocks*BlockSize, 1)
+	s.settle(1)
+	page := func() []byte { return buf }
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if !s.ReadPage(uint64(i*2654435761%blocks)*BlockSize, page) {
+			b.Fatal("hole")
+		}
+	}
+}
+
+// BenchmarkStoreSubmitNothingDue is the settle every Submit starts with while
+// 4 K blocks sit staged and none has reached its durability point: the deep
+// write-back queue of a saturated device.
+func BenchmarkStoreSubmitNothingDue(b *testing.B) {
+	const blocks = 4096
+	s, buf := NewStore(blocks*BlockSize), fullBlock(0x5A)
+	for blk := uint64(0); blk < blocks; blk++ {
+		s.WriteAt(blk*BlockSize, buf)
+		s.Persist(blk*BlockSize, BlockSize, 1<<40+blk)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s.settle(uint64(i))
+	}
+	if s.PendingBlocks() != blocks {
+		b.Fatalf("%d blocks pending, want %d", s.PendingBlocks(), blocks)
 	}
 }
