@@ -137,14 +137,16 @@ engine-bench:
 # block and the settle of a Submit with 4 K blocks staged and none due, a frame
 # and a 2 MB block out of and back into simulated DRAM, a 128 MB pool booted,
 # one busy period of a page's event, the cache index's lookup-insert-remove
-# (beside the map it replaced) and the delete of a file with 24 K cached pages
+# (beside the map it replaced), an address-space lookup in the shared range set,
+# the delete of a file with 24 K cached pages and a 64-page ranged msync with
+# 16 K pages cached and 4 K dirty across four cores
 # (DESIGN.md §3 "Simulated hardware state is flat"). Not part of ci, like
 # engine-bench: the AllocsPerRun tests beside these benchmarks do the gating
 # in `make test`.
 sim-bench:
 	$(GO) test ./internal/sim/cpu ./internal/sim/pagetable ./internal/sim/device ./internal/sim/mem -run '^$$' -bench . -benchmem -cpu 1
 	$(GO) test ./internal/sim/engine -run '^$$' -bench EventArmFireWait -benchmem -cpu 1
-	$(GO) test ./internal/detutil ./internal/core -run '^$$' -bench 'PageIndexLookupInsertRemove|DeleteFile24kPages' -benchmem -cpu 1
+	$(GO) test ./internal/detutil ./internal/core -run '^$$' -bench 'PageIndexLookupInsertRemove|RegionFind|DeleteFile24kPages|MsyncRange64Of16k' -benchmem -cpu 1
 
 # Host cost of the KV data path alone, the stores over an in-memory namespace
 # (internal/kvs/kvtest) so nothing of a world is in the numbers: the value

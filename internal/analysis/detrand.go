@@ -8,13 +8,13 @@ import (
 // Detrand forbids nondeterministic time and randomness sources inside the
 // deterministic package trees: `time.Now`/`time.Since`/`time.Until` and every
 // package-level math/rand function that draws from the global source. Seeded
-// generators threaded from engine.Rand()/Params.Seed are the sanctioned
+// generators made from the seed a world was given (rand.New) are the sanctioned
 // source, so the constructors (rand.New, rand.NewSource, rand.NewZipf) and
 // all methods on a *rand.Rand value remain allowed.
 var Detrand = &Analyzer{
 	Name: "detrand",
 	Doc: "forbid wall-clock time and global math/rand in deterministic packages; " +
-		"thread a seeded *rand.Rand from engine.Rand()/Params.Seed instead",
+		"thread a *rand.Rand made by rand.New from the world's seed instead",
 	Run: runDetrand,
 }
 
@@ -56,7 +56,7 @@ func runDetrand(pass *Pass) error {
 			case "math/rand", "math/rand/v2":
 				if !detrandAllowedRand[fn.Name()] {
 					pass.Reportf(call.Pos(),
-						"global rand.%s in deterministic package %s: thread a seeded *rand.Rand (engine.Rand()/Params.Seed)",
+						"global rand.%s in deterministic package %s: thread a seeded *rand.Rand (rand.New from the world's seed)",
 						fn.Name(), pass.Pkg.Path())
 				}
 			}

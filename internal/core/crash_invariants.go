@@ -24,9 +24,8 @@ import "fmt"
 //   - a frame owned twice (two pages, a page and a free queue, two queues),
 //   - more frames accounted for than were ever granted,
 //   - a hash entry filed under the wrong key,
-//   - a dirty-flagged page missing from its core's dirty tree, or a tree
-//     entry whose page is clean (the runtime changes flag and tree entry
-//     together, with no yield point in between — see evict/msyncFileRange).
+//   - a core's dirty count that is not the number of cached pages flagged
+//     dirty by that core (setDirty and clean move flag and count together).
 func (rt *Runtime) CheckCrashInvariants() error {
 	owner := make(map[uint64]string)
 	claim := func(id uint64, who string) error {
@@ -67,7 +66,6 @@ func (rt *Runtime) CheckCrashInvariants() error {
 	if free := rt.fl.Free(); free < 0 {
 		return fmt.Errorf("freelist negative: %d", free)
 	}
-	dirtyPages := 0
 	for pg := range rt.cached() {
 		if at := pg.file.pages.Get(pg.idx); at != pg {
 			return fmt.Errorf("page (%s,%d) is not what its index holds there", pg.file.name, pg.idx)
@@ -76,8 +74,8 @@ func (rt *Runtime) CheckCrashInvariants() error {
 		if (!pg.resident || pg.frame == nil) && !pg.busy() {
 			return fmt.Errorf("%s is claimed or unbacked (resident=%v, frame=%v) but not busy", who, pg.resident, pg.frame != nil)
 		}
-		if len(pg.vas) <= 1 && !pg.vasInline() {
-			return fmt.Errorf("%s: %d mapping(s) kept outside the page's own slot", who, len(pg.vas))
+		if len(pg.vas.S) <= 1 && !pg.vas.Inline() {
+			return fmt.Errorf("%s: %d mapping(s) kept outside the page's own slot", who, len(pg.vas.S))
 		}
 		if pg.huge {
 			for _, fr := range pg.frames {
@@ -93,21 +91,11 @@ func (rt *Runtime) CheckCrashInvariants() error {
 				return err
 			}
 		}
-		if pg.dirty {
-			dirtyPages++
-		}
 	}
 	if uint64(len(owner)) > rt.limitPages {
 		return fmt.Errorf("%d frames accounted > limit %d", len(owner), rt.limitPages)
 	}
-	dirtyInTrees, err := rt.auditDirtyTrees(false)
-	if err != nil {
-		return err
-	}
-	if dirtyPages != dirtyInTrees {
-		return fmt.Errorf("dirty pages %d != dirty-tree entries %d", dirtyPages, dirtyInTrees)
-	}
-	return nil
+	return rt.auditDirtyCounts()
 }
 
 // WBErrorSnapshot returns, per file name, the latest writeback error no sync

@@ -124,15 +124,13 @@ func (rt *Runtime) hugeFault(p *engine.Proc, r *Region, f *fileState, idx uint64
 		pg.resident = false
 		rt.lru.forget(pg)
 		rt.cacheRemove(pg)
-		for _, va := range pg.vas {
+		for _, va := range pg.vas.S {
 			if rt.PT.Unmap(va) {
 				unmapped++
 			}
 		}
-		pg.vas = nil
-		if pg.dirty {
-			rt.dirty[pg.dirtyCore].Delete(dirtyKey(pg))
-			pg.dirty = false
+		pg.vas.S = nil
+		if rt.clean(pg) {
 			dirtyOlds = append(dirtyOlds, pg)
 		}
 	}
@@ -152,17 +150,12 @@ func (rt *Runtime) hugeFault(p *engine.Proc, r *Region, f *fileState, idx uint64
 	// must hit the device before their frames are recycled.
 	if len(dirtyOlds) > 0 {
 		rt.charge(p, "dirty-track", rt.P.DirtyTreeOp*uint64(len(dirtyOlds)))
-		rt.writeBack(p, dirtyOlds, "aq.writeback", true, nil, false)
-		aborted := false
-		for _, pg := range dirtyOlds {
-			if pg.dirty || pg.quarantined {
-				// Requeued or quarantined by the failure path: the frame's
-				// content is the only good copy, so the promotion cannot
-				// proceed. Undo the claim wholesale.
-				aborted = true
-			}
-		}
-		if aborted {
+		if rt.writeBack(p, dirtyOlds, "aq.writeback", true, nil, false) != nil {
+			// A constituent was requeued or quarantined by the failure path:
+			// its frame's content is the only good copy, so the promotion
+			// cannot proceed. Undo the claim wholesale. (The error, not the
+			// pages' flags: a requeued page is dirty again and an msync that
+			// collected it before the claim may have taken it since.)
 			rt.cacheRemove(unit)
 			unit.resident = false
 			for _, pg := range olds {
@@ -242,7 +235,7 @@ func (rt *Runtime) hugeMap(p *engine.Proc, r *Region, pg *Page, va uint64, write
 	if (pg.idx+hugePages)*pageSize > r.End-r.Start {
 		if _, mapped := rt.PT.Lookup(va); !mapped {
 			rt.PT.Map(va, pg.frames[off].ID, flags, pagetable.Size4K)
-			pg.addVA(va)
+			pg.vas.Add(va)
 		} else {
 			rt.PT.Protect(va, flags)
 		}
@@ -252,7 +245,7 @@ func (rt *Runtime) hugeMap(p *engine.Proc, r *Region, pg *Page, va uint64, write
 		hugeVA := va &^ uint64(hugeBytes-1)
 		if e, ok := rt.PT.Lookup(hugeVA); !ok || e.PageSize != pagetable.Size2M {
 			rt.PT.Map(hugeVA, pg.frames[0].ID, flags, pagetable.Size2M)
-			pg.addVA(hugeVA)
+			pg.vas.Add(hugeVA)
 		} else {
 			rt.PT.Protect(hugeVA, flags)
 		}
@@ -301,7 +294,7 @@ func (rt *Runtime) hugeWP(p *engine.Proc, r *Region, pg *Page, va uint64) (*mem.
 	rt.markDirty(p, spg)
 	if _, mapped := rt.PT.Lookup(va); !mapped {
 		rt.PT.Map(va, spg.frame.ID, wrFlags, pagetable.Size4K)
-		spg.addVA(va)
+		spg.vas.Add(va)
 	} else {
 		rt.PT.Protect(va, wrFlags)
 	}
@@ -312,7 +305,7 @@ func (rt *Runtime) hugeWP(p *engine.Proc, r *Region, pg *Page, va uint64) (*mem.
 
 // splitUnit demotes a 2 MB unit into its 512 constituent 4 KB pages, which
 // inherit the unit's frames in place (no copy, one shootdown). All cache,
-// page-table and dirty-tree mutations complete before the first cycle is
+// page-table and dirty-set mutations complete before the first cycle is
 // charged, so no concurrent proc ever observes a half-split extent. Mappings
 // are dropped and re-established lazily by later faults. pinOff >= 0 pins
 // that constituent on the caller's behalf across the trailing charges (the
@@ -320,18 +313,14 @@ func (rt *Runtime) hugeWP(p *engine.Proc, r *Region, pg *Page, va uint64) (*mem.
 func (rt *Runtime) splitUnit(p *engine.Proc, pg *Page, pinOff int) []*Page {
 	rt.Stats.HugeDemotions++
 	p.SpanEvent("huge.split", 1)
-	wasDirty := pg.dirty
-	if wasDirty {
-		rt.dirty[pg.dirtyCore].Delete(dirtyKey(pg))
-		pg.dirty = false
-	}
+	wasDirty := rt.clean(pg)
 	unmapped := 0
-	for _, va := range pg.vas {
+	for _, va := range pg.vas.S {
 		if rt.PT.Unmap(va) {
 			unmapped++
 		}
 	}
-	pg.vas = nil
+	pg.vas.S = nil
 	pg.resident = false
 	rt.lru.forget(pg)
 	rt.cacheRemove(pg)
@@ -339,9 +328,7 @@ func (rt *Runtime) splitUnit(p *engine.Proc, pg *Page, pinOff int) []*Page {
 	for i := range split {
 		spg := &Page{file: pg.file, idx: pg.idx + uint64(i), frame: pg.frames[i], resident: true}
 		if wasDirty {
-			spg.dirty = true
-			spg.dirtyCore = int32(p.CPU())
-			rt.dirty[p.CPU()].Insert(dirtyKey(spg), spg)
+			rt.setDirty(spg, p.CPU())
 		}
 		split[i] = spg
 		rt.cacheInsert(spg)

@@ -20,10 +20,6 @@ func (rt *Runtime) CheckInvariants() error {
 	if uint64(resident+free) != rt.limitPages {
 		return fmt.Errorf("resident %d + free %d != limit %d", resident, free, rt.limitPages)
 	}
-	dirtyInTrees, err := rt.auditDirtyTrees(true)
-	if err != nil {
-		return err
-	}
 	// The cache index: every file's leaves hold what their populations say,
 	// none is linked empty, and a page sits at its own (file, index).
 	//aqlint:sorted -- read-only audit: which violation is reported first may vary, but no simulated state is touched
@@ -37,7 +33,6 @@ func (rt *Runtime) CheckInvariants() error {
 			}
 		}
 	}
-	dirtyPages := 0
 	for pg := range rt.cached() {
 		if !pg.resident {
 			return fmt.Errorf("non-resident page (%s,%d) still in hash", pg.file.name, pg.idx)
@@ -48,11 +43,8 @@ func (rt *Runtime) CheckInvariants() error {
 		if pg.busy() {
 			return fmt.Errorf("page (%s,%d) has in-flight I/O at quiesce", pg.file.name, pg.idx)
 		}
-		if len(pg.vas) <= 1 && !pg.vasInline() {
-			return fmt.Errorf("page (%s,%d): %d mapping(s) kept outside the page's own slot", pg.file.name, pg.idx, len(pg.vas))
-		}
-		if pg.dirty {
-			dirtyPages++
+		if len(pg.vas.S) <= 1 && !pg.vas.Inline() {
+			return fmt.Errorf("page (%s,%d): %d mapping(s) kept outside the page's own slot", pg.file.name, pg.idx, len(pg.vas.S))
 		}
 		// Fault discipline: a poisoned page is unreadable, so it can never
 		// have been stored to (stores SIGBUS at resolve) — it must be clean,
@@ -91,7 +83,7 @@ func (rt *Runtime) CheckInvariants() error {
 				return fmt.Errorf("unit (%s,%d) poisoned", pg.file.name, pg.idx)
 			}
 		}
-		for _, va := range pg.vas {
+		for _, va := range pg.vas.S {
 			e, ok := rt.PT.Lookup(va)
 			if !ok {
 				return fmt.Errorf("page (%s,%d): rmap va %#x unmapped", pg.file.name, pg.idx, va)
@@ -124,8 +116,8 @@ func (rt *Runtime) CheckInvariants() error {
 			}
 		}
 	}
-	if dirtyPages != dirtyInTrees {
-		return fmt.Errorf("dirty pages %d != dirty-tree entries %d", dirtyPages, dirtyInTrees)
+	if err := rt.auditDirtyCounts(); err != nil {
+		return err
 	}
 	// LRU queues: the counters the sweep trigger reads match a recount, and a
 	// live entry — the one its page's lruSeq names — is a cached page's.
@@ -147,28 +139,25 @@ func (rt *Runtime) CheckInvariants() error {
 	return nil
 }
 
-// auditDirtyTrees checks every dirty-tree entry — a dirty page under its own
-// key and, with cached set, one the cache index still holds — and returns how
-// many there are.
-func (rt *Runtime) auditDirtyTrees(cached bool) (n int, err error) {
-	for core, tree := range rt.dirty {
-		tree.Ascend(func(key uint64, pg *Page) bool {
-			n++
-			switch {
-			case !pg.dirty:
-				err = fmt.Errorf("core %d dirty tree holds clean page (%s,%d)", core, pg.file.name, pg.idx)
-			case key != dirtyKey(pg):
-				err = fmt.Errorf("dirty tree key %d != dirtyKey %d", key, dirtyKey(pg))
-			case cached && pg.file.pages.Get(pg.idx) != pg:
-				err = fmt.Errorf("dirty tree holds evicted page (%s,%d)", pg.file.name, pg.idx)
-			}
-			return err == nil
-		})
-		if err != nil {
-			break
+// auditDirtyCounts holds each core's dirty count against a recount of the
+// cached pages' flags.
+func (rt *Runtime) auditDirtyCounts() error {
+	on := make([]int, len(rt.dirtyOn))
+	for pg := range rt.cached() {
+		if !pg.dirty {
+			continue
+		}
+		if pg.dirtyCore < 0 || int(pg.dirtyCore) >= len(on) {
+			return fmt.Errorf("dirty page (%s,%d) names core %d of %d", pg.file.name, pg.idx, pg.dirtyCore, len(on))
+		}
+		on[pg.dirtyCore]++
+	}
+	for core, n := range on {
+		if n != rt.dirtyOn[core] {
+			return fmt.Errorf("core %d counts %d dirty pages, %d cached pages say so", core, rt.dirtyOn[core], n)
 		}
 	}
-	return n, err
+	return nil
 }
 
 // checkWatermarkBounds validates explicitly configured eviction watermarks

@@ -96,9 +96,9 @@ func (m *AqMapping) Msync(p *engine.Proc) error {
 	return m.r.File.wbErr.check(&m.errCursor)
 }
 
-// MsyncRange implements iface.Mapping: intercepted in ring 0 and served from
-// the per-core dirty trees, whose device-offset ordering makes the range
-// collection a bounded in-order walk.
+// MsyncRange implements iface.Mapping: intercepted in ring 0, and the
+// collection is bounded by the range — each core's dirty pages of it, in
+// device order (msyncFileRange walks the file's page index).
 func (m *AqMapping) MsyncRange(p *engine.Proc, off, length uint64) error {
 	m.rt.msyncFileRange(p, m.r.File, off, length)
 	return m.r.File.wbErr.check(&m.errCursor)
@@ -198,8 +198,8 @@ func (m *AqMapping) Mremap(p *engine.Proc, newSize uint64) {
 			rt.PT.Map(newStart+i*pageSize, e.Frame, e.Flags, size)
 			rt.charge(p, "map-pte", 2*rt.C.PTEUpdate)
 			if pg := rt.lookupPage(m.r.File, i); pg != nil {
-				pg.removeVA(oldVA)
-				pg.addVA(newStart + i*pageSize)
+				pg.vas.Remove(oldVA)
+				pg.vas.Add(newStart + i*pageSize)
 			}
 			moved++
 			i += span

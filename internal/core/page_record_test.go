@@ -53,8 +53,8 @@ func TestColdMajorFaultIsOneAllocation(t *testing.T) {
 			t.Fatalf("%d evictions: the faults were not all cold", rt.Stats.Evictions)
 		}
 		pg := f.pages.Get(0)
-		if len(pg.vas) != 1 || !pg.vasInline() {
-			t.Fatalf("a page mapped once has vas %v, inline=%v", pg.vas, pg.vasInline())
+		if len(pg.vas.S) != 1 || !pg.vas.Inline() {
+			t.Fatalf("a page mapped once has vas %v, inline=%v", pg.vas.S, pg.vas.Inline())
 		}
 		second()
 		minor := rt.Stats.MinorFaults
@@ -64,13 +64,13 @@ func TestColdMajorFaultIsOneAllocation(t *testing.T) {
 		if got := rt.Stats.MinorFaults - minor; got != 51*batch {
 			t.Fatalf("the second mapping's loads took %d minor faults, want %d", got, 51*batch)
 		}
-		if len(pg.vas) != 2 || pg.vasInline() {
-			t.Fatalf("a page mapped twice has vas %v, inline=%v", pg.vas, pg.vasInline())
+		if len(pg.vas.S) != 2 || pg.vas.Inline() {
+			t.Fatalf("a page mapped twice has vas %v, inline=%v", pg.vas.S, pg.vas.Inline())
 		}
 		// Down to one mapping, the survivor moves back into the page.
 		m1.Munmap(p)
-		if len(pg.vas) != 1 || !pg.vasInline() || pg.vas[0] != m2.r.Start {
-			t.Fatalf("after the first mapping went: vas %#x, inline=%v, want [%#x] inline", pg.vas, pg.vasInline(), m2.r.Start)
+		if len(pg.vas.S) != 1 || !pg.vas.Inline() || pg.vas.S[0] != m2.r.Start {
+			t.Fatalf("after the first mapping went: vas %#x, inline=%v, want [%#x] inline", pg.vas.S, pg.vas.Inline(), m2.r.Start)
 		}
 		if err := rt.CheckInvariants(); err != nil {
 			t.Fatal(err)
@@ -228,11 +228,11 @@ func TestInvariantsAuditThePageRecord(t *testing.T) {
 			}
 		}
 
-		inline := pg.vas
-		pg.vas = []uint64{inline[0]} // one mapping, kept on the heap
+		inline := pg.vas.S
+		pg.vas.S = []uint64{inline[0]} // one mapping, kept on the heap
 		expect("CheckInvariants", rt.CheckInvariants(), "outside the page's own slot")
 		expect("CheckCrashInvariants", rt.CheckCrashInvariants(), "outside the page's own slot")
-		pg.vas = inline
+		pg.vas.S = inline
 
 		pg.resident = false // claimed, but nobody armed the event
 		expect("CheckCrashInvariants", rt.CheckCrashInvariants(), "but not busy")
@@ -247,6 +247,16 @@ func TestInvariantsAuditThePageRecord(t *testing.T) {
 		expect("CheckInvariants", rt.CheckInvariants(), "page (data,7) filed at (data,0)")
 		expect("CheckCrashInvariants", rt.CheckCrashInvariants(), "not what its index holds")
 		pg.idx = 0
+
+		m.Store(p, 0, buf[:])
+		rt.dirtyOn[1]++ // a dirty page nobody dirtied
+		expect("CheckInvariants", rt.CheckInvariants(), "core 1 counts 1 dirty pages, 0 cached pages say so")
+		expect("CheckCrashInvariants", rt.CheckCrashInvariants(), "core 1 counts 1 dirty pages")
+		rt.dirtyOn[1]--
+		pg.dirtyCore = 2 // of two cores
+		expect("CheckInvariants", rt.CheckInvariants(), "dirty page (data,0) names core 2 of 2")
+		expect("CheckCrashInvariants", rt.CheckCrashInvariants(), "names core 2 of 2")
+		pg.dirtyCore = 0
 
 		rt.lru.dead++ // a death nobody died
 		expect("CheckInvariants", rt.CheckInvariants(), "LRU counters")
@@ -271,9 +281,10 @@ func mallocs(f func()) uint64 {
 // write-back cycle at steady state: cache full, a file eight times its size,
 // two loads to one store over uniformly random pages. N major faults cost N
 // page records plus the device blocks written for the first time, and nothing
-// else: no dirty-tree node, no run slice, no victim or dirty batch, no index
-// leaf, no version list. What amortizes (an LRU queue's tail, the staged
-// list) is allowed a hundredth of an allocation per fault.
+// else: no run slice, no victim or dirty batch, no index leaf, no version
+// list, and nothing at all for a page turning dirty or clean. What amortizes
+// (an LRU queue's tail, the staged list) is allowed a thousandth of an
+// allocation per fault.
 func TestEvictWritebackCycleAllocations(t *testing.T) {
 	const cachePages, filePages = 1024, 8192
 	e, os, boot := daxWorld(cachePages*pageSize, 2)
@@ -299,31 +310,14 @@ func TestEvictWritebackCycleAllocations(t *testing.T) {
 		ops(12 * cachePages)
 		store := os.Disk().Content
 		faults, written, blocks := rt.Stats.MajorFaults, rt.Stats.WrittenBack, store.ResidentBlocks()
-		nodes := 0
-		for _, tree := range rt.dirty {
-			nodes += tree.Len()
-			for n := tree.free; n != nil; n = n.left {
-				nodes++
-			}
-		}
 		got := mallocs(func() { ops(6 * cachePages) })
 		faults, written, blocks = rt.Stats.MajorFaults-faults, rt.Stats.WrittenBack-written, store.ResidentBlocks()-blocks
 		if faults < 4*cachePages || written < cachePages || rt.Stats.Evictions < 8*cachePages {
 			t.Fatalf("not the cycle: %d faults, %d pages written back, %d evictions", faults, written, rt.Stats.Evictions)
 		}
-		if want := faults + uint64(blocks); got < want || got > want+faults/100 {
+		if want := faults + uint64(blocks); got < want || got > want+faults/1000 {
 			t.Errorf("%d faults and %d first-written device blocks made %d allocations, want %d to %d",
-				faults, blocks, got, want, want+faults/100)
-		}
-		after := 0
-		for _, tree := range rt.dirty {
-			after += tree.Len()
-			for n := tree.free; n != nil; n = n.left {
-				after++
-			}
-		}
-		if after > nodes+cachePages/100 {
-			t.Errorf("the dirty trees own %d nodes after the measured phase, %d before: deletes do not feed inserts", after, nodes)
+				faults, blocks, got, want, want+faults/1000)
 		}
 		if err := rt.CheckInvariants(); err != nil {
 			t.Fatal(err)

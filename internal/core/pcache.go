@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"aquila/internal/detutil"
 	"aquila/internal/sim/engine"
@@ -37,11 +36,8 @@ type Page struct {
 	// period of the page; ask busy(), never the event.
 	ev engine.Event
 	// vas are the virtual addresses currently mapping the page, in mapping
-	// order. Up to one they live in va0; a second mapping moves them to the
-	// heap, and they move back when the page is down to one again (addVA,
-	// removeVA).
-	vas []uint64
-	va0 [1]uint64
+	// order; the first lives in the record.
+	vas detutil.InlineList[uint64]
 	// lruSeq is the fault sequence number of the page's newest LRU record;
 	// older queue entries are stale and skipped lazily.
 	lruSeq uint64
@@ -51,7 +47,9 @@ type Page struct {
 	poison *IOFault
 	// frames are a 2 MB unit's 512 contiguous frames (huge).
 	frames []*mem.Frame
-	// dirtyCore is the core whose red-black tree holds the page while dirty.
+	// dirtyCore is the core that dirtied the page — the one whose red-black
+	// tree holds it (§3.2) and whose turn in an msync collects it; meaningful
+	// while dirty.
 	dirtyCore int32
 	// pins guards pages being used across a blocking point.
 	pins  int32
@@ -84,33 +82,6 @@ func (pg *Page) EventName() string {
 
 // evictClaim names the busy period eviction holds a victim in.
 const evictClaim = engine.Name("evict")
-
-// addVA records one more mapping of the page.
-func (pg *Page) addVA(va uint64) {
-	if len(pg.vas) == 0 {
-		pg.va0[0] = va
-		pg.vas = pg.va0[:1]
-		return
-	}
-	pg.vas = append(pg.vas, va)
-}
-
-// removeVA drops one mapping of the page, if it is recorded.
-func (pg *Page) removeVA(va uint64) {
-	i := slices.Index(pg.vas, va)
-	if i < 0 {
-		return
-	}
-	if pg.vas = slices.Delete(pg.vas, i, i+1); len(pg.vas) <= 1 {
-		pg.vas = pg.va0[:copy(pg.va0[:], pg.vas)]
-	}
-}
-
-// vasInline reports whether vas is backed by the page's own slot (or by
-// nothing): what must hold whenever the page has at most one mapping.
-func (pg *Page) vasInline() bool {
-	return cap(pg.vas) == 0 || &pg.vas[:1][0] == &pg.va0[0]
-}
 
 // pages returns how many base pages the entry accounts for (512 for a huge
 // unit, 1 otherwise).

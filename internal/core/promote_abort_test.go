@@ -1,0 +1,195 @@
+package core
+
+import (
+	"bytes"
+	"testing"
+
+	"aquila/internal/iface"
+	"aquila/internal/sim/device"
+	"aquila/internal/sim/engine"
+	"aquila/internal/sim/mem"
+)
+
+// hookedEngine is a runtime's I/O engine with a test's function in front of
+// WriteRun: it records, fails or delays a run, and calls the engine below when
+// it wants the run written.
+type hookedEngine struct {
+	IOEngine
+	writeRun func(p *engine.Proc, f *fileState, idx uint64, frames []*mem.Frame) error
+}
+
+func (h *hookedEngine) WriteRun(p *engine.Proc, f *fileState, idx uint64, frames []*mem.Frame) error {
+	return h.writeRun(p, f, idx, frames)
+}
+
+// claimAsVictim makes pg the one victim of the next eviction round, claimed
+// the way selectVictims claims a page; hold runs between the claim and the
+// round going on, while pg is busy and still dirty.
+func claimAsVictim(rt *Runtime, pg *Page, hold func(p *engine.Proc)) {
+	rt.Victims = func(p *engine.Proc, n int) []*Page {
+		rt.lru.forget(pg)
+		pg.resident = false
+		pg.ev.Arm(evictClaim)
+		hold(p)
+		return append(rt.pageBufs.Borrow(), pg)
+	}
+}
+
+// hugeHintWorld is a DAX runtime with the huge path on but no density
+// promotion: an extent promotes only in a region advised AdviceHuge.
+func hugeHintWorld(cacheBytes uint64, cpus int) (*engine.Engine, *device.PMem, func(p *engine.Proc) *Runtime) {
+	ps := DefaultParams()
+	ps.HugeFaultDensity = 1
+	return faultDaxWorld(cacheBytes, cpus, &ps)
+}
+
+// A transient write failure in a promotion's displacement write-back undoes
+// the claim: no unit, the extent's 4 KB pages back in the index — the failed
+// one dirty again, nothing lost — and the fault served by the 4 KB path.
+func TestPromotionAbortsOnFailedDisplacementWriteback(t *testing.T) {
+	e, pm, boot := hugeHintWorld(16*mib, 1)
+	e.Spawn(0, "t", func(p *engine.Proc) {
+		rt := boot(p)
+		f := rt.CreateFile(p, "data", 4*mib)
+		m := rt.Mmap(p, f, 4*mib)
+		mark := make([]byte, 8)
+		for _, idx := range []uint64{3, 10, 11} {
+			pageMark(mark, idx)
+			m.Store(p, idx*pageSize, mark)
+		}
+		m.Advise(p, iface.AdviceHuge)
+		// Every write of page 10 fails: the retries run out and it is requeued.
+		pm.InjectFaults("pmem0", &device.FaultPlan{Rules: []device.FaultRule{
+			{Kind: device.FaultTransientWrite, Off: devOffOf(rt, f, 10*pageSize), Len: pageSize, Every: 1},
+		}})
+		free := rt.FreePages()
+		got := make([]byte, 8)
+		m.Load(p, 20*pageSize, got) // first fault of a hinted extent: promote
+
+		if rt.Stats.HugePromotions != 0 || rt.Stats.RequeuedPages != 1 {
+			t.Fatalf("%d promotions, %d requeued pages, want 0 and 1", rt.Stats.HugePromotions, rt.Stats.RequeuedPages)
+		}
+		if rt.FreePages() != free-1 {
+			t.Errorf("%d free pages after the aborted promotion and one 4 KB fault, want %d", rt.FreePages(), free-1)
+		}
+		for idx, dirty := range map[uint64]bool{3: false, 10: true, 11: false, 20: false} {
+			pg := f.pages.Get(idx)
+			if pg == nil || pg.huge || !pg.resident || pg.frame == nil || pg.dirty != dirty {
+				t.Fatalf("page %d after the abort: %+v, want a resident 4 KB page, dirty=%v", idx, pg, dirty)
+			}
+		}
+		if err := rt.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		// The failure is the file's to report, once; with the device healed the
+		// requeued page drains and every mark is on the device.
+		if err := m.Msync(p); err == nil {
+			t.Error("the msync after a failed displacement write-back reported nothing")
+		}
+		pm.InjectFaults("pmem0", nil)
+		if err := m.Msync(p); err != nil {
+			t.Errorf("msync over the healed device: %v", err)
+		}
+		for _, idx := range []uint64{3, 10, 11} {
+			pageMark(mark, idx)
+			pm.Store.ReadAt(devOffOf(rt, f, idx*pageSize), got)
+			if !bytes.Equal(got, mark) {
+				t.Errorf("page %d on the device: %x, want %x", idx, got, mark)
+			}
+		}
+	})
+	e.Run()
+}
+
+// The window the abort must decide by the write-back's error and not by the
+// pages' flags: an msync that collected page X before a promotion claimed X's
+// extent takes X — requeued, so dirty again — while the displacement
+// write-back is still writing X's neighbour, cleans it and starts writing it.
+// Re-reading X's flag then finds it clean, the promotion goes on and recycles
+// X's frame under msync's write. The schedule is built, not hoped for: the
+// engine hook holds each write until the state the next step needs is there.
+func TestPromotionAbortRacingMsyncKeepsTheFrame(t *testing.T) {
+	const y, x, x2, z = 7, hugePages + 3, hugePages + 10, hugePages + 20
+	e, pm, boot := hugeHintWorld(16*mib, 4)
+	poll := func(p *engine.Proc, until func() bool) {
+		for !until() {
+			p.WaitUntil(p.Now()+100, engine.KindIOWait)
+		}
+	}
+	var rt *Runtime
+	var below IOEngine
+	e.Spawn(0, "setup", func(p *engine.Proc) {
+		rt = boot(p)
+		f := rt.CreateFile(p, "data", 4*mib)
+		m := rt.Mmap(p, f, 4*mib)
+		mark := make([]byte, 8)
+		for _, idx := range []uint64{y, x, x2} {
+			pageMark(mark, idx)
+			m.Store(p, idx*pageSize, mark)
+		}
+		m.Advise(p, iface.AdviceHuge)
+		pgY, pgX := f.pages.Get(y), f.pages.Get(x)
+
+		failed := 0
+		below = rt.Engine
+		rt.Engine = &hookedEngine{IOEngine: below, writeRun: func(p *engine.Proc, f *fileState, idx uint64, frames []*mem.Frame) error {
+			switch {
+			case idx == x && failed < 1+ioRetryLimit:
+				// The displacement write-back's attempts all fail: X is requeued.
+				failed++
+				return &device.IOError{Kind: device.FaultTransientWrite, Dev: "hook", Off: idx * pageSize, Len: pageSize}
+			case idx == y:
+				// The eviction holding Y — and msync behind it — until X is requeued.
+				poll(p, func() bool { return rt.Stats.RequeuedPages > 0 })
+			case idx == x2:
+				// The displacement write-back stays out until msync has taken X.
+				err := below.WriteRun(p, f, idx, frames)
+				poll(p, func() bool { return pgX.pins > 0 })
+				return err
+			}
+			return below.WriteRun(p, f, idx, frames)
+		}}
+		// The eviction sits on Y long enough for msync to collect it busy and dirty.
+		claimAsVictim(rt, pgY, func(p *engine.Proc) { p.WaitUntil(p.Now()+10_000, engine.KindIOWait) })
+		p.Engine().Spawn(1, "evict", func(p *engine.Proc) {
+			if err := rt.evict(p); err != nil {
+				t.Error(err)
+			}
+		})
+		p.Engine().Spawn(2, "msync", func(p *engine.Proc) {
+			if err := m.Msync(p); err == nil {
+				t.Error("msync reported nothing of the failed displacement write-back")
+			}
+			if pgX.dirty || pgX.pins != 0 {
+				t.Errorf("X after msync: dirty=%v pins=%d", pgX.dirty, pgX.pins)
+			}
+		})
+		p.Engine().Spawn(3, "promote", func(p *engine.Proc) {
+			p.AdvanceUser(5_000) // msync has its snapshot and is parked on Y
+			got := make([]byte, 8)
+			m.Load(p, z*pageSize, got)
+		})
+	})
+	e.Run()
+	if rt.Stats.RequeuedPages != 1 || rt.Stats.HugePromotions != 0 {
+		t.Fatalf("%d requeued pages, %d promotions: not the race, or the promotion went over a failed write-back",
+			rt.Stats.RequeuedPages, rt.Stats.HugePromotions)
+	}
+	f := rt.files["data"]
+	for _, idx := range []uint64{x, x2, z} {
+		if pg := f.pages.Get(idx); pg == nil || pg.huge || pg.frame == nil || pg.dirty {
+			t.Errorf("page %d after the race: %+v, want a clean 4 KB page", idx, pg)
+		}
+	}
+	if err := rt.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	mark, got := make([]byte, 8), make([]byte, 8)
+	for _, idx := range []uint64{y, x, x2} {
+		pageMark(mark, idx)
+		pm.Store.ReadAt(below.(*DAXEngine).file(f).DevOffset(idx*pageSize), got)
+		if !bytes.Equal(got, mark) {
+			t.Errorf("page %d on the device: %x, want %x", idx, got, mark)
+		}
+	}
+}

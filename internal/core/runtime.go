@@ -149,16 +149,19 @@ type Runtime struct {
 
 	PT   *pagetable.Table
 	TLBs *cpu.TLBSet
-	vs   *vspace
+	vs   detutil.RangeSet[*Region]
 
 	// The lock-free hash table of all cached pages (§3.2) is, on the host,
 	// each file's page index (fileState.pages); its per-operation costs are
 	// charged explicitly, with no lock queueing. leaves is where an emptied
 	// index leaf waits for the next file.
 	leaves detutil.LeafPool[Page]
-	dirty  []*rbTree // per-core dirty trees, keyed by device order
-	fl     *freelist
-	lru    *lruApprox
+	// The per-core dirty red-black trees (§3.2) are, on the host, Page.dirty
+	// and Page.dirtyCore plus the index's own order; dirtyOn counts each
+	// core's dirty pages so an msync skips the cores that have none.
+	dirtyOn []int
+	fl      *freelist
+	lru     *lruApprox
 	// framePool is the granted guest-physical memory.
 	framePool  *mem.Allocator
 	limitPages uint64
@@ -238,7 +241,6 @@ func NewRuntime(p *engine.Proc, hostOS *host.OS, eng IOEngine, cfg Config) *Runt
 		Engine:   eng,
 		PT:       pagetable.New(2),
 		TLBs:     cpu.NewTLBSet(hostOS.E.NumCPUs(), 1536, 41),
-		vs:       &vspace{},
 		files:    make(map[string]*fileState),
 		nextVA:   0x6000_0000_0000,
 		gpaBase:  16 << 30,
@@ -267,10 +269,7 @@ func NewRuntime(p *engine.Proc, hostOS *host.OS, eng IOEngine, cfg Config) *Runt
 	}
 	rt.fl = newFreelist(rt)
 	rt.lru = newLRU(rt)
-	rt.dirty = make([]*rbTree, hostOS.E.NumCPUs())
-	for i := range rt.dirty {
-		rt.dirty[i] = &rbTree{}
-	}
+	rt.dirtyOn = make([]int, hostOS.E.NumCPUs())
 	rt.Victims = rt.lru.selectVictims
 	rt.Readahead = rt.defaultReadahead
 	rt.mmMask = make([]bool, hostOS.E.NumCPUs())
@@ -494,13 +493,10 @@ func (rt *Runtime) DeleteFile(p *engine.Proc, name string) {
 		}
 	}
 	for _, pg := range drop {
-		if len(pg.vas) > 0 {
+		if len(pg.vas.S) > 0 {
 			panic(fmt.Sprintf("core: delete of %q with live mappings", name))
 		}
-		if pg.dirty {
-			rt.dirty[pg.dirtyCore].Delete(dirtyKey(pg))
-			pg.dirty = false
-		}
+		rt.clean(pg)
 		pg.resident = false
 		rt.lru.forget(pg)
 		rt.cacheRemove(pg)
@@ -566,7 +562,7 @@ func (rt *Runtime) unmapSpan(p *engine.Proc, r *Region, lo, hi uint64) int {
 			unmapped++
 			idx := (va - r.Start) / pageSize
 			if pg := rt.lookupPage(r.File, idx); pg != nil {
-				pg.removeVA(va)
+				pg.vas.Remove(va)
 			}
 			if e.PageSize == pagetable.Size2M {
 				step = pagetable.Size2M
@@ -664,18 +660,34 @@ func (rt *Runtime) wpFault(p *engine.Proc, va uint64) (*mem.Frame, error) {
 	return pg.frame, nil
 }
 
-// markDirty inserts a page into the calling core's dirty red-black tree,
-// keyed by device order for write-back merging.
+// markDirty puts a clean page in the calling core's dirty set: an insert into
+// that core's red-black tree, charged as one.
 func (rt *Runtime) markDirty(p *engine.Proc, pg *Page) {
 	if pg.dirty {
 		return
 	}
-	pg.dirty = true
-	pg.dirtyCore = int32(p.CPU())
-	rt.dirty[p.CPU()].Insert(dirtyKey(pg), pg)
+	rt.setDirty(pg, p.CPU())
 	rt.charge(p, "dirty-track", rt.P.DirtyTreeOp)
 }
 
+// setDirty and clean are the only writers of Page.dirty; the tree operation
+// each stands for is charged by its caller.
+func (rt *Runtime) setDirty(pg *Page, core int) {
+	pg.dirty, pg.dirtyCore = true, int32(core)
+	rt.dirtyOn[core]++
+}
+
+// clean takes pg out of its core's dirty set and reports whether it was in.
+func (rt *Runtime) clean(pg *Page) bool {
+	if !pg.dirty {
+		return false
+	}
+	pg.dirty = false
+	rt.dirtyOn[pg.dirtyCore]--
+	return true
+}
+
+// dirtyKey is device order, the order write-back merges runs in.
 func dirtyKey(pg *Page) uint64 { return pg.file.id<<40 | pg.idx }
 
 // defaultReadahead honors madvise hints: sequential and willneed regions
@@ -773,7 +785,7 @@ func (rt *Runtime) fault(p *engine.Proc, va uint64, write bool) (*mem.Frame, err
 	}
 	if _, mapped := rt.PT.Lookup(va); !mapped {
 		rt.PT.Map(va, pg.frame.ID, flags, pagetable.Size4K)
-		pg.addVA(va)
+		pg.vas.Add(va)
 	} else {
 		rt.PT.Protect(va, flags)
 	}
@@ -967,7 +979,7 @@ func (rt *Runtime) evictStall(p *engine.Proc) error {
 // claimVictims is the first half of a reclaim round (§3.2): select a batch
 // under evictSel, charge the per-victim selection cost (lock-free CAS pops +
 // hash removal) outside that section so it does not serialize, unmap the
-// batch with one TLB shootdown, and take the dirty victims off their trees.
+// batch with one TLB shootdown, and take the dirty victims out of the dirty set.
 // It returns the batch and its dirty subset, both borrowed scratch that
 // releaseVictims gives back; an empty batch (nil) means every candidate is
 // pinned or in flight.
@@ -982,25 +994,20 @@ func (rt *Runtime) claimVictims(p *engine.Proc) (victims, dirty []*Page) {
 	}
 	unmapped := 0
 	for _, v := range victims {
-		for _, va := range v.vas {
+		for _, va := range v.vas.S {
 			if rt.PT.Unmap(va) {
 				rt.charge(p, "unmap", rt.C.PTEUpdate)
 				unmapped++
 			}
 		}
-		v.vas = nil
+		v.vas.S = nil
 	}
 	if unmapped > 0 {
 		rt.shootdown(p)
 	}
 	dirty = rt.pageBufs.Borrow()
 	for _, v := range victims {
-		if v.dirty {
-			// Flag and tree entry change together, before the charge below can
-			// yield: a crash must never observe a dirty page missing from its
-			// tree (CheckCrashInvariants).
-			rt.dirty[v.dirtyCore].Delete(dirtyKey(v))
-			v.dirty = false
+		if rt.clean(v) {
 			rt.charge(p, "dirty-track", rt.P.DirtyTreeOp)
 			dirty = append(dirty, v)
 		}
@@ -1128,7 +1135,7 @@ func (rt *Runtime) writeBack(p *engine.Proc, pages []*Page, span string, evictin
 	slices.SortFunc(pages, func(a, b *Page) int { return cmp.Compare(dirtyKey(a), dirtyKey(b)) })
 	protected := 0
 	for _, pg := range pages {
-		for _, va := range pg.vas {
+		for _, va := range pg.vas.S {
 			if rt.PT.Protect(va, pagetable.FlagUser|pagetable.FlagAccessed) {
 				rt.charge(p, "writeback", rt.C.PTEUpdate)
 				protected++
@@ -1396,14 +1403,22 @@ func (rt *Runtime) msyncFileRange(p *engine.Proc, f *fileState, off, length uint
 		hi = (off + length + pageSize - 1) / pageSize
 	}
 	dirtyPages := rt.pageBufs.Borrow()
-	for core := range rt.dirty {
+	// One turn per core, in core order: the turn collects what that core's
+	// red-black tree holds of the range — the file's pages that core dirtied,
+	// in index order, which is the tree's — as it is when the turn comes. The
+	// waits and the charge of earlier turns yield, and a page dirtied or
+	// evicted meanwhile must be seen the way it then is. A 2 MB unit sits at
+	// its extent's base, so the walk starts at lo's.
+	for core := range rt.dirtyOn {
+		if rt.dirtyOn[core] == 0 {
+			continue
+		}
 		pgs := rt.pageBufs.Borrow()
-		rt.dirty[core].Ascend(func(key uint64, pg *Page) bool {
-			if pg.file == f && pg.idx+uint64(pg.pages()) > lo && pg.idx < hi {
+		for _, pg := range f.pages.Range(lo&^(hugePages-1), hi) {
+			if pg.dirty && int(pg.dirtyCore) == core && pg.idx+uint64(pg.pages()) > lo {
 				pgs = append(pgs, pg)
 			}
-			return true
-		})
+		}
 		taken := 0
 		for _, pg := range pgs {
 			// A page claimed by a concurrent eviction (unfired io) is
@@ -1415,17 +1430,12 @@ func (rt *Runtime) msyncFileRange(p *engine.Proc, f *fileState, off, length uint
 			for pg.busy() {
 				pg.ev.Wait(p)
 			}
-			if !pg.dirty {
+			if !rt.clean(pg) {
 				continue // the evictor's write-back already made it durable
 			}
-			// Clear the flag with the tree entry, before any later yield: a
-			// crash must never observe a dirty page missing from its tree
-			// (CheckCrashInvariants). Pin the page for the duration of the
-			// write-back — once off the dirty tree it reads as clean, and a
-			// newly started eviction would otherwise free its frame before
-			// the write reaches the device.
-			rt.dirty[pg.dirtyCore].Delete(dirtyKey(pg))
-			pg.dirty = false
+			// Pin the page for the duration of the write-back: it reads as
+			// clean from here, and a newly started eviction would otherwise
+			// free its frame before the write reaches the device.
 			pg.pins++
 			dirtyPages = append(dirtyPages, pg)
 			taken++
@@ -1452,8 +1462,8 @@ func (rt *Runtime) msyncFileRange(p *engine.Proc, f *fileState, off, length uint
 // DirtyPages returns the number of dirty pages across all cores (tests).
 func (rt *Runtime) DirtyPages() int {
 	n := 0
-	for _, t := range rt.dirty {
-		n += t.Len()
+	for _, on := range rt.dirtyOn {
+		n += on
 	}
 	return n
 }

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"aquila/internal/iface"
-)
+import "aquila/internal/iface"
 
 // Region is one mapped virtual address range: Aquila's analogue of a VMA.
 type Region struct {
@@ -22,135 +18,9 @@ type Region struct {
 // Pages returns the number of pages the region covers.
 func (r *Region) Pages() uint64 { return (r.End - r.Start) / pageSize }
 
-// vspace is the RadixVM-style radix tree over the virtual address space
-// (§3.4): four levels of 512 slots at page granularity, with ranges that
-// fully cover an aligned subtree stored at the interior level (the same
-// collapsing that makes RadixVM's range operations cheap). Lookups are
-// lock-free; concurrent modification of the same entry is prevented by the
-// per-page fault-ownership protocol in the page cache.
-type vspace struct {
-	root *vsNode
-	n    int // number of regions
-}
-
-type vsNode struct {
-	children [512]*vsNode
-	leaves   [512]*Region
-}
-
-// spanOf returns the bytes covered by one slot at depth d (0 = root).
-func vsSpan(depth int) uint64 {
-	// depth 0 slot: 512^3 pages; depth 3 slot: 1 page.
-	shift := uint(12 + 9*(3-depth))
-	return 1 << shift
-}
-
-func vsIndices(va uint64) [4]int {
-	return [4]int{
-		int(va >> 39 & 0x1ff),
-		int(va >> 30 & 0x1ff),
-		int(va >> 21 & 0x1ff),
-		int(va >> 12 & 0x1ff),
-	}
-}
-
-// Find returns the region containing va, or nil.
-func (vs *vspace) Find(va uint64) *Region {
-	n := vs.root
-	idx := vsIndices(va)
-	for d := 0; d < 4; d++ {
-		if n == nil {
-			return nil
-		}
-		if r := n.leaves[idx[d]]; r != nil {
-			if va >= r.Start && va < r.End {
-				return r
-			}
-			return nil
-		}
-		n = n.children[idx[d]]
-	}
-	return nil
-}
-
-// Insert registers a region over its whole range, collapsing fully covered
-// aligned subtrees to interior slots.
-func (vs *vspace) Insert(r *Region) {
-	if r.Start%pageSize != 0 || r.End%pageSize != 0 || r.End <= r.Start {
-		panic(fmt.Sprintf("core: bad region [%#x, %#x)", r.Start, r.End))
-	}
-	if vs.root == nil {
-		vs.root = &vsNode{}
-	}
-	vs.setRange(vs.root, 0, 0, r.Start, r.End, r)
-	vs.n++
-}
-
-// Remove clears a region's range.
-func (vs *vspace) Remove(r *Region) {
-	if vs.root == nil {
-		return
-	}
-	vs.setRange(vs.root, 0, 0, r.Start, r.End, nil)
-	vs.n--
-}
-
-// Len returns the number of live regions.
-func (vs *vspace) Len() int { return vs.n }
-
-// setRange sets [lo, hi) to r within the subtree rooted at n, which covers
-// addresses starting at base at the given depth.
-func (vs *vspace) setRange(n *vsNode, depth int, base, lo, hi uint64, r *Region) {
-	span := vsSpan(depth)
-	for i := 0; i < 512; i++ {
-		slotLo := base + uint64(i)*span
-		slotHi := slotLo + span
-		if slotHi <= lo || slotLo >= hi {
-			continue
-		}
-		if lo <= slotLo && slotHi <= hi {
-			// Fully covered: collapse to this level.
-			n.leaves[i] = r
-			if r == nil {
-				n.children[i] = nil
-			}
-			continue
-		}
-		if depth == 3 {
-			n.leaves[i] = r
-			continue
-		}
-		child := n.children[i]
-		if child == nil {
-			if r == nil {
-				continue
-			}
-			child = &vsNode{}
-			n.children[i] = child
-			// If a leaf previously covered this whole slot, push it
-			// down before splitting (not needed for non-overlapping
-			// regions, which is all mmap produces).
-		}
-		if n.leaves[i] != nil {
-			// Splitting a collapsed slot: push the old region down.
-			old := n.leaves[i]
-			n.leaves[i] = nil
-			vs.setRange(child, depth+1, slotLo, slotLo, slotHi, old)
-		}
-		vs.setRange(child, depth+1, slotLo, maxU(lo, slotLo), minU(hi, slotHi), r)
-	}
-}
-
-func maxU(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minU(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
+// Bounds is the region's address range (detutil.Ranged). The address space
+// (Runtime.vs) is a detutil.RangeSet of regions: the model's structure is the
+// RadixVM-style radix tree of §3.4 — lock-free lookups, per-entry locking, an
+// update a few node visits — and fault, wpFault, Mmap, Mremap and munmapRegion
+// charge it as that (RadixLookup, EntryLock) where they use it.
+func (r *Region) Bounds() (start, end uint64) { return r.Start, r.End }

@@ -15,6 +15,7 @@ package host
 import (
 	"fmt"
 
+	"aquila/internal/detutil"
 	"aquila/internal/obs"
 	"aquila/internal/sim/cpu"
 	"aquila/internal/sim/device"
@@ -128,7 +129,7 @@ type Process struct {
 	ID      int
 	PT      *pagetable.Table
 	mmapSem *engine.RWMutex
-	vmas    *vmaSet
+	vmas    detutil.RangeSet[*vma]
 	// mmMask tracks CPUs that have touched this address space
 	// (mm_cpumask): TLB shootdowns target only these.
 	mmMask []bool
@@ -194,7 +195,6 @@ func (os *OS) NewProcess() *Process {
 		ID:      len(os.procs) + 1,
 		PT:      pagetable.New(uint32(len(os.procs) + 1)),
 		mmapSem: engine.NewRWMutex(os.E, fmt.Sprintf("mmap_sem.%d", len(os.procs)+1)),
-		vmas:    &vmaSet{},
 		mmMask:  make([]bool, os.E.NumCPUs()),
 		nextVA:  0x7f00_0000_0000,
 	}

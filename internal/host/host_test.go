@@ -1134,8 +1134,8 @@ func TestColdMajorFaultIsOneAllocation(t *testing.T) {
 			t.Fatalf("%d pages reclaimed: the faults were not all cold", os.Cache.Evicted)
 		}
 		pg := f.pages.Get(0)
-		if len(pg.vas) != 1 || !pg.vasInline() {
-			t.Fatalf("a page mapped once has %d vas, inline=%v", len(pg.vas), pg.vasInline())
+		if len(pg.vas.S) != 1 || !pg.vas.Inline() {
+			t.Fatalf("a page mapped once has %d vas, inline=%v", len(pg.vas.S), pg.vas.Inline())
 		}
 		second()
 		inserted = os.Cache.Inserted
@@ -1145,13 +1145,13 @@ func TestColdMajorFaultIsOneAllocation(t *testing.T) {
 		if os.Cache.Inserted != inserted {
 			t.Fatalf("the second mapping's loads inserted %d pages, want none", os.Cache.Inserted-inserted)
 		}
-		if len(pg.vas) != 2 || pg.vasInline() {
-			t.Fatalf("a page mapped twice has %d vas, inline=%v", len(pg.vas), pg.vasInline())
+		if len(pg.vas.S) != 2 || pg.vas.Inline() {
+			t.Fatalf("a page mapped twice has %d vas, inline=%v", len(pg.vas.S), pg.vas.Inline())
 		}
 		// Down to one mapping, the survivor moves back into the page.
 		m1.Munmap(p)
-		if len(pg.vas) != 1 || !pg.vasInline() || pg.vas[0].va != m2.v.start {
-			t.Fatalf("after the first mapping went: %d vas, inline=%v", len(pg.vas), pg.vasInline())
+		if len(pg.vas.S) != 1 || !pg.vas.Inline() || pg.vas.S[0].va != m2.v.start {
+			t.Fatalf("after the first mapping went: %d vas, inline=%v", len(pg.vas.S), pg.vas.Inline())
 		}
 		if err := os.CheckInvariants(); err != nil {
 			t.Fatal(err)
@@ -1213,4 +1213,55 @@ func TestEvictWritebackCycleAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestVMASetMatchesLinearScan is core's TestVSpaceMatchesLinearScan for this
+// world's instantiation of detutil.RangeSet: seeded mmap / mremap-shrink (in
+// place: the VMA's end moves under the set) / mremap-grow (relocated) / munmap
+// sequences, every lookup held against a linear scan of the live mappings.
+func TestVMASetMatchesLinearScan(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		e, os := newPMemOS(4 * mib)
+		run1(e, func(p *engine.Proc) {
+			f := os.FS.Create(p, "data", 64*PageSize)
+			pr := os.DefaultProcess()
+			rng := rand.New(rand.NewSource(seed))
+			var live []*Mapping
+			probes := []uint64{0, pr.nextVA - 1}
+			scan := func(va uint64) *vma {
+				for _, m := range live {
+					if m.v.start <= va && va < m.v.end {
+						return m.v
+					}
+				}
+				return nil
+			}
+			for step := 0; step < 400; step++ {
+				switch k := rng.Intn(8); {
+				case k < 3 || len(live) == 0:
+					live = append(live, os.Mmap(p, f, uint64(1+rng.Intn(64))*PageSize))
+				case k < 6:
+					live[rng.Intn(len(live))].Mremap(p, uint64(1+rng.Intn(64))*PageSize)
+				default:
+					i := rng.Intn(len(live))
+					live[i].Munmap(p)
+					live = append(live[:i], live[i+1:]...)
+				}
+				for _, m := range live {
+					probes = append(probes, m.v.start-1, m.v.start, m.v.end-1, m.v.end)
+				}
+				if len(probes) > 4096 {
+					probes = probes[len(probes)-4096:]
+				}
+				for _, va := range probes {
+					if got, want := pr.vmas.Find(va), scan(va); got != want {
+						t.Fatalf("seed %d step %d: Find(%#x) = %v, the scan says %v", seed, step, va, got, want)
+					}
+				}
+				if got := len(pr.vmas.List()); got != len(live) {
+					t.Fatalf("seed %d step %d: %d VMAs for %d live mappings", seed, step, got, len(live))
+				}
+			}
+		})
+	}
 }

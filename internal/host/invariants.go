@@ -35,8 +35,8 @@ func (os *OS) CheckInvariants() error {
 			if pg.busy() {
 				return fmt.Errorf("page (%s,%d) has in-flight I/O at quiesce", f.name, idx)
 			}
-			if len(pg.vas) <= 1 && !pg.vasInline() {
-				return fmt.Errorf("page (%s,%d): %d mapping(s) kept outside the page's own slot", f.name, idx, len(pg.vas))
+			if len(pg.vas.S) <= 1 && !pg.vas.Inline() {
+				return fmt.Errorf("page (%s,%d): %d mapping(s) kept outside the page's own slot", f.name, idx, len(pg.vas.S))
 			}
 			if !pg.inLRU {
 				return fmt.Errorf("page (%s,%d) resident but not on an LRU list", f.name, idx)
@@ -46,7 +46,7 @@ func (os *OS) CheckInvariants() error {
 				fileDirty++
 			}
 			// Reverse mappings agree with the page tables.
-			for _, mv := range pg.vas {
+			for _, mv := range pg.vas.S {
 				e, ok := mv.pr.PT.Lookup(mv.va)
 				if !ok {
 					return fmt.Errorf("page (%s,%d): rmap va %#x not mapped in process %d",
@@ -84,7 +84,7 @@ func (os *OS) CheckInvariants() error {
 		}
 	}
 	for _, pr := range os.procs {
-		for _, v := range pr.vmas.list {
+		for _, v := range pr.vmas.List() {
 			for va := v.start; va < v.end; va += PageSize {
 				e, ok := pr.PT.Lookup(va)
 				if !ok {
@@ -96,7 +96,7 @@ func (os *OS) CheckInvariants() error {
 						pr.ID, va, e.Frame)
 				}
 				found := false
-				for _, mv := range pg.vas {
+				for _, mv := range pg.vas.S {
 					if mv.pr == pr && mv.va == va {
 						found = true
 						break

@@ -2,8 +2,6 @@ package host
 
 import (
 	"fmt"
-	"slices"
-	"sort"
 
 	"aquila/internal/iface"
 	"aquila/internal/sim/engine"
@@ -24,32 +22,11 @@ type vma struct {
 	kmmap bool
 }
 
-// vmaSet models the kernel's rb-tree of VMAs: ordered, O(log n) lookup.
-// Mutations and lookups are serialized by OS.mmapSem, which the fault path
-// takes shared — the contention pattern §3.4 describes.
-type vmaSet struct {
-	list []*vma // sorted by start
-}
-
-func (s *vmaSet) insert(v *vma) {
-	i := sort.Search(len(s.list), func(i int) bool { return s.list[i].start >= v.start })
-	s.list = slices.Insert(s.list, i, v)
-}
-
-func (s *vmaSet) remove(v *vma) {
-	if i := slices.Index(s.list, v); i >= 0 {
-		s.list = slices.Delete(s.list, i, i+1)
-	}
-}
-
-// find returns the VMA containing va, or nil.
-func (s *vmaSet) find(va uint64) *vma {
-	i := sort.Search(len(s.list), func(i int) bool { return s.list[i].end > va })
-	if i < len(s.list) && s.list[i].start <= va {
-		return s.list[i]
-	}
-	return nil
-}
+// Bounds is the VMA's address range (detutil.Ranged). A process's VMAs are a
+// detutil.RangeSet: the kernel's rb-tree, charged as VMALookup where it is
+// used. Mutations and lookups are serialized by Process.mmapSem, which the
+// fault path takes shared — the contention pattern §3.4 describes.
+func (v *vma) Bounds() (start, end uint64) { return v.start, v.end }
 
 // Mapping is a Linux shared file-backed mmap region in one process.
 type Mapping struct {
@@ -90,7 +67,7 @@ func (pr *Process) mmapInternal(p *engine.Proc, f *FSFile, size uint64, kmmap bo
 	start := pr.nextVA
 	pr.nextVA += (pages + 16) * PageSize // guard gap
 	v := &vma{start: start, end: start + pages*PageSize, f: f, kmmap: kmmap}
-	pr.vmas.insert(v)
+	pr.vmas.Insert(v)
 	os.charge(p, "vma", os.P.VMALookup) // rb-tree insert
 	pr.mmapSem.Unlock(p)
 	return &Mapping{os: os, pr: pr, v: v, f: f, size: size}
@@ -167,7 +144,7 @@ func (m *Mapping) Munmap(p *engine.Proc) {
 	m.dead = true
 	m.os.charge(p, "syscall", m.os.C.Syscall+m.os.P.SyscallKernelPath)
 	m.pr.mmapSem.Lock(p)
-	m.pr.vmas.remove(m.v)
+	m.pr.vmas.Remove(m.v)
 	m.unmapSpan(p, m.v.start, m.v.end)
 	m.pr.mmapSem.Unlock(p)
 	m.os.Cache.fsyncFileRange(p, m.f, 0, m.f.cap)
@@ -183,7 +160,7 @@ func (m *Mapping) unmapSpan(p *engine.Proc, lo, hi uint64) {
 			m.os.charge(p, "pte", m.os.C.PTEUpdate)
 			unmapped++
 			if pg := m.os.Cache.find(p, m.f, (va-m.v.start)/PageSize); pg != nil {
-				pg.removeVA(m.pr, va)
+				pg.vas.Remove(mappedVA{m.pr, va})
 			}
 		}
 	}
@@ -262,7 +239,7 @@ func (pr *Process) wpFault(p *engine.Proc, va uint64) *mem.Frame {
 	os.charge(p, "trap", os.C.TrapRing3+os.P.FaultEntry)
 	pr.mmapSem.RLock(p)
 	os.charge(p, "vma", os.P.VMALookup)
-	v := pr.vmas.find(va)
+	v := pr.vmas.Find(va)
 	if v == nil {
 		panic(fmt.Sprintf("host: wp fault outside any vma: %#x", va))
 	}
@@ -296,7 +273,7 @@ func (pr *Process) pageFault(p *engine.Proc, va uint64, write bool) *mem.Frame {
 	os.charge(p, "trap", os.C.TrapRing3+os.P.FaultEntry)
 	pr.mmapSem.RLock(p)
 	os.charge(p, "vma", os.P.VMALookup)
-	v := pr.vmas.find(va)
+	v := pr.vmas.Find(va)
 	if v == nil {
 		panic(fmt.Sprintf("host: page fault outside any vma: %#x", va))
 	}
@@ -344,7 +321,7 @@ func (pr *Process) pageFault(p *engine.Proc, va uint64, write bool) *mem.Frame {
 	}
 	if _, mapped := pr.PT.Lookup(va); !mapped {
 		pr.PT.Map(va, pg.frame.ID, flags, pagetable.Size4K)
-		pg.addVA(pr, va)
+		pg.vas.Add(mappedVA{pr, va})
 	} else {
 		pr.PT.Protect(va, flags)
 	}
@@ -448,8 +425,8 @@ func (m *Mapping) Mremap(p *engine.Proc, newSize uint64) {
 				m.pr.PT.Map(newStart+i*PageSize, e.Frame, e.Flags, pagetable.Size4K)
 				m.os.charge(p, "pte", 2*m.os.C.PTEUpdate)
 				if pg := m.os.Cache.find(p, m.f, i); pg != nil {
-					pg.removeVA(m.pr, oldVA)
-					pg.addVA(m.pr, newStart+i*PageSize)
+					pg.vas.Remove(mappedVA{m.pr, oldVA})
+					pg.vas.Add(mappedVA{m.pr, newStart + i*PageSize})
 				}
 				moved++
 			}
@@ -457,9 +434,9 @@ func (m *Mapping) Mremap(p *engine.Proc, newSize uint64) {
 		if moved > 0 {
 			m.pr.shootdown(p)
 		}
-		m.pr.vmas.remove(m.v)
+		m.pr.vmas.Remove(m.v)
 		m.v.start, m.v.end = newStart, newStart+newPages*PageSize
-		m.pr.vmas.insert(m.v)
+		m.pr.vmas.Insert(m.v)
 	}
 	m.size = newSize
 	m.pr.mmapSem.Unlock(p)

@@ -24,11 +24,8 @@ type cachedPage struct {
 	// event serves every busy period of the page; ask busy().
 	ev engine.Event
 	// vas is the reverse mapping: every (process, va) this page is mapped
-	// at, in mapping order. Up to one entry lives in va0; a second mapping
-	// moves them to the heap, and they move back when the page is down to one
-	// again (addVA, removeVA).
-	vas []mappedVA
-	va0 [1]mappedVA
+	// at, in mapping order; the first lives in the record.
+	vas detutil.InlineList[mappedVA]
 
 	lruPrev, lruNext *cachedPage
 	// pins guards against reclaim while a syscall path uses the page
@@ -50,33 +47,6 @@ type cachedPage struct {
 type mappedVA struct {
 	pr *Process
 	va uint64
-}
-
-// addVA records one more mapping of the page.
-func (pg *cachedPage) addVA(pr *Process, va uint64) {
-	if len(pg.vas) == 0 {
-		pg.va0[0] = mappedVA{pr, va}
-		pg.vas = pg.va0[:1]
-		return
-	}
-	pg.vas = append(pg.vas, mappedVA{pr, va})
-}
-
-// removeVA drops one mapping of the page, if it is recorded.
-func (pg *cachedPage) removeVA(pr *Process, va uint64) {
-	i := slices.Index(pg.vas, mappedVA{pr, va})
-	if i < 0 {
-		return
-	}
-	if pg.vas = slices.Delete(pg.vas, i, i+1); len(pg.vas) <= 1 {
-		pg.vas = pg.va0[:copy(pg.va0[:], pg.vas)]
-	}
-}
-
-// vasInline reports whether vas is backed by the page's own slot (or by
-// nothing): what must hold whenever the page has at most one mapping.
-func (pg *cachedPage) vasInline() bool {
-	return cap(pg.vas) == 0 || &pg.vas[:1][0] == &pg.va0[0]
 }
 
 // pageList is one intrusive LRU list (active or inactive).
@@ -362,7 +332,7 @@ func (c *PageCache) writePages(p *engine.Proc, pages []*cachedPage) {
 		// page_mkclean: write-protect live mappings so the next store
 		// re-dirties the page; otherwise post-writeback stores would be
 		// lost at eviction.
-		for _, mv := range pg.vas {
+		for _, mv := range pg.vas.S {
 			if mv.pr.PT.Protect(mv.va, pagetable.FlagUser|pagetable.FlagAccessed) {
 				c.os.charge(p, "writeback", c.os.C.PTEUpdate)
 				touched = touched.add(mv.pr)
@@ -457,13 +427,13 @@ func (c *PageCache) reclaim(p *engine.Proc) {
 	for _, v := range victims {
 		// page_referenced + rmap walk per victim.
 		c.os.charge(p, "reclaim", c.os.P.ReclaimPerPage)
-		for _, mv := range v.vas {
+		for _, mv := range v.vas.S {
 			if mv.pr.PT.Unmap(mv.va) {
 				c.os.charge(p, "reclaim", c.os.C.PTEUpdate)
 				touched = touched.add(mv.pr)
 			}
 		}
-		v.vas = nil
+		v.vas.S = nil
 		if v.dirty {
 			dirty = append(dirty, v)
 		}
@@ -507,7 +477,7 @@ func (c *PageCache) truncate(p *engine.Proc, f *FSFile) {
 	}
 	c.lruLock.Unlock(p)
 	for _, pg := range pages {
-		for _, mv := range pg.vas {
+		for _, mv := range pg.vas.S {
 			if mv.pr.PT.Unmap(mv.va) {
 				touched = touched.add(mv.pr)
 			}

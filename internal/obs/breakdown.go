@@ -111,13 +111,6 @@ func (b *Breakdown) Table(n uint64) string {
 		}
 		fmt.Fprintf(&sb, "  %-28s %10.0f cycles/op  %5.1f%%\n", c, b.PerOp(c, n), pct)
 	}
-	fmt.Fprintf(&sb, "  %-28s %10.0f cycles/op\n", "TOTAL", float64(total)/float64(maxU64(n, 1)))
+	fmt.Fprintf(&sb, "  %-28s %10.0f cycles/op\n", "TOTAL", float64(total)/float64(max(n, 1)))
 	return sb.String()
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

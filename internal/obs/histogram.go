@@ -149,13 +149,6 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 }
 
-// Reset empties the histogram.
-func (h *Histogram) Reset() {
-	h.buckets = make(map[uint32]uint64)
-	h.count, h.sum, h.max = 0, 0, 0
-	h.min = math.MaxUint64
-}
-
 // String summarizes the distribution.
 func (h *Histogram) String() string {
 	return fmt.Sprintf("n=%d mean=%.0f p99=%d p99.9=%d max=%d",

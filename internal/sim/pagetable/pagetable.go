@@ -177,16 +177,6 @@ func (t *Table) Protect(va uint64, flags Flags) bool {
 	return true
 }
 
-// SetDirty sets the dirty (and accessed) bit of the mapping covering va.
-func (t *Table) SetDirty(va uint64) bool {
-	e := t.lookupRef(va)
-	if e == nil {
-		return false
-	}
-	e.Flags |= FlagDirty | FlagAccessed
-	return true
-}
-
 // UnmapRange removes all mappings in [va, va+length). Huge mappings fully
 // inside the range are removed whole; a huge mapping that only partially
 // overlaps the range is split — the entry is removed and the surviving pieces

@@ -86,11 +86,12 @@ func TestProtectAndDirty(t *testing.T) {
 	if !e.Flags.Has(FlagWritable) || e.Frame != 7 {
 		t.Fatalf("after protect: %+v", e)
 	}
-	if !pt.SetDirty(0x4000) {
-		t.Fatal("set dirty failed")
+	// A dirtying store's upgrade is a Protect too (core.wpFault).
+	if !pt.Protect(0x4000, FlagUser|FlagWritable|FlagAccessed|FlagDirty) {
+		t.Fatal("protect to dirty failed")
 	}
 	e, _ = pt.Lookup(0x4000)
-	if !e.Flags.Has(FlagDirty | FlagAccessed) {
+	if !e.Flags.Has(FlagDirty|FlagAccessed) || e.Frame != 7 {
 		t.Fatalf("dirty bits missing: %+v", e)
 	}
 	if pt.Protect(0x9000, 0) {

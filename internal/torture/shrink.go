@@ -48,7 +48,7 @@ func Shrink(pl *Plan, budget int) *ShrinkResult {
 			cand.Ops = append(append([]Op(nil), best.Ops[:start]...), best.Ops[end:]...)
 			if out, ok := fails(cand); ok {
 				best, bestOut = cand, out
-				n = maxInt(n-1, 2)
+				n = max(n-1, 2)
 				reduced = true
 				break
 			}
@@ -57,7 +57,7 @@ func Shrink(pl *Plan, budget int) *ShrinkResult {
 			if n >= len(best.Ops) {
 				break
 			}
-			n = minInt(2*n, len(best.Ops))
+			n = min(2*n, len(best.Ops))
 		}
 	}
 
@@ -177,18 +177,4 @@ func dropUnusedFiles(c *Plan) bool {
 		}
 	}
 	return true
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
