@@ -21,7 +21,9 @@ test:
 # data across goroutines, and the background evictor daemons run as extra
 # procs inside the simulated worlds; keep both race-clean. The profile and
 # perfgate subpackages are covered by the ./internal/obs/... pattern.
-# internal/sim/mem holds the buddy frame allocator the 2 MB path leans on.
+# internal/sim/mem holds the buddy frame allocator the 2 MB path leans on;
+# internal/host and internal/detutil are the baseline world and what the two
+# worlds share (page index, lifecycle table).
 # The engine itself is one thread of control (Run's goroutine and the proc
 # coroutines it switches into never overlap, and every switch is a
 # happens-before edge), so what the detector guards there is the boundary:
@@ -30,7 +32,7 @@ test:
 # gives those callers a second P to race on. internal/torture recovers op
 # panics the engine re-raises on Run's caller and closes half-run worlds.
 race:
-	$(GO) test -race ./internal/obs/... ./internal/core/... ./internal/sim/mem/... ./internal/torture/...
+	$(GO) test -race ./internal/obs/... ./internal/core/... ./internal/host/... ./internal/detutil/... ./internal/sim/mem/... ./internal/torture/...
 	$(GO) test -race -count=10 -cpu 1,4 ./internal/sim/engine/...
 
 fmt:

@@ -1,31 +1,28 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"aquila/internal/sim/mem"
+)
 
 // CheckCrashInvariants audits the runtime state reachable at an *arbitrary*
 // crash point — the complement of CheckInvariants, which demands a quiescent
-// runtime. A crash may land between an allocation's freelist pop and the
-// page attach, mid-fill (placeholder io event unfired), or mid-eviction
-// (victims non-resident but still hashed), so this audit tolerates:
+// runtime. A crash may land anywhere a page's state says it may be: filling
+// (event armed, frame perhaps not yet allocated), claimed by an eviction, or
+// displaced by a promotion (out of the index); and frames may be owned by
+// neither the freelist nor any page (in transit through a fault path's local
+// variables). What can never be true, crash or not:
 //
-//   - pages with in-flight (unfired) io events,
-//   - non-resident pages still present in the hash,
-//   - pages without a frame (claimed by eviction, not yet recycled),
-//   - frames owned by neither the freelist nor any page (in transit through
-//     a fault path's local variables).
-//
-// What can never be true, crash or not:
-//
-//   - a hashed page in one of those in-between states — claimed by eviction
-//     (non-resident) or not yet backed by a frame — that is not busy: its
-//     event armed and unfired is what makes faulters wait instead of mapping
-//     it, and arm, state change and publish happen with no yield between,
+//   - a cached page not as its state's row in the lifecycle table says —
+//     busy while filling or claimed and only then, framed unless filling,
+//     listed in the LRU as the row allows (auditPages),
 //   - a page with at most one mapping keeping it outside its own slot,
 //   - a frame owned twice (two pages, a page and a free queue, two queues),
 //   - more frames accounted for than were ever granted,
 //   - a hash entry filed under the wrong key,
-//   - a core's dirty count that is not the number of cached pages flagged
-//     dirty by that core (setDirty and clean move flag and count together).
+//   - a core's dirty count that is not the number of cached pages its stores
+//     left dirty (the transition function moves state and count together).
 func (rt *Runtime) CheckCrashInvariants() error {
 	owner := make(map[uint64]string)
 	claim := func(id uint64, who string) error {
@@ -35,67 +32,38 @@ func (rt *Runtime) CheckCrashInvariants() error {
 		owner[id] = who
 		return nil
 	}
-	for c, q := range rt.fl.cores {
-		for _, fr := range q {
-			if err := claim(fr.ID, fmt.Sprintf("core queue %d", c)); err != nil {
+	for _, q := range rt.fl.queues() {
+		for _, fr := range q.frames {
+			if err := claim(fr.ID, q.name); err != nil {
 				return err
 			}
-		}
-	}
-	for n, q := range rt.fl.nodes {
-		for _, fr := range q {
-			if err := claim(fr.ID, fmt.Sprintf("numa queue %d", n)); err != nil {
-				return err
-			}
-		}
-	}
-	for n, blocks := range rt.fl.hugeNodes {
-		for _, blk := range blocks {
-			for _, fr := range blk {
-				if err := claim(fr.ID, fmt.Sprintf("huge queue %d", n)); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	for _, fr := range rt.fl.single {
-		if err := claim(fr.ID, "single queue"); err != nil {
-			return err
 		}
 	}
 	if free := rt.fl.Free(); free < 0 {
 		return fmt.Errorf("freelist negative: %d", free)
 	}
-	for pg := range rt.cached() {
-		if at := pg.file.pages.Get(pg.idx); at != pg {
-			return fmt.Errorf("page (%s,%d) is not what its index holds there", pg.file.name, pg.idx)
-		}
+	err := rt.auditPages(func(pg *Page) error {
 		who := fmt.Sprintf("page (%s,%d)", pg.file.name, pg.idx)
-		if (!pg.resident || pg.frame == nil) && !pg.busy() {
-			return fmt.Errorf("%s is claimed or unbacked (resident=%v, frame=%v) but not busy", who, pg.resident, pg.frame != nil)
+		frames := pg.frames
+		if !pg.huge && pg.frame != nil {
+			frames = []*mem.Frame{pg.frame}
 		}
-		if len(pg.vas.S) <= 1 && !pg.vas.Inline() {
-			return fmt.Errorf("%s: %d mapping(s) kept outside the page's own slot", who, len(pg.vas.S))
-		}
-		if pg.huge {
-			for _, fr := range pg.frames {
-				if fr == nil {
-					continue
-				}
+		for _, fr := range frames {
+			if fr != nil {
 				if err := claim(fr.ID, who); err != nil {
 					return err
 				}
 			}
-		} else if pg.frame != nil {
-			if err := claim(pg.frame.ID, who); err != nil {
-				return err
-			}
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	if uint64(len(owner)) > rt.limitPages {
 		return fmt.Errorf("%d frames accounted > limit %d", len(owner), rt.limitPages)
 	}
-	return rt.auditDirtyCounts()
+	return nil
 }
 
 // WBErrorSnapshot returns, per file name, the latest writeback error no sync

@@ -180,7 +180,7 @@ func (ev *bgEvictor) reclaimBatch(p *engine.Proc) int {
 		aw = nil
 		rt.Stats.SyncWritebackFallbacks++
 	}
-	if rt.writeBack(p, dirty, "aq.bg_writeback", true, aw, true) != nil {
+	if rt.writeBack(p, dirty, "aq.bg_writeback", aw, true) != nil {
 		ev.failStreak++
 	} else {
 		ev.failStreak = 0

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"aquila/internal/detutil"
 	"aquila/internal/host"
 	"aquila/internal/sim/device"
 	"aquila/internal/sim/engine"
@@ -443,7 +444,7 @@ func TestCacheIndexRefusesPagesPastTheFile(t *testing.T) {
 		}
 		for _, idx := range []uint64{257, 1 << 40, ^uint64(0)} {
 			want := fmt.Sprintf("detutil: page index %d beyond the 257 pages reserved", idx)
-			if got := panicOf(func() { rt.cacheInsert(&Page{file: f, idx: idx}) }); got != want {
+			if got := panicOf(func() { rt.move(&Page{file: f, idx: idx}, detutil.PgFilling) }); got != want {
 				t.Errorf("insert at %d: %q, want %q", idx, got, want)
 			}
 			if rt.lookupPage(f, idx) != nil {
@@ -456,8 +457,8 @@ func TestCacheIndexRefusesPagesPastTheFile(t *testing.T) {
 		// A mapping larger than the file vouches for its own pages.
 		big := rt.Mmap(p, f, 2*mib)
 		big.Load(p, size-8, buf)
-		rt.cacheInsert(&Page{file: f, idx: 511, resident: true})
-		if got := panicOf(func() { rt.cacheInsert(&Page{file: f, idx: 512}) }); !strings.Contains(got, "beyond the 512 pages reserved") {
+		rt.move(&Page{file: f, idx: 511}, detutil.PgClean)
+		if got := panicOf(func() { rt.move(&Page{file: f, idx: 512}, detutil.PgFilling) }); !strings.Contains(got, "beyond the 512 pages reserved") {
 			t.Errorf("insert past the larger mapping: %q", got)
 		}
 	})

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"aquila/internal/sim/engine"
 	"aquila/internal/sim/mem"
 )
@@ -292,19 +294,33 @@ func (fl *freelist) steal(p *engine.Proc) *mem.Frame {
 	return nil
 }
 
-// audit recounts frames across every queue; tests assert it equals Free().
-func (fl *freelist) audit() int {
-	n := len(fl.single)
-	for _, q := range fl.cores {
-		n += len(q)
+// freeQueue is one queue of free frames as the audits see it.
+type freeQueue struct {
+	name   string
+	frames []*mem.Frame
+}
+
+// queues lists every queue of free frames, a huge block as its own.
+func (fl *freelist) queues() []freeQueue {
+	qs := []freeQueue{{"single queue", fl.single}}
+	for c, q := range fl.cores {
+		qs = append(qs, freeQueue{fmt.Sprintf("core queue %d", c), q})
 	}
-	for _, q := range fl.nodes {
-		n += len(q)
+	for n, q := range fl.nodes {
+		qs = append(qs, freeQueue{fmt.Sprintf("numa queue %d", n), q})
 	}
-	for _, hq := range fl.hugeNodes {
-		for _, b := range hq {
-			n += len(b)
+	for n, blocks := range fl.hugeNodes {
+		for _, blk := range blocks {
+			qs = append(qs, freeQueue{fmt.Sprintf("huge queue %d", n), blk})
 		}
+	}
+	return qs
+}
+
+// audit recounts frames across every queue; tests assert it equals Free().
+func (fl *freelist) audit() (n int) {
+	for _, q := range fl.queues() {
+		n += len(q.frames)
 	}
 	return n
 }

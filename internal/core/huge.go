@@ -1,6 +1,7 @@
 package core
 
 import (
+	"aquila/internal/detutil"
 	"aquila/internal/sim/engine"
 	"aquila/internal/sim/mem"
 	"aquila/internal/sim/pagetable"
@@ -33,15 +34,6 @@ func (rt *Runtime) lookupPage(f *fileState, idx uint64) *Page {
 	}
 	return nil
 }
-
-// cacheInsert publishes a page in the index. Host-side bookkeeping: simulated
-// cycles for the insert itself are charged by the caller (mutation before
-// charging, like every hash update).
-func (rt *Runtime) cacheInsert(pg *Page) { pg.file.pages.Insert(pg.idx, pg) }
-
-// cacheRemove is cacheInsert's inverse; a page that is no longer what its
-// index holds (a victim DeleteFile waited out) is left alone.
-func (rt *Runtime) cacheRemove(pg *Page) { pg.file.pages.Remove(pg.idx, pg) }
 
 // shouldPromote decides whether a major fault at (f, idx) should attempt to
 // fill the whole 2 MB extent as one unit: the extent must lie fully inside
@@ -83,10 +75,11 @@ func (rt *Runtime) hugeFault(p *engine.Proc, r *Region, f *fileState, idx uint64
 	baseIdx := idx &^ uint64(hugePages-1)
 
 	// Contiguity first. The pop charges (and may yield), so the claim is only
-	// kept if a re-scan of the extent then finds no busy constituent: pinned,
-	// I/O in flight, poisoned, quarantined, claimed by eviction, or already
-	// part of a unit (a racing promoter won during the yield). popHugeIf puts
-	// a rejected block back itself, so no path here holds a loose block.
+	// kept if a re-scan of the extent then finds every constituent a clean or
+	// dirty unpinned 4 KB page: not filling, poisoned, quarantined, claimed by
+	// eviction, or already part of a unit (a racing promoter won during the
+	// yield). popHugeIf puts a rejected block back itself, so no path here
+	// holds a loose block.
 	var olds []*Page
 	block := rt.fl.popHugeIf(p, func() bool {
 		leaf, _ := f.pages.Extent(baseIdx >> hugeShift)
@@ -97,8 +90,7 @@ func (rt *Runtime) hugeFault(p *engine.Proc, r *Region, f *fileState, idx uint64
 			if pg == nil {
 				continue
 			}
-			if pg.huge || pg.pins > 0 || pg.busy() ||
-				pg.poison != nil || pg.quarantined || !pg.resident {
+			if pg.huge || pg.pins > 0 || pg.state != detutil.PgClean && pg.state != detutil.PgDirty {
 				return false
 			}
 			olds = append(olds, pg)
@@ -111,30 +103,24 @@ func (rt *Runtime) hugeFault(p *engine.Proc, r *Region, f *fileState, idx uint64
 
 	// Atomic claim: between here and the placeholder publish nothing charges,
 	// so no other proc can observe a half-claimed extent. The 4 KB
-	// constituents leave the hash and the page tables; the unit placeholder
-	// takes the base key with an unfired fill event.
-	unit := &Page{
-		file: f, idx: baseIdx, huge: true,
-		frames: block, frame: block[0], resident: true,
-	}
-	unit.ev.Arm(unit)
+	// constituents leave the hash and the page tables, displaced; the unit
+	// placeholder takes the base key, filling.
 	var dirtyOlds []*Page
 	unmapped := 0
 	for _, pg := range olds {
-		pg.resident = false
-		rt.lru.forget(pg)
-		rt.cacheRemove(pg)
+		if pg.state == detutil.PgDirty {
+			dirtyOlds = append(dirtyOlds, pg)
+		}
+		rt.move(pg, detutil.PgDisplaced)
 		for _, va := range pg.vas.S {
 			if rt.PT.Unmap(va) {
 				unmapped++
 			}
 		}
 		pg.vas.S = nil
-		if rt.clean(pg) {
-			dirtyOlds = append(dirtyOlds, pg)
-		}
 	}
-	rt.cacheInsert(unit)
+	unit := &Page{file: f, idx: baseIdx, huge: true, frames: block, frame: block[0]}
+	rt.move(unit, detutil.PgFilling)
 
 	// Cycle charges for the claim (yields are safe now: the claim is fully
 	// published and racers wait on the unit's event).
@@ -150,17 +136,16 @@ func (rt *Runtime) hugeFault(p *engine.Proc, r *Region, f *fileState, idx uint64
 	// must hit the device before their frames are recycled.
 	if len(dirtyOlds) > 0 {
 		rt.charge(p, "dirty-track", rt.P.DirtyTreeOp*uint64(len(dirtyOlds)))
-		if rt.writeBack(p, dirtyOlds, "aq.writeback", true, nil, false) != nil {
+		if rt.writeBack(p, dirtyOlds, "aq.writeback", nil, false) != nil {
 			// A constituent was requeued or quarantined by the failure path:
 			// its frame's content is the only good copy, so the promotion
-			// cannot proceed. Undo the claim wholesale. (The error, not the
-			// pages' flags: a requeued page is dirty again and an msync that
+			// cannot proceed. Undo the claim wholesale, each constituent
+			// settling where the failure path left it. (The error, not the
+			// pages' states: a requeued page is dirty again and an msync that
 			// collected it before the claim may have taken it since.)
-			rt.cacheRemove(unit)
-			unit.resident = false
+			rt.move(unit, detutil.PgGone)
 			for _, pg := range olds {
-				pg.resident = true
-				rt.cacheInsert(pg)
+				rt.move(pg, pg.state.Settled())
 			}
 			rt.lru.recordBulk(p, olds)
 			rt.fl.pushHuge(p, block)
@@ -173,6 +158,7 @@ func (rt *Runtime) hugeFault(p *engine.Proc, r *Region, f *fileState, idx uint64
 	// in the unit's block.
 	oldFrames := make([]*mem.Frame, 0, len(olds))
 	for _, pg := range olds {
+		rt.move(pg, detutil.PgGone)
 		oldFrames = append(oldFrames, pg.frame)
 		pg.frame = nil
 	}
@@ -185,14 +171,11 @@ func (rt *Runtime) hugeFault(p *engine.Proc, r *Region, f *fileState, idx uint64
 		rt.Stats.MajorFaults++
 		rt.Stats.HugeDemotions++
 		p.SpanEvent("fault.major", 1)
-		rt.cacheRemove(unit)
-		unit.resident = false
+		rt.move(unit, detutil.PgGone)
 		split := make([]*Page, hugePages)
 		for i := range split {
-			spg := &Page{file: f, idx: baseIdx + uint64(i), frame: block[i], resident: true}
-			spg.ev.Arm(spg)
-			split[i] = spg
-			rt.cacheInsert(spg)
+			split[i] = &Page{file: f, idx: baseIdx + uint64(i), frame: block[i]}
+			rt.move(split[i], detutil.PgFilling)
 		}
 		rt.charge(p, "map-pte", rt.P.HugeSplit)
 		rt.charge(p, "cache-insert", rt.P.HashInsert*hugePages)
@@ -200,7 +183,7 @@ func (rt *Runtime) hugeFault(p *engine.Proc, r *Region, f *fileState, idx uint64
 		rt.isolateReadRun(p, split)
 		doneAt := p.Now()
 		for _, spg := range split {
-			spg.ev.Fire(doneAt)
+			rt.filled(spg, doneAt)
 		}
 		unit.ev.Fire(doneAt)
 		return split[idx-baseIdx], nil
@@ -210,7 +193,7 @@ func (rt *Runtime) hugeFault(p *engine.Proc, r *Region, f *fileState, idx uint64
 	rt.Stats.HugePromotions++
 	p.SpanEvent("fault.major", 1)
 	rt.lru.record(p, unit)
-	unit.ev.Fire(p.Now())
+	rt.filled(unit, p.Now())
 	return unit, nil
 }
 
@@ -270,7 +253,7 @@ func (rt *Runtime) hugeWP(p *engine.Proc, r *Region, pg *Page, va uint64) (*mem.
 	misfit := (pg.idx+hugePages)*pageSize > r.End-r.Start
 	wrFlags := pagetable.FlagUser | pagetable.FlagWritable |
 		pagetable.FlagAccessed | pagetable.FlagDirty
-	if pg.dirty || pg.pins > 0 || r.HugeHint || misfit {
+	if pg.state.Dirty() || pg.pins > 0 || r.HugeHint || misfit {
 		pg.pins++
 		defer func() { pg.pins-- }()
 		rt.markDirty(p, pg)
@@ -313,7 +296,7 @@ func (rt *Runtime) hugeWP(p *engine.Proc, r *Region, pg *Page, va uint64) (*mem.
 func (rt *Runtime) splitUnit(p *engine.Proc, pg *Page, pinOff int) []*Page {
 	rt.Stats.HugeDemotions++
 	p.SpanEvent("huge.split", 1)
-	wasDirty := rt.clean(pg)
+	wasDirty := pg.state.Dirty()
 	unmapped := 0
 	for _, va := range pg.vas.S {
 		if rt.PT.Unmap(va) {
@@ -321,17 +304,16 @@ func (rt *Runtime) splitUnit(p *engine.Proc, pg *Page, pinOff int) []*Page {
 		}
 	}
 	pg.vas.S = nil
-	pg.resident = false
-	rt.lru.forget(pg)
-	rt.cacheRemove(pg)
+	rt.move(pg, detutil.PgGone)
 	split := make([]*Page, hugePages)
 	for i := range split {
-		spg := &Page{file: pg.file, idx: pg.idx + uint64(i), frame: pg.frames[i], resident: true}
-		if wasDirty {
-			rt.setDirty(spg, p.CPU())
-		}
+		spg := &Page{file: pg.file, idx: pg.idx + uint64(i), frame: pg.frames[i], dirtyCore: int32(p.CPU())}
 		split[i] = spg
-		rt.cacheInsert(spg)
+		if wasDirty {
+			rt.move(spg, detutil.PgDirty)
+		} else {
+			rt.move(spg, detutil.PgClean)
+		}
 	}
 	if pinOff >= 0 {
 		split[pinOff].pins++

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"aquila/internal/detutil"
 	"aquila/internal/sim/mem"
 	"aquila/internal/sim/pagetable"
 )
@@ -20,41 +21,9 @@ func (rt *Runtime) CheckInvariants() error {
 	if uint64(resident+free) != rt.limitPages {
 		return fmt.Errorf("resident %d + free %d != limit %d", resident, free, rt.limitPages)
 	}
-	// The cache index: every file's leaves hold what their populations say,
-	// none is linked empty, and a page sits at its own (file, index).
-	//aqlint:sorted -- read-only audit: which violation is reported first may vary, but no simulated state is touched
-	for _, f := range rt.files {
-		if err := f.pages.Check(); err != nil {
-			return fmt.Errorf("file %s: page index: %v", f.name, err)
-		}
-		for idx, pg := range f.pages.All() {
-			if pg.file != f || pg.idx != idx {
-				return fmt.Errorf("page (%s,%d) filed at (%s,%d)", pg.file.name, pg.idx, f.name, idx)
-			}
-		}
-	}
-	for pg := range rt.cached() {
-		if !pg.resident {
-			return fmt.Errorf("non-resident page (%s,%d) still in hash", pg.file.name, pg.idx)
-		}
-		if pg.frame == nil {
-			return fmt.Errorf("page (%s,%d) has no frame", pg.file.name, pg.idx)
-		}
+	err := rt.auditPages(func(pg *Page) error {
 		if pg.busy() {
 			return fmt.Errorf("page (%s,%d) has in-flight I/O at quiesce", pg.file.name, pg.idx)
-		}
-		if len(pg.vas.S) <= 1 && !pg.vas.Inline() {
-			return fmt.Errorf("page (%s,%d): %d mapping(s) kept outside the page's own slot", pg.file.name, pg.idx, len(pg.vas.S))
-		}
-		// Fault discipline: a poisoned page is unreadable, so it can never
-		// have been stored to (stores SIGBUS at resolve) — it must be clean,
-		// and it cannot also be quarantined (quarantine needs a writeback,
-		// writeback needs a dirtying store).
-		if pg.poison != nil && pg.dirty {
-			return fmt.Errorf("poisoned page (%s,%d) is dirty", pg.file.name, pg.idx)
-		}
-		if pg.poison != nil && pg.quarantined {
-			return fmt.Errorf("page (%s,%d) both poisoned and quarantined", pg.file.name, pg.idx)
 		}
 		if pg.huge {
 			// Huge-unit structure: extent-aligned base index, 512 contiguous
@@ -79,7 +48,7 @@ func (rt *Runtime) CheckInvariants() error {
 				return fmt.Errorf("unit (%s,%d): %d 4 KB page(s) also cached in its extent",
 					pg.file.name, pg.idx, n-1)
 			}
-			if pg.poison != nil {
+			if pg.state == detutil.PgPoisoned {
 				return fmt.Errorf("unit (%s,%d) poisoned", pg.file.name, pg.idx)
 			}
 		}
@@ -110,17 +79,17 @@ func (rt *Runtime) CheckInvariants() error {
 					pg.file.name, pg.idx, e.Frame, want)
 			}
 			// Dirty discipline: a writable PTE implies a dirty page.
-			if e.Flags.Has(pagetable.FlagWritable) && !pg.dirty {
-				return fmt.Errorf("page (%s,%d): writable PTE on clean page",
-					pg.file.name, pg.idx)
+			if e.Flags.Has(pagetable.FlagWritable) && !pg.state.Dirty() {
+				return fmt.Errorf("page (%s,%d): writable PTE on %v page",
+					pg.file.name, pg.idx, pg.state)
 			}
 		}
-	}
-	if err := rt.auditDirtyCounts(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return err
 	}
-	// LRU queues: the counters the sweep trigger reads match a recount, and a
-	// live entry — the one its page's lruSeq names — is a cached page's.
+	// LRU queues: the counters the sweep trigger reads match a recount.
 	queued, dead := 0, 0
 	for i := range rt.lru.queues {
 		q := &rt.lru.queues[i]
@@ -128,8 +97,6 @@ func (rt *Runtime) CheckInvariants() error {
 			queued++
 			if e.pg.lruSeq != e.seq {
 				dead++
-			} else if e.pg.file.pages.Get(e.pg.idx) != e.pg {
-				return fmt.Errorf("live LRU entry for uncached page (%s,%d)", e.pg.file.name, e.pg.idx)
 			}
 		}
 	}
@@ -139,18 +106,37 @@ func (rt *Runtime) CheckInvariants() error {
 	return nil
 }
 
-// auditDirtyCounts holds each core's dirty count against a recount of the
-// cached pages' flags.
-func (rt *Runtime) auditDirtyCounts() error {
+// auditPages is what both audits hold every cached page to, then each: filed
+// at its own (file, index), observed as its state's row in the lifecycle table
+// says, at most one mapping kept in its own slot — and each core's dirty count
+// is the number of cached pages its stores left in a dirty state.
+func (rt *Runtime) auditPages(each func(pg *Page) error) error {
 	on := make([]int, len(rt.dirtyOn))
-	for pg := range rt.cached() {
-		if !pg.dirty {
-			continue
+	//aqlint:sorted -- read-only audit: which violation is reported first may vary, but no simulated state is touched
+	for _, f := range rt.files {
+		if err := f.pages.Check(); err != nil {
+			return fmt.Errorf("file %s: page index: %v", f.name, err)
 		}
-		if pg.dirtyCore < 0 || int(pg.dirtyCore) >= len(on) {
-			return fmt.Errorf("dirty page (%s,%d) names core %d of %d", pg.file.name, pg.idx, pg.dirtyCore, len(on))
+		for idx, pg := range f.pages.All() {
+			if pg.file != f || pg.idx != idx {
+				return fmt.Errorf("page (%s,%d) filed at (%s,%d)", pg.file.name, pg.idx, f.name, idx)
+			}
+			if err := pg.state.Audit(pg.busy(), pg.frame != nil, pg.lruSeq != 0); err != nil {
+				return fmt.Errorf("page (%s,%d): %v", pg.file.name, pg.idx, err)
+			}
+			if len(pg.vas.S) <= 1 && !pg.vas.Inline() {
+				return fmt.Errorf("page (%s,%d): %d mapping(s) kept outside the page's own slot", pg.file.name, pg.idx, len(pg.vas.S))
+			}
+			if pg.state.Counted() {
+				if pg.dirtyCore < 0 || int(pg.dirtyCore) >= len(on) {
+					return fmt.Errorf("dirty page (%s,%d) names core %d of %d", pg.file.name, pg.idx, pg.dirtyCore, len(on))
+				}
+				on[pg.dirtyCore]++
+			}
+			if err := each(pg); err != nil {
+				return err
+			}
 		}
-		on[pg.dirtyCore]++
 	}
 	for core, n := range on {
 		if n != rt.dirtyOn[core] {

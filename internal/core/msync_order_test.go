@@ -120,7 +120,7 @@ func TestMsyncCollectsPerCoreInIndexOrder(t *testing.T) {
 					pg = f.pages.Get(d.idx)
 				}
 			}
-			if pg == nil || !pg.dirty || int(pg.dirtyCore) != d.core || uint64(pg.pages()) != d.pages {
+			if pg == nil || !pg.state.Dirty() || int(pg.dirtyCore) != d.core || uint64(pg.pages()) != d.pages {
 				t.Fatalf("%s: reference entry %+v is cached as %+v", when, d, pg)
 			}
 		}
@@ -202,8 +202,8 @@ func TestMsyncCollectsPerCoreInIndexOrder(t *testing.T) {
 			for core, idx := range []uint64{q, r, w} {
 				eng.Spawn(core, "store", func(p *engine.Proc) {
 					p.AdvanceUser(3_000) // msync is parked on Y by now
-					if !pgY.busy() || !pgY.dirty {
-						t.Errorf("core %d stores with Y busy=%v dirty=%v: msync is not waiting on it", core, pgY.busy(), pgY.dirty)
+					if !pgY.busy() || !pgY.state.Dirty() {
+						t.Errorf("core %d stores with Y busy=%v %v: msync is not waiting on it", core, pgY.busy(), pgY.state)
 					}
 					mb.Store(p, idx*pageSize, buf[:])
 					stored++
@@ -217,7 +217,7 @@ func TestMsyncCollectsPerCoreInIndexOrder(t *testing.T) {
 		t.Fatalf("with three pages dirtied during the wait the writes were %v, want %v", log, want)
 	}
 	for idx, dirty := range map[uint64]bool{q: true, r: true, w: false} {
-		if pg := f.pages.Get(idx); pg == nil || pg.dirty != dirty {
+		if pg := f.pages.Get(idx); pg == nil || pg.state.Dirty() != dirty {
 			t.Errorf("page %d after the msync: %+v, want dirty=%v", idx, pg, dirty)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"aquila/internal/detutil"
 	"aquila/internal/sim/engine"
 )
 
@@ -88,7 +89,7 @@ func lruCensus(l *lruApprox) (queued, dead, nonResident int) {
 			if e.pg.lruSeq != e.seq {
 				dead++
 			}
-			if !e.pg.resident {
+			if !e.pg.state.Indexed() {
 				nonResident++
 			}
 		}
@@ -210,8 +211,10 @@ func TestSweepDoesNotMoveVictimOrder(t *testing.T) {
 	}
 }
 
-// TestInvariantsAuditThePageRecord plants the two states the self-contained
-// record rules out and expects each audit to name them.
+// TestInvariantsAuditThePageRecord plants what the page record and its
+// lifecycle state rule out — a mapping kept off the record, a state its event
+// or the dirty counts disagree with, a misfiled page, drifted counters — and
+// expects each audit to name it.
 func TestInvariantsAuditThePageRecord(t *testing.T) {
 	e, _, boot := daxWorld(4*mib, 2)
 	e.Spawn(0, "t", func(p *engine.Proc) {
@@ -234,18 +237,24 @@ func TestInvariantsAuditThePageRecord(t *testing.T) {
 		expect("CheckCrashInvariants", rt.CheckCrashInvariants(), "outside the page's own slot")
 		pg.vas.S = inline
 
-		pg.resident = false // claimed, but nobody armed the event
-		expect("CheckCrashInvariants", rt.CheckCrashInvariants(), "but not busy")
+		pg.state = detutil.PgClaimed // claimed, but nobody armed the event
+		expect("CheckCrashInvariants", rt.CheckCrashInvariants(), "page (data,0): claimed page: indexed, busy=false")
+		seq := pg.lruSeq
+		pg.lruSeq = 0 // a victim's entry went when it was selected
 		pg.ev.Arm(evictClaim)
 		if err := rt.CheckCrashInvariants(); err != nil {
 			t.Errorf("a claimed page that is busy: %v", err)
 		}
 		pg.ev.Fire(p.Now())
-		pg.resident = true
+		pg.lruSeq = seq
+		pg.state = detutil.PgDirty // dirty, but no core counts it
+		expect("CheckInvariants", rt.CheckInvariants(), "core 0 counts 0 dirty pages, 1 cached pages say so")
+		expect("CheckCrashInvariants", rt.CheckCrashInvariants(), "core 0 counts 0 dirty pages, 1 cached pages say so")
+		pg.state = detutil.PgClean
 
 		pg.idx = 7 // filed at 0
 		expect("CheckInvariants", rt.CheckInvariants(), "page (data,7) filed at (data,0)")
-		expect("CheckCrashInvariants", rt.CheckCrashInvariants(), "not what its index holds")
+		expect("CheckCrashInvariants", rt.CheckCrashInvariants(), "page (data,7) filed at (data,0)")
 		pg.idx = 0
 
 		m.Store(p, 0, buf[:])

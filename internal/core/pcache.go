@@ -41,25 +41,18 @@ type Page struct {
 	// lruSeq is the fault sequence number of the page's newest LRU record;
 	// older queue entries are stale and skipped lazily.
 	lruSeq uint64
-	// poison is set when the page's fill I/O failed permanently: the frame
-	// holds no valid content and any access delivers SIGBUS carrying this
-	// fault. Poisoned pages stay in the hash so re-faults fail fast.
+	// poison is the fault a fill failed with for good (state PgPoisoned): the
+	// frame holds no valid content, and any access delivers SIGBUS carrying it.
 	poison *IOFault
 	// frames are a 2 MB unit's 512 contiguous frames (huge).
 	frames []*mem.Frame
-	// dirtyCore is the core that dirtied the page — the one whose red-black
-	// tree holds it (§3.2) and whose turn in an msync collects it; meaningful
-	// while dirty.
+	// dirtyCore is the core that dirtied the page — whose turn in an msync
+	// collects it (§3.2's per-core dirty trees); meaningful while dirty.
 	dirtyCore int32
 	// pins guards pages being used across a blocking point.
-	pins  int32
-	dirty bool
-	// resident is cleared when eviction claims the page.
-	resident bool
-	// quarantined marks a dirty page whose writeback failed permanently: it
-	// keeps its frame, is never re-selected by eviction, and is never
-	// silently dropped — the in-DRAM copy is the only good one.
-	quarantined bool
+	pins int32
+	// state is where the page is in its life; move is its only writer.
+	state detutil.PageState
 	// huge marks a 2 MB unit: one cache entry (stored under the extent's
 	// base index) covering 512 contiguous frames. frame aliases frames[0] so
 	// size-agnostic code keeps working; dirtiness, LRU position and
@@ -262,7 +255,7 @@ func (l *lruApprox) selectVictims(p *engine.Proc, n int) []*Page {
 		pg := q.entries[q.head].pg
 		q.head++
 		l.compact(q)
-		if pg.quarantined {
+		if pg.state == detutil.PgQuarantined || pg.state == detutil.PgQuarantinedDirty {
 			// Quarantined pages are pinned in DRAM forever (their only good
 			// copy); drop the entry, do not requeue.
 			l.queued--
@@ -286,12 +279,58 @@ func (l *lruApprox) selectVictims(p *engine.Proc, n int) []*Page {
 		// selection critical section.
 		l.queued--
 		pg.lruSeq = 0
-		pg.resident = false
-		pg.ev.Arm(evictClaim)
+		l.rt.claim(pg)
 		victims = append(victims, pg)
 		frames += pg.pages()
 	}
 	return victims
+}
+
+// claim makes pg an eviction's victim.
+func (rt *Runtime) claim(pg *Page) {
+	if pg.state.Dirty() {
+		rt.move(pg, detutil.PgClaimedDirty)
+	} else {
+		rt.move(pg, detutil.PgClaimed)
+	}
+}
+
+// move is the one writer of pg.state (DESIGN.md §3 "Page lifecycle"). It
+// panics on an edge the lifecycle does not list and on a pinned page leaving
+// the cache, and it keeps the new state's columns true: it files the page in
+// its index or takes it out, kills its LRU entry if the state is never listed,
+// moves the per-core dirty count and arms the event of a page turning busy.
+// Firing the event is the caller's: waiters wake when the work they wait for
+// is done, which may be after the move.
+func (rt *Runtime) move(pg *Page, to detutil.PageState) {
+	from := pg.state
+	if !from.Legal(to) || to == detutil.PgGone && pg.pins > 0 {
+		panic(fmt.Sprintf("core: page (%s,%d): %v → %v with %d pins", pg.file.name, pg.idx, from, to, pg.pins))
+	}
+	if to.Indexed() && !from.Indexed() {
+		if at := rt.lookupPage(pg.file, pg.idx); at != nil {
+			panic(fmt.Sprintf("core: page (%s,%d): %v → %v over a %v page", pg.file.name, pg.idx, from, to, at.state))
+		}
+		pg.file.pages.Insert(pg.idx, pg)
+	} else if from.Indexed() && !to.Indexed() {
+		pg.file.pages.Remove(pg.idx, pg)
+	}
+	if to.Unlisted() {
+		rt.lru.forget(pg)
+	}
+	if to.Counted() && !from.Counted() {
+		rt.dirtyOn[pg.dirtyCore]++
+	} else if from.Counted() && !to.Counted() {
+		rt.dirtyOn[pg.dirtyCore]--
+	}
+	if to.Busy() && !from.Busy() {
+		var owner engine.EventNamer = evictClaim
+		if to == detutil.PgFilling {
+			owner = pg
+		}
+		pg.ev.Arm(owner)
+	}
+	pg.state = to
 }
 
 // compact drops the consumed prefix of a queue once it is most of it.

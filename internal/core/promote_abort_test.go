@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"aquila/internal/detutil"
 	"aquila/internal/iface"
 	"aquila/internal/sim/device"
 	"aquila/internal/sim/engine"
@@ -28,8 +29,7 @@ func (h *hookedEngine) WriteRun(p *engine.Proc, f *fileState, idx uint64, frames
 func claimAsVictim(rt *Runtime, pg *Page, hold func(p *engine.Proc)) {
 	rt.Victims = func(p *engine.Proc, n int) []*Page {
 		rt.lru.forget(pg)
-		pg.resident = false
-		pg.ev.Arm(evictClaim)
+		rt.claim(pg)
 		hold(p)
 		return append(rt.pageBufs.Borrow(), pg)
 	}
@@ -74,8 +74,8 @@ func TestPromotionAbortsOnFailedDisplacementWriteback(t *testing.T) {
 		}
 		for idx, dirty := range map[uint64]bool{3: false, 10: true, 11: false, 20: false} {
 			pg := f.pages.Get(idx)
-			if pg == nil || pg.huge || !pg.resident || pg.frame == nil || pg.dirty != dirty {
-				t.Fatalf("page %d after the abort: %+v, want a resident 4 KB page, dirty=%v", idx, pg, dirty)
+			if pg == nil || pg.huge || pg.frame == nil || pg.state != map[bool]detutil.PageState{false: detutil.PgClean, true: detutil.PgDirty}[dirty] {
+				t.Fatalf("page %d after the abort: %+v, want a cached 4 KB page, dirty=%v", idx, pg, dirty)
 			}
 		}
 		if err := rt.CheckInvariants(); err != nil {
@@ -160,8 +160,8 @@ func TestPromotionAbortRacingMsyncKeepsTheFrame(t *testing.T) {
 			if err := m.Msync(p); err == nil {
 				t.Error("msync reported nothing of the failed displacement write-back")
 			}
-			if pgX.dirty || pgX.pins != 0 {
-				t.Errorf("X after msync: dirty=%v pins=%d", pgX.dirty, pgX.pins)
+			if pgX.state.Dirty() || pgX.pins != 0 {
+				t.Errorf("X after msync: %v, pins=%d", pgX.state, pgX.pins)
 			}
 		})
 		p.Engine().Spawn(3, "promote", func(p *engine.Proc) {
@@ -177,7 +177,7 @@ func TestPromotionAbortRacingMsyncKeepsTheFrame(t *testing.T) {
 	}
 	f := rt.files["data"]
 	for _, idx := range []uint64{x, x2, z} {
-		if pg := f.pages.Get(idx); pg == nil || pg.huge || pg.frame == nil || pg.dirty {
+		if pg := f.pages.Get(idx); pg == nil || pg.huge || pg.frame == nil || pg.state != detutil.PgClean {
 			t.Errorf("page %d after the race: %+v, want a clean 4 KB page", idx, pg)
 		}
 	}
@@ -192,4 +192,65 @@ func TestPromotionAbortRacingMsyncKeepsTheFrame(t *testing.T) {
 			t.Errorf("page %d on the device: %x, want %x", idx, got, mark)
 		}
 	}
+}
+
+// Between the failed displacement write and the abort's re-publish, the
+// requeued constituent is out of the index and dirty again: the audits must
+// hold there too. An auditor proc, started when the page's last write attempt
+// fails, runs CheckCrashInvariants each time the promoting proc yields — it
+// waits one cycle past the promoter's clock, so each of the promoter's
+// charges hands it the machine — until page 10 is back in the index.
+func TestPromotionAbortAuditsHoldAtEveryYield(t *testing.T) {
+	e, _, boot := hugeHintWorld(16*mib, 2)
+	audits, republished := 0, false
+	e.Spawn(0, "t", func(p *engine.Proc) {
+		rt := boot(p)
+		f := rt.CreateFile(p, "data", 4*mib)
+		m := rt.Mmap(p, f, 4*mib)
+		mark := make([]byte, 8)
+		for _, idx := range []uint64{3, 10, 11} {
+			pageMark(mark, idx)
+			m.Store(p, idx*pageSize, mark)
+		}
+		m.Advise(p, iface.AdviceHuge)
+		attempts := 0
+		audit := func(prom *engine.Proc) func(*engine.Proc) {
+			return func(p *engine.Proc) {
+				for {
+					if err := rt.CheckCrashInvariants(); err != nil {
+						t.Errorf("audit %d, cycle %d: %v", audits, p.Now(), err)
+						return
+					}
+					audits++
+					if pg := f.pages.Get(10); pg != nil && !pg.huge {
+						republished = true
+						return
+					}
+					p.WaitUntil(prom.Now()+1, engine.KindIOWait)
+				}
+			}
+		}
+		below := rt.Engine
+		rt.Engine = &hookedEngine{IOEngine: below, writeRun: func(p *engine.Proc, f *fileState, idx uint64, frames []*mem.Frame) error {
+			if idx > 10 || idx+uint64(len(frames)) <= 10 {
+				return below.WriteRun(p, f, idx, frames)
+			}
+			if len(frames) == 1 {
+				if attempts++; attempts == 1+ioRetryLimit {
+					p.Engine().Spawn(1, "audit", audit(p))
+				}
+			}
+			return &device.IOError{Kind: device.FaultTransientWrite, Dev: "hook", Off: idx * pageSize, Len: pageSize}
+		}}
+		got := make([]byte, 8)
+		m.Load(p, 20*pageSize, got) // first fault of a hinted extent: promote, abort
+		if rt.Stats.HugePromotions != 0 || rt.Stats.RequeuedPages != 1 {
+			t.Fatalf("%d promotions, %d requeued pages, want 0 and 1", rt.Stats.HugePromotions, rt.Stats.RequeuedPages)
+		}
+	})
+	e.Run()
+	if audits < 4 || !republished {
+		t.Fatalf("%d audits, re-publish seen: %v", audits, republished)
+	}
+	t.Logf("%d audits", audits)
 }

@@ -156,9 +156,9 @@ type Runtime struct {
 	// charged explicitly, with no lock queueing. leaves is where an emptied
 	// index leaf waits for the next file.
 	leaves detutil.LeafPool[Page]
-	// The per-core dirty red-black trees (§3.2) are, on the host, Page.dirty
-	// and Page.dirtyCore plus the index's own order; dirtyOn counts each
-	// core's dirty pages so an msync skips the cores that have none.
+	// The per-core dirty red-black trees (§3.2) are, on the host, the pages'
+	// dirty states and dirtyCore plus the index's own order; dirtyOn counts
+	// each core's dirty cached pages so an msync skips the cores that have none.
 	dirtyOn []int
 	fl      *freelist
 	lru     *lruApprox
@@ -480,26 +480,34 @@ func (rt *Runtime) DeleteFile(p *engine.Proc, name string) {
 	// frames in drop order. The walk is taken once, into the runtime's scratch
 	// slice: the waits and charges yield, and the pages to drop are the ones
 	// cached now. (A second delete running meanwhile finds the scratch taken
-	// and grows its own.) Pages under I/O wait their owners; mapped pages must
-	// have been unmapped by Munmap already.
+	// and grows its own.) Pages under I/O wait their owners, until a pass finds
+	// none busy — a wait yields, and an eviction may claim a page waited out
+	// before; mapped pages must have been unmapped by Munmap already.
 	drop := rt.deleteBuf[:0]
 	rt.deleteBuf = nil
 	for _, pg := range f.pages.All() {
 		drop = append(drop, pg)
 	}
-	for _, pg := range drop {
-		for pg.busy() {
-			pg.ev.Wait(p)
+	for settled := false; !settled; {
+		settled = true
+		for _, pg := range drop {
+			for pg.busy() {
+				pg.ev.Wait(p)
+				settled = false
+			}
 		}
 	}
+	// Every page leaves before the first charge yields; one an eviction took
+	// while it was waited on is gone already.
 	for _, pg := range drop {
 		if len(pg.vas.S) > 0 {
 			panic(fmt.Sprintf("core: delete of %q with live mappings", name))
 		}
-		rt.clean(pg)
-		pg.resident = false
-		rt.lru.forget(pg)
-		rt.cacheRemove(pg)
+		if pg.state != detutil.PgGone {
+			rt.move(pg, detutil.PgGone)
+		}
+	}
+	for _, pg := range drop {
 		rt.charge(p, "cache-lookup", rt.P.HashRemove)
 		if pg.huge {
 			rt.fl.pushHuge(p, pg.frames)
@@ -660,31 +668,15 @@ func (rt *Runtime) wpFault(p *engine.Proc, va uint64) (*mem.Frame, error) {
 	return pg.frame, nil
 }
 
-// markDirty puts a clean page in the calling core's dirty set: an insert into
-// that core's red-black tree, charged as one.
+// markDirty puts a page that is not dirty in the calling core's dirty set: an
+// insert into that core's red-black tree, charged as one.
 func (rt *Runtime) markDirty(p *engine.Proc, pg *Page) {
-	if pg.dirty {
+	if pg.state.Dirty() {
 		return
 	}
-	rt.setDirty(pg, p.CPU())
+	pg.dirtyCore = int32(p.CPU())
+	rt.move(pg, pg.state.Dirtied())
 	rt.charge(p, "dirty-track", rt.P.DirtyTreeOp)
-}
-
-// setDirty and clean are the only writers of Page.dirty; the tree operation
-// each stands for is charged by its caller.
-func (rt *Runtime) setDirty(pg *Page, core int) {
-	pg.dirty, pg.dirtyCore = true, int32(core)
-	rt.dirtyOn[core]++
-}
-
-// clean takes pg out of its core's dirty set and reports whether it was in.
-func (rt *Runtime) clean(pg *Page) bool {
-	if !pg.dirty {
-		return false
-	}
-	pg.dirty = false
-	rt.dirtyOn[pg.dirtyCore]--
-	return true
 }
 
 // dirtyKey is device order, the order write-back merges runs in.
@@ -732,16 +724,12 @@ func (rt *Runtime) fault(p *engine.Proc, va uint64, write bool) (*mem.Frame, err
 			pg = existing
 			rt.Stats.MinorFaults++
 			p.SpanEvent("fault.minor", 1)
-			if rt.hugeEnabled() {
-				// Pin across the LRU-record charge: it yields, and a
-				// concurrent promotion claiming this extent must see the page
-				// busy rather than recycle its frame under us.
-				pg.pins++
-				rt.lru.record(p, pg)
-				pg.pins--
-			} else {
-				rt.lru.record(p, pg)
-			}
+			// Pin across the LRU-record charge: it yields, and an eviction or
+			// a promotion claiming the page meanwhile must see it in use
+			// rather than recycle its frame under us.
+			pg.pins++
+			rt.lru.record(p, pg)
+			pg.pins--
 			break
 		}
 		if !promoteTried && rt.shouldPromote(r, f, idx) {
@@ -768,7 +756,7 @@ func (rt *Runtime) fault(p *engine.Proc, va uint64, write bool) (*mem.Frame, err
 	if pg.huge {
 		return rt.hugeMap(p, r, pg, va, write)
 	}
-	if pg.poison != nil {
+	if pg.state == detutil.PgPoisoned {
 		// The page's backing I/O failed permanently: deliver the recorded
 		// fault instead of mapping garbage. Mappings turn it into SIGBUS.
 		return nil, pg.poison
@@ -827,8 +815,7 @@ func (rt *Runtime) majorFault(p *engine.Proc, r *Region, f *fileState, idx uint6
 			}
 			continue
 		}
-		pg := &Page{file: f, idx: i, resident: true}
-		pg.ev.Arm(pg)
+		pg := &Page{file: f, idx: i}
 		rt.charge(p, "cache-insert", rt.P.HashInsert)
 		// The insert charge yields: another thread faulting the same page,
 		// or a promotion claiming its extent, may have published an entry
@@ -841,14 +828,13 @@ func (rt *Runtime) majorFault(p *engine.Proc, r *Region, f *fileState, idx uint6
 			}
 			continue
 		}
-		rt.cacheInsert(pg)
+		rt.move(pg, detutil.PgFilling)
 		fr, err := rt.allocFrame(p)
 		if err != nil {
 			// Unwind this page's claim: it was published but never read.
 			// Waiters re-probe on the fired event, miss, and fault it in
 			// themselves (taking the same stall error if it persists).
-			rt.cacheRemove(pg)
-			pg.resident = false
+			rt.move(pg, detutil.PgGone)
 			pg.ev.Fire(p.Now())
 			allocErr = err
 			break
@@ -882,7 +868,7 @@ func (rt *Runtime) majorFault(p *engine.Proc, r *Region, f *fileState, idx uint6
 	}
 	doneAt := p.Now()
 	for _, pg := range mine {
-		pg.ev.Fire(doneAt)
+		rt.filled(pg, doneAt)
 	}
 	rt.pageBufs.GiveBack(mine) // before the retry below recurses
 	rt.frameBufs.GiveBack(frames)
@@ -892,11 +878,22 @@ func (rt *Runtime) majorFault(p *engine.Proc, r *Region, f *fileState, idx uint6
 	if target.busy() {
 		target.ev.Wait(p)
 		// The page may have been evicted while we waited; retry path.
-		if !target.resident {
+		if !target.state.Indexed() || target.busy() {
 			return rt.majorFault(p, r, f, idx)
 		}
 	}
 	return target, nil
+}
+
+// filled ends pg's fill at time at: it is clean, or poisoned if its read
+// failed for good, and its waiters wake.
+func (rt *Runtime) filled(pg *Page, at uint64) {
+	if pg.poison != nil {
+		rt.move(pg, detutil.PgPoisoned)
+	} else {
+		rt.move(pg, detutil.PgClean)
+	}
+	pg.ev.Fire(at)
 }
 
 // entryFrameID returns the frame backing va under PTE e: for a 2 MB leaf the
@@ -1007,7 +1004,8 @@ func (rt *Runtime) claimVictims(p *engine.Proc) (victims, dirty []*Page) {
 	}
 	dirty = rt.pageBufs.Borrow()
 	for _, v := range victims {
-		if rt.clean(v) {
+		if v.state.Dirty() {
+			rt.move(v, v.state.Cleaned())
 			rt.charge(p, "dirty-track", rt.P.DirtyTreeOp)
 			dirty = append(dirty, v)
 		}
@@ -1033,10 +1031,11 @@ func (rt *Runtime) releaseVictims(p *engine.Proc, victims, dirty []*Page, batche
 	recycled := 0
 	for _, v := range victims {
 		v.ev.Fire(doneAt)
-		if v.quarantined || v.dirty {
-			continue // revived by the write-back failure path
+		if v.state != detutil.PgClaimed {
+			rt.move(v, v.state.Settled()) // revived by the write-back failure path
+			continue
 		}
-		rt.cacheRemove(v)
+		rt.move(v, detutil.PgGone)
 		switch {
 		case v.huge:
 			rt.fl.pushHuge(p, v.frames)
@@ -1070,7 +1069,7 @@ func (rt *Runtime) evict(p *engine.Proc) error {
 		return rt.evictStall(p)
 	}
 	rt.evictStalls = 0
-	rt.writeBack(p, dirty, "aq.writeback", true, nil, false)
+	rt.writeBack(p, dirty, "aq.writeback", nil, false)
 	recycled := rt.releaseVictims(p, victims, dirty, false)
 	rt.Stats.DirectReclaimPages += uint64(recycled)
 	p.SpanEvent("evict.pages", uint64(recycled))
@@ -1124,11 +1123,10 @@ func (rt *Runtime) shootdown(p *engine.Proc) {
 // Not draining is Params.UnsafeMsyncAtSubmit's planted bug and nothing else.
 //
 // span names the trace track ("aq.writeback" foreground, "aq.bg_writeback"
-// daemon). evicting tells the failure path whether the pages were claimed by
-// eviction (and must be revived) or are live msync targets. The first final
-// write failure is returned; every failure is also recorded in its file's
-// error sequence.
-func (rt *Runtime) writeBack(p *engine.Proc, pages []*Page, span string, evicting bool, aw AsyncWriter, drain bool) error {
+// daemon). The first final write failure is returned; every failure is also
+// recorded in its file's error sequence, and the failing page's state says
+// whether it is revived by its holder or stays where msync left it.
+func (rt *Runtime) writeBack(p *engine.Proc, pages []*Page, span string, aw AsyncWriter, drain bool) error {
 	if len(pages) == 0 {
 		return nil
 	}
@@ -1182,7 +1180,7 @@ func (rt *Runtime) writeBack(p *engine.Proc, pages []*Page, span string, evictin
 			}
 			// Rejected: nothing of this run was queued.
 		}
-		if err := rt.writeRunOrRecover(p, span, run, frames, evicting); err != nil && firstErr == nil {
+		if err := rt.writeRunOrRecover(p, span, run, frames); err != nil && firstErr == nil {
 			firstErr = err
 		}
 		rt.frameBufs.GiveBack(gathered)
@@ -1278,9 +1276,10 @@ func (rt *Runtime) isolateReadRun(p *engine.Proc, run []*Page) {
 	}
 }
 
-// poison marks a page permanently unreadable; every access delivers the
-// recorded fault as SIGBUS. The page stays in the hash (re-faults fail fast
-// without re-issuing doomed I/O) but remains evictable as clean.
+// poison records the fault a filling page's read failed with for good; its
+// fill ends poisoned (filled) and every access delivers the fault as SIGBUS.
+// The page stays in the hash (re-faults fail fast without re-issuing doomed
+// I/O) but remains evictable.
 func (rt *Runtime) poison(pg *Page, ferr *IOFault) {
 	if pg.poison == nil {
 		rt.Stats.PoisonedPages++
@@ -1295,7 +1294,7 @@ func (rt *Runtime) poison(pg *Page, ferr *IOFault) {
 // run page by page so one bad LBA doesn't fail its siblings, then requeues
 // (transient) or quarantines (permanent) exactly the failing pages, recording
 // each final failure in the owning file's error sequence.
-func (rt *Runtime) writeRunOrRecover(p *engine.Proc, spanName string, run []*Page, frames []*mem.Frame, evicting bool) error {
+func (rt *Runtime) writeRunOrRecover(p *engine.Proc, spanName string, run []*Page, frames []*mem.Frame) error {
 	ferr := rt.writeRun(p, spanName, run[0].file, run[0].idx, frames)
 	if ferr == nil {
 		rt.Stats.WrittenBack += uint64(len(frames))
@@ -1303,7 +1302,7 @@ func (rt *Runtime) writeRunOrRecover(p *engine.Proc, spanName string, run []*Pag
 		return nil
 	}
 	if len(run) == 1 {
-		rt.failWritePage(p, run[0], ferr, evicting)
+		rt.failWritePage(p, run[0], ferr)
 		return ferr
 	}
 	var firstErr error
@@ -1317,7 +1316,7 @@ func (rt *Runtime) writeRunOrRecover(p *engine.Proc, spanName string, run []*Pag
 		if firstErr == nil {
 			firstErr = pe
 		}
-		rt.failWritePage(p, pg, pe, evicting)
+		rt.failWritePage(p, pg, pe)
 	}
 	// firstErr nil here means the merged failure was transient and every page
 	// succeeded in isolation: nothing was lost or left unwritten.
@@ -1328,57 +1327,51 @@ func (rt *Runtime) writeRunOrRecover(p *engine.Proc, spanName string, run []*Pag
 // error enters the file's errseq (each sync caller will see it once), and
 // the page is either requeued for another pass (transient) or quarantined in
 // DRAM (permanent) — never silently dropped.
-func (rt *Runtime) failWritePage(p *engine.Proc, pg *Page, ferr *IOFault, evicting bool) {
+func (rt *Runtime) failWritePage(p *engine.Proc, pg *Page, ferr *IOFault) {
 	pg.file.wbErr.record(ferr)
 	if ferr.Transient() {
-		rt.requeueDirty(p, pg, evicting)
+		rt.requeueDirty(p, pg)
 		return
 	}
-	rt.quarantine(pg, evicting)
+	rt.quarantine(pg)
 }
 
-// requeueDirty puts a transiently failed page back on the dirty list; if
-// eviction had claimed it, the page is revived as resident so a later pass
-// (or msync) retries the writeback.
-func (rt *Runtime) requeueDirty(p *engine.Proc, pg *Page, evicting bool) {
+// requeueDirty puts a transiently failed page back on the dirty list. A page
+// an eviction or a promotion holds is revived dirty when its holder lets it
+// go, and a later pass (or msync) retries the writeback. Revival records the
+// page in the LRU: a victim here, a displaced page when the promotion's abort
+// re-publishes it — its append is charged here all the same.
+func (rt *Runtime) requeueDirty(p *engine.Proc, pg *Page) {
 	rt.Stats.RequeuedPages++
 	rt.markDirty(p, pg)
-	if evicting {
-		pg.resident = true
+	switch pg.state {
+	case detutil.PgClaimedDirty:
 		rt.lru.record(p, pg)
+	case detutil.PgDisplacedDirty:
+		rt.charge(p, "lru", rt.P.LRUAppend)
 	}
 }
 
 // quarantine pins a permanently unwritable dirty page in DRAM: it keeps its
 // frame, eviction never selects it again, and DeleteFile is the only way it
 // leaves the cache. The in-memory copy is the only good one left.
-func (rt *Runtime) quarantine(pg *Page, evicting bool) {
-	if !pg.quarantined {
-		pg.quarantined = true
+func (rt *Runtime) quarantine(pg *Page) {
+	if q := pg.state.Quarantined(); q != pg.state {
+		rt.move(pg, q)
 		rt.Stats.QuarantinedPages++
 	}
-	if evicting {
-		pg.resident = true
-	}
 }
 
-// QuarantinedLive returns how many cached pages are currently quarantined
-// (tests; Stats.QuarantinedPages counts quarantine events).
+// QuarantinedLive and PoisonedLive return how many cached pages are
+// quarantined or poisoned now (tests; Stats counts the events).
 func (rt *Runtime) QuarantinedLive() int {
-	n := 0
-	for pg := range rt.cached() {
-		if pg.quarantined {
-			n++
-		}
-	}
-	return n
+	return rt.countCached(detutil.PgQuarantined) + rt.countCached(detutil.PgQuarantinedDirty)
 }
+func (rt *Runtime) PoisonedLive() int { return rt.countCached(detutil.PgPoisoned) }
 
-// PoisonedLive returns how many cached pages are currently poisoned (tests).
-func (rt *Runtime) PoisonedLive() int {
-	n := 0
+func (rt *Runtime) countCached(s detutil.PageState) (n int) {
 	for pg := range rt.cached() {
-		if pg.poison != nil {
+		if pg.state == s {
 			n++
 		}
 	}
@@ -1415,7 +1408,7 @@ func (rt *Runtime) msyncFileRange(p *engine.Proc, f *fileState, off, length uint
 		}
 		pgs := rt.pageBufs.Borrow()
 		for _, pg := range f.pages.Range(lo&^(hugePages-1), hi) {
-			if pg.dirty && int(pg.dirtyCore) == core && pg.idx+uint64(pg.pages()) > lo {
+			if pg.state.Dirty() && int(pg.dirtyCore) == core && pg.idx+uint64(pg.pages()) > lo {
 				pgs = append(pgs, pg)
 			}
 		}
@@ -1430,9 +1423,10 @@ func (rt *Runtime) msyncFileRange(p *engine.Proc, f *fileState, off, length uint
 			for pg.busy() {
 				pg.ev.Wait(p)
 			}
-			if !rt.clean(pg) {
+			if !pg.state.Dirty() {
 				continue // the evictor's write-back already made it durable
 			}
+			rt.move(pg, pg.state.Cleaned())
 			// Pin the page for the duration of the write-back: it reads as
 			// clean from here, and a newly started eviction would otherwise
 			// free its frame before the write reaches the device.
@@ -1452,7 +1446,7 @@ func (rt *Runtime) msyncFileRange(p *engine.Proc, f *fileState, off, length uint
 		// overlap have no such window and write synchronously.
 		aw, _ = rt.Engine.(AsyncWriter)
 	}
-	rt.writeBack(p, dirtyPages, "aq.writeback", false, aw, false)
+	rt.writeBack(p, dirtyPages, "aq.writeback", aw, false)
 	for _, pg := range dirtyPages {
 		pg.pins--
 	}

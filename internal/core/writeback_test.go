@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"aquila/internal/detutil"
 	"aquila/internal/sim/device"
 	"aquila/internal/sim/engine"
 	"aquila/internal/sim/mem"
@@ -72,7 +73,7 @@ func recWorld(maxRun int) (*engine.Engine, *recEngine, func(p *engine.Proc) *Run
 // testPage fabricates a detached cache page (a 2 MB unit when huge): enough
 // for writeBack, which looks only at identity, frames and mappings.
 func testPage(f *fileState, idx uint64, huge bool) *Page {
-	pg := &Page{file: f, idx: idx, frame: &mem.Frame{}, resident: true}
+	pg := &Page{file: f, idx: idx, frame: &mem.Frame{}}
 	if huge {
 		pg.huge = true
 		pg.frames = make([]*mem.Frame, hugePages)
@@ -135,7 +136,7 @@ func TestWriteBackRunFormation(t *testing.T) {
 					if async {
 						aw, kind = eng, "submit "
 					}
-					if err := rt.writeBack(p, pages, "aq.writeback", false, aw, true); err != nil {
+					if err := rt.writeBack(p, pages, "aq.writeback", aw, true); err != nil {
 						t.Fatalf("writeBack = %v", err)
 					}
 					var want []string
@@ -172,7 +173,7 @@ func TestWriteBackOverlapRejectAndDrain(t *testing.T) {
 					pages = append(pages, testPage(f, idx, false))
 				}
 				t0, w0 := p.Now(), p.Accounted(engine.KindIOWait)
-				if err := rt.writeBack(p, pages, "aq.bg_writeback", true, eng, drain); err != nil {
+				if err := rt.writeBack(p, pages, "aq.bg_writeback", eng, drain); err != nil {
 					t.Fatalf("writeBack = %v (a refused submission that then writes is not a failure)", err)
 				}
 				want := []string{"submit a:0+1", "submit a:1+1", "reject a:2+1", "sync a:2+1", "submit a:3+1", "submit a:4+1"}
@@ -246,10 +247,10 @@ func TestReclaimWritebackFailureRevivesSamePages(t *testing.T) {
 				t.Errorf("resident = %d, want the 2 revived pages", rt.ResidentPages())
 			}
 			perm, trans := rt.lookupPage(f, permIdx), rt.lookupPage(f, transIdx)
-			if perm == nil || !perm.quarantined || perm.dirty || perm.frame == nil || !perm.resident {
+			if perm == nil || perm.state != detutil.PgQuarantined || perm.frame == nil {
 				t.Errorf("permanently failing page not quarantined in place: %+v", perm)
 			}
-			if trans == nil || trans.quarantined || !trans.dirty || trans.frame == nil || !trans.resident {
+			if trans == nil || trans.state != detutil.PgDirty || trans.frame == nil {
 				t.Errorf("transiently failing page not requeued dirty in place: %+v", trans)
 			}
 			if rt.Stats.QuarantinedPages != 1 || rt.Stats.RequeuedPages != 1 {

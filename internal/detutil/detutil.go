@@ -4,5 +4,6 @@
 // spans, issuing I/O, building batches) must not range over a map; the
 // maporder analyzer (cmd/aqlint) flags such loops. PageIndex is the cache
 // index of both worlds — ordered by construction, so nothing that walks it
-// needs a sort — and Scratch lends their paths the slices they batch in.
+// needs a sort — Scratch lends their paths the slices they batch in, and
+// PageState is the one lifecycle both worlds' cached pages move through.
 package detutil

@@ -129,18 +129,6 @@ func (x *PageIndex[P]) Remove(idx uint64, p *P) bool {
 	return true
 }
 
-// Clear empties the index; every leaf goes back to the pool.
-func (x *PageIndex[P]) Clear() {
-	for i := range x.dir {
-		if l := x.dir[i].leaf; l != nil {
-			clear(l[:])
-			x.pool.free = append(x.pool.free, l)
-		}
-	}
-	clear(x.dir)
-	x.n = 0
-}
-
 // All walks every page in ascending index order. The index must not change
 // during a walk.
 func (x *PageIndex[P]) All() iter.Seq2[uint64, *P] { return x.Range(0, ^uint64(0)) }

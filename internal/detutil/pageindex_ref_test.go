@@ -130,7 +130,9 @@ func TestPageIndexMatchesMapReference(t *testing.T) {
 			case rng.Intn(4) == 0:
 				// Delete the file and create the next: its leaves serve it.
 				before := leaves()
-				x.Clear()
+				for _, idx := range ref.sortedKeys(0, ^uint64(0)) {
+					x.Remove(idx, ref[idx])
+				}
 				x, ref = NewPageIndex(&pool, limit), refIndex{}
 				if got := leaves(); got != before || len(pool.free) != before {
 					t.Fatalf("seed %d step %d: %d leaves before the delete, %d after, %d pooled", seed, step, before, got, len(pool.free))
@@ -262,14 +264,6 @@ func TestPageIndexRoundAllocatesNothing(t *testing.T) {
 	round()
 	if got := testing.AllocsPerRun(20, round); got != 0 {
 		t.Errorf("insert-all / remove-all round: %v allocations, want 0", got)
-	}
-	if got := testing.AllocsPerRun(20, func() {
-		for i := range ps {
-			x.Insert(uint64(i), &ps[i])
-		}
-		x.Clear()
-	}); got != 0 {
-		t.Errorf("insert-all / Clear round: %v allocations, want 0", got)
 	}
 }
 

@@ -3,6 +3,7 @@ package host
 import (
 	"fmt"
 
+	"aquila/internal/detutil"
 	"aquila/internal/iface"
 	"aquila/internal/sim/engine"
 )
@@ -93,8 +94,8 @@ func (hf *File) bufferedRead(p *engine.Proc, buf []byte, off uint64) {
 		po := int(cur % PageSize)
 		chunk := min(PageSize-po, len(buf)-n)
 		pg := hf.pageAt(p, idx, min(idx+window, (f.size+PageSize-1)/PageSize), nil)
+		pg.pins++ // before touch yields: a reclaim must not take it meanwhile
 		os.Cache.touch(p, pg)
-		pg.pins++
 		copyFromFrame(buf[n:n+chunk], pg.frame, po)
 		p.AdvanceSystem(os.P.CopyToUser * uint64(chunk) / PageSize)
 		pg.pins--
@@ -119,6 +120,7 @@ func (hf *File) pageAt(p *engine.Proc, idx, hi uint64, whole []byte) *cachedPage
 			var owner bool
 			if pg, owner = c.insertNew(p, f, idx); owner {
 				copy(pg.frame.Data(), whole)
+				c.move(pg, detutil.PgClean)
 				pg.ev.Fire(p.Now())
 			}
 		default:
@@ -145,8 +147,8 @@ func (hf *File) bufferedWrite(p *engine.Proc, buf []byte, off uint64) {
 			whole = buf[n : n+chunk]
 		}
 		pg := hf.pageAt(p, idx, idx+1, whole)
+		pg.pins++ // before touch yields: a reclaim must not take it meanwhile
 		os.Cache.touch(p, pg)
-		pg.pins++
 		copy(pg.frame.Data()[po:po+chunk], buf[n:n+chunk])
 		p.AdvanceSystem(os.P.CopyToUser * uint64(chunk) / PageSize)
 		os.Cache.markDirty(p, pg)

@@ -638,7 +638,7 @@ func TestMsyncRangeAcrossIndexLeaves(t *testing.T) {
 				if in {
 					inside++
 				}
-				if pg := f.pages.Get(idx); pg == nil || pg.dirty == in {
+				if pg := f.pages.Get(idx); pg == nil || pg.state.Dirty() == in {
 					t.Fatalf("msync of pages [%d, %d): page %d dirty=%v", r[0], r[1], idx, !in)
 				}
 			}
@@ -1175,8 +1175,9 @@ func mallocs(f func()) uint64 {
 // device blocks written for the first time, and nothing else: no victim or
 // dirty batch, no fill scratch, no sort's swapper, no index leaf, no version
 // list. What amortizes — the dirty FIFO, which slides through its array and
-// takes a new one every queue's length of stores, the staged list — is allowed
-// a fiftieth of an allocation per page.
+// takes a new one every queue's length of stores (a sweep of reclaimed pages'
+// entries filters it in place), the staged list — is allowed a fiftieth of an
+// allocation per page.
 func TestEvictWritebackCycleAllocations(t *testing.T) {
 	const cachePages, filePages = 1024, 8192
 	e, os := newPMemOS(cachePages * PageSize)

@@ -7,8 +7,9 @@ import "fmt"
 // after heavy workloads; it returns the first violation found.
 func (os *OS) CheckInvariants() error {
 	c := os.Cache
-	// Every page in every file's radix tree is counted, resident on
-	// exactly one LRU list, holds a frame, and has consistent dirty state.
+	// Every page in every file's radix tree is as its state's row in the
+	// lifecycle table says, not busy, on an LRU list, and counted dirty if its
+	// state is.
 	total, dirty := 0, 0
 	//aqlint:sorted -- read-only audit: which violation is reported first may vary, but no simulated state is touched
 	for _, f := range os.FS.files {
@@ -24,24 +25,17 @@ func (os *OS) CheckInvariants() error {
 				return fmt.Errorf("page (%s,%d) misfiled as (%s,%d)",
 					f.name, idx, pg.f.name, pg.idx)
 			}
-			if pg.frame == nil {
-				return fmt.Errorf("page (%s,%d) has no frame", f.name, idx)
+			listed := pg.lruPrev != nil || c.active.head == pg || c.inactive.head == pg
+			if err := pg.state.Audit(pg.busy(), pg.frame != nil, listed); err != nil {
+				return fmt.Errorf("page (%s,%d): %v", f.name, idx, err)
 			}
-			if !pg.inLRU && !pg.busy() {
-				// Off the lists means just published or claimed by reclaim:
-				// both arm the page's event before they yield.
-				return fmt.Errorf("page (%s,%d) is off the LRU lists but not busy", f.name, idx)
-			}
-			if pg.busy() {
-				return fmt.Errorf("page (%s,%d) has in-flight I/O at quiesce", f.name, idx)
+			if pg.busy() || !listed {
+				return fmt.Errorf("page (%s,%d): busy=%v, listed=%v at quiesce", f.name, idx, pg.busy(), listed)
 			}
 			if len(pg.vas.S) <= 1 && !pg.vas.Inline() {
 				return fmt.Errorf("page (%s,%d): %d mapping(s) kept outside the page's own slot", f.name, idx, len(pg.vas.S))
 			}
-			if !pg.inLRU {
-				return fmt.Errorf("page (%s,%d) resident but not on an LRU list", f.name, idx)
-			}
-			if pg.dirty {
+			if pg.state.Counted() {
 				dirty++
 				fileDirty++
 			}

@@ -30,9 +30,13 @@ type cachedPage struct {
 	lruPrev, lruNext *cachedPage
 	// pins guards against reclaim while a syscall path uses the page
 	// across a blocking point.
-	pins  int32
-	inLRU bool
-	dirty bool
+	pins int32
+	// queued counts the page's entries in the dirty FIFO.
+	queued int32
+	// state is where the page is in its life; PageCache.move is its only
+	// writer. Of the lifecycle this world reaches new, filling, clean, dirty,
+	// claimed, claimed-dirty and gone.
+	state detutil.PageState
 	// readahead marks pages brought in by read-around (PG_readahead):
 	// hitting one decrements the file's mmap_miss counter.
 	readahead bool
@@ -65,14 +69,10 @@ func (l *pageList) push(pg *cachedPage) {
 	if l.tail == nil {
 		l.tail = pg
 	}
-	pg.inLRU = true
 	l.n++
 }
 
 func (l *pageList) remove(pg *cachedPage) {
-	if !pg.inLRU {
-		return
-	}
 	if pg.lruPrev != nil {
 		pg.lruPrev.lruNext = pg.lruNext
 	} else {
@@ -83,7 +83,7 @@ func (l *pageList) remove(pg *cachedPage) {
 	} else {
 		l.tail = pg.lruPrev
 	}
-	pg.lruPrev, pg.lruNext, pg.inLRU = nil, nil, false
+	pg.lruPrev, pg.lruNext = nil, nil
 	l.n--
 }
 
@@ -103,8 +103,13 @@ type PageCache struct {
 	inactive pageList
 	nrPages  int
 	nrDirty  int
-	// dirtyQueue approximates the kernel's per-BDI dirty list (FIFO).
+	// dirtyQueue approximates the kernel's per-BDI dirty list (FIFO): one
+	// entry per clean → dirty move, taken from the front by writebackBatch.
+	// An entry whose page is gone is dead for good — a gone page is never
+	// dirty again — and the dead are swept once they outnumber the live, so a
+	// world that never throttles does not keep every page it ever reclaimed.
 	dirtyQueue []*cachedPage
+	queueDead  int
 	// pageBufs lends the fill, reclaim and fsync paths their scratch: the
 	// pages one fill owns, a victim batch, a dirty batch.
 	pageBufs detutil.Scratch[*cachedPage]
@@ -156,7 +161,7 @@ func (c *PageCache) listOf(pg *cachedPage) *pageList {
 func (c *PageCache) touch(p *engine.Proc, pg *cachedPage) {
 	c.lruLock.Lock(p)
 	c.os.charge(p, "lru", c.os.P.LRUUpdate)
-	if pg.inLRU {
+	if pg.state == detutil.PgClean || pg.state == detutil.PgDirty {
 		if pg.referenced && !pg.active {
 			c.inactive.remove(pg)
 			pg.active = true
@@ -198,11 +203,8 @@ func (c *PageCache) insertNew(p *engine.Proc, f *FSFile, idx uint64) (*cachedPag
 		return existing, false
 	}
 	c.os.charge(p, "tree-lock", c.os.P.RadixInsert)
-	pg := &cachedPage{
-		f: f, idx: idx, frame: frame,
-	}
-	pg.ev.Arm(pg)
-	f.pages.Insert(idx, pg)
+	pg := &cachedPage{f: f, idx: idx, frame: frame}
+	c.move(pg, detutil.PgFilling)
 	f.treeLock.Unlock(p)
 
 	c.lruLock.Lock(p)
@@ -245,6 +247,7 @@ func (c *PageCache) fillWindow(p *engine.Proc, f *FSFile, lo, hi, want uint64, r
 	}
 	doneAt := p.Now()
 	for _, pg := range mine {
+		c.move(pg, detutil.PgClean)
 		pg.ev.Fire(doneAt)
 		pg.readahead = readAround && pg.idx != want
 	}
@@ -268,14 +271,63 @@ func (c *PageCache) waitPage(p *engine.Proc, pg *cachedPage) {
 func (c *PageCache) markDirty(p *engine.Proc, pg *cachedPage) {
 	pg.f.treeLock.Lock(p)
 	c.os.charge(p, "tree-lock", c.os.P.RadixLookup)
-	if !pg.dirty {
-		pg.dirty = true
-		pg.f.nrDirty++
-		c.nrDirty++
-		c.dirtyQueue = append(c.dirtyQueue, pg)
+	if !pg.state.Dirty() {
+		c.move(pg, pg.state.Dirtied())
 	}
 	pg.f.treeLock.Unlock(p)
 }
+
+// move is the one writer of pg.state (DESIGN.md §3 "Page lifecycle"). It
+// panics on an edge the lifecycle does not list and on a pinned page leaving
+// the cache, files the page in its file's radix tree or takes it out (the
+// caller holds the tree_lock), moves the dirty counts — a page turning dirty
+// joins the dirty FIFO — and arms the event of a page turning busy. Firing
+// the event is the caller's.
+func (c *PageCache) move(pg *cachedPage, to detutil.PageState) {
+	from := pg.state
+	if !from.Legal(to) || to == detutil.PgGone && pg.pins > 0 {
+		panic(fmt.Sprintf("host: page (%s,%d): %v → %v with %d pins", pg.f.name, pg.idx, from, to, pg.pins))
+	}
+	if to.Indexed() && !from.Indexed() {
+		pg.f.pages.Insert(pg.idx, pg)
+	} else if from.Indexed() && !to.Indexed() {
+		pg.f.pages.Remove(pg.idx, pg)
+	}
+	if to.Counted() && !from.Counted() {
+		pg.f.nrDirty++
+		c.nrDirty++
+		c.dirtyQueue = append(c.dirtyQueue, pg)
+		pg.queued++
+	} else if from.Counted() && !to.Counted() {
+		pg.f.nrDirty--
+		c.nrDirty--
+	}
+	if to.Busy() && !from.Busy() {
+		var owner engine.EventNamer = reclaimClaim
+		if to == detutil.PgFilling {
+			owner = pg
+		}
+		pg.ev.Arm(owner)
+	}
+	pg.state = to
+	if to == detutil.PgGone && pg.queued > 0 {
+		c.queueDead += int(pg.queued)
+		if c.queueDead > dirtySweepMinDead && 2*c.queueDead > len(c.dirtyQueue) {
+			live := c.dirtyQueue[:0]
+			for _, q := range c.dirtyQueue {
+				if q.state != detutil.PgGone {
+					live = append(live, q)
+				}
+			}
+			clear(c.dirtyQueue[len(live):]) // the dropped entries' pages are the point
+			c.dirtyQueue, c.queueDead = live, 0
+		}
+	}
+}
+
+// dirtySweepMinDead is the number of dead dirty-FIFO entries below which a
+// sweep is not worth a pass over the queue.
+const dirtySweepMinDead = 1024
 
 // throttleDirty emulates balance_dirty_pages: when dirty pages exceed the
 // dirty ratio, the dirtying process synchronously writes a batch back.
@@ -296,8 +348,12 @@ func (c *PageCache) writebackBatch(p *engine.Proc, n int) {
 	batch := c.pageBufs.Borrow()
 	for len(batch) < n && len(c.dirtyQueue) > 0 {
 		pg := c.dirtyQueue[0]
+		c.dirtyQueue[0] = nil
 		c.dirtyQueue = c.dirtyQueue[1:]
-		if pg.dirty && !pg.busy() {
+		if pg.queued--; pg.state == detutil.PgGone {
+			c.queueDead--
+		}
+		if pg.state == detutil.PgDirty {
 			pg.pins++
 			batch = append(batch, pg)
 		}
@@ -323,10 +379,8 @@ func (c *PageCache) writePages(p *engine.Proc, pages []*cachedPage) {
 	touched := make(procSet, 0, 8) // constant capacity: stays on the stack
 	for _, pg := range pages {
 		pg.f.treeLock.Lock(p)
-		if pg.dirty {
-			pg.dirty = false
-			pg.f.nrDirty--
-			c.nrDirty--
+		if pg.state.Dirty() {
+			c.move(pg, pg.state.Cleaned())
 		}
 		pg.f.treeLock.Unlock(p)
 		// page_mkclean: write-protect live mappings so the next store
@@ -401,9 +455,13 @@ func (c *PageCache) reclaim(p *engine.Proc) {
 			c.inactive.push(pg)
 		default:
 			c.inactive.remove(pg)
-			// Mark busy: faulters finding the page wait until the
+			// Claim it, busy: faulters finding the page wait until the
 			// page is fully gone, then retry.
-			pg.ev.Arm(reclaimClaim)
+			if pg.state == detutil.PgDirty {
+				c.move(pg, detutil.PgClaimedDirty)
+			} else {
+				c.move(pg, detutil.PgClaimed)
+			}
 			victims = append(victims, pg)
 		}
 		c.os.charge(p, "lru", c.os.P.LRUUpdate)
@@ -434,7 +492,7 @@ func (c *PageCache) reclaim(p *engine.Proc) {
 			}
 		}
 		v.vas.S = nil
-		if v.dirty {
+		if v.state.Dirty() {
 			dirty = append(dirty, v)
 		}
 	}
@@ -445,7 +503,7 @@ func (c *PageCache) reclaim(p *engine.Proc) {
 	for _, v := range victims {
 		v.f.treeLock.Lock(p)
 		c.os.charge(p, "tree-lock", c.os.P.RadixLookup)
-		v.f.pages.Remove(v.idx, v)
+		c.move(v, detutil.PgGone)
 		v.f.treeLock.Unlock(p)
 	}
 	doneAt := p.Now()
@@ -459,33 +517,45 @@ func (c *PageCache) reclaim(p *engine.Proc) {
 
 // truncate drops all cached pages of a file (delete path), in page-index
 // order: that is the order their frames go back to the allocator in, and so
-// the order later faults are handed them.
+// the order later faults are handed them. A page under read or reclaim is
+// waited out first, as core.DeleteFile does, and the tree looked at again:
+// with both locks held nothing can claim a page between the last busy check
+// and its drop, and a page a reclaim freed meanwhile is no longer there.
 func (c *PageCache) truncate(p *engine.Proc, f *FSFile) {
-	f.treeLock.Lock(p)
-	pages := make([]*cachedPage, 0, f.pages.Len())
-	for _, pg := range f.pages.All() {
-		pages = append(pages, pg)
+	var pages []*cachedPage
+	for pages == nil {
+		f.treeLock.Lock(p)
+		c.lruLock.Lock(p)
+		var busy *cachedPage
+		for _, pg := range f.pages.All() {
+			if pg.busy() {
+				busy = pg
+				break
+			}
+		}
+		if busy == nil {
+			pages = make([]*cachedPage, 0, f.pages.Len())
+			for _, pg := range f.pages.All() {
+				pages = append(pages, pg)
+			}
+			for _, pg := range pages {
+				c.listOf(pg).remove(pg)
+				c.nrPages--
+				c.move(pg, detutil.PgGone)
+			}
+		}
+		c.lruLock.Unlock(p)
+		f.treeLock.Unlock(p)
+		if busy != nil {
+			c.waitPage(p, busy)
+		}
 	}
-	f.pages.Clear()
-	f.treeLock.Unlock(p)
-
 	touched := make(procSet, 0, 8)
-	c.lruLock.Lock(p)
-	for _, pg := range pages {
-		c.listOf(pg).remove(pg)
-		c.nrPages--
-	}
-	c.lruLock.Unlock(p)
 	for _, pg := range pages {
 		for _, mv := range pg.vas.S {
 			if mv.pr.PT.Unmap(mv.va) {
 				touched = touched.add(mv.pr)
 			}
-		}
-		if pg.dirty {
-			pg.dirty = false
-			pg.f.nrDirty--
-			c.nrDirty--
 		}
 		c.allocator.Release(pg.frame)
 	}
@@ -509,7 +579,7 @@ func (c *PageCache) fsyncFileRange(p *engine.Proc, f *FSFile, off, length uint64
 	dirty, claimed := c.pageBufs.Borrow(), c.pageBufs.Borrow()
 	for _, pg := range f.pages.Range(lo, hi) {
 		switch {
-		case !pg.dirty:
+		case !pg.state.Dirty():
 		case pg.busy():
 			claimed = append(claimed, pg)
 		default:
