@@ -152,9 +152,10 @@ sim-bench:
 
 # Host cost of the KV data path alone, the stores over an in-memory namespace
 # (internal/kvs/kvtest) so nothing of a world is in the numbers: the value
-# generator, a Kreon tree lookup, put and spill, an LSM bulk load and an mmio
-# point lookup (DESIGN.md §3 "KV data path: one owner per buffer"). Not part
-# of ci: the AllocsPerRun tests beside these benchmarks gate in `make test`.
+# generator, a Kreon tree lookup, put and spill, an LSM bulk load, an mmio
+# point lookup and a block-cache miss (DESIGN.md §3 "KV data path: one owner
+# per buffer"). Not part of ci: the AllocsPerRun tests beside these benchmarks
+# gate in `make test`.
 kv-bench:
 	$(GO) test ./internal/ycsb ./internal/kvs/... -run '^$$' -bench . -benchmem -cpu 1
 

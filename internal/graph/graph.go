@@ -2,7 +2,7 @@ package graph
 
 import (
 	"encoding/binary"
-	"sort"
+	"slices"
 
 	"aquila/internal/sim/engine"
 )
@@ -48,9 +48,7 @@ func Build(p *engine.Proc, h Heap, n uint32, edges [][2]uint32) *Graph {
 	}
 	// Sort each adjacency list for deterministic traversal order.
 	for v := uint32(0); v < n; v++ {
-		lo, hi := counts[v], counts[v+1]
-		adj := sorted[lo:hi]
-		sort.Slice(adj, func(i, j int) bool { return adj[i] < adj[j] })
+		slices.Sort(sorted[counts[v]:counts[v+1]])
 	}
 	edgeBytes := make([]byte, m*4)
 	for i, v := range sorted {

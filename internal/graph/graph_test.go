@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"aquila/internal/host"
@@ -221,5 +223,22 @@ func TestBFSParallelSpeedup(t *testing.T) {
 	// 1.5x speedup at 4 threads (larger graphs in the harness scale better).
 	if float64(t4) >= float64(t1)/1.5 {
 		t.Errorf("4 threads (%d) not at least 1.5x faster than 1 (%d)", t4, t1)
+	}
+}
+
+// TestCSRGolden pins the CSR bytes Build writes for a seeded, symmetrized
+// R-MAT graph: the offsets array and every sorted adjacency list. The digest
+// was taken while Build still sorted each list with sort.Slice.
+func TestCSRGolden(t *testing.T) {
+	const want = "c814e16e625d84ef28bf37f8426e74624e2702cc25e78d14d7f7da9ca90a8e24"
+	edges := Symmetrize(RMAT(RMATConfig{Vertices: 1 << 12, EdgeFactor: 10, Seed: 5}))
+	e, h := memHeapWorld()
+	var g *Graph
+	e.Spawn(0, "build", func(p *engine.Proc) { g = Build(p, h, 1<<12, edges) })
+	e.Run()
+	mh := h.(*MemHeap)
+	sum := sha256.Sum256(mh.data[g.offsetsOff : g.edgesOff+g.M*4])
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("CSR digest %s, want %s", got, want)
 	}
 }

@@ -38,9 +38,11 @@ func init() {
 // crashRecSize is the WAL record size: [seq u64][crc u32][pad u32][payload 48].
 const crashRecSize = 64
 
-// crashRecord builds record seq; the CRC covers seq and payload.
-func crashRecord(seq uint64) []byte {
-	rec := make([]byte, crashRecSize)
+// appendCrashRecord appends record seq to dst; the CRC covers seq and
+// payload. A run builds every record into the same buffer: Store copies it.
+func appendCrashRecord(dst []byte, seq uint64) []byte {
+	dst = append(dst, make([]byte, crashRecSize)...)
+	rec := dst[len(dst)-crashRecSize:]
 	binary.LittleEndian.PutUint64(rec, seq)
 	for i := 16; i < crashRecSize; i++ {
 		rec[i] = byte(seq*2654435761 + uint64(i)*97)
@@ -48,7 +50,7 @@ func crashRecord(seq uint64) []byte {
 	c := crc32.Update(0, crc32.IEEETable, rec[:8])
 	c = crc32.Update(c, crc32.IEEETable, rec[16:])
 	binary.LittleEndian.PutUint32(rec[8:], c)
-	return rec
+	return dst
 }
 
 // crashRecordOK validates a recovered record against its expected sequence.
@@ -135,8 +137,10 @@ func walCrashRun(mode aquila.Mode, dev aquila.DeviceKind, cache, nrec, group uin
 	walBytes := (nrec*crashRecSize + 4095) &^ uint64(4095)
 	return crashRun(opts, plan, func(p *aquila.Proc, sys *aquila.System, pr *crashProbe) {
 		m := mapFile(p, sys, "wal", walBytes)
+		rec := make([]byte, 0, crashRecSize)
 		for i := uint64(0); i < nrec; i++ {
-			m.Store(p, i*crashRecSize, crashRecord(i))
+			rec = appendCrashRecord(rec[:0], i)
+			m.Store(p, i*crashRecSize, rec)
 			if (i+1)%group == 0 {
 				if m.Msync(p) == nil {
 					pr.acked = i + 1

@@ -8,7 +8,9 @@ import (
 // LRU over decoded data blocks, in the style of RocksDB's LRUCache. Every
 // access — including hits — pays lookup, locking and reference-counting
 // costs; this is precisely the overhead the paper's Figure 7 decomposes and
-// Aquila's mmio path eliminates.
+// Aquila's mmio path eliminates. A block is cached as the buffer Insert is
+// handed, without a copy, and is never written again: readers on a hit and
+// iterators across yields hold it as it is, and eviction only drops it.
 type BlockCache struct {
 	shards []cacheShard
 	costs  Costs
@@ -79,7 +81,8 @@ func (c *BlockCache) Get(p *engine.Proc, sst, blk uint64) []byte {
 	return b.data
 }
 
-// Insert caches a block, evicting LRU blocks as needed.
+// Insert caches data itself, evicting LRU blocks as needed. The caller hands
+// the buffer over and does not write it again.
 func (c *BlockCache) Insert(p *engine.Proc, sst, blk uint64, data []byte) {
 	k := cacheKey{sst, blk}
 	s := c.shard(k)
@@ -97,7 +100,7 @@ func (c *BlockCache) Insert(p *engine.Proc, sst, blk uint64, data []byte) {
 		c.Evictions++
 		p.AdvanceUser(c.costs.CacheEvict)
 	}
-	b := &cacheBlock{key: k, data: append([]byte(nil), data...)}
+	b := &cacheBlock{key: k, data: data}
 	s.blocks[k] = b
 	s.lruPush(b)
 	s.used += len(data)

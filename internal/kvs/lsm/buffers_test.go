@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"aquila/internal/kvs/kvtest"
@@ -64,9 +65,121 @@ func TestLSMDataPathAllocations(t *testing.T) {
 	})
 }
 
-// One iteration bulk-loads 20,000 1 KB records (three 8 MB tables). B/op
-// includes one copy of every table besides the builder's image: the in-memory
-// namespace's file, which stands in for the device.
+// allocated returns the bytes fn allocates on the heap.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// fileBytes sums the sizes of tables' files: over kvtest, each is one
+// allocation of exactly that size.
+func fileBytes(tables []*SST) uint64 {
+	n := uint64(0)
+	for _, t := range tables {
+		n += t.file.Size()
+	}
+	return n
+}
+
+// A bulk load and a compaction that each close several tables allocate one
+// image between them, not one per table: what they allocate beyond the new
+// files (and, for the compaction, the source blocks its iterators read) stays
+// under two images, where an image per table would be at least three.
+func TestOneImagePerBulkLoadAndCompaction(t *testing.T) {
+	const target = 256 << 10
+	image := uint64(target + target/16 + 2*blockBytes) // newSSTBuilder's capacity
+	e := engine.New(engine.Config{NumCPUs: 1, Seed: 1})
+	run1(e, func(p *engine.Proc) {
+		db := memDB(p, e, Options{Mode: IOMmap, DisableWAL: true, MemtableBytes: 64 << 10, SSTTargetBytes: target})
+		got := allocated(func() { db.BulkLoad(p, 2500, 400) })
+		if n := len(db.levels[1]); n < 3 {
+			t.Fatalf("set-up: bulk load closed %d tables, want >= 3", n)
+		}
+		if extra := got - fileBytes(db.levels[1]); extra >= 2*image {
+			t.Errorf("bulk load of %d tables: %d bytes beyond its files, want < %d (one image)", len(db.levels[1]), extra, 2*image)
+		}
+
+		var key, val []byte
+		for i := uint64(0); len(db.levels[0]) < l0Trigger-1; i++ {
+			db.Put(p, ycsb.AppendKey(key[:0], i*7%2500), ycsb.AppendValue(val[:0], i, 300))
+		}
+		read := db.BlocksRead
+		got = allocated(func() { db.compactL0(p) })
+		if n := len(db.levels[1]); n < 3 {
+			t.Fatalf("set-up: compaction closed %d tables, want >= 3", n)
+		}
+		extra := got - fileBytes(db.levels[1]) - (db.BlocksRead-read)*blockBytes
+		if extra >= 2*image {
+			t.Errorf("compaction into %d tables: %d bytes beyond its files and source blocks, want < %d (one image)", len(db.levels[1]), extra, 2*image)
+		}
+	})
+}
+
+// A table built in an image that held a larger one comes out byte for byte as
+// it does from a fresh builder: no tail of the old table leaks into the new.
+func TestReusedImageHasNoStaleTail(t *testing.T) {
+	e := engine.New(engine.Config{NumCPUs: 1, Seed: 1})
+	run1(e, func(p *engine.Proc) {
+		ns := &kvtest.Namespace{}
+		small := func(b *sstBuilder) {
+			for id := uint64(0); id < 30; id++ {
+				b.add(ycsb.KeyBytes(id), ycsb.Value(id, 50))
+			}
+		}
+		b := newSSTBuilder(blockBytes, 0)
+		for id := uint64(0); id < 400; id++ {
+			b.add(ycsb.KeyBytes(id^0xFFFF), ycsb.Value(id, 900))
+		}
+		_, large := b.finish(p, ns, "large", 1, false)
+		b.reuse(large)
+		small(b)
+		_, reused := b.finish(p, ns, "reused", 2, false)
+		if &reused[0] != &large[0] {
+			t.Fatal("the second table was not built in the first one's image")
+		}
+		fresh := newSSTBuilder(blockBytes, 0)
+		small(fresh)
+		_, want := fresh.finish(p, ns, "fresh", 3, false)
+		if !bytes.Equal(reused, want) {
+			t.Errorf("reused image differs from a fresh one (%d vs %d bytes)", len(reused), len(want))
+		}
+		a, f := ns.Open(p, "reused"), ns.Open(p, "fresh")
+		ab, fb := make([]byte, a.Size()), make([]byte, f.Size())
+		a.Pread(p, ab, 0)
+		f.Pread(p, fb, 0)
+		if !bytes.Equal(ab, fb) {
+			t.Error("reused table's file differs from a fresh one's")
+		}
+	})
+}
+
+// On a miss the cache keeps the block readBlock read, not a copy of it, and
+// the next read of that block returns the same buffer.
+func TestBlockCacheKeepsTheReadBlock(t *testing.T) {
+	e := engine.New(engine.Config{NumCPUs: 1, Seed: 1})
+	run1(e, func(p *engine.Proc) {
+		db := memDB(p, e, Options{Mode: IODirectCached, DisableWAL: true})
+		db.BulkLoad(p, 200, 100)
+		tbl := db.levels[1][0]
+		missed := db.readBlock(p, tbl, 1, nil)
+		if db.cache.Misses != 1 || db.cache.Resident() != 1 {
+			t.Fatalf("set-up: %d misses, %d resident", db.cache.Misses, db.cache.Resident())
+		}
+		if cached := db.cache.Get(p, tbl.id, 1); &cached[0] != &missed[0] {
+			t.Error("the cache holds a copy, not the block readBlock returned")
+		}
+		if hit := db.readBlock(p, tbl, 1, nil); &hit[0] != &missed[0] {
+			t.Error("a hit returned another buffer than the miss cached")
+		}
+	})
+}
+
+// One iteration bulk-loads 20,000 1 KB records (three 8 MB tables). B/op is
+// one builder image for the three tables (~8.6 MB) plus one copy of every
+// table: the in-memory namespace's file, which stands in for the device.
 func BenchmarkLSMBulkLoad(b *testing.B) {
 	e := engine.New(engine.Config{NumCPUs: 1, Seed: 1})
 	run1(e, func(p *engine.Proc) {
@@ -82,6 +195,27 @@ func BenchmarkLSMGetMmio(b *testing.B) {
 	e := engine.New(engine.Config{NumCPUs: 1, Seed: 1})
 	run1(e, func(p *engine.Proc) {
 		db := memDB(p, e, Options{Mode: IOMmap, DisableWAL: true})
+		db.BulkLoad(p, records, 1000)
+		var key []byte
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			key = ycsb.AppendKey(key[:0], uint64(i)*7919%records)
+			if _, ok := db.Get(p, key); !ok {
+				b.Fatal("miss")
+			}
+		}
+	})
+}
+
+// Every Get misses a block cache of one block per shard and reads its block
+// with Pread; B/op is that block, the cache's entry for it and the returned
+// value.
+func BenchmarkLSMGetDirectCachedMiss(b *testing.B) {
+	const records = 20000
+	e := engine.New(engine.Config{NumCPUs: 1, Seed: 1})
+	run1(e, func(p *engine.Proc) {
+		db := memDB(p, e, Options{Mode: IODirectCached, DisableWAL: true, BlockCacheBytes: 16 * blockBytes})
 		db.BulkLoad(p, records, 1000)
 		var key []byte
 		b.ReportAllocs()

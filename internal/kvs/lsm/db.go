@@ -315,8 +315,9 @@ func (db *DB) searchTable(p *engine.Proc, t *SST, key []byte) ([]byte, bool) {
 	db.charge(p, "get", db.costs.IndexSearch)
 	blkIdx := t.blockFor(key)
 	// The block is done with once the value is copied out of it, so an mmio
-	// lookup lends readBlock the buffer. (The other modes keep allocating:
-	// the block cache owns the blocks it is handed.)
+	// lookup lends readBlock the buffer. (The other modes keep allocating: a
+	// cached-mode miss hands its block to the cache, which keeps that very
+	// buffer, and a hit returns one the cache owns.)
 	var lent []byte
 	if db.mmio() {
 		lent = db.bufs.Borrow(blockBytes)
@@ -342,6 +343,8 @@ func (db *DB) searchTable(p *engine.Proc, t *SST, key []byte) ([]byte, bool) {
 
 // readBlock fetches one data block through the configured I/O mode. An mmio
 // read lands in buf when the caller lends one (of blockBytes); nil allocates.
+// In cached mode a miss reads into a new block that the cache then keeps, so
+// the caller reads the block but never writes it.
 // Iterators pass nil: mergeIter.next returns slices into a block that must
 // outlive the advance which loads the next one, so those blocks have no point
 // at which they could be handed back — that aliasing is left as it is.
@@ -423,7 +426,7 @@ func (db *DB) flushLocked(p *engine.Proc) {
 	for n := db.mem.first(); n != nil; n = n.next[0] {
 		b.add(n.key, n.value)
 	}
-	t := b.finish(p, db.opts.NS, db.sstName(), db.nextSSTID(), db.mmio())
+	t, _ := b.finish(p, db.opts.NS, db.sstName(), db.nextSSTID(), db.mmio())
 	db.levels[0] = append([]*SST{t}, db.levels[0]...)
 	db.mem = newSkiplist(db.opts.Seed + int64(db.nextID) + 1)
 	db.walOff = 0
@@ -483,8 +486,7 @@ func (db *DB) mergeTables(p *engine.Proc, sources []*SST) []*SST {
 	var lastKey []byte
 	emit := func(k, v []byte) {
 		if b.estimatedSize() >= db.opts.SSTTargetBytes {
-			out = append(out, b.finish(p, db.opts.NS, db.sstName(), db.nextSSTID(), db.mmio()))
-			b = newSSTBuilder(blockBytes, db.opts.SSTTargetBytes)
+			out = append(out, db.writeTable(p, b))
 		}
 		b.add(k, v)
 	}
@@ -504,9 +506,18 @@ func (db *DB) mergeTables(p *engine.Proc, sources []*SST) []*SST {
 		}
 	}
 	if b.entries > 0 {
-		out = append(out, b.finish(p, db.opts.NS, db.sstName(), db.nextSSTID(), db.mmio()))
+		out = append(out, db.writeTable(p, b))
 	}
 	return out
+}
+
+// writeTable writes b's table and empties b for the next one, which it builds
+// in the same image: a bulk load or a compaction allocates one image however
+// many tables it closes.
+func (db *DB) writeTable(p *engine.Proc, b *sstBuilder) *SST {
+	t, image := b.finish(p, db.opts.NS, db.sstName(), db.nextSSTID(), db.mmio())
+	b.reuse(image)
+	return t
 }
 
 // BulkLoad writes `records` pre-sorted records straight into L1 (the
@@ -516,15 +527,14 @@ func (db *DB) BulkLoad(p *engine.Proc, records uint64, valueSize int) {
 	var key, val []byte
 	for id := uint64(0); id < records; id++ {
 		if b.estimatedSize() >= db.opts.SSTTargetBytes {
-			db.levels[1] = append(db.levels[1], b.finish(p, db.opts.NS, db.sstName(), db.nextSSTID(), db.mmio()))
-			b = newSSTBuilder(blockBytes, db.opts.SSTTargetBytes)
+			db.levels[1] = append(db.levels[1], db.writeTable(p, b))
 		}
 		key = ycsb.AppendKey(key[:0], id)
 		val = ycsb.AppendValue(val[:0], id, valueSize)
 		b.add(key, val)
 	}
 	if b.entries > 0 {
-		db.levels[1] = append(db.levels[1], b.finish(p, db.opts.NS, db.sstName(), db.nextSSTID(), db.mmio()))
+		db.levels[1] = append(db.levels[1], db.writeTable(p, b))
 	}
 	db.writeManifest(p)
 }

@@ -306,7 +306,7 @@ func TestSSTOpenAfterBuild(t *testing.T) {
 			for i := uint64(0); i < 500; i++ {
 				b.add(ycsb.KeyBytes(i), ycsb.Value(i, tc.value))
 			}
-			built := b.finish(p, ns, "table1", 1, false)
+			built, _ := b.finish(p, ns, "table1", 1, false)
 			reopened := openSST(p, ns, "table1", 1, tc.block, false)
 			if reopened.blockCount != built.blockCount {
 				t.Errorf("block count %d != %d", reopened.blockCount, built.blockCount)

@@ -51,9 +51,18 @@ type sstBuilder struct {
 // compaction, which both close a table one record past it — plus a sixteenth
 // for index, bloom and footer (1-4 % of the data for records of 40 bytes and
 // up). A table that outgrows the estimate still builds: append grows the
-// image as it always did. The image is not kept once finish has written it.
+// image as it always did. The image belongs to the caller: finish hands it
+// back, and a bulk load or a compaction builds its next table in it (reuse),
+// so one call allocates one image however many tables it writes.
 func newSSTBuilder(blockSize, dataBytes int) *sstBuilder {
 	return &sstBuilder{blockSize: blockSize, buf: make([]byte, 0, dataBytes+dataBytes/16+2*blockSize)}
+}
+
+// reuse empties the builder for the next table, built in image — the one the
+// previous finish returned — from length zero. Every byte of a table is
+// appended, so nothing of the previous table past the new length is read.
+func (b *sstBuilder) reuse(image []byte) {
+	*b = sstBuilder{blockSize: b.blockSize, buf: image[:0]}
 }
 
 // add appends a record; keys must arrive in strictly ascending order. It
@@ -93,8 +102,9 @@ func (b *sstBuilder) padBlock() {
 func (b *sstBuilder) estimatedSize() int { return len(b.buf) }
 
 // finish writes the table image to a file created through ns and returns the
-// opened SST.
-func (b *sstBuilder) finish(p *engine.Proc, ns iface.Namespace, name string, id uint64, mmio bool) *SST {
+// opened SST and the image, which the table does not keep: the caller may
+// build its next table in it (reuse) or drop it.
+func (b *sstBuilder) finish(p *engine.Proc, ns iface.Namespace, name string, id uint64, mmio bool) (*SST, []byte) {
 	b.padBlock()
 	dataLen := len(b.buf)
 	nBlocks := dataLen / b.blockSize
@@ -133,7 +143,7 @@ func (b *sstBuilder) finish(p *engine.Proc, ns iface.Namespace, name string, id 
 	f.Fsync(p)
 
 	// The table keeps its own copy of the index region and of the last key;
-	// the image goes with the builder.
+	// the image goes back to the caller.
 	t := &SST{
 		id: id, file: f,
 		blockCount: nBlocks, firstKeys: indexKeys(bytes.Clone(image[dataLen:bloomOff])),
@@ -147,7 +157,7 @@ func (b *sstBuilder) finish(p *engine.Proc, ns iface.Namespace, name string, id 
 	if mmio {
 		t.mapping = ns.Mmap(p, f, uint64(len(image)))
 	}
-	return t
+	return t, image
 }
 
 // indexKeys parses a table's index region into its blocks' first keys. They
