@@ -42,8 +42,9 @@ fmt:
 	fi
 
 # Aquila's own static-analysis suite (DESIGN.md "Static invariants"):
-# determinism, cycle accounting, span pairing, typed-I/O-error propagation,
-# crash unwinding, and the flow-aware WriteAt/Persist durability pairing.
+# determinism, cycle accounting, span pairing, typed-I/O-error propagation
+# and crash unwinding. (That every WriteAt gets its Persist is checked at run
+# time, by the device audit at every quiesce point: DESIGN.md §9.)
 # `go vet` runs first for the generic mistakes, then aqlint sweeps the tree.
 lint:
 	$(GO) vet ./...
@@ -66,7 +67,8 @@ faults:
 # The crash-consistency suite end to end under the race detector: durability
 # model + torn sectors, crash-point injection and determinism, durable-image
 # capture/recovery, errseq across restart, Kreon CRC replay, the io_uring
-# in-flight drain, and the msync durability-point pin (DESIGN.md §9).
+# in-flight drain, the msync durability-point pin and the owed-write audit's
+# write paths (DESIGN.md §9).
 crash:
 	$(GO) test -race -run 'Crash|Recover|Durab|TornSector|CrashPlan' \
 		. ./internal/sim/device/ ./internal/sim/engine/ ./internal/core/ \

@@ -262,7 +262,7 @@ func New(opts Options) *System {
 	if opts.restoreMedia != nil {
 		// Recovery boot: the device starts from the crash image's durable
 		// media, before any layer above has touched it.
-		s.store().AdoptMedia(opts.restoreMedia)
+		s.Store().AdoptMedia(opts.restoreMedia)
 	}
 	if opts.Tracer != nil || opts.Registry != nil {
 		devPID := 0
@@ -318,15 +318,7 @@ func (s *System) InjectFaults(plan *device.FaultPlan) {
 }
 
 // InjectedFaults returns how many faults the device has injected so far.
-func (s *System) InjectedFaults() uint64 {
-	switch {
-	case s.PMem != nil:
-		return s.PMem.Store.InjectedFaults()
-	case s.NVMe != nil:
-		return s.NVMe.Store.InjectedFaults()
-	}
-	return 0
-}
+func (s *System) InjectedFaults() uint64 { return s.Store().InjectedFaults() }
 
 // TraceLabel returns the label identifying this System in shared tracers and
 // registries: Options.TraceLabel, or one derived from the mode.
@@ -379,7 +371,7 @@ func (s *System) PublishStats() {
 	}
 	if info := s.Sim.Crashed(); info != nil {
 		reg.Gauge("aq_crash_cycle", l).Set(float64(info.Cycle))
-		if res := s.store().CrashedResult(); res != nil {
+		if res := s.Store().CrashedResult(); res != nil {
 			reg.Counter("aq_crash_dropped_blocks", l).Set(uint64(res.DroppedBlocks))
 			reg.Counter("aq_crash_torn_blocks", l).Set(uint64(res.TornBlocks))
 		}
@@ -433,6 +425,7 @@ func (s *System) buildEngine(p *Proc) core.IOEngine {
 func (s *System) Do(fn func(p *Proc)) {
 	s.Sim.Spawn(0, "main", fn)
 	s.Sim.Run()
+	s.auditDurability()
 }
 
 // Run spawns `threads` simulated threads (one per CPU, round-robin) running
@@ -447,7 +440,20 @@ func (s *System) Run(threads int, fn func(t int, p *Proc)) uint64 {
 		})
 	}
 	s.Sim.Run()
+	s.auditDurability()
 	return s.Sim.Now() - start
+}
+
+// auditDurability panics when the world, drained and not crashed, owes the
+// device a durability point: a write path staged a block and returned without
+// its Persist (device.Store.Owed names the block and the device write).
+func (s *System) auditDurability() {
+	if s.Sim.Crashed() != nil {
+		return
+	}
+	if w, owed := s.Store().Owed(); owed {
+		panic(fmt.Sprintf("aquila: %v", w))
+	}
 }
 
 // Close releases the simulated threads still parked inside the System — the

@@ -65,8 +65,8 @@ type CrashImage struct {
 	WBErrors map[string]error
 }
 
-// store returns the System's device content store (exactly one device exists).
-func (s *System) store() *device.Store {
+// Store returns the System's device content store (exactly one device exists).
+func (s *System) Store() *device.Store {
 	if s.PMem != nil {
 		return s.PMem.Store
 	}
@@ -80,14 +80,14 @@ func (s *System) InjectCrash(plan *CrashPlan) {
 	s.crashPlan = plan
 	if plan.Empty() {
 		s.Sim.ArmCrash(simengine.CrashConfig{})
-		s.store().ArmCrashAtOp(0, nil)
+		s.Store().ArmCrashAtOp(0, nil)
 		return
 	}
 	s.Sim.ArmCrash(simengine.CrashConfig{
 		AtCycle: plan.AtCycle, AtSpan: plan.AtSpan, SpanHit: plan.SpanHit,
 	})
 	if plan.AtDeviceOp > 0 {
-		s.store().ArmCrashAtOp(plan.AtDeviceOp, func() {
+		s.Store().ArmCrashAtOp(plan.AtDeviceOp, func() {
 			s.Sim.CrashNow("device-op")
 		})
 	}
@@ -105,7 +105,7 @@ func (s *System) CaptureCrash() *CrashImage {
 	if info == nil {
 		panic("aquila: CaptureCrash on a system that has not crashed")
 	}
-	st := s.store()
+	st := s.Store()
 	res := st.CrashedResult()
 	if res == nil {
 		seed, tear := int64(1), 0.0

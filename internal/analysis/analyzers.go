@@ -4,6 +4,6 @@ package analysis
 func All() []*Analyzer {
 	return []*Analyzer{
 		Crashclean, Cyclecost, Detrand, Errdrop,
-		Maporder, Persistpair, Spanpair,
+		Maporder, Spanpair,
 	}
 }

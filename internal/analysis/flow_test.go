@@ -3,11 +3,6 @@ package analysis
 import (
 	"bytes"
 	"fmt"
-	"go/ast"
-	"go/parser"
-	"go/printer"
-	"go/token"
-	"go/types"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -15,9 +10,8 @@ import (
 	"testing"
 )
 
-// Tests for the flow-aware engine against the REAL tree: the fixed
-// violations stay fixed, and deleting any single durability handshake is
-// caught statically (the in-band proof the issue demands).
+// Tests of the analyzers against the REAL tree: the fixed violations stay
+// fixed, and re-introducing one is caught.
 
 const repoRoot = "../.."
 
@@ -77,10 +71,9 @@ func runOne(t *testing.T, pkg *Package, a *Analyzer) *RunResult {
 }
 
 // TestRealTreeClean pins the violations fixed so far: the graph workers
-// release their waitgroup inline instead of by defer (crashclean), every
-// staged device write in core and host pairs with its Persist (persistpair),
-// every span in core closes by adjacency (spanpair), and the Aquila runtime,
-// the Linux baseline and the SPDK stack — on simulated Procs all — act in no
+// release their waitgroup inline instead of by defer (crashclean), every span
+// in core closes by adjacency (spanpair), and the Aquila runtime, the Linux
+// baseline and the SPDK stack — on simulated Procs all — act in no
 // map's iteration order and read no wall clock or global randomness
 // (maporder, detrand). suppressed is the number of reasoned //aqlint:sorted
 // loops a package is allowed: a new one has to be declared here, and
@@ -93,12 +86,9 @@ func TestRealTreeClean(t *testing.T) {
 		suppressed   int
 	}{
 		{"internal/graph", "aquila/internal/graph", Crashclean, 0},
-		{"internal/core", "aquila/internal/core", Persistpair, 0},
 		{"internal/core", "aquila/internal/core", Spanpair, 0},
 		// Audits, test counters and host-side snapshots over rt.files.
 		{"internal/core", "aquila/internal/core", Maporder, 4},
-		{"internal/host", "aquila/internal/host", Persistpair, 0},
-		{"internal/spdk", "aquila/internal/spdk", Persistpair, 0},
 		// CheckInvariants' two walks of FS.files.
 		{"internal/host", "aquila/internal/host", Maporder, 2},
 		{"internal/host", "aquila/internal/host", Detrand, 0},
@@ -117,172 +107,6 @@ func TestRealTreeClean(t *testing.T) {
 					res.Suppressed, tc.suppressed, tc.analyzer.Name)
 			}
 		})
-	}
-}
-
-// persistSite is one statement-level Store.Persist call in a real package,
-// named by its enclosing function and its ordinal there ("DAXEngine.WriteRun#0")
-// so that edits elsewhere in the file do not rename it.
-type persistSite struct {
-	file string
-	idx  int // ordinal among Persist statements in the file
-	name string
-}
-
-// listPersistSites enumerates the Persist call statements of a package.
-func listPersistSites(t *testing.T, srcDir string) []persistSite {
-	t.Helper()
-	var sites []persistSite
-	for _, name := range realPkgFiles(t, srcDir) {
-		fset := token.NewFileSet()
-		f, err := parser.ParseFile(fset, name, mustRead(t, filepath.Join(srcDir, name)), 0)
-		if err != nil {
-			t.Fatalf("parse %s: %v", name, err)
-		}
-		idx := 0
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			inFunc := 0
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if es, ok := n.(*ast.ExprStmt); ok {
-					if call, ok := es.X.(*ast.CallExpr); ok {
-						if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Persist" {
-							sites = append(sites, persistSite{
-								file: name, idx: idx, name: fmt.Sprintf("%s#%d", funcName(fd), inFunc),
-							})
-							idx++
-							inFunc++
-						}
-					}
-				}
-				return true
-			})
-		}
-	}
-	return sites
-}
-
-// funcName renders a declaration as "Recv.Name" or "Name".
-func funcName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return fd.Name.Name
-	}
-	t := fd.Recv.List[0].Type
-	if st, ok := t.(*ast.StarExpr); ok {
-		t = st.X
-	}
-	return types.ExprString(t) + "." + fd.Name.Name
-}
-
-func mustRead(t *testing.T, path string) []byte {
-	t.Helper()
-	src, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read %s: %v", path, err)
-	}
-	return src
-}
-
-// dropStmt parses src, replaces the idx-th statement matched by sel with a
-// compile-preserving tombstone (`_, _, ... = args` keeps every operand
-// used; nil replacement deletes the statement), and reprints the file.
-func dropStmt(t *testing.T, name string, src []byte, idx int, method string, keepArgs bool) []byte {
-	t.Helper()
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, name, src, 0)
-	if err != nil {
-		t.Fatalf("parse %s: %v", name, err)
-	}
-	count := 0
-	found := false
-	ast.Inspect(f, func(n ast.Node) bool {
-		blk, ok := n.(*ast.BlockStmt)
-		if !ok {
-			return true
-		}
-		for i, s := range blk.List {
-			es, ok := s.(*ast.ExprStmt)
-			if !ok {
-				continue
-			}
-			call, ok := es.X.(*ast.CallExpr)
-			if !ok {
-				continue
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || sel.Sel.Name != method {
-				continue
-			}
-			if count == idx {
-				if keepArgs {
-					lhs := make([]ast.Expr, len(call.Args))
-					for j := range lhs {
-						lhs[j] = ast.NewIdent("_")
-					}
-					blk.List[i] = &ast.AssignStmt{
-						Lhs: lhs, Tok: token.ASSIGN, Rhs: call.Args,
-					}
-				} else {
-					blk.List = append(blk.List[:i:i], blk.List[i+1:]...)
-				}
-				found = true
-			}
-			count++
-			if found {
-				return false
-			}
-		}
-		return true
-	})
-	if !found {
-		t.Fatalf("%s: %s statement #%d not found", name, method, idx)
-	}
-	var buf bytes.Buffer
-	if err := printer.Fprint(&buf, fset, f); err != nil {
-		t.Fatalf("print %s: %v", name, err)
-	}
-	return buf.Bytes()
-}
-
-// TestPersistDeletionCaughtStatically is the acceptance proof: deleting any
-// single Persist call on a device write path in core or host leaves a
-// persistpair finding that names the unpaired WriteAt. The deletion keeps
-// the operands alive (`_, _, _ = off, n, at`) so the package still
-// compiles — exactly the refactoring slip the analyzer exists to catch.
-func TestPersistDeletionCaughtStatically(t *testing.T) {
-	pkgs := []struct{ rel, pkgPath string }{
-		{"internal/core", "aquila/internal/core"},
-		{"internal/host", "aquila/internal/host"},
-	}
-	for _, pc := range pkgs {
-		sites := listPersistSites(t, filepath.Join(repoRoot, pc.rel))
-		if len(sites) == 0 {
-			t.Fatalf("%s: no Persist sites found", pc.rel)
-		}
-		for _, site := range sites {
-			site := site
-			t.Run(pc.rel+"/"+site.name, func(t *testing.T) {
-				pkg := loadRealPkg(t, pc.rel, pc.pkgPath, func(name string, src []byte) []byte {
-					if name != site.file {
-						return src
-					}
-					return dropStmt(t, name, src, site.idx, "Persist", true)
-				})
-				res := runOne(t, pkg, Persistpair)
-				if len(res.Findings) == 0 {
-					t.Fatalf("deleting Persist %s (%s) goes statically undetected",
-						site.name, site.file)
-				}
-				for _, f := range res.Findings {
-					if !strings.Contains(f.Message, "WriteAt") {
-						t.Errorf("finding does not name the unpaired WriteAt: %s", f)
-					}
-				}
-			})
-		}
 	}
 }
 
@@ -388,7 +212,6 @@ func TestRunOrderDeterminism(t *testing.T) {
 	pkgs := []*Package{
 		load("detrand", "aquila/internal/sim/clockuser"),
 		load("maporder", "aquila/internal/core/maps"),
-		load("persistpair", "aquila/internal/core/persist"),
 		load("crashclean", "aquila/internal/sim/world"),
 		load("spanpair", "aquila/internal/core/spans"),
 	}
@@ -400,9 +223,9 @@ func TestRunOrderDeterminism(t *testing.T) {
 		t.Fatal("expected findings from the golden packages")
 	}
 	perms := [][]int{
-		{4, 3, 2, 1, 0},
-		{2, 0, 4, 1, 3},
-		{1, 4, 0, 3, 2},
+		{3, 2, 1, 0},
+		{2, 0, 3, 1},
+		{1, 3, 0, 2},
 	}
 	for _, perm := range perms {
 		shuffled := make([]*Package, len(pkgs))

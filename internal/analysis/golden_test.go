@@ -26,7 +26,6 @@ func TestAnalyzerGoldens(t *testing.T) {
 		{Cyclecost, "cyclecost", "aquila/internal/core/cycles", 0},
 		{Spanpair, "spanpair", "aquila/internal/core/spans", 0},
 		{Errdrop, "errdrop", "aquila/internal/core/eio", 0},
-		{Persistpair, "persistpair", "aquila/internal/core/persist", 0},
 		{Crashclean, "crashclean", "aquila/internal/sim/world", 0},
 	}
 	for _, tc := range cases {
@@ -57,8 +56,6 @@ func TestScopeGating(t *testing.T) {
 		{Cyclecost, "cyclecost", "aquila/internal/sim/engine/cycles", 0},
 		{Spanpair, "spanpair", "aquila/cmd/spans", 0},
 		{Errdrop, "errdrop", "aquila/internal/kvs/eio", 0},
-		// The device package implements Store but does not own handshakes.
-		{Persistpair, "persistpair", "aquila/internal/sim/device/persist", 0},
 		// The engine owns the sentinel and the one sanctioned recover.
 		{Crashclean, "crashclean", "aquila/internal/sim/engine/unwind", 0},
 	}

@@ -91,12 +91,8 @@ func exportLookup(pkgs []*listedPkg, fset *token.FileSet) types.Importer {
 // newInfo allocates the types.Info maps the analyzers rely on.
 func newInfo() *types.Info {
 	return &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-		Scopes:     make(map[ast.Node]*types.Scope),
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Uses:  make(map[*ast.Ident]types.Object),
 	}
 }
 

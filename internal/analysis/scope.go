@@ -54,27 +54,6 @@ func ErrDropPkg(path string) bool {
 	return hasPkgPrefix(path, "aquila/internal/core")
 }
 
-// persistPairPrefixes are the packages that stage device writes and own the
-// matching Persist durability handshakes: the I/O engines, the host OS
-// layers (page cache, block layer, io_uring), and the SPDK driver.
-var persistPairPrefixes = []string{
-	"aquila/internal/core",
-	"aquila/internal/host",
-	"aquila/internal/spdk",
-}
-
-// PersistPairPkg reports whether the import path is part of the
-// durability-handshake surface and therefore held to the persistpair
-// discipline (every Store.WriteAt paired with a Persist on all paths).
-func PersistPairPkg(path string) bool {
-	for _, p := range persistPairPrefixes {
-		if hasPkgPrefix(path, p) {
-			return true
-		}
-	}
-	return false
-}
-
 // CrashUnwindPkg reports whether the import path is held to the crashclean
 // discipline (no recover, no deferred user-space cleanup): every simulated
 // package except the engine itself, which owns the sentinel and performs the

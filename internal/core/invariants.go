@@ -11,6 +11,11 @@ import (
 // CheckInvariants audits Aquila's cross-structure consistency at a quiescent
 // point. Tests call it after heavy workloads.
 func (rt *Runtime) CheckInvariants() error {
+	// The host's disk — in a System, also the SPDK engine's device — owes no
+	// block its durability point.
+	if w, owed := rt.Host.Disk().Content.Owed(); owed {
+		return w
+	}
 	// Frame conservation: every granted frame is either cached or free (a
 	// 2 MB unit accounts for its 512 contiguous frames).
 	resident := rt.ResidentPages()

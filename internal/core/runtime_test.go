@@ -576,8 +576,9 @@ func TestDirectNVMMapping(t *testing.T) {
 	e := engine.New(engine.Config{NumCPUs: 4, Seed: 1})
 	disk := host.NewPMemDisk("pmm0", device.NewPMem(512*mib, device.OptanePMMConfig()))
 	os := host.NewOS(e, disk, 64*mib)
+	var rt *Runtime
 	e.Spawn(0, "t", func(p *engine.Proc) {
-		rt := NewRuntime(p, os, NewDAXEngine(os), Config{CacheBytes: 8 * mib})
+		rt = NewRuntime(p, os, NewDAXEngine(os), Config{CacheBytes: 8 * mib})
 		f := rt.CreateFile(p, "nvm", 8*mib)
 		dm := rt.MmapDirectNVM(p, f, 8*mib)
 		payload := []byte("straight to media")
@@ -619,6 +620,33 @@ func TestDirectNVMMapping(t *testing.T) {
 		}
 	})
 	e.Run()
+	// The stores went straight to media, each with its durability point.
+	if err := rt.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDurableFileExtendingDirectWrite: a DAX Pwrite past the end of its file
+// grows the file between staging the bytes and persisting them. The write
+// still gets its durability point, so the audit finds no block owed.
+func TestDurableFileExtendingDirectWrite(t *testing.T) {
+	e, _, boot := daxWorld(8*mib, 1)
+	var rt *Runtime
+	e.Spawn(0, "t", func(p *engine.Proc) {
+		rt = boot(p)
+		f := (&Namespace{RT: rt}).Create(p, "log", 1000)
+		payload := []byte("appended past the end")
+		if err := f.Pwrite(p, payload, 2000); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := f.Size(), 2000+uint64(len(payload)); got != want {
+			t.Errorf("size %d after the extending write, want %d", got, want)
+		}
+	})
+	e.Run()
+	if err := rt.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestDeleteFileRecyclesCache(t *testing.T) {

@@ -157,9 +157,9 @@ func runIOUring(scale float64) []*Result {
 	// Each path gets a fresh world: simulated time restarts per phase, so
 	// sharing a device would queue later phases behind earlier backlogs.
 	newWorld := func() (*simengine.Engine, *host.OS, *host.FSFile) {
-		e := bootEngine(simengine.Config{NumCPUs: 4, Seed: 97}, "iouring")
-		disk := host.NewNVMeDisk("nvme0", device.NewNVMe(1<<30, device.DefaultNVMeConfig()))
-		os := host.NewOS(e, disk, 64*mib)
+		nv := device.NewNVMe(1<<30, device.DefaultNVMeConfig())
+		e := bootEngine(simengine.Config{NumCPUs: 4, Seed: 97}, "iouring", nv.Store)
+		os := host.NewOS(e, host.NewNVMeDisk("nvme0", nv), 64*mib)
 		var f *host.FSFile
 		e.Spawn(0, "setup", func(p *aquila.Proc) {
 			f = os.FS.Create(p, "data", 256*mib)

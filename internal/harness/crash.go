@@ -63,15 +63,6 @@ func crashRecordOK(seq uint64, rec []byte) bool {
 	return binary.LittleEndian.Uint32(rec[8:]) == c
 }
 
-// crashStoreWrites reads the device content-write counter (the AtDeviceOp
-// coordinate space).
-func crashStoreWrites(sys *aquila.System) uint64 {
-	if sys.PMem != nil {
-		return sys.PMem.Store.Stats().Writes
-	}
-	return sys.NVMe.Store.Stats().Writes
-}
-
 // crashProbe is the outcome of one (possibly crashed) run.
 type crashProbe struct {
 	crashed bool
@@ -104,7 +95,7 @@ func crashRun(opts aquila.Options, plan *aquila.CrashPlan,
 	var pr crashProbe
 	sys.Do(func(p *aquila.Proc) { work(p, sys, &pr) })
 	pr.cycles = sys.Sim.Now()
-	pr.writes = crashStoreWrites(sys)
+	pr.writes = sys.Store().Stats().Writes
 	if sys.Crashed() == nil {
 		return pr
 	}

@@ -157,9 +157,9 @@ func runNVMHeap(scale float64) []*Result {
 		{"Optane PMM class", device.OptanePMMConfig(), false},
 		{"Optane PMM, direct map (no DRAM cache)", device.OptanePMMConfig(), true},
 	} {
-		e := bootEngine(simengine.Config{NumCPUs: 32, Seed: 25}, "nvm-heap")
-		disk := host.NewPMemDisk("pmem0", device.NewPMem(heapBytes*2+64*mib, cfg.pm))
-		os := host.NewOS(e, disk, 16*mib)
+		pm := device.NewPMem(heapBytes*2+64*mib, cfg.pm)
+		e := bootEngine(simengine.Config{NumCPUs: 32, Seed: 25}, "nvm-heap", pm.Store)
+		os := host.NewOS(e, host.NewPMemDisk("pmem0", pm), 16*mib)
 		var g *graph.Graph
 		e.Spawn(0, "setup", func(p *aquila.Proc) {
 			rt := newAquilaOnHost(p, os, cache)

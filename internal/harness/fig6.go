@@ -79,7 +79,7 @@ func fig6Sizes(scale float64) (vertices uint32, edges [][2]uint32, heapBytes uin
 func runBFSConfig(cfg fig6Config, vertices uint32, edges [][2]uint32,
 	heapBytes, cache uint64, threads int) graph.BFSResult {
 	if cfg.dram {
-		e := bootEngine(engine.Config{NumCPUs: 32, Seed: 5}, "dram")
+		e := bootEngine(engine.Config{NumCPUs: 32, Seed: 5}, "dram", nil)
 		defer retire(e)
 		h := graph.NewMemHeap(heapBytes * 2)
 		var g *graph.Graph

@@ -7,6 +7,7 @@ import (
 	"aquila"
 	"aquila/internal/core"
 	"aquila/internal/obs"
+	"aquila/internal/sim/device"
 	simengine "aquila/internal/sim/engine"
 )
 
@@ -32,11 +33,12 @@ var (
 	worldsPeak    int
 )
 
-// world is one booted world: its engine, and the System around it unless it
-// is a bare engine (bootEngine).
+// world is one booted world: its engine, the System around it unless it is a
+// bare engine (bootEngine), and its device unless it is DRAM only.
 type world struct {
 	e   *simengine.Engine
 	sys *aquila.System
+	st  *device.Store
 }
 
 // Instrument routes all subsequently booted Systems into tr and reg (either
@@ -76,20 +78,21 @@ func boot(opts aquila.Options) *aquila.System {
 		}
 	}
 	sys := aquila.New(opts)
-	track(world{sys.Sim, sys})
+	track(world{sys.Sim, sys, sys.Store()})
 	return sys
 }
 
 // bootEngine is boot for the worlds that need no aquila.System — a DRAM-only
 // heap, a hand-wired host over a custom device: a bare engine, given the
 // harness tracer/profiler under a label of its own and tracked until retired
-// like any other world.
-func bootEngine(cfg simengine.Config, label string) *simengine.Engine {
+// like any other world. st is the device the world's host will drive (nil for
+// a DRAM-only world), for retire to audit.
+func bootEngine(cfg simengine.Config, label string, st *device.Store) *simengine.Engine {
 	if obsTracer != nil || obsProf != nil {
 		cfg.Spans, cfg.Profile, cfg.TraceLabel = obsTracer, obsProf, nextLabel(label)
 	}
 	e := simengine.New(cfg)
-	track(world{e: e})
+	track(world{e: e, st: st})
 	return e
 }
 
@@ -106,11 +109,17 @@ func track(w world) {
 // closes it, which releases the bg-evict daemons an AsyncEvict world leaves
 // parked, and drops the reference. Every row retires its world before the
 // next one boots, so one world is alive at a time and worlds publish in boot
-// order.
+// order. A world that did not crash must owe its device no durability point
+// (device.Store.Owed): retire panics naming the block if it does.
 func retire(e *simengine.Engine) {
 	for i, w := range worlds {
 		if w.e != e {
 			continue
+		}
+		if w.st != nil && e.Crashed() == nil {
+			if ow, owed := w.st.Owed(); owed {
+				panic(fmt.Sprintf("harness: %v", ow))
+			}
 		}
 		worlds = slices.Delete(worlds, i, i+1) // zeroes the vacated slot
 		retiredCycles += e.Now()

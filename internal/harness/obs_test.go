@@ -182,7 +182,7 @@ func TestBareEngineWorldsAreTracked(t *testing.T) {
 			t.Errorf("%s: no simulated cycles tracked", id)
 		}
 	}
-	e := bootEngine(simengine.Config{NumCPUs: 1}, "t")
+	e := bootEngine(simengine.Config{NumCPUs: 1}, "t", nil)
 	TakeSimCycles()
 	defer func() {
 		if recover() == nil {

@@ -6,6 +6,10 @@ import "fmt"
 // quiescent point (no process running, no I/O in flight). Tests call it
 // after heavy workloads; it returns the first violation found.
 func (os *OS) CheckInvariants() error {
+	// The disk owes no block its durability point.
+	if w, owed := os.Disk().Content.Owed(); owed {
+		return w
+	}
 	c := os.Cache
 	// Every page in every file's radix tree is as its state's row in the
 	// lifecycle table says, not busy, on an LRU list, and counted dirty if its

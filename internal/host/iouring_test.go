@@ -239,6 +239,27 @@ func TestIOURingCrashDropsInflightWhole(t *testing.T) {
 	})
 }
 
+// TestDurableIOURingWritesOnPMem: on pmem an SQE's completion also carries the
+// kernel worker's copy, and every write still gets its durability point, so
+// the host's audit finds no block owed.
+func TestDurableIOURingWritesOnPMem(t *testing.T) {
+	e, os := newPMemOS(16 * mib)
+	run1(e, func(p *engine.Proc) {
+		f := os.FS.Create(p, "f", 1*mib)
+		ring := NewIOURing(os, f, 8)
+		for i := 0; i < 4; i++ {
+			ring.Prep(Sqe{Write: true, Off: uint64(i) * 4096, Buf: bytes.Repeat([]byte{byte(i + 1)}, 4096), UserData: uint64(i)})
+		}
+		ring.Enter(p)
+		if cqes := ring.WaitCqes(p, 4); len(cqes) != 4 {
+			t.Fatalf("reaped %d cqes, want 4", len(cqes))
+		}
+	})
+	if err := os.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestIOURingDepthLimit(t *testing.T) {
 	e, os := newNVMeOS(16 * mib)
 	run1(e, func(p *engine.Proc) {

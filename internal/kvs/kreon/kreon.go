@@ -44,21 +44,16 @@ const (
 	entriesPerNode = (pageSize - nodeHeader) / leafEntrySize
 )
 
-// Costs model Kreon's (deliberately small) software overheads: no block
-// cache, no decode stage — §5: "reduces I/O amplification and CPU cycles in
-// the common path".
-type Costs struct {
-	GetBase   uint64 // per-get bookkeeping
-	PutBase   uint64 // per-put bookkeeping (log reservation, L0 insert)
-	NodeVisit uint64 // per B-tree node binary search
-	L0Lookup  uint64 // level-0 in-memory index probe
-	ScanStep  uint64 // per scanned record
-}
-
-// DefaultCosts returns the calibrated cost table.
-func DefaultCosts() Costs {
-	return Costs{GetBase: 1400, PutBase: 1900, NodeVisit: 380, L0Lookup: 600, ScanStep: 300}
-}
+// Kreon's (deliberately small) software overheads in cycles: no block cache,
+// no decode stage — §5: "reduces I/O amplification and CPU cycles in the
+// common path". Every world runs these values.
+const (
+	costGetBase   = 1400 // per-get bookkeeping
+	costPutBase   = 1900 // per-put bookkeeping (log reservation, L0 insert)
+	costNodeVisit = 380  // per B-tree node binary search
+	costL0Lookup  = 600  // level-0 in-memory index probe
+	costScanStep  = 300  // per scanned record
+)
 
 // Options configure a store.
 type Options struct {
@@ -93,9 +88,8 @@ type Options struct {
 // replay would end there. The one caller that absorbs such a panic and keeps
 // using the store (bench/'s guarded put) runs without a fault plan.
 type DB struct {
-	opts  Options
-	costs Costs
-	m     iface.Mapping
+	opts Options
+	m    iface.Mapping
 
 	logHead uint64 // next append offset (within log region)
 	logBase uint64 // start of log region
@@ -171,7 +165,7 @@ func OpenWithMapping(p *engine.Proc, opts Options, m iface.Mapping) *DB {
 		opts.L0Entries = 16384
 	}
 	db := &DB{
-		opts: opts, costs: DefaultCosts(), m: m,
+		opts: opts, m: m,
 		logBase: pageSize,
 		idxBase: pageSize + opts.LogBytes,
 		l0:      make(map[fixedKey]int),
@@ -360,7 +354,7 @@ func (db *DB) Put(p *engine.Proc, key, value []byte) {
 	db.m.Store(p, off, rec)
 	db.bufs.GiveBack(rec)
 	db.index(k, off)
-	p.AdvanceUser(db.costs.PutBase)
+	p.AdvanceUser(costPutBase)
 	if len(db.l0ents) >= db.opts.L0Entries {
 		db.spill(p)
 	}
@@ -372,7 +366,7 @@ func (db *DB) Get(p *engine.Proc, key []byte) ([]byte, bool) {
 	defer p.EndSpan()
 	db.Gets++
 	k := makeKey(key)
-	p.AdvanceUser(db.costs.GetBase + db.costs.L0Lookup)
+	p.AdvanceUser(costGetBase + costL0Lookup)
 	if i, ok := db.l0[k]; ok {
 		return db.readLog(p, db.l0ents[i].off, nil), true
 	}
@@ -409,7 +403,7 @@ func (db *DB) Scan(p *engine.Proc, startKey []byte, n int) int {
 		}
 		last = &e.key
 		val = db.readLog(p, e.off, val[:0])
-		p.AdvanceUser(db.costs.ScanStep)
+		p.AdvanceUser(costScanStep)
 		seen++
 	}
 	return seen
@@ -470,7 +464,7 @@ func (db *DB) readLog(p *engine.Proc, off uint64, val []byte) []byte {
 func (db *DB) readNode(p *engine.Proc, off uint64) []byte {
 	buf := db.bufs.Borrow(pageSize)
 	db.m.Load(p, off, buf)
-	p.AdvanceUser(db.costs.NodeVisit)
+	p.AdvanceUser(costNodeVisit)
 	return buf
 }
 

@@ -13,7 +13,6 @@ import (
 // iterators across yields hold it as it is, and eviction only drops it.
 type BlockCache struct {
 	shards []cacheShard
-	costs  Costs
 
 	// Stats.
 	Hits, Misses, Evictions uint64
@@ -41,9 +40,9 @@ type cacheBlock struct {
 
 // NewBlockCache creates a cache with the given byte capacity across 16
 // shards.
-func NewBlockCache(e *engine.Engine, capacity uint64, costs Costs) *BlockCache {
+func NewBlockCache(e *engine.Engine, capacity uint64) *BlockCache {
 	const nShards = 16
-	c := &BlockCache{costs: costs}
+	c := &BlockCache{}
 	per := int(capacity) / nShards
 	for i := 0; i < nShards; i++ {
 		c.shards = append(c.shards, cacheShard{
@@ -65,7 +64,7 @@ func (c *BlockCache) Get(p *engine.Proc, sst, blk uint64) []byte {
 	k := cacheKey{sst, blk}
 	s := c.shard(k)
 	s.lock.Lock(p)
-	p.AdvanceUser(c.costs.CacheLookup)
+	p.AdvanceUser(costCacheLookup)
 	b := s.blocks[k]
 	if b != nil {
 		s.lruRemove(b)
@@ -87,7 +86,7 @@ func (c *BlockCache) Insert(p *engine.Proc, sst, blk uint64, data []byte) {
 	k := cacheKey{sst, blk}
 	s := c.shard(k)
 	s.lock.Lock(p)
-	p.AdvanceUser(c.costs.CacheInsert)
+	p.AdvanceUser(costCacheInsert)
 	if _, ok := s.blocks[k]; ok {
 		s.lock.Unlock(p)
 		return
@@ -98,7 +97,7 @@ func (c *BlockCache) Insert(p *engine.Proc, sst, blk uint64, data []byte) {
 		delete(s.blocks, victim.key)
 		s.used -= len(victim.data)
 		c.Evictions++
-		p.AdvanceUser(c.costs.CacheEvict)
+		p.AdvanceUser(costCacheEvict)
 	}
 	b := &cacheBlock{key: k, data: data}
 	s.blocks[k] = b

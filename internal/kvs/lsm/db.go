@@ -13,46 +13,26 @@ import (
 	"aquila/internal/ycsb"
 )
 
-// Costs model the store's user-space software overheads in cycles. They are
-// calibrated so the paper's Figure 7 decomposition reproduces: with a
-// user-space cache, RocksDB spends ~15.3 K cycles in get processing, ~32 K
-// in cache lookups/evictions and ~13 K in miss syscalls per random read.
-type Costs struct {
-	MemtableHop       uint64 // per skiplist pointer hop
-	MemtableBase      uint64 // per memtable probe/insert
-	BloomCheck        uint64 // per table filter probe
-	IndexSearch       uint64 // per table index binary search
-	BlockEntry        uint64 // per record visited in a block scan
-	BlockDecode       uint64 // per block checksum/decode
-	GetFinish         uint64 // per-get residual (version lookup, stats, pinning)
-	MmapBlockOverhead uint64 // extra per-block work in mmap mode (no prefetch, pinning)
-	PutFinish         uint64 // per-put residual
-	CacheLookup       uint64 // block-cache probe under shard lock
-	CacheInsert       uint64 // block-cache insert (allocation, LRU, refcount)
-	CacheEvict        uint64 // per evicted block
-	WALAppend         uint64 // per WAL record, excluding the device write
-	IterNext          uint64 // per merged-iterator step
-}
-
-// DefaultCosts returns the calibrated cost table.
-func DefaultCosts() Costs {
-	return Costs{
-		MemtableHop:       35,
-		MemtableBase:      900,
-		BloomCheck:        450,
-		IndexSearch:       900,
-		BlockEntry:        220,
-		BlockDecode:       1700,
-		GetFinish:         8000,
-		PutFinish:         2500,
-		CacheLookup:       4500,
-		CacheInsert:       20000,
-		CacheEvict:        10000,
-		MmapBlockOverhead: 2500,
-		WALAppend:         1200,
-		IterNext:          320,
-	}
-}
+// The store's user-space software overheads in cycles, calibrated so the
+// paper's Figure 7 decomposition reproduces: with a user-space cache, RocksDB
+// spends ~15.3 K cycles in get processing, ~32 K in cache lookups/evictions
+// and ~13 K in miss syscalls per random read. Every world runs these values.
+const (
+	costMemtableHop       = 35    // per skiplist pointer hop
+	costMemtableBase      = 900   // per memtable probe/insert
+	costBloomCheck        = 450   // per table filter probe
+	costIndexSearch       = 900   // per table index binary search
+	costBlockEntry        = 220   // per record visited in a block scan
+	costBlockDecode       = 1700  // per block checksum/decode
+	costGetFinish         = 8000  // per-get residual (version lookup, stats, pinning)
+	costMmapBlockOverhead = 2500  // extra per-block work in mmap mode (no prefetch, pinning)
+	costPutFinish         = 2500  // per-put residual
+	costCacheLookup       = 4500  // block-cache probe under shard lock
+	costCacheInsert       = 20000 // block-cache insert (allocation, LRU, refcount)
+	costCacheEvict        = 10000 // per evicted block
+	costWALAppend         = 1200  // per WAL record, excluding the device write
+	costIterNext          = 320   // per merged-iterator step
+)
 
 // IOMode selects how the store reaches its tables (§5).
 type IOMode int
@@ -104,8 +84,7 @@ type Options struct {
 
 // DB is the store.
 type DB struct {
-	opts  Options
-	costs Costs
+	opts Options
 
 	writeLock *engine.Mutex
 	mem       *skiplist
@@ -154,7 +133,6 @@ func Open(p *engine.Proc, e *engine.Engine, opts Options) *DB {
 	}
 	db := &DB{
 		opts:      opts,
-		costs:     DefaultCosts(),
 		writeLock: engine.NewMutex(e, "lsm_write"),
 		mem:       newSkiplist(opts.Seed + 1),
 		levels:    make([][]*SST, 4),
@@ -173,7 +151,7 @@ func Open(p *engine.Proc, e *engine.Engine, opts Options) *DB {
 		if cap == 0 {
 			cap = 32 << 20
 		}
-		db.cache = NewBlockCache(e, cap, db.costs)
+		db.cache = NewBlockCache(e, cap)
 	}
 	if !opts.DisableWAL {
 		walBytes := opts.WALBytes
@@ -246,7 +224,7 @@ func (db *DB) put(p *engine.Proc, key, value []byte) {
 		copy(rec[4:], key)
 		copy(rec[4+len(key):], value)
 		clear(rec[len(rec)-4:])
-		db.charge(p, "put", db.costs.WALAppend)
+		db.charge(p, "put", costWALAppend)
 		if db.walOff+uint64(len(rec)) > db.wal.Size() {
 			db.flushLocked(p) // out of log space: flush resets the WAL
 		}
@@ -255,7 +233,7 @@ func (db *DB) put(p *engine.Proc, key, value []byte) {
 		db.bufs.GiveBack(rec)
 	}
 	hops := db.mem.put(key, value)
-	db.charge(p, "put", db.costs.MemtableBase+db.costs.MemtableHop*uint64(hops)+db.costs.PutFinish)
+	db.charge(p, "put", costMemtableBase+costMemtableHop*uint64(hops)+costPutFinish)
 	if db.mem.size >= db.opts.MemtableBytes {
 		db.flushLocked(p)
 	}
@@ -268,9 +246,9 @@ func (db *DB) Get(p *engine.Proc, key []byte) ([]byte, bool) {
 	defer p.EndSpan()
 	db.Gets++
 	v, ok, hops := db.mem.get(key)
-	db.charge(p, "get", db.costs.MemtableBase+db.costs.MemtableHop*uint64(hops))
+	db.charge(p, "get", costMemtableBase+costMemtableHop*uint64(hops))
 	if ok {
-		db.charge(p, "get", db.costs.GetFinish)
+		db.charge(p, "get", costGetFinish)
 		if isTombstone(v) {
 			return nil, false
 		}
@@ -279,7 +257,7 @@ func (db *DB) Get(p *engine.Proc, key []byte) ([]byte, bool) {
 	// L0: newest first, ranges overlap.
 	for _, t := range db.levels[0] {
 		if v, ok := db.searchTable(p, t, key); ok {
-			db.charge(p, "get", db.costs.GetFinish)
+			db.charge(p, "get", costGetFinish)
 			if isTombstone(v) {
 				return nil, false
 			}
@@ -294,7 +272,7 @@ func (db *DB) Get(p *engine.Proc, key []byte) ([]byte, bool) {
 		})
 		if i < len(tables) && tables[i].contains(key) {
 			if v, ok := db.searchTable(p, tables[i], key); ok {
-				db.charge(p, "get", db.costs.GetFinish)
+				db.charge(p, "get", costGetFinish)
 				if isTombstone(v) {
 					return nil, false
 				}
@@ -302,17 +280,17 @@ func (db *DB) Get(p *engine.Proc, key []byte) ([]byte, bool) {
 			}
 		}
 	}
-	db.charge(p, "get", db.costs.GetFinish)
+	db.charge(p, "get", costGetFinish)
 	return nil, false
 }
 
 // searchTable probes one SST.
 func (db *DB) searchTable(p *engine.Proc, t *SST, key []byte) ([]byte, bool) {
-	db.charge(p, "get", db.costs.BloomCheck)
+	db.charge(p, "get", costBloomCheck)
 	if !t.filter.mayContain(key) {
 		return nil, false
 	}
-	db.charge(p, "get", db.costs.IndexSearch)
+	db.charge(p, "get", costIndexSearch)
 	blkIdx := t.blockFor(key)
 	// The block is done with once the value is copied out of it, so an mmio
 	// lookup lends readBlock the buffer. (The other modes keep allocating: a
@@ -337,7 +315,7 @@ func (db *DB) searchTable(p *engine.Proc, t *SST, key []byte) ([]byte, bool) {
 	if lent != nil {
 		db.bufs.GiveBack(lent)
 	}
-	db.charge(p, "get", db.costs.BlockEntry*uint64(visited))
+	db.charge(p, "get", costBlockEntry*uint64(visited))
 	return out, found
 }
 
@@ -359,7 +337,7 @@ func (db *DB) readBlock(p *engine.Proc, t *SST, blkIdx uint64, buf []byte) []byt
 		t0 := p.Now()
 		t.mapping.Load(p, off, buf)
 		db.Break.Add("mmio", p.Now()-t0)
-		db.charge(p, "get", db.costs.MmapBlockOverhead)
+		db.charge(p, "get", costMmapBlockOverhead)
 		return buf
 	}
 	if db.cache != nil {
@@ -373,7 +351,7 @@ func (db *DB) readBlock(p *engine.Proc, t *SST, blkIdx uint64, buf []byte) []byt
 		t0 = p.Now()
 		t.file.Pread(p, buf, off)
 		db.Break.Add("io", p.Now()-t0)
-		db.charge(p, "get", db.costs.BlockDecode)
+		db.charge(p, "get", costBlockDecode)
 		t0 = p.Now()
 		db.cache.Insert(p, t.id, blkIdx, buf)
 		db.Break.Add("cache", p.Now()-t0)
@@ -383,7 +361,7 @@ func (db *DB) readBlock(p *engine.Proc, t *SST, blkIdx uint64, buf []byte) []byt
 	t0 := p.Now()
 	t.file.Pread(p, buf, off)
 	db.Break.Add("io", p.Now()-t0)
-	db.charge(p, "get", db.costs.BlockDecode)
+	db.charge(p, "get", costBlockDecode)
 	return buf
 }
 
@@ -399,7 +377,7 @@ func (db *DB) Scan(p *engine.Proc, startKey []byte, n int) int {
 		if !ok {
 			break
 		}
-		db.charge(p, "get", db.costs.IterNext)
+		db.charge(p, "get", costIterNext)
 		if isTombstone(v) {
 			continue
 		}

@@ -259,7 +259,7 @@ func TestDBScanSeesNewestVersion(t *testing.T) {
 func TestBlockCacheLRU(t *testing.T) {
 	e := engine.New(engine.Config{NumCPUs: 1, Seed: 1})
 	run1(e, func(p *engine.Proc) {
-		c := NewBlockCache(e, 64<<10, DefaultCosts()) // 16 blocks of 4K
+		c := NewBlockCache(e, 64<<10) // 16 blocks of 4K
 		blk := make([]byte, 4096)
 		for i := uint64(0); i < 64; i++ {
 			c.Insert(p, 1, i, blk)

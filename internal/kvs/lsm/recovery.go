@@ -128,7 +128,7 @@ func (db *DB) replayWAL(p *engine.Proc) {
 			break // torn tail record: discard
 		}
 		hops := db.mem.put(buf[4:4+kl], buf[4+kl:4+kl+vl])
-		p.AdvanceUser(db.costs.MemtableBase + db.costs.MemtableHop*uint64(hops))
+		p.AdvanceUser(costMemtableBase + costMemtableHop*uint64(hops))
 		consumed := 4 + kl + vl
 		buf = buf[consumed:]
 		db.walOff += uint64(consumed)

@@ -34,6 +34,7 @@ const notDurable = ^uint64(0)
 type volVersion struct {
 	data      *block
 	durableAt uint64 // completion cycle, or notDurable until Persist
+	op        uint64 // the device write that staged it (its Stats.Writes)
 }
 
 // view returns the newest visible content of blk — the volatile overlay wins
@@ -82,7 +83,7 @@ func (s *Store) stage(blk uint64, bo int, chunk []byte) {
 			vs, s.spare = s.spare[n-1], s.spare[:n-1]
 		}
 	}
-	e.versions = append(vs, volVersion{data: b, durableAt: notDurable})
+	e.versions = append(vs, volVersion{data: b, durableAt: notDurable, op: s.stats.Writes})
 }
 
 // block returns a block with unspecified content, recycled from the free
@@ -189,6 +190,41 @@ func (s *Store) SettleAll() { s.settle(notDurable - 1) }
 // PendingBlocks returns how many blocks have staged-but-not-yet-durable
 // content in the volatile tier.
 func (s *Store) PendingBlocks() int { return len(s.staged) }
+
+// OwedWrite names a staged version that is owed its durability point: WriteAt
+// staged it and no Persist has scheduled one since.
+type OwedWrite struct {
+	Block uint64
+	// Op is the device write that staged it, 1-based as Stats.Writes and
+	// CrashPlan.AtDeviceOp count: a plan with AtDeviceOp = Op crashes inside
+	// the window.
+	Op uint64
+}
+
+func (w OwedWrite) Error() string {
+	return fmt.Sprintf("device: block %d, staged by device write %d, was never persisted (at_device_op %d replays the window)",
+		w.Block, w.Op, w.Op)
+}
+
+// Owed reports whether any block's newest staged version is owed, and names
+// the one staged by the earliest device write (the lowest block of it). Only
+// the newest can be: stage merges into an owed version and appends only after
+// a scheduled one. A quiescent world owes nothing — every write path persists
+// what it staged before it returns — so an owed version there is a write that
+// lost its durability point: it would survive no crash and SettleAll keeps it
+// volatile.
+func (s *Store) Owed() (OwedWrite, bool) {
+	var w OwedWrite
+	owed := false
+	for _, blk := range s.staged {
+		vs := s.entry(blk).versions
+		v := vs[len(vs)-1]
+		if v.durableAt == notDurable && (!owed || v.op < w.Op || v.op == w.Op && blk < w.Block) {
+			w, owed = OwedWrite{Block: blk, Op: v.op}, true
+		}
+	}
+	return w, owed
+}
 
 // CrashResult summarizes what a Crash() did to the device.
 type CrashResult struct {

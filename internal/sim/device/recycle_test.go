@@ -2,6 +2,7 @@ package device
 
 import (
 	"bytes"
+	"cmp"
 	"math/rand"
 	"slices"
 	"sort"
@@ -17,12 +18,14 @@ import (
 type refStore struct {
 	blocks   map[uint64][]byte
 	volatile map[uint64][]refVersion
+	writes   uint64
 }
 
 // refVersion is the reference's staged version: a slice of its own.
 type refVersion struct {
 	data      []byte
 	durableAt uint64
+	op        uint64
 }
 
 func newRefStore() *refStore {
@@ -47,6 +50,7 @@ func chunks(off uint64, n int, fn func(blk uint64, bo, at, chunk int)) {
 }
 
 func (r *refStore) write(off uint64, buf []byte) {
+	r.writes++
 	chunks(off, len(buf), func(blk uint64, bo, at, chunk int) {
 		vs := r.volatile[blk]
 		if n := len(vs); n > 0 && vs[n-1].durableAt == notDurable {
@@ -56,7 +60,7 @@ func (r *refStore) write(off uint64, buf []byte) {
 		b := make([]byte, BlockSize)
 		copy(b, r.view(blk))
 		copy(b[bo:], buf[at:at+chunk])
-		r.volatile[blk] = append(vs, refVersion{data: b, durableAt: notDurable})
+		r.volatile[blk] = append(vs, refVersion{data: b, durableAt: notDurable, op: r.writes})
 	})
 }
 
@@ -97,6 +101,28 @@ func (r *refStore) settle(upTo uint64) {
 			delete(r.volatile, blk)
 		}
 	}
+}
+
+// owed is Store.Owed by brute force: every owed version of every block, the
+// earliest write first, then the lowest block.
+func (r *refStore) owed() (OwedWrite, bool) {
+	var all []OwedWrite
+	for blk, vs := range r.volatile {
+		for _, v := range vs {
+			if v.durableAt == notDurable {
+				all = append(all, OwedWrite{Block: blk, Op: v.op})
+			}
+		}
+	}
+	if len(all) == 0 {
+		return OwedWrite{}, false
+	}
+	return slices.MinFunc(all, func(a, b OwedWrite) int {
+		if a.Op != b.Op {
+			return cmp.Compare(a.Op, b.Op)
+		}
+		return cmp.Compare(a.Block, b.Block)
+	}), true
 }
 
 func (r *refStore) discard(off, length uint64) {
@@ -193,10 +219,11 @@ func sameImage(a, b map[uint64][]byte) bool {
 // and to a later point), the settle every Submit does (also at exactly a
 // version's durability point, and with nothing due), SettleAll, Discard, Crash
 // with torn sectors, CloneMedia, AdoptMedia — and after every step compares the
-// whole readable content, PendingBlocks, both tiers version by version and the
-// media image, and checks that no buffer is owned twice: not by the free list
-// and a tier, not by two versions, not by a store and an image it handed out
-// or adopted.
+// whole readable content, PendingBlocks, Owed, both tiers version by version
+// (with the write that staged each) and the media image, checks that Crash,
+// AdoptMedia and a Discard leave nothing owed that they dropped, and that no
+// buffer is owned twice: not by the free list and a tier, not by two versions,
+// not by a store and an image it handed out or adopted.
 func TestRecyclingStoreMatchesNonRecyclingReference(t *testing.T) {
 	const blocks = 48
 	for seed := int64(1); seed <= 3; seed++ {
@@ -206,12 +233,13 @@ func TestRecyclingStoreMatchesNonRecyclingReference(t *testing.T) {
 		type clone struct{ img, snapshot map[uint64][]byte }
 		var clones []clone
 		var now uint64
-		var recycled, whole, crashes, torn, cloned, idle, exact, earlier int
+		var recycled, whole, crashes, torn, cloned, idle, exact, earlier, owedSteps int
 		var due []uint64 // durability points handed to Persist
 		all, wantAll := make([]byte, blocks*BlockSize), make([]byte, blocks*BlockSize)
 		for step := 0; step < 4000; step++ {
 			off := uint64(rng.Intn(blocks * BlockSize))
 			n := 1 + rng.Intn(min(3*BlockSize, blocks*BlockSize-int(off)))
+			clears := false // the step must leave nothing owed
 			switch op := rng.Intn(100); {
 			case op < 40:
 				buf := make([]byte, n)
@@ -251,6 +279,9 @@ func TestRecyclingStoreMatchesNonRecyclingReference(t *testing.T) {
 			case op < 90:
 				got.Discard(off, uint64(n))
 				want.discard(off, uint64(n))
+				if w, owed := got.Owed(); owed && w.Block >= (off+BlockSize-1)/BlockSize && w.Block < (off+uint64(n))/BlockSize {
+					t.Fatalf("seed %d step %d: block %d still owed after its Discard", seed, step, w.Block)
+				}
 			case op < 92:
 				res := got.Crash(now, tearGot, 0.5)
 				dropped, tornNow := want.crash(now, tearWant, 0.5)
@@ -260,6 +291,7 @@ func TestRecyclingStoreMatchesNonRecyclingReference(t *testing.T) {
 				}
 				crashes++
 				torn += tornNow
+				clears = true
 			case op < 96:
 				img := got.CloneMedia()
 				c := clone{img, cloneImage(img)}
@@ -273,6 +305,7 @@ func TestRecyclingStoreMatchesNonRecyclingReference(t *testing.T) {
 				c := clones[rng.Intn(len(clones))]
 				got.AdoptMedia(c.img)
 				want.blocks, want.volatile = cloneImage(c.img), map[uint64][]refVersion{}
+				clears = true
 			}
 
 			got.ReadAt(0, all)
@@ -282,6 +315,16 @@ func TestRecyclingStoreMatchesNonRecyclingReference(t *testing.T) {
 			}
 			if got.PendingBlocks() != len(want.volatile) {
 				t.Fatalf("seed %d step %d: PendingBlocks %d, reference %d", seed, step, got.PendingBlocks(), len(want.volatile))
+			}
+			w, owed := got.Owed()
+			if rw, rowed := want.owed(); w != rw || owed != rowed {
+				t.Fatalf("seed %d step %d: Owed %+v %v, reference %+v %v", seed, step, w, owed, rw, rowed)
+			}
+			if owed && clears {
+				t.Fatalf("seed %d step %d: block %d owed after a crash or an adopted image", seed, step, w.Block)
+			}
+			if owed {
+				owedSteps++
 			}
 			media, staged := tiers(t, got)
 			if !sameImage(media, want.blocks) {
@@ -296,7 +339,7 @@ func TestRecyclingStoreMatchesNonRecyclingReference(t *testing.T) {
 					t.Fatalf("seed %d step %d: block %d has %d staged versions, reference %d", seed, step, blk, len(vs), len(ref))
 				}
 				for i := range vs {
-					if vs[i].durableAt != ref[i].durableAt || !bytes.Equal(vs[i].data[:], ref[i].data) {
+					if vs[i].durableAt != ref[i].durableAt || vs[i].op != ref[i].op || !bytes.Equal(vs[i].data[:], ref[i].data) {
 						t.Fatalf("seed %d step %d: block %d version %d differs from the reference", seed, step, blk, i)
 					}
 				}
@@ -338,9 +381,9 @@ func TestRecyclingStoreMatchesNonRecyclingReference(t *testing.T) {
 				}
 			}
 		}
-		if recycled < 100 || whole < 100 || crashes == 0 || torn == 0 || cloned == 0 || idle < 20 || exact < 20 || earlier < 10 {
-			t.Fatalf("seed %d: sequence too tame: %d recycled buffers, %d whole-block chunks, %d crashes, %d torn blocks, %d clones, %d settles with nothing due, %d at exactly a durability point, %d re-persists to an earlier one",
-				seed, recycled, whole, crashes, torn, cloned, idle, exact, earlier)
+		if recycled < 100 || whole < 100 || crashes == 0 || torn == 0 || cloned == 0 || idle < 20 || exact < 20 || earlier < 10 || owedSteps < 100 {
+			t.Fatalf("seed %d: sequence too tame: %d recycled buffers, %d whole-block chunks, %d crashes, %d torn blocks, %d clones, %d settles with nothing due, %d at exactly a durability point, %d re-persists to an earlier one, %d steps with a version owed",
+				seed, recycled, whole, crashes, torn, cloned, idle, exact, earlier, owedSteps)
 		}
 	}
 }

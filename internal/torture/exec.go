@@ -267,7 +267,7 @@ func run(pl *Plan, crash *device.CrashPlan) *Outcome {
 	}
 
 	x.o.Cycles = x.sys.Sim.Now()
-	x.o.devWrites = storeOf(x.sys).Stats().Writes
+	x.o.devWrites = x.sys.Store().Stats().Writes
 	sort.Slice(x.o.ackCycles, func(i, j int) bool { return x.o.ackCycles[i] < x.o.ackCycles[j] })
 
 	var devFP uint64
@@ -275,7 +275,7 @@ func run(pl *Plan, crash *device.CrashPlan) *Outcome {
 		x.o.Crashed, x.o.CrashCycle = true, info.Cycle
 		devFP = x.verifyCrashed(opts)
 	} else {
-		st := storeOf(x.sys)
+		st := x.sys.Store()
 		st.SettleAll()
 		devFP = st.Fingerprint()
 		x.prof.SetTotalCycles(x.sys.Sim.Now())
@@ -285,13 +285,6 @@ func run(pl *Plan, crash *device.CrashPlan) *Outcome {
 	}
 	x.fingerprint(devFP)
 	return x.o
-}
-
-func storeOf(sys *aquila.System) *device.Store {
-	if sys.PMem != nil {
-		return sys.PMem.Store
-	}
-	return sys.NVMe.Store
 }
 
 // setup creates every file (and the Kreon store) in plan order — the order
