@@ -82,11 +82,14 @@ crash:
 torture:
 	$(GO) run ./cmd/aqtort -prove-unsafe -bank 64 -dup -shrink
 
-# Short native-fuzz smoke: a few seconds of FuzzKreonRecover per CI run.
-# The corpus (internal/kvs/testdata + the cached interesting inputs) still
-# replays in plain `make test`; this target actually mutates.
+# Short native-fuzz smoke: a few seconds of FuzzKreonRecover and of
+# FuzzStoreMatchesReference (the device store against its untrimmed,
+# non-recycling reference) per CI run. The corpora (internal/kvs/testdata,
+# the f.Add seeds + the cached interesting inputs) still replay in plain
+# `make test`; this target actually mutates.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzKreonRecover -fuzztime 10s ./internal/kvs/kreon/
+	$(GO) test -run '^$$' -fuzz FuzzStoreMatchesReference -fuzztime 5s ./internal/sim/device/
 
 # Per-function coverage report for the mmio core (scratch output, not a
 # golden): `make cover` prints the table and leaves core-cover.out for
@@ -137,8 +140,10 @@ engine-bench:
 
 # Host cost of the simulated hardware's own state, no world on top: a TLB
 # flush, an insert into a full TLB, a 32-CPU shootdown, a PTE map/unmap, the
-# device store's rewrite-persist-settle cycle, a fill read of a materialized
-# block and the settle of a Submit with 4 K blocks staged and none due, a frame
+# device store's rewrite-persist-settle cycle over dense blocks and over
+# blocks carrying one 8-byte stamp (StoreStampWriteBack), a fill read of a
+# materialized block and the settle of a Submit with 4 K blocks staged and
+# none due, a frame
 # and a 2 MB block out of and back into simulated DRAM, a 128 MB pool booted,
 # one busy period of a page's event, the cache index's lookup-insert-remove
 # (beside the map it replaced), an address-space lookup in the shared range set,

@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"math/bits"
 	"math/rand"
 	"os"
 	"slices"
@@ -32,7 +33,7 @@ const notDurable = ^uint64(0)
 // volVersion is one staged write of a block sitting in the device's volatile
 // write-cache tier. Versions are ordered oldest-to-newest per block.
 type volVersion struct {
-	data      *block
+	data      []byte // the block up to its last nonzero line (blockEntry)
 	durableAt uint64 // completion cycle, or notDurable until Persist
 	op        uint64 // the device write that staged it (its Stats.Writes)
 }
@@ -49,9 +50,9 @@ func (s *Store) view(blk uint64) []byte {
 func (e *blockEntry) view() []byte {
 	switch n := len(e.versions); {
 	case n > 0:
-		return e.versions[n-1].data[:]
+		return e.versions[n-1].data
 	case e.media != nil:
-		return e.media[:]
+		return e.media
 	}
 	return nil
 }
@@ -60,23 +61,31 @@ func (e *blockEntry) view() []byte {
 // before a Persist merge into one pending version; once a version has been
 // scheduled it is immutable and a fresh copy-on-write version is appended. A
 // chunk that covers the whole block — every page write-back does — needs
-// nothing of the block's current content under it.
+// nothing of the block's current content under it. Only the chunk's bytes up
+// to its last nonzero one widen the version's buffer; its zeros past that
+// cost nothing.
 func (s *Store) stage(blk uint64, bo int, chunk []byte) {
 	e := s.slot(blk)
+	nz := lastNonzero(chunk)
+	reach := 0 // the held length the chunk's nonzero bytes need
+	if nz > 0 {
+		reach = lineUp(bo + nz)
+	}
 	vs := e.versions
 	if n := len(vs); n > 0 && vs[n-1].durableAt == notDurable {
-		copy(vs[n-1].data[bo:], chunk)
+		v := &vs[n-1]
+		v.data = put(s.fit(v.data, max(len(v.data), reach)), bo, chunk, nz)
 		return
 	}
-	b := s.block()
+	var cur []byte
 	if len(chunk) < BlockSize {
-		if cur := e.view(); cur != nil {
-			copy(b[:], cur)
-		} else {
-			clear(b[:])
-		}
+		cur = e.view()
 	}
-	copy(b[bo:], chunk)
+	b := s.alloc(max(len(cur), reach))
+	if k := copy(b, cur); bo > k || bo+len(chunk) < len(b) {
+		clear(b[k:]) // what the chunk will not cover
+	}
+	b = put(b, bo, chunk, nz)
 	if vs == nil {
 		s.staged = append(s.staged, blk)
 		if n := len(s.spare); n > 0 {
@@ -86,16 +95,96 @@ func (s *Store) stage(blk uint64, bo int, chunk []byte) {
 	e.versions = append(vs, volVersion{data: b, durableAt: notDurable, op: s.stats.Writes})
 }
 
-// block returns a block with unspecified content, recycled from the free
-// list when it has one.
-func (s *Store) block() *block {
-	n := len(s.free)
-	if n == 0 {
-		return new(block)
+// put writes chunk, zeros past its first nz bytes, into the block content b at
+// bo, where b already holds bo+nz bytes. When zeros land on b's tail, b is cut
+// back to its last nonzero line.
+func put(b []byte, bo int, chunk []byte, nz int) []byte {
+	if bo < len(b) {
+		copy(b[bo:], chunk)
 	}
-	b := s.free[n-1]
-	s.free = s.free[:n-1]
+	if hi := bo + nz; hi < len(b) {
+		top := len(b)
+		if bo+len(chunk) >= top {
+			top = hi // the chunk's zeros run to the held end
+		}
+		b = b[:lineUp(lastNonzero(b[:top]))]
+	}
 	return b
+}
+
+// lineSize is the granularity a content buffer is held at; classes counts the
+// capacity classes, lineSize<<0 to lineSize<<(classes-1) = BlockSize.
+const (
+	lineSize = 64
+	classes  = 7
+)
+
+// lineUp rounds n up to whole lines.
+func lineUp(n int) int { return (n + lineSize - 1) &^ (lineSize - 1) }
+
+// class is the capacity class of a buffer holding n bytes, 0 < n <= BlockSize.
+func class(n int) int { return bits.Len(uint(n-1) / lineSize) }
+
+// lastNonzero returns the length of b up to its last nonzero byte, 0 when b is
+// all zeros: a backward scan, a sector of zeros at a time, then a line, then
+// an 8-byte word, then a byte.
+func lastNonzero(b []byte) int {
+	i := len(b)
+	for i >= SectorSize && bytes.Equal(b[i-SectorSize:i], zeros[:SectorSize]) {
+		i -= SectorSize
+	}
+	for i >= lineSize && bytes.Equal(b[i-lineSize:i], zeros[:lineSize]) {
+		i -= lineSize
+	}
+	for i >= 8 && binary.LittleEndian.Uint64(b[i-8:i]) == 0 {
+		i -= 8
+	}
+	for i > 0 && b[i-1] == 0 {
+		i--
+	}
+	return i
+}
+
+// alloc returns a content buffer of n bytes, n a whole number of lines, with
+// unspecified content: recycled from n's class list when it has one. Zero
+// bytes is the empty, non-nil block, which holds no buffer.
+func (s *Store) alloc(n int) []byte {
+	if n == 0 {
+		return []byte{}
+	}
+	c := class(n)
+	k := len(s.free[c])
+	if k == 0 {
+		return make([]byte, n, lineSize<<c)
+	}
+	b := s.free[c][k-1]
+	s.free[c] = s.free[c][:k-1]
+	return b[:n]
+}
+
+// release gives a buffer no tier references any more back to its class list.
+func (s *Store) release(b []byte) {
+	if cap(b) > 0 {
+		c := class(cap(b))
+		s.free[c] = append(s.free[c], b[:0])
+	}
+}
+
+// fit returns content b held in n bytes, n a whole number of lines: b itself,
+// cut or extended with zeros, when its capacity allows; else a buffer of n's
+// class that b is copied into, b going back to its list. A nil b comes back
+// non-nil.
+func (s *Store) fit(b []byte, n int) []byte {
+	if b != nil && n <= cap(b) {
+		if k := len(b); n > k {
+			clear(b[k:n])
+		}
+		return b[:n]
+	}
+	g := s.alloc(n)
+	clear(g[copy(g, b):])
+	s.release(b)
+	return g
 }
 
 // keep leaves e's versions from index n on in the volatile tier. They move to
@@ -162,11 +251,9 @@ func (s *Store) settle(upTo uint64) {
 			// versions are superseded. In-flight writes serialize per page
 			// above this layer, so inverted completions of overlapping writes
 			// do not occur in practice.
-			if e.media != nil {
-				s.free = append(s.free, e.media)
-			}
+			s.release(e.media)
 			for _, v := range e.versions[:best] {
-				s.free = append(s.free, v.data)
+				s.release(v.data)
 			}
 			e.media = e.versions[best].data
 			s.keep(e, best+1)
@@ -242,7 +329,8 @@ type CrashResult struct {
 // into media, everything else is discarded. With tearProb > 0 each dropped
 // block independently leaves a prefix of 1..7 whole 512-byte sectors of the
 // in-flight write on media, drawn from rng — the torn-write behavior of real
-// devices that only guarantee sector atomicity. The store stays readable
+// devices that only guarantee sector atomicity. The dropped versions' buffers
+// and version lists go back to the free lists. The store stays readable
 // afterwards (it serves the durable image) and keeps accepting writes, but
 // recovery normally adopts CloneMedia() into a fresh system instead.
 func (s *Store) Crash(cycle uint64, rng *rand.Rand, tearProb float64) CrashResult {
@@ -251,6 +339,7 @@ func (s *Store) Crash(cycle uint64, rng *rand.Rand, tearProb float64) CrashResul
 	if len(s.staged) > 0 {
 		// The tears are drawn in block order: a walk of the table between the
 		// lowest and the highest staged block.
+		var torn [BlockSize]byte // a torn block, whole, before it is trimmed
 		for _, e := range s.entries(slices.Min(s.staged), slices.Max(s.staged)+1) {
 			if e.versions == nil {
 				continue
@@ -258,14 +347,18 @@ func (s *Store) Crash(cycle uint64, rng *rand.Rand, tearProb float64) CrashResul
 			pending := e.view()
 			res.DroppedBlocks++
 			if tearProb > 0 && rng != nil && rng.Float64() < tearProb {
-				sectors := 1 + rng.Intn(BlockSize/SectorSize-1)
-				if e.media == nil {
-					e.media = new(block)
-				}
-				copy(e.media[:sectors*SectorSize], pending[:sectors*SectorSize])
+				p := (1 + rng.Intn(BlockSize/SectorSize-1)) * SectorSize
+				clear(torn[copy(torn[:], e.media):])
+				clear(torn[copy(torn[:p], pending):p])
+				n := lineUp(lastNonzero(torn[:]))
+				e.media = s.fit(e.media, n)
+				copy(e.media, torn[:n])
 				res.TornBlocks++
 			}
-			e.versions = nil
+			for _, v := range e.versions {
+				s.release(v.data)
+			}
+			s.keep(e, len(e.versions))
 		}
 		s.staged, s.nextDue = s.staged[:0], notDurable
 	}
@@ -277,9 +370,10 @@ func (s *Store) Crash(cycle uint64, rng *rand.Rand, tearProb float64) CrashResul
 func (s *Store) CrashedResult() *CrashResult { return s.crashRes }
 
 // Fingerprint hashes the durable media image — block indexes and full block
-// content in sorted order (FNV-1a). The volatile tier is excluded: call
-// SettleAll first for an end-of-run fingerprint, or Crash for a post-crash
-// one. Same workload + same seed + same CrashPlan ⇒ identical fingerprint.
+// content (a block's held bytes, then its zero tail) in sorted order
+// (FNV-1a). The volatile tier is excluded: call SettleAll first for an
+// end-of-run fingerprint, or Crash for a post-crash one. Same workload + same
+// seed + same CrashPlan ⇒ identical fingerprint.
 func (s *Store) Fingerprint() uint64 {
 	h := fnv.New64a()
 	var le [8]byte
@@ -289,31 +383,40 @@ func (s *Store) Fingerprint() uint64 {
 		}
 		binary.LittleEndian.PutUint64(le[:], blk)
 		h.Write(le[:])
-		h.Write(e.media[:])
+		h.Write(e.media)
+		h.Write(zeros[len(e.media):])
 	}
 	return h.Sum64()
 }
 
-// CloneMedia deep-copies the durable media image (call after Crash).
+// zeros is the tail of a block past its held bytes.
+var zeros [BlockSize]byte
+
+// CloneMedia deep-copies the durable media image (call after Crash), every
+// block a full BlockSize bytes.
 func (s *Store) CloneMedia() map[uint64][]byte {
 	out := make(map[uint64][]byte)
 	for blk, e := range s.entries(0, ^uint64(0)) {
 		if e.media != nil {
-			out[blk] = bytes.Clone(e.media[:])
+			c := make([]byte, BlockSize)
+			copy(c, e.media)
+			out[blk] = c
 		}
 	}
 	return out
 }
 
-// AdoptMedia replaces the store's durable media with a deep copy of img and
-// clears the volatile tier — booting a recovered device from a crash image.
+// AdoptMedia replaces the store's durable media with a deep copy of img,
+// each block trimmed to its last nonzero line, and clears the volatile tier —
+// booting a recovered device from a crash image.
 func (s *Store) AdoptMedia(img map[uint64][]byte) {
 	s.tab, s.staged, s.nextDue = nil, nil, notDurable
 	//aqlint:sorted -- deep copy, order-independent; no simulated state touched
 	for blk, b := range img {
-		c := new(block)
-		copy(c[:], b)
-		s.slot(blk).media = c
+		e := s.slot(blk)
+		b = b[:lastNonzero(b[:min(len(b), BlockSize)])]
+		e.media = s.alloc(lineUp(len(b)))
+		clear(e.media[copy(e.media, b):])
 	}
 }
 

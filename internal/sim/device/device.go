@@ -5,8 +5,9 @@
 //   - a pmem block device backed by DRAM, used by the paper to stress the
 //     software path as devices get faster.
 //
-// Devices separate *content* (a sparse 4 KB-block store holding real bytes,
-// so applications above read back what they wrote) from *timing* (queueing
+// Devices separate *content* (a sparse store of 4 KB blocks holding real
+// bytes, so applications above read back what they wrote; a block keeps only
+// the prefix up to its last nonzero 64-byte line) from *timing* (queueing
 // models that return completion times in simulated cycles). Software-path
 // costs — syscalls, kernel block layer, SPDK submission, DAX memcpy — are
 // charged by the I/O engines layered above, never here.
@@ -44,12 +45,13 @@ type Store struct {
 	// them (or earlier: Discard leaves it stale), notDurable when none is.
 	staged  []uint64
 	nextDue uint64
-	// free holds blocks no tier references any more (a superseded media
-	// block or staged version, a discarded block) for stage to reuse, and
-	// spare the emptied per-block version lists: a rewrite-persist-settle
+	// free holds the content buffers no tier references any more (a
+	// superseded media block or staged version, a discarded or crashed one),
+	// one list per capacity class (lineSize<<i bytes), for stage to reuse;
+	// spare holds the emptied per-block version lists. A rewrite-persist-settle
 	// cycle then allocates nothing. Both are bounded by the peak number of
 	// blocks that were live at once.
-	free   []*block
+	free   [classes][][]byte
 	spare  [][]volVersion
 	stats  Stats
 	faults *faultState
@@ -62,13 +64,14 @@ type Store struct {
 // blockEntry is one block's content: media is what a crash leaves, versions
 // the staged writes short of their durability point, oldest to newest — reads
 // overlay the newest, Crash() discards them. versions is nil or non-empty: an
-// emptied list goes to Store.spare. 32 bytes a block.
+// emptied list goes to Store.spare. Each content buffer (media, a version's
+// data) holds the block up to its last nonzero 64-byte line and reads as
+// zeros past its length: a block of zeros is a non-nil empty slice, nil is a
+// block never written. 48 bytes a block.
 type blockEntry struct {
-	media    *block
+	media    []byte
 	versions []volVersion
 }
-
-type block [BlockSize]byte
 
 // tabChunk is how many blocks one chunk of the table covers (2 MB of device).
 const (
@@ -137,22 +140,21 @@ func (s *Store) ReadAt(off uint64, buf []byte) {
 		if chunk > len(buf)-n {
 			chunk = len(buf) - n
 		}
-		if b := s.view(blk); b != nil {
-			copy(buf[n:n+chunk], b[bo:bo+chunk])
-		} else {
-			for i := n; i < n+chunk; i++ {
-				buf[i] = 0
-			}
+		k := 0
+		if b := s.view(blk); bo < len(b) {
+			k = copy(buf[n:n+chunk], b[bo:])
 		}
+		clear(buf[n+k : n+chunk])
 		n += chunk
 	}
 }
 
 // ReadPage is the page-fill read, at a block-aligned off. When the block is
-// materialized it copies it into page() and counts one read, as ReadAt does.
-// A hole is not a device read: ReadPage reports false, counts nothing and
-// never calls page, so a caller whose frames materialize lazily keeps an
-// all-zero page free. One probe of the store either way.
+// materialized it copies the held prefix into page(), clears the rest and
+// counts one read, as ReadAt does — a block written with zeros included. A
+// hole (a block never written) is not a device read: ReadPage reports false,
+// counts nothing and never calls page, so a caller whose frames materialize
+// lazily keeps an all-zero page free. One probe of the store either way.
 func (s *Store) ReadPage(off uint64, page func() []byte) bool {
 	if off%BlockSize != 0 {
 		panic(fmt.Sprintf("device: page read at unaligned offset %d", off))
@@ -163,7 +165,8 @@ func (s *Store) ReadPage(off uint64, page func() []byte) bool {
 	}
 	s.stats.Reads++
 	s.stats.BytesRead += BlockSize
-	copy(page(), b)
+	p := page()
+	clear(p[copy(p, b):])
 	return true
 }
 
@@ -197,13 +200,11 @@ func (s *Store) Discard(off, length uint64) {
 	first := (off + BlockSize - 1) / BlockSize
 	last := (off + length) / BlockSize
 	for _, e := range s.entries(first, last) {
-		if e.media != nil {
-			s.free = append(s.free, e.media)
-			e.media = nil
-		}
+		s.release(e.media)
+		e.media = nil
 		if e.versions != nil {
 			for _, v := range e.versions {
-				s.free = append(s.free, v.data)
+				s.release(v.data)
 			}
 			s.keep(e, len(e.versions))
 		}

@@ -3,6 +3,8 @@ package device
 import (
 	"bytes"
 	"cmp"
+	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
@@ -10,11 +12,12 @@ import (
 )
 
 // refStore is the content model of Store as it was before blocks were
-// recycled and before the two tiers shared one block table: media and staged
-// versions are two Go maps, every staged version is a fresh buffer, a
-// superseded one is dropped for the garbage collector, and settle walks every
-// staged block on every call. Same rules, no buffer ever reused, no table, no
-// early-out — the reference the free list and the table are held to.
+// recycled, trimmed to their last nonzero line, and before the two tiers
+// shared one block table: media and staged versions are two Go maps, every
+// staged version is a fresh full-block buffer, a superseded one is dropped for
+// the garbage collector, and settle walks every staged block on every call.
+// Same rules, no buffer ever reused or cut short, no table, no early-out — the
+// reference the class lists, the trimming and the table are held to.
 type refStore struct {
 	blocks   map[uint64][]byte
 	volatile map[uint64][]refVersion
@@ -132,7 +135,9 @@ func (r *refStore) discard(off, length uint64) {
 	}
 }
 
-func (r *refStore) crash(cycle uint64, rng *rand.Rand, tearProb float64) (dropped, torn int) {
+// crash returns how many blocks it dropped and which of them it tore, in
+// block order.
+func (r *refStore) crash(cycle uint64, rng *rand.Rand, tearProb float64) (dropped int, torn []uint64) {
 	r.settle(cycle)
 	blks := make([]uint64, 0, len(r.volatile))
 	for blk := range r.volatile {
@@ -148,7 +153,7 @@ func (r *refStore) crash(cycle uint64, rng *rand.Rand, tearProb float64) (droppe
 				r.blocks[blk] = make([]byte, BlockSize)
 			}
 			copy(r.blocks[blk][:sectors*SectorSize], vs[len(vs)-1].data)
-			torn++
+			torn = append(torn, blk)
 		}
 	}
 	r.volatile = map[uint64][]refVersion{}
@@ -163,26 +168,54 @@ func cloneImage(img map[uint64][]byte) map[uint64][]byte {
 	return out
 }
 
+// full is a held content buffer as the whole block it stands for, nil for a
+// block never written.
+func full(b []byte) []byte {
+	if b == nil {
+		return nil
+	}
+	out := make([]byte, BlockSize)
+	copy(out, b)
+	return out
+}
+
+// freeCount is how many buffers the store's class lists hold.
+func freeCount(s *Store) int {
+	n := 0
+	for _, l := range s.free {
+		n += len(l)
+	}
+	return n
+}
+
 // tiers returns the store's two tiers as the maps the reference keeps — the
 // table's own buffers, not copies — and fails the test when the table's
 // bookkeeping disagrees with its entries: the staged list is exactly the
 // blocks with versions, each once; an emptied version list is nil; nextDue is
-// no later than any scheduled durability point.
-func tiers(t *testing.T, s *Store) (media map[uint64][]byte, staged map[uint64][]volVersion) {
+// no later than any scheduled durability point; every buffer holds its block
+// exactly up to its last nonzero line.
+func tiers(t *testing.T, at string, s *Store) (media map[uint64][]byte, staged map[uint64][]volVersion) {
 	t.Helper()
+	trimmed := func(blk uint64, b []byte) {
+		if want := lineUp(lastNonzero(b)); b != nil && len(b) != want {
+			t.Fatalf("%s: block %d holds %d bytes, its last nonzero line ends at %d", at, blk, len(b), want)
+		}
+	}
 	media, staged = map[uint64][]byte{}, map[uint64][]volVersion{}
 	for blk, e := range s.entries(0, ^uint64(0)) {
 		if e.media != nil {
-			media[blk] = e.media[:]
+			trimmed(blk, e.media)
+			media[blk] = e.media
 		}
 		if e.versions != nil {
 			if len(e.versions) == 0 {
-				t.Fatalf("block %d keeps an empty version list", blk)
+				t.Fatalf("%s: block %d keeps an empty version list", at, blk)
 			}
 			staged[blk] = e.versions
 			for _, v := range e.versions {
+				trimmed(blk, v.data)
 				if v.durableAt < s.nextDue {
-					t.Fatalf("block %d has a version due at %d, before nextDue %d", blk, v.durableAt, s.nextDue)
+					t.Fatalf("%s: block %d has a version due at %d, before nextDue %d", at, blk, v.durableAt, s.nextDue)
 				}
 			}
 		}
@@ -190,40 +223,170 @@ func tiers(t *testing.T, s *Store) (media map[uint64][]byte, staged map[uint64][
 	listed := map[uint64]bool{}
 	for _, blk := range s.staged {
 		if listed[blk] || staged[blk] == nil {
-			t.Fatalf("staged list %v: block %d listed twice or without a version", s.staged, blk)
+			t.Fatalf("%s: staged list %v: block %d listed twice or without a version", at, s.staged, blk)
 		}
 		listed[blk] = true
 	}
 	if len(listed) != len(staged) {
-		t.Fatalf("staged list has %d blocks, the table %d with versions", len(listed), len(staged))
+		t.Fatalf("%s: staged list has %d blocks, the table %d with versions", at, len(listed), len(staged))
 	}
 	return media, staged
 }
 
+// sameImage compares two images block by block, each block as the whole
+// BlockSize bytes it stands for.
 func sameImage(a, b map[uint64][]byte) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for blk, x := range a {
-		if y, ok := b[blk]; !ok || !bytes.Equal(x, y) {
+		if y, ok := b[blk]; !ok || !bytes.Equal(full(x), full(y)) {
 			return false
 		}
 	}
 	return true
 }
 
+// owners checks that no buffer is owned twice — not by a class list and a
+// tier, not by two versions — that every buffer has a class capacity (an
+// empty block may hold none) and a length of whole lines, at most BlockSize,
+// and that a class list holds only empty buffers of its class. It returns the
+// check, for the caller to add the buffers it holds outside the store.
+func owners(t *testing.T, at string, s *Store, media map[uint64][]byte, staged map[uint64][]volVersion) func(b []byte, who string) {
+	t.Helper()
+	owner := map[*byte]string{}
+	own := func(b []byte, who string) {
+		t.Helper()
+		if len(b)%lineSize != 0 || len(b) > BlockSize {
+			t.Fatalf("%s: %s holds %d bytes", at, who, len(b))
+		}
+		if cap(b) == 0 {
+			return // the empty block: nothing held
+		}
+		if c := cap(b); c&(c-1) != 0 || c < lineSize || c > BlockSize {
+			t.Fatalf("%s: %s holds a buffer of capacity %d", at, who, c)
+		}
+		p := &b[:1][0]
+		if prev, dup := owner[p]; dup {
+			t.Fatalf("%s: one buffer owned by %s and %s", at, prev, who)
+		}
+		owner[p] = who
+	}
+	for c, l := range s.free {
+		for _, b := range l {
+			if cap(b) != lineSize<<c || len(b) != 0 {
+				t.Fatalf("%s: class list %d holds a buffer of length %d, capacity %d", at, c, len(b), cap(b))
+			}
+			own(b, "a class list")
+		}
+	}
+	for _, b := range media {
+		own(b, "media")
+	}
+	for _, vs := range staged {
+		for _, v := range vs {
+			own(v.data, "a staged version")
+		}
+	}
+	return own
+}
+
+// compare fails the test when got and want differ in anything readable — the
+// whole content, PendingBlocks, Owed, both tiers version by version (with the
+// write that staged each), the media image — or when the store's bookkeeping
+// is off (tiers, owners). It returns what Owed reported and the owner check.
+func compare(t *testing.T, at string, got *Store, want *refStore) (OwedWrite, bool, func([]byte, string)) {
+	t.Helper()
+	size := int(got.Capacity())
+	all, wantAll := make([]byte, size), make([]byte, size)
+	got.ReadAt(0, all)
+	want.read(0, wantAll)
+	if !bytes.Equal(all, wantAll) {
+		t.Fatalf("%s: readable content differs from the reference", at)
+	}
+	if got.PendingBlocks() != len(want.volatile) {
+		t.Fatalf("%s: PendingBlocks %d, reference %d", at, got.PendingBlocks(), len(want.volatile))
+	}
+	w, owed := got.Owed()
+	if rw, rowed := want.owed(); w != rw || owed != rowed {
+		t.Fatalf("%s: Owed %+v %v, reference %+v %v", at, w, owed, rw, rowed)
+	}
+	media, staged := tiers(t, at, got)
+	if !sameImage(media, want.blocks) {
+		t.Fatalf("%s: media image differs from the reference", at)
+	}
+	if len(staged) != len(want.volatile) {
+		t.Fatalf("%s: %d staged blocks, reference %d", at, len(staged), len(want.volatile))
+	}
+	for blk, vs := range staged {
+		ref := want.volatile[blk]
+		if len(vs) != len(ref) {
+			t.Fatalf("%s: block %d has %d staged versions, reference %d", at, blk, len(vs), len(ref))
+		}
+		for i := range vs {
+			if vs[i].durableAt != ref[i].durableAt || vs[i].op != ref[i].op || !bytes.Equal(full(vs[i].data), ref[i].data) {
+				t.Fatalf("%s: block %d version %d differs from the reference", at, blk, i)
+			}
+		}
+	}
+	return w, owed, owners(t, at, got, media, staged)
+}
+
+// chunkShape draws one write of the reference test: random bytes or a run
+// with one nonzero byte at a random offset, whole blocks of zeros, a zero run
+// from inside a block's held prefix over its tail, or a short nonzero write
+// past a block's held length.
+func chunkShape(rng *rand.Rand, s *Store, blocks int) (off uint64, buf []byte) {
+	blk := uint64(rng.Intn(blocks))
+	held := len(s.view(blk))
+	switch rng.Intn(5) {
+	case 0, 1:
+		off = uint64(rng.Intn(blocks * BlockSize))
+		buf = make([]byte, 1+rng.Intn(min(3*BlockSize, blocks*BlockSize-int(off))))
+		if rng.Intn(2) == 0 {
+			rng.Read(buf)
+		} else {
+			buf[rng.Intn(len(buf))] = byte(1 + rng.Intn(255))
+		}
+		return off, buf
+	case 2:
+		return blk * BlockSize, make([]byte, (1+rng.Intn(min(3, blocks-int(blk))))*BlockSize)
+	case 3:
+		lo := min(rng.Intn(held+1), BlockSize-1)
+		end := max(held, lo+1) + rng.Intn(BlockSize-max(held, lo+1)+1)
+		return blk*BlockSize + uint64(lo), make([]byte, end-lo)
+	default:
+		lo := min(held+rng.Intn(BlockSize-held+1), BlockSize-1)
+		buf = make([]byte, 1+rng.Intn(min(256, BlockSize-lo)))
+		rng.Read(buf)
+		buf[len(buf)-1] |= 1
+		return blk*BlockSize + uint64(lo), buf
+	}
+}
+
+// pendingCap returns the capacity of blk's pending (not yet scheduled)
+// version's buffer, -1 when it has none.
+func pendingCap(s *Store, blk uint64) int {
+	if e := s.entry(blk); e != nil {
+		if n := len(e.versions); n > 0 && e.versions[n-1].durableAt == notDurable {
+			return cap(e.versions[n-1].data)
+		}
+	}
+	return -1
+}
+
 // TestRecyclingStoreMatchesNonRecyclingReference drives a Store and the
-// two-map, non-recycling reference with one seeded random sequence of
-// everything that touches the block table or the free list or could be hurt by
-// them — WriteAt, Persist (also of a version already scheduled, to an earlier
-// and to a later point), the settle every Submit does (also at exactly a
-// version's durability point, and with nothing due), SettleAll, Discard, Crash
-// with torn sectors, CloneMedia, AdoptMedia — and after every step compares the
-// whole readable content, PendingBlocks, Owed, both tiers version by version
-// (with the write that staged each) and the media image, checks that Crash,
-// AdoptMedia and a Discard leave nothing owed that they dropped, and that no
-// buffer is owned twice: not by the free list and a tier, not by two versions,
-// not by a store and an image it handed out or adopted.
+// two-map, non-recycling, untrimmed reference with one seeded random sequence
+// of everything that touches the block table, the class lists or a buffer's
+// held length, or could be hurt by them — WriteAt (dense, one nonzero byte,
+// whole zero blocks, zeros over a held tail, past a held end), Persist (also
+// of a version already scheduled, to an earlier and to a later point), the
+// settle every Submit does (also at exactly a version's durability point, and
+// with nothing due), SettleAll, Discard, Crash with torn sectors, CloneMedia,
+// AdoptMedia — and after every step compares everything compare does, checks
+// that Crash, AdoptMedia and a Discard leave nothing owed that they dropped,
+// and that no buffer is owned twice: not by a class list and a tier, not by
+// two versions, not by a store and an image it handed out or adopted.
 func TestRecyclingStoreMatchesNonRecyclingReference(t *testing.T) {
 	const blocks = 48
 	for seed := int64(1); seed <= 3; seed++ {
@@ -233,24 +396,33 @@ func TestRecyclingStoreMatchesNonRecyclingReference(t *testing.T) {
 		type clone struct{ img, snapshot map[uint64][]byte }
 		var clones []clone
 		var now uint64
-		var recycled, whole, crashes, torn, cloned, idle, exact, earlier, owedSteps int
+		var recycled, whole, crashes, torn, cloned, idle, exact, earlier, owedSteps, grown, shortTears, empty int
 		var due []uint64 // durability points handed to Persist
-		all, wantAll := make([]byte, blocks*BlockSize), make([]byte, blocks*BlockSize)
-		for step := 0; step < 4000; step++ {
+		for step := 0; step < 5000; step++ {
+			at := fmt.Sprintf("seed %d step %d", seed, step)
 			off := uint64(rng.Intn(blocks * BlockSize))
 			n := 1 + rng.Intn(min(3*BlockSize, blocks*BlockSize-int(off)))
 			clears := false // the step must leave nothing owed
 			switch op := rng.Intn(100); {
 			case op < 40:
-				buf := make([]byte, n)
-				rng.Read(buf)
-				free := len(got.free)
+				off, buf := chunkShape(rng, got, blocks)
+				pending := map[uint64]int{}
+				chunks(off, len(buf), func(blk uint64, _, _, chunk int) {
+					pending[blk] = pendingCap(got, blk)
+					// A whole-block chunk is staged without the block's
+					// current content under it, onto whatever the recycled
+					// buffer held.
+					whole += chunk / BlockSize
+				})
+				free := freeCount(got)
 				got.WriteAt(off, buf)
 				want.write(off, buf)
-				recycled += free - len(got.free)
-				// A whole-block chunk is staged without the block's current
-				// content under it, onto whatever the recycled buffer held.
-				chunks(off, n, func(_ uint64, _, _, chunk int) { whole += chunk / BlockSize })
+				recycled += max(0, free-freeCount(got))
+				for blk, c := range pending {
+					if c > 0 && pendingCap(got, blk) > c {
+						grown++ // a merge that moved into a larger class
+					}
+				}
 			case op < 65:
 				at := now + uint64(rng.Intn(3000))
 				chunks(off, n, func(blk uint64, _, _, _ int) {
@@ -280,17 +452,28 @@ func TestRecyclingStoreMatchesNonRecyclingReference(t *testing.T) {
 				got.Discard(off, uint64(n))
 				want.discard(off, uint64(n))
 				if w, owed := got.Owed(); owed && w.Block >= (off+BlockSize-1)/BlockSize && w.Block < (off+uint64(n))/BlockSize {
-					t.Fatalf("seed %d step %d: block %d still owed after its Discard", seed, step, w.Block)
+					t.Fatalf("%s: block %d still owed after its Discard", at, w.Block)
 				}
 			case op < 92:
+				short := map[uint64]bool{} // staged blocks whose media holds less than a block
+				for _, blk := range got.staged {
+					if m := got.entry(blk).media; len(m) < BlockSize {
+						short[blk] = true
+					}
+				}
 				res := got.Crash(now, tearGot, 0.5)
 				dropped, tornNow := want.crash(now, tearWant, 0.5)
-				if res.DroppedBlocks != dropped || res.TornBlocks != tornNow {
-					t.Fatalf("seed %d step %d: crash dropped/tore %d/%d, reference %d/%d",
-						seed, step, res.DroppedBlocks, res.TornBlocks, dropped, tornNow)
+				if res.DroppedBlocks != dropped || res.TornBlocks != len(tornNow) {
+					t.Fatalf("%s: crash dropped/tore %d/%d, reference %d/%d",
+						at, res.DroppedBlocks, res.TornBlocks, dropped, len(tornNow))
+				}
+				for _, blk := range tornNow {
+					if short[blk] {
+						shortTears++
+					}
 				}
 				crashes++
-				torn += tornNow
+				torn += len(tornNow)
 				clears = true
 			case op < 96:
 				img := got.CloneMedia()
@@ -308,83 +491,115 @@ func TestRecyclingStoreMatchesNonRecyclingReference(t *testing.T) {
 				clears = true
 			}
 
-			got.ReadAt(0, all)
-			want.read(0, wantAll)
-			if !bytes.Equal(all, wantAll) {
-				t.Fatalf("seed %d step %d: readable content differs from the reference", seed, step)
-			}
-			if got.PendingBlocks() != len(want.volatile) {
-				t.Fatalf("seed %d step %d: PendingBlocks %d, reference %d", seed, step, got.PendingBlocks(), len(want.volatile))
-			}
-			w, owed := got.Owed()
-			if rw, rowed := want.owed(); w != rw || owed != rowed {
-				t.Fatalf("seed %d step %d: Owed %+v %v, reference %+v %v", seed, step, w, owed, rw, rowed)
-			}
+			w, owed, own := compare(t, at, got, want)
 			if owed && clears {
-				t.Fatalf("seed %d step %d: block %d owed after a crash or an adopted image", seed, step, w.Block)
+				t.Fatalf("%s: block %d owed after a crash or an adopted image", at, w.Block)
 			}
 			if owed {
 				owedSteps++
 			}
-			media, staged := tiers(t, got)
-			if !sameImage(media, want.blocks) {
-				t.Fatalf("seed %d step %d: media image differs from the reference", seed, step)
-			}
-			if len(staged) != len(want.volatile) {
-				t.Fatalf("seed %d step %d: %d staged blocks, reference %d", seed, step, len(staged), len(want.volatile))
-			}
-			for blk, vs := range staged {
-				ref := want.volatile[blk]
-				if len(vs) != len(ref) {
-					t.Fatalf("seed %d step %d: block %d has %d staged versions, reference %d", seed, step, blk, len(vs), len(ref))
-				}
-				for i := range vs {
-					if vs[i].durableAt != ref[i].durableAt || vs[i].op != ref[i].op || !bytes.Equal(vs[i].data[:], ref[i].data) {
-						t.Fatalf("seed %d step %d: block %d version %d differs from the reference", seed, step, blk, i)
-					}
+			for blk := uint64(0); blk < blocks; blk++ {
+				if b := got.view(blk); b != nil && len(b) == 0 {
+					empty++
 				}
 			}
 			if step%32 == 0 {
 				ref := NewStore(blocks * BlockSize)
 				ref.AdoptMedia(want.blocks)
 				if got.Fingerprint() != ref.Fingerprint() {
-					t.Fatalf("seed %d step %d: Fingerprint differs from the reference", seed, step)
-				}
-			}
-			owner := map[*byte]string{}
-			own := func(b []byte, who string) {
-				if len(b) != BlockSize {
-					t.Fatalf("seed %d step %d: %s holds a %d-byte buffer", seed, step, who, len(b))
-				}
-				if prev, dup := owner[&b[0]]; dup {
-					t.Fatalf("seed %d step %d: one buffer owned by %s and %s", seed, step, prev, who)
-				}
-				owner[&b[0]] = who
-			}
-			for _, b := range got.free {
-				own(b[:], "the free list")
-			}
-			for _, b := range media {
-				own(b, "media")
-			}
-			for _, vs := range staged {
-				for _, v := range vs {
-					own(v.data[:], "a staged version")
+					t.Fatalf("%s: Fingerprint differs from the reference", at)
 				}
 			}
 			for _, c := range clones {
 				for _, b := range c.img {
+					if len(b) != BlockSize {
+						t.Fatalf("%s: a cloned image holds a %d-byte block", at, len(b))
+					}
 					own(b, "a cloned image")
 				}
 				if step%32 == 0 && !sameImage(c.img, c.snapshot) {
-					t.Fatalf("seed %d step %d: a cloned image changed after it was handed out", seed, step)
+					t.Fatalf("%s: a cloned image changed after it was handed out", at)
 				}
 			}
 		}
-		if recycled < 100 || whole < 100 || crashes == 0 || torn == 0 || cloned == 0 || idle < 20 || exact < 20 || earlier < 10 || owedSteps < 100 {
-			t.Fatalf("seed %d: sequence too tame: %d recycled buffers, %d whole-block chunks, %d crashes, %d torn blocks, %d clones, %d settles with nothing due, %d at exactly a durability point, %d re-persists to an earlier one, %d steps with a version owed",
-				seed, recycled, whole, crashes, torn, cloned, idle, exact, earlier, owedSteps)
+		if recycled < 100 || whole < 100 || crashes == 0 || torn == 0 || cloned == 0 || idle < 20 || exact < 20 || earlier < 10 || owedSteps < 100 ||
+			grown < 20 || shortTears < 5 || empty < 100 {
+			t.Fatalf("seed %d: sequence too tame: %d recycled buffers, %d whole-block chunks, %d crashes, %d torn blocks, %d clones, %d settles with nothing due, %d at exactly a durability point, %d re-persists to an earlier one, %d steps with a version owed, %d buffers grown into a larger class, %d tears over a short media block, %d empty blocks seen",
+				seed, recycled, whole, crashes, torn, cloned, idle, exact, earlier, owedSteps, grown, shortTears, empty)
 		}
+	}
+}
+
+// FuzzStoreMatchesReference is the reference test's comparison under fuzzed
+// operations over an eight-block store: each op is five bytes — a kind, a
+// block, an offset, a length and a fill — decoding to a dense or a sparse
+// WriteAt (the fill byte at the run's last byte only), a Persist, a settle, a
+// SettleAll or a Crash with torn sectors.
+func FuzzStoreMatchesReference(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 255, 7, 1, 1, 0, 255, 0, 2, 0, 0, 0, 0})
+	f.Add([]byte{1, 2, 3, 9, 0xAB, 0, 2, 200, 40, 3, 5, 2, 0, 255, 1, 4, 0, 0, 0, 0})
+	f.Add([]byte{0, 0, 0, 255, 1, 3, 0, 0, 0, 0, 1, 0, 8, 1, 0, 5, 0, 0, 0, 0, 0, 7, 100, 255, 9})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		const blocks = 8
+		got, want := NewStore(blocks*BlockSize), newRefStore()
+		tearGot, tearWant := rand.New(rand.NewSource(1)), rand.New(rand.NewSource(1))
+		var now uint64
+		for i := 0; i+5 <= len(ops) && i < 5*256; i += 5 {
+			kind, blk, lo, n, fill := ops[i]%8, uint64(ops[i+1]%blocks), int(ops[i+2])*16, 1+int(ops[i+3])*32, ops[i+4]
+			off := blk*BlockSize + uint64(lo)
+			n = min(n, blocks*BlockSize-int(off))
+			switch kind {
+			case 0, 1: // dense: every byte the fill, shifted by its index
+				buf := make([]byte, n)
+				for j := range buf {
+					buf[j] = fill + byte(j)
+				}
+				got.WriteAt(off, buf)
+				want.write(off, buf)
+			case 2, 3: // sparse: zeros, the fill at the last byte
+				buf := make([]byte, n)
+				buf[n-1] = fill
+				got.WriteAt(off, buf)
+				want.write(off, buf)
+			case 4:
+				got.Persist(off, n, now+uint64(fill))
+				want.persist(off, n, now+uint64(fill))
+			case 5:
+				now += uint64(fill)
+				got.settle(now)
+				want.settle(now)
+			case 6:
+				got.SettleAll()
+				want.settle(notDurable - 1)
+			default:
+				res := got.Crash(now, tearGot, 0.5)
+				dropped, torn := want.crash(now, tearWant, 0.5)
+				if res.DroppedBlocks != dropped || res.TornBlocks != len(torn) {
+					t.Fatalf("op %d: crash dropped/tore %d/%d, reference %d/%d", i/5, res.DroppedBlocks, res.TornBlocks, dropped, len(torn))
+				}
+			}
+			compare(t, fmt.Sprintf("op %d", i/5), got, want)
+		}
+		ref := NewStore(blocks * BlockSize)
+		ref.AdoptMedia(want.blocks)
+		if got.Fingerprint() != ref.Fingerprint() {
+			t.Fatal("Fingerprint differs from the reference")
+		}
+	})
+}
+
+// TestCrashRecyclesDroppedVersions pins that a crash hands the buffers and the
+// version lists of what it drops to the free lists, as Discard does.
+func TestCrashRecyclesDroppedVersions(t *testing.T) {
+	s := NewStore(1 << 20)
+	for blk := uint64(0); blk < 8; blk++ {
+		s.WriteAt(blk*BlockSize, fullBlock(byte(blk)))
+		s.Persist(blk*BlockSize, BlockSize, 1000)
+	}
+	s.Crash(10, nil, 0)
+	if n := len(s.free[classes-1]); n != 8 || len(s.spare) != 8 || s.ResidentBlocks() != 0 {
+		t.Fatalf("after the crash: %d full blocks and %d version lists free, %d blocks resident; want 8, 8 and 0",
+			n, len(s.spare), s.ResidentBlocks())
 	}
 }
 
@@ -399,20 +614,50 @@ func rewritePersistSettle(s *Store, buf []byte, now *uint64) {
 	s.settle(*now)
 }
 
+// stampBlock is a page as the fault and eviction microbenchmarks leave it:
+// one nonzero 8-byte word, zeros after it.
+func stampBlock() []byte {
+	b := make([]byte, BlockSize)
+	binary.LittleEndian.PutUint64(b, 0x5A5A_0000_0000_0001)
+	return b
+}
+
+// TestRewritePersistSettleAllocatesNothing holds the cycle to zero
+// allocations over dense blocks, which live in the full-block class, and over
+// stamped ones, which live in the one-line class.
 func TestRewritePersistSettleAllocatesNothing(t *testing.T) {
-	s, buf, now := NewStore(1<<20), fullBlock(0x5A), uint64(0)
-	rewritePersistSettle(s, buf, &now) // first versions: media has nothing to give back yet
-	rewritePersistSettle(s, buf, &now)
-	if a := testing.AllocsPerRun(100, func() { rewritePersistSettle(s, buf, &now) }); a != 0 {
-		t.Fatalf("rewrite -> Persist -> settle at steady state: %v allocations per run, want 0", a)
-	}
-	if len(s.free) != 8 || s.PendingBlocks() != 0 {
-		t.Fatalf("free list holds %d blocks with %d pending, want 8 and 0", len(s.free), s.PendingBlocks())
+	for _, tc := range []struct {
+		name  string
+		buf   []byte
+		class int
+	}{{"dense", fullBlock(0x5A), classes - 1}, {"stamp", stampBlock(), 0}} {
+		s, now := NewStore(1<<20), uint64(0)
+		rewritePersistSettle(s, tc.buf, &now) // first versions: media has nothing to give back yet
+		rewritePersistSettle(s, tc.buf, &now)
+		if a := testing.AllocsPerRun(100, func() { rewritePersistSettle(s, tc.buf, &now) }); a != 0 {
+			t.Fatalf("%s: rewrite -> Persist -> settle at steady state: %v allocations per run, want 0", tc.name, a)
+		}
+		if len(s.free[tc.class]) != 8 || freeCount(s) != 8 || s.PendingBlocks() != 0 {
+			t.Fatalf("%s: class %d list holds %d blocks of %d free, %d pending; want 8, 8 and 0",
+				tc.name, tc.class, len(s.free[tc.class]), freeCount(s), s.PendingBlocks())
+		}
 	}
 }
 
 func BenchmarkStoreRewritePersist(b *testing.B) {
 	s, buf, now := NewStore(1<<20), fullBlock(0x5A), uint64(0)
+	b.ReportAllocs()
+	b.SetBytes(8 * BlockSize)
+	for i := 0; i < b.N; i++ {
+		rewritePersistSettle(s, buf, &now)
+	}
+}
+
+// BenchmarkStoreStampWriteBack is the same cycle over pages that carry one
+// 8-byte stamp: what each write-back of the fault and eviction workloads costs
+// the store.
+func BenchmarkStoreStampWriteBack(b *testing.B) {
+	s, buf, now := NewStore(1<<20), stampBlock(), uint64(0)
 	b.ReportAllocs()
 	b.SetBytes(8 * BlockSize)
 	for i := 0; i < b.N; i++ {
