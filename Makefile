@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race fmt lint lint-report faults crash torture fuzz-smoke cover perfgate results results-check gates engine-bench sim-bench kv-bench loc ci bench-reports bench-async
+.PHONY: all build vet test race fmt lint lint-report faults crash torture fuzz-smoke cover perfgate results gates engine-bench sim-bench kv-bench loc ci bench-async
 
 all: ci
 
@@ -17,10 +17,10 @@ vet:
 test:
 	$(GO) test -shuffle=on ./...
 
-# The observability layer (tracer, registry, profiler, perf gate) shares
-# data across goroutines, and the background evictor daemons run as extra
-# procs inside the simulated worlds; keep both race-clean. The profile and
-# perfgate subpackages are covered by the ./internal/obs/... pattern.
+# The observability layer (tracer, registry, profiler) shares data across
+# goroutines, and the background evictor daemons run as extra procs inside the
+# simulated worlds; keep both race-clean. The profile subpackage is covered by
+# the ./internal/obs/... pattern.
 # internal/sim/mem holds the buddy frame allocator the 2 MB path leans on;
 # internal/host and internal/detutil are the baseline world and what the two
 # worlds share (page index, lifecycle table).
@@ -98,39 +98,43 @@ cover:
 	$(GO) test -coverprofile=core-cover.out ./internal/core/
 	$(GO) tool cover -func=core-cover.out
 
-# Performance-regression gate: re-run the report-backed experiments into a
-# scratch directory and diff every BENCH_*.json against the checked-in
-# goldens, exactly to the cycle. Fails on any drift; regenerate the goldens
-# with `make bench-reports` when a change is intentional. The goldens' own
-# git history (`git log -p BENCH_*.json`) is the trajectory.
+# The perf gate: every BENCH_*.json golden at the repo root against its
+# candidate in .perfgate/, byte for byte. A report is deterministic bytes (one
+# seed, one simulated clock, encoding/json with sorted keys), so `diff -u` is
+# the whole comparator and a red gate prints the exact before and after value
+# of every line that moved. A name on one side only fails too: diff -N shows
+# the absent file as empty. Defined once, run by perfgate and gates.
+diff-reports = s=0; for f in $$( (ls BENCH_*.json; ls .perfgate) | sort -u); do \
+		diff -uN $$f .perfgate/$$f || s=1; \
+	done; \
+	if [ $$s != 0 ]; then echo "perf gate: reports differ from their goldens; regenerate with \`make results\` if intended"; fi; \
+	exit $$s
+
+# Re-run the six report-backed experiments into .perfgate/ and diff them.
+# The goldens' own git history (`git log -p BENCH_*.json`) is the trajectory.
 perfgate:
 	rm -rf .perfgate && mkdir -p .perfgate
 	$(GO) run ./cmd/aquila-bench -exp fig8a,fig7,fig5b,fig10a,ablate-hugepages,ablate-crash -report-dir .perfgate > /dev/null
-	$(GO) run ./cmd/aqperf -goldens . -dir .perfgate
+	@$(diff-reports)
 
 # results_full.txt is the byte-exact golden of all 26 experiments at scale 1
 # (the driver prints simulated Mcycles, not wall-clock, so two runs of one tree
-# are identical). `make results` regenerates it when a change is intentional.
+# are identical). `make results` regenerates it and the six BENCH_*.json
+# goldens from ONE run, so both always come from the same tree: -exp all
+# writes exactly the six reports.
 results:
-	$(GO) run ./cmd/aquila-bench -exp all > results_full.txt
+	$(GO) run ./cmd/aquila-bench -exp all -report-dir . > results_full.txt
 
-# results-check re-runs all 26 experiments (~1.5 min) and fails on any byte of
-# drift from results_full.txt. Not part of tier-1 `go test`.
-results-check:
-	$(GO) run ./cmd/aquila-bench -exp all | diff results_full.txt -
-
-# gates is what ci runs instead of perfgate + results-check: ONE run of the 26
-# experiments feeds both. -report-dir only adds files and stderr lines, so
-# stdout is still the results_full.txt golden, and the six reports land in
-# .perfgate for aqperf. A row retires its world once its numbers are taken
-# (harness/obs.go), so one world is alive at a time: measured, the whole target
-# takes 1 m 21 s and peaks at 0.60 GB RSS. (The 10.7 GB it once took was every
-# world of an experiment kept reachable to the experiment's end — all 20 of
-# fig5b's — not fig5's device media, as earlier notes had it.)
+# gates is what ci runs: ONE run of the 26 experiments feeds both gates.
+# -report-dir only adds files and stderr lines, so stdout is still the
+# results_full.txt golden, and the six reports land in .perfgate for the diff.
+# A row retires its world once its numbers are taken (harness/obs.go), so one
+# world is alive at a time: measured on a 2-vCPU box, the whole target takes
+# 53 s and peaks at 0.53 GB RSS.
 gates:
 	rm -rf .perfgate && mkdir -p .perfgate
 	$(GO) run ./cmd/aquila-bench -exp all -report-dir .perfgate | diff results_full.txt -
-	$(GO) run ./cmd/aqperf -goldens . -dir .perfgate
+	@$(diff-reports)
 
 # Host cost of the engine layer alone, no world on top: one sync point of
 # each kind and one spawn, with allocations (DESIGN.md §3 quotes these).
@@ -180,10 +184,6 @@ loc:
 		printf "%-28s %8d %8d\n", "total", N, T }'
 
 ci: build vet fmt lint test race faults crash fuzz-smoke torture gates loc
-
-# Regenerate the checked-in machine-readable experiment reports.
-bench-reports:
-	$(GO) run ./cmd/aquila-bench -exp fig8a,fig7,fig5b,fig10a,ablate-hugepages,ablate-crash -report-dir .
 
 # Background-eviction comparison: fig5b's sync-vs-async rows plus the
 # watermark-sweep ablation.

@@ -105,8 +105,8 @@ func main() {
 				fmt.Println(r)
 			}
 			if r.Report != nil && len(r.Report.Extra) > 0 {
-				// Headline scalars the perf gate tracks (huge-page hit
-				// ratio, fault reductions, component ratios), in the
+				// Headline scalars the report's extra block pins (huge-page
+				// hit ratio, fault reductions, component ratios), in the
 				// deterministic sorted-key order the JSON report uses.
 				keys := make([]string, 0, len(r.Report.Extra))
 				for k := range r.Report.Extra {

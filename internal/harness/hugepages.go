@@ -36,7 +36,7 @@ func faultEvents(st core.Stats) uint64 {
 }
 
 // hugeFaultRatio is the share of fault events served by a 2 MB unit — the
-// promotion-effectiveness number perfgate tracks across PRs.
+// promotion-effectiveness number BENCH_ablate-hugepages.json pins.
 func hugeFaultRatio(st core.Stats) float64 {
 	return safeDiv(float64(st.HugeFaults), float64(faultEvents(st)))
 }

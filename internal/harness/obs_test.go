@@ -2,6 +2,8 @@ package harness
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -52,6 +54,41 @@ func TestFig8aReportCoverage(t *testing.T) {
 	}
 	if len(reg.Snapshot().Counters) == 0 {
 		t.Error("instrumented run registered no metrics")
+	}
+}
+
+// The report-backed experiments that take well under a second at scale 1 must
+// write their checked-in BENCH_<id>.json goldens byte for byte, exactly as
+// `aquila-bench -report-dir` writes them. fig10a and fig5b take seconds and
+// are left to `make gates`, which diffs all six.
+func TestReportsMatchGoldens(t *testing.T) {
+	TakeSimCycles()
+	for _, id := range []string{"fig8a", "fig7", "ablate-hugepages", "ablate-crash"} {
+		t.Run(id, func(t *testing.T) {
+			e, _ := Find(id)
+			var rep *obs.Report
+			for _, r := range e.Run(1.0) {
+				if r.Report != nil {
+					rep = r.Report
+				}
+			}
+			TakeSimCycles()
+			if rep == nil {
+				t.Fatalf("%s wrote no report", id)
+			}
+			var got bytes.Buffer
+			if err := rep.WriteJSON(&got); err != nil {
+				t.Fatal(err)
+			}
+			golden := "BENCH_" + id + ".json"
+			want, err := os.ReadFile(filepath.Join("..", "..", golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Errorf("%s differs from the report %s writes; `make perfgate` runs `diff -u` on the two", golden, id)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -41,5 +42,21 @@ func TestReportCoverageZeroWhenUnknown(t *testing.T) {
 	r := &Report{}
 	if r.Coverage() != 0 {
 		t.Fatal("coverage of empty report should be 0")
+	}
+}
+
+// The error paths of report loading: a missing file and malformed JSON must
+// both surface as errors, never as a zero report a golden check would hold a
+// run to.
+func TestReadReportFileErrors(t *testing.T) {
+	if _, err := ReadReportFile(filepath.Join(t.TempDir(), "absent.json")); err == nil {
+		t.Error("missing report file: no error")
+	}
+	bad := filepath.Join(t.TempDir(), "bad.json")
+	if err := os.WriteFile(bad, []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadReportFile(bad); err == nil {
+		t.Error("malformed report JSON: no error")
 	}
 }
