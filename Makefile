@@ -82,14 +82,16 @@ crash:
 torture:
 	$(GO) run ./cmd/aqtort -prove-unsafe -bank 64 -dup -shrink
 
-# Short native-fuzz smoke: a few seconds of FuzzKreonRecover and of
+# Short native-fuzz smoke: a few seconds of FuzzKreonRecover, of
 # FuzzStoreMatchesReference (the device store against its untrimmed,
-# non-recycling reference) per CI run. The corpora (internal/kvs/testdata,
-# the f.Add seeds + the cached interesting inputs) still replay in plain
-# `make test`; this target actually mutates.
+# non-recycling reference) and of FuzzFrameMatchesReference (frame payloads
+# against a plain 4 KB page each) per CI run. The corpora
+# (internal/kvs/testdata, the f.Add seeds + the cached interesting inputs)
+# still replay in plain `make test`; this target actually mutates.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzKreonRecover -fuzztime 10s ./internal/kvs/kreon/
 	$(GO) test -run '^$$' -fuzz FuzzStoreMatchesReference -fuzztime 5s ./internal/sim/device/
+	$(GO) test -run '^$$' -fuzz FuzzFrameMatchesReference -fuzztime 5s ./internal/sim/mem/
 
 # Per-function coverage report for the mmio core (scratch output, not a
 # golden): `make cover` prints the table and leaves core-cover.out for

@@ -47,7 +47,7 @@ func (fl *freelist) fill(frames []*mem.Frame) {
 		fl.single = append(fl.single, frames...)
 	} else {
 		for _, f := range frames {
-			fl.nodes[f.Node] = append(fl.nodes[f.Node], f)
+			fl.nodes[f.Node()] = append(fl.nodes[f.Node()], f)
 		}
 	}
 	fl.free += len(frames)
@@ -134,7 +134,7 @@ func (fl *freelist) fillHuge(blocks [][]*mem.Frame) {
 		fl.hugeNodes = make([][][]*mem.Frame, len(fl.nodes))
 	}
 	for _, b := range blocks {
-		fl.hugeNodes[b[0].Node] = append(fl.hugeNodes[b[0].Node], b)
+		fl.hugeNodes[b[0].Node()] = append(fl.hugeNodes[b[0].Node()], b)
 		fl.free += len(b)
 	}
 }
@@ -182,7 +182,7 @@ func (fl *freelist) pushHuge(p *engine.Proc, blk []*mem.Frame) {
 	if fl.hugeNodes == nil {
 		fl.hugeNodes = make([][][]*mem.Frame, len(fl.nodes))
 	}
-	fl.hugeNodes[blk[0].Node] = append(fl.hugeNodes[blk[0].Node], blk)
+	fl.hugeNodes[blk[0].Node()] = append(fl.hugeNodes[blk[0].Node()], blk)
 	fl.free += len(blk)
 	fl.rt.charge(p, "alloc", fl.rt.P.BuddyOp)
 }
@@ -245,7 +245,7 @@ func (fl *freelist) push(p *engine.Proc, f *mem.Frame) {
 		}
 		q := fl.cores[core]
 		for _, fr := range q[len(q)-n:] {
-			fl.nodes[fr.Node] = append(fl.nodes[fr.Node], fr)
+			fl.nodes[fr.Node()] = append(fl.nodes[fr.Node()], fr)
 		}
 		fl.cores[core] = q[:len(q)-n]
 		fl.rt.charge(p, "alloc", fl.rt.P.FreelistMove*uint64(n))
@@ -269,7 +269,7 @@ func (fl *freelist) pushBatch(p *engine.Proc, frames []*mem.Frame) {
 		return
 	}
 	for _, f := range frames {
-		fl.nodes[f.Node] = append(fl.nodes[f.Node], f)
+		fl.nodes[f.Node()] = append(fl.nodes[f.Node()], f)
 	}
 	fl.free += len(frames)
 	fl.rt.charge(p, "alloc", fl.rt.P.FreelistMove*uint64(len(frames)))

@@ -56,16 +56,17 @@ type AsyncWriter interface {
 // readFrames / writeFrames helpers: move content between device store and
 // frames with the zero-page fast path: a hole leaves an unmaterialized frame
 // alone and zeroes a materialized one (it may be recycled), with one probe of
-// the store either way.
+// the store either way; only a materialized frame is written back. Both sides
+// hold a page up to its last nonzero line, and that is all that moves.
 func fillFrame(st *device.Store, off uint64, fr *mem.Frame) {
-	if !st.ReadPage(off, fr.Data) && fr.HasData() {
+	if !st.ReadPage(off, fr.Load) {
 		fr.Reset()
 	}
 }
 
 func flushFrame(st *device.Store, off uint64, fr *mem.Frame) {
 	if fr.HasData() {
-		st.WriteAt(off, fr.Data())
+		st.WritePage(off, fr.Held())
 	}
 }
 

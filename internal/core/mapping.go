@@ -5,7 +5,6 @@ import (
 
 	"aquila/internal/iface"
 	"aquila/internal/sim/engine"
-	"aquila/internal/sim/mem"
 	"aquila/internal/sim/pagetable"
 )
 
@@ -58,7 +57,7 @@ func (m *AqMapping) Load(p *engine.Proc, off uint64, buf []byte) {
 			// kernel's SIGBUS, typed so handlers can recover and inspect it.
 			panic(&SigBus{VA: va, File: m.r.File.name, Err: err})
 		}
-		copyOut(buf[n:n+chunk], frame, po)
+		frame.ReadAt(buf[n:n+chunk], po)
 		p.AdvanceUser(loadStoreCost(chunk))
 		n += chunk
 	}
@@ -81,7 +80,7 @@ func (m *AqMapping) Store(p *engine.Proc, off uint64, buf []byte) {
 		if err != nil {
 			panic(&SigBus{VA: va, File: m.r.File.name, Err: err})
 		}
-		copy(frame.Data()[po:po+chunk], buf[n:n+chunk])
+		frame.WriteAt(po, buf[n:n+chunk])
 		p.AdvanceUser(loadStoreCost(chunk))
 		n += chunk
 	}
@@ -234,16 +233,6 @@ func (m *AqMapping) checkRange(off uint64, n int) {
 // loadStoreCost is the user-side cost of moving n bytes through cached
 // mappings (plain loads/stores at DRAM bandwidth).
 func loadStoreCost(n int) uint64 { return uint64(n)/16 + 2 }
-
-func copyOut(dst []byte, f *mem.Frame, off int) {
-	if f.HasData() {
-		copy(dst, f.Data()[off:off+len(dst)])
-		return
-	}
-	for i := range dst {
-		dst[i] = 0
-	}
-}
 
 // AqFile is explicit file I/O under Aquila: intercepted in ring 0 and issued
 // directly through the configured I/O engine, bypassing the DRAM cache.

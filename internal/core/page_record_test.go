@@ -11,6 +11,7 @@ import (
 
 	"aquila/internal/detutil"
 	"aquila/internal/sim/engine"
+	"aquila/internal/sim/mem"
 )
 
 // TestColdMajorFaultIsOneAllocation pins DESIGN.md §3's summary sentence: a
@@ -291,7 +292,45 @@ func allocated(f func()) (objects, bytes uint64) {
 // allocated.
 type cycleCost struct {
 	faults, written, blocks uint64 // major faults, pages written back, device blocks written for the first time
+	lined                   uint64 // frames whose payload took its first buffer
 	objects, bytes          uint64
+	warm                    float64 // allocations of warmPayloadPass over the same frames
+}
+
+// payloadLines counts the frames of a whose payload holds a buffer.
+func payloadLines(a *mem.Allocator) (n uint64) {
+	for id := range a.Capacity() {
+		if f := a.Frame(id); f != nil && cap(f.Held()) > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// warmPayloadPass is the cycle's payload work done over every frame of a that
+// holds a payload: a fill from a dense block and one from a block holding one
+// stamped line, the stamp stored and read, a hole-fill. Once each frame has
+// been through it, it allocates nothing: a frame keeps its buffer, and one it
+// outgrows or leaves goes to its allocator's class lists for the next frame.
+func warmPayloadPass(a *mem.Allocator) float64 {
+	dense, line := make([]byte, pageSize), make([]byte, mem.LineSize)
+	for i := range dense {
+		dense[i] = byte(i) | 1
+	}
+	var word [8]byte
+	binary.LittleEndian.PutUint64(word[:], 0x5A5A_0000_0000_0001)
+	copy(line, word[:])
+	return testing.AllocsPerRun(3, func() {
+		for id := range a.Capacity() {
+			if f := a.Frame(id); f != nil && f.HasData() {
+				f.Load(dense)
+				f.Load(line)
+				f.WriteAt(8, word[:])
+				f.ReadAt(word[:], 8)
+				f.Reset()
+			}
+		}
+	})
 }
 
 // evictWritebackCycle runs the fault → evict → write-back cycle at steady
@@ -300,8 +339,10 @@ type cycleCost struct {
 func evictWritebackCycle(t *testing.T, stamp uint64) (c cycleCost) {
 	const cachePages, filePages = 1024, 8192
 	e, os, boot := daxWorld(cachePages*pageSize, 2)
+	var pool *mem.Allocator
 	e.Spawn(0, "t", func(p *engine.Proc) {
 		rt := boot(p)
+		pool = rt.framePool
 		f := rt.CreateFile(p, "data", filePages*pageSize)
 		m := rt.Mmap(p, f, filePages*pageSize)
 		rng := rand.New(rand.NewSource(1))
@@ -322,9 +363,10 @@ func evictWritebackCycle(t *testing.T, stamp uint64) (c cycleCost) {
 		// of the file's blocks have been written back once by then, not all.
 		ops(12 * cachePages)
 		store := os.Disk().Content
-		faults, written, blocks := rt.Stats.MajorFaults, rt.Stats.WrittenBack, store.ResidentBlocks()
+		faults, written, blocks, lined := rt.Stats.MajorFaults, rt.Stats.WrittenBack, store.ResidentBlocks(), payloadLines(rt.framePool)
 		c.objects, c.bytes = allocated(func() { ops(6 * cachePages) })
 		c.faults, c.written, c.blocks = rt.Stats.MajorFaults-faults, rt.Stats.WrittenBack-written, uint64(store.ResidentBlocks()-blocks)
+		c.lined = payloadLines(rt.framePool) - lined
 		if c.faults < 4*cachePages || c.written < cachePages || rt.Stats.Evictions < 8*cachePages {
 			t.Fatalf("not the cycle: %d faults, %d pages written back, %d evictions", c.faults, c.written, rt.Stats.Evictions)
 		}
@@ -333,6 +375,7 @@ func evictWritebackCycle(t *testing.T, stamp uint64) (c cycleCost) {
 		}
 	})
 	e.Run()
+	c.warm = warmPayloadPass(pool)
 	return c
 }
 
@@ -342,10 +385,13 @@ func evictWritebackCycle(t *testing.T, stamp uint64) (c cycleCost) {
 // slice, no victim or dirty batch, no index leaf, no version list, and nothing
 // at all for a page turning dirty or clean. What amortizes (an LRU queue's
 // tail, the staged list) is allowed a thousandth of an allocation per fault.
-// The same cycle storing zeros holds the device's bytes to account: a
-// first-written block that carries a stamp is one 64-byte line (to a
-// hundredth: a few take a line a rewritten block gave back, a few versions
-// more may be in flight), and one written back all zeros costs nothing.
+// The same cycle storing zeros holds the payloads' bytes to account: a
+// first-written block that carries a stamp is one 64-byte line, and so is a
+// frame whose payload takes its first buffer in the window (to a hundredth: a
+// few blocks take a line a rewritten block gave back, a few versions more may
+// be in flight); a block written back all zeros, and a frame that only ever
+// held zeros, cost nothing. A warm pass of payload work over the same frames
+// allocates nothing at all.
 func TestEvictWritebackCycleAllocations(t *testing.T) {
 	// Each count is the least of three runs: now and then the runtime's own
 	// work allocates inside the window.
@@ -361,16 +407,22 @@ func TestEvictWritebackCycleAllocations(t *testing.T) {
 	if c.faults != zero.faults || c.written != zero.written || c.blocks != zero.blocks {
 		t.Fatalf("the stamp moved the cycle: %+v, all zeros %+v", c, zero)
 	}
-	if want := c.faults + c.blocks; c.objects < want || c.objects > want+c.faults/1000 {
-		t.Errorf("%d faults and %d first-written device blocks made %d allocations, want %d to %d",
-			c.faults, c.blocks, c.objects, want, want+c.faults/1000)
+	if want := c.faults + c.blocks + c.lined; c.objects < want || c.objects > want+c.faults/1000 {
+		t.Errorf("%d faults, %d first-written device blocks and %d frames given their first line made %d allocations, want %d to %d",
+			c.faults, c.blocks, c.lined, c.objects, want, want+c.faults/1000)
 	}
 	if z := zero; z.objects < z.faults || z.objects > z.faults+z.faults/1000 {
-		t.Errorf("all zeros: %d faults made %d allocations, want %d to %d: the %d first-written blocks cost something",
-			z.faults, z.objects, z.faults, z.faults+z.faults/1000, z.blocks)
+		t.Errorf("all zeros: %d faults made %d allocations, want %d to %d: the %d first-written blocks or %d lined frames cost something",
+			z.faults, z.objects, z.faults, z.faults+z.faults/1000, z.blocks, z.lined)
 	}
-	if d, want := int64(c.bytes-zero.bytes), int64(64*c.blocks); d < want-want/100 || d > want+want/100 {
-		t.Errorf("the stamp cost %d bytes for %d first-written blocks, want one 64-byte line each: %d",
-			d, c.blocks, want)
+	if zero.lined != 0 {
+		t.Errorf("all zeros: %d frames took a payload buffer, want none", zero.lined)
+	}
+	if d, want := int64(c.bytes-zero.bytes), int64(mem.LineSize*(c.blocks+c.lined)); d < want-want/100 || d > want+want/100 {
+		t.Errorf("the stamp cost %d bytes for %d first-written blocks and %d frames given their first line, want one 64-byte line each: %d",
+			d, c.blocks, c.lined, want)
+	}
+	if c.warm != 0 || zero.warm != 0 {
+		t.Errorf("a warm pass of payload work over the cycle's frames made %v allocations (all zeros: %v), want 0", c.warm, zero.warm)
 	}
 }

@@ -1285,7 +1285,7 @@ func (rt *Runtime) poison(pg *Page, ferr *IOFault) {
 		rt.Stats.PoisonedPages++
 	}
 	pg.poison = ferr
-	if pg.frame != nil && pg.frame.HasData() {
+	if pg.frame != nil {
 		pg.frame.Reset()
 	}
 }

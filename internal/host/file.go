@@ -96,7 +96,7 @@ func (hf *File) bufferedRead(p *engine.Proc, buf []byte, off uint64) {
 		pg := hf.pageAt(p, idx, min(idx+window, (f.size+PageSize-1)/PageSize), nil)
 		pg.pins++ // before touch yields: a reclaim must not take it meanwhile
 		os.Cache.touch(p, pg)
-		copyFromFrame(buf[n:n+chunk], pg.frame, po)
+		pg.frame.ReadAt(buf[n:n+chunk], po)
 		p.AdvanceSystem(os.P.CopyToUser * uint64(chunk) / PageSize)
 		pg.pins--
 		n += chunk
@@ -119,7 +119,7 @@ func (hf *File) pageAt(p *engine.Proc, idx, hi uint64, whole []byte) *cachedPage
 		case whole != nil:
 			var owner bool
 			if pg, owner = c.insertNew(p, f, idx); owner {
-				copy(pg.frame.Data(), whole)
+				pg.frame.Load(whole)
 				c.move(pg, detutil.PgClean)
 				pg.ev.Fire(p.Now())
 			}
@@ -149,7 +149,7 @@ func (hf *File) bufferedWrite(p *engine.Proc, buf []byte, off uint64) {
 		pg := hf.pageAt(p, idx, idx+1, whole)
 		pg.pins++ // before touch yields: a reclaim must not take it meanwhile
 		os.Cache.touch(p, pg)
-		copy(pg.frame.Data()[po:po+chunk], buf[n:n+chunk])
+		pg.frame.WriteAt(po, buf[n:n+chunk])
 		p.AdvanceSystem(os.P.CopyToUser * uint64(chunk) / PageSize)
 		os.Cache.markDirty(p, pg)
 		pg.pins--

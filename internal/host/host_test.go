@@ -12,6 +12,7 @@ import (
 	"aquila/internal/iface"
 	"aquila/internal/sim/device"
 	"aquila/internal/sim/engine"
+	"aquila/internal/sim/mem"
 )
 
 const mib = 1 << 20
@@ -1173,7 +1174,45 @@ func allocated(f func()) (objects, bytes uint64) {
 // allocated.
 type cycleCost struct {
 	inserted, written, blocks uint64 // pages brought in, pages written back, device blocks written for the first time
+	lined                     uint64 // frames whose payload took its first buffer
 	objects, bytes            uint64
+	warm                      float64 // allocations of warmPayloadPass over the same frames
+}
+
+// payloadLines counts the frames of a whose payload holds a buffer.
+func payloadLines(a *mem.Allocator) (n uint64) {
+	for id := range a.Capacity() {
+		if f := a.Frame(id); f != nil && cap(f.Held()) > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// warmPayloadPass is the cycle's payload work done over every frame of a that
+// holds a payload: a fill from a dense block and one from a block holding one
+// stamped line, the stamp stored and read, a hole-fill. Once each frame has
+// been through it, it allocates nothing: a frame keeps its buffer, and one it
+// outgrows or leaves goes to its allocator's class lists for the next frame.
+func warmPayloadPass(a *mem.Allocator) float64 {
+	dense, line := make([]byte, PageSize), make([]byte, mem.LineSize)
+	for i := range dense {
+		dense[i] = byte(i) | 1
+	}
+	var word [8]byte
+	binary.LittleEndian.PutUint64(word[:], 0x5A5A_0000_0000_0001)
+	copy(line, word[:])
+	return testing.AllocsPerRun(3, func() {
+		for id := range a.Capacity() {
+			if f := a.Frame(id); f != nil && f.HasData() {
+				f.Load(dense)
+				f.Load(line)
+				f.WriteAt(8, word[:])
+				f.ReadAt(word[:], 8)
+				f.Reset()
+			}
+		}
+	})
 }
 
 // evictWritebackCycle runs the baseline's fault → reclaim → write-back cycle
@@ -1203,9 +1242,10 @@ func evictWritebackCycle(t *testing.T, stamp uint64) (c cycleCost) {
 		// holds data, every scratch slice and free list is at its peak.
 		ops(6 * cachePages)
 		store := os.Disk().Content
-		inserted, written, blocks := os.Cache.Inserted, os.Cache.WrittenBk, store.ResidentBlocks()
+		inserted, written, blocks, lined := os.Cache.Inserted, os.Cache.WrittenBk, store.ResidentBlocks(), payloadLines(os.Cache.allocator)
 		c.objects, c.bytes = allocated(func() { ops(6 * cachePages) })
 		c.inserted, c.written, c.blocks = os.Cache.Inserted-inserted, os.Cache.WrittenBk-written, uint64(store.ResidentBlocks()-blocks)
+		c.lined = payloadLines(os.Cache.allocator) - lined
 		if c.inserted < 4*cachePages || c.written < cachePages || os.Cache.Evicted < 8*cachePages {
 			t.Fatalf("not the cycle: %d pages inserted, %d written back, %d evicted", c.inserted, c.written, os.Cache.Evicted)
 		}
@@ -1213,6 +1253,7 @@ func evictWritebackCycle(t *testing.T, stamp uint64) (c cycleCost) {
 			t.Fatal(err)
 		}
 	})
+	c.warm = warmPayloadPass(os.Cache.allocator)
 	return c
 }
 
@@ -1224,10 +1265,12 @@ func evictWritebackCycle(t *testing.T, stamp uint64) (c cycleCost) {
 // its array and takes a new one every queue's length of stores (a sweep of
 // reclaimed pages' entries filters it in place), the staged list — is allowed
 // a fiftieth of an allocation per page. The same cycle storing zeros holds
-// the device's bytes to account: a first-written block that carries a stamp
-// is one 64-byte line (to a hundredth: a few take a line a rewritten block
-// gave back, a few versions more may be in flight), and one written back all
-// zeros costs nothing.
+// the payloads' bytes to account: a first-written block that carries a stamp
+// is one 64-byte line, and so is a frame whose payload takes its first buffer
+// in the window (to a hundredth: a few blocks take a line a rewritten block
+// gave back, a few versions more may be in flight); a block written back all
+// zeros, and a frame that only ever held zeros, cost nothing. A warm pass of
+// payload work over the same frames allocates nothing at all.
 func TestEvictWritebackCycleAllocations(t *testing.T) {
 	// Each count is the least of three runs: now and then the runtime's own
 	// work allocates inside the window.
@@ -1243,17 +1286,23 @@ func TestEvictWritebackCycleAllocations(t *testing.T) {
 	if c.inserted != zero.inserted || c.written != zero.written || c.blocks != zero.blocks {
 		t.Fatalf("the stamp moved the cycle: %+v, all zeros %+v", c, zero)
 	}
-	if want := c.inserted + c.blocks; c.objects < want || c.objects > want+c.inserted/50 {
-		t.Errorf("%d pages inserted and %d first-written device blocks made %d allocations, want %d to %d",
-			c.inserted, c.blocks, c.objects, want, want+c.inserted/50)
+	if want := c.inserted + c.blocks + c.lined; c.objects < want || c.objects > want+c.inserted/50 {
+		t.Errorf("%d pages inserted, %d first-written device blocks and %d frames given their first line made %d allocations, want %d to %d",
+			c.inserted, c.blocks, c.lined, c.objects, want, want+c.inserted/50)
 	}
 	if z := zero; z.objects < z.inserted || z.objects > z.inserted+z.inserted/50 {
-		t.Errorf("all zeros: %d pages inserted made %d allocations, want %d to %d: the %d first-written blocks cost something",
-			z.inserted, z.objects, z.inserted, z.inserted+z.inserted/50, z.blocks)
+		t.Errorf("all zeros: %d pages inserted made %d allocations, want %d to %d: the %d first-written blocks or %d lined frames cost something",
+			z.inserted, z.objects, z.inserted, z.inserted+z.inserted/50, z.blocks, z.lined)
 	}
-	if d, want := int64(c.bytes-zero.bytes), int64(64*c.blocks); d < want-want/100 || d > want+want/100 {
-		t.Errorf("the stamp cost %d bytes for %d first-written blocks, want one 64-byte line each: %d",
-			d, c.blocks, want)
+	if zero.lined != 0 {
+		t.Errorf("all zeros: %d frames took a payload buffer, want none", zero.lined)
+	}
+	if d, want := int64(c.bytes-zero.bytes), int64(mem.LineSize*(c.blocks+c.lined)); d < want-want/100 || d > want+want/100 {
+		t.Errorf("the stamp cost %d bytes for %d first-written blocks and %d frames given their first line, want one 64-byte line each: %d",
+			d, c.blocks, c.lined, want)
+	}
+	if c.warm != 0 || zero.warm != 0 {
+		t.Errorf("a warm pass of payload work over the cycle's frames made %v allocations (all zeros: %v), want 0", c.warm, zero.warm)
 	}
 }
 

@@ -92,7 +92,7 @@ func (m *Mapping) Load(p *engine.Proc, off uint64, buf []byte) {
 		po := int(va % PageSize)
 		chunk := min(PageSize-po, len(buf)-n)
 		frame := m.pr.resolve(p, va, false)
-		copyFromFrame(buf[n:n+chunk], frame, po)
+		frame.ReadAt(buf[n:n+chunk], po)
 		p.AdvanceUser(loadStoreCost(chunk))
 		n += chunk
 	}
@@ -109,7 +109,7 @@ func (m *Mapping) Store(p *engine.Proc, off uint64, buf []byte) {
 		po := int(va % PageSize)
 		chunk := min(PageSize-po, len(buf)-n)
 		frame := m.pr.resolve(p, va, true)
-		copy(frame.Data()[po:po+chunk], buf[n:n+chunk])
+		frame.WriteAt(po, buf[n:n+chunk])
 		p.AdvanceUser(loadStoreCost(chunk))
 		// Dirty throttling runs only after the store's data has landed
 		// in the frame; throttling inside the fault itself would clean
@@ -178,14 +178,6 @@ func (m *Mapping) checkRange(off uint64, n int) {
 // loadStoreCost is the user-side cost of moving n bytes through cached
 // mappings (ordinary loads/stores, ~DRAM bandwidth).
 func loadStoreCost(n int) uint64 { return uint64(n)/16 + 2 }
-
-func copyFromFrame(dst []byte, f *mem.Frame, off int) {
-	if f.HasData() {
-		copy(dst, f.Data()[off:off+len(dst)])
-		return
-	}
-	clear(dst)
-}
 
 // resolve returns the frame currently backing va, with the required
 // permission, re-running the access path until the translation is stable:
@@ -373,7 +365,7 @@ func (pr *Process) majorFault(p *engine.Proc, v *vma, idx uint64) *cachedPage {
 // the page is a hole and the frame carries a previous owner's data: frames
 // are recycled as they are, not zeroed (PageCache.reclaim, truncate).
 func (os *OS) readPageContent(pg *cachedPage) {
-	if !os.FS.disk.Content.ReadPage(pg.f.devOff(pg.idx*PageSize), pg.frame.Data) && pg.frame.HasData() {
+	if !os.FS.disk.Content.ReadPage(pg.f.devOff(pg.idx*PageSize), pg.frame.Load) {
 		pg.frame.Reset()
 	}
 }

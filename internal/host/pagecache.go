@@ -399,7 +399,7 @@ func (c *PageCache) writePages(p *engine.Proc, pages []*cachedPage) {
 		j := runEnd(pages, i)
 		for _, pg := range pages[i:j] {
 			if pg.frame.HasData() {
-				c.os.FS.disk.Content.WriteAt(pg.f.devOff(pg.idx*PageSize), pg.frame.Data())
+				c.os.FS.disk.Content.WritePage(pg.f.devOff(pg.idx*PageSize), pg.frame.Held())
 			}
 		}
 		// One timed I/O for the run; the pages' content was staged above.

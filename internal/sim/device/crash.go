@@ -11,12 +11,10 @@
 package device
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"math/bits"
 	"math/rand"
 	"os"
 	"slices"
@@ -33,7 +31,7 @@ const notDurable = ^uint64(0)
 // volVersion is one staged write of a block sitting in the device's volatile
 // write-cache tier. Versions are ordered oldest-to-newest per block.
 type volVersion struct {
-	data      []byte // the block up to its last nonzero line (blockEntry)
+	data      []byte // the block up to its last nonzero line (mem.Buffers)
 	durableAt uint64 // completion cycle, or notDurable until Persist
 	op        uint64 // the device write that staged it (its Stats.Writes)
 }
@@ -57,35 +55,26 @@ func (e *blockEntry) view() []byte {
 	return nil
 }
 
-// stage copies chunk into the volatile tier at (blk, bo). Consecutive writes
-// before a Persist merge into one pending version; once a version has been
-// scheduled it is immutable and a fresh copy-on-write version is appended. A
-// chunk that covers the whole block — every page write-back does — needs
-// nothing of the block's current content under it. Only the chunk's bytes up
-// to its last nonzero one widen the version's buffer; its zeros past that
-// cost nothing.
-func (s *Store) stage(blk uint64, bo int, chunk []byte) {
+// stage copies chunk, then zeros up to end, into the volatile tier at (blk,
+// bo). Consecutive writes before a Persist merge into one pending version;
+// once a version has been scheduled it is immutable and a fresh copy-on-write
+// version is appended. A write that covers the whole block — every page
+// write-back does — needs nothing of the block's current content under it.
+// Only the chunk's bytes up to its last nonzero one widen the version's
+// buffer; its zeros past that cost nothing.
+func (s *Store) stage(blk uint64, bo int, chunk []byte, end int) {
 	e := s.slot(blk)
-	nz := lastNonzero(chunk)
-	reach := 0 // the held length the chunk's nonzero bytes need
-	if nz > 0 {
-		reach = lineUp(bo + nz)
-	}
 	vs := e.versions
 	if n := len(vs); n > 0 && vs[n-1].durableAt == notDurable {
 		v := &vs[n-1]
-		v.data = put(s.fit(v.data, max(len(v.data), reach)), bo, chunk, nz)
+		v.data = s.bufs.Put(v.data, bo, chunk, end)
 		return
 	}
 	var cur []byte
-	if len(chunk) < BlockSize {
+	if bo > 0 || end < BlockSize {
 		cur = e.view()
 	}
-	b := s.alloc(max(len(cur), reach))
-	if k := copy(b, cur); bo > k || bo+len(chunk) < len(b) {
-		clear(b[k:]) // what the chunk will not cover
-	}
-	b = put(b, bo, chunk, nz)
+	b := s.bufs.Copy(cur, bo, chunk, end)
 	if vs == nil {
 		s.staged = append(s.staged, blk)
 		if n := len(s.spare); n > 0 {
@@ -93,98 +82,6 @@ func (s *Store) stage(blk uint64, bo int, chunk []byte) {
 		}
 	}
 	e.versions = append(vs, volVersion{data: b, durableAt: notDurable, op: s.stats.Writes})
-}
-
-// put writes chunk, zeros past its first nz bytes, into the block content b at
-// bo, where b already holds bo+nz bytes. When zeros land on b's tail, b is cut
-// back to its last nonzero line.
-func put(b []byte, bo int, chunk []byte, nz int) []byte {
-	if bo < len(b) {
-		copy(b[bo:], chunk)
-	}
-	if hi := bo + nz; hi < len(b) {
-		top := len(b)
-		if bo+len(chunk) >= top {
-			top = hi // the chunk's zeros run to the held end
-		}
-		b = b[:lineUp(lastNonzero(b[:top]))]
-	}
-	return b
-}
-
-// lineSize is the granularity a content buffer is held at; classes counts the
-// capacity classes, lineSize<<0 to lineSize<<(classes-1) = BlockSize.
-const (
-	lineSize = 64
-	classes  = 7
-)
-
-// lineUp rounds n up to whole lines.
-func lineUp(n int) int { return (n + lineSize - 1) &^ (lineSize - 1) }
-
-// class is the capacity class of a buffer holding n bytes, 0 < n <= BlockSize.
-func class(n int) int { return bits.Len(uint(n-1) / lineSize) }
-
-// lastNonzero returns the length of b up to its last nonzero byte, 0 when b is
-// all zeros: a backward scan, a sector of zeros at a time, then a line, then
-// an 8-byte word, then a byte.
-func lastNonzero(b []byte) int {
-	i := len(b)
-	for i >= SectorSize && bytes.Equal(b[i-SectorSize:i], zeros[:SectorSize]) {
-		i -= SectorSize
-	}
-	for i >= lineSize && bytes.Equal(b[i-lineSize:i], zeros[:lineSize]) {
-		i -= lineSize
-	}
-	for i >= 8 && binary.LittleEndian.Uint64(b[i-8:i]) == 0 {
-		i -= 8
-	}
-	for i > 0 && b[i-1] == 0 {
-		i--
-	}
-	return i
-}
-
-// alloc returns a content buffer of n bytes, n a whole number of lines, with
-// unspecified content: recycled from n's class list when it has one. Zero
-// bytes is the empty, non-nil block, which holds no buffer.
-func (s *Store) alloc(n int) []byte {
-	if n == 0 {
-		return []byte{}
-	}
-	c := class(n)
-	k := len(s.free[c])
-	if k == 0 {
-		return make([]byte, n, lineSize<<c)
-	}
-	b := s.free[c][k-1]
-	s.free[c] = s.free[c][:k-1]
-	return b[:n]
-}
-
-// release gives a buffer no tier references any more back to its class list.
-func (s *Store) release(b []byte) {
-	if cap(b) > 0 {
-		c := class(cap(b))
-		s.free[c] = append(s.free[c], b[:0])
-	}
-}
-
-// fit returns content b held in n bytes, n a whole number of lines: b itself,
-// cut or extended with zeros, when its capacity allows; else a buffer of n's
-// class that b is copied into, b going back to its list. A nil b comes back
-// non-nil.
-func (s *Store) fit(b []byte, n int) []byte {
-	if b != nil && n <= cap(b) {
-		if k := len(b); n > k {
-			clear(b[k:n])
-		}
-		return b[:n]
-	}
-	g := s.alloc(n)
-	clear(g[copy(g, b):])
-	s.release(b)
-	return g
 }
 
 // keep leaves e's versions from index n on in the volatile tier. They move to
@@ -251,9 +148,9 @@ func (s *Store) settle(upTo uint64) {
 			// versions are superseded. In-flight writes serialize per page
 			// above this layer, so inverted completions of overlapping writes
 			// do not occur in practice.
-			s.release(e.media)
+			s.bufs.Release(e.media)
 			for _, v := range e.versions[:best] {
-				s.release(v.data)
+				s.bufs.Release(v.data)
 			}
 			e.media = e.versions[best].data
 			s.keep(e, best+1)
@@ -350,13 +247,11 @@ func (s *Store) Crash(cycle uint64, rng *rand.Rand, tearProb float64) CrashResul
 				p := (1 + rng.Intn(BlockSize/SectorSize-1)) * SectorSize
 				clear(torn[copy(torn[:], e.media):])
 				clear(torn[copy(torn[:p], pending):p])
-				n := lineUp(lastNonzero(torn[:]))
-				e.media = s.fit(e.media, n)
-				copy(e.media, torn[:n])
+				e.media = s.bufs.Set(e.media, torn[:])
 				res.TornBlocks++
 			}
 			for _, v := range e.versions {
-				s.release(v.data)
+				s.bufs.Release(v.data)
 			}
 			s.keep(e, len(e.versions))
 		}
@@ -413,10 +308,7 @@ func (s *Store) AdoptMedia(img map[uint64][]byte) {
 	s.tab, s.staged, s.nextDue = nil, nil, notDurable
 	//aqlint:sorted -- deep copy, order-independent; no simulated state touched
 	for blk, b := range img {
-		e := s.slot(blk)
-		b = b[:lastNonzero(b[:min(len(b), BlockSize)])]
-		e.media = s.alloc(lineUp(len(b)))
-		clear(e.media[copy(e.media, b):])
+		s.slot(blk).media = s.bufs.Set(nil, b[:min(len(b), BlockSize)])
 	}
 }
 

@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"iter"
 	"slices"
+
+	"aquila/internal/sim/mem"
 )
 
 // BlockSize is the content-store granularity.
@@ -45,13 +47,12 @@ type Store struct {
 	// them (or earlier: Discard leaves it stale), notDurable when none is.
 	staged  []uint64
 	nextDue uint64
-	// free holds the content buffers no tier references any more (a
-	// superseded media block or staged version, a discarded or crashed one),
-	// one list per capacity class (lineSize<<i bytes), for stage to reuse;
-	// spare holds the emptied per-block version lists. A rewrite-persist-settle
-	// cycle then allocates nothing. Both are bounded by the peak number of
-	// blocks that were live at once.
-	free   [classes][][]byte
+	// bufs takes back the content buffers no tier references any more (a
+	// superseded media block or staged version, a discarded or crashed one)
+	// for stage to reuse; spare holds the emptied per-block version lists. A
+	// rewrite-persist-settle cycle then allocates nothing. Both are bounded by
+	// the peak number of blocks that were live at once.
+	bufs   mem.Buffers
 	spare  [][]volVersion
 	stats  Stats
 	faults *faultState
@@ -150,23 +151,21 @@ func (s *Store) ReadAt(off uint64, buf []byte) {
 }
 
 // ReadPage is the page-fill read, at a block-aligned off. When the block is
-// materialized it copies the held prefix into page(), clears the rest and
-// counts one read, as ReadAt does — a block written with zeros included. A
-// hole (a block never written) is not a device read: ReadPage reports false,
-// counts nothing and never calls page, so a caller whose frames materialize
-// lazily keeps an all-zero page free. One probe of the store either way.
-func (s *Store) ReadPage(off uint64, page func() []byte) bool {
-	if off%BlockSize != 0 {
-		panic(fmt.Sprintf("device: page read at unaligned offset %d", off))
-	}
+// materialized it hands its held prefix — the block up to its last nonzero
+// line, zeros past it — to load, which must copy it, and counts one 4 KB
+// read, as ReadAt does; a block written with zeros included. A hole (a block
+// never written) is not a device read: ReadPage reports false, counts nothing
+// and never calls load, so a caller whose frames materialize lazily keeps an
+// all-zero page free. One probe of the store either way.
+func (s *Store) ReadPage(off uint64, load func(held []byte)) bool {
+	s.checkAligned(off)
 	b := s.view(off / BlockSize)
 	if b == nil {
 		return false
 	}
 	s.stats.Reads++
 	s.stats.BytesRead += BlockSize
-	p := page()
-	clear(p[copy(p, b):])
+	load(b)
 	return true
 }
 
@@ -184,9 +183,27 @@ func (s *Store) WriteAt(off uint64, buf []byte) {
 		if chunk > len(buf)-n {
 			chunk = len(buf) - n
 		}
-		s.stage(blk, bo, buf[n:n+chunk])
+		s.stage(blk, bo, buf[n:n+chunk], bo+chunk)
 		n += chunk
 	}
+	s.wrote()
+}
+
+// WritePage is the page write-back, at a block-aligned off: it stages held,
+// then zeros to the end of the block. It is the WriteAt of the whole 4 KB
+// page — counted, numbered and crash-hooked as that one is — without the page
+// spelled out.
+func (s *Store) WritePage(off uint64, held []byte) {
+	s.checkAligned(off)
+	s.checkRange(off, BlockSize)
+	s.stats.Writes++
+	s.stats.BytesWritten += BlockSize
+	s.stage(off/BlockSize, 0, held, BlockSize)
+	s.wrote()
+}
+
+// wrote fires the armed crash hook once the write it waits for is staged.
+func (s *Store) wrote() {
 	if s.crashHook != nil && s.stats.Writes >= s.crashAtOp {
 		h := s.crashHook
 		s.crashHook = nil
@@ -200,11 +217,11 @@ func (s *Store) Discard(off, length uint64) {
 	first := (off + BlockSize - 1) / BlockSize
 	last := (off + length) / BlockSize
 	for _, e := range s.entries(first, last) {
-		s.release(e.media)
+		s.bufs.Release(e.media)
 		e.media = nil
 		if e.versions != nil {
 			for _, v := range e.versions {
-				s.release(v.data)
+				s.bufs.Release(v.data)
 			}
 			s.keep(e, len(e.versions))
 		}
@@ -229,6 +246,12 @@ func (s *Store) ResidentBlocks() int {
 func (s *Store) checkRange(off uint64, n int) {
 	if off > s.capacity || uint64(n) > s.capacity-off {
 		s.rangePanic(off, n)
+	}
+}
+
+func (s *Store) checkAligned(off uint64) {
+	if off%BlockSize != 0 {
+		panic(fmt.Sprintf("device: page access at unaligned offset %d", off))
 	}
 }
 

@@ -9,6 +9,8 @@ import (
 	"slices"
 	"sort"
 	"testing"
+
+	"aquila/internal/sim/mem"
 )
 
 // refStore is the content model of Store as it was before blocks were
@@ -182,8 +184,8 @@ func full(b []byte) []byte {
 // freeCount is how many buffers the store's class lists hold.
 func freeCount(s *Store) int {
 	n := 0
-	for _, l := range s.free {
-		n += len(l)
+	for size := mem.LineSize; size <= BlockSize; size *= 2 {
+		n += len(s.bufs.Idle(size))
 	}
 	return n
 }
@@ -197,7 +199,7 @@ func freeCount(s *Store) int {
 func tiers(t *testing.T, at string, s *Store) (media map[uint64][]byte, staged map[uint64][]volVersion) {
 	t.Helper()
 	trimmed := func(blk uint64, b []byte) {
-		if want := lineUp(lastNonzero(b)); b != nil && len(b) != want {
+		if want := mem.LineUp(mem.LastNonzero(b)); b != nil && len(b) != want {
 			t.Fatalf("%s: block %d holds %d bytes, its last nonzero line ends at %d", at, blk, len(b), want)
 		}
 	}
@@ -257,13 +259,13 @@ func owners(t *testing.T, at string, s *Store, media map[uint64][]byte, staged m
 	owner := map[*byte]string{}
 	own := func(b []byte, who string) {
 		t.Helper()
-		if len(b)%lineSize != 0 || len(b) > BlockSize {
+		if len(b)%mem.LineSize != 0 || len(b) > BlockSize {
 			t.Fatalf("%s: %s holds %d bytes", at, who, len(b))
 		}
 		if cap(b) == 0 {
 			return // the empty block: nothing held
 		}
-		if c := cap(b); c&(c-1) != 0 || c < lineSize || c > BlockSize {
+		if c := cap(b); c&(c-1) != 0 || c < mem.LineSize || c > BlockSize {
 			t.Fatalf("%s: %s holds a buffer of capacity %d", at, who, c)
 		}
 		p := &b[:1][0]
@@ -272,10 +274,10 @@ func owners(t *testing.T, at string, s *Store, media map[uint64][]byte, staged m
 		}
 		owner[p] = who
 	}
-	for c, l := range s.free {
-		for _, b := range l {
-			if cap(b) != lineSize<<c || len(b) != 0 {
-				t.Fatalf("%s: class list %d holds a buffer of length %d, capacity %d", at, c, len(b), cap(b))
+	for size := mem.LineSize; size <= BlockSize; size *= 2 {
+		for _, b := range s.bufs.Idle(size) {
+			if cap(b) != size || len(b) != 0 {
+				t.Fatalf("%s: the %d-byte class list holds a buffer of length %d, capacity %d", at, size, len(b), cap(b))
 			}
 			own(b, "a class list")
 		}
@@ -379,7 +381,8 @@ func pendingCap(s *Store, blk uint64) int {
 // two-map, non-recycling, untrimmed reference with one seeded random sequence
 // of everything that touches the block table, the class lists or a buffer's
 // held length, or could be hurt by them — WriteAt (dense, one nonzero byte,
-// whole zero blocks, zeros over a held tail, past a held end), Persist (also
+// whole zero blocks, zeros over a held tail, past a held end), WritePage (of
+// a short held slice, over a pending version, over media), Persist (also
 // of a version already scheduled, to an earlier and to a later point), the
 // settle every Submit does (also at exactly a version's durability point, and
 // with nothing due), SettleAll, Discard, Crash with torn sectors, CloneMedia,
@@ -397,13 +400,37 @@ func TestRecyclingStoreMatchesNonRecyclingReference(t *testing.T) {
 		var clones []clone
 		var now uint64
 		var recycled, whole, crashes, torn, cloned, idle, exact, earlier, owedSteps, grown, shortTears, empty int
-		var due []uint64 // durability points handed to Persist
+		var shortPages, overPending, overMedia int // WritePage: of fewer held bytes than a block, over a pending version, over media
+		var due []uint64                           // durability points handed to Persist
 		for step := 0; step < 5000; step++ {
 			at := fmt.Sprintf("seed %d step %d", seed, step)
 			off := uint64(rng.Intn(blocks * BlockSize))
 			n := 1 + rng.Intn(min(3*BlockSize, blocks*BlockSize-int(off)))
 			clears := false // the step must leave nothing owed
 			switch op := rng.Intn(100); {
+			case op < 40 && rng.Intn(4) == 0:
+				// A page write-back: a frame's held bytes — none, a stamp,
+				// some lines, a dense page — then zeros to the block's end.
+				blk := uint64(rng.Intn(blocks))
+				held := make([]byte, []int{0, 8, mem.LineSize, 5 * mem.LineSize, BlockSize}[rng.Intn(5)])
+				rng.Read(held)
+				if len(held) < BlockSize {
+					shortPages++
+				}
+				if pendingCap(got, blk) >= 0 {
+					overPending++
+				} else if e := got.entry(blk); e != nil && e.media != nil {
+					overMedia++
+				}
+				page := make([]byte, BlockSize)
+				copy(page, held)
+				free, before := freeCount(got), got.Stats()
+				got.WritePage(blk*BlockSize, held)
+				want.write(blk*BlockSize, page)
+				recycled += max(0, free-freeCount(got))
+				if st := got.Stats(); st.Writes != before.Writes+1 || st.BytesWritten != before.BytesWritten+BlockSize || st.Writes != want.writes {
+					t.Fatalf("%s: WritePage counted %+v after %+v, want the one 4 KB write", at, st, before)
+				}
 			case op < 40:
 				off, buf := chunkShape(rng, got, blocks)
 				pending := map[uint64]int{}
@@ -523,9 +550,9 @@ func TestRecyclingStoreMatchesNonRecyclingReference(t *testing.T) {
 			}
 		}
 		if recycled < 100 || whole < 100 || crashes == 0 || torn == 0 || cloned == 0 || idle < 20 || exact < 20 || earlier < 10 || owedSteps < 100 ||
-			grown < 20 || shortTears < 5 || empty < 100 {
-			t.Fatalf("seed %d: sequence too tame: %d recycled buffers, %d whole-block chunks, %d crashes, %d torn blocks, %d clones, %d settles with nothing due, %d at exactly a durability point, %d re-persists to an earlier one, %d steps with a version owed, %d buffers grown into a larger class, %d tears over a short media block, %d empty blocks seen",
-				seed, recycled, whole, crashes, torn, cloned, idle, exact, earlier, owedSteps, grown, shortTears, empty)
+			grown < 20 || shortTears < 5 || empty < 100 || shortPages < 20 || overPending < 20 || overMedia < 20 {
+			t.Fatalf("seed %d: sequence too tame: %d recycled buffers, %d whole-block chunks, %d crashes, %d torn blocks, %d clones, %d settles with nothing due, %d at exactly a durability point, %d re-persists to an earlier one, %d steps with a version owed, %d buffers grown into a larger class, %d tears over a short media block, %d empty blocks seen, %d short page writes, %d over a pending version, %d over media",
+				seed, recycled, whole, crashes, torn, cloned, idle, exact, earlier, owedSteps, grown, shortTears, empty, shortPages, overPending, overMedia)
 		}
 	}
 }
@@ -533,8 +560,9 @@ func TestRecyclingStoreMatchesNonRecyclingReference(t *testing.T) {
 // FuzzStoreMatchesReference is the reference test's comparison under fuzzed
 // operations over an eight-block store: each op is five bytes — a kind, a
 // block, an offset, a length and a fill — decoding to a dense or a sparse
-// WriteAt (the fill byte at the run's last byte only), a Persist, a settle, a
-// SettleAll or a Crash with torn sectors.
+// WriteAt (the fill byte at the run's last byte only), a WritePage of a dense
+// held slice of up to a block, a Persist, a settle, a SettleAll or a Crash
+// with torn sectors.
 func FuzzStoreMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 255, 7, 1, 1, 0, 255, 0, 2, 0, 0, 0, 0})
 	f.Add([]byte{1, 2, 3, 9, 0xAB, 0, 2, 200, 40, 3, 5, 2, 0, 255, 1, 4, 0, 0, 0, 0})
@@ -549,13 +577,21 @@ func FuzzStoreMatchesReference(f *testing.F) {
 			off := blk*BlockSize + uint64(lo)
 			n = min(n, blocks*BlockSize-int(off))
 			switch kind {
-			case 0, 1: // dense: every byte the fill, shifted by its index
+			case 0: // dense: every byte the fill, shifted by its index
 				buf := make([]byte, n)
 				for j := range buf {
 					buf[j] = fill + byte(j)
 				}
 				got.WriteAt(off, buf)
 				want.write(off, buf)
+			case 1: // a page write-back of a dense held slice, zeros after it
+				page := make([]byte, BlockSize)
+				held := page[:min(n, BlockSize)]
+				for j := range held {
+					held[j] = fill + byte(j)
+				}
+				got.WritePage(blk*BlockSize, held)
+				want.write(blk*BlockSize, page)
 			case 2, 3: // sparse: zeros, the fill at the last byte
 				buf := make([]byte, n)
 				buf[n-1] = fill
@@ -597,7 +633,7 @@ func TestCrashRecyclesDroppedVersions(t *testing.T) {
 		s.Persist(blk*BlockSize, BlockSize, 1000)
 	}
 	s.Crash(10, nil, 0)
-	if n := len(s.free[classes-1]); n != 8 || len(s.spare) != 8 || s.ResidentBlocks() != 0 {
+	if n := len(s.bufs.Idle(BlockSize)); n != 8 || len(s.spare) != 8 || s.ResidentBlocks() != 0 {
 		t.Fatalf("after the crash: %d full blocks and %d version lists free, %d blocks resident; want 8, 8 and 0",
 			n, len(s.spare), s.ResidentBlocks())
 	}
@@ -629,17 +665,17 @@ func TestRewritePersistSettleAllocatesNothing(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		buf   []byte
-		class int
-	}{{"dense", fullBlock(0x5A), classes - 1}, {"stamp", stampBlock(), 0}} {
+		class int // the capacity its buffers take
+	}{{"dense", fullBlock(0x5A), BlockSize}, {"stamp", stampBlock(), mem.LineSize}} {
 		s, now := NewStore(1<<20), uint64(0)
 		rewritePersistSettle(s, tc.buf, &now) // first versions: media has nothing to give back yet
 		rewritePersistSettle(s, tc.buf, &now)
 		if a := testing.AllocsPerRun(100, func() { rewritePersistSettle(s, tc.buf, &now) }); a != 0 {
 			t.Fatalf("%s: rewrite -> Persist -> settle at steady state: %v allocations per run, want 0", tc.name, a)
 		}
-		if len(s.free[tc.class]) != 8 || freeCount(s) != 8 || s.PendingBlocks() != 0 {
-			t.Fatalf("%s: class %d list holds %d blocks of %d free, %d pending; want 8, 8 and 0",
-				tc.name, tc.class, len(s.free[tc.class]), freeCount(s), s.PendingBlocks())
+		if len(s.bufs.Idle(tc.class)) != 8 || freeCount(s) != 8 || s.PendingBlocks() != 0 {
+			t.Fatalf("%s: the %d-byte class list holds %d blocks of %d free, %d pending; want 8, 8 and 0",
+				tc.name, tc.class, len(s.bufs.Idle(tc.class)), freeCount(s), s.PendingBlocks())
 		}
 	}
 }
@@ -675,10 +711,10 @@ func BenchmarkStoreViewHit(b *testing.B) {
 	}
 	s.Persist(0, blocks*BlockSize, 1)
 	s.settle(1)
-	page := func() []byte { return buf }
+	load := func(held []byte) { copy(buf, held) }
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if !s.ReadPage(uint64(i*2654435761%blocks)*BlockSize, page) {
+		if !s.ReadPage(uint64(i*2654435761%blocks)*BlockSize, load) {
 			b.Fatal("hole")
 		}
 	}
@@ -700,5 +736,116 @@ func BenchmarkStoreSubmitNothingDue(b *testing.B) {
 	}
 	if s.PendingBlocks() != blocks {
 		b.Fatalf("%d blocks pending, want %d", s.PendingBlocks(), blocks)
+	}
+}
+
+// crashSentinel is what the hooks armed by the tests below panic with.
+type crashSentinel struct{}
+
+// pageWrites runs a write-back pattern on a fresh store with a crash armed at
+// device write at — per block, a short WriteAt that gets persisted, then the
+// block's page written back, through WritePage or through the WriteAt of the
+// whole page it replaces — and returns whether the crash fired, the store's
+// counts and content, and the write that staged each block's newest version.
+func pageWrites(page bool, at uint64) (fired bool, st Stats, content []byte, ops []uint64) {
+	const blocks = 4
+	s := NewStore(blocks * BlockSize)
+	s.ArmCrashAtOp(at, func() { panic(crashSentinel{}) })
+	stamp := stampBlock()
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(crashSentinel); !ok {
+					panic(r)
+				}
+				fired = true
+			}
+		}()
+		for blk := uint64(0); blk < blocks; blk++ {
+			s.WriteAt(blk*BlockSize+100, []byte{1, 2, 3})
+			s.Persist(blk*BlockSize, BlockSize, 50)
+			if page {
+				s.WritePage(blk*BlockSize, stamp[:mem.LineSize])
+			} else {
+				s.WriteAt(blk*BlockSize, stamp)
+			}
+		}
+	}()
+	st = s.Stats()
+	for _, e := range s.entries(0, blocks) {
+		if n := len(e.versions); n > 0 {
+			ops = append(ops, e.versions[n-1].op)
+		}
+	}
+	content = make([]byte, blocks*BlockSize)
+	s.ReadAt(0, content)
+	return fired, st, content, ops
+}
+
+// TestWritePageIsTheWholePageWriteAt pins that a page write-back through
+// WritePage is, to everything that counts device writes, the WriteAt of the
+// whole page it replaces: the same Stats, the same ordinal on the version it
+// stages, and a crash planned at_device_op N fires after the same write, with
+// the same content staged.
+func TestWritePageIsTheWholePageWriteAt(t *testing.T) {
+	for at := uint64(1); at <= 9; at++ {
+		fw, sw, cw, ow := pageWrites(false, at)
+		fp, sp, cp, op := pageWrites(true, at)
+		if fw != fp || sw != sp || !bytes.Equal(cw, cp) || !slices.Equal(ow, op) {
+			t.Fatalf("crash at device write %d: WriteAt of the page fired %v with %+v, versions by %v; WritePage fired %v with %+v, versions by %v (same content: %v)",
+				at, fw, sw, ow, fp, sp, op, bytes.Equal(cw, cp))
+		}
+		if want := at <= 8; fp != want || fp && sp.Writes != at {
+			t.Fatalf("crash at device write %d: fired %v after %d writes", at, fp, sp.Writes)
+		}
+	}
+}
+
+// fillStampFlush is one page of the fault and eviction workloads through a
+// frame: filled from a block holding one stamped line, a new 8-byte stamp
+// stored, written back, the write scheduled and settled.
+func fillStampFlush(s *Store, fr *mem.Frame, i uint64, now *uint64) {
+	var stamp [8]byte
+	if !s.ReadPage(0, fr.Load) {
+		panic("hole")
+	}
+	binary.LittleEndian.PutUint64(stamp[:], i|1)
+	fr.WriteAt(0, stamp[:])
+	s.WritePage(0, fr.Held())
+	*now += 10
+	s.Persist(0, BlockSize, *now)
+	s.settle(*now)
+}
+
+func newStampedFrame() (*Store, *mem.Frame, uint64) {
+	s := NewStore(1 << 20)
+	s.WriteAt(0, stampBlock())
+	s.Persist(0, BlockSize, 1)
+	s.settle(1)
+	return s, mem.NewAllocator(1<<20, 1).Alloc(0), 1
+}
+
+// TestFrameFillStampFlushAllocatesNothing: once the frame holds its line and
+// the block has been rewritten once, the cycle recycles everything it uses.
+func TestFrameFillStampFlushAllocatesNothing(t *testing.T) {
+	s, fr, now := newStampedFrame()
+	fillStampFlush(s, fr, 1, &now)
+	fillStampFlush(s, fr, 2, &now)
+	i := uint64(3)
+	if a := testing.AllocsPerRun(100, func() { fillStampFlush(s, fr, i, &now); i++ }); a != 0 {
+		t.Fatalf("fill -> stamp -> flush at steady state: %v allocations per run, want 0", a)
+	}
+	if got := len(fr.Held()); got != mem.LineSize {
+		t.Fatalf("the frame holds %d bytes of a stamped page, want one line", got)
+	}
+}
+
+// BenchmarkFrameFillStampFlush is fillStampFlush: what a stamped page's fault
+// and write-back cost the frame and the store.
+func BenchmarkFrameFillStampFlush(b *testing.B) {
+	s, fr, now := newStampedFrame()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		fillStampFlush(s, fr, uint64(i), &now)
 	}
 }

@@ -210,7 +210,7 @@ func (a *Allocator) ReleaseBlock(frames []*Frame) {
 			panic(fmt.Sprintf("mem: ReleaseBlock of non-contiguous run at index %d", i))
 		}
 	}
-	a.nodes[frames[0].Node].freeBlock(base, MaxOrder)
+	a.nodes[frames[0].Node()].freeBlock(base, MaxOrder)
 	if a.allocated < BlockFrames {
 		panic("mem: ReleaseBlock without matching allocation")
 	}

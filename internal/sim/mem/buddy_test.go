@@ -48,8 +48,8 @@ func TestBuddyAllocBlock(t *testing.T) {
 		if f.ID != base+uint64(i) {
 			t.Fatalf("frame %d has id %d, want %d", i, f.ID, base+uint64(i))
 		}
-		if f.Node != 1 {
-			t.Fatalf("frame %d on node %d, want 1", i, f.Node)
+		if f.Node() != 1 {
+			t.Fatalf("frame %d on node %d, want 1", i, f.Node())
 		}
 	}
 	if a.Free() != 2048-BlockFrames || a.Allocated() != BlockFrames {

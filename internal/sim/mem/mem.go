@@ -1,8 +1,9 @@
 // Package mem models NUMA-aware simulated physical memory: frames of 4 KB
-// handed out by a per-node allocator. Frames optionally carry real byte
-// payloads for experiments whose applications read and write actual data
-// (key-value stores, graph processing); microbenchmarks that only exercise
-// metadata paths leave payloads unallocated.
+// handed out by a per-node allocator. A frame carries the real bytes of its
+// page for the applications that read and write actual data, held the way a
+// device block is (buffers.go): up to its last nonzero 64-byte line, in a
+// buffer of its allocator's class lists. A frame nothing ever stored to or
+// filled holds no payload, and one of 8-byte stamps holds one line.
 package mem
 
 import "fmt"
@@ -13,30 +14,54 @@ const PageSize = 4096
 // PageShift is log2(PageSize).
 const PageShift = 12
 
-// Frame is one physical page of simulated DRAM.
+// Frame is one physical page of simulated DRAM: 40 bytes a frame.
 type Frame struct {
-	ID   uint64
-	Node int
+	ID uint64
+	// data is the payload: nil until the frame is first stored to or filled,
+	// then the page up to its last nonzero line (buffers.go), in a buffer of
+	// its home's class lists.
 	data []byte
+	home *home
 }
 
-// Data returns the frame's payload, allocating it on first use.
-func (f *Frame) Data() []byte {
-	if f.data == nil {
-		f.data = make([]byte, PageSize)
-	}
-	return f.data
+// home is what the frames of one NUMA node share: the node's index and the
+// class lists of the allocator that hands them out.
+type home struct {
+	node int
+	bufs *Buffers
 }
+
+// Node returns the NUMA node the frame belongs to.
+func (f *Frame) Node() int { return f.home.node }
 
 // HasData reports whether a payload has been materialized.
 func (f *Frame) HasData() bool { return f.data != nil }
 
-// Reset zeroes the payload if materialized (page reuse between files).
-func (f *Frame) Reset() {
-	for i := range f.data {
-		f.data[i] = 0
+// Held returns the payload's held bytes — the page up to its last nonzero
+// line, zeros past it — for a write-back to copy. The frame keeps it.
+func (f *Frame) Held() []byte { return f.data }
+
+// ReadAt copies the page's bytes at off into dst.
+func (f *Frame) ReadAt(dst []byte, off int) {
+	k := 0
+	if off < len(f.data) {
+		k = copy(dst, f.data[off:])
 	}
+	clear(dst[k:])
 }
+
+// WriteAt stores src into the page at off, materializing the payload. The
+// held bytes grow only when nonzero bytes land past their end.
+func (f *Frame) WriteAt(off int, src []byte) {
+	f.data = f.home.bufs.Put(f.data, off, src, off+len(src))
+}
+
+// Load sets the whole page to held, then zeros: the fill from a device block.
+func (f *Frame) Load(held []byte) { f.data = f.home.bufs.Set(f.data, held) }
+
+// Reset zeroes the payload if materialized (page reuse between files); the
+// frame keeps its buffer.
+func (f *Frame) Reset() { f.data = f.data[:0] }
 
 // Allocator hands out frames from per-NUMA-node pools. Simulated DRAM is flat
 // (DESIGN.md §3): a node's frames are records in one table indexed by frame
@@ -48,11 +73,13 @@ type Allocator struct {
 	nodes     []node
 	buddy     bool
 	allocated uint64
+	bufs      Buffers // the frames' payload buffers
 }
 
 // node is one NUMA node's pool: frame IDs [lo, lo+perNode).
 type node struct {
-	lo uint64
+	lo   uint64
+	home home // what the node's frames point to
 	// frames holds frame lo+i at index i. It is made at the node's first
 	// allocation, so a pool nobody allocates from costs no table.
 	frames []Frame
@@ -83,6 +110,7 @@ func NewAllocator(totalBytes uint64, numNodes int) *Allocator {
 	a := &Allocator{perNode: perNode, nodes: make([]node, numNodes)}
 	for n := range a.nodes {
 		a.nodes[n].lo = uint64(n) * perNode
+		a.nodes[n].home = home{node: n, bufs: &a.bufs}
 	}
 	return a
 }
@@ -116,7 +144,7 @@ func (a *Allocator) handOut(ni int, id uint64) *Frame {
 		n.meta[id-n.lo] |= metaHandedOut
 	}
 	f := &n.frames[id-n.lo]
-	f.ID, f.Node = id, ni
+	f.ID, f.home = id, &n.home
 	return f
 }
 
@@ -166,8 +194,8 @@ func (a *Allocator) AllocN(preferNode, n int) []*Frame {
 	return out
 }
 
-// Release returns a frame to its node's pool. The payload is kept (zeroing is
-// the consumer's policy via Frame.Reset).
+// Release returns a frame to its node's pool. The payload is kept, buffer and
+// all (zeroing is the consumer's policy via Frame.Reset).
 func (a *Allocator) Release(f *Frame) {
 	if f == nil {
 		panic("mem: release of nil frame")
@@ -175,7 +203,7 @@ func (a *Allocator) Release(f *Frame) {
 	if a.allocated == 0 {
 		panic(fmt.Sprintf("mem: double release of frame %d", f.ID))
 	}
-	n := &a.nodes[f.Node]
+	n := &a.nodes[f.Node()]
 	if a.buddy {
 		n.freeBlock(f.ID, 0)
 	} else {

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -49,16 +50,18 @@ func diffRun(t *testing.T, got *Allocator, want *refAllocator, nodes int, seed i
 		if g == nil {
 			return pair{}
 		}
-		if g.ID != w.ID || g.Node != w.Node {
-			t.Fatalf("step %d: got frame %d on node %d, reference %d on node %d", step, g.ID, g.Node, w.ID, w.Node)
+		if g.ID != w.ID || g.Node() != w.Node() {
+			t.Fatalf("step %d: got frame %d on node %d, reference %d on node %d", step, g.ID, g.Node(), w.ID, w.Node())
 		}
 		if got.Frame(g.ID) != g {
 			t.Fatalf("step %d: Frame(%d) is not the frame handed out", step, g.ID)
 		}
 		if g.ID%5 == 0 { // a payload on every fifth frame keeps the run small
+			var word [8]byte
 			if last, ok := tags[g.ID]; ok {
 				reuses++
-				if have := binary.LittleEndian.Uint64(g.Data()); have != last {
+				g.ReadAt(word[:], 0)
+				if have := binary.LittleEndian.Uint64(word[:]); have != last {
 					t.Fatalf("step %d: frame %d came back with payload tag %d, left with %d", step, g.ID, have, last)
 				}
 			} else if g.HasData() {
@@ -66,7 +69,8 @@ func diffRun(t *testing.T, got *Allocator, want *refAllocator, nodes int, seed i
 			}
 			tag++
 			tags[g.ID] = tag
-			binary.LittleEndian.PutUint64(g.Data(), tag)
+			binary.LittleEndian.PutUint64(word[:], tag)
+			g.WriteAt(0, word[:])
 		}
 		return pair{g, w}
 	}
@@ -274,4 +278,203 @@ func BenchmarkNewAllocator128MB(b *testing.B) {
 			}
 		}
 	}
+}
+
+// frameRef is the payload model a Frame is held to: a plain 4 KB page per
+// frame, materialized or not, never trimmed and never recycled.
+type frameRef struct {
+	page [PageSize]byte
+	has  bool
+}
+
+// frameDiff drives the frames of one small allocator and their references
+// through the same payload operations, and counts the steps that make the
+// comparison worth something.
+type frameDiff struct {
+	t   *testing.T
+	a   *Allocator
+	out []*Frame             // the frames handed out, by slot
+	ref map[uint64]*frameRef // by frame ID: a payload outlives its frame's release
+	// grown counts writes that moved a payload into a larger class, shrunk
+	// fills that moved one into a smaller class, holeOverDense hole-fills of
+	// a frame holding a dense page.
+	grown, shrunk, holeOverDense int
+}
+
+func newFrameDiff(t *testing.T) *frameDiff {
+	const frames = 4
+	d := &frameDiff{t: t, a: NewAllocator(frames*PageSize, 1), ref: map[uint64]*frameRef{}}
+	for range frames {
+		f := d.a.Alloc(0)
+		d.out = append(d.out, f)
+		d.ref[f.ID] = &frameRef{}
+	}
+	return d
+}
+
+func (d *frameDiff) write(f *Frame, r *frameRef, off int, buf []byte) {
+	f.WriteAt(off, buf)
+	copy(r.page[off:], buf)
+	r.has = true
+}
+
+func (d *frameDiff) load(f *Frame, r *frameRef, held []byte) {
+	f.Load(held)
+	clear(r.page[copy(r.page[:], held):])
+	r.has = true
+}
+
+// step applies one operation, read from five bytes as the fuzz target reads
+// them — a kind, a slot, two shape bytes x and y, a fill — to the slot's
+// frame and its reference, then checks every frame.
+func (d *frameDiff) step(at string, kind, slot, x, y, fill byte) {
+	d.t.Helper()
+	i := int(slot) % len(d.out)
+	f := d.out[i]
+	r := d.ref[f.ID]
+	held, before := len(f.data), cap(f.data)
+	switch kind %= 9; kind {
+	case 0: // dense
+		off := int(x) * 16
+		buf := make([]byte, min(1+int(y)*16, PageSize-off))
+		for j := range buf {
+			buf[j] = fill + byte(j)
+		}
+		d.write(f, r, off, buf)
+	case 1: // one nonzero byte in a run of zeros
+		off := int(x) * 16
+		buf := make([]byte, min(1+int(y)*16, PageSize-off))
+		buf[int(fill)%len(buf)] = fill | 1
+		d.write(f, r, off, buf)
+	case 2: // zeros from inside the held bytes over their tail, and on
+		off := 0
+		if held > 0 {
+			off = int(x) * 16 % held
+		}
+		d.write(f, r, off, make([]byte, max(1, held-off+int(y)%(PageSize-held+1))))
+	case 3: // a short nonzero write past the held end
+		off := min(held+int(x)%(PageSize-held+1), PageSize-1)
+		buf := make([]byte, 1+int(y)%min(LineSize, PageSize-off))
+		for j := range buf {
+			buf[j] = fill | 1
+		}
+		d.write(f, r, off, buf)
+	case 4:
+		off := int(x) * 16
+		got := bytes.Repeat([]byte{0xEE}, min(1+int(y)*16, PageSize-off))
+		if f.ReadAt(got, off); !bytes.Equal(got, r.page[off:off+len(got)]) {
+			d.t.Fatalf("%s: frame %d reads [%d, %d) unlike its reference", at, f.ID, off, off+len(got))
+		}
+	case 5, 6: // a fill from a block holding 1 to 4 lines, or a dense one
+		b := make([]byte, (1+int(x)%4)*LineSize)
+		if kind == 6 {
+			b = make([]byte, PageSize)
+		}
+		for j := range b {
+			b[j] = fill + byte(j)*y
+		}
+		b[len(b)-1] |= 1
+		d.load(f, r, b)
+		if cap(f.data) < before {
+			d.shrunk++
+		}
+	case 7: // a hole-fill
+		if r.has && held == PageSize {
+			d.holeOverDense++
+		}
+		f.Reset()
+		clear(r.page[:])
+	default:
+		d.a.Release(f)
+		d.out[i] = d.a.Alloc(0)
+	}
+	if kind < 4 && before > 0 && cap(f.data) > before {
+		d.grown++
+	}
+	d.check(at)
+}
+
+// check holds every frame to its reference — the whole page as ReadAt sees
+// it, and whether it is materialized — and its payload to the convention: a
+// length of whole lines ending at its last nonzero one, a class capacity, no
+// buffer owned by two frames or by a frame and a class list.
+func (d *frameDiff) check(at string) {
+	d.t.Helper()
+	owner := map[*byte]string{}
+	own := func(b []byte, who string) {
+		if cap(b) == 0 {
+			return // zeros, or never materialized: nothing held
+		}
+		if c := cap(b); c&(c-1) != 0 || c < LineSize || c > PageSize {
+			d.t.Fatalf("%s: %s holds a buffer of capacity %d", at, who, c)
+		}
+		p := &b[:1][0]
+		if prev, dup := owner[p]; dup {
+			d.t.Fatalf("%s: one buffer owned by %s and %s", at, prev, who)
+		}
+		owner[p] = who
+	}
+	for size := LineSize; size <= PageSize; size *= 2 {
+		for _, b := range d.a.bufs.Idle(size) {
+			if cap(b) != size || len(b) != 0 {
+				d.t.Fatalf("%s: the %d-byte class list holds a buffer of length %d, capacity %d", at, size, len(b), cap(b))
+			}
+			own(b, "a class list")
+		}
+	}
+	var page [PageSize]byte
+	for id := range d.a.Capacity() {
+		f, r := d.a.Frame(id), d.ref[id]
+		if f.HasData() != r.has {
+			d.t.Fatalf("%s: frame %d materialized %v, reference %v", at, id, f.HasData(), r.has)
+		}
+		b := f.Held()
+		if want := LineUp(LastNonzero(b)); len(b) != want {
+			d.t.Fatalf("%s: frame %d holds %d bytes, its last nonzero line ends at %d", at, id, len(b), want)
+		}
+		own(b, fmt.Sprintf("frame %d", id))
+		for j := range page {
+			page[j] = 0xEE
+		}
+		if f.ReadAt(page[:], 0); page != r.page {
+			d.t.Fatalf("%s: frame %d's page differs from its reference", at, id)
+		}
+	}
+}
+
+// TestFrameMatchesReference holds frame payloads — held up to their last
+// nonzero line, in buffers recycled through the allocator's class lists — to
+// a plain 4 KB page per frame, over seeded sequences of every payload
+// operation: WriteAt (dense, one nonzero byte, zeros over a held tail, past
+// the held end), ReadAt, a fill from a short and from a dense block, a
+// hole-fill (Reset), Release and Alloc again. After every step each frame
+// reads as its reference and keeps the convention (check).
+func TestFrameMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		d := newFrameDiff(t)
+		var op [5]byte
+		for step := 0; step < 4000; step++ {
+			rng.Read(op[:])
+			d.step(fmt.Sprintf("seed %d step %d", seed, step), op[0], op[1], op[2], op[3], op[4])
+		}
+		if d.grown < 20 || d.shrunk < 20 || d.holeOverDense < 20 {
+			t.Fatalf("seed %d: sequence too tame: %d payloads grown into a larger class, %d shrunk on a fill, %d hole-fills over a dense page",
+				seed, d.grown, d.shrunk, d.holeOverDense)
+		}
+	}
+}
+
+// FuzzFrameMatchesReference is the reference test's comparison under fuzzed
+// operations: each op is five bytes, decoded by frameDiff.step.
+func FuzzFrameMatchesReference(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 255, 7, 5, 1, 0, 9, 3, 7, 0, 0, 0, 0, 8, 0, 0, 0, 0})
+	f.Add([]byte{6, 2, 0, 1, 0xAB, 5, 2, 1, 3, 1, 2, 2, 4, 9, 0, 3, 2, 0, 200, 5, 4, 2, 0, 255, 0})
+	f.Add([]byte{1, 3, 10, 40, 9, 2, 3, 0, 0, 0, 6, 3, 0, 0, 1, 7, 3, 0, 0, 0, 4, 3, 0, 255, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		d := newFrameDiff(t)
+		for i := 0; i+5 <= len(ops) && i < 5*256; i += 5 {
+			d.step(fmt.Sprintf("op %d", i/5), ops[i], ops[i+1], ops[i+2], ops[i+3], ops[i+4])
+		}
+	})
 }

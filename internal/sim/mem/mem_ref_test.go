@@ -83,7 +83,7 @@ func (a *refAllocator) Alloc(preferNode int) *Frame {
 		a.freeLists[node] = fl[:len(fl)-1]
 		f := a.frames[id]
 		if f == nil {
-			f = &Frame{ID: id, Node: node}
+			f = &Frame{ID: id, home: &home{node: node}}
 			a.frames[id] = f
 		}
 		a.allocated++
@@ -115,11 +115,11 @@ func (a *refAllocator) Release(f *Frame) {
 		panic(fmt.Sprintf("mem: double release of frame %d", f.ID))
 	}
 	if a.buddy != nil {
-		a.buddy[f.Node].freeBlock(f.ID, 0)
+		a.buddy[f.Node()].freeBlock(f.ID, 0)
 		a.allocated--
 		return
 	}
-	a.freeLists[f.Node] = append(a.freeLists[f.Node], f.ID)
+	a.freeLists[f.Node()] = append(a.freeLists[f.Node()], f.ID)
 	a.allocated--
 }
 
@@ -286,7 +286,7 @@ func (a *refAllocator) Buddy() bool { return a.buddy != nil }
 func (a *refAllocator) frameAt(id uint64, node int) *Frame {
 	f := a.frames[id]
 	if f == nil {
-		f = &Frame{ID: id, Node: node}
+		f = &Frame{ID: id, home: &home{node: node}}
 		a.frames[id] = f
 	}
 	return f
@@ -352,7 +352,7 @@ func (a *refAllocator) ReleaseBlock(frames []*Frame) {
 			panic(fmt.Sprintf("mem: ReleaseBlock of non-contiguous run at index %d", i))
 		}
 	}
-	a.buddy[frames[0].Node].freeBlock(base, MaxOrder)
+	a.buddy[frames[0].Node()].freeBlock(base, MaxOrder)
 	if a.allocated < BlockFrames {
 		panic("mem: ReleaseBlock without matching allocation")
 	}

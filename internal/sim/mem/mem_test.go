@@ -3,6 +3,7 @@ package mem
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestAllocatorBasics(t *testing.T) {
@@ -14,8 +15,8 @@ func TestAllocatorBasics(t *testing.T) {
 	if f == nil {
 		t.Fatal("alloc returned nil")
 	}
-	if f.Node != 0 {
-		t.Errorf("frame node = %d, want 0", f.Node)
+	if f.Node() != 0 {
+		t.Errorf("frame node = %d, want 0", f.Node())
 	}
 	if a.Allocated() != 1 {
 		t.Errorf("allocated = %d, want 1", a.Allocated())
@@ -31,13 +32,13 @@ func TestAllocatorNUMAFallback(t *testing.T) {
 	// Exhaust node 0.
 	for i := 0; i < 4; i++ {
 		f := a.Alloc(0)
-		if f.Node != 0 {
-			t.Fatalf("alloc %d landed on node %d", i, f.Node)
+		if f.Node() != 0 {
+			t.Fatalf("alloc %d landed on node %d", i, f.Node())
 		}
 	}
 	// Next preferring node 0 must fall back to node 1.
 	f := a.Alloc(0)
-	if f == nil || f.Node != 1 {
+	if f == nil || f.Node() != 1 {
 		t.Fatalf("fallback alloc = %+v, want node 1", f)
 	}
 }
@@ -57,18 +58,28 @@ func TestAllocatorExhaustion(t *testing.T) {
 func TestFrameIdentityPreservedAcrossReuse(t *testing.T) {
 	a := NewAllocator(PageSize, 1)
 	f1 := a.Alloc(0)
-	f1.Data()[0] = 42
+	f1.WriteAt(0, []byte{42})
 	a.Release(f1)
 	f2 := a.Alloc(0)
 	if f1 != f2 {
 		t.Fatal("expected same frame object on reuse")
 	}
-	if f2.Data()[0] != 42 {
+	var b [1]byte
+	if f2.ReadAt(b[:], 0); b[0] != 42 {
 		t.Fatal("payload not preserved (caller must Reset explicitly)")
 	}
 	f2.Reset()
-	if f2.Data()[0] != 0 {
+	if f2.ReadAt(b[:], 0); b[0] != 0 || !f2.HasData() {
 		t.Fatal("Reset did not zero payload")
+	}
+}
+
+// TestFrameRecordSize: a frame is a record of its node's table, one per 4 KB
+// of simulated DRAM whether or not it ever holds a payload — its ID, the
+// payload slice and the pointer to its node's home, 40 bytes.
+func TestFrameRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(Frame{}); got != 40 {
+		t.Fatalf("a Frame is %d bytes, want 40", got)
 	}
 }
 
