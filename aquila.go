@@ -159,7 +159,7 @@ type Options struct {
 	MaxCacheBytes uint64
 	// DeviceBytes is the storage capacity (default 1 GB).
 	DeviceBytes uint64
-	// Params overrides Aquila's cost/policy table.
+	// Params overrides Aquila's policy knobs (nil: core.DefaultParams).
 	Params *core.Params
 	// Trace captures an execution trace; export it with
 	// Sim.WriteChromeTrace.

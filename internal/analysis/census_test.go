@@ -157,8 +157,8 @@ func censusFlags(pkg string, f *ast.File) []string {
 	return out
 }
 
-// typeName is the bare name of a field's type: Costs for cpu.Costs or
-// *cpu.Costs, "" for anything that is not a named type.
+// typeName is the bare name of a field's type: Params for core.Params or
+// *core.Params, "" for anything that is not a named type.
 func typeName(e ast.Expr) string {
 	switch e := e.(type) {
 	case *ast.StarExpr:

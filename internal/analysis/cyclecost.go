@@ -8,17 +8,18 @@ import (
 // Cyclecost guards the transition-cost surface (paper §3.3/§4.1): inside the
 // simulated CPU/runtime layers, every raw clock advance — Proc.Advance*/
 // WaitUntil/SleepIO, Hypervisor.VMCall handler cycles, IPI receive costs,
-// Runtime.charge — must be traceable to the calibrated cost table (cpu.Costs
-// fields, core.Params fields, named constants). A bare integer literal in the
-// cycles argument is an uncalibrated magic number: it silently skews the
-// fig7/fig8 breakdowns and cannot be swept by parameter studies.
+// Runtime.charge — must name a calibrated cost: a named constant (cpu.TrapRing3,
+// core's costHashLookup, …), declared once with its source. A bare integer
+// literal in the cycles argument is an uncalibrated magic number: it silently
+// skews the fig7/fig8 breakdowns, and an audit of the cost model that reads
+// the constant declarations never sees it.
 //
 // Literal zero is allowed (explicit no-op), as is any expression that
 // mentions at least one named cost source.
 var Cyclecost = &Analyzer{
 	Name: "cyclecost",
-	Doc: "raw clock advances on the transition-cost surface must charge the " +
-		"cost table (cpu.Costs/core.Params/named constants), not integer literals",
+	Doc: "raw clock advances on the transition-cost surface must charge a " +
+		"named cost constant, not integer literals",
 	Run: runCyclecost,
 }
 
@@ -70,7 +71,7 @@ func runCyclecost(pass *Pass) error {
 			arg := call.Args[idx]
 			if literalOnlyInt(arg) && !isConstZero(pass.TypesInfo, arg) {
 				pass.Reportf(arg.Pos(),
-					"uncalibrated cycle literal in %s.%s: charge a cpu.Costs/core.Params field or a named constant",
+					"uncalibrated cycle literal in %s.%s: charge a named cost constant",
 					recvTypeName(sig.Recv().Type()), fn.Name())
 			}
 			return true

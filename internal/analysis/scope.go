@@ -37,9 +37,8 @@ func SimulatedPkg(path string) bool {
 
 // CycleAccountedPkg reports whether the import path is part of the
 // transition-cost surface: the simulated CPU/runtime layers where every raw
-// clock advance must be traceable to the calibrated cost table (cpu.Costs /
-// core.Params / named constants). The engine package itself is excluded — it
-// defines the advance primitives.
+// clock advance must name a calibrated cost constant. The engine package
+// itself is excluded — it defines the advance primitives.
 func CycleAccountedPkg(path string) bool {
 	if hasPkgPrefix(path, "aquila/internal/sim/engine") {
 		return false

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"aquila/internal/sim/cpu"
 	"aquila/internal/sim/engine"
 	"aquila/internal/sim/pagetable"
 )
@@ -38,7 +39,7 @@ func (rt *Runtime) MmapDirectNVM(p *engine.Proc, f *fileState, size uint64) *Dir
 	if !ok {
 		panic("core: direct NVM mapping requires the DAX engine")
 	}
-	rt.Host.HV.VMCall(p, rt.P.VspaceVMCall)
+	rt.Host.HV.VMCall(p, costVspaceVMCall)
 	const huge = pagetable.Size2M
 	pages := (size + huge - 1) / huge
 	base := rt.nextVA
@@ -51,7 +52,7 @@ func (rt *Runtime) MmapDirectNVM(p *engine.Proc, f *fileState, size uint64) *Dir
 		// no DRAM is involved.
 		rt.PT.Map(base+i*huge, hf.DevOffset(i*huge)>>12,
 			pagetable.FlagUser|pagetable.FlagWritable, huge)
-		rt.charge(p, "map-pte", rt.C.PTEUpdate)
+		rt.charge(p, "map-pte", cpu.PTEUpdate)
 	}
 	return &DirectMapping{rt: rt, eng: eng, f: f, base: base, size: size,
 		errCursor: f.wbErr.sample()}
@@ -108,7 +109,7 @@ func (m *DirectMapping) Store(p *engine.Proc, off uint64, buf []byte) {
 // a DAX mapping reports media errors detected by earlier flushes exactly
 // once per caller, like any other mapping.
 func (m *DirectMapping) Msync(p *engine.Proc) error {
-	p.AdvanceUser(m.rt.P.DirectMsync)
+	p.AdvanceUser(costDirectMsync)
 	return m.f.wbErr.check(&m.errCursor)
 }
 

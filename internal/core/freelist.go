@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"aquila/internal/sim/cpu"
 	"aquila/internal/sim/engine"
 	"aquila/internal/sim/mem"
 )
@@ -63,7 +64,7 @@ func (fl *freelist) pop(p *engine.Proc) *mem.Frame {
 		return fl.popSingle(p)
 	}
 	core := p.CPU()
-	fl.rt.charge(p, "alloc", fl.rt.P.FreelistPop)
+	fl.rt.charge(p, "alloc", costFreelistPop)
 	if q := fl.cores[core]; len(q) > 0 {
 		f := q[len(q)-1]
 		fl.cores[core] = q[:len(q)-1]
@@ -82,7 +83,7 @@ func (fl *freelist) pop(p *engine.Proc) *mem.Frame {
 	// Remote NUMA queues.
 	for d := 1; d < len(fl.nodes); d++ {
 		nd := (local + d) % len(fl.nodes)
-		fl.rt.charge(p, "alloc", fl.rt.C.NUMARemoteAccess)
+		fl.rt.charge(p, "alloc", cpu.NUMARemoteAccess)
 		if fl.refill(p, core, nd) {
 			q := fl.cores[core]
 			f := q[len(q)-1]
@@ -119,7 +120,7 @@ func (fl *freelist) splitHuge(p *engine.Proc, local int) int {
 		fl.hugeNodes[nd] = hq[:len(hq)-1]
 		fl.nodes[nd] = append(fl.nodes[nd], blk...)
 		fl.rt.charge(p, "alloc",
-			fl.rt.P.BuddyOp+fl.rt.P.FreelistMove*uint64(len(blk)))
+			costBuddyOp+costFreelistMove*uint64(len(blk)))
 		return nd
 	}
 	return -1
@@ -147,11 +148,11 @@ func (fl *freelist) popHuge(p *engine.Proc) []*mem.Frame {
 		return nil
 	}
 	local := p.Node()
-	fl.rt.charge(p, "alloc", fl.rt.P.BuddyOp)
+	fl.rt.charge(p, "alloc", costBuddyOp)
 	for d := 0; d < len(fl.hugeNodes); d++ {
 		nd := (local + d) % len(fl.hugeNodes)
 		if d > 0 {
-			fl.rt.charge(p, "alloc", fl.rt.C.NUMARemoteAccess)
+			fl.rt.charge(p, "alloc", cpu.NUMARemoteAccess)
 		}
 		if hq := fl.hugeNodes[nd]; len(hq) > 0 {
 			blk := hq[len(hq)-1]
@@ -184,7 +185,7 @@ func (fl *freelist) pushHuge(p *engine.Proc, blk []*mem.Frame) {
 	}
 	fl.hugeNodes[blk[0].Node()] = append(fl.hugeNodes[blk[0].Node()], blk)
 	fl.free += len(blk)
-	fl.rt.charge(p, "alloc", fl.rt.P.BuddyOp)
+	fl.rt.charge(p, "alloc", costBuddyOp)
 }
 
 // refill moves up to FreelistBatch pages from a NUMA queue to a core queue.
@@ -202,14 +203,14 @@ func (fl *freelist) refill(p *engine.Proc, core, node int) bool {
 	}
 	fl.cores[core] = append(fl.cores[core], nq[len(nq)-n:]...)
 	fl.nodes[node] = nq[:len(nq)-n]
-	fl.rt.charge(p, "alloc", fl.rt.P.FreelistMove*uint64(n))
+	fl.rt.charge(p, "alloc", costFreelistMove*uint64(n))
 	return true
 }
 
 // popSingle and pushSingle are the single-shared-queue ablation paths.
 func (fl *freelist) popSingle(p *engine.Proc) *mem.Frame {
 	fl.singleLock.Lock(p)
-	fl.rt.charge(p, "alloc", fl.rt.P.FreelistPop)
+	fl.rt.charge(p, "alloc", costFreelistPop)
 	var f *mem.Frame
 	if n := len(fl.single); n > 0 {
 		f = fl.single[n-1]
@@ -222,7 +223,7 @@ func (fl *freelist) popSingle(p *engine.Proc) *mem.Frame {
 
 func (fl *freelist) pushSingle(p *engine.Proc, f *mem.Frame) {
 	fl.singleLock.Lock(p)
-	fl.rt.charge(p, "alloc", fl.rt.P.FreelistPop)
+	fl.rt.charge(p, "alloc", costFreelistPop)
 	fl.single = append(fl.single, f)
 	fl.free++
 	fl.singleLock.Unlock(p)
@@ -248,7 +249,7 @@ func (fl *freelist) push(p *engine.Proc, f *mem.Frame) {
 			fl.nodes[fr.Node()] = append(fl.nodes[fr.Node()], fr)
 		}
 		fl.cores[core] = q[:len(q)-n]
-		fl.rt.charge(p, "alloc", fl.rt.P.FreelistMove*uint64(n))
+		fl.rt.charge(p, "alloc", costFreelistMove*uint64(n))
 	}
 }
 
@@ -262,7 +263,7 @@ func (fl *freelist) pushBatch(p *engine.Proc, frames []*mem.Frame) {
 	}
 	if fl.singleLock != nil {
 		fl.singleLock.Lock(p)
-		fl.rt.charge(p, "alloc", fl.rt.P.FreelistPop)
+		fl.rt.charge(p, "alloc", costFreelistPop)
 		fl.single = append(fl.single, frames...)
 		fl.free += len(frames)
 		fl.singleLock.Unlock(p)
@@ -272,7 +273,7 @@ func (fl *freelist) pushBatch(p *engine.Proc, frames []*mem.Frame) {
 		fl.nodes[f.Node()] = append(fl.nodes[f.Node()], f)
 	}
 	fl.free += len(frames)
-	fl.rt.charge(p, "alloc", fl.rt.P.FreelistMove*uint64(len(frames)))
+	fl.rt.charge(p, "alloc", costFreelistMove*uint64(len(frames)))
 }
 
 // steal takes one frame from any core's private queue. Last resort on the
@@ -282,7 +283,7 @@ func (fl *freelist) steal(p *engine.Proc) *mem.Frame {
 	if fl.singleLock != nil {
 		return nil // the single queue has no private levels to strand frames
 	}
-	fl.rt.charge(p, "alloc", fl.rt.C.NUMARemoteAccess)
+	fl.rt.charge(p, "alloc", cpu.NUMARemoteAccess)
 	for c := range fl.cores {
 		if q := fl.cores[c]; len(q) > 0 {
 			f := q[len(q)-1]

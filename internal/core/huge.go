@@ -2,6 +2,7 @@ package core
 
 import (
 	"aquila/internal/detutil"
+	"aquila/internal/sim/cpu"
 	"aquila/internal/sim/engine"
 	"aquila/internal/sim/mem"
 	"aquila/internal/sim/pagetable"
@@ -124,18 +125,18 @@ func (rt *Runtime) hugeFault(p *engine.Proc, r *Region, f *fileState, idx uint64
 
 	// Cycle charges for the claim (yields are safe now: the claim is fully
 	// published and racers wait on the unit's event).
-	rt.charge(p, "map-pte", rt.P.HugePromote)
-	rt.charge(p, "cache-lookup", rt.P.HashRemove*uint64(len(olds)))
-	rt.charge(p, "cache-insert", rt.P.HashInsert)
+	rt.charge(p, "map-pte", costHugePromote)
+	rt.charge(p, "cache-lookup", costHashRemove*uint64(len(olds)))
+	rt.charge(p, "cache-insert", costHashInsert)
 	if unmapped > 0 {
-		rt.charge(p, "unmap", rt.C.PTEUpdate*uint64(unmapped))
+		rt.charge(p, "unmap", cpu.PTEUpdate*uint64(unmapped))
 		rt.shootdown(p)
 	}
 
 	// Displacement writeback: the unit starts clean, so dirty constituents
 	// must hit the device before their frames are recycled.
 	if len(dirtyOlds) > 0 {
-		rt.charge(p, "dirty-track", rt.P.DirtyTreeOp*uint64(len(dirtyOlds)))
+		rt.charge(p, "dirty-track", costDirtyTreeOp*uint64(len(dirtyOlds)))
 		if rt.writeBack(p, dirtyOlds, "aq.writeback", nil, false) != nil {
 			// A constituent was requeued or quarantined by the failure path:
 			// its frame's content is the only good copy, so the promotion
@@ -177,8 +178,8 @@ func (rt *Runtime) hugeFault(p *engine.Proc, r *Region, f *fileState, idx uint64
 			split[i] = &Page{file: f, idx: baseIdx + uint64(i), frame: block[i]}
 			rt.move(split[i], detutil.PgFilling)
 		}
-		rt.charge(p, "map-pte", rt.P.HugeSplit)
-		rt.charge(p, "cache-insert", rt.P.HashInsert*hugePages)
+		rt.charge(p, "map-pte", costHugeSplit)
+		rt.charge(p, "cache-insert", costHashInsert*hugePages)
 		rt.lru.recordBulk(p, split)
 		rt.isolateReadRun(p, split)
 		doneAt := p.Now()
@@ -222,7 +223,7 @@ func (rt *Runtime) hugeMap(p *engine.Proc, r *Region, pg *Page, va uint64, write
 		} else {
 			rt.PT.Protect(va, flags)
 		}
-		rt.charge(p, "map-pte", rt.C.PTEUpdate)
+		rt.charge(p, "map-pte", cpu.PTEUpdate)
 		tlb.Insert(asid, va>>mem.PageShift)
 	} else {
 		hugeVA := va &^ uint64(hugeBytes-1)
@@ -232,10 +233,10 @@ func (rt *Runtime) hugeMap(p *engine.Proc, r *Region, pg *Page, va uint64, write
 		} else {
 			rt.PT.Protect(hugeVA, flags)
 		}
-		rt.charge(p, "map-pte", rt.C.PTEUpdate)
+		rt.charge(p, "map-pte", cpu.PTEUpdate)
 		tlb.Insert2M(asid, va>>21)
 	}
-	rt.charge(p, "accounting", rt.P.FaultAccounting)
+	rt.charge(p, "accounting", costFaultAccounting)
 	return pg.frames[off], nil
 }
 
@@ -260,12 +261,12 @@ func (rt *Runtime) hugeWP(p *engine.Proc, r *Region, pg *Page, va uint64) (*mem.
 		if misfit {
 			// 4 KB alias mapping: upgrade just the alias PTE.
 			rt.PT.Protect(va, wrFlags)
-			rt.charge(p, "map-pte", rt.C.PTEUpdate+rt.C.TLBInvalidatePage)
+			rt.charge(p, "map-pte", cpu.PTEUpdate+cpu.TLBInvalidatePage)
 			tlb.InvalidatePage(asid, va>>mem.PageShift)
 			tlb.Insert(asid, va>>mem.PageShift)
 		} else {
 			rt.PT.Protect(va&^uint64(hugeBytes-1), wrFlags)
-			rt.charge(p, "map-pte", rt.C.PTEUpdate+rt.C.TLBInvalidatePage)
+			rt.charge(p, "map-pte", cpu.PTEUpdate+cpu.TLBInvalidatePage)
 			tlb.Invalidate2M(asid, va>>21)
 			tlb.Insert2M(asid, va>>21)
 		}
@@ -281,7 +282,7 @@ func (rt *Runtime) hugeWP(p *engine.Proc, r *Region, pg *Page, va uint64) (*mem.
 	} else {
 		rt.PT.Protect(va, wrFlags)
 	}
-	rt.charge(p, "map-pte", rt.C.PTEUpdate)
+	rt.charge(p, "map-pte", cpu.PTEUpdate)
 	tlb.Insert(asid, va>>mem.PageShift)
 	return spg.frame, nil
 }
@@ -318,15 +319,15 @@ func (rt *Runtime) splitUnit(p *engine.Proc, pg *Page, pinOff int) []*Page {
 	if pinOff >= 0 {
 		split[pinOff].pins++
 	}
-	rt.charge(p, "map-pte", rt.P.HugeSplit)
+	rt.charge(p, "map-pte", costHugeSplit)
 	if unmapped > 0 {
-		rt.charge(p, "unmap", rt.C.PTEUpdate*uint64(unmapped))
+		rt.charge(p, "unmap", cpu.PTEUpdate*uint64(unmapped))
 		rt.shootdown(p)
 	}
-	rt.charge(p, "cache-insert", rt.P.HashInsert*hugePages)
+	rt.charge(p, "cache-insert", costHashInsert*hugePages)
 	rt.lru.recordBulk(p, split)
 	if wasDirty {
-		rt.charge(p, "dirty-track", rt.P.DirtyTreeOp*hugePages)
+		rt.charge(p, "dirty-track", costDirtyTreeOp*hugePages)
 	}
 	return split
 }

@@ -254,8 +254,8 @@ func TestPopHugeIfKeepsNoLooseBlock(t *testing.T) {
 		if got := len(fl.hugeNodes[node]); got != tier || fl.Free() != free {
 			t.Errorf("after a rejected claim: tier %d (want %d), Free %d (want %d)", got, tier, fl.Free(), free)
 		}
-		if n1-n0 != 2 || c1-c0 != 2*rt.P.BuddyOp {
-			t.Errorf("rejected claim made %d alloc charges of %d cycles, want 2 of %d", n1-n0, c1-c0, 2*rt.P.BuddyOp)
+		if n1-n0 != 2 || c1-c0 != 2*costBuddyOp {
+			t.Errorf("rejected claim made %d alloc charges of %d cycles, want 2 of %d", n1-n0, c1-c0, 2*costBuddyOp)
 		}
 
 		// Accepted claims drain the tier; each is one whole unit.

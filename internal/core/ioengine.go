@@ -98,7 +98,6 @@ func (hostFiles) file(f *fileState) *host.FSFile { return f.backing.(*host.FSFil
 // single FPU state save/restore per fault.
 type DAXEngine struct {
 	hostFiles
-	costs cpu.Costs
 }
 
 // NewDAXEngine builds the DAX-pmem engine over a host whose disk is pmem.
@@ -106,7 +105,7 @@ func NewDAXEngine(os *host.OS) *DAXEngine {
 	if !os.Disk().PMem {
 		panic("core: DAX engine requires a pmem host disk")
 	}
-	return &DAXEngine{hostFiles: hostFiles{os}, costs: cpu.Default()}
+	return &DAXEngine{hostFiles: hostFiles{os}}
 }
 
 // Name implements IOEngine.
@@ -125,7 +124,7 @@ func (e *DAXEngine) ReadRun(p *engine.Proc, f *fileState, pageIdx uint64, frames
 			fillFrame(st, hf.DevOffset((pageIdx+uint64(i))*pageSize), fr)
 		}
 	}
-	p.AdvanceSystem(e.costs.MemcpyAVX2(bytes))
+	p.AdvanceSystem(cpu.MemcpyAVX2(bytes))
 	done := e.OS.Disk().Timing.Submit(p.Now(), bytes, false)
 	p.WaitUntil(done+delay, engine.KindIOWait)
 	return ferr
@@ -142,7 +141,7 @@ func (e *DAXEngine) WriteRun(p *engine.Proc, f *fileState, pageIdx uint64, frame
 			flushFrame(st, hf.DevOffset((pageIdx+uint64(i))*pageSize), fr)
 		}
 	}
-	p.AdvanceSystem(e.costs.MemcpyAVX2(bytes))
+	p.AdvanceSystem(cpu.MemcpyAVX2(bytes))
 	done := e.OS.Disk().Timing.Submit(p.Now(), bytes, true)
 	if ferr == nil {
 		// Durability point: the persistence-domain drain completes at done
@@ -164,13 +163,13 @@ func (e *DAXEngine) SubmitWriteRun(p *engine.Proc, f *fileState, pageIdx uint64,
 	delay, ferr := st.CheckWrite(p.Now(), hf.DevOffset(pageIdx*pageSize), bytes)
 	if ferr != nil {
 		// The streaming stores machine-check immediately; nothing queued.
-		p.AdvanceSystem(e.costs.MemcpyAVX2(bytes))
+		p.AdvanceSystem(cpu.MemcpyAVX2(bytes))
 		return 0, ferr
 	}
 	for i, fr := range frames {
 		flushFrame(st, hf.DevOffset((pageIdx+uint64(i))*pageSize), fr)
 	}
-	p.AdvanceSystem(e.costs.MemcpyAVX2(bytes))
+	p.AdvanceSystem(cpu.MemcpyAVX2(bytes))
 	done := e.OS.Disk().Timing.Submit(p.Now(), bytes, true) + delay
 	st.Persist(hf.DevOffset(pageIdx*pageSize), bytes, done)
 	return done, nil
@@ -184,7 +183,7 @@ func (e *DAXEngine) DirectRead(p *engine.Proc, f *fileState, off uint64, buf []b
 	if ferr == nil {
 		st.ReadAt(devOff, buf)
 	}
-	p.AdvanceSystem(e.costs.MemcpyAVX2(len(buf)))
+	p.AdvanceSystem(cpu.MemcpyAVX2(len(buf)))
 	if delay > 0 {
 		p.WaitUntil(p.Now()+delay, engine.KindIOWait)
 	}
@@ -203,7 +202,7 @@ func (e *DAXEngine) DirectWrite(p *engine.Proc, f *fileState, off uint64, buf []
 			hf.SetSize(off + uint64(len(buf)))
 		}
 	}
-	p.AdvanceSystem(e.costs.MemcpyAVX2(len(buf)))
+	p.AdvanceSystem(cpu.MemcpyAVX2(len(buf)))
 	if ferr == nil {
 		// The non-temporal stores have drained once the memcpy completes.
 		st.Persist(devOff, len(buf), p.Now())

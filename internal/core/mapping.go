@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"aquila/internal/iface"
+	"aquila/internal/sim/cpu"
 	"aquila/internal/sim/engine"
 	"aquila/internal/sim/pagetable"
 )
@@ -29,7 +30,7 @@ func (m *AqMapping) Size() uint64 { return m.size }
 // Advise implements iface.Mapping. madvise is intercepted in ring 0: it is a
 // function call, not a syscall (§4.4).
 func (m *AqMapping) Advise(p *engine.Proc, advice iface.Advice) {
-	p.AdvanceSystem(m.rt.P.MsyncEntry)
+	p.AdvanceSystem(costMsyncEntry)
 	if advice == iface.AdviceHuge {
 		// MADV_HUGEPAGE composes with, rather than replaces, the
 		// access-pattern advice: the region keeps its readahead class and
@@ -108,7 +109,7 @@ func (m *AqMapping) MsyncRange(p *engine.Proc, off, length uint64) error {
 // live PTEs and issues one batched shootdown; upgrading back is lazy (the
 // next store takes a write-protect fault).
 func (m *AqMapping) Mprotect(p *engine.Proc, readOnly bool) {
-	p.AdvanceSystem(m.rt.P.MsyncEntry)
+	p.AdvanceSystem(costMsyncEntry)
 	if readOnly && !m.r.ReadOnly {
 		changed := 0
 		for va := m.r.Start; va < m.r.End; {
@@ -119,7 +120,7 @@ func (m *AqMapping) Mprotect(p *engine.Proc, readOnly bool) {
 				}
 				if e.Flags.Has(pagetable.FlagWritable) {
 					m.rt.PT.Protect(va, pagetable.FlagUser|pagetable.FlagAccessed)
-					m.rt.charge(p, "map-pte", m.rt.C.PTEUpdate)
+					m.rt.charge(p, "map-pte", cpu.PTEUpdate)
 					changed++
 				}
 			}
@@ -138,7 +139,7 @@ func (m *AqMapping) Mprotect(p *engine.Proc, readOnly bool) {
 // way.
 func (m *AqMapping) Mremap(p *engine.Proc, newSize uint64) {
 	rt := m.rt
-	rt.Host.HV.VMCall(p, rt.P.VspaceVMCall) // range updates interact with root ring 0
+	rt.Host.HV.VMCall(p, costVspaceVMCall) // range updates interact with root ring 0
 	newPages := (newSize + pageSize - 1) / pageSize
 	oldPages := m.r.Pages()
 	switch {
@@ -171,7 +172,7 @@ func (m *AqMapping) Mremap(p *engine.Proc, newSize uint64) {
 		rt.vs.Remove(m.r)
 		m.r.End = m.r.Start + newPages*pageSize
 		rt.vs.Insert(m.r)
-		rt.charge(p, "vspace", 4*rt.P.RadixLookup)
+		rt.charge(p, "vspace", 4*costRadixLookup)
 	default:
 		// Grow: relocate to a fresh range, moving live translations. Huge
 		// entries move whole: both bases are 2 MB-aligned, so the extent
@@ -195,7 +196,7 @@ func (m *AqMapping) Mremap(p *engine.Proc, newSize uint64) {
 			}
 			rt.PT.Unmap(oldVA)
 			rt.PT.Map(newStart+i*pageSize, e.Frame, e.Flags, size)
-			rt.charge(p, "map-pte", 2*rt.C.PTEUpdate)
+			rt.charge(p, "map-pte", 2*cpu.PTEUpdate)
 			if pg := rt.lookupPage(m.r.File, i); pg != nil {
 				pg.vas.Remove(oldVA)
 				pg.vas.Add(newStart + i*pageSize)
@@ -210,7 +211,7 @@ func (m *AqMapping) Mremap(p *engine.Proc, newSize uint64) {
 		m.r.File.pages.Reserve(newPages)
 		m.r.Start, m.r.End = newStart, newStart+newPages*pageSize
 		rt.vs.Insert(m.r)
-		rt.charge(p, "vspace", 8*rt.P.RadixLookup)
+		rt.charge(p, "vspace", 8*costRadixLookup)
 	}
 	m.size = newSize
 }
@@ -278,7 +279,7 @@ func (af *AqFile) Pwrite(p *engine.Proc, buf []byte, off uint64) error {
 func (af *AqFile) Fsync(p *engine.Proc) error {
 	p.BeginSpan("aq.fsync")
 	defer p.EndSpan()
-	p.AdvanceSystem(af.rt.P.MsyncEntry)
+	p.AdvanceSystem(costMsyncEntry)
 	return af.f.wbErr.check(&af.errCursor)
 }
 

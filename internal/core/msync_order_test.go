@@ -161,7 +161,7 @@ func TestMsyncCollectsPerCoreInIndexOrder(t *testing.T) {
 			if !slices.Equal(log, want) {
 				t.Fatalf("%s: pages [%d, %d) were written as\n%v\nthe reference says\n%v", c.name, lo, hi, log, want)
 			}
-			if got, want := rt.Break.Get("dirty-track")-tracked, rt.P.DirtyTreeOp*uint64(before-len(ref)); got != want {
+			if got, want := rt.Break.Get("dirty-track")-tracked, costDirtyTreeOp*uint64(before-len(ref)); got != want {
 				t.Errorf("%s: %d cycles of tree operations for %d pages taken, want %d", c.name, got, before-len(ref), want)
 			}
 		})

@@ -11,49 +11,69 @@
 // management ④, cache resizing ⑤) interact with the hypervisor via vmcalls.
 package core
 
-// Params are Aquila's software-path cost constants (cycles) and policy knobs.
-type Params struct {
-	// ExceptionEntry is the handler-entry work beyond the bare ring-0
+// Aquila's software-path costs, in cycles at the testbed clock.
+const (
+	// costExceptionEntry is the handler-entry work beyond the bare ring-0
 	// exception: switching to the dedicated exception stack and copying
 	// the exception frame back to the application stack (§4.2).
-	ExceptionEntry uint64
-	// RadixLookup is a vspace radix-tree lookup (RadixVM-style, §3.4).
-	RadixLookup uint64
-	// EntryLock is locking one radix entry against concurrent faults.
-	EntryLock uint64
-	// HashLookup is a lock-free hash table probe (ASCYLIB-style, §3.2).
-	HashLookup uint64
-	// HashInsert is a lock-free hash table insertion.
-	HashInsert uint64
-	// HashRemove is a lock-free hash table removal.
-	HashRemove uint64
-	// FreelistPop is popping a frame from the per-core freelist queue.
-	FreelistPop uint64
-	// FreelistMove is moving one page between freelist levels (amortized
-	// over the 4096-page batches of §3.2).
-	FreelistMove uint64
-	// LRUAppend is recording the fault in the per-core LRU structure.
-	LRUAppend uint64
-	// DirtyTreeOp is an insert/remove on a per-core dirty red-black tree.
-	DirtyTreeOp uint64
-	// FaultAccounting is residual fault bookkeeping (statistics, madvise
-	// checks, permission computation).
-	FaultAccounting uint64
-	// MsyncEntry is the intercepted msync entry cost: a plain function
+	costExceptionEntry uint64 = 450
+	// costRadixLookup is a vspace radix-tree lookup (RadixVM-style, §3.4).
+	costRadixLookup uint64 = 220
+	// costEntryLock is locking one radix entry against concurrent faults.
+	costEntryLock uint64 = 75
+	// costHashLookup is a lock-free hash table probe (ASCYLIB-style, §3.2).
+	costHashLookup uint64 = 250
+	// costHashInsert is a lock-free hash table insertion.
+	costHashInsert uint64 = 280
+	// costHashRemove is a lock-free hash table removal.
+	costHashRemove uint64 = 220
+	// costFreelistPop is popping a frame from the per-core freelist queue.
+	costFreelistPop uint64 = 100
+	// costFreelistMove is moving one page between freelist levels
+	// (amortized over the 4096-page batches of §3.2).
+	costFreelistMove uint64 = 25
+	// costLRUAppend is recording the fault in the per-core LRU structure.
+	costLRUAppend uint64 = 70
+	// costDirtyTreeOp is an insert/remove on a per-core dirty red-black tree.
+	costDirtyTreeOp uint64 = 260
+	// costFaultAccounting is residual fault bookkeeping (statistics,
+	// madvise checks, permission computation).
+	costFaultAccounting uint64 = 500
+	// costMsyncEntry is the intercepted msync entry cost: a plain function
 	// call, not a protection-domain switch (§4.4).
-	MsyncEntry uint64
-	// DuneEnter is the one-time vmcall that builds VMCS/EPT state when a
-	// process enters Aquila (Dune-style enter).
-	DuneEnter uint64
-	// VspaceVMCall is the root-ring-0 handler cost of the uncommon-path
+	costMsyncEntry uint64 = 120
+	// costDuneEnter is the one-time vmcall that builds VMCS/EPT state when
+	// a process enters Aquila (Dune-style enter).
+	costDuneEnter uint64 = 5000
+	// costVspaceVMCall is the root-ring-0 handler cost of the uncommon-path
 	// vmcalls that update virtual address ranges (operation ④:
 	// mmap/munmap/mremap and direct-NVM mapping setup).
-	VspaceVMCall uint64
-	// DirectMsync is the user-mode fence cost of msync on a direct NVM
-	// mapping: stores already reached the media, so only the fence and
-	// the errseq check remain.
-	DirectMsync uint64
+	costVspaceVMCall uint64 = 1500
+	// costDirectMsync is the user-mode fence cost of msync on a direct NVM
+	// mapping: stores already reached the media, so only the fence and the
+	// errseq check remain.
+	costDirectMsync uint64 = 30
 
+	// Huge pages ship disabled (Params.HugeFaultDensity 0); these costs are
+	// calibrated so enabling them only needs the density knob.
+
+	// costHugePromote is the software cost of assembling a promotion:
+	// collapsing the extent's PTE subtree into one 2 MB entry and merging
+	// the cache metadata (charged once per promotion, on top of the per-PTE
+	// work).
+	costHugePromote uint64 = 1800
+	// costHugeSplit is the software cost of demoting a huge mapping:
+	// allocating a PTE table and re-pointing the 2 MB entry at it (charged
+	// once per split; the surviving 4 KB pieces re-fault lazily).
+	costHugeSplit uint64 = 1400
+	// costBuddyOp is one operation on the buddy contiguous-frame tier
+	// (block pop/push, including the split/coalesce bookkeeping).
+	costBuddyOp uint64 = 120
+)
+
+// Params are Aquila's policy knobs: batch sizes, the ablations, the
+// background evictor and the huge-page trigger.
+type Params struct {
 	// EvictBatch is the synchronous eviction batch size (§3.2: 512).
 	EvictBatch int
 	// FreelistBatch is the page count moved between freelist levels
@@ -98,17 +118,6 @@ type Params struct {
 	// Zero disables huge pages entirely; the runtime is then bit-identical
 	// to the 4 KB-only path.
 	HugeFaultDensity float64
-	// HugePromote is the software cost of assembling a promotion: collapsing
-	// the extent's PTE subtree into one 2 MB entry and merging the cache
-	// metadata (charged once per promotion, on top of the per-PTE work).
-	HugePromote uint64
-	// HugeSplit is the software cost of demoting a huge mapping: allocating
-	// a PTE table and re-pointing the 2 MB entry at it (charged once per
-	// split; the surviving 4 KB pieces re-fault lazily).
-	HugeSplit uint64
-	// BuddyOp is one operation on the buddy contiguous-frame tier
-	// (block pop/push, including the split/coalesce bookkeeping).
-	BuddyOp uint64
 
 	// UnsafeMsyncAtSubmit deliberately breaks msync's durability contract:
 	// dirty runs are submitted to the device queue and msync returns without
@@ -119,35 +128,13 @@ type Params struct {
 	UnsafeMsyncAtSubmit bool
 }
 
-// DefaultParams returns the calibrated Aquila parameter set.
+// DefaultParams returns the policy the paper's Aquila runs with.
 func DefaultParams() Params {
 	return Params{
-		ExceptionEntry:  450,
-		RadixLookup:     220,
-		EntryLock:       75,
-		HashLookup:      250,
-		HashInsert:      280,
-		HashRemove:      220,
-		FreelistPop:     100,
-		FreelistMove:    25,
-		LRUAppend:       70,
-		DirtyTreeOp:     260,
-		FaultAccounting: 500,
-		MsyncEntry:      120,
-		DuneEnter:       5000,
-		VspaceVMCall:    1500,
-		DirectMsync:     30,
-
 		EvictBatch:      512,
 		FreelistBatch:   4096,
 		CoreQueueLimit:  8192,
 		WritebackMaxRun: 128,
-
-		// Huge pages ship disabled (HugeFaultDensity 0); the cost constants
-		// are calibrated so enabling them only needs the density knob.
-		HugePromote: 1800,
-		HugeSplit:   1400,
-		BuddyOp:     120,
 	}
 }
 

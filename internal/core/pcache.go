@@ -193,7 +193,7 @@ func (l *lruApprox) sweep() {
 // record notes a fault on pg at the calling core.
 func (l *lruApprox) record(p *engine.Proc, pg *Page) {
 	l.push(&l.queues[p.CPU()], pg)
-	l.rt.charge(p, "lru", l.rt.P.LRUAppend)
+	l.rt.charge(p, "lru", costLRUAppend)
 }
 
 // recordBulk appends a batch of pages created by one operation (huge-unit
@@ -207,7 +207,7 @@ func (l *lruApprox) recordBulk(p *engine.Proc, pages []*Page) {
 	for _, pg := range pages {
 		l.push(q, pg)
 	}
-	l.rt.charge(p, "lru", l.rt.P.LRUAppend*uint64(len(pages)))
+	l.rt.charge(p, "lru", costLRUAppend*uint64(len(pages)))
 }
 
 // selectVictims pops least-recently-faulted resident pages until n frames

@@ -118,7 +118,7 @@ type Config struct {
 	CacheBytes uint64
 	// MaxCacheBytes bounds dynamic growth (default: CacheBytes).
 	MaxCacheBytes uint64
-	// Params overrides the cost/policy table (nil: defaults).
+	// Params overrides the policy (nil: DefaultParams).
 	Params *Params
 	// Registry receives the runtime's metrics (fault-cycle breakdown,
 	// counters). Nil creates a private registry, so Break always works.
@@ -142,7 +142,6 @@ type Config struct {
 // running in non-root ring 0.
 type Runtime struct {
 	e      *engine.Engine
-	C      cpu.Costs
 	P      Params
 	Host   *host.OS
 	Engine IOEngine
@@ -235,7 +234,6 @@ func NewRuntime(p *engine.Proc, hostOS *host.OS, eng IOEngine, cfg Config) *Runt
 	}
 	rt := &Runtime{
 		e:        hostOS.E,
-		C:        cpu.Default(),
 		P:        params,
 		Host:     hostOS,
 		Engine:   eng,
@@ -275,7 +273,7 @@ func NewRuntime(p *engine.Proc, hostOS *host.OS, eng IOEngine, cfg Config) *Runt
 	rt.mmMask = make([]bool, hostOS.E.NumCPUs())
 
 	// Entering Aquila: one vmcall to set up VMCS/EPT state (Dune enter).
-	hostOS.HV.VMCall(p, params.DuneEnter)
+	hostOS.HV.VMCall(p, costDuneEnter)
 	rt.grow(p, cfg.CacheBytes)
 	if params.AsyncEvict {
 		rt.startEvictors(p)
@@ -508,7 +506,7 @@ func (rt *Runtime) DeleteFile(p *engine.Proc, name string) {
 		}
 	}
 	for _, pg := range drop {
-		rt.charge(p, "cache-lookup", rt.P.HashRemove)
+		rt.charge(p, "cache-lookup", costHashRemove)
 		if pg.huge {
 			rt.fl.pushHuge(p, pg.frames)
 			pg.frames, pg.frame = nil, nil
@@ -526,7 +524,7 @@ func (rt *Runtime) DeleteFile(p *engine.Proc, name string) {
 // Mmap maps the first size bytes of f. Virtual address range updates are the
 // uncommon-path operation ④: they interact with root ring 0 via vmcall.
 func (rt *Runtime) Mmap(p *engine.Proc, f *fileState, size uint64) *AqMapping {
-	rt.Host.HV.VMCall(p, rt.P.VspaceVMCall)
+	rt.Host.HV.VMCall(p, costVspaceVMCall)
 	pages := pagesOf(size)
 	start := rt.nextVA
 	if rt.hugeEnabled() {
@@ -538,7 +536,7 @@ func (rt *Runtime) Mmap(p *engine.Proc, f *fileState, size uint64) *AqMapping {
 	r := &Region{Start: start, End: start + pages*pageSize, File: f}
 	f.pages.Reserve(pages)
 	rt.vs.Insert(r)
-	rt.charge(p, "vspace", 4*rt.P.RadixLookup)
+	rt.charge(p, "vspace", 4*costRadixLookup)
 	// Sample the error sequence at map time: earlier errors belong to
 	// earlier callers.
 	return &AqMapping{rt: rt, r: r, size: size, errCursor: f.wbErr.sample()}
@@ -547,12 +545,12 @@ func (rt *Runtime) Mmap(p *engine.Proc, f *fileState, size uint64) *AqMapping {
 // munmapRegion tears a region down: vmcall, radix removal, batched unmap +
 // shootdown, and write-back of the file's dirty pages.
 func (rt *Runtime) munmapRegion(p *engine.Proc, r *Region) {
-	rt.Host.HV.VMCall(p, rt.P.VspaceVMCall)
+	rt.Host.HV.VMCall(p, costVspaceVMCall)
 	if unmapped := rt.unmapSpan(p, r, r.Start, r.End); unmapped > 0 {
 		rt.shootdown(p)
 	}
 	rt.vs.Remove(r)
-	rt.charge(p, "vspace", 4*rt.P.RadixLookup)
+	rt.charge(p, "vspace", 4*costRadixLookup)
 	rt.msyncFile(p, r.File)
 }
 
@@ -566,7 +564,7 @@ func (rt *Runtime) unmapSpan(p *engine.Proc, r *Region, lo, hi uint64) int {
 		step := uint64(pageSize)
 		if e, ok := rt.PT.Lookup(va); ok {
 			rt.PT.Unmap(va)
-			rt.charge(p, "unmap", rt.C.PTEUpdate)
+			rt.charge(p, "unmap", cpu.PTEUpdate)
 			unmapped++
 			idx := (va - r.Start) / pageSize
 			if pg := rt.lookupPage(r.File, idx); pg != nil {
@@ -619,10 +617,10 @@ func (rt *Runtime) access(p *engine.Proc, va uint64, write bool) (*mem.Frame, er
 		// TLB refill: guest-PT x EPT two-dimensional walk. A 2 MB leaf ends
 		// the walk one level early and fills the split 2 MB array.
 		if e.PageSize == pagetable.Size2M {
-			p.AdvanceUser(rt.C.TLBRefill2M + rt.C.EPTWalkExtra)
+			p.AdvanceUser(cpu.TLBRefill2M + cpu.EPTWalkExtra)
 			tlb.Insert2M(asid, va>>21)
 		} else {
-			p.AdvanceUser(rt.C.TLBRefill + rt.C.EPTWalkExtra)
+			p.AdvanceUser(cpu.TLBRefill + cpu.EPTWalkExtra)
 			tlb.Insert(asid, vpn)
 		}
 		if !write || e.Flags.Has(pagetable.FlagWritable) {
@@ -642,14 +640,14 @@ func (rt *Runtime) wpFault(p *engine.Proc, va uint64) (*mem.Frame, error) {
 	rt.mmMask[p.CPU()] = true
 	rt.Stats.WPFaults++
 	p.SpanEvent("fault.wp", 1)
-	rt.charge(p, "exception", rt.C.ExceptionRing0+rt.P.ExceptionEntry)
-	rt.charge(p, "vspace", rt.P.RadixLookup)
+	rt.charge(p, "exception", cpu.ExceptionRing0+costExceptionEntry)
+	rt.charge(p, "vspace", costRadixLookup)
 	r := rt.vs.Find(va)
 	if r == nil {
 		panic(&SigSegv{VA: va, Reason: "wp fault outside mapping"})
 	}
 	idx := (va - r.Start) / pageSize
-	rt.charge(p, "cache-lookup", rt.P.HashLookup)
+	rt.charge(p, "cache-lookup", costHashLookup)
 	pg := rt.lookupPage(r.File, idx)
 	if pg == nil || pg.busy() {
 		return rt.fault(p, va, true) // raced with eviction
@@ -661,7 +659,7 @@ func (rt *Runtime) wpFault(p *engine.Proc, va uint64) (*mem.Frame, error) {
 	defer func() { pg.pins-- }()
 	rt.markDirty(p, pg)
 	rt.PT.Protect(va, pagetable.FlagUser|pagetable.FlagWritable|pagetable.FlagAccessed|pagetable.FlagDirty)
-	rt.charge(p, "map-pte", rt.C.PTEUpdate+rt.C.TLBInvalidatePage)
+	rt.charge(p, "map-pte", cpu.PTEUpdate+cpu.TLBInvalidatePage)
 	tlb := rt.TLBs.CPU(p.CPU())
 	tlb.InvalidatePage(rt.PT.ASID(), va>>mem.PageShift)
 	tlb.Insert(rt.PT.ASID(), va>>mem.PageShift)
@@ -676,7 +674,7 @@ func (rt *Runtime) markDirty(p *engine.Proc, pg *Page) {
 	}
 	pg.dirtyCore = int32(p.CPU())
 	rt.move(pg, pg.state.Dirtied())
-	rt.charge(p, "dirty-track", rt.P.DirtyTreeOp)
+	rt.charge(p, "dirty-track", costDirtyTreeOp)
 }
 
 // dirtyKey is device order, the order write-back merges runs in.
@@ -703,8 +701,8 @@ func (rt *Runtime) fault(p *engine.Proc, va uint64, write bool) (*mem.Frame, err
 	defer p.EndSpan()
 	va &^= uint64(pageSize - 1)
 	rt.mmMask[p.CPU()] = true
-	rt.charge(p, "exception", rt.C.ExceptionRing0+rt.P.ExceptionEntry)
-	rt.charge(p, "vspace", rt.P.RadixLookup+rt.P.EntryLock)
+	rt.charge(p, "exception", cpu.ExceptionRing0+costExceptionEntry)
+	rt.charge(p, "vspace", costRadixLookup+costEntryLock)
 	r := rt.vs.Find(va)
 	if r == nil {
 		panic(&SigSegv{VA: va, Reason: "page fault outside mapping"})
@@ -715,7 +713,7 @@ func (rt *Runtime) fault(p *engine.Proc, va uint64, write bool) (*mem.Frame, err
 	var pg *Page
 	promoteTried := false
 	for {
-		rt.charge(p, "cache-lookup", rt.P.HashLookup)
+		rt.charge(p, "cache-lookup", costHashLookup)
 		if existing := rt.lookupPage(f, idx); existing != nil {
 			if existing.busy() {
 				existing.ev.Wait(p)
@@ -777,9 +775,9 @@ func (rt *Runtime) fault(p *engine.Proc, va uint64, write bool) (*mem.Frame, err
 	} else {
 		rt.PT.Protect(va, flags)
 	}
-	rt.charge(p, "map-pte", rt.C.PTEUpdate)
+	rt.charge(p, "map-pte", cpu.PTEUpdate)
 	rt.TLBs.CPU(p.CPU()).Insert(rt.PT.ASID(), va>>mem.PageShift)
-	rt.charge(p, "accounting", rt.P.FaultAccounting)
+	rt.charge(p, "accounting", costFaultAccounting)
 	return pg.frame, nil
 }
 
@@ -816,7 +814,7 @@ func (rt *Runtime) majorFault(p *engine.Proc, r *Region, f *fileState, idx uint6
 			continue
 		}
 		pg := &Page{file: f, idx: i}
-		rt.charge(p, "cache-insert", rt.P.HashInsert)
+		rt.charge(p, "cache-insert", costHashInsert)
 		// The insert charge yields: another thread faulting the same page,
 		// or a promotion claiming its extent, may have published an entry
 		// meanwhile. Re-probe before publishing (no simulated cost) so
@@ -984,7 +982,7 @@ func (rt *Runtime) claimVictims(p *engine.Proc) (victims, dirty []*Page) {
 	rt.evictSel.Lock(p)
 	victims = rt.Victims(p, rt.P.EvictBatch)
 	rt.evictSel.Unlock(p)
-	rt.charge(p, "evict-select", rt.P.HashRemove*uint64(len(victims)))
+	rt.charge(p, "evict-select", costHashRemove*uint64(len(victims)))
 	if len(victims) == 0 {
 		rt.pageBufs.GiveBack(victims)
 		return nil, nil
@@ -993,7 +991,7 @@ func (rt *Runtime) claimVictims(p *engine.Proc) (victims, dirty []*Page) {
 	for _, v := range victims {
 		for _, va := range v.vas.S {
 			if rt.PT.Unmap(va) {
-				rt.charge(p, "unmap", rt.C.PTEUpdate)
+				rt.charge(p, "unmap", cpu.PTEUpdate)
 				unmapped++
 			}
 		}
@@ -1006,7 +1004,7 @@ func (rt *Runtime) claimVictims(p *engine.Proc) (victims, dirty []*Page) {
 	for _, v := range victims {
 		if v.state.Dirty() {
 			rt.move(v, v.state.Cleaned())
-			rt.charge(p, "dirty-track", rt.P.DirtyTreeOp)
+			rt.charge(p, "dirty-track", costDirtyTreeOp)
 			dirty = append(dirty, v)
 		}
 	}
@@ -1100,11 +1098,11 @@ func (rt *Runtime) shootdown(p *engine.Proc) {
 		}
 	}
 	t0 := p.Now()
-	rt.Host.HV.SendShootdownIPIs(p, targets, rt.C.IPIReceive+rt.C.TLBFlushAll)
+	rt.Host.HV.SendShootdownIPIs(p, targets, cpu.IPIReceive+cpu.TLBFlushAll)
 	for _, c := range targets {
 		rt.TLBs.CPU(c).FlushAll()
 	}
-	p.AdvanceSystem(rt.C.TLBFlushAll)
+	p.AdvanceSystem(cpu.TLBFlushAll)
 	rt.Break.Add("tlb-shootdown", p.Now()-t0)
 }
 
@@ -1135,7 +1133,7 @@ func (rt *Runtime) writeBack(p *engine.Proc, pages []*Page, span string, aw Asyn
 	for _, pg := range pages {
 		for _, va := range pg.vas.S {
 			if rt.PT.Protect(va, pagetable.FlagUser|pagetable.FlagAccessed) {
-				rt.charge(p, "writeback", rt.C.PTEUpdate)
+				rt.charge(p, "writeback", cpu.PTEUpdate)
 				protected++
 			}
 		}
@@ -1348,7 +1346,7 @@ func (rt *Runtime) requeueDirty(p *engine.Proc, pg *Page) {
 	case detutil.PgClaimedDirty:
 		rt.lru.record(p, pg)
 	case detutil.PgDisplacedDirty:
-		rt.charge(p, "lru", rt.P.LRUAppend)
+		rt.charge(p, "lru", costLRUAppend)
 	}
 }
 
@@ -1389,7 +1387,7 @@ func (rt *Runtime) msyncFileRange(p *engine.Proc, f *fileState, off, length uint
 	p.BeginSpan("aq.msync")
 	defer p.EndSpan()
 	p.SpanEvent("msync", 1)
-	rt.charge(p, "msync", rt.P.MsyncEntry)
+	rt.charge(p, "msync", costMsyncEntry)
 	lo := off / pageSize
 	hi := uint64(^uint64(0))
 	if length < ^uint64(0)-off {
@@ -1436,7 +1434,7 @@ func (rt *Runtime) msyncFileRange(p *engine.Proc, f *fileState, off, length uint
 		}
 		rt.pageBufs.GiveBack(pgs)
 		if taken > 0 {
-			rt.charge(p, "dirty-track", rt.P.DirtyTreeOp*uint64(taken))
+			rt.charge(p, "dirty-track", costDirtyTreeOp*uint64(taken))
 		}
 	}
 	var aw AsyncWriter

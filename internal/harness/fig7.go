@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"aquila"
+	"aquila/internal/host"
 	"aquila/internal/kvs/lsm"
 	"aquila/internal/sim/cpu"
 	"aquila/internal/ycsb"
@@ -56,13 +57,12 @@ func fig7Run(mode rocksMode, cache uint64, records uint64, ops int, seed int64) 
 		gets = 1
 	}
 	out := map[string]float64{}
-	costs := cpu.Default()
 	switch mode.io {
 	case lsm.IODirectCached:
 		// Split the measured "io" (syscall+device) into device transfer
 		// vs syscall/kernel software.
 		ioTotal := db.Break.PerOp("io", gets)
-		perRead := float64(costs.MemcpyNoSIMD(4096)) + 240
+		perRead := float64(cpu.MemcpyNoSIMD(4096)) + float64(host.PMemBlockOverhead)
 		reads := float64(db.Break.Count("io"))
 		device := perRead * reads / float64(gets)
 		out["device-io"] = device
@@ -75,7 +75,7 @@ func fig7Run(mode rocksMode, cache uint64, records uint64, ops int, seed int64) 
 			device = float64(sys.RT.Break.Get("device-io")+sys.RT.Break.Get("writeback")) / float64(gets)
 		} else {
 			// Linux mmap: estimate the device share from major faults.
-			perRead := float64(costs.MemcpyNoSIMD(4096)) + 240
+			perRead := float64(cpu.MemcpyNoSIMD(4096)) + float64(host.PMemBlockOverhead)
 			device = perRead * float64(sys.Host.Cache.Inserted) / float64(gets)
 		}
 		out["device-io"] = device

@@ -39,7 +39,6 @@ func faultCost(cfg microConfig) (float64, microResult) {
 
 func runFig8a(scale float64) []*Result {
 	cache := scaled(64*mib, scale, 8*mib)
-	costs := cpu.Default()
 	r := &Result{
 		ID:     "fig8a",
 		Title:  "Per-fault cycles, in-memory dataset, pmem, 1 thread",
@@ -55,10 +54,10 @@ func runFig8a(scale float64) []*Result {
 	hugeCfg.huge = true
 	hugeTotal, hugeRes := faultCost(hugeCfg)
 
-	linIO := float64(costs.MemcpyNoSIMD(4096)) + float64(host.DefaultParams().PMemBlockOverhead)
-	aqIO := float64(costs.MemcpyAVX2(4096))
-	linTrap := float64(costs.TrapRing3)
-	aqExc := float64(costs.ExceptionRing0)
+	linIO := float64(cpu.MemcpyNoSIMD(4096)) + float64(host.PMemBlockOverhead)
+	aqIO := float64(cpu.MemcpyAVX2(4096))
+	linTrap := float64(cpu.TrapRing3)
+	aqExc := float64(cpu.ExceptionRing0)
 
 	r.AddRow("total", f2(linTotal), f2(aqTotal))
 	r.AddRow("protection switch (trap/exception)", f2(linTrap), f2(aqExc))

@@ -37,16 +37,15 @@ func init() {
 }
 
 func runMemcpy(scale float64) []*Result {
-	c := cpu.Default()
 	r := &Result{
 		ID:     "memcpy",
 		Title:  "Copy cost between DRAM cache and pmem (cycles)",
 		Header: []string{"size", "non-SIMD", "AVX2 stream", "AVX2 + FPU save/restore", "speedup"},
 	}
 	for _, sz := range []int{4096, 8192, 65536} {
-		plain := c.MemcpyNoSIMD(sz)
-		avxOnly := uint64(sz) * c.Memcpy4KAVX2 / 4096
-		avxFull := c.MemcpyAVX2(sz)
+		plain := cpu.MemcpyNoSIMD(sz)
+		avxOnly := uint64(sz) * cpu.Memcpy4KAVX2 / 4096
+		avxFull := cpu.MemcpyAVX2(sz)
 		r.AddRow(fmt.Sprintf("%dK", sz/1024), fmt.Sprint(plain), fmt.Sprint(avxOnly),
 			fmt.Sprint(avxFull), ratio(float64(plain), float64(avxFull)))
 	}
@@ -57,7 +56,6 @@ func runMemcpy(scale float64) []*Result {
 // runIPI measures the send-side cost per invalidated page for different
 // shootdown batch sizes, with and without the vmexit-based rate limiting.
 func runIPI(scale float64) []*Result {
-	c := cpu.Default()
 	r := &Result{
 		ID:     "ipi",
 		Title:  "TLB shootdown send cost per page (31 target CPUs)",
@@ -65,8 +63,8 @@ func runIPI(scale float64) []*Result {
 	}
 	const targets = 31
 	for _, batch := range []int{1, 8, 64, 512} {
-		posted := c.IPISendPosted + 100*targets
-		limited := c.IPISendVMExit + 100*targets
+		posted := cpu.IPISendPosted + 100*targets
+		limited := cpu.IPISendVMExit + 100*targets
 		perPage := float64(limited) / float64(batch)
 		r.AddRow(fmt.Sprint(batch), fmt.Sprint(posted), fmt.Sprint(limited), f2(perPage))
 	}

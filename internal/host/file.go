@@ -5,6 +5,7 @@ import (
 
 	"aquila/internal/detutil"
 	"aquila/internal/iface"
+	"aquila/internal/sim/cpu"
 	"aquila/internal/sim/engine"
 )
 
@@ -34,9 +35,9 @@ func (hf *File) Size() uint64 { return hf.f.size }
 // the io_uring engine (see iouring.go); plain syscalls always succeed.
 func (hf *File) Pread(p *engine.Proc, buf []byte, off uint64) error {
 	hf.checkRange(off, len(buf))
-	p.AdvanceSystem(hf.os.C.Syscall + hf.os.P.SyscallKernelPath)
+	p.AdvanceSystem(cpu.Syscall + costSyscallKernelPath)
 	if hf.Direct {
-		p.AdvanceSystem(hf.os.P.DirectIOPathCost)
+		p.AdvanceSystem(costDirectIOPathCost)
 		hf.os.blockRead(p, hf.f.devOff(off), buf)
 		return nil
 	}
@@ -48,12 +49,12 @@ func (hf *File) Pread(p *engine.Proc, buf []byte, off uint64) error {
 // Pwrite implements iface.File.
 func (hf *File) Pwrite(p *engine.Proc, buf []byte, off uint64) error {
 	hf.checkRange(off, len(buf))
-	p.AdvanceSystem(hf.os.C.Syscall + hf.os.P.SyscallKernelPath)
+	p.AdvanceSystem(cpu.Syscall + costSyscallKernelPath)
 	if off+uint64(len(buf)) > hf.f.size {
 		hf.f.SetSize(off + uint64(len(buf)))
 	}
 	if hf.Direct {
-		p.AdvanceSystem(hf.os.P.DirectIOPathCost)
+		p.AdvanceSystem(costDirectIOPathCost)
 		hf.os.blockWrite(p, hf.f.devOff(off), buf)
 		return nil
 	}
@@ -65,7 +66,7 @@ func (hf *File) Pwrite(p *engine.Proc, buf []byte, off uint64) error {
 func (hf *File) Fsync(p *engine.Proc) error {
 	p.BeginSpan("lx.fsync")
 	defer p.EndSpan()
-	p.AdvanceSystem(hf.os.C.Syscall + hf.os.P.SyscallKernelPath)
+	p.AdvanceSystem(cpu.Syscall + costSyscallKernelPath)
 	if !hf.Direct {
 		hf.os.Cache.fsyncFileRange(p, hf.f, 0, hf.f.cap)
 	}
@@ -86,7 +87,7 @@ func (hf *File) bufferedRead(p *engine.Proc, buf []byte, off uint64) {
 	os, f := hf.os, hf.f
 	window := uint64(1)
 	if off == f.lastRead {
-		window = uint64(os.P.ReadAroundPages) // sequential
+		window = uint64(readAroundPages) // sequential
 	}
 	for n := 0; n < len(buf); {
 		cur := off + uint64(n)
@@ -97,7 +98,7 @@ func (hf *File) bufferedRead(p *engine.Proc, buf []byte, off uint64) {
 		pg.pins++ // before touch yields: a reclaim must not take it meanwhile
 		os.Cache.touch(p, pg)
 		pg.frame.ReadAt(buf[n:n+chunk], po)
-		p.AdvanceSystem(os.P.CopyToUser * uint64(chunk) / PageSize)
+		p.AdvanceSystem(costCopyToUser * uint64(chunk) / PageSize)
 		pg.pins--
 		n += chunk
 	}
@@ -150,7 +151,7 @@ func (hf *File) bufferedWrite(p *engine.Proc, buf []byte, off uint64) {
 		pg.pins++ // before touch yields: a reclaim must not take it meanwhile
 		os.Cache.touch(p, pg)
 		pg.frame.WriteAt(po, buf[n:n+chunk])
-		p.AdvanceSystem(os.P.CopyToUser * uint64(chunk) / PageSize)
+		p.AdvanceSystem(costCopyToUser * uint64(chunk) / PageSize)
 		os.Cache.markDirty(p, pg)
 		pg.pins--
 		os.Cache.throttleDirty(p)

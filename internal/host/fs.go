@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"aquila/internal/detutil"
+	"aquila/internal/sim/cpu"
 	"aquila/internal/sim/engine"
 )
 
@@ -70,7 +71,7 @@ func (fs *FS) Create(p *engine.Proc, name string, size uint64) *FSFile {
 	if _, ok := fs.files[name]; ok {
 		panic(fmt.Sprintf("host: create of existing file %q", name))
 	}
-	p.AdvanceSystem(fs.os.C.Syscall + fs.os.P.SyscallKernelPath)
+	p.AdvanceSystem(cpu.Syscall + costSyscallKernelPath)
 	capBytes := (size + PageSize - 1) / PageSize * PageSize
 	if capBytes == 0 {
 		capBytes = PageSize
@@ -95,7 +96,7 @@ func (fs *FS) Create(p *engine.Proc, name string, size uint64) *FSFile {
 
 // Open returns an existing file.
 func (fs *FS) Open(p *engine.Proc, name string) *FSFile {
-	p.AdvanceSystem(fs.os.C.Syscall + fs.os.P.SyscallKernelPath)
+	p.AdvanceSystem(cpu.Syscall + costSyscallKernelPath)
 	f, ok := fs.files[name]
 	if !ok {
 		panic(fmt.Sprintf("host: open of missing file %q", name))
@@ -115,7 +116,7 @@ func (fs *FS) Delete(p *engine.Proc, name string) {
 	if !ok {
 		return
 	}
-	p.AdvanceSystem(fs.os.C.Syscall + fs.os.P.SyscallKernelPath)
+	p.AdvanceSystem(cpu.Syscall + costSyscallKernelPath)
 	fs.os.Cache.truncate(p, f)
 	delete(fs.files, name)
 	fs.disk.Content.Discard(f.base, f.cap)

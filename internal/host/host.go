@@ -27,78 +27,62 @@ import (
 // PageSize is the base page size.
 const PageSize = mem.PageSize
 
-// Params are the host kernel's software-path cost constants (cycles) and
-// policy knobs. Defaults model Linux 4.14 on the paper's Xeon testbed.
-type Params struct {
-	// VMALookup is an rb-tree VMA lookup under mmap_sem.
-	VMALookup uint64
-	// RadixLookup is a page-cache radix-tree lookup (excluding the lock).
-	RadixLookup uint64
-	// RadixInsert is a radix-tree insertion.
-	RadixInsert uint64
-	// LRUUpdate is moving a page on the LRU lists.
-	LRUUpdate uint64
-	// FaultEntry is page-fault bookkeeping beyond the bare trap.
-	FaultEntry uint64
-	// BlockLayerSubmit is bio allocation + submission through the block
+// The host kernel's software-path costs, in cycles: Linux 4.14 on the
+// paper's Xeon testbed.
+const (
+	// costVMALookup is an rb-tree VMA lookup under mmap_sem.
+	costVMALookup uint64 = 180
+	// costRadixLookup is a page-cache radix-tree lookup (excluding the lock).
+	costRadixLookup uint64 = 160
+	// costRadixInsert is a radix-tree insertion.
+	costRadixInsert uint64 = 250
+	// costLRUUpdate is moving a page on the LRU lists.
+	costLRUUpdate uint64 = 120
+	// costFaultEntry is page-fault bookkeeping beyond the bare trap.
+	costFaultEntry uint64 = 650
+	// costBlockLayerSubmit is bio allocation + submission through the block
 	// layer and NVMe driver.
-	BlockLayerSubmit uint64
-	// BlockLayerComplete is completion processing (softirq).
-	BlockLayerComplete uint64
-	// PMemBlockOverhead is the pmem block driver's per-request overhead.
-	PMemBlockOverhead uint64
-	// CopyToUser is charged per 4 KB moved between kernel and user
+	costBlockLayerSubmit uint64 = 1400
+	// costBlockLayerComplete is completion processing (softirq).
+	costBlockLayerComplete uint64 = 1200
+	// PMemBlockOverhead is the pmem block driver's per-request overhead
+	// (exported for the harness's split of a read into device and kernel
+	// shares).
+	PMemBlockOverhead uint64 = 240
+	// costCopyToUser is charged per 4 KB moved between kernel and user
 	// buffers for buffered syscalls (non-SIMD copy, §3.3).
-	CopyToUser uint64
-	// ShootdownBase and ShootdownPerCPU model the sender-side cost of a
-	// kernel TLB shootdown (IPI broadcast + wait for acks).
-	ShootdownBase   uint64
-	ShootdownPerCPU uint64
-	// SyscallKernelPath is generic syscall-path bookkeeping (fdtable,
+	costCopyToUser uint64 = 2400
+	// costShootdownBase and costShootdownPerCPU model the sender-side cost
+	// of a kernel TLB shootdown (IPI broadcast + wait for acks).
+	costShootdownBase   uint64 = 2000
+	costShootdownPerCPU uint64 = 250
+	// costSyscallKernelPath is generic syscall-path bookkeeping (fdtable,
 	// vfs dispatch) beyond the bare trap.
-	SyscallKernelPath uint64
-	// DirectIOPathCost is the O_DIRECT setup cost per request
+	costSyscallKernelPath uint64 = 400
+	// costDirectIOPathCost is the O_DIRECT setup cost per request
 	// (get_user_pages, bio mapping, dio bookkeeping).
-	DirectIOPathCost uint64
-	// ReclaimPerPage is direct reclaim's per-victim cost beyond the
+	costDirectIOPathCost uint64 = 7000
+	// costReclaimPerPage is direct reclaim's per-victim cost beyond the
 	// structure updates (page_referenced, rmap walk in try_to_unmap).
-	ReclaimPerPage uint64
+	costReclaimPerPage uint64 = 1800
+)
 
-	// ReadAroundPages is the mmap fault read-around window (128 KB).
-	ReadAroundPages int
-	// MmapLotsamiss is the miss count after which fault read-around is
+const (
+	// readAroundPages is the mmap fault read-around window (128 KB).
+	readAroundPages = 32
+	// mmapLotsamiss is the miss count after which fault read-around is
 	// abandoned (MMAP_LOTSAMISS).
-	MmapLotsamiss int
-	// ReclaimBatch is the number of pages direct reclaim evicts at once
+	mmapLotsamiss = 100
+	// reclaimBatch is the number of pages direct reclaim evicts at once
 	// (SWAP_CLUSTER_MAX).
-	ReclaimBatch int
+	reclaimBatch = 32
+)
+
+// Params are the host kernel's policy knobs.
+type Params struct {
 	// DirtyRatio is the fraction of cache pages that may be dirty before
 	// writers are throttled into writeback.
 	DirtyRatio float64
-}
-
-// DefaultParams returns the calibrated host parameter set.
-func DefaultParams() Params {
-	return Params{
-		VMALookup:          180,
-		RadixLookup:        160,
-		RadixInsert:        250,
-		LRUUpdate:          120,
-		FaultEntry:         650,
-		BlockLayerSubmit:   1400,
-		BlockLayerComplete: 1200,
-		PMemBlockOverhead:  240,
-		CopyToUser:         2400,
-		ShootdownBase:      2000,
-		ShootdownPerCPU:    250,
-		SyscallKernelPath:  400,
-		DirectIOPathCost:   7000,
-		ReclaimPerPage:     1800,
-		ReadAroundPages:    32,
-		MmapLotsamiss:      100,
-		ReclaimBatch:       32,
-		DirtyRatio:         0.10,
-	}
 }
 
 // Disk couples device content with a timing model and a device class.
@@ -145,7 +129,6 @@ func (pr *Process) noteCPU(cpu int) { pr.mmMask[cpu] = true }
 // sharing of file mappings is exercised by tests.
 type OS struct {
 	E     *engine.Engine
-	C     cpu.Costs
 	P     Params
 	FS    *FS
 	Cache *PageCache
@@ -210,8 +193,7 @@ func (os *OS) DefaultProcess() *Process { return os.procs[0] }
 func NewOS(e *engine.Engine, disk *Disk, cacheBytes uint64) *OS {
 	os := &OS{
 		E:    e,
-		C:    cpu.Default(),
-		P:    DefaultParams(),
+		P:    Params{DirtyRatio: 0.10},
 		TLBs: cpu.NewTLBSet(e.NumCPUs(), 1536, 17),
 		Reg:  obs.NewRegistry(),
 	}
@@ -256,9 +238,9 @@ func (os *OS) blockIO(p *engine.Proc, span, cat string, off uint64, n int, write
 	p.BeginSpan(span)
 	defer p.EndSpan()
 	if disk.PMem {
-		os.charge(p, cat, os.P.PMemBlockOverhead+os.C.MemcpyNoSIMD(n))
+		os.charge(p, cat, PMemBlockOverhead+cpu.MemcpyNoSIMD(n))
 	} else {
-		os.charge(p, cat, os.P.BlockLayerSubmit)
+		os.charge(p, cat, costBlockLayerSubmit)
 	}
 	done := disk.Timing.Submit(p.Now(), n, write)
 	if write {
@@ -266,7 +248,7 @@ func (os *OS) blockIO(p *engine.Proc, span, cat string, off uint64, n int, write
 	}
 	p.WaitUntil(done, engine.KindIOWait)
 	if !disk.PMem {
-		os.charge(p, cat, os.P.BlockLayerComplete+os.C.InterruptDelivery+os.C.ContextSwitch)
+		os.charge(p, cat, costBlockLayerComplete+cpu.InterruptDelivery+cpu.ContextSwitch)
 	}
 }
 
@@ -284,8 +266,8 @@ func (pr *Process) shootdown(p *engine.Proc) {
 			targets++
 		}
 	}
-	os.charge(p, "shootdown", os.P.ShootdownBase+os.P.ShootdownPerCPU*uint64(targets))
-	recv := os.C.IPIReceive + os.C.TLBFlushAll
+	os.charge(p, "shootdown", costShootdownBase+costShootdownPerCPU*uint64(targets))
+	recv := cpu.IPIReceive + cpu.TLBFlushAll
 	for c, used := range pr.mmMask {
 		if !used || c == p.CPU() {
 			continue
@@ -294,7 +276,7 @@ func (pr *Process) shootdown(p *engine.Proc) {
 		os.TLBs.CPU(c).FlushAll()
 	}
 	os.TLBs.CPU(p.CPU()).FlushAll()
-	os.charge(p, "shootdown", os.C.TLBFlushAll)
+	os.charge(p, "shootdown", cpu.TLBFlushAll)
 }
 
 // procSet is the set of processes whose PTEs one batch of pages changed, as

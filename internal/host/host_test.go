@@ -160,8 +160,8 @@ func TestFaultReadAround(t *testing.T) {
 		m := os.Mmap(p, f, 4*mib)
 		m.Load(p, 0, make([]byte, 8))
 		// 4.14 read-around: one fault pulls a 32-page window.
-		if got := os.Cache.Resident(); got != os.P.ReadAroundPages {
-			t.Errorf("resident after one fault = %d, want %d", got, os.P.ReadAroundPages)
+		if got := os.Cache.Resident(); got != readAroundPages {
+			t.Errorf("resident after one fault = %d, want %d", got, readAroundPages)
 		}
 		if f.MajorFaults() != 1 {
 			t.Errorf("major faults = %d, want 1", f.MajorFaults())
@@ -194,8 +194,8 @@ func TestMmapMissHeuristicDisablesReadAround(t *testing.T) {
 		m := os.Mmap(p, f, 64*mib)
 		// Fault window-aligned pages so no prefetched page is ever hit:
 		// mmap_miss grows past MMAP_LOTSAMISS and read-around stops.
-		stride := uint64(os.P.ReadAroundPages) * PageSize
-		for i := uint64(0); i <= uint64(os.P.MmapLotsamiss); i++ {
+		stride := uint64(readAroundPages) * PageSize
+		for i := uint64(0); i <= uint64(mmapLotsamiss); i++ {
 			m.Load(p, i*stride%uint64(m.Size()-8), make([]byte, 8))
 		}
 		before := os.Cache.Resident()
@@ -287,8 +287,8 @@ func TestConcurrentFaultsOnSamePageSingleIO(t *testing.T) {
 	reads := os.Disk().Content.Stats().Reads
 	// One read-around window: the page content read happens once per page,
 	// but only one *window* of device reads total.
-	if reads > uint64(os.P.ReadAroundPages) {
-		t.Errorf("device reads = %d, want <= %d (single window)", reads, os.P.ReadAroundPages)
+	if reads > uint64(readAroundPages) {
+		t.Errorf("device reads = %d, want <= %d (single window)", reads, readAroundPages)
 	}
 }
 
@@ -303,7 +303,7 @@ func TestSharedFileTreeLockContentionVisible(t *testing.T) {
 			m[i] = os.Mmap(p, f, 32*mib)
 			buf := make([]byte, 8)
 			for j := 0; j < 200; j++ {
-				off := (uint64(i*200+j) * PageSize * uint64(os.P.ReadAroundPages)) % (32*mib - 8)
+				off := (uint64(i*200+j) * PageSize * uint64(readAroundPages)) % (32*mib - 8)
 				off = off / PageSize * PageSize
 				m[i].Load(p, off, buf)
 			}
@@ -363,7 +363,7 @@ func TestDirtyThrottling(t *testing.T) {
 		for off := uint64(0); off < 1*mib; off += PageSize {
 			m.Store(p, off, one)
 		}
-		limit := int(float64(os.Cache.allocator.Capacity())*os.P.DirtyRatio) + os.P.ReclaimBatch
+		limit := int(float64(os.Cache.allocator.Capacity())*os.P.DirtyRatio) + reclaimBatch
 		if got := os.Cache.NrDirty(); got > limit {
 			t.Errorf("dirty pages %d exceed throttle threshold %d", got, limit)
 		}
@@ -404,7 +404,7 @@ func TestLinuxFaultCostInMemory(t *testing.T) {
 		m := os.Mmap(p, f, 32*mib)
 		// Warm the cache so faults are cache-hits (no device I/O).
 		buf := make([]byte, 8)
-		for off := uint64(0); off < 32*mib; off += PageSize * uint64(os.P.ReadAroundPages) {
+		for off := uint64(0); off < 32*mib; off += PageSize * uint64(readAroundPages) {
 			m.Load(p, off, buf)
 		}
 		m.Munmap(p)
@@ -962,7 +962,7 @@ func TestTruncateRecycleOrderDeterministic(t *testing.T) {
 func TestWindowFillPerCaller(t *testing.T) {
 	e, os := newPMemOS(64 * mib)
 	run1(e, func(p *engine.Proc) {
-		ra := uint64(os.P.ReadAroundPages)
+		ra := uint64(readAroundPages)
 		marks := func(f *FSFile) (n int) {
 			for _, pg := range f.pages.All() {
 				if pg.readahead {

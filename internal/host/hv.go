@@ -1,6 +1,7 @@
 package host
 
 import (
+	"aquila/internal/sim/cpu"
 	"aquila/internal/sim/engine"
 	"aquila/internal/sim/pagetable"
 )
@@ -30,7 +31,7 @@ func newHypervisor(os *OS) *Hypervisor {
 // vmentry. All charged as system time on the caller.
 func (hv *Hypervisor) VMCall(p *engine.Proc, handlerCycles uint64) {
 	hv.VMCalls++
-	p.AdvanceSystem(hv.os.C.VMExit + handlerCycles + hv.os.C.VMEntry)
+	p.AdvanceSystem(cpu.VMExit + handlerCycles + cpu.VMEntry)
 }
 
 // GrantRegion maps `bytes` of host DRAM into the guest physical address
@@ -40,7 +41,7 @@ func (hv *Hypervisor) GrantRegion(p *engine.Proc, gpa, bytes uint64) {
 	hv.VMCall(p, 3000) // root-mode allocation bookkeeping
 	for off := uint64(0); off < bytes; off += pagetable.Size1G {
 		hv.ept.Map(gpa+off, (gpa+off)>>12, pagetable.FlagWritable, pagetable.Size1G)
-		p.AdvanceSystem(hv.os.C.PTEUpdate)
+		p.AdvanceSystem(cpu.PTEUpdate)
 	}
 	hv.GrantedBytes += bytes
 }
@@ -58,7 +59,7 @@ func (hv *Hypervisor) ReclaimRegion(p *engine.Proc, gpa, bytes uint64) {
 // as interrupt load.
 func (hv *Hypervisor) SendShootdownIPIs(p *engine.Proc, targets []int, recvCycles uint64) {
 	hv.IPIBatches++
-	p.AdvanceSystem(hv.os.C.IPISendVMExit)
+	p.AdvanceSystem(cpu.IPISendVMExit)
 	for _, c := range targets {
 		if c == p.CPU() {
 			continue
@@ -75,19 +76,19 @@ func (hv *Hypervisor) SendShootdownIPIs(p *engine.Proc, targets []int, recvCycle
 // returns the device completion cycle — the durability point the caller must
 // pass to Store.Persist for any content it staged before calling.
 func (os *OS) DirectIOTimed(p *engine.Proc, bytes int, write bool) uint64 {
-	p.AdvanceSystem(os.C.VMExit + os.C.Syscall + os.P.SyscallKernelPath + os.P.DirectIOPathCost)
+	p.AdvanceSystem(cpu.VMExit + cpu.Syscall + costSyscallKernelPath + costDirectIOPathCost)
 	disk := os.FS.disk
 	if disk.PMem {
-		p.AdvanceSystem(os.P.PMemBlockOverhead + os.C.MemcpyNoSIMD(bytes))
+		p.AdvanceSystem(PMemBlockOverhead + cpu.MemcpyNoSIMD(bytes))
 	} else {
-		p.AdvanceSystem(os.P.BlockLayerSubmit)
+		p.AdvanceSystem(costBlockLayerSubmit)
 	}
 	done := disk.Timing.Submit(p.Now(), bytes, write)
 	p.WaitUntil(done, engine.KindIOWait)
 	if !disk.PMem {
-		p.AdvanceSystem(os.P.BlockLayerComplete + os.C.InterruptDelivery + os.C.ContextSwitch)
+		p.AdvanceSystem(costBlockLayerComplete + cpu.InterruptDelivery + cpu.ContextSwitch)
 	}
-	p.AdvanceSystem(os.C.VMEntry)
+	p.AdvanceSystem(cpu.VMEntry)
 	return done
 }
 
@@ -95,14 +96,14 @@ func (os *OS) DirectIOTimed(p *engine.Proc, bytes int, write bool) uint64 {
 // Fig 8(c): Aquila issues a direct-I/O read through the host kernel, paying
 // a vmcall on top of the syscall path.
 func (os *OS) DirectReadHost(p *engine.Proc, f *FSFile, off uint64, buf []byte) {
-	p.AdvanceSystem(os.C.VMExit + os.C.Syscall + os.P.SyscallKernelPath + os.P.DirectIOPathCost)
+	p.AdvanceSystem(cpu.VMExit + cpu.Syscall + costSyscallKernelPath + costDirectIOPathCost)
 	os.blockRead(p, f.devOff(off), buf)
-	p.AdvanceSystem(os.C.VMEntry)
+	p.AdvanceSystem(cpu.VMEntry)
 }
 
 // DirectWriteHost is the write-side HOST-* engine.
 func (os *OS) DirectWriteHost(p *engine.Proc, f *FSFile, off uint64, buf []byte) {
-	p.AdvanceSystem(os.C.VMExit + os.C.Syscall + os.P.SyscallKernelPath + os.P.DirectIOPathCost)
+	p.AdvanceSystem(cpu.VMExit + cpu.Syscall + costSyscallKernelPath + costDirectIOPathCost)
 	os.blockWrite(p, f.devOff(off), buf)
-	p.AdvanceSystem(os.C.VMEntry)
+	p.AdvanceSystem(cpu.VMEntry)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"aquila/internal/sim/cpu"
 	"aquila/internal/sim/engine"
 )
 
@@ -75,12 +76,12 @@ func (r *IOURing) Enter(p *engine.Proc) {
 		return
 	}
 	r.SyscallOps++
-	p.AdvanceSystem(r.os.C.Syscall + r.os.P.SyscallKernelPath)
+	p.AdvanceSystem(cpu.Syscall + costSyscallKernelPath)
 	disk := r.os.FS.disk
 	for _, e := range r.sq {
 		// Per-entry kernel work: sqe fetch, validation, bio setup —
 		// cheaper than a full syscall per op, which is the point.
-		p.AdvanceSystem(r.os.P.BlockLayerSubmit / 2)
+		p.AdvanceSystem(costBlockLayerSubmit / 2)
 		delay, ferr := disk.Content.Check(p.Now(), r.f.devOff(e.Off), len(e.Buf), e.Write)
 		if e.Write && ferr == nil {
 			disk.Content.WriteAt(r.f.devOff(e.Off), e.Buf)
@@ -90,7 +91,7 @@ func (r *IOURing) Enter(p *engine.Proc) {
 			// pmem "devices" still move bytes with CPU copies; async
 			// submission defers the copy to the kernel worker, which
 			// the timing model folds into the completion time.
-			done += r.os.C.MemcpyNoSIMD(len(e.Buf))
+			done += cpu.MemcpyNoSIMD(len(e.Buf))
 		}
 		// A latency spike pushes the completion out; a failed operation
 		// still holds the device for its full service time.
@@ -118,7 +119,7 @@ func (r *IOURing) Enter(p *engine.Proc) {
 // PeekCqes reaps completions that have already finished — pure shared-memory
 // polling, no syscall (the completion-path property of io_uring).
 func (r *IOURing) PeekCqes(p *engine.Proc) []Cqe {
-	p.AdvanceSystem(r.os.C.AtomicOp) // head/tail load
+	p.AdvanceSystem(cpu.AtomicOp) // head/tail load
 	n := 0
 	for n < len(r.cq) && r.cq[n].DoneAt <= p.Now() {
 		n++

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"aquila/internal/iface"
+	"aquila/internal/sim/cpu"
 	"aquila/internal/sim/engine"
 	"aquila/internal/sim/mem"
 	"aquila/internal/sim/pagetable"
@@ -61,14 +62,14 @@ func (pr *Process) Mmap(p *engine.Proc, f *FSFile, size uint64) *Mapping {
 
 func (pr *Process) mmapInternal(p *engine.Proc, f *FSFile, size uint64, kmmap bool) *Mapping {
 	os := pr.os
-	os.charge(p, "syscall", os.C.Syscall+os.P.SyscallKernelPath)
+	os.charge(p, "syscall", cpu.Syscall+costSyscallKernelPath)
 	pr.mmapSem.Lock(p)
 	pages := (size + PageSize - 1) / PageSize
 	start := pr.nextVA
 	pr.nextVA += (pages + 16) * PageSize // guard gap
 	v := &vma{start: start, end: start + pages*PageSize, f: f, kmmap: kmmap}
 	pr.vmas.Insert(v)
-	os.charge(p, "vma", os.P.VMALookup) // rb-tree insert
+	os.charge(p, "vma", costVMALookup) // rb-tree insert
 	pr.mmapSem.Unlock(p)
 	return &Mapping{os: os, pr: pr, v: v, f: f, size: size}
 }
@@ -78,7 +79,7 @@ func (m *Mapping) Size() uint64 { return m.size }
 
 // Advise implements iface.Mapping.
 func (m *Mapping) Advise(p *engine.Proc, advice iface.Advice) {
-	m.os.charge(p, "syscall", m.os.C.Syscall+m.os.P.SyscallKernelPath)
+	m.os.charge(p, "syscall", cpu.Syscall+costSyscallKernelPath)
 	m.pr.mmapSem.Lock(p)
 	m.v.advice = advice
 	m.pr.mmapSem.Unlock(p)
@@ -130,7 +131,7 @@ func (m *Mapping) Msync(p *engine.Proc) error { return m.MsyncRange(p, 0, m.f.ca
 func (m *Mapping) MsyncRange(p *engine.Proc, off, length uint64) error {
 	p.BeginSpan("lx.msync")
 	defer p.EndSpan()
-	m.os.charge(p, "syscall", m.os.C.Syscall+m.os.P.SyscallKernelPath)
+	m.os.charge(p, "syscall", cpu.Syscall+costSyscallKernelPath)
 	m.os.Cache.fsyncFileRange(p, m.f, off, length)
 	return nil
 }
@@ -142,7 +143,7 @@ func (m *Mapping) Munmap(p *engine.Proc) {
 		return
 	}
 	m.dead = true
-	m.os.charge(p, "syscall", m.os.C.Syscall+m.os.P.SyscallKernelPath)
+	m.os.charge(p, "syscall", cpu.Syscall+costSyscallKernelPath)
 	m.pr.mmapSem.Lock(p)
 	m.pr.vmas.Remove(m.v)
 	m.unmapSpan(p, m.v.start, m.v.end)
@@ -157,7 +158,7 @@ func (m *Mapping) unmapSpan(p *engine.Proc, lo, hi uint64) {
 	unmapped := 0
 	for va := lo; va < hi; va += PageSize {
 		if m.pr.PT.Unmap(va) {
-			m.os.charge(p, "pte", m.os.C.PTEUpdate)
+			m.os.charge(p, "pte", cpu.PTEUpdate)
 			unmapped++
 			if pg := m.os.Cache.find(p, m.f, (va-m.v.start)/PageSize); pg != nil {
 				pg.vas.Remove(mappedVA{m.pr, va})
@@ -211,7 +212,7 @@ func (pr *Process) access(p *engine.Proc, va uint64, write bool) *mem.Frame {
 		return pr.pageFault(p, va, write)
 	}
 	if !hit {
-		p.AdvanceUser(os.C.TLBRefill)
+		p.AdvanceUser(cpu.TLBRefill)
 		tlb.Insert(asid, vpn)
 	}
 	if write && !e.Flags.Has(pagetable.FlagWritable) {
@@ -228,9 +229,9 @@ func (pr *Process) wpFault(p *engine.Proc, va uint64) *mem.Frame {
 	defer p.EndSpan()
 	va &^= uint64(PageSize - 1)
 	pr.noteCPU(p.CPU())
-	os.charge(p, "trap", os.C.TrapRing3+os.P.FaultEntry)
+	os.charge(p, "trap", cpu.TrapRing3+costFaultEntry)
 	pr.mmapSem.RLock(p)
-	os.charge(p, "vma", os.P.VMALookup)
+	os.charge(p, "vma", costVMALookup)
 	v := pr.vmas.Find(va)
 	if v == nil {
 		panic(fmt.Sprintf("host: wp fault outside any vma: %#x", va))
@@ -246,7 +247,7 @@ func (pr *Process) wpFault(p *engine.Proc, va uint64) *mem.Frame {
 	defer func() { pg.pins-- }()
 	os.Cache.markDirty(p, pg)
 	pr.PT.Protect(va, pagetable.FlagUser|pagetable.FlagWritable|pagetable.FlagAccessed|pagetable.FlagDirty)
-	os.charge(p, "pte", os.C.PTEUpdate+os.C.TLBInvalidatePage)
+	os.charge(p, "pte", cpu.PTEUpdate+cpu.TLBInvalidatePage)
 	tlb := os.TLBs.CPU(p.CPU())
 	tlb.InvalidatePage(pr.PT.ASID(), va>>mem.PageShift)
 	tlb.Insert(pr.PT.ASID(), va>>mem.PageShift)
@@ -262,9 +263,9 @@ func (pr *Process) pageFault(p *engine.Proc, va uint64, write bool) *mem.Frame {
 	defer p.EndSpan()
 	va &^= uint64(PageSize - 1)
 	pr.noteCPU(p.CPU())
-	os.charge(p, "trap", os.C.TrapRing3+os.P.FaultEntry)
+	os.charge(p, "trap", cpu.TrapRing3+costFaultEntry)
 	pr.mmapSem.RLock(p)
-	os.charge(p, "vma", os.P.VMALookup)
+	os.charge(p, "vma", costVMALookup)
 	v := pr.vmas.Find(va)
 	if v == nil {
 		panic(fmt.Sprintf("host: page fault outside any vma: %#x", va))
@@ -317,14 +318,14 @@ func (pr *Process) pageFault(p *engine.Proc, va uint64, write bool) *mem.Frame {
 	} else {
 		pr.PT.Protect(va, flags)
 	}
-	os.charge(p, "pte", os.C.PTEUpdate)
+	os.charge(p, "pte", cpu.PTEUpdate)
 	os.TLBs.CPU(p.CPU()).Insert(pr.PT.ASID(), va>>mem.PageShift)
 	pr.mmapSem.RUnlock(p)
 	return pg.frame
 }
 
 // majorFault brings (f, idx) into the cache, applying the fault read-around
-// policy: a ReadAroundPages window unless MADV_RANDOM is set or the file has
+// policy: a readAroundPages window unless MADV_RANDOM is set or the file has
 // missed too often (mmap_miss > MMAP_LOTSAMISS). Returns nil if the target
 // page raced away and the caller must retry.
 func (pr *Process) majorFault(p *engine.Proc, v *vma, idx uint64) *cachedPage {
@@ -335,8 +336,8 @@ func (pr *Process) majorFault(p *engine.Proc, v *vma, idx uint64) *cachedPage {
 	f.mmapMiss++
 	filePages := (f.size + PageSize - 1) / PageSize
 	lo, hi := idx, idx+1
-	if !v.kmmap && v.advice != iface.AdviceRandom && f.mmapMiss <= os.P.MmapLotsamiss {
-		ra := uint64(os.P.ReadAroundPages)
+	if !v.kmmap && v.advice != iface.AdviceRandom && f.mmapMiss <= mmapLotsamiss {
+		ra := uint64(readAroundPages)
 		lo = idx / ra * ra
 		hi = lo + ra
 		if hi > filePages {
@@ -374,14 +375,14 @@ func (os *OS) readPageContent(pg *cachedPage) {
 // rewrites the live PTEs and issues one batched shootdown; upgrading is lazy
 // (shared-mapping stores always re-arm through write-protect faults).
 func (m *Mapping) Mprotect(p *engine.Proc, readOnly bool) {
-	m.os.charge(p, "syscall", m.os.C.Syscall+m.os.P.SyscallKernelPath)
+	m.os.charge(p, "syscall", cpu.Syscall+costSyscallKernelPath)
 	m.pr.mmapSem.Lock(p)
 	if readOnly && !m.v.readOnly {
 		changed := 0
 		for va := m.v.start; va < m.v.end; va += PageSize {
 			if e, ok := m.pr.PT.Lookup(va); ok && e.Flags.Has(pagetable.FlagWritable) {
 				m.pr.PT.Protect(va, pagetable.FlagUser|pagetable.FlagAccessed)
-				m.os.charge(p, "pte", m.os.C.PTEUpdate)
+				m.os.charge(p, "pte", cpu.PTEUpdate)
 				changed++
 			}
 		}
@@ -397,7 +398,7 @@ func (m *Mapping) Mprotect(p *engine.Proc, readOnly bool) {
 // range, moving live PTEs (MREMAP_MAYMOVE semantics); shrinking unmaps the
 // tail.
 func (m *Mapping) Mremap(p *engine.Proc, newSize uint64) {
-	m.os.charge(p, "syscall", m.os.C.Syscall+m.os.P.SyscallKernelPath)
+	m.os.charge(p, "syscall", cpu.Syscall+costSyscallKernelPath)
 	m.pr.mmapSem.Lock(p)
 	newPages := (newSize + PageSize - 1) / PageSize
 	oldPages := (m.v.end - m.v.start) / PageSize
@@ -415,7 +416,7 @@ func (m *Mapping) Mremap(p *engine.Proc, newSize uint64) {
 			if e, ok := m.pr.PT.Lookup(oldVA); ok {
 				m.pr.PT.Unmap(oldVA)
 				m.pr.PT.Map(newStart+i*PageSize, e.Frame, e.Flags, pagetable.Size4K)
-				m.os.charge(p, "pte", 2*m.os.C.PTEUpdate)
+				m.os.charge(p, "pte", 2*cpu.PTEUpdate)
 				if pg := m.os.Cache.find(p, m.f, i); pg != nil {
 					pg.vas.Remove(mappedVA{m.pr, oldVA})
 					pg.vas.Add(mappedVA{m.pr, newStart + i*PageSize})

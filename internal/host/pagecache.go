@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"aquila/internal/detutil"
+	"aquila/internal/sim/cpu"
 	"aquila/internal/sim/engine"
 	"aquila/internal/sim/mem"
 	"aquila/internal/sim/pagetable"
@@ -142,7 +143,7 @@ func (c *PageCache) NrDirty() int { return c.nrDirty }
 // find returns the cached page at (f, idx), taking the file's tree_lock.
 func (c *PageCache) find(p *engine.Proc, f *FSFile, idx uint64) *cachedPage {
 	f.treeLock.Lock(p)
-	c.os.charge(p, "tree-lock", c.os.P.RadixLookup)
+	c.os.charge(p, "tree-lock", costRadixLookup)
 	pg := f.pages.Get(idx)
 	f.treeLock.Unlock(p)
 	return pg
@@ -160,7 +161,7 @@ func (c *PageCache) listOf(pg *cachedPage) *pageList {
 // second access promotes an inactive page to the active list.
 func (c *PageCache) touch(p *engine.Proc, pg *cachedPage) {
 	c.lruLock.Lock(p)
-	c.os.charge(p, "lru", c.os.P.LRUUpdate)
+	c.os.charge(p, "lru", costLRUUpdate)
 	if pg.state == detutil.PgClean || pg.state == detutil.PgDirty {
 		if pg.referenced && !pg.active {
 			c.inactive.remove(pg)
@@ -196,19 +197,19 @@ func (c *PageCache) allocFrame(p *engine.Proc) *mem.Frame {
 func (c *PageCache) insertNew(p *engine.Proc, f *FSFile, idx uint64) (*cachedPage, bool) {
 	frame := c.allocFrame(p)
 	f.treeLock.Lock(p)
-	c.os.charge(p, "tree-lock", c.os.P.RadixLookup)
+	c.os.charge(p, "tree-lock", costRadixLookup)
 	if existing := f.pages.Get(idx); existing != nil {
 		f.treeLock.Unlock(p)
 		c.allocator.Release(frame)
 		return existing, false
 	}
-	c.os.charge(p, "tree-lock", c.os.P.RadixInsert)
+	c.os.charge(p, "tree-lock", costRadixInsert)
 	pg := &cachedPage{f: f, idx: idx, frame: frame}
 	c.move(pg, detutil.PgFilling)
 	f.treeLock.Unlock(p)
 
 	c.lruLock.Lock(p)
-	c.os.charge(p, "lru", c.os.P.LRUUpdate)
+	c.os.charge(p, "lru", costLRUUpdate)
 	c.inactive.push(pg)
 	c.nrPages++
 	c.lruLock.Unlock(p)
@@ -270,7 +271,7 @@ func (c *PageCache) waitPage(p *engine.Proc, pg *cachedPage) {
 // paper identifies as the shared-file write-scaling bottleneck.
 func (c *PageCache) markDirty(p *engine.Proc, pg *cachedPage) {
 	pg.f.treeLock.Lock(p)
-	c.os.charge(p, "tree-lock", c.os.P.RadixLookup)
+	c.os.charge(p, "tree-lock", costRadixLookup)
 	if !pg.state.Dirty() {
 		c.move(pg, pg.state.Dirtied())
 	}
@@ -334,7 +335,7 @@ const dirtySweepMinDead = 1024
 func (c *PageCache) throttleDirty(p *engine.Proc) {
 	limit := max(1, int(float64(c.allocator.Capacity())*c.os.P.DirtyRatio))
 	for c.nrDirty > limit && len(c.dirtyQueue) > 0 {
-		c.writebackBatch(p, c.os.P.ReclaimBatch)
+		c.writebackBatch(p, reclaimBatch)
 	}
 }
 
@@ -388,7 +389,7 @@ func (c *PageCache) writePages(p *engine.Proc, pages []*cachedPage) {
 		// lost at eviction.
 		for _, mv := range pg.vas.S {
 			if mv.pr.PT.Protect(mv.va, pagetable.FlagUser|pagetable.FlagAccessed) {
-				c.os.charge(p, "writeback", c.os.C.PTEUpdate)
+				c.os.charge(p, "writeback", cpu.PTEUpdate)
 				touched = touched.add(mv.pr)
 			}
 		}
@@ -437,12 +438,12 @@ func (c *PageCache) reclaim(p *engine.Proc) {
 		pg.referenced = false
 		c.inactive.push(pg)
 		c.Demoted++
-		c.os.charge(p, "lru", c.os.P.LRUUpdate)
+		c.os.charge(p, "lru", costLRUUpdate)
 	}
 	victims := c.pageBufs.Borrow()
 	pg := c.inactive.tail
 	scanned := 0
-	for pg != nil && len(victims) < c.os.P.ReclaimBatch && scanned < 4*c.os.P.ReclaimBatch {
+	for pg != nil && len(victims) < reclaimBatch && scanned < 4*reclaimBatch {
 		prev := pg.lruPrev
 		scanned++
 		switch {
@@ -464,7 +465,7 @@ func (c *PageCache) reclaim(p *engine.Proc) {
 			}
 			victims = append(victims, pg)
 		}
-		c.os.charge(p, "lru", c.os.P.LRUUpdate)
+		c.os.charge(p, "lru", costLRUUpdate)
 		pg = prev
 	}
 	c.nrPages -= len(victims)
@@ -472,7 +473,7 @@ func (c *PageCache) reclaim(p *engine.Proc) {
 
 	if len(victims) == 0 {
 		// Everything pinned or in flight: let I/O owners make progress.
-		c.os.charge(p, "lru", c.os.P.LRUUpdate*8)
+		c.os.charge(p, "lru", costLRUUpdate*8)
 		p.Yield()
 		c.pageBufs.GiveBack(victims)
 		return
@@ -484,10 +485,10 @@ func (c *PageCache) reclaim(p *engine.Proc) {
 	dirty := c.pageBufs.Borrow()
 	for _, v := range victims {
 		// page_referenced + rmap walk per victim.
-		c.os.charge(p, "reclaim", c.os.P.ReclaimPerPage)
+		c.os.charge(p, "reclaim", costReclaimPerPage)
 		for _, mv := range v.vas.S {
 			if mv.pr.PT.Unmap(mv.va) {
-				c.os.charge(p, "reclaim", c.os.C.PTEUpdate)
+				c.os.charge(p, "reclaim", cpu.PTEUpdate)
 				touched = touched.add(mv.pr)
 			}
 		}
@@ -502,7 +503,7 @@ func (c *PageCache) reclaim(p *engine.Proc) {
 	// Now drop the pages from their trees and recycle the frames.
 	for _, v := range victims {
 		v.f.treeLock.Lock(p)
-		c.os.charge(p, "tree-lock", c.os.P.RadixLookup)
+		c.os.charge(p, "tree-lock", costRadixLookup)
 		c.move(v, detutil.PgGone)
 		v.f.treeLock.Unlock(p)
 	}

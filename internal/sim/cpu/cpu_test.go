@@ -6,7 +6,6 @@ import (
 )
 
 func TestDefaultCostsMatchPaperMeasurements(t *testing.T) {
-	c := Default()
 	// These five constants are direct measurements in the paper; they must
 	// not drift, because several figure-level targets are stated in terms
 	// of them (e.g. 1287/552 = 2.33x in §6.4).
@@ -15,14 +14,14 @@ func TestDefaultCostsMatchPaperMeasurements(t *testing.T) {
 		got  uint64
 		want uint64
 	}{
-		{"TrapRing3", c.TrapRing3, 1287},
-		{"ExceptionRing0", c.ExceptionRing0, 552},
-		{"IPISendPosted", c.IPISendPosted, 298},
-		{"IPISendVMExit", c.IPISendVMExit, 2081},
-		{"Memcpy4KNoSIMD", c.Memcpy4KNoSIMD, 2400},
-		{"Memcpy4KAVX2", c.Memcpy4KAVX2, 900},
-		{"FPUSaveRestore", c.FPUSaveRestore, 300},
-		{"VMExit", c.VMExit, 750},
+		{"TrapRing3", TrapRing3, 1287},
+		{"ExceptionRing0", ExceptionRing0, 552},
+		{"IPISendPosted", IPISendPosted, 298},
+		{"IPISendVMExit", IPISendVMExit, 2081},
+		{"Memcpy4KNoSIMD", Memcpy4KNoSIMD, 2400},
+		{"Memcpy4KAVX2", Memcpy4KAVX2, 900},
+		{"FPUSaveRestore", FPUSaveRestore, 300},
+		{"VMExit", VMExit, 750},
 	}
 	for _, tc := range cases {
 		if tc.got != tc.want {
@@ -30,25 +29,24 @@ func TestDefaultCostsMatchPaperMeasurements(t *testing.T) {
 		}
 	}
 	// §6.4: trap from ring 3 is 2.33x the ring-0 exception.
-	ratio := float64(c.TrapRing3) / float64(c.ExceptionRing0)
+	ratio := float64(TrapRing3) / float64(ExceptionRing0)
 	if ratio < 2.3 || ratio > 2.4 {
 		t.Errorf("trap/exception ratio = %.2f, want ~2.33", ratio)
 	}
 }
 
 func TestMemcpyModel(t *testing.T) {
-	c := Default()
 	// §3.3: AVX2 4KB copy with FPU save/restore ~1200 cycles, about 2x
 	// faster than the 2400-cycle non-SIMD copy.
-	avx := c.MemcpyAVX2(4096)
+	avx := MemcpyAVX2(4096)
 	if avx != 1200 {
 		t.Errorf("AVX2 4K = %d, want 1200", avx)
 	}
-	plain := c.MemcpyNoSIMD(4096)
+	plain := MemcpyNoSIMD(4096)
 	if plain < 2400 || plain > 2401 {
 		t.Errorf("non-SIMD 4K = %d, want ~2400", plain)
 	}
-	if c.MemcpyNoSIMD(0) != 0 || c.MemcpyAVX2(0) != 0 {
+	if MemcpyNoSIMD(0) != 0 || MemcpyAVX2(0) != 0 {
 		t.Error("zero-length memcpy should be free")
 	}
 }
