@@ -227,7 +227,7 @@ func TestHugeDeterminism(t *testing.T) {
 
 // TestPopHugeIfKeepsNoLooseBlock pins the promotion claim window: a claim the
 // validator rejects is back in its node's huge tier before popHugeIf returns,
-// at the cost of the pop's and the push's BuddyOp; an accepted claim is the
+// at the cost of the pop's and the push's costBuddyOp; an accepted claim is the
 // caller's; and with no block left the validator is never asked and the
 // charges are popHuge's own.
 func TestPopHugeIfKeepsNoLooseBlock(t *testing.T) {

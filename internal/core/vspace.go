@@ -22,5 +22,5 @@ func (r *Region) Pages() uint64 { return (r.End - r.Start) / pageSize }
 // (Runtime.vs) is a detutil.RangeSet of regions: the model's structure is the
 // RadixVM-style radix tree of §3.4 — lock-free lookups, per-entry locking, an
 // update a few node visits — and fault, wpFault, Mmap, Mremap and munmapRegion
-// charge it as that (RadixLookup, EntryLock) where they use it.
+// charge it as that (costRadixLookup, costEntryLock) where they use it.
 func (r *Region) Bounds() (start, end uint64) { return r.Start, r.End }

@@ -37,7 +37,7 @@ func (hf *File) Pread(p *engine.Proc, buf []byte, off uint64) error {
 	hf.checkRange(off, len(buf))
 	p.AdvanceSystem(cpu.Syscall + costSyscallKernelPath)
 	if hf.Direct {
-		p.AdvanceSystem(costDirectIOPathCost)
+		p.AdvanceSystem(costDirectIOPath)
 		hf.os.blockRead(p, hf.f.devOff(off), buf)
 		return nil
 	}
@@ -54,7 +54,7 @@ func (hf *File) Pwrite(p *engine.Proc, buf []byte, off uint64) error {
 		hf.f.SetSize(off + uint64(len(buf)))
 	}
 	if hf.Direct {
-		p.AdvanceSystem(costDirectIOPathCost)
+		p.AdvanceSystem(costDirectIOPath)
 		hf.os.blockWrite(p, hf.f.devOff(off), buf)
 		return nil
 	}

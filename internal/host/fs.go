@@ -40,8 +40,8 @@ type FSFile struct {
 
 	// Page-cache state: the file's radix tree — on the host a two-level page
 	// index, bounded by the extent — and its tree_lock. What a tree operation
-	// costs in simulated cycles is charged where it is made (RadixLookup,
-	// RadixInsert), under the lock.
+	// costs in simulated cycles is charged where it is made (costRadixLookup,
+	// costRadixInsert), under the lock.
 	treeLock *engine.Mutex
 	pages    detutil.PageIndex[cachedPage]
 	nrDirty  int

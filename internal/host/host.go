@@ -59,9 +59,9 @@ const (
 	// costSyscallKernelPath is generic syscall-path bookkeeping (fdtable,
 	// vfs dispatch) beyond the bare trap.
 	costSyscallKernelPath uint64 = 400
-	// costDirectIOPathCost is the O_DIRECT setup cost per request
+	// costDirectIOPath is the O_DIRECT setup cost per request
 	// (get_user_pages, bio mapping, dio bookkeeping).
-	costDirectIOPathCost uint64 = 7000
+	costDirectIOPath uint64 = 7000
 	// costReclaimPerPage is direct reclaim's per-victim cost beyond the
 	// structure updates (page_referenced, rmap walk in try_to_unmap).
 	costReclaimPerPage uint64 = 1800

@@ -76,7 +76,7 @@ func (hv *Hypervisor) SendShootdownIPIs(p *engine.Proc, targets []int, recvCycle
 // returns the device completion cycle — the durability point the caller must
 // pass to Store.Persist for any content it staged before calling.
 func (os *OS) DirectIOTimed(p *engine.Proc, bytes int, write bool) uint64 {
-	p.AdvanceSystem(cpu.VMExit + cpu.Syscall + costSyscallKernelPath + costDirectIOPathCost)
+	p.AdvanceSystem(cpu.VMExit + cpu.Syscall + costSyscallKernelPath + costDirectIOPath)
 	disk := os.FS.disk
 	if disk.PMem {
 		p.AdvanceSystem(PMemBlockOverhead + cpu.MemcpyNoSIMD(bytes))
@@ -96,14 +96,14 @@ func (os *OS) DirectIOTimed(p *engine.Proc, bytes int, write bool) uint64 {
 // Fig 8(c): Aquila issues a direct-I/O read through the host kernel, paying
 // a vmcall on top of the syscall path.
 func (os *OS) DirectReadHost(p *engine.Proc, f *FSFile, off uint64, buf []byte) {
-	p.AdvanceSystem(cpu.VMExit + cpu.Syscall + costSyscallKernelPath + costDirectIOPathCost)
+	p.AdvanceSystem(cpu.VMExit + cpu.Syscall + costSyscallKernelPath + costDirectIOPath)
 	os.blockRead(p, f.devOff(off), buf)
 	p.AdvanceSystem(cpu.VMEntry)
 }
 
 // DirectWriteHost is the write-side HOST-* engine.
 func (os *OS) DirectWriteHost(p *engine.Proc, f *FSFile, off uint64, buf []byte) {
-	p.AdvanceSystem(cpu.VMExit + cpu.Syscall + costSyscallKernelPath + costDirectIOPathCost)
+	p.AdvanceSystem(cpu.VMExit + cpu.Syscall + costSyscallKernelPath + costDirectIOPath)
 	os.blockWrite(p, f.devOff(off), buf)
 	p.AdvanceSystem(cpu.VMEntry)
 }

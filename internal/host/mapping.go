@@ -24,7 +24,7 @@ type vma struct {
 }
 
 // Bounds is the VMA's address range (detutil.Ranged). A process's VMAs are a
-// detutil.RangeSet: the kernel's rb-tree, charged as VMALookup where it is
+// detutil.RangeSet: the kernel's rb-tree, charged as costVMALookup where it is
 // used. Mutations and lookups are serialized by Process.mmapSem, which the
 // fault path takes shared — the contention pattern §3.4 describes.
 func (v *vma) Bounds() (start, end uint64) { return v.start, v.end }
