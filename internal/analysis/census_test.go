@@ -37,6 +37,9 @@ var flagDefiners = map[string]int{
 //     *Params, *Options, *Config or *Costs;
 //   - pkg.Type.Field for each exported field of any other exported struct whose
 //     type is such a struct (a per-world copy of a table);
+//   - pkg.Type.Field for each exported field of an exported struct in a
+//     simulated package (SimulatedPkg) whose type is a func or a named func
+//     type: a hook a caller installs to replace a policy;
 //   - pkg -name for each flag a command under cmd/ defines.
 //
 // The tree is parsed, not type-checked; _test.go files and the bench and
@@ -45,7 +48,11 @@ var flagDefiners = map[string]int{
 // Census -update rewrites it).
 func TestSettableCensus(t *testing.T) {
 	root := filepath.Join("..", "..")
-	var lines []string
+	type file struct {
+		pkg string
+		f   *ast.File
+	}
+	var files []file
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -65,15 +72,27 @@ func TestSettableCensus(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		pkg := path.Join("aquila", path.Dir(rel))
-		lines = append(lines, censusFields(pkg, f)...)
-		if strings.HasPrefix(rel, "cmd/") {
-			lines = append(lines, censusFlags(pkg, f)...)
-		}
+		files = append(files, file{path.Join("aquila", path.Dir(rel)), f})
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	funcTypes := map[string]bool{}
+	for _, f := range files {
+		for name := range namedFuncTypes(f.f) {
+			funcTypes[f.pkg+"."+name] = true
+		}
+	}
+	var lines []string
+	for _, f := range files {
+		lines = append(lines, censusFields(f.pkg, f.f)...)
+		if SimulatedPkg(f.pkg) {
+			lines = append(lines, censusHooks(f.pkg, f.f, funcTypes)...)
+		}
+		if strings.HasPrefix(f.pkg, "aquila/cmd/") {
+			lines = append(lines, censusFlags(f.pkg, f.f)...)
+		}
 	}
 	slices.Sort(lines)
 	got := strings.Join(slices.Compact(lines), "\n") + "\n"
@@ -127,6 +146,75 @@ func censusFields(pkg string, f *ast.File) []string {
 		}
 	}
 	return out
+}
+
+// namedFuncTypes is the set of func types one file declares.
+func namedFuncTypes(f *ast.File) map[string]bool {
+	out := map[string]bool{}
+	for _, decl := range f.Decls {
+		if gd, ok := decl.(*ast.GenDecl); ok && gd.Tok == token.TYPE {
+			for _, spec := range gd.Specs {
+				if ts := spec.(*ast.TypeSpec); isFuncType(ts.Type) {
+					out[ts.Name.Name] = true
+				}
+			}
+		}
+	}
+	return out
+}
+
+// censusHooks lists the exported func-typed fields of the exported structs
+// one file declares. funcTypes holds every named func type as pkg.Name.
+func censusHooks(pkg string, f *ast.File, funcTypes map[string]bool) []string {
+	imports := map[string]string{} // local name -> import path
+	for _, im := range f.Imports {
+		p, _ := strconv.Unquote(im.Path.Value)
+		name := path.Base(p)
+		if im.Name != nil {
+			name = im.Name.Name
+		}
+		imports[name] = p
+	}
+	isHook := func(e ast.Expr) bool {
+		switch e := e.(type) {
+		case *ast.Ident:
+			return funcTypes[pkg+"."+e.Name]
+		case *ast.SelectorExpr:
+			x, ok := e.X.(*ast.Ident)
+			return ok && funcTypes[imports[x.Name]+"."+e.Sel.Name]
+		}
+		return isFuncType(e)
+	}
+	var out []string
+	for _, decl := range f.Decls {
+		gd, ok := decl.(*ast.GenDecl)
+		if !ok || gd.Tok != token.TYPE {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			ts := spec.(*ast.TypeSpec)
+			st, ok := ts.Type.(*ast.StructType)
+			if !ok || !ts.Name.IsExported() {
+				continue
+			}
+			for _, fld := range st.Fields.List {
+				if !isHook(fld.Type) {
+					continue
+				}
+				for _, n := range fld.Names {
+					if n.IsExported() {
+						out = append(out, pkg+"."+ts.Name.Name+"."+n.Name)
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+func isFuncType(e ast.Expr) bool {
+	_, ok := e.(*ast.FuncType)
+	return ok
 }
 
 // censusFlags lists the command-line flags one file defines.
@@ -199,4 +287,35 @@ func lineDiff(want, got string) string {
 		}
 	}
 	return b.String()
+}
+
+// TestCensusHooksResolvesNamedFuncTypes checks the three shapes a hook's
+// type takes: a func literal type, a func type of the same package and one
+// imported from another.
+func TestCensusHooksResolvesNamedFuncTypes(t *testing.T) {
+	src := `package core
+import eng "aquila/internal/sim/engine"
+type Policy func(int) int
+type Runtime struct {
+	Lit    func() bool
+	Local  Policy
+	Remote eng.Hook
+	Plain  eng.Proc
+	hidden Policy
+}
+type runtime struct{ Local Policy }
+`
+	f, err := parser.ParseFile(token.NewFileSet(), "core.go", src, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	funcTypes := map[string]bool{"aquila/internal/sim/engine.Hook": true}
+	for name := range namedFuncTypes(f) {
+		funcTypes["aquila/internal/core."+name] = true
+	}
+	got := censusHooks("aquila/internal/core", f, funcTypes)
+	want := []string{"aquila/internal/core.Runtime.Lit", "aquila/internal/core.Runtime.Local", "aquila/internal/core.Runtime.Remote"}
+	if !slices.Equal(got, want) {
+		t.Errorf("censusHooks = %q, want %q", got, want)
+	}
 }
