@@ -142,9 +142,10 @@ const (
 type Options struct {
 	// CPUs is the simulated CPU count (default 32, the paper's testbed).
 	CPUs int
-	// NUMANodes defaults to 2.
-	NUMANodes int
-	// Seed makes runs reproducible (default 1).
+	// Seed is read by nothing: New only copies it into engine.Config.Seed,
+	// which is inert too (the simulation is deterministic without it, and
+	// simulated code seeds its own generators). The field stays because the
+	// frozen bench/ names it in its Options literals.
 	Seed int64
 	// Mode selects the world (default ModeAquila).
 	Mode Mode
@@ -161,9 +162,6 @@ type Options struct {
 	DeviceBytes uint64
 	// Params overrides Aquila's policy knobs (nil: core.DefaultParams).
 	Params *core.Params
-	// Trace captures an execution trace; export it with
-	// Sim.WriteChromeTrace.
-	Trace bool
 	// Tracer, when non-nil, receives cycle-attributed spans from every
 	// layer (scheduler, fault paths, devices) for Chrome trace export.
 	// A tracer may be shared by several Systems; TraceLabel tells their
@@ -197,12 +195,6 @@ type Options struct {
 func (o *Options) fill() {
 	if o.CPUs == 0 {
 		o.CPUs = 32
-	}
-	if o.NUMANodes == 0 {
-		o.NUMANodes = 2
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
 	}
 	if o.CacheBytes == 0 {
 		o.CacheBytes = 64 << 20
@@ -241,8 +233,8 @@ func New(opts Options) *System {
 	s := &System{Opts: opts}
 	label := s.TraceLabel()
 	s.Sim = simengine.New(simengine.Config{
-		NumCPUs: opts.CPUs, NumNUMANodes: opts.NUMANodes, Seed: opts.Seed,
-		Trace: opts.Trace, Spans: opts.Tracer, Profile: opts.Profiler,
+		NumCPUs: opts.CPUs, Seed: opts.Seed,
+		Spans: opts.Tracer, Profile: opts.Profiler,
 		TraceLabel: label, SchedPerturb: opts.SchedPerturb,
 	})
 	var disk *host.Disk

@@ -98,18 +98,6 @@ func TestAquilaFasterThanLinuxOnFaultStorm(t *testing.T) {
 	}
 }
 
-func TestPublicTraceOption(t *testing.T) {
-	sys := New(Options{Mode: ModeAquila, Device: DevicePMem, CPUs: 2, Trace: true})
-	sys.Do(func(p *Proc) {
-		f := sys.NS.Create(p, "t", 1<<20)
-		m := sys.NS.Mmap(p, f, 1<<20)
-		m.Store(p, 0, []byte("x"))
-	})
-	if len(sys.Sim.Trace()) == 0 {
-		t.Fatal("no trace captured with Options.Trace")
-	}
-}
-
 // TestMultiProcessWorldIsDeterministic holds the repo's first contract —
 // deterministic given a seed — for worlds with more than one address space:
 // three processes, two threads each, fault, dirty and msync one shared file

@@ -19,9 +19,9 @@
 // -report-dir, each experiment that supports it writes a machine-readable
 // BENCH_<exp>.json report. With -profile-dir, every experiment writes a
 // hierarchical cycle profile (PROF_<exp>.json + PROF_<exp>.folded, the
-// latter flame-graph ready); -profile concatenates all experiments' folded
-// stacks into one file. All are zero-cost when absent: the simulation runs
-// bit-identically with and without them.
+// latter flame-graph ready; cat PROF_*.folded makes one file of all of them).
+// All are zero-cost when absent: the simulation runs bit-identically with and
+// without them.
 package main
 
 import (
@@ -47,7 +47,6 @@ func main() {
 		traceOut  = flag.String("trace", "", "write a Chrome trace-event JSON of all runs to this file")
 		metricsJ  = flag.String("metrics-json", "", "write a metrics registry snapshot (JSON) to this file")
 		reportDir = flag.String("report-dir", "", "write BENCH_<exp>.json reports into this directory")
-		profOut   = flag.String("profile", "", "write one folded flame-graph stack file covering all experiments")
 		profDir   = flag.String("profile-dir", "", "write per-experiment PROF_<exp>.json and PROF_<exp>.folded profiles into this directory")
 		profTop   = flag.Int("profile-top", 0, "print the top-N call paths by exclusive cycles after each experiment")
 		wallClock = flag.Bool("host-wallclock", false,
@@ -55,7 +54,7 @@ func main() {
 	)
 	flag.Parse()
 
-	sinks := obscli.New(*traceOut, *metricsJ, *reportDir != "", *profOut != "" || *profDir != "" || *profTop > 0)
+	sinks := obscli.New(*traceOut, *metricsJ, *reportDir != "", *profDir != "" || *profTop > 0)
 	harness.Instrument(sinks.Tracer, sinks.Registry)
 	harness.InstrumentProfiler(sinks.SpanSink())
 	prof := sinks.Profiler
@@ -90,7 +89,6 @@ func main() {
 		}
 	}
 
-	var allFolded strings.Builder
 	for _, id := range ids {
 		e, _ := harness.Find(id)
 		fmt.Printf("# %s — %s\n# paper: %s\n", e.ID, e.Title, e.Paper)
@@ -140,7 +138,7 @@ func main() {
 		}
 		fmt.Printf(")\n\n")
 		if prof != nil {
-			finishProfile(prof, e.ID, cycles, *profDir, *profTop, &allFolded, *profOut != "")
+			finishProfile(prof, e.ID, cycles, *profDir, *profTop)
 		}
 	}
 
@@ -149,20 +147,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "write %s: %v\n", what, err)
 		os.Exit(1)
 	}
-	if *profOut != "" {
-		if err := os.WriteFile(*profOut, []byte(allFolded.String()), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "write profile: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("# folded stacks written to %s (feed to flamegraph.pl or speedscope)\n", *profOut)
-	}
 }
 
 // finishProfile drains the profiler after one experiment: validates the call
 // tree against the experiment's simulated cycles, writes the per-experiment
 // artifacts, and resets for the next experiment.
-func finishProfile(prof *profile.Profiler, id string, cycles uint64,
-	dir string, top int, folded *strings.Builder, wantFolded bool) {
+func finishProfile(prof *profile.Profiler, id string, cycles uint64, dir string, top int) {
 	prof.SetTotalCycles(cycles)
 	if err := prof.Reconcile(); err != nil {
 		fmt.Fprintf(os.Stderr, "profile reconcile (%s): %v\n", id, err)
@@ -175,12 +165,6 @@ func finishProfile(prof *profile.Profiler, id string, cycles uint64,
 			os.Exit(1)
 		}
 		fmt.Println()
-	}
-	if wantFolded {
-		if err := prof.WriteFolded(folded); err != nil {
-			fmt.Fprintf(os.Stderr, "fold profile: %v\n", err)
-			os.Exit(1)
-		}
 	}
 	if dir != "" && !prof.Empty() {
 		base := filepath.Join(dir, "PROF_"+id)

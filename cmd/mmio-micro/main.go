@@ -30,14 +30,13 @@ func main() {
 		seed     = flag.Int64("seed", 1, "deterministic seed")
 		trace    = flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file")
 		metricsJ = flag.String("metrics-json", "", "write a metrics registry snapshot (JSON) to this file")
-		profOut  = flag.String("profile", "", "write the run's folded flame-graph stacks to this file")
 		profDir  = flag.String("profile-dir", "", "write profile.json and profile.folded into this directory")
 		profTop  = flag.Int("profile-top", 0, "print the top-N call paths by exclusive cycles")
 		crashP   = flag.String("crash-plan", "", "JSON crash plan: kill the run at the planned point, capture the durable image, verify recovery")
 	)
 	flag.Parse()
 
-	sinks := obscli.New(*trace, *metricsJ, false, *profOut != "" || *profDir != "" || *profTop > 0)
+	sinks := obscli.New(*trace, *metricsJ, false, *profDir != "" || *profTop > 0)
 	tracer, reg, prof := sinks.Tracer, sinks.Registry, sinks.Profiler
 
 	mode := aquila.ModeAquila
@@ -57,8 +56,7 @@ func main() {
 	dataset := *dataMB << 20
 
 	opts := aquila.Options{
-		Mode: mode, Device: dev, CacheBytes: cache,
-		DeviceBytes: dataset + 128<<20, Seed: *seed,
+		Mode: mode, Device: dev, CacheBytes: cache, DeviceBytes: dataset + 128<<20,
 		Tracer: tracer, Registry: reg, Profiler: sinks.SpanSink(),
 	}
 	sys := aquila.New(opts)
@@ -160,13 +158,6 @@ func main() {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
-		}
-		if *profOut != "" {
-			if err := obscli.WriteTo(*profOut, prof.WriteFolded); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("folded stacks written to %s (feed to flamegraph.pl or speedscope)\n", *profOut)
 		}
 		if *profDir != "" {
 			base := filepath.Join(*profDir, "profile")

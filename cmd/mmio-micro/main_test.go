@@ -16,7 +16,7 @@ func TestCLI(t *testing.T) {
 		{Name: "aquila all sinks", Stdout: "aquila.golden", Files: "aquila.files.golden",
 			Args: []string{"-mode", "aquila", "-threads", "4", "-cache", "16", "-dataset", "64", "-ops", "500",
 				"-trace", "t.json", "-metrics-json", "m.json",
-				"-profile", "p.folded", "-profile-dir", ".", "-profile-top", "5"}},
+				"-profile-dir", ".", "-profile-top", "5"}},
 		{Name: "mmap private nvme", Stdout: "mmap.golden", Files: "mmap.files.golden",
 			Args: []string{"-mode", "mmap", "-device", "nvme", "-threads", "2", "-shared=false",
 				"-cache", "8", "-dataset", "32", "-ops", "300", "-metrics-json", "m.json"}},

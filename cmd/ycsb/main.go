@@ -68,8 +68,7 @@ func main() {
 
 	cache := *cacheMB << 20
 	sys := aquila.New(aquila.Options{
-		Mode: mode, Device: dev, CacheBytes: cache,
-		DeviceBytes: *records*4096 + 512<<20, Seed: *seed,
+		Mode: mode, Device: dev, CacheBytes: cache, DeviceBytes: *records*4096 + 512<<20,
 		Tracer: sinks.Tracer, Registry: reg,
 	})
 	defer sys.Close()

@@ -1,6 +1,6 @@
 // custompolicy: the customization the paper's contribution 1 promises —
-// applications plug their own eviction and readahead policies into Aquila's
-// mmio path. This example installs a scan-resistant policy that evicts
+// applications plug their own eviction policy into Aquila's mmio path
+// (readahead is steered by madvise hints). This example installs a scan-resistant policy that evicts
 // pages of a designated "streaming" file first, protecting the random-access
 // working set of a second file, and compares hit rates against default LRU.
 //

@@ -164,14 +164,13 @@ func TestBgEvictorOverlappedWritebackPersists(t *testing.T) {
 }
 
 func TestAsyncEvictDirectReclaimFallback(t *testing.T) {
-	// Degenerate watermarks (wake only at empty) plus a one-cycle stall
-	// budget: allocations find the freelist dry, throttle-wait once, and
-	// must then fall through to synchronous direct reclaim — visible in the
-	// stats and the breakdown.
+	// Degenerate watermarks (wake only at empty): allocations find the
+	// freelist dry, throttle-wait through the stall budget, and must then
+	// fall through to synchronous direct reclaim — visible in the stats and
+	// the breakdown.
 	ps := asyncParams(func(ps *Params) {
 		ps.LowWatermark = 1
 		ps.HighWatermark = 2
-		ps.EvictStallBudget = 1
 	})
 	e, _, boot := asyncDaxWorld(4*mib, 4, ps)
 	var rt *Runtime
@@ -181,7 +180,7 @@ func TestAsyncEvictDirectReclaimFallback(t *testing.T) {
 	})
 	e.Run()
 	if rt.Stats.DirectReclaimPages == 0 {
-		t.Error("no direct reclaim despite starved stall budget")
+		t.Error("no direct reclaim despite a dry freelist")
 	}
 	if rt.Stats.EvictStalls == 0 {
 		t.Error("no stalls counted on the throttled path")
@@ -202,7 +201,6 @@ func TestEvictionStalledErrorInsteadOfPanic(t *testing.T) {
 	// burn its yield + throttled-wait budget and then return
 	// ErrEvictionStalled — the graceful replacement of the old hard panic.
 	ps := DefaultParams()
-	ps.EvictStallBudget = 40_000 // two throttle quanta
 	e, _, boot := asyncDaxWorld(1*mib, 2, &ps)
 	e.Spawn(0, "t", func(p *engine.Proc) {
 		rt := boot(p)
@@ -243,7 +241,6 @@ func TestStalledAllocationStealsStrandedFrames(t *testing.T) {
 	// Frames parked on another core's private queue are invisible to pop;
 	// a starving allocation must steal one rather than fail while Free()>0.
 	ps := DefaultParams()
-	ps.EvictStallBudget = 40_000
 	e, _, boot := asyncDaxWorld(1*mib, 2, &ps)
 	e.Spawn(0, "t", func(p *engine.Proc) {
 		rt := boot(p)

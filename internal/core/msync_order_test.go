@@ -154,7 +154,7 @@ func TestMsyncCollectsPerCoreInIndexOrder(t *testing.T) {
 				hi = (c.off + c.length + pageSize - 1) / pageSize
 			}
 			before := len(ref)
-			want := ref.msync("msync", c.m.r.File, lo, hi, rt.P.WritebackMaxRun)
+			want := ref.msync("msync", c.m.r.File, lo, hi, writebackMaxRun)
 			if err := c.m.MsyncRange(p, c.off, c.length); err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}

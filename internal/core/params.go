@@ -82,8 +82,6 @@ type Params struct {
 	// CoreQueueLimit is the per-core free-queue threshold above which
 	// pages spill to the NUMA queue.
 	CoreQueueLimit int
-	// WritebackMaxRun caps the size of one merged writeback I/O, in pages.
-	WritebackMaxRun int
 	// SingleQueueFreelist replaces the two-level per-core/per-NUMA
 	// freelist with one lock-protected shared queue — the design §3.2
 	// argues against. Ablation knob; default false.
@@ -104,11 +102,6 @@ type Params struct {
 	// going back to sleep. Zero derives 3*LowWatermark clamped to 1/4 of
 	// the cache.
 	HighWatermark int
-	// EvictStallBudget bounds, in cycles, how long an allocation may spend
-	// in throttled waiting when every reclaim candidate is busy before the
-	// runtime gives up with ErrEvictionStalled (the graceful replacement
-	// of the old starvation panic). Zero derives 40,000 cycles (~17 µs).
-	EvictStallBudget uint64
 
 	// HugeFaultDensity enables the 2 MB huge-page mmio path and sets the
 	// promotion trigger: a major fault in a 2 MB-aligned extent promotes the
@@ -131,10 +124,9 @@ type Params struct {
 // DefaultParams returns the policy the paper's Aquila runs with.
 func DefaultParams() Params {
 	return Params{
-		EvictBatch:      512,
-		FreelistBatch:   4096,
-		CoreQueueLimit:  8192,
-		WritebackMaxRun: 128,
+		EvictBatch:     512,
+		FreelistBatch:  4096,
+		CoreQueueLimit: 8192,
 	}
 }
 

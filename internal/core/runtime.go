@@ -86,13 +86,13 @@ const (
 	// evictor: short enough to notice a freelist refill quickly (a daemon
 	// batch lands every few thousand cycles), long enough not to spin.
 	evictThrottleQuantum = 4000
-	// defaultEvictStallBudget (~17 µs) bounds throttled waiting per
-	// allocation: a daemon refill batch lands within a few thousand cycles
+	// evictStallBudget (~17 µs) bounds throttled waiting per allocation,
+	// before the runtime gives up with ErrEvictionStalled: a daemon refill batch lands within a few thousand cycles
 	// when reclaim is keeping up, so waiting longer than roughly one inline
 	// batch reclaim costs means the daemons are behind — fall back to
 	// direct reclaim rather than queue behind the backlog (tail latency
 	// stays near the synchronous design's).
-	defaultEvictStallBudget = 40_000
+	evictStallBudget = 40_000
 )
 
 // ErrEvictionStalled reports that an allocation exhausted its throttled-wait
@@ -106,11 +106,6 @@ var ErrEvictionStalled = errors.New("core: eviction stalled — cache too small 
 // contribution 1 of the paper). The batch it returns is the runtime's from
 // then on: it ends up as scratch for later batches.
 type VictimPolicy func(p *engine.Proc, n int) []*Page
-
-// ReadaheadPolicy returns how many pages beyond the faulting one to read,
-// given the region's madvise state. The default honors AdviceSequential /
-// AdviceWillNeed with a readAheadPages window and reads nothing otherwise.
-type ReadaheadPolicy func(r *Region, idx uint64) int
 
 // Config parameterizes a Runtime.
 type Config struct {
@@ -197,12 +192,12 @@ type Runtime struct {
 	frameBufs detutil.Scratch[*mem.Frame]
 	deleteBuf []*Page
 
-	// Victims and Readahead are the customization hooks. Prefer, when
-	// set, biases the default LRU victim selection toward pages it
-	// returns true for (scan resistance, file priorities, ...).
-	Victims   VictimPolicy
-	Readahead ReadaheadPolicy
-	Prefer    func(*Page) bool
+	// Victims is the customization hook. Prefer, when set, biases the
+	// default LRU victim selection toward pages it returns true for (scan
+	// resistance, file priorities, ...). Readahead is steered by madvise
+	// hints (AqMapping.Advise), not by a hook.
+	Victims VictimPolicy
+	Prefer  func(*Page) bool
 
 	// Break attributes fault-path cycles to components (Figs 7, 8). It is
 	// interned in Reg as "aquila_fault_cycles".
@@ -269,7 +264,6 @@ func NewRuntime(p *engine.Proc, hostOS *host.OS, eng IOEngine, cfg Config) *Runt
 	rt.lru = newLRU(rt)
 	rt.dirtyOn = make([]int, hostOS.E.NumCPUs())
 	rt.Victims = rt.lru.selectVictims
-	rt.Readahead = rt.defaultReadahead
 	rt.mmMask = make([]bool, hostOS.E.NumCPUs())
 
 	// Entering Aquila: one vmcall to set up VMCS/EPT state (Dune enter).
@@ -680,10 +674,10 @@ func (rt *Runtime) markDirty(p *engine.Proc, pg *Page) {
 // dirtyKey is device order, the order write-back merges runs in.
 func dirtyKey(pg *Page) uint64 { return pg.file.id<<40 | pg.idx }
 
-// defaultReadahead honors madvise hints: sequential and willneed regions
+// readahead honors madvise hints: sequential and willneed regions
 // read ahead, everything else reads exactly the faulting page. This is the
 // deliberate contrast to the kernel's always-on read-around (§6.1).
-func (rt *Runtime) defaultReadahead(r *Region, idx uint64) int {
+func readahead(r *Region) int {
 	switch r.Advice {
 	case iface.AdviceSequential, iface.AdviceWillNeed:
 		return readAheadPages - 1
@@ -795,7 +789,7 @@ func (rt *Runtime) majorFault(p *engine.Proc, r *Region, f *fileState, idx uint6
 	// The window below stays inside the file and the faulting page inside
 	// its region (Mmap reserved that): the two sizes bound every insert.
 	f.pages.Reserve(filePages)
-	hi := idx + 1 + uint64(rt.Readahead(r, idx))
+	hi := idx + 1 + uint64(readahead(r))
 	if hi > filePages {
 		hi = filePages
 	}
@@ -919,7 +913,7 @@ func (rt *Runtime) allocFrame(p *engine.Proc) (*mem.Frame, error) {
 		}
 		if rt.bg != nil {
 			rt.wakeEvictors(p)
-			if rt.evictorActive() && throttled < rt.stallBudget() {
+			if rt.evictorActive() && throttled < evictStallBudget {
 				rt.Stats.EvictStalls++
 				rt.stallCtr.Inc()
 				p.WaitUntil(p.Now()+evictThrottleQuantum, engine.KindIOWait)
@@ -944,14 +938,6 @@ func (rt *Runtime) allocFrame(p *engine.Proc) (*mem.Frame, error) {
 	}
 }
 
-// stallBudget returns the throttled-wait cycle budget.
-func (rt *Runtime) stallBudget() uint64 {
-	if rt.P.EvictStallBudget > 0 {
-		return rt.P.EvictStallBudget
-	}
-	return defaultEvictStallBudget
-}
-
 // evictStall handles a selection round that found every candidate busy: free
 // yields up to the historical threshold, then throttled waits consuming the
 // stall budget, then ErrEvictionStalled.
@@ -964,7 +950,7 @@ func (rt *Runtime) evictStall(p *engine.Proc) error {
 		return nil
 	}
 	waited := uint64(rt.evictStalls-evictStallYields) * evictStallQuantum
-	if waited <= rt.stallBudget() {
+	if waited <= evictStallBudget {
 		p.WaitUntil(p.Now()+evictStallQuantum, engine.KindIOWait)
 		return nil
 	}
@@ -1111,7 +1097,7 @@ func (rt *Runtime) shootdown(p *engine.Proc) {
 // stores take a wp fault and re-dirty the page; eviction's victims are already
 // unmapped, so for them the pass touches nothing and costs nothing), then
 // form merged runs — a 2 MB unit alone, never split or capped; 4 KB pages of
-// one file at adjacent indices, up to WritebackMaxRun — and write each.
+// one file at adjacent indices, up to writebackMaxRun — and write each.
 //
 // With aw nil every run is written synchronously, with bounded retry and
 // per-page recovery. With aw set, runs are submitted back to back and only
@@ -1151,7 +1137,7 @@ func (rt *Runtime) writeBack(p *engine.Proc, pages []*Page, span string, aw Asyn
 		var gathered []*mem.Frame
 		if !pages[i].huge {
 			j := i + 1
-			for j < len(pages) && j-i < rt.P.WritebackMaxRun && !pages[j].huge &&
+			for j < len(pages) && j-i < writebackMaxRun && !pages[j].huge &&
 				pages[j].file == pages[i].file && pages[j].idx == pages[j-1].idx+1 {
 				j++
 			}
@@ -1201,10 +1187,12 @@ const (
 	ioRetryBackoff = 20000
 )
 
-// readAheadPages is the madvise(SEQUENTIAL/WILLNEED)-driven readahead window
-// of the default ReadaheadPolicy, the faulting page included. A world that
-// wants another window installs its own policy (Runtime.Readahead).
+// readAheadPages is the madvise(SEQUENTIAL/WILLNEED)-driven readahead window,
+// the faulting page included.
 const readAheadPages = 16
+
+// writebackMaxRun caps the size of one merged write-back I/O, in pages.
+const writebackMaxRun = 128
 
 // transientErr reports whether a device error is worth retrying in place.
 func transientErr(err error) bool {

@@ -59,14 +59,12 @@ func (e *recEngine) SubmitWriteRun(p *engine.Proc, f *fileState, idx uint64, fra
 	return p.Now() + recAsyncLatency, nil
 }
 
-// recWorld boots a runtime over a recEngine with WritebackMaxRun = maxRun.
-func recWorld(maxRun int) (*engine.Engine, *recEngine, func(p *engine.Proc) *Runtime) {
+// recWorld boots a runtime over a recEngine.
+func recWorld() (*engine.Engine, *recEngine, func(p *engine.Proc) *Runtime) {
 	e, os, _ := daxWorld(4*mib, 2)
 	eng := &recEngine{reject: map[uint64]bool{}}
 	return e, eng, func(p *engine.Proc) *Runtime {
-		ps := DefaultParams()
-		ps.WritebackMaxRun = maxRun
-		return NewRuntime(p, os, eng, Config{CacheBytes: 4 * mib, Params: &ps})
+		return NewRuntime(p, os, eng, Config{CacheBytes: 4 * mib})
 	}
 }
 
@@ -86,7 +84,7 @@ func testPage(f *fileState, idx uint64, huge bool) *Page {
 }
 
 // Run formation is one piece of code for every caller: sorted into device
-// order, capped at WritebackMaxRun, broken at a file boundary and at an index
+// order, capped at writebackMaxRun, broken at a file boundary and at an index
 // gap, a 2 MB unit always alone — written synchronously or submitted, the
 // runs are the same.
 func TestWriteBackRunFormation(t *testing.T) {
@@ -95,32 +93,34 @@ func TestWriteBackRunFormation(t *testing.T) {
 		idx  uint64
 		huge bool
 	}
+	var adjacent []pageAt
+	for idx := uint64(0); idx < writebackMaxRun+2; idx++ {
+		adjacent = append(adjacent, pageAt{0, idx, false})
+	}
 	cases := []struct {
-		name   string
-		maxRun int
-		pages  []pageAt
-		want   []string // "<file>:<idx>+<pages>"
+		name  string
+		pages []pageAt
+		want  []string // "<file>:<idx>+<pages>"
 	}{
-		{"cap at WritebackMaxRun", 2,
-			[]pageAt{{0, 0, false}, {0, 1, false}, {0, 2, false}, {0, 3, false}, {0, 4, false}},
-			[]string{"a:0+2", "a:2+2", "a:4+1"}},
-		{"index gap", 8,
+		{"cap at WritebackMaxRun", adjacent,
+			[]string{fmt.Sprintf("a:0+%d", writebackMaxRun), fmt.Sprintf("a:%d+2", writebackMaxRun)}},
+		{"index gap",
 			[]pageAt{{0, 0, false}, {0, 1, false}, {0, 3, false}},
 			[]string{"a:0+2", "a:3+1"}},
-		{"file boundary with adjacent indices", 8,
+		{"file boundary with adjacent indices",
 			[]pageAt{{0, 6, false}, {0, 7, false}, {1, 8, false}, {1, 9, false}},
 			[]string{"a:6+2", "b:8+2"}},
-		{"sorted into device order first", 8,
+		{"sorted into device order first",
 			[]pageAt{{1, 1, false}, {0, 5, false}, {1, 0, false}, {0, 4, false}},
 			[]string{"a:4+2", "b:0+2"}},
-		{"huge unit never merged, capped or split", 4,
+		{"huge unit never merged, capped or split",
 			[]pageAt{{0, 511, false}, {0, 512, true}, {0, 1024, false}, {0, 1025, false}},
 			[]string{"a:511+1", "a:512+512", "a:1024+2"}},
 	}
 	for _, tc := range cases {
 		for _, async := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/async=%v", tc.name, async), func(t *testing.T) {
-				e, eng, boot := recWorld(tc.maxRun)
+				e, eng, boot := recWorld()
 				e.Spawn(0, "t", func(p *engine.Proc) {
 					rt := boot(p)
 					files := []*fileState{rt.CreateFile(p, "a", 8*mib), rt.CreateFile(p, "b", 8*mib)}
@@ -159,24 +159,25 @@ func TestWriteBackRunFormation(t *testing.T) {
 // Submitted runs overlap and are drained with one wait for the deepest
 // completion; a run whose submission is refused is written synchronously
 // inline and the runs after it go back to overlapping. Without drain the call
-// returns at submission (UnsafeMsyncAtSubmit's window).
+// returns at submission (UnsafeMsyncAtSubmit's window). The pages sit at every
+// other index, so each is a run of its own.
 func TestWriteBackOverlapRejectAndDrain(t *testing.T) {
 	for _, drain := range []bool{true, false} {
 		t.Run(fmt.Sprintf("drain=%v", drain), func(t *testing.T) {
-			e, eng, boot := recWorld(1)
-			eng.reject[2] = true
+			e, eng, boot := recWorld()
+			eng.reject[4] = true
 			e.Spawn(0, "t", func(p *engine.Proc) {
 				rt := boot(p)
 				f := rt.CreateFile(p, "a", 1*mib)
 				var pages []*Page
-				for idx := uint64(0); idx < 5; idx++ {
+				for idx := uint64(0); idx < 10; idx += 2 {
 					pages = append(pages, testPage(f, idx, false))
 				}
 				t0, w0 := p.Now(), p.Accounted(engine.KindIOWait)
 				if err := rt.writeBack(p, pages, "aq.bg_writeback", eng, drain); err != nil {
 					t.Fatalf("writeBack = %v (a refused submission that then writes is not a failure)", err)
 				}
-				want := []string{"submit a:0+1", "submit a:1+1", "reject a:2+1", "sync a:2+1", "submit a:3+1", "submit a:4+1"}
+				want := []string{"submit a:0+1", "submit a:2+1", "reject a:4+1", "sync a:4+1", "submit a:6+1", "submit a:8+1"}
 				if !reflect.DeepEqual(eng.log, want) {
 					t.Fatalf("calls = %q\nwant    %q", eng.log, want)
 				}

@@ -11,10 +11,10 @@ type RMATConfig struct {
 	EdgeFactor int
 	// Seed makes generation deterministic.
 	Seed int64
-	// A, B, C are the standard R-MAT quadrant probabilities
-	// (defaults 0.57, 0.19, 0.19; D = 1-A-B-C).
-	A, B, C float64
 }
+
+// The standard R-MAT quadrant probabilities; D = 1-rmatA-rmatB-rmatC.
+const rmatA, rmatB, rmatC = 0.57, 0.19, 0.19
 
 // RMAT generates directed edges (u, v) per the recursive matrix model.
 // Self-loops and duplicates are kept, as Ligra's rMatGraph does before
@@ -23,25 +23,21 @@ func RMAT(cfg RMATConfig) [][2]uint32 {
 	if cfg.EdgeFactor == 0 {
 		cfg.EdgeFactor = 10
 	}
-	if cfg.A == 0 && cfg.B == 0 && cfg.C == 0 {
-		cfg.A, cfg.B, cfg.C = 0.57, 0.19, 0.19
-	}
 	levels := 0
 	for 1<<levels < int(cfg.Vertices) {
 		levels++
 	}
-	n := uint32(1) << levels
 	m := int(cfg.Vertices) * cfg.EdgeFactor
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	edges := make([][2]uint32, 0, m)
-	ab := cfg.A + cfg.B
-	abc := ab + cfg.C
+	ab := rmatA + rmatB
+	abc := ab + rmatC
 	for len(edges) < m {
 		var u, v uint32
 		for l := 0; l < levels; l++ {
 			r := rng.Float64()
 			switch {
-			case r < cfg.A:
+			case r < rmatA:
 				// top-left: no bits set
 			case r < ab:
 				v |= 1 << l
@@ -56,7 +52,6 @@ func RMAT(cfg RMATConfig) [][2]uint32 {
 			edges = append(edges, [2]uint32{u, v})
 		}
 	}
-	_ = n
 	return edges
 }
 

@@ -58,7 +58,7 @@ func runAblateBatch(scale float64) []*Result {
 		sys := boot(aquila.Options{
 			Mode: aquila.ModeAquila, Device: aquila.DevicePMem,
 			CacheBytes: cache, DeviceBytes: cache*12 + 96*mib,
-			CPUs: 32, Seed: 91, Params: params,
+			CPUs: 32, Params: params,
 		})
 		res, _ := drive(sys, access{
 			file: "ablate", dataset: cache * 12, threads: 16, advice: adviseRandom,
@@ -91,7 +91,7 @@ func runAblateFreelist(scale float64) []*Result {
 		sys := boot(aquila.Options{
 			Mode: aquila.ModeAquila, Device: aquila.DevicePMem,
 			CacheBytes: cache, DeviceBytes: cache*12 + 96*mib,
-			CPUs: 32, Seed: 93, Params: params,
+			CPUs: 32, Params: params,
 		})
 		res, _ := drive(sys, access{
 			file: "ablate", dataset: cache * 12, threads: 32, advice: adviseRandom,
@@ -117,7 +117,7 @@ func runAblateReadahead(scale float64) []*Result {
 		sys := boot(aquila.Options{
 			Mode: aquila.ModeAquila, Device: aquila.DeviceNVMe,
 			CacheBytes: size / 4, DeviceBytes: size + 96*mib,
-			CPUs: 8, Seed: 95,
+			CPUs: 8,
 		})
 		var elapsed uint64
 		sys.Do(func(p *aquila.Proc) {

@@ -61,7 +61,7 @@ func runAblateAsyncEvict(scale float64) []*Result {
 			sys := boot(aquila.Options{
 				Mode: aquila.ModeAquila, Device: dev,
 				CacheBytes: cache, DeviceBytes: cache*12 + 96*mib,
-				CPUs: 32, Seed: 99, Params: params,
+				CPUs: 32, Params: params,
 			})
 			res, _ := drive(sys, access{
 				file: "async-evict", dataset: cache * 12, threads: 16, advice: adviseRandom,

@@ -119,7 +119,7 @@ func walCrashRun(mode aquila.Mode, dev aquila.DeviceKind, cache, nrec, group uin
 	opts := aquila.Options{
 		Mode: mode, Device: dev,
 		CacheBytes: cache, DeviceBytes: cache*8 + 64*mib,
-		CPUs: 8, Seed: 77,
+		CPUs: 8,
 	}
 	if mode == aquila.ModeAquila {
 		opts.Params = core.ParamsForCache(cache)

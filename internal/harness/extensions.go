@@ -53,7 +53,7 @@ func runResize(scale float64) []*Result {
 	sys := boot(aquila.Options{
 		Mode: aquila.ModeAquila, Device: aquila.DevicePMem,
 		CacheBytes: small, MaxCacheBytes: big * 2,
-		DeviceBytes: big*8 + 96*mib, CPUs: 8, Seed: 101,
+		DeviceBytes: big*8 + 96*mib, CPUs: 8,
 	})
 	defer retire(sys.Sim)
 	dataset := big * 4
@@ -113,7 +113,7 @@ func runPageRankWorlds(scale float64) []*Result {
 		sys := boot(aquila.Options{
 			Mode: cfg.mode, Device: aquila.DevicePMem,
 			CacheBytes: cache, DeviceBytes: heapBytes*2 + 64*mib,
-			CPUs: 32, Seed: 29,
+			CPUs: 32,
 		})
 		var g *graph.Graph
 		sys.Do(func(p *aquila.Proc) {

@@ -40,7 +40,7 @@ func runAblateFaults(scale float64) []*Result {
 			sys := boot(aquila.Options{
 				Mode: aquila.ModeAquila, Device: dev,
 				CacheBytes: cache, DeviceBytes: cache*12 + 96*mib,
-				CPUs: 32, Seed: 99, Params: params,
+				CPUs: 32, Params: params,
 			})
 			if prob > 0 {
 				sys.InjectFaults(&aquila.FaultPlan{Seed: 42, Rules: []aquila.FaultRule{

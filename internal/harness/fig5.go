@@ -67,7 +67,6 @@ func rocksRunX(mode rocksMode, dev aquila.DeviceKind, cache uint64, records uint
 		CacheBytes:  cache,
 		DeviceBytes: dataset*2 + 256*mib,
 		CPUs:        32,
-		Seed:        seed,
 	}
 	if mode.mode == aquila.ModeAquila && mut != nil {
 		opts.Params = core.ParamsForCache(cache)

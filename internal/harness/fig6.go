@@ -93,7 +93,7 @@ func runBFSConfig(cfg fig6Config, vertices uint32, edges [][2]uint32,
 		Mode: cfg.mode, Device: cfg.device,
 		CacheBytes:  cache,
 		DeviceBytes: heapBytes*2 + 64*mib,
-		CPUs:        32, Seed: 5,
+		CPUs:        32,
 	})
 	defer retire(sys.Sim)
 	var g *graph.Graph

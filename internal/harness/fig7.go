@@ -35,7 +35,6 @@ func fig7Run(mode rocksMode, cache uint64, records uint64, ops int, seed int64) 
 		CacheBytes:  cache,
 		DeviceBytes: records*1100*2 + 256*mib,
 		CPUs:        8,
-		Seed:        seed,
 	})
 	defer retire(sys.Sim)
 	db := loadRocks(sys, mode.io, cache, records, 1000, seed)

@@ -169,7 +169,7 @@ func runFig8c(scale float64) []*Result {
 func measureCacheHitFault(cache uint64) float64 {
 	sys := boot(aquila.Options{
 		Mode: aquila.ModeAquila, Device: aquila.DevicePMem,
-		CacheBytes: cache * 2, DeviceBytes: cache + 64*mib, CPUs: 4, Seed: 45,
+		CacheBytes: cache * 2, DeviceBytes: cache + 64*mib, CPUs: 4,
 	})
 	defer retire(sys.Sim)
 	var mean float64

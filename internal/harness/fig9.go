@@ -28,7 +28,7 @@ func kreonLayout(mode aquila.Mode, dev aquila.DeviceKind, cache, records, logPer
 			Mode: mode, Device: dev,
 			CacheBytes:  cache,
 			DeviceBytes: logBytes + idxBytes + 64*mib,
-			CPUs:        8, Seed: seed,
+			CPUs:        8,
 		}, kreon.Options{
 			LogBytes: logBytes, IndexBytes: idxBytes,
 			L0Entries: int(records)/3 + 1,

@@ -50,7 +50,7 @@ func bootHugeWorld(dev aquila.DeviceKind, cache, dataset uint64, density float64
 	return boot(aquila.Options{
 		Mode: aquila.ModeAquila, Device: dev,
 		CacheBytes: cache, DeviceBytes: dataset + 96*mib,
-		CPUs: 8, Seed: seed, Params: params,
+		CPUs: 8, Params: params,
 	})
 }
 

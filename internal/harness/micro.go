@@ -69,7 +69,6 @@ func runMicro(cfg microConfig) microResult {
 		CacheBytes:  cfg.cache,
 		DeviceBytes: cfg.dataset + 96<<20,
 		CPUs:        cfg.cpus,
-		Seed:        cfg.seed + 1,
 	}
 	a := access{
 		file: "micro-shared", dataset: cfg.dataset, threads: cfg.threads,

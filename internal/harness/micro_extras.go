@@ -74,7 +74,7 @@ func runIPI(scale float64) []*Result {
 	// Aquila eviction deliver IRQs to every other CPU.
 	sys := boot(aquila.Options{
 		Mode: aquila.ModeAquila, Device: aquila.DevicePMem,
-		CacheBytes: 8 * mib, DeviceBytes: 160 * mib, CPUs: 8, Seed: 47,
+		CacheBytes: 8 * mib, DeviceBytes: 160 * mib, CPUs: 8,
 	})
 	defer retire(sys.Sim)
 	var m aquila.Mapping

@@ -136,9 +136,6 @@ type OS struct {
 	HV    *Hypervisor
 
 	procs []*Process
-	// PT aliases the default process's page table (compatibility for
-	// single-process callers and tests).
-	PT *pagetable.Table
 
 	// Reg is the metrics registry (never nil; private unless AttachObs is
 	// called). Break attributes kernel fault-path cycles to components,
@@ -201,7 +198,7 @@ func NewOS(e *engine.Engine, disk *Disk, cacheBytes uint64) *OS {
 	os.FS = newFS(os, disk)
 	os.Cache = newPageCache(os, cacheBytes)
 	os.HV = newHypervisor(os)
-	os.PT = os.NewProcess().PT
+	os.NewProcess() // the default process
 	return os
 }
 

@@ -328,8 +328,8 @@ func TestMunmapFlushesDirty(t *testing.T) {
 		if !bytes.Equal(got, []byte("bye")) {
 			t.Errorf("munmap did not flush: %q", got)
 		}
-		if os.PT.Mapped() != 0 {
-			t.Errorf("PT entries remain after munmap: %d", os.PT.Mapped())
+		if pt := os.DefaultProcess().PT; pt.Mapped() != 0 {
+			t.Errorf("PT entries remain after munmap: %d", pt.Mapped())
 		}
 	})
 }

@@ -37,13 +37,11 @@ const (
 // IOMode selects how the store reaches its tables (§5).
 type IOMode int
 
-// The three RocksDB configurations the paper evaluates.
+// The two RocksDB configurations Fig 5 runs.
 const (
 	// IODirectCached: O_DIRECT reads with a user-space block cache — the
 	// recommended RocksDB configuration ("read/write" in Fig 5).
 	IODirectCached IOMode = iota
-	// IOBuffered: buffered read/write through the kernel page cache.
-	IOBuffered
 	// IOMmap: tables are memory-mapped; reads are loads ("mmap"/Aquila).
 	IOMmap
 )
@@ -57,7 +55,7 @@ const (
 
 // Options configure a DB.
 type Options struct {
-	// NS is the world's namespace (Linux direct/buffered or Aquila).
+	// NS is the world's namespace (Linux direct or mmap, or Aquila).
 	NS iface.Namespace
 	// Mode selects the table read path.
 	Mode IOMode
@@ -293,9 +291,9 @@ func (db *DB) searchTable(p *engine.Proc, t *SST, key []byte) ([]byte, bool) {
 	db.charge(p, "get", costIndexSearch)
 	blkIdx := t.blockFor(key)
 	// The block is done with once the value is copied out of it, so an mmio
-	// lookup lends readBlock the buffer. (The other modes keep allocating: a
-	// cached-mode miss hands its block to the cache, which keeps that very
-	// buffer, and a hit returns one the cache owns.)
+	// lookup lends readBlock the buffer. (Cached mode keeps allocating: a
+	// miss hands its block to the cache, which keeps that very buffer, and
+	// a hit returns one the cache owns.)
 	var lent []byte
 	if db.mmio() {
 		lent = db.bufs.Borrow(blockBytes)
@@ -340,28 +338,20 @@ func (db *DB) readBlock(p *engine.Proc, t *SST, blkIdx uint64, buf []byte) []byt
 		db.charge(p, "get", costMmapBlockOverhead)
 		return buf
 	}
-	if db.cache != nil {
-		t0 := p.Now()
-		blk := db.cache.Get(p, t.id, blkIdx)
-		db.Break.Add("cache", p.Now()-t0)
-		if blk != nil {
-			return blk
-		}
-		buf = make([]byte, blockBytes)
-		t0 = p.Now()
-		t.file.Pread(p, buf, off)
-		db.Break.Add("io", p.Now()-t0)
-		db.charge(p, "get", costBlockDecode)
-		t0 = p.Now()
-		db.cache.Insert(p, t.id, blkIdx, buf)
-		db.Break.Add("cache", p.Now()-t0)
-		return buf
+	t0 := p.Now()
+	blk := db.cache.Get(p, t.id, blkIdx)
+	db.Break.Add("cache", p.Now()-t0)
+	if blk != nil {
+		return blk
 	}
 	buf = make([]byte, blockBytes)
-	t0 := p.Now()
+	t0 = p.Now()
 	t.file.Pread(p, buf, off)
 	db.Break.Add("io", p.Now()-t0)
 	db.charge(p, "get", costBlockDecode)
+	t0 = p.Now()
+	db.cache.Insert(p, t.id, blkIdx, buf)
+	db.Break.Add("cache", p.Now()-t0)
 	return buf
 }
 

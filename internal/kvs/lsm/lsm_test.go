@@ -181,7 +181,6 @@ func TestDBAllModesReadBack(t *testing.T) {
 		mode IOMode
 	}{
 		{"direct-cached", IODirectCached},
-		{"buffered", IOBuffered},
 		{"mmap", IOMmap},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

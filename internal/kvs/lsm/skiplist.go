@@ -1,9 +1,8 @@
 // Package lsm implements a RocksDB-like persistent key-value store: an
 // LSM-tree with a skiplist memtable, a write-ahead log, fixed-size sorted
 // tables (SSTs) with block indexes and bloom filters, leveled compaction,
-// and three I/O configurations matching the paper's §5: direct I/O with a
-// user-space block cache (the recommended RocksDB mode), buffered
-// read/write, and mmio.
+// and the two I/O configurations Fig 5 runs: direct I/O with a user-space
+// block cache (the recommended RocksDB mode), and mmio.
 package lsm
 
 import (

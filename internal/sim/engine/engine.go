@@ -44,9 +44,6 @@ type Config struct {
 	// NumCPUs is the number of simulated CPUs (hyperthreads). The paper's
 	// testbed has 32. Zero defaults to 32.
 	NumCPUs int
-	// NumNUMANodes is the number of NUMA nodes CPUs are split across.
-	// Zero defaults to 2 (the paper's dual-socket testbed).
-	NumNUMANodes int
 	// Seed is read by nothing: the engine draws no random numbers (its one
 	// source of variation is SchedPerturb) and simulated code makes its own
 	// rand.New from the seed its owner was given. The field stays because the
@@ -97,6 +94,7 @@ type CPU struct {
 type Engine struct {
 	cfg     Config
 	cpus    []*CPU
+	nodes   int // NUMA nodes: numaNodes, or one per CPU below that
 	procs   []*Proc
 	runq    procHeap
 	current *Proc
@@ -149,32 +147,24 @@ var batonNames = [...]string{batonYield: "yield", batonBlock: "block", batonDone
 
 func (k batonKind) String() string { return batonNames[k] }
 
+// numaNodes is the number of NUMA nodes CPUs are split across: the paper's
+// dual-socket testbed.
+const numaNodes = 2
+
 // New creates a simulation engine.
 func New(cfg Config) *Engine {
 	if cfg.NumCPUs <= 0 {
 		cfg.NumCPUs = 32
 	}
-	if cfg.NumNUMANodes <= 0 {
-		cfg.NumNUMANodes = 2
-	}
-	if cfg.NumNUMANodes > cfg.NumCPUs {
-		cfg.NumNUMANodes = cfg.NumCPUs
-	}
-	e := &Engine{cfg: cfg}
+	e := &Engine{cfg: cfg, nodes: min(numaNodes, cfg.NumCPUs)}
 	if cfg.Trace {
 		e.tr = &tracer{}
 	}
 	e.spans = cfg.Spans
 	e.prof = cfg.Profile
-	perNode := cfg.NumCPUs / cfg.NumNUMANodes
-	if perNode == 0 {
-		perNode = 1
-	}
+	perNode := cfg.NumCPUs / e.nodes
 	for i := 0; i < cfg.NumCPUs; i++ {
-		node := i / perNode
-		if node >= cfg.NumNUMANodes {
-			node = cfg.NumNUMANodes - 1
-		}
+		node := min(i/perNode, e.nodes-1)
 		e.cpus = append(e.cpus, &CPU{ID: i, Node: node})
 	}
 	e.registerObs()
@@ -201,7 +191,7 @@ func (e *Engine) schedKey(id int) uint64 {
 func (e *Engine) NumCPUs() int { return len(e.cpus) }
 
 // NumNUMANodes returns the number of simulated NUMA nodes.
-func (e *Engine) NumNUMANodes() int { return e.cfg.NumNUMANodes }
+func (e *Engine) NumNUMANodes() int { return e.nodes }
 
 // NodeOf returns the NUMA node of the given CPU.
 func (e *Engine) NodeOf(cpu int) int { return e.cpus[cpu].Node }

@@ -352,7 +352,7 @@ func TestDeadlockPanics(t *testing.T) {
 }
 
 func TestNUMATopology(t *testing.T) {
-	e := New(Config{NumCPUs: 32, NumNUMANodes: 2})
+	e := New(Config{NumCPUs: 32})
 	if e.NodeOf(0) != 0 || e.NodeOf(15) != 0 {
 		t.Errorf("cpus 0,15 should be node 0: %d %d", e.NodeOf(0), e.NodeOf(15))
 	}

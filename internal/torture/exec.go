@@ -197,7 +197,7 @@ func (x *exec) options() aquila.Options {
 		devBytes += kreonBytes(pl.Kreon)
 	}
 	opts := aquila.Options{
-		Mode: worldMode(pl.World), CPUs: pl.CPUs, Seed: pl.Seed,
+		Mode: worldMode(pl.World), CPUs: pl.CPUs,
 		CacheBytes: cache, DeviceBytes: devBytes,
 		SchedPerturb: pl.SchedPerturb,
 	}

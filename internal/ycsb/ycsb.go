@@ -94,10 +94,12 @@ type Config struct {
 	Workload     Workload
 	Records      uint64 // initial dataset size
 	ValueSize    int    // default 1000 (§6.1: 1 KB values)
-	ScanLength   int    // default 50
 	Distribution Distribution
 	Seed         int64
 }
+
+// scanLength bounds a scan: each one reads 1..scanLength records.
+const scanLength = 50
 
 // Op is one generated operation.
 type Op struct {
@@ -119,9 +121,6 @@ type Generator struct {
 func NewGenerator(cfg Config) *Generator {
 	if cfg.ValueSize == 0 {
 		cfg.ValueSize = 1000
-	}
-	if cfg.ScanLength == 0 {
-		cfg.ScanLength = 50
 	}
 	g := &Generator{
 		cfg:     cfg,
@@ -202,7 +201,7 @@ func (g *Generator) Next() Op {
 		g.records++
 		return Op{Kind: kind, Key: k}
 	case OpScan:
-		return Op{Kind: kind, Key: g.nextKey(), ScanLen: 1 + g.rng.Intn(g.cfg.ScanLength)}
+		return Op{Kind: kind, Key: g.nextKey(), ScanLen: 1 + g.rng.Intn(scanLength)}
 	default:
 		return Op{Kind: kind, Key: g.nextKey()}
 	}

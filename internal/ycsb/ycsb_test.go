@@ -219,12 +219,12 @@ func TestRunThreadAgainstMapKV(t *testing.T) {
 }
 
 func TestScanLengthsBounded(t *testing.T) {
-	g := NewGenerator(Config{Workload: WorkloadE, Records: 1000, ScanLength: 25, Seed: 4})
+	g := NewGenerator(Config{Workload: WorkloadE, Records: 1000, Seed: 4})
 	for i := 0; i < 5000; i++ {
 		op := g.Next()
 		if op.Kind == OpScan {
-			if op.ScanLen < 1 || op.ScanLen > 25 {
-				t.Fatalf("scan length %d outside [1,25]", op.ScanLen)
+			if op.ScanLen < 1 || op.ScanLen > scanLength {
+				t.Fatalf("scan length %d outside [1,%d]", op.ScanLen, scanLength)
 			}
 		}
 	}
