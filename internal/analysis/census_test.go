@@ -37,9 +37,9 @@ var flagDefiners = map[string]int{
 //     *Params, *Options, *Config or *Costs;
 //   - pkg.Type.Field for each exported field of any other exported struct whose
 //     type is such a struct (a per-world copy of a table);
-//   - pkg.Type.Field for each exported field of an exported struct in a
-//     simulated package (SimulatedPkg) whose type is a func or a named func
-//     type: a hook a caller installs to replace a policy;
+//   - pkg.Type.Field for each exported field of an exported struct in the
+//     aquila package or a simulated one (SimulatedPkg) whose type is a func
+//     or a named func type: a hook a caller installs to replace a policy;
 //   - pkg -name for each flag a command under cmd/ defines.
 //
 // The tree is parsed, not type-checked; _test.go files and the bench and
@@ -87,7 +87,7 @@ func TestSettableCensus(t *testing.T) {
 	var lines []string
 	for _, f := range files {
 		lines = append(lines, censusFields(f.pkg, f.f)...)
-		if SimulatedPkg(f.pkg) {
+		if f.pkg == "aquila" || SimulatedPkg(f.pkg) {
 			lines = append(lines, censusHooks(f.pkg, f.f, funcTypes)...)
 		}
 		if strings.HasPrefix(f.pkg, "aquila/cmd/") {

@@ -86,12 +86,13 @@ const (
 	// evictor: short enough to notice a freelist refill quickly (a daemon
 	// batch lands every few thousand cycles), long enough not to spin.
 	evictThrottleQuantum = 4000
-	// evictStallBudget (~17 µs) bounds throttled waiting per allocation,
-	// before the runtime gives up with ErrEvictionStalled: a daemon refill batch lands within a few thousand cycles
-	// when reclaim is keeping up, so waiting longer than roughly one inline
-	// batch reclaim costs means the daemons are behind — fall back to
-	// direct reclaim rather than queue behind the backlog (tail latency
-	// stays near the synchronous design's).
+	// evictStallBudget (~17 µs) bounds throttled waiting per allocation
+	// before the runtime gives up with ErrEvictionStalled: a daemon refill
+	// batch lands within a few thousand cycles when reclaim is keeping up,
+	// so waiting longer than roughly one inline batch reclaim costs means
+	// the daemons are behind — fall back to direct reclaim rather than
+	// queue behind the backlog (tail latency stays near the synchronous
+	// design's).
 	evictStallBudget = 40_000
 )
 
@@ -194,8 +195,8 @@ type Runtime struct {
 
 	// Victims is the customization hook. Prefer, when set, biases the
 	// default LRU victim selection toward pages it returns true for (scan
-	// resistance, file priorities, ...). Readahead is steered by madvise
-	// hints (AqMapping.Advise), not by a hook.
+	// resistance, file priorities, ...). Readahead follows the madvise
+	// hints (AqMapping.Advise).
 	Victims VictimPolicy
 	Prefer  func(*Page) bool
 
