@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"aquila/internal/sim/cpu"
 	"aquila/internal/sim/engine"
@@ -48,7 +49,13 @@ func (fl *freelist) fill(frames []*mem.Frame) {
 		fl.single = append(fl.single, frames...)
 	} else {
 		for _, f := range frames {
-			fl.nodes[f.Node()] = append(fl.nodes[f.Node()], f)
+			// A full queue grows once for the whole grant, not by doubling
+			// frame by frame: a boot's grant is the whole cache.
+			q := fl.nodes[f.Node()]
+			if len(q) == cap(q) {
+				q = slices.Grow(q, len(frames))
+			}
+			fl.nodes[f.Node()] = append(q, f)
 		}
 	}
 	fl.free += len(frames)

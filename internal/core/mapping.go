@@ -135,8 +135,8 @@ func (m *AqMapping) Mprotect(p *engine.Proc, readOnly bool) {
 
 // Mremap grows or shrinks the mapping (§4.4). Growth relocates the region to
 // a fresh virtual range, moving live PTEs (one batched shootdown for the old
-// range); shrinking unmaps the tail. The mapping's pages stay cached either
-// way.
+// range) and freeing the old range's table pages; shrinking unmaps the tail.
+// The mapping's pages stay cached either way.
 func (m *AqMapping) Mremap(p *engine.Proc, newSize uint64) {
 	rt := m.rt
 	rt.Host.HV.VMCall(p, costVspaceVMCall) // range updates interact with root ring 0
@@ -207,6 +207,7 @@ func (m *AqMapping) Mremap(p *engine.Proc, newSize uint64) {
 		if moved > 0 {
 			rt.shootdown(p)
 		}
+		rt.PT.Release(m.r.Start, m.r.End)
 		rt.vs.Remove(m.r)
 		m.r.File.pages.Reserve(newPages)
 		m.r.Start, m.r.End = newStart, newStart+newPages*pageSize

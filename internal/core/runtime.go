@@ -337,7 +337,7 @@ func (rt *Runtime) grow(p *engine.Proc, bytes uint64) {
 	}
 	rt.Host.HV.GrantRegion(p, rt.gpaBase, granted)
 	rt.gpaBase += granted
-	var frames []*mem.Frame
+	added := 0
 	var blocks [][]*mem.Frame
 	perNode := int(wantPages) / rt.e.NumNUMANodes()
 	for n := 0; n < rt.e.NumNUMANodes(); n++ {
@@ -358,11 +358,12 @@ func (rt *Runtime) grow(p *engine.Proc, bytes uint64) {
 				want -= hugePages
 			}
 		}
-		frames = append(frames, rt.framePool.AllocN(n, want)...)
+		frames := rt.framePool.AllocN(n, want)
+		rt.fl.fill(frames)
+		added += len(frames)
 	}
-	rt.fl.fill(frames)
 	rt.fl.fillHuge(blocks)
-	rt.limitPages += uint64(len(frames)) + uint64(len(blocks))*hugePages
+	rt.limitPages += uint64(added) + uint64(len(blocks))*hugePages
 	if rt.bg != nil {
 		rt.setWatermarks()
 	}
@@ -553,6 +554,8 @@ func (rt *Runtime) munmapRegion(p *engine.Proc, r *Region) {
 // by the mapped page size (a huge entry costs one PTE update and one
 // reverse-map fix for the whole extent) and maintaining the rmap bookkeeping.
 // A huge extent straddling a boundary must have been split by the caller.
+// The table pages the span emptied are freed at no simulated cost, as
+// munmap's free_pgtables.
 func (rt *Runtime) unmapSpan(p *engine.Proc, r *Region, lo, hi uint64) int {
 	unmapped := 0
 	for va := lo; va < hi; {
@@ -571,6 +574,7 @@ func (rt *Runtime) unmapSpan(p *engine.Proc, r *Region, lo, hi uint64) int {
 		}
 		va += step
 	}
+	rt.PT.Release(lo, hi)
 	return unmapped
 }
 

@@ -152,8 +152,9 @@ func (m *Mapping) Munmap(p *engine.Proc) {
 }
 
 // unmapSpan is the one range unmap (Munmap, Mremap's shrink): clear the live
-// PTEs of [lo, hi), drop each from its page's reverse map, and issue one
-// batched shootdown for the lot. The caller holds mmap_sem for writing.
+// PTEs of [lo, hi), drop each from its page's reverse map, free the table
+// pages that leaves empty (free_pgtables, at no simulated cost), and issue
+// one batched shootdown for the lot. The caller holds mmap_sem for writing.
 func (m *Mapping) unmapSpan(p *engine.Proc, lo, hi uint64) {
 	unmapped := 0
 	for va := lo; va < hi; va += PageSize {
@@ -165,6 +166,7 @@ func (m *Mapping) unmapSpan(p *engine.Proc, lo, hi uint64) {
 			}
 		}
 	}
+	m.pr.PT.Release(lo, hi)
 	if unmapped > 0 {
 		m.pr.shootdown(p)
 	}
@@ -395,8 +397,8 @@ func (m *Mapping) Mprotect(p *engine.Proc, readOnly bool) {
 }
 
 // Mremap grows or shrinks the mapping. Growth relocates to a fresh virtual
-// range, moving live PTEs (MREMAP_MAYMOVE semantics); shrinking unmaps the
-// tail.
+// range, moving live PTEs (MREMAP_MAYMOVE semantics) and freeing the old
+// range's table pages; shrinking unmaps the tail.
 func (m *Mapping) Mremap(p *engine.Proc, newSize uint64) {
 	m.os.charge(p, "syscall", cpu.Syscall+costSyscallKernelPath)
 	m.pr.mmapSem.Lock(p)
@@ -427,6 +429,7 @@ func (m *Mapping) Mremap(p *engine.Proc, newSize uint64) {
 		if moved > 0 {
 			m.pr.shootdown(p)
 		}
+		m.pr.PT.Release(m.v.start, m.v.end)
 		m.pr.vmas.Remove(m.v)
 		m.v.start, m.v.end = newStart, newStart+newPages*PageSize
 		m.pr.vmas.Insert(m.v)

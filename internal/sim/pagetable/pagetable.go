@@ -6,6 +6,13 @@
 // Virtual addresses are decomposed into four 9-bit indices plus a 12-bit
 // offset, exactly as the hardware does. Huge mappings are supported at
 // level 3 (1 GB) and level 2 (2 MB).
+//
+// A table page is the hardware's: 512 packed 8-byte PTEs, the frame number
+// from bit 12 and the flags in the low byte. The size a PTE maps follows
+// from its level. A page above the last level also holds a pointer per slot
+// to its child page; a present huge PTE shadows a child left under it.
+// Table pages are allocated as mappings need them and freed only by
+// Release, as Linux's munmap frees emptied tables (free_pgtables).
 package pagetable
 
 import "fmt"
@@ -42,26 +49,41 @@ type Entry struct {
 // Present reports whether the entry maps something.
 func (e Entry) Present() bool { return e.Flags.Has(FlagPresent) }
 
-type node struct {
-	// children for interior levels; nil slots are non-present.
-	children [512]*node
-	// leaves for the level at which mapping happened, held by value like the
-	// hardware's PTE array: a slot that was never mapped is a non-present
-	// Entry, and mapping one allocates nothing.
-	leaves [512]Entry
+const (
+	present  = uint64(FlagPresent)
+	maxFrame = 1 << 52 // frame << 12 must fit a PTE
+)
+
+// page is a table page of the last level (4 KB PTEs), and the PTE half of
+// every page above it.
+type page struct {
+	pte  [512]uint64
+	live int // present PTEs plus child pages
 }
+
+// dir is a table page above the last level, whose children are Cs.
+type dir[C any] struct {
+	page
+	kids [512]*C
+}
+
+type (
+	pd   = dir[page] // 2 MB PTEs
+	pdpt = dir[pd]   // 1 GB PTEs
+	pml4 = dir[pdpt] // the root: maps nothing itself
+)
 
 // Table is a 4-level page table.
 type Table struct {
-	root    *node
-	asid    uint32
-	mapped  uint64 // number of present leaf entries
-	walkLen int    // levels touched by the last Lookup (cost hook)
+	root   pml4
+	asid   uint32
+	mapped uint64 // number of present leaf entries
+	pages  int    // table pages, the root included
 }
 
 // New creates an empty table with the given address-space id.
 func New(asid uint32) *Table {
-	return &Table{root: &node{}, asid: asid}
+	return &Table{asid: asid, pages: 1}
 }
 
 // ASID returns the address-space id used to tag TLB entries.
@@ -70,55 +92,61 @@ func (t *Table) ASID() uint32 { return t.asid }
 // Mapped returns the number of present leaf entries.
 func (t *Table) Mapped() uint64 { return t.mapped }
 
-// LastWalkLevels returns the number of levels the last Lookup touched.
-func (t *Table) LastWalkLevels() int { return t.walkLen }
-
-// indices decomposes a virtual address into the four 9-bit level indices,
-// from level 4 (root) down to level 1.
-func indices(va uint64) [4]int {
-	return [4]int{
-		int(va >> 39 & 0x1ff),
-		int(va >> 30 & 0x1ff),
-		int(va >> 21 & 0x1ff),
-		int(va >> 12 & 0x1ff),
-	}
-}
+// Pages returns the number of table pages the table holds, the root
+// included.
+func (t *Table) Pages() int { return t.pages }
 
 // Lookup walks the table for va. It returns the leaf entry and true when a
 // present mapping covers va (at any page size).
 func (t *Table) Lookup(va uint64) (Entry, bool) {
-	idx := indices(va)
-	n := t.root
-	t.walkLen = 0
-	for d := 0; d < 4; d++ {
-		t.walkLen++
-		if e := &n.leaves[idx[d]]; e.Present() {
-			return *e, true
-		}
-		child := n.children[idx[d]]
-		if child == nil {
-			return Entry{}, false
-		}
-		n = child
+	pg, i, size := t.find(va)
+	if pg == nil {
+		return Entry{}, false
 	}
-	return Entry{}, false
+	p := pg.pte[i]
+	return Entry{Frame: p >> 12, Flags: Flags(p), PageSize: size}, true
 }
 
-// lookupRef returns a pointer to the live leaf entry covering va, or nil.
-func (t *Table) lookupRef(va uint64) *Entry {
-	idx := indices(va)
-	n := t.root
-	for d := 0; d < 4; d++ {
-		if e := &n.leaves[idx[d]]; e.Present() {
-			return e
-		}
-		child := n.children[idx[d]]
-		if child == nil {
-			return nil
-		}
-		n = child
+// find returns the table page and slot of the present PTE covering va and
+// the size it maps, or a nil page.
+func (t *Table) find(va uint64) (*page, uint64, uint64) {
+	d1 := t.root.kids[va>>39&511]
+	if d1 == nil {
+		return nil, 0, 0
 	}
-	return nil
+	i := va >> 30 & 511
+	if d1.pte[i]&present != 0 {
+		return &d1.page, i, Size1G
+	}
+	d2 := d1.kids[i]
+	if d2 == nil {
+		return nil, 0, 0
+	}
+	i = va >> 21 & 511
+	if d2.pte[i]&present != 0 {
+		return &d2.page, i, Size2M
+	}
+	pg := d2.kids[i]
+	if pg == nil {
+		return nil, 0, 0
+	}
+	i = va >> 12 & 511
+	if pg.pte[i]&present != 0 {
+		return pg, i, Size4K
+	}
+	return nil, 0, 0
+}
+
+// child returns d's child page in slot i, allocating it when there is none.
+func child[C any](t *Table, d *dir[C], i uint64) *C {
+	c := d.kids[i]
+	if c == nil {
+		c = new(C)
+		d.kids[i] = c
+		d.live++
+		t.pages++
+	}
+	return c
 }
 
 // Map installs a translation of the given page size for the page containing
@@ -127,53 +155,54 @@ func (t *Table) Map(va uint64, frame uint64, flags Flags, pageSize uint64) {
 	if va%pageSize != 0 {
 		panic(fmt.Sprintf("pagetable: unaligned map va=%#x size=%d", va, pageSize))
 	}
-	depth := 3
-	switch pageSize {
-	case Size4K:
-		depth = 3
-	case Size2M:
-		depth = 2
-	case Size1G:
-		depth = 1
-	default:
+	if pageSize != Size4K && pageSize != Size2M && pageSize != Size1G {
 		panic(fmt.Sprintf("pagetable: bad page size %d", pageSize))
 	}
-	idx := indices(va)
-	n := t.root
-	for d := 0; d < depth; d++ {
-		child := n.children[idx[d]]
-		if child == nil {
-			child = &node{}
-			n.children[idx[d]] = child
-		}
-		n = child
+	if frame >= maxFrame {
+		panic(fmt.Sprintf("pagetable: frame %#x past the PTE's frame field", frame))
 	}
-	if !n.leaves[idx[depth]].Present() {
+	d1 := child(t, &t.root, va>>39&511)
+	pg, i := &d1.page, va>>30&511
+	if pageSize < Size1G {
+		d2 := child(t, d1, i)
+		pg, i = &d2.page, va>>21&511
+		if pageSize < Size2M {
+			pg, i = child(t, d2, i), va>>12&511
+		}
+	}
+	if pg.pte[i]&present == 0 {
+		pg.live++
 		t.mapped++
 	}
-	n.leaves[idx[depth]] = Entry{Frame: frame, Flags: flags | FlagPresent, PageSize: pageSize}
+	pg.pte[i] = frame<<12 | uint64(flags|FlagPresent)
 }
 
 // Unmap removes the translation covering va. It reports whether a present
-// mapping was removed.
+// mapping was removed. The table page that held it stays, even when empty:
+// only Release frees table pages.
 func (t *Table) Unmap(va uint64) bool {
-	e := t.lookupRef(va)
-	if e == nil {
+	pg, i, _ := t.find(va)
+	if pg == nil {
 		return false
 	}
-	*e = Entry{}
-	t.mapped--
+	t.clear(pg, i)
 	return true
+}
+
+func (t *Table) clear(pg *page, i uint64) {
+	pg.pte[i] = 0
+	pg.live--
+	t.mapped--
 }
 
 // Protect rewrites the flags of the present mapping covering va, preserving
 // the frame. It reports whether a mapping was found.
 func (t *Table) Protect(va uint64, flags Flags) bool {
-	e := t.lookupRef(va)
-	if e == nil {
+	pg, i, _ := t.find(va)
+	if pg == nil {
 		return false
 	}
-	e.Flags = flags | FlagPresent
+	pg.pte[i] = pg.pte[i]&^0xff | uint64(flags|FlagPresent)
 	return true
 }
 
@@ -181,40 +210,75 @@ func (t *Table) Protect(va uint64, flags Flags) bool {
 // inside the range are removed whole; a huge mapping that only partially
 // overlaps the range is split — the entry is removed and the surviving pieces
 // outside the range are re-mapped as 4 KB entries with the same flags and the
-// corresponding base frames. Returns the number of mappings removed (a split
-// counts as one removal).
+// corresponding base frames. It ends by releasing the range's emptied table
+// pages. Returns the number of mappings removed (a split counts as one
+// removal).
 func (t *Table) UnmapRange(va, length uint64) int {
 	removed := 0
 	end := va + length
 	for cur := va; cur < end; {
-		e := t.lookupRef(cur)
-		if e == nil {
+		pg, i, size := t.find(cur)
+		if pg == nil {
 			cur += Size4K
 			continue
 		}
-		size := e.PageSize
+		p := pg.pte[i]
+		t.clear(pg, i)
+		removed++
 		base := cur &^ (size - 1)
 		entryEnd := base + size
 		if size > Size4K && (base < va || entryEnd > end) {
-			// Partial overlap: drop the huge entry, keep the pieces that
-			// survive as 4 KB mappings.
-			ent := *e
-			*e = Entry{}
-			t.mapped--
-			removed++
-			for p := base; p < entryEnd; p += Size4K {
-				if p >= va && p < end {
+			// Partial overlap: keep the pieces that survive as 4 KB
+			// mappings.
+			for q := base; q < entryEnd; q += Size4K {
+				if q >= va && q < end {
 					continue
 				}
-				t.Map(p, ent.Frame+((p-base)>>12), ent.Flags, Size4K)
+				t.Map(q, p>>12+(q-base)>>12, Flags(p), Size4K)
 			}
-			cur = entryEnd
-			continue
 		}
-		*e = Entry{}
-		t.mapped--
-		removed++
 		cur = entryEnd
 	}
+	t.Release(va, end)
 	return removed
+}
+
+// Release frees every table page under [lo, hi) that maps nothing: no
+// present PTE and no child page. The root is never freed. Release charges
+// nothing; a range unmap calls it once its PTEs are gone, while the per-page
+// Unmap of reclaim leaves table pages in place for the refault.
+func (t *Table) Release(lo, hi uint64) {
+	if lo >= hi {
+		return
+	}
+	last := hi - 1
+	release(t, &t.root, 0, 39, lo, last, func(d1 *pdpt, b1 uint64) bool {
+		return release(t, d1, b1, 30, lo, last, func(d2 *pd, b2 uint64) bool {
+			return release(t, d2, b2, 21, lo, last, func(pg *page, _ uint64) bool {
+				return pg.live == 0
+			})
+		})
+	})
+}
+
+// release visits the children of d, a page starting at base whose slots
+// each cover 1<<shift bytes, that [lo, last] touches. It frees each child
+// that sub, after releasing under it, reports empty, and reports whether d
+// is empty afterwards.
+func release[C any](t *Table, d *dir[C], base uint64, shift uint, lo, last uint64, sub func(*C, uint64) bool) bool {
+	first, end := uint64(0), uint64(511)
+	if lo > base {
+		first = (lo - base) >> shift
+	}
+	if last-base < 512<<shift {
+		end = (last - base) >> shift
+	}
+	for i := first; i <= end; i++ {
+		if c := d.kids[i&511]; c != nil && sub(c, base+i<<shift) {
+			d.kids[i&511] = nil
+			d.live--
+			t.pages--
+		}
+	}
+	return d.live == 0
 }

@@ -1,9 +1,11 @@
 package pagetable
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestMapLookupUnmap(t *testing.T) {
@@ -193,60 +195,147 @@ func TestUnmapRangeHugeStraddle(t *testing.T) {
 	}
 }
 
-func TestWalkLevels(t *testing.T) {
-	pt := New(1)
-	pt.Map(0, 0, 0, Size4K)
-	pt.Lookup(0)
-	if pt.LastWalkLevels() != 4 {
-		t.Fatalf("4K walk levels = %d, want 4", pt.LastWalkLevels())
-	}
-	pt2 := New(2)
-	pt2.Map(0, 0, 0, Size1G)
-	pt2.Lookup(0)
-	if pt2.LastWalkLevels() != 2 {
-		t.Fatalf("1G walk levels = %d, want 2", pt2.LastWalkLevels())
-	}
-}
-
-// Property: the table agrees with a reference map under random map/unmap/
-// lookup sequences over a bounded VA space of 4K pages.
+// Property: the table agrees with a reference model under random sequences
+// of 4 KB, 2 MB and 1 GB maps, unmaps, lookups, protects, range unmaps and
+// releases over four 1 GB regions under two root slots. Mapped() is checked
+// after every step; after a Release over the whole space, Pages() must be
+// what a fresh table holding the same mappings needs, which catches both a
+// leaked table page and one freed while it still maps something.
 func TestTableMatchesReferenceModel(t *testing.T) {
 	type op struct {
-		Kind uint8
-		Page uint16
+		Kind   uint8
+		Region uint8
+		Page   uint16
+		Len    uint8
 	}
+	regions := [4]uint64{0, Size1G, 512 * Size1G, 513 * Size1G}
+	var why string
 	check := func(ops []op) bool {
-		pt := New(1)
-		ref := make(map[uint64]uint64)
+		pt, ref := New(1), newRefTable()
 		for i, o := range ops {
-			va := uint64(o.Page) * Size4K
-			switch o.Kind % 3 {
-			case 0:
-				pt.Map(va, uint64(i), 0, Size4K)
-				ref[va] = uint64(i)
-			case 1:
-				got := pt.Unmap(va)
-				_, want := ref[va]
-				if got != want {
+			base := regions[o.Region%4]
+			va := base + uint64(o.Page%2048)*Size4K // four 2 MB spans
+			frame, flags := uint64(i+1)<<20, Flags(o.Len)&(FlagWritable|FlagDirty|FlagAccessed|FlagUser)
+			switch o.Kind % 16 {
+			case 0, 1, 2, 3, 4:
+				pt.Map(va, frame, flags, Size4K)
+				ref.Map(va, frame, flags, Size4K)
+			case 5, 6:
+				va &^= Size2M - 1
+				pt.Map(va, frame, flags, Size2M)
+				ref.Map(va, frame, flags, Size2M)
+			case 7:
+				// Rarely, since a range unmap that lands on a 1 GB entry
+				// splits it into 262,143 pages.
+				if o.Len%64 == 0 {
+					pt.Map(base, frame, flags, Size1G)
+					ref.Map(base, frame, flags, Size1G)
+				}
+			case 8, 9:
+				if pt.Unmap(va) != ref.Unmap(va) {
+					why = fmt.Sprintf("step %d: Unmap(%#x) disagrees", i, va)
 					return false
 				}
-				delete(ref, va)
-			case 2:
-				e, ok := pt.Lookup(va)
-				frame, want := ref[va]
-				if ok != want || (ok && e.Frame != frame) {
+			case 10, 11:
+				// Lookup: every step checks va below.
+			case 12:
+				if pt.Protect(va, flags) != ref.Protect(va, flags) {
+					why = fmt.Sprintf("step %d: Protect(%#x) disagrees", i, va)
+					return false
+				}
+			case 13, 14:
+				// A range of 1..240 pages, or one straddling two 2 MB spans.
+				lo, length := va, (uint64(o.Len)+1)*Size4K
+				if o.Len >= 240 {
+					lo, length = va&^(Size2M-1)+Size4K, 2*Size2M
+				}
+				if got, want := pt.UnmapRange(lo, length), ref.UnmapRange(lo, length); got != want {
+					why = fmt.Sprintf("step %d: UnmapRange(%#x, %#x) removed %d, want %d", i, lo, length, got, want)
+					return false
+				}
+			case 15:
+				lo, hi := va, va+uint64(o.Len)*Size2M
+				if o.Len%2 == 0 {
+					lo, hi = 0, 1<<48
+				}
+				pt.Release(lo, hi)
+				if got, want := pt.Pages(), ref.Pages(); got < want || lo == 0 && got != want {
+					why = fmt.Sprintf("step %d: Pages() = %d after Release(%#x, %#x), fresh table needs %d", i, got, lo, hi, want)
 					return false
 				}
 			}
-			if pt.Mapped() != uint64(len(ref)) {
+			if got, want := pt.Mapped(), ref.Mapped(); got != want {
+				why = fmt.Sprintf("step %d (kind %d): Mapped() = %d, want %d", i, o.Kind%16, got, want)
 				return false
 			}
+			for _, probe := range []uint64{va, base, va + Size2M} {
+				e, ok := pt.Lookup(probe)
+				want, wantOK := ref.Lookup(probe)
+				if ok != wantOK || e != want {
+					why = fmt.Sprintf("step %d (kind %d): Lookup(%#x) = %+v %v, want %+v %v", i, o.Kind%16, probe, e, ok, want, wantOK)
+					return false
+				}
+			}
+		}
+		pt.Release(0, 1<<48)
+		if got, want := pt.Pages(), ref.Pages(); got != want {
+			why = fmt.Sprintf("end: Pages() = %d after releasing everything, fresh table needs %d", got, want)
+			return false
 		}
 		return true
 	}
 	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(7))}
 	if err := quick.Check(check, cfg); err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s\n%v", why, err)
+	}
+}
+
+// Per-page Unmap, the reclaim path, never frees a table page, so a refault
+// allocates nothing; Release frees what maps nothing, and never the root.
+func TestReleaseFreesOnlyEmptyTablePages(t *testing.T) {
+	pt := New(1)
+	const span = 96 << 20
+	for va := uint64(0); va < span; va += Size4K {
+		pt.Map(va, va>>12, FlagUser, Size4K)
+	}
+	full := pt.Pages()
+	if want := 1 + 1 + 1 + span/Size2M; full != want {
+		t.Fatalf("Pages() = %d after mapping 96 MB, want %d", full, want)
+	}
+	for va := uint64(0); va < span; va += Size4K {
+		pt.Unmap(va)
+	}
+	if pt.Pages() != full {
+		t.Fatalf("per-page Unmap changed Pages() from %d to %d", full, pt.Pages())
+	}
+	pt.Release(Size2M+Size4K, Size2M+2*Size4K) // touches one empty page
+	if pt.Pages() != full-1 {
+		t.Fatalf("Pages() = %d after releasing one 4 KB page's span, want %d", pt.Pages(), full-1)
+	}
+	pt.Map(span-Size4K, 1, FlagUser, Size4K) // one live page keeps its path
+	pt.Release(0, span)
+	if pt.Pages() != 4 {
+		t.Fatalf("Pages() = %d after Release with one page mapped, want 4", pt.Pages())
+	}
+	pt.Unmap(span - Size4K)
+	pt.Release(span-Size4K, span-Size4K+1)
+	if pt.Pages() != 1 {
+		t.Fatalf("Pages() = %d after releasing everything, want 1 (the root)", pt.Pages())
+	}
+	if a := testing.AllocsPerRun(10, func() { pt.Release(0, 1<<48) }); a != 0 {
+		t.Fatalf("Release: %v allocations per run, want 0", a)
+	}
+	// A huge entry over a leftover child table: the child maps nothing
+	// visible but still holds its PTE, so it stays until that is unmapped.
+	pt.Map(Size4K, 7, FlagUser, Size4K)
+	pt.Map(0, 9, FlagUser, Size2M)
+	pt.Release(0, Size2M)
+	if e, ok := pt.Lookup(Size4K); !ok || e.Frame != 9 || pt.Pages() != 4 {
+		t.Fatalf("huge over a child: Lookup = %+v %v, Pages() = %d, want frame 9 and 4 pages", e, ok, pt.Pages())
+	}
+	pt.Unmap(0)
+	if e, ok := pt.Lookup(Size4K); !ok || e.Frame != 7 {
+		t.Fatalf("after unmapping the huge entry: Lookup = %+v %v, want frame 7", e, ok)
 	}
 }
 
@@ -272,6 +361,51 @@ func TestWarmMapUnmapAllocatesNothing(t *testing.T) {
 	if pt.Mapped() != pages {
 		t.Fatalf("Mapped() = %d after remapping every page, want %d", pt.Mapped(), pages)
 	}
+}
+
+// A 4 KB hit through all four levels, the address pattern of bench's
+// pagetable.lookup_ns.
+func BenchmarkTableLookup(b *testing.B) {
+	pt := New(1)
+	for v := uint64(0); v < 4096; v++ {
+		pt.Map(v*Size4K, v, FlagUser, Size4K)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	hits := 0
+	for i := 0; i < b.N; i++ {
+		if _, ok := pt.Lookup(uint64(i&4095) * Size4K); ok {
+			hits++
+		}
+	}
+	if hits != b.N {
+		b.Fatalf("%d of %d lookups hit", hits, b.N)
+	}
+}
+
+// Releasing a 96 MB span once its PTEs are unmapped one by one, as a
+// world's range unmap does. Each run first rebuilds the span's table pages
+// (one PTE per 2 MB maps the same 48 last-level pages a full span does, and
+// Release's walk does not look at PTEs): ns/op and allocs/op include that,
+// release-ns/op is the Release call alone.
+func BenchmarkTableRelease(b *testing.B) {
+	const span = 96 << 20
+	pt := New(1)
+	var released time.Duration
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for va := uint64(0); va < span; va += Size2M {
+			pt.Map(va, va>>12, FlagUser, Size4K)
+			pt.Unmap(va)
+		}
+		start := time.Now()
+		pt.Release(0, span)
+		released += time.Since(start)
+	}
+	if pt.Pages() != 1 {
+		b.Fatalf("Pages() = %d after Release, want 1", pt.Pages())
+	}
+	b.ReportMetric(float64(released.Nanoseconds())/float64(b.N), "release-ns/op")
 }
 
 func BenchmarkTableMapUnmap(b *testing.B) {
