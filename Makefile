@@ -151,7 +151,9 @@ engine-bench:
 # materialized block and the settle of a Submit with 4 K blocks staged and
 # none due, a frame
 # and a 2 MB block out of and back into simulated DRAM, a 128 MB pool booted,
-# one busy period of a page's event, the cache index's lookup-insert-remove
+# a whole-page copy into a new content buffer, one busy period of a page's
+# event beside the engine's handoff, mutex-handoff and spawn rows (so an engine
+# change shows both), the cache index's lookup-insert-remove
 # (beside the map it replaced), an address-space lookup in the shared range set,
 # the delete of a file with 24 K cached pages and a 64-page ranged msync with
 # 16 K pages cached and 4 K dirty across four cores
@@ -160,7 +162,7 @@ engine-bench:
 # in `make test`.
 sim-bench:
 	$(GO) test ./internal/sim/cpu ./internal/sim/pagetable ./internal/sim/device ./internal/sim/mem -run '^$$' -bench . -benchmem -cpu 1
-	$(GO) test ./internal/sim/engine -run '^$$' -bench EventArmFireWait -benchmem -cpu 1
+	$(GO) test ./internal/sim/engine -run '^$$' -bench 'EventArmFireWait|Handoff|MutexHandoff|SpawnRun' -benchmem -cpu 1
 	$(GO) test ./internal/detutil ./internal/core -run '^$$' -bench 'PageIndexLookupInsertRemove|RegionFind|DeleteFile24kPages|MsyncRange64Of16k' -benchmem -cpu 1
 
 # Host cost of the KV data path alone, the stores over an in-memory namespace

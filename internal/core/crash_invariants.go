@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"aquila/internal/sim/mem"
-)
+import "fmt"
 
 // CheckCrashInvariants audits the runtime state reachable at an *arbitrary*
 // crash point — the complement of CheckInvariants, which demands a quiescent
@@ -43,16 +39,16 @@ func (rt *Runtime) CheckCrashInvariants() error {
 		return fmt.Errorf("freelist negative: %d", free)
 	}
 	err := rt.auditPages(func(pg *Page) error {
-		who := fmt.Sprintf("page (%s,%d)", pg.file.name, pg.idx)
-		frames := pg.frames
-		if !pg.huge && pg.frame != nil {
-			frames = []*mem.Frame{pg.frame}
+		if pg.frame == nil {
+			return nil
 		}
-		for _, fr := range frames {
-			if fr != nil {
-				if err := claim(fr.ID, who); err != nil {
-					return err
-				}
+		who := fmt.Sprintf("page (%s,%d)", pg.file.name, pg.idx)
+		if !pg.huge {
+			return claim(pg.frame.ID, who)
+		}
+		for i := range hugePages {
+			if err := claim(pg.frame.BlockFrame(i).ID, who); err != nil {
+				return err
 			}
 		}
 		return nil

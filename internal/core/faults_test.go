@@ -232,6 +232,56 @@ func TestPermanentReadFaultDeliversTypedSigBus(t *testing.T) {
 	e.Run()
 }
 
+// A poisoned page's fault lives in Runtime.poisoned, not in its record, for as
+// long as the page is poisoned: an eviction that takes the page, or a
+// DeleteFile that drops it, leaves no entry behind.
+func TestPoisonedPageLeavesNoPoisonEntry(t *testing.T) {
+	for _, how := range []string{"evicted", "deleted"} {
+		t.Run(how, func(t *testing.T) {
+			e, pm, boot := faultDaxWorld(1*mib, 1, nil)
+			e.Spawn(0, "t", func(p *engine.Proc) {
+				rt := boot(p)
+				f := rt.CreateFile(p, "faulty", 1*mib)
+				m := rt.Mmap(p, f, 1*mib)
+				pm.InjectFaults("pmem0", &device.FaultPlan{Rules: []device.FaultRule{
+					{Kind: device.FaultPermanentRead, Off: devOffOf(rt, f, 2*pageSize), Len: pageSize, After: 1},
+				}})
+				buf := make([]byte, 8)
+				func() {
+					defer func() {
+						if _, ok := recover().(*SigBus); !ok {
+							t.Fatal("load of a permanently unreadable page did not deliver SIGBUS")
+						}
+					}()
+					m.Load(p, 2*pageSize, buf)
+				}()
+				if pg := rt.lookupPage(f, 2); pg == nil || pg.state != detutil.PgPoisoned || rt.poisoned[pg] == nil || len(rt.poisoned) != 1 {
+					t.Fatalf("after the failed fill: page %v, %d poison entries; want one, for the poisoned page", pg, len(rt.poisoned))
+				}
+				if how == "evicted" {
+					// Twice the cache through a second file: every page of
+					// the first is evicted, the poisoned one with them.
+					g := rt.CreateFile(p, "other", 2*mib)
+					mg := rt.Mmap(p, g, 2*mib)
+					for off := uint64(0); off < 2*mib; off += pageSize {
+						mg.Load(p, off, buf)
+					}
+				} else {
+					m.Munmap(p)
+					rt.DeleteFile(p, "faulty")
+				}
+				if rt.PoisonedLive() != 0 || len(rt.poisoned) != 0 {
+					t.Fatalf("page %s: %d poisoned pages cached, %d poison entries; want none", how, rt.PoisonedLive(), len(rt.poisoned))
+				}
+				if rt.Stats.PoisonedPages != 1 {
+					t.Fatalf("%d poison events, want 1", rt.Stats.PoisonedPages)
+				}
+			})
+			e.Run()
+		})
+	}
+}
+
 // A quarantined page is pinned in DRAM: eviction pressure never selects it
 // again and its (only remaining) copy keeps serving loads.
 func TestQuarantinedPageSurvivesEvictionPressure(t *testing.T) {

@@ -21,9 +21,10 @@ type freelist struct {
 	cores [][]*mem.Frame // per-core stacks
 	nodes [][]*mem.Frame // per-NUMA stacks
 	// hugeNodes is the huge tier: per-NUMA stacks of 2 MB blocks (512
-	// contiguous frames) feeding huge-page promotion. Nil until the first
-	// fillHuge/pushHuge, i.e. always nil with huge pages disabled.
-	hugeNodes [][][]*mem.Frame
+	// contiguous frames), each held as its base frame, feeding huge-page
+	// promotion. Nil until the first fillHuge/pushHuge, i.e. always nil with
+	// huge pages disabled.
+	hugeNodes [][]*mem.Frame
 	// free counts pages across all queues (a 2 MB block counts 512).
 	free int
 
@@ -125,32 +126,34 @@ func (fl *freelist) splitHuge(p *engine.Proc, local int) int {
 		}
 		blk := hq[len(hq)-1]
 		fl.hugeNodes[nd] = hq[:len(hq)-1]
-		fl.nodes[nd] = append(fl.nodes[nd], blk...)
+		fl.nodes[nd] = appendBlock(fl.nodes[nd], blk)
 		fl.rt.charge(p, "alloc",
-			costBuddyOp+costFreelistMove*uint64(len(blk)))
+			costBuddyOp+costFreelistMove*hugePages)
 		return nd
 	}
 	return -1
 }
 
-// fillHuge seeds the huge tier with freshly carved 2 MB blocks.
-func (fl *freelist) fillHuge(blocks [][]*mem.Frame) {
+// fillHuge seeds the huge tier with freshly carved 2 MB blocks, given by
+// their base frames.
+func (fl *freelist) fillHuge(blocks []*mem.Frame) {
 	if len(blocks) == 0 {
 		return
 	}
 	if fl.hugeNodes == nil {
-		fl.hugeNodes = make([][][]*mem.Frame, len(fl.nodes))
+		fl.hugeNodes = make([][]*mem.Frame, len(fl.nodes))
 	}
 	for _, b := range blocks {
-		fl.hugeNodes[b[0].Node()] = append(fl.hugeNodes[b[0].Node()], b)
-		fl.free += len(b)
+		fl.hugeNodes[b.Node()] = append(fl.hugeNodes[b.Node()], b)
+		fl.free += hugePages
 	}
 }
 
-// popHuge takes one 2 MB block for the calling core, local node first. Huge
-// allocation never dips into the 4 KB queues: when contiguity has run out the
-// caller falls back to base-page faults instead.
-func (fl *freelist) popHuge(p *engine.Proc) []*mem.Frame {
+// popHuge takes one 2 MB block for the calling core, local node first, and
+// returns its base frame. Huge allocation never dips into the 4 KB queues:
+// when contiguity has run out the caller falls back to base-page faults
+// instead.
+func (fl *freelist) popHuge(p *engine.Proc) *mem.Frame {
 	if len(fl.hugeNodes) == 0 {
 		return nil
 	}
@@ -164,7 +167,7 @@ func (fl *freelist) popHuge(p *engine.Proc) []*mem.Frame {
 		if hq := fl.hugeNodes[nd]; len(hq) > 0 {
 			blk := hq[len(hq)-1]
 			fl.hugeNodes[nd] = hq[:len(hq)-1]
-			fl.free -= len(blk)
+			fl.free -= hugePages
 			return blk
 		}
 	}
@@ -175,7 +178,7 @@ func (fl *freelist) popHuge(p *engine.Proc) []*mem.Frame {
 // after the pop's charges, so it sees the state the claim must be valid in —
 // whether to keep it. A rejected block goes back to its node's huge tier here,
 // so a caller holds either a validated block or nil and cannot leak one.
-func (fl *freelist) popHugeIf(p *engine.Proc, ok func() bool) []*mem.Frame {
+func (fl *freelist) popHugeIf(p *engine.Proc, ok func() bool) *mem.Frame {
 	blk := fl.popHuge(p)
 	if blk == nil || ok() {
 		return blk
@@ -184,14 +187,14 @@ func (fl *freelist) popHugeIf(p *engine.Proc, ok func() bool) []*mem.Frame {
 	return nil
 }
 
-// pushHuge returns a whole-unit block to its NUMA node's huge tier,
-// preserving its contiguity for the next promotion.
-func (fl *freelist) pushHuge(p *engine.Proc, blk []*mem.Frame) {
+// pushHuge returns a whole-unit block, given by its base frame, to its NUMA
+// node's huge tier, preserving its contiguity for the next promotion.
+func (fl *freelist) pushHuge(p *engine.Proc, blk *mem.Frame) {
 	if fl.hugeNodes == nil {
-		fl.hugeNodes = make([][][]*mem.Frame, len(fl.nodes))
+		fl.hugeNodes = make([][]*mem.Frame, len(fl.nodes))
 	}
-	fl.hugeNodes[blk[0].Node()] = append(fl.hugeNodes[blk[0].Node()], blk)
-	fl.free += len(blk)
+	fl.hugeNodes[blk.Node()] = append(fl.hugeNodes[blk.Node()], blk)
+	fl.free += hugePages
 	fl.rt.charge(p, "alloc", costBuddyOp)
 }
 
@@ -308,7 +311,8 @@ type freeQueue struct {
 	frames []*mem.Frame
 }
 
-// queues lists every queue of free frames, a huge block as its own.
+// queues lists every queue of free frames, a huge block as its own, its 512
+// frames spelled out: the audits' view, made only when they ask.
 func (fl *freelist) queues() []freeQueue {
 	qs := []freeQueue{{"single queue", fl.single}}
 	for c, q := range fl.cores {
@@ -319,7 +323,7 @@ func (fl *freelist) queues() []freeQueue {
 	}
 	for n, blocks := range fl.hugeNodes {
 		for _, blk := range blocks {
-			qs = append(qs, freeQueue{fmt.Sprintf("huge queue %d", n), blk})
+			qs = append(qs, freeQueue{fmt.Sprintf("huge queue %d", n), appendBlock(nil, blk)})
 		}
 	}
 	return qs
@@ -360,7 +364,7 @@ func (fl *freelist) drain(n int) []*mem.Frame {
 	for node := range fl.hugeNodes {
 		for n > len(out) && len(fl.hugeNodes[node]) > 0 {
 			hq := fl.hugeNodes[node]
-			out = append(out, hq[len(hq)-1]...)
+			out = appendBlock(out, hq[len(hq)-1])
 			fl.hugeNodes[node] = hq[:len(hq)-1]
 		}
 	}

@@ -120,7 +120,7 @@ func (rt *Runtime) hugeFault(p *engine.Proc, r *Region, f *fileState, idx uint64
 		}
 		pg.vas.S = nil
 	}
-	unit := &Page{file: f, idx: baseIdx, huge: true, frames: block, frame: block[0]}
+	unit := &Page{file: f, idx: baseIdx, huge: true, frame: block}
 	rt.move(unit, detutil.PgFilling)
 
 	// Cycle charges for the claim (yields are safe now: the claim is fully
@@ -166,7 +166,10 @@ func (rt *Runtime) hugeFault(p *engine.Proc, r *Region, f *fileState, idx uint64
 	rt.fl.pushBatch(p, oldFrames)
 
 	// One merged 2 MB fill.
-	if rerr := rt.readRun(p, f, baseIdx, block); rerr != nil {
+	frames := appendBlock(rt.frameBufs.Borrow(), block)
+	rerr := rt.readRun(p, f, baseIdx, frames)
+	rt.frameBufs.GiveBack(frames)
+	if rerr != nil {
 		// Units are never poisoned whole: split into 4 KB pages and re-issue
 		// page by page so one bad LBA poisons only itself.
 		rt.Stats.MajorFaults++
@@ -175,7 +178,7 @@ func (rt *Runtime) hugeFault(p *engine.Proc, r *Region, f *fileState, idx uint64
 		rt.move(unit, detutil.PgGone)
 		split := make([]*Page, hugePages)
 		for i := range split {
-			split[i] = &Page{file: f, idx: baseIdx + uint64(i), frame: block[i]}
+			split[i] = &Page{file: f, idx: baseIdx + uint64(i), frame: block.BlockFrame(i)}
 			rt.move(split[i], detutil.PgFilling)
 		}
 		rt.charge(p, "map-pte", costHugeSplit)
@@ -218,7 +221,7 @@ func (rt *Runtime) hugeMap(p *engine.Proc, r *Region, pg *Page, va uint64, write
 	}
 	if (pg.idx+hugePages)*pageSize > r.End-r.Start {
 		if _, mapped := rt.PT.Lookup(va); !mapped {
-			rt.PT.Map(va, pg.frames[off].ID, flags, pagetable.Size4K)
+			rt.PT.Map(va, pg.frame.BlockFrame(int(off)).ID, flags, pagetable.Size4K)
 			pg.vas.Add(va)
 		} else {
 			rt.PT.Protect(va, flags)
@@ -228,7 +231,7 @@ func (rt *Runtime) hugeMap(p *engine.Proc, r *Region, pg *Page, va uint64, write
 	} else {
 		hugeVA := va &^ uint64(hugeBytes-1)
 		if e, ok := rt.PT.Lookup(hugeVA); !ok || e.PageSize != pagetable.Size2M {
-			rt.PT.Map(hugeVA, pg.frames[0].ID, flags, pagetable.Size2M)
+			rt.PT.Map(hugeVA, pg.frame.ID, flags, pagetable.Size2M)
 			pg.vas.Add(hugeVA)
 		} else {
 			rt.PT.Protect(hugeVA, flags)
@@ -237,7 +240,7 @@ func (rt *Runtime) hugeMap(p *engine.Proc, r *Region, pg *Page, va uint64, write
 		tlb.Insert2M(asid, va>>21)
 	}
 	rt.charge(p, "accounting", costFaultAccounting)
-	return pg.frames[off], nil
+	return pg.frame.BlockFrame(int(off)), nil
 }
 
 // hugeWP handles the first store to a write-protected 2 MB unit. A unit that
@@ -270,7 +273,7 @@ func (rt *Runtime) hugeWP(p *engine.Proc, r *Region, pg *Page, va uint64) (*mem.
 			tlb.Invalidate2M(asid, va>>21)
 			tlb.Insert2M(asid, va>>21)
 		}
-		return pg.frames[off], nil
+		return pg.frame.BlockFrame(int(off)), nil
 	}
 	split := rt.splitUnit(p, pg, int(off))
 	spg := split[off]
@@ -308,7 +311,7 @@ func (rt *Runtime) splitUnit(p *engine.Proc, pg *Page, pinOff int) []*Page {
 	rt.move(pg, detutil.PgGone)
 	split := make([]*Page, hugePages)
 	for i := range split {
-		spg := &Page{file: pg.file, idx: pg.idx + uint64(i), frame: pg.frames[i], dirtyCore: int32(p.CPU())}
+		spg := &Page{file: pg.file, idx: pg.idx + uint64(i), frame: pg.frame.BlockFrame(i), dirtyCore: int32(p.CPU())}
 		split[i] = spg
 		if wasDirty {
 			rt.move(spg, detutil.PgDirty)

@@ -245,7 +245,7 @@ func TestPopHugeIfKeepsNoLooseBlock(t *testing.T) {
 		n0, c0 := charges()
 		asked := 0
 		if blk := fl.popHugeIf(p, func() bool { asked++; return false }); blk != nil {
-			t.Errorf("rejected claim returned a block of %d frames", len(blk))
+			t.Errorf("rejected claim returned the block based at frame %d", blk.ID)
 		}
 		n1, c1 := charges()
 		if asked != 1 {
@@ -258,15 +258,15 @@ func TestPopHugeIfKeepsNoLooseBlock(t *testing.T) {
 			t.Errorf("rejected claim made %d alloc charges of %d cycles, want 2 of %d", n1-n0, c1-c0, 2*costBuddyOp)
 		}
 
-		// Accepted claims drain the tier; each is one whole unit.
-		var held [][]*mem.Frame
+		// Accepted claims drain the tier; each is one whole unit's base frame.
+		var held []*mem.Frame
 		for {
 			blk := fl.popHugeIf(p, func() bool { return true })
 			if blk == nil {
 				break
 			}
-			if len(blk) != hugePages {
-				t.Fatalf("claimed block has %d frames, want %d", len(blk), hugePages)
+			if blk.ID%hugePages != 0 {
+				t.Fatalf("claimed block based at frame %d, not a block's base frame", blk.ID)
 			}
 			held = append(held, blk)
 		}

@@ -31,23 +31,15 @@ func (rt *Runtime) CheckInvariants() error {
 			return fmt.Errorf("page (%s,%d) has in-flight I/O at quiesce", pg.file.name, pg.idx)
 		}
 		if pg.huge {
-			// Huge-unit structure: extent-aligned base index, 512 contiguous
-			// frames, base-frame alias, no 4 KB entry shadowed inside the
-			// extent, and never poisoned (failed fills split the unit first).
+			// Huge-unit structure: extent-aligned base index, a block's base
+			// frame (its 512 frames follow it in the node's frame table), no
+			// 4 KB entry shadowed inside the extent, and never poisoned
+			// (failed fills split the unit first).
 			if pg.idx%hugePages != 0 {
 				return fmt.Errorf("unit (%s,%d) not extent-aligned", pg.file.name, pg.idx)
 			}
-			if len(pg.frames) != hugePages {
-				return fmt.Errorf("unit (%s,%d) has %d frames", pg.file.name, pg.idx, len(pg.frames))
-			}
-			for i, fr := range pg.frames {
-				if fr.ID != pg.frames[0].ID+uint64(i) {
-					return fmt.Errorf("unit (%s,%d): frames not contiguous at offset %d",
-						pg.file.name, pg.idx, i)
-				}
-			}
-			if pg.frame != pg.frames[0] {
-				return fmt.Errorf("unit (%s,%d): frame is not frames[0]", pg.file.name, pg.idx)
+			if pg.frame.ID%hugePages != 0 {
+				return fmt.Errorf("unit (%s,%d): frame %d is not a block's base frame", pg.file.name, pg.idx, pg.frame.ID)
 			}
 			if _, n := pg.file.pages.Extent(pg.idx >> hugeShift); n != 1 {
 				return fmt.Errorf("unit (%s,%d): %d 4 KB page(s) also cached in its extent",
@@ -71,9 +63,8 @@ func (rt *Runtime) CheckInvariants() error {
 						return fmt.Errorf("unit (%s,%d): unaligned 2 MB va %#x",
 							pg.file.name, pg.idx, va)
 					}
-					want = pg.frames[0].ID
 				} else {
-					want = pg.frames[(va>>mem.PageShift)&(hugePages-1)].ID
+					want = pg.frame.BlockFrame(int((va >> mem.PageShift) & (hugePages - 1))).ID
 				}
 			} else if e.PageSize != pagetable.Size4K {
 				return fmt.Errorf("page (%s,%d): 4 KB page behind 2 MB PTE at %#x",

@@ -86,10 +86,42 @@ func TestPageMoveMatrix(t *testing.T) {
 	e.Run()
 }
 
+// A faulter left waiting on a fill nobody ends is a deadlock, and the
+// engine's diagnostic names the page the way it always has, aqio:<file>:<idx>
+// (a unit aqhuge:), although the event holds only the page, not a name.
+func TestStuckFillDeadlockNamesPage(t *testing.T) {
+	for _, huge := range []bool{false, true} {
+		e, _, boot := daxWorld(4*mib, 2)
+		var pg *Page
+		e.Spawn(0, "owner", func(p *engine.Proc) {
+			rt := boot(p)
+			f := rt.CreateFile(p, "stuck", 4*mib)
+			f.pages.Reserve(hugePages)
+			pg = &Page{file: f, idx: 7, huge: huge}
+			if huge {
+				pg.idx = 0
+			}
+			rt.move(pg, detutil.PgFilling)
+		})
+		e.Spawn(1, "faulter", func(p *engine.Proc) {
+			p.AdvanceSystem(1 << 20) // after the owner has booted and published
+			pg.ev.Wait(p)
+		})
+		want := "faulter(on event:aqio:stuck:7)"
+		if huge {
+			want = "faulter(on event:aqhuge:stuck:0)"
+		}
+		if msg := panicOf(e.Run); !strings.Contains(msg, "engine: deadlock") || !strings.Contains(msg, want) {
+			t.Fatalf("Run panicked with %q, want a deadlock naming %s", msg, want)
+		}
+	}
+}
+
 // The page record stays in its size class: a cold major fault is one
-// allocation of it (TestColdMajorFaultIsOneAllocation).
+// allocation of it (TestColdMajorFaultIsOneAllocation), and a field more puts
+// every fault in the next class.
 func TestPageRecordSize(t *testing.T) {
-	if got := unsafe.Sizeof(Page{}); got > 160 {
-		t.Errorf("Page is %d bytes, want at most 160", got)
+	if got := unsafe.Sizeof(Page{}); got > 112 {
+		t.Errorf("Page is %d bytes, want at most 112: past it every cold fault allocates from Go's 128-byte size class, not the 112-byte one (DESIGN.md §3 \"Page records\")", got)
 	}
 }

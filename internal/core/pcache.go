@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"aquila/internal/detutil"
 	"aquila/internal/sim/engine"
@@ -24,11 +25,15 @@ const _ = -uint(hugePages ^ detutil.LeafSlots)
 
 // Page is one page of Aquila's DRAM I/O cache. The record is self-contained:
 // its busy event and its first reverse mapping live inside it, so a cold major
-// fault is one host allocation (DESIGN.md §3). The small fields sit together
-// to keep the record in the 160-byte size class.
+// fault is one host allocation (DESIGN.md §3). It holds only what every page
+// needs — a 2 MB unit is its base frame, a poisoned page's fault lives in
+// Runtime.poisoned — with the small fields together, which keeps it in the
+// 112-byte size class (DESIGN.md §3 "Page records").
 type Page struct {
-	file  *fileState
-	idx   uint64
+	file *fileState
+	idx  uint64
+	// frame holds the page's content. A 2 MB unit's is the base frame of its
+	// block: the extent's page i is in frame.BlockFrame(i).
 	frame *mem.Frame
 	// ev is armed and unfired while the page is busy — its content in flight
 	// (fill) or eviction's claim on it not yet released — and racing faulters
@@ -41,11 +46,6 @@ type Page struct {
 	// lruSeq is the fault sequence number of the page's newest LRU record;
 	// older queue entries are stale and skipped lazily.
 	lruSeq uint64
-	// poison is the fault a fill failed with for good (state PgPoisoned): the
-	// frame holds no valid content, and any access delivers SIGBUS carrying it.
-	poison *IOFault
-	// frames are a 2 MB unit's 512 contiguous frames (huge).
-	frames []*mem.Frame
 	// dirtyCore is the core that dirtied the page — whose turn in an msync
 	// collects it (§3.2's per-core dirty trees); meaningful while dirty.
 	dirtyCore int32
@@ -54,10 +54,27 @@ type Page struct {
 	// state is where the page is in its life; move is its only writer.
 	state detutil.PageState
 	// huge marks a 2 MB unit: one cache entry (stored under the extent's
-	// base index) covering 512 contiguous frames. frame aliases frames[0] so
-	// size-agnostic code keeps working; dirtiness, LRU position and
-	// writeback are tracked for the unit as a whole.
+	// base index) covering 512 contiguous frames. Dirtiness, LRU position
+	// and writeback are tracked for the unit as a whole.
 	huge bool
+}
+
+// appendFrames appends the frames the page's content is in to dst, in page
+// order: a unit's 512, a 4 KB page's one.
+func (pg *Page) appendFrames(dst []*mem.Frame) []*mem.Frame {
+	if !pg.huge {
+		return append(dst, pg.frame)
+	}
+	return appendBlock(dst, pg.frame)
+}
+
+// appendBlock appends the 512 frames of the 2 MB block based at base to dst.
+func appendBlock(dst []*mem.Frame, base *mem.Frame) []*mem.Frame {
+	dst = slices.Grow(dst, hugePages)
+	for i := range hugePages {
+		dst = append(dst, base.BlockFrame(i))
+	}
+	return dst
 }
 
 // busy reports whether the page is inside a busy period: filling, or claimed
@@ -322,6 +339,9 @@ func (rt *Runtime) move(pg *Page, to detutil.PageState) {
 		rt.dirtyOn[pg.dirtyCore]++
 	} else if from.Counted() && !to.Counted() {
 		rt.dirtyOn[pg.dirtyCore]--
+	}
+	if from == detutil.PgPoisoned {
+		delete(rt.poisoned, pg)
 	}
 	if to.Busy() && !from.Busy() {
 		var owner engine.EventNamer = evictClaim

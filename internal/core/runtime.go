@@ -165,6 +165,12 @@ type Runtime struct {
 	files  map[string]*fileState
 	nextID uint64
 	nextVA uint64
+	// poisoned holds the fault each poisoned page's fill failed with for good
+	// (poison; state PgPoisoned): its frame holds no valid content, and any
+	// access delivers SIGBUS carrying it. Off the record because almost no
+	// page is ever poisoned; move drops a page's entry when it leaves the
+	// state. Nil until the first poisoning; nothing ranges over it.
+	poisoned map[*Page]*IOFault
 	// restoredWBErr holds crash-image writeback errors not yet claimed by an
 	// open/create (consumed entries are deleted; see Config.RestoredWBErrors).
 	restoredWBErr map[string]error
@@ -338,7 +344,7 @@ func (rt *Runtime) grow(p *engine.Proc, bytes uint64) {
 	rt.Host.HV.GrantRegion(p, rt.gpaBase, granted)
 	rt.gpaBase += granted
 	added := 0
-	var blocks [][]*mem.Frame
+	var blocks []*mem.Frame
 	perNode := int(wantPages) / rt.e.NumNUMANodes()
 	for n := 0; n < rt.e.NumNUMANodes(); n++ {
 		want := perNode
@@ -504,8 +510,8 @@ func (rt *Runtime) DeleteFile(p *engine.Proc, name string) {
 	for _, pg := range drop {
 		rt.charge(p, "cache-lookup", costHashRemove)
 		if pg.huge {
-			rt.fl.pushHuge(p, pg.frames)
-			pg.frames, pg.frame = nil, nil
+			rt.fl.pushHuge(p, pg.frame)
+			pg.frame = nil
 		} else if pg.frame != nil {
 			rt.fl.push(p, pg.frame)
 			pg.frame = nil
@@ -756,7 +762,7 @@ func (rt *Runtime) fault(p *engine.Proc, va uint64, write bool) (*mem.Frame, err
 	if pg.state == detutil.PgPoisoned {
 		// The page's backing I/O failed permanently: deliver the recorded
 		// fault instead of mapping garbage. Mappings turn it into SIGBUS.
-		return nil, pg.poison
+		return nil, rt.poisoned[pg]
 	}
 	// Pin across PTE installation: the remaining handler work yields, and
 	// eviction recycling this frame mid-fault would map a stale frame.
@@ -885,7 +891,7 @@ func (rt *Runtime) majorFault(p *engine.Proc, r *Region, f *fileState, idx uint6
 // filled ends pg's fill at time at: it is clean, or poisoned if its read
 // failed for good, and its waiters wake.
 func (rt *Runtime) filled(pg *Page, at uint64) {
-	if pg.poison != nil {
+	if rt.poisoned[pg] != nil {
 		rt.move(pg, detutil.PgPoisoned)
 	} else {
 		rt.move(pg, detutil.PgClean)
@@ -1027,8 +1033,7 @@ func (rt *Runtime) releaseVictims(p *engine.Proc, victims, dirty []*Page, batche
 		rt.move(v, detutil.PgGone)
 		switch {
 		case v.huge:
-			rt.fl.pushHuge(p, v.frames)
-			v.frames = nil
+			rt.fl.pushHuge(p, v.frame)
 			rt.Stats.HugeEvictions++
 		case batched:
 			frames = append(frames, v.frame)
@@ -1135,25 +1140,19 @@ func (rt *Runtime) writeBack(p *engine.Proc, pages []*Page, span string, aw Asyn
 	var firstErr error
 	var lastDone uint64
 	for i := 0; i < len(pages); {
-		// A unit is written from its own 512 frames; a 4 KB run's frames are
-		// gathered in borrowed scratch, given back as soon as the run is
-		// written or submitted — no engine keeps the slice.
-		run, frames := pages[i:i+1], pages[i].frames
-		var gathered []*mem.Frame
-		if !pages[i].huge {
-			j := i + 1
-			for j < len(pages) && j-i < writebackMaxRun && !pages[j].huge &&
-				pages[j].file == pages[i].file && pages[j].idx == pages[j-1].idx+1 {
-				j++
-			}
-			run = pages[i:j]
-			gathered = rt.frameBufs.Borrow()
-			for _, pg := range run {
-				gathered = append(gathered, pg.frame)
-			}
-			frames = gathered
+		// A run's frames — a unit's 512, or one per 4 KB page — are gathered
+		// in borrowed scratch, given back as soon as the run is written or
+		// submitted: no engine keeps the slice.
+		j := i + 1
+		for !pages[i].huge && j < len(pages) && j-i < writebackMaxRun && !pages[j].huge &&
+			pages[j].file == pages[i].file && pages[j].idx == pages[j-1].idx+1 {
+			j++
 		}
-		i += len(run)
+		run, frames := pages[i:j], rt.frameBufs.Borrow()
+		for _, pg := range run {
+			frames = pg.appendFrames(frames)
+		}
+		i = j
 		if aw != nil {
 			t0 := p.Now()
 			p.BeginSpan(span)
@@ -1164,7 +1163,7 @@ func (rt *Runtime) writeBack(p *engine.Proc, pages []*Page, span string, aw Asyn
 				lastDone = max(lastDone, done)
 				rt.Stats.WrittenBack += uint64(len(frames))
 				p.SpanEvent("writeback.pages", uint64(len(frames)))
-				rt.frameBufs.GiveBack(gathered)
+				rt.frameBufs.GiveBack(frames)
 				continue
 			}
 			// Rejected: nothing of this run was queued.
@@ -1172,7 +1171,7 @@ func (rt *Runtime) writeBack(p *engine.Proc, pages []*Page, span string, aw Asyn
 		if err := rt.writeRunOrRecover(p, span, run, frames); err != nil && firstErr == nil {
 			firstErr = err
 		}
-		rt.frameBufs.GiveBack(gathered)
+		rt.frameBufs.GiveBack(frames)
 	}
 	if drain && lastDone > p.Now() {
 		t0 := p.Now()
@@ -1272,10 +1271,13 @@ func (rt *Runtime) isolateReadRun(p *engine.Proc, run []*Page) {
 // The page stays in the hash (re-faults fail fast without re-issuing doomed
 // I/O) but remains evictable.
 func (rt *Runtime) poison(pg *Page, ferr *IOFault) {
-	if pg.poison == nil {
+	if rt.poisoned[pg] == nil {
 		rt.Stats.PoisonedPages++
 	}
-	pg.poison = ferr
+	if rt.poisoned == nil {
+		rt.poisoned = make(map[*Page]*IOFault)
+	}
+	rt.poisoned[pg] = ferr
 	if pg.frame != nil {
 		pg.frame.Reset()
 	}

@@ -69,18 +69,13 @@ func recWorld() (*engine.Engine, *recEngine, func(p *engine.Proc) *Runtime) {
 }
 
 // testPage fabricates a detached cache page (a 2 MB unit when huge): enough
-// for writeBack, which looks only at identity, frames and mappings.
+// for writeBack, which looks only at identity, frames and mappings. A unit is
+// the base frame of a block, here of a pool of its own.
 func testPage(f *fileState, idx uint64, huge bool) *Page {
-	pg := &Page{file: f, idx: idx, frame: &mem.Frame{}}
 	if huge {
-		pg.huge = true
-		pg.frames = make([]*mem.Frame, hugePages)
-		for i := range pg.frames {
-			pg.frames[i] = &mem.Frame{}
-		}
-		pg.frame = pg.frames[0]
+		return &Page{file: f, idx: idx, frame: mem.NewBuddyAllocator(hugeBytes, 1).AllocBlock(0), huge: true}
 	}
-	return pg
+	return &Page{file: f, idx: idx, frame: &mem.Frame{}}
 }
 
 // Run formation is one piece of code for every caller: sorted into device

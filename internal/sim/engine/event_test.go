@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // newEvent returns an armed event with a fixed name.
@@ -96,6 +97,78 @@ func TestEventArmOfUnfiredPanics(t *testing.T) {
 	}()
 	if want := "engine: deadlock, 1 blocked process(es): waiter(on event:claim)"; msg != want {
 		t.Fatalf("Run panicked with %v, want %s", msg, want)
+	}
+}
+
+// The waiters of one busy period queue in the order they arrive, and Fire
+// releases that queue whole at the fire time and leaves the ring through
+// Proc.waitNext empty; a second period queues and releases its own arrivals
+// the same way. 1, 2 and 33 waiters, each arriving at a distinct cycle in the
+// reverse of spawn order. (Woken procs run by clock and spawn id, so the
+// queue itself is what shows the order.)
+func TestEventReleasesWaitersInArrivalOrder(t *testing.T) {
+	for _, n := range []int{1, 2, 33} {
+		e := New(Config{NumCPUs: n + 1, Seed: 1})
+		var ev Event
+		var queued, woke []string
+		// fire records the queue, oldest first, then ends the period.
+		fire := func(p *Proc) {
+			if ev.tail != nil {
+				for w := ev.tail.waitNext; ; w = w.waitNext {
+					queued = append(queued, w.Name())
+					if w == ev.tail {
+						break
+					}
+				}
+			}
+			ev.Fire(p.Now())
+		}
+		ev.Arm(Name("first"))
+		e.Spawn(0, "owner", func(p *Proc) {
+			p.AdvanceSystem(1000)
+			fire(p)
+			ev.Arm(Name("second"))
+			p.AdvanceSystem(1000)
+			fire(p)
+		})
+		for i := 0; i < n; i++ {
+			e.Spawn(1+i, fmt.Sprintf("w%d", i), func(p *Proc) {
+				for range 2 {
+					p.AdvanceUser(uint64(10 * (n - i))) // w(n-1) arrives first
+					ev.Wait(p)
+					woke = append(woke, fmt.Sprintf("%s@%d", p.Name(), p.Now()))
+				}
+			})
+		}
+		e.Run()
+		var wantQueued, wantWoke []string
+		for _, at := range []int{1000, 2000} {
+			for i := n - 1; i >= 0; i-- {
+				wantQueued = append(wantQueued, fmt.Sprintf("w%d", i))
+			}
+			for i := 0; i < n; i++ {
+				wantWoke = append(wantWoke, fmt.Sprintf("w%d@%d", i, at))
+			}
+		}
+		if !slices.Equal(queued, wantQueued) {
+			t.Fatalf("%d waiters: queued\n\t%s\nwant\n\t%s", n, strings.Join(queued, " "), strings.Join(wantQueued, " "))
+		}
+		if !slices.Equal(woke, wantWoke) {
+			t.Fatalf("%d waiters: woken\n\t%s\nwant\n\t%s", n, strings.Join(woke, " "), strings.Join(wantWoke, " "))
+		}
+		if ev.tail != nil || !ev.Fired() || ev.FiredAt() != 2000 {
+			t.Fatalf("%d waiters: after the last Fire tail=%v fired=%v at %d", n, ev.tail, ev.Fired(), ev.FiredAt())
+		}
+	}
+}
+
+// An Event is four words — the namer, the fire time, the ring's tail — so a
+// page record that embeds one stays in its size class (DESIGN.md §3 "Page
+// records"): 16 bytes more moves core.Page from the 112-byte class to 128 and
+// host.cachedPage from 128 to 144.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got != 32 {
+		t.Fatalf("an Event is %d bytes, want 32: every page record embeds one (DESIGN.md §3 \"Page records\")", got)
 	}
 }
 

@@ -293,18 +293,20 @@ func (s *Signal) Wait(p *Proc) {
 }
 
 // Event is a level-triggered event made to live inside its owner, by value:
-// a cached page carries the one event its busy periods share. The zero Event
-// is idle and reads as fired at time 0. Arm starts a busy period, Fire ends it,
-// releasing the waiters of that period, and the event can be armed again. A
-// waiter returns from Wait once per wake and re-checks what it waited for: one
-// that a Fire woke but that runs only after the next Arm finds the owner busy
-// again and waits again.
+// a cached page carries the one event its busy periods share, so the event is
+// four words (DESIGN.md §3 "Page records"). The zero Event is idle and reads
+// as fired at time 0. Arm starts a busy period, Fire ends it, releasing the
+// waiters of that period, and the event can be armed again. A waiter returns
+// from Wait once per wake and re-checks what it waited for: one that a Fire
+// woke but that runs only after the next Arm finds the owner busy again and
+// waits again.
 type Event struct {
+	// namer names the busy period in progress; nil while the event is idle.
 	namer   EventNamer
 	firedAt uint64
-	// head and tail are the FIFO of waiters, linked through Proc.waitNext.
-	head, tail *Proc
-	armed      bool
+	// tail is the newest waiter. The waiters form a ring through
+	// Proc.waitNext, so tail.waitNext is the oldest.
+	tail *Proc
 }
 
 // EventNamer names an event on demand. The name is only read by the deadlock
@@ -317,19 +319,20 @@ type Name string
 
 func (n Name) EventName() string { return string(n) }
 
-// Arm starts a busy period that owner names. Arming an event whose last
-// period has not fired is a bug: its waiters would never be released.
+// Arm starts a busy period that owner, which must not be nil, names. Arming
+// an event whose last period has not fired is a bug: its waiters would never
+// be released.
 func (ev *Event) Arm(owner EventNamer) {
-	if ev.armed {
+	if ev.namer != nil {
 		panic(fmt.Sprintf("engine: arm of unfired event %q", ev.namer.EventName()))
 	}
-	ev.armed, ev.namer = true, owner
+	ev.namer = owner
 }
 
 func (ev *Event) primitiveName() string { return ev.namer.EventName() }
 
 // Fired reports whether the event is idle: never armed, or fired since.
-func (ev *Event) Fired() bool { return !ev.armed }
+func (ev *Event) Fired() bool { return ev.namer == nil }
 
 // FiredAt returns the simulated time of the last Fire (0 before the first).
 func (ev *Event) FiredAt() uint64 { return ev.firedAt }
@@ -337,13 +340,16 @@ func (ev *Event) FiredAt() uint64 { return ev.firedAt }
 // Fire ends the busy period at time t, waking its waiters in arrival order.
 // Firing an idle event does nothing.
 func (ev *Event) Fire(t uint64) {
-	if !ev.armed {
+	if ev.namer == nil {
 		return
 	}
-	ev.armed = false
+	ev.namer = nil
 	ev.firedAt = t
-	w := ev.head
-	ev.head, ev.tail = nil, nil
+	if ev.tail == nil {
+		return
+	}
+	w := ev.tail.waitNext
+	ev.tail.waitNext, ev.tail = nil, nil
 	for w != nil {
 		next := w.waitNext
 		w.waitNext = nil
@@ -355,14 +361,14 @@ func (ev *Event) Fire(t uint64) {
 // Wait blocks until the event fires; if it is idle the caller only advances
 // to the last fire time if that is in its future.
 func (ev *Event) Wait(p *Proc) {
-	if !ev.armed {
+	if ev.namer == nil {
 		p.WaitUntil(ev.firedAt, KindIOWait)
 		return
 	}
 	if ev.tail == nil {
-		ev.head = p
+		p.waitNext = p
 	} else {
-		ev.tail.waitNext = p
+		p.waitNext, ev.tail.waitNext = ev.tail.waitNext, p
 	}
 	ev.tail = p
 	p.block(onEvent, ev)

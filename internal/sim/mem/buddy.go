@@ -167,9 +167,10 @@ func NewBuddyAllocator(totalBytes uint64, numNodes int) *Allocator {
 func (a *Allocator) Buddy() bool { return a.buddy }
 
 // AllocBlock allocates one 2 MB-aligned run of BlockFrames consecutive frames,
-// preferring the given NUMA node. Returns nil when no node has a contiguous
-// block left (the caller falls back to base-page allocation).
-func (a *Allocator) AllocBlock(preferNode int) []*Frame {
+// preferring the given NUMA node, and returns its base frame: frame i of the
+// block is base.BlockFrame(i). Returns nil when no node has a contiguous block
+// left (the caller falls back to base-page allocation).
+func (a *Allocator) AllocBlock(preferNode int) *Frame {
 	if !a.buddy {
 		return nil
 	}
@@ -182,35 +183,29 @@ func (a *Allocator) AllocBlock(preferNode int) []*Frame {
 		if !ok {
 			continue
 		}
-		out := make([]*Frame, BlockFrames)
-		for i := range out {
-			out[i] = a.handOut(ni, base+uint64(i))
+		f := a.handOut(ni, base)
+		for i := uint64(1); i < BlockFrames; i++ {
+			a.handOut(ni, base+i)
 		}
 		a.allocated += BlockFrames
-		return out
+		return f
 	}
 	return nil
 }
 
-// ReleaseBlock returns a full 2 MB block (as allocated by AllocBlock) to the
-// buddy tier in one operation.
-func (a *Allocator) ReleaseBlock(frames []*Frame) {
+// ReleaseBlock returns a full 2 MB block, given by its base frame as
+// AllocBlock returned it, to the buddy tier in one operation.
+func (a *Allocator) ReleaseBlock(base *Frame) {
 	if !a.buddy {
 		panic("mem: ReleaseBlock on non-buddy allocator")
 	}
-	if len(frames) != BlockFrames {
-		panic(fmt.Sprintf("mem: ReleaseBlock of %d frames (want %d)", len(frames), BlockFrames))
+	if base.ID%BlockFrames != 0 {
+		panic(fmt.Sprintf("mem: ReleaseBlock of frame %d, not a block's base frame", base.ID))
 	}
-	base := frames[0].ID
-	if base%BlockFrames != 0 {
-		panic(fmt.Sprintf("mem: ReleaseBlock of unaligned block base %d", base))
+	if a.Frame(base.ID) != base {
+		panic(fmt.Sprintf("mem: ReleaseBlock of frame %d, not this allocator's", base.ID))
 	}
-	for i, f := range frames {
-		if f.ID != base+uint64(i) {
-			panic(fmt.Sprintf("mem: ReleaseBlock of non-contiguous run at index %d", i))
-		}
-	}
-	a.nodes[frames[0].Node()].freeBlock(base, MaxOrder)
+	a.nodes[base.Node()].freeBlock(base.ID, MaxOrder)
 	if a.allocated < BlockFrames {
 		panic("mem: ReleaseBlock without matching allocation")
 	}

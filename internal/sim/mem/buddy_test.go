@@ -37,14 +37,12 @@ func TestBuddyCarveUnalignedRange(t *testing.T) {
 func TestBuddyAllocBlock(t *testing.T) {
 	a := NewBuddyAllocator(2048*PageSize, 2)
 	blk := a.AllocBlock(1)
-	if len(blk) != BlockFrames {
-		t.Fatalf("block len = %d, want %d", len(blk), BlockFrames)
-	}
-	base := blk[0].ID
+	base := blk.ID
 	if base%BlockFrames != 0 {
 		t.Fatalf("block base %d not 2MB-aligned", base)
 	}
-	for i, f := range blk {
+	for i := range BlockFrames {
+		f := blk.BlockFrame(i)
 		if f.ID != base+uint64(i) {
 			t.Fatalf("frame %d has id %d, want %d", i, f.ID, base+uint64(i))
 		}
@@ -133,7 +131,7 @@ func TestBuddyDeterministicOrder(t *testing.T) {
 		}
 		blk := a.AllocBlock(0)
 		if blk != nil {
-			ids = append(ids, blk[0].ID)
+			ids = append(ids, blk.ID)
 		}
 		return ids
 	}

@@ -121,9 +121,13 @@ func (p *Buffers) write(own, base []byte, off int, src []byte, end int) []byte {
 	}
 	b := own
 	if own == nil || n > cap(own) {
+		// A new buffer takes base's bytes only outside [off, end): src and
+		// its zeros cover the rest below.
 		b = p.alloc(n)
-		if k := copy(b, base); off > k || end < n {
-			clear(b[k:]) // what src and its zeros will not cover
+		lo := min(off, n)
+		clear(b[copy(b[:lo], base):lo])
+		if end < n {
+			clear(b[end+copy(b[end:], base[min(end, len(base)):]):])
 		}
 		p.Release(own)
 	} else if k := len(b); n > k {

@@ -24,15 +24,24 @@ type Frame struct {
 	home *home
 }
 
-// home is what the frames of one NUMA node share: the node's index and the
-// class lists of the allocator that hands them out.
+// home is what the frames of one NUMA node share: the node's index, the
+// class lists of the allocator that hands them out, and the node's frame
+// table, in which a 2 MB block's frames follow its base frame.
 type home struct {
 	node int
 	bufs *Buffers
+	lo   uint64 // the node's first frame ID
+	// frames holds frame lo+i at index i. It is made at the node's first
+	// allocation, so a pool nobody allocates from costs no table.
+	frames []Frame
 }
 
 // Node returns the NUMA node the frame belongs to.
 func (f *Frame) Node() int { return f.home.node }
+
+// BlockFrame returns frame i of the 2 MB block whose base frame is f
+// (Allocator.AllocBlock): the record of frame f.ID+i, from the node's table.
+func (f *Frame) BlockFrame(i int) *Frame { return &f.home.frames[f.ID-f.home.lo+uint64(i)] }
 
 // HasData reports whether a payload has been materialized.
 func (f *Frame) HasData() bool { return f.data != nil }
@@ -78,11 +87,7 @@ type Allocator struct {
 
 // node is one NUMA node's pool: frame IDs [lo, lo+perNode).
 type node struct {
-	lo   uint64
-	home home // what the node's frames point to
-	// frames holds frame lo+i at index i. It is made at the node's first
-	// allocation, so a pool nobody allocates from costs no table.
-	frames []Frame
+	home // what the node's frames point to
 	// Plain tier. The free stack pops the most recently released frame, then
 	// low IDs first: its top is released, its bottom — the frames never handed
 	// out, in descending order — is kept as the count of those that have been.
@@ -109,8 +114,7 @@ func NewAllocator(totalBytes uint64, numNodes int) *Allocator {
 	}
 	a := &Allocator{perNode: perNode, nodes: make([]node, numNodes)}
 	for n := range a.nodes {
-		a.nodes[n].lo = uint64(n) * perNode
-		a.nodes[n].home = home{node: n, bufs: &a.bufs}
+		a.nodes[n].home = home{node: n, bufs: &a.bufs, lo: uint64(n) * perNode}
 	}
 	return a
 }

@@ -102,13 +102,10 @@ func diffRun(t *testing.T, got *Allocator, want *refAllocator, nodes int, seed i
 			}
 		case op < 90:
 			g, w := got.AllocBlock(prefer), want.AllocBlock(prefer)
-			if len(g) != len(w) {
-				t.Fatalf("step %d: AllocBlock(%d) gave %d frames, reference %d", step, prefer, len(g), len(w))
-			}
-			if g != nil {
-				blk := make([]pair, len(g))
-				for i := range g {
-					blk[i] = took(step, g[i], w[i])
+			if p := took(step, g, w); p.g != nil {
+				blk := []pair{p}
+				for i := 1; i < BlockFrames; i++ {
+					blk = append(blk, took(step, g.BlockFrame(i), want.blockFrame(w, i)))
 				}
 				blocks = append(blocks, blk)
 			}
@@ -117,19 +114,15 @@ func diffRun(t *testing.T, got *Allocator, want *refAllocator, nodes int, seed i
 				continue
 			}
 			i := rng.Intn(len(blocks))
-			g, w := make([]*Frame, BlockFrames), make([]*Frame, BlockFrames)
-			for k, p := range blocks[i] {
-				g[k], w[k] = p.g, p.w
-			}
 			if rng.Intn(3) == 0 {
 				// A block can also go back frame by frame, in any order.
 				for _, k := range rng.Perm(BlockFrames) {
-					got.Release(g[k])
-					want.Release(w[k])
+					got.Release(blocks[i][k].g)
+					want.Release(blocks[i][k].w)
 				}
 			} else {
-				got.ReleaseBlock(g)
-				want.ReleaseBlock(w)
+				got.ReleaseBlock(blocks[i][0].g)
+				want.ReleaseBlock(blocks[i][0].w)
 			}
 			blocks[i] = blocks[len(blocks)-1]
 			blocks = blocks[:len(blocks)-1]
@@ -200,21 +193,19 @@ func TestAllocatorPanicsMatchReferenceModel(t *testing.T) {
 
 	b0, rb0 := buddy.AllocBlock(0), refBuddy.AllocBlock(0)
 	b1, rb1 := buddy.AllocBlock(0), refBuddy.AllocBlock(0)
-	if b0[0].ID != 0 || b1[0].ID != BlockFrames {
-		t.Fatalf("blocks at %d and %d, want 0 and %d", b0[0].ID, b1[0].ID, BlockFrames)
+	if b0.ID != 0 || b1.ID != BlockFrames {
+		t.Fatalf("blocks at %d and %d, want 0 and %d", b0.ID, b1.ID, BlockFrames)
 	}
-	both("short ReleaseBlock", func() { buddy.ReleaseBlock(b0[1:]) }, func() { refBuddy.ReleaseBlock(rb0[1:]) })
-	shift := func(a, b []*Frame) []*Frame { return append(append([]*Frame{}, a[1:]...), b[0]) }
-	both("unaligned ReleaseBlock", func() { buddy.ReleaseBlock(shift(b0, b1)) }, func() { refBuddy.ReleaseBlock(shift(rb0, rb1)) })
-	swap := func(a []*Frame) []*Frame {
-		s := append([]*Frame{}, a...)
-		s[7], s[9] = s[9], s[7]
-		return s
-	}
-	both("non-contiguous ReleaseBlock", func() { buddy.ReleaseBlock(swap(b0)) }, func() { refBuddy.ReleaseBlock(swap(rb0)) })
+	both("ReleaseBlock of a block's second frame", func() { buddy.ReleaseBlock(b0.BlockFrame(1)) }, func() { refBuddy.ReleaseBlock(refBuddy.blockFrame(rb0, 1)) })
+	both("ReleaseBlock of an aligned frame nobody allocated", func() { buddy.ReleaseBlock(&Frame{ID: 2 * BlockFrames}) }, func() { refBuddy.ReleaseBlock(&Frame{ID: 2 * BlockFrames}) })
+	other, refOther := NewBuddyAllocator(bytes, 2), newRefBuddyAllocator(bytes, 2)
+	both("ReleaseBlock of another allocator's block", func() { buddy.ReleaseBlock(other.AllocBlock(0)) }, func() { refBuddy.ReleaseBlock(refOther.AllocBlock(0)) })
+	buddy.ReleaseBlock(b1)
+	refBuddy.ReleaseBlock(rb1)
 	buddy.ReleaseBlock(b0)
 	refBuddy.ReleaseBlock(rb0)
 	both("block double free", func() { buddy.ReleaseBlock(b0) }, func() { refBuddy.ReleaseBlock(rb0) })
+	b0, rb0 = buddy.AllocBlock(0), refBuddy.AllocBlock(0)
 	if g, w := buddy.Allocated(), refBuddy.Allocated(); g != w || g != BlockFrames {
 		t.Fatalf("after the refused calls: Allocated %d, reference %d, want %d", g, w, BlockFrames)
 	}
@@ -247,6 +238,36 @@ func TestAllocReleaseDoNotAllocate(t *testing.T) {
 	}
 }
 
+// TestEveryBlockIsItsBaseFrame takes every 2 MB block of a 64 MB, two-node
+// buddy pool: frame i of a block is the record of frame base+i, on the base
+// frame's node, and the one Frame(base+i) returns. A block in and out again
+// allocates nothing.
+func TestEveryBlockIsItsBaseFrame(t *testing.T) {
+	a := NewBuddyAllocator(64<<20, 2)
+	var bases []*Frame
+	for blk := a.AllocBlock(0); blk != nil; blk = a.AllocBlock(0) {
+		bases = append(bases, blk)
+	}
+	if want := int(64 << 20 / PageSize / BlockFrames); len(bases) != want || a.Free() != 0 {
+		t.Fatalf("%d blocks, %d frames left free; want %d and 0", len(bases), a.Free(), want)
+	}
+	for _, base := range bases {
+		for i := range BlockFrames {
+			f := base.BlockFrame(i)
+			if f.ID != base.ID+uint64(i) || f.Node() != base.Node() || a.Frame(f.ID) != f {
+				t.Fatalf("frame %d of block %d: ID %d on node %d (base on node %d), table record %v",
+					i, base.ID, f.ID, f.Node(), base.Node(), a.Frame(f.ID) == f)
+			}
+		}
+	}
+	for _, base := range bases {
+		a.ReleaseBlock(base)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { a.ReleaseBlock(a.AllocBlock(1)) }); allocs != 0 {
+		t.Fatalf("AllocBlock+ReleaseBlock made %v allocations per run, want 0", allocs)
+	}
+}
+
 // BenchmarkAllocRelease: one frame out of and back into a plain pool.
 func BenchmarkAllocRelease(b *testing.B) {
 	a := NewAllocator(64<<20, 2)
@@ -257,7 +278,7 @@ func BenchmarkAllocRelease(b *testing.B) {
 }
 
 // BenchmarkAllocBlockReleaseBlock: one 2 MB block out of and back into a buddy
-// pool; the one allocation is the []*Frame the signature returns.
+// pool. A block is its base frame, so nothing allocates.
 func BenchmarkAllocBlockReleaseBlock(b *testing.B) {
 	a := NewBuddyAllocator(64<<20, 2)
 	b.ReportAllocs()
@@ -277,6 +298,91 @@ func BenchmarkNewAllocator128MB(b *testing.B) {
 				b.Fatalf("node %d gave %d frames", n, got)
 			}
 		}
+	}
+}
+
+// TestBuffersWriteMatchesReference holds Put and Copy to a plain 4 KB page:
+// base's bytes, src written at off, zeros from src's end to end. Seeded
+// random shapes — base's held length, off, len(src) and end, src dense, one
+// nonzero byte or all zeros — cover a write into base's own buffer, one that
+// moves into a larger class, and Copy's buffer of its own; base's bytes on
+// both sides of [off, end) must survive the move.
+func TestBuffersWriteMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var bufs Buffers
+	moved := 0
+	for step := 0; step < 4000; step++ {
+		var page [PageSize]byte
+		baseLen := rng.Intn(PageSize/LineSize+1) * LineSize
+		base := bufs.alloc(baseLen)
+		for i := range base {
+			base[i] = byte(rng.Intn(256))
+		}
+		if baseLen > 0 {
+			base[baseLen-1] |= 1 // held up to its last nonzero line
+		}
+		copy(page[:], base)
+		off := rng.Intn(PageSize)
+		src := make([]byte, rng.Intn(PageSize-off+1))
+		switch rng.Intn(3) {
+		case 0:
+			for i := range src {
+				src[i] = byte(rng.Intn(255) + 1)
+			}
+		case 1:
+			if len(src) > 0 {
+				src[rng.Intn(len(src))] = 0xA5
+			}
+		}
+		end := off + len(src) + rng.Intn(PageSize-off-len(src)+1)
+		copy(page[off:], src)
+		clear(page[off+len(src) : end])
+		kept := append([]byte(nil), base...)
+		op := "Put"
+		var got []byte
+		if rng.Intn(2) == 0 {
+			op = "Copy"
+			got = bufs.Copy(base, off, src, end)
+			if !bytes.Equal(base, kept) {
+				t.Fatalf("step %d: Copy changed its base", step)
+			}
+		} else {
+			got = bufs.Put(base, off, src, end)
+		}
+		if len(got) > 0 && (len(base) == 0 || &got[0] != &base[:1][0]) {
+			moved++
+		}
+		shape := fmt.Sprintf("step %d: %s(base %d bytes, off %d, src %d bytes, end %d)", step, op, baseLen, off, len(src), end)
+		if got == nil || len(got) != LineUp(LastNonzero(got)) {
+			t.Fatalf("%s holds %d bytes (nil %v), its last nonzero line ends at %d", shape, len(got), got == nil, LineUp(LastNonzero(got)))
+		}
+		if !bytes.Equal(got, page[:len(got)]) || !bytes.Equal(page[len(got):], zeros[len(got):]) {
+			t.Fatalf("%s: content differs from the reference page", shape)
+		}
+		bufs.Release(got)
+		if op == "Copy" {
+			bufs.Release(base)
+		}
+	}
+	if moved < 500 {
+		t.Fatalf("only %d writes moved into a new buffer: the copy outside [off, end) is barely exercised", moved)
+	}
+}
+
+// BenchmarkBuffersCopyPage: a whole-page write-back staged over a dense block
+// (device.Store's first stage of a block after a Persist): Copy of a full
+// page into a buffer of its own. src covers all of base, so base's bytes are
+// not copied at all.
+func BenchmarkBuffersCopyPage(b *testing.B) {
+	var bufs Buffers
+	base, src := make([]byte, PageSize), make([]byte, PageSize)
+	for i := range base {
+		base[i], src[i] = byte(i)|1, byte(i>>3)|1
+	}
+	b.SetBytes(PageSize)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		bufs.Release(bufs.Copy(base, 0, src, PageSize))
 	}
 }
 

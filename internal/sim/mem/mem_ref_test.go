@@ -6,7 +6,8 @@ import "fmt"
 // Frame per frame behind a map keyed by frame ID, an explicit free stack per
 // node filled at boot, and the buddy tier's free blocks in a map from base
 // frame to order. It is the reference model the differential test holds
-// Allocator to — every golden was generated on it — and is kept verbatim.
+// Allocator to — every golden was generated on it — and is kept verbatim but
+// for the block calls, which name a block by its base frame as Allocator's do.
 // refAllocator hands out frames from per-NUMA-node pools. With the optional
 // buddy tier (newRefBuddyAllocator) the per-node pools are buddy systems that can
 // additionally hand out 2 MB-contiguous blocks; see buddy.go.
@@ -309,9 +310,10 @@ func (a *refAllocator) buddyAlloc(preferNode int) *Frame {
 }
 
 // AllocBlock allocates one 2 MB-aligned run of BlockFrames consecutive frames,
-// preferring the given NUMA node. Returns nil when no node has a contiguous
-// block left (the caller falls back to base-page allocation).
-func (a *refAllocator) AllocBlock(preferNode int) []*Frame {
+// preferring the given NUMA node, and returns its base frame (blockFrame
+// gives the others). Returns nil when no node has a contiguous block left
+// (the caller falls back to base-page allocation).
+func (a *refAllocator) AllocBlock(preferNode int) *Frame {
 	if a.buddy == nil {
 		return nil
 	}
@@ -324,35 +326,31 @@ func (a *refAllocator) AllocBlock(preferNode int) []*Frame {
 		if !ok {
 			continue
 		}
-		out := make([]*Frame, BlockFrames)
-		for i := range out {
-			out[i] = a.frameAt(base+uint64(i), node)
+		for i := uint64(0); i < BlockFrames; i++ {
+			a.frameAt(base+i, node)
 		}
 		a.allocated += BlockFrames
-		return out
+		return a.frames[base]
 	}
 	return nil
 }
 
-// ReleaseBlock returns a full 2 MB block (as allocated by AllocBlock) to the
+// blockFrame returns frame i of the block based at base.
+func (a *refAllocator) blockFrame(base *Frame, i int) *Frame { return a.frames[base.ID+uint64(i)] }
+
+// ReleaseBlock returns a full 2 MB block, given by its base frame, to the
 // buddy tier in one operation.
-func (a *refAllocator) ReleaseBlock(frames []*Frame) {
+func (a *refAllocator) ReleaseBlock(base *Frame) {
 	if a.buddy == nil {
 		panic("mem: ReleaseBlock on non-buddy allocator")
 	}
-	if len(frames) != BlockFrames {
-		panic(fmt.Sprintf("mem: ReleaseBlock of %d frames (want %d)", len(frames), BlockFrames))
+	if base.ID%BlockFrames != 0 {
+		panic(fmt.Sprintf("mem: ReleaseBlock of frame %d, not a block's base frame", base.ID))
 	}
-	base := frames[0].ID
-	if base%BlockFrames != 0 {
-		panic(fmt.Sprintf("mem: ReleaseBlock of unaligned block base %d", base))
+	if a.frames[base.ID] != base {
+		panic(fmt.Sprintf("mem: ReleaseBlock of frame %d, not this allocator's", base.ID))
 	}
-	for i, f := range frames {
-		if f.ID != base+uint64(i) {
-			panic(fmt.Sprintf("mem: ReleaseBlock of non-contiguous run at index %d", i))
-		}
-	}
-	a.buddy[frames[0].Node()].freeBlock(base, MaxOrder)
+	a.buddy[base.Node()].freeBlock(base.ID, MaxOrder)
 	if a.allocated < BlockFrames {
 		panic("mem: ReleaseBlock without matching allocation")
 	}

@@ -76,10 +76,11 @@ func TestFrameIdentityPreservedAcrossReuse(t *testing.T) {
 
 // TestFrameRecordSize: a frame is a record of its node's table, one per 4 KB
 // of simulated DRAM whether or not it ever holds a payload — its ID, the
-// payload slice and the pointer to its node's home, 40 bytes.
+// payload slice and the pointer to its node's home, 40 bytes. The table is
+// one allocation, so the bound is the bytes per frame, not a size class.
 func TestFrameRecordSize(t *testing.T) {
-	if got := unsafe.Sizeof(Frame{}); got != 40 {
-		t.Fatalf("a Frame is %d bytes, want 40", got)
+	if got := unsafe.Sizeof(Frame{}); got > 40 {
+		t.Fatalf("a Frame is %d bytes, want at most 40: every 4 KB of simulated DRAM a world touches pays it in its node's frame table (DESIGN.md §3 \"Page records\")", got)
 	}
 }
 
