@@ -138,11 +138,17 @@ gates:
 	$(GO) run ./cmd/aquila-bench -exp all -report-dir .perfgate | diff results_full.txt -
 	@$(diff-reports)
 
-# Host cost of the engine layer alone, no world on top: one sync point of
-# each kind and one spawn, with allocations (DESIGN.md §3 quotes these).
-# Not part of ci: the numbers are for reading, the alloc tests do the gating.
+# The engine's benchmark rows, one sync point of each kind and one spawn: a
+# yield handoff, a contended mutex handoff, one busy period of an event, a
+# writer round admitting a reader batch on an RWMutex, a spawn-and-run.
+# engine-bench and sim-bench both run exactly these.
+engine-rows = Handoff|MutexHandoff|EventArmFireWait|RWMutexReaderBatch|SpawnRun
+
+# Host cost of the engine layer alone, no world on top, with allocations
+# (DESIGN.md §3 quotes these). Not part of ci: the numbers are for reading,
+# the alloc tests do the gating.
 engine-bench:
-	$(GO) test ./internal/sim/engine -run '^$$' -bench 'Handoff|SpawnRun' -benchmem -count=5 -cpu 1
+	$(GO) test ./internal/sim/engine -run '^$$' -bench '$(engine-rows)' -benchmem -count=5 -cpu 1
 
 # Host cost of the simulated hardware's own state, no world on top: a TLB
 # flush, an insert into a full TLB, a 32-CPU shootdown, a PTE map/unmap, the
@@ -151,9 +157,9 @@ engine-bench:
 # materialized block and the settle of a Submit with 4 K blocks staged and
 # none due, a frame
 # and a 2 MB block out of and back into simulated DRAM, a 128 MB pool booted,
-# a whole-page copy into a new content buffer, one busy period of a page's
-# event beside the engine's handoff, mutex-handoff and spawn rows (so an engine
-# change shows both), the cache index's lookup-insert-remove
+# a whole-page copy into a new content buffer, the engine's rows (engine-rows:
+# a page's event busy period among them, so an engine change shows both), the
+# cache index's lookup-insert-remove
 # (beside the map it replaced), an address-space lookup in the shared range set,
 # the delete of a file with 24 K cached pages and a 64-page ranged msync with
 # 16 K pages cached and 4 K dirty across four cores
@@ -162,7 +168,7 @@ engine-bench:
 # in `make test`.
 sim-bench:
 	$(GO) test ./internal/sim/cpu ./internal/sim/pagetable ./internal/sim/device ./internal/sim/mem -run '^$$' -bench . -benchmem -cpu 1
-	$(GO) test ./internal/sim/engine -run '^$$' -bench 'EventArmFireWait|Handoff|MutexHandoff|SpawnRun' -benchmem -cpu 1
+	$(GO) test ./internal/sim/engine -run '^$$' -bench '$(engine-rows)' -benchmem -cpu 1
 	$(GO) test ./internal/detutil ./internal/core -run '^$$' -bench 'PageIndexLookupInsertRemove|RegionFind|DeleteFile24kPages|MsyncRange64Of16k' -benchmem -cpu 1
 
 # Host cost of the KV data path alone, the stores over an in-memory namespace

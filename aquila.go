@@ -93,9 +93,6 @@ const (
 	FaultPoison         = device.FaultPoison
 )
 
-// LoadFaultPlan reads a fault plan from a JSON file (testdata fixtures).
-func LoadFaultPlan(path string) (*FaultPlan, error) { return device.LoadFaultPlan(path) }
-
 // DeviceKind selects the storage device model.
 type DeviceKind int
 

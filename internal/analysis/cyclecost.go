@@ -2,7 +2,9 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
+	"slices"
 )
 
 // Cyclecost guards the transition-cost surface (paper §3.3/§4.1): inside the
@@ -14,8 +16,13 @@ import (
 // skews the fig7/fig8 breakdowns, and an audit of the cost model that reads
 // the constant declarations never sees it.
 //
-// Literal zero is allowed (explicit no-op), as is any expression that
-// mentions at least one named cost source.
+// Literal zero is allowed (explicit no-op). Otherwise an integer literal is a
+// finding when it is a term of the cycles sum (`x + 30`), or a factor of a
+// term that names no cost (`lines*12`): such a number is charged as cycles
+// however calibrated the rest of the expression is. A term names a cost when
+// it mentions a named constant, a field or a call; a local count does not.
+// Literals inside a call or a nested sum (`ioRetryBackoff*uint64(attempt+1)`)
+// are operands, not cycle terms.
 var Cyclecost = &Analyzer{
 	Name: "cyclecost",
 	Doc: "raw clock advances on the transition-cost surface must charge a " +
@@ -69,7 +76,10 @@ func runCyclecost(pass *Pass) error {
 				return true
 			}
 			arg := call.Args[idx]
-			if literalOnlyInt(arg) && !isConstZero(pass.TypesInfo, arg) {
+			if isConstZero(pass.TypesInfo, arg) {
+				return true
+			}
+			if uncalibratedTerm(pass.TypesInfo, arg) {
 				pass.Reportf(arg.Pos(),
 					"uncalibrated cycle literal in %s.%s: charge a named cost constant",
 					recvTypeName(sig.Recv().Type()), fn.Name())
@@ -107,6 +117,66 @@ func literalOnlyInt(e ast.Expr) bool {
 	default:
 		return false
 	}
+}
+
+// uncalibratedTerm reports whether a term of the sum e is built of integer
+// literals alone, or has such a factor while no factor names a cost.
+func uncalibratedTerm(info *types.Info, e ast.Expr) bool {
+	for _, term := range splitOp(info, e, token.ADD, token.SUB) {
+		factors := splitOp(info, term, token.MUL, token.QUO)
+		lit, cost := false, false
+		for _, f := range factors {
+			lit = lit || literalOnlyInt(f)
+			cost = cost || namesCost(info, f)
+		}
+		if lit && (len(factors) == 1 || !cost) {
+			return true
+		}
+	}
+	return false
+}
+
+// splitOp flattens e over the given binary operators, looking through
+// parentheses and type conversions.
+func splitOp(info *types.Info, e ast.Expr, ops ...token.Token) []ast.Expr {
+	e = unconvert(info, e)
+	if b, ok := e.(*ast.BinaryExpr); ok && slices.Contains(ops, b.Op) {
+		return append(splitOp(info, b.X, ops...), splitOp(info, b.Y, ops...)...)
+	}
+	return []ast.Expr{e}
+}
+
+// unconvert strips parentheses and type conversions off e.
+func unconvert(info *types.Info, e ast.Expr) ast.Expr {
+	for {
+		e = ast.Unparen(e)
+		call, ok := e.(*ast.CallExpr)
+		if !ok || len(call.Args) != 1 || !info.Types[call.Fun].IsType() {
+			return e
+		}
+		e = call.Args[0]
+	}
+}
+
+// namesCost reports whether e mentions a named constant, a field or a call
+// other than a conversion.
+func namesCost(info *types.Info, e ast.Expr) bool {
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.CallExpr:
+			found = found || !info.Types[x.Fun].IsType()
+		case *ast.Ident:
+			switch obj := info.Uses[x].(type) {
+			case *types.Const:
+				found = true
+			case *types.Var:
+				found = found || obj.IsField()
+			}
+		}
+		return !found
+	})
+	return found
 }
 
 // isConstZero reports whether the expression is the constant 0.

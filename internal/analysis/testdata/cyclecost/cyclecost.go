@@ -24,7 +24,7 @@ type costs struct{ TrapEntry, IPIRecv uint64 }
 
 const handlerBase = 900
 
-func drive(p *Proc, hv *Hypervisor, rt *Runtime, c costs) {
+func drive(p *Proc, hv *Hypervisor, rt *Runtime, c costs, lines uint64, attempt int) {
 	p.AdvanceUser(1200)                // want "uncalibrated cycle literal in Proc.AdvanceUser"
 	p.Advance("fault", 450)            // want "uncalibrated cycle literal in Proc.Advance"
 	hv.VMCall(p, 5000)                 // want "uncalibrated cycle literal in Hypervisor.VMCall"
@@ -36,4 +36,15 @@ func drive(p *Proc, hv *Hypervisor, rt *Runtime, c costs) {
 	p.AdvanceUser(2 * c.IPIRecv) // scaled cost-table field: allowed
 	hv.VMCall(p, handlerBase)    // named constant: allowed
 	rt.charge(p, "lookup", c.TrapEntry+handlerBase)
+
+	// A literal term of the sum, or a literal factor of a term that names no
+	// cost, is charged uncalibrated however the rest is built.
+	p.AdvanceUser(c.TrapEntry + lines*12 + 30)      // want "uncalibrated cycle literal in Proc.AdvanceUser"
+	p.AdvanceUser(c.TrapEntry + 30)                 // want "uncalibrated cycle literal in Proc.AdvanceUser"
+	p.AdvanceSystem(uint64(lines*12) + handlerBase) // want "uncalibrated cycle literal in Proc.AdvanceSystem"
+	rt.charge(p, "flush", lines/4)                  // want "uncalibrated cycle literal in Runtime.charge"
+
+	p.AdvanceUser(lines*c.IPIRecv + handlerBase)         // every term names a cost: allowed
+	rt.charge(p, "retry", handlerBase*uint64(attempt+1)) // the literal is an operand of a factor: allowed
+	p.AdvanceUser(lines)                                 // a count alone charges no literal: allowed
 }

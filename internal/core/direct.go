@@ -77,7 +77,7 @@ func (m *DirectMapping) Load(p *engine.Proc, off uint64, buf []byte) {
 			Err: newIOFault("read", m.f.name, off/pageSize, ferr)})
 	}
 	st.ReadAt(devOff, buf)
-	p.AdvanceUser(m.eng.PMemCost(len(buf)) + loadStoreCost(len(buf)) + delay)
+	p.AdvanceUser(m.eng.PMemCost(len(buf)) + cpu.LoadStore(len(buf)) + delay)
 }
 
 // Store writes directly to the NVM media, including the persistence flush
@@ -98,7 +98,7 @@ func (m *DirectMapping) Store(p *engine.Proc, off uint64, buf []byte) {
 		st.WriteAt(devOff, buf)
 	}
 	lines := uint64(len(buf)+63) / 64
-	p.AdvanceUser(m.eng.PMemCost(len(buf)) + loadStoreCost(len(buf)) + lines*12 + 30 + delay)
+	p.AdvanceUser(m.eng.PMemCost(len(buf)) + cpu.LoadStore(len(buf)) + lines*costFlushLine + costStoreFence + delay)
 	if ferr == nil {
 		// The clwb+fence has drained the stores to the persistent domain.
 		st.Persist(devOff, len(buf), p.Now())

@@ -59,7 +59,7 @@ func (m *AqMapping) Load(p *engine.Proc, off uint64, buf []byte) {
 			panic(&SigBus{VA: va, File: m.r.File.name, Err: err})
 		}
 		frame.ReadAt(buf[n:n+chunk], po)
-		p.AdvanceUser(loadStoreCost(chunk))
+		p.AdvanceUser(cpu.LoadStore(chunk))
 		n += chunk
 	}
 }
@@ -82,7 +82,7 @@ func (m *AqMapping) Store(p *engine.Proc, off uint64, buf []byte) {
 			panic(&SigBus{VA: va, File: m.r.File.name, Err: err})
 		}
 		frame.WriteAt(po, buf[n:n+chunk])
-		p.AdvanceUser(loadStoreCost(chunk))
+		p.AdvanceUser(cpu.LoadStore(chunk))
 		n += chunk
 	}
 }
@@ -231,10 +231,6 @@ func (m *AqMapping) checkRange(off uint64, n int) {
 		panic(fmt.Sprintf("core: mapping access [%d,%d) beyond size %d", off, off+uint64(n), m.size))
 	}
 }
-
-// loadStoreCost is the user-side cost of moving n bytes through cached
-// mappings (plain loads/stores at DRAM bandwidth).
-func loadStoreCost(n int) uint64 { return uint64(n)/16 + 2 }
 
 // AqFile is explicit file I/O under Aquila: intercepted in ring 0 and issued
 // directly through the configured I/O engine, bypassing the DRAM cache.

@@ -53,6 +53,13 @@ const (
 	// mapping: stores already reached the media, so only the fence and the
 	// errseq check remain.
 	costDirectMsync uint64 = 30
+	// costFlushLine is the write-back of one 64-byte line (clwb) a store to
+	// a direct NVM mapping issues to reach the persistent domain, and
+	// costStoreFence the sfence that orders those write-backs: literature
+	// magnitudes for a cache-line flush and a store fence, like
+	// costDirectMsync.
+	costFlushLine  uint64 = 12
+	costStoreFence uint64 = 30
 
 	// Huge pages ship disabled (Params.HugeFaultDensity 0); these costs are
 	// calibrated so enabling them only needs the density knob.

@@ -94,7 +94,7 @@ func (m *Mapping) Load(p *engine.Proc, off uint64, buf []byte) {
 		chunk := min(PageSize-po, len(buf)-n)
 		frame := m.pr.resolve(p, va, false)
 		frame.ReadAt(buf[n:n+chunk], po)
-		p.AdvanceUser(loadStoreCost(chunk))
+		p.AdvanceUser(cpu.LoadStore(chunk))
 		n += chunk
 	}
 }
@@ -111,7 +111,7 @@ func (m *Mapping) Store(p *engine.Proc, off uint64, buf []byte) {
 		chunk := min(PageSize-po, len(buf)-n)
 		frame := m.pr.resolve(p, va, true)
 		frame.WriteAt(po, buf[n:n+chunk])
-		p.AdvanceUser(loadStoreCost(chunk))
+		p.AdvanceUser(cpu.LoadStore(chunk))
 		// Dirty throttling runs only after the store's data has landed
 		// in the frame; throttling inside the fault itself would clean
 		// (and write-protect) the page before the store happened.
@@ -177,10 +177,6 @@ func (m *Mapping) checkRange(off uint64, n int) {
 		panic(fmt.Sprintf("host: mapping access [%d,%d) beyond size %d", off, off+uint64(n), m.size))
 	}
 }
-
-// loadStoreCost is the user-side cost of moving n bytes through cached
-// mappings (ordinary loads/stores, ~DRAM bandwidth).
-func loadStoreCost(n int) uint64 { return uint64(n)/16 + 2 }
 
 // resolve returns the frame currently backing va, with the required
 // permission, re-running the access path until the translation is stable:

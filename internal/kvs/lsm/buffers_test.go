@@ -39,7 +39,7 @@ func TestLSMDataPathAllocations(t *testing.T) {
 			t.Errorf("mmio Get on a table hit: %v allocs, want 1 (the returned value)", n)
 		}
 
-		logged := memDB(p, e, Options{Mode: IOMmap, WALBytes: 8 * mib, MemtableBytes: 4 * mib})
+		logged := memDB(p, e, Options{Mode: IOMmap, walBytes: 8 * mib, memtableBytes: 4 * mib})
 		logged.Put(p, ycsb.AppendKey(key[:0], 3), ycsb.AppendValue(val[:0], 3, 1000))
 		if n := testing.AllocsPerRun(200, func() {
 			logged.Put(p, ycsb.AppendKey(key[:0], 3), ycsb.AppendValue(val[:0], 3, 1000))
@@ -93,7 +93,7 @@ func TestOneImagePerBulkLoadAndCompaction(t *testing.T) {
 	image := uint64(target + target/16 + 2*blockBytes) // newSSTBuilder's capacity
 	e := engine.New(engine.Config{NumCPUs: 1, Seed: 1})
 	run1(e, func(p *engine.Proc) {
-		db := memDB(p, e, Options{Mode: IOMmap, DisableWAL: true, MemtableBytes: 64 << 10, SSTTargetBytes: target})
+		db := memDB(p, e, Options{Mode: IOMmap, DisableWAL: true, memtableBytes: 64 << 10, SSTTargetBytes: target})
 		got := allocated(func() { db.BulkLoad(p, 2500, 400) })
 		if n := len(db.levels[1]); n < 3 {
 			t.Fatalf("set-up: bulk load closed %d tables, want >= 3", n)

@@ -46,11 +46,15 @@ const (
 	IOMmap
 )
 
-// The data-block size, and the number of L0 tables at which L0 compacts into
-// L1. Every world runs these values, so they are not Options.
+// The data-block size, the number of L0 tables at which L0 compacts into
+// L1, the memtable size past which it flushes and the write-ahead log's size
+// (filling it forces a memtable flush). Every world runs these values, so
+// they are not Options.
 const (
-	blockBytes = 4096
-	l0Trigger  = 4
+	blockBytes           = 4096
+	l0Trigger            = 4
+	defaultMemtableBytes = 1 << 20
+	defaultWALBytes      = 64 << 20
 )
 
 // Options configure a DB.
@@ -61,16 +65,11 @@ type Options struct {
 	Mode IOMode
 	// BlockCacheBytes sizes the user-space cache (IODirectCached only).
 	BlockCacheBytes uint64
-	// MemtableBytes flushes the memtable past this size (default 1 MB).
-	MemtableBytes int
 	// SSTTargetBytes bounds one table (default 8 MB; the paper's RocksDB
 	// uses 64 MB — scaled with the datasets).
 	SSTTargetBytes int
 	// DisableWAL skips write-ahead logging.
 	DisableWAL bool
-	// WALBytes sizes the write-ahead log (default 64 MB). Filling it
-	// forces a memtable flush.
-	WALBytes uint64
 	// Seed for the memtable skiplist.
 	Seed int64
 	// Registry receives the store's cycle breakdown (interned as
@@ -78,6 +77,11 @@ type Options struct {
 	Registry *obs.Registry
 	// MetricsLabel distinguishes this store's series in a shared Registry.
 	MetricsLabel string
+
+	// memtableBytes and walBytes override defaultMemtableBytes and
+	// defaultWALBytes when nonzero. Only the package's tests set them.
+	memtableBytes int
+	walBytes      uint64
 }
 
 // DB is the store.
@@ -123,8 +127,11 @@ var _ ycsb.KV = (*DB)(nil)
 
 // Open creates a DB in the given namespace.
 func Open(p *engine.Proc, e *engine.Engine, opts Options) *DB {
-	if opts.MemtableBytes == 0 {
-		opts.MemtableBytes = 1 << 20
+	if opts.memtableBytes == 0 {
+		opts.memtableBytes = defaultMemtableBytes
+	}
+	if opts.walBytes == 0 {
+		opts.walBytes = defaultWALBytes
 	}
 	if opts.SSTTargetBytes == 0 {
 		opts.SSTTargetBytes = 8 << 20
@@ -152,14 +159,10 @@ func Open(p *engine.Proc, e *engine.Engine, opts Options) *DB {
 		db.cache = NewBlockCache(e, cap)
 	}
 	if !opts.DisableWAL {
-		walBytes := opts.WALBytes
-		if walBytes == 0 {
-			walBytes = 64 << 20
-		}
 		if opts.NS.Exists("WAL") {
 			db.wal = opts.NS.Open(p, "WAL")
 		} else {
-			db.wal = opts.NS.Create(p, "WAL", walBytes)
+			db.wal = opts.NS.Create(p, "WAL", opts.walBytes)
 		}
 		if opts.NS.Exists(manifestName) {
 			db.manifest = opts.NS.Open(p, manifestName)
@@ -232,7 +235,7 @@ func (db *DB) put(p *engine.Proc, key, value []byte) {
 	}
 	hops := db.mem.put(key, value)
 	db.charge(p, "put", costMemtableBase+costMemtableHop*uint64(hops)+costPutFinish)
-	if db.mem.size >= db.opts.MemtableBytes {
+	if db.mem.size >= db.opts.memtableBytes {
 		db.flushLocked(p)
 	}
 	db.writeLock.Unlock(p)

@@ -118,7 +118,7 @@ func run1(e *engine.Engine, fn func(p *engine.Proc)) {
 func openTestDB(p *engine.Proc, e *engine.Engine, ns iface.Namespace, mode IOMode) *DB {
 	return Open(p, e, Options{
 		NS: ns, Mode: mode,
-		MemtableBytes:   64 << 10,
+		memtableBytes:   64 << 10,
 		SSTTargetBytes:  256 << 10,
 		BlockCacheBytes: 1 << 20,
 		Seed:            7,
@@ -349,7 +349,7 @@ func TestRecoveryFromManifestAndWAL(t *testing.T) {
 	run1(e, func(p *engine.Proc) {
 		opts := Options{
 			NS: ns, Mode: IODirectCached,
-			MemtableBytes:   32 << 10,
+			memtableBytes:   32 << 10,
 			SSTTargetBytes:  128 << 10,
 			BlockCacheBytes: 1 << 20,
 			Seed:            7,
@@ -393,7 +393,7 @@ func TestRecoveryFromManifestAndWAL(t *testing.T) {
 func TestRecoveryAfterCleanFlush(t *testing.T) {
 	e, ns := world(64 * mib)
 	run1(e, func(p *engine.Proc) {
-		opts := Options{NS: ns, Mode: IODirectCached, MemtableBytes: 32 << 10, Seed: 3}
+		opts := Options{NS: ns, Mode: IODirectCached, memtableBytes: 32 << 10, Seed: 3}
 		db := Open(p, e, opts)
 		for i := uint64(0); i < 500; i++ {
 			db.Put(p, ycsb.KeyBytes(i), ycsb.Value(i, 100))
@@ -420,7 +420,7 @@ func TestWALFullTriggersFlushInsteadOfWrap(t *testing.T) {
 		// Tiny WAL pressure: memtable threshold far above what the WAL
 		// holds is impossible with the default 64 MB WAL, so instead
 		// verify the no-wrap invariant: walOff never exceeds the file.
-		db := Open(p, e, Options{NS: ns, Mode: IODirectCached, MemtableBytes: 256 << 10, Seed: 1})
+		db := Open(p, e, Options{NS: ns, Mode: IODirectCached, memtableBytes: 256 << 10, Seed: 1})
 		for i := uint64(0); i < 3000; i++ {
 			db.Put(p, ycsb.KeyBytes(i%100), ycsb.Value(i, 900))
 			if db.walOff > db.wal.Size() {
@@ -444,7 +444,7 @@ func TestDBMatchesMapModelProperty(t *testing.T) {
 		run1(e, func(p *engine.Proc) {
 			db := Open(p, e, Options{
 				NS: ns, Mode: IODirectCached,
-				MemtableBytes:  8 << 10, // tiny: force flush/compaction churn
+				memtableBytes:  8 << 10, // tiny: force flush/compaction churn
 				SSTTargetBytes: 32 << 10,
 				Seed:           11,
 			})
@@ -511,7 +511,7 @@ func TestTombstonesDroppedAtCompaction(t *testing.T) {
 	run1(e, func(p *engine.Proc) {
 		db := Open(p, e, Options{
 			NS: ns, Mode: IODirectCached,
-			MemtableBytes: 8 << 10, SSTTargetBytes: 64 << 10, Seed: 3,
+			memtableBytes: 8 << 10, SSTTargetBytes: 64 << 10, Seed: 3,
 		})
 		for i := uint64(0); i < 400; i++ {
 			db.Put(p, ycsb.KeyBytes(i), ycsb.Value(i, 100))
@@ -557,8 +557,8 @@ func TestCompactionReclaimsSpace(t *testing.T) {
 	run1(e, func(p *engine.Proc) {
 		db := Open(p, e, Options{
 			NS: ns, Mode: IODirectCached,
-			MemtableBytes: 64 << 10, SSTTargetBytes: 256 << 10, Seed: 5,
-			WALBytes: 2 << 20,
+			memtableBytes: 64 << 10, SSTTargetBytes: 256 << 10, Seed: 5,
+			walBytes: 2 << 20,
 		})
 		// ~16 MB of churn through a <= 2 MB live set on a 24 MB disk.
 		for i := uint64(0); i < 12000; i++ {

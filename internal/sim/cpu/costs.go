@@ -89,3 +89,7 @@ func MemcpyAVX2(n int) uint64 {
 	}
 	return uint64(n)*Memcpy4KAVX2/4096 + FPUSaveRestore
 }
+
+// LoadStore returns the user-side cost of moving n bytes through a cached
+// mapping with plain loads and stores, at DRAM bandwidth.
+func LoadStore(n int) uint64 { return uint64(n)/16 + 2 }

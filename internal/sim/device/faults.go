@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 )
 
 // Deterministic device fault injection. A FaultPlan is a seeded schedule of
@@ -180,15 +179,6 @@ func FaultPlanFromJSON(data []byte) (*FaultPlan, error) {
 		})
 	}
 	return plan, nil
-}
-
-// LoadFaultPlan reads a plan fixture from disk.
-func LoadFaultPlan(path string) (*FaultPlan, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return FaultPlanFromJSON(data)
 }
 
 // badRange is one permanently failed byte range.

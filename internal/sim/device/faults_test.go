@@ -2,6 +2,8 @@ package device
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -182,11 +184,22 @@ func TestNoPlanIsInert(t *testing.T) {
 	}
 }
 
-func TestLoadFaultPlanFixtures(t *testing.T) {
-	plan, err := LoadFaultPlan("testdata/faultplans/transient-nvme-writes.json")
+// loadFaultPlan parses a plan fixture under testdata/faultplans.
+func loadFaultPlan(t *testing.T, name string) *FaultPlan {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "faultplans", name))
 	if err != nil {
 		t.Fatal(err)
 	}
+	plan, err := FaultPlanFromJSON(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
+func TestLoadFaultPlanFixtures(t *testing.T) {
+	plan := loadFaultPlan(t, "transient-nvme-writes.json")
 	if plan.Seed != 42 || len(plan.Rules) != 2 {
 		t.Fatalf("plan = %+v", plan)
 	}
@@ -198,10 +211,7 @@ func TestLoadFaultPlanFixtures(t *testing.T) {
 		t.Errorf("rule 1 = %+v", plan.Rules[1])
 	}
 
-	plan, err = LoadFaultPlan("testdata/faultplans/permanent-read.json")
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan = loadFaultPlan(t, "permanent-read.json")
 	if plan.Rules[0].Kind != FaultPermanentRead || plan.Rules[0].Off != 8192 {
 		t.Errorf("permanent-read rule = %+v", plan.Rules[0])
 	}

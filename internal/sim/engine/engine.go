@@ -49,8 +49,6 @@ type Config struct {
 	// rand.New from the seed its owner was given. The field stays because the
 	// frozen bench/ names it in its Config literals.
 	Seed int64
-	// Trace captures per-process execution segments for WriteChromeTrace.
-	Trace bool
 	// Spans, when non-nil, receives named cycle-attributed spans and
 	// scheduler segments (see obs.go). Instrumentation is free when nil and
 	// never alters simulated timing either way.
@@ -117,7 +115,10 @@ type Engine struct {
 	// empty while alive.
 	dead string
 
-	tr *tracer
+	// segs, when non-nil, receives every closed scheduler segment with its
+	// outcome. Only in-package tests install it; the obs tracer's per-CPU
+	// track is the scheduler trace the programs export.
+	segs *[]segment
 
 	// spans is the obs tracer from Config.Spans; pidCPU/pidProc are the
 	// track groups registered for scheduler segments and process spans.
@@ -157,9 +158,6 @@ func New(cfg Config) *Engine {
 		cfg.NumCPUs = 32
 	}
 	e := &Engine{cfg: cfg, nodes: min(numaNodes, cfg.NumCPUs)}
-	if cfg.Trace {
-		e.tr = &tracer{}
-	}
 	e.spans = cfg.Spans
 	e.prof = cfg.Profile
 	perNode := cfg.NumCPUs / e.nodes

@@ -1,9 +1,7 @@
 package engine
 
 import (
-	"encoding/json"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -69,8 +67,6 @@ func TestSchedulerOrdersByTime(t *testing.T) {
 func TestMutexSerializes(t *testing.T) {
 	e := New(Config{NumCPUs: 8})
 	m := NewMutex(e, "test")
-	m.AcquireCost = 0
-	m.HandoffCost = 0
 	const n = 4
 	const hold = 1000
 	ends := make([]uint64, n)
@@ -84,10 +80,10 @@ func TestMutexSerializes(t *testing.T) {
 		})
 	}
 	e.Run()
-	// With FIFO handoff, completion times must be 1000, 2000, 3000, 4000
-	// in spawn order (all start at t=0, proc 0 wins the tie-break).
+	// All pay the acquire cost at t=0 and proc 0 wins the tie-break; with
+	// FIFO handoff proc i then waits for i holds and i handoffs.
 	for i := 0; i < n; i++ {
-		want := uint64((i + 1) * hold)
+		want := lockAcquireCost + uint64(i)*(hold+lockHandoffCost) + hold
 		if ends[i] != want {
 			t.Errorf("proc %d end = %d, want %d", i, ends[i], want)
 		}
@@ -99,16 +95,14 @@ func TestMutexSerializes(t *testing.T) {
 	if st.Contended != n-1 {
 		t.Errorf("contended = %d, want %d", st.Contended, n-1)
 	}
-	if st.WaitCycles != 1000+2000+3000 {
-		t.Errorf("wait cycles = %d, want 6000", st.WaitCycles)
+	if want := uint64(1+2+3) * (hold + lockHandoffCost); st.WaitCycles != want {
+		t.Errorf("wait cycles = %d, want %d", st.WaitCycles, want)
 	}
 }
 
 func TestMutexWaitIsLockWaitKind(t *testing.T) {
 	e := New(Config{NumCPUs: 2})
 	m := NewMutex(e, "test")
-	m.AcquireCost = 0
-	m.HandoffCost = 0
 	var waiter *Proc
 	e.Spawn(0, "holder", func(p *Proc) {
 		m.Lock(p)
@@ -121,16 +115,16 @@ func TestMutexWaitIsLockWaitKind(t *testing.T) {
 		m.Unlock(p)
 	})
 	e.Run()
-	if got := waiter.Accounted(KindLockWait); got != 499 {
-		t.Errorf("lockwait = %d, want 499", got)
+	// The waiter queues one cycle after the holder took the lock and is
+	// handed it when the 500-cycle hold ends.
+	if got, want := waiter.Accounted(KindLockWait), uint64(500+lockHandoffCost-1); got != want {
+		t.Errorf("lockwait = %d, want %d", got, want)
 	}
 }
 
 func TestRWMutexReaderBatch(t *testing.T) {
 	e := New(Config{NumCPUs: 8})
 	rw := NewRWMutex(e, "test")
-	rw.AcquireCost = 0
-	rw.HandoffCost = 0
 	readerEnds := make([]uint64, 3)
 	e.Spawn(0, "writer", func(p *Proc) {
 		rw.Lock(p)
@@ -148,10 +142,12 @@ func TestRWMutexReaderBatch(t *testing.T) {
 		})
 	}
 	e.Run()
-	// All three readers are admitted together at t=1000 and overlap.
+	// All three readers are admitted together when the writer's hold ends
+	// and overlap.
+	want := uint64(lockAcquireCost + 1000 + lockHandoffCost + 100)
 	for i, end := range readerEnds {
-		if end != 1100 {
-			t.Errorf("reader %d end = %d, want 1100 (batched admission)", i, end)
+		if end != want {
+			t.Errorf("reader %d end = %d, want %d (batched admission)", i, end, want)
 		}
 	}
 }
@@ -159,8 +155,6 @@ func TestRWMutexReaderBatch(t *testing.T) {
 func TestRWMutexWriterWaitsForAllReaders(t *testing.T) {
 	e := New(Config{NumCPUs: 8})
 	rw := NewRWMutex(e, "test")
-	rw.AcquireCost = 0
-	rw.HandoffCost = 0
 	var writerStart uint64
 	for i := 0; i < 2; i++ {
 		hold := uint64(100 * (i + 1))
@@ -177,8 +171,8 @@ func TestRWMutexWriterWaitsForAllReaders(t *testing.T) {
 		rw.Unlock(p)
 	})
 	e.Run()
-	if writerStart != 200 {
-		t.Errorf("writer admitted at %d, want 200 (after slowest reader)", writerStart)
+	if want := uint64(lockAcquireCost + 200 + lockHandoffCost); writerStart != want {
+		t.Errorf("writer admitted at %d, want %d (after slowest reader)", writerStart, want)
 	}
 }
 
@@ -374,7 +368,8 @@ func TestWaitUntilPast(t *testing.T) {
 }
 
 func TestTraceCapturesSegments(t *testing.T) {
-	e := New(Config{NumCPUs: 2, Trace: true})
+	e := New(Config{NumCPUs: 2})
+	segs := recordSegments(e)
 	m := NewMutex(e, "m")
 	e.Spawn(0, "alpha", func(p *Proc) {
 		m.Lock(p)
@@ -388,67 +383,38 @@ func TestTraceCapturesSegments(t *testing.T) {
 		m.Unlock(p)
 	})
 	e.Run()
-	evs := e.Trace()
-	if len(evs) == 0 {
-		t.Fatal("no trace events")
+	if len(*segs) == 0 {
+		t.Fatal("no segments recorded")
 	}
 	names := map[string]bool{}
-	for _, ev := range evs {
-		if ev.End <= ev.Start {
-			t.Errorf("empty/negative segment %+v", ev)
+	for _, s := range *segs {
+		if s.end <= s.start {
+			t.Errorf("empty/negative segment %+v", s)
 		}
-		names[ev.Proc] = true
+		names[s.p.name] = true
 	}
 	if !names["alpha"] || !names["beta"] {
 		t.Errorf("procs missing from trace: %v", names)
 	}
 	// Segments on one CPU must not overlap (one proc per CPU here).
-	perCPU := map[int][]TraceEvent{}
-	for _, ev := range evs {
-		perCPU[ev.CPU] = append(perCPU[ev.CPU], ev)
+	perCPU := map[int][]segment{}
+	for _, s := range *segs {
+		perCPU[s.p.cpu] = append(perCPU[s.p.cpu], s)
 	}
 	for cpuID, list := range perCPU {
 		for i := 1; i < len(list); i++ {
-			if list[i].Start < list[i-1].End {
+			if list[i].start < list[i-1].end {
 				t.Errorf("cpu %d: overlapping segments %+v / %+v", cpuID, list[i-1], list[i])
 			}
 		}
 	}
 }
 
-func TestWriteChromeTrace(t *testing.T) {
-	e := New(Config{NumCPUs: 1, Trace: true})
-	e.Spawn(0, "p", func(p *Proc) { p.AdvanceUser(2400) }) // 1 us
-	e.Run()
-	var sb strings.Builder
-	if err := e.WriteChromeTrace(&sb); err != nil {
-		t.Fatal(err)
-	}
-	var out []map[string]any
-	if err := json.Unmarshal([]byte(sb.String()), &out); err != nil {
-		t.Fatalf("invalid trace JSON: %v", err)
-	}
-	foundX := false
-	for _, ev := range out {
-		if ev["ph"] == "X" && ev["name"] == "p" {
-			foundX = true
-			if dur := ev["dur"].(float64); dur != 1.0 {
-				t.Errorf("dur = %v us, want 1", dur)
-			}
-		}
-	}
-	if !foundX {
-		t.Error("no complete event in trace")
-	}
-}
-
-func TestTraceDisabledByDefault(t *testing.T) {
-	e := New(Config{NumCPUs: 1})
-	e.Spawn(0, "p", func(p *Proc) { p.AdvanceUser(100) })
-	e.Run()
-	if e.Trace() != nil {
-		t.Error("trace captured without Config.Trace")
-	}
+// recordSegments installs the segment recorder on e and returns what it
+// fills.
+func recordSegments(e *Engine) *[]segment {
+	e.segs = new([]segment)
+	return e.segs
 }
 
 // Property: the run-queue heap always pops in (time, id) order.

@@ -113,10 +113,10 @@ func TestEventReleasesWaitersInArrivalOrder(t *testing.T) {
 		var queued, woke []string
 		// fire records the queue, oldest first, then ends the period.
 		fire := func(p *Proc) {
-			if ev.tail != nil {
-				for w := ev.tail.waitNext; ; w = w.waitNext {
+			if q := ev.waiters; q.tail != nil {
+				for w := q.head(); ; w = w.waitNext {
 					queued = append(queued, w.Name())
-					if w == ev.tail {
+					if w == q.tail {
 						break
 					}
 				}
@@ -156,13 +156,13 @@ func TestEventReleasesWaitersInArrivalOrder(t *testing.T) {
 		if !slices.Equal(woke, wantWoke) {
 			t.Fatalf("%d waiters: woken\n\t%s\nwant\n\t%s", n, strings.Join(woke, " "), strings.Join(wantWoke, " "))
 		}
-		if ev.tail != nil || !ev.Fired() || ev.FiredAt() != 2000 {
-			t.Fatalf("%d waiters: after the last Fire tail=%v fired=%v at %d", n, ev.tail, ev.Fired(), ev.FiredAt())
+		if ev.waiters.tail != nil || !ev.Fired() || ev.FiredAt() != 2000 {
+			t.Fatalf("%d waiters: after the last Fire tail=%v fired=%v at %d", n, ev.waiters.tail, ev.Fired(), ev.FiredAt())
 		}
 	}
 }
 
-// An Event is four words — the namer, the fire time, the ring's tail — so a
+// An Event is four words — the namer, the fire time, the waitq's tail — so a
 // page record that embeds one stays in its size class (DESIGN.md §3 "Page
 // records"): 16 bytes more moves core.Page from the 112-byte class to 128 and
 // host.cachedPage from 128 to 144.

@@ -21,7 +21,8 @@ import (
 // calls. It returns the trace as one line per segment followed by one line
 // per process with its final clock and accounting.
 func scriptedScenario(perturb uint64) []string {
-	e := New(Config{NumCPUs: 4, Seed: 1, Trace: true, SchedPerturb: perturb})
+	e := New(Config{NumCPUs: 4, Seed: 1, SchedPerturb: perturb})
+	segs := recordSegments(e)
 	mu := NewMutex(e, "mu")
 	ev := newEvent("ev")
 	sig := NewSignal(e, "sig")
@@ -68,8 +69,8 @@ func scriptedScenario(perturb uint64) []string {
 	e.Run()
 
 	var out []string
-	for _, t := range e.Trace() {
-		out = append(out, fmt.Sprintf("%s#%d cpu%d %d-%d %s", t.Proc, t.ProcID, t.CPU, t.Start, t.End, t.Outcome))
+	for _, s := range *segs {
+		out = append(out, fmt.Sprintf("%s#%d cpu%d %d-%d %s", s.p.name, s.p.id, s.p.cpu, s.start, s.end, s.outcome))
 	}
 	for _, p := range e.Procs() {
 		out = append(out, fmt.Sprintf("%s now=%d user=%d system=%d iowait=%d lockwait=%d", p.Name(), p.Now(),
@@ -266,15 +267,15 @@ func TestCrashMidHandoffDrainsEveryProc(t *testing.T) {
 
 // TestCrashSegmentOutcome pins the label of a segment ended by a crash.
 func TestCrashSegmentOutcome(t *testing.T) {
-	e := New(Config{NumCPUs: 1, Trace: true})
+	e := New(Config{NumCPUs: 1})
+	segs := recordSegments(e)
 	e.Spawn(0, "w", func(p *Proc) {
 		p.AdvanceUser(700)
 		e.CrashNow("test")
 	})
 	e.Run()
-	tr := e.Trace()
-	if len(tr) != 1 || tr[0].Outcome != "crash" || tr[0].End != 700 {
-		t.Fatalf("trace = %+v, want one 0-700 segment with outcome crash", tr)
+	if s := *segs; len(s) != 1 || s[0].outcome != batonCrash || s[0].start != 0 || s[0].end != 700 {
+		t.Fatalf("segments = %+v, want one 0-700 segment with outcome crash", s)
 	}
 }
 

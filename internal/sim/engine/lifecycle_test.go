@@ -51,7 +51,8 @@ func (b *bodyError) Error() string { return fmt.Sprintf("op %d failed", b.op) }
 // at the time are released.
 func TestBodyPanicSurfacesOnRunCaller(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	e := New(Config{NumCPUs: 4, Seed: 1, Trace: true})
+	e := New(Config{NumCPUs: 4, Seed: 1})
+	segs := recordSegments(e)
 	parkedWorld(e)
 	planted := &bodyError{op: 7}
 	e.Spawn(2, "buggy", func(p *Proc) {
@@ -76,9 +77,9 @@ func TestBodyPanicSurfacesOnRunCaller(t *testing.T) {
 	if e.Crashed() != nil {
 		t.Errorf("Crashed() = %+v after a body panic: releasing parked processes must record nothing", e.Crashed())
 	}
-	for _, ev := range e.Trace() {
-		if ev.Outcome == "crash" {
-			t.Errorf("segment %+v: a released process recorded a crash segment", ev)
+	for _, s := range *segs {
+		if s.outcome == batonCrash {
+			t.Errorf("segment %+v: a released process recorded a crash segment", s)
 		}
 	}
 	waitGoroutines(t, baseline)
@@ -135,7 +136,8 @@ func TestRunFromInsideProcPanics(t *testing.T) {
 // recording anything, twice is as good as once, and the engine is closed.
 func TestCloseReleasesParkedProcs(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	e := New(Config{NumCPUs: 4, Seed: 1, Trace: true})
+	e := New(Config{NumCPUs: 4, Seed: 1})
+	segs := recordSegments(e)
 	parkedWorld(e)
 	cleanup := false
 	never := NewSignal(e, "never")
@@ -148,15 +150,15 @@ func TestCloseReleasesParkedProcs(t *testing.T) {
 		t.Fatal("Run did not report the deadlock")
 	}
 	e.Spawn(2, "unstarted", func(p *Proc) { cleanup = true }) // no coroutine to release
-	segments, now := len(e.Trace()), e.Now()
+	segments, now := len(*segs), e.Now()
 	e.Close()
 	e.Close()
 	if cleanup {
 		t.Error("Close resumed a blocked body past its wait")
 	}
-	if len(e.Trace()) != segments || e.Now() != now || e.Crashed() != nil {
+	if len(*segs) != segments || e.Now() != now || e.Crashed() != nil {
 		t.Errorf("Close recorded something: %d→%d segments, now %d→%d, crashed %+v",
-			segments, len(e.Trace()), now, e.Now(), e.Crashed())
+			segments, len(*segs), now, e.Now(), e.Crashed())
 	}
 	for _, p := range e.Procs() {
 		if p.started && !p.done {

@@ -6,11 +6,10 @@ import (
 	"aquila/internal/obs"
 )
 
-// Span tracing (internal/obs) complements the legacy segment tracer: where
-// Trace/WriteChromeTrace capture raw scheduler segments, the obs tracer
-// carries named, cycle-attributed spans opened and closed by simulated code
-// (fault handlers, eviction, device I/O). The engine contributes two track
-// groups to a shared tracer:
+// Span tracing (internal/obs) is the engine's one trace: scheduler segments
+// beside the named, cycle-attributed spans opened and closed by simulated
+// code (fault handlers, eviction, device I/O). The engine contributes two
+// track groups to a shared tracer:
 //
 //   - "<label>/cpus":  one track per simulated CPU, holding scheduler
 //     segments ("sched" category) showing which process occupied the CPU.
@@ -118,4 +117,26 @@ func (e *Engine) obsSchedSegment(p *Proc, start uint64) {
 		PID: e.pidCPU, TID: p.cpu, Proc: p.name,
 		Begin: start, End: p.now,
 	})
+}
+
+// segment is one closed scheduler segment as Engine.segs records it.
+type segment struct {
+	p          *Proc
+	start, end uint64
+	outcome    batonKind
+}
+
+// traceSegment closes the running process's scheduler segment, which began
+// at e.segStart. Empty segments are not recorded.
+func (e *Engine) traceSegment(p *Proc, outcome batonKind) {
+	start := e.segStart
+	if p.now == start {
+		return
+	}
+	if e.spans != nil {
+		e.obsSchedSegment(p, start)
+	}
+	if e.segs != nil {
+		*e.segs = append(*e.segs, segment{p, start, p.now, outcome})
+	}
 }

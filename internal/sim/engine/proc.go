@@ -35,7 +35,7 @@ type Proc struct {
 	// diagnostic reads them, so the name is built there, not on every block.
 	blockedOn   primitive
 	blockedPrim primitiveNamer
-	// waitNext links the process into the waiter ring of the Event it is
+	// waitNext links the process into the waitq of the primitive it is
 	// blocked on.
 	waitNext *Proc
 

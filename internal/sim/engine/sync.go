@@ -2,13 +2,12 @@ package engine
 
 import "fmt"
 
-// Lock cost model defaults, in cycles. An uncontended atomic CAS on a warm
-// cache line is on the order of 20 cycles; a contended handoff moves the lock
-// cache line across cores and costs on the order of a cache-to-cache
-// transfer.
+// Lock costs, in cycles. An uncontended atomic CAS on a warm cache line is on
+// the order of 20 cycles; a contended handoff moves the lock cache line
+// across cores and costs on the order of a cache-to-cache transfer.
 const (
-	DefaultLockAcquireCost = 20
-	DefaultLockHandoffCost = 120
+	lockAcquireCost = 20
+	lockHandoffCost = 120
 )
 
 // MutexStats exposes contention counters of a simulated lock.
@@ -18,31 +17,67 @@ type MutexStats struct {
 	WaitCycles   uint64
 }
 
+// waitq is the FIFO every blocking primitive queues its waiters on: a ring
+// through Proc.waitNext reached from its newest member, so tail.waitNext is
+// the oldest. A process blocks on one primitive at a time, so the one link
+// serves every queue, and queueing allocates nothing.
+type waitq struct{ tail *Proc }
+
+// push appends p as the newest waiter.
+func (q *waitq) push(p *Proc) {
+	if q.tail == nil {
+		p.waitNext = p
+	} else {
+		p.waitNext, q.tail.waitNext = q.tail.waitNext, p
+	}
+	q.tail = p
+}
+
+// head returns the oldest waiter, nil if there is none.
+func (q *waitq) head() *Proc {
+	if q.tail == nil {
+		return nil
+	}
+	return q.tail.waitNext
+}
+
+// pop removes and returns the oldest waiter, nil if there is none.
+func (q *waitq) pop() *Proc {
+	t := q.tail
+	if t == nil {
+		return nil
+	}
+	h := t.waitNext
+	if h == t {
+		q.tail = nil
+	} else {
+		t.waitNext = h.waitNext
+	}
+	h.waitNext = nil
+	return h
+}
+
 // Mutex is a simulated FIFO mutex. Waiting time is simulated queueing delay,
 // attributed to KindLockWait on the waiter.
 type Mutex struct {
 	e       *Engine
 	name    string
 	holder  *Proc
-	waiters []*Proc
-
-	AcquireCost uint64
-	HandoffCost uint64
+	waiters waitq
 
 	stats MutexStats
 }
 
-// NewMutex creates a simulated mutex with default costs.
+// NewMutex creates a simulated mutex.
 func NewMutex(e *Engine, name string) *Mutex {
-	return &Mutex{e: e, name: name,
-		AcquireCost: DefaultLockAcquireCost, HandoffCost: DefaultLockHandoffCost}
+	return &Mutex{e: e, name: name}
 }
 
 // Lock acquires the mutex, blocking at simulated time until it is free.
 // The acquire cost is charged as system time.
 func (m *Mutex) Lock(p *Proc) {
 	p.Sync()
-	p.advance(KindSystem, m.AcquireCost)
+	p.advance(KindSystem, lockAcquireCost)
 	m.stats.Acquisitions++
 	if m.holder == nil {
 		m.holder = p
@@ -50,7 +85,7 @@ func (m *Mutex) Lock(p *Proc) {
 	}
 	m.stats.Contended++
 	before := p.now
-	m.waiters = append(m.waiters, p)
+	m.waiters.push(p)
 	p.block(onMutex, m)
 	m.stats.WaitCycles += p.now - before
 }
@@ -61,13 +96,9 @@ func (m *Mutex) Unlock(p *Proc) {
 	if m.holder != p {
 		panic(fmt.Sprintf("engine: %s unlocks mutex %q held by %v", p.name, m.name, m.holder))
 	}
-	m.holder = nil
-	if len(m.waiters) > 0 {
-		w := m.waiters[0]
-		copy(m.waiters, m.waiters[1:])
-		m.waiters = m.waiters[:len(m.waiters)-1]
-		m.holder = w
-		m.e.unblock(w, p.now+m.HandoffCost, KindLockWait)
+	m.holder = m.waiters.pop()
+	if m.holder != nil {
+		m.e.unblock(m.holder, p.now+lockHandoffCost, KindLockWait)
 	}
 }
 
@@ -76,45 +107,37 @@ func (m *Mutex) primitiveName() string { return m.name }
 // Stats returns contention counters.
 func (m *Mutex) Stats() MutexStats { return m.stats }
 
-type rwWaiter struct {
-	p     *Proc
-	write bool
-}
-
 // RWMutex is a simulated fair reader/writer lock in the style of the Linux
 // mmap_sem: FIFO between phases, with consecutive queued readers admitted as
-// a batch.
+// a batch. A waiter's mode is the primitive it blocked as (onRWMutexRead or
+// onRWMutexWrite).
 type RWMutex struct {
 	e       *Engine
 	name    string
 	readers int
 	writer  *Proc
-	queue   []rwWaiter
-
-	AcquireCost uint64
-	HandoffCost uint64
+	queue   waitq
 
 	stats MutexStats
 }
 
-// NewRWMutex creates a simulated reader/writer lock with default costs.
+// NewRWMutex creates a simulated reader/writer lock.
 func NewRWMutex(e *Engine, name string) *RWMutex {
-	return &RWMutex{e: e, name: name,
-		AcquireCost: DefaultLockAcquireCost, HandoffCost: DefaultLockHandoffCost}
+	return &RWMutex{e: e, name: name}
 }
 
 // RLock acquires the lock in shared mode.
 func (rw *RWMutex) RLock(p *Proc) {
 	p.Sync()
-	p.advance(KindSystem, rw.AcquireCost)
+	p.advance(KindSystem, lockAcquireCost)
 	rw.stats.Acquisitions++
-	if rw.writer == nil && len(rw.queue) == 0 {
+	if rw.writer == nil && rw.queue.tail == nil {
 		rw.readers++
 		return
 	}
 	rw.stats.Contended++
 	before := p.now
-	rw.queue = append(rw.queue, rwWaiter{p: p, write: false})
+	rw.queue.push(p)
 	p.block(onRWMutexRead, rw)
 	rw.stats.WaitCycles += p.now - before
 }
@@ -134,15 +157,15 @@ func (rw *RWMutex) RUnlock(p *Proc) {
 // Lock acquires the lock in exclusive mode.
 func (rw *RWMutex) Lock(p *Proc) {
 	p.Sync()
-	p.advance(KindSystem, rw.AcquireCost)
+	p.advance(KindSystem, lockAcquireCost)
 	rw.stats.Acquisitions++
-	if rw.writer == nil && rw.readers == 0 && len(rw.queue) == 0 {
+	if rw.writer == nil && rw.readers == 0 && rw.queue.tail == nil {
 		rw.writer = p
 		return
 	}
 	rw.stats.Contended++
 	before := p.now
-	rw.queue = append(rw.queue, rwWaiter{p: p, write: true})
+	rw.queue.push(p)
 	p.block(onRWMutexWrite, rw)
 	rw.stats.WaitCycles += p.now - before
 }
@@ -157,31 +180,22 @@ func (rw *RWMutex) Unlock(p *Proc) {
 	rw.admit(p.now)
 }
 
-// admit wakes the next phase of waiters at simulated time t.
+// admit wakes the next phase of waiters at simulated time t: the oldest
+// writer alone, or the whole leading run of readers.
 func (rw *RWMutex) admit(t uint64) {
-	if len(rw.queue) == 0 || rw.writer != nil || rw.readers > 0 {
+	w := rw.queue.head()
+	if w == nil || rw.writer != nil || rw.readers > 0 {
 		return
 	}
-	if rw.queue[0].write {
-		w := rw.queue[0]
-		copy(rw.queue, rw.queue[1:])
-		rw.queue = rw.queue[:len(rw.queue)-1]
-		rw.writer = w.p
-		rw.e.unblock(w.p, t+rw.HandoffCost, KindLockWait)
+	if w.blockedOn == onRWMutexWrite {
+		rw.writer = rw.queue.pop()
+		rw.e.unblock(w, t+lockHandoffCost, KindLockWait)
 		return
 	}
-	// Admit the whole leading run of readers.
-	n := 0
-	for n < len(rw.queue) && !rw.queue[n].write {
-		n++
-	}
-	batch := make([]rwWaiter, n)
-	copy(batch, rw.queue[:n])
-	copy(rw.queue, rw.queue[n:])
-	rw.queue = rw.queue[:len(rw.queue)-n]
-	rw.readers += n
-	for _, w := range batch {
-		rw.e.unblock(w.p, t+rw.HandoffCost, KindLockWait)
+	for ; w != nil && w.blockedOn == onRWMutexRead; w = rw.queue.head() {
+		rw.queue.pop()
+		rw.readers++
+		rw.e.unblock(w, t+lockHandoffCost, KindLockWait)
 	}
 }
 
@@ -192,7 +206,7 @@ type WaitGroup struct {
 	e       *Engine
 	name    string
 	count   int
-	waiters []*Proc
+	waiters waitq
 	doneAt  uint64
 }
 
@@ -218,10 +232,9 @@ func (wg *WaitGroup) Done(p *Proc) {
 		wg.doneAt = p.now
 	}
 	if wg.count == 0 {
-		for _, w := range wg.waiters {
+		for w := wg.waiters.pop(); w != nil; w = wg.waiters.pop() {
 			wg.e.unblock(w, wg.doneAt, KindIOWait)
 		}
-		wg.waiters = wg.waiters[:0]
 		wg.doneAt = 0
 	}
 }
@@ -232,7 +245,7 @@ func (wg *WaitGroup) Wait(p *Proc) {
 		p.Sync()
 		return
 	}
-	wg.waiters = append(wg.waiters, p)
+	wg.waiters.push(p)
 	p.block(onWaitGroup, wg)
 }
 
@@ -304,9 +317,7 @@ type Event struct {
 	// namer names the busy period in progress; nil while the event is idle.
 	namer   EventNamer
 	firedAt uint64
-	// tail is the newest waiter. The waiters form a ring through
-	// Proc.waitNext, so tail.waitNext is the oldest.
-	tail *Proc
+	waiters waitq
 }
 
 // EventNamer names an event on demand. The name is only read by the deadlock
@@ -345,16 +356,8 @@ func (ev *Event) Fire(t uint64) {
 	}
 	ev.namer = nil
 	ev.firedAt = t
-	if ev.tail == nil {
-		return
-	}
-	w := ev.tail.waitNext
-	ev.tail.waitNext, ev.tail = nil, nil
-	for w != nil {
-		next := w.waitNext
-		w.waitNext = nil
+	for w := ev.waiters.pop(); w != nil; w = ev.waiters.pop() {
 		w.e.unblock(w, max(t, w.now), KindIOWait)
-		w = next
 	}
 }
 
@@ -365,11 +368,6 @@ func (ev *Event) Wait(p *Proc) {
 		p.WaitUntil(ev.firedAt, KindIOWait)
 		return
 	}
-	if ev.tail == nil {
-		p.waitNext = p
-	} else {
-		p.waitNext, ev.tail.waitNext = ev.tail.waitNext, p
-	}
-	ev.tail = p
+	ev.waiters.push(p)
 	p.block(onEvent, ev)
 }
