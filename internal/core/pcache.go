@@ -57,6 +57,10 @@ type Page struct {
 	// base index) covering 512 contiguous frames. Dirtiness, LRU position
 	// and writeback are tracked for the unit as a whole.
 	huge bool
+	// writebacks is PG_writeback: the write-backs in flight that cleaned the
+	// page, each counted until its write completes. An msync that finds
+	// one waits it out.
+	writebacks uint8
 }
 
 // appendFrames appends the frames the page's content is in to dst, in page

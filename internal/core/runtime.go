@@ -94,6 +94,9 @@ const (
 	// queue behind the backlog (tail latency stays near the synchronous
 	// design's).
 	evictStallBudget = 40_000
+	// writingPollQuantum paces an msync waiting out a write-back another
+	// path started on a page in its range.
+	writingPollQuantum = 2000
 )
 
 // ErrEvictionStalled reports that an allocation exhausted its throttled-wait
@@ -672,14 +675,15 @@ func (rt *Runtime) wpFault(p *engine.Proc, va uint64) (*mem.Frame, error) {
 }
 
 // markDirty puts a page that is not dirty in the calling core's dirty set: an
-// insert into that core's red-black tree, charged as one.
+// insert into that core's red-black tree, charged as one. The charge yields,
+// and an msync that runs meanwhile cleans the page again; every caller makes
+// a PTE writable next, so the page must still be dirty when markDirty returns.
 func (rt *Runtime) markDirty(p *engine.Proc, pg *Page) {
-	if pg.state.Dirty() {
-		return
+	for !pg.state.Dirty() {
+		pg.dirtyCore = int32(p.CPU())
+		rt.move(pg, pg.state.Dirtied())
+		rt.charge(p, "dirty-track", costDirtyTreeOp)
 	}
-	pg.dirtyCore = int32(p.CPU())
-	rt.move(pg, pg.state.Dirtied())
-	rt.charge(p, "dirty-track", costDirtyTreeOp)
 }
 
 // dirtyKey is device order, the order write-back merges runs in.
@@ -1001,6 +1005,7 @@ func (rt *Runtime) claimVictims(p *engine.Proc) (victims, dirty []*Page) {
 	for _, v := range victims {
 		if v.state.Dirty() {
 			rt.move(v, v.state.Cleaned())
+			v.writebacks++
 			rt.charge(p, "dirty-track", costDirtyTreeOp)
 			dirty = append(dirty, v)
 		}
@@ -1024,6 +1029,9 @@ func (rt *Runtime) releaseVictims(p *engine.Proc, victims, dirty []*Page, batche
 		frames = rt.frameBufs.Borrow()
 	}
 	recycled := 0
+	for _, v := range dirty {
+		v.writebacks--
+	}
 	for _, v := range victims {
 		v.ev.Fire(doneAt)
 		if v.state != detutil.PgClaimed {
@@ -1424,6 +1432,7 @@ func (rt *Runtime) msyncFileRange(p *engine.Proc, f *fileState, off, length uint
 			// clean from here, and a newly started eviction would otherwise
 			// free its frame before the write reaches the device.
 			pg.pins++
+			pg.writebacks++
 			dirtyPages = append(dirtyPages, pg)
 			taken++
 		}
@@ -1442,8 +1451,24 @@ func (rt *Runtime) msyncFileRange(p *engine.Proc, f *fileState, off, length uint
 	rt.writeBack(p, dirtyPages, "aq.writeback", aw, false)
 	for _, pg := range dirtyPages {
 		pg.pins--
+		pg.writebacks--
 	}
 	rt.pageBufs.GiveBack(dirtyPages)
+	// A page another msync or an eviction cleaned before this one looked is
+	// still on its way to the device: wait its write out, as
+	// filemap_fdatawait waits out PG_writeback.
+	writing := rt.pageBufs.Borrow()
+	for _, pg := range f.pages.Range(lo&^(hugePages-1), hi) {
+		if pg.writebacks > 0 && pg.idx+uint64(pg.pages()) > lo {
+			writing = append(writing, pg)
+		}
+	}
+	for _, pg := range writing {
+		for pg.writebacks > 0 {
+			p.WaitUntil(p.Now()+writingPollQuantum, engine.KindIOWait)
+		}
+	}
+	rt.pageBufs.GiveBack(writing)
 }
 
 // DirtyPages returns the number of dirty pages across all cores (tests).

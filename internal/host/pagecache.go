@@ -46,6 +46,10 @@ type cachedPage struct {
 	referenced bool
 	// active marks which LRU list holds the page.
 	active bool
+	// writebacks is PG_writeback: the writePages calls in flight that hold
+	// the page, each counted until its write completes. An fsync that finds
+	// one on a clean page waits it out.
+	writebacks uint8
 }
 
 // mappedVA is one reverse-mapping entry.
@@ -383,6 +387,7 @@ func (c *PageCache) writePages(p *engine.Proc, pages []*cachedPage) {
 		if pg.state.Dirty() {
 			c.move(pg, pg.state.Cleaned())
 		}
+		pg.writebacks++
 		pg.f.treeLock.Unlock(p)
 		// page_mkclean: write-protect live mappings so the next store
 		// re-dirties the page; otherwise post-writeback stores would be
@@ -405,6 +410,9 @@ func (c *PageCache) writePages(p *engine.Proc, pages []*cachedPage) {
 		}
 		// One timed I/O for the run; the pages' content was staged above.
 		c.os.blockIO(p, "lx.block_io", "writeback", pages[i].f.devOff(pages[i].idx*PageSize), (j-i)*PageSize, true)
+		for _, pg := range pages[i:j] {
+			pg.writebacks--
+		}
 		c.WrittenBk += uint64(j - i)
 		i = j
 	}
@@ -569,7 +577,8 @@ func (c *PageCache) truncate(p *engine.Proc, f *FSFile) {
 // the windows it appended (§7.2). The batch is pinned across the write-back
 // and a page some reclaim has already claimed is left to it, for the reasons
 // writebackBatch gives; fsync then waits that reclaim out (the page is durable
-// once its io fires), as filemap_fdatawait does for PG_writeback pages.
+// once its io fires), and any write another path started on a page of the
+// range, as filemap_fdatawait does for PG_writeback pages.
 func (c *PageCache) fsyncFileRange(p *engine.Proc, f *FSFile, off, length uint64) {
 	lo := off / PageSize
 	hi := min((off+length+PageSize-1)/PageSize, (f.cap+PageSize-1)/PageSize)
@@ -580,6 +589,8 @@ func (c *PageCache) fsyncFileRange(p *engine.Proc, f *FSFile, off, length uint64
 	dirty, claimed := c.pageBufs.Borrow(), c.pageBufs.Borrow()
 	for _, pg := range f.pages.Range(lo, hi) {
 		switch {
+		case pg.writebacks > 0 && !pg.state.Dirty():
+			claimed = append(claimed, pg)
 		case !pg.state.Dirty():
 		case pg.busy():
 			claimed = append(claimed, pg)
@@ -596,9 +607,16 @@ func (c *PageCache) fsyncFileRange(p *engine.Proc, f *FSFile, off, length uint64
 	c.pageBufs.GiveBack(dirty)
 	for _, pg := range claimed {
 		c.waitPage(p, pg)
+		for pg.writebacks > 0 {
+			p.WaitUntil(p.Now()+writingPollQuantum, engine.KindIOWait)
+		}
 	}
 	c.pageBufs.GiveBack(claimed)
 }
+
+// writingPollQuantum paces an fsync waiting out a write-back another path
+// started on a page in its range.
+const writingPollQuantum = 2000
 
 // EventName names the page's fill (engine.EventNamer); only the engine's
 // deadlock diagnostic asks. Reclaim arms the event as reclaimClaim instead.

@@ -196,9 +196,12 @@ func freeCount(s *Store) int {
 // blocks with versions, each once; an emptied version list is nil; nextDue is
 // no later than any scheduled durability point; every buffer holds its block
 // exactly up to its last nonzero line.
-func tiers(t *testing.T, at string, s *Store) (media map[uint64][]byte, staged map[uint64][]volVersion) {
+func tiers(t *testing.T, at string, s *Store, in func(blk uint64) bool) (media map[uint64][]byte, staged map[uint64][]volVersion) {
 	t.Helper()
 	trimmed := func(blk uint64, b []byte) {
+		if !in(blk) {
+			return
+		}
 		if want := mem.LineUp(mem.LastNonzero(b)); b != nil && len(b) != want {
 			t.Fatalf("%s: block %d holds %d bytes, its last nonzero line ends at %d", at, blk, len(b), want)
 		}
@@ -294,17 +297,23 @@ func owners(t *testing.T, at string, s *Store, media map[uint64][]byte, staged m
 }
 
 // compare fails the test when got and want differ in anything readable — the
-// whole content, PendingBlocks, Owed, both tiers version by version (with the
-// write that staged each), the media image — or when the store's bookkeeping
-// is off (tiers, owners). It returns what Owed reported and the owner check.
-func compare(t *testing.T, at string, got *Store, want *refStore) (OwedWrite, bool, func([]byte, string)) {
+// content, PendingBlocks, Owed, both tiers version by version (with the write
+// that staged each), the media image — or when the store's bookkeeping is off
+// (tiers, owners). With touched nil it compares every block and returns the
+// owner check besides what Owed reported; otherwise it compares the content,
+// tiers and trimming of the touched blocks only, and the owner check is nil.
+func compare(t *testing.T, at string, got *Store, want *refStore, touched []bool) (OwedWrite, bool, func([]byte, string)) {
 	t.Helper()
-	size := int(got.Capacity())
-	all, wantAll := make([]byte, size), make([]byte, size)
-	got.ReadAt(0, all)
-	want.read(0, wantAll)
-	if !bytes.Equal(all, wantAll) {
-		t.Fatalf("%s: readable content differs from the reference", at)
+	in := func(blk uint64) bool { return touched == nil || touched[blk] }
+	buf, wantBuf := make([]byte, BlockSize), make([]byte, BlockSize)
+	for blk := range got.Capacity() / BlockSize {
+		if in(blk) {
+			got.ReadAt(blk*BlockSize, buf)
+			want.read(blk*BlockSize, wantBuf)
+			if !bytes.Equal(buf, wantBuf) {
+				t.Fatalf("%s: block %d's readable content differs from the reference", at, blk)
+			}
+		}
 	}
 	if got.PendingBlocks() != len(want.volatile) {
 		t.Fatalf("%s: PendingBlocks %d, reference %d", at, got.PendingBlocks(), len(want.volatile))
@@ -313,14 +322,22 @@ func compare(t *testing.T, at string, got *Store, want *refStore) (OwedWrite, bo
 	if rw, rowed := want.owed(); w != rw || owed != rowed {
 		t.Fatalf("%s: Owed %+v %v, reference %+v %v", at, w, owed, rw, rowed)
 	}
-	media, staged := tiers(t, at, got)
-	if !sameImage(media, want.blocks) {
-		t.Fatalf("%s: media image differs from the reference", at)
+	media, staged := tiers(t, at, got, in)
+	if len(media) != len(want.blocks) {
+		t.Fatalf("%s: media holds %d blocks, reference %d", at, len(media), len(want.blocks))
+	}
+	for blk, b := range media {
+		if y, ok := want.blocks[blk]; in(blk) && (!ok || !bytes.Equal(full(b), full(y))) {
+			t.Fatalf("%s: block %d's media differs from the reference", at, blk)
+		}
 	}
 	if len(staged) != len(want.volatile) {
 		t.Fatalf("%s: %d staged blocks, reference %d", at, len(staged), len(want.volatile))
 	}
 	for blk, vs := range staged {
+		if !in(blk) {
+			continue
+		}
 		ref := want.volatile[blk]
 		if len(vs) != len(ref) {
 			t.Fatalf("%s: block %d has %d staged versions, reference %d", at, blk, len(vs), len(ref))
@@ -330,6 +347,9 @@ func compare(t *testing.T, at string, got *Store, want *refStore) (OwedWrite, bo
 				t.Fatalf("%s: block %d version %d differs from the reference", at, blk, i)
 			}
 		}
+	}
+	if touched != nil {
+		return w, owed, nil
 	}
 	return w, owed, owners(t, at, got, media, staged)
 }
@@ -407,6 +427,17 @@ func TestRecyclingStoreMatchesNonRecyclingReference(t *testing.T) {
 			off := uint64(rng.Intn(blocks * BlockSize))
 			n := 1 + rng.Intn(min(3*BlockSize, blocks*BlockSize-int(off)))
 			clears := false // the step must leave nothing owed
+			// The blocks the step may change, compared after it; every 32nd
+			// step (and an adopted image) compares them all.
+			touched := make([]bool, blocks)
+			touch := func(off uint64, n int) {
+				chunks(off, n, func(blk uint64, _, _, _ int) { touched[blk] = true })
+			}
+			touchStaged := func() {
+				for blk := range want.volatile {
+					touched[blk] = true
+				}
+			}
 			switch op := rng.Intn(100); {
 			case op < 40 && rng.Intn(4) == 0:
 				// A page write-back: a frame's held bytes — none, a stamp,
@@ -424,6 +455,7 @@ func TestRecyclingStoreMatchesNonRecyclingReference(t *testing.T) {
 				}
 				page := make([]byte, BlockSize)
 				copy(page, held)
+				touched[blk] = true
 				free, before := freeCount(got), got.Stats()
 				got.WritePage(blk*BlockSize, held)
 				want.write(blk*BlockSize, page)
@@ -441,6 +473,7 @@ func TestRecyclingStoreMatchesNonRecyclingReference(t *testing.T) {
 					// buffer held.
 					whole += chunk / BlockSize
 				})
+				touch(off, len(buf))
 				free := freeCount(got)
 				got.WriteAt(off, buf)
 				want.write(off, buf)
@@ -457,6 +490,7 @@ func TestRecyclingStoreMatchesNonRecyclingReference(t *testing.T) {
 						earlier++
 					}
 				})
+				touch(off, n)
 				got.Persist(off, n, at)
 				want.persist(off, n, at)
 				due = append(due, at)
@@ -470,12 +504,15 @@ func TestRecyclingStoreMatchesNonRecyclingReference(t *testing.T) {
 				if now < got.nextDue {
 					idle++ // the early-out: the reference still walks everything
 				}
+				touchStaged()
 				got.settle(now)
 				want.settle(now)
 			case op < 85:
+				touchStaged()
 				got.SettleAll()
 				want.settle(notDurable - 1)
 			case op < 90:
+				touch(off, n)
 				got.Discard(off, uint64(n))
 				want.discard(off, uint64(n))
 				if w, owed := got.Owed(); owed && w.Block >= (off+BlockSize-1)/BlockSize && w.Block < (off+uint64(n))/BlockSize {
@@ -488,6 +525,7 @@ func TestRecyclingStoreMatchesNonRecyclingReference(t *testing.T) {
 						short[blk] = true
 					}
 				}
+				touchStaged()
 				res := got.Crash(now, tearGot, 0.5)
 				dropped, tornNow := want.crash(now, tearWant, 0.5)
 				if res.DroppedBlocks != dropped || res.TornBlocks != len(tornNow) {
@@ -516,9 +554,13 @@ func TestRecyclingStoreMatchesNonRecyclingReference(t *testing.T) {
 				got.AdoptMedia(c.img)
 				want.blocks, want.volatile = cloneImage(c.img), map[uint64][]refVersion{}
 				clears = true
+				touched = nil
+			}
+			if step%32 == 0 {
+				touched = nil
 			}
 
-			w, owed, own := compare(t, at, got, want)
+			w, owed, own := compare(t, at, got, want, touched)
 			if owed && clears {
 				t.Fatalf("%s: block %d owed after a crash or an adopted image", at, w.Block)
 			}
@@ -538,6 +580,9 @@ func TestRecyclingStoreMatchesNonRecyclingReference(t *testing.T) {
 				}
 			}
 			for _, c := range clones {
+				if own == nil {
+					break
+				}
 				for _, b := range c.img {
 					if len(b) != BlockSize {
 						t.Fatalf("%s: a cloned image holds a %d-byte block", at, len(b))
@@ -614,7 +659,7 @@ func FuzzStoreMatchesReference(f *testing.F) {
 					t.Fatalf("op %d: crash dropped/tore %d/%d, reference %d/%d", i/5, res.DroppedBlocks, res.TornBlocks, dropped, len(torn))
 				}
 			}
-			compare(t, fmt.Sprintf("op %d", i/5), got, want)
+			compare(t, fmt.Sprintf("op %d", i/5), got, want, nil)
 		}
 		ref := NewStore(blocks * BlockSize)
 		ref.AdoptMedia(want.blocks)

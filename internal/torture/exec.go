@@ -12,6 +12,7 @@ import (
 	"aquila/internal/kvs/kreon"
 	"aquila/internal/obs/profile"
 	"aquila/internal/sim/device"
+	"aquila/internal/sim/engine"
 )
 
 // slotBytes is the record size of the mmapped-file workload: 8 slots per
@@ -75,28 +76,13 @@ func Execute(pl *Plan) *Outcome {
 	return run(pl, crash)
 }
 
-// slotState is the model's view of one record.
-type slotState struct {
-	written bool
-	unknown bool // content unpredictable (a store SIGBUSed mid-copy)
-	seq     uint64
-	acked   bool
-	ackSeq  uint64
-}
-
-// fileRun is one mmapped file plus its model state.
+// fileRun is one file of the plan: its handle, and each thread's mapping of
+// it (the verifier's last), nil until that thread first touches the file.
 type fileRun struct {
-	name  string
 	bytes uint64
 	f     aquila.File
-	m     aquila.Mapping
 	fsf   *host.FSFile // kmmap world only
-	slots []slotState
-	// errTaint latches once any sync path reported an error for this file:
-	// from then on msync's nil can no longer be read as "all durable",
-	// because an earlier fsync/msync may have consumed the errseq report
-	// for data that never reached the device. Tainted files stop acking.
-	errTaint bool
+	maps  []aquila.Mapping
 }
 
 type exec struct {
@@ -105,12 +91,8 @@ type exec struct {
 	sys   *aquila.System
 	prof  *profile.Profiler
 	files []*fileRun
-
-	// Kreon model: current version per key, and the version snapshot the
-	// last completed kv_msync promised durable.
-	db      *kreon.DB
-	kvVer   []uint64
-	kvAcked []uint64
+	ref   *ref
+	db    *kreon.DB
 
 	trace []uint64 // fingerprint stream: one code per op result
 }
@@ -218,30 +200,32 @@ func kreonBytes(k *KreonSpec) uint64 {
 	return 4096 + k.LogKB<<10 + k.IdxKB<<10
 }
 
-// payload derives slot content from (file, slot, seq): self-describing data
-// the read-back and recovery oracles can recompute without storing it.
-func payload(buf []byte, file, slot int, seq uint64) {
+// payload derives slot content from (file, slot, version): self-describing
+// data the oracles can recompute without storing it. Version 0 is zeros, the
+// content of a slot no store has reached.
+func payload(buf []byte, file, slot int, v uint64) []byte {
+	clear(buf)
+	if v == 0 {
+		return buf
+	}
 	h := uint64(file+1)*0x9E3779B97F4A7C15 ^
-		uint64(slot+1)*0xBF58476D1CE4E5B9 ^ (seq+1)*0x94D049BB133111EB
+		uint64(slot+1)*0xBF58476D1CE4E5B9 ^ (v+1)*0x94D049BB133111EB
 	for i := 0; i+8 <= len(buf); i += 8 {
 		h ^= h >> 33
 		h *= 0xFF51AFD7ED558CCD
 		h ^= h >> 29
 		binary.LittleEndian.PutUint64(buf[i:], h)
 	}
+	return buf
 }
 
 func kvKey(i int) []byte { return []byte(fmt.Sprintf("k%08d", i)) }
 
-func kvVal(key int, ver uint64) []byte {
-	buf := make([]byte, 64+key%57)
-	payload(buf, -1, key, ver)
-	return buf
-}
+func kvVal(key int, v uint64) []byte { return payload(make([]byte, 64+key%57), -1, key, v) }
 
 // run executes the plan under an optional concrete crash plan.
 func run(pl *Plan, crash *device.CrashPlan) *Outcome {
-	x := &exec{pl: pl, o: &Outcome{}, prof: profile.New()}
+	x := &exec{pl: pl, o: &Outcome{}, prof: profile.New(), ref: newRef(pl)}
 	opts := x.options()
 	opts.Profiler = x.prof
 	x.sys = aquila.New(opts)
@@ -262,7 +246,13 @@ func run(pl *Plan, crash *device.CrashPlan) *Outcome {
 		if x.phase("ops", func() {
 			x.sys.Run(pl.Threads, func(t int, p *aquila.Proc) { x.workThread(t, p) })
 		}) && x.sys.Crashed() == nil {
-			x.phase("verify", func() { x.sys.Do(x.verifyLive) })
+			// Do's proc starts at CPU 0's clock, behind the ops phase's end on
+			// the other CPUs: the verifier waits for that end, so a crash
+			// inside it dates after every ack.
+			end := x.sys.Sim.Now()
+			x.phase("verify", func() {
+				x.sys.Do(func(p *aquila.Proc) { p.WaitUntil(end, engine.KindIOWait); x.verifyLive(p) })
+			})
 		}
 	}
 
@@ -289,26 +279,43 @@ func run(pl *Plan, crash *device.CrashPlan) *Outcome {
 
 // setup creates every file (and the Kreon store) in plan order — the order
 // recovery must replay to find the same device extents (the recovery
-// determinism contract in crash.go).
+// determinism contract in crash.go). Mappings come later, per thread.
 func (x *exec) setup(p *aquila.Proc) {
-	for i, spec := range x.pl.Files {
-		fr := &fileRun{
-			name:  fmt.Sprintf("tort%02d", i),
-			bytes: fileBytes(spec.Slots),
-			slots: make([]slotState, spec.Slots),
-		}
-		x.createAndMap(p, x.sys, fr)
-		x.files = append(x.files, fr)
-	}
+	x.files = x.create(p, x.sys)
 	if k := x.pl.Kreon; k != nil {
-		size := kreonBytes(k)
-		f := x.sys.NS.Create(p, "kreon.data", size)
-		m := x.sys.NS.Mmap(p, f, size)
-		m.Advise(p, aquila.AdviceRandom)
-		x.db = kreon.OpenWithMapping(p, x.kreonOpts(), m)
-		x.kvVer = make([]uint64, k.Keys)
-		x.kvAcked = make([]uint64, k.Keys)
+		x.db = kreon.OpenWithMapping(p, x.kreonOpts(), x.kreonMap(p, x.sys))
 	}
+}
+
+// create creates the plan's files in sys, each with a mapping slot per thread
+// and one for the verifier. The kmmap world maps through the custom kernel
+// path and syncs through a plain file handle on the same inode.
+func (x *exec) create(p *aquila.Proc, sys *aquila.System) []*fileRun {
+	var frs []*fileRun
+	for i, spec := range x.pl.Files {
+		name := fmt.Sprintf("tort%02d", i)
+		fr := &fileRun{bytes: fileBytes(spec.Slots), maps: make([]aquila.Mapping, x.pl.Threads+1)}
+		if x.pl.World == WorldKmmap {
+			fr.fsf = sys.Host.FS.Create(p, name, fr.bytes)
+			fr.f = sys.Host.OpenFile(fr.fsf, false)
+		} else {
+			fr.f = sys.NS.Create(p, name, fr.bytes)
+		}
+		frs = append(frs, fr)
+	}
+	return frs
+}
+
+// mapping is thread t's mapping of fr in sys, made on first touch.
+func (x *exec) mapping(p *aquila.Proc, sys *aquila.System, fr *fileRun, t int) aquila.Mapping {
+	if fr.maps[t] == nil {
+		if x.pl.World == WorldKmmap {
+			fr.maps[t] = sys.Host.MmapKmmap(p, fr.fsf, fr.bytes)
+		} else {
+			fr.maps[t] = sys.NS.Mmap(p, fr.f, fr.bytes)
+		}
+	}
+	return fr.maps[t]
 }
 
 func (x *exec) kreonOpts() kreon.Options {
@@ -319,265 +326,194 @@ func (x *exec) kreonOpts() kreon.Options {
 	}
 }
 
-// createAndMap creates (or re-creates, during recovery) and maps one file in
-// the given system. The kmmap world maps through the custom kernel path and
-// reads/syncs through a plain file handle on the same inode.
-func (x *exec) createAndMap(p *aquila.Proc, sys *aquila.System, fr *fileRun) {
-	if x.pl.World == WorldKmmap {
-		fr.fsf = sys.Host.FS.Create(p, fr.name, fr.bytes)
-		fr.f = sys.Host.OpenFile(fr.fsf, false)
-		fr.m = sys.Host.MmapKmmap(p, fr.fsf, fr.bytes)
-		return
-	}
-	fr.f = sys.NS.Create(p, fr.name, fr.bytes)
-	fr.m = sys.NS.Mmap(p, fr.f, fr.bytes)
-}
-
-// remap re-establishes the mapping after an unmap op (same world rules).
-func (x *exec) remap(p *aquila.Proc, fr *fileRun) {
-	if x.pl.World == WorldKmmap {
-		fr.m = x.sys.Host.MmapKmmap(p, fr.fsf, fr.bytes)
-		return
-	}
-	fr.m = x.sys.NS.Mmap(p, fr.f, fr.bytes)
+func (x *exec) kreonMap(p *aquila.Proc, sys *aquila.System) aquila.Mapping {
+	size := kreonBytes(x.pl.Kreon)
+	m := sys.NS.Mmap(p, sys.NS.Create(p, "kreon.data", size), size)
+	m.Advise(p, aquila.AdviceRandom)
+	return m
 }
 
 func (x *exec) workThread(t int, p *aquila.Proc) {
 	for i, op := range x.pl.Ops {
-		if op.T != t {
-			continue
+		if op.T == t {
+			x.o.OpsRun++
+			x.step(p, i, op)
 		}
-		x.step(p, i, op)
 	}
 }
 
-// code folds an op's result into the fingerprint stream.
-func (x *exec) code(opIdx int, c uint64) {
-	x.trace = append(x.trace, uint64(opIdx)<<8|c&0xff)
+// done folds an op's result into the fingerprint stream: 0 ok, 1 a memory
+// fault (an event), 2 a sync error.
+func (x *exec) done(opIdx int, ev string, err error) {
+	c := uint64(0)
+	switch {
+	case ev != "":
+		x.event(ev)
+		c = 1
+	case err != nil:
+		c = 2
+	}
+	x.trace = append(x.trace, uint64(opIdx)<<8|c)
+}
+
+// ack records a sync the reference acked: the AtAck crash coordinate space.
+func (x *exec) ack(p *aquila.Proc, acked bool) {
+	if acked {
+		x.o.Acked++
+		x.o.ackCycles = append(x.o.ackCycles, p.Now())
+	}
+}
+
+// slotHolds asks the reference whether got is a version of slot s of file f
+// in [lo, hi].
+func (x *exec) slotHolds(f, s int, lo, hi uint64, got []byte) bool {
+	want := make([]byte, slotBytes)
+	return x.ref.files[f][s].holds(lo, hi, func(v uint64) bool {
+		return bytes.Equal(got, payload(want, f, s, v))
+	})
 }
 
 func (x *exec) step(p *aquila.Proc, opIdx int, op Op) {
-	x.o.OpsRun++
+	var ev string
+	var err error
 	switch op.Kind {
 	case OpKvPut, OpKvGet, OpKvScan, OpKvMsync:
 		x.kvStep(p, opIdx, op)
 		return
 	}
-	fr := x.files[op.File]
+	fr, cells := x.files[op.File], x.ref.files[op.File]
+	m := x.mapping(p, x.sys, fr, op.T)
 	off := uint64(op.Slot) * slotBytes
 	switch op.Kind {
 	case OpStore:
-		sl := &fr.slots[op.Slot]
-		next := sl.seq + 1
-		buf := make([]byte, slotBytes)
-		payload(buf, op.File, op.Slot, next)
-		if ev := x.safeOp(func() { fr.m.Store(p, off, buf) }); ev != "" {
-			// The store may have copied any prefix before faulting: the
-			// slot's content and durability are both unpredictable now.
-			sl.unknown, sl.acked = true, false
-			x.event(ev)
-			x.code(opIdx, 1)
-			return
-		}
-		sl.written, sl.unknown, sl.seq = true, false, next
-		x.code(opIdx, 0)
+		c := &cells[op.Slot]
+		v := c.begin()
+		buf := payload(make([]byte, slotBytes), op.File, op.Slot, v)
+		ev = x.safeOp(func() { m.Store(p, off, buf) })
+		c.end(v, ev == "")
 	case OpLoad:
-		sl := &fr.slots[op.Slot]
 		buf := make([]byte, slotBytes)
-		if ev := x.safeOp(func() { fr.m.Load(p, off, buf) }); ev != "" {
-			x.event(ev)
-			x.code(opIdx, 1)
-			return
+		lo := cells[op.Slot].floor
+		ev = x.safeOp(func() { m.Load(p, off, buf) })
+		if ev == "" && !x.slotHolds(op.File, op.Slot, lo, cells[op.Slot].issued, buf) {
+			x.fail("read-your-writes: file %d slot %d holds no version in [%d,%d] at op %d",
+				op.File, op.Slot, lo, cells[op.Slot].issued, opIdx)
 		}
-		if sl.written && !sl.unknown {
-			want := make([]byte, slotBytes)
-			payload(want, op.File, op.Slot, sl.seq)
-			if !bytes.Equal(buf, want) {
-				x.fail("read-your-writes: file %d slot %d seq %d differs at op %d",
-					op.File, op.Slot, sl.seq, opIdx)
-			}
-		}
-		x.code(opIdx, 0)
-	case OpMsync:
-		var err error
-		if ev := x.safeOp(func() { err = fr.m.Msync(p) }); ev != "" {
-			x.event(ev)
-			x.code(opIdx, 1)
-			return
-		}
-		if err != nil {
-			fr.errTaint = true
-			x.code(opIdx, 2)
-			return
-		}
-		x.ackFile(p, fr, 0, len(fr.slots))
-		x.code(opIdx, 0)
-	case OpMsyncRange:
-		lo, hi := op.Slot, op.Slot+op.N
-		var err error
-		if ev := x.safeOp(func() {
-			err = fr.m.MsyncRange(p, uint64(lo)*slotBytes, uint64(hi-lo)*slotBytes)
-		}); ev != "" {
-			x.event(ev)
-			x.code(opIdx, 1)
-			return
-		}
-		if err != nil {
-			fr.errTaint = true
-			x.code(opIdx, 2)
-			return
-		}
+	case OpMsync, OpMsyncRange:
 		// The flushed byte range page-expands; acking only the named slots
 		// is a sound under-approximation.
-		x.ackFile(p, fr, lo, hi)
-		x.code(opIdx, 0)
-	case OpFsync:
-		var err error
-		if ev := x.safeOp(func() { err = fr.f.Fsync(p) }); ev != "" {
-			x.event(ev)
-			x.code(opIdx, 1)
-			return
+		lo, hi := 0, len(cells)
+		if op.Kind == OpMsyncRange {
+			lo, hi = op.Slot, op.Slot+op.N
 		}
-		if err != nil {
-			// The handle consumed an errseq report the next msync will no
-			// longer see: this file's acks can't be trusted any more.
-			fr.errTaint = true
-			x.code(opIdx, 2)
-			return
-		}
-		x.code(opIdx, 0)
-	case OpUnmap:
-		if ev := x.safeOp(func() { fr.m.Munmap(p) }); ev != "" {
-			x.event(ev)
-		}
-		x.remap(p, fr)
-		if x.pl.Fault != nil {
-			// Munmap writes dirty pages back but discards errors; with
-			// faults armed, anything not already acked is now unknowable.
-			for s := range fr.slots {
-				sl := &fr.slots[s]
-				if sl.written && sl.seq != sl.ackSeq {
-					sl.unknown = true
-					sl.acked = false
-				}
+		snap := x.ref.syncBegin(op.File, lo, hi)
+		ev = x.safeOp(func() {
+			if op.Kind == OpMsync {
+				err = m.Msync(p)
+			} else {
+				err = m.MsyncRange(p, uint64(lo)*slotBytes, uint64(hi-lo)*slotBytes)
 			}
+		})
+		if ev == "" {
+			x.ack(p, x.ref.syncEnd(op.File, lo, snap, err))
 		}
-		x.code(opIdx, 0)
+	case OpFsync:
+		ev = x.safeOp(func() { err = fr.f.Fsync(p) })
+		if ev == "" {
+			x.ref.syncEnd(op.File, 0, nil, err)
+		}
+	case OpUnmap:
+		ev = x.safeOp(func() { m.Munmap(p) })
+		fr.maps[op.T] = nil
 	case OpHuge:
-		if ev := x.safeOp(func() { fr.m.Advise(p, aquila.AdviceHuge) }); ev != "" {
-			x.event(ev)
-		}
-		x.code(opIdx, 0)
+		ev = x.safeOp(func() { m.Advise(p, aquila.AdviceHuge) })
 	}
+	x.done(opIdx, ev, err)
 }
 
-// ackFile marks slots [lo,hi) durably acknowledged after a nil msync on an
-// untainted file, and records the acknowledgment cycle (the AtAck crash
-// coordinate space).
-func (x *exec) ackFile(p *aquila.Proc, fr *fileRun, lo, hi int) {
-	if fr.errTaint {
-		return
-	}
-	for s := lo; s < hi; s++ {
-		sl := &fr.slots[s]
-		if sl.written && !sl.unknown {
-			sl.acked, sl.ackSeq = true, sl.seq
-		}
-	}
-	x.o.Acked++
-	x.o.ackCycles = append(x.o.ackCycles, p.Now())
+// kvHolds asks the reference whether a Get's (v, ok) is a version of key in
+// [lo, hi]; version 0 is an absent key.
+func (x *exec) kvHolds(key int, lo, hi uint64, got []byte, ok bool) bool {
+	return x.ref.files[len(x.pl.Files)][key].holds(lo, hi, func(v uint64) bool {
+		return ok == (v > 0) && (v == 0 || bytes.Equal(got, kvVal(key, v)))
+	})
 }
 
 func (x *exec) kvStep(p *aquila.Proc, opIdx int, op Op) {
+	kf := len(x.pl.Files)
+	keys := x.ref.files[kf]
 	switch op.Kind {
 	case OpKvPut:
-		next := x.kvVer[op.Key] + 1
-		x.db.Put(p, kvKey(op.Key), kvVal(op.Key, next))
-		x.kvVer[op.Key] = next
-		x.code(opIdx, 0)
+		c := &keys[op.Key]
+		v := c.begin()
+		x.db.Put(p, kvKey(op.Key), kvVal(op.Key, v))
+		c.end(v, true)
 	case OpKvGet:
+		c := &keys[op.Key]
+		lo := c.floor
 		v, ok := x.db.Get(p, kvKey(op.Key))
-		want := x.kvVer[op.Key]
-		switch {
-		case want == 0 && ok:
-			x.fail("kv: key %d never put but Get found it (op %d)", op.Key, opIdx)
-		case want > 0 && (!ok || !bytes.Equal(v, kvVal(op.Key, want))):
-			x.fail("kv: key %d version %d mismatch (op %d, found=%v)", op.Key, want, opIdx, ok)
+		if !x.kvHolds(op.Key, lo, c.issued, v, ok) {
+			x.fail("kv: key %d holds no version in [%d,%d] (op %d, found=%v)", op.Key, lo, c.issued, opIdx, ok)
 		}
-		x.code(opIdx, 0)
 	case OpKvScan:
+		// kv ops run on thread 0 alone, so every key's window is one
+		// version: a key is present iff its floor is.
 		got := x.db.Scan(p, kvKey(op.Key), op.N)
 		want := 0
-		for k := op.Key; k < len(x.kvVer) && want < op.N; k++ {
-			if x.kvVer[k] > 0 {
+		for k := op.Key; k < len(keys) && want < op.N; k++ {
+			if keys[k].floor > 0 {
 				want++
 			}
 		}
 		if got != want {
-			x.fail("kv: scan from %d width %d returned %d, model says %d (op %d)",
+			x.fail("kv: scan from %d width %d returned %d, reference says %d (op %d)",
 				op.Key, op.N, got, want, opIdx)
 		}
-		x.code(opIdx, 0)
 	case OpKvMsync:
+		snap := x.ref.syncBegin(kf, 0, len(keys))
 		x.db.Msync(p)
-		copy(x.kvAcked, x.kvVer)
-		x.o.Acked++
-		x.o.ackCycles = append(x.o.ackCycles, p.Now())
-		x.code(opIdx, 0)
+		x.ack(p, x.ref.syncEnd(kf, 0, snap, nil))
 	}
+	x.done(opIdx, "", nil)
 }
 
 // verifyLive is the quiesced, single-proc oracle phase of a run that did not
-// crash: errseq exactly-once, full read-back against the model, Kreon
-// content checks, and the runtime invariant audit.
+// crash: errseq exactly-once, a full read-back through the verifier's own
+// mapping of each file, Kreon content checks, and the runtime invariant audit.
 func (x *exec) verifyLive(p *aquila.Proc) {
+	buf := make([]byte, slotBytes)
 	for i, fr := range x.files {
-		err1 := fr.m.Msync(p)
-		if err1 != nil {
-			fr.errTaint = true
-		}
+		m := x.mapping(p, x.sys, fr, x.pl.Threads)
+		_ = m.Msync(p) // reports what this new opener has not seen yet: any error is legal
 		var wb0, rq0, qr0 uint64
 		if rt := x.sys.RT; rt != nil {
 			wb0, rq0, qr0 = rt.Stats.WrittenBack, rt.Stats.RequeuedPages, rt.Stats.QuarantinedPages
 		}
-		err2 := fr.m.Msync(p)
-		if err2 != nil {
+		if err := m.Msync(p); err != nil {
 			if x.pl.Fault == nil {
-				x.fail("errseq: file %d second msync errored with no faults: %v", i, err2)
+				x.fail("errseq: file %d second msync errored with no faults: %v", i, err)
 			} else if rt := x.sys.RT; rt != nil &&
 				rt.Stats.WrittenBack == wb0 && rt.Stats.RequeuedPages == rq0 &&
 				rt.Stats.QuarantinedPages == qr0 {
 				// No page was written back, requeued, or quarantined between
 				// the two msyncs: there was no new failure occurrence, so a
 				// second report breaks errseq's exactly-once contract.
-				x.fail("errseq: file %d error re-reported without a new occurrence: %v", i, err2)
+				x.fail("errseq: file %d error re-reported without a new occurrence: %v", i, err)
 			}
 		}
-		buf := make([]byte, slotBytes)
-		want := make([]byte, slotBytes)
-		for s := range fr.slots {
-			sl := &fr.slots[s]
-			if !sl.written || sl.unknown {
-				continue
-			}
-			if ev := x.safeOp(func() { fr.m.Load(p, uint64(s)*slotBytes, buf) }); ev != "" {
+		for s, c := range x.ref.files[i] {
+			if ev := x.safeOp(func() { m.Load(p, uint64(s)*slotBytes, buf) }); ev != "" {
 				x.event(ev)
-				continue
-			}
-			payload(want, i, s, sl.seq)
-			if !bytes.Equal(buf, want) {
-				x.fail("final read-back: file %d slot %d seq %d differs", i, s, sl.seq)
+			} else if !x.slotHolds(i, s, c.floor, c.issued, buf) {
+				x.fail("final read-back: file %d slot %d holds no version in [%d,%d]", i, s, c.floor, c.issued)
 			}
 		}
 	}
 	if x.db != nil {
-		for k, ver := range x.kvVer {
-			if ver == 0 {
-				continue
-			}
+		for k, c := range x.ref.files[len(x.pl.Files)] {
 			v, ok := x.db.Get(p, kvKey(k))
-			if !ok || !bytes.Equal(v, kvVal(k, ver)) {
-				x.fail("kv final: key %d version %d missing or wrong", k, ver)
+			if !x.kvHolds(k, c.floor, c.issued, v, ok) {
+				x.fail("kv final: key %d holds no version in [%d,%d]", k, c.floor, c.issued)
 			}
 		}
 	}
@@ -614,82 +550,34 @@ func (x *exec) verifyCrashed(opts aquila.Options) uint64 {
 	return img.Fingerprint
 }
 
+// verifyRecovered re-creates the files in exactly the original order, so the
+// deterministic allocators hand back the same extents (the recovery
+// determinism contract), and holds every record to [acked, issued].
 func (x *exec) verifyRecovered(p *aquila.Proc, rsys *aquila.System) {
-	// Re-create files in exactly the original order so the deterministic
-	// allocators hand back the same extents (recovery determinism contract).
+	lost := func(format string, args ...any) {
+		x.o.Lost++
+		x.fail("acked-then-lost: "+format, args...)
+	}
 	buf := make([]byte, slotBytes)
-	want := make([]byte, slotBytes)
-	for i, spec := range x.pl.Files {
-		fr := &fileRun{
-			name:  fmt.Sprintf("tort%02d", i),
-			bytes: fileBytes(spec.Slots),
-		}
-		x.createAndMap(p, rsys, fr)
-		src := x.files
-		if i >= len(src) {
+	for i, fr := range x.create(p, rsys) {
+		if i >= len(x.files) {
 			break // crashed during setup before this file existed
 		}
-		for s := range src[i].slots {
-			sl := &src[i].slots[s]
-			// Only slots that were acknowledged and not overwritten since
-			// are pinned down: a post-ack store leaves the durable content
-			// legitimately either version.
-			if !sl.acked || sl.seq != sl.ackSeq || sl.unknown {
-				continue
-			}
-			if ev := x.safeOp(func() { fr.m.Load(p, uint64(s)*slotBytes, buf) }); ev != "" {
-				x.o.Lost++
-				x.fail("acked-then-lost: file %d slot %d unreadable after recovery: %s", i, s, ev)
-				continue
-			}
-			payload(want, i, s, sl.ackSeq)
-			if !bytes.Equal(buf, want) {
-				x.o.Lost++
-				x.fail("acked-then-lost: file %d slot %d seq %d not durable after crash",
-					i, s, sl.ackSeq)
+		m := x.mapping(p, rsys, fr, 0)
+		for s, c := range x.ref.files[i] {
+			if ev := x.safeOp(func() { m.Load(p, uint64(s)*slotBytes, buf) }); ev != "" {
+				lost("file %d slot %d unreadable after recovery: %s", i, s, ev)
+			} else if !x.slotHolds(i, s, c.acked, c.issued, buf) {
+				lost("file %d slot %d holds no version in [%d,%d] after crash", i, s, c.acked, c.issued)
 			}
 		}
 	}
-	if k := x.pl.Kreon; k != nil && x.db != nil {
-		size := kreonBytes(k)
-		f := rsys.NS.Create(p, "kreon.data", size)
-		m := rsys.NS.Mmap(p, f, size)
-		db := kreon.Reopen(p, x.kreonOpts(), m)
-		anyAcked := false
-		for _, v := range x.kvAcked {
-			if v > 0 {
-				anyAcked = true
-				break
-			}
-		}
-		if anyAcked && db.Recov.FreshStore {
-			x.o.Lost++
-			x.fail("acked-then-lost: kreon recovered as a fresh store despite acked puts")
-			return
-		}
-		for key, ackVer := range x.kvAcked {
-			if ackVer == 0 {
-				continue
-			}
-			v, ok := db.Get(p, kvKey(key))
-			if !ok {
-				x.o.Lost++
-				x.fail("acked-then-lost: kreon key %d (acked v%d) missing after recovery", key, ackVer)
-				continue
-			}
-			// Any version from the acked one through the last put is a
-			// legal durable state (later appends may have reached media).
-			good := false
-			for ver := ackVer; ver <= x.kvVer[key]; ver++ {
-				if bytes.Equal(v, kvVal(key, ver)) {
-					good = true
-					break
-				}
-			}
-			if !good {
-				x.o.Lost++
-				x.fail("acked-then-lost: kreon key %d recovered to no version in [v%d,v%d]",
-					key, ackVer, x.kvVer[key])
+	if x.pl.Kreon != nil && x.db != nil {
+		db := kreon.Reopen(p, x.kreonOpts(), x.kreonMap(p, rsys))
+		for k, c := range x.ref.files[len(x.pl.Files)] {
+			v, ok := db.Get(p, kvKey(k))
+			if !x.kvHolds(k, c.acked, c.issued, v, ok) {
+				lost("kreon key %d holds no version in [%d,%d] after crash", k, c.acked, c.issued)
 			}
 		}
 	}

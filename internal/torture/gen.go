@@ -12,7 +12,7 @@ import "math/rand"
 //     permanently quarantined page pins DRAM, and enough of them stall
 //     eviction (ErrEvictionStalled), again legal but noisy.
 //   - Kreon rides along only on fault-free Aquila plans (see KreonSpec).
-//   - kv ops only on thread 0; mapping ops only on the owning thread.
+//   - kv ops only on thread 0. Mapping ops go to any thread and any file.
 
 // Generate derives a complete plan from a seed. Same (seed, nops) — same
 // plan, byte for byte; the bank in cmd/aqtort and the CI target both lean on
@@ -76,12 +76,12 @@ func Generate(seed int64, nops int) *Plan {
 		pl.HugeDensity = 0.25
 	}
 
-	// Files: one per thread, a second for thread 0 half the time.
+	// Files: one per thread, and one more half the time.
 	for t := 0; t < pl.Threads; t++ {
-		pl.Files = append(pl.Files, FileSpec{Thread: t, Slots: 16 + rng.Intn(49)})
+		pl.Files = append(pl.Files, FileSpec{Slots: 16 + rng.Intn(49)})
 	}
 	if rng.Intn(2) == 0 {
-		pl.Files = append(pl.Files, FileSpec{Thread: 0, Slots: 16 + rng.Intn(49)})
+		pl.Files = append(pl.Files, FileSpec{Slots: 16 + rng.Intn(49)})
 	}
 
 	kv := false
@@ -103,12 +103,8 @@ func Generate(seed int64, nops int) *Plan {
 		pl.Crash = cs
 	}
 
-	// The trace. Per-file slot cursors bias stores toward recently used
-	// slots so msync batches have something to flush.
-	filesOf := make([][]int, pl.Threads)
-	for i, f := range pl.Files {
-		filesOf[f.Thread] = append(filesOf[f.Thread], i)
-	}
+	// The trace: each op picks a thread, then a key (kv ops) or any file and
+	// slot, so threads meet on the same pages.
 	for i := 0; i < nops; i++ {
 		t := rng.Intn(pl.Threads)
 		if kv && t == 0 && rng.Intn(2) == 0 {
@@ -127,7 +123,7 @@ func Generate(seed int64, nops int) *Plan {
 			pl.Ops = append(pl.Ops, op)
 			continue
 		}
-		fi := filesOf[t][rng.Intn(len(filesOf[t]))]
+		fi := rng.Intn(len(pl.Files))
 		slots := pl.Files[fi].Slots
 		op := Op{T: t, File: fi, Slot: rng.Intn(slots)}
 		switch r := rng.Intn(100); {
@@ -169,7 +165,7 @@ func ProofPlan() *Plan {
 		World: WorldAquila, Device: "nvme",
 		Threads: 1, CPUs: 4, CacheKB: 1024,
 		Unsafe: true,
-		Files:  []FileSpec{{Thread: 0, Slots: 16}},
+		Files:  []FileSpec{{Slots: 16}},
 		Crash:  &CrashSpec{Seed: 7, AtAck: 1},
 	}
 	for s := 0; s < 8; s++ {

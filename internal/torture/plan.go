@@ -1,10 +1,12 @@
 // Package torture is the seeded torture harness behind cmd/aqtort: it
-// generates random-but-reproducible operation traces (mmap/store/load/
-// msync/fsync/unmap/huge-hint plus Kreon KV traffic) over every world
-// (Aquila, Linux mmap, Linux O_DIRECT, kmmap) and device (pmem, NVMe),
-// composes them with randomized fault and crash plans and perturbed
-// schedules, runs an oracle battery after every run, and delta-debugs any
-// failure down to a minimal JSON repro that replays byte-for-byte.
+// generates random-but-reproducible operation traces (store/load/msync/
+// fsync/unmap/huge-hint plus Kreon KV traffic) over every world (Aquila,
+// Linux mmap, Linux O_DIRECT, kmmap) and device (pmem, NVMe), composes them
+// with randomized fault and crash plans and perturbed schedules, checks every
+// read and every recovered record against one executable reference of the
+// mmap+msync contract (ref.go), and delta-debugs any failure down to a
+// minimal JSON repro that replays byte-for-byte. Threads share files: each
+// maps a file itself on its first touch.
 //
 // Everything a run does flows from Plan: a pure-data, JSON-serializable
 // description. Execute(plan) is a deterministic function of the plan — the
@@ -24,7 +26,7 @@ import (
 // PlanVersion is bumped when the wire format or the executor's semantics
 // change incompatibly; Load rejects plans from another version so a stale
 // repro fails loudly instead of replaying a different run.
-const PlanVersion = 1
+const PlanVersion = 2
 
 // World names (Plan.World).
 const (
@@ -38,13 +40,13 @@ const (
 const (
 	OpStore      = "store"       // write one slot through the mapping
 	OpLoad       = "load"        // read one slot back and verify
-	OpMsync      = "msync"       // full msync; nil return acks dirty slots
+	OpMsync      = "msync"       // full msync; nil acks what had completed when it began
 	OpMsyncRange = "msync_range" // ranged msync over [Slot, Slot+N) slots
 	OpFsync      = "fsync"       // fsync the file handle (error probe only)
-	OpUnmap      = "unmap"       // munmap + remap; unacked slots become unknown
+	OpUnmap      = "unmap"       // munmap the thread's mapping; its next touch maps again
 	OpHuge       = "huge"        // madvise(MADV_HUGEPAGE) the mapping
 	OpKvPut      = "kv_put"      // Kreon put (thread 0 only)
-	OpKvGet      = "kv_get"      // Kreon get + verify against the model
+	OpKvGet      = "kv_get"      // Kreon get + verify against the reference
 	OpKvScan     = "kv_scan"     // Kreon scan + verify the hit count
 	OpKvMsync    = "kv_msync"    // Kreon msync; acks the current KV state
 )
@@ -63,13 +65,10 @@ type Op struct {
 	Key  int `json:"key,omitempty"`
 }
 
-// FileSpec declares one mmapped file. Each file is owned by one thread —
-// only that thread's ops touch it — so the read-your-writes oracle needs no
-// cross-thread happens-before reasoning, while threads still contend on the
-// shared cache, evictors, and device.
+// FileSpec declares one mmapped file: Slots slotBytes-sized records. Any
+// thread's ops may touch any file; a thread maps the file itself on its first
+// touch, so threads share its pages through the cache.
 type FileSpec struct {
-	Thread int `json:"thread"`
-	// Slots is the number of slotBytes-sized records in the file.
 	Slots int `json:"slots"`
 }
 
@@ -176,9 +175,6 @@ func (pl *Plan) Validate() error {
 		return fmt.Errorf("torture: cache %d KB too small", pl.CacheKB)
 	}
 	for i, f := range pl.Files {
-		if f.Thread < 0 || f.Thread >= pl.Threads {
-			return fmt.Errorf("torture: file %d owned by thread %d of %d", i, f.Thread, pl.Threads)
-		}
 		if f.Slots < 1 {
 			return fmt.Errorf("torture: file %d has %d slots", i, f.Slots)
 		}
@@ -194,10 +190,6 @@ func (pl *Plan) Validate() error {
 		case OpStore, OpLoad, OpMsync, OpMsyncRange, OpFsync, OpUnmap, OpHuge:
 			if op.File < 0 || op.File >= len(pl.Files) {
 				return fmt.Errorf("torture: op %d file %d of %d", i, op.File, len(pl.Files))
-			}
-			if pl.Files[op.File].Thread != op.T {
-				return fmt.Errorf("torture: op %d (thread %d) touches file %d owned by thread %d",
-					i, op.T, op.File, pl.Files[op.File].Thread)
 			}
 			slots := pl.Files[op.File].Slots
 			if op.Slot < 0 || op.Slot >= slots {

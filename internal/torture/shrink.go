@@ -109,16 +109,13 @@ func Shrink(pl *Plan, budget int) *ShrinkResult {
 		return true
 	})
 	try(func(c *Plan) bool {
-		// Collapse to one thread: retarget every op and file to thread 0.
+		// Collapse to one thread: retarget every op to thread 0.
 		if c.Threads == 1 {
 			return false
 		}
 		c.Threads = 1
 		for i := range c.Ops {
 			c.Ops[i].T = 0
-		}
-		for i := range c.Files {
-			c.Files[i].Thread = 0
 		}
 		return true
 	})

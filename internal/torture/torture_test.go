@@ -71,6 +71,67 @@ func TestProofPlanCaughtAndShrunk(t *testing.T) {
 	}
 }
 
+// Repros the bank shrank from real defects replay clean once fixed:
+// seed_12.json is an msync returning while an eviction's write-back of a page
+// in its range was still in flight (Aquila), seed_16.json one returning while
+// another thread's munmap was still writing the page back (Linux).
+func TestFixedReprosReplayClean(t *testing.T) {
+	paths, _ := filepath.Glob(filepath.Join("testdata", "repros", "seed_*.json"))
+	if len(paths) == 0 {
+		t.Fatal("no fixed repros under testdata/repros")
+	}
+	for _, path := range paths {
+		pl, err := Load(path)
+		if err != nil {
+			t.Fatalf("loading %s: %v", path, err)
+		}
+		if o := Execute(pl); o.Failed() {
+			t.Errorf("%s: %v", path, o.Failures)
+		}
+	}
+}
+
+// The bank shares pages across threads, or the reference is checked against
+// nothing it was written for: in at least half of the 64-seed bank's
+// multi-thread plans, a slot one thread stores is loaded, or msynced, by
+// another thread later in the trace.
+func TestBankSharesSlotsAcrossThreads(t *testing.T) {
+	multi, shared := 0, 0
+	for s := int64(0); s < 64; s++ {
+		pl := Generate(s, 80)
+		if pl.Threads < 2 {
+			continue
+		}
+		multi++
+		if sharesSlot(pl) {
+			shared++
+		}
+	}
+	if 2*shared < multi {
+		t.Fatalf("%d of %d multi-thread plans share a slot across threads, want at least half", shared, multi)
+	}
+}
+
+func sharesSlot(pl *Plan) bool {
+	for i, st := range pl.Ops {
+		if st.Kind != OpStore {
+			continue
+		}
+		for _, op := range pl.Ops[i+1:] {
+			if op.T == st.T || op.File != st.File {
+				continue
+			}
+			switch {
+			case op.Kind == OpLoad && op.Slot == st.Slot,
+				op.Kind == OpMsync,
+				op.Kind == OpMsyncRange && op.Slot <= st.Slot && st.Slot < op.Slot+op.N:
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // The checked-in repro (written by `aqtort -prove-unsafe`) must load and
 // still fail on replay; a silently passing repro means the executor's
 // semantics drifted without a PlanVersion bump.
@@ -135,8 +196,8 @@ func TestValidateBoundsOpOperands(t *testing.T) {
 	base := func() *Plan {
 		return &Plan{
 			Version: PlanVersion, World: WorldAquila, Device: "pmem",
-			Threads: 1, CPUs: 2, CacheKB: 1024,
-			Files: []FileSpec{{Thread: 0, Slots: 16}},
+			Threads: 2, CPUs: 2, CacheKB: 1024,
+			Files: []FileSpec{{Slots: 16}},
 			Kreon: &KreonSpec{Keys: 8, LogKB: 64, IdxKB: 64},
 			Ops:   []Op{{T: 0, Kind: OpStore, Slot: 15}, {T: 0, Kind: OpMsync}},
 		}
@@ -161,6 +222,14 @@ func TestValidateBoundsOpOperands(t *testing.T) {
 		{"last key", Op{Kind: OpKvPut, Key: 7}, ""},
 		{"key == keys", Op{Kind: OpKvGet, Key: 8}, "op 2 key 8 of 8"},
 		{"negative key", Op{Kind: OpKvScan, Key: -1, N: 4}, "op 2 key -1 of 8"},
+		{"another thread's store to the file", Op{T: 1, Kind: OpStore, Slot: 15}, ""},
+		{"another thread's load of the slot", Op{T: 1, Kind: OpLoad, Slot: 15}, ""},
+		{"another thread's msync", Op{T: 1, Kind: OpMsyncRange, Slot: 8, N: 8}, ""},
+		{"another thread's fsync", Op{T: 1, Kind: OpFsync}, ""},
+		{"another thread's unmap", Op{T: 1, Kind: OpUnmap}, ""},
+		{"another thread's huge hint", Op{T: 1, Kind: OpHuge}, ""},
+		{"a thread past the plan's", Op{T: 2, Kind: OpLoad}, "op 2 on thread 2 of 2"},
+		{"kv off thread 0", Op{T: 1, Kind: OpKvGet}, "op 2: kv ops run on thread 0, got 1"},
 	} {
 		pl := base()
 		pl.Ops = append(pl.Ops, tc.op)
