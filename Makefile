@@ -171,14 +171,15 @@ sim-bench:
 	$(GO) test ./internal/sim/engine -run '^$$' -bench '$(engine-rows)' -benchmem -cpu 1
 	$(GO) test ./internal/detutil ./internal/core -run '^$$' -bench 'PageIndexLookupInsertRemove|RegionFind|DeleteFile24kPages|MsyncRange64Of16k' -benchmem -cpu 1
 
-# Host cost of the KV data path alone, the stores over an in-memory namespace
-# (internal/kvs/kvtest) so nothing of a world is in the numbers: the value
-# generator, a Kreon tree lookup, put and spill, an LSM bulk load, an mmio
-# point lookup and a block-cache miss (DESIGN.md §3 "KV data path: one owner
-# per buffer"). Not part of ci: the AllocsPerRun tests beside these benchmarks
+# Host cost of the KV and graph data paths alone, the stores over an in-memory
+# namespace (internal/kvs/kvtest) and the graph over a wrapped DRAM heap, so
+# nothing of a world is in the numbers: the value generator, a Kreon tree
+# lookup, put and spill, an LSM bulk load, an mmio point lookup, a block-cache
+# miss and a graph neighbour fetch (DESIGN.md §3 "KV data path: one owner per
+# buffer"). Not part of ci: the AllocsPerRun tests beside these benchmarks
 # gate in `make test`.
 kv-bench:
-	$(GO) test ./internal/ycsb ./internal/kvs/... -run '^$$' -bench . -benchmem -cpu 1
+	$(GO) test ./internal/ycsb ./internal/kvs/... ./internal/graph -run '^$$' -bench . -benchmem -cpu 1
 
 # The code-diet ledger (ROADMAP "One write seam, then a code diet"): Go lines
 # per package, non-test and test, and in total. bench/ (the frozen benchmark

@@ -100,7 +100,7 @@ func RunPageRank(e *engine.Engine, g *Graph, threads, maxIter int, eps float64) 
 						scratch = nbrs
 						sum := 0.0
 						for _, u := range nbrs {
-							ru := math.Float64frombits(LoadU64(wp, g.H, cur+uint64(u)*8))
+							ru := math.Float64frombits(g.LoadU64(wp, cur+uint64(u)*8))
 							du := g.Degree(wp, u)
 							if du > 0 {
 								sum += ru / float64(du)
@@ -108,8 +108,8 @@ func RunPageRank(e *engine.Engine, g *Graph, threads, maxIter int, eps float64) 
 							wp.AdvanceUser(6)
 						}
 						newRank := (1-damping)/float64(n) + damping*sum
-						old := math.Float64frombits(LoadU64(wp, g.H, cur+uint64(v)*8))
-						StoreU64(wp, g.H, next+uint64(v)*8, math.Float64bits(newRank))
+						old := math.Float64frombits(g.LoadU64(wp, cur+uint64(v)*8))
+						g.StoreU64(wp, next+uint64(v)*8, math.Float64bits(newRank))
 						local += math.Abs(newRank - old)
 						wp.AdvanceUser(14)
 					}
@@ -135,7 +135,9 @@ func RunPageRank(e *engine.Engine, g *Graph, threads, maxIter int, eps float64) 
 	return res
 }
 
-// Rank reads one vertex's final PageRank value.
+// Rank reads one vertex's final PageRank value from the heap.
 func Rank(p *engine.Proc, h Heap, ranksOff uint64, v uint32) float64 {
-	return math.Float64frombits(LoadU64(p, h, ranksOff+uint64(v)*8))
+	var b [8]byte
+	h.Load(p, ranksOff+uint64(v)*8, b[:])
+	return math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
 }

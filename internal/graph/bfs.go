@@ -59,7 +59,7 @@ func RunBFS(e *engine.Engine, g *Graph, src uint32, threads int) BFSResult {
 			}
 			g.H.Store(p, parentsOff+off, initChunk[:end-off])
 		}
-		StoreU32(p, g.H, parentsOff+uint64(src)*4, src)
+		g.StoreU32(p, parentsOff+uint64(src)*4, src)
 
 		// claimed is the frontier-dedup bitmap (transient state Ligra
 		// keeps in malloc'd memory; modeled in Go memory and charged
@@ -109,7 +109,7 @@ func RunBFS(e *engine.Engine, g *Graph, src uint32, threads int) BFSResult {
 								wp.AdvanceUser(12)
 								if frontier.Has(u) {
 									if claim(v) {
-										StoreU32(wp, g.H, parentsOff+uint64(v)*4, u)
+										g.StoreU32(wp, parentsOff+uint64(v)*4, u)
 										locals[t] = append(locals[t], v)
 									}
 									break
@@ -143,7 +143,7 @@ func RunBFS(e *engine.Engine, g *Graph, src uint32, threads int) BFSResult {
 							for _, v := range nbrs {
 								wp.AdvanceUser(12)
 								if claim(v) {
-									StoreU32(wp, g.H, parentsOff+uint64(v)*4, u)
+									g.StoreU32(wp, parentsOff+uint64(v)*4, u)
 									locals[t] = append(locals[t], v)
 								}
 							}
@@ -156,7 +156,11 @@ func RunBFS(e *engine.Engine, g *Graph, src uint32, threads int) BFSResult {
 				}
 			}
 			wg.Wait(p)
-			var next []uint32
+			total := 0
+			for _, l := range locals {
+				total += len(l)
+			}
+			next := make([]uint32, 0, total)
 			for _, l := range locals {
 				next = append(next, l...)
 			}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"slices"
 
+	"aquila/internal/scratch"
 	"aquila/internal/sim/engine"
 )
 
@@ -16,6 +17,12 @@ type Graph struct {
 	M          uint64 // edges
 	offsetsOff uint64 // heap offset of the offsets array
 	edgesOff   uint64 // heap offset of the edge array
+	// bufs lends every buffer a traversal's heap access reads into or writes
+	// from: an offset pair, an edge run, a parent, a rank (scratch.Stack: why
+	// a LIFO, why no defer gives back). A buffer passed to Heap.Load or
+	// Heap.Store escapes, so one made per access would be one allocation per
+	// access.
+	bufs scratch.Stack
 }
 
 // Build constructs a CSR graph in the heap from an edge list (counting sort
@@ -73,36 +80,79 @@ func Build(p *engine.Proc, h Heap, n uint32, edges [][2]uint32) *Graph {
 	return g
 }
 
-// Degree returns a vertex's out-degree (two offset loads through the heap).
+// Degree returns a vertex's out-degree (its offset pair, one load through the
+// heap).
 func (g *Graph) Degree(p *engine.Proc, v uint32) uint64 {
-	var b [16]byte
-	g.H.Load(p, g.offsetsOff+uint64(v)*8, b[:])
-	lo := binary.LittleEndian.Uint64(b[0:])
-	hi := binary.LittleEndian.Uint64(b[8:])
+	lo, hi := g.offsets(p, v)
 	return hi - lo
 }
 
+// offsets loads a vertex's offset pair in one 16-byte access: its edge run is
+// edges[lo, hi).
+func (g *Graph) offsets(p *engine.Proc, v uint32) (lo, hi uint64) {
+	b := g.bufs.Borrow(16)
+	g.H.Load(p, g.offsetsOff+uint64(v)*8, b)
+	lo, hi = binary.LittleEndian.Uint64(b), binary.LittleEndian.Uint64(b[8:])
+	g.bufs.GiveBack(b)
+	return lo, hi
+}
+
 // Neighbors loads a vertex's adjacency list through the heap in one access
-// run (the loads Ligra's edgeMap issues).
-func (g *Graph) Neighbors(p *engine.Proc, v uint32, scratch []uint32) []uint32 {
-	var b [16]byte
-	g.H.Load(p, g.offsetsOff+uint64(v)*8, b[:])
-	lo := binary.LittleEndian.Uint64(b[0:])
-	hi := binary.LittleEndian.Uint64(b[8:])
+// run (the loads Ligra's edgeMap issues) and decodes it into list, which it
+// grows when the degree exceeds its capacity.
+func (g *Graph) Neighbors(p *engine.Proc, v uint32, list []uint32) []uint32 {
+	lo, hi := g.offsets(p, v)
 	deg := hi - lo
 	if deg == 0 {
-		return scratch[:0]
+		return list[:0]
 	}
-	if uint64(cap(scratch)) < deg {
-		scratch = make([]uint32, deg)
+	if uint64(cap(list)) < deg {
+		list = make([]uint32, deg)
 	}
-	scratch = scratch[:deg]
-	buf := make([]byte, deg*4)
+	list = list[:deg]
+	buf := g.bufs.Borrow(int(deg * 4))
 	g.H.Load(p, g.edgesOff+lo*4, buf)
-	for i := range scratch {
-		scratch[i] = binary.LittleEndian.Uint32(buf[i*4:])
+	for i := range list {
+		list[i] = binary.LittleEndian.Uint32(buf[i*4:])
 	}
-	return scratch
+	g.bufs.GiveBack(buf)
+	return list
+}
+
+// Typed accessors: one heap access each, its buffer borrowed from g.bufs.
+
+// LoadU32 reads one uint32 from the heap.
+func (g *Graph) LoadU32(p *engine.Proc, off uint64) uint32 {
+	b := g.bufs.Borrow(4)
+	g.H.Load(p, off, b)
+	v := binary.LittleEndian.Uint32(b)
+	g.bufs.GiveBack(b)
+	return v
+}
+
+// StoreU32 writes one uint32 to the heap.
+func (g *Graph) StoreU32(p *engine.Proc, off uint64, v uint32) {
+	b := g.bufs.Borrow(4)
+	binary.LittleEndian.PutUint32(b, v)
+	g.H.Store(p, off, b)
+	g.bufs.GiveBack(b)
+}
+
+// LoadU64 reads one uint64 from the heap.
+func (g *Graph) LoadU64(p *engine.Proc, off uint64) uint64 {
+	b := g.bufs.Borrow(8)
+	g.H.Load(p, off, b)
+	v := binary.LittleEndian.Uint64(b)
+	g.bufs.GiveBack(b)
+	return v
+}
+
+// StoreU64 writes one uint64 to the heap.
+func (g *Graph) StoreU64(p *engine.Proc, off uint64, v uint64) {
+	b := g.bufs.Borrow(8)
+	binary.LittleEndian.PutUint64(b, v)
+	g.H.Store(p, off, b)
+	g.bufs.GiveBack(b)
 }
 
 // VertexSubset is a Ligra frontier: sparse (vertex list) or dense (bitmap).

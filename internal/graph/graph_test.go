@@ -33,13 +33,14 @@ func mappedHeapWorld(cacheBytes uint64) (*engine.Engine, Heap) {
 func TestHeapTypedAccess(t *testing.T) {
 	e, h := memHeapWorld()
 	e.Spawn(0, "t", func(p *engine.Proc) {
+		g := &Graph{H: h}
 		off := h.Alloc(64)
-		StoreU32(p, h, off, 0xDEADBEEF)
-		StoreU64(p, h, off+8, 0x123456789ABCDEF0)
-		if got := LoadU32(p, h, off); got != 0xDEADBEEF {
+		g.StoreU32(p, off, 0xDEADBEEF)
+		g.StoreU64(p, off+8, 0x123456789ABCDEF0)
+		if got := g.LoadU32(p, off); got != 0xDEADBEEF {
 			t.Errorf("u32 = %#x", got)
 		}
-		if got := LoadU64(p, h, off+8); got != 0x123456789ABCDEF0 {
+		if got := g.LoadU64(p, off+8); got != 0x123456789ABCDEF0 {
 			t.Errorf("u64 = %#x", got)
 		}
 	})

@@ -8,7 +8,6 @@
 package graph
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"aquila/internal/iface"
@@ -94,33 +93,3 @@ func (h *MemHeap) Store(p *engine.Proc, off uint64, buf []byte) {
 
 // Size implements Heap.
 func (h *MemHeap) Size() uint64 { return uint64(len(h.data)) }
-
-// Typed helpers.
-
-// LoadU32 reads one uint32 from the heap.
-func LoadU32(p *engine.Proc, h Heap, off uint64) uint32 {
-	var b [4]byte
-	h.Load(p, off, b[:])
-	return binary.LittleEndian.Uint32(b[:])
-}
-
-// StoreU32 writes one uint32 to the heap.
-func StoreU32(p *engine.Proc, h Heap, off uint64, v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	h.Store(p, off, b[:])
-}
-
-// LoadU64 reads one uint64 from the heap.
-func LoadU64(p *engine.Proc, h Heap, off uint64) uint64 {
-	var b [8]byte
-	h.Load(p, off, b[:])
-	return binary.LittleEndian.Uint64(b[:])
-}
-
-// StoreU64 writes one uint64 to the heap.
-func StoreU64(p *engine.Proc, h Heap, off uint64, v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	h.Store(p, off, b[:])
-}

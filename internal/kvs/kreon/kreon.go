@@ -22,7 +22,7 @@ import (
 	"slices"
 
 	"aquila/internal/iface"
-	"aquila/internal/kvs/scratch"
+	"aquila/internal/scratch"
 	"aquila/internal/sim/engine"
 	"aquila/internal/ycsb"
 )

@@ -7,8 +7,8 @@ import (
 	"sort"
 
 	"aquila/internal/iface"
-	"aquila/internal/kvs/scratch"
 	"aquila/internal/obs"
+	"aquila/internal/scratch"
 	"aquila/internal/sim/engine"
 	"aquila/internal/ycsb"
 )
