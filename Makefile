@@ -176,8 +176,10 @@ sim-bench:
 # nothing of a world is in the numbers: the value generator, a Kreon tree
 # lookup, put and spill, an LSM bulk load, an mmio point lookup, a block-cache
 # miss and a graph neighbour fetch (DESIGN.md §3 "KV data path: one owner per
-# buffer"). Not part of ci: the AllocsPerRun tests beside these benchmarks
-# gate in `make test`.
+# buffer"), and the graph's construction at bfs-rmat-8t's 128 K vertices:
+# BenchmarkRMAT draws the edge list, BenchmarkLayout lays out its CSR image
+# (DESIGN.md §3 "Graph construction"). Not part of ci: the AllocsPerRun tests
+# beside these benchmarks gate in `make test`.
 kv-bench:
 	$(GO) test ./internal/ycsb ./internal/kvs/... ./internal/graph -run '^$$' -bench . -benchmem -cpu 1
 

@@ -18,14 +18,15 @@ import (
 func main() {
 	const vertices = 1 << 14
 	raw := graph.RMAT(graph.RMATConfig{Vertices: vertices, EdgeFactor: 10, Seed: 7})
-	edges := graph.Symmetrize(raw)
-	heapBytes := uint64(vertices*12+len(edges)*4)*5/4 + (1 << 20)
+	// Laid out once, the CSR image is stored into every heap below.
+	csr := graph.Layout(vertices, graph.Symmetrize(raw))
+	heapBytes := (vertices*12+csr.M*4)*5/4 + (1 << 20)
 
 	// DRAM-only baseline: the heap is ordinary memory.
 	e := engine.New(engine.Config{NumCPUs: 32, Seed: 1})
 	memHeap := graph.NewMemHeap(heapBytes * 2)
 	var g *graph.Graph
-	e.Spawn(0, "build", func(p *engine.Proc) { g = graph.Build(p, memHeap, vertices, edges) })
+	e.Spawn(0, "build", func(p *engine.Proc) { g = csr.Build(p, memHeap) })
 	e.Run()
 	dram := graph.RunBFS(e, g, 0, 8)
 	e.Close()
@@ -44,7 +45,7 @@ func main() {
 			f := sys.NS.Create(p, "heap", heapBytes*2)
 			m := sys.NS.Mmap(p, f, heapBytes*2)
 			m.Advise(p, aquila.AdviceRandom)
-			mg = graph.Build(p, graph.NewMappedHeap(m), vertices, edges)
+			mg = csr.Build(p, graph.NewMappedHeap(m))
 		})
 		res := graph.RunBFS(sys.Sim, mg, 0, 8)
 		sys.Close()

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"encoding/binary"
-	"slices"
 
 	"aquila/internal/scratch"
 	"aquila/internal/sim/engine"
@@ -25,59 +24,80 @@ type Graph struct {
 	bufs scratch.Stack
 }
 
-// Build constructs a CSR graph in the heap from an edge list (counting sort
-// by source). The build phase models the load step of §6.2 and writes
-// through the heap (Store), so it also exercises the write path.
-func Build(p *engine.Proc, h Heap, n uint32, edges [][2]uint32) *Graph {
-	m := uint64(len(edges))
-	g := &Graph{H: h, N: n, M: m}
-	g.offsetsOff = h.Alloc((uint64(n) + 1) * 8)
-	g.edgesOff = h.Alloc(m * 4)
+// CSR is a graph's heap image laid out in Go memory: the offsets array and
+// the edge array exactly as Build stores them. It is computed once per graph
+// and can be stored into any number of heaps; nothing writes it after Layout.
+type CSR struct {
+	N       uint32 // vertices
+	M       uint64 // edges
+	offsets []byte // N+1 little-endian uint64: vertex v's run is edges[offsets[v], offsets[v+1])
+	edges   []byte // M little-endian uint32, each vertex's run in ascending order
+}
 
-	// Counting sort by source vertex (in Go memory, then bulk-stored).
-	counts := make([]uint64, n+1)
+// Layout lays out the CSR image of a directed edge list over n vertices
+// (duplicates and self-loops kept) with two stable counting sorts: by
+// destination into an in-edge array of sources, then by source while walking
+// destinations in ascending order, so every adjacency list comes out sorted
+// with no comparison sort. Both passes are linear in n+m.
+func Layout(n uint32, edges [][2]uint32) *CSR {
+	m := len(edges)
+	outStart := make([]int, n+1)
+	inStart := make([]int, n+1)
 	for _, e := range edges {
-		counts[e[0]+1]++
+		outStart[e[0]+1]++
+		inStart[e[1]+1]++
 	}
-	for i := uint32(1); i <= n; i++ {
-		counts[i] += counts[i-1]
+	for v := uint32(1); v <= n; v++ {
+		outStart[v] += outStart[v-1]
+		inStart[v] += inStart[v-1]
 	}
-	offBytes := make([]byte, (uint64(n)+1)*8)
-	for i := uint64(0); i <= uint64(n); i++ {
-		binary.LittleEndian.PutUint64(offBytes[i*8:], counts[i])
-	}
-	sorted := make([]uint32, m)
-	cursor := make([]uint64, n)
-	copy(cursor, counts[:n])
+	// srcs[inStart[d]:inStart[d+1]] are the sources of d's in-edges.
+	srcs := make([]uint32, m)
+	cursor := make([]int, n)
+	copy(cursor, inStart)
 	for _, e := range edges {
-		sorted[cursor[e[0]]] = e[1]
-		cursor[e[0]]++
+		srcs[cursor[e[1]]] = e[0]
+		cursor[e[1]]++
 	}
-	// Sort each adjacency list for deterministic traversal order.
-	for v := uint32(0); v < n; v++ {
-		slices.Sort(sorted[counts[v]:counts[v+1]])
+	c := &CSR{N: n, M: uint64(m), offsets: make([]byte, (int(n)+1)*8), edges: make([]byte, m*4)}
+	for v, o := range outStart {
+		binary.LittleEndian.PutUint64(c.offsets[v*8:], uint64(o))
 	}
-	edgeBytes := make([]byte, m*4)
-	for i, v := range sorted {
-		binary.LittleEndian.PutUint32(edgeBytes[i*4:], v)
-	}
-	// Bulk store (1 MB chunks): the sequential write pattern of loading.
-	const chunk = 1 << 20
-	for off := 0; off < len(offBytes); off += chunk {
-		end := off + chunk
-		if end > len(offBytes) {
-			end = len(offBytes)
+	copy(cursor, outStart)
+	for d := uint32(0); d < n; d++ {
+		for _, s := range srcs[inStart[d]:inStart[d+1]] {
+			binary.LittleEndian.PutUint32(c.edges[cursor[s]*4:], d)
+			cursor[s]++
 		}
-		h.Store(p, g.offsetsOff+uint64(off), offBytes[off:end])
 	}
-	for off := 0; off < len(edgeBytes); off += chunk {
-		end := off + chunk
-		if end > len(edgeBytes) {
-			end = len(edgeBytes)
-		}
-		h.Store(p, g.edgesOff+uint64(off), edgeBytes[off:end])
-	}
+	return c
+}
+
+// Build allocates the CSR's two arrays in the heap and stores them there in
+// 1 MB chunks: the sequential write pattern of the load step of §6.2, which
+// also exercises the heap's write path.
+func (c *CSR) Build(p *engine.Proc, h Heap) *Graph {
+	g := &Graph{H: h, N: c.N, M: c.M}
+	g.offsetsOff = h.Alloc(uint64(len(c.offsets)))
+	g.edgesOff = h.Alloc(uint64(len(c.edges)))
+	storeChunks(p, h, g.offsetsOff, c.offsets)
+	storeChunks(p, h, g.edgesOff, c.edges)
 	return g
+}
+
+// storeChunks stores b at off in 1 MB Stores.
+func storeChunks(p *engine.Proc, h Heap, off uint64, b []byte) {
+	const chunk = 1 << 20
+	for lo := 0; lo < len(b); lo += chunk {
+		h.Store(p, off+uint64(lo), b[lo:min(lo+chunk, len(b))])
+	}
+}
+
+// Build constructs a CSR graph in the heap from an edge list: Layout, then
+// (*CSR).Build. A caller that stores one graph into several heaps lays it
+// out once instead.
+func Build(p *engine.Proc, h Heap, n uint32, edges [][2]uint32) *Graph {
+	return Layout(n, edges).Build(p, h)
 }
 
 // Degree returns a vertex's out-degree (its offset pair, one load through the

@@ -1,8 +1,12 @@
 package graph
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"aquila/internal/host"
@@ -227,19 +231,142 @@ func TestBFSParallelSpeedup(t *testing.T) {
 	}
 }
 
-// TestCSRGolden pins the CSR bytes Build writes for a seeded, symmetrized
-// R-MAT graph: the offsets array and every sorted adjacency list. The digest
-// was taken while Build still sorted each list with sort.Slice.
+// TestCSRGolden pins, for two seeded R-MAT graphs, the raw edge list RMAT
+// draws and the CSR bytes Build writes from its symmetrized form: the offsets
+// array and every sorted adjacency list. The 4 K-vertex CSR digest was taken
+// while Build still sorted each list with sort.Slice, the rest while it
+// sorted each list with slices.Sort. 19,660 vertices is fig6's graph at the
+// scale tier-1 runs it; not a power of two, it takes RMAT's rejection path.
 func TestCSRGolden(t *testing.T) {
-	const want = "c814e16e625d84ef28bf37f8426e74624e2702cc25e78d14d7f7da9ca90a8e24"
-	edges := Symmetrize(RMAT(RMATConfig{Vertices: 1 << 12, EdgeFactor: 10, Seed: 5}))
-	e, h := memHeapWorld()
-	var g *Graph
-	e.Spawn(0, "build", func(p *engine.Proc) { g = Build(p, h, 1<<12, edges) })
-	e.Run()
-	mh := h.(*MemHeap)
-	sum := sha256.Sum256(mh.data[g.offsetsOff : g.edgesOff+g.M*4])
-	if got := hex.EncodeToString(sum[:]); got != want {
-		t.Errorf("CSR digest %s, want %s", got, want)
+	for _, c := range []struct {
+		vertices  uint32
+		seed      int64
+		rmat, csr string
+	}{
+		{1 << 12, 5, "e7b881dcd69ca6df4e900fdcaf7872085d393426d28a2a8bf01a6698625607b1", "c814e16e625d84ef28bf37f8426e74624e2702cc25e78d14d7f7da9ca90a8e24"},
+		{19660, 21, "d8056fdcd04af8181503aff8d4c6bbee9ef4e495a952412daab61721efd14ed1", "49b00e496424a5120d952b862cb711c61f67ed6b147b836c573fb49727edac47"},
+	} {
+		raw := RMAT(RMATConfig{Vertices: c.vertices, EdgeFactor: 10, Seed: c.seed})
+		rawBytes := make([]byte, 0, len(raw)*8)
+		for _, ed := range raw {
+			rawBytes = binary.LittleEndian.AppendUint32(rawBytes, ed[0])
+			rawBytes = binary.LittleEndian.AppendUint32(rawBytes, ed[1])
+		}
+		if got := sha256Hex(rawBytes); got != c.rmat {
+			t.Errorf("%d vertices: RMAT digest %s, want %s", c.vertices, got, c.rmat)
+		}
+		e, h := memHeapWorld()
+		var g *Graph
+		e.Spawn(0, "build", func(p *engine.Proc) { g = Build(p, h, c.vertices, Symmetrize(raw)) })
+		e.Run()
+		mh := h.(*MemHeap)
+		if got := sha256Hex(mh.data[g.offsetsOff : g.edgesOff+g.M*4]); got != c.csr {
+			t.Errorf("%d vertices: CSR digest %s, want %s", c.vertices, got, c.csr)
+		}
 	}
+}
+
+// perVertexSortLayout is the layout Build used before Layout, kept as the
+// reference: a counting sort by source, then slices.Sort of each list.
+func perVertexSortLayout(n uint32, edges [][2]uint32) (offsets, edgeBytes []byte) {
+	counts := make([]uint64, n+1)
+	for _, e := range edges {
+		counts[e[0]+1]++
+	}
+	for i := uint32(1); i <= n; i++ {
+		counts[i] += counts[i-1]
+	}
+	offsets = make([]byte, (uint64(n)+1)*8)
+	for i := uint64(0); i <= uint64(n); i++ {
+		binary.LittleEndian.PutUint64(offsets[i*8:], counts[i])
+	}
+	sorted := make([]uint32, len(edges))
+	cursor := make([]uint64, n)
+	copy(cursor, counts[:n])
+	for _, e := range edges {
+		sorted[cursor[e[0]]] = e[1]
+		cursor[e[0]]++
+	}
+	for v := uint32(0); v < n; v++ {
+		slices.Sort(sorted[counts[v]:counts[v+1]])
+	}
+	edgeBytes = make([]byte, len(edges)*4)
+	for i, v := range sorted {
+		binary.LittleEndian.PutUint32(edgeBytes[i*4:], v)
+	}
+	return offsets, edgeBytes
+}
+
+// Layout's two counting sorts lay out the same bytes as sorting each list.
+func TestLayoutMatchesPerVertexSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	// random draws m edges whose endpoints src and dst pick.
+	random := func(m int, src, dst func() uint32) [][2]uint32 {
+		edges := make([][2]uint32, m)
+		for i := range edges {
+			edges[i] = [2]uint32{src(), dst()}
+		}
+		return edges
+	}
+	below := func(n uint32) func() uint32 { return func() uint32 { return uint32(rng.Intn(int(n))) } }
+	selfLoops := random(500, below(16), below(16)) // 500 edges over 256 pairs: duplicates
+	for v := uint32(0); v < 16; v += 3 {
+		selfLoops = append(selfLoops, [2]uint32{v, v}, [2]uint32{v, v})
+	}
+	for _, c := range []struct {
+		name  string
+		n     uint32
+		edges [][2]uint32
+	}{
+		{"duplicates and self-loops", 16, selfLoops},
+		{"isolated vertices", 1000, random(3000, below(400), below(400))},
+		{"one vertex holds every edge", 300, random(2000, func() uint32 { return 137 }, below(300))},
+		{"every edge into one vertex", 300, random(2000, below(300), func() uint32 { return 0 })},
+		{"n = 1", 1, random(40, below(1), below(1))},
+		{"zero edges", 50, nil},
+		{"n = 1, zero edges", 1, nil},
+		{"symmetrized R-MAT", 3000, Symmetrize(RMAT(RMATConfig{Vertices: 3000, EdgeFactor: 6, Seed: 2}))},
+	} {
+		got := Layout(c.n, c.edges)
+		wantOff, wantEdges := perVertexSortLayout(c.n, c.edges)
+		if got.N != c.n || got.M != uint64(len(c.edges)) {
+			t.Errorf("%s: N, M = %d, %d, want %d, %d", c.name, got.N, got.M, c.n, len(c.edges))
+		}
+		if !bytes.Equal(got.offsets, wantOff) {
+			t.Errorf("%s: offsets differ", c.name)
+		}
+		if !bytes.Equal(got.edges, wantEdges) {
+			t.Errorf("%s: edges differ", c.name)
+		}
+	}
+}
+
+// BenchmarkRMAT draws bfs-rmat-8t's raw edge list: 128 K vertices, edge
+// factor 10.
+func BenchmarkRMAT(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rmatSink = RMAT(RMATConfig{Vertices: 1 << 17, EdgeFactor: 10, Seed: 1})
+	}
+}
+
+// BenchmarkLayout lays out the CSR image of bfs-rmat-8t's symmetrized graph.
+func BenchmarkLayout(b *testing.B) {
+	const n = 1 << 17
+	edges := Symmetrize(RMAT(RMATConfig{Vertices: n, EdgeFactor: 10, Seed: 1}))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		layoutSink = Layout(n, edges)
+	}
+}
+
+var (
+	rmatSink   [][2]uint32
+	layoutSink *CSR
+)
+
+func sha256Hex(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }

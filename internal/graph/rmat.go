@@ -35,24 +35,29 @@ func RMAT(cfg RMATConfig) [][2]uint32 {
 	for len(edges) < m {
 		var u, v uint32
 		for l := 0; l < levels; l++ {
+			// The quadrants in draw order are a (no bit), b (v), c (u) and
+			// d (both): u is set past a+b, and v in every other quadrant
+			// from b on, the parity of the three thresholds r passes. A
+			// branch here mispredicts on almost every level.
 			r := rng.Float64()
-			switch {
-			case r < rmatA:
-				// top-left: no bits set
-			case r < ab:
-				v |= 1 << l
-			case r < abc:
-				u |= 1 << l
-			default:
-				u |= 1 << l
-				v |= 1 << l
-			}
+			pastB := bit(r >= ab)
+			u |= pastB << l
+			v |= (bit(r >= rmatA) ^ pastB ^ bit(r >= abc)) << l
 		}
 		if u < cfg.Vertices && v < cfg.Vertices {
 			edges = append(edges, [2]uint32{u, v})
 		}
 	}
 	return edges
+}
+
+// bit is 1 for true and 0 for false; the compiler turns it into a flag set,
+// not a branch.
+func bit(b bool) uint32 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Symmetrize returns the union of edges and their reverses (Ligra's

@@ -103,7 +103,7 @@ func runPageRankWorlds(scale float64) []*Result {
 		Header: []string{"config", "exec time(ms)", "vs mmap"},
 	}
 	vertices := uint32(scaledN(1<<15, scale, 1<<12))
-	edges, heapBytes := rmatHeap(vertices, 27, 24) // three rank/degree vectors
+	csr, heapBytes := rmatHeap(vertices, 27, 24) // three rank/degree vectors
 	cache := graphCache(heapBytes, 8)
 	times := map[string]float64{}
 	for _, cfg := range []struct {
@@ -121,7 +121,7 @@ func runPageRankWorlds(scale float64) []*Result {
 			if cfg.mode == aquila.ModeAquila {
 				m.Advise(p, aquila.AdviceSequential)
 			}
-			g = graph.Build(p, graph.NewMappedHeap(m), vertices, edges)
+			g = csr.Build(p, graph.NewMappedHeap(m))
 		})
 		res := graph.RunPageRank(sys.Sim, g, 8, 10, 0)
 		ms := cpu.CyclesToSeconds(res.ElapsedCycles) * 1e3
@@ -144,7 +144,7 @@ func runNVMHeap(scale float64) []*Result {
 		Header: []string{"device", "exec time(ms)", "vs DRAM-backed pmem"},
 	}
 	vertices := uint32(scaledN(1<<15, scale, 1<<12))
-	edges, heapBytes := rmatHeap(vertices, 23, 4)
+	csr, heapBytes := rmatHeap(vertices, 23, 4)
 	cache := graphCache(heapBytes, 8)
 
 	times := map[string]float64{}
@@ -174,7 +174,7 @@ func runNVMHeap(scale float64) []*Result {
 				m.Advise(p, aquila.AdviceRandom)
 				h = graph.NewMappedHeap(m)
 			}
-			g = graph.Build(p, h, vertices, edges)
+			g = csr.Build(p, h)
 		})
 		e.Run()
 		res := graph.RunBFS(e, g, 0, 8)

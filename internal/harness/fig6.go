@@ -50,15 +50,16 @@ var fig6Configs = []fig6Config{
 	{"DRAM-only", aquila.ModeAquila, aquila.DevicePMem, true},
 }
 
-// rmatHeap generates the symmetrized R-MAT graph (edge factor 10) the graph
-// experiments run on and sizes the heap that holds it: CSR offsets, edges,
-// perVertex bytes of algorithm state (BFS parents: 4), and a quarter plus
-// 1 MB of slack.
-func rmatHeap(vertices uint32, seed int64, perVertex uint64) (edges [][2]uint32, heapBytes uint64) {
+// rmatHeap lays out the symmetrized R-MAT graph (edge factor 10) the graph
+// experiments run on, once per experiment, and sizes the heap that holds it:
+// CSR offsets, edges, perVertex bytes of algorithm state (BFS parents: 4),
+// and a quarter plus 1 MB of slack. Every world of the experiment stores the
+// same laid-out CSR; the edge list is dropped here.
+func rmatHeap(vertices uint32, seed int64, perVertex uint64) (csr *graph.CSR, heapBytes uint64) {
 	raw := graph.RMAT(graph.RMATConfig{Vertices: vertices, EdgeFactor: 10, Seed: seed})
-	edges = graph.Symmetrize(raw)
-	heapBytes = (uint64(vertices)+1)*8 + uint64(len(edges))*4 + uint64(vertices)*perVertex
-	return edges, heapBytes*5/4 + 1<<20
+	csr = graph.Layout(vertices, graph.Symmetrize(raw))
+	heapBytes = (uint64(vertices)+1)*8 + csr.M*4 + uint64(vertices)*perVertex
+	return csr, heapBytes*5/4 + 1<<20
 }
 
 // graphCache is the DRAM cache for a heap at the given footprint:cache ratio
@@ -69,22 +70,19 @@ func graphCache(heapBytes, overcommit uint64) uint64 {
 }
 
 // fig6Sizes derives the BFS graph and heap from the scale.
-func fig6Sizes(scale float64) (vertices uint32, edges [][2]uint32, heapBytes uint64) {
-	vertices = uint32(scaledN(1<<17, scale, 1<<13))
-	edges, heapBytes = rmatHeap(vertices, 21, 4)
-	return
+func fig6Sizes(scale float64) (csr *graph.CSR, heapBytes uint64) {
+	return rmatHeap(uint32(scaledN(1<<17, scale, 1<<13)), 21, 4)
 }
 
-// runBFSConfig executes BFS in one world and returns the result.
-func runBFSConfig(cfg fig6Config, vertices uint32, edges [][2]uint32,
-	heapBytes, cache uint64, threads int) graph.BFSResult {
+// runBFSConfig stores the graph into one world and runs BFS there.
+func runBFSConfig(cfg fig6Config, csr *graph.CSR, heapBytes, cache uint64, threads int) graph.BFSResult {
 	if cfg.dram {
 		e := bootEngine(engine.Config{NumCPUs: 32, Seed: 5}, "dram", nil)
 		defer retire(e)
 		h := graph.NewMemHeap(heapBytes * 2)
 		var g *graph.Graph
 		e.Spawn(0, "build", func(p *engine.Proc) {
-			g = graph.Build(p, h, vertices, edges)
+			g = csr.Build(p, h)
 		})
 		e.Run()
 		return graph.RunBFS(e, g, 0, threads)
@@ -99,18 +97,18 @@ func runBFSConfig(cfg fig6Config, vertices uint32, edges [][2]uint32,
 	var g *graph.Graph
 	sys.Do(func(p *aquila.Proc) {
 		h := graph.NewMappedHeap(mapFile(p, sys, "heap", heapBytes*2, aquila.AdviceRandom))
-		g = graph.Build(p, h, vertices, edges)
+		g = csr.Build(p, h)
 	})
 	return graph.RunBFS(sys.Sim, g, 0, threads)
 }
 
 func runFig6(scale float64, overcommit uint64, id string) *Result {
-	vertices, edges, heapBytes := fig6Sizes(scale)
+	csr, heapBytes := fig6Sizes(scale)
 	cache := graphCache(heapBytes, overcommit)
 	r := &Result{
 		ID: id,
 		Title: fmt.Sprintf("Ligra BFS, R-MAT %dK vertices / %dK sym edges, cache = footprint/%d",
-			vertices/1024, len(edges)/1024, overcommit),
+			csr.N/1024, csr.M/1024, overcommit),
 		Header: []string{"threads", "config", "exec time(ms)", "vs mmap-pmem", "vs DRAM-only"},
 	}
 	threadCounts := []int{1, 8, 16}
@@ -120,7 +118,7 @@ func runFig6(scale float64, overcommit uint64, id string) *Result {
 	for _, threads := range threadCounts {
 		times := map[string]float64{}
 		for _, cfg := range fig6Configs {
-			res := runBFSConfig(cfg, vertices, edges, heapBytes, cache, threads)
+			res := runBFSConfig(cfg, csr, heapBytes, cache, threads)
 			times[cfg.name] = cpu.CyclesToSeconds(res.ElapsedCycles) * 1e3
 		}
 		for _, cfg := range fig6Configs {
@@ -134,7 +132,7 @@ func runFig6(scale float64, overcommit uint64, id string) *Result {
 }
 
 func runFig6c(scale float64) []*Result {
-	vertices, edges, heapBytes := fig6Sizes(scale)
+	csr, heapBytes := fig6Sizes(scale)
 	cache := graphCache(heapBytes, 8)
 	threads := 16
 	if scale < 0.5 {
@@ -147,7 +145,7 @@ func runFig6c(scale float64) []*Result {
 	}
 	sums := map[string][4]uint64{}
 	for _, cfg := range []fig6Config{fig6Configs[0], fig6Configs[2]} { // mmap-pmem, aquila-pmem
-		res := runBFSConfig(cfg, vertices, edges, heapBytes, cache, threads)
+		res := runBFSConfig(cfg, csr, heapBytes, cache, threads)
 		total := float64(res.Acct[0] + res.Acct[1] + res.Acct[2] + res.Acct[3])
 		if total == 0 {
 			total = 1
