@@ -118,7 +118,7 @@ func TestSpanBracketMutationCaught(t *testing.T) {
 		if name != "runtime.go" {
 			return src
 		}
-		const call = "err := rt.Engine.ReadRun(p, f, pageIdx, frames)\n"
+		const call = "_, err := rt.ioRun(p, ioRead, f, pageIdx, frames)\n"
 		out := bytes.Replace(src, []byte(call),
 			[]byte(call+"if err != nil { return newIOFault(\"read\", f.name, pageIdx, err) }\n"), 1)
 		if bytes.Equal(out, src) {

@@ -9,7 +9,7 @@ import (
 // Background eviction (Params.AsyncEvict): one ring-0 daemon per NUMA node
 // reclaims frames between the low and high freelist watermarks, keeping
 // victim selection, batched shootdowns and writeback off the fault path.
-// Writeback overlaps: engines implementing AsyncWriter accept all merged
+// Writeback overlaps: engines that overlap (IOEngine.overlaps) accept all merged
 // runs up front (io_uring-style submission, modeled on internal/host/iouring)
 // and writeBack drains the queue with a single wait on the last completion.
 // Faulting procs fall back to synchronous direct reclaim only when the
@@ -175,12 +175,12 @@ func (ev *bgEvictor) reclaimBatch(p *engine.Proc) int {
 		rt.Break.Add("bg_reclaim", p.Now()-t0)
 		return 0
 	}
-	aw, _ := rt.Engine.(AsyncWriter)
-	if aw != nil && len(dirty) > 0 && ev.failStreak >= bgSyncFallbackAfter {
-		aw = nil
+	async := rt.Engine.overlaps()
+	if async && len(dirty) > 0 && ev.failStreak >= bgSyncFallbackAfter {
+		async = false
 		rt.Stats.SyncWritebackFallbacks++
 	}
-	if rt.writeBack(p, dirty, "aq.bg_writeback", aw, true) != nil {
+	if rt.writeBack(p, dirty, "aq.bg_writeback", async, true) != nil {
 		ev.failStreak++
 	} else {
 		ev.failStreak = 0

@@ -116,7 +116,7 @@ func TestBgEvictorStaysAsleepWithoutPressure(t *testing.T) {
 }
 
 func TestBgEvictorOverlappedWritebackPersists(t *testing.T) {
-	// Dirty pages evicted by the daemons go through SubmitWriteRun; their
+	// Dirty pages evicted by the daemons go through ioSubmit; their
 	// content must survive the round trip exactly as with sync writeback.
 	run := func(t *testing.T, e *engine.Engine, boot func(p *engine.Proc) *Runtime) {
 		var rt *Runtime

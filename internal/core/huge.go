@@ -137,7 +137,7 @@ func (rt *Runtime) hugeFault(p *engine.Proc, r *Region, f *fileState, idx uint64
 	// must hit the device before their frames are recycled.
 	if len(dirtyOlds) > 0 {
 		rt.charge(p, "dirty-track", costDirtyTreeOp*uint64(len(dirtyOlds)))
-		if rt.writeBack(p, dirtyOlds, "aq.writeback", nil, false) != nil {
+		if rt.writeBack(p, dirtyOlds, "aq.writeback", false, false) != nil {
 			// A constituent was requeued or quarantined by the failure path:
 			// its frame's content is the only good copy, so the promotion
 			// cannot proceed. Undo the claim wholesale, each constituent

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"aquila/internal/host"
 	"aquila/internal/sim/cpu"
 	"aquila/internal/sim/device"
@@ -11,12 +9,14 @@ import (
 	"aquila/internal/spdk"
 )
 
-// IOEngine is Aquila's pluggable device-access layer (§3.3): applications
-// choose how cache misses and write-backs reach storage. The four engines of
-// Figure 8(c) are provided; custom engines implement this interface.
+// IOEngine is Aquila's device-access layer (§3.3): how cache misses and
+// write-backs reach storage, one of the four engines of Figure 8(c). For page
+// runs an engine only describes where a file's pages live (extent) and what a
+// command over them costs (transfer); Runtime.ioRun moves the content. The
+// unexported methods keep the set of engines inside core.
 //
-// Every data-path method returns an error when the device's fault plan fails
-// the operation. On failure the engine still charges the full timing of the
+// Every data-path operation returns an error when the device's fault plan
+// fails it. On failure the engine still charges the full timing of the
 // attempt (submission, device service, completion — failure is detected at
 // completion, as on real hardware) but moves no content: a failed read
 // leaves the frames untouched, a failed write persists nothing. Injected
@@ -31,30 +31,87 @@ type IOEngine interface {
 	Open(p *engine.Proc, name string) (any, uint64)
 	// Delete removes the backing object.
 	Delete(p *engine.Proc, name string)
-	// ReadRun fills frames with the content of pages [pageIdx,
-	// pageIdx+len(frames)) of f, charging the engine's full access cost.
-	ReadRun(p *engine.Proc, f *fileState, pageIdx uint64, frames []*mem.Frame) error
-	// WriteRun persists frames to pages starting at pageIdx.
-	WriteRun(p *engine.Proc, f *fileState, pageIdx uint64, frames []*mem.Frame) error
+	// Exists reports whether a name resolves in the engine's namespace.
+	Exists(name string) bool
 	// DirectRead and DirectWrite bypass the cache entirely (explicit file
 	// I/O under Aquila, used e.g. by LSM compactions).
 	DirectRead(p *engine.Proc, f *fileState, off uint64, buf []byte) error
 	DirectWrite(p *engine.Proc, f *fileState, off uint64, buf []byte) error
+
+	// size is the size f's backing object records.
+	size(f *fileState) uint64
+	// extent is the first device command's worth of pages [idx, idx+n) of
+	// f: the longest device-contiguous prefix of them.
+	extent(f *fileState, idx uint64, n int) extent
+	// transfer charges one command over x once ioRun has probed it (ok: it
+	// passed and the content moved), delay being a spike not yet waited out.
+	// It returns the completion, a write's durability point; only a
+	// submission leaves the wait to its caller, and a rejected one returns 0.
+	transfer(p *engine.Proc, op ioOp, x extent, ok bool, delay uint64) uint64
+	// overlaps reports whether the engine takes ioSubmit: writes queued
+	// back to back and waited on once.
+	overlaps() bool
 }
 
-// AsyncWriter is the optional overlapped-writeback extension used by the
-// background evictor: SubmitWriteRun persists the frames like WriteRun but
-// does not wait for the device — it returns the completion cycle, so the
-// caller can queue many runs back to back and drain once. A submission error
-// reports the run failed without queueing anything (completion 0). Engines
-// that cannot overlap (e.g. HOST-*, where each I/O is a blocking syscall)
-// simply don't implement it and the evictor falls back to WriteRun.
-type AsyncWriter interface {
-	SubmitWriteRun(p *engine.Proc, f *fileState, pageIdx uint64, frames []*mem.Frame) (uint64, error)
+// ioOp is what ioRun does with a run of frames.
+type ioOp uint8
+
+const (
+	ioRead   ioOp = iota // fill the frames, wait for the completion
+	ioWrite              // stage the frames, wait for the durability point
+	ioSubmit             // stage the frames, return the durability point unwaited
+)
+
+// extent is a device-contiguous stretch of a file's pages, as one command
+// covers it: pages [idx, idx+pages) of f at device offset off of st. A host
+// file is one extent; a blob is one per 1 MB cluster.
+type extent struct {
+	f     *fileState
+	idx   uint64
+	pages int
+	st    *device.Store
+	off   uint64
+	// stallFirst: a polled command (SPDK) waits out a latency spike before
+	// the content moves; submitted, it carries the spike in its completion.
+	stallFirst bool
 }
 
-// readFrames / writeFrames helpers: move content between device store and
-// frames with the zero-page fast path: a hole leaves an unmaterialized frame
+// ioRun moves frames to or from pages [idx, idx+len(frames)) of f, one extent
+// at a time, and is the cache's only fault-plan probe. Per extent: probe; a
+// stallFirst command waits out a spike; the content moves unless the probe
+// failed; the engine's transfer charges the command. The first failed extent
+// ends the run with its error (extents before it stay moved and persisted);
+// otherwise the result is the deepest completion.
+func (rt *Runtime) ioRun(p *engine.Proc, op ioOp, f *fileState, idx uint64, frames []*mem.Frame) (uint64, error) {
+	var done uint64
+	for i := 0; i < len(frames); {
+		x := rt.Engine.extent(f, idx+uint64(i), len(frames)-i)
+		delay, err := x.st.Check(p.Now(), x.off, x.pages*pageSize, op != ioRead)
+		if delay > 0 && x.stallFirst && op != ioSubmit {
+			p.WaitUntil(p.Now()+delay, engine.KindIOWait)
+			delay = 0
+		}
+		if err == nil {
+			for j, fr := range frames[i : i+x.pages] {
+				if op == ioRead {
+					fillFrame(x.st, x.off+uint64(j)*pageSize, fr)
+				} else {
+					flushFrame(x.st, x.off+uint64(j)*pageSize, fr)
+				}
+			}
+		}
+		d := rt.Engine.transfer(p, op, x, err == nil, delay)
+		if err != nil {
+			return 0, err
+		}
+		done = max(done, d)
+		i += x.pages
+	}
+	return done, nil
+}
+
+// fillFrame and flushFrame move content between device store and frames
+// with the zero-page fast path: a hole leaves an unmaterialized frame
 // alone and zeroes a materialized one (it may be recycled), with one probe of
 // the store either way; only a materialized frame is written back. Both sides
 // hold a page up to its last nonzero line, and that is all that moves.
@@ -91,7 +148,16 @@ func (h hostFiles) Delete(p *engine.Proc, name string) {
 	h.OS.FS.Delete(p, name)
 }
 
+func (h hostFiles) Exists(name string) bool { return h.OS.FS.Exists(name) }
+
 func (hostFiles) file(f *fileState) *host.FSFile { return f.backing.(*host.FSFile) }
+
+func (h hostFiles) size(f *fileState) uint64 { return h.file(f).Size() }
+
+// extent: a host file is one contiguous device range, a run one command.
+func (h hostFiles) extent(f *fileState, idx uint64, n int) extent {
+	return extent{f: f, idx: idx, pages: n, st: h.OS.Disk().Content, off: h.file(f).DevOffset(idx * pageSize)}
+}
 
 // DAXEngine is direct access to byte-addressable NVM (§3.3): the device is
 // DAX-mapped in non-root ring 0 and I/O is the AVX2-streaming memcpy with a
@@ -111,68 +177,27 @@ func NewDAXEngine(os *host.OS) *DAXEngine {
 // Name implements IOEngine.
 func (e *DAXEngine) Name() string { return "DAX-pmem" }
 
-// ReadRun implements IOEngine: one optimized memcpy per run. Host files are
-// single contiguous extents, so the whole run is one device range and the
-// fault plan is consulted once per run.
-func (e *DAXEngine) ReadRun(p *engine.Proc, f *fileState, pageIdx uint64, frames []*mem.Frame) error {
-	hf := e.file(f)
-	st := e.OS.Disk().Content
-	bytes := len(frames) * pageSize
-	delay, ferr := st.CheckRead(p.Now(), hf.DevOffset(pageIdx*pageSize), bytes)
-	if ferr == nil {
-		for i, fr := range frames {
-			fillFrame(st, hf.DevOffset((pageIdx+uint64(i))*pageSize), fr)
-		}
-	}
-	p.AdvanceSystem(cpu.MemcpyAVX2(bytes))
-	done := e.OS.Disk().Timing.Submit(p.Now(), bytes, false)
-	p.WaitUntil(done+delay, engine.KindIOWait)
-	return ferr
-}
+// overlaps: the caller pays the memcpy, the ADR drain can be left queued.
+func (e *DAXEngine) overlaps() bool { return true }
 
-// WriteRun implements IOEngine.
-func (e *DAXEngine) WriteRun(p *engine.Proc, f *fileState, pageIdx uint64, frames []*mem.Frame) error {
-	hf := e.file(f)
-	st := e.OS.Disk().Content
-	bytes := len(frames) * pageSize
-	delay, ferr := st.CheckWrite(p.Now(), hf.DevOffset(pageIdx*pageSize), bytes)
-	if ferr == nil {
-		for i, fr := range frames {
-			flushFrame(st, hf.DevOffset((pageIdx+uint64(i))*pageSize), fr)
-		}
-	}
+// transfer is one optimized memcpy, then the drain. A submission the
+// streaming stores machine-check has queued nothing.
+func (e *DAXEngine) transfer(p *engine.Proc, op ioOp, x extent, ok bool, delay uint64) uint64 {
+	bytes := x.pages * pageSize
 	p.AdvanceSystem(cpu.MemcpyAVX2(bytes))
-	done := e.OS.Disk().Timing.Submit(p.Now(), bytes, true)
-	if ferr == nil {
-		// Durability point: the persistence-domain drain completes at done
-		// (+ any injected delay), not when the streaming stores were issued.
-		st.Persist(hf.DevOffset(pageIdx*pageSize), bytes, done+delay)
+	if op == ioSubmit && !ok {
+		return 0
 	}
-	p.WaitUntil(done+delay, engine.KindIOWait)
-	return ferr
-}
-
-// SubmitWriteRun implements AsyncWriter: the streaming memcpy is still paid
-// by the caller, but the persistence-domain drain (Timing.Submit models the
-// ADR flush latency) is left queued for a later single wait, so consecutive
-// runs overlap their drains.
-func (e *DAXEngine) SubmitWriteRun(p *engine.Proc, f *fileState, pageIdx uint64, frames []*mem.Frame) (uint64, error) {
-	hf := e.file(f)
-	st := e.OS.Disk().Content
-	bytes := len(frames) * pageSize
-	delay, ferr := st.CheckWrite(p.Now(), hf.DevOffset(pageIdx*pageSize), bytes)
-	if ferr != nil {
-		// The streaming stores machine-check immediately; nothing queued.
-		p.AdvanceSystem(cpu.MemcpyAVX2(bytes))
-		return 0, ferr
+	done := e.OS.Disk().Timing.Submit(p.Now(), bytes, op != ioRead) + delay
+	if ok && op != ioRead {
+		// Durability point: the persistence-domain drain completes at done,
+		// not when the streaming stores were issued.
+		x.st.Persist(x.off, bytes, done)
 	}
-	for i, fr := range frames {
-		flushFrame(st, hf.DevOffset((pageIdx+uint64(i))*pageSize), fr)
+	if op != ioSubmit {
+		p.WaitUntil(done, engine.KindIOWait)
 	}
-	p.AdvanceSystem(cpu.MemcpyAVX2(bytes))
-	done := e.OS.Disk().Timing.Submit(p.Now(), bytes, true) + delay
-	st.Persist(hf.DevOffset(pageIdx*pageSize), bytes, done)
-	return done, nil
+	return done
 }
 
 // DirectRead implements IOEngine: load/memcpy straight from the DAX mapping.
@@ -240,141 +265,102 @@ func (e *SPDKEngine) Open(p *engine.Proc, name string) (any, uint64) {
 // Delete implements IOEngine.
 func (e *SPDKEngine) Delete(p *engine.Proc, name string) { e.FM.Delete(p, name) }
 
+// Exists implements IOEngine.
+func (e *SPDKEngine) Exists(name string) bool { return e.FM.Exists(name) }
+
 func (e *SPDKEngine) blob(f *fileState) *spdk.Blob { return f.backing.(*spdk.Blob) }
 
-// clusterRun clamps a run of want pages starting at file offset off to the
-// 1 MB blob cluster holding off: pages within one cluster are
-// device-contiguous, across clusters they need not be.
+func (e *SPDKEngine) size(f *fileState) uint64 { return e.blob(f).Size() }
+
+// clusterRun clamps want bytes starting at file offset off to the 1 MB blob
+// cluster holding off: bytes within one cluster are device-contiguous,
+// across clusters they need not be.
 func clusterRun(off uint64, want int) int {
-	return min(want, int((spdk.ClusterSize-off%spdk.ClusterSize)/pageSize))
+	return min(want, int(spdk.ClusterSize-off%spdk.ClusterSize))
 }
 
-// ReadRun implements IOEngine: one polled NVMe I/O per device-contiguous
-// extent (blob clusters are 1 MB, so page runs rarely split). Each extent is
-// one NVMe command, so the fault plan is consulted per extent; the first
-// failed extent aborts the run (the runtime re-issues per page to isolate).
-func (e *SPDKEngine) ReadRun(p *engine.Proc, f *fileState, pageIdx uint64, frames []*mem.Frame) error {
-	b := e.blob(f)
+// extent: one polled NVMe command per blob cluster (clusters are 1 MB, so
+// page runs rarely split).
+func (e *SPDKEngine) extent(f *fileState, idx uint64, n int) extent {
 	bs := e.FM.Blobstore()
-	drv := bs.Drv()
-	st := drv.Device().Store
-	for i := 0; i < len(frames); {
-		off := (pageIdx + uint64(i)) * pageSize
-		n := clusterRun(off, len(frames)-i)
-		delay, ferr := st.CheckRead(p.Now(), bs.DevOff(b, off), n*pageSize)
-		if delay > 0 {
-			p.WaitUntil(p.Now()+delay, engine.KindIOWait)
-		}
-		if ferr != nil {
-			drv.ReadTimed(p, n*pageSize)
-			return ferr
-		}
-		for j := 0; j < n; j++ {
-			fillFrame(st, bs.DevOff(b, off+uint64(j)*pageSize), frames[i+j])
-		}
-		drv.ReadTimed(p, n*pageSize)
-		i += n
-	}
-	return nil
+	off := idx * pageSize
+	return extent{f: f, idx: idx, pages: clusterRun(off, n*pageSize) / pageSize,
+		st: bs.Drv().Device().Store, off: bs.DevOff(e.blob(f), off), stallFirst: true}
 }
 
-// WriteRun implements IOEngine.
-func (e *SPDKEngine) WriteRun(p *engine.Proc, f *fileState, pageIdx uint64, frames []*mem.Frame) error {
-	b := e.blob(f)
-	bs := e.FM.Blobstore()
-	drv := bs.Drv()
-	st := drv.Device().Store
-	for i := 0; i < len(frames); {
-		off := (pageIdx + uint64(i)) * pageSize
-		n := clusterRun(off, len(frames)-i)
-		delay, ferr := st.CheckWrite(p.Now(), bs.DevOff(b, off), n*pageSize)
-		if delay > 0 {
-			p.WaitUntil(p.Now()+delay, engine.KindIOWait)
-		}
-		if ferr != nil {
-			drv.WriteTimed(p, n*pageSize)
-			return ferr
-		}
-		for j := 0; j < n; j++ {
-			flushFrame(st, bs.DevOff(b, off+uint64(j)*pageSize), frames[i+j])
-		}
-		done := drv.WriteTimed(p, n*pageSize)
-		// Durability point: this extent's polled completion. A later extent
-		// failing the run does not take it back.
-		st.Persist(bs.DevOff(b, off), n*pageSize, done)
-		i += n
-	}
-	return nil
-}
+// overlaps: submitted commands are not busy-polled.
+func (e *SPDKEngine) overlaps() bool { return true }
 
-// SubmitWriteRun implements AsyncWriter: per-cluster extents enter the NVMe
-// submission queue without busy-polling each completion; the returned cycle
-// is the last extent's completion.
-func (e *SPDKEngine) SubmitWriteRun(p *engine.Proc, f *fileState, pageIdx uint64, frames []*mem.Frame) (uint64, error) {
-	b := e.blob(f)
-	bs := e.FM.Blobstore()
-	drv := bs.Drv()
-	st := drv.Device().Store
+// transfer is one NVMe command, polled unless submitted. A submission the
+// device rejects was never issued and costs nothing.
+func (e *SPDKEngine) transfer(p *engine.Proc, op ioOp, x extent, ok bool, delay uint64) uint64 {
+	drv := e.FM.Blobstore().Drv()
+	bytes := x.pages * pageSize
 	var done uint64
-	for i := 0; i < len(frames); {
-		off := (pageIdx + uint64(i)) * pageSize
-		n := clusterRun(off, len(frames)-i)
-		delay, ferr := st.CheckWrite(p.Now(), bs.DevOff(b, off), n*pageSize)
-		if ferr != nil {
-			// Submission-time rejection: the caller re-issues the whole run
-			// synchronously. Extents of it already queued above are simply
-			// written twice.
-			return 0, ferr
-		}
-		for j := 0; j < n; j++ {
-			flushFrame(st, bs.DevOff(b, off+uint64(j)*pageSize), frames[i+j])
-		}
-		d := drv.WriteAsync(p, n*pageSize) + delay
-		// Durability point: each extent's own completion (plus any injected
-		// delay), not the run's last.
-		st.Persist(bs.DevOff(b, off), n*pageSize, d)
-		if d > done {
-			done = d
-		}
-		i += n
+	switch {
+	case op == ioRead:
+		drv.ReadTimed(p, bytes)
+		return p.Now()
+	case op == ioWrite:
+		done = drv.WriteTimed(p, bytes)
+	case !ok:
+		return 0
+	default:
+		done = drv.WriteAsync(p, bytes) + delay
 	}
-	return done, nil
+	if ok {
+		// Durability point: this extent's own completion. A later extent
+		// failing the run does not take it back.
+		x.st.Persist(x.off, bytes, done)
+	}
+	return done
 }
 
-// DirectRead implements IOEngine. The fault check covers the first
-// device-contiguous chunk (blob clusters may scatter a long read).
+// DirectRead implements IOEngine: one polled command per blob cluster the
+// range touches, each checked against the fault plan before it is issued.
+// The first failed chunk is charged as its own command and ends the call.
 func (e *SPDKEngine) DirectRead(p *engine.Proc, f *fileState, off uint64, buf []byte) error {
 	b := e.blob(f)
 	bs := e.FM.Blobstore()
 	st := bs.Drv().Device().Store
-	n := min(len(buf), int(spdk.ClusterSize-off%spdk.ClusterSize))
-	delay, ferr := st.CheckRead(p.Now(), bs.DevOff(b, off), n)
-	if delay > 0 {
-		p.WaitUntil(p.Now()+delay, engine.KindIOWait)
+	for i := 0; i < len(buf); {
+		at := off + uint64(i)
+		n := clusterRun(at, len(buf)-i)
+		delay, ferr := st.CheckRead(p.Now(), bs.DevOff(b, at), n)
+		if delay > 0 {
+			p.WaitUntil(p.Now()+delay, engine.KindIOWait)
+		}
+		if ferr != nil {
+			bs.Drv().ReadTimed(p, n)
+			return ferr
+		}
+		bs.ReadBlob(p, b, at, buf[i:i+n])
+		i += n
 	}
-	if ferr != nil {
-		bs.Drv().ReadTimed(p, len(buf))
-		return ferr
-	}
-	bs.ReadBlob(p, b, off, buf)
 	return nil
 }
 
-// DirectWrite implements IOEngine.
+// DirectWrite implements IOEngine, chunked and checked as DirectRead. The
+// chunks written before a failed one stay written; the size grows only when
+// the whole call succeeds.
 func (e *SPDKEngine) DirectWrite(p *engine.Proc, f *fileState, off uint64, buf []byte) error {
 	b := e.blob(f)
 	bs := e.FM.Blobstore()
 	st := bs.Drv().Device().Store
-	n := min(len(buf), int(spdk.ClusterSize-off%spdk.ClusterSize))
-	delay, ferr := st.CheckWrite(p.Now(), bs.DevOff(b, off), n)
-	if delay > 0 {
-		p.WaitUntil(p.Now()+delay, engine.KindIOWait)
+	for i := 0; i < len(buf); {
+		at := off + uint64(i)
+		n := clusterRun(at, len(buf)-i)
+		delay, ferr := st.CheckWrite(p.Now(), bs.DevOff(b, at), n)
+		if delay > 0 {
+			p.WaitUntil(p.Now()+delay, engine.KindIOWait)
+		}
+		if ferr != nil {
+			bs.Drv().WriteTimed(p, n)
+			return ferr
+		}
+		bs.WriteBlob(p, b, at, buf[i:i+n])
+		i += n
 	}
-	if ferr != nil {
-		bs.Drv().WriteTimed(p, len(buf))
-		return ferr
-	}
-	bs.WriteBlob(p, b, off, buf)
 	if off+uint64(len(buf)) > b.Size() {
 		bs.SetSize(b, off+uint64(len(buf)))
 	}
@@ -399,43 +385,20 @@ func (e *HostEngine) Name() string {
 	return "HOST-NVMe"
 }
 
-// ReadRun implements IOEngine.
-func (e *HostEngine) ReadRun(p *engine.Proc, f *fileState, pageIdx uint64, frames []*mem.Frame) error {
-	hf := e.file(f)
-	st := e.OS.Disk().Content
-	bytes := len(frames) * pageSize
-	delay, ferr := st.CheckRead(p.Now(), hf.DevOffset(pageIdx*pageSize), bytes)
-	if ferr == nil {
-		for i, fr := range frames {
-			fillFrame(st, hf.DevOffset((pageIdx+uint64(i))*pageSize), fr)
-		}
-	}
-	e.OS.DirectIOTimed(p, bytes, false)
-	if delay > 0 {
-		p.WaitUntil(p.Now()+delay, engine.KindIOWait)
-	}
-	return ferr
-}
+// overlaps: each I/O is a blocking syscall, so a submission is a write.
+func (e *HostEngine) overlaps() bool { return false }
 
-// WriteRun implements IOEngine.
-func (e *HostEngine) WriteRun(p *engine.Proc, f *fileState, pageIdx uint64, frames []*mem.Frame) error {
-	hf := e.file(f)
-	st := e.OS.Disk().Content
-	bytes := len(frames) * pageSize
-	delay, ferr := st.CheckWrite(p.Now(), hf.DevOffset(pageIdx*pageSize), bytes)
-	if ferr == nil {
-		for i, fr := range frames {
-			flushFrame(st, hf.DevOffset((pageIdx+uint64(i))*pageSize), fr)
-		}
-	}
-	done := e.OS.DirectIOTimed(p, bytes, true)
-	if ferr == nil {
-		st.Persist(hf.DevOffset(pageIdx*pageSize), bytes, done)
+// transfer is one direct-I/O syscall; a latency spike is waited out after it.
+func (e *HostEngine) transfer(p *engine.Proc, op ioOp, x extent, ok bool, delay uint64) uint64 {
+	bytes := x.pages * pageSize
+	done := e.OS.DirectIOTimed(p, bytes, op != ioRead)
+	if ok && op != ioRead {
+		x.st.Persist(x.off, bytes, done)
 	}
 	if delay > 0 {
 		p.WaitUntil(p.Now()+delay, engine.KindIOWait)
 	}
-	return ferr
+	return done
 }
 
 // DirectRead implements IOEngine.
@@ -477,15 +440,4 @@ func (e *HostEngine) DirectWrite(p *engine.Proc, f *fileState, off uint64, buf [
 		p.WaitUntil(p.Now()+delay, engine.KindIOWait)
 	}
 	return nil
-}
-
-// backingSize returns the size recorded by the engine backing.
-func backingSize(b any) uint64 {
-	switch x := b.(type) {
-	case *host.FSFile:
-		return x.Size()
-	case *spdk.Blob:
-		return x.Size()
-	}
-	panic(fmt.Sprintf("core: unknown backing %T", b))
 }

@@ -251,7 +251,7 @@ var _ iface.File = (*AqFile)(nil)
 func (af *AqFile) Name() string { return af.f.name }
 
 // Size implements iface.File.
-func (af *AqFile) Size() uint64 { return backingSize(af.f.backing) }
+func (af *AqFile) Size() uint64 { return af.rt.Engine.size(af.f) }
 
 // Pread implements iface.File.
 func (af *AqFile) Pread(p *engine.Proc, buf []byte, off uint64) error {

@@ -8,7 +8,6 @@ import (
 
 	"aquila/internal/iface"
 	"aquila/internal/sim/engine"
-	"aquila/internal/sim/mem"
 )
 
 // dirtied is one entry of the reference dirty set: the paper's structure said
@@ -20,7 +19,7 @@ type dirtied struct {
 	pages uint64 // 512 for a unit
 }
 
-// wrote is one WriteRun as the engine hook saw it.
+// wrote is one write command as the engine hook saw it.
 type wrote struct {
 	by, file string
 	idx      uint64
@@ -61,7 +60,7 @@ func (r refDirty) msync(by string, f *fileState, lo, hi uint64, maxRun int) []wr
 // of the file's index per core — to the reference: seeded stores from three
 // cores to two files and a 2 MB unit, then full, ranged, leaf-straddling and
 // partial-last-leaf msyncs; every msync must issue exactly the reference's
-// WriteRuns in the reference's order, charge one tree operation per page
+// write commands in the reference's order, charge one tree operation per page
 // taken, and leave exactly the reference's remainder dirty. Then the turn
 // order: while an msync waits in core 1's turn, a page dirtied on core 2 is
 // written by this msync, and pages dirtied on cores 0 and 1 are not.
@@ -78,10 +77,9 @@ func TestMsyncCollectsPerCoreInIndexOrder(t *testing.T) {
 		mb = rt.Mmap(p, rt.CreateFile(p, "b", bPages*pageSize), bPages*pageSize)
 		mh = rt.Mmap(p, rt.CreateFile(p, "h", 2*hugeBytes), 2*hugeBytes)
 		mh.Advise(p, iface.AdviceHuge)
-		below := rt.Engine
-		rt.Engine = &hookedEngine{IOEngine: below, writeRun: func(p *engine.Proc, f *fileState, idx uint64, frames []*mem.Frame) error {
-			log = append(log, wrote{p.Name(), f.name, idx, len(frames)})
-			return below.WriteRun(p, f, idx, frames)
+		rt.Engine = &hookedEngine{IOEngine: rt.Engine, write: func(p *engine.Proc, w extent, _ bool, charge func() uint64) uint64 {
+			log = append(log, wrote{p.Name(), w.f.name, w.idx, w.pages})
+			return charge()
 		}}
 	})
 	e.Run()

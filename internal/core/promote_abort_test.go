@@ -8,19 +8,24 @@ import (
 	"aquila/internal/iface"
 	"aquila/internal/sim/device"
 	"aquila/internal/sim/engine"
-	"aquila/internal/sim/mem"
 )
 
 // hookedEngine is a runtime's I/O engine with a test's function in front of
-// WriteRun: it records, fails or delays a run, and calls the engine below when
-// it wants the run written.
+// the transfer of every write: it records or holds the command, and charges
+// it through the engine below (charge) when it wants it written. Failures
+// come from the device's fault plan, which ioRun has probed by then: ok says
+// whether the command failed.
 type hookedEngine struct {
 	IOEngine
-	writeRun func(p *engine.Proc, f *fileState, idx uint64, frames []*mem.Frame) error
+	write func(p *engine.Proc, x extent, ok bool, charge func() uint64) uint64
 }
 
-func (h *hookedEngine) WriteRun(p *engine.Proc, f *fileState, idx uint64, frames []*mem.Frame) error {
-	return h.writeRun(p, f, idx, frames)
+func (h *hookedEngine) transfer(p *engine.Proc, op ioOp, x extent, ok bool, delay uint64) uint64 {
+	charge := func() uint64 { return h.IOEngine.transfer(p, op, x, ok, delay) }
+	if op == ioRead {
+		return charge()
+	}
+	return h.write(p, x, ok, charge)
 }
 
 // claimAsVictim makes pg the one victim of the next eviction round, claimed
@@ -107,7 +112,8 @@ func TestPromotionAbortsOnFailedDisplacementWriteback(t *testing.T) {
 // write-back is still writing X's neighbour, cleans it and starts writing it.
 // Re-reading X's flag then finds it clean, the promotion goes on and recycles
 // X's frame under msync's write. The schedule is built, not hoped for: the
-// engine hook holds each write until the state the next step needs is there.
+// engine hook holds each write until the state the next step needs is there;
+// X's write-back fails by a fault rule on its device range.
 func TestPromotionAbortRacingMsyncKeepsTheFrame(t *testing.T) {
 	const y, x, x2, z = 7, hugePages + 3, hugePages + 10, hugePages + 20
 	e, pm, boot := hugeHintWorld(16*mib, 4)
@@ -130,24 +136,23 @@ func TestPromotionAbortRacingMsyncKeepsTheFrame(t *testing.T) {
 		m.Advise(p, iface.AdviceHuge)
 		pgY, pgX := f.pages.Get(y), f.pages.Get(x)
 
-		failed := 0
+		// The displacement write-back's attempts all fail: X is requeued.
+		pm.InjectFaults("pmem0", &device.FaultPlan{Rules: []device.FaultRule{
+			{Kind: device.FaultTransientWrite, Off: devOffOf(rt, f, x*pageSize), Len: pageSize, Every: 1, Limit: 1 + ioRetryLimit},
+		}})
 		below = rt.Engine
-		rt.Engine = &hookedEngine{IOEngine: below, writeRun: func(p *engine.Proc, f *fileState, idx uint64, frames []*mem.Frame) error {
-			switch {
-			case idx == x && failed < 1+ioRetryLimit:
-				// The displacement write-back's attempts all fail: X is requeued.
-				failed++
-				return &device.IOError{Kind: device.FaultTransientWrite, Dev: "hook", Off: idx * pageSize, Len: pageSize}
-			case idx == y:
+		rt.Engine = &hookedEngine{IOEngine: below, write: func(p *engine.Proc, w extent, ok bool, charge func() uint64) uint64 {
+			switch w.idx {
+			case y:
 				// The eviction holding Y — and msync behind it — until X is requeued.
 				poll(p, func() bool { return rt.Stats.RequeuedPages > 0 })
-			case idx == x2:
+			case x2:
 				// The displacement write-back stays out until msync has taken X.
-				err := below.WriteRun(p, f, idx, frames)
+				done := charge()
 				poll(p, func() bool { return pgX.pins > 0 })
-				return err
+				return done
 			}
-			return below.WriteRun(p, f, idx, frames)
+			return charge()
 		}}
 		// The eviction sits on Y long enough for msync to collect it busy and dirty.
 		claimAsVictim(rt, pgY, func(p *engine.Proc) { p.WaitUntil(p.Now()+10_000, engine.KindIOWait) })
@@ -201,7 +206,7 @@ func TestPromotionAbortRacingMsyncKeepsTheFrame(t *testing.T) {
 // waits one cycle past the promoter's clock, so each of the promoter's
 // charges hands it the machine — until page 10 is back in the index.
 func TestPromotionAbortAuditsHoldAtEveryYield(t *testing.T) {
-	e, _, boot := hugeHintWorld(16*mib, 2)
+	e, pm, boot := hugeHintWorld(16*mib, 2)
 	audits, republished := 0, false
 	e.Spawn(0, "t", func(p *engine.Proc) {
 		rt := boot(p)
@@ -230,17 +235,17 @@ func TestPromotionAbortAuditsHoldAtEveryYield(t *testing.T) {
 				}
 			}
 		}
-		below := rt.Engine
-		rt.Engine = &hookedEngine{IOEngine: below, writeRun: func(p *engine.Proc, f *fileState, idx uint64, frames []*mem.Frame) error {
-			if idx > 10 || idx+uint64(len(frames)) <= 10 {
-				return below.WriteRun(p, f, idx, frames)
-			}
-			if len(frames) == 1 {
+		// Every write of page 10 fails, merged or alone.
+		pm.InjectFaults("pmem0", &device.FaultPlan{Rules: []device.FaultRule{
+			{Kind: device.FaultTransientWrite, Off: devOffOf(rt, f, 10*pageSize), Len: pageSize, Every: 1},
+		}})
+		rt.Engine = &hookedEngine{IOEngine: rt.Engine, write: func(p *engine.Proc, w extent, ok bool, charge func() uint64) uint64 {
+			if !ok && w.idx == 10 && w.pages == 1 {
 				if attempts++; attempts == 1+ioRetryLimit {
 					p.Engine().Spawn(1, "audit", audit(p))
 				}
 			}
-			return &device.IOError{Kind: device.FaultTransientWrite, Dev: "hook", Off: idx * pageSize, Len: pageSize}
+			return charge()
 		}}
 		got := make([]byte, 8)
 		m.Load(p, 20*pageSize, got) // first fault of a hinted extent: promote, abort

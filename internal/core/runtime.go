@@ -442,21 +442,13 @@ func (rt *Runtime) FileExists(name string) bool {
 	if _, ok := rt.files[name]; ok {
 		return true
 	}
-	switch e := rt.Engine.(type) {
-	case *DAXEngine:
-		return e.OS.FS.Exists(name)
-	case *HostEngine:
-		return e.OS.FS.Exists(name)
-	case *SPDKEngine:
-		return e.FM.Exists(name)
-	}
-	return false
+	return rt.Engine.Exists(name)
 }
 
 // OpenFile opens an existing file.
 func (rt *Runtime) OpenFile(p *engine.Proc, name string) *fileState {
 	if f, ok := rt.files[name]; ok {
-		f.size = backingSize(f.backing)
+		f.size = rt.Engine.size(f)
 		return f
 	}
 	backing, size := rt.Engine.Open(p, name)
@@ -1071,7 +1063,7 @@ func (rt *Runtime) evict(p *engine.Proc) error {
 		return rt.evictStall(p)
 	}
 	rt.evictStalls = 0
-	rt.writeBack(p, dirty, "aq.writeback", nil, false)
+	rt.writeBack(p, dirty, "aq.writeback", false, false)
 	recycled := rt.releaseVictims(p, victims, dirty, false)
 	rt.Stats.DirectReclaimPages += uint64(recycled)
 	p.SpanEvent("evict.pages", uint64(recycled))
@@ -1117,8 +1109,8 @@ func (rt *Runtime) shootdown(p *engine.Proc) {
 // form merged runs — a 2 MB unit alone, never split or capped; 4 KB pages of
 // one file at adjacent indices, up to writebackMaxRun — and write each.
 //
-// With aw nil every run is written synchronously, with bounded retry and
-// per-page recovery. With aw set, runs are submitted back to back and only
+// Without async every run is written synchronously, with bounded retry and
+// per-page recovery. With it, runs are submitted back to back and only
 // their completions are left outstanding; a run whose submission is rejected
 // (nothing queued) is recovered synchronously inline while the rest of the
 // batch keeps overlapping. drain then waits once, for the deepest completion.
@@ -1128,7 +1120,7 @@ func (rt *Runtime) shootdown(p *engine.Proc) {
 // daemon). The first final write failure is returned; every failure is also
 // recorded in its file's error sequence, and the failing page's state says
 // whether it is revived by its holder or stays where msync left it.
-func (rt *Runtime) writeBack(p *engine.Proc, pages []*Page, span string, aw AsyncWriter, drain bool) error {
+func (rt *Runtime) writeBack(p *engine.Proc, pages []*Page, span string, async, drain bool) error {
 	if len(pages) == 0 {
 		return nil
 	}
@@ -1161,10 +1153,10 @@ func (rt *Runtime) writeBack(p *engine.Proc, pages []*Page, span string, aw Asyn
 			frames = pg.appendFrames(frames)
 		}
 		i = j
-		if aw != nil {
+		if async {
 			t0 := p.Now()
 			p.BeginSpan(span)
-			done, err := aw.SubmitWriteRun(p, run[0].file, run[0].idx, frames)
+			done, err := rt.ioRun(p, ioSubmit, run[0].file, run[0].idx, frames)
 			p.EndSpan()
 			rt.Break.Add("writeback", p.Now()-t0)
 			if err == nil {
@@ -1231,7 +1223,7 @@ func (rt *Runtime) readRun(p *engine.Proc, f *fileState, pageIdx uint64, frames 
 	for attempt := 0; ; attempt++ {
 		t0 := p.Now()
 		p.BeginSpan("aq.io")
-		err := rt.Engine.ReadRun(p, f, pageIdx, frames)
+		_, err := rt.ioRun(p, ioRead, f, pageIdx, frames)
 		p.EndSpan()
 		rt.Break.Add("device-io", p.Now()-t0)
 		if err == nil {
@@ -1250,7 +1242,7 @@ func (rt *Runtime) writeRun(p *engine.Proc, spanName string, f *fileState, pageI
 	for attempt := 0; ; attempt++ {
 		t0 := p.Now()
 		p.BeginSpan(spanName)
-		err := rt.Engine.WriteRun(p, f, pageIdx, frames)
+		_, err := rt.ioRun(p, ioWrite, f, pageIdx, frames)
 		p.EndSpan()
 		rt.Break.Add("writeback", p.Now()-t0)
 		if err == nil {
@@ -1441,14 +1433,10 @@ func (rt *Runtime) msyncFileRange(p *engine.Proc, f *fileState, off, length uint
 			rt.charge(p, "dirty-track", costDirtyTreeOp*uint64(taken))
 		}
 	}
-	var aw AsyncWriter
-	if rt.P.UnsafeMsyncAtSubmit {
-		// The planted bug the crash oracle must catch: submit, don't drain,
-		// so msync returns before the durability point. Engines that cannot
-		// overlap have no such window and write synchronously.
-		aw, _ = rt.Engine.(AsyncWriter)
-	}
-	rt.writeBack(p, dirtyPages, "aq.writeback", aw, false)
+	// UnsafeMsyncAtSubmit is the planted bug the crash oracle must catch:
+	// submit, don't drain, so msync returns before the durability point.
+	// Engines that cannot overlap have no such window and write synchronously.
+	rt.writeBack(p, dirtyPages, "aq.writeback", rt.P.UnsafeMsyncAtSubmit && rt.Engine.overlaps(), false)
 	for _, pg := range dirtyPages {
 		pg.pins--
 		pg.writebacks--

@@ -682,6 +682,26 @@ func TestDeleteFileRecyclesCache(t *testing.T) {
 	e.Run()
 }
 
+// Names and sizes are the engine's to answer, whatever wraps it: a file only
+// the host filesystem knows resolves through a wrapped DAX engine, and its
+// descriptor reports the size the backing file records.
+func TestWrappedEngineResolvesFilesAndSizes(t *testing.T) {
+	e, os, boot := daxWorld(8*mib, 1)
+	e.Spawn(0, "t", func(p *engine.Proc) {
+		rt := boot(p)
+		os.FS.Create(p, "outside", 3*pageSize)
+		rt.Engine = &hookedEngine{IOEngine: rt.Engine}
+		if !rt.FileExists("outside") || rt.FileExists("nowhere") {
+			t.Fatalf("through the wrapper: outside exists %v, nowhere %v; want true, false",
+				rt.FileExists("outside"), rt.FileExists("nowhere"))
+		}
+		if got := (&Namespace{RT: rt}).Open(p, "outside").Size(); got != 3*pageSize {
+			t.Errorf("size through the wrapper = %d, want %d", got, 3*pageSize)
+		}
+	})
+	e.Run()
+}
+
 // Regression: majorFault re-probed the hash after its yielding cache-insert
 // charge only with huge pages on, so two threads major-faulting one page each
 // published a Page. The loser's Page dropped out of the hash with its frame

@@ -7,19 +7,21 @@ import (
 	"testing"
 
 	"aquila/internal/detutil"
+	"aquila/internal/host"
 	"aquila/internal/sim/device"
 	"aquila/internal/sim/engine"
 	"aquila/internal/sim/mem"
 )
 
-// recEngine is an I/O engine that moves no content and records every write it
-// is asked for, so a test can read writeBack's run formation back. A submitted
-// run costs recSubmitCost cycles of the caller's time and completes
-// recAsyncLatency cycles later; a synchronous run blocks for recSyncLatency.
-// Submissions of runs starting at a page in reject are refused.
+// recEngine is an I/O engine over a pmem store whose transfers record every
+// write they are asked for, so a test can read writeBack's run formation back.
+// File f's page idx lives at device offset (f.id*recFilePages+idx)*pageSize. A
+// submitted run costs recSubmitCost cycles of the caller's time and completes
+// recAsyncLatency cycles later; a synchronous run blocks for recSyncLatency. A
+// submission is refused when the fault plan fails its probe.
 type recEngine struct {
-	log    []string
-	reject map[uint64]bool
+	st  *device.Store
+	log []string
 	// submits are the cycles at which runs were accepted, dones their
 	// completion cycles.
 	submits, dones []uint64
@@ -29,41 +31,51 @@ const (
 	recSubmitCost   = 100
 	recAsyncLatency = 50_000
 	recSyncLatency  = 7_000
+	recFilePages    = 4096
 )
 
 func (e *recEngine) Name() string                                               { return "rec" }
 func (e *recEngine) Create(*engine.Proc, string, uint64) any                    { return nil }
 func (e *recEngine) Open(*engine.Proc, string) (any, uint64)                    { return nil, 0 }
 func (e *recEngine) Delete(*engine.Proc, string)                                {}
+func (e *recEngine) Exists(string) bool                                         { return false }
 func (e *recEngine) DirectRead(*engine.Proc, *fileState, uint64, []byte) error  { return nil }
 func (e *recEngine) DirectWrite(*engine.Proc, *fileState, uint64, []byte) error { return nil }
-func (e *recEngine) ReadRun(*engine.Proc, *fileState, uint64, []*mem.Frame) error {
-	return nil
+func (e *recEngine) size(*fileState) uint64                                     { return 0 }
+func (e *recEngine) overlaps() bool                                             { return true }
+
+func (e *recEngine) extent(f *fileState, idx uint64, n int) extent {
+	return extent{f: f, idx: idx, pages: n, st: e.st, off: (f.id*recFilePages + idx) * pageSize}
 }
 
-func (e *recEngine) WriteRun(p *engine.Proc, f *fileState, idx uint64, frames []*mem.Frame) error {
-	e.log = append(e.log, fmt.Sprintf("sync %s:%d+%d", f.name, idx, len(frames)))
-	p.WaitUntil(p.Now()+recSyncLatency, engine.KindIOWait)
-	return nil
-}
-
-func (e *recEngine) SubmitWriteRun(p *engine.Proc, f *fileState, idx uint64, frames []*mem.Frame) (uint64, error) {
-	p.AdvanceSystem(recSubmitCost)
-	if e.reject[idx] {
-		e.log = append(e.log, fmt.Sprintf("reject %s:%d+%d", f.name, idx, len(frames)))
-		return 0, &device.IOError{Kind: device.FaultTransientWrite, Dev: "rec"}
+func (e *recEngine) transfer(p *engine.Proc, op ioOp, x extent, ok bool, _ uint64) uint64 {
+	run := fmt.Sprintf("%s:%d+%d", x.f.name, x.idx, x.pages)
+	switch op {
+	case ioWrite:
+		e.log = append(e.log, "sync "+run)
+		p.WaitUntil(p.Now()+recSyncLatency, engine.KindIOWait)
+	case ioSubmit:
+		p.AdvanceSystem(recSubmitCost)
+		if !ok {
+			e.log = append(e.log, "reject "+run)
+			return 0
+		}
+		e.log = append(e.log, "submit "+run)
+		e.submits = append(e.submits, p.Now())
+		e.dones = append(e.dones, p.Now()+recAsyncLatency)
+		return p.Now() + recAsyncLatency
 	}
-	e.log = append(e.log, fmt.Sprintf("submit %s:%d+%d", f.name, idx, len(frames)))
-	e.submits = append(e.submits, p.Now())
-	e.dones = append(e.dones, p.Now()+recAsyncLatency)
-	return p.Now() + recAsyncLatency, nil
+	return p.Now()
 }
 
-// recWorld boots a runtime over a recEngine.
-func recWorld() (*engine.Engine, *recEngine, func(p *engine.Proc) *Runtime) {
-	e, os, _ := daxWorld(4*mib, 2)
-	eng := &recEngine{reject: map[uint64]bool{}}
-	return e, eng, func(p *engine.Proc) *Runtime {
+// recWorld boots a runtime over a recEngine and returns the pmem device its
+// store belongs to, for fault plans.
+func recWorld() (*engine.Engine, *device.PMem, *recEngine, func(p *engine.Proc) *Runtime) {
+	e := engine.New(engine.Config{NumCPUs: 2, Seed: 1})
+	pm := device.NewPMem(512*mib, device.DefaultPMemConfig())
+	os := host.NewOS(e, host.NewPMemDisk("pmem0", pm), 64*mib)
+	eng := &recEngine{st: pm.Store}
+	return e, pm, eng, func(p *engine.Proc) *Runtime {
 		return NewRuntime(p, os, eng, Config{CacheBytes: 4 * mib})
 	}
 }
@@ -115,7 +127,7 @@ func TestWriteBackRunFormation(t *testing.T) {
 	for _, tc := range cases {
 		for _, async := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/async=%v", tc.name, async), func(t *testing.T) {
-				e, eng, boot := recWorld()
+				e, _, eng, boot := recWorld()
 				e.Spawn(0, "t", func(p *engine.Proc) {
 					rt := boot(p)
 					files := []*fileState{rt.CreateFile(p, "a", 8*mib), rt.CreateFile(p, "b", 8*mib)}
@@ -126,12 +138,11 @@ func TestWriteBackRunFormation(t *testing.T) {
 						pages = append(pages, pg)
 						total += pg.pages()
 					}
-					var aw AsyncWriter
 					kind := "sync "
 					if async {
-						aw, kind = eng, "submit "
+						kind = "submit "
 					}
-					if err := rt.writeBack(p, pages, "aq.writeback", aw, true); err != nil {
+					if err := rt.writeBack(p, pages, "aq.writeback", async, true); err != nil {
 						t.Fatalf("writeBack = %v", err)
 					}
 					var want []string
@@ -159,17 +170,20 @@ func TestWriteBackRunFormation(t *testing.T) {
 func TestWriteBackOverlapRejectAndDrain(t *testing.T) {
 	for _, drain := range []bool{true, false} {
 		t.Run(fmt.Sprintf("drain=%v", drain), func(t *testing.T) {
-			e, eng, boot := recWorld()
-			eng.reject[4] = true
+			e, pm, eng, boot := recWorld()
 			e.Spawn(0, "t", func(p *engine.Proc) {
 				rt := boot(p)
 				f := rt.CreateFile(p, "a", 1*mib)
+				// The first write of page 4 fails: its submission is refused.
+				pm.InjectFaults("pmem0", &device.FaultPlan{Rules: []device.FaultRule{
+					{Kind: device.FaultTransientWrite, Off: eng.extent(f, 4, 1).off, Len: pageSize},
+				}})
 				var pages []*Page
 				for idx := uint64(0); idx < 10; idx += 2 {
 					pages = append(pages, testPage(f, idx, false))
 				}
 				t0, w0 := p.Now(), p.Accounted(engine.KindIOWait)
-				if err := rt.writeBack(p, pages, "aq.bg_writeback", eng, drain); err != nil {
+				if err := rt.writeBack(p, pages, "aq.bg_writeback", true, drain); err != nil {
 					t.Fatalf("writeBack = %v (a refused submission that then writes is not a failure)", err)
 				}
 				want := []string{"submit a:0+1", "submit a:2+1", "reject a:4+1", "sync a:4+1", "submit a:6+1", "submit a:8+1"}
