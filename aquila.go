@@ -135,6 +135,19 @@ const (
 	ModeLinuxDirect
 )
 
+// String returns the mode's label ("aquila", "linux", "linux-direct"): the
+// trace label and metrics world of a System that names none.
+func (m Mode) String() string {
+	switch m {
+	case ModeLinuxMmap:
+		return "linux"
+	case ModeLinuxDirect:
+		return "linux-direct"
+	default:
+		return "aquila"
+	}
+}
+
 // Options configures a System.
 type Options struct {
 	// CPUs is the simulated CPU count (default 32, the paper's testbed).
@@ -231,7 +244,7 @@ func New(opts Options) *System {
 	label := s.TraceLabel()
 	s.Sim = simengine.New(simengine.Config{
 		NumCPUs: opts.CPUs, Seed: opts.Seed,
-		Spans: opts.Tracer, Profile: opts.Profiler,
+		Spans: opts.Tracer, Profile: opts.Profiler, Registry: opts.Registry,
 		TraceLabel: label, SchedPerturb: opts.SchedPerturb,
 	})
 	var disk *host.Disk
@@ -251,7 +264,7 @@ func New(opts Options) *System {
 	if opts.restoreMedia != nil {
 		// Recovery boot: the device starts from the crash image's durable
 		// media, before any layer above has touched it.
-		s.Store().AdoptMedia(opts.restoreMedia)
+		disk.Content.AdoptMedia(opts.restoreMedia)
 	}
 	if opts.Tracer != nil || opts.Registry != nil {
 		devPID := 0
@@ -259,14 +272,9 @@ func New(opts Options) *System {
 			devPID = opts.Tracer.RegisterProcess(label + "/devices")
 			opts.Tracer.SetThreadName(devPID, 0, devName)
 		}
-		if s.PMem != nil {
-			s.PMem.Instrument(opts.Tracer, devPID, 0, opts.Registry, label+"/"+devName)
-		} else {
-			s.NVMe.Instrument(opts.Tracer, devPID, 0, opts.Registry, label+"/"+devName)
-		}
+		disk.Content.Instrument(opts.Tracer, devPID, 0, opts.Registry, label+"/"+devName)
 	}
 	s.Host = host.NewOS(s.Sim, disk, opts.CacheBytes)
-	s.Host.AttachObs(opts.Registry, label)
 
 	switch opts.Mode {
 	case ModeLinuxMmap:
@@ -280,8 +288,6 @@ func New(opts Options) *System {
 				CacheBytes:       opts.CacheBytes,
 				MaxCacheBytes:    opts.MaxCacheBytes,
 				Params:           opts.Params,
-				Registry:         opts.Registry,
-				Label:            label,
 				RestoredWBErrors: opts.restoreWBErr,
 				Recovered:        opts.recovered,
 			})
@@ -298,31 +304,20 @@ func New(opts Options) *System {
 // it. A nil plan detaches. Injection is recorded in the registry
 // (dev_faults_injected) and trace (dev.fault spans) when instrumented.
 func (s *System) InjectFaults(plan *device.FaultPlan) {
-	switch {
-	case s.PMem != nil:
-		s.PMem.InjectFaults("pmem0", plan)
-	case s.NVMe != nil:
-		s.NVMe.InjectFaults("nvme0", plan)
-	}
+	d := s.Host.Disk()
+	d.Content.InjectFaults(d.Name, plan)
 }
 
 // InjectedFaults returns how many faults the device has injected so far.
 func (s *System) InjectedFaults() uint64 { return s.Store().InjectedFaults() }
 
 // TraceLabel returns the label identifying this System in shared tracers and
-// registries: Options.TraceLabel, or one derived from the mode.
+// registries: Options.TraceLabel, or the mode's (Mode.String).
 func (s *System) TraceLabel() string {
 	if s.Opts.TraceLabel != "" {
 		return s.Opts.TraceLabel
 	}
-	switch s.Opts.Mode {
-	case ModeLinuxMmap:
-		return "linux"
-	case ModeLinuxDirect:
-		return "linux-direct"
-	default:
-		return "aquila"
-	}
+	return s.Opts.Mode.String()
 }
 
 // PublishStats pushes the System's operation counters (Aquila runtime stats,
@@ -371,12 +366,7 @@ func (s *System) PublishStats() {
 	reg.Counter("pagecache_written_back", l).Set(c.WrittenBk)
 	reg.Counter("pagecache_promoted", l).Set(c.Promoted)
 	reg.Counter("pagecache_demoted", l).Set(c.Demoted)
-	var dst device.Stats
-	if s.PMem != nil {
-		dst = s.PMem.Stats()
-	} else if s.NVMe != nil {
-		dst = s.NVMe.Stats()
-	}
+	dst := s.Store().Stats()
 	reg.Counter("dev_content_reads", l).Set(dst.Reads)
 	reg.Counter("dev_content_writes", l).Set(dst.Writes)
 	reg.Counter("dev_bytes_read", l).Set(dst.BytesRead)

@@ -84,7 +84,6 @@ func main() {
 			db := lsm.Open(p, sys.Sim, lsm.Options{
 				NS: sys.NS, Mode: lsmMode, BlockCacheBytes: cache,
 				DisableWAL: true, Seed: *seed,
-				Registry: reg, MetricsLabel: sys.TraceLabel(),
 			})
 			db.BulkLoad(p, *records, 1000)
 			kv = db

@@ -66,12 +66,7 @@ type CrashImage struct {
 }
 
 // Store returns the System's device content store (exactly one device exists).
-func (s *System) Store() *device.Store {
-	if s.PMem != nil {
-		return s.PMem.Store
-	}
-	return s.NVMe.Store
-}
+func (s *System) Store() *device.Store { return s.Host.Disk().Content }
 
 // InjectCrash arms a crash plan on the System: engine-side triggers (cycle,
 // span) and the device-op trigger. An empty or nil plan disarms everything —

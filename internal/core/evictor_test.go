@@ -188,7 +188,8 @@ func TestAsyncEvictDirectReclaimFallback(t *testing.T) {
 	if rt.Break.Get("direct_reclaim") == 0 {
 		t.Error("no direct_reclaim cycles in breakdown")
 	}
-	if got := rt.Reg.Counter("aquila_evict_stall").Value(); got != rt.Stats.EvictStalls {
+	reg, labels := rt.e.Metrics()
+	if got := reg.Counter("aquila_evict_stall", labels...).Value(); got != rt.Stats.EvictStalls {
 		t.Errorf("aquila_evict_stall metric %d != stats %d", got, rt.Stats.EvictStalls)
 	}
 	if err := rt.CheckInvariants(); err != nil {

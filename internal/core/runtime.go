@@ -119,12 +119,6 @@ type Config struct {
 	MaxCacheBytes uint64
 	// Params overrides the policy (nil: DefaultParams).
 	Params *Params
-	// Registry receives the runtime's metrics (fault-cycle breakdown,
-	// counters). Nil creates a private registry, so Break always works.
-	Registry *obs.Registry
-	// Label distinguishes this runtime's series in a shared Registry
-	// (metric key "aquila_fault_cycles{world=<label>}").
-	Label string
 	// RestoredWBErrors carries per-file writeback errors out of a crash
 	// image into a recovered runtime: the first open/create of a named file
 	// seeds its errseq with the error, unseen, so the first sync caller in
@@ -210,10 +204,8 @@ type Runtime struct {
 	Prefer  func(*Page) bool
 
 	// Break attributes fault-path cycles to components (Figs 7, 8). It is
-	// interned in Reg as "aquila_fault_cycles".
+	// interned in the engine's registry as "aquila_fault_cycles".
 	Break *obs.Breakdown
-	// Reg is the metrics registry (never nil; private unless configured).
-	Reg   *obs.Registry
 	Stats Stats
 }
 
@@ -229,14 +221,7 @@ func NewRuntime(p *engine.Proc, hostOS *host.OS, eng IOEngine, cfg Config) *Runt
 	if cfg.Params != nil {
 		params = *cfg.Params
 	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	var labels []obs.Label
-	if cfg.Label != "" {
-		labels = append(labels, obs.L("world", cfg.Label))
-	}
+	reg, labels := hostOS.E.Metrics()
 	rt := &Runtime{
 		e:        hostOS.E,
 		P:        params,
@@ -249,7 +234,6 @@ func NewRuntime(p *engine.Proc, hostOS *host.OS, eng IOEngine, cfg Config) *Runt
 		gpaBase:  16 << 30,
 		evictSel: engine.NewMutex(hostOS.E, "aquila_evict_select"),
 		Break:    reg.Breakdown("aquila_fault_cycles", labels...),
-		Reg:      reg,
 	}
 	rt.recovered = cfg.Recovered
 	if len(cfg.RestoredWBErrors) > 0 {

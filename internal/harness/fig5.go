@@ -108,7 +108,7 @@ func rocksRunX(mode rocksMode, dev aquila.DeviceKind, cache uint64, records uint
 }
 
 // loadRocks opens a RocksDB-like store in sys and bulk-loads records into it.
-// The store reports its cycle breakdown into the harness registry, if any.
+// The store reports its cycle breakdown into the world's registry.
 func loadRocks(sys *aquila.System, io lsm.IOMode, cache, records uint64, valueSize int, seed int64) *lsm.DB {
 	var db *lsm.DB
 	sys.Do(func(p *aquila.Proc) {
@@ -119,8 +119,6 @@ func loadRocks(sys *aquila.System, io lsm.IOMode, cache, records uint64, valueSi
 			SSTTargetBytes:  int(min(8*mib, cache/2)),
 			DisableWAL:      true,
 			Seed:            seed,
-			Registry:        Registry(),
-			MetricsLabel:    sys.TraceLabel(),
 		})
 		db.BulkLoad(p, records, valueSize)
 	})

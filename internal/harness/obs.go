@@ -56,10 +56,6 @@ func InstrumentProfiler(sink obs.SpanSink) {
 	obsProf = sink
 }
 
-// Registry returns the registry experiments currently report into (nil when
-// uninstrumented).
-func Registry() *obs.Registry { return obsReg }
-
 // boot creates a System, injecting the harness tracer/registry. An Aquila
 // world that brings no Params runs with core.ParamsForCache(CacheBytes): the
 // one place that rule lives, so a figure names Params only to change them (or
@@ -69,12 +65,12 @@ func boot(opts aquila.Options) *aquila.System {
 	if opts.Mode == aquila.ModeAquila && opts.Params == nil {
 		opts.Params = core.ParamsForCache(opts.CacheBytes)
 	}
-	if obsTracer != nil || obsReg != nil || obsProf != nil {
+	if instrumented() {
 		opts.Tracer = obsTracer
 		opts.Registry = obsReg
 		opts.Profiler = obsProf
 		if opts.TraceLabel == "" {
-			opts.TraceLabel = nextLabel(modeLabel(opts.Mode))
+			opts.TraceLabel = nextLabel(opts.Mode.String())
 		}
 	}
 	sys := aquila.New(opts)
@@ -84,17 +80,22 @@ func boot(opts aquila.Options) *aquila.System {
 
 // bootEngine is boot for the worlds that need no aquila.System — a DRAM-only
 // heap, a hand-wired host over a custom device: a bare engine, given the
-// harness tracer/profiler under a label of its own and tracked until retired
-// like any other world. st is the device the world's host will drive (nil for
-// a DRAM-only world), for retire to audit.
+// harness tracer, registry and profiler under a label of its own and tracked
+// until retired like any other world. st is the device the world's host will
+// drive (nil for a DRAM-only world), for retire to audit.
 func bootEngine(cfg simengine.Config, label string, st *device.Store) *simengine.Engine {
-	if obsTracer != nil || obsProf != nil {
-		cfg.Spans, cfg.Profile, cfg.TraceLabel = obsTracer, obsProf, nextLabel(label)
+	if instrumented() {
+		cfg.Spans, cfg.Registry, cfg.Profile = obsTracer, obsReg, obsProf
+		cfg.TraceLabel = nextLabel(label)
 	}
 	e := simengine.New(cfg)
 	track(world{e: e, st: st})
 	return e
 }
+
+// instrumented reports whether any harness sink is set: then every world
+// booted gets them and a numbered label.
+func instrumented() bool { return obsTracer != nil || obsReg != nil || obsProf != nil }
 
 // track registers a freshly booted world.
 func track(w world) {
@@ -158,17 +159,6 @@ func TakeSimCycles() uint64 {
 func PublishAll() {
 	if obsTracer != nil && obsReg != nil {
 		obsReg.Counter("aq.obs.spans_dropped").Set(obsTracer.Dropped())
-	}
-}
-
-func modeLabel(m aquila.Mode) string {
-	switch m {
-	case aquila.ModeLinuxMmap:
-		return "linux"
-	case aquila.ModeLinuxDirect:
-		return "linux-direct"
-	default:
-		return "aquila"
 	}
 }
 

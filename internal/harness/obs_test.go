@@ -2,13 +2,17 @@ package harness
 
 import (
 	"bytes"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"aquila"
+	"aquila/internal/host"
 	"aquila/internal/obs"
+	"aquila/internal/sim/device"
 	simengine "aquila/internal/sim/engine"
 )
 
@@ -227,4 +231,37 @@ func TestBareEngineWorldsAreTracked(t *testing.T) {
 		}
 	}()
 	e.Run()
+}
+
+// Regression: bootEngine handed a bare engine the harness tracer and profiler
+// but not the registry, so the hosts and runtimes built on one (iouring,
+// nvm-heap) reported into private registries and -metrics-json left them out.
+// It also numbered a bare engine's label only when a tracer or profiler was
+// set, so with a registry alone the Systems booted after one were labeled
+// differently than in a traced run.
+func TestBareEngineWorldsReportIntoTheHarnessRegistry(t *testing.T) {
+	defer Instrument(nil, nil)
+	// bootPair boots a bare engine with a host on it, then a System, and
+	// returns the System's label.
+	bootPair := func() string {
+		pm := device.NewPMem(8*mib, device.DefaultPMemConfig())
+		e := bootEngine(simengine.Config{NumCPUs: 1}, "bare", pm.Store)
+		host.NewOS(e, host.NewPMemDisk("pmem0", pm), mib)
+		sys := boot(aquila.Options{CacheBytes: mib, DeviceBytes: 8 * mib, CPUs: 1})
+		TakeSimCycles()
+		return sys.TraceLabel()
+	}
+
+	reg := obs.NewRegistry()
+	Instrument(nil, reg)
+	regOnly := bootPair()
+	if _, ok := reg.Snapshot().Breakdowns["linux_fault_cycles{world=bare.1}"]; !ok {
+		t.Errorf("the bare engine's host is missing from the harness registry: %v",
+			slices.Sorted(maps.Keys(reg.Snapshot().Breakdowns)))
+	}
+	Instrument(obs.NewTracer(), nil)
+	if traced := bootPair(); regOnly != traced {
+		t.Errorf("System booted after a bare engine is %q with a registry only, %q with a tracer only",
+			regOnly, traced)
+	}
 }

@@ -137,27 +137,9 @@ type OS struct {
 
 	procs []*Process
 
-	// Reg is the metrics registry (never nil; private unless AttachObs is
-	// called). Break attributes kernel fault-path cycles to components,
-	// interned as "linux_fault_cycles".
-	Reg   *obs.Registry
+	// Break attributes kernel fault-path cycles to components, interned in
+	// the engine's registry as "linux_fault_cycles".
 	Break *obs.Breakdown
-}
-
-// AttachObs points the OS at a shared metrics registry. label (may be empty)
-// distinguishes this OS's series when several share a registry. Call right
-// after NewOS, before the simulation runs: breakdowns accumulated so far stay
-// in the previous registry.
-func (os *OS) AttachObs(reg *obs.Registry, label string) {
-	if reg == nil {
-		return
-	}
-	os.Reg = reg
-	var labels []obs.Label
-	if label != "" {
-		labels = append(labels, obs.L("world", label))
-	}
-	os.Break = reg.Breakdown("linux_fault_cycles", labels...)
 }
 
 // charge advances p by cyc system cycles and attributes them to a breakdown
@@ -192,9 +174,9 @@ func NewOS(e *engine.Engine, disk *Disk, cacheBytes uint64) *OS {
 		E:    e,
 		P:    Params{DirtyRatio: 0.10},
 		TLBs: cpu.NewTLBSet(e.NumCPUs(), 1536, 17),
-		Reg:  obs.NewRegistry(),
 	}
-	os.Break = os.Reg.Breakdown("linux_fault_cycles")
+	reg, labels := e.Metrics()
+	os.Break = reg.Breakdown("linux_fault_cycles", labels...)
 	os.FS = newFS(os, disk)
 	os.Cache = newPageCache(os, cacheBytes)
 	os.HV = newHypervisor(os)

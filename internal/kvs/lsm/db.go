@@ -72,11 +72,6 @@ type Options struct {
 	DisableWAL bool
 	// Seed for the memtable skiplist.
 	Seed int64
-	// Registry receives the store's cycle breakdown (interned as
-	// "lsm_cycles"). Nil keeps a private breakdown.
-	Registry *obs.Registry
-	// MetricsLabel distinguishes this store's series in a shared Registry.
-	MetricsLabel string
 
 	// memtableBytes and walBytes override defaultMemtableBytes and
 	// defaultWALBytes when nonzero. Only the package's tests set them.
@@ -109,7 +104,8 @@ type DB struct {
 	// Break attributes per-category cycles for the Fig 7 decomposition:
 	// "get" (store processing), "put", "cache" (user-space block cache
 	// management), "io" (read path to storage, including syscalls),
-	// "mmio" (mapped reads: faults + loads).
+	// "mmio" (mapped reads: faults + loads). It is interned in the engine's
+	// registry as "lsm_cycles".
 	Break *obs.Breakdown
 
 	// Stats.
@@ -142,15 +138,8 @@ func Open(p *engine.Proc, e *engine.Engine, opts Options) *DB {
 		mem:       newSkiplist(opts.Seed + 1),
 		levels:    make([][]*SST, 4),
 	}
-	if opts.Registry != nil {
-		var labels []obs.Label
-		if opts.MetricsLabel != "" {
-			labels = append(labels, obs.L("world", opts.MetricsLabel))
-		}
-		db.Break = opts.Registry.Breakdown("lsm_cycles", labels...)
-	} else {
-		db.Break = obs.NewBreakdown()
-	}
+	reg, labels := e.Metrics()
+	db.Break = reg.Breakdown("lsm_cycles", labels...)
 	if opts.Mode == IODirectCached {
 		cap := opts.BlockCacheBytes
 		if cap == 0 {

@@ -52,9 +52,12 @@ type Store struct {
 	// for stage to reuse; spare holds the emptied per-block version lists. A
 	// rewrite-persist-settle cycle then allocates nothing. Both are bounded by
 	// the peak number of blocks that were live at once.
-	bufs   mem.Buffers
-	spare  [][]volVersion
-	stats  Stats
+	bufs  mem.Buffers
+	spare [][]volVersion
+	stats Stats
+	// obs is the device's instrumentation (Instrument), faults its fault
+	// plan (InjectFaults); both nil when off.
+	obs    *devObs
 	faults *faultState
 	// crashAtOp/crashHook implement CrashPlan.AtDeviceOp (crash.go).
 	crashAtOp uint64

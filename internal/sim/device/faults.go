@@ -200,33 +200,24 @@ type faultState struct {
 	dev      string
 	rules    []*ruleState
 	rng      *rand.Rand
-	obs      *devObs
 	badRead  []badRange
 	badWrite []badRange
 	injected uint64
 }
 
-// attachFaults binds a plan to the store. The obs hook is resolved lazily by
-// the device's Instrument call (see linkObs), so injection order vs
-// instrumentation order does not matter.
-func (s *Store) attachFaults(dev string, plan *FaultPlan, o *devObs) {
+// InjectFaults attaches a fault plan to the device the store belongs to (nil
+// detaches). name labels the device in errors. Injected faults are recorded
+// through the store's instrumentation (Instrument), in either call order.
+func (s *Store) InjectFaults(name string, plan *FaultPlan) {
 	if plan == nil {
 		s.faults = nil
 		return
 	}
-	fs := &faultState{dev: dev, rng: rand.New(rand.NewSource(plan.Seed)), obs: o}
+	fs := &faultState{dev: name, rng: rand.New(rand.NewSource(plan.Seed))}
 	for i := range plan.Rules {
 		fs.rules = append(fs.rules, &ruleState{FaultRule: plan.Rules[i]})
 	}
 	s.faults = fs
-}
-
-// linkObs (re)binds the fault recorder to the device's obs hook, so Inject
-// before Instrument still traces.
-func (s *Store) linkObs(o *devObs) {
-	if s.faults != nil {
-		s.faults.obs = o
-	}
 }
 
 // InjectedFaults returns how many faults the store has injected so far
@@ -248,7 +239,7 @@ func (s *Store) Check(now uint64, off uint64, n int, write bool) (delay uint64, 
 	if s.faults == nil {
 		return 0, nil
 	}
-	return s.faults.check(now, off, n, write)
+	return s.faults.check(s.obs, now, off, n, write)
 }
 
 // CheckRead is Check for reads.
@@ -265,7 +256,7 @@ func overlaps(off, end, rOff, rEnd uint64) bool {
 	return off < rEnd && rOff < end
 }
 
-func (fs *faultState) check(now uint64, off uint64, n int, write bool) (uint64, error) {
+func (fs *faultState) check(o *devObs, now uint64, off uint64, n int, write bool) (uint64, error) {
 	end := off + uint64(n)
 	var delay uint64
 	var err error
@@ -277,7 +268,7 @@ func (fs *faultState) check(now uint64, off uint64, n int, write bool) (uint64, 
 	for _, r := range bad {
 		if overlaps(off, end, r.off, r.end) {
 			err = &IOError{Kind: r.kind, Dev: fs.dev, Off: off, Len: n}
-			fs.record(now, r.kind, 0)
+			fs.record(o, now, r.kind, 0)
 			break
 		}
 	}
@@ -304,7 +295,7 @@ func (fs *faultState) check(now uint64, off uint64, n int, write bool) (uint64, 
 				d = DefaultSpikeDelay
 			}
 			delay += d
-			fs.record(now, rs.Kind, d)
+			fs.record(o, now, rs.Kind, d)
 			continue
 		case FaultPermanentRead, FaultPoison:
 			fs.badRead = append(fs.badRead, badRange{off: rs.Off, end: rEnd, kind: rs.Kind})
@@ -314,7 +305,7 @@ func (fs *faultState) check(now uint64, off uint64, n int, write bool) (uint64, 
 		if err == nil {
 			err = &IOError{Kind: rs.Kind, Dev: fs.dev, Off: off, Len: n}
 		}
-		fs.record(now, rs.Kind, 0)
+		fs.record(o, now, rs.Kind, 0)
 	}
 	return delay, err
 }
@@ -340,19 +331,9 @@ func (rs *ruleState) fire(rng *rand.Rand) bool {
 	return (rs.matches-after)%rs.Every == 0
 }
 
-// record counts the injection and emits the dev.fault span/counter.
-func (fs *faultState) record(now uint64, kind FaultKind, delay uint64) {
+// record counts the injection and emits the dev.fault span/counter through
+// the store's instrumentation o (nil: uninstrumented).
+func (fs *faultState) record(o *devObs, now uint64, kind FaultKind, delay uint64) {
 	fs.injected++
-	fs.obs.fault(now, kind.String(), delay)
-}
-
-// InjectFaults attaches a fault plan to the NVMe device (nil detaches).
-// name labels the device in errors and obs series.
-func (d *NVMe) InjectFaults(name string, plan *FaultPlan) {
-	d.Store.attachFaults(name, plan, d.obs)
-}
-
-// InjectFaults attaches a fault plan to the pmem device (nil detaches).
-func (d *PMem) InjectFaults(name string, plan *FaultPlan) {
-	d.Store.attachFaults(name, plan, d.obs)
+	o.fault(now, kind.String(), delay)
 }

@@ -4,7 +4,11 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
+
+	"aquila/internal/obs"
 )
 
 // checkSeq runs n same-shaped operations through the store and returns which
@@ -20,9 +24,9 @@ func checkSeq(s *Store, n int, off uint64, size int, write bool) []bool {
 
 func TestFaultScheduleAfterEveryLimit(t *testing.T) {
 	s := NewStore(1 << 20)
-	s.attachFaults("dev0", &FaultPlan{Rules: []FaultRule{
+	s.InjectFaults("dev0", &FaultPlan{Rules: []FaultRule{
 		{Kind: FaultTransientWrite, After: 3, Every: 5, Limit: 2},
-	}}, nil)
+	}})
 	got := checkSeq(s, 15, 0, 4096, true)
 	// Matches 3 and 8 fire (After=3, Every=5, Limit=2); match 13 is capped.
 	want := []bool{false, false, true, false, false, false, false, true,
@@ -39,9 +43,9 @@ func TestFaultScheduleAfterEveryLimit(t *testing.T) {
 
 func TestFaultDirectionMatch(t *testing.T) {
 	s := NewStore(1 << 20)
-	s.attachFaults("dev0", &FaultPlan{Rules: []FaultRule{
+	s.InjectFaults("dev0", &FaultPlan{Rules: []FaultRule{
 		{Kind: FaultTransientWrite, After: 1},
-	}}, nil)
+	}})
 	if _, err := s.CheckRead(0, 0, 4096); err != nil {
 		t.Errorf("write-fault rule failed a read: %v", err)
 	}
@@ -53,9 +57,9 @@ func TestFaultDirectionMatch(t *testing.T) {
 
 func TestFaultRangeRestriction(t *testing.T) {
 	s := NewStore(1 << 20)
-	s.attachFaults("dev0", &FaultPlan{Rules: []FaultRule{
+	s.InjectFaults("dev0", &FaultPlan{Rules: []FaultRule{
 		{Kind: FaultTransientRead, Off: 8192, Len: 4096, After: 1, Every: 1},
-	}}, nil)
+	}})
 	if _, err := s.CheckRead(0, 0, 4096); err != nil {
 		t.Errorf("out-of-range read failed: %v", err)
 	}
@@ -71,9 +75,9 @@ func TestFaultRangeRestriction(t *testing.T) {
 func TestFaultProbDeterministicPerSeed(t *testing.T) {
 	run := func(seed int64) []bool {
 		s := NewStore(1 << 20)
-		s.attachFaults("dev0", &FaultPlan{Seed: seed, Rules: []FaultRule{
+		s.InjectFaults("dev0", &FaultPlan{Seed: seed, Rules: []FaultRule{
 			{Kind: FaultTransientWrite, Prob: 0.3},
-		}}, nil)
+		}})
 		return checkSeq(s, 200, 0, 4096, true)
 	}
 	a, b := run(7), run(7)
@@ -103,9 +107,9 @@ func TestFaultProbDeterministicPerSeed(t *testing.T) {
 
 func TestPermanentReadRangePersists(t *testing.T) {
 	s := NewStore(1 << 20)
-	s.attachFaults("nvme0", &FaultPlan{Rules: []FaultRule{
+	s.InjectFaults("nvme0", &FaultPlan{Rules: []FaultRule{
 		{Kind: FaultPermanentRead, Off: 4096, Len: 4096, After: 2},
-	}}, nil)
+	}})
 	if _, err := s.CheckRead(0, 4096, 4096); err != nil {
 		t.Fatalf("read before After failed: %v", err)
 	}
@@ -136,9 +140,9 @@ func TestPermanentReadRangePersists(t *testing.T) {
 
 func TestPoisonActsAsPermanentRead(t *testing.T) {
 	s := NewStore(1 << 20)
-	s.attachFaults("pmem0", &FaultPlan{Rules: []FaultRule{
+	s.InjectFaults("pmem0", &FaultPlan{Rules: []FaultRule{
 		{Kind: FaultPoison, Off: 0, Len: 64, After: 1},
-	}}, nil)
+	}})
 	_, err := s.CheckRead(0, 0, 4096)
 	var de *IOError
 	if !errors.As(err, &de) || de.Kind != FaultPoison {
@@ -151,9 +155,9 @@ func TestPoisonActsAsPermanentRead(t *testing.T) {
 
 func TestLatencySpikeDelaysWithoutFailing(t *testing.T) {
 	s := NewStore(1 << 20)
-	s.attachFaults("dev0", &FaultPlan{Rules: []FaultRule{
+	s.InjectFaults("dev0", &FaultPlan{Rules: []FaultRule{
 		{Kind: FaultLatencySpike, After: 2, Delay: 12345},
-	}}, nil)
+	}})
 	if d, err := s.CheckRead(0, 0, 4096); err != nil || d != 0 {
 		t.Fatalf("first op: delay=%d err=%v", d, err)
 	}
@@ -175,10 +179,10 @@ func TestNoPlanIsInert(t *testing.T) {
 		t.Error("no-plan store counted injections")
 	}
 	// Attach then detach: inert again.
-	s.attachFaults("dev0", &FaultPlan{Rules: []FaultRule{
+	s.InjectFaults("dev0", &FaultPlan{Rules: []FaultRule{
 		{Kind: FaultTransientWrite, After: 1, Every: 1},
-	}}, nil)
-	s.attachFaults("dev0", nil, nil)
+	}})
+	s.InjectFaults("dev0", nil)
 	if _, err := s.CheckWrite(0, 0, 4096); err != nil {
 		t.Fatalf("detached plan still fires: %v", err)
 	}
@@ -241,5 +245,45 @@ func TestInjectFaultsOnDevices(t *testing.T) {
 	pm.InjectFaults("pmem0", nil)
 	if _, err := pm.Store.CheckRead(1, 0, 64); err != nil {
 		t.Fatalf("detach left faults active: %v", err)
+	}
+}
+
+// A device's injected faults reach its instrumentation whichever of
+// InjectFaults and Instrument came first: the same dev_faults_injected count
+// and the same dev.fault spans either way.
+func TestFaultRecordingIndependentOfInstrumentOrder(t *testing.T) {
+	run := func(instrumentFirst bool) (uint64, []obs.Span) {
+		d := NewNVMe(1<<20, DefaultNVMeConfig())
+		tr, reg := obs.NewTracer(), obs.NewRegistry()
+		instrument := func() { d.Instrument(tr, tr.RegisterProcess("devices"), 0, reg, "nvme0") }
+		if instrumentFirst {
+			instrument()
+		}
+		d.InjectFaults("nvme0", &FaultPlan{Rules: []FaultRule{
+			{Kind: FaultTransientRead, After: 1, Every: 3},
+			{Kind: FaultLatencySpike, After: 2, Delay: 500},
+		}})
+		if !instrumentFirst {
+			instrument()
+		}
+		for i := uint64(0); i < 10; i++ {
+			d.CheckRead(i*1000, 0, 4096)
+		}
+		var n uint64
+		for k, v := range reg.Snapshot().Counters {
+			if strings.HasPrefix(k, "dev_faults_injected{") {
+				n += v
+			}
+		}
+		spans := slices.DeleteFunc(tr.Spans(), func(s obs.Span) bool { return s.Cat != "dev.fault" })
+		return n, spans
+	}
+	n1, spans1 := run(true)
+	n2, spans2 := run(false)
+	if n1 == 0 || len(spans1) == 0 {
+		t.Fatalf("instrument-first run recorded %d faults and %d spans; the plan must fire", n1, len(spans1))
+	}
+	if n1 != n2 || !slices.Equal(spans1, spans2) {
+		t.Errorf("instrument first: %d faults, spans %v; inject first: %d faults, spans %v", n1, spans1, n2, spans2)
 	}
 }

@@ -36,7 +36,6 @@ type NVMe struct {
 	nextFree uint64
 	// busyCycles integrates service time, for utilization reporting.
 	busyCycles uint64
-	obs        *devObs
 }
 
 // NewNVMe creates an NVMe device with the given capacity and timing config.

@@ -88,16 +88,10 @@ func (o *devObs) fault(now uint64, kind string, delay uint64) {
 	})
 }
 
-// Instrument attaches a trace track and registry metrics to the NVMe device.
-// pid/tid locate the device's track in the shared tracer; name labels the
-// registry series. Either tr or reg may be nil.
-func (d *NVMe) Instrument(tr *obs.Tracer, pid, tid int, reg *obs.Registry, name string) {
-	d.obs = newDevObs(tr, pid, tid, reg, name)
-	d.Store.linkObs(d.obs)
-}
-
-// Instrument attaches a trace track and registry metrics to the pmem device.
-func (d *PMem) Instrument(tr *obs.Tracer, pid, tid int, reg *obs.Registry, name string) {
-	d.obs = newDevObs(tr, pid, tid, reg, name)
-	d.Store.linkObs(d.obs)
+// Instrument attaches a trace track and registry metrics to the device the
+// store belongs to: its I/Os (Submit) and its injected faults, whether the
+// fault plan came before or after. pid/tid locate the device's track in the
+// shared tracer; name labels the registry series. Either tr or reg may be nil.
+func (s *Store) Instrument(tr *obs.Tracer, pid, tid int, reg *obs.Registry, name string) {
+	s.obs = newDevObs(tr, pid, tid, reg, name)
 }

@@ -27,7 +27,6 @@ func OptanePMMConfig() PMemConfig {
 type PMem struct {
 	*Store
 	cfg PMemConfig
-	obs *devObs
 }
 
 // NewPMem creates a pmem device with the given capacity and timing config.

@@ -59,8 +59,13 @@ type Config struct {
 	// runs; this hook never does). Independent of Spans: either, both, or
 	// neither may be set; neither alters simulated timing.
 	Profile obs.SpanSink
+	// Registry receives the metrics of every layer built on this engine
+	// (fault-cycle breakdowns, counters); see Metrics. Nil gives the engine
+	// a private registry. May be shared by several engines.
+	Registry *obs.Registry
 	// TraceLabel prefixes the engine's track-group names in a shared span
-	// tracer (e.g. "aquila", "linux"). Empty defaults to "sim".
+	// tracer (e.g. "aquila", "linux") and labels its metrics
+	// (world=<label>). Empty defaults to "sim" and no metrics label.
 	TraceLabel string
 	// SchedPerturb perturbs the scheduler's tie-breaking among processes
 	// runnable at the same simulated cycle: each process gets a per-seed
@@ -127,6 +132,9 @@ type Engine struct {
 	pidProc int
 	// prof is the lossless span sink from Config.Profile.
 	prof obs.SpanSink
+	// labels is the world label the series in Config.Registry carry (see
+	// Metrics).
+	labels []obs.Label
 
 	// crash holds the armed crash triggers and, once fired, the crash record
 	// (crash.go).
@@ -157,7 +165,16 @@ func New(cfg Config) *Engine {
 	if cfg.NumCPUs <= 0 {
 		cfg.NumCPUs = 32
 	}
-	e := &Engine{cfg: cfg, nodes: min(numaNodes, cfg.NumCPUs)}
+	if cfg.Registry == nil {
+		cfg.Registry = obs.NewRegistry()
+	}
+	var labels []obs.Label
+	if cfg.TraceLabel != "" {
+		labels = []obs.Label{obs.L("world", cfg.TraceLabel)}
+	} else {
+		cfg.TraceLabel = "sim"
+	}
+	e := &Engine{cfg: cfg, labels: labels, nodes: min(numaNodes, cfg.NumCPUs)}
 	e.spans = cfg.Spans
 	e.prof = cfg.Profile
 	perNode := cfg.NumCPUs / e.nodes

@@ -26,17 +26,18 @@ type spanFrame struct {
 	begin uint64
 }
 
+// Metrics returns the registry every layer of this world reports into and
+// the labels its series carry: world=<TraceLabel> when a label was given,
+// none otherwise. The registry is never nil.
+func (e *Engine) Metrics() (*obs.Registry, []obs.Label) { return e.cfg.Registry, e.labels }
+
 // registerObs attaches the configured span tracer to a freshly built engine.
 func (e *Engine) registerObs() {
 	if e.spans == nil {
 		return
 	}
-	label := e.cfg.TraceLabel
-	if label == "" {
-		label = "sim"
-	}
-	e.pidCPU = e.spans.RegisterProcess(label + "/cpus")
-	e.pidProc = e.spans.RegisterProcess(label + "/procs")
+	e.pidCPU = e.spans.RegisterProcess(e.cfg.TraceLabel + "/cpus")
+	e.pidProc = e.spans.RegisterProcess(e.cfg.TraceLabel + "/procs")
 	for _, c := range e.cpus {
 		e.spans.SetThreadName(e.pidCPU, c.ID, fmt.Sprintf("cpu%d", c.ID))
 	}
@@ -101,11 +102,7 @@ func (p *Proc) spanPath(n int) []string {
 // ("<label>/<proc>"), matching the tracer's track-group naming.
 func (p *Proc) trackName() string {
 	if p.track == "" {
-		label := p.e.cfg.TraceLabel
-		if label == "" {
-			label = "sim"
-		}
-		p.track = label + "/" + p.name
+		p.track = p.e.cfg.TraceLabel + "/" + p.name
 	}
 	return p.track
 }
