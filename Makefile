@@ -153,7 +153,10 @@ engine-bench:
 # Host cost of the simulated hardware's own state, no world on top: a TLB
 # flush, an insert into a full TLB, a 32-CPU shootdown, a PTE map/unmap, the
 # device store's rewrite-persist-settle cycle over dense blocks and over
-# blocks carrying one 8-byte stamp (StoreStampWriteBack), a fill read of a
+# blocks carrying one 8-byte stamp (StoreStampWriteBack), a stamped page
+# written back into a block never written (StoreFirstStampWriteBack: ~1/64
+# allocs/op, its line carved from a 4 KB slab), an 8 MB dense write into
+# fresh blocks (StoreBulkWrite8MB: 1 alloc/op, one array), a fill read of a
 # materialized block and the settle of a Submit with 4 K blocks staged and
 # none due, a frame
 # and a 2 MB block out of and back into simulated DRAM, a 128 MB pool booted,

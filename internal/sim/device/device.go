@@ -174,7 +174,10 @@ func (s *Store) ReadPage(off uint64, load func(held []byte)) bool {
 
 // WriteAt stages buf into the device's volatile write-cache tier at off. The
 // bytes are immediately visible to reads but become durable only when a
-// Persist-scheduled durability point is reached (crash.go).
+// Persist-scheduled durability point is reached (crash.go). The first block
+// that needs a new page-sized buffer takes one array for the write's whole
+// blocks left, and the rest carve from it: a dense multi-block write is one
+// allocation, an all-zero one none.
 func (s *Store) WriteAt(off uint64, buf []byte) {
 	s.checkRange(off, len(buf))
 	s.stats.Writes++
@@ -186,9 +189,11 @@ func (s *Store) WriteAt(off uint64, buf []byte) {
 		if chunk > len(buf)-n {
 			chunk = len(buf) - n
 		}
+		s.bufs.ReserveRun((len(buf) - n) / BlockSize)
 		s.stage(blk, bo, buf[n:n+chunk], bo+chunk)
 		n += chunk
 	}
+	s.bufs.ReserveRun(0)
 	s.wrote()
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -743,6 +744,95 @@ func BenchmarkStoreStampWriteBack(b *testing.B) {
 	b.SetBytes(8 * BlockSize)
 	for i := 0; i < b.N; i++ {
 		rewritePersistSettle(s, buf, &now)
+	}
+}
+
+// forgetBlocks makes blocks [0, n) of s never written again and drops its
+// content pool, class lists, remainders and all: the next content carves new
+// buffers. The block table, the version lists on spare and the staged list's
+// array stay, so a write into the blocks allocates only its content.
+func forgetBlocks(s *Store, n uint64) {
+	for _, e := range s.entries(0, n) {
+		e.media = nil
+	}
+	s.bufs = mem.Buffers{}
+}
+
+// TestBulkWriteIsOneContentAllocation: a dense 8 MB WriteAt into blocks never
+// written takes its 2,048 pages in one array, and an all-zero one takes none.
+func TestBulkWriteIsOneContentAllocation(t *testing.T) {
+	const size = 8 << 20
+	for _, tc := range []struct {
+		name string
+		buf  []byte
+		want float64
+	}{{"dense", bytes.Repeat(fullBlock(0x5A), size/BlockSize), 1}, {"zeros", make([]byte, size), 0}} {
+		s := NewStore(size)
+		got := make([]byte, size)
+		a := testing.AllocsPerRun(3, func() {
+			s.WriteAt(0, tc.buf)
+			s.ReadAt(0, got)
+			s.Persist(0, size, 1)
+			s.settle(1)
+			forgetBlocks(s, size/BlockSize)
+		})
+		if a != tc.want {
+			t.Errorf("%s: an 8 MB WriteAt into fresh blocks made %v allocations, want %v", tc.name, a, tc.want)
+		}
+		if !bytes.Equal(got, tc.buf) {
+			t.Errorf("%s: the write did not read back", tc.name)
+		}
+	}
+}
+
+// BenchmarkStoreFirstStampWriteBack is a stamped page written back into a
+// block never written before and settled: the first write-back of a page of
+// the fault and eviction workloads. Its one line is carved from a 4 KB slab,
+// so ~1/64 of an allocation per write-back: -benchmem's whole-number
+// allocs/op reads 0, and mallocs/op gives the fraction.
+func BenchmarkStoreFirstStampWriteBack(b *testing.B) {
+	const blocks = 1 << 14
+	s, buf := NewStore(blocks*BlockSize), stampBlock()
+	s.WriteAt(0, make([]byte, blocks*BlockSize)) // the table, the version lists, the staged list
+	s.Persist(0, blocks*BlockSize, 1)
+	s.settle(1)
+	forgetBlocks(s, blocks)
+	var before, after runtime.MemStats
+	b.ResetTimer()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < b.N; i++ {
+		blk := uint64(i % blocks)
+		if blk == 0 && i > 0 {
+			b.StopTimer()
+			forgetBlocks(s, blocks)
+			b.StartTimer()
+		}
+		s.WritePage(blk*BlockSize, buf)
+		s.Persist(blk*BlockSize, BlockSize, uint64(i)+2)
+		s.settle(uint64(i) + 2)
+	}
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N), "mallocs/op")
+}
+
+// BenchmarkStoreBulkWrite8MB is an 8 MB dense write into blocks never written
+// before, persisted and settled: an SST image of a bulk load. Its 2,048 pages
+// are one allocation.
+func BenchmarkStoreBulkWrite8MB(b *testing.B) {
+	const size = 8 << 20
+	s, buf := NewStore(size), bytes.Repeat(fullBlock(0x5A), size/BlockSize)
+	write := func(now uint64) {
+		s.WriteAt(0, buf)
+		s.Persist(0, size, now)
+		s.settle(now)
+		forgetBlocks(s, size/BlockSize)
+	}
+	write(1) // the table, the version lists, the staged list
+	b.ReportAllocs()
+	b.SetBytes(size)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		write(uint64(i) + 2)
 	}
 }
 

@@ -50,27 +50,50 @@ func LastNonzero(b []byte) int {
 // class, LineSize to PageSize. A buffer no content references any more goes
 // back to its list, and the next content of its class takes it from there, so
 // a steady state of rewrites allocates nothing; the lists are bounded by the
-// peak number of buffers live at once. The zero value is ready to use.
+// peak number of buffers live at once. A class whose list is empty carves its
+// next buffer from a slab remainder, allocated by the page: a sub-page class
+// takes one page for PageSize/size buffers, the page class one page per
+// buffer, or the run a ReserveRun asked for. The zero value is ready to use.
 type Buffers struct {
 	free [classes][][]byte
+	slab [classes][]byte // what is left of each class's last slab
+	run  int             // pages the page class's next slab takes (ReserveRun)
 }
 
 // alloc returns a buffer of n bytes, n a whole number of lines, with
-// unspecified content: recycled from n's class list when it has one. Zero
-// bytes is the empty, non-nil content, which holds no buffer.
+// unspecified content: recycled from n's class list when it has one, else
+// carved from the class's slab remainder. A carved buffer's capacity is its
+// class, so growing it moves to a larger buffer and never into a neighbour's
+// bytes. Zero bytes is the empty, non-nil content, which holds no buffer.
 func (p *Buffers) alloc(n int) []byte {
 	if n == 0 {
 		return []byte{}
 	}
 	c := class(n)
-	if len(p.free[c]) == 0 {
-		return make([]byte, n, LineSize<<c)
+	if k := len(p.free[c]); k > 0 {
+		b := p.free[c][k-1]
+		p.free[c] = p.free[c][:k-1]
+		return b[:n]
 	}
-	k := len(p.free[c])
-	b := p.free[c][k-1]
-	p.free[c] = p.free[c][:k-1]
-	return b[:n]
+	size := LineSize << c
+	if len(p.slab[c]) < size {
+		pages := 1
+		if size == PageSize {
+			pages = max(p.run, 1)
+		}
+		p.slab[c] = make([]byte, pages*PageSize)
+	}
+	b := p.slab[c][:n:size]
+	p.slab[c] = p.slab[c][size:]
+	return b
 }
+
+// ReserveRun sizes the page class's next slab: when its list and remainder
+// are both empty, the next page-sized buffer takes an array of pages pages
+// and the ones after it carve from that. A multi-block write asks for its
+// remaining whole blocks before each block and for 0 (one page at a time)
+// once done; pages it leaves unused stay the remainder for the next buffer.
+func (p *Buffers) ReserveRun(pages int) { p.run = pages }
 
 // Release gives a buffer no content references any more back to its list.
 func (p *Buffers) Release(b []byte) {
