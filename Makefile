@@ -181,8 +181,11 @@ sim-bench:
 # miss and a graph neighbour fetch (DESIGN.md §3 "KV data path: one owner per
 # buffer"), and the graph's construction at bfs-rmat-8t's 128 K vertices:
 # BenchmarkRMAT draws the edge list, BenchmarkLayout lays out its CSR image
-# (DESIGN.md §3 "Graph construction"). Not part of ci: the AllocsPerRun tests
-# beside these benchmarks gate in `make test`.
+# (DESIGN.md §3 "Graph construction"). BenchmarkKreonGetTreeHit and
+# BenchmarkLSMGetMmio also report mallocs/op: a Get's value is carved from an
+# arena chunk, a fraction of an allocation that -benchmem's whole allocs/op
+# rounds to 0. Not part of ci: the allocation tests beside these benchmarks
+# gate in `make test`.
 kv-bench:
 	$(GO) test ./internal/ycsb ./internal/kvs/... ./internal/graph -run '^$$' -bench . -benchmem -cpu 1
 

@@ -91,14 +91,12 @@ func (rt *Runtime) ioRun(p *engine.Proc, op ioOp, f *fileState, idx uint64, fram
 			p.WaitUntil(p.Now()+delay, engine.KindIOWait)
 			delay = 0
 		}
-		if err == nil {
+		if err == nil && op == ioRead {
 			for j, fr := range frames[i : i+x.pages] {
-				if op == ioRead {
-					fillFrame(x.st, x.off+uint64(j)*pageSize, fr)
-				} else {
-					flushFrame(x.st, x.off+uint64(j)*pageSize, fr)
-				}
+				fillFrame(x.st, x.off+uint64(j)*pageSize, fr)
 			}
+		} else if err == nil {
+			x.st.WriteFrames(x.off, frames[i:i+x.pages])
 		}
 		d := rt.Engine.transfer(p, op, x, err == nil, delay)
 		if err != nil {
@@ -110,20 +108,15 @@ func (rt *Runtime) ioRun(p *engine.Proc, op ioOp, f *fileState, idx uint64, fram
 	return done, nil
 }
 
-// fillFrame and flushFrame move content between device store and frames
-// with the zero-page fast path: a hole leaves an unmaterialized frame
-// alone and zeroes a materialized one (it may be recycled), with one probe of
-// the store either way; only a materialized frame is written back. Both sides
-// hold a page up to its last nonzero line, and that is all that moves.
+// fillFrame moves a block's content into a frame with the zero-page fast
+// path: a hole leaves an unmaterialized frame alone and zeroes a materialized
+// one (it may be recycled), with one probe of the store either way. Both sides
+// hold a page up to its last nonzero line, and that is all that moves. The
+// write-back direction is the store's WriteFrames: only a materialized frame
+// is written, and a run's fresh pages take one array.
 func fillFrame(st *device.Store, off uint64, fr *mem.Frame) {
 	if !st.ReadPage(off, fr.Load) {
 		fr.Reset()
-	}
-}
-
-func flushFrame(st *device.Store, off uint64, fr *mem.Frame) {
-	if fr.HasData() {
-		st.WritePage(off, fr.Held())
 	}
 }
 

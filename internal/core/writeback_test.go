@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"aquila/internal/detutil"
@@ -290,4 +291,76 @@ func TestReclaimWritebackFailureRevivesSamePages(t *testing.T) {
 	}
 	t.Run("direct", func(t *testing.T) { run(t, false) })
 	t.Run("daemon", func(t *testing.T) { run(t, true) })
+}
+
+// TestWriteBackRunIsOneContentAllocation: an msync of 64 dense dirty pages is
+// one write-back run, and the run's pages, staged into blocks never written,
+// take one array between them, not one allocation each. Each page is still
+// its own device write: the crash hook, re-armed at every write, fires after
+// each page in index order with that page staged and the next one not, as it
+// did when the run was a WritePage per page.
+func TestWriteBackRunIsOneContentAllocation(t *testing.T) {
+	const n = 64
+	e, _, boot := daxWorld(16*mib, 1)
+	e.Spawn(0, "t", func(p *engine.Proc) {
+		rt := boot(p)
+		f := rt.CreateFile(p, "data", 4*n*pageSize)
+		m := rt.Mmap(p, f, 4*n*pageSize)
+		page := make([]byte, pageSize)
+		dirty := func(lo uint64) {
+			for i := lo; i < lo+n; i++ {
+				for j := range page {
+					page[j] = byte(i) | 1
+				}
+				m.Store(p, i*pageSize, page)
+			}
+		}
+		msync := func(lo uint64) {
+			if err := m.MsyncRange(p, lo*pageSize, n*pageSize); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for lo := uint64(0); lo < 4*n; lo += n {
+			dirty(lo)
+		}
+		msync(3 * n) // the write-back path's scratch, the staged list, and
+		msync(2 * n) // the spare version lists the first run settles into
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		msync(0)
+		runtime.ReadMemStats(&after)
+		if got := after.Mallocs - before.Mallocs; got != 1 {
+			t.Errorf("writing back a %d-page run into fresh blocks made %d allocations, want 1", n, got)
+		}
+
+		x := rt.Engine.extent(f, n, n)
+		st := x.st
+		w0 := st.Stats().Writes
+		type hook struct {
+			writes     uint64
+			page, next bool // page k staged, page k+1 staged
+		}
+		var hooks []hook
+		var arm func()
+		arm = func() {
+			st.ArmCrashAtOp(st.Stats().Writes+1, func() {
+				k := len(hooks)
+				staged := func(i int) bool { return i < n && st.ReadPage(x.off+uint64(i)*pageSize, func([]byte) {}) }
+				hooks = append(hooks, hook{st.Stats().Writes - w0, staged(k), staged(k + 1)})
+				arm()
+			})
+		}
+		arm()
+		msync(n)
+		st.ArmCrashAtOp(0, nil)
+		if len(hooks) != n {
+			t.Fatalf("the crash hook fired %d times, want %d", len(hooks), n)
+		}
+		for k, h := range hooks {
+			if h != (hook{uint64(k + 1), true, false}) {
+				t.Fatalf("crash hook %d: %+v, want write %d with page %d staged and page %d not", k, h, k+1, k, k+1)
+			}
+		}
+	})
+	e.Run()
 }

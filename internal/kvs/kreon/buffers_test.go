@@ -3,6 +3,7 @@ package kreon
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -157,11 +158,13 @@ func TestLongKeyIsRejectedNotCut(t *testing.T) {
 }
 
 // What the data path allocates per operation once its scratch buffers exist:
-// a Get only the value it returns, a Put of a key level 0 holds nothing.
+// a Get only the arena chunks its values are carved from — about one per 32
+// values of 1,000 bytes, counted over 320 Gets since a chunk is a fraction of
+// an allocation per Get — and a Put of a key level 0 holds nothing.
 func TestKreonDataPathAllocations(t *testing.T) {
 	e := engine.New(engine.Config{NumCPUs: 1, Seed: 1})
 	run1(e, func(p *engine.Proc) {
-		const records = 1000
+		const records, gets = 1000, 320
 		db := memStore(p, Options{L0Entries: records})
 		key, val := make([]byte, 0, 30), make([]byte, 0, 1000)
 		for id := uint64(0); id < records; id++ {
@@ -170,29 +173,85 @@ func TestKreonDataPathAllocations(t *testing.T) {
 		if db.Spills != 1 || db.L0Size() != 0 {
 			t.Fatalf("set-up: %d spills, %d level-0 entries", db.Spills, db.L0Size())
 		}
-		id := uint64(0)
-		if n := testing.AllocsPerRun(200, func() {
-			id = (id + 7) % records
-			if _, ok := db.Get(p, ycsb.AppendKey(key[:0], id)); !ok {
-				t.Fatal("tree miss")
-			}
-		}); n != 1 {
-			t.Errorf("Get on a tree hit: %v allocs, want 1 (the returned value)", n)
-		}
+		// The first chunks are 4, 8 and 16 KB, then 32 KB: 32 values each.
+		getBudget(t, "a tree hit", p, db, gets, 3+gets*1000/(32<<10)+1, func(i int) uint64 { return uint64(i*7) % records })
 		db.Put(p, ycsb.AppendKey(key[:0], 3), ycsb.AppendValue(val[:0], 3, 1000))
 		if n := testing.AllocsPerRun(200, func() {
 			db.Put(p, ycsb.AppendKey(key[:0], 3), ycsb.AppendValue(val[:0], 3, 1000))
 		}); n != 0 {
 			t.Errorf("Put of a key level 0 holds: %v allocs, want 0", n)
 		}
-		if n := testing.AllocsPerRun(200, func() {
-			if _, ok := db.Get(p, ycsb.AppendKey(key[:0], 3)); !ok {
-				t.Fatal("level-0 miss")
+		getBudget(t, "a level-0 hit", p, db, gets, gets*1000/(32<<10)+1, func(int) uint64 { return 3 })
+	})
+}
+
+// getBudget runs gets Gets of the ids id(i) on db and checks that they made no
+// allocation but the arena's chunks, and at most chunks of those.
+func getBudget(t *testing.T, what string, p *engine.Proc, db *DB, gets, chunks int, id func(i int) uint64) {
+	t.Helper()
+	key := make([]byte, 0, 30)
+	made := db.vals.Chunks()
+	n := mallocs(func() {
+		for i := range gets {
+			key = ycsb.AppendKey(key[:0], id(i))
+			if _, ok := db.Get(p, key); !ok {
+				t.Fatalf("%s: key %d missed", what, id(i))
 			}
-		}); n != 1 {
-			t.Errorf("Get on a level-0 hit: %v allocs, want 1 (the returned value)", n)
 		}
 	})
+	made = db.vals.Chunks() - made
+	if n > uint64(made) || made > chunks {
+		t.Errorf("%d Gets on %s: %d allocations, %d arena chunks; want no allocation but the chunks, at most %d",
+			gets, what, n, made, chunks)
+	}
+}
+
+// Get's result is the caller's to keep (ycsb.KV): values kept through later
+// Gets, Puts of the same keys and spills read as they did, and each has
+// cap == len, so an append to one moves it instead of writing into the value
+// carved beside it. Level-0 and tree hits are both kept here.
+func TestGetResultsAreTheCallersToKeep(t *testing.T) {
+	e := engine.New(engine.Config{NumCPUs: 1, Seed: 1})
+	run1(e, func(p *engine.Proc) {
+		const keys = 48
+		db := memStore(p, Options{L0Entries: 32})
+		value := func(id uint64, round int) []byte { return ycsb.Value(id+uint64(round)*keys, 40+int(id%7)*100) }
+		type kept struct{ got, want []byte }
+		var held []kept
+		for round := range 3 {
+			for id := range uint64(keys) {
+				db.Put(p, ycsb.KeyBytes(id), value(id, round))
+			}
+			for id := range uint64(keys) {
+				v, ok := db.Get(p, ycsb.KeyBytes(id))
+				if !ok {
+					t.Fatalf("round %d: key %d missed", round, id)
+				}
+				held = append(held, kept{v, value(id, round)})
+			}
+		}
+		if db.Spills < 3 || db.L0Size() == 0 {
+			t.Fatalf("set-up: %d spills, %d level-0 entries: the Gets did not take both paths", db.Spills, db.L0Size())
+		}
+		for _, h := range held {
+			_ = append(h.got, 0xFF, 0xFF, 0xFF, 0xFF)
+		}
+		for i, h := range held {
+			if !bytes.Equal(h.got, h.want) || cap(h.got) != len(h.got) {
+				t.Fatalf("kept value %d: intact %v, len %d cap %d; want intact with cap == len",
+					i, bytes.Equal(h.got, h.want), len(h.got), cap(h.got))
+			}
+		}
+	})
+}
+
+// mallocs returns how many heap objects fn allocates.
+func mallocs(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
 
 // benchStore is a loaded store for the benchmarks: `records` keys with
@@ -213,16 +272,22 @@ func benchStore(b *testing.B, records uint64, body func(p *engine.Proc, db *DB))
 	})
 }
 
+// BenchmarkKreonGetTreeHit reports mallocs/op beside -benchmem's whole
+// allocs/op: the values are carved from arena chunks, a fraction of an
+// allocation per Get.
 func BenchmarkKreonGetTreeHit(b *testing.B) {
 	const records = 20000
 	benchStore(b, records, func(p *engine.Proc, db *DB) {
 		var key []byte
-		for i := 0; i < b.N; i++ {
-			key = ycsb.AppendKey(key[:0], uint64(i)*7919%records)
-			if _, ok := db.Get(p, key); !ok {
-				b.Fatal("miss")
+		n := mallocs(func() {
+			for i := 0; i < b.N; i++ {
+				key = ycsb.AppendKey(key[:0], uint64(i)*7919%records)
+				if _, ok := db.Get(p, key); !ok {
+					b.Fatal("miss")
+				}
 			}
-		}
+		})
+		b.ReportMetric(float64(n)/float64(b.N), "mallocs/op")
 	})
 }
 

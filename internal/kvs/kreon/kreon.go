@@ -107,6 +107,8 @@ type DB struct {
 	// and the record header being parsed (scratch.Stack: why a LIFO, why no
 	// defer gives back).
 	bufs scratch.Stack
+	// vals is where Get's values are carved: each is the caller's to keep.
+	vals scratch.Arena
 	// logCheckpoint marks the log position covered by the on-device tree;
 	// recovery replays [checkpoint, logHead) into level 0.
 	logCheckpoint uint64
@@ -360,7 +362,8 @@ func (db *DB) Put(p *engine.Proc, key, value []byte) {
 	}
 }
 
-// Get returns the newest value for key, in a buffer that is the caller's.
+// Get returns the newest value for key, in a buffer that is the caller's: a
+// carve of the store's value arena, whose cap is its len.
 func (db *DB) Get(p *engine.Proc, key []byte) ([]byte, bool) {
 	p.BeginSpan("kv.get")
 	defer p.EndSpan()
@@ -368,7 +371,7 @@ func (db *DB) Get(p *engine.Proc, key []byte) ([]byte, bool) {
 	k := makeKey(key)
 	p.AdvanceUser(costGetBase + costL0Lookup)
 	if i, ok := db.l0[k]; ok {
-		return db.readLog(p, db.l0ents[i].off, nil), true
+		return db.readValue(p, db.l0ents[i].off), true
 	}
 	if db.rootOff == 0 {
 		return nil, false
@@ -377,7 +380,7 @@ func (db *DB) Get(p *engine.Proc, key []byte) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	return db.readLog(p, off, nil), true
+	return db.readValue(p, off), true
 }
 
 // Scan visits up to n records in key order starting at startKey.
@@ -402,7 +405,9 @@ func (db *DB) Scan(p *engine.Proc, startKey []byte, n int) int {
 			continue
 		}
 		last = &e.key
-		val = db.readLog(p, e.off, val[:0])
+		at, vl := db.readHeader(p, e.off)
+		val = slices.Grow(val[:0], vl)[:vl]
+		db.m.Load(p, at, val)
 		p.AdvanceUser(costScanStep)
 		seen++
 	}
@@ -446,17 +451,24 @@ func (db *DB) MsyncFull(p *engine.Proc) {
 	db.m.MsyncRange(p, 0, pageSize)
 }
 
-// readLog fetches a record's value from the value log via mmio, appending it
-// to val (nil: a fresh buffer, the caller's to keep).
-func (db *DB) readLog(p *engine.Proc, off uint64, val []byte) []byte {
+// readValue fetches the value of the log record at off via mmio into a carve
+// of the value arena: Get's result, the caller's to keep.
+func (db *DB) readValue(p *engine.Proc, off uint64) []byte {
+	at, vl := db.readHeader(p, off)
+	val := db.vals.Alloc(vl)
+	db.m.Load(p, at, val)
+	return val
+}
+
+// readHeader reads the header of the log record at off and returns where the
+// record's value starts and how long it is.
+func (db *DB) readHeader(p *engine.Proc, off uint64) (uint64, int) {
 	hdr := db.bufs.Borrow(recHeader)
 	db.m.Load(p, off, hdr)
 	kl := int(binary.LittleEndian.Uint16(hdr[0:]))
 	vl := int(binary.LittleEndian.Uint16(hdr[2:]))
 	db.bufs.GiveBack(hdr)
-	val = slices.Grow(val, vl)[:len(val)+vl]
-	db.m.Load(p, off+recHeader+uint64(kl), val[len(val)-vl:])
-	return val
+	return off + recHeader + uint64(kl), vl
 }
 
 // readNode reads a B-tree node (one page) via mmio into a borrowed buffer;

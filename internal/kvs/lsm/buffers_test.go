@@ -19,9 +19,11 @@ func memDB(p *engine.Proc, e *engine.Engine, opts Options) *DB {
 }
 
 // What the data path allocates per operation once its scratch buffers exist:
-// an mmio Get only the value it returns, a logged Put of a key the memtable
-// holds only the memtable's copy of the value, and the builder's add loop
-// nothing per record (the image and the builder, once per table).
+// an mmio Get only the arena chunks its values are carved from — about one per
+// 32 values of 1,000 bytes, counted over 320 Gets since a chunk is a fraction
+// of an allocation per Get — a logged Put of a key the memtable holds only the
+// memtable's copy of the value, and the builder's add loop nothing per record
+// (the image and the builder, once per table).
 func TestLSMDataPathAllocations(t *testing.T) {
 	e := engine.New(engine.Config{NumCPUs: 1, Seed: 1})
 	run1(e, func(p *engine.Proc) {
@@ -29,14 +31,21 @@ func TestLSMDataPathAllocations(t *testing.T) {
 		db := memDB(p, e, Options{Mode: IOMmap, DisableWAL: true})
 		db.BulkLoad(p, records, 1000)
 		key, val := make([]byte, 0, 30), make([]byte, 0, 1000)
-		id := uint64(0)
-		if n := testing.AllocsPerRun(200, func() {
-			id = (id + 7) % records
-			if v, ok := db.Get(p, ycsb.AppendKey(key[:0], id)); !ok || !ycsb.CheckValue(id, v) {
-				t.Fatal("table miss")
+		const gets = 320
+		db.Get(p, ycsb.AppendKey(key[:0], 0)) // the lookup's scratch block
+		made := db.vals.Chunks()
+		n := mallocs(func() {
+			for i := range uint64(gets) {
+				id := i * 7 % records
+				if v, ok := db.Get(p, ycsb.AppendKey(key[:0], id)); !ok || !ycsb.CheckValue(id, v) {
+					t.Fatal("table miss")
+				}
 			}
-		}); n != 1 {
-			t.Errorf("mmio Get on a table hit: %v allocs, want 1 (the returned value)", n)
+		})
+		// The first chunks are 4, 8 and 16 KB, then 32 KB: 32 values each.
+		if made, most := db.vals.Chunks()-made, 3+gets*1000/(32<<10)+1; n > uint64(made) || made > most {
+			t.Errorf("%d mmio Gets on a table hit: %d allocations, %d arena chunks; want no allocation but the chunks, at most %d",
+				gets, n, made, most)
 		}
 
 		logged := memDB(p, e, Options{Mode: IOMmap, walBytes: 8 * mib, memtableBytes: 4 * mib})
@@ -63,6 +72,55 @@ func TestLSMDataPathAllocations(t *testing.T) {
 			t.Errorf("sstBuilder add loop: %v allocs for %d records, want < 0.01 per record", n, perTable)
 		}
 	})
+}
+
+// Get's result is the caller's to keep (ycsb.KV): values kept through later
+// Gets, Puts of the same keys and flushes read as they did, and each has
+// cap == len, so an append to one moves it instead of writing into whatever
+// was carved beside it. Table hits are arena carves, memtable hits the
+// memtable's copy; both are kept here.
+func TestGetResultsAreTheCallersToKeep(t *testing.T) {
+	e := engine.New(engine.Config{NumCPUs: 1, Seed: 1})
+	run1(e, func(p *engine.Proc) {
+		const keys = 48
+		db := memDB(p, e, Options{Mode: IOMmap, DisableWAL: true, memtableBytes: 8 << 10})
+		value := func(id uint64, round int) []byte { return ycsb.Value(id+uint64(round)*keys, 40+int(id%7)*100) }
+		type kept struct{ got, want []byte }
+		var held []kept
+		for round := range 3 {
+			for id := range uint64(keys) {
+				db.Put(p, ycsb.KeyBytes(id), value(id, round))
+			}
+			for id := range uint64(keys) {
+				v, ok := db.Get(p, ycsb.KeyBytes(id))
+				if !ok {
+					t.Fatalf("round %d: key %d missed", round, id)
+				}
+				held = append(held, kept{v, value(id, round)})
+			}
+		}
+		if db.Flushes < 6 || db.vals.Chunks() == 0 {
+			t.Fatalf("set-up: %d flushes, %d arena chunks: the Gets never reached a table", db.Flushes, db.vals.Chunks())
+		}
+		for _, h := range held {
+			_ = append(h.got, 0xFF, 0xFF, 0xFF, 0xFF)
+		}
+		for i, h := range held {
+			if !bytes.Equal(h.got, h.want) || cap(h.got) != len(h.got) {
+				t.Fatalf("kept value %d: intact %v, len %d cap %d; want intact with cap == len",
+					i, bytes.Equal(h.got, h.want), len(h.got), cap(h.got))
+			}
+		}
+	})
+}
+
+// mallocs returns how many heap objects fn allocates.
+func mallocs(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
 
 // allocated returns the bytes fn allocates on the heap.
@@ -190,6 +248,9 @@ func BenchmarkLSMBulkLoad(b *testing.B) {
 	})
 }
 
+// BenchmarkLSMGetMmio reports mallocs/op beside -benchmem's whole allocs/op:
+// the values are carved from arena chunks, a fraction of an allocation per
+// Get.
 func BenchmarkLSMGetMmio(b *testing.B) {
 	const records = 20000
 	e := engine.New(engine.Config{NumCPUs: 1, Seed: 1})
@@ -199,12 +260,15 @@ func BenchmarkLSMGetMmio(b *testing.B) {
 		var key []byte
 		b.ReportAllocs()
 		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			key = ycsb.AppendKey(key[:0], uint64(i)*7919%records)
-			if _, ok := db.Get(p, key); !ok {
-				b.Fatal("miss")
+		n := mallocs(func() {
+			for i := 0; i < b.N; i++ {
+				key = ycsb.AppendKey(key[:0], uint64(i)*7919%records)
+				if _, ok := db.Get(p, key); !ok {
+					b.Fatal("miss")
+				}
 			}
-		}
+		})
+		b.ReportMetric(float64(n)/float64(b.N), "mallocs/op")
 	})
 }
 

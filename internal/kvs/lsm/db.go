@@ -97,6 +97,11 @@ type DB struct {
 	// bufs lends the WAL record put builds and the block a point lookup
 	// searches (scratch.Stack: why a LIFO, why no defer gives back).
 	bufs scratch.Stack
+	// vals is where a table hit's value is carved: Get's result, the caller's
+	// to keep. The memtable copies each Put on its own: an overwrite leaves
+	// the memtable's size as it was, so an arena there would grow with no
+	// flush to bound it.
+	vals scratch.Arena
 
 	// Replayed counts WAL records recovered on reopen.
 	Replayed uint64
@@ -230,7 +235,8 @@ func (db *DB) put(p *engine.Proc, key, value []byte) {
 	db.writeLock.Unlock(p)
 }
 
-// Get returns the newest value for key.
+// Get returns the newest value for key: a memtable hit shares the memtable's
+// copy, a table hit is a carve of the store's value arena (cap == len).
 func (db *DB) Get(p *engine.Proc, key []byte) ([]byte, bool) {
 	p.BeginSpan("kv.get")
 	defer p.EndSpan()
@@ -296,7 +302,8 @@ func (db *DB) searchTable(p *engine.Proc, t *SST, key []byte) ([]byte, bool) {
 	visited := scanBlock(blk, func(k, v []byte) bool {
 		cmp := bytes.Compare(k, key)
 		if cmp == 0 {
-			out = append([]byte(nil), v...)
+			out = db.vals.Alloc(len(v))
+			copy(out, v)
 			found = true
 			return false
 		}

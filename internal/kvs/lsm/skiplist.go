@@ -8,6 +8,7 @@ package lsm
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 )
 
 const maxSkipLevel = 12
@@ -57,7 +58,7 @@ func (s *skiplist) put(key, value []byte) int {
 		}
 		update[i] = x
 	}
-	value = append([]byte(nil), value...)
+	value = slices.Clip(append([]byte(nil), value...)) // a Get may hand it out
 	if n := x.next[0]; n != nil && bytes.Equal(n.key, key) {
 		s.size += len(value) - len(n.value)
 		n.value = value

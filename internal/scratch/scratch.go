@@ -1,9 +1,10 @@
-// Package scratch lends the key-value stores and the graph engine their
-// transient buffers: a node or block being searched, a log or WAL record being
-// built, a vertex's offset pair or edge run being read, a parent or rank being
-// written. Each buffer has one holder at a time — whoever borrowed it, until
-// it gives it back — so the stores and the graph allocate per hop only what
-// they hand to their caller.
+// Package scratch holds the key-value stores' and the graph engine's buffers.
+// A Stack lends the transient ones: a node or block being searched, a log or
+// WAL record being built, a vertex's offset pair or edge run being read, a
+// parent or rank being written. Each has one holder at a time — whoever
+// borrowed it, until it gives it back. An Arena carves what a store hands to
+// its caller: a Get's value, which is the caller's to keep. So a hop
+// allocates nothing of its own: now and then an arena chunk, no more.
 package scratch
 
 // minSize is the least capacity a buffer is made with: a 4 KB node or block.
@@ -45,3 +46,38 @@ func (s *Stack) GiveBack(b []byte) { s.free = append(s.free, b) }
 // Free returns how many buffers sit on the stack: with none borrowed, the most
 // that were ever held at once (tests).
 func (s *Stack) Free() int { return len(s.free) }
+
+// maxChunk is the largest chunk an Arena carves from: 32 KB, the largest small
+// size class of the Go allocator.
+const maxChunk = 32 << 10
+
+// Arena hands out byte slices that their holders keep: a value a store returns
+// from Get. It never hands the same byte out twice, and it never takes a slice
+// back; a chunk is garbage once every slice carved from it is. Each slice is
+// cut with a three-index expression, so its cap is its len and an append to it
+// moves to a new array instead of running into the next holder's bytes.
+//
+// Chunks start at minSize and double up to maxChunk, so a short-lived store
+// wastes little; a request the rest of the chunk cannot hold starts the next
+// chunk and drops that rest, and one larger than a chunk gets a chunk of its
+// own size. The zero value is ready to use.
+type Arena struct {
+	free   []byte // what is left of the current chunk
+	size   int    // the last chunk's size, short of a request's own
+	chunks int
+}
+
+// Alloc returns n zero bytes with cap n, the caller's to keep.
+func (a *Arena) Alloc(n int) []byte {
+	if n > len(a.free) {
+		a.size = min(max(2*a.size, minSize), maxChunk)
+		a.free = make([]byte, max(n, a.size))
+		a.chunks++
+	}
+	b := a.free[:n:n]
+	a.free = a.free[n:]
+	return b
+}
+
+// Chunks returns how many chunks the arena has allocated (tests).
+func (a *Arena) Chunks() int { return a.chunks }

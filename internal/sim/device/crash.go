@@ -77,11 +77,29 @@ func (s *Store) stage(blk uint64, bo int, chunk []byte, end int) {
 	b := s.bufs.Copy(cur, bo, chunk, end)
 	if vs == nil {
 		s.staged = append(s.staged, blk)
-		if n := len(s.spare); n > 0 {
-			vs, s.spare = s.spare[n-1], s.spare[:n-1]
-		}
+		vs = s.list()
 	}
 	e.versions = append(vs, volVersion{data: b, durableAt: notDurable, op: s.stats.Writes})
+}
+
+// listSlab is how many one-version lists a slab of them holds.
+const listSlab = 64
+
+// list returns an empty version list for a block staging its first version:
+// an emptied one from spare, else a cap-1 list carved from the slab of
+// listSlab versions, which a block that stages a second version grows out of.
+func (s *Store) list() []volVersion {
+	if n := len(s.spare); n > 0 {
+		vs := s.spare[n-1]
+		s.spare = s.spare[:n-1]
+		return vs
+	}
+	if len(s.lists) == 0 {
+		s.lists = make([]volVersion, listSlab)
+	}
+	vs := s.lists[:0:1]
+	s.lists = s.lists[1:]
+	return vs
 }
 
 // keep leaves e's versions from index n on in the volatile tier. They move to

@@ -49,11 +49,13 @@ type Store struct {
 	nextDue uint64
 	// bufs takes back the content buffers no tier references any more (a
 	// superseded media block or staged version, a discarded or crashed one)
-	// for stage to reuse; spare holds the emptied per-block version lists. A
-	// rewrite-persist-settle cycle then allocates nothing. Both are bounded by
-	// the peak number of blocks that were live at once.
+	// for stage to reuse; spare holds the emptied per-block version lists,
+	// and lists what is left of the slab new ones are carved from. A
+	// rewrite-persist-settle cycle then allocates nothing. Both are bounded
+	// by the peak number of blocks that were live at once.
 	bufs  mem.Buffers
 	spare [][]volVersion
+	lists []volVersion
 	stats Stats
 	// obs is the device's instrumentation (Instrument), faults its fault
 	// plan (InjectFaults); both nil when off.
@@ -202,12 +204,36 @@ func (s *Store) WriteAt(off uint64, buf []byte) {
 // page — counted, numbered and crash-hooked as that one is — without the page
 // spelled out.
 func (s *Store) WritePage(off uint64, held []byte) {
+	s.stagePage(off, held)
+	s.wrote()
+}
+
+// WriteFrames is the write-back of a run of frames to the blocks from a
+// block-aligned off on: each materialized frame is the WritePage of its held
+// bytes — its own write, counted, numbered and crash-hooked — and a frame
+// never materialized is skipped. The first page that needs a new page-sized
+// buffer takes one array for the run's frames left, as a multi-block WriteAt
+// does, so a dense run written back to fresh blocks is one allocation. The
+// reservation ends before each crash hook can fire.
+func (s *Store) WriteFrames(off uint64, frames []*mem.Frame) {
+	for i, fr := range frames {
+		if !fr.HasData() {
+			continue
+		}
+		s.bufs.ReserveRun(len(frames) - i)
+		s.stagePage(off+uint64(i)*BlockSize, fr.Held())
+		s.bufs.ReserveRun(0)
+		s.wrote()
+	}
+}
+
+// stagePage stages a page write-back of held at off and counts it.
+func (s *Store) stagePage(off uint64, held []byte) {
 	s.checkAligned(off)
 	s.checkRange(off, BlockSize)
 	s.stats.Writes++
 	s.stats.BytesWritten += BlockSize
 	s.stage(off/BlockSize, 0, held, BlockSize)
-	s.wrote()
 }
 
 // wrote fires the armed crash hook once the write it waits for is staged.

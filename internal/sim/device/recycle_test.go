@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -758,15 +759,26 @@ func forgetBlocks(s *Store, n uint64) {
 	s.bufs = mem.Buffers{}
 }
 
+// forgetLists drops s's emptied version lists and the rest of its list slab,
+// so the next block that stages a version carves its list from a new slab.
+// The spare list's own array stays, as the staged list's does.
+func forgetLists(s *Store) {
+	clear(s.spare)
+	s.spare, s.lists = s.spare[:0], nil
+}
+
 // TestBulkWriteIsOneContentAllocation: a dense 8 MB WriteAt into blocks never
 // written takes its 2,048 pages in one array, and an all-zero one takes none.
+// The store is cold but for its block table and staged list: each block's
+// first version list is carved too, listSlab to an allocation.
 func TestBulkWriteIsOneContentAllocation(t *testing.T) {
 	const size = 8 << 20
+	const lists = size / BlockSize / listSlab
 	for _, tc := range []struct {
 		name string
 		buf  []byte
 		want float64
-	}{{"dense", bytes.Repeat(fullBlock(0x5A), size/BlockSize), 1}, {"zeros", make([]byte, size), 0}} {
+	}{{"dense", bytes.Repeat(fullBlock(0x5A), size/BlockSize), 1 + lists}, {"zeros", make([]byte, size), lists}} {
 		s := NewStore(size)
 		got := make([]byte, size)
 		a := testing.AllocsPerRun(3, func() {
@@ -775,9 +787,11 @@ func TestBulkWriteIsOneContentAllocation(t *testing.T) {
 			s.Persist(0, size, 1)
 			s.settle(1)
 			forgetBlocks(s, size/BlockSize)
+			forgetLists(s)
 		})
 		if a != tc.want {
-			t.Errorf("%s: an 8 MB WriteAt into fresh blocks made %v allocations, want %v", tc.name, a, tc.want)
+			t.Errorf("%s: an 8 MB WriteAt into fresh blocks made %v allocations, want %v (content and %d list slabs)",
+				tc.name, a, tc.want, lists)
 		}
 		if !bytes.Equal(got, tc.buf) {
 			t.Errorf("%s: the write did not read back", tc.name)
@@ -817,7 +831,7 @@ func BenchmarkStoreFirstStampWriteBack(b *testing.B) {
 
 // BenchmarkStoreBulkWrite8MB is an 8 MB dense write into blocks never written
 // before, persisted and settled: an SST image of a bulk load. Its 2,048 pages
-// are one allocation.
+// are one allocation, its blocks' version lists 32 more (64 to a slab).
 func BenchmarkStoreBulkWrite8MB(b *testing.B) {
 	const size = 8 << 20
 	s, buf := NewStore(size), bytes.Repeat(fullBlock(0x5A), size/BlockSize)
@@ -826,8 +840,9 @@ func BenchmarkStoreBulkWrite8MB(b *testing.B) {
 		s.Persist(0, size, now)
 		s.settle(now)
 		forgetBlocks(s, size/BlockSize)
+		forgetLists(s)
 	}
-	write(1) // the table, the version lists, the staged list
+	write(1) // the table, the staged list
 	b.ReportAllocs()
 	b.SetBytes(size)
 	b.ResetTimer()
@@ -982,5 +997,127 @@ func BenchmarkFrameFillStampFlush(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		fillStampFlush(s, fr, uint64(i), &now)
+	}
+}
+
+// writeRun fills frames for a write-back run: dense pages, one-stamp pages,
+// materialized zero pages and frames never materialized, by i % 4, each with
+// round's bytes.
+func writeRun(frames []*mem.Frame, round int) {
+	for i, fr := range frames {
+		v := byte(i+round) | 1
+		switch i % 4 {
+		case 0:
+			fr.WriteAt(0, fullBlock(v))
+		case 1:
+			fr.WriteAt(8*i, []byte{v, 1})
+		case 2:
+			fr.WriteAt(100, make([]byte, 8))
+		}
+	}
+}
+
+// TestWriteFramesIsAWritePagePerFrame: a run written back with WriteFrames is,
+// write for write, the WritePage of each materialized frame in order — the
+// same Stats, the same ordinals on the staged versions, the crash hook firing
+// after the same page — and a frame never materialized is skipped. Three runs
+// over the same blocks: into fresh blocks, over the versions the first left
+// pending, and over media once those have settled.
+func TestWriteFramesIsAWritePagePerFrame(t *testing.T) {
+	const n, base = 64, 3 * BlockSize
+	type point struct {
+		st      Stats
+		pending int
+		img     uint64 // FNV-1a of the run's blocks as reads see them
+	}
+	frames := make([]*mem.Frame, n)
+	a := mem.NewAllocator(n*BlockSize, 1)
+	for i := range frames {
+		frames[i] = a.Alloc(0)
+	}
+	img := make([]byte, n*BlockSize)
+	read := func(s *Store) uint64 {
+		s.ReadAt(base, img)
+		h := fnv.New64a()
+		h.Write(img)
+		return h.Sum64()
+	}
+	// record runs the three write-backs on s, each by write, and returns the
+	// crash-hook points, then the versions' ordinals and the content after each.
+	record := func(s *Store, write func()) (pts []point, after []string) {
+		s.WritePage(0, fullBlock(7)) // one write before the runs
+		var arm func()
+		arm = func() {
+			s.ArmCrashAtOp(s.Stats().Writes+1, func() {
+				pts = append(pts, point{s.Stats(), s.PendingBlocks(), read(s)})
+				arm()
+			})
+		}
+		arm()
+		for round := range 3 {
+			writeRun(frames, round)
+			write()
+			var ops []uint64
+			for _, e := range s.entries(base/BlockSize, base/BlockSize+n) {
+				for _, v := range e.versions {
+					ops = append(ops, v.op)
+				}
+			}
+			after = append(after, fmt.Sprint(ops, read(s)))
+			if round == 1 {
+				s.Persist(0, base+n*BlockSize, 1)
+				s.settle(1)
+			}
+		}
+		return pts, after
+	}
+	ref := NewStore(1 << 20)
+	want, wantAfter := record(ref, func() {
+		for i, fr := range frames {
+			if fr.HasData() {
+				ref.WritePage(base+uint64(i)*BlockSize, fr.Held())
+			}
+		}
+	})
+	s := NewStore(1 << 20)
+	got, gotAfter := record(s, func() { s.WriteFrames(base, frames) })
+	if len(want) != 3*n*3/4 {
+		t.Fatalf("the reference runs fired their hook %d times, want %d", len(want), 3*n*3/4)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("WriteFrames fired the crash hook %d times, want %d", len(got), len(want))
+	}
+	for k := range want {
+		if got[k] != want[k] {
+			t.Fatalf("hook %d: %+v, want %+v", k, got[k], want[k])
+		}
+	}
+	for round := range wantAfter {
+		if gotAfter[round] != wantAfter[round] {
+			t.Fatalf("run %d left versions and content %s, want %s", round, gotAfter[round], wantAfter[round])
+		}
+	}
+}
+
+// TestWriteFramesRunIsOneContentAllocation: a run of 64 dense frames written
+// back to blocks never written takes its pages in one array; their version
+// lists come from spare.
+func TestWriteFramesRunIsOneContentAllocation(t *testing.T) {
+	const n = 64
+	a := mem.NewAllocator(n*BlockSize, 1)
+	frames := make([]*mem.Frame, n)
+	for i := range frames {
+		frames[i] = a.Alloc(0)
+		frames[i].WriteAt(0, fullBlock(0x5A))
+	}
+	s := NewStore(n * BlockSize)
+	got := testing.AllocsPerRun(5, func() {
+		s.WriteFrames(0, frames)
+		s.Persist(0, n*BlockSize, 1)
+		s.settle(1)
+		forgetBlocks(s, n)
+	})
+	if got != 1 {
+		t.Fatalf("a 64-frame dense run into fresh blocks made %v allocations, want 1", got)
 	}
 }

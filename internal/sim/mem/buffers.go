@@ -90,9 +90,10 @@ func (p *Buffers) alloc(n int) []byte {
 
 // ReserveRun sizes the page class's next slab: when its list and remainder
 // are both empty, the next page-sized buffer takes an array of pages pages
-// and the ones after it carve from that. A multi-block write asks for its
-// remaining whole blocks before each block and for 0 (one page at a time)
-// once done; pages it leaves unused stay the remainder for the next buffer.
+// and the ones after it carve from that. A multi-block write, or a write-back
+// run of frames, asks for its remaining whole blocks before each block and
+// for 0 (one page at a time) once it is staged; pages it leaves unused stay
+// the remainder for the next buffer.
 func (p *Buffers) ReserveRun(pages int) { p.run = pages }
 
 // Release gives a buffer no content references any more back to its list.

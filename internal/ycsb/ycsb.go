@@ -286,7 +286,10 @@ func CheckValue(id uint64, v []byte) bool {
 // keep nothing of the key they are handed. Get's result is the caller's to
 // keep: the store never writes to those bytes again. It may still share them
 // with the store (the LSM returns a memtable hit without copying it), so
-// the caller reads it and does not write to it.
+// the caller reads it and does not write to it. Both stores carve a result
+// read from their files out of a value arena's chunk (scratch.Arena), with
+// cap == len: an append moves it, and a kept result keeps its chunk, up to
+// 32 KB, alive.
 type KV interface {
 	Get(p *engine.Proc, key []byte) ([]byte, bool)
 	Put(p *engine.Proc, key, value []byte)
