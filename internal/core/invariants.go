@@ -85,10 +85,16 @@ func (rt *Runtime) CheckInvariants() error {
 	if err != nil {
 		return err
 	}
-	// LRU queues: the counters the sweep trigger reads match a recount.
+	// LRU queues: the counters the sweep trigger reads match a recount, and
+	// no consumed slot still holds a page (it would pin an evicted record).
 	queued, dead := 0, 0
 	for i := range rt.lru.queues {
 		q := &rt.lru.queues[i]
+		for j, e := range q.entries[:q.head] {
+			if e != (lruEntry{}) {
+				return fmt.Errorf("LRU queue %d: consumed slot %d of %d still holds page (%s,%d)", i, j, q.head, e.pg.file.name, e.pg.idx)
+			}
+		}
 		for _, e := range q.entries[q.head:] {
 			queued++
 			if e.pg.lruSeq != e.seq {

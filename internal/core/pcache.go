@@ -144,7 +144,9 @@ func (f *fileState) Size() uint64 { return f.size }
 // being resident (forget). Selection skips dead entries at no simulated cost,
 // so dropping them earlier changes nothing it does; sweep drops them once
 // they outnumber the live ones, which is what lets the pages of a deleted
-// file go while nothing evicts.
+// file go while nothing evicts. Selection zeroes every slot it moves head
+// past, so the consumed prefix holds no page and an evicted page's record is
+// garbage once nothing else holds it (CheckInvariants checks the prefix).
 type lruApprox struct {
 	rt     *Runtime
 	queues []lruQueue
@@ -155,7 +157,7 @@ type lruApprox struct {
 
 type lruQueue struct {
 	entries []lruEntry
-	head    int
+	head    int // entries before head are consumed, and zero
 }
 
 type lruEntry struct {
@@ -257,6 +259,7 @@ func (l *lruApprox) selectVictims(p *engine.Proc, n int) []*Page {
 				if e.pg.lruSeq == e.seq {
 					break
 				}
+				q.entries[q.head] = lruEntry{}
 				q.head++
 				l.queued--
 				l.dead--
@@ -274,6 +277,7 @@ func (l *lruApprox) selectVictims(p *engine.Proc, n int) []*Page {
 		}
 		q := &l.queues[best]
 		pg := q.entries[q.head].pg
+		q.entries[q.head] = lruEntry{}
 		q.head++
 		l.compact(q)
 		if pg.state == detutil.PgQuarantined || pg.state == detutil.PgQuarantinedDirty {

@@ -47,8 +47,10 @@ func (s *Stack) GiveBack(b []byte) { s.free = append(s.free, b) }
 // that were ever held at once (tests).
 func (s *Stack) Free() int { return len(s.free) }
 
-// maxChunk is the largest chunk an Arena carves from: 32 KB, the largest small
-// size class of the Go allocator.
+// maxChunk is the largest chunk an Arena carves from: 32 KB, the Go
+// allocator's largest size class. (A 32 KB slice is still a large object: the
+// small path ends 8 bytes short of it, at 32,760 B. Allocating one costs about
+// what a 32,760-byte one does.)
 const maxChunk = 32 << 10
 
 // Arena hands out byte slices that their holders keep: a value a store returns

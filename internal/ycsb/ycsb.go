@@ -346,6 +346,9 @@ type zipfGen struct {
 	theta           float64
 	alpha, zetan    float64
 	eta, zeta2theta float64
+	// second is 1 + 0.5^theta: a draw whose u·zetan falls in [1, second) is
+	// the second key.
+	second float64
 }
 
 func newZipf(n uint64, theta float64) *zipfGen {
@@ -357,6 +360,7 @@ func newZipf(n uint64, theta float64) *zipfGen {
 	z.zeta2theta = zetaStatic(2, theta)
 	z.alpha = 1.0 / (1.0 - theta)
 	z.eta = (1 - math.Pow(2.0/float64(n), 1-theta)) / (1 - z.zeta2theta/z.zetan)
+	z.second = 1.0 + math.Pow(0.5, theta)
 	return z
 }
 
@@ -381,7 +385,7 @@ func (z *zipfGen) next(rng *rand.Rand) uint64 {
 	if uz < 1.0 {
 		return 0
 	}
-	if uz < 1.0+math.Pow(0.5, z.theta) {
+	if uz < z.second {
 		return 1
 	}
 	v := uint64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -365,3 +366,48 @@ func BenchmarkValue(b *testing.B) {
 		sink = Value(uint64(i), 1000)
 	}
 }
+
+// refZipfNext is zipfGen.next as first written, with the second key's bound
+// computed on every draw; it stays here as the reference next is held to.
+func refZipfNext(z *zipfGen, rng *rand.Rand) uint64 {
+	u := rng.Float64()
+	uz := u * z.zetan
+	if uz < 1.0 {
+		return 0
+	}
+	if uz < 1.0+math.Pow(0.5, z.theta) {
+		return 1
+	}
+	v := uint64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
+	if v >= z.n {
+		v = z.n - 1
+	}
+	return v
+}
+
+// TestZipfianNextMatchesFormula: the bound next keeps in the generator draws
+// every key the per-draw formula did, over key spaces below and above
+// zetaStatic's exact-sum limit.
+func TestZipfianNextMatchesFormula(t *testing.T) {
+	for _, n := range []uint64{1, 2, 3, 100, 10000, 20000, 1 << 20} {
+		z := newZipf(n, 0.99)
+		got, want := rand.New(rand.NewSource(int64(n))), rand.New(rand.NewSource(int64(n)))
+		for i := range 200000 {
+			if g, w := z.next(got), refZipfNext(z, want); g != w {
+				t.Fatalf("n=%d draw %d: key %d, the formula draws %d", n, i, g, w)
+			}
+		}
+	}
+}
+
+func BenchmarkZipfianNext(b *testing.B) {
+	z := newZipf(20000, 0.99)
+	rng := rand.New(rand.NewSource(1))
+	var sum uint64
+	for i := 0; i < b.N; i++ {
+		sum += z.next(rng)
+	}
+	zipfSink = sum
+}
+
+var zipfSink uint64
