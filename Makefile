@@ -31,8 +31,10 @@ test:
 # the one that ran last, and the tracer/profiler sinks procs feed; -cpu 4
 # gives those callers a second P to race on. internal/torture recovers op
 # panics the engine re-raises on Run's caller and closes half-run worlds.
+# internal/ycsb's KeyBytes and Value carve from one package arena behind a
+# mutex, and eight goroutines draw from it at once in its tests.
 race:
-	$(GO) test -race ./internal/obs/... ./internal/core/... ./internal/host/... ./internal/detutil/... ./internal/sim/mem/... ./internal/torture/...
+	$(GO) test -race ./internal/obs/... ./internal/core/... ./internal/host/... ./internal/detutil/... ./internal/sim/mem/... ./internal/torture/... ./internal/ycsb/...
 	$(GO) test -race -count=10 -cpu 1,4 ./internal/sim/engine/...
 
 fmt:
@@ -184,8 +186,9 @@ sim-bench:
 # (DESIGN.md §3 "Graph construction"). BenchmarkKreonGetTreeHit and
 # BenchmarkLSMGetMmio also report mallocs/op: a Get's value is carved from an
 # arena chunk, a fraction of an allocation that -benchmem's whole allocs/op
-# rounds to 0. Not part of ci: the allocation tests beside these benchmarks
-# gate in `make test`.
+# rounds to 0. So do BenchmarkValue and BenchmarkKeyBytes: the YCSB helpers
+# carve from one such arena. Not part of ci: the allocation tests beside these
+# benchmarks gate in `make test`.
 kv-bench:
 	$(GO) test ./internal/ycsb ./internal/kvs/... ./internal/graph -run '^$$' -bench . -benchmem -cpu 1
 

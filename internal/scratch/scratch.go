@@ -3,8 +3,9 @@
 // WAL record being built, a vertex's offset pair or edge run being read, a
 // parent or rank being written. Each has one holder at a time — whoever
 // borrowed it, until it gives it back. An Arena carves what a store hands to
-// its caller: a Get's value, which is the caller's to keep. So a hop
-// allocates nothing of its own: now and then an arena chunk, no more.
+// its caller: a Get's value, which is the caller's to keep. The YCSB helpers
+// carve from one too: each key and value ycsb.KeyBytes and ycsb.Value return.
+// So a hop allocates nothing of its own: now and then an arena chunk, no more.
 package scratch
 
 // minSize is the least capacity a buffer is made with: a 4 KB node or block.
@@ -54,15 +55,18 @@ func (s *Stack) Free() int { return len(s.free) }
 const maxChunk = 32 << 10
 
 // Arena hands out byte slices that their holders keep: a value a store returns
-// from Get. It never hands the same byte out twice, and it never takes a slice
-// back; a chunk is garbage once every slice carved from it is. Each slice is
-// cut with a three-index expression, so its cap is its len and an append to it
-// moves to a new array instead of running into the next holder's bytes.
+// from Get, a key or value from ycsb.KeyBytes or ycsb.Value. It never hands
+// the same byte out twice, and it never takes a slice back; a chunk is garbage
+// once every slice carved from it is. Each slice is cut with a three-index
+// expression, so its cap is its len and an append to it moves to a new array
+// instead of running into the next holder's bytes.
 //
 // Chunks start at minSize and double up to maxChunk, so a short-lived store
 // wastes little; a request the rest of the chunk cannot hold starts the next
 // chunk and drops that rest, and one larger than a chunk gets a chunk of its
-// own size. The zero value is ready to use.
+// own size. The zero value is ready to use. Like a Stack, it takes no lock: a
+// caller on several goroutines holds its own (ycsb's arena sits behind a
+// mutex).
 type Arena struct {
 	free   []byte // what is left of the current chunk
 	size   int    // the last chunk's size, short of a request's own

@@ -10,8 +10,10 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 
 	"aquila/internal/obs"
+	"aquila/internal/scratch"
 	"aquila/internal/sim/engine"
 )
 
@@ -214,8 +216,10 @@ const (
 )
 
 // KeyBytes encodes a record key (fixed 30-byte keys as in §6.1, with the
-// numeric id in the trailing 8 bytes so ordering matches id order).
-func KeyBytes(id uint64) []byte { return AppendKey(make([]byte, 0, keySize), id) }
+// numeric id in the trailing 8 bytes so ordering matches id order). The key
+// is carved from the package's arena with cap == len: the caller's to keep
+// and to write, and an append to it moves it.
+func KeyBytes(id uint64) []byte { return AppendKey(carve(keySize), id) }
 
 // AppendKey appends the key KeyBytes(id) returns to dst: a driver that issues
 // one operation at a time encodes every key into the same buffer.
@@ -238,8 +242,28 @@ var valuePeriod = func() (t [251]byte) {
 }()
 
 // Value builds a deterministic value for a record id: the id in the first
-// eight bytes, then byte i = (id + i) % 251.
-func Value(id uint64, size int) []byte { return AppendValue(make([]byte, 0, size), id, size) }
+// eight bytes, then byte i = (id + i) % 251. Like KeyBytes, it is carved from
+// the package's arena with cap == len.
+func Value(id uint64, size int) []byte { return AppendValue(carve(size), id, size) }
+
+// arena backs KeyBytes and Value, so a caller that makes a fresh key or value
+// per operation pays a 32 KB chunk now and then instead of an allocation each
+// time. A kept key or value keeps its chunk alive. The lock is for callers on
+// several goroutines at once (the package's tests are some); it guards host
+// memory only, and nothing simulated depends on it.
+var arena struct {
+	sync.Mutex
+	scratch.Arena
+}
+
+// carve returns an empty slice with cap n from the arena, to be appended to.
+// The unlock is deferred so that a negative n, which panics in Alloc, does not
+// leave the arena locked.
+func carve(n int) []byte {
+	arena.Lock()
+	defer arena.Unlock()
+	return arena.Alloc(n)[:0]
+}
 
 // AppendValue appends the value Value(id, size) returns to dst.
 func AppendValue(dst []byte, id uint64, size int) []byte {

@@ -3,8 +3,11 @@ package ycsb
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -322,17 +325,112 @@ func TestAppendKeyAndValueAppend(t *testing.T) {
 	}
 }
 
-func TestValueAllocatesOnce(t *testing.T) {
-	if n := testing.AllocsPerRun(100, func() { sink = Value(12345, 1000) }); n != 1 {
-		t.Errorf("Value: %v allocs, want 1 (the value)", n)
+// KeyBytes and Value carve from the package's arena, so a run of them
+// allocates only the 32 KB chunks it fills: 1,000 keys the chunks their 30,000
+// bytes span, 1,000 values of 1,000 bytes one per 32 of them, and either one
+// more for the chunk the run starts in. Each count is the least of three
+// windows: now and then the runtime's own work allocates inside one.
+func TestKeysAndValuesAllocateByTheChunk(t *testing.T) {
+	const n = 1000
+	least := func(fn func()) float64 {
+		m := testing.AllocsPerRun(1, fn)
+		for range 2 {
+			m = min(m, testing.AllocsPerRun(1, fn))
+		}
+		return m
 	}
-	if n := testing.AllocsPerRun(100, func() { sink = KeyBytes(12345) }); n != 1 {
-		t.Errorf("KeyBytes: %v allocs, want 1 (the key)", n)
+	keys := least(func() {
+		for i := range uint64(n) {
+			sink = KeyBytes(i)
+		}
+	})
+	if want := float64((n*keySize+chunk-1)/chunk + 1); keys > want {
+		t.Errorf("%d KeyBytes: %v allocs, want at most %v (the arena's chunks)", n, keys, want)
+	}
+	values := least(func() {
+		for i := range uint64(n) {
+			sink = Value(i, 1000)
+		}
+	})
+	if want := float64((n+chunk/1000-1)/(chunk/1000) + 1); values > want {
+		t.Errorf("%d Values of 1,000 bytes: %v allocs, want at most %v (one chunk per %d values)", n, values, want, chunk/1000)
 	}
 	buf := make([]byte, 0, 1030)
 	if n := testing.AllocsPerRun(100, func() { sink = AppendValue(AppendKey(buf[:0], 9), 9, 1000) }); n != 0 {
 		t.Errorf("AppendKey+AppendValue into a sized buffer: %v allocs, want 0", n)
 	}
+}
+
+// chunk is the arena's largest chunk, 32 KB.
+const chunk = 32 << 10
+
+// keptKV is a key or value a caller kept, beside the bytes it must hold.
+type keptKV struct{ got, want []byte }
+
+// drawKept draws n keys and values alternately from KeyBytes and Value, of
+// sizes from 8 bytes to 2 KB and, where big is true, one larger than a chunk,
+// each beside its AppendKey or AppendValue reference.
+func drawKept(n int, base uint64, big bool) []keptKV {
+	held := make([]keptKV, 0, n)
+	for i := range n {
+		id := base + uint64(i)
+		if i%2 == 0 {
+			held = append(held, keptKV{KeyBytes(id), AppendKey(nil, id)})
+			continue
+		}
+		size := 8 + i*37%2000
+		if big && i == n/2+1 {
+			size = chunk + 4000
+		}
+		held = append(held, keptKV{Value(id, size), AppendValue(nil, id, size)})
+	}
+	return held
+}
+
+// checkKept appends to every kept key and value, then checks that each still
+// holds its own bytes, and has cap == len: an append to one moves it instead
+// of writing into the next one carved from the same chunk. It returns the
+// first that does not.
+func checkKept(held []keptKV) error {
+	for _, h := range held {
+		_ = append(h.got, 0xFF, 0xFF, 0xFF, 0xFF)
+	}
+	for i, h := range held {
+		if !bytes.Equal(h.got, h.want) {
+			return fmt.Errorf("kept key or value %d of %d (len %d) was written by an append to another", i, len(held), len(h.got))
+		}
+	}
+	for i, h := range held {
+		if cap(h.got) != len(h.got) {
+			return fmt.Errorf("kept key or value %d: len %d cap %d, want cap == len", i, len(h.got), cap(h.got))
+		}
+	}
+	return nil
+}
+
+// KeyBytes' and Value's results are the caller's to keep and to write: the
+// arena never hands the same bytes out twice, and an append to one leaves
+// every other as it was.
+func TestKeysAndValuesAreTheCallersToKeep(t *testing.T) {
+	if err := checkKept(drawKept(2000, 0, true)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Eight goroutines draw from the one arena at once (`make race` runs this
+// under the detector): each keeps its own keys and values, intact.
+func TestConcurrentDrawsEachKeepTheirOwn(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := checkKept(drawKept(1000, uint64(g)<<32, g == 0)); err != nil {
+				t.Errorf("goroutine %d: %v", g, err)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 var sink []byte
@@ -360,11 +458,36 @@ func TestRunThreadWritesCorrectValues(t *testing.T) {
 	}
 }
 
+// BenchmarkValue and BenchmarkKeyBytes report mallocs/op beside -benchmem's
+// whole allocs/op: both carve from arena chunks, a fraction of an allocation
+// per call.
 func BenchmarkValue(b *testing.B) {
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sink = Value(uint64(i), 1000)
-	}
+	n := mallocs(func() {
+		for i := 0; i < b.N; i++ {
+			sink = Value(uint64(i), 1000)
+		}
+	})
+	b.ReportMetric(float64(n)/float64(b.N), "mallocs/op")
+}
+
+func BenchmarkKeyBytes(b *testing.B) {
+	b.ReportAllocs()
+	n := mallocs(func() {
+		for i := 0; i < b.N; i++ {
+			sink = KeyBytes(uint64(i))
+		}
+	})
+	b.ReportMetric(float64(n)/float64(b.N), "mallocs/op")
+}
+
+// mallocs returns how many heap objects fn allocates.
+func mallocs(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
 
 // refZipfNext is zipfGen.next as first written, with the second key's bound
