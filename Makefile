@@ -33,6 +33,8 @@ test:
 # panics the engine re-raises on Run's caller and closes half-run worlds.
 # internal/ycsb's KeyBytes and Value carve from one package arena behind a
 # mutex, and eight goroutines draw from it at once in its tests.
+# internal/cachetest's contracts run inside the core and host test packages,
+# the four-thread collection contract among them, so those patterns cover it.
 race:
 	$(GO) test -race ./internal/obs/... ./internal/core/... ./internal/host/... ./internal/detutil/... ./internal/sim/mem/... ./internal/torture/... ./internal/ycsb/...
 	$(GO) test -race -count=10 -cpu 1,4 ./internal/sim/engine/...

@@ -1,0 +1,495 @@
+// Package cachetest states, once, the contracts every page-cache world
+// keeps: Aquila's cache (internal/core) and the Linux baseline
+// (internal/host), as mmap and as Kreon's kmmap. A world's tests implement
+// World over their own internals, and each contract boots its own worlds,
+// drives them through iface and reads back what only a world can tell: its
+// page records, page table and queues.
+package cachetest
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+	"weak"
+
+	"aquila/internal/iface"
+	"aquila/internal/sim/cpu"
+	"aquila/internal/sim/engine"
+	"aquila/internal/sim/mem"
+)
+
+const (
+	pageSize = mem.PageSize
+	mib      = 1 << 20
+)
+
+// World is one booted page-cache world, as its own tests see it. R is its
+// page record.
+type World[R any] interface {
+	iface.Namespace
+	Engine() *engine.Engine
+	// MmapOther maps f from a second address space where the world has one.
+	MmapOther(p *engine.Proc, f iface.File, size uint64) iface.Mapping
+	// Record is the page record cached at (f, idx), nil if none; Busy is
+	// whether a record's page is claimed by a fill or an eviction.
+	Record(f iface.File, idx uint64) *R
+	Busy(r *R) bool
+	// Rmap is the virtual addresses mapping the record at (f, idx), and
+	// whether they are kept in the record itself.
+	Rmap(f iface.File, idx uint64) (vas []uint64, inline bool)
+	// EvictAll evicts every cached page, writing back the dirty ones.
+	EvictAll(p *engine.Proc)
+	// Resident is the number of cached pages.
+	Resident() int
+	// Tables is the page table's page count and its mapped PTEs.
+	Tables() (pages int, ptes uint64)
+	// Dirty is the number of dirty pages; WrittenBack the pages written back.
+	Dirty() int
+	WrittenBack() uint64
+	// Queue is the queue whose dead entries a sweep drops — a page record
+	// per entry: its entries, how many of them are dead, and the dead count
+	// below which no sweep runs.
+	Queue() (entries, dead, sweepMin int)
+	// Pinned is the records the world holds by design wherever their pages
+	// are. A gone record among them is no leak, but they may not outnumber
+	// the queue's dead entries.
+	Pinned() []*R
+	// CheckInvariants is every audit the world holds at a quiescent point.
+	CheckInvariants() error
+}
+
+// Boot builds a fresh world with a cache of cacheBytes and cpus CPUs.
+type Boot[R any] func(cacheBytes uint64, cpus int) World[R]
+
+func run1(e *engine.Engine, fn func(p *engine.Proc)) {
+	e.Spawn(0, "t", fn)
+	e.Run()
+}
+
+func check[R any](t *testing.T, w World[R]) {
+	t.Helper()
+	if err := w.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkQueue holds the sweep's bound: dead entries never outnumber both the
+// live ones and the sweep's threshold, and the live are at most two per
+// cached page.
+func checkQueue[R any](t *testing.T, w World[R], when string) {
+	t.Helper()
+	entries, dead, sweepMin := w.Queue()
+	if live := entries - dead; dead > max(sweepMin, live) || entries > 2*w.Resident()+sweepMin {
+		t.Fatalf("%s: %d queue entries, %d dead, %d pages cached: past the sweep's bound", when, entries, dead, w.Resident())
+	}
+}
+
+// filed is where a page record was cached.
+type filed struct {
+	f   iface.File
+	idx uint64
+}
+
+// GoneRecordsAreGarbage: a page record is garbage as soon as its page has
+// left the cache and nothing else holds it. It watches every record a run
+// creates — a mixed pass over a file eight times the cache, rounds of
+// deleted files until the queue's sweep runs, then a mixed pass and a
+// load-only pass that turn the cache over behind them — and after a
+// collection no record that has left the cache may still be reachable but
+// one the world has Pinned. It runs on one thread and on four threads and CPUs.
+func GoneRecordsAreGarbage[R any](t *testing.T, boot Boot[R]) {
+	for _, threads := range []int{1, 4} {
+		t.Run(fmt.Sprintf("threads=%d", threads), func(t *testing.T) {
+			goneRecordsAreGarbage(t, boot, threads)
+		})
+	}
+}
+
+func goneRecordsAreGarbage[R any](t *testing.T, boot Boot[R], threads int) {
+	const cachePages, filePages, roundPages = 2048, 8 * 2048, 1536
+	w := boot(cachePages*pageSize, threads)
+	e := w.Engine()
+	// Each record is followed through the collector without being held.
+	watched := map[weak.Pointer[R]]filed{}
+	var data iface.File
+	run1(e, func(p *engine.Proc) { data = w.Create(p, "data", filePages*pageSize) })
+	// touch is two loads to one store, or a load; every record it leaves in
+	// the cache is watched.
+	touch := func(p *engine.Proc, m iface.Mapping, mixed bool, f iface.File, i uint64) {
+		var buf [8]byte
+		if mixed && i%3 == 2 {
+			m.Store(p, i*pageSize, buf[:])
+		} else {
+			m.Load(p, i*pageSize, buf[:])
+		}
+		if r := w.Record(f, i); r != nil {
+			watched[weak.Make(r)] = filed{f, i}
+		}
+	}
+	pass := func(mixed bool) {
+		for c := range threads {
+			e.Spawn(c, "pass", func(p *engine.Proc) {
+				m := w.Mmap(p, data, filePages*pageSize)
+				for i := uint64(c); i < filePages; i += uint64(threads) {
+					touch(p, m, mixed, data, i)
+				}
+				m.Munmap(p)
+			})
+		}
+		e.Run()
+		checkQueue(t, w, fmt.Sprintf("mixed=%v pass", mixed))
+	}
+	pass(true)
+	// Deleted files' entries die in the queue. Each round msyncs as it goes,
+	// so no dirty throttling pops the queue, and nothing evicts while the
+	// freed frames last: the sweep must drop them.
+	run1(e, func(p *engine.Proc) {
+		swept := false
+		for r := 0; !swept; r++ {
+			if r == 8 {
+				t.Fatalf("%d rounds of %d deleted pages never triggered a sweep", r, roundPages)
+			}
+			name := fmt.Sprintf("round%d", r)
+			f := w.Create(p, name, roundPages*pageSize)
+			m := w.Mmap(p, f, roundPages*pageSize)
+			for i := range uint64(roundPages) {
+				touch(p, m, true, f, i)
+				if i%64 == 63 {
+					m.MsyncRange(p, (i-63)*pageSize, 64*pageSize)
+				}
+			}
+			m.Munmap(p)
+			before, _, _ := w.Queue()
+			w.Delete(p, name)
+			after, _, _ := w.Queue()
+			swept = after < before
+		}
+	})
+	pass(true)
+	pass(false)
+	runtime.GC() // sweeps every span before it returns: the weak pointers of the dead are nil
+	pinned := map[*R]bool{}
+	for _, r := range w.Pinned() {
+		pinned[r] = true
+	}
+	cached, queued, held := 0, 0, 0
+	for rec, at := range watched {
+		switch r := rec.Value(); {
+		case r == nil:
+		case r == w.Record(at.f, at.idx):
+			cached++
+		case pinned[r]:
+			queued++
+		default:
+			held++
+		}
+	}
+	if gone := len(watched) - cached; gone < 2*(filePages-cachePages) {
+		t.Fatalf("%d of %d records gone: not the evicting run", gone, len(watched))
+	}
+	if held > 0 {
+		t.Errorf("%d of %d gone page records still reachable after a collection", held, len(watched)-cached)
+	}
+	if _, dead, _ := w.Queue(); queued > dead {
+		t.Errorf("the queue pins %d gone records with %d dead entries", queued, dead)
+	}
+	check(t, w)
+}
+
+// DeadQueueEntriesAreSwept: with nothing evicting and nothing throttling,
+// nothing walks the queue, and the entries of deleted files used to pin every
+// one of their pages for the life of the world. The dead are swept once they
+// outnumber the live, and a deleted file leaves no live entry behind.
+func DeadQueueEntriesAreSwept[R any](t *testing.T, boot Boot[R]) {
+	const rounds, pages = 12, 3000
+	w := boot(64*mib, 2)
+	run1(w.Engine(), func(p *engine.Proc) {
+		swept := false
+		for r := range rounds {
+			name := fmt.Sprintf("round%d", r)
+			f := w.Create(p, name, pages*pageSize)
+			m := w.Mmap(p, f, pages*pageSize)
+			for i := range uint64(pages) {
+				m.Store(p, i*pageSize, []byte{byte(r)})
+				if i%64 == 63 {
+					m.MsyncRange(p, (i-63)*pageSize, 64*pageSize)
+				}
+			}
+			m.Munmap(p)
+			if w.Resident() != pages {
+				t.Fatalf("round %d: %d pages cached of %d stored: something evicted", r, w.Resident(), pages)
+			}
+			before, _, _ := w.Queue()
+			w.Delete(p, name)
+			entries, dead, _ := w.Queue()
+			swept = swept || entries < before
+			if entries-dead != 0 {
+				t.Fatalf("round %d: %d live queue entries with no page cached", r, entries-dead)
+			}
+			checkQueue(t, w, fmt.Sprintf("round %d", r))
+			check(t, w)
+		}
+		if !swept {
+			t.Fatalf("%d rounds of %d pages never triggered a sweep", rounds, pages)
+		}
+	})
+}
+
+// MunmapReleasesTablePages: a munmap frees the page-table pages its span
+// emptied, as Linux's free_pgtables does: after every page of a mapping is
+// faulted and the mapping unmapped, the table holds as many pages as before
+// the mmap. An mremap that moves the mapping frees the old range's pages the
+// same way, so the munmap after it does too.
+func MunmapReleasesTablePages[R any](t *testing.T, boot Boot[R]) {
+	const pages = 2048 // four last-level table pages
+	w := boot(4*pages*pageSize, 2)
+	run1(w.Engine(), func(p *engine.Proc) {
+		f := w.Create(p, "data", 2*pages*pageSize)
+		before, _ := w.Tables()
+		for _, grow := range []bool{false, true} {
+			m := w.Mmap(p, f, pages*pageSize)
+			var buf [8]byte
+			for i := uint64(0); i < pages; i++ {
+				m.Load(p, i*pageSize, buf[:])
+			}
+			if got, _ := w.Tables(); got <= before {
+				t.Fatalf("faulting %d pages left %d table pages, as many as before the mmap", pages, got)
+			}
+			if grow {
+				m.(interface{ Mremap(*engine.Proc, uint64) }).Mremap(p, 2*pages*pageSize)
+			}
+			m.Munmap(p)
+			if got, ptes := w.Tables(); got != before || ptes != 0 {
+				t.Errorf("mremap %v: %d table pages and %d PTEs after munmap, want %d and none", grow, got, ptes, before)
+			}
+		}
+		check(t, w)
+	})
+}
+
+// EvictRefaultKeepsTablePages: eviction unmaps page by page and frees no
+// table page, so the refault of an evicted mapping finds its table pages
+// where they were. One page per 2 MB is touched, and the first passes shrink
+// any read-around to that page, so a table page allocated again per refault
+// would double the allocations of a cycle whose only objects are the page
+// records.
+func EvictRefaultKeepsTablePages[R any](t *testing.T, boot Boot[R]) {
+	const span = 64 * mib
+	w := boot(16*mib, 2)
+	run1(w.Engine(), func(p *engine.Proc) {
+		f := w.Create(p, "data", span)
+		m := w.Mmap(p, f, span)
+		var buf [8]byte
+		records, passes := 0, 0
+		cycle := func() {
+			w.EvictAll(p)
+			for off := uint64(0); off < span; off += 2 * mib {
+				m.Load(p, off, buf[:])
+			}
+			records += w.Resident()
+			passes++
+		}
+		for range 4 {
+			cycle()
+		}
+		tables, mapped := w.Tables()
+		records, passes = 0, 0
+		got := testing.AllocsPerRun(5, cycle)
+		if pages, ptes := w.Tables(); records/passes != span/(2*mib) || pages != tables || ptes != mapped {
+			t.Errorf("%d pages cached per refault pass, %d table pages and %d PTEs after it, want %d, %d and %d", records/passes, pages, ptes, span/(2*mib), tables, mapped)
+		}
+		if want := float64(records / passes); got < want || got > want+2 {
+			t.Errorf("evicting and refaulting %v pages made %v allocations, want one page record each", want, got)
+		}
+		check(t, w)
+	})
+}
+
+// ColdMajorFaultIsOneAllocation pins DESIGN.md §3's summary sentence: a cold
+// 4 KB major fault (MADV_RANDOM: no read-around) allocates the page record
+// and nothing else — its busy event and its first reverse mapping are inside
+// it, its frame is a record of the flat table — and the second mapping of a
+// resident page is the one that moves the reverse map to the heap; down to
+// one mapping, the survivor moves back into the record.
+func ColdMajorFaultIsOneAllocation[R any](t *testing.T, boot Boot[R]) {
+	const batch = 64
+	w := boot(64*mib, 2)
+	run1(w.Engine(), func(p *engine.Proc) {
+		f := w.Create(p, "data", 48*mib)
+		m1, m2 := w.Mmap(p, f, 48*mib), w.MmapOther(p, f, 48*mib)
+		m1.Advise(p, iface.AdviceRandom)
+		m2.Advise(p, iface.AdviceRandom)
+		var buf [8]byte
+		// A run is a batch of faults so that growth that amortizes — the
+		// page index, an LRU queue, a page-table node per 512 pages — shows
+		// as a fraction testing.AllocsPerRun rounds away while a second
+		// object per fault would not: 64 faults must cost 64 allocations.
+		loads := func(m iface.Mapping) func() {
+			next := uint64(0)
+			return func() {
+				for range batch {
+					m.Load(p, next*pageSize, buf[:])
+					next++
+				}
+			}
+		}
+		cold, second := loads(m1), loads(m2)
+		cold() // the fault scratch, the CPU's TLB
+		if got := testing.AllocsPerRun(100, cold); got < batch || got > batch+2 {
+			t.Errorf("%d cold major faults made %v allocations, want one each", batch, got)
+		}
+		// The warm-up, AllocsPerRun's own warm-up run and its 100 runs: no
+		// read-around, no eviction.
+		if got := w.Resident(); got != 102*batch {
+			t.Fatalf("%d pages cached after %d cold loads", got, 102*batch)
+		}
+		first, inline := w.Rmap(f, 0)
+		if len(first) != 1 || !inline {
+			t.Fatalf("a page mapped once has vas %#x, inline=%v", first, inline)
+		}
+		second()
+		if got := testing.AllocsPerRun(50, second); got < batch || got > batch+2 {
+			t.Errorf("%d second mappings of resident pages made %v allocations, want one each", batch, got)
+		}
+		if got := w.Resident(); got != 102*batch {
+			t.Fatalf("%d pages cached after the second mapping's loads, want %d", got, 102*batch)
+		}
+		both, inline := w.Rmap(f, 0)
+		if len(both) != 2 || inline {
+			t.Fatalf("a page mapped twice has vas %#x, inline=%v", both, inline)
+		}
+		survivor := both[0]
+		if survivor == first[0] {
+			survivor = both[1]
+		}
+		m1.Munmap(p)
+		if vas, inline := w.Rmap(f, 0); len(vas) != 1 || !inline || vas[0] != survivor {
+			t.Fatalf("after the first mapping went: vas %#x, inline=%v, want [%#x] inline", vas, inline, survivor)
+		}
+		check(t, w)
+	})
+}
+
+// WPFaultRacingMsyncLeavesPageDirty: a store's write-protect fault that
+// dirtied the page, paid a yielding charge and only then made the PTE
+// writable let an msync inside that charge clean the page, and the next
+// store through the writable PTE was never written back. A second proc
+// interrupts the storing CPU (as a concurrent munmap's shootdown does) and
+// msyncs at every offset across the store's write-protect fault; after each,
+// one more store must leave the page dirty. The sweep must reach an msync
+// that writes the page back while the fault is in flight.
+func WPFaultRacingMsyncLeavesPageDirty[R any](t *testing.T, boot Boot[R]) {
+	raced := 0
+	for d := uint64(0); d < 3000; d += 5 {
+		w := boot(1*mib, 2)
+		e := w.Engine()
+		var m iface.Mapping
+		run1(e, func(p *engine.Proc) {
+			m = w.Mmap(p, w.Create(p, "f", pageSize), pageSize)
+			m.Load(p, 0, make([]byte, 8)) // maps the page read-only
+		})
+		t0 := e.Now()
+		e.SpawnAt(0, "store", t0, func(p *engine.Proc) { m.Store(p, 0, []byte{1}) })
+		e.SpawnAt(1, "msync", t0+d, func(p *engine.Proc) {
+			e.PostIRQ(0, cpu.IPIReceive+cpu.TLBFlushAll)
+			m.Msync(p)
+		})
+		e.Run()
+		wp, counts := w.(interface{ WPFaults() uint64 }) // if counted, a second WP fault is not the race
+		if w.WrittenBack() > 0 && w.Dirty() == 1 && (!counts || wp.WPFaults() == 1) {
+			raced++
+		}
+		e.SpawnAt(0, "store again", e.Now(), func(p *engine.Proc) { m.Store(p, 8, []byte{2}) })
+		e.Run()
+		if w.Dirty() != 1 {
+			t.Fatalf("msync %d cycles into the store: a store left its page clean", d)
+		}
+		if err := w.CheckInvariants(); err != nil {
+			t.Fatalf("msync %d cycles into the store: %v", d, err)
+		}
+	}
+	if raced == 0 {
+		t.Fatal("no msync wrote the page back during a write-protect fault: not the race")
+	}
+}
+
+// DeleteRacingEvictionReleasesEachFrameOnce: a delete that waited out its
+// file's busy pages once, then dropped them across yields, let an eviction
+// claim a page it had waited out or not yet dropped, and both released its
+// frame. Four threads fault another file through a small cache while a fifth
+// deletes the file whose pages the evictions are taking, oldest first, once
+// it sees one of them claimed; the audits then find every frame owned once.
+func DeleteRacingEvictionReleasesEachFrameOnce[R any](t *testing.T, boot Boot[R]) {
+	const doomedPages, otherPages, faulters = 896, 4096, 4
+	w := boot(4*mib, faulters+1)
+	e := w.Engine()
+	var doomed, other iface.File
+	run1(e, func(p *engine.Proc) {
+		doomed = w.Create(p, "doomed", doomedPages*pageSize)
+		other = w.Create(p, "other", otherPages*pageSize)
+		m := w.Mmap(p, doomed, doomedPages*pageSize)
+		for i := uint64(0); i < doomedPages; i++ {
+			m.Store(p, i*pageSize, []byte{1})
+		}
+		m.Munmap(p)
+	})
+	running := faulters
+	for c := range faulters {
+		e.Spawn(c, "fault", func(p *engine.Proc) {
+			m := w.Mmap(p, other, otherPages*pageSize)
+			var buf [8]byte
+			for i := uint64(c); i < otherPages; i += faulters {
+				m.Load(p, i*pageSize, buf[:])
+			}
+			running--
+		})
+	}
+	raced := false
+	e.Spawn(faulters, "delete", func(p *engine.Proc) {
+		for !raced && running > 0 {
+			for i := range uint64(doomedPages) {
+				r := w.Record(doomed, i)
+				raced = raced || r != nil && w.Busy(r)
+			}
+			p.WaitUntil(p.Now()+200, engine.KindIOWait)
+		}
+		w.Delete(p, "doomed")
+	})
+	e.Run()
+	if !raced {
+		t.Fatal("no doomed page claimed by an eviction before the delete: not the race")
+	}
+	check(t, w)
+}
+
+// InvariantsAfterHeavyChurn: six threads store and load at random over a
+// file eight times the cache, each msyncing its mapping at the end, and the
+// world's audits hold once one more msync has quiesced it.
+func InvariantsAfterHeavyChurn[R any](t *testing.T, boot Boot[R]) {
+	const size = 16 * mib
+	w := boot(size/8, 8)
+	e := w.Engine()
+	var f iface.File
+	run1(e, func(p *engine.Proc) { f = w.Create(p, "churn", size) })
+	maps := make([]iface.Mapping, 6)
+	for i := range maps {
+		e.Spawn(i, "t", func(p *engine.Proc) {
+			maps[i] = w.Mmap(p, f, size)
+			buf := make([]byte, 16)
+			x := uint64(i + 7)
+			for j := range 1500 {
+				x = x*6364136223846793005 + 1
+				off := (x >> 17) % (size - 16) / pageSize * pageSize
+				if j%3 == 0 {
+					maps[i].Store(p, off, buf)
+				} else {
+					maps[i].Load(p, off, buf)
+				}
+			}
+			maps[i].Msync(p)
+		})
+	}
+	e.Run()
+	run1(e, func(p *engine.Proc) { maps[0].Msync(p) })
+	check(t, w)
+}

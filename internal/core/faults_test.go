@@ -474,11 +474,6 @@ func TestDirectMappingFaults(t *testing.T) {
 // partial page is inside.
 func TestCacheIndexRefusesPagesPastTheFile(t *testing.T) {
 	const size = 1*mib + 100 // 257 pages, the last one partial
-	panicOf := func(f func()) (msg string) {
-		defer func() { msg = fmt.Sprint(recover()) }()
-		f()
-		return "no panic"
-	}
 	e, _, boot := daxWorld(16*mib, 2)
 	e.Spawn(0, "t", func(p *engine.Proc) {
 		rt := boot(p)

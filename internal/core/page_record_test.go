@@ -4,146 +4,16 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
+	"aquila/internal/cachetest"
 	"aquila/internal/detutil"
 	"aquila/internal/sim/engine"
 	"aquila/internal/sim/mem"
 )
-
-// TestColdMajorFaultIsOneAllocation pins DESIGN.md §3's summary sentence: a
-// cold 4 KB major fault allocates the Page and nothing else — its busy event
-// and its first reverse mapping are inside it, its frame is a record of the
-// flat table — and the second mapping of a resident page is the one that
-// moves the reverse map to the heap.
-func TestColdMajorFaultIsOneAllocation(t *testing.T) {
-	const batch = 64
-	e, _, boot := daxWorld(64*mib, 2)
-	e.Spawn(0, "t", func(p *engine.Proc) {
-		rt := boot(p)
-		f := rt.CreateFile(p, "data", 48*mib)
-		m1, m2 := rt.Mmap(p, f, 48*mib), rt.Mmap(p, f, 48*mib)
-		var buf [8]byte
-		// A run is a batch of faults so that growth that amortizes — the page
-		// hash, an LRU queue, a page-table node per 512 pages — shows as a
-		// fraction testing.AllocsPerRun rounds away while a second object per
-		// fault would not: 64 faults must cost 64 allocations, not 128.
-		var next1, next2 uint64
-		cold := func() {
-			for i := 0; i < batch; i++ {
-				m1.Load(p, next1*pageSize, buf[:])
-				next1++
-			}
-		}
-		second := func() {
-			for i := 0; i < batch; i++ {
-				m2.Load(p, next2*pageSize, buf[:])
-				next2++
-			}
-		}
-		cold() // the fault scratch buffer, the CPU's TLB
-		major := rt.Stats.MajorFaults
-		if got := testing.AllocsPerRun(100, cold); got < batch || got > batch+2 {
-			t.Errorf("%d cold major faults made %v allocations, want one each", batch, got)
-		}
-		if got := rt.Stats.MajorFaults - major; got != 101*batch {
-			t.Fatalf("the measured loads took %d major faults, want %d", got, 101*batch)
-		}
-		if rt.Stats.Evictions != 0 {
-			t.Fatalf("%d evictions: the faults were not all cold", rt.Stats.Evictions)
-		}
-		pg := f.pages.Get(0)
-		if len(pg.vas.S) != 1 || !pg.vas.Inline() {
-			t.Fatalf("a page mapped once has vas %v, inline=%v", pg.vas.S, pg.vas.Inline())
-		}
-		second()
-		minor := rt.Stats.MinorFaults
-		if got := testing.AllocsPerRun(50, second); got < batch || got > batch+2 {
-			t.Errorf("%d second mappings of resident pages made %v allocations, want one each", batch, got)
-		}
-		if got := rt.Stats.MinorFaults - minor; got != 51*batch {
-			t.Fatalf("the second mapping's loads took %d minor faults, want %d", got, 51*batch)
-		}
-		if len(pg.vas.S) != 2 || pg.vas.Inline() {
-			t.Fatalf("a page mapped twice has vas %v, inline=%v", pg.vas.S, pg.vas.Inline())
-		}
-		// Down to one mapping, the survivor moves back into the page.
-		m1.Munmap(p)
-		if len(pg.vas.S) != 1 || !pg.vas.Inline() || pg.vas.S[0] != m2.r.Start {
-			t.Fatalf("after the first mapping went: vas %#x, inline=%v, want [%#x] inline", pg.vas.S, pg.vas.Inline(), m2.r.Start)
-		}
-		if err := rt.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	e.Run()
-}
-
-// lruCensus recounts what lruApprox keeps counters of.
-func lruCensus(l *lruApprox) (queued, dead, nonResident int) {
-	for i := range l.queues {
-		q := &l.queues[i]
-		for _, e := range q.entries[q.head:] {
-			queued++
-			if e.pg.lruSeq != e.seq {
-				dead++
-			}
-			if !e.pg.state.Indexed() {
-				nonResident++
-			}
-		}
-	}
-	return
-}
-
-// TestDeletedFilesLeaveTheLRUQueues: with nothing evicting, nothing walks the
-// queues, and the entries of deleted files used to pin every one of their
-// pages for the life of the runtime. Now the dead are swept once they
-// outnumber the live.
-func TestDeletedFilesLeaveTheLRUQueues(t *testing.T) {
-	const rounds, pages = 12, 3000
-	e, _, boot := daxWorld(64*mib, 2)
-	e.Spawn(0, "t", func(p *engine.Proc) {
-		rt := boot(p)
-		var buf [8]byte
-		swept := false
-		for r := 0; r < rounds; r++ {
-			name := fmt.Sprintf("round%d", r)
-			f := rt.CreateFile(p, name, pages*pageSize)
-			m := rt.Mmap(p, f, pages*pageSize)
-			for i := uint64(0); i < pages; i++ {
-				m.Load(p, i*pageSize, buf[:])
-			}
-			m.Munmap(p)
-			before := rt.lru.queued
-			rt.DeleteFile(p, name)
-			swept = swept || rt.lru.queued < before
-			queued, dead, nonResident := lruCensus(rt.lru)
-			if queued != rt.lru.queued || dead != rt.lru.dead {
-				t.Fatalf("round %d: counters say %d queued, %d dead; the queues hold %d and %d", r, rt.lru.queued, rt.lru.dead, queued, dead)
-			}
-			if nonResident != dead {
-				t.Fatalf("round %d: %d entries of non-resident pages, %d dead: nothing else kills an entry here", r, nonResident, dead)
-			}
-			if live := queued - dead; dead > max(lruSweepMinDead, live) {
-				t.Fatalf("round %d: %d dead entries with %d live, over the sweep threshold", r, dead, live)
-			}
-		}
-		if rt.Stats.Evictions != 0 {
-			t.Fatalf("%d evictions: something other than the sweep walked the queues", rt.Stats.Evictions)
-		}
-		if !swept {
-			t.Fatalf("%d rounds of %d pages never triggered a sweep", rounds, pages)
-		}
-		if err := rt.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	e.Run()
-}
 
 // TestSweepDoesNotMoveVictimOrder runs one evicting trace — major faults, minor
 // faults that re-record resident pages, a file deleted midway — twice, the second
@@ -163,7 +33,7 @@ func TestSweepDoesNotMoveVictimOrder(t *testing.T) {
 				return vs
 			}
 			op := func() {
-				if _, dead, _ := lruCensus(rt.lru); sweepEveryOp && dead > 0 {
+				if sweepEveryOp && rt.lru.dead > 0 {
 					rt.lru.sweep()
 					sweeps++
 				}
@@ -279,73 +149,10 @@ func TestInvariantsAuditThePageRecord(t *testing.T) {
 	e.Run()
 }
 
-// allocated runs f and returns how many heap objects and bytes it allocated.
-func allocated(f func()) (objects, bytes uint64) {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	f()
-	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
-}
-
-// cycleCost is what the measured stretch of evictWritebackCycle did and
-// allocated.
-type cycleCost struct {
-	faults, written, blocks uint64 // major faults, pages written back, device blocks written for the first time
-	lined                   uint64 // frames whose payload took its first buffer
-	objects, bytes          uint64
-	warm                    float64 // allocations of warmPayloadPass over the same frames
-}
-
-// payloadLines counts the frames of a whose payload holds a buffer.
-func payloadLines(a *mem.Allocator) (n uint64) {
-	for id := range a.Capacity() {
-		if f := a.Frame(id); f != nil && cap(f.Held()) > 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// linePages bounds the pages a pool carves for n new 64-byte lines, 64 to a
-// page: at most one per 64 lines begun, and one fewer when the remainder the
-// pool carried into the window covers the lines that spill over — or a
-// hundredth fewer lines, when a few take a line a rewritten block gave back.
-func linePages(n uint64) (lo, hi uint64) {
-	const perPage = mem.PageSize / mem.LineSize
-	return (n - n/100) / perPage, (n + perPage - 1) / perPage
-}
-
-// warmPayloadPass is the cycle's payload work done over every frame of a that
-// holds a payload: a fill from a dense block and one from a block holding one
-// stamped line, the stamp stored and read, a hole-fill. Once each frame has
-// been through it, it allocates nothing: a frame keeps its buffer, and one it
-// outgrows or leaves goes to its allocator's class lists for the next frame.
-func warmPayloadPass(a *mem.Allocator) float64 {
-	dense, line := make([]byte, pageSize), make([]byte, mem.LineSize)
-	for i := range dense {
-		dense[i] = byte(i) | 1
-	}
-	var word [8]byte
-	binary.LittleEndian.PutUint64(word[:], 0x5A5A_0000_0000_0001)
-	copy(line, word[:])
-	return testing.AllocsPerRun(3, func() {
-		for id := range a.Capacity() {
-			if f := a.Frame(id); f != nil && f.HasData() {
-				f.Load(dense)
-				f.Load(line)
-				f.WriteAt(8, word[:])
-				f.ReadAt(word[:], 8)
-				f.Reset()
-			}
-		}
-	})
-}
-
 // evictWritebackCycle runs the fault → evict → write-back cycle at steady
 // state: cache full, a file eight times its size, two loads to one store over
 // uniformly random pages, each store an 8-byte stamp at the page's start.
-func evictWritebackCycle(t *testing.T, stamp uint64) (c cycleCost) {
+func evictWritebackCycle(t *testing.T, stamp uint64) (c cachetest.Cycle) {
 	const cachePages, filePages = 1024, 8192
 	e, os, boot := daxWorld(cachePages*pageSize, 2)
 	var pool *mem.Allocator
@@ -372,69 +179,144 @@ func evictWritebackCycle(t *testing.T, stamp uint64) (c cycleCost) {
 		// of the file's blocks have been written back once by then, not all.
 		ops(12 * cachePages)
 		store := os.Disk().Content
-		faults, written, blocks, lined := rt.Stats.MajorFaults, rt.Stats.WrittenBack, store.ResidentBlocks(), payloadLines(rt.framePool)
-		c.objects, c.bytes = allocated(func() { ops(6 * cachePages) })
-		c.faults, c.written, c.blocks = rt.Stats.MajorFaults-faults, rt.Stats.WrittenBack-written, uint64(store.ResidentBlocks()-blocks)
-		c.lined = payloadLines(rt.framePool) - lined
-		if c.faults < 4*cachePages || c.written < cachePages || rt.Stats.Evictions < 8*cachePages {
-			t.Fatalf("not the cycle: %d faults, %d pages written back, %d evictions", c.faults, c.written, rt.Stats.Evictions)
+		faults, written, blocks, lined := rt.Stats.MajorFaults, rt.Stats.WrittenBack, store.ResidentBlocks(), cachetest.PayloadLines(rt.framePool)
+		c.Objects, c.Bytes = cachetest.Allocated(func() { ops(6 * cachePages) })
+		c.Pages, c.Written, c.Blocks = rt.Stats.MajorFaults-faults, rt.Stats.WrittenBack-written, uint64(store.ResidentBlocks()-blocks)
+		c.Lined = cachetest.PayloadLines(rt.framePool) - lined
+		if c.Pages < 4*cachePages || c.Written < cachePages || rt.Stats.Evictions < 8*cachePages {
+			t.Fatalf("not the cycle: %d faults, %d pages written back, %d evictions", c.Pages, c.Written, rt.Stats.Evictions)
 		}
 		if err := rt.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
 	})
 	e.Run()
-	c.warm = warmPayloadPass(pool)
+	c.Warm = cachetest.WarmPayloadPass(pool)
 	return c
 }
 
 // TestEvictWritebackCycleAllocations is the budget of the fault → evict →
-// write-back cycle at steady state. N major faults cost N page records plus
-// the pages the content pools carve in the window, and nothing else: no run
-// slice, no victim or dirty batch, no index leaf, no version list, and nothing
-// at all for a page turning dirty or clean. What amortizes (an LRU queue's
-// tail, the staged list) is allowed a thousandth of an allocation per fault.
-// The same cycle storing zeros holds the payloads' bytes to account: a
-// first-written block that carries a stamp is one 64-byte line, and so is a
-// frame whose payload takes its first buffer in the window, carved 64 to a
-// 4 KB page, so the stamp costs a page per 64 of them (linePages: to within
-// the remainder each pool carries in); a block written back all zeros, and a
-// frame that only ever held zeros, cost nothing. A warm pass of payload work
-// over the same frames allocates nothing at all.
+// write-back cycle at steady state (cachetest.CycleAllocations): N major
+// faults cost N page records plus the pages the content pools carve, and
+// nothing else: no run slice, no victim or dirty batch, no index leaf, no
+// version list, and nothing at all for a page turning dirty or clean. What
+// amortizes (an LRU queue's tail, the staged list) is allowed a thousandth of
+// an allocation per fault.
 func TestEvictWritebackCycleAllocations(t *testing.T) {
-	// Each count is the least of three runs: now and then the runtime's own
-	// work allocates inside the window.
-	least := func(stamp uint64) cycleCost {
-		c := evictWritebackCycle(t, stamp)
-		for range 2 {
-			d := evictWritebackCycle(t, stamp)
-			c.objects, c.bytes = min(c.objects, d.objects), min(c.bytes, d.bytes)
+	cachetest.CycleAllocations(t, func(stamp uint64) cachetest.Cycle { return evictWritebackCycle(t, stamp) }, 1000)
+}
+
+// panicOf runs f and returns what it panicked with, "" if nothing.
+func panicOf(f func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
 		}
-		return c
+	}()
+	f()
+	return ""
+}
+
+// TestPageMoveMatrix holds move to the lifecycle table: every (from, to) pair
+// either moves the page as the table says — index membership, the core's
+// dirty count, the busy event — or panics naming the page and both states. A
+// pinned page may not leave the cache, and a page may not be published over
+// another.
+func TestPageMoveMatrix(t *testing.T) {
+	const n = uint64(detutil.PgGone) + 1
+	e, _, boot := daxWorld(4*mib, 2)
+	e.Spawn(0, "t", func(p *engine.Proc) {
+		rt := boot(p)
+		f := rt.CreateFile(p, "m", (n*n+1)*pageSize)
+		legal := 0
+		for from := detutil.PageState(0); uint64(from) < n; from++ {
+			for to := detutil.PageState(0); uint64(to) < n; to++ {
+				idx := uint64(from)*n + uint64(to)
+				pg := &Page{file: f, idx: idx, frame: &mem.Frame{}, state: from, dirtyCore: 1}
+				if from.Indexed() {
+					f.pages.Insert(idx, pg)
+				}
+				if from.Counted() {
+					rt.dirtyOn[1]++
+				}
+				if from.Busy() {
+					pg.ev.Arm(evictClaim)
+				}
+				before := rt.dirtyOn[1]
+				msg := panicOf(func() { rt.move(pg, to) })
+				if !from.Legal(to) {
+					if want := fmt.Sprintf("core: page (m,%d): %v → %v", idx, from, to); !strings.HasPrefix(msg, want) {
+						t.Errorf("%v → %v: panic %q, want %q", from, to, msg, want)
+					}
+					continue
+				}
+				legal++
+				counted := map[bool]int{true: 1}
+				switch {
+				case msg != "":
+					t.Errorf("%v → %v, a listed edge, panicked: %s", from, to, msg)
+				case pg.state != to || (f.pages.Get(idx) == pg) != to.Indexed():
+					t.Errorf("%v → %v: state %v, indexed %v", from, to, pg.state, f.pages.Get(idx) == pg)
+				case rt.dirtyOn[1]-before != counted[to.Counted()]-counted[from.Counted()]:
+					t.Errorf("%v → %v: dirty count moved by %d", from, to, rt.dirtyOn[1]-before)
+				case to.Busy() && !pg.busy():
+					t.Errorf("%v → %v: event not armed", from, to)
+				}
+				pg.ev.Fire(p.Now())
+			}
+		}
+		if legal < 30 {
+			t.Fatalf("%d legal edges", legal)
+		}
+		pg := &Page{file: f, idx: n * n, state: detutil.PgClean, pins: 1}
+		f.pages.Insert(pg.idx, pg)
+		if msg, want := panicOf(func() { rt.move(pg, detutil.PgGone) }), "clean → gone with 1 pins"; !strings.Contains(msg, want) {
+			t.Errorf("a pinned page leaving: panic %q, want %q", msg, want)
+		}
+		twin := &Page{file: f, idx: n * n}
+		if msg, want := panicOf(func() { rt.move(twin, detutil.PgFilling) }), "new → filling over a clean page"; !strings.Contains(msg, want) {
+			t.Errorf("a second page published at one index: panic %q, want %q", msg, want)
+		}
+	})
+	e.Run()
+}
+
+// A faulter left waiting on a fill nobody ends is a deadlock, and the
+// engine's diagnostic names the page the way it always has, aqio:<file>:<idx>
+// (a unit aqhuge:), although the event holds only the page, not a name.
+func TestStuckFillDeadlockNamesPage(t *testing.T) {
+	for _, huge := range []bool{false, true} {
+		e, _, boot := daxWorld(4*mib, 2)
+		var pg *Page
+		e.Spawn(0, "owner", func(p *engine.Proc) {
+			rt := boot(p)
+			f := rt.CreateFile(p, "stuck", 4*mib)
+			f.pages.Reserve(hugePages)
+			pg = &Page{file: f, idx: 7, huge: huge}
+			if huge {
+				pg.idx = 0
+			}
+			rt.move(pg, detutil.PgFilling)
+		})
+		e.Spawn(1, "faulter", func(p *engine.Proc) {
+			p.AdvanceSystem(1 << 20) // after the owner has booted and published
+			pg.ev.Wait(p)
+		})
+		want := "faulter(on event:aqio:stuck:7)"
+		if huge {
+			want = "faulter(on event:aqhuge:stuck:0)"
+		}
+		if msg := panicOf(e.Run); !strings.Contains(msg, "engine: deadlock") || !strings.Contains(msg, want) {
+			t.Fatalf("Run panicked with %q, want a deadlock naming %s", msg, want)
+		}
 	}
-	c, zero := least(0x5A5A_0000_0000_0001), least(0)
-	if c.faults != zero.faults || c.written != zero.written || c.blocks != zero.blocks {
-		t.Fatalf("the stamp moved the cycle: %+v, all zeros %+v", c, zero)
-	}
-	blo, bhi := linePages(c.blocks)
-	llo, lhi := linePages(c.lined)
-	lo, hi := blo+llo, bhi+lhi
-	if c.objects < c.faults+lo || c.objects > c.faults+hi+c.faults/1000 {
-		t.Errorf("%d faults, %d first-written device blocks and %d frames given their first line made %d allocations, want %d to %d",
-			c.faults, c.blocks, c.lined, c.objects, c.faults+lo, c.faults+hi+c.faults/1000)
-	}
-	if z := zero; z.objects < z.faults || z.objects > z.faults+z.faults/1000 {
-		t.Errorf("all zeros: %d faults made %d allocations, want %d to %d: the %d first-written blocks or %d lined frames cost something",
-			z.faults, z.objects, z.faults, z.faults+z.faults/1000, z.blocks, z.lined)
-	}
-	if zero.lined != 0 {
-		t.Errorf("all zeros: %d frames took a payload buffer, want none", zero.lined)
-	}
-	if d := int64(c.bytes - zero.bytes); d < int64(lo*mem.PageSize) || d > int64(hi*mem.PageSize) {
-		t.Errorf("the stamp cost %d bytes for %d first-written blocks and %d frames given their first line, want a 4 KB page per 64 of them: %d to %d",
-			d, c.blocks, c.lined, lo*mem.PageSize, hi*mem.PageSize)
-	}
-	if c.warm != 0 || zero.warm != 0 {
-		t.Errorf("a warm pass of payload work over the cycle's frames made %v allocations (all zeros: %v), want 0", c.warm, zero.warm)
+}
+
+// The page record stays in its size class: a cold major fault is one
+// allocation of it (cachetest.ColdMajorFaultIsOneAllocation), and a field more puts
+// every fault in the next class.
+func TestPageRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(Page{}); got > 112 {
+		t.Errorf("Page is %d bytes, want at most 112: past it every cold fault allocates from Go's 128-byte size class, not the 112-byte one (DESIGN.md §3 \"Page records\")", got)
 	}
 }

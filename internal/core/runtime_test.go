@@ -534,43 +534,6 @@ func TestAquilaMsyncRange(t *testing.T) {
 	e.Run()
 }
 
-func TestAquilaInvariantsAfterHeavyChurn(t *testing.T) {
-	cache := uint64(2 * mib)
-	e, _, boot := daxWorld(cache, 8)
-	var rt *Runtime
-	var f *fileState
-	e.Spawn(0, "init", func(p *engine.Proc) {
-		rt = boot(p)
-		f = rt.CreateFile(p, "churn", 16*mib)
-	})
-	e.Run()
-	maps := make([]*AqMapping, 6)
-	for i := 0; i < 6; i++ {
-		i := i
-		e.Spawn(i, "t", func(p *engine.Proc) {
-			maps[i] = rt.Mmap(p, f, 16*mib)
-			buf := make([]byte, 16)
-			x := uint64(i + 7)
-			for j := 0; j < 1500; j++ {
-				x = x*6364136223846793005 + 1
-				off := (x >> 17) % (16*mib - 16) / pageSize * pageSize
-				if j%3 == 0 {
-					maps[i].Store(p, off, buf)
-				} else {
-					maps[i].Load(p, off, buf)
-				}
-			}
-		})
-	}
-	e.Run()
-	// Quiesce with one msync, then audit.
-	e.Spawn(0, "sync", func(p *engine.Proc) { maps[0].Msync(p) })
-	e.Run()
-	if err := rt.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDirectNVMMapping(t *testing.T) {
 	// DAX world over Optane-PMM-class pmem.
 	e := engine.New(engine.Config{NumCPUs: 4, Seed: 1})
