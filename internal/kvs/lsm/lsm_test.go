@@ -121,6 +121,7 @@ func openTestDB(p *engine.Proc, e *engine.Engine, ns iface.Namespace, mode IOMod
 		memtableBytes:   64 << 10,
 		SSTTargetBytes:  256 << 10,
 		BlockCacheBytes: 1 << 20,
+		DisableWAL:      true,
 		Seed:            7,
 	})
 }
@@ -446,6 +447,7 @@ func TestDBMatchesMapModelProperty(t *testing.T) {
 				NS: ns, Mode: IODirectCached,
 				memtableBytes:  8 << 10, // tiny: force flush/compaction churn
 				SSTTargetBytes: 32 << 10,
+				DisableWAL:     true,
 				Seed:           11,
 			})
 			ref := make(map[uint64]uint64)
@@ -511,7 +513,7 @@ func TestTombstonesDroppedAtCompaction(t *testing.T) {
 	run1(e, func(p *engine.Proc) {
 		db := Open(p, e, Options{
 			NS: ns, Mode: IODirectCached,
-			memtableBytes: 8 << 10, SSTTargetBytes: 64 << 10, Seed: 3,
+			memtableBytes: 8 << 10, SSTTargetBytes: 64 << 10, DisableWAL: true, Seed: 3,
 		})
 		for i := uint64(0); i < 400; i++ {
 			db.Put(p, ycsb.KeyBytes(i), ycsb.Value(i, 100))
@@ -557,8 +559,7 @@ func TestCompactionReclaimsSpace(t *testing.T) {
 	run1(e, func(p *engine.Proc) {
 		db := Open(p, e, Options{
 			NS: ns, Mode: IODirectCached,
-			memtableBytes: 64 << 10, SSTTargetBytes: 256 << 10, Seed: 5,
-			walBytes: 2 << 20,
+			memtableBytes: 64 << 10, SSTTargetBytes: 256 << 10, DisableWAL: true, Seed: 5,
 		})
 		// ~16 MB of churn through a <= 2 MB live set on a 24 MB disk.
 		for i := uint64(0); i < 12000; i++ {
