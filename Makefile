@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race fmt lint lint-report faults crash torture fuzz-smoke cover perfgate results gates engine-bench sim-bench kv-bench loc ci bench-async
+.PHONY: all build vet test race fmt lint lint-report faults crash torture fuzz-smoke cover perfgate results gates engine-bench sim-bench kv-bench loc reach ci bench-async
 
 all: ci
 
@@ -206,6 +206,58 @@ loc:
 		seen[d] = 1 } \
 	END { for (d in seen) printf "%-28s %8d %8d\n", d, n[d], t[d] | "sort"; close("sort"); \
 		printf "%-28s %8d %8d\n", "total", N, T }'
+
+# The call-reach census: every main built with coverage of all of
+# aquila/..., run the way programs run, into one GOCOVERDIR: every experiment
+# at -scale 0.3 and fig5a, fig5b, fig7 and fig9 at scale 1, the torture bank
+# with its proof plan, the six bench workloads (and one per-layer run at
+# scale 1, whose micro loops are the only LSM puts that reach a compaction),
+# the CLI golden invocations, ycsb over every store x world x device, and the
+# five examples. It prints every function no run entered (0.0 %). Link-reach
+# lists what no main links; this lists what no run calls, which includes
+# methods linked only because their type is converted to an interface. Not
+# part of ci: its list is for reading, not a gate. Scratch output in .reach/
+# (bin/, cov/, run/).
+reach-dir = .reach
+reach:
+	rm -rf $(reach-dir) && mkdir -p $(reach-dir)/bin $(reach-dir)/cov $(reach-dir)/run
+	for m in ./cmd/* ./bench ./examples/*; do \
+		$(GO) build -cover -coverpkg=aquila/... -o $(reach-dir)/bin/$$(basename $$m) $$m || exit 1; \
+	done
+	@b=$(reach-dir)/bin; r=$(reach-dir)/run; export GOCOVERDIR=$(reach-dir)/cov; set -x; \
+	$$b/aquila-bench -exp all -scale 0.3 > /dev/null; \
+	$$b/aquila-bench -exp fig5a,fig5b,fig7,fig9 > /dev/null; \
+	$$b/aquila-bench -list > /dev/null; $$b/aquila-bench -exp table1,memcpy -format csv > /dev/null; \
+	$$b/aquila-bench -exp table1,nosuch 2> /dev/null; \
+	$$b/aqtort -prove-unsafe -bank 64 > /dev/null; \
+	$$b/aqtort -bank 2 -v > /dev/null; $$b/aqtort -prove-unsafe -repro-dir $$r > /dev/null; \
+	$$b/aqtort -repro internal/torture/testdata/repros/unsafe_msync.json > /dev/null; \
+	$$b/aqtort -repro cmd/aqtort/testdata/slot-out-of-range.json 2> /dev/null; $$b/aqtort -nosuch 2> /dev/null; \
+	for w in fault-cold-32t evict-mixed-16t linux-evict-mixed-16t kreon-ycsb-a-nvme-1t bfs-rmat-8t figs-gated; do \
+		$$b/bench -workload $$w -scale 0.05 > /dev/null; \
+	done; \
+	$$b/bench -workload fault-cold-32t -trace 1 > /dev/null; \
+	$$b/aqlint ./internal/sim/device/... 2> /dev/null; $$b/aqlint -json ./internal/sim/device/... > /dev/null 2>&1; \
+	$$b/aqlint -nosuch 2> /dev/null; $$b/aqlint ./nosuch/... 2> /dev/null; \
+	$$b/mmio-micro -mode aquila -threads 4 -cache 16 -dataset 64 -ops 500 -trace $$r/t.json \
+		-metrics-json $$r/m.json -profile-dir $$r -profile-top 5 > /dev/null; \
+	$$b/mmio-micro -mode mmap -device nvme -threads 2 -shared=false -cache 8 -dataset 32 -ops 300 -metrics-json $$r/m.json > /dev/null; \
+	$$b/mmio-micro -cache 8 -dataset 32 -ops 200 > /dev/null; \
+	$$b/mmio-micro -threads 2 -cache 8 -dataset 32 -ops 2000 -crash-plan testdata/crashplans/at-cycle.json \
+		-metrics-json $$r/m.json > /dev/null; \
+	$$b/mmio-micro -mode dax 2> /dev/null; $$b/mmio-micro -cache 8 -dataset 32 -ops 10 -trace $$r/nosuchdir/t.json > /dev/null 2>&1; \
+	$$b/ycsb -store lsm -engine aquila -workload C -threads 2 -records 2000 -ops 300 -trace $$r/t.json -metrics-json $$r/m.json > /dev/null; \
+	$$b/ycsb -store kreon -engine kmmap -device nvme -workload A -dist zipfian -records 2000 -ops 300 -metrics-json $$r/m.json > /dev/null; \
+	$$b/ycsb -engine direct -records 2000 -ops 200 > /dev/null; \
+	$$b/ycsb -engine spdk 2> /dev/null; $$b/ycsb -store btree 2> /dev/null; \
+	$$b/ycsb -records 2000 -ops 10 -metrics-json $$r/nosuchdir/m.json > /dev/null 2>&1; \
+	for s in lsm kreon; do for w in aquila mmap direct kmmap; do for d in pmem nvme; do \
+		$$b/ycsb -store $$s -engine $$w -device $$d -workload A -records 2000 -ops 300 > /dev/null 2>&1; \
+	done; done; done; \
+	for x in custompolicy graphbfs kvstore multiprocess quickstart; do $$b/$$x > /dev/null; done; \
+	true
+	@$(GO) tool covdata func -i=$(reach-dir)/cov | awk '$$NF == "0.0%" { n++; print } \
+		$$1 != "total" { m++ } END { printf "%d of %d functions never called\n", n, m }'
 
 ci: build vet fmt lint test race faults crash fuzz-smoke torture gates loc
 

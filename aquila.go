@@ -46,7 +46,7 @@ type (
 	File = iface.File
 	// Mapping is memory-mapped access.
 	Mapping = iface.Mapping
-	// Namespace creates/opens files and mappings.
+	// Namespace creates, deletes and maps files.
 	Namespace = iface.Namespace
 	// Advice is the madvise hint set.
 	Advice = iface.Advice
@@ -199,7 +199,6 @@ type Options struct {
 	// image the device adopts at boot and the errseq state to replay.
 	restoreMedia map[uint64][]byte
 	restoreWBErr map[string]error
-	recovered    bool
 }
 
 func (o *Options) fill() {
@@ -289,7 +288,6 @@ func New(opts Options) *System {
 				MaxCacheBytes:    opts.MaxCacheBytes,
 				Params:           opts.Params,
 				RestoredWBErrors: opts.restoreWBErr,
-				Recovered:        opts.recovered,
 			})
 			s.NS = &core.Namespace{RT: s.RT}
 		})
@@ -351,7 +349,6 @@ func (s *System) PublishStats() {
 		reg.Counter("aq_huge_demotions", l).Set(st.HugeDemotions)
 		reg.Counter("aq_huge_evictions", l).Set(st.HugeEvictions)
 		reg.Counter("aq_recovery_restored_wb_errors", l).Set(st.RestoredWBErrors)
-		reg.Counter("aq_recovery_files", l).Set(st.RecoveredFiles)
 	}
 	if info := s.Sim.Crashed(); info != nil {
 		reg.Gauge("aq_crash_cycle", l).Set(float64(info.Cycle))

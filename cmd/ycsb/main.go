@@ -82,8 +82,7 @@ func main() {
 				lsmMode = lsm.IODirectCached
 			}
 			db := lsm.Open(p, sys.Sim, lsm.Options{
-				NS: sys.NS, Mode: lsmMode, BlockCacheBytes: cache,
-				DisableWAL: true, Seed: *seed,
+				NS: sys.NS, Mode: lsmMode, BlockCacheBytes: cache, Seed: *seed,
 			})
 			db.BulkLoad(p, *records, 1000)
 			kv = db

@@ -135,6 +135,5 @@ func (s *System) CaptureCrash() *CrashImage {
 func Recover(opts Options, img *CrashImage) *System {
 	opts.restoreMedia = img.Media
 	opts.restoreWBErr = img.WBErrors
-	opts.recovered = true
 	return New(opts)
 }

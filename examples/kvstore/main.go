@@ -27,7 +27,7 @@ func run(name string, mode aquila.Mode, io lsm.IOMode) {
 	var db *lsm.DB
 	sys.Do(func(p *aquila.Proc) {
 		db = lsm.Open(p, sys.Sim, lsm.Options{
-			NS: sys.NS, Mode: io, BlockCacheBytes: cache, DisableWAL: true,
+			NS: sys.NS, Mode: io, BlockCacheBytes: cache,
 		})
 		db.BulkLoad(p, records, 1000)
 	})

@@ -27,12 +27,8 @@ type IOEngine interface {
 	Name() string
 	// Create makes the backing object for a new file of the given size.
 	Create(p *engine.Proc, name string, size uint64) any
-	// Open resolves an existing name.
-	Open(p *engine.Proc, name string) (any, uint64)
 	// Delete removes the backing object.
 	Delete(p *engine.Proc, name string)
-	// Exists reports whether a name resolves in the engine's namespace.
-	Exists(name string) bool
 	// DirectRead and DirectWrite bypass the cache entirely (explicit file
 	// I/O under Aquila, used e.g. by LSM compactions).
 	DirectRead(p *engine.Proc, f *fileState, off uint64, buf []byte) error
@@ -130,18 +126,10 @@ func (h hostFiles) Create(p *engine.Proc, name string, size uint64) any {
 	return h.OS.FS.Create(p, name, size)
 }
 
-func (h hostFiles) Open(p *engine.Proc, name string) (any, uint64) {
-	h.OS.HV.VMCall(p, 0)
-	f := h.OS.FS.Open(p, name)
-	return f, f.Size()
-}
-
 func (h hostFiles) Delete(p *engine.Proc, name string) {
 	h.OS.HV.VMCall(p, 0)
 	h.OS.FS.Delete(p, name)
 }
-
-func (h hostFiles) Exists(name string) bool { return h.OS.FS.Exists(name) }
 
 func (hostFiles) file(f *fileState) *host.FSFile { return f.backing.(*host.FSFile) }
 
@@ -249,17 +237,8 @@ func (e *SPDKEngine) Create(p *engine.Proc, name string, size uint64) any {
 	return e.FM.Create(p, name, size)
 }
 
-// Open implements IOEngine.
-func (e *SPDKEngine) Open(p *engine.Proc, name string) (any, uint64) {
-	b := e.FM.Open(p, name)
-	return b, b.Size()
-}
-
 // Delete implements IOEngine.
 func (e *SPDKEngine) Delete(p *engine.Proc, name string) { e.FM.Delete(p, name) }
-
-// Exists implements IOEngine.
-func (e *SPDKEngine) Exists(name string) bool { return e.FM.Exists(name) }
 
 func (e *SPDKEngine) blob(f *fileState) *spdk.Blob { return f.backing.(*spdk.Blob) }
 

@@ -294,15 +294,6 @@ func (ns *Namespace) Create(p *engine.Proc, name string, size uint64) iface.File
 	return &AqFile{rt: ns.RT, f: f, errCursor: f.wbErr.sample()}
 }
 
-// Open implements iface.Namespace.
-func (ns *Namespace) Open(p *engine.Proc, name string) iface.File {
-	f := ns.RT.OpenFile(p, name)
-	return &AqFile{rt: ns.RT, f: f, errCursor: f.wbErr.sample()}
-}
-
-// Exists implements iface.Namespace.
-func (ns *Namespace) Exists(name string) bool { return ns.RT.FileExists(name) }
-
 // Delete implements iface.Namespace.
 func (ns *Namespace) Delete(p *engine.Proc, name string) { ns.RT.DeleteFile(p, name) }
 

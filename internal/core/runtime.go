@@ -62,12 +62,9 @@ type Stats struct {
 	// merged 2 MB writeback per unit.
 	HugeEvictions uint64
 	// RestoredWBErrors counts files whose writeback error sequence was
-	// re-seeded from a crash image at open/create, so a pre-crash unreported
+	// re-seeded from a crash image at create, so a pre-crash unreported
 	// error still surfaces exactly once after recovery.
 	RestoredWBErrors uint64
-	// RecoveredFiles counts files reopened from a recovered (post-crash)
-	// backing image.
-	RecoveredFiles uint64
 }
 
 // Eviction stall handling: an empty selection round means every cached page
@@ -120,14 +117,14 @@ type Config struct {
 	// Params overrides the policy (nil: DefaultParams).
 	Params *Params
 	// RestoredWBErrors carries per-file writeback errors out of a crash
-	// image into a recovered runtime: the first open/create of a named file
+	// image into a recovered runtime: the first create of a named file
 	// seeds its errseq with the error, unseen, so the first sync caller in
 	// the new incarnation reports it — exactly-once reporting survives
 	// restart (see errseq.sample).
 	RestoredWBErrors map[string]error
-	// Recovered marks this runtime as booted from a crash image (stats and
-	// metrics labeling only; the mechanism is RestoredWBErrors plus the
-	// adopted device media).
+	// Recovered is read by nothing: a runtime booted from a crash image
+	// differs only by RestoredWBErrors and the device media it adopts. The
+	// field stays because the settable census (internal/analysis) lists it.
 	Recovered bool
 }
 
@@ -169,9 +166,8 @@ type Runtime struct {
 	// state. Nil until the first poisoning; nothing ranges over it.
 	poisoned map[*Page]*IOFault
 	// restoredWBErr holds crash-image writeback errors not yet claimed by an
-	// open/create (consumed entries are deleted; see Config.RestoredWBErrors).
+	// create (consumed entries are deleted; see Config.RestoredWBErrors).
 	restoredWBErr map[string]error
-	recovered     bool
 
 	// evictSel serializes victim selection only (never held across I/O).
 	evictSel    *engine.Mutex
@@ -235,7 +231,6 @@ func NewRuntime(p *engine.Proc, hostOS *host.OS, eng IOEngine, cfg Config) *Runt
 		evictSel: engine.NewMutex(hostOS.E, "aquila_evict_select"),
 		Break:    reg.Breakdown("aquila_fault_cycles", labels...),
 	}
-	rt.recovered = cfg.Recovered
 	if len(cfg.RestoredWBErrors) > 0 {
 		rt.restoredWBErr = make(map[string]error, len(cfg.RestoredWBErrors))
 		//aqlint:sorted -- host-side map copy, no simulated state
@@ -406,7 +401,7 @@ func (rt *Runtime) CreateFile(p *engine.Proc, name string, size uint64) *fileSta
 	return f
 }
 
-// restoreWBErr seeds a freshly opened file's error sequence from the crash
+// restoreWBErr seeds a freshly created file's error sequence from the crash
 // image (Config.RestoredWBErrors): the error enters unseen at sequence 1, so
 // cursors sampled from here start at 0 and the first Msync/Fsync in the
 // recovered incarnation reports it — once.
@@ -418,32 +413,6 @@ func (rt *Runtime) restoreWBErr(f *fileState) {
 	delete(rt.restoredWBErr, f.name)
 	f.wbErr = errseq{err: err, seq: 1}
 	rt.Stats.RestoredWBErrors++
-}
-
-// FileExists reports whether a name resolves, in this runtime or in the
-// engine's backing namespace.
-func (rt *Runtime) FileExists(name string) bool {
-	if _, ok := rt.files[name]; ok {
-		return true
-	}
-	return rt.Engine.Exists(name)
-}
-
-// OpenFile opens an existing file.
-func (rt *Runtime) OpenFile(p *engine.Proc, name string) *fileState {
-	if f, ok := rt.files[name]; ok {
-		f.size = rt.Engine.size(f)
-		return f
-	}
-	backing, size := rt.Engine.Open(p, name)
-	f := rt.newFile(name, size)
-	f.backing = backing
-	rt.files[name] = f
-	rt.restoreWBErr(f)
-	if rt.recovered {
-		rt.Stats.RecoveredFiles++
-	}
-	return f
 }
 
 // DeleteFile removes a file: its cached pages are dropped (frames recycled),

@@ -635,7 +635,7 @@ func TestDeleteFileRecyclesCache(t *testing.T) {
 		if rt.FreePages() != freeBefore+resident {
 			t.Errorf("frames not recycled: free %d, want %d", rt.FreePages(), freeBefore+resident)
 		}
-		if rt.FileExists("temp") {
+		if _, ok := rt.files["temp"]; ok {
 			t.Error("file still exists")
 		}
 		if err := rt.CheckInvariants(); err != nil {
@@ -645,24 +645,73 @@ func TestDeleteFileRecyclesCache(t *testing.T) {
 	e.Run()
 }
 
-// Names and sizes are the engine's to answer, whatever wraps it: a file only
-// the host filesystem knows resolves through a wrapped DAX engine, and its
-// descriptor reports the size the backing file records.
-func TestWrappedEngineResolvesFilesAndSizes(t *testing.T) {
-	e, os, boot := daxWorld(8*mib, 1)
-	e.Spawn(0, "t", func(p *engine.Proc) {
-		rt := boot(p)
-		os.FS.Create(p, "outside", 3*pageSize)
-		rt.Engine = &hookedEngine{IOEngine: rt.Engine}
-		if !rt.FileExists("outside") || rt.FileExists("nowhere") {
-			t.Fatalf("through the wrapper: outside exists %v, nowhere %v; want true, false",
-				rt.FileExists("outside"), rt.FileExists("nowhere"))
-		}
-		if got := (&Namespace{RT: rt}).Open(p, "outside").Size(); got != 3*pageSize {
-			t.Errorf("size through the wrapper = %d, want %d", got, 3*pageSize)
-		}
+// DeleteFile waits out busy pages until one pass over them finds none: each
+// wait yields, and an eviction may claim a page the pass already went by.
+// Here one eviction holds page 1 claimed while the delete waits on it, and a
+// second claims page 0 — idle when the pass went by — before the first lets
+// go. A delete that dropped its pages after one pass would recycle page 0's
+// frame under the eviction that owns it.
+func TestDeleteWaitsOutPagesClaimedWhileItWaits(t *testing.T) {
+	const hold = 1_000_000 // cycles an eviction keeps its victim claimed
+	e, _, boot := daxWorld(8*mib, 3)
+	var rt *Runtime
+	var f *fileState
+	e.Spawn(0, "init", func(p *engine.Proc) {
+		rt = boot(p)
+		f = rt.CreateFile(p, "doomed", 2*pageSize)
+		m := rt.Mmap(p, f, 2*pageSize)
+		buf := make([]byte, 8)
+		m.Load(p, 0, buf)
+		m.Load(p, pageSize, buf)
+		m.Munmap(p)
 	})
 	e.Run()
+	a, b := f.pages.Get(0), f.pages.Get(1)
+	free := rt.FreePages()
+	deleting, raced, claims := false, false, 0
+	rt.Victims = func(p *engine.Proc, n int) []*Page {
+		pg := b
+		if claims++; claims == 2 {
+			pg, raced = a, deleting && b.busy()
+		}
+		rt.lru.forget(pg)
+		rt.claim(pg)
+		p.SleepIO(hold)
+		return append(rt.pageBufs.Borrow(), pg)
+	}
+	evict := func(p *engine.Proc) {
+		if err := rt.evict(p); err != nil {
+			t.Error(err)
+		}
+	}
+	e.Spawn(0, "evict-1", evict)
+	e.Spawn(1, "delete", func(p *engine.Proc) {
+		p.SleepIO(hold / 4)
+		deleting = true
+		rt.DeleteFile(p, "doomed")
+		deleting = false
+	})
+	e.Spawn(2, "evict-0", func(p *engine.Proc) {
+		p.SleepIO(hold / 2)
+		evict(p)
+	})
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("delete racing two evictions: %v", r)
+			}
+		}()
+		e.Run()
+	}()
+	if !raced {
+		t.Fatal("not the race: page 0 was not claimed while the delete waited on page 1")
+	}
+	if got := rt.FreePages(); got != free+2 || rt.ResidentPages() != 0 {
+		t.Errorf("after the delete: %d free (want %d), %d resident (want 0)", got, free+2, rt.ResidentPages())
+	}
+	if err := rt.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // Regression: majorFault re-probed the hash after its yielding cache-insert
@@ -700,7 +749,7 @@ func TestSharedPageMajorFaultRaceLosesNoStores(t *testing.T) {
 		if err := m.Msync(p); err != nil {
 			t.Fatalf("msync: %v", err)
 		}
-		f := (&Namespace{RT: rt}).Open(p, "shared")
+		f := &AqFile{rt: rt, f: rt.files["shared"]}
 		got, want := make([]byte, 8), make([]byte, 8)
 		lost := 0
 		for w := 0; w < threads; w++ {

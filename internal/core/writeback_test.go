@@ -37,9 +37,7 @@ const (
 
 func (e *recEngine) Name() string                                               { return "rec" }
 func (e *recEngine) Create(*engine.Proc, string, uint64) any                    { return nil }
-func (e *recEngine) Open(*engine.Proc, string) (any, uint64)                    { return nil, 0 }
 func (e *recEngine) Delete(*engine.Proc, string)                                {}
-func (e *recEngine) Exists(string) bool                                         { return false }
 func (e *recEngine) DirectRead(*engine.Proc, *fileState, uint64, []byte) error  { return nil }
 func (e *recEngine) DirectWrite(*engine.Proc, *fileState, uint64, []byte) error { return nil }
 func (e *recEngine) size(*fileState) uint64                                     { return 0 }

@@ -117,7 +117,6 @@ func loadRocks(sys *aquila.System, io lsm.IOMode, cache, records uint64, valueSi
 			Mode:            io,
 			BlockCacheBytes: cache, // same DRAM budget as the page caches
 			SSTTargetBytes:  int(min(8*mib, cache/2)),
-			DisableWAL:      true,
 			Seed:            seed,
 		})
 		db.BulkLoad(p, records, valueSize)

@@ -173,13 +173,11 @@ func (ns *Namespace) Create(p *engine.Proc, name string, size uint64) iface.File
 	return ns.OS.OpenFile(ns.OS.FS.Create(p, name, size), ns.Direct)
 }
 
-// Open implements iface.Namespace.
+// Open opens an existing file. It is not part of iface.Namespace: the frozen
+// bench/ harness calls it, to reopen a file for direct I/O.
 func (ns *Namespace) Open(p *engine.Proc, name string) iface.File {
 	return ns.OS.OpenFile(ns.OS.FS.Open(p, name), ns.Direct)
 }
-
-// Exists implements iface.Namespace.
-func (ns *Namespace) Exists(name string) bool { return ns.OS.FS.Exists(name) }
 
 // Delete implements iface.Namespace.
 func (ns *Namespace) Delete(p *engine.Proc, name string) { ns.OS.FS.Delete(p, name) }

@@ -94,7 +94,8 @@ func (fs *FS) Create(p *engine.Proc, name string, size uint64) *FSFile {
 	return f
 }
 
-// Open returns an existing file.
+// Open returns an existing file. Outside the tests only Namespace.Open, which
+// the frozen bench/ harness calls, opens a file by name.
 func (fs *FS) Open(p *engine.Proc, name string) *FSFile {
 	p.AdvanceSystem(cpu.Syscall + costSyscallKernelPath)
 	f, ok := fs.files[name]
@@ -102,12 +103,6 @@ func (fs *FS) Open(p *engine.Proc, name string) *FSFile {
 		panic(fmt.Sprintf("host: open of missing file %q", name))
 	}
 	return f
-}
-
-// Exists reports whether a file exists (no cost: test helper).
-func (fs *FS) Exists(name string) bool {
-	_, ok := fs.files[name]
-	return ok
 }
 
 // Delete removes a file, dropping its cached pages and freeing its extent.

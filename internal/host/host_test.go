@@ -47,7 +47,7 @@ func TestFSCreateOpenDelete(t *testing.T) {
 			t.Error("open returned different file")
 		}
 		os.FS.Delete(p, "a")
-		if os.FS.Exists("a") {
+		if _, ok := os.FS.files["a"]; ok {
 			t.Error("file still exists after delete")
 		}
 		// Extent must be reusable.

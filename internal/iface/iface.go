@@ -75,15 +75,11 @@ const (
 	AdviceHuge
 )
 
-// Namespace creates and opens files and mappings. Both worlds provide one.
+// Namespace creates, deletes and maps files. Both worlds provide one.
 type Namespace interface {
 	// Create creates a file with the given maximum size (space is
 	// preallocated; both worlds use extent-style allocation).
 	Create(p *engine.Proc, name string, size uint64) File
-	// Open opens an existing file.
-	Open(p *engine.Proc, name string) File
-	// Exists reports whether a name is bound (no simulated cost).
-	Exists(name string) bool
 	// Delete removes a file, releasing its storage. Mappings of the file
 	// must be unmapped first.
 	Delete(p *engine.Proc, name string)

@@ -35,16 +35,6 @@ func (ns *Namespace) Create(_ *engine.Proc, name string, size uint64) iface.File
 	return f
 }
 
-func (ns *Namespace) Open(_ *engine.Proc, name string) iface.File {
-	f, ok := ns.files[name]
-	if !ok {
-		panic(fmt.Sprintf("kvtest: open of missing file %q", name))
-	}
-	return f
-}
-
-func (ns *Namespace) Exists(name string) bool { _, ok := ns.files[name]; return ok }
-
 func (ns *Namespace) Delete(_ *engine.Proc, name string) { delete(ns.files, name) }
 
 func (ns *Namespace) Mmap(_ *engine.Proc, f iface.File, size uint64) iface.Mapping {

@@ -68,12 +68,3 @@ func (f *bloom) appendTo(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, f.k)
 	return append(dst, f.bits...)
 }
-
-// unmarshalBloom parses a serialized filter, returning it and the bytes read.
-// The filter's bits are a slice of b, which the caller keeps unchanged for as
-// long as it uses the filter.
-func unmarshalBloom(b []byte) (*bloom, int) {
-	n := binary.LittleEndian.Uint32(b)
-	k := binary.LittleEndian.Uint32(b[4:])
-	return &bloom{bits: b[8 : 8+n : 8+n], k: k}, int(8 + n)
-}

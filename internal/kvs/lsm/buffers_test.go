@@ -28,7 +28,7 @@ func TestLSMDataPathAllocations(t *testing.T) {
 	e := engine.New(engine.Config{NumCPUs: 1, Seed: 1})
 	run1(e, func(p *engine.Proc) {
 		const records = 5000
-		db := memDB(p, e, Options{Mode: IOMmap, DisableWAL: true})
+		db := memDB(p, e, Options{Mode: IOMmap})
 		db.BulkLoad(p, records, 1000)
 		key, val := make([]byte, 0, 30), make([]byte, 0, 1000)
 		const gets = 320
@@ -48,7 +48,7 @@ func TestLSMDataPathAllocations(t *testing.T) {
 				gets, n, made, most)
 		}
 
-		hot := memDB(p, e, Options{Mode: IOMmap, DisableWAL: true, memtableBytes: 4 * mib})
+		hot := memDB(p, e, Options{Mode: IOMmap, memtableBytes: 4 * mib})
 		hot.Put(p, ycsb.AppendKey(key[:0], 3), ycsb.AppendValue(val[:0], 3, 1000))
 		if n := testing.AllocsPerRun(200, func() {
 			hot.Put(p, ycsb.AppendKey(key[:0], 3), ycsb.AppendValue(val[:0], 3, 1000))
@@ -83,7 +83,7 @@ func TestGetResultsAreTheCallersToKeep(t *testing.T) {
 	e := engine.New(engine.Config{NumCPUs: 1, Seed: 1})
 	run1(e, func(p *engine.Proc) {
 		const keys = 48
-		db := memDB(p, e, Options{Mode: IOMmap, DisableWAL: true, memtableBytes: 8 << 10})
+		db := memDB(p, e, Options{Mode: IOMmap, memtableBytes: 8 << 10})
 		value := func(id uint64, round int) []byte { return ycsb.Value(id+uint64(round)*keys, 40+int(id%7)*100) }
 		type kept struct{ got, want []byte }
 		var held []kept
@@ -151,7 +151,7 @@ func TestOneImagePerBulkLoadAndCompaction(t *testing.T) {
 	image := uint64(target + target/16 + 2*blockBytes) // newSSTBuilder's capacity
 	e := engine.New(engine.Config{NumCPUs: 1, Seed: 1})
 	run1(e, func(p *engine.Proc) {
-		db := memDB(p, e, Options{Mode: IOMmap, DisableWAL: true, memtableBytes: 64 << 10, SSTTargetBytes: target})
+		db := memDB(p, e, Options{Mode: IOMmap, memtableBytes: 64 << 10, SSTTargetBytes: target})
 		got := allocated(func() { db.BulkLoad(p, 2500, 400) })
 		if n := len(db.levels[1]); n < 3 {
 			t.Fatalf("set-up: bulk load closed %d tables, want >= 3", n)
@@ -194,17 +194,17 @@ func TestReusedImageHasNoStaleTail(t *testing.T) {
 		_, large := b.finish(p, ns, "large", 1, false)
 		b.reuse(large)
 		small(b)
-		_, reused := b.finish(p, ns, "reused", 2, false)
+		rtab, reused := b.finish(p, ns, "reused", 2, false)
 		if &reused[0] != &large[0] {
 			t.Fatal("the second table was not built in the first one's image")
 		}
 		fresh := newSSTBuilder(blockBytes, 0)
 		small(fresh)
-		_, want := fresh.finish(p, ns, "fresh", 3, false)
+		ftab, want := fresh.finish(p, ns, "fresh", 3, false)
 		if !bytes.Equal(reused, want) {
 			t.Errorf("reused image differs from a fresh one (%d vs %d bytes)", len(reused), len(want))
 		}
-		a, f := ns.Open(p, "reused"), ns.Open(p, "fresh")
+		a, f := rtab.file, ftab.file
 		ab, fb := make([]byte, a.Size()), make([]byte, f.Size())
 		a.Pread(p, ab, 0)
 		f.Pread(p, fb, 0)
@@ -219,7 +219,7 @@ func TestReusedImageHasNoStaleTail(t *testing.T) {
 func TestBlockCacheKeepsTheReadBlock(t *testing.T) {
 	e := engine.New(engine.Config{NumCPUs: 1, Seed: 1})
 	run1(e, func(p *engine.Proc) {
-		db := memDB(p, e, Options{Mode: IODirectCached, DisableWAL: true})
+		db := memDB(p, e, Options{Mode: IODirectCached})
 		db.BulkLoad(p, 200, 100)
 		tbl := db.levels[1][0]
 		missed := db.readBlock(p, tbl, 1, nil)
@@ -243,7 +243,7 @@ func BenchmarkLSMBulkLoad(b *testing.B) {
 	run1(e, func(p *engine.Proc) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			memDB(p, e, Options{Mode: IOMmap, DisableWAL: true}).BulkLoad(p, 20000, 1000)
+			memDB(p, e, Options{Mode: IOMmap}).BulkLoad(p, 20000, 1000)
 		}
 	})
 }
@@ -255,7 +255,7 @@ func BenchmarkLSMGetMmio(b *testing.B) {
 	const records = 20000
 	e := engine.New(engine.Config{NumCPUs: 1, Seed: 1})
 	run1(e, func(p *engine.Proc) {
-		db := memDB(p, e, Options{Mode: IOMmap, DisableWAL: true})
+		db := memDB(p, e, Options{Mode: IOMmap})
 		db.BulkLoad(p, records, 1000)
 		var key []byte
 		b.ReportAllocs()
@@ -279,7 +279,7 @@ func BenchmarkLSMGetDirectCachedMiss(b *testing.B) {
 	const records = 20000
 	e := engine.New(engine.Config{NumCPUs: 1, Seed: 1})
 	run1(e, func(p *engine.Proc) {
-		db := memDB(p, e, Options{Mode: IODirectCached, DisableWAL: true, BlockCacheBytes: 16 * blockBytes})
+		db := memDB(p, e, Options{Mode: IODirectCached, BlockCacheBytes: 16 * blockBytes})
 		db.BulkLoad(p, records, 1000)
 		var key []byte
 		b.ReportAllocs()

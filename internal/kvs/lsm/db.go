@@ -2,7 +2,6 @@ package lsm
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -30,7 +29,6 @@ const (
 	costCacheLookup       = 4500  // block-cache probe under shard lock
 	costCacheInsert       = 20000 // block-cache insert (allocation, LRU, refcount)
 	costCacheEvict        = 10000 // per evicted block
-	costWALAppend         = 1200  // per WAL record, excluding the device write
 	costIterNext          = 320   // per merged-iterator step
 )
 
@@ -47,14 +45,12 @@ const (
 )
 
 // The data-block size, the number of L0 tables at which L0 compacts into
-// L1, the memtable size past which it flushes and the write-ahead log's size
-// (filling it forces a memtable flush). Every world runs these values, so
-// they are not Options.
+// L1 and the memtable size past which it flushes. Every world runs these
+// values, so they are not Options.
 const (
 	blockBytes           = 4096
 	l0Trigger            = 4
 	defaultMemtableBytes = 1 << 20
-	defaultWALBytes      = 64 << 20
 )
 
 // Options configure a DB.
@@ -68,15 +64,16 @@ type Options struct {
 	// SSTTargetBytes bounds one table (default 8 MB; the paper's RocksDB
 	// uses 64 MB — scaled with the datasets).
 	SSTTargetBytes int
-	// DisableWAL skips write-ahead logging.
+	// DisableWAL is read by nothing: the store keeps no write-ahead log and
+	// no manifest, so there is nothing to disable. The field stays because
+	// the frozen bench/ names it in its Options literal.
 	DisableWAL bool
 	// Seed for the memtable skiplist.
 	Seed int64
 
-	// memtableBytes and walBytes override defaultMemtableBytes and
-	// defaultWALBytes when nonzero. Only the package's tests set them.
+	// memtableBytes overrides defaultMemtableBytes when nonzero. Only the
+	// package's tests set it.
 	memtableBytes int
-	walBytes      uint64
 }
 
 // DB is the store.
@@ -85,26 +82,20 @@ type DB struct {
 
 	writeLock *engine.Mutex
 	mem       *skiplist
-	wal       iface.File
-	walOff    uint64
 
 	levels [][]*SST // levels[0] newest-first; levels[1..] sorted by smallest
 	nextID uint64
 
-	cache    *BlockCache
-	manifest iface.File
+	cache *BlockCache
 
-	// bufs lends the WAL record put builds and the block a point lookup
-	// searches (scratch.Stack: why a LIFO, why no defer gives back).
+	// bufs lends the block a point lookup searches (scratch.Stack: why a
+	// LIFO, why no defer gives back).
 	bufs scratch.Stack
 	// vals is where a table hit's value is carved: Get's result, the caller's
 	// to keep. The memtable copies each Put on its own: an overwrite leaves
 	// the memtable's size as it was, so an arena there would grow with no
 	// flush to bound it.
 	vals scratch.Arena
-
-	// Replayed counts WAL records recovered on reopen.
-	Replayed uint64
 
 	// Break attributes per-category cycles for the Fig 7 decomposition:
 	// "get" (store processing), "put", "cache" (user-space block cache
@@ -131,9 +122,6 @@ func Open(p *engine.Proc, e *engine.Engine, opts Options) *DB {
 	if opts.memtableBytes == 0 {
 		opts.memtableBytes = defaultMemtableBytes
 	}
-	if opts.walBytes == 0 {
-		opts.walBytes = defaultWALBytes
-	}
 	if opts.SSTTargetBytes == 0 {
 		opts.SSTTargetBytes = 8 << 20
 	}
@@ -151,18 +139,6 @@ func Open(p *engine.Proc, e *engine.Engine, opts Options) *DB {
 			cap = 32 << 20
 		}
 		db.cache = NewBlockCache(e, cap)
-	}
-	if !opts.DisableWAL {
-		if opts.NS.Exists("WAL") {
-			db.wal = opts.NS.Open(p, "WAL")
-		} else {
-			db.wal = opts.NS.Create(p, "WAL", opts.walBytes)
-		}
-		if opts.NS.Exists(manifestName) {
-			db.manifest = opts.NS.Open(p, manifestName)
-		} else {
-			db.manifest = opts.NS.Create(p, manifestName, 1<<20)
-		}
 	}
 	return db
 }
@@ -203,30 +179,13 @@ func (db *DB) Put(p *engine.Proc, key, value []byte) {
 	db.put(p, key, value)
 }
 
-// put copies key and value into the WAL record and the memtable; both are
-// the caller's again on return.
+// put copies key and value into the memtable; both are the caller's again
+// on return.
 func (db *DB) put(p *engine.Proc, key, value []byte) {
 	p.BeginSpan("kv.put")
 	defer p.EndSpan()
 	db.writeLock.Lock(p)
 	db.Puts++
-	if db.wal != nil {
-		// Record plus a 4-byte zero terminator; the next append
-		// overwrites the terminator, so replay always finds a clean end.
-		rec := db.bufs.Borrow(4 + len(key) + len(value) + 4)
-		binary.LittleEndian.PutUint16(rec, uint16(len(key)))
-		binary.LittleEndian.PutUint16(rec[2:], uint16(len(value)))
-		copy(rec[4:], key)
-		copy(rec[4+len(key):], value)
-		clear(rec[len(rec)-4:])
-		db.charge(p, "put", costWALAppend)
-		if db.walOff+uint64(len(rec)) > db.wal.Size() {
-			db.flushLocked(p) // out of log space: flush resets the WAL
-		}
-		db.wal.Pwrite(p, rec, db.walOff)
-		db.walOff += uint64(len(rec)) - 4
-		db.bufs.GiveBack(rec)
-	}
 	hops := db.mem.put(key, value)
 	db.charge(p, "put", costMemtableBase+costMemtableHop*uint64(hops)+costPutFinish)
 	if db.mem.size >= db.opts.memtableBytes {
@@ -396,14 +355,9 @@ func (db *DB) flushLocked(p *engine.Proc) {
 	t, _ := b.finish(p, db.opts.NS, db.sstName(), db.nextSSTID(), db.mmio())
 	db.levels[0] = append([]*SST{t}, db.levels[0]...)
 	db.mem = newSkiplist(db.opts.Seed + int64(db.nextID) + 1)
-	db.walOff = 0
-	if db.wal != nil {
-		db.wal.Pwrite(p, []byte{0, 0, 0, 0}, 0) // truncate the log
-	}
 	if len(db.levels[0]) >= l0Trigger {
 		db.compactL0(p)
 	}
-	db.writeManifest(p)
 }
 
 func (db *DB) nextSSTID() uint64 {
@@ -503,5 +457,4 @@ func (db *DB) BulkLoad(p *engine.Proc, records uint64, valueSize int) {
 	if b.entries > 0 {
 		db.levels[1] = append(db.levels[1], db.writeTable(p, b))
 	}
-	db.writeManifest(p)
 }

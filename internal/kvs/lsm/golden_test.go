@@ -31,8 +31,7 @@ func tablesDigest(p *engine.Proc, db *DB) string {
 // the clock each leaves behind. The constants were taken from the tree before
 // sstBuilder stopped growing its image by append and keeping a copy of every
 // key: data blocks, padding, index, bloom bits and footer must all come out
-// as they did. The clocks are a store's with no write-ahead log, the way
-// every program runs it.
+// as they did.
 func TestSSTImageGolden(t *testing.T) {
 	type golden struct {
 		digest string

@@ -3,7 +3,6 @@ package lsm
 import (
 	"bytes"
 	"fmt"
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -92,14 +91,6 @@ func TestBloom(t *testing.T) {
 	if fp > 300 { // ~1% expected at 10 bits/key; allow 3%
 		t.Errorf("false positive rate too high: %d/10000", fp)
 	}
-	// Round trip through serialization.
-	f2, n := unmarshalBloom(f.appendTo(nil))
-	if n != len(f.appendTo(nil)) {
-		t.Fatalf("unmarshal consumed %d", n)
-	}
-	if !f2.mayContain([]byte("key-1")) {
-		t.Fatal("serialized filter lost keys")
-	}
 }
 
 // world builds a host namespace over pmem for DB tests.
@@ -121,7 +112,6 @@ func openTestDB(p *engine.Proc, e *engine.Engine, ns iface.Namespace, mode IOMod
 		memtableBytes:   64 << 10,
 		SSTTargetBytes:  256 << 10,
 		BlockCacheBytes: 1 << 20,
-		DisableWAL:      true,
 		Seed:            7,
 	})
 }
@@ -297,31 +287,40 @@ func TestDBWithBlockCacheHitsReduceIO(t *testing.T) {
 	})
 }
 
-func TestSSTOpenAfterBuild(t *testing.T) {
-	// 16 KB blocks of one 9 KB record each: padding longer than zeroPad.
+// A built table's index names each block's first key as the file holds it,
+// its key range is its first and last key, and its filter passes every key it
+// holds — for 16 KB blocks of one 9 KB record each too, whose padding is
+// longer than zeroPad.
+func TestSSTBuildIndexRangeAndFilter(t *testing.T) {
 	for _, tc := range []struct{ block, value int }{{4096, 64}, {16384, 9000}} {
 		e, ns := world(64 * mib)
 		run1(e, func(p *engine.Proc) {
+			const records = 500
 			b := newSSTBuilder(tc.block, 0) // no size hint: the image grows by append
-			for i := uint64(0); i < 500; i++ {
+			for i := uint64(0); i < records; i++ {
 				b.add(ycsb.KeyBytes(i), ycsb.Value(i, tc.value))
 			}
 			built, _ := b.finish(p, ns, "table1", 1, false)
-			reopened := openSST(p, ns, "table1", 1, tc.block, false)
-			if reopened.blockCount != built.blockCount {
-				t.Errorf("block count %d != %d", reopened.blockCount, built.blockCount)
+			if built.blockCount < 2 || len(built.firstKeys) != built.blockCount {
+				t.Fatalf("%d blocks, %d index keys", built.blockCount, len(built.firstKeys))
 			}
-			if !reflect.DeepEqual(reopened.firstKeys, built.firstKeys) || !bytes.Equal(reopened.filter.bits, built.filter.bits) {
-				t.Error("block index or bloom bits differ after reopen")
+			blk := make([]byte, tc.block)
+			for i := range built.blockCount {
+				built.file.Pread(p, blk, uint64(i*tc.block))
+				scanBlock(blk, func(k, _ []byte) bool {
+					if !bytes.Equal(k, built.firstKeys[i]) {
+						t.Errorf("block %d: index key %q, the file's first key %q", i, built.firstKeys[i], k)
+					}
+					return false
+				})
 			}
-			if !bytes.Equal(reopened.smallest, built.smallest) || !bytes.Equal(reopened.largest, built.largest) {
-				t.Error("key range mismatch after reopen")
-			}
-			if !bytes.Equal(built.smallest, ycsb.KeyBytes(0)) || !bytes.Equal(built.largest, ycsb.KeyBytes(499)) {
+			if !bytes.Equal(built.smallest, ycsb.KeyBytes(0)) || !bytes.Equal(built.largest, ycsb.KeyBytes(records-1)) {
 				t.Error("built table's key range is not its first and last key")
 			}
-			if !reopened.filter.mayContain(ycsb.KeyBytes(123)) {
-				t.Error("reopened bloom lost keys")
+			for i := uint64(0); i < records; i++ {
+				if !built.filter.mayContain(ycsb.KeyBytes(i)) {
+					t.Fatalf("filter lost key %d", i)
+				}
 			}
 		})
 	}
@@ -345,93 +344,7 @@ func TestDBAgainstYCSBDriver(t *testing.T) {
 	})
 }
 
-func TestRecoveryFromManifestAndWAL(t *testing.T) {
-	e, ns := world(64 * mib)
-	run1(e, func(p *engine.Proc) {
-		opts := Options{
-			NS: ns, Mode: IODirectCached,
-			memtableBytes:   32 << 10,
-			SSTTargetBytes:  128 << 10,
-			BlockCacheBytes: 1 << 20,
-			Seed:            7,
-		}
-		db := Open(p, e, opts)
-		// Enough puts for several flushes + a compaction, plus a tail
-		// that stays in the memtable (WAL only).
-		const n = 2000
-		for i := uint64(0); i < n; i++ {
-			db.Put(p, ycsb.KeyBytes(i), ycsb.Value(i, 100))
-		}
-		if db.Flushes == 0 || db.Compactions == 0 {
-			t.Fatalf("setup: flushes=%d compactions=%d", db.Flushes, db.Compactions)
-		}
-		memEntries := db.mem.entries
-		if memEntries == 0 {
-			t.Fatal("setup: expected unflushed memtable entries")
-		}
-
-		// "Crash": drop the DB object, recover from the namespace.
-		db2 := Reopen(p, e, opts)
-		db2.checkManifestConsistency()
-		if int(db2.Replayed) != memEntries {
-			t.Errorf("replayed %d WAL records, want %d", db2.Replayed, memEntries)
-		}
-		for i := uint64(0); i < n; i++ {
-			v, ok := db2.Get(p, ycsb.KeyBytes(i))
-			if !ok || !ycsb.CheckValue(i, v) {
-				t.Fatalf("key %d lost after recovery (ok=%v)", i, ok)
-			}
-		}
-		// Updates after recovery still work and win.
-		db2.Put(p, ycsb.KeyBytes(5), ycsb.Value(9999, 100))
-		v, _ := db2.Get(p, ycsb.KeyBytes(5))
-		if !ycsb.CheckValue(9999, v) {
-			t.Error("post-recovery update lost")
-		}
-	})
-}
-
-func TestRecoveryAfterCleanFlush(t *testing.T) {
-	e, ns := world(64 * mib)
-	run1(e, func(p *engine.Proc) {
-		opts := Options{NS: ns, Mode: IODirectCached, memtableBytes: 32 << 10, Seed: 3}
-		db := Open(p, e, opts)
-		for i := uint64(0); i < 500; i++ {
-			db.Put(p, ycsb.KeyBytes(i), ycsb.Value(i, 100))
-		}
-		db.Flush(p)
-		db2 := Reopen(p, e, opts)
-		if db2.Replayed != 0 {
-			t.Errorf("replayed %d records after a clean flush, want 0", db2.Replayed)
-		}
-		for i := uint64(0); i < 500; i += 17 {
-			if _, ok := db2.Get(p, ycsb.KeyBytes(i)); !ok {
-				t.Fatalf("key %d missing", i)
-			}
-		}
-	})
-}
-
-func TestWALFullTriggersFlushInsteadOfWrap(t *testing.T) {
-	e := engine.New(engine.Config{NumCPUs: 4, Seed: 1})
-	disk := host.NewPMemDisk("pmem0", device.NewPMem(1<<30, device.DefaultPMemConfig()))
-	os := host.NewOS(e, disk, 64*mib)
-	ns := &host.Namespace{OS: os, Direct: true}
-	run1(e, func(p *engine.Proc) {
-		// Tiny WAL pressure: memtable threshold far above what the WAL
-		// holds is impossible with the default 64 MB WAL, so instead
-		// verify the no-wrap invariant: walOff never exceeds the file.
-		db := Open(p, e, Options{NS: ns, Mode: IODirectCached, memtableBytes: 256 << 10, Seed: 1})
-		for i := uint64(0); i < 3000; i++ {
-			db.Put(p, ycsb.KeyBytes(i%100), ycsb.Value(i, 900))
-			if db.walOff > db.wal.Size() {
-				t.Fatalf("WAL offset %d beyond file %d", db.walOff, db.wal.Size())
-			}
-		}
-	})
-}
-
-// Property: the full store (memtable + WAL + flushes + compactions over the
+// Property: the full store (memtable + flushes + compactions over the
 // simulated world) behaves as a map under random put/get sequences.
 func TestDBMatchesMapModelProperty(t *testing.T) {
 	type op struct {
@@ -447,7 +360,6 @@ func TestDBMatchesMapModelProperty(t *testing.T) {
 				NS: ns, Mode: IODirectCached,
 				memtableBytes:  8 << 10, // tiny: force flush/compaction churn
 				SSTTargetBytes: 32 << 10,
-				DisableWAL:     true,
 				Seed:           11,
 			})
 			ref := make(map[uint64]uint64)
@@ -513,7 +425,7 @@ func TestTombstonesDroppedAtCompaction(t *testing.T) {
 	run1(e, func(p *engine.Proc) {
 		db := Open(p, e, Options{
 			NS: ns, Mode: IODirectCached,
-			memtableBytes: 8 << 10, SSTTargetBytes: 64 << 10, DisableWAL: true, Seed: 3,
+			memtableBytes: 8 << 10, SSTTargetBytes: 64 << 10, Seed: 3,
 		})
 		for i := uint64(0); i < 400; i++ {
 			db.Put(p, ycsb.KeyBytes(i), ycsb.Value(i, 100))
@@ -559,7 +471,7 @@ func TestCompactionReclaimsSpace(t *testing.T) {
 	run1(e, func(p *engine.Proc) {
 		db := Open(p, e, Options{
 			NS: ns, Mode: IODirectCached,
-			memtableBytes: 64 << 10, SSTTargetBytes: 256 << 10, DisableWAL: true, Seed: 5,
+			memtableBytes: 64 << 10, SSTTargetBytes: 256 << 10, Seed: 5,
 		})
 		// ~16 MB of churn through a <= 2 MB live set on a 24 MB disk.
 		for i := uint64(0); i < 12000; i++ {

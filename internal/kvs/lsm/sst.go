@@ -13,9 +13,6 @@ import (
 // sstMagic marks a valid table footer.
 const sstMagic = 0x5354424C // "LBTS"
 
-// footerSize is the fixed footer at the end of every SST.
-const footerSize = 16
-
 // SST is one static sorted table: data blocks, a block index and a bloom
 // filter. Index and filter are pinned in memory once opened, as RocksDB
 // does with its table metadata.
@@ -171,52 +168,6 @@ func indexKeys(idx []byte) [][]byte {
 		pos += 2 + kl
 	}
 	return keys
-}
-
-// openSST loads an existing table's metadata.
-func openSST(p *engine.Proc, ns iface.Namespace, name string, id uint64, blockSize int, mmio bool) *SST {
-	f := ns.Open(p, name)
-	size := f.Size()
-	var footer [footerSize]byte
-	f.Pread(p, footer[:], size-footerSize)
-	if binary.LittleEndian.Uint32(footer[12:]) != sstMagic {
-		panic(fmt.Sprintf("lsm: bad magic in %s", name))
-	}
-	dataLen := binary.LittleEndian.Uint32(footer[0:])
-	bloomOff := binary.LittleEndian.Uint32(footer[4:])
-	imgLen := binary.LittleEndian.Uint32(footer[8:])
-	meta := make([]byte, imgLen-dataLen)
-	f.Pread(p, meta, uint64(dataLen))
-
-	// The table keeps meta: its first keys and filter bits are slices of it.
-	idxLen := bloomOff - dataLen
-	firstKeys := indexKeys(meta[:idxLen])
-	nBlocks := len(firstKeys)
-	filter, _ := unmarshalBloom(meta[idxLen:])
-
-	t := &SST{
-		id: id, file: f,
-		blockCount: nBlocks, firstKeys: firstKeys, filter: filter,
-	}
-	if nBlocks > 0 {
-		t.smallest = firstKeys[0]
-	}
-	if mmio {
-		t.mapping = ns.Mmap(p, f, size)
-	}
-	// Largest key: scan the last block sequentially.
-	if nBlocks > 0 {
-		blk := make([]byte, blockSize)
-		f.Pread(p, blk, uint64(nBlocks-1)*uint64(blockSize))
-		scanBlock(blk, func(key, value []byte) bool {
-			t.largest = append(t.largest[:0], key...)
-			return true
-		})
-		// The exact record count is not persisted; reopened tables
-		// report -1 (metadata consumers treat it as unknown).
-		t.entries = -1
-	}
-	return t
 }
 
 // scanBlock walks a block's records in order, calling fn until it returns

@@ -292,25 +292,6 @@ func (fm *FileMap) Create(p *engine.Proc, name string, size uint64) *Blob {
 	return b
 }
 
-// Open resolves a name to its blob.
-func (fm *FileMap) Open(p *engine.Proc, name string) *Blob {
-	id, ok := fm.names[name]
-	if !ok {
-		panic(fmt.Sprintf("spdk: open of missing file %q", name))
-	}
-	b, err := fm.bs.Open(p, id)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
-// Exists reports whether a name is bound (no cost: test helper).
-func (fm *FileMap) Exists(name string) bool {
-	_, ok := fm.names[name]
-	return ok
-}
-
 // Delete unbinds a name and deletes its blob.
 func (fm *FileMap) Delete(p *engine.Proc, name string) {
 	id, ok := fm.names[name]

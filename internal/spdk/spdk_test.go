@@ -112,12 +112,15 @@ func TestFileMap(t *testing.T) {
 	fm := NewFileMap(bs)
 	run1(e, func(p *engine.Proc) {
 		b := fm.Create(p, "sst-000001", 64*mib)
-		if fm.Open(p, "sst-000001") != b {
-			t.Error("open returned different blob")
+		if fm.names["sst-000001"] != b.ID {
+			t.Error("name bound to a different blob")
 		}
 		fm.Delete(p, "sst-000001")
-		if fm.Exists("sst-000001") {
+		if _, ok := fm.names["sst-000001"]; ok {
 			t.Error("file exists after delete")
+		}
+		if _, err := bs.Open(p, b.ID); err == nil {
+			t.Error("blob outlives its name")
 		}
 	})
 }
