@@ -35,8 +35,11 @@ test:
 # mutex, and eight goroutines draw from it at once in its tests.
 # internal/cachetest's contracts run inside the core and host test packages,
 # the four-thread collection contract among them, so those patterns cover it.
+# internal/kvs's stores keep host state per simulated thread across the
+# coroutine switches of Load and AdvanceUser: scratch stacks, and the held
+# buffer each thread's Get value is lent in.
 race:
-	$(GO) test -race ./internal/obs/... ./internal/core/... ./internal/host/... ./internal/detutil/... ./internal/sim/mem/... ./internal/torture/... ./internal/ycsb/...
+	$(GO) test -race ./internal/obs/... ./internal/core/... ./internal/host/... ./internal/detutil/... ./internal/sim/mem/... ./internal/torture/... ./internal/ycsb/... ./internal/kvs/...
 	$(GO) test -race -count=10 -cpu 1,4 ./internal/sim/engine/...
 
 fmt:
@@ -186,11 +189,11 @@ sim-bench:
 # buffer"), and the graph's construction at bfs-rmat-8t's 128 K vertices:
 # BenchmarkRMAT draws the edge list, BenchmarkLayout lays out its CSR image
 # (DESIGN.md §3 "Graph construction"). BenchmarkKreonGetTreeHit and
-# BenchmarkLSMGetMmio also report mallocs/op: a Get's value is carved from an
-# arena chunk, a fraction of an allocation that -benchmem's whole allocs/op
-# rounds to 0. So do BenchmarkValue and BenchmarkKeyBytes: the YCSB helpers
-# carve from one such arena. Not part of ci: the allocation tests beside these
-# benchmarks gate in `make test`.
+# BenchmarkLSMGetMmio also report mallocs/op: 0, a Get's value is lent in the
+# calling thread's held buffer. So do BenchmarkValue and BenchmarkKeyBytes:
+# the YCSB helpers carve from an arena chunk, a fraction of an allocation that
+# -benchmem's whole allocs/op rounds to 0. Not part of ci: the allocation tests
+# beside these benchmarks gate in `make test`.
 kv-bench:
 	$(GO) test ./internal/ycsb ./internal/kvs/... ./internal/graph -run '^$$' -bench . -benchmem -cpu 1
 

@@ -122,10 +122,6 @@ type Config struct {
 	// the new incarnation reports it — exactly-once reporting survives
 	// restart (see errseq.sample).
 	RestoredWBErrors map[string]error
-	// Recovered is read by nothing: a runtime booted from a crash image
-	// differs only by RestoredWBErrors and the device media it adopts. The
-	// field stays because the settable census (internal/analysis) lists it.
-	Recovered bool
 }
 
 // Runtime is one Aquila instance: the library OS state of a single process

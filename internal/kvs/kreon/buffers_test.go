@@ -3,7 +3,6 @@ package kreon
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -157,10 +156,9 @@ func TestLongKeyIsRejectedNotCut(t *testing.T) {
 	})
 }
 
-// What the data path allocates per operation once its scratch buffers exist:
-// a Get only the arena chunks its values are carved from — about one per 32
-// values of 1,000 bytes, counted over 320 Gets since a chunk is a fraction of
-// an allocation per Get — and a Put of a key level 0 holds nothing.
+// What the data path allocates per operation once its scratch buffers and the
+// thread's held value buffer exist: nothing, for a Get on a tree hit, a Put of
+// a key level 0 holds and a Get on a level-0 hit.
 func TestKreonDataPathAllocations(t *testing.T) {
 	e := engine.New(engine.Config{NumCPUs: 1, Seed: 1})
 	run1(e, func(p *engine.Proc) {
@@ -173,94 +171,108 @@ func TestKreonDataPathAllocations(t *testing.T) {
 		if db.Spills != 1 || db.L0Size() != 0 {
 			t.Fatalf("set-up: %d spills, %d level-0 entries", db.Spills, db.L0Size())
 		}
-		// The first chunks are 4, 8 and 16 KB, then 32 KB: 32 values each.
-		getBudget(t, "a tree hit", p, db, gets, 3+gets*1000/(32<<10)+1, func(i int) uint64 { return uint64(i*7) % records })
+		getsAllocateNothing(t, "a tree hit", p, db, gets, func(i int) uint64 { return uint64(i*7) % records })
 		db.Put(p, ycsb.AppendKey(key[:0], 3), ycsb.AppendValue(val[:0], 3, 1000))
 		if n := testing.AllocsPerRun(200, func() {
 			db.Put(p, ycsb.AppendKey(key[:0], 3), ycsb.AppendValue(val[:0], 3, 1000))
 		}); n != 0 {
 			t.Errorf("Put of a key level 0 holds: %v allocs, want 0", n)
 		}
-		getBudget(t, "a level-0 hit", p, db, gets, gets*1000/(32<<10)+1, func(int) uint64 { return 3 })
+		getsAllocateNothing(t, "a level-0 hit", p, db, gets, func(int) uint64 { return 3 })
 	})
 }
 
-// getBudget runs gets Gets of the ids id(i) on db, three times over, and
-// checks that each run made at most chunks arena chunks and that the least of
-// the runs made no allocation but its chunks: now and then the runtime's own
-// work allocates inside one window.
-func getBudget(t *testing.T, what string, p *engine.Proc, db *DB, gets, chunks int, id func(i int) uint64) {
+// getsAllocateNothing runs one Get to warm up, then gets Gets of the ids id(i)
+// on db, and checks that the least of three such windows allocated nothing.
+func getsAllocateNothing(t *testing.T, what string, p *engine.Proc, db *DB, gets int, id func(i int) uint64) {
 	t.Helper()
 	key := make([]byte, 0, 30)
-	extra := ^uint64(0)
-	for w := range 3 {
-		made := db.vals.Chunks()
-		n := mallocs(func() {
-			for i := range gets {
-				key = ycsb.AppendKey(key[:0], id(i))
-				if _, ok := db.Get(p, key); !ok {
-					t.Fatalf("%s: key %d missed", what, id(i))
-				}
-			}
-		})
-		made = db.vals.Chunks() - made
-		if made > chunks {
-			t.Errorf("%d Gets on %s, window %d: %d arena chunks, want at most %d", gets, what, w, made, chunks)
+	get := func(i int) {
+		key = ycsb.AppendKey(key[:0], id(i))
+		if v, ok := db.Get(p, key); !ok || !ycsb.CheckValue(id(i), v) {
+			t.Fatalf("%s: key %d does not read back", what, id(i))
 		}
-		extra = min(extra, n-uint64(made))
 	}
-	if extra != 0 {
-		t.Errorf("%d Gets on %s: at least %d allocations beside the arena's chunks in each of three windows, want none",
-			gets, what, extra)
+	get(0)
+	if n := kvtest.Mallocs(3, func() {
+		for i := range gets {
+			get(i)
+		}
+	}); n != 0 {
+		t.Errorf("%d Gets on %s: %d allocations in the least of three windows, want 0", gets, what, n)
 	}
 }
 
-// Get's result is the caller's to keep (ycsb.KV): values kept through later
-// Gets, Puts of the same keys and spills read as they did, and each has
-// cap == len, so an append to one moves it instead of writing into the value
-// carved beside it. Level-0 and tree hits are both kept here.
-func TestGetResultsAreTheCallersToKeep(t *testing.T) {
-	e := engine.New(engine.Config{NumCPUs: 1, Seed: 1})
+// Get's result is lent (ycsb.KV): read-only, and valid until the same proc's
+// next call on the store. The test's proc holds a value — a tree hit, then a
+// level-0 hit — and waits while a second proc runs Gets of both kinds, Puts of
+// every key, the spill they reach and a Scan (which reads its values into the
+// second proc's buffer); the held value must read as it did, and the holder's
+// next Get must return the key's newest value. One buffer per store instead of
+// one per proc fails here: the second proc's Gets land in the bytes the first
+// still holds.
+func TestGetLendsItsValueUntilTheProcsNextCall(t *testing.T) {
+	e := engine.New(engine.Config{NumCPUs: 2, Seed: 1})
 	run1(e, func(p *engine.Proc) {
-		const keys = 48
-		db := memStore(p, Options{L0Entries: 32})
-		value := func(id uint64, round int) []byte { return ycsb.Value(id+uint64(round)*keys, 40+int(id%7)*100) }
-		type kept struct{ got, want []byte }
-		var held []kept
-		for round := range 3 {
+		const keys = 64
+		db := memStore(p, Options{L0Entries: keys})
+		want := make([][]byte, keys)
+		version := 0 // of every key put: each version's values differ
+		put := func(p *engine.Proc, id uint64) {
+			want[id] = ycsb.Value(id+uint64(version)*keys, 40+int(id%7)*100)
+			db.Put(p, ycsb.KeyBytes(id), want[id])
+		}
+		getAll := func(p *engine.Proc) {
 			for id := range uint64(keys) {
-				db.Put(p, ycsb.KeyBytes(id), value(id, round))
-			}
-			for id := range uint64(keys) {
-				v, ok := db.Get(p, ycsb.KeyBytes(id))
-				if !ok {
-					t.Fatalf("round %d: key %d missed", round, id)
+				if v, ok := db.Get(p, ycsb.KeyBytes(id)); !ok || !bytes.Equal(v, want[id]) {
+					t.Errorf("version %d, second proc: key %d does not read back", version, id)
+					return
 				}
-				held = append(held, kept{v, value(id, round)})
 			}
 		}
-		if db.Spills < 3 || db.L0Size() == 0 {
-			t.Fatalf("set-up: %d spills, %d level-0 entries: the Gets did not take both paths", db.Spills, db.L0Size())
+		for id := range uint64(keys) {
+			put(p, id)
 		}
-		for _, h := range held {
-			_ = append(h.got, 0xFF, 0xFF, 0xFF, 0xFF)
-		}
-		for i, h := range held {
-			if !bytes.Equal(h.got, h.want) || cap(h.got) != len(h.got) {
-				t.Fatalf("kept value %d: intact %v, len %d cap %d; want intact with cap == len",
-					i, bytes.Equal(h.got, h.want), len(h.got), cap(h.got))
+		// Key 40 is a tree hit, key 3 a level-0 hit: keys 0-9 are put again.
+		for round, held := range []uint64{40, 3} {
+			version++
+			for id := range uint64(10) {
+				put(p, id)
+			}
+			if db.L0Size() != 10 || db.Spills != uint64(1+round) {
+				t.Fatalf("round %d set-up: %d level-0 entries, %d spills", round, db.L0Size(), db.Spills)
+			}
+			v, ok := db.Get(p, ycsb.KeyBytes(held))
+			lent := want[held]
+			if !ok || !bytes.Equal(v, lent) {
+				t.Fatalf("round %d: key %d does not read back", round, held)
+			}
+			done := engine.NewWaitGroup(e, "second")
+			done.Add(1)
+			e.Spawn(1, "second", func(q *engine.Proc) {
+				getAll(q)
+				version++
+				for id := range uint64(keys) {
+					put(q, id)
+				}
+				getAll(q)
+				if n := db.Scan(q, ycsb.KeyBytes(0), keys); n != keys {
+					t.Errorf("round %d, second proc: a scan saw %d records, want %d", round, n, keys)
+				}
+				done.Done(q)
+			})
+			done.Wait(p)
+			if db.Spills != uint64(2+round) {
+				t.Fatalf("round %d: %d spills, want %d: the second proc's Puts did not spill", round, db.Spills, 2+round)
+			}
+			if !bytes.Equal(v, lent) {
+				t.Errorf("round %d: the value of key %d lent to the waiting proc changed under another proc's calls", round, held)
+			}
+			if v, ok := db.Get(p, ycsb.KeyBytes(held)); !ok || !bytes.Equal(v, want[held]) {
+				t.Errorf("round %d: the next Get of key %d does not return its newest value", round, held)
 			}
 		}
 	})
-}
-
-// mallocs returns how many heap objects fn allocates.
-func mallocs(fn func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	fn()
-	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
 }
 
 // benchStore is a loaded store for the benchmarks: `records` keys with
@@ -282,13 +294,12 @@ func benchStore(b *testing.B, records uint64, body func(p *engine.Proc, db *DB))
 }
 
 // BenchmarkKreonGetTreeHit reports mallocs/op beside -benchmem's whole
-// allocs/op: the values are carved from arena chunks, a fraction of an
-// allocation per Get.
+// allocs/op: 0, every value lent in the one held buffer of the bench's proc.
 func BenchmarkKreonGetTreeHit(b *testing.B) {
 	const records = 20000
 	benchStore(b, records, func(p *engine.Proc, db *DB) {
 		var key []byte
-		n := mallocs(func() {
+		n := kvtest.Mallocs(1, func() {
 			for i := 0; i < b.N; i++ {
 				key = ycsb.AppendKey(key[:0], uint64(i)*7919%records)
 				if _, ok := db.Get(p, key); !ok {

@@ -59,9 +59,6 @@ const (
 type Options struct {
 	// NS is the world's namespace.
 	NS iface.Namespace
-	// Kmmap maps the file through the host's kmmap path instead of the
-	// namespace default. The caller passes a pre-built mapping instead
-	// (see OpenWithMapping); when nil, NS.Mmap is used.
 	// LogBytes and IndexBytes size the two file regions.
 	LogBytes   uint64
 	IndexBytes uint64
@@ -107,8 +104,8 @@ type DB struct {
 	// and the record header being parsed (scratch.Stack: why a LIFO, why no
 	// defer gives back).
 	bufs scratch.Stack
-	// vals is where Get's values are carved: each is the caller's to keep.
-	vals scratch.Arena
+	// held is where Get lends its values, one buffer per thread (scratch.Held).
+	held scratch.Held
 	// logCheckpoint marks the log position covered by the on-device tree;
 	// recovery replays [checkpoint, logHead) into level 0.
 	logCheckpoint uint64
@@ -184,8 +181,7 @@ func OpenWithMapping(p *engine.Proc, opts Options, m iface.Mapping) *DB {
 // rootOff, treeN, leafRegionEnd.
 const sbMagic = 0x4B52454F // "KREO"
 
-// Msync persists outstanding pages and the superblock: the store recovers
-// exactly to the last Msync (Kreon's CoW msync discipline, §7.2).
+// writeSuperblock stores the heads in page 0; Msync makes them durable.
 func (db *DB) writeSuperblock(p *engine.Proc) {
 	sb := make([]byte, 52)
 	binary.LittleEndian.PutUint32(sb[0:], sbMagic)
@@ -362,8 +358,8 @@ func (db *DB) Put(p *engine.Proc, key, value []byte) {
 	}
 }
 
-// Get returns the newest value for key, in a buffer that is the caller's: a
-// carve of the store's value arena, whose cap is its len.
+// Get returns the newest value for key, lent (ycsb.KV): read-only and valid
+// until p's next call on the store.
 func (db *DB) Get(p *engine.Proc, key []byte) ([]byte, bool) {
 	p.BeginSpan("kv.get")
 	defer p.EndSpan()
@@ -383,7 +379,8 @@ func (db *DB) Get(p *engine.Proc, key []byte) ([]byte, bool) {
 	return db.readValue(p, off), true
 }
 
-// Scan visits up to n records in key order starting at startKey.
+// Scan visits up to n records in key order starting at startKey, reading each
+// value into p's held buffer.
 func (db *DB) Scan(p *engine.Proc, startKey []byte, n int) int {
 	p.BeginSpan("kv.scan")
 	defer p.EndSpan()
@@ -392,7 +389,6 @@ func (db *DB) Scan(p *engine.Proc, startKey []byte, n int) int {
 	fresh := db.sortedL0(start)
 	tree := db.treeRange(p, start[:], n, nil)
 	seen := 0
-	var val []byte
 	var last *fixedKey
 	for seen < n && (len(fresh) > 0 || len(tree) > 0) {
 		var e *entry
@@ -406,8 +402,7 @@ func (db *DB) Scan(p *engine.Proc, startKey []byte, n int) int {
 		}
 		last = &e.key
 		at, vl := db.readHeader(p, e.off)
-		val = slices.Grow(val[:0], vl)[:vl]
-		db.m.Load(p, at, val)
+		db.m.Load(p, at, db.held.Lend(p.ID(), vl))
 		p.AdvanceUser(costScanStep)
 		seen++
 	}
@@ -441,21 +436,11 @@ func (db *DB) Msync(p *engine.Proc) {
 	db.m.MsyncRange(p, 0, pageSize) // superblock last
 }
 
-// MsyncFull flushes every dirty page of the mapping (the non-customized
-// msync, kept for the ablation comparison). Two phases for the same ordering
-// reason as Msync: a single full msync writes dirty pages in device order,
-// which would put the superblock (page 0) first.
-func (db *DB) MsyncFull(p *engine.Proc) {
-	db.m.MsyncRange(p, pageSize, db.m.Size()-pageSize)
-	db.writeSuperblock(p)
-	db.m.MsyncRange(p, 0, pageSize)
-}
-
-// readValue fetches the value of the log record at off via mmio into a carve
-// of the value arena: Get's result, the caller's to keep.
+// readValue fetches the value of the log record at off via mmio into p's held
+// buffer: Get's result, lent until p's next call.
 func (db *DB) readValue(p *engine.Proc, off uint64) []byte {
 	at, vl := db.readHeader(p, off)
-	val := db.vals.Alloc(vl)
+	val := db.held.Lend(p.ID(), vl)
 	db.m.Load(p, at, val)
 	return val
 }

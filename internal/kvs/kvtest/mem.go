@@ -1,12 +1,13 @@
 // Package kvtest is an in-memory iface.Namespace for the key-value stores'
 // own tests and benchmarks. A file is a byte slice and a mapping is the
 // file's bytes: no access costs a cycle, yields, or allocates, so
-// testing.AllocsPerRun and -benchmem over it count what the store allocates
-// and nothing of a world underneath.
+// testing.AllocsPerRun, Mallocs and -benchmem over it count what the store
+// allocates and nothing of a world underneath.
 package kvtest
 
 import (
 	"fmt"
+	"runtime"
 
 	"aquila/internal/iface"
 	"aquila/internal/sim/engine"
@@ -74,3 +75,19 @@ func (m *Mapping) Msync(*engine.Proc) error                      { return nil }
 func (m *Mapping) MsyncRange(*engine.Proc, uint64, uint64) error { return nil }
 func (m *Mapping) Munmap(*engine.Proc)                           {}
 func (m *Mapping) Advise(*engine.Proc, iface.Advice)             {}
+
+// Mallocs runs fn windows times and returns the fewest heap objects one run
+// allocated. Now and then the runtime's own work allocates inside a MemStats
+// window, more often with another process loading the machine, so a test
+// that holds a path to a count takes the least of three; a benchmark, one.
+func Mallocs(windows int, fn func()) uint64 {
+	least := ^uint64(0)
+	for range windows {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.Mallocs-before.Mallocs)
+	}
+	return least
+}

@@ -18,12 +18,11 @@ func memDB(p *engine.Proc, e *engine.Engine, opts Options) *DB {
 	return Open(p, e, opts)
 }
 
-// What the data path allocates per operation once its scratch buffers exist:
-// an mmio Get only the arena chunks its values are carved from — about one per
-// 32 values of 1,000 bytes, counted over 320 Gets since a chunk is a fraction
-// of an allocation per Get — a Put of a key the memtable holds only the
-// memtable's copy of the value, and the builder's add loop nothing per record
-// (the image and the builder, once per table).
+// What the data path allocates per operation once its scratch buffers and the
+// thread's held value buffer exist: an mmio Get on a table hit nothing (the
+// least of three windows of 320 Gets), a Put of a key the memtable holds only
+// the memtable's copy of the value, and the builder's add loop nothing per
+// record (the image and the builder, once per table).
 func TestLSMDataPathAllocations(t *testing.T) {
 	e := engine.New(engine.Config{NumCPUs: 1, Seed: 1})
 	run1(e, func(p *engine.Proc) {
@@ -32,20 +31,16 @@ func TestLSMDataPathAllocations(t *testing.T) {
 		db.BulkLoad(p, records, 1000)
 		key, val := make([]byte, 0, 30), make([]byte, 0, 1000)
 		const gets = 320
-		db.Get(p, ycsb.AppendKey(key[:0], 0)) // the lookup's scratch block
-		made := db.vals.Chunks()
-		n := mallocs(func() {
+		db.Get(p, ycsb.AppendKey(key[:0], 0)) // the lookup's scratch block, the held value
+		if n := kvtest.Mallocs(3, func() {
 			for i := range uint64(gets) {
 				id := i * 7 % records
 				if v, ok := db.Get(p, ycsb.AppendKey(key[:0], id)); !ok || !ycsb.CheckValue(id, v) {
 					t.Fatal("table miss")
 				}
 			}
-		})
-		// The first chunks are 4, 8 and 16 KB, then 32 KB: 32 values each.
-		if made, most := db.vals.Chunks()-made, 3+gets*1000/(32<<10)+1; n > uint64(made) || made > most {
-			t.Errorf("%d mmio Gets on a table hit: %d allocations, %d arena chunks; want no allocation but the chunks, at most %d",
-				gets, n, made, most)
+		}); n != 0 {
+			t.Errorf("%d mmio Gets on a table hit: %d allocations in the least of three windows, want 0", gets, n)
 		}
 
 		hot := memDB(p, e, Options{Mode: IOMmap, memtableBytes: 4 * mib})
@@ -74,53 +69,75 @@ func TestLSMDataPathAllocations(t *testing.T) {
 	})
 }
 
-// Get's result is the caller's to keep (ycsb.KV): values kept through later
-// Gets, Puts of the same keys and flushes read as they did, and each has
-// cap == len, so an append to one moves it instead of writing into whatever
-// was carved beside it. Table hits are arena carves, memtable hits the
-// memtable's copy; both are kept here.
-func TestGetResultsAreTheCallersToKeep(t *testing.T) {
-	e := engine.New(engine.Config{NumCPUs: 1, Seed: 1})
+// Get's result is lent (ycsb.KV): read-only, and valid until the same proc's
+// next call on the store. The test's proc holds a value — a table hit, then a
+// memtable hit — and waits while a second proc runs Gets of both kinds, Puts
+// of every key (which flush and compact) and a flush of its own; the held value
+// must read as it did, and the holder's next Get must return the key's newest
+// value. One buffer per store instead of one per proc fails here: the second
+// proc's table hits land in the bytes the first still holds.
+func TestGetLendsItsValueUntilTheProcsNextCall(t *testing.T) {
+	e := engine.New(engine.Config{NumCPUs: 2, Seed: 1})
 	run1(e, func(p *engine.Proc) {
 		const keys = 48
 		db := memDB(p, e, Options{Mode: IOMmap, memtableBytes: 8 << 10})
-		value := func(id uint64, round int) []byte { return ycsb.Value(id+uint64(round)*keys, 40+int(id%7)*100) }
-		type kept struct{ got, want []byte }
-		var held []kept
-		for round := range 3 {
+		want := make([][]byte, keys)
+		version := 0 // of every key put: each version's values differ
+		put := func(p *engine.Proc, id uint64) {
+			want[id] = ycsb.Value(id+uint64(version)*keys, 40+int(id%7)*100)
+			db.Put(p, ycsb.KeyBytes(id), want[id])
+		}
+		getAll := func(p *engine.Proc) {
 			for id := range uint64(keys) {
-				db.Put(p, ycsb.KeyBytes(id), value(id, round))
-			}
-			for id := range uint64(keys) {
-				v, ok := db.Get(p, ycsb.KeyBytes(id))
-				if !ok {
-					t.Fatalf("round %d: key %d missed", round, id)
+				if v, ok := db.Get(p, ycsb.KeyBytes(id)); !ok || !bytes.Equal(v, want[id]) {
+					t.Errorf("version %d, second proc: key %d does not read back", version, id)
+					return
 				}
-				held = append(held, kept{v, value(id, round)})
 			}
 		}
-		if db.Flushes < 6 || db.vals.Chunks() == 0 {
-			t.Fatalf("set-up: %d flushes, %d arena chunks: the Gets never reached a table", db.Flushes, db.vals.Chunks())
+		for id := range uint64(keys) {
+			put(p, id)
 		}
-		for _, h := range held {
-			_ = append(h.got, 0xFF, 0xFF, 0xFF, 0xFF)
-		}
-		for i, h := range held {
-			if !bytes.Equal(h.got, h.want) || cap(h.got) != len(h.got) {
-				t.Fatalf("kept value %d: intact %v, len %d cap %d; want intact with cap == len",
-					i, bytes.Equal(h.got, h.want), len(h.got), cap(h.got))
+		db.Flush(p)
+		// Key 40 is a table hit, key 3 a memtable hit: keys 0-9 are put again.
+		for round, held := range []uint64{40, 3} {
+			version++
+			for id := range uint64(10) {
+				put(p, id)
+			}
+			if db.mem.entries != 10 {
+				t.Fatalf("round %d set-up: %d memtable entries, want 10", round, db.mem.entries)
+			}
+			v, ok := db.Get(p, ycsb.KeyBytes(held))
+			lent := want[held]
+			if !ok || !bytes.Equal(v, lent) {
+				t.Fatalf("round %d: key %d does not read back", round, held)
+			}
+			flushes := db.Flushes
+			done := engine.NewWaitGroup(e, "second")
+			done.Add(1)
+			e.Spawn(1, "second", func(q *engine.Proc) {
+				getAll(q)
+				version++
+				for id := range uint64(keys) {
+					put(q, id)
+				}
+				db.Flush(q)
+				getAll(q)
+				done.Done(q)
+			})
+			done.Wait(p)
+			if db.Flushes < flushes+2 || db.Compactions == 0 {
+				t.Fatalf("round %d: %d flushes, %d compactions: the second proc's Puts never flushed", round, db.Flushes-flushes, db.Compactions)
+			}
+			if !bytes.Equal(v, lent) {
+				t.Errorf("round %d: the value of key %d lent to the waiting proc changed under another proc's calls", round, held)
+			}
+			if v, ok := db.Get(p, ycsb.KeyBytes(held)); !ok || !bytes.Equal(v, want[held]) {
+				t.Errorf("round %d: the next Get of key %d does not return its newest value", round, held)
 			}
 		}
 	})
-}
-
-// mallocs returns how many heap objects fn allocates.
-func mallocs(fn func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	fn()
-	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
 }
 
 // allocated returns the bytes fn allocates on the heap.
@@ -249,8 +266,7 @@ func BenchmarkLSMBulkLoad(b *testing.B) {
 }
 
 // BenchmarkLSMGetMmio reports mallocs/op beside -benchmem's whole allocs/op:
-// the values are carved from arena chunks, a fraction of an allocation per
-// Get.
+// 0, every value lent in the one held buffer of the bench's proc.
 func BenchmarkLSMGetMmio(b *testing.B) {
 	const records = 20000
 	e := engine.New(engine.Config{NumCPUs: 1, Seed: 1})
@@ -260,7 +276,7 @@ func BenchmarkLSMGetMmio(b *testing.B) {
 		var key []byte
 		b.ReportAllocs()
 		b.ResetTimer()
-		n := mallocs(func() {
+		n := kvtest.Mallocs(1, func() {
 			for i := 0; i < b.N; i++ {
 				key = ycsb.AppendKey(key[:0], uint64(i)*7919%records)
 				if _, ok := db.Get(p, key); !ok {
@@ -273,8 +289,8 @@ func BenchmarkLSMGetMmio(b *testing.B) {
 }
 
 // Every Get misses a block cache of one block per shard and reads its block
-// with Pread; B/op is that block, the cache's entry for it and the returned
-// value.
+// with Pread; B/op is that block and the cache's entry for it (the value is
+// lent in the bench's proc's held buffer).
 func BenchmarkLSMGetDirectCachedMiss(b *testing.B) {
 	const records = 20000
 	e := engine.New(engine.Config{NumCPUs: 1, Seed: 1})

@@ -91,11 +91,10 @@ type DB struct {
 	// bufs lends the block a point lookup searches (scratch.Stack: why a
 	// LIFO, why no defer gives back).
 	bufs scratch.Stack
-	// vals is where a table hit's value is carved: Get's result, the caller's
-	// to keep. The memtable copies each Put on its own: an overwrite leaves
-	// the memtable's size as it was, so an arena there would grow with no
-	// flush to bound it.
-	vals scratch.Arena
+	// held is where Get lends a table hit's value, one buffer per thread
+	// (scratch.Held). A memtable hit lends the memtable's own copy, which no
+	// later Put writes: the skiplist copies every value it takes.
+	held scratch.Held
 
 	// Break attributes per-category cycles for the Fig 7 decomposition:
 	// "get" (store processing), "put", "cache" (user-space block cache
@@ -143,18 +142,6 @@ func Open(p *engine.Proc, e *engine.Engine, opts Options) *DB {
 	return db
 }
 
-// Cache exposes the block cache (nil unless IODirectCached).
-func (db *DB) Cache() *BlockCache { return db.cache }
-
-// Levels returns per-level table counts (tests/stats).
-func (db *DB) Levels() []int {
-	out := make([]int, len(db.levels))
-	for i, l := range db.levels {
-		out[i] = len(l)
-	}
-	return out
-}
-
 // mmio reports whether tables are memory-mapped.
 func (db *DB) mmio() bool { return db.opts.Mode == IOMmap }
 
@@ -194,8 +181,9 @@ func (db *DB) put(p *engine.Proc, key, value []byte) {
 	db.writeLock.Unlock(p)
 }
 
-// Get returns the newest value for key: a memtable hit shares the memtable's
-// copy, a table hit is a carve of the store's value arena (cap == len).
+// Get returns the newest value for key, lent (ycsb.KV): read-only and valid
+// until p's next call on the store. A memtable hit is the memtable's copy, a
+// table hit p's held buffer.
 func (db *DB) Get(p *engine.Proc, key []byte) ([]byte, bool) {
 	p.BeginSpan("kv.get")
 	defer p.EndSpan()
@@ -261,7 +249,7 @@ func (db *DB) searchTable(p *engine.Proc, t *SST, key []byte) ([]byte, bool) {
 	visited := scanBlock(blk, func(k, v []byte) bool {
 		cmp := bytes.Compare(k, key)
 		if cmp == 0 {
-			out = db.vals.Alloc(len(v))
+			out = db.held.Lend(p.ID(), len(v))
 			copy(out, v)
 			found = true
 			return false

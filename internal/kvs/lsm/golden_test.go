@@ -40,7 +40,7 @@ func TestSSTImageGolden(t *testing.T) {
 	}
 	check := func(t *testing.T, p *engine.Proc, db *DB, want golden) {
 		t.Helper()
-		got := golden{tablesDigest(p, db), p.Now(), fmt.Sprint(db.Levels())}
+		got := golden{tablesDigest(p, db), p.Now(), fmt.Sprint(levelSizes(db))}
 		if got != want {
 			t.Errorf("table images moved:\n got %+v\nwant %+v", got, want)
 		}

@@ -198,7 +198,7 @@ func TestDBBulkLoadCreatesLeveledTables(t *testing.T) {
 	run1(e, func(p *engine.Proc) {
 		db := openTestDB(p, e, ns, IODirectCached)
 		db.BulkLoad(p, 5000, 100)
-		lv := db.Levels()
+		lv := levelSizes(db)
 		if lv[0] != 0 {
 			t.Errorf("L0 = %d, want 0 after bulk load", lv[0])
 		}
@@ -276,12 +276,12 @@ func TestDBWithBlockCacheHitsReduceIO(t *testing.T) {
 		db := openTestDB(p, e, ns, IODirectCached)
 		db.BulkLoad(p, 1000, 100)
 		db.Get(p, ycsb.KeyBytes(10))
-		missesAfterFirst := db.Cache().Misses
+		missesAfterFirst := db.cache.Misses
 		db.Get(p, ycsb.KeyBytes(10))
-		if db.Cache().Misses != missesAfterFirst {
+		if db.cache.Misses != missesAfterFirst {
 			t.Error("second get of same key missed the block cache")
 		}
-		if db.Cache().Hits == 0 {
+		if db.cache.Hits == 0 {
 			t.Error("no block-cache hits")
 		}
 	})
@@ -435,7 +435,7 @@ func TestTombstonesDroppedAtCompaction(t *testing.T) {
 		}
 		// Force everything through compaction into L1.
 		db.Flush(p)
-		for db.Levels()[0] > 0 {
+		for levelSizes(db)[0] > 0 {
 			db.compactL0(p)
 		}
 		// Deleted keys gone, survivors intact.
@@ -486,4 +486,13 @@ func TestCompactionReclaimsSpace(t *testing.T) {
 			}
 		}
 	})
+}
+
+// levelSizes returns the number of tables on each level.
+func levelSizes(db *DB) []int {
+	out := make([]int, len(db.levels))
+	for i, l := range db.levels {
+		out[i] = len(l)
+	}
+	return out
 }

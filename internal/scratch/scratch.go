@@ -2,10 +2,10 @@
 // A Stack lends the transient ones: a node or block being searched, a log or
 // WAL record being built, a vertex's offset pair or edge run being read, a
 // parent or rank being written. Each has one holder at a time — whoever
-// borrowed it, until it gives it back. An Arena carves what a store hands to
-// its caller: a Get's value, which is the caller's to keep. The YCSB helpers
-// carve from one too: each key and value ycsb.KeyBytes and ycsb.Value return.
-// So a hop allocates nothing of its own: now and then an arena chunk, no more.
+// borrowed it, until it gives it back. Held keeps what a store lends from Get:
+// one value per simulated thread, until that thread's next call. An Arena
+// carves what the caller keeps, and serves ycsb alone: each key and value
+// ycsb.KeyBytes and ycsb.Value return. So a hop allocates nothing of its own.
 package scratch
 
 // minSize is the least capacity a buffer is made with: a 4 KB node or block.
@@ -48,42 +48,48 @@ func (s *Stack) GiveBack(b []byte) { s.free = append(s.free, b) }
 // that were ever held at once (tests).
 func (s *Stack) Free() int { return len(s.free) }
 
-// maxChunk is the largest chunk an Arena carves from: 32 KB, the Go
-// allocator's largest size class. (A 32 KB slice is still a large object: the
-// small path ends 8 bytes short of it, at 32,760 B. Allocating one costs about
-// what a 32,760-byte one does.)
-const maxChunk = 32 << 10
+// Held is one buffer per simulated thread, indexed by Proc.ID, that a store's
+// Get lends its value in until the thread's next call. Per thread, not per
+// store: Load and AdvanceUser yield, and another thread's Get must not
+// overwrite a value its owner has not read yet. The zero value is ready.
+type Held [][]byte
 
-// Arena hands out byte slices that their holders keep: a value a store returns
-// from Get, a key or value from ycsb.KeyBytes or ycsb.Value. It never hands
-// the same byte out twice, and it never takes a slice back; a chunk is garbage
-// once every slice carved from it is. Each slice is cut with a three-index
-// expression, so its cap is its len and an append to it moves to a new array
-// instead of running into the next holder's bytes.
-//
-// Chunks start at minSize and double up to maxChunk, so a short-lived store
-// wastes little; a request the rest of the chunk cannot hold starts the next
-// chunk and drops that rest, and one larger than a chunk gets a chunk of its
-// own size. The zero value is ready to use. Like a Stack, it takes no lock: a
-// caller on several goroutines holds its own (ycsb's arena sits behind a
-// mutex).
-type Arena struct {
-	free   []byte // what is left of the current chunk
-	size   int    // the last chunk's size, short of a request's own
-	chunks int
+// Lend returns thread id's buffer at length n, with cap n, grown when short.
+func (h *Held) Lend(id, n int) []byte {
+	for len(*h) <= id {
+		*h = append(*h, nil)
+	}
+	if cap((*h)[id]) < n {
+		(*h)[id] = make([]byte, n)
+	}
+	return (*h)[id][:n:n]
 }
+
+// chunkSize is what an Arena carves from: 32 KB, the Go allocator's largest
+// size class. (A 32 KB slice is still a large object: the small path ends 8
+// bytes short of it, at 32,760 B. Allocating one costs about what a
+// 32,760-byte one does.)
+const chunkSize = 32 << 10
+
+// Arena hands out byte slices that their holders keep: a key or value from
+// ycsb.KeyBytes or ycsb.Value. It never hands the same byte out twice, and it
+// never takes a slice back; a chunk is garbage once every slice carved from it
+// is. Each slice is cut with a three-index expression, so its cap is its len
+// and an append to it moves to a new array instead of running into the next
+// holder's bytes.
+//
+// A request the rest of the chunk cannot hold starts the next chunk and drops
+// that rest, and one larger than a chunk gets a chunk of its own size. The
+// zero value is ready to use. Like a Stack, it takes no lock: a caller on
+// several goroutines holds its own (ycsb's arena sits behind a mutex).
+type Arena struct{ free []byte } // what is left of the current chunk
 
 // Alloc returns n zero bytes with cap n, the caller's to keep.
 func (a *Arena) Alloc(n int) []byte {
 	if n > len(a.free) {
-		a.size = min(max(2*a.size, minSize), maxChunk)
-		a.free = make([]byte, max(n, a.size))
-		a.chunks++
+		a.free = make([]byte, max(n, chunkSize))
 	}
 	b := a.free[:n:n]
 	a.free = a.free[n:]
 	return b
 }
-
-// Chunks returns how many chunks the arena has allocated (tests).
-func (a *Arena) Chunks() int { return a.chunks }

@@ -36,7 +36,7 @@ func TestStackReplacesATopThatIsTooSmall(t *testing.T) {
 func TestArenaNeverHandsOutAByteTwice(t *testing.T) {
 	var a Arena
 	var held [][]byte
-	for i, n := range []int{1000, 0, 1, minSize, 3000, maxChunk, 5, maxChunk + 1, 1000, 31 << 10, 1000} {
+	for i, n := range []int{1000, 0, 1, minSize, 3000, chunkSize, 5, chunkSize + 1, 1000, 31 << 10, 1000} {
 		b := a.Alloc(n)
 		if len(b) != n || cap(b) != n {
 			t.Fatalf("request %d: len %d cap %d, want both %d", i, len(b), cap(b), n)
@@ -65,21 +65,36 @@ func TestArenaNeverHandsOutAByteTwice(t *testing.T) {
 	}
 }
 
-func TestArenaChunksDoubleToTheLargestSmallClass(t *testing.T) {
+func TestArenaCarvesByTheChunk(t *testing.T) {
 	var a Arena
-	const n, gets = 1000, 400
-	for range gets {
-		a.Alloc(n)
-	}
-	// 4, 8, 16 KB, then 32 KB chunks: 4 + 8 + 16 values, the rest 32 a chunk.
-	if want := 3 + (gets-4-8-16+31)/32; a.Chunks() != want {
-		t.Errorf("%d chunks for %d values of %d bytes, want %d", a.Chunks(), gets, n, want)
-	}
+	const n = 1000
 	if got := testing.AllocsPerRun(320, func() { a.Alloc(n) }); got > 0.05 {
-		t.Errorf("%v allocs per value, want a chunk per 32", got)
+		t.Errorf("%v allocs per value, want a chunk per %d", got, chunkSize/n)
 	}
-	big := a.Chunks()
-	if b := a.Alloc(maxChunk * 2); len(b) != maxChunk*2 || a.Chunks() != big+1 {
-		t.Error("a request larger than a chunk is not a chunk of its own")
+	if got := testing.AllocsPerRun(10, func() {
+		if b := a.Alloc(chunkSize * 2); len(b) != chunkSize*2 {
+			t.Fatal("short carve")
+		}
+	}); got != 1 {
+		t.Errorf("a request larger than a chunk: %v allocs, want 1 (a chunk of its own)", got)
+	}
+}
+
+func TestHeldLendsEachThreadItsOwnBuffer(t *testing.T) {
+	var h Held
+	a, b := h.Lend(3, 100), h.Lend(0, 100)
+	a[0], b[0] = 1, 2
+	if a[0] != 1 || len(h) != 4 || len(a) != 100 || cap(a) != 100 {
+		t.Fatalf("two threads' buffers share memory or are mis-sized: len %d cap %d, %d threads", len(a), cap(a), len(h))
+	}
+	// A thread's next Lend reuses its buffer while it is long enough.
+	if c := h.Lend(3, 40); &c[0] != &a[0] || len(c) != 40 || cap(c) != 40 {
+		t.Fatal("a shorter Lend did not reuse the thread's buffer")
+	}
+	if c := h.Lend(3, 200); len(c) != 200 || h.Lend(0, 100)[0] != 2 {
+		t.Fatal("a longer Lend was not grown, or touched another thread's buffer")
+	}
+	if n := testing.AllocsPerRun(100, func() { h.Lend(3, 150) }); n != 0 {
+		t.Errorf("steady-state Lend: %v allocs, want 0", n)
 	}
 }

@@ -307,13 +307,13 @@ func CheckValue(id uint64, v []byte) bool {
 //
 // Buffer ownership: Put copies what it keeps, so key and value are the
 // caller's again — to overwrite — as soon as Put returns, and Get and Scan
-// keep nothing of the key they are handed. Get's result is the caller's to
-// keep: the store never writes to those bytes again. It may still share them
-// with the store (the LSM returns a memtable hit without copying it), so
-// the caller reads it and does not write to it. Both stores carve a result
-// read from their files out of a value arena's chunk (scratch.Arena), with
-// cap == len: an append moves it, and a kept result keeps its chunk, up to
-// 32 KB, alive.
+// keep nothing of the key they are handed. Get's result is lent: the caller
+// reads it and does not write to it, and it is valid until the same proc's
+// next call on that store, which may overwrite it. A caller that needs the
+// value longer copies it. Both stores read a value from their files into a
+// buffer of the calling proc's own (scratch.Held, cap == len), so another
+// proc's calls in between leave it intact; the LSM lends a memtable hit as the
+// memtable's copy, which no later Put writes.
 type KV interface {
 	Get(p *engine.Proc, key []byte) ([]byte, bool)
 	Put(p *engine.Proc, key, value []byte)

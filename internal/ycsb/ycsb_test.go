@@ -361,7 +361,7 @@ func TestKeysAndValuesAllocateByTheChunk(t *testing.T) {
 	}
 }
 
-// chunk is the arena's largest chunk, 32 KB.
+// chunk is the size of the arena's chunks, 32 KB.
 const chunk = 32 << 10
 
 // keptKV is a key or value a caller kept, beside the bytes it must hold.
