@@ -149,7 +149,7 @@ gates:
 # yield handoff, a contended mutex handoff, one busy period of an event, a
 # writer round admitting a reader batch on an RWMutex, a spawn-and-run.
 # engine-bench and sim-bench both run exactly these.
-engine-rows = Handoff|MutexHandoff|EventArmFireWait|RWMutexReaderBatch|SpawnRun
+engine-rows = Handoff|Handoff32|MutexHandoff|EventArmFireWait|RWMutexReaderBatch|SpawnRun
 
 # Host cost of the engine layer alone, no world on top, with allocations
 # (DESIGN.md §3 quotes these). Not part of ci: the numbers are for reading,

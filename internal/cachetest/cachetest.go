@@ -267,6 +267,51 @@ func MunmapReleasesTablePages[R any](t *testing.T, boot Boot[R]) {
 	})
 }
 
+// RemapReusesTablePages: the last-level table pages a munmap empties go to
+// the page table's spare list, and the next mmap's faults take them from
+// there. Each round evicts what the last one cached, maps the file with
+// MADV_RANDOM (no read-around), touches one page per 2 MB and unmaps: every
+// touch is a cold fault into a leaf of its own. After a first round has left
+// its leaves spare, a round allocates its page records and four objects
+// more — the mapping's two and the two table pages above the leaves — where
+// a leaf allocated again per fault would double it. After every munmap the
+// table holds as many pages as before the first mmap.
+func RemapReusesTablePages[R any](t *testing.T, boot Boot[R]) {
+	const span, roundObjects = 64 * mib, 4
+	w := boot(16*mib, 2)
+	run1(w.Engine(), func(p *engine.Proc) {
+		f := w.Create(p, "data", span)
+		before, _ := w.Tables()
+		var buf [8]byte
+		records, rounds := 0, 0
+		round := func() {
+			w.EvictAll(p)
+			m := w.Mmap(p, f, span)
+			m.Advise(p, iface.AdviceRandom)
+			for off := uint64(0); off < span; off += 2 * mib {
+				m.Load(p, off, buf[:])
+			}
+			records += w.Resident()
+			rounds++
+			m.Munmap(p)
+			if pages, ptes := w.Tables(); pages != before || ptes != 0 {
+				t.Fatalf("round %d: %d table pages and %d PTEs after munmap, want %d and none", rounds, pages, ptes, before)
+			}
+		}
+		round()
+		records, rounds = 0, 0
+		got := testing.AllocsPerRun(5, round)
+		want := float64(records / rounds)
+		if records/rounds != span/(2*mib) {
+			t.Fatalf("%d pages cached per round, want %d", records/rounds, span/(2*mib))
+		}
+		if got < want || got > want+roundObjects {
+			t.Errorf("a round of %v cold faults made %v allocations, want one page record each and at most %d more", want, got, roundObjects)
+		}
+		check(t, w)
+	})
+}
+
 // EvictRefaultKeepsTablePages: eviction unmaps page by page and frees no
 // table page, so the refault of an evicted mapping finds its table pages
 // where they were. One page per 2 MB is touched, and the first passes shrink

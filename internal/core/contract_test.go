@@ -20,6 +20,9 @@ func TestDeletedFilesLeaveTheLRUQueues(t *testing.T) {
 func TestEvictRefaultKeepsTablePages(t *testing.T) {
 	cachetest.EvictRefaultKeepsTablePages(t, aquila(nil))
 }
+func TestRemapReusesTablePages(t *testing.T) {
+	cachetest.RemapReusesTablePages(t, aquila(nil))
+}
 func TestColdMajorFaultIsOneAllocation(t *testing.T) {
 	cachetest.ColdMajorFaultIsOneAllocation(t, aquila(nil))
 }
@@ -86,7 +89,7 @@ func (w *aquilaWorld) MmapOther(p *engine.Proc, f iface.File, size uint64) iface
 
 func (w *aquilaWorld) Rmap(f iface.File, idx uint64) ([]uint64, bool) {
 	pg := w.Record(f, idx)
-	return slices.Clone(pg.vas.S), pg.vas.Inline()
+	return slices.Clone(pg.vas.Slice()), pg.vas.Inline()
 }
 
 func (w *aquilaWorld) EvictAll(p *engine.Proc) {

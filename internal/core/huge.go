@@ -113,12 +113,12 @@ func (rt *Runtime) hugeFault(p *engine.Proc, r *Region, f *fileState, idx uint64
 			dirtyOlds = append(dirtyOlds, pg)
 		}
 		rt.move(pg, detutil.PgDisplaced)
-		for _, va := range pg.vas.S {
+		for _, va := range pg.vas.Slice() {
 			if rt.PT.Unmap(va) {
 				unmapped++
 			}
 		}
-		pg.vas.S = nil
+		pg.vas.Clear()
 	}
 	unit := &Page{file: f, idx: baseIdx, huge: true, frame: block}
 	rt.move(unit, detutil.PgFilling)
@@ -302,12 +302,12 @@ func (rt *Runtime) splitUnit(p *engine.Proc, pg *Page, pinOff int) []*Page {
 	p.SpanEvent("huge.split", 1)
 	wasDirty := pg.state.Dirty()
 	unmapped := 0
-	for _, va := range pg.vas.S {
+	for _, va := range pg.vas.Slice() {
 		if rt.PT.Unmap(va) {
 			unmapped++
 		}
 	}
-	pg.vas.S = nil
+	pg.vas.Clear()
 	rt.move(pg, detutil.PgGone)
 	split := make([]*Page, hugePages)
 	for i := range split {

@@ -49,7 +49,7 @@ func (rt *Runtime) CheckInvariants() error {
 				return fmt.Errorf("unit (%s,%d) poisoned", pg.file.name, pg.idx)
 			}
 		}
-		for _, va := range pg.vas.S {
+		for _, va := range pg.vas.Slice() {
 			e, ok := rt.PT.Lookup(va)
 			if !ok {
 				return fmt.Errorf("page (%s,%d): rmap va %#x unmapped", pg.file.name, pg.idx, va)
@@ -126,8 +126,8 @@ func (rt *Runtime) auditPages(each func(pg *Page) error) error {
 			if err := pg.state.Audit(pg.busy(), pg.frame != nil, pg.lruSeq != 0); err != nil {
 				return fmt.Errorf("page (%s,%d): %v", pg.file.name, pg.idx, err)
 			}
-			if len(pg.vas.S) <= 1 && !pg.vas.Inline() {
-				return fmt.Errorf("page (%s,%d): %d mapping(s) kept outside the page's own slot", pg.file.name, pg.idx, len(pg.vas.S))
+			if err := pg.vas.Check(); err != nil {
+				return fmt.Errorf("page (%s,%d): reverse map: %v", pg.file.name, pg.idx, err)
 			}
 			if pg.state.Counted() {
 				if pg.dirtyCore < 0 || int(pg.dirtyCore) >= len(on) {

@@ -28,7 +28,7 @@ const _ = -uint(hugePages ^ detutil.LeafSlots)
 // fault is one host allocation (DESIGN.md §3). It holds only what every page
 // needs — a 2 MB unit is its base frame, a poisoned page's fault lives in
 // Runtime.poisoned — with the small fields together, which keeps it in the
-// 112-byte size class (DESIGN.md §3 "Page records").
+// 96-byte size class (DESIGN.md §3 "Page records").
 type Page struct {
 	file *fileState
 	idx  uint64

@@ -444,7 +444,7 @@ func (rt *Runtime) DeleteFile(p *engine.Proc, name string) {
 	// Every page leaves before the first charge yields; one an eviction took
 	// while it was waited on is gone already.
 	for _, pg := range drop {
-		if len(pg.vas.S) > 0 {
+		if pg.vas.Len() > 0 {
 			panic(fmt.Sprintf("core: delete of %q with live mappings", name))
 		}
 		if pg.state != detutil.PgGone {
@@ -931,13 +931,13 @@ func (rt *Runtime) claimVictims(p *engine.Proc) (victims, dirty []*Page) {
 	}
 	unmapped := 0
 	for _, v := range victims {
-		for _, va := range v.vas.S {
+		for _, va := range v.vas.Slice() {
 			if rt.PT.Unmap(va) {
 				rt.charge(p, "unmap", cpu.PTEUpdate)
 				unmapped++
 			}
 		}
-		v.vas.S = nil
+		v.vas.Clear()
 	}
 	if unmapped > 0 {
 		rt.shootdown(p)
@@ -1076,7 +1076,7 @@ func (rt *Runtime) writeBack(p *engine.Proc, pages []*Page, span string, async, 
 	slices.SortFunc(pages, func(a, b *Page) int { return cmp.Compare(dirtyKey(a), dirtyKey(b)) })
 	protected := 0
 	for _, pg := range pages {
-		for _, va := range pg.vas.S {
+		for _, va := range pg.vas.Slice() {
 			if rt.PT.Protect(va, pagetable.FlagUser|pagetable.FlagAccessed) {
 				rt.charge(p, "writeback", cpu.PTEUpdate)
 				protected++

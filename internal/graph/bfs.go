@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -47,17 +48,16 @@ func RunBFS(e *engine.Engine, g *Graph, src uint32, threads int) BFSResult {
 		parentsOff := g.H.Alloc(uint64(n) * 4)
 		res.ParentsOff = parentsOff
 		// Initialize parents to unvisited with bulk sequential stores.
-		initChunk := make([]byte, 1<<20)
-		for i := range initChunk {
-			initChunk[i] = 0xff
+		if g.unvisited == nil {
+			g.unvisited = bytes.Repeat([]byte{0xff}, 1<<20)
 		}
 		total := uint64(n) * 4
-		for off := uint64(0); off < total; off += uint64(len(initChunk)) {
-			end := off + uint64(len(initChunk))
+		for off := uint64(0); off < total; off += uint64(len(g.unvisited)) {
+			end := off + uint64(len(g.unvisited))
 			if end > total {
 				end = total
 			}
-			g.H.Store(p, parentsOff+off, initChunk[:end-off])
+			g.H.Store(p, parentsOff+off, g.unvisited[:end-off])
 		}
 		g.StoreU32(p, parentsOff+uint64(src)*4, src)
 

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 
@@ -117,4 +118,27 @@ func BenchmarkNeighbors(b *testing.B) {
 		}
 	})
 	e.Run()
+}
+
+// A traversal stores its parents array from the graph's one megabyte of 0xff
+// bytes, made by the first: a second BFS of a small graph allocates a
+// fraction of the megabyte each traversal used to make afresh.
+func TestRepeatedBFSReusesTheUnvisitedRun(t *testing.T) {
+	e, h := memHeapWorld()
+	var g *Graph
+	e.Spawn(0, "build", func(p *engine.Proc) {
+		g = Build(p, h, 512, Symmetrize(RMAT(RMATConfig{Vertices: 512, EdgeFactor: 8, Seed: 7})))
+	})
+	e.Run()
+	first := RunBFS(e, g, 0, 2)
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	second := RunBFS(e, g, 0, 2)
+	runtime.ReadMemStats(&ms1)
+	if first.Visited != second.Visited || first.Rounds != second.Rounds {
+		t.Fatalf("two traversals from one source: %+v, then %+v", first, second)
+	}
+	if got := ms1.TotalAlloc - ms0.TotalAlloc; got >= 256<<10 {
+		t.Errorf("the second BFS of a 512-vertex graph allocated %d bytes, want under 256 KB", got)
+	}
 }

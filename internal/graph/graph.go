@@ -22,6 +22,9 @@ type Graph struct {
 	// Heap.Store escapes, so one made per access would be one allocation per
 	// access.
 	bufs scratch.Stack
+	// unvisited is 1 MB of 0xff bytes, made by the first RunBFS: every
+	// traversal stores its parents array from it. Nothing writes it after.
+	unvisited []byte
 }
 
 // CSR is a graph's heap image laid out in Go memory: the offsets array and

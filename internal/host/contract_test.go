@@ -18,6 +18,7 @@ func TestEvictedPageRecordsAreCollectable(t *testing.T) { linux(t, cachetest.Gon
 func TestDirtyQueueForgetsReclaimedPages(t *testing.T)  { linux(t, cachetest.DeadQueueEntriesAreSwept) }
 func TestMunmapReleasesTablePages(t *testing.T)         { linux(t, cachetest.MunmapReleasesTablePages) }
 func TestEvictRefaultKeepsTablePages(t *testing.T)      { linux(t, cachetest.EvictRefaultKeepsTablePages) }
+func TestRemapReusesTablePages(t *testing.T)            { linux(t, cachetest.RemapReusesTablePages) }
 func TestColdMajorFaultIsOneAllocation(t *testing.T) {
 	linux(t, cachetest.ColdMajorFaultIsOneAllocation)
 }
@@ -71,7 +72,7 @@ func (w *linuxWorld) Record(f iface.File, idx uint64) *cachedPage {
 
 func (w *linuxWorld) Rmap(f iface.File, idx uint64) (vas []uint64, inline bool) {
 	pg := w.Record(f, idx)
-	for _, mv := range pg.vas.S {
+	for _, mv := range pg.vas.Slice() {
 		vas = append(vas, mv.va)
 	}
 	return vas, pg.vas.Inline()

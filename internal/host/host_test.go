@@ -1238,8 +1238,8 @@ func TestPageMoveMatrix(t *testing.T) {
 // allocation of it (cachetest.ColdMajorFaultIsOneAllocation), and a field more puts
 // every fault in the next class.
 func TestPageRecordSize(t *testing.T) {
-	if got := unsafe.Sizeof(cachedPage{}); got > 128 {
-		t.Errorf("cachedPage is %d bytes, want at most 128: past it every cold fault allocates from Go's 144-byte size class, not the 128-byte one (DESIGN.md §3 \"Page records\")", got)
+	if got := unsafe.Sizeof(cachedPage{}); got > 112 {
+		t.Errorf("cachedPage is %d bytes, want at most 112: past it every cold fault allocates from Go's 128-byte size class, not the 112-byte one (DESIGN.md §3 \"Page records\")", got)
 	}
 }
 

@@ -36,15 +36,15 @@ func (os *OS) CheckInvariants() error {
 			if pg.busy() || !listed {
 				return fmt.Errorf("page (%s,%d): busy=%v, listed=%v at quiesce", f.name, idx, pg.busy(), listed)
 			}
-			if len(pg.vas.S) <= 1 && !pg.vas.Inline() {
-				return fmt.Errorf("page (%s,%d): %d mapping(s) kept outside the page's own slot", f.name, idx, len(pg.vas.S))
+			if err := pg.vas.Check(); err != nil {
+				return fmt.Errorf("page (%s,%d): reverse map: %v", f.name, idx, err)
 			}
 			if pg.state.Counted() {
 				dirty++
 				fileDirty++
 			}
 			// Reverse mappings agree with the page tables.
-			for _, mv := range pg.vas.S {
+			for _, mv := range pg.vas.Slice() {
 				e, ok := mv.pr.PT.Lookup(mv.va)
 				if !ok {
 					return fmt.Errorf("page (%s,%d): rmap va %#x not mapped in process %d",
@@ -94,7 +94,7 @@ func (os *OS) CheckInvariants() error {
 						pr.ID, va, e.Frame)
 				}
 				found := false
-				for _, mv := range pg.vas.S {
+				for _, mv := range pg.vas.Slice() {
 					if mv.pr == pr && mv.va == va {
 						found = true
 						break

@@ -392,7 +392,7 @@ func (c *PageCache) writePages(p *engine.Proc, pages []*cachedPage) {
 		// page_mkclean: write-protect live mappings so the next store
 		// re-dirties the page; otherwise post-writeback stores would be
 		// lost at eviction.
-		for _, mv := range pg.vas.S {
+		for _, mv := range pg.vas.Slice() {
 			if mv.pr.PT.Protect(mv.va, pagetable.FlagUser|pagetable.FlagAccessed) {
 				c.os.charge(p, "writeback", cpu.PTEUpdate)
 				touched = touched.add(mv.pr)
@@ -494,13 +494,13 @@ func (c *PageCache) reclaim(p *engine.Proc) {
 	for _, v := range victims {
 		// page_referenced + rmap walk per victim.
 		c.os.charge(p, "reclaim", costReclaimPerPage)
-		for _, mv := range v.vas.S {
+		for _, mv := range v.vas.Slice() {
 			if mv.pr.PT.Unmap(mv.va) {
 				c.os.charge(p, "reclaim", cpu.PTEUpdate)
 				touched = touched.add(mv.pr)
 			}
 		}
-		v.vas.S = nil
+		v.vas.Clear()
 		if v.state.Dirty() {
 			dirty = append(dirty, v)
 		}
@@ -561,7 +561,7 @@ func (c *PageCache) truncate(p *engine.Proc, f *FSFile) {
 	}
 	touched := make(procSet, 0, 8)
 	for _, pg := range pages {
-		for _, mv := range pg.vas.S {
+		for _, mv := range pg.vas.Slice() {
 			if mv.pr.PT.Unmap(mv.va) {
 				touched = touched.add(mv.pr)
 			}

@@ -298,6 +298,24 @@ func BenchmarkHandoff(b *testing.B) {
 	e.Run()
 }
 
+// BenchmarkHandoff32: 32 processes on 32 CPUs advancing in lockstep, the
+// width fault-cold-32t runs at: every Advance moves the caller past the other
+// 31, and the run queue it sifts through holds 31.
+func BenchmarkHandoff32(b *testing.B) {
+	const procs = 32
+	e := New(Config{NumCPUs: procs, Seed: 1})
+	for c := 0; c < procs; c++ {
+		e.Spawn(c, "lockstep", func(p *Proc) {
+			for i := 0; i < b.N/procs; i++ {
+				p.AdvanceUser(10)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+}
+
 // BenchmarkMutexHandoff: two processes contending for one simulated mutex;
 // every iteration blocks one and unblocks the other.
 func BenchmarkMutexHandoff(b *testing.B) {

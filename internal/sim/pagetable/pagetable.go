@@ -11,8 +11,10 @@
 // from bit 12 and the flags in the low byte. The size a PTE maps follows
 // from its level. A page above the last level also holds a pointer per slot
 // to its child page; a present huge PTE shadows a child left under it.
-// Table pages are allocated as mappings need them and freed only by
-// Release, as Linux's munmap frees emptied tables (free_pgtables).
+// Table pages are allocated as mappings need them and taken off the tree
+// only by Release, as Linux's munmap frees emptied tables (free_pgtables); an
+// emptied last-level page waits on the table's spare list for the next Map
+// that needs one.
 package pagetable
 
 import "fmt"
@@ -79,6 +81,10 @@ type Table struct {
 	asid   uint32
 	mapped uint64 // number of present leaf entries
 	pages  int    // table pages, the root included
+	// spare holds the last-level pages Release took off the tree, every PTE
+	// zero, for the next Map that needs one: never more than the table
+	// once held.
+	spare []*page
 }
 
 // New creates an empty table with the given address-space id.
@@ -93,7 +99,7 @@ func (t *Table) ASID() uint32 { return t.asid }
 func (t *Table) Mapped() uint64 { return t.mapped }
 
 // Pages returns the number of table pages the table holds, the root
-// included.
+// included; spare pages are not held.
 func (t *Table) Pages() int { return t.pages }
 
 // Lookup walks the table for va. It returns the leaf entry and true when a
@@ -149,6 +155,21 @@ func child[C any](t *Table, d *dir[C], i uint64) *C {
 	return c
 }
 
+// leaf is child for a last-level page: a spare page is taken before a new
+// one is allocated.
+func leaf(t *Table, d *pd, i uint64) *page {
+	n := len(t.spare) - 1
+	if d.kids[i] != nil || n < 0 {
+		return child(t, d, i)
+	}
+	pg := t.spare[n]
+	t.spare = t.spare[:n]
+	d.kids[i] = pg
+	d.live++
+	t.pages++
+	return pg
+}
+
 // Map installs a translation of the given page size for the page containing
 // va. va must be size-aligned. Remapping an existing entry overwrites it.
 func (t *Table) Map(va uint64, frame uint64, flags Flags, pageSize uint64) {
@@ -167,7 +188,7 @@ func (t *Table) Map(va uint64, frame uint64, flags Flags, pageSize uint64) {
 		d2 := child(t, d1, i)
 		pg, i = &d2.page, va>>21&511
 		if pageSize < Size2M {
-			pg, i = child(t, d2, i), va>>12&511
+			pg, i = leaf(t, d2, i), va>>12&511
 		}
 	}
 	if pg.pte[i]&present == 0 {
@@ -244,9 +265,10 @@ func (t *Table) UnmapRange(va, length uint64) int {
 }
 
 // Release frees every table page under [lo, hi) that maps nothing: no
-// present PTE and no child page. The root is never freed. Release charges
-// nothing; a range unmap calls it once its PTEs are gone, while the per-page
-// Unmap of reclaim leaves table pages in place for the refault.
+// present PTE and no child page. The root is never freed, and a last-level
+// page goes to the spare list. Release charges nothing; a range unmap calls
+// it once its PTEs are gone, while the per-page Unmap of reclaim leaves table
+// pages in place for the refault.
 func (t *Table) Release(lo, hi uint64) {
 	if lo >= hi {
 		return
@@ -255,7 +277,11 @@ func (t *Table) Release(lo, hi uint64) {
 	release(t, &t.root, 0, 39, lo, last, func(d1 *pdpt, b1 uint64) bool {
 		return release(t, d1, b1, 30, lo, last, func(d2 *pd, b2 uint64) bool {
 			return release(t, d2, b2, 21, lo, last, func(pg *page, _ uint64) bool {
-				return pg.live == 0
+				if pg.live != 0 {
+					return false
+				}
+				t.spare = append(t.spare, pg)
+				return true
 			})
 		})
 	})

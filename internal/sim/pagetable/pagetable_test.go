@@ -339,6 +339,44 @@ func TestReleaseFreesOnlyEmptyTablePages(t *testing.T) {
 	}
 }
 
+// TestReleasedLeavesAreReused: a last-level page Release takes off the tree
+// is what the next Map that needs one gets, wherever it maps. A round over a
+// sparse 96 MB span — one PTE per 2 MB, unmapped, released — allocates only
+// the two pages above its leaves once a first round has left them spare, a
+// reused leaf maps only what is mapped into it, and the spare list never
+// holds more leaves than the table once did.
+func TestReleasedLeavesAreReused(t *testing.T) {
+	const span, leaves = 96 << 20, 96 << 20 / Size2M
+	pt := New(1)
+	r := uint64(0)
+	round := func() {
+		base, slot := r%256<<39, r%512*Size4K // a new root slot, a new PTE slot
+		for va := base; va < base+span; va += Size2M {
+			pt.Map(va+slot, r, FlagUser, Size4K)
+		}
+		if prev := (r + 511) % 512 * Size4K; r > 0 {
+			if _, ok := pt.Lookup(base + prev); ok {
+				t.Fatalf("round %d: a reused leaf still maps the last round's slot", r)
+			}
+		}
+		if pt.Mapped() != leaves || pt.Pages() != 3+leaves {
+			t.Fatalf("round %d: %d PTEs in %d table pages, want %d in %d", r, pt.Mapped(), pt.Pages(), leaves, 3+leaves)
+		}
+		for va := base; va < base+span; va += Size2M {
+			pt.Unmap(va + slot)
+		}
+		pt.Release(base, base+span)
+		if pt.Pages() != 1 || len(pt.spare) != leaves {
+			t.Fatalf("round %d: %d table pages and %d spare leaves after Release, want 1 and %d", r, pt.Pages(), len(pt.spare), leaves)
+		}
+		r++
+	}
+	round()
+	if a := testing.AllocsPerRun(10, round); a != 2 {
+		t.Fatalf("a round over released leaves: %v allocations, want 2 (the pdpt and the pd)", a)
+	}
+}
+
 // Once a region's nodes exist, mapping, unmapping and mapping a PTE again is
 // three stores into the leaf array: no host allocation.
 func TestWarmMapUnmapAllocatesNothing(t *testing.T) {
