@@ -267,17 +267,18 @@ func MunmapReleasesTablePages[R any](t *testing.T, boot Boot[R]) {
 	})
 }
 
-// RemapReusesTablePages: the last-level table pages a munmap empties go to
-// the page table's spare list, and the next mmap's faults take them from
-// there. Each round evicts what the last one cached, maps the file with
-// MADV_RANDOM (no read-around), touches one page per 2 MB and unmaps: every
-// touch is a cold fault into a leaf of its own. After a first round has left
-// its leaves spare, a round allocates its page records and four objects
-// more — the mapping's two and the two table pages above the leaves — where
-// a leaf allocated again per fault would double it. After every munmap the
-// table holds as many pages as before the first mmap.
+// RemapReusesTablePages: the table pages a munmap empties — the leaves and
+// the two pages above them — go to the page table's spare lists, and the
+// next mmap's faults take them from there. Each round evicts what the last
+// one cached, maps the file with MADV_RANDOM (no read-around), touches one
+// page per 2 MB and unmaps: every touch is a cold fault into a leaf of its
+// own. After a first round has left its table pages spare, a round allocates
+// its page records and two objects more, the mapping's own, where a leaf
+// allocated again per fault would double it and a pd or pdpt allocated again
+// would show too. After every munmap the table holds as many pages as before
+// the first mmap.
 func RemapReusesTablePages[R any](t *testing.T, boot Boot[R]) {
-	const span, roundObjects = 64 * mib, 4
+	const span, roundObjects = 64 * mib, 2
 	w := boot(16*mib, 2)
 	run1(w.Engine(), func(p *engine.Proc) {
 		f := w.Create(p, "data", span)

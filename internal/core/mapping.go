@@ -155,7 +155,7 @@ func (m *AqMapping) Mremap(p *engine.Proc, newSize uint64) {
 					break
 				}
 				if unit.busy() {
-					unit.ev.Wait(p)
+					unit.ev.Wait(p, unit)
 					continue
 				}
 				if unit.pins > 0 {

@@ -108,7 +108,7 @@ func TestInvariantsAuditThePageRecord(t *testing.T) {
 		expect("CheckCrashInvariants", rt.CheckCrashInvariants(), "page (data,0): claimed page: indexed, busy=false")
 		seq := pg.lruSeq
 		pg.lruSeq = 0 // a victim's entry went when it was selected
-		pg.ev.Arm(evictClaim)
+		pg.ev.Arm()
 		if err := rt.CheckCrashInvariants(); err != nil {
 			t.Errorf("a claimed page that is busy: %v", err)
 		}
@@ -235,7 +235,7 @@ func TestPageMoveMatrix(t *testing.T) {
 					rt.dirtyOn[1]++
 				}
 				if from.Busy() {
-					pg.ev.Arm(evictClaim)
+					pg.ev.Arm()
 				}
 				before := rt.dirtyOn[1]
 				msg := panicOf(func() { rt.move(pg, to) })
@@ -276,33 +276,77 @@ func TestPageMoveMatrix(t *testing.T) {
 	e.Run()
 }
 
-// A faulter left waiting on a fill nobody ends is a deadlock, and the
-// engine's diagnostic names the page the way it always has, aqio:<file>:<idx>
-// (a unit aqhuge:), although the event holds only the page, not a name.
+// An evicting run keeps each LRU queue's array near the entries the queue
+// holds: selection compacts the consumed prefix once it passes lruCompactMin
+// and half the queue, so the slots a queue keeps do not grow with the number
+// of evictions. One thread sweeps a file eight times the cache eight times:
+// 16 K cold faults recorded on one queue, and as many selections off its head.
+func TestLRUQueuesStayNearTheirEntries(t *testing.T) {
+	e, _, boot := daxWorld(1*mib, 2)
+	e.Spawn(0, "t", func(p *engine.Proc) {
+		rt := boot(p)
+		f := rt.CreateFile(p, "data", 8*mib)
+		m := rt.Mmap(p, f, 8*mib)
+		var buf [8]byte
+		for range 8 {
+			for off := uint64(0); off < 8*mib; off += pageSize {
+				m.Load(p, off, buf[:])
+			}
+		}
+		if ev := rt.Stats.Evictions; ev < 12000 {
+			t.Fatalf("%d evictions, want most of the 16 K faults to evict", ev)
+		}
+		for i := range rt.lru.queues {
+			q := &rt.lru.queues[i]
+			// The 256 allows for the consumed prefix compaction leaves
+			// (lruCompactMin). With a 4 K floor this queue kept 5,120 slots
+			// for 256 entries.
+			held := len(q.entries) - q.head
+			if limit := 4 * (held + 256); cap(q.entries) > limit {
+				t.Errorf("queue %d: %d slots for %d live and dead entries, want at most %d", i, cap(q.entries), held, limit)
+			}
+		}
+	})
+	e.Run()
+}
+
+// A faulter left waiting on a busy period nobody ends is a deadlock, and the
+// engine's diagnostic names the page the way it always has — a fill
+// aqio:<file>:<idx> (a unit aqhuge:), an eviction's claim evict — although
+// the event holds no name: the waiter passes the page, which reads its state.
 func TestStuckFillDeadlockNamesPage(t *testing.T) {
-	for _, huge := range []bool{false, true} {
+	for _, tc := range []struct {
+		huge  bool
+		path  []detutil.PageState
+		owner string
+	}{
+		{false, []detutil.PageState{detutil.PgFilling}, "aqio:stuck:7"},
+		{true, []detutil.PageState{detutil.PgFilling}, "aqhuge:stuck:0"},
+		{true, []detutil.PageState{detutil.PgFilling, detutil.PgGone}, "aqhuge:stuck:0"}, // a promotion undone, not yet fired
+		{false, []detutil.PageState{detutil.PgClean, detutil.PgClaimed}, "evict"},
+		{false, []detutil.PageState{detutil.PgDirty, detutil.PgClaimedDirty}, "evict"},
+	} {
 		e, _, boot := daxWorld(4*mib, 2)
 		var pg *Page
 		e.Spawn(0, "owner", func(p *engine.Proc) {
 			rt := boot(p)
 			f := rt.CreateFile(p, "stuck", 4*mib)
 			f.pages.Reserve(hugePages)
-			pg = &Page{file: f, idx: 7, huge: huge}
-			if huge {
+			pg = &Page{file: f, idx: 7, huge: tc.huge}
+			if tc.huge {
 				pg.idx = 0
 			}
-			rt.move(pg, detutil.PgFilling)
+			for _, s := range tc.path {
+				rt.move(pg, s)
+			}
 		})
 		e.Spawn(1, "faulter", func(p *engine.Proc) {
 			p.AdvanceSystem(1 << 20) // after the owner has booted and published
-			pg.ev.Wait(p)
+			pg.ev.Wait(p, pg)
 		})
-		want := "faulter(on event:aqio:stuck:7)"
-		if huge {
-			want = "faulter(on event:aqhuge:stuck:0)"
-		}
+		want := "faulter(on event:" + tc.owner + ")"
 		if msg := panicOf(e.Run); !strings.Contains(msg, "engine: deadlock") || !strings.Contains(msg, want) {
-			t.Fatalf("Run panicked with %q, want a deadlock naming %s", msg, want)
+			t.Fatalf("%v: Run panicked with %q, want a deadlock naming %s", tc.path, msg, want)
 		}
 	}
 }
@@ -311,7 +355,7 @@ func TestStuckFillDeadlockNamesPage(t *testing.T) {
 // allocation of it (cachetest.ColdMajorFaultIsOneAllocation), and a field more puts
 // every fault in the next class.
 func TestPageRecordSize(t *testing.T) {
-	if got := unsafe.Sizeof(Page{}); got > 96 {
-		t.Errorf("Page is %d bytes, want at most 96: past it every cold fault allocates from Go's 112-byte size class, not the 96-byte one (DESIGN.md §3 \"Page records\")", got)
+	if got := unsafe.Sizeof(Page{}); got > 80 {
+		t.Errorf("Page is %d bytes, want at most 80: past it every cold fault allocates from Go's 96-byte size class, not the 80-byte one (DESIGN.md §3 \"Page records\")", got)
 	}
 }

@@ -28,7 +28,7 @@ const _ = -uint(hugePages ^ detutil.LeafSlots)
 // fault is one host allocation (DESIGN.md §3). It holds only what every page
 // needs — a 2 MB unit is its base frame, a poisoned page's fault lives in
 // Runtime.poisoned — with the small fields together, which keeps it in the
-// 96-byte size class (DESIGN.md §3 "Page records").
+// 80-byte size class (DESIGN.md §3 "Page records").
 type Page struct {
 	file *fileState
 	idx  uint64
@@ -85,17 +85,19 @@ func appendBlock(dst []*mem.Frame, base *mem.Frame) []*mem.Frame {
 // by eviction and not yet released.
 func (pg *Page) busy() bool { return !pg.ev.Fired() }
 
-// EventName names the page's fill (engine.EventNamer); only the engine's
-// deadlock diagnostic asks. Eviction arms the event as evictClaim instead.
+// EventName names the busy period a waiter on the page's event waits out
+// (engine.EventNamer); only the engine's deadlock diagnostic asks. A claimed
+// page is eviction's victim; any other busy page is filling, or went gone from
+// filling before its fill's Fire (eviction fires before a victim goes).
 func (pg *Page) EventName() string {
-	if pg.huge {
+	switch {
+	case pg.state.Busy() && pg.state != detutil.PgFilling: // claimed
+		return "evict"
+	case pg.huge:
 		return fmt.Sprintf("aqhuge:%s:%d", pg.file.name, pg.idx)
 	}
 	return fmt.Sprintf("aqio:%s:%d", pg.file.name, pg.idx)
 }
-
-// evictClaim names the busy period eviction holds a victim in.
-const evictClaim = engine.Name("evict")
 
 // pages returns how many base pages the entry accounts for (512 for a huge
 // unit, 1 otherwise).
@@ -191,6 +193,12 @@ func (l *lruApprox) forget(pg *Page) {
 		l.sweep()
 	}
 }
+
+// lruCompactMin is the consumed prefix below which compact is not worth a
+// copy. A queue's array holds its entries and at most about as many consumed
+// slots again, or this many: a queue per CPU of every evicting world keeps
+// them all.
+const lruCompactMin = 256
 
 // lruSweepMinDead is the number of dead entries below which sweep is not
 // worth a pass over the queues.
@@ -352,18 +360,16 @@ func (rt *Runtime) move(pg *Page, to detutil.PageState) {
 		delete(rt.poisoned, pg)
 	}
 	if to.Busy() && !from.Busy() {
-		var owner engine.EventNamer = evictClaim
-		if to == detutil.PgFilling {
-			owner = pg
-		}
-		pg.ev.Arm(owner)
+		pg.ev.Arm()
 	}
 	pg.state = to
 }
 
-// compact drops the consumed prefix of a queue once it is most of it.
+// compact drops the consumed prefix of a queue once it is most of it and
+// longer than lruCompactMin. It keeps the entries' order, so selection is
+// the same whenever it runs.
 func (l *lruApprox) compact(q *lruQueue) {
-	if q.head > 4096 && q.head*2 > len(q.entries) {
+	if q.head > lruCompactMin && q.head*2 > len(q.entries) {
 		n := copy(q.entries, q.entries[q.head:])
 		clear(q.entries[n:])
 		q.entries, q.head = q.entries[:n], 0

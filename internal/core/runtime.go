@@ -436,7 +436,7 @@ func (rt *Runtime) DeleteFile(p *engine.Proc, name string) {
 		settled = true
 		for _, pg := range drop {
 			for pg.busy() {
-				pg.ev.Wait(p)
+				pg.ev.Wait(p, pg)
 				settled = false
 			}
 		}
@@ -666,7 +666,7 @@ func (rt *Runtime) fault(p *engine.Proc, va uint64, write bool) (*mem.Frame, err
 		rt.charge(p, "cache-lookup", costHashLookup)
 		if existing := rt.lookupPage(f, idx); existing != nil {
 			if existing.busy() {
-				existing.ev.Wait(p)
+				existing.ev.Wait(p, existing)
 				continue // re-check: may have been evicted meanwhile
 			}
 			pg = existing
@@ -824,7 +824,7 @@ func (rt *Runtime) majorFault(p *engine.Proc, r *Region, f *fileState, idx uint6
 		return nil, allocErr
 	}
 	if target.busy() {
-		target.ev.Wait(p)
+		target.ev.Wait(p, target)
 		// The page may have been evicted while we waited; retry path.
 		if !target.state.Indexed() || target.busy() {
 			return rt.majorFault(p, r, f, idx)
@@ -1363,7 +1363,7 @@ func (rt *Runtime) msyncFileRange(p *engine.Proc, f *fileState, off, length uint
 			// reference. If the page was revived dirty (transient-failure
 			// requeue) fall through and take it ourselves.
 			for pg.busy() {
-				pg.ev.Wait(p)
+				pg.ev.Wait(p, pg)
 			}
 			if !pg.state.Dirty() {
 				continue // the evictor's write-back already made it durable

@@ -4,11 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"aquila/internal/detutil"
 	"aquila/internal/host"
+	"aquila/internal/kvs/kvtest"
 	"aquila/internal/sim/device"
 	"aquila/internal/sim/engine"
 	"aquila/internal/sim/mem"
@@ -302,8 +302,8 @@ func TestWriteBackRunIsOneContentAllocation(t *testing.T) {
 	e, _, boot := daxWorld(16*mib, 1)
 	e.Spawn(0, "t", func(p *engine.Proc) {
 		rt := boot(p)
-		f := rt.CreateFile(p, "data", 4*n*pageSize)
-		m := rt.Mmap(p, f, 4*n*pageSize)
+		f := rt.CreateFile(p, "data", 6*n*pageSize)
+		m := rt.Mmap(p, f, 6*n*pageSize)
 		page := make([]byte, pageSize)
 		dirty := func(lo uint64) {
 			for i := lo; i < lo+n; i++ {
@@ -318,16 +318,18 @@ func TestWriteBackRunIsOneContentAllocation(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for lo := uint64(0); lo < 4*n; lo += n {
+		for lo := uint64(0); lo < 6*n; lo += n {
 			dirty(lo)
 		}
-		msync(3 * n) // the write-back path's scratch, the staged list, and
-		msync(2 * n) // the spare version lists the first run settles into
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		msync(0)
-		runtime.ReadMemStats(&after)
-		if got := after.Mallocs - before.Mallocs; got != 1 {
+		msync(5 * n) // the write-back path's scratch, the staged list, and
+		msync(4 * n) // the spare version lists the first run settles into
+		// The least of three windows, each writing back a fresh run of its
+		// own: now and then the runtime allocates inside one (kvtest.Mallocs).
+		windows := []uint64{0, 2 * n, 3 * n}
+		if got := kvtest.Mallocs(len(windows), func() {
+			msync(windows[0])
+			windows = windows[1:]
+		}); got != 1 {
 			t.Errorf("writing back a %d-page run into fresh blocks made %d allocations, want 1", n, got)
 		}
 

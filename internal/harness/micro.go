@@ -218,6 +218,9 @@ func coldStream(seed int64, threads int, shared bool, limit int) pageStream {
 			first, step = uint64(t), uint64(threads)
 		}
 		var pages []uint64
+		if first < mPages {
+			pages = make([]uint64, 0, (mPages-first+step-1)/step)
+		}
 		for pg := first; pg < mPages; pg += step {
 			pages = append(pages, pg)
 		}

@@ -1199,7 +1199,7 @@ func TestPageMoveMatrix(t *testing.T) {
 					c.nrDirty++
 				}
 				if from.Busy() {
-					pg.ev.Arm(reclaimClaim)
+					pg.ev.Arm()
 				}
 				before, queued := c.nrDirty, len(c.dirtyQueue)
 				msg := panicOf(func() { c.move(pg, to) })
@@ -1234,12 +1234,48 @@ func TestPageMoveMatrix(t *testing.T) {
 	})
 }
 
+// A faulter left waiting on a busy period nobody ends is a deadlock, and the
+// engine's diagnostic names the page the way it always has — a read
+// pgio:<file>:<idx>, a reclaim's claim reclaim, also once the reclaim has
+// dropped the page from its tree and not yet fired — although the event holds
+// no name: the waiter passes the page, which reads its state.
+func TestStuckFillDeadlockNamesPage(t *testing.T) {
+	for _, tc := range []struct {
+		path  []detutil.PageState
+		owner string
+	}{
+		{[]detutil.PageState{detutil.PgFilling}, "pgio:stuck:7"},
+		{[]detutil.PageState{detutil.PgClean, detutil.PgClaimed}, "reclaim"},
+		{[]detutil.PageState{detutil.PgDirty, detutil.PgClaimedDirty}, "reclaim"},
+		{[]detutil.PageState{detutil.PgClean, detutil.PgClaimed, detutil.PgGone}, "reclaim"},
+	} {
+		e, os := newPMemOS(4 * mib)
+		var pg *cachedPage
+		e.Spawn(0, "owner", func(p *engine.Proc) {
+			f := os.FS.Create(p, "stuck", mib)
+			pg = &cachedPage{f: f, idx: 7}
+			for _, s := range tc.path {
+				os.Cache.move(pg, s)
+			}
+		})
+		e.Spawn(1, "faulter", func(p *engine.Proc) {
+			p.AdvanceSystem(1 << 20) // after the owner has published
+			os.Cache.waitPage(p, pg)
+		})
+		want := "faulter(on event:" + tc.owner + ")"
+		if msg := panicOf(e.Run); !strings.Contains(msg, "engine: deadlock") || !strings.Contains(msg, want) {
+			t.Fatalf("%v: Run panicked with %q, want a deadlock naming %s", tc.path, msg, want)
+		}
+		e.Close()
+	}
+}
+
 // The page record stays in its size class: publishing a page is one
 // allocation of it (cachetest.ColdMajorFaultIsOneAllocation), and a field more puts
 // every fault in the next class.
 func TestPageRecordSize(t *testing.T) {
-	if got := unsafe.Sizeof(cachedPage{}); got > 112 {
-		t.Errorf("cachedPage is %d bytes, want at most 112: past it every cold fault allocates from Go's 128-byte size class, not the 112-byte one (DESIGN.md §3 \"Page records\")", got)
+	if got := unsafe.Sizeof(cachedPage{}); got > 96 {
+		t.Errorf("cachedPage is %d bytes, want at most 96: past it every cold fault allocates from Go's 112-byte size class, not the 96-byte one (DESIGN.md §3 \"Page records\")", got)
 	}
 }
 

@@ -267,7 +267,7 @@ func (pg *cachedPage) busy() bool { return !pg.ev.Fired() }
 // waitPage blocks until a busy page's read — or reclaim — completes.
 func (c *PageCache) waitPage(p *engine.Proc, pg *cachedPage) {
 	if pg.busy() {
-		pg.ev.Wait(p)
+		pg.ev.Wait(p, pg)
 	}
 }
 
@@ -308,11 +308,7 @@ func (c *PageCache) move(pg *cachedPage, to detutil.PageState) {
 		c.nrDirty--
 	}
 	if to.Busy() && !from.Busy() {
-		var owner engine.EventNamer = reclaimClaim
-		if to == detutil.PgFilling {
-			owner = pg
-		}
-		pg.ev.Arm(owner)
+		pg.ev.Arm()
 	}
 	pg.state = to
 	if to == detutil.PgGone && pg.queued > 0 {
@@ -618,11 +614,13 @@ func (c *PageCache) fsyncFileRange(p *engine.Proc, f *FSFile, off, length uint64
 // started on a page in its range.
 const writingPollQuantum = 2000
 
-// EventName names the page's fill (engine.EventNamer); only the engine's
-// deadlock diagnostic asks. Reclaim arms the event as reclaimClaim instead.
+// EventName names the busy period a waiter on the page's event waits out
+// (engine.EventNamer); only the engine's deadlock diagnostic asks. A filling
+// page is under read; any other busy page is reclaim's victim, claimed or, a
+// reclaim having dropped it from its tree before its Fire, gone.
 func (pg *cachedPage) EventName() string {
+	if pg.state != detutil.PgFilling {
+		return "reclaim"
+	}
 	return fmt.Sprintf("pgio:%s:%d", pg.f.name, pg.idx)
 }
-
-// reclaimClaim names the busy period reclaim holds a victim in.
-const reclaimClaim = engine.Name("reclaim")

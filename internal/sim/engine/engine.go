@@ -358,7 +358,13 @@ func (e *Engine) blockedNames() string {
 			if s != "" {
 				s += ", "
 			}
-			s += fmt.Sprintf("%s(on "+blockedFormats[p.blockedOn]+")", p.name, p.blockedPrim.primitiveName())
+			var name string
+			if p.blockedOn == onEvent {
+				name = p.eventOwner.EventName()
+			} else {
+				name = p.blockedPrim.primitiveName()
+			}
+			s += fmt.Sprintf("%s(on "+blockedFormats[p.blockedOn]+")", p.name, name)
 		}
 	}
 	return s
@@ -371,7 +377,7 @@ func (e *Engine) unblock(p *Proc, at uint64, waitKind Kind) {
 	if p.blockedOn == onNothing {
 		panic(fmt.Sprintf("engine: unblock of non-blocked process %s", p.name))
 	}
-	p.blockedOn, p.blockedPrim = onNothing, nil
+	p.blockedOn, p.blockedPrim, p.eventOwner = onNothing, nil, nil
 	if at > p.now {
 		p.acct[waitKind] += at - p.now
 		p.now = at

@@ -200,10 +200,10 @@ func TestWaitGroup(t *testing.T) {
 
 func TestEventWakesWaiters(t *testing.T) {
 	e := New(Config{NumCPUs: 4})
-	ev := newEvent("test")
+	ev := newEvent()
 	var woke uint64
 	e.Spawn(0, "waiter", func(p *Proc) {
-		ev.Wait(p)
+		ev.Wait(p, eventName("test"))
 		woke = p.Now()
 	})
 	e.Spawn(1, "firer", func(p *Proc) {
@@ -221,7 +221,7 @@ func TestEventWakesWaiters(t *testing.T) {
 
 func TestEventWaitAfterFire(t *testing.T) {
 	e := New(Config{NumCPUs: 2})
-	ev := newEvent("test")
+	ev := newEvent()
 	var woke uint64
 	e.Spawn(0, "firer", func(p *Proc) {
 		p.AdvanceUser(100)
@@ -229,7 +229,7 @@ func TestEventWaitAfterFire(t *testing.T) {
 	})
 	e.Spawn(1, "late", func(p *Proc) {
 		p.AdvanceUser(500)
-		ev.Wait(p) // already fired in its past: no extra delay
+		ev.Wait(p, eventName("test")) // already fired in its past: no extra delay
 		woke = p.Now()
 	})
 	e.Run()

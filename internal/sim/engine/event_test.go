@@ -8,10 +8,15 @@ import (
 	"unsafe"
 )
 
-// newEvent returns an armed event with a fixed name.
-func newEvent(name string) *Event {
+// eventName is an EventNamer whose name is fixed.
+type eventName string
+
+func (n eventName) EventName() string { return string(n) }
+
+// newEvent returns an armed event.
+func newEvent() *Event {
 	ev := new(Event)
-	ev.Arm(Name(name))
+	ev.Arm()
 	return ev
 }
 
@@ -26,17 +31,17 @@ func busyPeriods(separate bool) []string {
 	var log []string
 	one := new(Event)
 	cur := one
-	arm := func(name string) {
+	arm := func() {
 		if separate {
 			cur = new(Event)
 		}
-		cur.Arm(Name(name))
+		cur.Arm()
 	}
-	arm("fill")
+	arm() // the fill
 	e.Spawn(0, "owner", func(p *Proc) {
 		p.AdvanceSystem(100)
 		cur.Fire(p.Now())
-		arm("claim") // no yield since the Fire: the woken waiters have not run yet
+		arm() // the claim; no yield since the Fire: the woken waiters have not run yet
 		p.AdvanceSystem(200)
 		cur.Fire(p.Now())
 	})
@@ -45,7 +50,7 @@ func busyPeriods(separate bool) []string {
 			p.AdvanceUser(arrive)
 			for !cur.Fired() {
 				log = append(log, fmt.Sprintf("%s waits at %d", p.Name(), p.Now()))
-				cur.Wait(p)
+				cur.Wait(p, eventName("page"))
 			}
 			log = append(log, fmt.Sprintf("%s through at %d", p.Name(), p.Now()))
 		})
@@ -72,13 +77,13 @@ func TestEventArmOfUnfiredPanics(t *testing.T) {
 	if !ev.Fired() || ev.FiredAt() != 0 {
 		t.Fatalf("zero event: fired=%v at=%d, want idle at 0", ev.Fired(), ev.FiredAt())
 	}
-	ev.Arm(Name("fill"))
+	ev.Arm()
 	msg := func() (r any) {
 		defer func() { r = recover() }()
-		ev.Arm(Name("claim"))
+		ev.Arm()
 		return nil
 	}()
-	if want := `engine: arm of unfired event "fill"`; msg != want {
+	if want := "engine: arm of unfired event"; msg != want {
 		t.Fatalf("second Arm panicked with %v, want %s", msg, want)
 	}
 	ev.Fire(7)
@@ -86,10 +91,10 @@ func TestEventArmOfUnfiredPanics(t *testing.T) {
 	if !ev.Fired() || ev.FiredAt() != 7 {
 		t.Fatalf("after Fire(7), Fire(9): fired=%v at=%d", ev.Fired(), ev.FiredAt())
 	}
-	// Armed again, the diagnostic names the new period.
-	ev.Arm(Name("claim"))
+	// Armed again, the diagnostic prints the name its waiter gave.
+	ev.Arm()
 	e := New(Config{NumCPUs: 1})
-	e.Spawn(0, "waiter", func(p *Proc) { ev.Wait(p) })
+	e.Spawn(0, "waiter", func(p *Proc) { ev.Wait(p, eventName("claim")) })
 	msg = func() (r any) {
 		defer func() { r = recover() }()
 		e.Run()
@@ -123,11 +128,11 @@ func TestEventReleasesWaitersInArrivalOrder(t *testing.T) {
 			}
 			ev.Fire(p.Now())
 		}
-		ev.Arm(Name("first"))
+		ev.Arm()
 		e.Spawn(0, "owner", func(p *Proc) {
 			p.AdvanceSystem(1000)
 			fire(p)
-			ev.Arm(Name("second"))
+			ev.Arm()
 			p.AdvanceSystem(1000)
 			fire(p)
 		})
@@ -135,7 +140,7 @@ func TestEventReleasesWaitersInArrivalOrder(t *testing.T) {
 			e.Spawn(1+i, fmt.Sprintf("w%d", i), func(p *Proc) {
 				for range 2 {
 					p.AdvanceUser(uint64(10 * (n - i))) // w(n-1) arrives first
-					ev.Wait(p)
+					ev.Wait(p, eventName("page"))
 					woke = append(woke, fmt.Sprintf("%s@%d", p.Name(), p.Now()))
 				}
 			})
@@ -162,14 +167,46 @@ func TestEventReleasesWaitersInArrivalOrder(t *testing.T) {
 	}
 }
 
-// An Event is four words — the namer, the fire time, the waitq's tail — so a
-// page record that embeds one stays in its size class (DESIGN.md §3 "Page
-// records"): 16 bytes more moves core.Page from the 112-byte class to 128 and
-// host.cachedPage from 128 to 144.
+// An Event is two words — the fire time and the waitq's tail — so a page
+// record that embeds one stays in its size class (DESIGN.md §3 "Page
+// records"): 16 bytes more moves core.Page from the 80-byte class to 96 and
+// host.cachedPage from 96 to 112.
 func TestEventSize(t *testing.T) {
-	if got := unsafe.Sizeof(Event{}); got != 32 {
-		t.Fatalf("an Event is %d bytes, want 32: every page record embeds one (DESIGN.md §3 \"Page records\")", got)
+	if got := unsafe.Sizeof(Event{}); got != 16 {
+		t.Fatalf("an Event is %d bytes, want 16: every page record embeds one (DESIGN.md §3 \"Page records\")", got)
 	}
+}
+
+// Each waiter names its own wait, and the name lives on the proc only while
+// it is blocked: a woken waiter keeps no owner reachable, so a page record
+// that was waited on can be collected once the page is gone. Two waiters of
+// one busy period that name it differently are each printed by the deadlock
+// diagnostic with their own name.
+func TestEventWaiterNamesTheWait(t *testing.T) {
+	e := New(Config{NumCPUs: 3})
+	ev := newEvent()
+	woken := e.Spawn(0, "woken", func(p *Proc) { ev.Wait(p, eventName("fill")) })
+	e.Spawn(1, "owner", func(p *Proc) {
+		p.AdvanceSystem(100)
+		ev.Fire(p.Now())
+		ev.Arm()
+	})
+	e.Run()
+	if woken.eventOwner != nil || woken.blockedOn != onNothing {
+		t.Fatalf("after its wake the waiter still holds %v (on %d)", woken.eventOwner, woken.blockedOn)
+	}
+	for i, name := range []string{"aqio:f:3", "evict"} {
+		e.Spawn(1+i, fmt.Sprintf("w%d", i), func(p *Proc) { ev.Wait(p, eventName(name)) })
+	}
+	msg := func() (r any) {
+		defer func() { r = recover() }()
+		e.Run()
+		return nil
+	}()
+	if want := "engine: deadlock, 2 blocked process(es): w0(on event:aqio:f:3), w1(on event:evict)"; msg != want {
+		t.Fatalf("Run panicked with %v, want %s", msg, want)
+	}
+	e.Close()
 }
 
 // BenchmarkEventArmFireWait: one busy period of an embedded event with one
@@ -177,18 +214,18 @@ func TestEventSize(t *testing.T) {
 func BenchmarkEventArmFireWait(b *testing.B) {
 	e := New(Config{NumCPUs: 2, Seed: 1})
 	var ev Event
-	ev.Arm(Name("bench"))
+	ev.Arm()
 	e.Spawn(0, "owner", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			p.AdvanceSystem(100)
 			ev.Fire(p.Now())
-			ev.Arm(Name("bench"))
+			ev.Arm()
 		}
 		ev.Fire(p.Now())
 	})
 	e.Spawn(1, "waiter", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
-			ev.Wait(p)
+			ev.Wait(p, eventName("bench"))
 		}
 	})
 	b.ReportAllocs()

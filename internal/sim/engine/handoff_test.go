@@ -24,7 +24,7 @@ func scriptedScenario(perturb uint64) []string {
 	e := New(Config{NumCPUs: 4, Seed: 1, SchedPerturb: perturb})
 	segs := recordSegments(e)
 	mu := NewMutex(e, "mu")
-	ev := newEvent("ev")
+	ev := newEvent()
 	sig := NewSignal(e, "sig")
 	e.SpawnDaemon(3, "daemon", func(p *Proc) {
 		for {
@@ -48,7 +48,7 @@ func scriptedScenario(perturb uint64) []string {
 		mu.Lock(p)         // contended under either tie-break
 		p.AdvanceSystem(50)
 		mu.Unlock(p)
-		ev.Wait(p)
+		ev.Wait(p, eventName("ev"))
 		p.AdvanceUser(10)
 		e.Spawn(2, "c", func(c *Proc) {
 			c.AdvanceUser(70)
@@ -184,9 +184,9 @@ func TestDeadlockPanicOnRunCaller(t *testing.T) {
 	if msg != want {
 		t.Fatalf("Run panicked with\n\t%v\nwant\n\t%s", msg, want)
 	}
-	ev := newEvent("e")
+	ev := newEvent()
 	e2 := New(Config{NumCPUs: 1})
-	e2.Spawn(0, "waiter", func(p *Proc) { ev.Wait(p) })
+	e2.Spawn(0, "waiter", func(p *Proc) { ev.Wait(p, eventName("e")) })
 	msg = func() (r any) {
 		defer func() { r = recover() }()
 		e2.Run()

@@ -31,10 +31,13 @@ type Proc struct {
 	daemon bool
 
 	// blockedOn and blockedPrim identify the primitive the process is
-	// suspended on (onNothing and nil when runnable). Only the deadlock
-	// diagnostic reads them, so the name is built there, not on every block.
+	// suspended on (onNothing and nil when runnable); on an Event, which holds
+	// no name, eventOwner names the wait instead. Only the deadlock diagnostic
+	// reads them, so the name is built there, not on every block. Waking
+	// clears all three: a woken waiter keeps no owner reachable.
 	blockedOn   primitive
 	blockedPrim primitiveNamer
+	eventOwner  EventNamer
 	// waitNext links the process into the waitq of the primitive it is
 	// blocked on.
 	waitNext *Proc

@@ -307,54 +307,51 @@ func (s *Signal) Wait(p *Proc) {
 
 // Event is a level-triggered event made to live inside its owner, by value:
 // a cached page carries the one event its busy periods share, so the event is
-// four words (DESIGN.md §3 "Page records"). The zero Event is idle and reads
-// as fired at time 0. Arm starts a busy period, Fire ends it, releasing the
-// waiters of that period, and the event can be armed again. A waiter returns
-// from Wait once per wake and re-checks what it waited for: one that a Fire
-// woke but that runs only after the next Arm finds the owner busy again and
-// waits again.
+// two words, the last fire time and the waitq (DESIGN.md §3 "Page records").
+// The zero Event is idle and reads as fired at time 0. Arm starts a busy
+// period, Fire ends it, releasing the waiters of that period, and the event
+// can be armed again. The event holds no name: each waiter names what it
+// waits on (Wait's owner), and the engine keeps that name only while the
+// waiter is blocked. A waiter returns from Wait once per wake and re-checks
+// what it waited for: one that a Fire woke but that runs only after the next
+// Arm finds the owner busy again and waits again.
 type Event struct {
-	// namer names the busy period in progress; nil while the event is idle.
-	namer   EventNamer
+	// firedAt is the time of the last Fire, or armed during a busy period.
 	firedAt uint64
 	waiters waitq
 }
 
-// EventNamer names an event on demand. The name is only read by the deadlock
-// diagnostic, so an owner that arms its event per operation (a page fill)
-// passes itself to Arm and formats nothing unless a run deadlocks.
+// armed is the fire time of an event inside a busy period; no Fire is ever
+// at it.
+const armed = ^uint64(0)
+
+// EventNamer names what a process waits on. The name is only read by the
+// deadlock diagnostic, so an owner whose event is armed per operation (a page
+// fill) passes itself to Wait and formats nothing unless a run deadlocks.
 type EventNamer interface{ EventName() string }
 
-// Name is an EventNamer for an event whose name is fixed.
-type Name string
-
-func (n Name) EventName() string { return string(n) }
-
-// Arm starts a busy period that owner, which must not be nil, names. Arming
-// an event whose last period has not fired is a bug: its waiters would never
-// be released.
-func (ev *Event) Arm(owner EventNamer) {
-	if ev.namer != nil {
-		panic(fmt.Sprintf("engine: arm of unfired event %q", ev.namer.EventName()))
+// Arm starts a busy period. Arming an event whose last period has not fired
+// is a bug: its waiters would never be released.
+func (ev *Event) Arm() {
+	if !ev.Fired() {
+		panic("engine: arm of unfired event")
 	}
-	ev.namer = owner
+	ev.firedAt = armed
 }
 
-func (ev *Event) primitiveName() string { return ev.namer.EventName() }
-
 // Fired reports whether the event is idle: never armed, or fired since.
-func (ev *Event) Fired() bool { return ev.namer == nil }
+func (ev *Event) Fired() bool { return ev.firedAt != armed }
 
-// FiredAt returns the simulated time of the last Fire (0 before the first).
+// FiredAt returns the simulated time of the last Fire (0 before the first);
+// it is meaningful only while the event is idle.
 func (ev *Event) FiredAt() uint64 { return ev.firedAt }
 
 // Fire ends the busy period at time t, waking its waiters in arrival order.
 // Firing an idle event does nothing.
 func (ev *Event) Fire(t uint64) {
-	if ev.namer == nil {
+	if ev.Fired() {
 		return
 	}
-	ev.namer = nil
 	ev.firedAt = t
 	for w := ev.waiters.pop(); w != nil; w = ev.waiters.pop() {
 		w.e.unblock(w, max(t, w.now), KindIOWait)
@@ -362,12 +359,14 @@ func (ev *Event) Fire(t uint64) {
 }
 
 // Wait blocks until the event fires; if it is idle the caller only advances
-// to the last fire time if that is in its future.
-func (ev *Event) Wait(p *Proc) {
-	if ev.namer == nil {
+// to the last fire time if that is in its future. owner, which must not be
+// nil, names the wait for the deadlock diagnostic.
+func (ev *Event) Wait(p *Proc, owner EventNamer) {
+	if ev.Fired() {
 		p.WaitUntil(ev.firedAt, KindIOWait)
 		return
 	}
 	ev.waiters.push(p)
-	p.block(onEvent, ev)
+	p.eventOwner = owner
+	p.block(onEvent, nil)
 }

@@ -155,9 +155,7 @@ type refEvent struct {
 	waiters []*Proc
 }
 
-func (ev *refEvent) primitiveName() string { return "ref-event" }
-
-func (ev *refEvent) Arm(EventNamer) { ev.armed = true }
+func (ev *refEvent) Arm() { ev.armed = true }
 
 func (ev *refEvent) Fire(t uint64) {
 	if !ev.armed {
@@ -170,13 +168,14 @@ func (ev *refEvent) Fire(t uint64) {
 	ev.waiters = nil
 }
 
-func (ev *refEvent) Wait(p *Proc) {
+func (ev *refEvent) Wait(p *Proc, owner EventNamer) {
 	if !ev.armed {
 		p.WaitUntil(ev.firedAt, KindIOWait)
 		return
 	}
 	ev.waiters = append(ev.waiters, p)
-	p.block(onEvent, ev)
+	p.eventOwner = owner
+	p.block(onEvent, nil)
 }
 
 // The method sets a scenario drives; the engine's primitives and the
@@ -197,9 +196,9 @@ type (
 		Wait(p *Proc)
 	}
 	event interface {
-		Arm(owner EventNamer)
+		Arm()
 		Fire(t uint64)
-		Wait(p *Proc)
+		Wait(p *Proc, owner EventNamer)
 	}
 )
 
@@ -272,14 +271,14 @@ func newPrimScenario(seed int64) primScenario {
 func (sc primScenario) run(e *Engine, mu locker, rw rwLocker, wg waitGroup, ev event) []string {
 	var log []string
 	wg.Add(sc.dones)
-	ev.Arm(Name("ev"))
+	ev.Arm()
 	e.Spawn(0, "owner", func(p *Proc) {
 		for i, g := range sc.fires {
 			p.AdvanceSystem(g)
 			ev.Fire(p.Now())
 			log = append(log, fmt.Sprintf("owner fires @%d", p.Now()))
 			if i < len(sc.fires)-1 {
-				ev.Arm(Name("ev"))
+				ev.Arm()
 			}
 		}
 	})
@@ -295,7 +294,7 @@ func (sc primScenario) run(e *Engine, mu locker, rw rwLocker, wg waitGroup, ev e
 				case opWrite:
 					rw.Lock(p)
 				case opEvent:
-					ev.Wait(p)
+					ev.Wait(p, eventName("ev"))
 				case opDone:
 					wg.Done(p)
 				case opWaitGroup:

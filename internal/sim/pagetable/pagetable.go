@@ -13,7 +13,7 @@
 // to its child page; a present huge PTE shadows a child left under it.
 // Table pages are allocated as mappings need them and taken off the tree
 // only by Release, as Linux's munmap frees emptied tables (free_pgtables); an
-// emptied last-level page waits on the table's spare list for the next Map
+// emptied page waits on its level's spare list in the table for the next Map
 // that needs one.
 package pagetable
 
@@ -81,10 +81,12 @@ type Table struct {
 	asid   uint32
 	mapped uint64 // number of present leaf entries
 	pages  int    // table pages, the root included
-	// spare holds the last-level pages Release took off the tree, every PTE
-	// zero, for the next Map that needs one: never more than the table
-	// once held.
-	spare []*page
+	// The spare lists hold the pages Release took off the tree, one list per
+	// level below the root, each page's PTEs zero and its child pointers nil,
+	// for the next Map that needs one: never more than the table once held.
+	spareLeaf []*page
+	sparePD   []*pd
+	sparePDPT []*pdpt
 }
 
 // New creates an empty table with the given address-space id.
@@ -143,31 +145,23 @@ func (t *Table) find(va uint64) (*page, uint64, uint64) {
 	return nil, 0, 0
 }
 
-// child returns d's child page in slot i, allocating it when there is none.
-func child[C any](t *Table, d *dir[C], i uint64) *C {
+// child returns d's child page in slot i. When there is none it takes one
+// from spare, the spare list of the child's level, and allocates one only
+// when that list is empty.
+func child[C any](t *Table, d *dir[C], i uint64, spare *[]*C) *C {
 	c := d.kids[i]
 	if c == nil {
-		c = new(C)
+		if n := len(*spare) - 1; n >= 0 {
+			c = (*spare)[n]
+			*spare = (*spare)[:n]
+		} else {
+			c = new(C)
+		}
 		d.kids[i] = c
 		d.live++
 		t.pages++
 	}
 	return c
-}
-
-// leaf is child for a last-level page: a spare page is taken before a new
-// one is allocated.
-func leaf(t *Table, d *pd, i uint64) *page {
-	n := len(t.spare) - 1
-	if d.kids[i] != nil || n < 0 {
-		return child(t, d, i)
-	}
-	pg := t.spare[n]
-	t.spare = t.spare[:n]
-	d.kids[i] = pg
-	d.live++
-	t.pages++
-	return pg
 }
 
 // Map installs a translation of the given page size for the page containing
@@ -182,13 +176,13 @@ func (t *Table) Map(va uint64, frame uint64, flags Flags, pageSize uint64) {
 	if frame >= maxFrame {
 		panic(fmt.Sprintf("pagetable: frame %#x past the PTE's frame field", frame))
 	}
-	d1 := child(t, &t.root, va>>39&511)
+	d1 := child(t, &t.root, va>>39&511, &t.sparePDPT)
 	pg, i := &d1.page, va>>30&511
 	if pageSize < Size1G {
-		d2 := child(t, d1, i)
+		d2 := child(t, d1, i, &t.sparePD)
 		pg, i = &d2.page, va>>21&511
 		if pageSize < Size2M {
-			pg, i = leaf(t, d2, i), va>>12&511
+			pg, i = child(t, d2, i, &t.spareLeaf), va>>12&511
 		}
 	}
 	if pg.pte[i]&present == 0 {
@@ -264,34 +258,28 @@ func (t *Table) UnmapRange(va, length uint64) int {
 	return removed
 }
 
-// Release frees every table page under [lo, hi) that maps nothing: no
-// present PTE and no child page. The root is never freed, and a last-level
-// page goes to the spare list. Release charges nothing; a range unmap calls
-// it once its PTEs are gone, while the per-page Unmap of reclaim leaves table
+// Release takes every table page under [lo, hi) that maps nothing — no
+// present PTE and no child page — off the tree, onto its level's spare list.
+// The root is never taken. Release charges nothing; a range unmap calls it
+// once its PTEs are gone, while the per-page Unmap of reclaim leaves table
 // pages in place for the refault.
 func (t *Table) Release(lo, hi uint64) {
 	if lo >= hi {
 		return
 	}
 	last := hi - 1
-	release(t, &t.root, 0, 39, lo, last, func(d1 *pdpt, b1 uint64) bool {
-		return release(t, d1, b1, 30, lo, last, func(d2 *pd, b2 uint64) bool {
-			return release(t, d2, b2, 21, lo, last, func(pg *page, _ uint64) bool {
-				if pg.live != 0 {
-					return false
-				}
-				t.spare = append(t.spare, pg)
-				return true
-			})
+	release(t, &t.root, 0, 39, lo, last, &t.sparePDPT, func(d1 *pdpt, b1 uint64) bool {
+		return release(t, d1, b1, 30, lo, last, &t.sparePD, func(d2 *pd, b2 uint64) bool {
+			return release(t, d2, b2, 21, lo, last, &t.spareLeaf, func(pg *page, _ uint64) bool { return pg.live == 0 })
 		})
 	})
 }
 
 // release visits the children of d, a page starting at base whose slots
-// each cover 1<<shift bytes, that [lo, last] touches. It frees each child
-// that sub, after releasing under it, reports empty, and reports whether d
-// is empty afterwards.
-func release[C any](t *Table, d *dir[C], base uint64, shift uint, lo, last uint64, sub func(*C, uint64) bool) bool {
+// each cover 1<<shift bytes, that [lo, last] touches. It moves each child
+// that sub, after releasing under it, reports empty to spare, and reports
+// whether d is empty afterwards.
+func release[C any](t *Table, d *dir[C], base uint64, shift uint, lo, last uint64, spare *[]*C, sub func(*C, uint64) bool) bool {
 	first, end := uint64(0), uint64(511)
 	if lo > base {
 		first = (lo - base) >> shift
@@ -301,6 +289,7 @@ func release[C any](t *Table, d *dir[C], base uint64, shift uint, lo, last uint6
 	}
 	for i := first; i <= end; i++ {
 		if c := d.kids[i&511]; c != nil && sub(c, base+i<<shift) {
+			*spare = append(*spare, c)
 			d.kids[i&511] = nil
 			d.live--
 			t.pages--

@@ -339,41 +339,55 @@ func TestReleaseFreesOnlyEmptyTablePages(t *testing.T) {
 	}
 }
 
-// TestReleasedLeavesAreReused: a last-level page Release takes off the tree
-// is what the next Map that needs one gets, wherever it maps. A round over a
-// sparse 96 MB span — one PTE per 2 MB, unmapped, released — allocates only
-// the two pages above its leaves once a first round has left them spare, a
-// reused leaf maps only what is mapped into it, and the spare list never
-// holds more leaves than the table once did.
+// TestReleasedLeavesAreReused: a table page Release takes off the tree — a
+// last-level page, a pd or a pdpt — is what the next Map that needs one of
+// its level gets, wherever it maps. A round over a sparse 96 MB span — one
+// PTE per 2 MB, unmapped, released — allocates nothing once a first round has
+// left its pages spare, although each round moves to a new root slot, a new
+// pdpt slot, a new run of pd slots and a new PTE slot; a reused page maps only
+// what is mapped into it, and the spare lists never hold more pages than the
+// table once did.
 func TestReleasedLeavesAreReused(t *testing.T) {
 	const span, leaves = 96 << 20, 96 << 20 / Size2M
 	pt := New(1)
+	// The round's 1 GB region in its root slot, and its span's offset in it.
+	region := func(r uint64) uint64 { return r%256<<39 | r%512<<30 }
+	offset := func(r uint64) uint64 { return r%8*leaves*Size2M + r%512*Size4K }
 	r := uint64(0)
 	round := func() {
-		base, slot := r%256<<39, r%512*Size4K // a new root slot, a new PTE slot
+		base := region(r) + offset(r)
 		for va := base; va < base+span; va += Size2M {
-			pt.Map(va+slot, r, FlagUser, Size4K)
+			pt.Map(va, r, FlagUser, Size4K)
 		}
-		if prev := (r + 511) % 512 * Size4K; r > 0 {
-			if _, ok := pt.Lookup(base + prev); ok {
-				t.Fatalf("round %d: a reused leaf still maps the last round's slot", r)
+		if r > 0 {
+			// Last round's mappings, moved under this round's root entry
+			// (through its reused pdpt) and under its pdpt entry (through its
+			// reused pd and leaves).
+			prev := region(r-1)&(1<<39-1) + offset(r-1)
+			for k := uint64(0); k < leaves; k++ {
+				for _, va := range []uint64{r%256<<39 + prev, region(r) + offset(r-1)} {
+					if _, ok := pt.Lookup(va + k*Size2M); ok {
+						t.Fatalf("round %d: a reused page still maps the last round's %#x", r, va+k*Size2M)
+					}
+				}
 			}
 		}
 		if pt.Mapped() != leaves || pt.Pages() != 3+leaves {
 			t.Fatalf("round %d: %d PTEs in %d table pages, want %d in %d", r, pt.Mapped(), pt.Pages(), leaves, 3+leaves)
 		}
 		for va := base; va < base+span; va += Size2M {
-			pt.Unmap(va + slot)
+			pt.Unmap(va)
 		}
-		pt.Release(base, base+span)
-		if pt.Pages() != 1 || len(pt.spare) != leaves {
-			t.Fatalf("round %d: %d table pages and %d spare leaves after Release, want 1 and %d", r, pt.Pages(), len(pt.spare), leaves)
+		pt.Release(region(r), region(r)+Size1G)
+		if pt.Pages() != 1 || len(pt.spareLeaf) != leaves || len(pt.sparePD) != 1 || len(pt.sparePDPT) != 1 {
+			t.Fatalf("round %d: %d table pages and %d/%d/%d spare leaves/pds/pdpts after Release, want 1 and %d/1/1",
+				r, pt.Pages(), len(pt.spareLeaf), len(pt.sparePD), len(pt.sparePDPT), leaves)
 		}
 		r++
 	}
 	round()
-	if a := testing.AllocsPerRun(10, round); a != 2 {
-		t.Fatalf("a round over released leaves: %v allocations, want 2 (the pdpt and the pd)", a)
+	if a := testing.AllocsPerRun(10, round); a != 0 {
+		t.Fatalf("a round over released table pages: %v allocations, want 0", a)
 	}
 }
 
