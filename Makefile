@@ -23,7 +23,7 @@ test:
 # the ./internal/obs/... pattern.
 # internal/sim/mem holds the buddy frame allocator the 2 MB path leans on;
 # internal/host and internal/detutil are the baseline world and what the two
-# worlds share (page index, lifecycle table).
+# worlds share (page index, range set, lifecycle table, scratch stacks).
 # The engine itself is one thread of control (Run's goroutine and the proc
 # coroutines it switches into never overlap, and every switch is a
 # happens-before edge), so what the detector guards there is the boundary:
@@ -171,15 +171,16 @@ engine-bench:
 # a page's event busy period among them, so an engine change shows both), the
 # cache index's lookup-insert-remove
 # (beside the map it replaced), an address-space lookup in the shared range set,
-# the delete of a file with 24 K cached pages and a 64-page ranged msync with
-# 16 K pages cached and 4 K dirty across four cores
+# the munmap of a 96 MB mapping with 24 K live PTEs, the delete of a file with
+# 24 K cached pages and a 64-page ranged msync with 16 K pages cached and 4 K
+# dirty across four cores
 # (DESIGN.md §3 "Simulated hardware state is flat"). Not part of ci, like
 # engine-bench: the AllocsPerRun tests beside these benchmarks do the gating
 # in `make test`.
 sim-bench:
 	$(GO) test ./internal/sim/cpu ./internal/sim/pagetable ./internal/sim/device ./internal/sim/mem -run '^$$' -bench . -benchmem -cpu 1
 	$(GO) test ./internal/sim/engine -run '^$$' -bench '$(engine-rows)' -benchmem -cpu 1
-	$(GO) test ./internal/detutil ./internal/core -run '^$$' -bench 'PageIndexLookupInsertRemove|RegionFind|DeleteFile24kPages|MsyncRange64Of16k' -benchmem -cpu 1
+	$(GO) test ./internal/detutil ./internal/core -run '^$$' -bench 'PageIndexLookupInsertRemove|RegionFind|Munmap24kPages|DeleteFile24kPages|MsyncRange64Of16k' -benchmem -cpu 1
 
 # Host cost of the KV and graph data paths alone, the stores over an in-memory
 # namespace (internal/kvs/kvtest) and the graph over a wrapped DRAM heap, so

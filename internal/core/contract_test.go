@@ -1,7 +1,6 @@
 package core
 
 import (
-	"slices"
 	"testing"
 
 	"aquila/internal/cachetest"
@@ -38,6 +37,12 @@ func TestDeleteRacingEvictionRecyclesEachFrameOnce(t *testing.T) {
 }
 func TestAquilaInvariantsAfterHeavyChurn(t *testing.T) {
 	cachetest.InvariantsAfterHeavyChurn(t, aquila(nil))
+}
+func TestPageMappedTwice(t *testing.T) {
+	cachetest.PageMappedTwice(t, aquila(nil))
+}
+func TestMappedFileDeleteIsRefused(t *testing.T) {
+	cachetest.MappedFileDeleteIsRefused(t, aquila(nil))
 }
 
 // The table-page contract runs over a cache that promotes 2 MB extents too:
@@ -87,9 +92,8 @@ func (w *aquilaWorld) MmapOther(p *engine.Proc, f iface.File, size uint64) iface
 	return w.Mmap(p, f, size)
 }
 
-func (w *aquilaWorld) Rmap(f iface.File, idx uint64) ([]uint64, bool) {
-	pg := w.Record(f, idx)
-	return slices.Clone(pg.vas.Slice()), pg.vas.Inline()
+func (w *aquilaWorld) Rmap(f iface.File, idx uint64) []uint64 {
+	return w.RT.appendVAs(nil, w.Record(f, idx))
 }
 
 func (w *aquilaWorld) EvictAll(p *engine.Proc) {

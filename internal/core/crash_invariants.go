@@ -13,7 +13,8 @@ import "fmt"
 //   - a cached page not as its state's row in the lifecycle table says —
 //     busy while filling or claimed and only then, framed unless filling,
 //     listed in the LRU as the row allows (auditPages),
-//   - a page with at most one mapping keeping it outside its own slot,
+//   - a region on its file's list that is not in the address space, or one
+//     in the address space on no list (the reverse map would miss its PTEs),
 //   - a frame owned twice (two pages, a page and a free queue, two queues),
 //   - more frames accounted for than were ever granted,
 //   - a hash entry filed under the wrong key,

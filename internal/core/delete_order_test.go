@@ -82,3 +82,27 @@ func BenchmarkDeleteFile24kPages(b *testing.B) {
 	})
 	e.Run()
 }
+
+// BenchmarkMunmap24kPages is fault-cold-32t's per-round munmap: a 96 MB
+// mapping with every page faulted in, 24 K live PTEs, unmapped. Only the
+// munmap is timed; its msync finds nothing dirty.
+func BenchmarkMunmap24kPages(b *testing.B) {
+	const pages = 24576
+	e, _, boot := daxWorld(128*mib, 2)
+	e.Spawn(0, "t", func(p *engine.Proc) {
+		rt := boot(p)
+		buf := make([]byte, 8)
+		f := rt.CreateFile(p, "round", pages*pageSize)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			m := rt.Mmap(p, f, pages*pageSize)
+			for pg := uint64(0); pg < pages; pg++ {
+				m.Load(p, pg*pageSize, buf)
+			}
+			b.StartTimer()
+			m.Munmap(p)
+		}
+	})
+	e.Run()
+}

@@ -113,12 +113,12 @@ func (rt *Runtime) hugeFault(p *engine.Proc, r *Region, f *fileState, idx uint64
 			dirtyOlds = append(dirtyOlds, pg)
 		}
 		rt.move(pg, detutil.PgDisplaced)
-		for _, va := range pg.vas.Slice() {
+		var vas vaBuf
+		for _, va := range rt.appendVAs(vas[:0], pg) {
 			if rt.PT.Unmap(va) {
 				unmapped++
 			}
 		}
-		pg.vas.Clear()
 	}
 	unit := &Page{file: f, idx: baseIdx, huge: true, frame: block}
 	rt.move(unit, detutil.PgFilling)
@@ -222,7 +222,6 @@ func (rt *Runtime) hugeMap(p *engine.Proc, r *Region, pg *Page, va uint64, write
 	if (pg.idx+hugePages)*pageSize > r.End-r.Start {
 		if _, mapped := rt.PT.Lookup(va); !mapped {
 			rt.PT.Map(va, pg.frame.BlockFrame(int(off)).ID, flags, pagetable.Size4K)
-			pg.vas.Add(va)
 		} else {
 			rt.PT.Protect(va, flags)
 		}
@@ -232,7 +231,6 @@ func (rt *Runtime) hugeMap(p *engine.Proc, r *Region, pg *Page, va uint64, write
 		hugeVA := va &^ uint64(hugeBytes-1)
 		if e, ok := rt.PT.Lookup(hugeVA); !ok || e.PageSize != pagetable.Size2M {
 			rt.PT.Map(hugeVA, pg.frame.ID, flags, pagetable.Size2M)
-			pg.vas.Add(hugeVA)
 		} else {
 			rt.PT.Protect(hugeVA, flags)
 		}
@@ -281,7 +279,6 @@ func (rt *Runtime) hugeWP(p *engine.Proc, r *Region, pg *Page, va uint64) (*mem.
 	rt.markDirty(p, spg)
 	if _, mapped := rt.PT.Lookup(va); !mapped {
 		rt.PT.Map(va, spg.frame.ID, wrFlags, pagetable.Size4K)
-		spg.vas.Add(va)
 	} else {
 		rt.PT.Protect(va, wrFlags)
 	}
@@ -302,12 +299,12 @@ func (rt *Runtime) splitUnit(p *engine.Proc, pg *Page, pinOff int) []*Page {
 	p.SpanEvent("huge.split", 1)
 	wasDirty := pg.state.Dirty()
 	unmapped := 0
-	for _, va := range pg.vas.Slice() {
+	var vas vaBuf
+	for _, va := range rt.appendVAs(vas[:0], pg) {
 		if rt.PT.Unmap(va) {
 			unmapped++
 		}
 	}
-	pg.vas.Clear()
 	rt.move(pg, detutil.PgGone)
 	split := make([]*Page, hugePages)
 	for i := range split {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"aquila/internal/detutil"
-	"aquila/internal/sim/mem"
 	"aquila/internal/sim/pagetable"
 )
 
@@ -49,41 +48,15 @@ func (rt *Runtime) CheckInvariants() error {
 				return fmt.Errorf("unit (%s,%d) poisoned", pg.file.name, pg.idx)
 			}
 		}
-		for _, va := range pg.vas.Slice() {
-			e, ok := rt.PT.Lookup(va)
-			if !ok {
-				return fmt.Errorf("page (%s,%d): rmap va %#x unmapped", pg.file.name, pg.idx, va)
-			}
-			want := pg.frame.ID
-			if pg.huge {
-				// A unit maps either whole (one aligned Size2M PTE) or via a
-				// 4 KB alias into the matching constituent frame.
-				if e.PageSize == pagetable.Size2M {
-					if va%uint64(hugeBytes) != 0 {
-						return fmt.Errorf("unit (%s,%d): unaligned 2 MB va %#x",
-							pg.file.name, pg.idx, va)
-					}
-				} else {
-					want = pg.frame.BlockFrame(int((va >> mem.PageShift) & (hugePages - 1))).ID
-				}
-			} else if e.PageSize != pagetable.Size4K {
-				return fmt.Errorf("page (%s,%d): 4 KB page behind 2 MB PTE at %#x",
-					pg.file.name, pg.idx, va)
-			}
-			if e.Frame != want {
-				return fmt.Errorf("page (%s,%d): pte frame %d != %d",
-					pg.file.name, pg.idx, e.Frame, want)
-			}
-			// Dirty discipline: a writable PTE implies a dirty page.
-			if e.Flags.Has(pagetable.FlagWritable) && !pg.state.Dirty() {
-				return fmt.Errorf("page (%s,%d): writable PTE on %v page",
-					pg.file.name, pg.idx, pg.state)
-			}
-		}
 		return nil
 	})
 	if err != nil {
 		return err
+	}
+	for _, r := range rt.vs.List() {
+		if err := rt.auditRegion(r); err != nil {
+			return err
+		}
 	}
 	// LRU queues: the counters the sweep trigger reads match a recount, and
 	// no consumed slot still holds a page (it would pin an evicted record).
@@ -108,26 +81,70 @@ func (rt *Runtime) CheckInvariants() error {
 	return nil
 }
 
+// auditRegion holds every PTE of a mapped region to the page it maps, which is
+// what the reverse map (appendVAs) rests on: the PTE at a region's page index
+// maps the frame of the page cached at that index of its file — a 4 KB page
+// through a 4 KB entry, a 2 MB unit whole through its extent's aligned 2 MB
+// entry or a constituent through a 4 KB alias — and a writable PTE maps a
+// dirty page. A PTE of a page no longer cached is one eviction left behind.
+func (rt *Runtime) auditRegion(r *Region) error {
+	for va := r.Start; va < r.End; {
+		e, ok := rt.PT.Lookup(va)
+		if !ok {
+			va += pageSize
+			continue
+		}
+		idx := (va - r.Start) / pageSize
+		pg := rt.lookupPage(r.File, idx)
+		if pg == nil {
+			return fmt.Errorf("va %#x maps (%s,%d), which is not cached", va, r.File.name, idx)
+		}
+		want, step := pg.frame.ID, uint64(pageSize)
+		switch {
+		case e.PageSize == pagetable.Size2M && (!pg.huge || idx != pg.idx):
+			return fmt.Errorf("page (%s,%d): 2 MB PTE at %#x, index %d", pg.file.name, pg.idx, va, idx)
+		case e.PageSize == pagetable.Size2M:
+			step = hugeBytes
+		case pg.huge:
+			want = pg.frame.BlockFrame(int(idx - pg.idx)).ID
+		}
+		if e.Frame != want {
+			return fmt.Errorf("page (%s,%d): pte frame %d at %#x != %d", pg.file.name, pg.idx, e.Frame, va, want)
+		}
+		// Dirty discipline: a writable PTE implies a dirty page.
+		if e.Flags.Has(pagetable.FlagWritable) && !pg.state.Dirty() {
+			return fmt.Errorf("page (%s,%d): writable PTE on %v page", pg.file.name, pg.idx, pg.state)
+		}
+		va += step
+	}
+	return nil
+}
+
 // auditPages is what both audits hold every cached page to, then each: filed
 // at its own (file, index), observed as its state's row in the lifecycle table
-// says, at most one mapping kept in its own slot — and each core's dirty count
-// is the number of cached pages its stores left in a dirty state.
+// says — and each core's dirty count is the number of cached pages its stores
+// left in a dirty state, and the regions on the files' lists are those of the
+// address space.
 func (rt *Runtime) auditPages(each func(pg *Page) error) error {
 	on := make([]int, len(rt.dirtyOn))
+	listed := 0
 	//aqlint:sorted -- read-only audit: which violation is reported first may vary, but no simulated state is touched
 	for _, f := range rt.files {
 		if err := f.pages.Check(); err != nil {
 			return fmt.Errorf("file %s: page index: %v", f.name, err)
 		}
+		for _, r := range f.regions {
+			if r.File != f || rt.vs.Find(r.Start) != r {
+				return fmt.Errorf("file %s lists region [%#x,%#x) of %s, mapped %v", f.name, r.Start, r.End, r.File.name, rt.vs.Find(r.Start) == r)
+			}
+		}
+		listed += len(f.regions)
 		for idx, pg := range f.pages.All() {
 			if pg.file != f || pg.idx != idx {
 				return fmt.Errorf("page (%s,%d) filed at (%s,%d)", pg.file.name, pg.idx, f.name, idx)
 			}
 			if err := pg.state.Audit(pg.busy(), pg.frame != nil, pg.lruSeq != 0); err != nil {
 				return fmt.Errorf("page (%s,%d): %v", pg.file.name, pg.idx, err)
-			}
-			if err := pg.vas.Check(); err != nil {
-				return fmt.Errorf("page (%s,%d): reverse map: %v", pg.file.name, pg.idx, err)
 			}
 			if pg.state.Counted() {
 				if pg.dirtyCore < 0 || int(pg.dirtyCore) >= len(on) {
@@ -139,6 +156,9 @@ func (rt *Runtime) auditPages(each func(pg *Page) error) error {
 				return err
 			}
 		}
+	}
+	if n := len(rt.vs.List()); n != listed {
+		return fmt.Errorf("%d regions mapped, %d on their files' lists", n, listed)
 	}
 	for core, n := range on {
 		if n != rt.dirtyOn[core] {

@@ -166,7 +166,7 @@ func (m *AqMapping) Mremap(p *engine.Proc, newSize uint64) {
 				break
 			}
 		}
-		if unmapped := rt.unmapSpan(p, m.r, m.r.Start+newPages*pageSize, m.r.End); unmapped > 0 {
+		if unmapped := rt.unmapSpan(p, m.r.Start+newPages*pageSize, m.r.End); unmapped > 0 {
 			rt.shootdown(p)
 		}
 		rt.vs.Remove(m.r)
@@ -176,12 +176,15 @@ func (m *AqMapping) Mremap(p *engine.Proc, newSize uint64) {
 	default:
 		// Grow: relocate to a fresh range, moving live translations. Huge
 		// entries move whole: both bases are 2 MB-aligned, so the extent
-		// offset keeps its alignment at the new range.
+		// offset keeps its alignment at the new range. Each move charges, so
+		// until the region takes its new range a page's PTE is at its old
+		// address or its new one, and appendVAs looks at both.
 		newStart := rt.nextVA
 		if rt.hugeEnabled() {
 			newStart = (newStart + hugeBytes - 1) &^ uint64(hugeBytes-1)
 		}
 		rt.nextVA = newStart + (newPages+16)*pageSize
+		m.r.moving = newStart
 		moved := 0
 		for i := uint64(0); i < oldPages; {
 			oldVA := m.r.Start + i*pageSize
@@ -197,10 +200,6 @@ func (m *AqMapping) Mremap(p *engine.Proc, newSize uint64) {
 			rt.PT.Unmap(oldVA)
 			rt.PT.Map(newStart+i*pageSize, e.Frame, e.Flags, size)
 			rt.charge(p, "map-pte", 2*cpu.PTEUpdate)
-			if pg := rt.lookupPage(m.r.File, i); pg != nil {
-				pg.vas.Remove(oldVA)
-				pg.vas.Add(newStart + i*pageSize)
-			}
 			moved++
 			i += span
 		}
@@ -210,7 +209,7 @@ func (m *AqMapping) Mremap(p *engine.Proc, newSize uint64) {
 		rt.PT.Release(m.r.Start, m.r.End)
 		rt.vs.Remove(m.r)
 		m.r.File.pages.Reserve(newPages)
-		m.r.Start, m.r.End = newStart, newStart+newPages*pageSize
+		m.r.Start, m.r.End, m.r.moving = newStart, newStart+newPages*pageSize, 0
 		rt.vs.Insert(m.r)
 		rt.charge(p, "vspace", 8*costRadixLookup)
 	}

@@ -13,6 +13,7 @@ import (
 	"aquila/internal/detutil"
 	"aquila/internal/sim/engine"
 	"aquila/internal/sim/mem"
+	"aquila/internal/sim/pagetable"
 )
 
 // TestSweepDoesNotMoveVictimOrder runs one evicting trace — major faults, minor
@@ -86,8 +87,7 @@ func TestSweepDoesNotMoveVictimOrder(t *testing.T) {
 // TestInvariantsAuditThePageRecord plants what the page record and its
 // lifecycle state rule out — a state its event or the dirty counts disagree
 // with, a misfiled page, drifted counters — and expects each audit to name
-// it. A reverse map's own shape is detutil.InlineList.Check's, which both
-// audits call (TestInlineListCheck).
+// it. The reverse map's audit is TestInvariantsAuditTheReverseMap's.
 func TestInvariantsAuditThePageRecord(t *testing.T) {
 	e, _, boot := daxWorld(4*mib, 2)
 	e.Spawn(0, "t", func(p *engine.Proc) {
@@ -139,6 +139,57 @@ func TestInvariantsAuditThePageRecord(t *testing.T) {
 		rt.lru.dead--
 		if err := rt.CheckInvariants(); err != nil {
 			t.Fatal(err)
+		}
+	})
+	e.Run()
+}
+
+// TestInvariantsAuditTheReverseMap plants what the reverse map rests on and
+// the audit rules out — a PTE left on a page that went, a PTE on another
+// page's frame, a writable PTE on a clean page, a region on its file's list
+// the address space does not hold, one the address space holds that no list
+// does — and expects CheckInvariants to name each.
+func TestInvariantsAuditTheReverseMap(t *testing.T) {
+	e, _, boot := daxWorld(4*mib, 2)
+	e.Spawn(0, "t", func(p *engine.Proc) {
+		rt := boot(p)
+		f := rt.CreateFile(p, "data", 1*mib)
+		m := rt.Mmap(p, f, 1*mib)
+		var buf [8]byte
+		m.Load(p, 0, buf[:])
+		m.Load(p, pageSize, buf[:])
+		expect := func(want string) {
+			t.Helper()
+			if err := rt.CheckInvariants(); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("CheckInvariants = %v, want an error containing %q", err, want)
+			}
+		}
+		start := m.r.Start
+		zero, one := f.pages.Get(0), f.pages.Get(1)
+
+		rt.PT.Map(start+2*pageSize, zero.frame.ID, pagetable.FlagUser, pagetable.Size4K)
+		expect(fmt.Sprintf("va %#x maps (data,2), which is not cached", start+2*pageSize))
+		rt.PT.Unmap(start + 2*pageSize)
+
+		rt.PT.Map(start, one.frame.ID, pagetable.FlagUser, pagetable.Size4K)
+		expect(fmt.Sprintf("page (data,0): pte frame %d at %#x != %d", one.frame.ID, start, zero.frame.ID))
+		rt.PT.Map(start, zero.frame.ID, pagetable.FlagUser|pagetable.FlagWritable, pagetable.Size4K)
+		expect("page (data,0): writable PTE on clean page")
+		rt.PT.Protect(start, pagetable.FlagUser)
+
+		stray := &Region{Start: 1 << 40, End: 1<<40 + pageSize, File: f}
+		f.regions = append(f.regions, stray)
+		expect("file data lists region [0x10000000000,0x10000001000) of data, mapped false")
+		f.regions = f.regions[:1]
+		rt.vs.Insert(stray)
+		expect("2 regions mapped, 1 on their files' lists")
+		rt.vs.Remove(stray)
+
+		if err := rt.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		if got := rt.appendVAs(nil, zero); len(got) != 1 || got[0] != start {
+			t.Fatalf("page 0 mapped at %#x, want [%#x]", got, start)
 		}
 	})
 	e.Run()
@@ -355,7 +406,7 @@ func TestStuckFillDeadlockNamesPage(t *testing.T) {
 // allocation of it (cachetest.ColdMajorFaultIsOneAllocation), and a field more puts
 // every fault in the next class.
 func TestPageRecordSize(t *testing.T) {
-	if got := unsafe.Sizeof(Page{}); got > 80 {
-		t.Errorf("Page is %d bytes, want at most 80: past it every cold fault allocates from Go's 96-byte size class, not the 80-byte one (DESIGN.md §3 \"Page records\")", got)
+	if got := unsafe.Sizeof(Page{}); got > 64 {
+		t.Errorf("Page is %d bytes, want at most 64: past it every cold fault allocates from Go's 80-byte size class, not the 64-byte one (DESIGN.md §3 \"Page records\")", got)
 	}
 }

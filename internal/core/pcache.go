@@ -24,11 +24,12 @@ const (
 const _ = -uint(hugePages ^ detutil.LeafSlots)
 
 // Page is one page of Aquila's DRAM I/O cache. The record is self-contained:
-// its busy event and its first reverse mapping live inside it, so a cold major
-// fault is one host allocation (DESIGN.md §3). It holds only what every page
-// needs — a 2 MB unit is its base frame, a poisoned page's fault lives in
-// Runtime.poisoned — with the small fields together, which keeps it in the
-// 80-byte size class (DESIGN.md §3 "Page records").
+// its busy event lives inside it, so a cold major fault is one host
+// allocation (DESIGN.md §3). It holds only what every page needs — a 2 MB unit
+// is its base frame, a poisoned page's fault lives in Runtime.poisoned, the
+// virtual addresses mapping it are found through its file's regions
+// (Runtime.appendVAs) — with the small fields together, which keeps it in the
+// 64-byte size class (DESIGN.md §3 "Page records").
 type Page struct {
 	file *fileState
 	idx  uint64
@@ -40,9 +41,6 @@ type Page struct {
 	// wait on it (the per-entry locking of §3.4). One event serves every busy
 	// period of the page; ask busy(), never the event.
 	ev engine.Event
-	// vas are the virtual addresses currently mapping the page, in mapping
-	// order; the first lives in the record.
-	vas detutil.InlineList[uint64]
 	// lruSeq is the fault sequence number of the page's newest LRU record;
 	// older queue entries are stale and skipped lazily.
 	lruSeq uint64
@@ -128,6 +126,13 @@ type fileState struct {
 	// extent's base index. Host-side bookkeeping: the hash's simulated costs
 	// are charged where its callers probe, insert and remove.
 	pages detutil.PageIndex[Page]
+	// regions are the file's mappings, in creation order: the reverse map
+	// (Linux's i_mmap). A page's virtual addresses are its index in each
+	// region that covers it (Runtime.appendVAs). The list starts in region1,
+	// so a file mapped once at a time — every round of a fault workload's new
+	// file — allocates no list.
+	regions []*Region
+	region1 [1]*Region
 }
 
 // Name returns the file's name.

@@ -293,8 +293,10 @@ func (rt *Runtime) cached() iter.Seq[*Page] {
 // bytes; the caller files it under its name.
 func (rt *Runtime) newFile(name string, size uint64) *fileState {
 	rt.nextID++
-	return &fileState{id: rt.nextID, name: name, size: size,
+	f := &fileState{id: rt.nextID, name: name, size: size,
 		pages: detutil.NewPageIndex(&rt.leaves, pagesOf(size))}
+	f.regions = f.region1[:0]
+	return f
 }
 
 // pagesOf returns how many pages bytes occupy.
@@ -412,12 +414,16 @@ func (rt *Runtime) restoreWBErr(f *fileState) {
 }
 
 // DeleteFile removes a file: its cached pages are dropped (frames recycled),
-// its dirty entries discarded, and the backing object released.
+// its dirty entries discarded, and the backing object released. A file still
+// mapped is not deleted: the delete panics naming it (iface.Namespace.Delete).
 func (rt *Runtime) DeleteFile(p *engine.Proc, name string) {
 	f, ok := rt.files[name]
 	if !ok {
 		rt.Engine.Delete(p, name)
 		return
+	}
+	if len(f.regions) > 0 {
+		panic(fmt.Sprintf("core: delete of %q with %d live mapping(s)", name, len(f.regions)))
 	}
 	// Drop cached pages in index order, the order the file's index walks in:
 	// the waits below advance the clock and the later freelist pushes recycle
@@ -426,7 +432,7 @@ func (rt *Runtime) DeleteFile(p *engine.Proc, name string) {
 	// cached now. (A second delete running meanwhile finds the scratch taken
 	// and grows its own.) Pages under I/O wait their owners, until a pass finds
 	// none busy — a wait yields, and an eviction may claim a page waited out
-	// before; mapped pages must have been unmapped by Munmap already.
+	// before. No page is mapped: the file has no region.
 	drop := rt.deleteBuf[:0]
 	rt.deleteBuf = nil
 	for _, pg := range f.pages.All() {
@@ -444,9 +450,6 @@ func (rt *Runtime) DeleteFile(p *engine.Proc, name string) {
 	// Every page leaves before the first charge yields; one an eviction took
 	// while it was waited on is gone already.
 	for _, pg := range drop {
-		if pg.vas.Len() > 0 {
-			panic(fmt.Sprintf("core: delete of %q with live mappings", name))
-		}
 		if pg.state != detutil.PgGone {
 			rt.move(pg, detutil.PgGone)
 		}
@@ -482,6 +485,7 @@ func (rt *Runtime) Mmap(p *engine.Proc, f *fileState, size uint64) *AqMapping {
 	r := &Region{Start: start, End: start + pages*pageSize, File: f}
 	f.pages.Reserve(pages)
 	rt.vs.Insert(r)
+	f.regions = append(f.regions, r)
 	rt.charge(p, "vspace", 4*costRadixLookup)
 	// Sample the error sequence at map time: earlier errors belong to
 	// earlier callers.
@@ -492,21 +496,21 @@ func (rt *Runtime) Mmap(p *engine.Proc, f *fileState, size uint64) *AqMapping {
 // shootdown, and write-back of the file's dirty pages.
 func (rt *Runtime) munmapRegion(p *engine.Proc, r *Region) {
 	rt.Host.HV.VMCall(p, costVspaceVMCall)
-	if unmapped := rt.unmapSpan(p, r, r.Start, r.End); unmapped > 0 {
+	if unmapped := rt.unmapSpan(p, r.Start, r.End); unmapped > 0 {
 		rt.shootdown(p)
 	}
 	rt.vs.Remove(r)
+	i := slices.Index(r.File.regions, r)
+	r.File.regions = slices.Delete(r.File.regions, i, i+1)
 	rt.charge(p, "vspace", 4*costRadixLookup)
 	rt.msyncFile(p, r.File)
 }
 
-// unmapSpan removes every PTE covering region r's VAs in [lo, hi), stepping
-// by the mapped page size (a huge entry costs one PTE update and one
-// reverse-map fix for the whole extent) and maintaining the rmap bookkeeping.
-// A huge extent straddling a boundary must have been split by the caller.
-// The table pages the span emptied are freed at no simulated cost, as
-// munmap's free_pgtables.
-func (rt *Runtime) unmapSpan(p *engine.Proc, r *Region, lo, hi uint64) int {
+// unmapSpan removes every PTE covering [lo, hi), stepping by the mapped page
+// size (a huge entry costs one PTE update for the whole extent). A huge extent
+// straddling a boundary must have been split by the caller. The table pages
+// the span emptied are freed at no simulated cost, as munmap's free_pgtables.
+func (rt *Runtime) unmapSpan(p *engine.Proc, lo, hi uint64) int {
 	unmapped := 0
 	for va := lo; va < hi; {
 		step := uint64(pageSize)
@@ -514,10 +518,6 @@ func (rt *Runtime) unmapSpan(p *engine.Proc, r *Region, lo, hi uint64) int {
 			rt.PT.Unmap(va)
 			rt.charge(p, "unmap", cpu.PTEUpdate)
 			unmapped++
-			idx := (va - r.Start) / pageSize
-			if pg := rt.lookupPage(r.File, idx); pg != nil {
-				pg.vas.Remove(va)
-			}
 			if e.PageSize == pagetable.Size2M {
 				step = pagetable.Size2M
 			}
@@ -721,7 +721,6 @@ func (rt *Runtime) fault(p *engine.Proc, va uint64, write bool) (*mem.Frame, err
 	}
 	if _, mapped := rt.PT.Lookup(va); !mapped {
 		rt.PT.Map(va, pg.frame.ID, flags, pagetable.Size4K)
-		pg.vas.Add(va)
 	} else {
 		rt.PT.Protect(va, flags)
 	}
@@ -931,13 +930,14 @@ func (rt *Runtime) claimVictims(p *engine.Proc) (victims, dirty []*Page) {
 	}
 	unmapped := 0
 	for _, v := range victims {
-		for _, va := range v.vas.Slice() {
+		// The addresses are taken before the first charge yields (vaBuf).
+		var vas vaBuf
+		for _, va := range rt.appendVAs(vas[:0], v) {
 			if rt.PT.Unmap(va) {
 				rt.charge(p, "unmap", cpu.PTEUpdate)
 				unmapped++
 			}
 		}
-		v.vas.Clear()
 	}
 	if unmapped > 0 {
 		rt.shootdown(p)
@@ -1076,7 +1076,8 @@ func (rt *Runtime) writeBack(p *engine.Proc, pages []*Page, span string, async, 
 	slices.SortFunc(pages, func(a, b *Page) int { return cmp.Compare(dirtyKey(a), dirtyKey(b)) })
 	protected := 0
 	for _, pg := range pages {
-		for _, va := range pg.vas.Slice() {
+		var vas vaBuf
+		for _, va := range rt.appendVAs(vas[:0], pg) {
 			if rt.PT.Protect(va, pagetable.FlagUser|pagetable.FlagAccessed) {
 				rt.charge(p, "writeback", cpu.PTEUpdate)
 				protected++

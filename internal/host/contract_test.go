@@ -29,6 +29,8 @@ func TestDeleteRacingReclaimReleasesEachFrameOnce(t *testing.T) {
 	linux(t, cachetest.DeleteRacingEvictionReleasesEachFrameOnce)
 }
 func TestInvariantsAfterHeavyChurn(t *testing.T) { linux(t, cachetest.InvariantsAfterHeavyChurn) }
+func TestPageMappedTwice(t *testing.T)           { linux(t, cachetest.PageMappedTwice) }
+func TestMappedFileDeleteIsRefused(t *testing.T) { linux(t, cachetest.MappedFileDeleteIsRefused) }
 
 // linux runs a contract over mmap, then over kmmap as a subtest, so the mmap
 // run keeps the test's own name.
@@ -70,12 +72,14 @@ func (w *linuxWorld) Record(f iface.File, idx uint64) *cachedPage {
 	return f.(*File).f.pages.Get(idx)
 }
 
-func (w *linuxWorld) Rmap(f iface.File, idx uint64) (vas []uint64, inline bool) {
+func (w *linuxWorld) Rmap(f iface.File, idx uint64) (vas []uint64) {
 	pg := w.Record(f, idx)
-	for _, mv := range pg.vas.Slice() {
-		vas = append(vas, mv.va)
+	for _, m := range pg.f.maps {
+		if va, ok := m.pteOf(pg); ok {
+			vas = append(vas, va)
+		}
 	}
-	return vas, pg.vas.Inline()
+	return vas
 }
 
 func (w *linuxWorld) EvictAll(p *engine.Proc) {

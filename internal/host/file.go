@@ -120,7 +120,7 @@ func (hf *File) pageAt(p *engine.Proc, idx, hi uint64, whole []byte) *cachedPage
 		case whole != nil:
 			var owner bool
 			if pg, owner = c.insertNew(p, f, idx); owner {
-				pg.frame.Load(whole)
+				pg.frame.SetPage(whole)
 				c.move(pg, detutil.PgClean)
 				pg.ev.Fire(p.Now())
 			}

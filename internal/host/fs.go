@@ -45,6 +45,12 @@ type FSFile struct {
 	treeLock *engine.Mutex
 	pages    detutil.PageIndex[cachedPage]
 	nrDirty  int
+	// maps are the file's mappings in every process, in creation order: the
+	// reverse map (i_mmap). A page's PTEs are at its index in each mapping
+	// that covers it (Mapping.pteOf). The list starts in map1, so a file
+	// mapped once at a time allocates no list.
+	maps []*Mapping
+	map1 [1]*Mapping
 
 	// readahead state (struct file_ra_state).
 	mmapMiss int
@@ -90,6 +96,7 @@ func (fs *FS) Create(p *engine.Proc, name string, size uint64) *FSFile {
 		treeLock: engine.NewMutex(fs.os.E, "tree_lock:"+name),
 		pages:    detutil.NewPageIndex(&fs.leaves, capBytes/PageSize),
 	}
+	f.maps = f.map1[:0]
 	fs.files[name] = f
 	return f
 }
@@ -105,11 +112,16 @@ func (fs *FS) Open(p *engine.Proc, name string) *FSFile {
 	return f
 }
 
-// Delete removes a file, dropping its cached pages and freeing its extent.
+// Delete removes a file, dropping its cached pages and freeing its extent. A
+// file still mapped is not deleted: the delete panics naming it
+// (iface.Namespace.Delete).
 func (fs *FS) Delete(p *engine.Proc, name string) {
 	f, ok := fs.files[name]
 	if !ok {
 		return
+	}
+	if len(f.maps) > 0 {
+		panic(fmt.Sprintf("host: delete of %q with %d live mapping(s)", name, len(f.maps)))
 	}
 	p.AdvanceSystem(cpu.Syscall + costSyscallKernelPath)
 	fs.os.Cache.truncate(p, f)

@@ -904,7 +904,8 @@ func TestTruncateRecycleOrderDeterministic(t *testing.T) {
 		for i := range freed {
 			freed[i] = doomed.pages.Get(uint64(i)).frame.ID
 		}
-		os.FS.Delete(p, "doomed") // mapping still live: truncate unmaps it
+		m.Munmap(p)
+		os.FS.Delete(p, "doomed")
 
 		next := os.FS.Create(p, "next", pages*PageSize)
 		m2 := os.Mmap(p, next, pages*PageSize)
@@ -1052,7 +1053,10 @@ func TestRecycledFrameIsDefinedByItsNextUser(t *testing.T) {
 			for i := uint64(0); i < 4*n; i++ {
 				m.Store(p, i*PageSize, pattern)
 			}
-			os.FS.Delete(p, "dirty") // truncate drops the pages, frames as they are
+			// The munmap writes the pages back, and they stay cached on
+			// their frames; truncate drops them, frames as they are.
+			m.Munmap(p)
+			os.FS.Delete(p, "dirty")
 			if os.Cache.Evicted != 0 {
 				t.Fatal("set-up went through reclaim")
 			}
@@ -1274,8 +1278,8 @@ func TestStuckFillDeadlockNamesPage(t *testing.T) {
 // allocation of it (cachetest.ColdMajorFaultIsOneAllocation), and a field more puts
 // every fault in the next class.
 func TestPageRecordSize(t *testing.T) {
-	if got := unsafe.Sizeof(cachedPage{}); got > 96 {
-		t.Errorf("cachedPage is %d bytes, want at most 96: past it every cold fault allocates from Go's 112-byte size class, not the 96-byte one (DESIGN.md §3 \"Page records\")", got)
+	if got := unsafe.Sizeof(cachedPage{}); got > 80 {
+		t.Errorf("cachedPage is %d bytes, want at most 80: past it every cold fault allocates from Go's 96-byte size class, not the 80-byte one (DESIGN.md §3 \"Page records\")", got)
 	}
 }
 

@@ -14,7 +14,7 @@ func (os *OS) CheckInvariants() error {
 	// Every page in every file's radix tree is as its state's row in the
 	// lifecycle table says, not busy, on an LRU list, and counted dirty if its
 	// state is.
-	total, dirty := 0, 0
+	total, dirty, listed := 0, 0, 0
 	//aqlint:sorted -- read-only audit: which violation is reported first may vary, but no simulated state is touched
 	for _, f := range os.FS.files {
 		fileDirty := 0
@@ -23,6 +23,13 @@ func (os *OS) CheckInvariants() error {
 		if err := f.pages.Check(); err != nil {
 			return fmt.Errorf("file %s: page index: %v", f.name, err)
 		}
+		// The reverse map: the file's mappings are live, each its own.
+		for _, m := range f.maps {
+			if m.f != f || m.v.f != f || m.dead || m.pr.vmas.Find(m.v.start) != m.v {
+				return fmt.Errorf("file %s lists a mapping of %s in process %d, dead=%v", f.name, m.f.name, m.pr.ID, m.dead)
+			}
+		}
+		listed += len(f.maps)
 		for idx, pg := range f.pages.All() {
 			total++
 			if pg.f != f || pg.idx != idx {
@@ -36,24 +43,9 @@ func (os *OS) CheckInvariants() error {
 			if pg.busy() || !listed {
 				return fmt.Errorf("page (%s,%d): busy=%v, listed=%v at quiesce", f.name, idx, pg.busy(), listed)
 			}
-			if err := pg.vas.Check(); err != nil {
-				return fmt.Errorf("page (%s,%d): reverse map: %v", f.name, idx, err)
-			}
 			if pg.state.Counted() {
 				dirty++
 				fileDirty++
-			}
-			// Reverse mappings agree with the page tables.
-			for _, mv := range pg.vas.Slice() {
-				e, ok := mv.pr.PT.Lookup(mv.va)
-				if !ok {
-					return fmt.Errorf("page (%s,%d): rmap va %#x not mapped in process %d",
-						f.name, idx, mv.va, mv.pr.ID)
-				}
-				if e.Frame != pg.frame.ID {
-					return fmt.Errorf("page (%s,%d): pte frame %d != page frame %d",
-						f.name, idx, e.Frame, pg.frame.ID)
-				}
 			}
 		}
 		if fileDirty != f.nrDirty {
@@ -72,40 +64,32 @@ func (os *OS) CheckInvariants() error {
 	if got := c.allocator.Allocated(); got != uint64(total) {
 		return fmt.Errorf("frames allocated %d != resident pages %d", got, total)
 	}
-	// Every present PTE in every process points at a frame owned by a
-	// cached page mapping that (process, va).
-	frames := make(map[uint64]*cachedPage)
-	//aqlint:sorted -- read-only audit index keyed by frame ID: insertion order is invisible, no simulated state is touched
-	for _, f := range os.FS.files {
-		for _, pg := range f.pages.All() {
-			frames[pg.frame.ID] = pg
-		}
-	}
+	// Every present PTE in every process maps the frame of the page cached
+	// at its index of its VMA's file, and every VMA is on its file's list:
+	// what the reverse map (Mapping.pteOf) finds is every PTE there is.
+	vmas := 0
 	for _, pr := range os.procs {
+		vmas += len(pr.vmas.List())
 		for _, v := range pr.vmas.List() {
 			for va := v.start; va < v.end; va += PageSize {
 				e, ok := pr.PT.Lookup(va)
 				if !ok {
 					continue
 				}
-				pg, known := frames[e.Frame]
-				if !known {
-					return fmt.Errorf("process %d: va %#x maps unknown frame %d",
-						pr.ID, va, e.Frame)
+				idx := (va - v.start) / PageSize
+				pg := v.f.pages.Get(idx)
+				if pg == nil {
+					return fmt.Errorf("process %d: va %#x maps (%s,%d), which is not cached", pr.ID, va, v.f.name, idx)
 				}
-				found := false
-				for _, mv := range pg.vas.Slice() {
-					if mv.pr == pr && mv.va == va {
-						found = true
-						break
-					}
-				}
-				if !found {
-					return fmt.Errorf("process %d: va %#x mapped but missing from rmap of (%s,%d)",
-						pr.ID, va, pg.f.name, pg.idx)
+				if e.Frame != pg.frame.ID {
+					return fmt.Errorf("process %d: va %#x maps frame %d, page (%s,%d) is on frame %d",
+						pr.ID, va, e.Frame, v.f.name, idx, pg.frame.ID)
 				}
 			}
 		}
+	}
+	if vmas != listed {
+		return fmt.Errorf("%d VMAs mapped, %d mappings on their files' lists", vmas, listed)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package host
 
 import (
 	"fmt"
+	"slices"
 
 	"aquila/internal/iface"
 	"aquila/internal/sim/cpu"
@@ -21,6 +22,10 @@ type vma struct {
 	// read-around and a lazy write-back policy driven by its custom msync
 	// instead of dirty throttling. Faults still pay the full ring-3 trap.
 	kmmap bool
+	// moving is the start of the range a growing Mremap is moving the VMA's
+	// PTEs to, 0 when none is: the move yields between PTEs, and a page's PTE
+	// is at its old or its new address meanwhile.
+	moving uint64
 }
 
 // Bounds is the VMA's address range (detutil.Ranged). A process's VMAs are a
@@ -69,9 +74,41 @@ func (pr *Process) mmapInternal(p *engine.Proc, f *FSFile, size uint64, kmmap bo
 	pr.nextVA += (pages + 16) * PageSize // guard gap
 	v := &vma{start: start, end: start + pages*PageSize, f: f, kmmap: kmmap}
 	pr.vmas.Insert(v)
+	m := &Mapping{os: os, pr: pr, v: v, f: f, size: size}
+	f.maps = append(f.maps, m)
 	os.charge(p, "vma", costVMALookup) // rb-tree insert
 	pr.mmapSem.Unlock(p)
-	return &Mapping{os: os, pr: pr, v: v, f: f, size: size}
+	return m
+}
+
+// mapBuf holds a file's mappings on a reverse-map walker's stack (append into
+// mapBuf[:0]), copied before a loop over them charges: a charge yields, and an
+// munmap meanwhile shifts the file's list. A file with more mappings than it
+// holds — one per thread of a wider workload than the bench's 16 — spills to
+// the heap.
+type mapBuf [16]*Mapping
+
+// pteOf returns the address at which the mapping maps pg: the page's index
+// in the mapping, when the mapping covers it and the PTE there maps the
+// page's frame — at the old address or the new one while a growing Mremap
+// moves the PTEs. This is the reverse map: a page's PTEs are found through
+// its file's mappings (FSFile.maps), as Linux's rmap walks i_mmap, and cost
+// no simulated time to find — each is charged where it is acted on.
+func (m *Mapping) pteOf(pg *cachedPage) (uint64, bool) {
+	v := m.v
+	if pg.idx >= (v.end-v.start)/PageSize {
+		return 0, false
+	}
+	for _, start := range [2]uint64{v.start, v.moving} {
+		if start == 0 {
+			continue
+		}
+		va := start + pg.idx*PageSize
+		if e, ok := m.pr.PT.Lookup(va); ok && e.Frame == pg.frame.ID {
+			return va, true
+		}
+	}
+	return 0, false
 }
 
 // Size implements iface.Mapping.
@@ -147,23 +184,23 @@ func (m *Mapping) Munmap(p *engine.Proc) {
 	m.pr.mmapSem.Lock(p)
 	m.pr.vmas.Remove(m.v)
 	m.unmapSpan(p, m.v.start, m.v.end)
+	i := slices.Index(m.f.maps, m)
+	m.f.maps = slices.Delete(m.f.maps, i, i+1)
 	m.pr.mmapSem.Unlock(p)
 	m.os.Cache.fsyncFileRange(p, m.f, 0, m.f.cap)
 }
 
 // unmapSpan is the one range unmap (Munmap, Mremap's shrink): clear the live
-// PTEs of [lo, hi), drop each from its page's reverse map, free the table
-// pages that leaves empty (free_pgtables, at no simulated cost), and issue
-// one batched shootdown for the lot. The caller holds mmap_sem for writing.
+// PTEs of [lo, hi), free the table pages that leaves empty (free_pgtables, at
+// no simulated cost), and issue one batched shootdown for the lot. The caller
+// holds mmap_sem for writing.
 func (m *Mapping) unmapSpan(p *engine.Proc, lo, hi uint64) {
 	unmapped := 0
 	for va := lo; va < hi; va += PageSize {
 		if m.pr.PT.Unmap(va) {
 			m.os.charge(p, "pte", cpu.PTEUpdate)
+			m.os.Cache.chargeFind(p, m.f)
 			unmapped++
-			if pg := m.os.Cache.find(p, m.f, (va-m.v.start)/PageSize); pg != nil {
-				pg.vas.Remove(mappedVA{m.pr, va})
-			}
 		}
 	}
 	m.pr.PT.Release(lo, hi)
@@ -312,7 +349,6 @@ func (pr *Process) pageFault(p *engine.Proc, va uint64, write bool) *mem.Frame {
 	}
 	if _, mapped := pr.PT.Lookup(va); !mapped {
 		pr.PT.Map(va, pg.frame.ID, flags, pagetable.Size4K)
-		pg.vas.Add(mappedVA{pr, va})
 	} else {
 		pr.PT.Protect(va, flags)
 	}
@@ -408,6 +444,7 @@ func (m *Mapping) Mremap(p *engine.Proc, newSize uint64) {
 	default:
 		newStart := m.pr.nextVA
 		m.pr.nextVA += (newPages + 16) * PageSize
+		m.v.moving = newStart
 		moved := 0
 		for i := uint64(0); i < oldPages; i++ {
 			oldVA := m.v.start + i*PageSize
@@ -415,10 +452,7 @@ func (m *Mapping) Mremap(p *engine.Proc, newSize uint64) {
 				m.pr.PT.Unmap(oldVA)
 				m.pr.PT.Map(newStart+i*PageSize, e.Frame, e.Flags, pagetable.Size4K)
 				m.os.charge(p, "pte", 2*cpu.PTEUpdate)
-				if pg := m.os.Cache.find(p, m.f, i); pg != nil {
-					pg.vas.Remove(mappedVA{m.pr, oldVA})
-					pg.vas.Add(mappedVA{m.pr, newStart + i*PageSize})
-				}
+				m.os.Cache.chargeFind(p, m.f)
 				moved++
 			}
 		}
@@ -427,7 +461,7 @@ func (m *Mapping) Mremap(p *engine.Proc, newSize uint64) {
 		}
 		m.pr.PT.Release(m.v.start, m.v.end)
 		m.pr.vmas.Remove(m.v)
-		m.v.start, m.v.end = newStart, newStart+newPages*PageSize
+		m.v.start, m.v.end, m.v.moving = newStart, newStart+newPages*PageSize, 0
 		m.pr.vmas.Insert(m.v)
 	}
 	m.size = newSize

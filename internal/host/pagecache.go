@@ -13,8 +13,9 @@ import (
 )
 
 // cachedPage is one resident page-cache page. Like core.Page the record is
-// self-contained — busy event and first reverse mapping inside it — so
-// publishing a page is one host allocation (DESIGN.md §3).
+// self-contained — its busy event inside it, its PTEs found through its
+// file's mappings (Mapping.pteOf) — so publishing a page is one host
+// allocation (DESIGN.md §3).
 type cachedPage struct {
 	f     *FSFile
 	idx   uint64 // page index within the file
@@ -24,9 +25,6 @@ type cachedPage struct {
 	// Faulters that find it wait on it, then look the page up again. One
 	// event serves every busy period of the page; ask busy().
 	ev engine.Event
-	// vas is the reverse mapping: every (process, va) this page is mapped
-	// at, in mapping order; the first lives in the record.
-	vas detutil.InlineList[mappedVA]
 
 	lruPrev, lruNext *cachedPage
 	// pins guards against reclaim while a syscall path uses the page
@@ -50,12 +48,6 @@ type cachedPage struct {
 	// the page, each counted until its write completes. An fsync that finds
 	// one on a clean page waits it out.
 	writebacks uint8
-}
-
-// mappedVA is one reverse-mapping entry.
-type mappedVA struct {
-	pr *Process
-	va uint64
 }
 
 // pageList is one intrusive LRU list (active or inactive).
@@ -151,6 +143,15 @@ func (c *PageCache) find(p *engine.Proc, f *FSFile, idx uint64) *cachedPage {
 	pg := f.pages.Get(idx)
 	f.treeLock.Unlock(p)
 	return pg
+}
+
+// chargeFind is what a find in f costs, paid where a path looks a PTE's page
+// up and needs nothing of it: each PTE munmap clears or mremap moves is
+// charged its page's lookup (page_remove_rmap, page_add_file_rmap).
+func (c *PageCache) chargeFind(p *engine.Proc, f *FSFile) {
+	f.treeLock.Lock(p)
+	c.os.charge(p, "tree-lock", costRadixLookup)
+	f.treeLock.Unlock(p)
 }
 
 // listOf returns the list currently holding pg.
@@ -388,10 +389,11 @@ func (c *PageCache) writePages(p *engine.Proc, pages []*cachedPage) {
 		// page_mkclean: write-protect live mappings so the next store
 		// re-dirties the page; otherwise post-writeback stores would be
 		// lost at eviction.
-		for _, mv := range pg.vas.Slice() {
-			if mv.pr.PT.Protect(mv.va, pagetable.FlagUser|pagetable.FlagAccessed) {
+		var maps mapBuf
+		for _, m := range append(maps[:0], pg.f.maps...) {
+			if va, ok := m.pteOf(pg); ok && m.pr.PT.Protect(va, pagetable.FlagUser|pagetable.FlagAccessed) {
 				c.os.charge(p, "writeback", cpu.PTEUpdate)
-				touched = touched.add(mv.pr)
+				touched = touched.add(m.pr)
 			}
 		}
 	}
@@ -490,13 +492,13 @@ func (c *PageCache) reclaim(p *engine.Proc) {
 	for _, v := range victims {
 		// page_referenced + rmap walk per victim.
 		c.os.charge(p, "reclaim", costReclaimPerPage)
-		for _, mv := range v.vas.Slice() {
-			if mv.pr.PT.Unmap(mv.va) {
+		var maps mapBuf
+		for _, m := range append(maps[:0], v.f.maps...) {
+			if va, ok := m.pteOf(v); ok && m.pr.PT.Unmap(va) {
 				c.os.charge(p, "reclaim", cpu.PTEUpdate)
-				touched = touched.add(mv.pr)
+				touched = touched.add(m.pr)
 			}
 		}
-		v.vas.Clear()
 		if v.state.Dirty() {
 			dirty = append(dirty, v)
 		}
@@ -525,7 +527,8 @@ func (c *PageCache) reclaim(p *engine.Proc) {
 // the order later faults are handed them. A page under read or reclaim is
 // waited out first, as core.DeleteFile does, and the tree looked at again:
 // with both locks held nothing can claim a page between the last busy check
-// and its drop, and a page a reclaim freed meanwhile is no longer there.
+// and its drop, and a page a reclaim freed meanwhile is no longer there. No
+// page is mapped: FS.Delete refuses a file with a mapping.
 func (c *PageCache) truncate(p *engine.Proc, f *FSFile) {
 	var pages []*cachedPage
 	for pages == nil {
@@ -555,16 +558,9 @@ func (c *PageCache) truncate(p *engine.Proc, f *FSFile) {
 			c.waitPage(p, busy)
 		}
 	}
-	touched := make(procSet, 0, 8)
 	for _, pg := range pages {
-		for _, mv := range pg.vas.Slice() {
-			if mv.pr.PT.Unmap(mv.va) {
-				touched = touched.add(mv.pr)
-			}
-		}
 		c.allocator.Release(pg.frame)
 	}
-	c.os.shootdownAll(p, touched)
 }
 
 // fsyncFileRange writes back dirty pages overlapping [off, off+length).

@@ -356,6 +356,21 @@ func compare(t *testing.T, at string, got *Store, want *refStore, touched []bool
 	return w, owed, owners(t, at, got, media, staged)
 }
 
+// checkView holds a block's view to what a fill takes it for: it ends at its
+// last nonzero line, so a frame's Load — which takes it as it is — holds the
+// same content as a whole-page write of it, which scans for that line.
+func checkView(t *testing.T, at string, blk uint64, b []byte, loaded, set *mem.Frame) {
+	t.Helper()
+	if n := mem.LineUp(mem.LastNonzero(b)); n != len(b) {
+		t.Fatalf("%s: block %d's view is %d bytes, its last nonzero line ends at %d", at, blk, len(b), n)
+	}
+	loaded.Load(b)
+	set.SetPage(b)
+	if !bytes.Equal(loaded.Held(), set.Held()) || len(loaded.Held()) != len(set.Held()) {
+		t.Fatalf("%s: block %d loads as %d bytes, a whole-page write of it holds %d", at, blk, len(loaded.Held()), len(set.Held()))
+	}
+}
+
 // chunkShape draws one write of the reference test: random bytes or a run
 // with one nonzero byte at a random offset, whole blocks of zeros, a zero run
 // from inside a block's held prefix over its tail, or a short nonzero write
@@ -424,6 +439,8 @@ func TestRecyclingStoreMatchesNonRecyclingReference(t *testing.T) {
 		var recycled, whole, crashes, torn, cloned, idle, exact, earlier, owedSteps, grown, shortTears, empty int
 		var shortPages, overPending, overMedia int // WritePage: of fewer held bytes than a block, over a pending version, over media
 		var due []uint64                           // durability points handed to Persist
+		fills := mem.NewAllocator(2*mem.PageSize, 1)
+		loaded, set := fills.Alloc(0), fills.Alloc(0)
 		for step := 0; step < 5000; step++ {
 			at := fmt.Sprintf("seed %d step %d", seed, step)
 			off := uint64(rng.Intn(blocks * BlockSize))
@@ -570,8 +587,12 @@ func TestRecyclingStoreMatchesNonRecyclingReference(t *testing.T) {
 				owedSteps++
 			}
 			for blk := uint64(0); blk < blocks; blk++ {
-				if b := got.view(blk); b != nil && len(b) == 0 {
+				b := got.view(blk)
+				if b != nil && len(b) == 0 {
 					empty++
+				}
+				if b != nil && (touched == nil || touched[blk]) {
+					checkView(t, at, blk, b, loaded, set)
 				}
 			}
 			if step%32 == 0 {

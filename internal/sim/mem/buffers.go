@@ -110,8 +110,15 @@ func (p *Buffers) Idle(size int) [][]byte { return p.free[class(size)] }
 // Set returns content holding src up to its last nonzero line: in b's buffer
 // when that is of the line's class (or src is all zeros and b holds one), else
 // in one of the line's class, b going back to its list. It never returns nil.
-func (p *Buffers) Set(b, src []byte) []byte {
-	n := LineUp(LastNonzero(src))
+func (p *Buffers) Set(b, src []byte) []byte { return p.set(b, src, LineUp(LastNonzero(src))) }
+
+// SetHeld is Set of content that already ends at its last nonzero line — a
+// device block's view, which every write trims — so it takes held's length as
+// it is instead of scanning for that line.
+func (p *Buffers) SetHeld(b, held []byte) []byte { return p.set(b, held, len(held)) }
+
+// set is Set of src's first n bytes, n a whole number of lines.
+func (p *Buffers) set(b, src []byte, n int) []byte {
 	if b == nil || n > 0 && cap(b) != LineSize<<class(n) {
 		p.Release(b)
 		b = p.alloc(n)

@@ -66,7 +66,13 @@ func (f *Frame) WriteAt(off int, src []byte) {
 }
 
 // Load sets the whole page to held, then zeros: the fill from a device block.
-func (f *Frame) Load(held []byte) { f.data = f.home.bufs.Set(f.data, held) }
+// held is a block's view (device.Store.ReadPage), which ends at its last
+// nonzero line, so it is taken as it is (Buffers.SetHeld).
+func (f *Frame) Load(held []byte) { f.data = f.home.bufs.SetHeld(f.data, held) }
+
+// SetPage sets the whole page to src, at most a page of any bytes, then
+// zeros: a whole-page write. The frame holds src up to its last nonzero line.
+func (f *Frame) SetPage(src []byte) { f.data = f.home.bufs.Set(f.data, src) }
 
 // Reset zeroes the payload if materialized (page reuse between files); the
 // frame keeps its buffer.
