@@ -174,13 +174,17 @@ engine-bench:
 # the munmap of a 96 MB mapping with 24 K live PTEs, the delete of a file with
 # 24 K cached pages and a 64-page ranged msync with 16 K pages cached and 4 K
 # dirty across four cores
-# (DESIGN.md §3 "Simulated hardware state is flat"). Not part of ci, like
+# (DESIGN.md §3 "Simulated hardware state is flat"). The munmap and delete
+# rows re-fault their 24 K pages untimed before every timed op, so they run
+# a fixed 200 ops: under the default -benchtime the set-up, not the op, would
+# set the row's wall time (~45 s). Not part of ci, like
 # engine-bench: the AllocsPerRun tests beside these benchmarks do the gating
 # in `make test`.
 sim-bench:
 	$(GO) test ./internal/sim/cpu ./internal/sim/pagetable ./internal/sim/device ./internal/sim/mem -run '^$$' -bench . -benchmem -cpu 1
 	$(GO) test ./internal/sim/engine -run '^$$' -bench '$(engine-rows)' -benchmem -cpu 1
-	$(GO) test ./internal/detutil ./internal/core -run '^$$' -bench 'PageIndexLookupInsertRemove|RegionFind|Munmap24kPages|DeleteFile24kPages|MsyncRange64Of16k' -benchmem -cpu 1
+	$(GO) test ./internal/detutil ./internal/core -run '^$$' -bench 'PageIndexLookupInsertRemove|RegionFind|MsyncRange64Of16k' -benchmem -cpu 1
+	$(GO) test ./internal/core -run '^$$' -bench 'Munmap24kPages|DeleteFile24kPages' -benchtime 200x -benchmem -cpu 1
 
 # Host cost of the KV and graph data paths alone, the stores over an in-memory
 # namespace (internal/kvs/kvtest) and the graph over a wrapped DRAM heap, so
@@ -213,11 +217,13 @@ loc:
 
 # The call-reach census: every main built with coverage of all of
 # aquila/..., run the way programs run, into one GOCOVERDIR: every experiment
-# at -scale 0.3 and fig5a, fig5b, fig7 and fig9 at scale 1, the torture bank
-# with its proof plan, the six bench workloads (and one per-layer run at
-# scale 1, whose micro loops are the only LSM puts that reach a compaction),
-# the CLI golden invocations, ycsb over every store x world x device, and the
-# five examples. It prints every function no run entered (0.0 %). Link-reach
+# at -scale 0.3 and fig5a, fig5b, fig7 and fig9 at scale 1 (and fig8a with
+# -profile-dir), the torture bank as ci runs it (proof plan, -dup, -shrink),
+# the six bench workloads (and one per-layer run at scale 1, whose micro loops
+# are the only LSM puts that reach a compaction), the CLI golden invocations,
+# aqlint over the whole tree, ycsb over every store x world x device plus the
+# LSM scan workload (E), and the five examples. It prints every function no
+# run entered (0.0 %). Link-reach
 # lists what no main links; this lists what no run calls, which includes
 # methods linked only because their type is converted to an interface. Not
 # part of ci: its list is for reading, not a gate. Scratch output in .reach/
@@ -233,15 +239,17 @@ reach:
 	$$b/aquila-bench -exp fig5a,fig5b,fig7,fig9 > /dev/null; \
 	$$b/aquila-bench -list > /dev/null; $$b/aquila-bench -exp table1,memcpy -format csv > /dev/null; \
 	$$b/aquila-bench -exp table1,nosuch 2> /dev/null; \
-	$$b/aqtort -prove-unsafe -bank 64 > /dev/null; \
+	$$b/aquila-bench -exp fig8a -profile-dir $$r -profile-top 5 > /dev/null; \
+	$$b/aqtort -prove-unsafe -bank 64 -dup -shrink -repro-dir $$r > /dev/null; \
 	$$b/aqtort -bank 2 -v > /dev/null; $$b/aqtort -prove-unsafe -repro-dir $$r > /dev/null; \
 	$$b/aqtort -repro internal/torture/testdata/repros/unsafe_msync.json > /dev/null; \
-	$$b/aqtort -repro cmd/aqtort/testdata/slot-out-of-range.json 2> /dev/null; $$b/aqtort -nosuch 2> /dev/null; \
+	$$b/aqtort -repro cmd/aqtort/testdata/slot-out-of-range.json 2> /dev/null; \
+	$$b/aqtort -repro cmd/aqtort/testdata/impossible-crash.json 2> /dev/null; $$b/aqtort -nosuch 2> /dev/null; \
 	for w in fault-cold-32t evict-mixed-16t linux-evict-mixed-16t kreon-ycsb-a-nvme-1t bfs-rmat-8t figs-gated; do \
 		$$b/bench -workload $$w -scale 0.05 > /dev/null; \
 	done; \
 	$$b/bench -workload fault-cold-32t -trace 1 > /dev/null; \
-	$$b/aqlint ./internal/sim/device/... 2> /dev/null; $$b/aqlint -json ./internal/sim/device/... > /dev/null 2>&1; \
+	$$b/aqlint ./... 2> /dev/null; $$b/aqlint -json ./internal/sim/device/... > /dev/null 2>&1; \
 	$$b/aqlint -nosuch 2> /dev/null; $$b/aqlint ./nosuch/... 2> /dev/null; \
 	$$b/mmio-micro -mode aquila -threads 4 -cache 16 -dataset 64 -ops 500 -trace $$r/t.json \
 		-metrics-json $$r/m.json -profile-dir $$r -profile-top 5 > /dev/null; \
@@ -251,6 +259,7 @@ reach:
 		-metrics-json $$r/m.json > /dev/null; \
 	$$b/mmio-micro -mode dax 2> /dev/null; $$b/mmio-micro -cache 8 -dataset 32 -ops 10 -trace $$r/nosuchdir/t.json > /dev/null 2>&1; \
 	$$b/ycsb -store lsm -engine aquila -workload C -threads 2 -records 2000 -ops 300 -trace $$r/t.json -metrics-json $$r/m.json > /dev/null; \
+	$$b/ycsb -store lsm -engine aquila -workload E -records 2000 -ops 300 > /dev/null; \
 	$$b/ycsb -store kreon -engine kmmap -device nvme -workload A -dist zipfian -records 2000 -ops 300 -metrics-json $$r/m.json > /dev/null; \
 	$$b/ycsb -engine direct -records 2000 -ops 200 > /dev/null; \
 	$$b/ycsb -engine spdk 2> /dev/null; $$b/ycsb -store btree 2> /dev/null; \

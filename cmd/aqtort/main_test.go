@@ -15,6 +15,8 @@ func TestCLI(t *testing.T) {
 			Args: []string{"-repro", "internal/torture/testdata/repros/unsafe_msync.json"}},
 		{Name: "repro with a slot its file lacks", Dir: "../..", Exit: 2, Stderr: "bad-slot.stderr.golden",
 			Args: []string{"-repro", "cmd/aqtort/testdata/slot-out-of-range.json"}},
+		{Name: "repro with a crash past the run", Dir: "../..", Exit: 2, Stderr: "impossible-crash.stderr.golden",
+			Args: []string{"-repro", "cmd/aqtort/testdata/impossible-crash.json"}},
 		{Name: "unknown flag", Exit: 2, Stderr: "unknown-flag.stderr.golden", Args: []string{"-nosuch"}},
 	})
 }

@@ -24,6 +24,8 @@ func TestAnalyzerGoldens(t *testing.T) {
 		{Detrand, "detrand", "aquila/internal/sim/clockuser", 0},
 		{Maporder, "maporder", "aquila/internal/core/maps", 3},
 		{Cyclecost, "cyclecost", "aquila/internal/core/cycles", 0},
+		// The host kernel and its hypervisor charge cycles too.
+		{Cyclecost, "cyclecost", "aquila/internal/host/cycles", 0},
 		{Spanpair, "spanpair", "aquila/internal/core/spans", 0},
 		{Errdrop, "errdrop", "aquila/internal/core/eio", 0},
 		{Crashclean, "crashclean", "aquila/internal/sim/world", 0},

@@ -36,15 +36,17 @@ func SimulatedPkg(path string) bool {
 }
 
 // CycleAccountedPkg reports whether the import path is part of the
-// transition-cost surface: the simulated CPU/runtime layers where every raw
-// clock advance must name a calibrated cost constant. The engine package
-// itself is excluded — it defines the advance primitives.
+// transition-cost surface: the simulated CPU/runtime layers and the host
+// kernel and hypervisor beneath them, where every raw clock advance must name
+// a calibrated cost constant. The engine package itself is excluded — it
+// defines the advance primitives.
 func CycleAccountedPkg(path string) bool {
 	if hasPkgPrefix(path, "aquila/internal/sim/engine") {
 		return false
 	}
 	return hasPkgPrefix(path, "aquila/internal/sim") ||
-		hasPkgPrefix(path, "aquila/internal/core")
+		hasPkgPrefix(path, "aquila/internal/core") ||
+		hasPkgPrefix(path, "aquila/internal/host")
 }
 
 // ErrDropPkg reports whether the import path is held to the typed-I/O-error

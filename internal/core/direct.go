@@ -71,7 +71,7 @@ func (m *DirectMapping) Load(p *engine.Proc, off uint64, buf []byte) {
 	hf := m.eng.file(m.f)
 	st := m.eng.OS.Disk().Content
 	devOff := hf.DevOffset(off)
-	delay, ferr := st.CheckRead(p.Now(), devOff, len(buf))
+	delay, ferr := st.Check(p.Now(), devOff, len(buf), false)
 	if ferr != nil {
 		panic(&SigBus{VA: m.base + off, File: m.f.name,
 			Err: newIOFault("read", m.f.name, off/pageSize, ferr)})
@@ -91,7 +91,7 @@ func (m *DirectMapping) Store(p *engine.Proc, off uint64, buf []byte) {
 	hf := m.eng.file(m.f)
 	st := m.eng.OS.Disk().Content
 	devOff := hf.DevOffset(off)
-	delay, ferr := st.CheckWrite(p.Now(), devOff, len(buf))
+	delay, ferr := st.Check(p.Now(), devOff, len(buf), true)
 	if ferr != nil {
 		m.f.wbErr.record(newIOFault("write", m.f.name, off/pageSize, ferr))
 	} else {

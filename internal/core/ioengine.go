@@ -185,7 +185,7 @@ func (e *DAXEngine) transfer(p *engine.Proc, op ioOp, x extent, ok bool, delay u
 func (e *DAXEngine) DirectRead(p *engine.Proc, f *fileState, off uint64, buf []byte) error {
 	st := e.OS.Disk().Content
 	devOff := e.file(f).DevOffset(off)
-	delay, ferr := st.CheckRead(p.Now(), devOff, len(buf))
+	delay, ferr := st.Check(p.Now(), devOff, len(buf), false)
 	if ferr == nil {
 		st.ReadAt(devOff, buf)
 	}
@@ -201,7 +201,7 @@ func (e *DAXEngine) DirectWrite(p *engine.Proc, f *fileState, off uint64, buf []
 	hf := e.file(f)
 	st := e.OS.Disk().Content
 	devOff := hf.DevOffset(off)
-	delay, ferr := st.CheckWrite(p.Now(), devOff, len(buf))
+	delay, ferr := st.Check(p.Now(), devOff, len(buf), true)
 	if ferr == nil {
 		st.WriteAt(devOff, buf)
 		if off+uint64(len(buf)) > hf.Size() {
@@ -298,7 +298,7 @@ func (e *SPDKEngine) DirectRead(p *engine.Proc, f *fileState, off uint64, buf []
 	for i := 0; i < len(buf); {
 		at := off + uint64(i)
 		n := clusterRun(at, len(buf)-i)
-		delay, ferr := st.CheckRead(p.Now(), bs.DevOff(b, at), n)
+		delay, ferr := st.Check(p.Now(), bs.DevOff(b, at), n, false)
 		if delay > 0 {
 			p.WaitUntil(p.Now()+delay, engine.KindIOWait)
 		}
@@ -322,7 +322,7 @@ func (e *SPDKEngine) DirectWrite(p *engine.Proc, f *fileState, off uint64, buf [
 	for i := 0; i < len(buf); {
 		at := off + uint64(i)
 		n := clusterRun(at, len(buf)-i)
-		delay, ferr := st.CheckWrite(p.Now(), bs.DevOff(b, at), n)
+		delay, ferr := st.Check(p.Now(), bs.DevOff(b, at), n, true)
 		if delay > 0 {
 			p.WaitUntil(p.Now()+delay, engine.KindIOWait)
 		}
@@ -377,7 +377,7 @@ func (e *HostEngine) transfer(p *engine.Proc, op ioOp, x extent, ok bool, delay 
 func (e *HostEngine) DirectRead(p *engine.Proc, f *fileState, off uint64, buf []byte) error {
 	hf := e.file(f)
 	st := e.OS.Disk().Content
-	delay, ferr := st.CheckRead(p.Now(), hf.DevOffset(off), len(buf))
+	delay, ferr := st.Check(p.Now(), hf.DevOffset(off), len(buf), false)
 	if ferr != nil {
 		e.OS.DirectIOTimed(p, len(buf), false)
 		if delay > 0 {
@@ -396,7 +396,7 @@ func (e *HostEngine) DirectRead(p *engine.Proc, f *fileState, off uint64, buf []
 func (e *HostEngine) DirectWrite(p *engine.Proc, f *fileState, off uint64, buf []byte) error {
 	hf := e.file(f)
 	st := e.OS.Disk().Content
-	delay, ferr := st.CheckWrite(p.Now(), hf.DevOffset(off), len(buf))
+	delay, ferr := st.Check(p.Now(), hf.DevOffset(off), len(buf), true)
 	if ferr != nil {
 		e.OS.DirectIOTimed(p, len(buf), true)
 		if delay > 0 {

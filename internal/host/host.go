@@ -65,6 +65,12 @@ const (
 	// costReclaimPerPage is direct reclaim's per-victim cost beyond the
 	// structure updates (page_referenced, rmap walk in try_to_unmap).
 	costReclaimPerPage uint64 = 1800
+	// costGrantHandler and costReclaimHandler are the hypervisor's root-mode
+	// bookkeeping (VMCall handler cycles) to grow and shrink the DRAM grant.
+	costGrantHandler   uint64 = 3000
+	costReclaimHandler uint64 = 3000
+	// costPostedIRQWrite is a shootdown's posted-interrupt descriptor write per target.
+	costPostedIRQWrite uint64 = 100
 )
 
 const (

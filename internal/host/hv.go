@@ -38,7 +38,7 @@ func (hv *Hypervisor) VMCall(p *engine.Proc, handlerCycles uint64) {
 // space starting at gpa, using 1 GB EPT pages (§3.5). Called via vmcall when
 // Aquila grows its DRAM cache.
 func (hv *Hypervisor) GrantRegion(p *engine.Proc, gpa, bytes uint64) {
-	hv.VMCall(p, 3000) // root-mode allocation bookkeeping
+	hv.VMCall(p, costGrantHandler)
 	for off := uint64(0); off < bytes; off += pagetable.Size1G {
 		hv.ept.Map(gpa+off, (gpa+off)>>12, pagetable.FlagWritable, pagetable.Size1G)
 		p.AdvanceSystem(cpu.PTEUpdate)
@@ -48,7 +48,7 @@ func (hv *Hypervisor) GrantRegion(p *engine.Proc, gpa, bytes uint64) {
 
 // ReclaimRegion unmaps a granted region (cache shrink).
 func (hv *Hypervisor) ReclaimRegion(p *engine.Proc, gpa, bytes uint64) {
-	hv.VMCall(p, 3000)
+	hv.VMCall(p, costReclaimHandler)
 	hv.ept.UnmapRange(gpa, bytes)
 	hv.GrantedBytes -= bytes
 }
@@ -65,7 +65,7 @@ func (hv *Hypervisor) SendShootdownIPIs(p *engine.Proc, targets []int, recvCycle
 			continue
 		}
 		hv.IPITargets++
-		p.AdvanceSystem(100) // per-target posted-interrupt descriptor write
+		p.AdvanceSystem(costPostedIRQWrite)
 		hv.os.E.PostIRQ(c, recvCycles)
 	}
 }

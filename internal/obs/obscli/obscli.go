@@ -8,7 +8,6 @@ package obscli
 import (
 	"fmt"
 	"io"
-	"os"
 
 	"aquila/internal/obs"
 	"aquila/internal/obs/profile"
@@ -56,29 +55,16 @@ func (s *Sinks) SpanSink() obs.SpanSink {
 // was writing ("trace", "metrics") with the error.
 func (s *Sinks) Flush(w io.Writer, prefix string) (what string, err error) {
 	if s.tracePath != "" {
-		if err := WriteTo(s.tracePath, s.Tracer.WriteChromeTrace); err != nil {
+		if err := obs.WriteTo(s.tracePath, s.Tracer.WriteChromeTrace); err != nil {
 			return "trace", err
 		}
 		fmt.Fprintf(w, "%strace written to %s (open in chrome://tracing or ui.perfetto.dev)\n", prefix, s.tracePath)
 	}
 	if s.metricsPath != "" {
-		if err := WriteTo(s.metricsPath, s.Registry.WriteJSON); err != nil {
+		if err := obs.WriteTo(s.metricsPath, s.Registry.WriteJSON); err != nil {
 			return "metrics", err
 		}
 		fmt.Fprintf(w, "%smetrics written to %s\n", prefix, s.metricsPath)
 	}
 	return "", nil
-}
-
-// WriteTo creates path and streams write into it.
-func WriteTo(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -4,9 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strings"
+
+	"aquila/internal/obs"
 )
 
 // SchemaVersion identifies the PROF_<exp>.json layout; bump on incompatible
@@ -191,20 +192,8 @@ func (pr *Profiler) WriteTop(w io.Writer, n int) error {
 // ("<base>.json" / "<base>.folded"), the layout cmd/aquila-bench's
 // -profile-dir produces per experiment.
 func (pr *Profiler) WriteFiles(base string) error {
-	if err := writeTo(base+".json", pr.WriteJSON); err != nil {
+	if err := obs.WriteTo(base+".json", pr.WriteJSON); err != nil {
 		return err
 	}
-	return writeTo(base+".folded", pr.WriteFolded)
-}
-
-func writeTo(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return obs.WriteTo(base+".folded", pr.WriteFolded)
 }

@@ -61,12 +61,16 @@ func (r *Report) WriteJSON(w io.Writer) error {
 }
 
 // WriteFile writes the report to path ("BENCH_<exp>.json").
-func (r *Report) WriteFile(path string) error {
+func (r *Report) WriteFile(path string) error { return WriteTo(path, r.WriteJSON) }
+
+// WriteTo creates path and streams write into it: the one file-writing path
+// of the reports, traces, metrics snapshots and profiles.
+func WriteTo(path string, write func(w io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := r.WriteJSON(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}

@@ -346,19 +346,19 @@ func (s *Store) ArmCrashAtOp(opIndex uint64, hook func()) {
 // is byte-for-byte equivalent to running without one.
 type CrashPlan struct {
 	// Seed drives the tear policy RNG.
-	Seed int64
+	Seed int64 `json:"seed"`
 	// AtCycle kills the run when simulated time reaches this cycle (0 = off).
-	AtCycle uint64
+	AtCycle uint64 `json:"at_cycle"`
 	// AtDeviceOp kills the run right after the Nth device content write,
 	// 1-based (0 = off).
-	AtDeviceOp uint64
+	AtDeviceOp uint64 `json:"at_device_op"`
 	// AtSpan kills the run on entry to the SpanHit'th occurrence of this
 	// named span, e.g. "aq.msync" or "aq.bg_writeback" ("" = off).
-	AtSpan string
+	AtSpan string `json:"at_span"`
 	// SpanHit selects which occurrence of AtSpan fires (1-based; 0 = first).
-	SpanHit uint64
+	SpanHit uint64 `json:"span_hit"`
 	// TearProb is the per-dropped-block probability of a torn sector prefix.
-	TearProb float64
+	TearProb float64 `json:"tear_prob"`
 }
 
 // Empty reports whether the plan has no trigger armed.
@@ -366,30 +366,28 @@ func (p *CrashPlan) Empty() bool {
 	return p == nil || (p.AtCycle == 0 && p.AtDeviceOp == 0 && p.AtSpan == "")
 }
 
-// crashPlanJSON is the fixture wire format (testdata/crashplans/*.json).
-type crashPlanJSON struct {
-	Seed       int64   `json:"seed"`
-	AtCycle    uint64  `json:"at_cycle"`
-	AtDeviceOp uint64  `json:"at_device_op"`
-	AtSpan     string  `json:"at_span"`
-	SpanHit    uint64  `json:"span_hit"`
-	TearProb   float64 `json:"tear_prob"`
+// Validate rejects a plan no run can honour: a tear probability outside
+// [0,1], or a span occurrence with no span to count.
+func (p *CrashPlan) Validate() error {
+	if p.TearProb < 0 || p.TearProb > 1 {
+		return fmt.Errorf("crash plan: tear_prob %v outside [0,1]", p.TearProb)
+	}
+	if p.SpanHit > 0 && p.AtSpan == "" {
+		return fmt.Errorf("crash plan: span_hit %d without at_span", p.SpanHit)
+	}
+	return nil
 }
 
-// CrashPlanFromJSON parses a plan from its fixture wire format.
+// CrashPlanFromJSON parses and validates a plan (testdata/crashplans/*.json).
 func CrashPlanFromJSON(data []byte) (*CrashPlan, error) {
-	var w crashPlanJSON
-	if err := json.Unmarshal(data, &w); err != nil {
+	var p CrashPlan
+	if err := json.Unmarshal(data, &p); err != nil {
 		return nil, fmt.Errorf("crash plan: %w", err)
 	}
-	p := &CrashPlan{
-		Seed: w.Seed, AtCycle: w.AtCycle, AtDeviceOp: w.AtDeviceOp,
-		AtSpan: w.AtSpan, SpanHit: w.SpanHit, TearProb: w.TearProb,
+	if err := p.Validate(); err != nil {
+		return nil, err
 	}
-	if p.TearProb < 0 || p.TearProb > 1 {
-		return nil, fmt.Errorf("crash plan: tear_prob %v outside [0,1]", p.TearProb)
-	}
-	return p, nil
+	return &p, nil
 }
 
 // LoadCrashPlan reads a plan fixture from disk.

@@ -1,9 +1,9 @@
 package device
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
+	"slices"
 )
 
 // Deterministic device fault injection. A FaultPlan is a seeded schedule of
@@ -40,49 +40,53 @@ const (
 	FaultPoison
 )
 
-// String returns the kind's wire name (also used as the obs label).
+// faultKindNames are the kinds' wire names (also the obs labels).
+var faultKindNames = [...]string{
+	FaultTransientRead:  "transient-read",
+	FaultTransientWrite: "transient-write",
+	FaultPermanentRead:  "permanent-read",
+	FaultPermanentWrite: "permanent-write",
+	FaultLatencySpike:   "latency-spike",
+	FaultPoison:         "poison",
+}
+
+// String returns the kind's wire name.
 func (k FaultKind) String() string {
-	switch k {
-	case FaultTransientRead:
-		return "transient-read"
-	case FaultTransientWrite:
-		return "transient-write"
-	case FaultPermanentRead:
-		return "permanent-read"
-	case FaultPermanentWrite:
-		return "permanent-write"
-	case FaultLatencySpike:
-		return "latency-spike"
-	case FaultPoison:
-		return "poison"
+	if int(k) < len(faultKindNames) {
+		return faultKindNames[k]
 	}
 	return fmt.Sprintf("kind-%d", k)
 }
 
-// faultKindFromString parses a wire name.
-func faultKindFromString(s string) (FaultKind, error) {
-	for k := FaultTransientRead; k <= FaultPoison; k++ {
-		if k.String() == s {
-			return k, nil
-		}
+// MarshalText writes the kind's wire name, so plans serialize with string
+// kinds.
+func (k FaultKind) MarshalText() ([]byte, error) {
+	if int(k) >= len(faultKindNames) {
+		return nil, fmt.Errorf("device: unknown fault kind %d", k)
 	}
-	return 0, fmt.Errorf("device: unknown fault kind %q", s)
+	return []byte(faultKindNames[k]), nil
 }
 
-// reads reports whether the kind applies to read operations.
-func (k FaultKind) reads() bool {
-	switch k {
-	case FaultTransientRead, FaultPermanentRead, FaultPoison, FaultLatencySpike:
-		return true
+// UnmarshalText parses a wire name.
+func (k *FaultKind) UnmarshalText(b []byte) error {
+	i := slices.Index(faultKindNames[:], string(b))
+	if i < 0 {
+		return fmt.Errorf("device: unknown fault kind %q", b)
 	}
-	return false
+	*k = FaultKind(i)
+	return nil
 }
 
-// writes reports whether the kind applies to write operations.
-func (k FaultKind) writes() bool {
+// applies reports whether the kind matches an operation in the direction
+// given: latency spikes both, the others their own.
+func (k FaultKind) applies(write bool) bool {
 	switch k {
-	case FaultTransientWrite, FaultPermanentWrite, FaultLatencySpike:
+	case FaultLatencySpike:
 		return true
+	case FaultTransientWrite, FaultPermanentWrite:
+		return write
+	case FaultTransientRead, FaultPermanentRead, FaultPoison:
+		return !write
 	}
 	return false
 }
@@ -113,72 +117,37 @@ func (e *IOError) Transient() bool {
 // operation's direction suits the kind and its byte range overlaps
 // [Off, Off+Len). Whether a matching operation fires is decided either by
 // the deterministic count schedule (After/Every/Limit) or, when Prob > 0, by
-// a seeded Bernoulli draw per matching operation.
+// a seeded Bernoulli draw per matching operation. The JSON form is the
+// fixture and torture-plan wire format; zero fields are left out.
 type FaultRule struct {
-	Kind FaultKind
+	Kind FaultKind `json:"kind"`
 	// Off/Len restrict the rule to a device byte range; Len 0 means "to the
 	// end of the device" (with Off 0: the whole device).
-	Off uint64
-	Len uint64
+	Off uint64 `json:"off,omitempty"`
+	Len uint64 `json:"len,omitempty"`
 	// After is the 1-based index of the first matching operation that can
 	// fire (0 means the first). Every is the period between subsequent
 	// fires (0: fire only once, at After). Limit caps total fires
 	// (0: unlimited).
-	After uint64
-	Every uint64
-	Limit uint64
+	After uint64 `json:"after,omitempty"`
+	Every uint64 `json:"every,omitempty"`
+	Limit uint64 `json:"limit,omitempty"`
 	// Prob, when > 0, replaces the count schedule: each matching operation
 	// fires with this probability, drawn from the plan's seeded generator.
-	Prob float64
+	Prob float64 `json:"prob,omitempty"`
 	// Delay is the extra latency of a FaultLatencySpike, in cycles
 	// (0 derives DefaultSpikeDelay).
-	Delay uint64
+	Delay uint64 `json:"delay,omitempty"`
 }
 
 // DefaultSpikeDelay is the latency-spike delay when a rule leaves Delay 0
 // (~20 µs at 2.4 GHz — a visible stall, not a timeout).
 const DefaultSpikeDelay = 50000
 
-// FaultPlan is a seeded set of fault rules.
+// FaultPlan is a seeded set of fault rules (testdata/faultplans/*.json).
 type FaultPlan struct {
-	Seed  int64
-	Rules []FaultRule
-}
-
-// faultPlanJSON is the fixture wire format (testdata/faultplans/*.json).
-type faultPlanJSON struct {
-	Seed  int64 `json:"seed"`
-	Rules []struct {
-		Kind  string  `json:"kind"`
-		Off   uint64  `json:"off"`
-		Len   uint64  `json:"len"`
-		After uint64  `json:"after"`
-		Every uint64  `json:"every"`
-		Limit uint64  `json:"limit"`
-		Prob  float64 `json:"prob"`
-		Delay uint64  `json:"delay"`
-	} `json:"rules"`
-}
-
-// FaultPlanFromJSON parses a plan from its fixture wire format.
-func FaultPlanFromJSON(data []byte) (*FaultPlan, error) {
-	var w faultPlanJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return nil, fmt.Errorf("device: bad fault plan: %w", err)
-	}
-	plan := &FaultPlan{Seed: w.Seed}
-	for i, r := range w.Rules {
-		kind, err := faultKindFromString(r.Kind)
-		if err != nil {
-			return nil, fmt.Errorf("device: rule %d: %w", i, err)
-		}
-		plan.Rules = append(plan.Rules, FaultRule{
-			Kind: kind, Off: r.Off, Len: r.Len,
-			After: r.After, Every: r.Every, Limit: r.Limit,
-			Prob: r.Prob, Delay: r.Delay,
-		})
-	}
-	return plan, nil
+	Seed  int64       `json:"seed"`
+	Rules []FaultRule `json:"rules"`
 }
 
 // badRange is one permanently failed byte range.
@@ -242,16 +211,6 @@ func (s *Store) Check(now uint64, off uint64, n int, write bool) (delay uint64, 
 	return s.faults.check(s.obs, now, off, n, write)
 }
 
-// CheckRead is Check for reads.
-func (s *Store) CheckRead(now uint64, off uint64, n int) (uint64, error) {
-	return s.Check(now, off, n, false)
-}
-
-// CheckWrite is Check for writes.
-func (s *Store) CheckWrite(now uint64, off uint64, n int) (uint64, error) {
-	return s.Check(now, off, n, true)
-}
-
 func overlaps(off, end, rOff, rEnd uint64) bool {
 	return off < rEnd && rOff < end
 }
@@ -273,7 +232,7 @@ func (fs *faultState) check(o *devObs, now uint64, off uint64, n int, write bool
 		}
 	}
 	for _, rs := range fs.rules {
-		if write && !rs.Kind.writes() || !write && !rs.Kind.reads() {
+		if !rs.Kind.applies(write) {
 			continue
 		}
 		rEnd := rs.Off + rs.Len

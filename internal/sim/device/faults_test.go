@@ -1,9 +1,11 @@
 package device
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -46,11 +48,11 @@ func TestFaultDirectionMatch(t *testing.T) {
 	s.InjectFaults("dev0", &FaultPlan{Rules: []FaultRule{
 		{Kind: FaultTransientWrite, After: 1},
 	}})
-	if _, err := s.CheckRead(0, 0, 4096); err != nil {
+	if _, err := s.Check(0, 0, 4096, false); err != nil {
 		t.Errorf("write-fault rule failed a read: %v", err)
 	}
 	// The read did not consume the rule's schedule slot.
-	if _, err := s.CheckWrite(0, 0, 4096); err == nil {
+	if _, err := s.Check(0, 0, 4096, true); err == nil {
 		t.Error("first write did not fail")
 	}
 }
@@ -60,14 +62,14 @@ func TestFaultRangeRestriction(t *testing.T) {
 	s.InjectFaults("dev0", &FaultPlan{Rules: []FaultRule{
 		{Kind: FaultTransientRead, Off: 8192, Len: 4096, After: 1, Every: 1},
 	}})
-	if _, err := s.CheckRead(0, 0, 4096); err != nil {
+	if _, err := s.Check(0, 0, 4096, false); err != nil {
 		t.Errorf("out-of-range read failed: %v", err)
 	}
-	if _, err := s.CheckRead(0, 8192, 4096); err == nil {
+	if _, err := s.Check(0, 8192, 4096, false); err == nil {
 		t.Error("in-range read did not fail")
 	}
 	// Overlap at the edge counts.
-	if _, err := s.CheckRead(0, 4096, 8192); err == nil {
+	if _, err := s.Check(0, 4096, 8192, false); err == nil {
 		t.Error("overlapping read did not fail")
 	}
 }
@@ -110,10 +112,10 @@ func TestPermanentReadRangePersists(t *testing.T) {
 	s.InjectFaults("nvme0", &FaultPlan{Rules: []FaultRule{
 		{Kind: FaultPermanentRead, Off: 4096, Len: 4096, After: 2},
 	}})
-	if _, err := s.CheckRead(0, 4096, 4096); err != nil {
+	if _, err := s.Check(0, 4096, 4096, false); err != nil {
 		t.Fatalf("read before After failed: %v", err)
 	}
-	_, err := s.CheckRead(1, 4096, 4096)
+	_, err := s.Check(1, 4096, 4096, false)
 	if err == nil {
 		t.Fatal("second read did not fire the permanent fault")
 	}
@@ -126,14 +128,14 @@ func TestPermanentReadRangePersists(t *testing.T) {
 	}
 	// Every later overlapping read keeps failing; writes are unaffected.
 	for i := 0; i < 5; i++ {
-		if _, err := s.CheckRead(uint64(2+i), 4096, 4096); err == nil {
+		if _, err := s.Check(uint64(2+i), 4096, 4096, false); err == nil {
 			t.Fatal("permanent bad range stopped failing")
 		}
 	}
-	if _, err := s.CheckWrite(10, 4096, 4096); err != nil {
+	if _, err := s.Check(10, 4096, 4096, true); err != nil {
 		t.Errorf("write to read-bad range failed: %v", err)
 	}
-	if _, err := s.CheckRead(11, 12288, 4096); err != nil {
+	if _, err := s.Check(11, 12288, 4096, false); err != nil {
 		t.Errorf("read outside bad range failed: %v", err)
 	}
 }
@@ -143,12 +145,12 @@ func TestPoisonActsAsPermanentRead(t *testing.T) {
 	s.InjectFaults("pmem0", &FaultPlan{Rules: []FaultRule{
 		{Kind: FaultPoison, Off: 0, Len: 64, After: 1},
 	}})
-	_, err := s.CheckRead(0, 0, 4096)
+	_, err := s.Check(0, 0, 4096, false)
 	var de *IOError
 	if !errors.As(err, &de) || de.Kind != FaultPoison {
 		t.Fatalf("poisoned read error = %v", err)
 	}
-	if _, err := s.CheckRead(1, 0, 64); err == nil {
+	if _, err := s.Check(1, 0, 64, false); err == nil {
 		t.Error("poisoned line readable again")
 	}
 }
@@ -158,10 +160,10 @@ func TestLatencySpikeDelaysWithoutFailing(t *testing.T) {
 	s.InjectFaults("dev0", &FaultPlan{Rules: []FaultRule{
 		{Kind: FaultLatencySpike, After: 2, Delay: 12345},
 	}})
-	if d, err := s.CheckRead(0, 0, 4096); err != nil || d != 0 {
+	if d, err := s.Check(0, 0, 4096, false); err != nil || d != 0 {
 		t.Fatalf("first op: delay=%d err=%v", d, err)
 	}
-	d, err := s.CheckRead(1, 0, 4096)
+	d, err := s.Check(1, 0, 4096, false)
 	if err != nil {
 		t.Fatalf("spiked op failed: %v", err)
 	}
@@ -183,7 +185,7 @@ func TestNoPlanIsInert(t *testing.T) {
 		{Kind: FaultTransientWrite, After: 1, Every: 1},
 	}})
 	s.InjectFaults("dev0", nil)
-	if _, err := s.CheckWrite(0, 0, 4096); err != nil {
+	if _, err := s.Check(0, 0, 4096, true); err != nil {
 		t.Fatalf("detached plan still fires: %v", err)
 	}
 }
@@ -195,11 +197,11 @@ func loadFaultPlan(t *testing.T, name string) *FaultPlan {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := FaultPlanFromJSON(data)
-	if err != nil {
+	var plan FaultPlan
+	if err := json.Unmarshal(data, &plan); err != nil {
 		t.Fatal(err)
 	}
-	return plan
+	return &plan
 }
 
 func TestLoadFaultPlanFixtures(t *testing.T) {
@@ -220,8 +222,37 @@ func TestLoadFaultPlanFixtures(t *testing.T) {
 		t.Errorf("permanent-read rule = %+v", plan.Rules[0])
 	}
 
-	if _, err := FaultPlanFromJSON([]byte(`{"rules":[{"kind":"nope"}]}`)); err == nil {
+	if err := json.Unmarshal([]byte(`{"rules":[{"kind":"nope"}]}`), new(FaultPlan)); err == nil {
 		t.Error("unknown kind parsed")
+	}
+}
+
+// The plan's JSON is the fixture and torture-plan wire format: string kinds,
+// zero rule fields left out. Checked-in fixtures and repros are written in
+// it, so the literal holds every kind's name and every field's key.
+func TestFaultPlanWireFormat(t *testing.T) {
+	plan := &FaultPlan{Seed: 9, Rules: []FaultRule{
+		{Kind: FaultTransientRead, After: 2},
+		{Kind: FaultTransientWrite, Prob: 0.25},
+		{Kind: FaultPermanentRead, Off: 8192, Len: 4096},
+		{Kind: FaultPermanentWrite, After: 5, Limit: 1},
+		{Kind: FaultLatencySpike, Every: 50, Delay: 80000},
+		{Kind: FaultPoison, Off: 64, Len: 64},
+	}}
+	const want = `{"seed":9,"rules":[{"kind":"transient-read","after":2},` +
+		`{"kind":"transient-write","prob":0.25},{"kind":"permanent-read","off":8192,"len":4096},` +
+		`{"kind":"permanent-write","after":5,"limit":1},{"kind":"latency-spike","every":50,"delay":80000},` +
+		`{"kind":"poison","off":64,"len":64}]}`
+	got, err := json.Marshal(plan)
+	if err != nil || string(got) != want {
+		t.Fatalf("Marshal = %s, %v\nwant       %s", got, err, want)
+	}
+	var back FaultPlan
+	if err := json.Unmarshal(got, &back); err != nil || !reflect.DeepEqual(&back, plan) {
+		t.Fatalf("round trip = %+v, %v", back, err)
+	}
+	if _, err := json.Marshal(FaultRule{Kind: FaultPoison + 1}); err == nil {
+		t.Error("a kind with no wire name marshalled")
 	}
 }
 
@@ -230,7 +261,7 @@ func TestInjectFaultsOnDevices(t *testing.T) {
 	nv.InjectFaults("nvme0", &FaultPlan{Rules: []FaultRule{
 		{Kind: FaultTransientRead, After: 1},
 	}})
-	_, err := nv.Store.CheckRead(0, 0, 4096)
+	_, err := nv.Store.Check(0, 0, 4096, false)
 	var de *IOError
 	if !errors.As(err, &de) || de.Dev != "nvme0" {
 		t.Fatalf("nvme fault = %v", err)
@@ -239,11 +270,11 @@ func TestInjectFaultsOnDevices(t *testing.T) {
 	pm.InjectFaults("pmem0", &FaultPlan{Rules: []FaultRule{
 		{Kind: FaultPoison, Off: 0, Len: 4096, After: 1},
 	}})
-	if _, err := pm.Store.CheckRead(0, 0, 64); err == nil {
+	if _, err := pm.Store.Check(0, 0, 64, false); err == nil {
 		t.Fatal("pmem poison did not fire")
 	}
 	pm.InjectFaults("pmem0", nil)
-	if _, err := pm.Store.CheckRead(1, 0, 64); err != nil {
+	if _, err := pm.Store.Check(1, 0, 64, false); err != nil {
 		t.Fatalf("detach left faults active: %v", err)
 	}
 }
@@ -267,7 +298,7 @@ func TestFaultRecordingIndependentOfInstrumentOrder(t *testing.T) {
 			instrument()
 		}
 		for i := uint64(0); i < 10; i++ {
-			d.CheckRead(i*1000, 0, 4096)
+			d.Check(i*1000, 0, 4096, false)
 		}
 		var n uint64
 		for k, v := range reg.Snapshot().Counters {

@@ -230,14 +230,7 @@ func run(pl *Plan, crash *device.CrashPlan) *Outcome {
 	opts.Profiler = x.prof
 	x.sys = aquila.New(opts)
 	defer x.sys.Close() // a failed phase leaves its threads parked
-	if pl.Fault != nil {
-		fp, err := pl.Fault.Compile()
-		if err != nil {
-			x.fail("fault plan: %v", err)
-			return x.o
-		}
-		x.sys.InjectFaults(fp)
-	}
+	x.sys.InjectFaults(pl.Fault)
 	if crash != nil {
 		x.sys.InjectCrash(crash)
 	}

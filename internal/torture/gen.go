@@ -1,6 +1,10 @@
 package torture
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"aquila/internal/sim/device"
+)
 
 // Generation constraints, chosen so every generated plan is oracle-sound:
 //
@@ -49,20 +53,20 @@ func Generate(seed int64, nops int) *Plan {
 	switch rng.Intn(5) {
 	case 0, 1: // fault-free
 	case 2, 3: // transient writes + latency spikes
-		pl.Fault = &FaultSpec{Seed: rng.Int63n(1 << 30)}
-		pl.Fault.Rules = append(pl.Fault.Rules, FaultRuleSpec{
-			Kind: "transient-write", Prob: 0.01 + rng.Float64()*0.04,
+		pl.Fault = &device.FaultPlan{Seed: rng.Int63n(1 << 30)}
+		pl.Fault.Rules = append(pl.Fault.Rules, device.FaultRule{
+			Kind: device.FaultTransientWrite, Prob: 0.01 + rng.Float64()*0.04,
 		})
 		if rng.Intn(2) == 0 {
-			pl.Fault.Rules = append(pl.Fault.Rules, FaultRuleSpec{
-				Kind: "latency-spike", Prob: 0.05, Delay: 20000 + uint64(rng.Intn(40000)),
+			pl.Fault.Rules = append(pl.Fault.Rules, device.FaultRule{
+				Kind: device.FaultLatencySpike, Prob: 0.05, Delay: 20000 + uint64(rng.Intn(40000)),
 			})
 		}
 	default: // one permanent write failure, count-scheduled
 		permanent = true
-		pl.Fault = &FaultSpec{Seed: rng.Int63n(1 << 30)}
-		pl.Fault.Rules = append(pl.Fault.Rules, FaultRuleSpec{
-			Kind: "permanent-write", After: 1 + uint64(rng.Intn(100)), Limit: 1,
+		pl.Fault = &device.FaultPlan{Seed: rng.Int63n(1 << 30)}
+		pl.Fault.Rules = append(pl.Fault.Rules, device.FaultRule{
+			Kind: device.FaultPermanentWrite, After: 1 + uint64(rng.Intn(100)), Limit: 1,
 		})
 	}
 

@@ -81,38 +81,6 @@ type KreonSpec struct {
 	IdxKB uint64 `json:"idx_kb"`
 }
 
-// FaultRuleSpec mirrors device.FaultRule in the JSON fixture wire format
-// (string kinds).
-type FaultRuleSpec struct {
-	Kind  string  `json:"kind"`
-	Off   uint64  `json:"off,omitempty"`
-	Len   uint64  `json:"len,omitempty"`
-	After uint64  `json:"after,omitempty"`
-	Every uint64  `json:"every,omitempty"`
-	Limit uint64  `json:"limit,omitempty"`
-	Prob  float64 `json:"prob,omitempty"`
-	Delay uint64  `json:"delay,omitempty"`
-}
-
-// FaultSpec is the plan's fault schedule. The generator only emits
-// write-direction and latency kinds: read-direction faults and poison
-// surface as SIGBUS on loads, which is legal behavior, not an oracle
-// failure, and would drown the durability signal.
-type FaultSpec struct {
-	Seed  int64           `json:"seed"`
-	Rules []FaultRuleSpec `json:"rules"`
-}
-
-// Compile lowers the spec to a device.FaultPlan via the device package's own
-// wire parser, so kind names and validation stay in one place.
-func (f *FaultSpec) Compile() (*device.FaultPlan, error) {
-	raw, err := json.Marshal(f)
-	if err != nil {
-		return nil, err
-	}
-	return device.FaultPlanFromJSON(raw)
-}
-
 // CrashSpec describes when the machine dies, in coordinates that survive
 // shrinking. AtAck and OpFrac are symbolic: Execute resolves them against a
 // crash-free probe run of the same plan (AtAck k = one cycle after the k'th
@@ -149,9 +117,13 @@ type Plan struct {
 
 	Files []FileSpec `json:"files"`
 	Kreon *KreonSpec `json:"kreon,omitempty"`
-	Fault *FaultSpec `json:"fault,omitempty"`
-	Crash *CrashSpec `json:"crash,omitempty"`
-	Ops   []Op       `json:"ops"`
+	// Fault is the device's fault schedule. The generator only emits
+	// write-direction and latency kinds: read-direction faults and poison
+	// surface as SIGBUS on loads, which is legal behavior, not an oracle
+	// failure, and would drown the durability signal.
+	Fault *device.FaultPlan `json:"fault,omitempty"`
+	Crash *CrashSpec        `json:"crash,omitempty"`
+	Ops   []Op              `json:"ops"`
 }
 
 // Validate checks cross-field consistency so a hand-edited repro fails with
@@ -213,9 +185,16 @@ func (pl *Plan) Validate() error {
 			return fmt.Errorf("torture: op %d has unknown kind %q", i, op.Kind)
 		}
 	}
-	if pl.Fault != nil {
-		if _, err := pl.Fault.Compile(); err != nil {
-			return err
+	if cs := pl.Crash; cs != nil {
+		if cs.OpFrac < 0 || cs.OpFrac > 1 {
+			return fmt.Errorf("torture: crash op_frac %v outside [0,1]", cs.OpFrac)
+		}
+		if cs.AtAck < 0 {
+			return fmt.Errorf("torture: crash at_ack %d is negative", cs.AtAck)
+		}
+		cp := device.CrashPlan{AtSpan: cs.AtSpan, SpanHit: cs.SpanHit, TearProb: cs.TearProb}
+		if err := cp.Validate(); err != nil {
+			return fmt.Errorf("torture: %w", err)
 		}
 	}
 	return nil
@@ -260,7 +239,7 @@ func (pl *Plan) clone() *Plan {
 	}
 	if pl.Fault != nil {
 		f := *pl.Fault
-		f.Rules = append([]FaultRuleSpec(nil), pl.Fault.Rules...)
+		f.Rules = append([]device.FaultRule(nil), pl.Fault.Rules...)
 		c.Fault = &f
 	}
 	if pl.Crash != nil {

@@ -1,6 +1,7 @@
 package torture
 
 import (
+	"encoding/json"
 	"math"
 	"path/filepath"
 	"reflect"
@@ -174,6 +175,65 @@ func TestLoadRejects(t *testing.T) {
 	}
 	if _, err := Load(path); err == nil {
 		t.Fatal("Load accepted a plan with a future version")
+	}
+}
+
+// A generated plan's JSON, its fault schedule among it, is the repro wire
+// format: checked-in repros are written in it, so a seed's plan must keep
+// its bytes.
+func TestGeneratedPlanWireFormat(t *testing.T) {
+	const want = `{"version":2,"seed":1,"world":"aquila","device":"pmem","threads":3,"cpus":4,` +
+		`"cache_kb":3072,"files":[{"slots":26},{"slots":62},{"slots":55},{"slots":50}],` +
+		`"fault":{"seed":141817305,"rules":[{"kind":"transient-write","prob":0.04455833172542013},` +
+		`{"kind":"latency-spike","prob":0.05,"delay":40740}]},` +
+		`"crash":{"seed":451145607,"tear_prob":0.28439421028000916,"at_ack":1},` +
+		`"ops":[{"t":2,"kind":"store","file":1,"slot":36},{"t":0,"kind":"load","slot":15},` +
+		`{"t":1,"kind":"load","file":2,"slot":31},{"t":0,"kind":"store","file":2,"slot":33},` +
+		`{"t":2,"kind":"store","file":1,"slot":9},{"t":0,"kind":"msync","file":3,"slot":1}]}`
+	got, err := json.Marshal(Generate(1, 6))
+	if err != nil || string(got) != want {
+		t.Fatalf("Marshal = %s, %v\nwant       %s", got, err, want)
+	}
+}
+
+// Validate refuses a crash no run can reach or tear: an op_frac past 1 puts
+// the crash after the last device write, so the repro would replay
+// crash-free and report ok.
+func TestValidateRejectsImpossibleCrash(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		crash CrashSpec
+		want  string // "" = valid
+	}{
+		{"generated shape", CrashSpec{Seed: 5, TearProb: 0.5, OpFrac: 0.4}, ""},
+		{"certain tear", CrashSpec{Seed: 5, TearProb: 1, AtAck: 2}, ""},
+		{"span hit", CrashSpec{AtSpan: "aq.msync", SpanHit: 2}, ""},
+		{"tear past one", CrashSpec{Seed: 5, TearProb: 1.5}, "tear_prob 1.5 outside [0,1]"},
+		{"negative tear", CrashSpec{TearProb: -0.1}, "tear_prob -0.1 outside [0,1]"},
+		{"op fraction past the run", CrashSpec{OpFrac: 2.5}, "op_frac 2.5 outside [0,1]"},
+		{"negative op fraction", CrashSpec{OpFrac: -0.5}, "op_frac -0.5 outside [0,1]"},
+		{"negative ack", CrashSpec{AtAck: -1}, "at_ack -1"},
+		{"span hit without a span", CrashSpec{SpanHit: 3}, "span_hit 3 without at_span"},
+	} {
+		pl := Generate(3, 10)
+		pl.Crash = &tc.crash
+		err := pl.Validate()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: Validate = %v, want an error naming %q", tc.name, err, tc.want)
+		}
+	}
+
+	pl := Generate(3, 10)
+	pl.Crash = &CrashSpec{Seed: 5, TearProb: 1.5, OpFrac: 2.5}
+	path := filepath.Join(t.TempDir(), "impossible.json")
+	if err := pl.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(path); err == nil {
+		t.Fatal("Load accepted a crash with tear_prob 1.5 and op_frac 2.5")
 	}
 }
 
